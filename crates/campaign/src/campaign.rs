@@ -7,7 +7,7 @@ use st_core::Universe;
 use st_sched::{CrashPlan, GeneratorSpec, TimeoutPolicySpec};
 
 use crate::scenario::{Scenario, ScenarioOutcome, StopRule, Workload};
-use crate::store::OutcomeStore;
+use crate::store::{OutcomeStore, StoreEntry};
 
 /// An ordered list of scenarios, executed together.
 ///
@@ -231,6 +231,22 @@ pub enum ChunkControl {
     Stop,
 }
 
+/// What a [`Campaign::run_chunked_fresh`] observer sees after each chunk.
+pub struct ChunkReport<'a> {
+    /// Everything recorded so far: reused outcomes plus every chunk up to
+    /// and including this one.
+    pub store: &'a OutcomeStore,
+    /// The entries this chunk *executed*, in rank order. A resumed campaign
+    /// may have reused any subset of ranks, so these are not "the entries
+    /// past the previous count" — they sit wherever their ranks fall in
+    /// `store`.
+    pub fresh: &'a [&'a StoreEntry],
+    /// Scenarios with an outcome so far (reused + executed).
+    pub completed: usize,
+    /// Scenarios in the campaign.
+    pub total: usize,
+}
+
 impl Campaign {
     /// Rebuilds a campaign from explicit `(rank, scenario)` pairs — the
     /// inverse of reading [`ranks`](Self::ranks) ×
@@ -260,8 +276,8 @@ impl Campaign {
     /// The incremental drive behind `st-serve`: like
     /// [`run_resumed`](Self::run_resumed), but executes the pending
     /// scenarios in rank-order chunks of `chunk`, recording into `record`
-    /// as it goes and calling `observer(record, completed, total)` after
-    /// every chunk — the daemon's checkpoint-and-cancellation hook.
+    /// as it goes and calling `observer` with a [`ChunkReport`] after every
+    /// chunk — the daemon's checkpoint-and-cancellation hook.
     ///
     /// Returns the rank-ordered outcomes produced so far and whether the
     /// campaign *finished* (`false` iff the observer returned
@@ -271,8 +287,10 @@ impl Campaign {
     ///
     /// - outcomes reused from `resume` are recorded **before** the first
     ///   chunk, so after every observer call `record` holds exactly the
-    ///   outcomes completed so far (a store checkpoint is always a valid
-    ///   resume point);
+    ///   outcomes completed so far, and the reports' `fresh` entries taken
+    ///   together are exactly what `record` holds beyond `resume` — a
+    ///   caller that persists `fresh` chunk by chunk always has a valid
+    ///   resume point on disk;
     /// - the store inserts in canonical `(campaign, rank)` order, so the
     ///   bytes of `record` after the final chunk are **identical** to what
     ///   [`run_resumed`](Self::run_resumed) records — chunk size, thread
@@ -282,20 +300,20 @@ impl Campaign {
     ///   same bytes as an uninterrupted one.
     ///
     /// When every scenario is already in `resume`, the observer is still
-    /// called once (with `completed == total`) so a caller that persists
-    /// checkpoints from the observer always writes the final store.
+    /// called once (with `completed == total` and nothing fresh) so a
+    /// caller that finalizes from the observer always does.
     ///
     /// # Panics
     ///
     /// Panics if `chunk == 0`.
-    pub fn run_chunked(
+    pub fn run_chunked_fresh(
         &self,
         threads: usize,
         key: &str,
         resume: Option<&OutcomeStore>,
         record: &mut OutcomeStore,
         chunk: usize,
-        mut observer: impl FnMut(&OutcomeStore, usize, usize) -> ChunkControl,
+        mut observer: impl FnMut(&ChunkReport<'_>) -> ChunkControl,
     ) -> (Vec<ScenarioOutcome>, bool) {
         assert!(chunk > 0, "chunk size must be ≥ 1");
         let total = self.len();
@@ -315,33 +333,52 @@ impl Campaign {
             record_one(record, out);
         }
         let mut outcomes = reused;
-        if pending.is_empty() {
-            let _ = observer(record, total, total);
-            return (outcomes, true);
-        }
         let mut start = 0usize;
-        let mut finished = true;
-        while start < pending.len() {
+        loop {
             let end = (start + chunk).min(pending.len());
             let part = Campaign {
                 scenarios: pending.scenarios[start..end].to_vec(),
                 ranks: pending.ranks[start..end].to_vec(),
                 next_rank: pending.next_rank,
             };
-            let fresh = part.run_parallel(threads);
-            for out in &fresh {
+            let executed = part.run_parallel(threads);
+            for out in &executed {
                 record_one(record, out);
             }
-            outcomes.extend(fresh);
+            let fresh: Vec<&StoreEntry> = executed
+                .iter()
+                .map(|out| record.entry(key, out.rank).expect("recorded just above"))
+                .collect();
+            let control = observer(&ChunkReport {
+                store: record,
+                fresh: &fresh,
+                completed: total - (pending.len() - end),
+                total,
+            });
+            outcomes.extend(executed);
             start = end;
-            let completed = total - (pending.len() - start);
-            if observer(record, completed, total) == ChunkControl::Stop {
-                finished = start >= pending.len();
+            if start >= pending.len() || control == ChunkControl::Stop {
                 break;
             }
         }
         outcomes.sort_by_key(|o| o.rank);
-        (outcomes, finished)
+        (outcomes, start >= pending.len())
+    }
+
+    /// [`run_chunked_fresh`](Self::run_chunked_fresh) for observers that
+    /// only look at the store so far: `observer(record, completed, total)`.
+    pub fn run_chunked(
+        &self,
+        threads: usize,
+        key: &str,
+        resume: Option<&OutcomeStore>,
+        record: &mut OutcomeStore,
+        chunk: usize,
+        mut observer: impl FnMut(&OutcomeStore, usize, usize) -> ChunkControl,
+    ) -> (Vec<ScenarioOutcome>, bool) {
+        self.run_chunked_fresh(threads, key, resume, record, chunk, |report| {
+            observer(report.store, report.completed, report.total)
+        })
     }
 }
 

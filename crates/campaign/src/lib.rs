@@ -74,7 +74,7 @@ mod scenario;
 pub mod shrink;
 pub mod store;
 
-pub use campaign::{merge_outcomes, Campaign, ChunkControl, GridBuilder};
+pub use campaign::{merge_outcomes, Campaign, ChunkControl, ChunkReport, GridBuilder};
 pub use counterexample::{Counterexample, CE_SCHEMA};
 pub use fuzz::{
     features, CorpusEntry, CoverageMap, Finding, FuzzConfig, FuzzInput, FuzzReport, FuzzSession,

@@ -116,6 +116,49 @@ pub struct StoreEntry {
     pub outcome: ScenarioOutcome,
 }
 
+impl StoreEntry {
+    /// The store's canonical order: campaign key, then rank.
+    fn sort_key(&self) -> (&str, usize) {
+        (self.campaign.as_str(), self.rank)
+    }
+
+    /// Appends the entry as the one-line JSON object a store file holds
+    /// for it (no separator, no newline). This is the only entry encoder:
+    /// store files and `st-serve`'s segment log are both made of these
+    /// lines, which is what lets a log be compacted into a store without
+    /// changing a byte of any entry.
+    pub fn write_json_line(&self, out: &mut String) {
+        let obj = Json::obj([
+            ("campaign", Json::str(self.campaign.clone())),
+            ("rank", Json::U64(self.rank as u64)),
+            ("scenario", self.scenario.clone()),
+            ("outcome", encode_outcome(&self.outcome)),
+        ]);
+        out.push_str(&obj.to_string());
+    }
+
+    /// Decodes one entry object (the inverse of
+    /// [`write_json_line`](Self::write_json_line) after `Json::parse`).
+    fn from_json(e: &Json) -> DecodeResult<StoreEntry> {
+        let campaign = str_field(e, "campaign")?.to_string();
+        let rank = usize_field(e, "rank")?;
+        let scenario = field(e, "scenario")?.clone();
+        let outcome = decode_outcome(field(e, "outcome")?)?;
+        if outcome.rank != rank {
+            return Err(format!(
+                "entry rank {rank} disagrees with outcome rank {}",
+                outcome.rank
+            ));
+        }
+        Ok(StoreEntry {
+            campaign,
+            rank,
+            scenario,
+            outcome,
+        })
+    }
+}
+
 /// A persistable, resumable collection of campaign outcomes. See the
 /// module docs for the lifecycle and the [`SCHEMA`] versioning rule.
 #[derive(Clone, Default, Debug)]
@@ -160,7 +203,7 @@ impl OutcomeStore {
         };
         let probe = self
             .entries
-            .binary_search_by(|e| (e.campaign.as_str(), e.rank).cmp(&(key, outcome.rank)));
+            .binary_search_by(|e| e.sort_key().cmp(&(key, outcome.rank)));
         match probe {
             Ok(idx) => self.entries[idx] = entry,
             Err(idx) => self.entries.insert(idx, entry),
@@ -171,15 +214,22 @@ impl OutcomeStore {
     /// scenario spec is byte-identical to `scenario`'s canonical
     /// serialization — the staleness guard resumption relies on.
     pub fn lookup(&self, key: &str, rank: usize, scenario: &Scenario) -> Option<ScenarioOutcome> {
-        let entry = self
-            .entries
-            .iter()
-            .find(|e| e.campaign == key && e.rank == rank)?;
+        let entry = self.entry(key, rank)?;
         if entry.scenario == encode_scenario(scenario) {
             Some(entry.outcome.clone())
         } else {
             None
         }
+    }
+
+    /// The entry recorded under `(key, rank)`, if any: a binary search,
+    /// since every constructor keeps the entries in `(campaign, rank)`
+    /// order.
+    pub fn entry(&self, key: &str, rank: usize) -> Option<&StoreEntry> {
+        self.entries
+            .binary_search_by(|e| e.sort_key().cmp(&(key, rank)))
+            .ok()
+            .map(|idx| &self.entries[idx])
     }
 
     /// Keeps only the entries for which `pred` holds (maintenance:
@@ -195,7 +245,8 @@ impl OutcomeStore {
     }
 
     /// Serializes the whole store canonically: schema header, then one
-    /// entry per line in `(campaign, rank)` order.
+    /// entry per line ([`StoreEntry::write_json_line`]) in
+    /// `(campaign, rank)` order.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");
@@ -203,13 +254,7 @@ impl OutcomeStore {
         out.push_str("\"entries\": [");
         for (i, entry) in self.entries.iter().enumerate() {
             out.push_str(if i == 0 { "\n" } else { ",\n" });
-            let obj = Json::obj([
-                ("campaign", Json::str(entry.campaign.clone())),
-                ("rank", Json::U64(entry.rank as u64)),
-                ("scenario", entry.scenario.clone()),
-                ("outcome", encode_outcome(&entry.outcome)),
-            ]);
-            out.push_str(&obj.to_string());
+            entry.write_json_line(&mut out);
         }
         out.push_str("\n]\n}\n");
         out
@@ -217,7 +262,12 @@ impl OutcomeStore {
 
     /// Parses a store document, verifying the schema version first.
     pub fn from_json_str(text: &str) -> Result<Self, StoreError> {
-        let doc = Json::parse(text)?;
+        Self::from_json(&Json::parse(text)?)
+    }
+
+    /// Decodes an already-parsed store document (a fetched wire frame, a
+    /// replayed segment log), verifying the schema version first.
+    pub fn from_json(doc: &Json) -> Result<Self, StoreError> {
         let schema = doc
             .get("schema")
             .and_then(Json::as_str)
@@ -234,48 +284,27 @@ impl OutcomeStore {
             .ok_or_else(|| StoreError::Malformed("missing \"entries\" array".into()))?;
         let mut entries = Vec::with_capacity(raw.len());
         for (i, e) in raw.iter().enumerate() {
-            let campaign = str_field(e, "campaign")
-                .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?
-                .to_string();
-            let rank = u64_field(e, "rank")
-                .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?
-                as usize;
-            let scenario = e
-                .get("scenario")
-                .cloned()
-                .ok_or_else(|| StoreError::Malformed(format!("entry {i}: missing scenario")))?;
-            let outcome = decode_outcome(
-                e.get("outcome")
-                    .ok_or_else(|| StoreError::Malformed(format!("entry {i}: missing outcome")))?,
-            )
-            .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?;
-            if outcome.rank != rank {
-                return Err(StoreError::Malformed(format!(
-                    "entry {i}: entry rank {rank} disagrees with outcome rank {}",
-                    outcome.rank
-                )));
-            }
-            entries.push(StoreEntry {
-                campaign,
-                rank,
-                scenario,
-                outcome,
-            });
+            let entry = StoreEntry::from_json(e)
+                .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?;
+            entries.push(entry);
         }
         // Canonical order regardless of file order (writer-produced files
         // are already sorted; hand-reordered ones are re-canonicalized so
         // `record`'s sorted insertion stays valid). Duplicate keys would
         // make lookups ambiguous — reject them.
-        entries.sort_by(|a, b| (a.campaign.as_str(), a.rank).cmp(&(b.campaign.as_str(), b.rank)));
+        entries.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
         if let Some(w) = entries
             .windows(2)
-            .find(|w| (w[0].campaign.as_str(), w[0].rank) == (w[1].campaign.as_str(), w[1].rank))
+            .find(|w| w[0].sort_key() == w[1].sort_key())
         {
             return Err(StoreError::Malformed(format!(
                 "duplicate entries for campaign {:?} rank {}",
                 w[0].campaign, w[0].rank
             )));
         }
+        debug_assert!(entries
+            .windows(2)
+            .all(|w| w[0].sort_key() < w[1].sort_key()));
         Ok(OutcomeStore { entries })
     }
 
@@ -1601,6 +1630,13 @@ mod tests {
             .map(|e| (e.campaign.as_str(), e.rank))
             .collect();
         assert_eq!(keys, [("e2", 0), ("e2", 2), ("e3", 0), ("e3", 1)]);
+        // And every entry is found by the binary search, in either store.
+        for &(key, rank, seed) in &entries {
+            let found = backward.lookup(key, rank, &sample_scenario(seed));
+            assert_eq!(found.map(|o| o.rank), Some(rank), "{key}/{rank}");
+        }
+        assert!(forward.entry("e2", 1).is_none());
+        assert!(forward.entry("e4", 0).is_none());
     }
 
     #[test]

@@ -8,9 +8,9 @@
 use std::sync::OnceLock;
 
 use st_campaign::{
-    Campaign, ChunkControl, FdAbi, FdDetector, OutcomeStore, ScenarioOutcome, Workload,
+    Campaign, ChunkControl, FdAbi, FdDetector, OutcomeStore, ScenarioOutcome, StoreEntry, Workload,
 };
-use st_core::{ProcSet, ProcessId, Universe};
+use st_core::{Json, ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, GeneratorSpec};
 
@@ -131,6 +131,99 @@ fn stopped_then_resumed_completes_to_identical_bytes() {
             full_store.to_json_string(),
             "kill-after-{stop_after}-chunks + resume diverged from the uninterrupted run"
         );
+    }
+}
+
+/// The store a log-keeping caller rebuilds: `base`'s entries plus the
+/// logged entry lines, through the one store decoder.
+fn replayed(base: &OutcomeStore, log: &[String]) -> OutcomeStore {
+    let line = |entry: &StoreEntry| {
+        let mut out = String::new();
+        entry.write_json_line(&mut out);
+        out
+    };
+    let lines = base.entries().iter().map(line).chain(log.iter().cloned());
+    let doc = Json::obj([
+        ("schema", Json::str(st_campaign::store::SCHEMA)),
+        (
+            "entries",
+            Json::arr(lines.map(|l| Json::parse(&l).expect("entry lines are JSON"))),
+        ),
+    ]);
+    OutcomeStore::from_json(&doc).expect("base + fresh entries never collide")
+}
+
+#[test]
+fn fresh_entries_logged_per_chunk_replay_to_the_checkpoint_from_any_resume_subset() {
+    let (campaign, _, full_store) = reference();
+    // Resume stores holding non-prefix rank subsets (and the empty one).
+    let subsets: [&dyn Fn(usize) -> bool; 3] = [&|_| false, &|rank| rank % 3 == 1, &|rank| {
+        [0, 5, 6, 11].contains(&rank)
+    }];
+    for keep in subsets {
+        let mut resume = full_store.clone();
+        resume.retain(|_, e| keep(e.rank));
+        let pending: Vec<usize> = (0..campaign.len()).filter(|&r| !keep(r)).collect();
+        for chunk in [1usize, 2, 3, 8] {
+            for stop_after in 1..=pending.len().div_ceil(chunk) {
+                let case = format!(
+                    "resume={} chunk={chunk} stop_after={stop_after}",
+                    resume.len()
+                );
+                // Phase 1: log each chunk's fresh entries, stop at the
+                // interrupt point.
+                let mut log: Vec<String> = Vec::new();
+                let mut calls = 0usize;
+                let mut checkpoint = OutcomeStore::new();
+                campaign.run_chunked_fresh(
+                    2,
+                    KEY,
+                    Some(&resume),
+                    &mut checkpoint,
+                    chunk,
+                    |report| {
+                        let ranks: Vec<usize> = report.fresh.iter().map(|e| e.rank).collect();
+                        let from = calls * chunk;
+                        let to = (from + chunk).min(pending.len());
+                        assert_eq!(
+                            ranks,
+                            pending[from..to],
+                            "{case}: fresh = what this chunk ran"
+                        );
+                        assert_eq!(report.store.len(), report.completed, "{case}");
+                        assert_eq!(report.completed, resume.len() + to, "{case}");
+                        for entry in report.fresh {
+                            let mut line = String::new();
+                            entry.write_json_line(&mut line);
+                            log.push(line);
+                        }
+                        calls += 1;
+                        if calls >= stop_after {
+                            ChunkControl::Stop
+                        } else {
+                            ChunkControl::Continue
+                        }
+                    },
+                );
+                // Replay: resume store + log = the in-memory checkpoint.
+                let recovered = replayed(&resume, &log);
+                assert_eq!(recovered.entries(), checkpoint.entries(), "{case}");
+
+                // Phase 2: finish from the replayed state; compaction (the
+                // final store's bytes) matches the uninterrupted batch run.
+                let mut record = OutcomeStore::new();
+                let (_, finished) =
+                    campaign.run_chunked(1, KEY, Some(&recovered), &mut record, 5, |_, _, _| {
+                        ChunkControl::Continue
+                    });
+                assert!(finished, "{case}");
+                assert_eq!(
+                    record.to_json_string(),
+                    full_store.to_json_string(),
+                    "{case}"
+                );
+            }
+        }
     }
 }
 

@@ -22,7 +22,8 @@ USAGE:
 
 DAEMON OPTIONS:
   --listen ADDR            address to bind (e.g. 127.0.0.1:7777)
-  --state DIR              state directory (job specs + outcome stores)
+  --state DIR              state directory (job specs, segment logs of
+                           unfinished jobs, outcome stores of finished ones)
   --threads N              campaign workers per chunk (default: hardware)
   --chunk N                scenarios per checkpoint (default 8)
   --max-pending N          in-flight scenario bound; beyond it submits get

@@ -197,7 +197,8 @@ impl ServeClient {
         self.job_from(&resp)
     }
 
-    /// Fetches the job's outcome store. The returned store's
+    /// Fetches the job's outcome store: the finished store of a `done`
+    /// job, the committed prefix of any other. A finished store's
     /// [`to_json_string`](OutcomeStore::to_json_string) reproduces the
     /// daemon's file bytes exactly (the store's parse→serialize round trip
     /// is byte-stable).
@@ -207,7 +208,7 @@ impl ServeClient {
         let doc = resp
             .get("store")
             .ok_or_else(|| ClientError::Malformed("response has no \"store\" field".into()))?;
-        let store = OutcomeStore::from_json_str(&doc.to_string())
+        let store = OutcomeStore::from_json(doc)
             .map_err(|e| ClientError::Failed(format!("fetched store for {key:?}: {e}")))?;
         Ok((job, store))
     }

@@ -1,0 +1,119 @@
+//! The checkpoint segment log: what a running job's outcomes look like on
+//! disk before they are compacted into an ordinary store file.
+//!
+//! `job-<key>.store.log` is a sequence of `\n`-terminated lines. After
+//! every chunk the worker appends one **segment** in a single `write_all`:
+//! the chunk's fresh entries, each as the exact line an
+//! [`OutcomeStore`](st_campaign::OutcomeStore) file holds for it
+//! ([`StoreEntry::write_json_line`]), then a **commit line**
+//!
+//! ```json
+//! {"commit": 8, "hash": 1234567890123456789}
+//! ```
+//!
+//! where `commit` counts the segment's entry lines and `hash` is 64-bit
+//! FNV-1a over their bytes, newlines included (a run that finds every
+//! scenario already recorded commits one empty segment). A job therefore
+//! appends O(N) bytes in total — its store plus one commit line per
+//! chunk — instead of rewriting the whole store per chunk.
+//!
+//! # Recovery
+//!
+//! Replay walks the lines. A commit line that matches the lines since
+//! the previous one commits them. Whatever follows the last commit line —
+//! entry lines without a commit, half a line, half a commit line — is a
+//! **torn tail**: the write a kill interrupted. It is dropped without
+//! error, and the worker truncates it away before appending again. A
+//! commit line that does *not* match its lines, or a committed line that
+//! is not an entry, means the file was damaged after it was written: that
+//! is a typed error and the job parks `broken` — a damaged log is never
+//! partly reused.
+
+use st_campaign::{store::SCHEMA, StoreEntry};
+use st_core::Json;
+
+/// What [`replay`] recovered.
+pub(crate) struct Replay {
+    /// The committed entries as parsed documents, in log order.
+    pub entries: Vec<Json>,
+    /// Bytes up to and including the last commit line; the rest of the
+    /// file is a torn tail.
+    pub committed_len: usize,
+}
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// One segment: `entries` as store lines, then their commit line.
+pub(crate) fn segment(entries: &[&StoreEntry]) -> String {
+    let mut out = String::new();
+    for entry in entries {
+        entry.write_json_line(&mut out);
+        out.push('\n');
+    }
+    let commit = Json::obj([
+        ("commit", Json::U64(entries.len() as u64)),
+        ("hash", Json::U64(fnv1a(out.as_bytes()))),
+    ]);
+    out.push_str(&commit.to_string());
+    out.push('\n');
+    out
+}
+
+/// The `(count, hash)` of a commit line, `None` for any other line.
+fn parse_commit(line: &[u8]) -> Option<(u64, u64)> {
+    if !line.starts_with(b"{\"commit\": ") {
+        return None;
+    }
+    let doc = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
+    Some((doc.get("commit")?.as_u64()?, doc.get("hash")?.as_u64()?))
+}
+
+/// Replays a log's bytes (see the module docs for the rule). `Err` is the
+/// description of the damage.
+pub(crate) fn replay(log: &[u8]) -> Result<Replay, String> {
+    let mut entries = Vec::new();
+    let mut committed_len = 0usize;
+    // Complete lines since `committed_len`: the segment still open.
+    let mut open_lines = 0u64;
+    let mut pos = 0usize;
+    while let Some(len) = log[pos..].iter().position(|&b| b == b'\n') {
+        let line_start = pos;
+        pos += len + 1;
+        let Some((count, hash)) = parse_commit(&log[line_start..line_start + len]) else {
+            open_lines += 1;
+            continue;
+        };
+        let body = &log[committed_len..line_start];
+        if count != open_lines || hash != fnv1a(body) {
+            return Err(format!(
+                "segment log is damaged: the commit line at byte {line_start} does not match \
+                 the {open_lines} line(s) before it"
+            ));
+        }
+        let damaged = |e: &dyn std::fmt::Display| {
+            format!("segment log is damaged: the segment committed at byte {line_start}: {e}")
+        };
+        for line in std::str::from_utf8(body).map_err(|e| damaged(&e))?.lines() {
+            entries.push(Json::parse(line).map_err(|e| damaged(&e))?);
+        }
+        committed_len = pos;
+        open_lines = 0;
+    }
+    Ok(Replay {
+        entries,
+        committed_len,
+    })
+}
+
+/// The store document holding `entries` (already-parsed entry objects).
+pub(crate) fn store_doc(entries: Vec<Json>) -> Json {
+    Json::obj([
+        ("schema", Json::str(SCHEMA)),
+        ("entries", Json::Arr(entries)),
+    ])
+}

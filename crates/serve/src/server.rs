@@ -1,35 +1,54 @@
 //! The daemon: a TCP accept loop, a persistent job table, and one campaign
-//! worker draining the queue through [`Campaign::run_chunked`].
+//! worker draining the queue through [`Campaign::run_chunked_fresh`].
 //!
 //! # State directory
 //!
 //! Every accepted `submit` is persisted *before* it is acknowledged:
-//! `job-<key>.spec.json` (schema [`JOB_SCHEMA`])
-//! holds the campaign's canonical `(rank, scenario)` list, and
-//! `job-<key>.store.json` is an ordinary [`OutcomeStore`] file the worker
-//! rewrites atomically (write-temp-then-rename) after every chunk. A
-//! restarted daemon rescans the directory, re-derives each job's progress
-//! by matching the store against the spec (the same staleness-guarded
-//! comparison `--resume` uses), and continues — killing the process at any
-//! point loses at most the chunk in flight, never the store's integrity.
+//! `job-<key>.spec.json` (schema [`JOB_SCHEMA`]) holds the campaign's
+//! canonical `(rank, scenario)` list. It is the job's identity — a
+//! re-`submit` is compared with its bytes — and the only copy of the
+//! campaign the daemon keeps: the job table holds a key, a state and two
+//! counters per job, and the worker decodes the spec when the job runs.
+//!
+//! Outcomes live in one of two files. While a job is unfinished, the
+//! worker appends each chunk's fresh entries to the segment log
+//! `job-<key>.store.log` (grammar and recovery rule: [`crate::log`]), so a
+//! job writes O(N) bytes however many chunks it takes. When the last chunk
+//! is in, the log is **compacted** once into `job-<key>.store.json`, an
+//! ordinary [`OutcomeStore`] file: written to a temp file, renamed into
+//! place, and only then is the log removed. A kill between the rename and
+//! the removal leaves both; the store wins and the restart scan removes
+//! the log.
+//!
+//! A restarted daemon rescans the directory, recovers each job's outcomes
+//! ([`recover_store`]: the store file if there is one, else the log's
+//! committed segments, dropping a torn tail), re-derives its progress by
+//! matching them against the spec (the same staleness-guarded comparison
+//! `--resume` uses), and continues — killing the process at any point
+//! loses at most the chunk in flight. A log damaged *inside* a committed
+//! segment is never partly reused: the job parks [`JobState::Broken`].
 //!
 //! # Determinism
 //!
 //! The worker executes jobs through the same engine as `stlab` batch mode,
-//! so a job's finished store is **byte-identical** whether it ran in one
-//! daemon process, across a kill/restart, or via `stlab` without a daemon
-//! at all (`tests/serve.rs` and CI's serve-smoke job assert the bytes).
+//! and log lines are the store's own entry lines, so a job's finished
+//! store is **byte-identical** whether it ran in one daemon process,
+//! across a kill/restart, or via `stlab` without a daemon at all
+//! (`tests/serve.rs` and CI's serve-smoke job assert the bytes).
 
+use std::fmt::Display;
+use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use st_campaign::{Campaign, ChunkControl, OutcomeStore};
+use st_campaign::{Campaign, ChunkControl, OutcomeStore, StoreError};
 use st_core::frame::{read_frame, write_frame};
 use st_core::Json;
 
+use crate::log;
 use crate::protocol::{
     decode_entries, error_response, job_spec, ok_response, validate_key, ErrorKind, JobState, Verb,
     JOB_SCHEMA, PROTO,
@@ -44,8 +63,8 @@ pub struct ServeConfig {
     /// Worker threads per campaign chunk (`usize::MAX` = one per hardware
     /// thread). Results are thread-count independent.
     pub threads: usize,
-    /// Scenarios per checkpoint: the store is rewritten and cancellation
-    /// honored at every multiple of this.
+    /// Scenarios per checkpoint: a segment is appended to the job's log and
+    /// cancellation honored at every multiple of this.
     pub chunk: usize,
     /// Backpressure bound: a `submit` whose scenarios would push the total
     /// queued+running count past this is refused with a typed `busy` error.
@@ -70,20 +89,32 @@ impl ServeConfig {
     }
 }
 
-/// One submitted campaign.
+/// One submitted campaign, as the job table holds it: O(1) memory. The
+/// campaign itself is in `job-<key>.spec.json`.
 struct Job {
     key: String,
-    /// The canonical job-spec document — the identity a re-`submit` is
-    /// compared against.
-    spec: Json,
-    campaign: Campaign,
     state: JobState,
     /// Set by `cancel` while running; honored at the next chunk boundary.
     cancel: bool,
     completed: usize,
     total: usize,
-    /// The store's load-error text when [`JobState::Broken`].
-    store_error: Option<String>,
+    /// Why the job is [`JobState::Broken`]: the error kind and text every
+    /// request against it is answered with.
+    broken: Option<Broken>,
+}
+
+/// An error kind and message, ready for [`error_response`].
+type Broken = (ErrorKind, String);
+
+/// A persisted store that cannot be used: another schema is the protocol's
+/// `schema-mismatch`, anything else (unreadable, malformed, damaged log)
+/// is `internal`.
+fn broken_by(e: &StoreError) -> Broken {
+    let kind = match e {
+        StoreError::SchemaMismatch { .. } => ErrorKind::SchemaMismatch,
+        _ => ErrorKind::Internal,
+    };
+    (kind, e.to_string())
 }
 
 struct Shared {
@@ -162,18 +193,94 @@ fn store_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("job-{key}.store.json"))
 }
 
-/// Atomic store checkpoint: write to a temp file, then rename over the
-/// real one — a kill mid-write can never truncate the previous checkpoint.
-fn checkpoint(store: &OutcomeStore, path: &Path) -> std::io::Result<()> {
+fn log_path(dir: &Path, key: &str) -> PathBuf {
+    dir.join(format!("job-{key}.store.log"))
+}
+
+/// Writes `path` atomically: a temp file, then a rename over the real one
+/// — a kill mid-write never leaves half a document under `path`.
+fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
     let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, store.to_json_string())?;
+    std::fs::write(&tmp, text)?;
     std::fs::rename(&tmp, path)
+}
+
+/// `Ok(None)` for a file that is not there; other errors stay errors.
+fn if_found<T>(read: std::io::Result<T>) -> std::io::Result<Option<T>> {
+    match read {
+        Ok(value) => Ok(Some(value)),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    }
+}
+
+/// Compaction, the one whole-store write of a job's life: the finished
+/// store goes to `job-<key>.store.json`, then the log goes away. A kill
+/// in between leaves both, and the store wins ([`recover`]).
+fn compact(store: &OutcomeStore, dir: &Path, key: &str) -> std::io::Result<()> {
+    write_atomic(&store_path(dir, key), &store.to_json_string())?;
+    if_found(std::fs::remove_file(log_path(dir, key))).map(|_| ())
+}
+
+/// A job's persisted outcomes, as a store document.
+struct Recovered {
+    doc: Json,
+    /// `doc` is the compacted store file, not a replayed log.
+    compacted: bool,
+    /// The log's committed length when `doc` came from it, else 0: what
+    /// the log is truncated to before the worker appends to it again.
+    log_len: u64,
+}
+
+/// Reads what the state directory holds for `key`'s outcomes: the store
+/// file if there is one, else the log's committed segments (a torn tail
+/// is dropped), else nothing. Safe to call while the worker is appending
+/// or compacting.
+fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
+    let store = store_path(dir, key);
+    let compacted = |text: String| {
+        Ok(Recovered {
+            doc: Json::parse(&text)?,
+            compacted: true,
+            log_len: 0,
+        })
+    };
+    if let Some(text) = if_found(std::fs::read_to_string(&store))? {
+        return compacted(text);
+    }
+    if let Some(bytes) = if_found(std::fs::read(log_path(dir, key)))? {
+        let replay = log::replay(&bytes).map_err(StoreError::Malformed)?;
+        return Ok(Recovered {
+            doc: log::store_doc(replay.entries),
+            compacted: false,
+            log_len: replay.committed_len as u64,
+        });
+    }
+    // Compaction renames the store into place before it removes the log:
+    // if neither was there, one may have finished between the two looks.
+    match if_found(std::fs::read_to_string(&store))? {
+        Some(text) => compacted(text),
+        None => Ok(Recovered {
+            doc: log::store_doc(Vec::new()),
+            compacted: false,
+            log_len: 0,
+        }),
+    }
+}
+
+/// The outcomes the state directory holds for job `key`, finished or not:
+/// the compacted store file if it exists, else the segment log's committed
+/// entries (a torn tail is dropped; damage inside a committed segment is
+/// an error), else an empty store. This is the daemon's own recovery path
+/// — what a restart resumes from and what `fetch-outcomes` serves.
+pub fn recover_store(state_dir: &Path, key: &str) -> Result<OutcomeStore, StoreError> {
+    OutcomeStore::from_json(&recover(state_dir, key)?.doc)
 }
 
 /// Rebuilds the job table from the state directory (sorted by file name
 /// for a deterministic table order). Unreadable specs are skipped loudly;
-/// unreadable *stores* produce [`JobState::Broken`] jobs that surface the
-/// store's own error text on every request against them.
+/// unreadable *stores* and damaged logs produce [`JobState::Broken`] jobs
+/// that surface the error's own text on every request against them.
 fn load_jobs(dir: &Path) -> Vec<Job> {
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
@@ -194,8 +301,9 @@ fn load_jobs(dir: &Path) -> Vec<Job> {
     jobs
 }
 
-fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
-    let text = std::fs::read_to_string(dir.join(name)).map_err(|e| e.to_string())?;
+/// Decodes a persisted job spec into its key and campaign.
+fn load_spec(path: &Path) -> Result<(String, Campaign), String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = Json::parse(&text).map_err(|e| e.to_string())?;
     let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
     if schema != JOB_SCHEMA {
@@ -211,36 +319,40 @@ fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
     validate_key(&key)?;
     let entries = doc.get("entries").ok_or("job spec has no \"entries\"")?;
     let campaign = Campaign::from_ranked(decode_entries(entries)?)?;
-    let spec = job_spec(&key, &campaign);
-    let total = campaign.len();
+    Ok((key, campaign))
+}
 
-    let store_file = store_path(dir, &key);
-    let (completed, state, store_error) = if store_file.exists() {
-        match OutcomeStore::load(&store_file) {
-            Ok(store) => {
-                let mut pending = campaign.clone();
-                let completed = pending.skip_completed(&store, &key).len();
-                let state = if completed == total {
-                    JobState::Done
-                } else {
-                    JobState::Interrupted
-                };
-                (completed, state, None)
+fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
+    let (key, mut campaign) = load_spec(&dir.join(name))?;
+    let total = campaign.len();
+    let recovered =
+        recover(dir, &key).and_then(|r| Ok((OutcomeStore::from_json(&r.doc)?, r.compacted)));
+    let (completed, state, broken) = match recovered {
+        Ok((store, compacted)) => {
+            let completed = campaign.skip_completed(&store, &key).len();
+            if compacted {
+                // The store wins over a log that a kill between compaction's
+                // rename and its removal left behind.
+                let _ = std::fs::remove_file(log_path(dir, &key));
             }
-            Err(e) => (0, JobState::Broken, Some(e.to_string())),
+            // `done` means the compacted store covers the campaign; a log
+            // that does is one requeue (and no scenario) away from it.
+            let state = if compacted && completed == total {
+                JobState::Done
+            } else {
+                JobState::Interrupted
+            };
+            (completed, state, None)
         }
-    } else {
-        (0, JobState::Interrupted, None)
+        Err(e) => (0, JobState::Broken, Some(broken_by(&e))),
     };
     Ok(Job {
         key,
-        spec,
-        campaign,
         state,
         cancel: false,
         completed,
         total,
-        store_error,
+        broken,
     })
 }
 
@@ -250,7 +362,7 @@ fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
 
 fn worker(shared: &Shared) {
     loop {
-        let (key, campaign) = {
+        let key = {
             let mut jobs = shared.jobs.lock().expect("job table lock");
             loop {
                 if shared.shutdown.load(Ordering::SeqCst) {
@@ -258,12 +370,12 @@ fn worker(shared: &Shared) {
                 }
                 if let Some(job) = jobs.iter_mut().find(|j| j.state == JobState::Queued) {
                     job.state = JobState::Running;
-                    break (job.key.clone(), job.campaign.clone());
+                    break job.key.clone();
                 }
                 jobs = shared.work.wait(jobs).expect("job table lock");
             }
         };
-        run_job(shared, &key, &campaign);
+        run_job(shared, &key);
         if shared.shutdown.load(Ordering::SeqCst) {
             // Wake the accept loop so the whole daemon exits (the crash
             // hook simulates a kill; a poke connection is how the blocking
@@ -274,27 +386,68 @@ fn worker(shared: &Shared) {
     }
 }
 
-fn run_job(shared: &Shared, key: &str, campaign: &Campaign) {
-    let path = store_path(&shared.cfg.state_dir, key);
-    // A missing or unreadable store just means "run from scratch" here:
-    // Broken jobs never reach Queued, so an Err is a fresh job whose store
-    // file does not exist yet.
-    let resume = OutcomeStore::load(&path).ok();
+/// Executes the `Running` job `key` and files the result in the job table.
+fn run_job(shared: &Shared, key: &str) {
+    let ended = execute(shared, key);
+    let mut jobs = shared.jobs.lock().expect("job table lock");
+    if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
+        match ended {
+            Ok(true) => {
+                job.completed = job.total;
+                job.state = JobState::Done;
+            }
+            Ok(false) if shared.shutdown.load(Ordering::SeqCst) => {
+                job.state = JobState::Interrupted
+            }
+            Ok(false) => job.state = JobState::Cancelled,
+            Err(broken) => {
+                job.state = JobState::Broken;
+                job.broken = Some(broken);
+            }
+        }
+        job.cancel = false;
+    }
+}
+
+/// Runs job `key` from its persisted spec and outcomes until it finishes
+/// (`Ok(true)`, store compacted), is stopped at a chunk boundary
+/// (`Ok(false)`), or cannot persist its progress (`Err`: the job stops
+/// there rather than run on with nothing on disk).
+fn execute(shared: &Shared, key: &str) -> Result<bool, Broken> {
+    let dir = &shared.cfg.state_dir;
+    let internal = |what: &str, e: &dyn Display| {
+        let message = format!("cannot {what} for job {key:?}: {e}");
+        (ErrorKind::Internal, message)
+    };
+    let (_, campaign) =
+        load_spec(&spec_path(dir, key)).map_err(|e| internal("reload the spec", &e))?;
+    let recovered = recover(dir, key).map_err(|e| broken_by(&e))?;
+    let resume = OutcomeStore::from_json(&recovered.doc).map_err(|e| broken_by(&e))?;
+    // Appends continue after the last committed segment: a torn tail (or,
+    // when a store file won, a whole stale log) is cut off first.
+    let mut log = std::fs::OpenOptions::new()
+        .append(true)
+        .create(true)
+        .open(log_path(dir, key))
+        .and_then(|file| file.set_len(recovered.log_len).map(|()| file))
+        .map_err(|e| internal("open the segment log", &e))?;
     let mut record = OutcomeStore::new();
-    let (_, finished) = campaign.run_chunked(
+    let mut append_error = None;
+    let (_, finished) = campaign.run_chunked_fresh(
         shared.cfg.threads,
         key,
-        resume.as_ref(),
+        Some(&resume),
         &mut record,
         shared.cfg.chunk,
-        |store, completed, _total| {
-            if let Err(e) = checkpoint(store, &path) {
-                eprintln!("st-serve: cannot checkpoint {}: {e}", path.display());
+        |report| {
+            if let Err(e) = log.write_all(log::segment(report.fresh).as_bytes()) {
+                append_error = Some(internal("append to the segment log", &e));
+                return ChunkControl::Stop;
             }
             let mut jobs = shared.jobs.lock().expect("job table lock");
             let cancelled = match jobs.iter_mut().find(|j| j.key == key) {
                 Some(job) => {
-                    job.completed = completed;
+                    job.completed = report.completed;
                     job.cancel
                 }
                 None => false,
@@ -310,18 +463,14 @@ fn run_job(shared: &Shared, key: &str, campaign: &Campaign) {
             }
         },
     );
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
-        job.state = if finished {
-            job.completed = job.total;
-            JobState::Done
-        } else if shared.shutdown.load(Ordering::SeqCst) {
-            JobState::Interrupted
-        } else {
-            JobState::Cancelled
-        };
-        job.cancel = false;
+    if let Some(broken) = append_error {
+        return Err(broken);
     }
+    if finished {
+        drop(log);
+        compact(&record, dir, key).map_err(|e| internal("compact the outcome store", &e))?;
+    }
+    Ok(finished)
 }
 
 /// Decrements the crash-hook counter; `true` when it just hit zero.
@@ -384,12 +533,16 @@ fn dispatch(shared: &Shared, doc: &Json) -> Json {
 }
 
 fn job_fields(job: &Job) -> Json {
-    Json::obj([
+    let mut fields = vec![
         ("key", Json::str(job.key.as_str())),
         ("state", Json::str(job.state.wire())),
         ("total", Json::U64(job.total as u64)),
         ("completed", Json::U64(job.completed as u64)),
-    ])
+    ];
+    if let Some((_, message)) = &job.broken {
+        fields.push(("error", Json::str(message.as_str())));
+    }
+    Json::obj(fields)
 }
 
 /// Extracts and validates the request's `key` field; `Err` is the ready
@@ -429,12 +582,18 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
         Ok(campaign) => campaign,
         Err(msg) => return error_response(ErrorKind::Malformed, msg),
     };
-    let spec = job_spec(&key, &campaign);
+    // From here on the campaign is its canonical spec text: that is what is
+    // persisted, compared, and decoded again by the worker.
+    let spec = job_spec(&key, &campaign).to_string();
     let total = campaign.len();
+    let path = spec_path(&shared.cfg.state_dir, &key);
+    // Read before taking the job-table lock; this accept loop is the only
+    // writer of spec files, so the file cannot change in between.
+    let persisted = std::fs::read_to_string(&path).ok();
 
     let mut jobs = shared.jobs.lock().expect("job table lock");
     if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
-        if job.spec != spec {
+        if persisted.as_deref().map(str::trim_end) != Some(spec.as_str()) {
             return error_response(
                 ErrorKind::SpecMismatch,
                 format!(
@@ -443,8 +602,8 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
                 ),
             );
         }
-        if let Some(msg) = &job.store_error {
-            return error_response(ErrorKind::SchemaMismatch, msg.clone());
+        if let Some((kind, msg)) = &job.broken {
+            return error_response(*kind, msg.clone());
         }
         // Idempotent re-submit: parked jobs requeue (the resume-after-
         // restart path), live and finished jobs just report.
@@ -473,22 +632,16 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
     }
 
     // Persist before acknowledging: a confirmed submit survives a kill.
-    let path = spec_path(&shared.cfg.state_dir, &key);
-    let tmp = path.with_extension("json.tmp");
-    let written =
-        std::fs::write(&tmp, spec.to_string() + "\n").and_then(|()| std::fs::rename(&tmp, &path));
-    if let Err(e) = written {
+    if let Err(e) = write_atomic(&path, &(spec + "\n")) {
         return error_response(ErrorKind::Internal, format!("cannot persist job spec: {e}"));
     }
     jobs.push(Job {
         key,
-        spec,
-        campaign,
         state: JobState::Queued,
         cancel: false,
         completed: 0,
         total,
-        store_error: None,
+        broken: None,
     });
     shared.work.notify_all();
     ok_response([("job", job_fields(jobs.last().expect("just pushed")))])
@@ -543,8 +696,8 @@ fn resume(shared: &Shared, doc: &Json) -> Json {
     match jobs.iter_mut().find(|j| j.key == key) {
         None => error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}")),
         Some(job) => {
-            if let Some(msg) = &job.store_error {
-                return error_response(ErrorKind::SchemaMismatch, msg.clone());
+            if let Some((kind, msg)) = &job.broken {
+                return error_response(*kind, msg.clone());
             }
             if matches!(job.state, JobState::Interrupted | JobState::Cancelled) {
                 job.state = JobState::Queued;
@@ -561,34 +714,29 @@ fn fetch_outcomes(shared: &Shared, doc: &Json) -> Json {
         Ok(key) => key,
         Err(resp) => return resp,
     };
-    let jobs = shared.jobs.lock().expect("job table lock");
-    let Some(job) = jobs.iter().find(|j| j.key == key) else {
-        return error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}"));
-    };
-    if let Some(msg) = &job.store_error {
-        return error_response(ErrorKind::SchemaMismatch, msg.clone());
-    }
-    let fields = job_fields(job);
-    let path = store_path(&shared.cfg.state_dir, &key);
-    // Renames are atomic, so reading outside the checkpoint path sees a
-    // complete store — the previous one at worst.
-    let store_doc = if path.exists() {
-        let loaded = std::fs::read_to_string(&path)
-            .map_err(|e| e.to_string())
-            .and_then(|text| Json::parse(&text).map_err(|e| e.to_string()));
-        match loaded {
-            Ok(doc) => doc,
-            Err(e) => {
-                return error_response(
-                    ErrorKind::Internal,
-                    format!("cannot read outcome store for {key:?}: {e}"),
-                )
-            }
+    // Snapshot under the job-table lock, read and parse without it: the
+    // worker's per-chunk progress update and every `status` poll take the
+    // same lock.
+    let fields = {
+        let jobs = shared.jobs.lock().expect("job table lock");
+        let Some(job) = jobs.iter().find(|j| j.key == key) else {
+            return error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}"));
+        };
+        if let Some((kind, msg)) = &job.broken {
+            return error_response(*kind, msg.clone());
         }
-    } else {
-        Json::parse(&OutcomeStore::new().to_json_string()).expect("empty store is valid JSON")
+        job_fields(job)
     };
-    ok_response([("job", fields), ("store", store_doc)])
+    match recover(&shared.cfg.state_dir, &key) {
+        Ok(recovered) => ok_response([("job", fields), ("store", recovered.doc)]),
+        Err(e) => {
+            let (kind, msg) = broken_by(&e);
+            error_response(
+                kind,
+                format!("cannot read outcome store for {key:?}: {msg}"),
+            )
+        }
+    }
 }
 
 #[cfg(test)]
@@ -762,7 +910,8 @@ mod tests {
         assert_eq!(by_key("half-job").completed, 2);
         let broken = by_key("broken-job");
         assert_eq!(broken.state, JobState::Broken);
-        let text = broken.store_error.as_deref().unwrap();
+        let (kind, text) = broken.broken.as_ref().unwrap();
+        assert_eq!(*kind, ErrorKind::SchemaMismatch);
         assert!(text.contains("outcome store schema mismatch"), "{text}");
 
         // Every request against the broken job surfaces the store's text.
@@ -792,6 +941,241 @@ mod tests {
             error_kind(&dispatch(&shared, &fetch)),
             Some("schema-mismatch")
         );
+    }
+
+    /// Submits `campaign` under `key` (a new job, or a parked one the submit
+    /// requeues) and runs it on the calling thread as the worker would.
+    fn submit_and_run(shared: &Shared, key: &str, campaign: &Campaign) {
+        let resp = dispatch(shared, &submit_doc(key, campaign));
+        assert_eq!(job_state(&resp), Some("queued"), "{resp:?}");
+        let mut jobs = shared.jobs.lock().unwrap();
+        jobs.iter_mut().find(|j| j.key == key).unwrap().state = JobState::Running;
+        drop(jobs);
+        run_job(shared, key);
+    }
+
+    fn batch_bytes(key: &str, campaign: &Campaign) -> String {
+        let mut batch = OutcomeStore::new();
+        campaign.run_resumed(1, key, None, Some(&mut batch));
+        batch.to_json_string()
+    }
+
+    #[test]
+    fn a_job_appends_linear_bytes_and_compacts_to_the_batch_store() {
+        let mut shared = shared_with("st-serve-linear-bytes-test", 10_000);
+        let dir = shared.cfg.state_dir.clone();
+        let campaign = tiny_campaign(0..1024);
+        let batch = batch_bytes("big", &campaign);
+
+        // Killed after 127 of the 128 chunks: the log is as long as it gets.
+        shared.chunks_left = Mutex::new(Some(127));
+        submit_and_run(&shared, "big", &campaign);
+        let status = protocol::request(Verb::Status, [("key", Json::str("big"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("interrupted"));
+        let log_bytes = std::fs::metadata(log_path(&dir, "big")).unwrap().len() as usize;
+        // No commit line is longer than the empty segment's by more than the
+        // count's extra digits: its hash, the FNV offset basis, has 20.
+        let commit_line = log::segment(&[]).len() + 3;
+        assert!(
+            log_bytes <= batch.len() + 127 * commit_line,
+            "{log_bytes} log bytes for a {} byte store",
+            batch.len()
+        );
+        assert_eq!(recover_store(&dir, "big").unwrap().len(), 1016);
+        assert!(!store_path(&dir, "big").exists(), "no store before the end");
+
+        // Restarted: the last chunk runs, the log is compacted away.
+        shared.shutdown.store(false, Ordering::SeqCst);
+        shared.chunks_left = Mutex::new(None);
+        *shared.jobs.lock().unwrap() = load_jobs(&dir);
+        submit_and_run(&shared, "big", &campaign);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert!(
+            !log_path(&dir, "big").exists(),
+            "compaction removes the log"
+        );
+        assert_eq!(
+            std::fs::read_to_string(store_path(&dir, "big")).unwrap(),
+            batch
+        );
+    }
+
+    #[test]
+    fn a_crash_between_rename_and_log_removal_restarts_done() {
+        let mut shared = shared_with("st-serve-crash-window-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        let campaign = tiny_campaign(0..6);
+        let batch = batch_bytes("job", &campaign);
+
+        // The state just after compaction's rename: the finished store and
+        // a log it was compacted from.
+        shared.cfg.chunk = 2;
+        shared.chunks_left = Mutex::new(Some(2));
+        submit_and_run(&shared, "job", &campaign);
+        let log_file = log_path(&dir, "job");
+        assert!(log_file.exists());
+        std::fs::write(store_path(&dir, "job"), &batch).unwrap();
+
+        let jobs = load_jobs(&dir);
+        assert_eq!(jobs[0].state, JobState::Done);
+        assert_eq!(jobs[0].completed, 6);
+        assert!(!log_file.exists(), "the store wins; the log goes");
+        assert_eq!(recover_store(&dir, "job").unwrap().to_json_string(), batch);
+    }
+
+    #[test]
+    fn a_complete_log_is_one_requeue_from_done() {
+        // Killed after the last append, before compaction could start.
+        let shared = shared_with("st-serve-complete-log-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        let campaign = tiny_campaign(0..4);
+        submit_and_run(&shared, "job", &campaign);
+        let store = recover_store(&dir, "job").unwrap();
+        let entries: Vec<&st_campaign::StoreEntry> = store.entries().iter().collect();
+        std::fs::write(log_path(&dir, "job"), log::segment(&entries)).unwrap();
+        std::fs::remove_file(store_path(&dir, "job")).unwrap();
+
+        *shared.jobs.lock().unwrap() = load_jobs(&dir);
+        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let resp = dispatch(&shared, &status);
+        assert_eq!(job_state(&resp), Some("interrupted"), "{resp:?}");
+        submit_and_run(&shared, "job", &campaign);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(
+            std::fs::read_to_string(store_path(&dir, "job")).unwrap(),
+            batch_bytes("job", &campaign)
+        );
+        assert!(!log_path(&dir, "job").exists());
+    }
+
+    #[test]
+    fn a_torn_tail_is_dropped_at_every_byte_offset() {
+        let mut shared = shared_with("st-serve-torn-tail-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        shared.cfg.chunk = 2;
+        shared.chunks_left = Mutex::new(Some(3));
+        let campaign = tiny_campaign(0..8);
+        let batch = batch_bytes("job", &campaign);
+        submit_and_run(&shared, "job", &campaign);
+        shared.shutdown.store(false, Ordering::SeqCst);
+        shared.chunks_left = Mutex::new(None);
+
+        // Three committed segments of two entries; cut inside the third.
+        let log_file = log_path(&dir, "job");
+        let whole = std::fs::read(&log_file).unwrap();
+        let six = recover_store(&dir, "job").unwrap();
+        assert_eq!(six.len(), 6);
+        let last: Vec<&st_campaign::StoreEntry> = six.entries()[4..].iter().collect();
+        let last_start = whole.len() - log::segment(&last).len();
+        let mut four = six.clone();
+        four.retain(|idx, _| idx < 4);
+        for cut in last_start..whole.len() {
+            std::fs::write(&log_file, &whole[..cut]).unwrap();
+            let recovered = recover_store(&dir, "job").expect("a torn tail is not an error");
+            assert_eq!(recovered.entries(), four.entries(), "cut at byte {cut}");
+            // Every so often, also finish the job from the torn log.
+            if (cut - last_start).is_multiple_of(211) {
+                *shared.jobs.lock().unwrap() = load_jobs(&dir);
+                submit_and_run(&shared, "job", &campaign);
+                let store_file = store_path(&dir, "job");
+                assert_eq!(std::fs::read_to_string(&store_file).unwrap(), batch);
+                std::fs::remove_file(store_file).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn a_damaged_committed_segment_parks_the_job_broken() {
+        let mut shared = shared_with("st-serve-damaged-log-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        shared.cfg.chunk = 2;
+        shared.chunks_left = Mutex::new(Some(2));
+        let campaign = tiny_campaign(0..6);
+        submit_and_run(&shared, "job", &campaign);
+
+        // Flip one byte inside the first committed segment.
+        let log_file = log_path(&dir, "job");
+        let mut bytes = std::fs::read(&log_file).unwrap();
+        bytes[40] ^= 0x01;
+        std::fs::write(&log_file, bytes).unwrap();
+
+        let jobs = load_jobs(&dir);
+        assert_eq!(jobs[0].state, JobState::Broken);
+        assert_eq!(jobs[0].completed, 0, "never a partial reuse");
+        *shared.jobs.lock().unwrap() = jobs;
+        for verb in [Verb::Resume, Verb::FetchOutcomes] {
+            let resp = dispatch(
+                &shared,
+                &protocol::request(verb, [("key", Json::str("job"))]),
+            );
+            assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
+        }
+        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let resp = dispatch(&shared, &status);
+        assert_eq!(job_state(&resp), Some("broken"));
+        let text = resp
+            .get("job")
+            .and_then(|j| j.get("error"))
+            .and_then(Json::as_str);
+        assert!(text.unwrap().contains("segment log is damaged"), "{text:?}");
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn an_unwritable_log_stops_the_job_broken_with_the_io_error() {
+        let shared = shared_with("st-serve-unwritable-log-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        // A dangling link where the log should be: nothing to read, and
+        // nowhere to create the file.
+        std::os::unix::fs::symlink(dir.join("no-such-dir/log"), log_path(&dir, "job")).unwrap();
+        submit_and_run(&shared, "job", &tiny_campaign(0..4));
+
+        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let resp = dispatch(&shared, &status);
+        assert_eq!(job_state(&resp), Some("broken"), "{resp:?}");
+        for verb in [Verb::Resume, Verb::FetchOutcomes] {
+            let resp = dispatch(
+                &shared,
+                &protocol::request(verb, [("key", Json::str("job"))]),
+            );
+            assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            let message = message.and_then(Json::as_str).unwrap();
+            assert!(message.contains("cannot open the segment log"), "{message}");
+        }
+        assert!(
+            !store_path(&dir, "job").exists(),
+            "nothing pretends to be done"
+        );
+    }
+
+    #[test]
+    fn finished_jobs_keep_no_campaign_and_still_guard_their_identity() {
+        let shared = shared_with("st-serve-slim-table-test", 1_000);
+        for j in 0..5u64 {
+            let campaign = tiny_campaign(j * 10..j * 10 + 8);
+            submit_and_run(&shared, &format!("job{j}"), &campaign);
+        }
+        for job in shared.jobs.lock().unwrap().iter() {
+            // Exhaustive on purpose: the whole entry is a key, a state and
+            // counters, and a field added later has to be O(1) as well.
+            let Job {
+                key: _,
+                state,
+                cancel: _,
+                completed,
+                total,
+                broken,
+            } = job;
+            assert_eq!(*state, JobState::Done);
+            assert_eq!((*completed, *total), (8, 8));
+            assert!(broken.is_none());
+        }
+        // Identity is the persisted spec's bytes.
+        let same = dispatch(&shared, &submit_doc("job3", &tiny_campaign(30..38)));
+        assert_eq!(job_state(&same), Some("done"), "{same:?}");
+        let other = dispatch(&shared, &submit_doc("job3", &tiny_campaign(30..37)));
+        assert_eq!(error_kind(&other), Some("spec-mismatch"));
     }
 
     #[test]

@@ -16,7 +16,7 @@ use st_campaign::{
 };
 use st_core::frame::{read_frame, write_frame};
 use st_core::{Json, Universe};
-use st_serve::{ClientError, JobState, ServeClient, ServeConfig, Server, PROTO};
+use st_serve::{recover_store, ClientError, JobState, ServeClient, ServeConfig, Server, PROTO};
 
 /// A clean per-process state directory under the system temp dir.
 fn state_dir(name: &str) -> PathBuf {
@@ -83,10 +83,12 @@ fn killed_and_restarted_daemon_reproduces_batch_store_bytes() {
     assert!(died.is_err(), "the daemon died mid-run: {died:?}");
     handle.join().expect("incarnation 1 exits");
 
-    // The surviving checkpoint is a complete, loadable store of exactly
-    // the chunks that finished.
-    let checkpoint = OutcomeStore::load(&store_file).expect("checkpoint survives the kill");
-    assert_eq!(checkpoint.len(), 4, "two chunks of two checkpointed");
+    // What survives is the segment log, and the daemon's own recovery
+    // reads exactly the chunks that finished out of it.
+    assert!(state.join("job-job.store.log").exists());
+    assert!(!store_file.exists(), "the store file appears on completion");
+    let checkpoint = recover_store(&state, "job").expect("the log survives the kill");
+    assert_eq!(checkpoint.len(), 4, "two chunks of two committed");
 
     // Incarnation 2: same state directory, different chunk size and worker
     // count. Re-submitting the identical spec requeues the interrupted job
@@ -105,6 +107,7 @@ fn killed_and_restarted_daemon_reproduces_batch_store_bytes() {
     assert_eq!(format!("{outcomes:#?}"), format!("{batch_outcomes:#?}"));
     let file = std::fs::read_to_string(&store_file).unwrap();
     assert_eq!(file, batch.to_json_string(), "state-dir store bytes");
+    assert!(!state.join("job-job.store.log").exists(), "compacted away");
     let (job, fetched) = client.fetch_store("job").unwrap();
     assert_eq!(job.state, JobState::Done);
     assert_eq!(job.completed, 8);
@@ -113,6 +116,78 @@ fn killed_and_restarted_daemon_reproduces_batch_store_bytes() {
         batch.to_json_string(),
         "fetched store bytes"
     );
+}
+
+/// One segment of the log grammar PROTOCOL.md documents, written by this
+/// test rather than by the daemon: entry lines, then a commit line with
+/// their count and the 64-bit FNV-1a of their bytes.
+fn hand_written_segment(lines: &[&str]) -> String {
+    let body: String = lines.iter().map(|line| format!("{line}\n")).collect();
+    let hash = body.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    });
+    format!("{body}{{\"commit\": {}, \"hash\": {hash}}}\n", lines.len())
+}
+
+#[test]
+fn logs_resumed_from_non_prefix_ranks_compact_to_batch_bytes_at_every_interrupt_point() {
+    let campaign = fd_campaign();
+    let mut batch = OutcomeStore::new();
+    campaign.run_resumed(1, "job", None, Some(&mut batch));
+    let batch_bytes = batch.to_json_string();
+    let entry_lines: Vec<&str> = batch_bytes
+        .lines()
+        .filter(|line| line.starts_with("{\"campaign\""))
+        .map(|line| line.trim_end_matches(','))
+        .collect();
+    assert_eq!(entry_lines.len(), 8);
+    // Ranks 1, 4 and 6 are already in the log, in two segments; 0, 2, 3, 5
+    // and 7 are pending — "the entries past the count so far" would be wrong.
+    let seed_log = hand_written_segment(&[entry_lines[1], entry_lines[4]])
+        + &hand_written_segment(&[entry_lines[6]]);
+    let pending = 5usize;
+
+    for chunk in [1usize, 2, 3, 8] {
+        for stop_after in 1..=pending.div_ceil(chunk) {
+            let case = format!("chunk={chunk} stop_after={stop_after}");
+            let state = state_dir(&format!("nonprefix-{chunk}-{stop_after}"));
+            let spec = st_serve::protocol::job_spec("job", &campaign);
+            std::fs::write(state.join("job-job.spec.json"), spec.to_string()).unwrap();
+            let log_file = state.join("job-job.store.log");
+            std::fs::write(&log_file, &seed_log).unwrap();
+
+            // Incarnation 1 dies after `stop_after` chunks (the last value
+            // lets it finish: the hook fires on the final chunk).
+            let mut cfg = ServeConfig::new(&state);
+            cfg.chunk = chunk;
+            cfg.threads = 1;
+            cfg.exit_after_chunks = Some(stop_after as u64);
+            let (addr, handle) = spawn_daemon(cfg);
+            let client = ServeClient::new(&addr);
+            let _ = client.run_campaign("job", &campaign, Duration::from_millis(2));
+            handle.join().expect("incarnation 1 exits");
+            let survived = recover_store(&state, "job").expect(&case);
+            assert_eq!(
+                survived.len(),
+                3 + (stop_after * chunk).min(pending),
+                "{case}"
+            );
+
+            // Incarnation 2 finishes from whatever survived.
+            let mut cfg = ServeConfig::new(&state);
+            cfg.chunk = 3;
+            cfg.threads = 2;
+            let (addr, _handle) = spawn_daemon(cfg);
+            let client = ServeClient::new(&addr);
+            client
+                .run_campaign("job", &campaign, Duration::from_millis(2))
+                .expect(&case);
+            let file = std::fs::read_to_string(state.join("job-job.store.json")).unwrap();
+            assert_eq!(file, batch_bytes, "{case}");
+            assert!(!log_file.exists(), "{case}: compaction removes the log");
+            let _ = std::fs::remove_dir_all(&state);
+        }
+    }
 }
 
 #[test]
