@@ -1,7 +1,7 @@
 //! Timeliness sweep bench — the zero-allocation engine
 //! ([`TimelinessAnalyzer`]) against the kept naive reference
 //! ([`st_core::timeliness::naive`]) on full `Π^i_n × Π^j_n` matrix sweeps,
-//! the work-stealing matrix sweep against the kept static split, the
+//! the work-stealing matrix sweep, the
 //! simulator's two automaton ABIs on the Figure 2 k-anti-Ω workload, the
 //! scenario-campaign engine's throughput on an E3-shaped grid (1 vs 4
 //! workers) and its resume overhead (skip-all drive + outcome-store round
@@ -19,7 +19,7 @@
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use st_core::timeliness::{naive, sweep_matrix, sweep_matrix_static_split, TimelinessAnalyzer};
+use st_core::timeliness::{naive, sweep_matrix, TimelinessAnalyzer};
 use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe};
 use st_fd::{KAntiOmega, KAntiOmegaConfig};
 use st_sched::{RoundRobin, SeededRandom, SetTimely};
@@ -75,22 +75,12 @@ fn matrix_sweeps(c: &mut Criterion) {
 
     // The full n×n matrix in one call (shared decompositions + threads);
     // no naive partner — the naive full matrix is out of time budget by
-    // orders of magnitude, which is the point of the engine. Work-stealing
-    // chunking (the default) against the kept static rank split.
+    // orders of magnitude, which is the point of the engine.
     let mut group = c.benchmark_group("timeliness/sweep_matrix");
     group.sample_size(10);
     group.bench_function("engine_full_n12_rnd", |b| {
         b.iter(|| {
             sweep_matrix(&rnd, universe(), CAP, usize::MAX)
-                .cells()
-                .iter()
-                .map(|c| c.timely_pairs)
-                .sum::<u64>()
-        })
-    });
-    group.bench_function("static_split_full_n12_rnd", |b| {
-        b.iter(|| {
-            sweep_matrix_static_split(&rnd, universe(), CAP, usize::MAX)
                 .cells()
                 .iter()
                 .map(|c| c.timely_pairs)
@@ -195,8 +185,6 @@ enum AgreementMode {
     /// Typed fleet on the plain replay drive (no stop condition: the
     /// schedule is pre-truncated at the decision step).
     FleetReplay,
-    /// Typed fleet on the sharded batched replay drive.
-    FleetReplaySharded,
     /// Typed fleet on the struct-of-arrays phase-batched replay drive.
     FleetReplaySoa,
 }
@@ -239,9 +227,7 @@ fn run_agreement_workload(schedule: &Schedule, mode: AgreementMode) -> (u64, f64
                 .unwrap();
             (stack.sim().steps_executed(), start.elapsed().as_secs_f64())
         }
-        AgreementMode::FleetReplay
-        | AgreementMode::FleetReplaySharded
-        | AgreementMode::FleetReplaySoa => {
+        AgreementMode::FleetReplay | AgreementMode::FleetReplaySoa => {
             let u = task.universe();
             let mut sim = Sim::new(u);
             let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(AG_K, AG_T));
@@ -252,19 +238,12 @@ fn run_agreement_workload(schedule: &Schedule, mode: AgreementMode) -> (u64, f64
                 .collect();
             let cfg = RunConfig::steps(schedule.len() as u64);
             let start = Instant::now();
-            match mode {
-                AgreementMode::FleetReplay => {
-                    sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap();
-                }
-                AgreementMode::FleetReplaySharded => {
-                    sim.run_automata_replay_sharded(&mut fleet, schedule, 2, 4096, cfg)
-                        .unwrap();
-                }
-                _ => {
-                    sim.run_automata_replay_soa(&mut fleet, schedule, 64, cfg)
-                        .unwrap();
-                }
+            if mode == AgreementMode::FleetReplay {
+                sim.run_automata_replay(&mut fleet, schedule, cfg)
+            } else {
+                sim.run_automata_replay_soa(&mut fleet, schedule, 64, cfg)
             }
+            .unwrap();
             (sim.steps_executed(), start.elapsed().as_secs_f64())
         }
     }
@@ -297,7 +276,7 @@ fn agreement_step_throughput(c: &mut Criterion) {
 }
 
 // The large-n lean stack (`LeanOmega` + `LeanConsensus`, O(n) per-process
-// state) on the three fleet replay drives: the n-scaling curve of the
+// state) on the two fleet replay drives: the n-scaling curve of the
 // committed baseline. The schedule is the E9 shape — a bursty rotation with
 // a dwell of one full lean FD iteration (n² + n + 2 steps), so each turn
 // completes a whole heartbeat scan — which makes every slice of the SoA
@@ -317,18 +296,11 @@ fn lean_bursty_schedule(n: usize, steps: usize) -> Schedule {
     st_sched::BurstyRotation::new(u, lean_burst(n)).take_schedule(steps)
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum LeanDrive {
-    Plain,
-    Sharded,
-    Soa,
-}
-
 /// Drive-only wall clock (seconds) of a `LeanConsensus` fleet (t = n/16,
 /// proposals 100 + pid) replaying `schedule` — construction excluded, as
-/// for the agreement workload. Sharded runs shard_size = 32 / slice 4096;
-/// SoA runs slice 1024 (within one FD scan's read run for n ≥ 64).
-fn run_lean_fleet(n: usize, schedule: &Schedule, drive: LeanDrive) -> f64 {
+/// for the agreement workload. SoA runs slice 1024 (within one FD scan's
+/// read run for n ≥ 64).
+fn run_lean_fleet(n: usize, schedule: &Schedule, soa: bool) -> f64 {
     use st_fd::{LeanOmega, TimeoutPolicy};
     use st_sim::{RunConfig, Sim};
 
@@ -342,20 +314,20 @@ fn run_lean_fleet(n: usize, schedule: &Schedule, drive: LeanDrive) -> f64 {
         .collect();
     let cfg = RunConfig::steps(schedule.len() as u64);
     let start = Instant::now();
-    match drive {
-        LeanDrive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg),
-        LeanDrive::Sharded => sim.run_automata_replay_sharded(&mut fleet, schedule, 32, 4096, cfg),
-        LeanDrive::Soa => sim.run_automata_replay_soa(&mut fleet, schedule, 1024, cfg),
+    if soa {
+        sim.run_automata_replay_soa(&mut fleet, schedule, 1024, cfg)
+    } else {
+        sim.run_automata_replay(&mut fleet, schedule, cfg)
     }
     .unwrap();
     start.elapsed().as_secs_f64()
 }
 
 /// Best-of-`reps` ns/step of the lean fleet drive.
-fn lean_ns_per_step(reps: usize, n: usize, schedule: &Schedule, drive: LeanDrive) -> f64 {
+fn lean_ns_per_step(reps: usize, n: usize, schedule: &Schedule, soa: bool) -> f64 {
     let mut best = f64::INFINITY;
     for _ in 0..reps {
-        best = best.min(std::hint::black_box(run_lean_fleet(n, schedule, drive)));
+        best = best.min(std::hint::black_box(run_lean_fleet(n, schedule, soa)));
     }
     best * 1e9 / schedule.len() as f64
 }
@@ -421,7 +393,7 @@ fn wide_ns_per_step(reps: usize, n: usize, schedule: &Schedule, soa: bool) -> f6
     best * 1e9 / schedule.len() as f64
 }
 
-/// The three fleet replay drives on the lean stack at n = 64 — the live
+/// The two fleet replay drives on the lean stack at n = 64 — the live
 /// (criterion) counterpart of the baseline's n-scaling curve, kept at one
 /// size and a smoke-size step count so the CI `sim` filter exercises the
 /// SoA fast path end to end.
@@ -432,13 +404,10 @@ fn lean_fleet_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/lean_fleet_replay");
     group.sample_size(10);
     group.bench_function("plain_bursty_n64", |b| {
-        b.iter(|| run_lean_fleet(SMOKE_N, &schedule, LeanDrive::Plain))
-    });
-    group.bench_function("sharded_bursty_n64", |b| {
-        b.iter(|| run_lean_fleet(SMOKE_N, &schedule, LeanDrive::Sharded))
+        b.iter(|| run_lean_fleet(SMOKE_N, &schedule, false))
     });
     group.bench_function("soa_bursty_n64", |b| {
-        b.iter(|| run_lean_fleet(SMOKE_N, &schedule, LeanDrive::Soa))
+        b.iter(|| run_lean_fleet(SMOKE_N, &schedule, true))
     });
     group.finish();
 }
@@ -741,13 +710,6 @@ fn emit_baseline(_c: &mut Criterion) {
             .map(|c| c.timely_pairs)
             .sum::<u64>()
     });
-    let matrix_static = time_best(2, || {
-        sweep_matrix_static_split(&rnd, universe(), CAP, usize::MAX)
-            .cells()
-            .iter()
-            .map(|c| c.timely_pairs)
-            .sum::<u64>()
-    });
 
     // Simulator step throughput: the u64 word path (every register of the
     // paper's protocols) against the boxed representation it replaced,
@@ -765,7 +727,7 @@ fn emit_baseline(_c: &mut Criterion) {
     let machine_ns = kanti_machine * 1e6 / SIM_STEPS as f64;
 
     // The agreement stack on both ABIs: the E3 (t,k,n) = (4,3,8) workload
-    // to all-decided, plus the typed fleet on the plain and sharded replay
+    // to all-decided, plus the typed fleet on the plain and SoA replay
     // drives over the decision prefix. Timed drive-only (see
     // `run_agreement_workload`).
     let ag_sched = agreement_schedule(200_000);
@@ -779,15 +741,13 @@ fn emit_baseline(_c: &mut Criterion) {
     let ag_async = agreement_time_best(5, &ag_sched, AgreementMode::Async);
     let ag_machine = agreement_time_best(5, &ag_sched, AgreementMode::MachineSlot);
     let ag_fleet = agreement_time_best(5, &ag_prefix, AgreementMode::FleetReplay);
-    let ag_sharded = agreement_time_best(5, &ag_prefix, AgreementMode::FleetReplaySharded);
     let ag_soa = agreement_time_best(5, &ag_prefix, AgreementMode::FleetReplaySoa);
     let ag_async_ns = ag_async * 1e6 / decided_at as f64;
     let ag_machine_ns = ag_machine * 1e6 / decided_at as f64;
     let ag_fleet_ns = ag_fleet * 1e6 / decided_at as f64;
-    let ag_sharded_ns = ag_sharded * 1e6 / decided_at as f64;
     let ag_soa_ns = ag_soa * 1e6 / decided_at as f64;
 
-    // The n-scaling curve: the lean stack on all three fleet replay drives
+    // The n-scaling curve: the lean stack on both fleet replay drives
     // over the E9 bursty shape, a fixed 4M-step prefix per size (see
     // `run_lean_fleet`). The SoA row is the acceptance lever: ≥ 2× over
     // the plain replay at n ≥ 256, where a slice is one pure read run.
@@ -795,13 +755,11 @@ fn emit_baseline(_c: &mut Criterion) {
         .iter()
         .map(|&n| {
             let sched = lean_bursty_schedule(n, LEAN_STEPS);
-            let plain = lean_ns_per_step(2, n, &sched, LeanDrive::Plain);
-            let sharded = lean_ns_per_step(2, n, &sched, LeanDrive::Sharded);
-            let soa = lean_ns_per_step(2, n, &sched, LeanDrive::Soa);
+            let plain = lean_ns_per_step(2, n, &sched, false);
+            let soa = lean_ns_per_step(2, n, &sched, true);
             format!(
                 "      {{\"n\": {n}, \"plain_ns_per_step\": {plain:.2}, \
-                 \"sharded_ns_per_step\": {sharded:.2}, \"soa_ns_per_step\": {soa:.2}, \
-                 \"soa_speedup\": {:.2}}}",
+                 \"soa_ns_per_step\": {soa:.2}, \"soa_speedup\": {:.2}}}",
                 plain / soa
             )
         })
@@ -826,14 +784,12 @@ fn emit_baseline(_c: &mut Criterion) {
         .collect::<Vec<_>>()
         .join(",\n");
 
-    // The sharded caveat, re-measured at n = 256 on the interleaved
-    // (round-robin) schedule the drive was built for — the bursty curve
-    // above is already shard-grouped, so it cannot show sharding's effect
-    // either way. runner.rs quotes this row.
+    // The interleaved counterpart of the bursty curve at n = 256: a
+    // round-robin schedule, where the SoA drive batches through its
+    // strided fast path instead of whole-dwell runs.
     let rr256 = RoundRobin::new(Universe::new(256).unwrap()).take_schedule(LEAN_STEPS);
-    let inter_plain = lean_ns_per_step(2, 256, &rr256, LeanDrive::Plain);
-    let inter_sharded = lean_ns_per_step(2, 256, &rr256, LeanDrive::Sharded);
-    let inter_soa = lean_ns_per_step(2, 256, &rr256, LeanDrive::Soa);
+    let inter_plain = lean_ns_per_step(2, 256, &rr256, false);
+    let inter_soa = lean_ns_per_step(2, 256, &rr256, true);
 
     // The scenario-campaign engine on the E3-shaped reference grid:
     // scenarios/sec sequential vs a 4-worker stealing pool. Outcomes are
@@ -916,12 +872,12 @@ fn emit_baseline(_c: &mut Criterion) {
     let shrink_rps = shrink_runs as f64 * 1e3 / shrink_ms;
 
     let json = format!(
-        "{{\n  \"schema\": \"st-bench/timeliness-v8\",\n  \
+        "{{\n  \"schema\": \"st-bench/timeliness-v9\",\n  \
          \"workload\": {{\"n\": {N}, \"schedule_len\": {LEN}, \"bound_cap\": {CAP}, \"i\": {I}, \"j\": {J}}},\n  \
          \"all_timely_pairs_ms\": {{\n    \
            \"round_robin\": {{\"naive\": {naive_rr:.2}, \"engine\": {engine_rr:.2}, \"speedup\": {:.1}}},\n    \
            \"seeded_random\": {{\"naive\": {naive_rnd:.2}, \"engine\": {engine_rnd:.2}, \"speedup\": {:.1}}}\n  }},\n  \
-         \"sweep_matrix_full_ms\": {{\"static_split\": {matrix_static:.2}, \"work_steal\": {matrix_steal:.2}, \"speedup\": {:.2}}},\n  \
+         \"sweep_matrix_full_ms\": {{\"work_steal\": {matrix_steal:.2}}},\n  \
          \"sim_register_rw_100k_ms\": {{\"boxed\": {boxed:.2}, \"word\": {word:.2}, \"speedup\": {:.2}}},\n  \
          \"sim_step_throughput\": {{\n    \
            \"workload\": {{\"n\": {SIM_N}, \"k\": {SIM_K}, \"t\": {SIM_T}, \"steps\": {SIM_STEPS}, \"schedule\": \"SetTimely\"}},\n    \
@@ -933,14 +889,13 @@ fn emit_baseline(_c: &mut Criterion) {
            \"async_ns_per_step\": {ag_async_ns:.2},\n    \
            \"machine_slot_ns_per_step\": {ag_machine_ns:.2},\n    \
            \"fleet_replay_ns_per_step\": {ag_fleet_ns:.2},\n    \
-           \"fleet_replay_sharded_ns_per_step\": {ag_sharded_ns:.2},\n    \
            \"fleet_replay_soa_ns_per_step\": {ag_soa_ns:.2},\n    \
            \"machine_slot_speedup\": {:.2},\n    \
            \"speedup\": {:.2}\n  }},\n  \
          \"lean_n_scaling\": {{\n    \
            \"workload\": {{\"fleet\": \"LeanConsensus over LeanOmega\", \"t\": \"n/16\", \
              \"schedule\": \"Bursty(n^2+n+2)\", \"steps\": {LEAN_STEPS}, \
-             \"sharded\": \"shard 32 / slice 4096\", \"soa_slice_len\": 1024}},\n    \
+             \"soa_slice_len\": 1024}},\n    \
            \"curve\": [\n{lean_rows}\n    ]\n  }},\n  \
          \"wide_fd_n_scaling\": {{\n    \
            \"workload\": {{\"fleet\": \"KSetAgreement over KAntiOmega (Figure 2, wide sets)\", \
@@ -950,9 +905,7 @@ fn emit_baseline(_c: &mut Criterion) {
          \"lean_interleaved_n256\": {{\n    \
            \"workload\": {{\"n\": 256, \"schedule\": \"RoundRobin\", \"steps\": {LEAN_STEPS}}},\n    \
            \"plain_ns_per_step\": {inter_plain:.2},\n    \
-           \"sharded_ns_per_step\": {inter_sharded:.2},\n    \
            \"soa_ns_per_step\": {inter_soa:.2},\n    \
-           \"sharded_speedup\": {:.2},\n    \
            \"soa_speedup\": {:.2}\n  }},\n  \
          \"campaign_throughput\": {{\n    \
            \"workload\": {{\"grid\": \"E3-shaped agreement campaign\", \"tasks\": {}, \"seeds\": {CAMPAIGN_SEEDS}, \"scenarios\": {campaign_scenarios}}},\n    \
@@ -985,12 +938,10 @@ fn emit_baseline(_c: &mut Criterion) {
            \"shrink\": {{\"oracle_runs\": {shrink_runs}, \"ms\": {shrink_ms:.2}, \"runs_per_sec\": {shrink_rps:.1}}}\n  }}\n}}\n",
         naive_rr / engine_rr,
         naive_rnd / engine_rnd,
-        matrix_static / matrix_steal,
         boxed / word,
         async_ns / machine_ns,
         ag_async_ns / ag_machine_ns,
         ag_async_ns / ag_fleet_ns,
-        inter_plain / inter_sharded,
         inter_plain / inter_soa,
         CAMPAIGN_GRID.len(),
         campaign_w1 / campaign_w4,

@@ -24,7 +24,7 @@ use st_fd::{
     TimeoutPolicy, BASELINE_WINNERSET_PROBE, LEADER_PROBE, WINNERSET_PROBE,
 };
 use st_sched::{GeneratorSpec, TimeoutPolicySpec};
-use st_sim::{RunConfig, RunStatus, Sim, StopWhen};
+use st_sim::{PhaseBatch, RunConfig, RunStatus, Sim, StopWhen};
 
 use crate::invariant::{Evidence, InvariantChecker, InvariantViolation};
 use st_core::Schedule;
@@ -189,6 +189,26 @@ pub enum FleetReplayDrive {
         /// Schedule slice length per batching round.
         slice_len: usize,
     },
+}
+
+impl FleetReplayDrive {
+    /// Replays a generator-built `schedule` over `fleet` on this drive —
+    /// the one place a scenario picks a `Sim` replay entry point.
+    fn replay<A: PhaseBatch>(
+        self,
+        sim: &mut Sim,
+        fleet: &mut [A],
+        schedule: &Schedule,
+        cfg: RunConfig,
+    ) -> RunStatus {
+        match self {
+            FleetReplayDrive::Plain => sim.run_automata_replay(fleet, schedule, cfg),
+            FleetReplayDrive::Soa { slice_len } => {
+                sim.run_automata_replay_soa(fleet, schedule, slice_len, cfg)
+            }
+        }
+        .expect("generator schedules stay within the universe")
+    }
 }
 
 /// Pre-run certification of a conforming cell: before the protocol runs,
@@ -672,23 +692,12 @@ impl Scenario {
                 .processes()
                 .map(|p| cons.machine(&fd, 100 + p.index() as Value))
                 .collect();
-            match drive {
-                FleetReplayDrive::Plain => sim.run_automata_replay(&mut fleet, &schedule, cfg),
-                FleetReplayDrive::Soa { slice_len } => {
-                    sim.run_automata_replay_soa(&mut fleet, &schedule, slice_len, cfg)
-                }
-            }
+            drive.replay(&mut sim, &mut fleet, &schedule, cfg)
         } else {
             let mut fleet: Vec<LeanOmegaMachine> =
                 universe.processes().map(|_| fd.machine()).collect();
-            match drive {
-                FleetReplayDrive::Plain => sim.run_automata_replay(&mut fleet, &schedule, cfg),
-                FleetReplayDrive::Soa { slice_len } => {
-                    sim.run_automata_replay_soa(&mut fleet, &schedule, slice_len, cfg)
-                }
-            }
-        }
-        .expect("generator schedules stay within the universe");
+            drive.replay(&mut sim, &mut fleet, &schedule, cfg)
+        };
         let report = sim.report();
         // Leader stabilization: every correct process's *last* published
         // leader agrees (publications happen only on change, so the last
@@ -794,13 +803,7 @@ impl Scenario {
             KAntiOmega::<W>::alloc_wide(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
         let cfg = RunConfig::steps(self.budget);
         let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let status = match drive {
-            FleetReplayDrive::Plain => sim.run_automata_replay(&mut fleet, &schedule, cfg),
-            FleetReplayDrive::Soa { slice_len } => {
-                sim.run_automata_replay_soa(&mut fleet, &schedule, slice_len, cfg)
-            }
-        }
-        .expect("generator schedules stay within the universe");
+        let status = drive.replay(&mut sim, &mut fleet, &schedule, cfg);
         let report = sim.report();
         // Faulty sets only name indices below the ProcSet capacity; any
         // higher index is correct by construction (as in the lean judge).

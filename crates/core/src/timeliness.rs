@@ -52,9 +52,7 @@
 //! from a shared atomic counter — work stealing, since per-`P` cost varies
 //! wildly with how early the descending-total scan exits — and chunk
 //! results merge in ascending rank order, so the output is deterministic
-//! and identical to the sequential sweep. The pre-work-stealing static
-//! split is kept as [`sweep_matrix_static_split`] for the recorded bench
-//! trajectory.
+//! and identical to the sequential sweep.
 
 use crate::process::Universe;
 use crate::procset::ProcSet;
@@ -592,8 +590,7 @@ use crate::parallel::resolve_workers;
 /// `total_ranks / workers` split cannot absorb. Results are **identical to
 /// the sequential sweep**: chunk results are merged in ascending rank
 /// order, so counts, first-pair, and min-bound are deterministic
-/// (differential-tested against [`sweep_matrix_static_split`] and
-/// [`naive`]).
+/// (differential-tested against a static-split reference and [`naive`]).
 pub fn sweep_matrix(
     s: &Schedule,
     universe: Universe,
@@ -631,61 +628,6 @@ pub fn sweep_matrix(
                 cell.merge(partial);
             }
         }
-        cells.extend(row);
-    }
-    SweepMatrix { n, cells }
-}
-
-/// The pre-work-stealing parallel sweep: a static `total_ranks / workers`
-/// rank split, one slice per thread. Kept (like [`naive`]) as the
-/// comparison baseline for the recorded bench trajectory and as a
-/// differential-testing reference for [`sweep_matrix`]; results are
-/// identical, only the load balancing differs.
-pub fn sweep_matrix_static_split(
-    s: &Schedule,
-    universe: Universe,
-    bound_cap: usize,
-    threads: usize,
-) -> SweepMatrix {
-    assert!(bound_cap > 0, "bound cap must be positive");
-    let n = universe.n();
-    let js: Vec<usize> = (1..=n).collect();
-    let workers = resolve_workers(threads);
-    let mut cells = Vec::with_capacity(n * n);
-    for i in 1..=n {
-        let total_ranks = binomial(n, i);
-        let workers = if total_ranks < 64 {
-            1
-        } else {
-            workers.min(total_ranks as usize)
-        };
-        if workers == 1 {
-            let mut az = TimelinessAnalyzer::new(universe);
-            cells.extend(az.sweep_row(s, i, &js, bound_cap));
-            continue;
-        }
-        let chunk = total_ranks.div_ceil(workers as u64);
-        let row = std::thread::scope(|scope| {
-            let js = &js;
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let first = chunk * w as u64;
-                    let last = (first + chunk).min(total_ranks);
-                    scope.spawn(move || {
-                        let mut az = TimelinessAnalyzer::new(universe);
-                        az.sweep_row_ranked(s, i, js, bound_cap, first, last)
-                    })
-                })
-                .collect();
-            let mut row: Vec<MatrixCell> = js.iter().map(|&j| MatrixCell::empty(i, j)).collect();
-            for handle in handles {
-                let part = handle.join().expect("sweep worker panicked");
-                for (cell, partial) in row.iter_mut().zip(&part) {
-                    cell.merge(partial);
-                }
-            }
-            row
-        });
         cells.extend(row);
     }
     SweepMatrix { n, cells }
@@ -1087,6 +1029,61 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The pre-work-stealing parallel sweep: a static `total_ranks / workers`
+    /// rank split, one slice per thread. Kept as a differential-testing
+    /// reference for [`sweep_matrix`]; results are identical, only the load
+    /// balancing differs.
+    fn sweep_matrix_static_split(
+        s: &Schedule,
+        universe: Universe,
+        bound_cap: usize,
+        threads: usize,
+    ) -> SweepMatrix {
+        assert!(bound_cap > 0, "bound cap must be positive");
+        let n = universe.n();
+        let js: Vec<usize> = (1..=n).collect();
+        let workers = resolve_workers(threads);
+        let mut cells = Vec::with_capacity(n * n);
+        for i in 1..=n {
+            let total_ranks = binomial(n, i);
+            let workers = if total_ranks < 64 {
+                1
+            } else {
+                workers.min(total_ranks as usize)
+            };
+            if workers == 1 {
+                let mut az = TimelinessAnalyzer::new(universe);
+                cells.extend(az.sweep_row(s, i, &js, bound_cap));
+                continue;
+            }
+            let chunk = total_ranks.div_ceil(workers as u64);
+            let row = std::thread::scope(|scope| {
+                let js = &js;
+                let handles: Vec<_> = (0..workers)
+                    .map(|w| {
+                        let first = chunk * w as u64;
+                        let last = (first + chunk).min(total_ranks);
+                        scope.spawn(move || {
+                            let mut az = TimelinessAnalyzer::new(universe);
+                            az.sweep_row_ranked(s, i, js, bound_cap, first, last)
+                        })
+                    })
+                    .collect();
+                let mut row: Vec<MatrixCell> =
+                    js.iter().map(|&j| MatrixCell::empty(i, j)).collect();
+                for handle in handles {
+                    let part = handle.join().expect("sweep worker panicked");
+                    for (cell, partial) in row.iter_mut().zip(&part) {
+                        cell.merge(partial);
+                    }
+                }
+                row
+            });
+            cells.extend(row);
+        }
+        SweepMatrix { n, cells }
     }
 
     #[test]

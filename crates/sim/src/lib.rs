@@ -36,7 +36,7 @@
 //!    instead of one per step. This is the fast path for protocols stepped
 //!    millions of times per experiment.
 //!
-//! The state-machine ABI additionally unlocks two drive modes the boxed
+//! The state-machine ABI additionally unlocks the fleet drives the boxed
 //! async path cannot express:
 //!
 //! - [`Sim::run_automata`] drives a caller-owned homogeneous fleet
@@ -46,12 +46,6 @@
 //!   pre-materialized [`Schedule`](st_core::Schedule) slice, fusing the
 //!   cursor pull into the
 //!   loop condition;
-//! - [`Sim::run_automata_replay_sharded`] batches the replay per
-//!   **cache-resident fleet shard**: the schedule is processed in
-//!   contiguous slices, each slice executed shard by shard (the
-//!   deterministic *shard-stable reordering* of the schedule — see
-//!   [`sharded_replay_order`] for the exact executed order and the
-//!   equivalence contract);
 //! - [`Sim::run_automata_replay_soa`] batches the replay per **phase over
 //!   struct-of-arrays fleet state**: for [`PhaseBatch`] automata, slices
 //!   whose allotments are pure read runs execute as single
@@ -59,12 +53,16 @@
 //!   class — observationally identical to the plain replay, enforced by
 //!   differential tests on every schedule family.
 //!
+//! Every machine-ABI drive — slots or fleet, cursor or replay, and the SoA
+//! drive's scalar fallbacks — executes its steps through one private step
+//! kernel in `runner.rs`: the model has one execution rule, and so does
+//! the executor.
+//!
 //! ## Choosing a fleet replay drive
 //!
 //! | Drive | Executed order | When it wins | When to avoid |
 //! |-------|----------------|--------------|---------------|
-//! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish), and the only drive with per-step stop conditions | nothing — it is the reference |
-//! | [`run_automata_replay_sharded`](Sim::run_automata_replay_sharded) | shard-stable **reordering** | per-automaton state ≫ cache and the schedule interleaves across the whole fleet | it executes a *different* (equivalent-model) schedule, so protocol behavior can shift; measured on the lean n = 256 interleaved workload it is ~neutral (`lean_interleaved_n256` in `BENCH_timeliness.json`) |
+//! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish) and under per-step stop conditions | nothing — it is the reference |
 //! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose slices are pure read runs — the lean stack's n-scaling curve records ≥ 2× over plain at n ≥ 256 (`lean_n_scaling`); round-robin-shaped slices take a strided cursor fast path with no per-step bucketing at all | write-dense phases: slices go impure and the drive runs the scalar fallback plus bucketing overhead. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
 //!
 //! The Figure 2 k-anti-Ω detector in `st-fd` and the agreement stack in
@@ -104,8 +102,7 @@ pub use error::SimError;
 pub use memory::{Memory, RegisterStats};
 pub use register::{Reg, RegValue, WriteDiscipline};
 pub use runner::{
-    sharded_replay_order, RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen,
-    SOA_DELEGATE_BELOW_N,
+    RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen, SOA_DELEGATE_BELOW_N,
 };
 pub use soa::{BatchAccess, PhaseBatch};
 pub use trace::{Decision, ProbeEvent, ProbeLog};

@@ -7,7 +7,7 @@
 //! only source of nondeterminism in a run, which is precisely the model of
 //! the paper.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefMut};
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -20,7 +20,7 @@ use crate::ctx::{ProcessCtx, SimShared};
 use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
 use crate::register::{Reg, RegValue, WriteDiscipline};
-use crate::soa::{BatchAccess, PhaseBatch};
+use crate::soa::{Allotment, BatchAccess, PhaseBatch};
 use crate::trace::{executed_schedule, Decision, ProbeLog, TraceInner};
 
 /// Result of executing a single step.
@@ -105,6 +105,11 @@ impl RunConfig {
     pub fn stop_when(mut self, stop: StopWhen) -> Self {
         self.stop = stop;
         self
+    }
+
+    /// The step budget as a count of schedule entries.
+    fn budget(self) -> usize {
+        usize::try_from(self.max_steps).unwrap_or(usize::MAX)
     }
 }
 
@@ -352,65 +357,58 @@ impl Sim {
     pub fn step_with(&mut self, p: ProcessId) -> StepOutcome {
         assert!(self.universe.contains(p), "{p} outside {}", self.universe);
         self.shared.step.set(self.steps);
+        let Some(Body::Future(future)) = self.slots[p.index()].body.as_mut() else {
+            // The fast path: no future, no grant handshake — the kernel
+            // gives the machine (if any) a scoped direct view of the arena
+            // for this one step.
+            let (mut kernel, slots) = self.kernel(false);
+            return kernel.step::<true, _>(p, slots);
+        };
         self.steps += 1;
         if self.shared.recording {
             if let Some(executed) = self.shared.trace.borrow_mut().executed.as_mut() {
                 executed.push(p);
             }
         }
-
-        let slot = &mut self.slots[p.index()];
-        match slot.body.as_mut() {
-            None => StepOutcome::Idle,
-            Some(Body::Machine(machine)) => {
-                // The fast path: no future, no grant handshake — the machine
-                // gets a scoped direct view of the arena for this one step.
-                let (status, op_used) = {
-                    let mut memory = self.shared.memory.borrow_mut();
-                    let mut access = StepAccess::new(p, self.steps - 1, &mut memory, &self.shared);
-                    let status = machine.step(&mut access);
-                    (status, access.op_performed())
-                };
-                if op_used {
-                    let count = &self.shared.op_counts[p.index()];
-                    count.set(count.get() + 1);
-                }
-                match status {
-                    Status::Running => StepOutcome::Progressed,
-                    Status::Done => {
-                        slot.body = None;
-                        self.finished[p.index()] = true;
-                        StepOutcome::Finished
-                    }
-                }
+        self.shared.grant.set(Some(p));
+        let mut cx = Context::from_waker(Waker::noop());
+        let poll = future.as_mut().poll(&mut cx);
+        let grant_left = self.shared.grant.take();
+        match poll {
+            Poll::Ready(()) => {
+                self.slots[p.index()].body = None;
+                self.finished[p.index()] = true;
+                StepOutcome::Finished
             }
-            Some(Body::Future(future)) => {
-                self.shared.grant.set(Some(p));
-                let mut cx = Context::from_waker(Waker::noop());
-                let poll = future.as_mut().poll(&mut cx);
-                let grant_left = self.shared.grant.take();
-
-                match poll {
-                    Poll::Ready(()) => {
-                        slot.body = None;
-                        self.finished[p.index()] = true;
-                        StepOutcome::Finished
-                    }
-                    Poll::Pending if grant_left.is_none() => StepOutcome::Progressed,
-                    Poll::Pending => StepOutcome::Stuck,
-                }
-            }
+            Poll::Pending if grant_left.is_none() => StepOutcome::Progressed,
+            Poll::Pending => StepOutcome::Stuck,
         }
+    }
+
+    /// The scalar step kernel over this simulation's state, plus the slots
+    /// it may dispatch into (split so both can be borrowed at once). A
+    /// kernel for a whole run is `buffered`: it counts operations locally.
+    fn kernel(&mut self, buffered: bool) -> (StepKernel<'_>, &mut [Slot]) {
+        let kernel = StepKernel {
+            shared: &self.shared,
+            memory: self.shared.memory.borrow_mut(),
+            ops: vec![0; if buffered { self.finished.len() } else { 0 }],
+            finished: &mut self.finished,
+            steps: self.steps,
+            steps_out: &mut self.steps,
+        };
+        (kernel, &mut self.slots)
     }
 
     /// Drives the simulation from `src` under `cfg`. Can be called again to
     /// continue the same simulation with a different source or budget.
     ///
-    /// When no async slot is live the run dispatches to a specialized loop
-    /// that holds the register-arena borrow for the **whole call** instead
+    /// When no async slot is live the run goes through the step kernel,
+    /// which holds the register-arena borrow for the **whole call** instead
     /// of re-entering the `RefCell` on every step — the state-machine ABI's
-    /// "scoped direct view" in its cheapest form. Semantics are identical to
-    /// the general loop.
+    /// "scoped direct view" in its cheapest form: one direct `step`
+    /// dispatch per scheduled step, no poll, no grant cell. Semantics are
+    /// identical to the general loop.
     ///
     /// # Errors
     ///
@@ -428,128 +426,26 @@ impl Sim {
             .iter()
             .all(|s| !matches!(s.body, Some(Body::Future(_))));
         if machines_only {
-            return self.run_machines(src, cfg);
+            let (mut kernel, slots) = self.kernel(true);
+            return kernel.run(slots, budgeted(src, cfg), cfg);
         }
         for _ in 0..cfg.max_steps {
-            if self.stop_met(&cfg.stop) {
+            if stop_met(&cfg.stop, &self.shared, &self.finished) {
                 return Ok(RunStatus::Stopped);
             }
             let Some(p) = src.next_step() else {
                 return Ok(RunStatus::SourceEnded);
             };
-            self.check_in_universe(p)?;
+            check_in_universe(p, self.universe.n())?;
             if self.step_with(p) == StepOutcome::Stuck {
                 return Ok(RunStatus::Stuck(p));
             }
         }
-        Ok(if self.stop_met(&cfg.stop) {
+        Ok(if stop_met(&cfg.stop, &self.shared, &self.finished) {
             RunStatus::Stopped
         } else {
             RunStatus::MaxSteps
         })
-    }
-
-    /// Typed bounds check of a scheduled process id against the universe —
-    /// the run/replay entry points surface a malformed schedule as
-    /// [`SimError::ScheduleOutOfUniverse`] instead of panicking.
-    #[inline]
-    fn check_in_universe(&self, p: ProcessId) -> Result<(), SimError> {
-        if self.universe.contains(p) {
-            Ok(())
-        } else {
-            Err(SimError::ScheduleOutOfUniverse {
-                process: p,
-                n: self.universe.n(),
-            })
-        }
-    }
-
-    /// The machine-only run loop: one arena borrow per call, one direct
-    /// `step` dispatch per scheduled step (no poll, no grant cell, no
-    /// per-step `RefCell`). Steps of processes without a live automaton are
-    /// no-ops that still count and are still recorded, as in
-    /// [`step_with`](Self::step_with).
-    ///
-    /// The common configuration — no early stop, no schedule recording — is
-    /// a dedicated inner loop with nothing on it but the dispatch: the
-    /// executor's contribution to a step is the cursor pull, the step-index
-    /// bump, the slot load, and the call.
-    fn run_machines<S: StepSource>(
-        &mut self,
-        src: &mut S,
-        cfg: RunConfig,
-    ) -> Result<RunStatus, SimError> {
-        let n = self.universe.n();
-        let shared = Rc::clone(&self.shared);
-        let mut memory = shared.memory.borrow_mut();
-        // Per-process op counts accumulate locally and flush once at the
-        // end of the call: the step path touches no shared counter.
-        let mut ops_local = vec![0u64; n];
-        let status = 'run: {
-            if matches!(cfg.stop, StopWhen::Never) && !shared.recording {
-                for _ in 0..cfg.max_steps {
-                    let Some(p) = src.next_step() else {
-                        break 'run Ok(RunStatus::SourceEnded);
-                    };
-                    // Out-of-universe ids fail the slot lookup, which
-                    // doubles as the bounds check of the general path.
-                    let Some(slot) = self.slots.get_mut(p.index()) else {
-                        break 'run Err(SimError::ScheduleOutOfUniverse { process: p, n });
-                    };
-                    let step = self.steps;
-                    self.steps += 1;
-                    if let Some(Body::Machine(machine)) = slot.body.as_mut() {
-                        let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                        let status = machine.step(&mut access);
-                        ops_local[p.index()] += access.op_performed() as u64;
-                        if status == Status::Done {
-                            slot.body = None;
-                            self.finished[p.index()] = true;
-                        }
-                    }
-                }
-                break 'run Ok(RunStatus::MaxSteps);
-            }
-            for _ in 0..cfg.max_steps {
-                if self.stop_met(&cfg.stop) {
-                    break 'run Ok(RunStatus::Stopped);
-                }
-                let Some(p) = src.next_step() else {
-                    break 'run Ok(RunStatus::SourceEnded);
-                };
-                if let Err(e) = self.check_in_universe(p) {
-                    break 'run Err(e);
-                }
-                let step = self.steps;
-                self.steps += 1;
-                if shared.recording {
-                    if let Some(executed) = shared.trace.borrow_mut().executed.as_mut() {
-                        executed.push(p);
-                    }
-                }
-                let slot = &mut self.slots[p.index()];
-                if let Some(Body::Machine(machine)) = slot.body.as_mut() {
-                    let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                    let status = machine.step(&mut access);
-                    ops_local[p.index()] += access.op_performed() as u64;
-                    if status == Status::Done {
-                        slot.body = None;
-                        self.finished[p.index()] = true;
-                    }
-                }
-            }
-            if self.stop_met(&cfg.stop) {
-                Ok(RunStatus::Stopped)
-            } else {
-                Ok(RunStatus::MaxSteps)
-            }
-        };
-        for (cell, &ops) in shared.op_counts.iter().zip(&ops_local) {
-            if ops != 0 {
-                cell.set(cell.get() + ops);
-            }
-        }
-        status
     }
 
     /// Drives a homogeneous fleet of automata — `automata[i]` is the
@@ -587,82 +483,8 @@ impl Sim {
         src: &mut S,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert_eq!(
-            automata.len(),
-            self.universe.n(),
-            "one automaton per process"
-        );
-        self.check_fleet_drive("run_automata")?;
-        let n = self.universe.n();
-        let shared = Rc::clone(&self.shared);
-        let mut memory = shared.memory.borrow_mut();
-        let mut ops_local = vec![0u64; n];
-        let status = 'run: {
-            if matches!(cfg.stop, StopWhen::Never) && !shared.recording {
-                let mut steps = self.steps;
-                for _ in 0..cfg.max_steps {
-                    let Some(p) = src.next_step() else {
-                        self.steps = steps;
-                        break 'run Ok(RunStatus::SourceEnded);
-                    };
-                    let idx = p.index();
-                    let Some(machine) = automata.get_mut(idx) else {
-                        self.steps = steps;
-                        break 'run Err(SimError::ScheduleOutOfUniverse { process: p, n });
-                    };
-                    let step = steps;
-                    steps += 1;
-                    if !self.finished[idx] {
-                        let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                        let status = machine.step(&mut access);
-                        ops_local[idx] += access.op_performed() as u64;
-                        if status == Status::Done {
-                            self.finished[idx] = true;
-                        }
-                    }
-                }
-                self.steps = steps;
-                break 'run Ok(RunStatus::MaxSteps);
-            }
-            for _ in 0..cfg.max_steps {
-                if self.stop_met(&cfg.stop) {
-                    break 'run Ok(RunStatus::Stopped);
-                }
-                let Some(p) = src.next_step() else {
-                    break 'run Ok(RunStatus::SourceEnded);
-                };
-                if let Err(e) = self.check_in_universe(p) {
-                    break 'run Err(e);
-                }
-                let step = self.steps;
-                self.steps += 1;
-                if shared.recording {
-                    if let Some(executed) = shared.trace.borrow_mut().executed.as_mut() {
-                        executed.push(p);
-                    }
-                }
-                let idx = p.index();
-                if !self.finished[idx] {
-                    let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                    let status = automata[idx].step(&mut access);
-                    ops_local[idx] += access.op_performed() as u64;
-                    if status == Status::Done {
-                        self.finished[idx] = true;
-                    }
-                }
-            }
-            if self.stop_met(&cfg.stop) {
-                Ok(RunStatus::Stopped)
-            } else {
-                Ok(RunStatus::MaxSteps)
-            }
-        };
-        for (cell, &ops) in shared.op_counts.iter().zip(&ops_local) {
-            if ops != 0 {
-                cell.set(cell.get() + ops);
-            }
-        }
-        status
+        self.check_fleet_drive("run_automata", automata.len())?;
+        self.kernel(true).0.run(automata, budgeted(src, cfg), cfg)
     }
 
     /// [`run_automata`](Self::run_automata) over a pre-materialized
@@ -670,8 +492,8 @@ impl Sim {
     /// [`ScheduleCursor`](st_core::ScheduleCursor) over it — but the fleet
     /// loop iterates the schedule's step slice directly, fusing the cursor
     /// pull and the budget check into the loop condition. This is the
-    /// highest-throughput drive the simulator has; the step-throughput
-    /// bench runs the Figure 2 workload through it.
+    /// highest-throughput scalar drive the simulator has; the
+    /// step-throughput bench runs the Figure 2 workload through it.
     ///
     /// Returns [`RunStatus::SourceEnded`] if the schedule ran out before
     /// `cfg.max_steps`, [`RunStatus::Stopped`]/[`RunStatus::MaxSteps`]
@@ -695,197 +517,41 @@ impl Sim {
         schedule: &Schedule,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert_eq!(
-            automata.len(),
-            self.universe.n(),
-            "one automaton per process"
-        );
-        self.check_fleet_drive("run_automata_replay")?;
-        let take = schedule
-            .len()
-            .min(cfg.max_steps.min(usize::MAX as u64) as usize);
-        self.validate_slice(&schedule.as_slice()[..take])?;
-        if !matches!(cfg.stop, StopWhen::Never) || self.shared.recording {
-            let mut src = st_core::ScheduleCursor::new(schedule.clone());
-            return self.run_automata(automata, &mut src, cfg);
-        }
-        let shared = Rc::clone(&self.shared);
-        let mut memory = shared.memory.borrow_mut();
-        let mut ops_local = vec![0u64; self.universe.n()];
-        let mut steps = self.steps;
-        for &p in &schedule.as_slice()[..take] {
-            let idx = p.index();
-            let step = steps;
-            steps += 1;
-            if !self.finished[idx] {
-                let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                let status = automata[idx].step(&mut access);
-                ops_local[idx] += access.op_performed() as u64;
-                if status == Status::Done {
-                    self.finished[idx] = true;
-                }
-            }
-        }
-        self.steps = steps;
-        for (cell, &ops) in shared.op_counts.iter().zip(&ops_local) {
-            if ops != 0 {
-                cell.set(cell.get() + ops);
-            }
-        }
-        Ok(if take < schedule.len() {
-            RunStatus::MaxSteps
-        } else if (take as u64) < cfg.max_steps {
-            RunStatus::SourceEnded
-        } else {
-            RunStatus::MaxSteps
-        })
+        let prefix = self.replay_prefix("run_automata_replay", automata.len(), schedule, cfg)?;
+        self.replay_scalar(automata, prefix, cfg)
     }
 
-    /// Pre-validates a materialized schedule slice against the universe.
-    fn validate_slice(&self, slice: &[ProcessId]) -> Result<(), SimError> {
+    /// Shared prologue of the replay drives: the fleet preconditions, then
+    /// the schedule prefix the budget admits, validated against the
+    /// universe once — before anything executes.
+    fn replay_prefix<'s>(
+        &self,
+        drive: &'static str,
+        fleet_len: usize,
+        schedule: &'s Schedule,
+        cfg: RunConfig,
+    ) -> Result<&'s [ProcessId], SimError> {
+        self.check_fleet_drive(drive, fleet_len)?;
+        let prefix = &schedule.as_slice()[..schedule.len().min(cfg.budget())];
         let n = self.universe.n();
-        for &p in slice {
-            if p.index() >= n {
-                return Err(SimError::ScheduleOutOfUniverse { process: p, n });
-            }
-        }
-        Ok(())
+        prefix.iter().try_for_each(|&p| check_in_universe(p, n))?;
+        Ok(prefix)
     }
 
-    /// [`run_automata_replay`](Self::run_automata_replay) batched per
-    /// cache-resident fleet shard: the fleet is partitioned into shards of
-    /// `shard_size` consecutive processes, the schedule into contiguous
-    /// slices of `slice_len` steps, and each slice is executed **shard by
-    /// shard** — for each shard in ascending order, the slice's steps that
-    /// belong to that shard run in their original relative order.
-    ///
-    /// The drive therefore executes the *shard-stable reordering* of
-    /// `schedule`: a deterministic permutation that preserves every
-    /// process's subschedule (each process sees exactly its own steps in the
-    /// original order) but groups, within each slice, the steps of one
-    /// shard's automata back to back. [`sharded_replay_order`] materializes
-    /// the exact executed schedule, and
-    /// `run_automata_replay_sharded(a, s, sh, sl, cfg)` is observationally
-    /// identical to
-    /// `run_automata_replay(a, &sharded_replay_order(s, sh, sl), cfg)` —
-    /// the differential tests enforce it. With `shard_size >= n` or
-    /// `slice_len == 1` the reordering is the identity and the drive is
-    /// step-for-step the plain replay.
-    ///
-    /// Why batch: a fleet of state machines with per-automaton working sets
-    /// larger than the step interleaving's reuse distance (the Figure 2
-    /// machine's counter snapshot is `|Π^k_n|·n` words) thrashes the cache
-    /// when the schedule round-robins across the whole fleet. Grouping a
-    /// slice's steps per shard keeps one shard's automata hot for the whole
-    /// slice at the cost of a bounded, deterministic reorder of the
-    /// interleaving — a legitimate schedule of the same model. Note the
-    /// reorder can change how much work the *protocol* does per step
-    /// (within-slice bursts starve the other shards; timeout-based
-    /// protocols then accuse more), so measure end to end before adopting
-    /// it: `BENCH_timeliness.json` records the trade on the agreement
-    /// workload, where the plain replay wins at small n — and the
-    /// re-measurement at n = 256 (`lean_interleaved_n256`: the lean stack
-    /// on a round-robin schedule, the thrash-shaped workload this drive
-    /// was built for) shows it stays slightly *behind* plain there too.
-    /// The lean machines keep O(n) state (a row scratch, not a matrix
-    /// snapshot), so shard residency buys nothing they miss; prefer
-    /// [`run_automata_replay_soa`](Self::run_automata_replay_soa) for
-    /// large-n scan-heavy fleets and keep this drive for fleets whose
-    /// per-automaton working set genuinely exceeds the cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduleOutOfUniverse`] (before executing
-    /// anything) if the replayed prefix names a process outside the
-    /// universe; [`SimError::FleetDriveOnSpawnedSim`] as for
-    /// [`run_automata`](Self::run_automata).
-    ///
-    /// # Panics
-    ///
-    /// As for [`run_automata`](Self::run_automata); additionally panics if
-    /// `shard_size == 0` or `slice_len == 0`, or if `cfg.stop` is not
-    /// [`StopWhen::Never`] (the batched drive has no per-step stop
-    /// evaluation — drive slices yourself if you need early stops).
-    pub fn run_automata_replay_sharded<A: Automaton>(
+    /// The plain replay of a validated prefix: the kernel loop straight off
+    /// the borrowed step slice.
+    fn replay_scalar<A: Automaton>(
         &mut self,
         automata: &mut [A],
-        schedule: &Schedule,
-        shard_size: usize,
-        slice_len: usize,
+        prefix: &[ProcessId],
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert_eq!(
-            automata.len(),
-            self.universe.n(),
-            "one automaton per process"
-        );
-        self.check_fleet_drive("run_automata_replay_sharded")?;
-        assert!(shard_size > 0, "shard_size must be positive");
-        assert!(slice_len > 0, "slice_len must be positive");
-        assert!(
-            matches!(cfg.stop, StopWhen::Never),
-            "the sharded replay drive supports StopWhen::Never only"
-        );
-        let n = self.universe.n();
-        let take = schedule
-            .len()
-            .min(cfg.max_steps.min(usize::MAX as u64) as usize);
-        let prefix = &schedule.as_slice()[..take];
-        self.validate_slice(prefix)?;
-        let shards = n.div_ceil(shard_size);
-        let shared = Rc::clone(&self.shared);
-        let mut memory = shared.memory.borrow_mut();
-        let mut ops_local = vec![0u64; n];
-        let mut steps = self.steps;
-        // One bucketing pass per slice (reused buffers) instead of
-        // rescanning the slice once per shard: the drive's cost stays
-        // O(slice_len), not O(shards · slice_len).
-        let mut buckets: Vec<Vec<ProcessId>> = vec![Vec::with_capacity(slice_len); shards];
-        for slice in prefix.chunks(slice_len) {
-            for bucket in &mut buckets {
-                bucket.clear();
-            }
-            for &p in slice {
-                buckets[p.index() / shard_size].push(p);
-            }
-            for bucket in &buckets {
-                for &p in bucket {
-                    let idx = p.index();
-                    let step = steps;
-                    steps += 1;
-                    if shared.recording {
-                        if let Some(executed) = shared.trace.borrow_mut().executed.as_mut() {
-                            executed.push(p);
-                        }
-                    }
-                    if !self.finished[idx] {
-                        let mut access = StepAccess::new(p, step, &mut memory, &shared);
-                        let status = automata[idx].step(&mut access);
-                        ops_local[idx] += access.op_performed() as u64;
-                        if status == Status::Done {
-                            self.finished[idx] = true;
-                        }
-                    }
-                }
-            }
-        }
-        self.steps = steps;
-        for (cell, &ops) in shared.op_counts.iter().zip(&ops_local) {
-            if ops != 0 {
-                cell.set(cell.get() + ops);
-            }
-        }
-        Ok(if take < schedule.len() {
-            RunStatus::MaxSteps
-        } else if (take as u64) < cfg.max_steps {
-            RunStatus::SourceEnded
-        } else {
-            RunStatus::MaxSteps
-        })
+        let (mut kernel, _) = self.kernel(true);
+        kernel.run(automata, prefix.iter().copied(), cfg)
     }
 
     /// [`run_automata_replay`](Self::run_automata_replay) batched **per
-    /// phase** over struct-of-arrays fleet state: the third replay drive,
+    /// phase** over struct-of-arrays fleet state: the second replay drive,
     /// for [`PhaseBatch`] automata.
     ///
     /// The schedule is processed in contiguous slices of `slice_len` steps.
@@ -920,15 +586,14 @@ impl Sim {
     /// degenerate to the scalar fallback and merely pay the bucketing
     /// overhead — this entry therefore **delegates** universes below
     /// [`SOA_DELEGATE_BELOW_N`] to the plain replay outright (identical
-    /// semantics, no batching tax); see the three-drive decision table in
-    /// the crate docs. Use
+    /// semantics, no batching tax); see the drive decision table in the
+    /// crate docs. Use
     /// [`run_automata_replay_soa_batched`](Self::run_automata_replay_soa_batched)
     /// to force batching at any n (differential tests do).
     ///
-    /// Like the other replay drives this supports [`StopWhen::Never`]
-    /// without recording on its fast path; any other stop condition, or an
-    /// enabled schedule recording, delegates to the plain replay (whose
-    /// semantics are identical).
+    /// Batching needs [`StopWhen::Never`] without recording; any other stop
+    /// condition, or an enabled schedule recording, runs the plain replay
+    /// (whose semantics are identical) over the same validated prefix.
     ///
     /// # Errors
     ///
@@ -947,17 +612,13 @@ impl Sim {
         slice_len: usize,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert_eq!(
-            automata.len(),
-            self.universe.n(),
-            "one automaton per process"
-        );
-        self.check_fleet_drive("run_automata_replay_soa")?;
         assert!(slice_len > 0, "slice_len must be positive");
+        let drive = "run_automata_replay_soa";
+        let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
         if self.universe.n() < SOA_DELEGATE_BELOW_N {
-            return self.run_automata_replay(automata, schedule, cfg);
+            return self.replay_scalar(automata, prefix, cfg);
         }
-        self.run_automata_replay_soa_batched(automata, schedule, slice_len, cfg)
+        self.replay_batched(automata, prefix, slice_len, cfg)
     }
 
     /// [`run_automata_replay_soa`](Self::run_automata_replay_soa) without
@@ -976,26 +637,28 @@ impl Sim {
         slice_len: usize,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert_eq!(
-            automata.len(),
-            self.universe.n(),
-            "one automaton per process"
-        );
-        self.check_fleet_drive("run_automata_replay_soa_batched")?;
         assert!(slice_len > 0, "slice_len must be positive");
-        let n = self.universe.n();
-        let take = schedule
-            .len()
-            .min(cfg.max_steps.min(usize::MAX as u64) as usize);
-        let prefix = &schedule.as_slice()[..take];
-        self.validate_slice(prefix)?;
+        let drive = "run_automata_replay_soa_batched";
+        let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
+        self.replay_batched(automata, prefix, slice_len, cfg)
+    }
+
+    /// The batching engine over a validated prefix (see
+    /// [`run_automata_replay_soa`](Self::run_automata_replay_soa)).
+    fn replay_batched<A: PhaseBatch>(
+        &mut self,
+        automata: &mut [A],
+        prefix: &[ProcessId],
+        slice_len: usize,
+        cfg: RunConfig,
+    ) -> Result<RunStatus, SimError> {
         if !matches!(cfg.stop, StopWhen::Never) || self.shared.recording {
-            return self.run_automata_replay(automata, schedule, cfg);
+            return self.replay_scalar(automata, prefix, cfg);
         }
-        let shared = Rc::clone(&self.shared);
-        let mut memory = shared.memory.borrow_mut();
-        let mut ops_local = vec![0u64; n];
-        let mut steps = self.steps;
+        let n = self.universe.n();
+        let (mut kernel, _) = self.kernel(true);
+        let shared = kernel.shared;
+        let first_step = kernel.steps;
         // Reused per-slice buffers: per-process step-index allotments, the
         // list of processes the slice touches (first-appearance order), a
         // membership scratchpad for the interleaved permutation check, and
@@ -1013,33 +676,17 @@ impl Sim {
             let first = slice[0];
             if slice.iter().all(|&p| p == first) {
                 let idx = first.index();
-                if self.finished[idx] {
-                    steps += slice.len() as u64;
-                    continue;
-                }
-                if slice.len() <= automata[idx].read_run() {
-                    let mut access =
-                        BatchAccess::new_run(first, steps, slice.len(), &mut memory, &shared);
-                    let status = automata[idx].step_reads(&mut access);
-                    ops_local[idx] += access.ops();
-                    if status == Status::Done {
-                        self.finished[idx] = true;
-                    }
+                if kernel.finished[idx] {
+                    kernel.steps += slice.len() as u64;
+                } else if slice.len() <= automata[idx].read_run() {
+                    let (start, len) = (kernel.steps, slice.len());
+                    kernel.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
+                    kernel.steps += slice.len() as u64;
                 } else {
-                    for off in 0..slice.len() {
-                        if self.finished[idx] {
-                            break;
-                        }
-                        let mut access =
-                            StepAccess::new(first, steps + off as u64, &mut memory, &shared);
-                        let status = automata[idx].step(&mut access);
-                        ops_local[idx] += access.op_performed() as u64;
-                        if status == Status::Done {
-                            self.finished[idx] = true;
-                        }
+                    for &p in slice {
+                        kernel.step::<false, _>(p, automata);
                     }
                 }
-                steps += slice.len() as u64;
                 continue;
             }
             // Interleaved-slice fast path: a slice that repeats one fixed
@@ -1070,42 +717,28 @@ impl Sim {
                     let runs = slice.len() / n;
                     let pure = slice[..n].iter().all(|&p| {
                         let idx = p.index();
-                        self.finished[idx] || runs <= automata[idx].read_run()
+                        kernel.finished[idx] || runs <= automata[idx].read_run()
                     });
                     if pure {
                         order.clear();
                         for (off, &p) in slice[..n].iter().enumerate() {
                             let idx = p.index();
-                            if !self.finished[idx] {
+                            if !kernel.finished[idx] {
                                 order.push((automata[idx].phase_class(), idx, off));
                             }
                         }
                         order.sort_unstable();
                         let probe_mark = shared.trace.borrow().probes.len();
                         for &(_, idx, off) in &order {
-                            let mut access = BatchAccess::new_strided(
-                                ProcessId::new(idx),
-                                steps + off as u64,
-                                n as u64,
-                                runs,
-                                &mut memory,
-                                &shared,
-                            );
-                            let status = automata[idx].step_reads(&mut access);
-                            ops_local[idx] += access.ops();
-                            if status == Status::Done {
-                                self.finished[idx] = true;
-                            }
+                            let strided = Allotment::Strided {
+                                start: kernel.steps + off as u64,
+                                stride: n as u64,
+                                len: runs,
+                            };
+                            kernel.step_reads(idx, &mut automata[idx], strided);
                         }
-                        // As on the bucketed pure path: restore the plain
-                        // drive's publication order (stable by step; one
-                        // step is one machine).
-                        let mut trace = shared.trace.borrow_mut();
-                        let tail = &mut trace.probes[probe_mark..];
-                        if !tail.is_empty() {
-                            tail.sort_by_key(|e| e.step);
-                        }
-                        steps += slice.len() as u64;
+                        restore_probe_order(shared, probe_mark);
+                        kernel.steps += slice.len() as u64;
                         continue;
                     }
                 }
@@ -1118,10 +751,10 @@ impl Sim {
                 if allotments[idx].is_empty() {
                     touched.push(idx);
                 }
-                allotments[idx].push(steps + off as u64);
+                allotments[idx].push(kernel.steps + off as u64);
             }
             let pure = touched.iter().all(|&idx| {
-                self.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
+                kernel.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
             });
             if pure {
                 // Group the batch calls by phase: machines in the same
@@ -1129,83 +762,36 @@ impl Sim {
                 touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
                 let probe_mark = shared.trace.borrow().probes.len();
                 for &idx in &touched {
-                    if self.finished[idx] {
-                        continue;
-                    }
-                    let pid = ProcessId::new(idx);
-                    let mut access = BatchAccess::new(pid, &allotments[idx], &mut memory, &shared);
-                    let status = automata[idx].step_reads(&mut access);
-                    ops_local[idx] += access.ops();
-                    if status == Status::Done {
-                        self.finished[idx] = true;
+                    if !kernel.finished[idx] {
+                        let steps = Allotment::List(&allotments[idx]);
+                        kernel.step_reads(idx, &mut automata[idx], steps);
                     }
                 }
-                // Batching grouped each machine's probes together; restore
-                // the publication order of the plain drive. Stable by step:
-                // probes of one step (one machine) keep their order.
-                let mut trace = shared.trace.borrow_mut();
-                let tail = &mut trace.probes[probe_mark..];
-                if !tail.is_empty() {
-                    tail.sort_by_key(|e| e.step);
-                }
+                restore_probe_order(shared, probe_mark);
+                kernel.steps += slice.len() as u64;
             } else {
-                for (off, &p) in slice.iter().enumerate() {
-                    let idx = p.index();
-                    if !self.finished[idx] {
-                        let mut access =
-                            StepAccess::new(p, steps + off as u64, &mut memory, &shared);
-                        let status = automata[idx].step(&mut access);
-                        ops_local[idx] += access.op_performed() as u64;
-                        if status == Status::Done {
-                            self.finished[idx] = true;
-                        }
-                    }
+                for &p in slice {
+                    kernel.step::<false, _>(p, automata);
                 }
             }
-            steps += slice.len() as u64;
             for &idx in &touched {
                 allotments[idx].clear();
             }
             touched.clear();
         }
-        self.steps = steps;
-        for (cell, &ops) in shared.op_counts.iter().zip(&ops_local) {
-            if ops != 0 {
-                cell.set(cell.get() + ops);
-            }
-        }
-        Ok(if take < schedule.len() {
-            RunStatus::MaxSteps
-        } else if (take as u64) < cfg.max_steps {
-            RunStatus::SourceEnded
-        } else {
-            RunStatus::MaxSteps
-        })
+        Ok(kernel.exhausted(first_step, cfg))
     }
 
-    /// Typed precondition of every fleet drive: the `Sim` must have no
-    /// spawned slots (the fleet is caller-owned).
-    fn check_fleet_drive(&self, drive: &'static str) -> Result<(), SimError> {
+    /// Preconditions of every fleet drive: one caller-owned automaton per
+    /// process (asserted), and a `Sim` with no spawned slots (typed).
+    fn check_fleet_drive(&self, drive: &'static str, fleet_len: usize) -> Result<(), SimError> {
+        assert_eq!(fleet_len, self.universe.n(), "one automaton per process");
         match self.slots.iter().position(|s| s.spawned) {
             None => Ok(()),
             Some(i) => Err(SimError::FleetDriveOnSpawnedSim {
                 drive,
                 process: ProcessId::new(i),
             }),
-        }
-    }
-
-    fn stop_met(&self, stop: &StopWhen) -> bool {
-        // Decision conditions read the cached decision state (maintained by
-        // the decide paths) — O(1) per executed step, no trace borrow. The
-        // bitmask covers processes below the ProcSet capacity, which is all
-        // an `AllDecided` set can name; `AnyDecided` uses the count so it
-        // sees deciders beyond index 63 in large universes.
-        match stop {
-            StopWhen::Never => false,
-            StopWhen::AllDecided(set) => set.bits() & !self.shared.decided.get() == 0,
-            StopWhen::AllFinished(set) => set.iter().all(|p| self.finished[p.index()]),
-            StopWhen::AnyDecided => self.shared.decided_count.get() != 0,
         }
     }
 
@@ -1308,41 +894,227 @@ impl Sim {
     }
 }
 
-/// The exact schedule executed by
-/// [`Sim::run_automata_replay_sharded`]: each contiguous `slice_len`-step
-/// slice of `schedule` is stably reordered to group steps by fleet shard
-/// (`shard = process index / shard_size`), shards in ascending order.
-///
-/// Per-process subschedules are preserved — the reordering only permutes
-/// steps of *different* processes within one slice — so the result is a
-/// legitimate schedule of the same universe with the same per-process step
-/// counts. `run_automata_replay_sharded(a, s, sh, sl, cfg)` and
-/// `run_automata_replay(a, &sharded_replay_order(s, sh, sl), cfg)` are
-/// observationally identical.
-///
-/// # Panics
-///
-/// Panics if `shard_size == 0` or `slice_len == 0`.
-pub fn sharded_replay_order(schedule: &Schedule, shard_size: usize, slice_len: usize) -> Schedule {
-    assert!(shard_size > 0, "shard_size must be positive");
-    assert!(slice_len > 0, "slice_len must be positive");
-    let mut out = Vec::with_capacity(schedule.len());
-    for slice in schedule.as_slice().chunks(slice_len) {
-        let shards = slice
-            .iter()
-            .map(|p| p.index() / shard_size + 1)
-            .max()
-            .unwrap_or(0);
-        for shard in 0..shards {
-            out.extend(
-                slice
-                    .iter()
-                    .filter(|p| p.index() / shard_size == shard)
-                    .copied(),
-            );
+/// Dispatch target of the step kernel: the simulation's own slots (one
+/// virtual call per step) or a caller-owned typed fleet (the step body
+/// inlines into the loop).
+trait Machines {
+    type Machine: Automaton + ?Sized;
+
+    /// The machine of in-universe process `idx`, if it has one.
+    fn machine(&mut self, idx: usize) -> Option<&mut Self::Machine>;
+}
+
+impl Machines for [Slot] {
+    type Machine = dyn Automaton;
+
+    fn machine(&mut self, idx: usize) -> Option<&mut Self::Machine> {
+        match self[idx].body.as_mut() {
+            Some(Body::Machine(machine)) => Some(machine.as_mut()),
+            _ => None,
         }
     }
-    Schedule::from_steps(out)
+}
+
+impl<A: Automaton> Machines for [A] {
+    type Machine = A;
+
+    fn machine(&mut self, idx: usize) -> Option<&mut A> {
+        // Indexing, not `get_mut`: `idx` is in the universe, and a cold
+        // panic path costs the fleet loop nothing where a live `None` arm
+        // cost 20 % at n = 12 (1 ns/step).
+        Some(&mut self[idx])
+    }
+}
+
+/// The model's one execution rule — step `S[i]` of schedule `S` lets one
+/// process perform one register operation — spelled once: every
+/// machine-ABI drive executes its scalar steps through
+/// [`step`](Self::step), directly or via the loop in [`run`](Self::run).
+///
+/// The kernel holds the register-arena borrow for its whole lifetime (a run
+/// pays the `RefCell` once, not per step) and owns the step counter and
+/// the local op counts, which it writes back to the [`Sim`] on drop, i.e.
+/// on every exit path.
+struct StepKernel<'a> {
+    shared: &'a SimShared,
+    memory: RefMut<'a, Memory>,
+    /// Per-process operations completed under this kernel: the step path of
+    /// a run touches no shared counter. Empty in the single-step kernel of
+    /// [`Sim::step_with`], which books straight to the shared counters.
+    ops: Vec<u64>,
+    finished: &'a mut [bool],
+    /// Global index of the next step to execute.
+    steps: u64,
+    steps_out: &'a mut u64,
+}
+
+impl Drop for StepKernel<'_> {
+    fn drop(&mut self) {
+        *self.steps_out = self.steps;
+        for (count, &ops) in self.shared.op_counts.iter().zip(&self.ops) {
+            if ops != 0 {
+                count.set(count.get() + ops);
+            }
+        }
+    }
+}
+
+impl StepKernel<'_> {
+    /// Executes one scheduled step of in-universe process `p`. Without a
+    /// live machine the step still counts and is still recorded, but does
+    /// nothing. `TRACED` compiles the executed-schedule push in; untraced
+    /// callers must not be recording.
+    #[inline]
+    fn step<const TRACED: bool, T: Machines + ?Sized>(
+        &mut self,
+        p: ProcessId,
+        target: &mut T,
+    ) -> StepOutcome {
+        let step = self.steps;
+        self.steps += 1;
+        if TRACED && self.shared.recording {
+            if let Some(executed) = self.shared.trace.borrow_mut().executed.as_mut() {
+                executed.push(p);
+            }
+        }
+        let idx = p.index();
+        if self.finished[idx] {
+            return StepOutcome::Idle;
+        }
+        let Some(machine) = target.machine(idx) else {
+            return StepOutcome::Idle;
+        };
+        let mut access = StepAccess::new(p, step, &mut self.memory, self.shared);
+        let status = machine.step(&mut access);
+        let ops = access.op_performed() as u64;
+        self.settle(idx, ops, status)
+    }
+
+    /// Books what process `idx`'s machine just did — `ops` completed
+    /// register operations, and its completion on [`Status::Done`], after
+    /// which it is never stepped again. Shared with the batched
+    /// `step_reads` calls.
+    #[inline]
+    fn settle(&mut self, idx: usize, ops: u64, status: Status) -> StepOutcome {
+        match self.ops.get_mut(idx) {
+            Some(count) => *count += ops,
+            None => {
+                let count = &self.shared.op_counts[idx];
+                count.set(count.get() + ops);
+            }
+        }
+        match status {
+            Status::Running => StepOutcome::Progressed,
+            Status::Done => {
+                self.finished[idx] = true;
+                StepOutcome::Finished
+            }
+        }
+    }
+
+    /// Executes `machine`'s whole allotment of pure reads in one
+    /// [`PhaseBatch::step_reads`] call (the caller advances the step
+    /// counter past the slice).
+    fn step_reads<A: PhaseBatch>(&mut self, idx: usize, machine: &mut A, steps: Allotment<'_>) {
+        let pid = ProcessId::new(idx);
+        let mut access = BatchAccess::new(pid, steps, &mut self.memory, self.shared);
+        let status = machine.step_reads(&mut access);
+        let ops = access.ops();
+        self.settle(idx, ops, status);
+    }
+
+    /// Drives `target` from `src` — cut to the step budget by the caller —
+    /// until the stop rule fires, `src` runs dry, or it names a process
+    /// outside the universe (earlier steps have executed). Monomorphized on
+    /// whether anything must be looked at between steps: with no stop rule
+    /// and no recording a step is the pull, the index bump and the dispatch.
+    fn run<T: Machines + ?Sized>(
+        &mut self,
+        target: &mut T,
+        src: impl Iterator<Item = ProcessId>,
+        cfg: RunConfig,
+    ) -> Result<RunStatus, SimError> {
+        if matches!(cfg.stop, StopWhen::Never) && !self.shared.recording {
+            self.run_loop::<false, T>(target, src, cfg)
+        } else {
+            self.run_loop::<true, T>(target, src, cfg)
+        }
+    }
+
+    fn run_loop<const TRACED: bool, T: Machines + ?Sized>(
+        &mut self,
+        target: &mut T,
+        mut src: impl Iterator<Item = ProcessId>,
+        cfg: RunConfig,
+    ) -> Result<RunStatus, SimError> {
+        let n = self.finished.len();
+        let first_step = self.steps;
+        loop {
+            // Checked before the pull, so a stateful source is not advanced
+            // past the stop point.
+            if TRACED && stop_met(&cfg.stop, self.shared, self.finished) {
+                return Ok(RunStatus::Stopped);
+            }
+            let Some(p) = src.next() else {
+                return Ok(self.exhausted(first_step, cfg));
+            };
+            check_in_universe(p, n)?;
+            self.step::<TRACED, T>(p, target);
+        }
+    }
+
+    /// How a run from `first_step` whose budget-cut source is exhausted
+    /// ended: the source ran out first iff the budget was not used up.
+    fn exhausted(&self, first_step: u64, cfg: RunConfig) -> RunStatus {
+        if self.steps - first_step < cfg.max_steps {
+            RunStatus::SourceEnded
+        } else {
+            RunStatus::MaxSteps
+        }
+    }
+}
+
+/// Batching grouped each machine's probes of a slice together: restores
+/// the plain drive's publication order from `probe_mark` on. Stable by
+/// step, so the probes of one step (one machine) keep their order.
+fn restore_probe_order(shared: &SimShared, probe_mark: usize) {
+    let mut trace = shared.trace.borrow_mut();
+    let tail = &mut trace.probes[probe_mark..];
+    if !tail.is_empty() {
+        tail.sort_by_key(|e| e.step);
+    }
+}
+
+/// A cursor-style source as the kernel loop's step iterator, cut to the
+/// budget: it never pulls more than `cfg.max_steps` steps from `src`.
+fn budgeted<S: StepSource>(src: &mut S, cfg: RunConfig) -> impl Iterator<Item = ProcessId> + '_ {
+    std::iter::from_fn(|| src.next_step()).take(cfg.budget())
+}
+
+/// Typed bounds check of a scheduled process id against the universe —
+/// the run/replay entry points surface a malformed schedule as
+/// [`SimError::ScheduleOutOfUniverse`] instead of panicking.
+#[inline]
+fn check_in_universe(p: ProcessId, n: usize) -> Result<(), SimError> {
+    if p.index() < n {
+        Ok(())
+    } else {
+        Err(SimError::ScheduleOutOfUniverse { process: p, n })
+    }
+}
+
+fn stop_met(stop: &StopWhen, shared: &SimShared, finished: &[bool]) -> bool {
+    // Decision conditions read the cached decision state (maintained by
+    // the decide paths) — O(1) per executed step, no trace borrow. The
+    // bitmask covers processes below the ProcSet capacity, which is all
+    // an `AllDecided` set can name; `AnyDecided` uses the count so it
+    // sees deciders beyond index 63 in large universes.
+    match stop {
+        StopWhen::Never => false,
+        StopWhen::AllDecided(set) => set.bits() & !shared.decided.get() == 0,
+        StopWhen::AllFinished(set) => set.iter().all(|p| finished[p.index()]),
+        StopWhen::AnyDecided => shared.decided_count.get() != 0,
+    }
 }
 
 impl std::fmt::Debug for Sim {

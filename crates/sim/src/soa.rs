@@ -1,4 +1,4 @@
-//! Phase-batched struct-of-arrays execution: the third replay drive.
+//! Phase-batched struct-of-arrays execution: the second replay drive.
 //!
 //! The plain replay drive ([`Sim::run_automata_replay`](crate::Sim::run_automata_replay))
 //! dispatches one `step` call per scheduled step: even with the automaton
@@ -89,13 +89,16 @@ pub trait PhaseBatch: Automaton {
 /// an explicit list (irregular interleaved slices), a contiguous run
 /// (uniform slices), or an arithmetic progression (periodic round-robin
 /// slices) — the drive's fast paths never materialize the latter two.
-enum Allotment<'a> {
+pub(crate) enum Allotment<'a> {
     /// Explicit step indices, in schedule order.
     List(&'a [u64]),
-    /// `len` consecutive steps starting at global step `start`.
+    /// `len` consecutive steps starting at global step `start` — the
+    /// uniform-slice fast path.
     Run { start: u64, len: usize },
     /// `len` steps at `start, start + stride, start + 2·stride, …` — one
-    /// process's allotment under a period-`stride` interleaved slice.
+    /// process's cursor under the interleaved-slice fast path (a slice
+    /// that repeats a fixed permutation of the fleet, period
+    /// `stride = n`).
     Strided { start: u64, stride: u64, len: usize },
 }
 
@@ -139,52 +142,13 @@ pub struct BatchAccess<'a> {
 impl<'a> BatchAccess<'a> {
     pub(crate) fn new(
         pid: ProcessId,
-        steps: &'a [u64],
+        steps: Allotment<'a>,
         memory: &'a mut Memory,
         shared: &'a SimShared,
     ) -> Self {
         BatchAccess {
             pid,
-            steps: Allotment::List(steps),
-            cursor: 0,
-            memory,
-            shared,
-        }
-    }
-
-    /// An arithmetic-progression allotment: `len` steps at
-    /// `start, start + stride, …` — one process's cursor under the
-    /// interleaved-slice fast path (a slice that repeats a fixed
-    /// permutation of the fleet, period `stride = n`).
-    pub(crate) fn new_strided(
-        pid: ProcessId,
-        start: u64,
-        stride: u64,
-        len: usize,
-        memory: &'a mut Memory,
-        shared: &'a SimShared,
-    ) -> Self {
-        BatchAccess {
-            pid,
-            steps: Allotment::Strided { start, stride, len },
-            cursor: 0,
-            memory,
-            shared,
-        }
-    }
-
-    /// A contiguous allotment: `len` steps starting at global step
-    /// `start` — the uniform-slice fast path.
-    pub(crate) fn new_run(
-        pid: ProcessId,
-        start: u64,
-        len: usize,
-        memory: &'a mut Memory,
-        shared: &'a SimShared,
-    ) -> Self {
-        BatchAccess {
-            pid,
-            steps: Allotment::Run { start, len },
+            steps,
             cursor: 0,
             memory,
             shared,

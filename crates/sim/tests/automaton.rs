@@ -2,6 +2,9 @@
 //! mixing with async slots, the one-operation-per-step discipline,
 //! completion, and crashes.
 
+mod common;
+
+use common::SumScan;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
 use st_sim::{Automaton, Reg, RunConfig, Sim, Status, StepAccess, StepOutcome, StopWhen};
 
@@ -287,7 +290,7 @@ fn fleet_runner_stop_condition() {
 
 /// A fleet cannot be driven over a Sim with spawned slots: the drive
 /// returns the typed [`st_sim::SimError::FleetDriveOnSpawnedSim`] (all
-/// four drives are covered in `tests/soa_drive.rs`).
+/// drives are covered in `tests/soa_drive.rs`).
 #[test]
 fn fleet_runner_rejects_spawned_slots() {
     let mut sim = Sim::new(universe(1));
@@ -380,18 +383,6 @@ fn out_of_universe_schedule_is_a_typed_error() {
         0,
         "replay must validate before running"
     );
-    let err = sim
-        .run_automata_replay_sharded(&mut fleet, &bad, 1, 8, RunConfig::steps(100))
-        .unwrap_err();
-    assert_eq!(
-        err,
-        SimError::ScheduleOutOfUniverse {
-            process: pid(5),
-            n: 2
-        }
-    );
-    assert_eq!(sim.steps_executed(), 0);
-
     // The generator-driven drive errors at the offending step; prior steps
     // have executed.
     let mut src = ScheduleCursor::new(bad.clone());
@@ -403,107 +394,184 @@ fn out_of_universe_schedule_is_a_typed_error() {
     assert!(err.to_string().contains("outside the simulated universe"));
 }
 
-/// With `shard_size >= n` (or `slice_len == 1`) the sharded drive is the
-/// identity reorder: step-for-step the plain replay.
-#[test]
-fn sharded_replay_identity_cases_match_plain_replay() {
-    let n = 3;
-    let schedule = Schedule::from_indices((0..120).map(|s| (s * 7 + s / 5) % n));
-    let run = |mode: u8| {
-        let mut sim = Sim::new(universe(n));
-        let regs = sim.alloc_array("c", n, 0u64);
-        let mut fleet: Vec<CountUp> = (0..n)
-            .map(|i| CountUp {
-                reg: regs[i],
-                next: 1,
-                limit: 1000,
-            })
-            .collect();
-        match mode {
-            0 => sim
-                .run_automata_replay(&mut fleet, &schedule, RunConfig::steps(1000))
-                .unwrap(),
-            1 => sim
-                .run_automata_replay_sharded(&mut fleet, &schedule, n, 16, RunConfig::steps(1000))
-                .unwrap(),
-            _ => sim
-                .run_automata_replay_sharded(&mut fleet, &schedule, 1, 1, RunConfig::steps(1000))
-                .unwrap(),
-        };
-        let vals: Vec<u64> = regs.iter().map(|&r| sim.peek(r)).collect();
-        (sim.steps_executed(), vals, sim.op_count(pid(0)))
-    };
-    assert_eq!(run(0), run(1));
-    assert_eq!(run(0), run(2));
+const SCAN_WORDS: usize = 5;
+
+/// The entry points of the one step kernel, as the table enumerates them.
+#[derive(Clone, Copy, Debug)]
+enum Entry {
+    SlotRun,
+    Fleet,
+    Replay,
+    ReplaySoa,
+    ReplaySoaBatched,
 }
 
-/// The sharded drive executes exactly the shard-stable reordering:
-/// observationally identical to the plain replay over
-/// `sharded_replay_order(schedule, shard_size, slice_len)`.
-#[test]
-fn sharded_replay_equals_replay_of_reordered_schedule() {
-    use st_sim::sharded_replay_order;
-    let n = 4;
-    let schedule = Schedule::from_indices((0..200).map(|s| (s * 13 + s / 3) % n));
-    for (shard_size, slice_len) in [(2usize, 8usize), (1, 16), (3, 5)] {
-        let reordered = sharded_replay_order(&schedule, shard_size, slice_len);
-        // Same per-process subschedules, same length.
-        assert_eq!(reordered.len(), schedule.len());
-        let run = |sharded: bool| {
-            let mut sim = Sim::new(universe(n));
-            let regs = sim.alloc_array("c", n, 0u64);
-            let mut fleet: Vec<CountUp> = (0..n)
-                .map(|i| CountUp {
-                    reg: regs[i],
-                    next: 1,
-                    limit: 1000,
-                })
-                .collect();
-            if sharded {
-                sim.run_automata_replay_sharded(
-                    &mut fleet,
-                    &schedule,
-                    shard_size,
-                    slice_len,
-                    RunConfig::steps(1000),
-                )
-                .unwrap();
-            } else {
-                sim.run_automata_replay(&mut fleet, &reordered, RunConfig::steps(1000))
-                    .unwrap();
+const ENTRIES: [Entry; 5] = [
+    Entry::SlotRun,
+    Entry::Fleet,
+    Entry::Replay,
+    Entry::ReplaySoa,
+    Entry::ReplaySoaBatched,
+];
+
+/// Everything a run leaves observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    result: Result<st_sim::RunStatus, st_sim::SimError>,
+    steps: u64,
+    ops: Vec<u64>,
+    probes: Vec<String>,
+    decisions: Vec<Option<(u64, u64)>>,
+    finished: Vec<bool>,
+    executed: Option<Schedule>,
+    outs: Vec<u64>,
+    register_stats: String,
+}
+
+/// Runs a three-process [`SumScan`] fleet (round limits 2, 5 and 100:
+/// process 0 completes early in the run, process 1 midway, process 2 never)
+/// through `entry` and observes the outcome.
+fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig, recording: bool) -> Observed {
+    let n = 3;
+    let mut sim = Sim::with_recording(universe(n), recording);
+    let shared: Vec<Reg<u64>> = (0..SCAN_WORDS)
+        .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
+        .collect();
+    let outs = sim.alloc_array("out", n, 0u64);
+    let mut fleet: Vec<SumScan> = [2, 5, 100]
+        .iter()
+        .zip(&outs)
+        .map(|(&limit, &out)| SumScan::new(shared[0], out, SCAN_WORDS, limit))
+        .collect();
+    let mut cursor = ScheduleCursor::new(schedule.clone());
+    let result = match entry {
+        Entry::SlotRun => {
+            for (i, machine) in fleet.drain(..).enumerate() {
+                sim.spawn_automaton(pid(i), machine).unwrap();
             }
-            let vals: Vec<u64> = regs.iter().map(|&r| sim.peek(r)).collect();
-            let ops: Vec<u64> = (0..n).map(|i| sim.op_count(pid(i))).collect();
-            (sim.steps_executed(), vals, ops, sim.report().register_stats)
-        };
-        assert_eq!(
-            run(true),
-            run(false),
-            "shard {shard_size} slice {slice_len}"
-        );
+            sim.run(&mut cursor, cfg)
+        }
+        Entry::Fleet => sim.run_automata(&mut fleet, &mut cursor, cfg),
+        Entry::Replay => sim.run_automata_replay(&mut fleet, schedule, cfg),
+        Entry::ReplaySoa => sim.run_automata_replay_soa(&mut fleet, schedule, 4, cfg),
+        Entry::ReplaySoaBatched => {
+            sim.run_automata_replay_soa_batched(&mut fleet, schedule, 4, cfg)
+        }
+    };
+    let report = sim.report();
+    Observed {
+        result,
+        steps: sim.steps_executed(),
+        ops: (0..n).map(|i| sim.op_count(pid(i))).collect(),
+        probes: report
+            .probes
+            .events()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .collect(),
+        decisions: sim
+            .decisions()
+            .iter()
+            .map(|d| d.map(|d| (d.value, d.step)))
+            .collect(),
+        finished: (0..n).map(|i| sim.is_finished(pid(i))).collect(),
+        executed: report.executed,
+        outs: outs.iter().map(|&r| sim.peek(r)).collect(),
+        register_stats: format!("{:?}", report.register_stats),
     }
 }
 
-/// The sharded drive records the *executed* (reordered) schedule when
-/// recording is enabled.
+/// One step kernel, five entry points: slot `run`, the cursor fleet drive
+/// and the three replay entries must be observationally identical on every
+/// combination of stop rule, recording, and budget below / at / above the
+/// schedule length — with a fleet whose first machine completes mid-run.
 #[test]
-fn sharded_replay_records_executed_order() {
-    use st_sim::sharded_replay_order;
-    let n = 3;
-    let schedule = Schedule::from_indices((0..30).map(|s| s % n));
-    let mut sim = Sim::with_recording(universe(n), true);
-    let regs = sim.alloc_array("c", n, 0u64);
-    let mut fleet: Vec<CountUp> = (0..n)
-        .map(|i| CountUp {
-            reg: regs[i],
-            next: 1,
-            limit: 1000,
-        })
+fn every_drive_is_observationally_identical() {
+    // Round-robin (the batched drive's strided path), dwells of 8 (its
+    // uniform path), then an irregular tail (bucketing + scalar fallback).
+    let steps: Vec<usize> = (0..30)
+        .map(|s| s % 3)
+        .chain((0..48).map(|s| (s / 8) % 3))
+        .chain((0..42).map(|s| (s * 7 + s / 5) % 3))
         .collect();
-    sim.run_automata_replay_sharded(&mut fleet, &schedule, 2, 6, RunConfig::steps(1000))
-        .unwrap();
-    assert_eq!(
-        sim.report().executed.unwrap(),
-        sharded_replay_order(&schedule, 2, 6)
-    );
+    let len = steps.len() as u64;
+    let schedule = Schedule::from_indices(steps);
+    let stops = [
+        StopWhen::Never,
+        StopWhen::AllDecided(ProcSet::from_indices([0, 1])),
+        StopWhen::AnyDecided,
+    ];
+    let mut statuses = Vec::new();
+    for stop in stops {
+        for recording in [false, true] {
+            for budget in [len / 2, len, len + 9] {
+                let cfg = RunConfig::steps(budget).stop_when(stop);
+                let reference = drive(Entry::Replay, &schedule, cfg, recording);
+                let status = reference.result.clone().unwrap();
+                assert_eq!(reference.executed.is_some(), recording);
+                if let Some(executed) = &reference.executed {
+                    let ran = reference.steps as usize;
+                    assert_eq!(executed.as_slice(), &schedule.as_slice()[..ran]);
+                }
+                for entry in ENTRIES {
+                    assert_eq!(
+                        drive(entry, &schedule, cfg, recording),
+                        reference,
+                        "{entry:?} vs replay: {stop:?}, recording {recording}, budget {budget}"
+                    );
+                }
+                statuses.push(status);
+            }
+        }
+    }
+    // The table reaches every way a run can end, and the early finisher
+    // did finish.
+    for want in [
+        st_sim::RunStatus::Stopped,
+        st_sim::RunStatus::MaxSteps,
+        st_sim::RunStatus::SourceEnded,
+    ] {
+        assert!(statuses.contains(&want), "no cell ended {want:?}");
+    }
+    let full = drive(Entry::Replay, &schedule, RunConfig::steps(len), false);
+    assert_eq!(full.finished, [true, true, false]);
+}
+
+/// The one intended difference between the entry points: a replay drive
+/// validates the prefix its budget admits before executing anything — also
+/// when a stop rule or recording sends it through the general loop — while
+/// a cursor drive executes up to the offending step.
+#[test]
+fn out_of_universe_step_splits_replay_from_cursor_drives() {
+    let bad = Schedule::from_indices([0, 1, 2, 0, 1, 7, 2, 0]);
+    let error = Err(st_sim::SimError::ScheduleOutOfUniverse {
+        process: pid(7),
+        n: 3,
+    });
+    let stop = StopWhen::AllDecided(ProcSet::from_indices([2]));
+    for (cfg, recording) in [
+        (RunConfig::steps(100), false),
+        (RunConfig::steps(100).stop_when(stop), false),
+        (RunConfig::steps(100), true),
+    ] {
+        for entry in ENTRIES {
+            let seen = drive(entry, &bad, cfg, recording);
+            assert_eq!(seen.result, error, "{entry:?}");
+            let ran = match entry {
+                Entry::SlotRun | Entry::Fleet => 5,
+                _ => 0,
+            };
+            assert_eq!(seen.steps, ran, "{entry:?}, {cfg:?}, recording {recording}");
+            if recording {
+                assert_eq!(seen.executed.unwrap().len() as u64, ran);
+            }
+        }
+    }
+    // Only the prefix is the drive's business: a budget that ends before
+    // the bad step never sees it.
+    for entry in ENTRIES {
+        let seen = drive(entry, &bad, RunConfig::steps(5), false);
+        assert_eq!(seen.result, Ok(st_sim::RunStatus::MaxSteps), "{entry:?}");
+        assert_eq!(seen.steps, 5);
+    }
 }

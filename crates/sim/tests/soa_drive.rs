@@ -9,11 +9,11 @@
 //! `st-agreement/tests/soa_differential.rs`; this file covers drive
 //! mechanics with a minimal machine.)
 
+mod common;
+
+use common::SumScan;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{
-    Automaton, BatchAccess, PhaseBatch, Reg, RunConfig, RunStatus, Sim, SimError, Status,
-    StepAccess, StopWhen,
-};
+use st_sim::{Reg, RunConfig, RunStatus, Sim, SimError, StopWhen};
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -21,86 +21,6 @@ fn universe(n: usize) -> Universe {
 
 fn pid(i: usize) -> ProcessId {
     ProcessId::new(i)
-}
-
-/// Two-phase scan machine: reads `m` words of a shared array one per step
-/// (pure), probes the running sum at the scan boundary, then writes it to
-/// its own output register (impure) — repeating until `limit` rounds, then
-/// deciding. The smallest shape that exercises batched span reads, probe
-/// ordering, phase turnover inside a slice, and the scalar write fallback.
-struct SumScan {
-    base: Reg<u64>,
-    out: Reg<u64>,
-    m: usize,
-    idx: usize,
-    acc: u64,
-    rounds: u64,
-    limit: u64,
-}
-
-impl SumScan {
-    fn new(base: Reg<u64>, out: Reg<u64>, m: usize, limit: u64) -> Self {
-        SumScan {
-            base,
-            out,
-            m,
-            idx: 0,
-            acc: 0,
-            rounds: 0,
-            limit,
-        }
-    }
-}
-
-impl Automaton for SumScan {
-    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
-        if self.idx < self.m {
-            self.acc = self
-                .acc
-                .wrapping_add(mem.read_word_array(self.base, self.idx));
-            self.idx += 1;
-            if self.idx == self.m {
-                mem.probe("sum", self.acc);
-            }
-            Status::Running
-        } else {
-            mem.write_word(self.out, self.acc);
-            self.rounds += 1;
-            if self.rounds == self.limit {
-                mem.decide(self.acc as st_core::Value);
-                return Status::Done;
-            }
-            self.idx = 0;
-            self.acc = 0;
-            Status::Running
-        }
-    }
-}
-
-impl PhaseBatch for SumScan {
-    fn phase_class(&self) -> u8 {
-        (self.idx >= self.m) as u8
-    }
-
-    fn read_run(&self) -> usize {
-        // The whole remaining scan is guaranteed value-independent reads;
-        // the write phase pins the run to zero (impure slice → fallback).
-        self.m - self.idx.min(self.m)
-    }
-
-    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
-        let take = mem.remaining().min(self.m - self.idx);
-        let mut buf = vec![0u64; take];
-        mem.read_word_span(self.base, self.idx, &mut buf);
-        for w in buf {
-            self.acc = self.acc.wrapping_add(w);
-        }
-        self.idx += take;
-        if self.idx == self.m {
-            mem.probe("sum", self.acc);
-        }
-        Status::Running
-    }
 }
 
 /// Builds a Sim with a shared `m`-word array (seeded with distinct values)
@@ -356,13 +276,6 @@ fn fleet_drives_return_typed_error_on_spawned_sim() {
         sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(2))
             .unwrap_err(),
         "run_automata_replay",
-    );
-
-    let (mut sim, mut fleet) = spawned_sim();
-    check(
-        sim.run_automata_replay_sharded(&mut fleet, &sched, 2, 2, RunConfig::steps(2))
-            .unwrap_err(),
-        "run_automata_replay_sharded",
     );
 
     let (mut sim, mut fleet) = spawned_sim();
