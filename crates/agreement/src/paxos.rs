@@ -45,9 +45,11 @@ pub struct PaxosRecord {
 }
 
 /// A single-decree Paxos instance: `n` records plus a decision register.
+/// Two handles and a count: cloning it into every proposer allocates nothing.
 #[derive(Clone, Debug)]
 pub struct Paxos {
-    pub(crate) records: Vec<Reg<PaxosRecord>>,
+    /// The record of process `q` is `records.at(q)`: the per-process block.
+    records: Reg<PaxosRecord>,
     pub(crate) decision: Reg<Option<Value>>,
     n: u64,
 }
@@ -76,13 +78,23 @@ impl Paxos {
     /// Allocates an instance in `sim`: one record per process (single
     /// writer) and one multi-writer decision register.
     pub fn alloc(sim: &mut Sim, name: &str) -> Self {
-        let records = sim.alloc_per_process(&format!("{name}.rec"), PaxosRecord::default());
+        let records = sim.alloc_per_process(&format!("{name}.rec"), PaxosRecord::default())[0];
         let decision = sim.alloc(format!("{name}.decision"), None);
         Paxos {
             records,
             decision,
             n: sim.universe().n() as u64,
         }
+    }
+
+    /// The handle of process `q`'s record.
+    fn record(&self, q: usize) -> Reg<PaxosRecord> {
+        self.records.at(q)
+    }
+
+    /// Number of records (processes).
+    fn len(&self) -> usize {
+        self.n as usize
     }
 
     /// Reads the decision register. **One step.**
@@ -147,14 +159,14 @@ impl Paxos {
         // Phase 1: announce the ballot, then look for competition and for
         // previously accepted values.
         state.own.mbal = b;
-        ctx.write(self.records[me], state.own).await;
+        ctx.write(self.record(me), state.own).await;
         let mut max_seen = 0u64;
         let mut best: Option<(u64, Value)> = state.own.val.map(|v| (state.own.bal, v));
-        for (q, &reg) in self.records.iter().enumerate() {
+        for q in 0..self.len() {
             if q == me {
                 continue;
             }
-            let rec = ctx.read(reg).await;
+            let rec = ctx.read(self.record(q)).await;
             max_seen = max_seen.max(rec.mbal);
             if let Some(v) = rec.val {
                 if best.is_none_or(|(bb, _)| rec.bal > bb) {
@@ -174,13 +186,13 @@ impl Paxos {
             bal: b,
             val: Some(value),
         };
-        ctx.write(self.records[me], state.own).await;
+        ctx.write(self.record(me), state.own).await;
         let mut max_seen = 0u64;
-        for (q, &reg) in self.records.iter().enumerate() {
+        for q in 0..self.len() {
             if q == me {
                 continue;
             }
-            let rec = ctx.read(reg).await;
+            let rec = ctx.read(self.record(q)).await;
             max_seen = max_seen.max(rec.mbal);
         }
         if max_seen > b {
@@ -202,7 +214,7 @@ impl Paxos {
     /// adaptive adversary, which — like the model's adversary — sees all
     /// state).
     pub fn peek_records(&self, sim: &Sim) -> Vec<PaxosRecord> {
-        self.records.iter().map(|&r| sim.peek(r)).collect()
+        (0..self.len()).map(|q| sim.peek(self.record(q))).collect()
     }
 
     /// The proposer as an explicit state machine on the simulator's
@@ -311,7 +323,7 @@ impl PaxosProposerCore {
     /// `step` call begins a fresh attempt.
     pub(crate) fn step(&mut self, mem: &mut StepAccess<'_>, proposal: Value) -> CoreStep {
         let me = mem.pid().index();
-        let n = self.paxos.records.len();
+        let n = self.paxos.len();
         match self.phase {
             ProposerPhase::CheckDecision => {
                 self.state.attempts += 1;
@@ -325,7 +337,7 @@ impl PaxosProposerCore {
                 CoreStep::Busy
             }
             ProposerPhase::Phase1Write => {
-                mem.write(self.paxos.records[me], self.state.own);
+                mem.write(self.paxos.record(me), self.state.own);
                 let best = self.state.own.val.map(|v| (self.state.own.bal, v));
                 match first_other(me, n) {
                     Some(q) => {
@@ -348,7 +360,7 @@ impl PaxosProposerCore {
                 mut max_seen,
                 mut best,
             } => {
-                let rec = mem.read(self.paxos.records[q as usize]);
+                let rec = mem.read(self.paxos.record(q as usize));
                 max_seen = max_seen.max(rec.mbal);
                 if let Some(v) = rec.val {
                     if best.is_none_or(|(bb, _)| rec.bal > bb) {
@@ -370,7 +382,7 @@ impl PaxosProposerCore {
                 CoreStep::Busy
             }
             ProposerPhase::Phase2Write { value } => {
-                mem.write(self.paxos.records[me], self.state.own);
+                mem.write(self.paxos.record(me), self.state.own);
                 match first_other(me, n) {
                     Some(q) => {
                         self.phase = ProposerPhase::Phase2Read {
@@ -391,7 +403,7 @@ impl PaxosProposerCore {
                 mut max_seen,
                 value,
             } => {
-                let rec = mem.read(self.paxos.records[q as usize]);
+                let rec = mem.read(self.paxos.record(q as usize));
                 max_seen = max_seen.max(rec.mbal);
                 if let Some(next) = next_other(q as usize, me, n) {
                     self.phase = ProposerPhase::Phase2Read {
@@ -436,7 +448,7 @@ impl PaxosProposerCore {
     /// it is stepped). The scan-end branch (preempt or advance) may lead to
     /// a write, so the run stops there.
     pub(crate) fn read_run(&self) -> usize {
-        let n = self.paxos.records.len();
+        let n = self.paxos.len();
         match self.phase {
             ProposerPhase::CheckDecision => 1,
             ProposerPhase::Phase1Read { q, .. } | ProposerPhase::Phase2Read { q, .. } => {
@@ -455,7 +467,7 @@ impl PaxosProposerCore {
     /// current scan's end.
     pub(crate) fn step_reads(&mut self, mem: &mut BatchAccess<'_>, proposal: Value) -> CoreStep {
         let me = mem.pid().index();
-        let n = self.paxos.records.len();
+        let n = self.paxos.len();
         let mut outcome = CoreStep::Busy;
         while mem.remaining() > 0 && outcome == CoreStep::Busy {
             match self.phase {
@@ -475,7 +487,7 @@ impl PaxosProposerCore {
                     mut max_seen,
                     mut best,
                 } => {
-                    let rec = mem.read(self.paxos.records[q as usize]);
+                    let rec = mem.read(self.paxos.record(q as usize));
                     max_seen = max_seen.max(rec.mbal);
                     if let Some(v) = rec.val {
                         if best.is_none_or(|(bb, _)| rec.bal > bb) {
@@ -499,7 +511,7 @@ impl PaxosProposerCore {
                     mut max_seen,
                     value,
                 } => {
-                    let rec = mem.read(self.paxos.records[q as usize]);
+                    let rec = mem.read(self.paxos.record(q as usize));
                     max_seen = max_seen.max(rec.mbal);
                     if let Some(next) = next_other(q as usize, me, n) {
                         self.phase = ProposerPhase::Phase2Read {

@@ -16,7 +16,7 @@ use st_agreement::{AgreementStack, KSetAgreement, Paxos, PaxosMachine, StackAbi}
 use st_core::{ProcessId, Schedule, ScheduleCursor, StepSource, Universe, Value};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy};
 use st_sched::{Figure1, SeededRandom};
-use st_sim::{RunConfig, RunReport, Sim};
+use st_sim::{RegisterStats, RunConfig, RunReport, Sim};
 
 /// How a protocol is executed: the async transcription, the state machine
 /// in a dyn slot, or the typed fleet on the replay drive.
@@ -35,9 +35,25 @@ fn inputs(n: usize) -> Vec<Value> {
 // Paxos: dueling proposers, every process attempts until it decides.
 // ---------------------------------------------------------------------------
 
+/// What one run is observed through: its report, its per-register access
+/// statistics, and the final register contents.
+type Observation = (RunReport, Vec<RegisterStats>, Vec<String>);
+
+/// The run's per-register access statistics, checked to be worth
+/// comparing: an empty or all-zero list would make the comparison vacuous.
+fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
+    let stats = sim.register_stats();
+    assert!(
+        stats.iter().any(|s| s.reads > 0),
+        "no register was ever read"
+    );
+    stats
+}
+
 /// Runs `n` dueling proposers over `schedule` in the chosen mode; returns
-/// the report plus the final record/decision register contents.
-fn run_paxos(n: usize, schedule: &Schedule, mode: Mode) -> (RunReport, Vec<String>) {
+/// the report and register statistics plus the final record/decision
+/// register contents.
+fn run_paxos(n: usize, schedule: &Schedule, mode: Mode) -> Observation {
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::with_recording(universe, true);
     let paxos = Paxos::alloc(&mut sim, "px");
@@ -87,13 +103,13 @@ fn run_paxos(n: usize, schedule: &Schedule, mode: Mode) -> (RunReport, Vec<Strin
         .map(|r| format!("{r:?}"))
         .collect();
     registers.push(format!("{:?}", paxos.peek_decision(&sim)));
-    (sim.report(), registers)
+    (sim.report(), access_stats(&sim), registers)
 }
 
 fn assert_paxos_identical(n: usize, schedule: Schedule, label: &str) {
-    let (async_rep, async_regs) = run_paxos(n, &schedule, Mode::Async);
+    let (async_rep, async_stats, async_regs) = run_paxos(n, &schedule, Mode::Async);
     for mode in [Mode::MachineSlot, Mode::FleetReplay] {
-        let (machine_rep, machine_regs) = run_paxos(n, &schedule, mode);
+        let (machine_rep, machine_stats, machine_regs) = run_paxos(n, &schedule, mode);
         assert_eq!(
             async_rep.steps, machine_rep.steps,
             "{label}/{mode:?}: step counts diverged"
@@ -116,7 +132,7 @@ fn assert_paxos_identical(n: usize, schedule: Schedule, label: &str) {
             "{label}/{mode:?}: per-process op counts diverged"
         );
         assert_eq!(
-            async_rep.register_stats, machine_rep.register_stats,
+            async_stats, machine_stats,
             "{label}/{mode:?}: register access statistics diverged"
         );
         assert_eq!(
@@ -145,7 +161,7 @@ fn paxos_round_robin_identical() {
         // enough for one uncontended ballot — everyone decides.
         let burst = 2 * n + 2;
         let bursty = Schedule::from_indices((0..(8 * n * burst)).map(|s| (s / burst) % n));
-        let (rep, _) = run_paxos(n, &bursty, Mode::Async);
+        let (rep, ..) = run_paxos(n, &bursty, Mode::Async);
         assert!(
             rep.decisions.iter().all(|d| d.is_some()),
             "n={n}: bursty workload must decide everywhere"
@@ -187,13 +203,7 @@ fn paxos_crash_identical() {
 /// Runs the full (t,k,n) FD + k-parallel-Paxos stack over `schedule` in the
 /// chosen mode; returns the report plus all final register contents
 /// (heartbeats, counters, Paxos records, decision registers).
-fn run_kset(
-    n: usize,
-    k: usize,
-    t: usize,
-    schedule: &Schedule,
-    mode: Mode,
-) -> (RunReport, Vec<String>) {
+fn run_kset(n: usize, k: usize, t: usize, schedule: &Schedule, mode: Mode) -> Observation {
     let task = st_core::AgreementTask::new(t, k, n).unwrap();
     let budget = schedule.len() as u64;
     let (sim, fd, kset);
@@ -251,13 +261,13 @@ fn run_kset(
         }
         registers.push(format!("{:?}", instance.peek_decision(&sim)));
     }
-    (sim.report(), registers)
+    (sim.report(), access_stats(&sim), registers)
 }
 
 fn assert_kset_identical(n: usize, k: usize, t: usize, schedule: Schedule, label: &str) {
-    let (async_rep, async_regs) = run_kset(n, k, t, &schedule, Mode::Async);
+    let (async_rep, async_stats, async_regs) = run_kset(n, k, t, &schedule, Mode::Async);
     for mode in [Mode::MachineSlot, Mode::FleetReplay] {
-        let (machine_rep, machine_regs) = run_kset(n, k, t, &schedule, mode);
+        let (machine_rep, machine_stats, machine_regs) = run_kset(n, k, t, &schedule, mode);
         assert_eq!(
             async_rep.steps, machine_rep.steps,
             "{label}/{mode:?}: step counts diverged"
@@ -282,7 +292,7 @@ fn assert_kset_identical(n: usize, k: usize, t: usize, schedule: Schedule, label
             "{label}/{mode:?}: per-process op counts diverged"
         );
         assert_eq!(
-            async_rep.register_stats, machine_rep.register_stats,
+            async_stats, machine_stats,
             "{label}/{mode:?}: register access statistics diverged"
         );
         assert_eq!(
@@ -336,7 +346,7 @@ fn kset_crash_identical() {
 #[test]
 fn kset_machine_decides_on_round_robin() {
     let (n, k, t) = (4usize, 2usize, 2usize);
-    let (rep, _) = run_kset(n, k, t, &round_robin(n, 40_000), Mode::MachineSlot);
+    let (rep, ..) = run_kset(n, k, t, &round_robin(n, 40_000), Mode::MachineSlot);
     let decided: std::collections::BTreeSet<Value> =
         rep.decisions.iter().flatten().map(|d| d.value).collect();
     assert!(

@@ -1,0 +1,116 @@
+//! The exact name of every register each allocator creates, on a small
+//! universe.
+//!
+//! Names are formatted on demand from per-block recipes, and they are part
+//! of the observable surface: `SimError` messages quote them and the
+//! differential suites compare `RegisterStats` (names included) across
+//! ABIs, drives and set widths. The tables are literal so a recipe that
+//! drifts — an off-by-one at a block boundary, a swapped row and column —
+//! fails here with the offending name in the diff.
+
+use st_agreement::{KSetAgreement, LeanConsensus};
+use st_core::{ProcessId, Universe};
+use st_fd::{KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy};
+use st_registers::AdoptCommit;
+use st_sim::Sim;
+
+fn sim(n: usize) -> Sim {
+    Sim::new(Universe::new(n).unwrap())
+}
+
+/// Every register name of `sim`, in allocation order.
+fn names(sim: &Sim) -> Vec<String> {
+    sim.register_stats().into_iter().map(|s| s.name).collect()
+}
+
+const FIGURE2_N3_K2: [&str; 12] = [
+    "Heartbeat[0]",
+    "Heartbeat[1]",
+    "Heartbeat[2]",
+    "Counter[{p0,p1}#0,p0]",
+    "Counter[{p0,p1}#0,p1]",
+    "Counter[{p0,p1}#0,p2]",
+    "Counter[{p0,p2}#1,p0]",
+    "Counter[{p0,p2}#1,p1]",
+    "Counter[{p0,p2}#1,p2]",
+    "Counter[{p1,p2}#2,p0]",
+    "Counter[{p1,p2}#2,p1]",
+    "Counter[{p1,p2}#2,p2]",
+];
+
+#[test]
+fn figure2_detector_names_at_both_widths() {
+    let config = KAntiOmegaConfig::new(2, 2);
+    let mut narrow = sim(3);
+    KAntiOmega::alloc(&mut narrow, config);
+    assert_eq!(names(&narrow), FIGURE2_N3_K2);
+    let mut wide = sim(3);
+    KAntiOmega::<2>::alloc_wide(&mut wide, config);
+    assert_eq!(names(&wide), FIGURE2_N3_K2);
+}
+
+#[test]
+fn lean_detector_and_consensus_names() {
+    let mut sim = sim(3);
+    let _fd = LeanOmega::alloc(&mut sim, 1, TimeoutPolicy::Increment);
+    let _cons = LeanConsensus::alloc(&mut sim);
+    assert_eq!(
+        names(&sim),
+        [
+            "LeanHB[0]",
+            "LeanHB[1]",
+            "LeanHB[2]",
+            "LeanCnt[0,0]",
+            "LeanCnt[0,1]",
+            "LeanCnt[0,2]",
+            "LeanCnt[1,0]",
+            "LeanCnt[1,1]",
+            "LeanCnt[1,2]",
+            "LeanCnt[2,0]",
+            "LeanCnt[2,1]",
+            "LeanCnt[2,2]",
+            "lean.rec[0]",
+            "lean.rec[1]",
+            "lean.rec[2]",
+            "lean.decision",
+        ]
+    );
+}
+
+#[test]
+fn kset_agreement_names() {
+    let mut sim = sim(3);
+    KSetAgreement::alloc(&mut sim, 2);
+    assert_eq!(
+        names(&sim),
+        [
+            "kset[0].rec[0]",
+            "kset[0].rec[1]",
+            "kset[0].rec[2]",
+            "kset[0].decision",
+            "kset[1].rec[0]",
+            "kset[1].rec[1]",
+            "kset[1].rec[2]",
+            "kset[1].decision",
+        ]
+    );
+}
+
+#[test]
+fn adopt_commit_and_sim_allocator_names() {
+    let mut sim = sim(2);
+    let _ac: AdoptCommit<u64> = AdoptCommit::alloc(&mut sim, "AC");
+    sim.alloc_array("out", 3, 0u64);
+    sim.alloc("lone", 0u64);
+    sim.alloc_sw("mine", ProcessId::new(1), 0u64);
+    sim.alloc_per_process("slot", 0u64);
+    sim.alloc_array("none", 0, 0u64);
+    sim.alloc("last", 0u64);
+    assert_eq!(
+        names(&sim),
+        [
+            "AC.A[0]", "AC.A[1]", "AC.B[0]", "AC.B[1]", "out[0]", "out[1]", "out[2]", "lone",
+            "mine", "slot[0]", "slot[1]", "last",
+        ]
+    );
+}

@@ -33,7 +33,7 @@ use st_agreement::{KSetAgreement, KSetAgreementMachine, LeanConsensus, Paxos, Pa
 use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaMachine, LeanOmega, TimeoutPolicy};
 use st_sched::{Figure1, GeneratorSpec, SpecMutator, SpecRng};
-use st_sim::{RunConfig, RunReport, Sim};
+use st_sim::{RegisterStats, RunConfig, RunReport, Sim};
 
 /// Which fleet replay drive executes the schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -59,14 +59,24 @@ fn from_spec(spec: &GeneratorSpec, n: usize, seed: u64, len: usize) -> Schedule 
     spec.build(u, seed).take_schedule(len)
 }
 
-/// Compares two (report, registers) observations, field by field, with the
-/// recording-only `executed` field deliberately excluded (see module docs).
-fn assert_observations_eq(
-    plain: &(RunReport, Vec<String>),
-    soa: &(RunReport, Vec<String>),
-    label: &str,
-    drive: Drive,
-) {
+/// What one run is observed through: its report, its per-register access
+/// statistics, and the final register contents.
+type Observation = (RunReport, Vec<RegisterStats>, Vec<String>);
+
+/// The run's per-register access statistics, checked to be worth
+/// comparing: an empty or all-zero list would make the comparison vacuous.
+fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
+    let stats = sim.register_stats();
+    assert!(
+        stats.iter().any(|s| s.reads > 0),
+        "no register was ever read"
+    );
+    stats
+}
+
+/// Compares two observations, field by field, with the recording-only
+/// `executed` field deliberately excluded (see module docs).
+fn assert_observations_eq(plain: &Observation, soa: &Observation, label: &str, drive: Drive) {
     assert_eq!(
         plain.0.steps, soa.0.steps,
         "{label}/{drive:?}: step counts diverged"
@@ -89,11 +99,11 @@ fn assert_observations_eq(
         "{label}/{drive:?}: per-process op counts diverged"
     );
     assert_eq!(
-        plain.0.register_stats, soa.0.register_stats,
+        plain.1, soa.1,
         "{label}/{drive:?}: register access statistics diverged"
     );
     assert_eq!(
-        plain.1, soa.1,
+        plain.2, soa.2,
         "{label}/{drive:?}: final register contents diverged"
     );
 }
@@ -102,13 +112,7 @@ fn assert_observations_eq(
 // Per-stack runners: build a fresh sim + fleet, run one drive, observe.
 // ---------------------------------------------------------------------------
 
-fn run_kanti(
-    n: usize,
-    k: usize,
-    t: usize,
-    schedule: &Schedule,
-    drive: Drive,
-) -> (RunReport, Vec<String>) {
+fn run_kanti(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
@@ -129,10 +133,10 @@ fn run_kanti(
             regs.push(fd.peek_counter(&sim, rank, q).to_string());
         }
     }
-    (sim.report(), regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
-fn run_paxos_fleet(n: usize, schedule: &Schedule, drive: Drive) -> (RunReport, Vec<String>) {
+fn run_paxos_fleet(n: usize, schedule: &Schedule, drive: Drive) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let paxos = Paxos::alloc(&mut sim, "px");
@@ -154,16 +158,10 @@ fn run_paxos_fleet(n: usize, schedule: &Schedule, drive: Drive) -> (RunReport, V
         .map(|r| format!("{r:?}"))
         .collect();
     regs.push(format!("{:?}", paxos.peek_decision(&sim)));
-    (sim.report(), regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
-fn run_kset_fleet(
-    n: usize,
-    k: usize,
-    t: usize,
-    schedule: &Schedule,
-    drive: Drive,
-) -> (RunReport, Vec<String>) {
+fn run_kset_fleet(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
@@ -195,10 +193,10 @@ fn run_kset_fleet(
         }
         regs.push(format!("{:?}", instance.peek_decision(&sim)));
     }
-    (sim.report(), regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
-fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> (RunReport, Vec<String>) {
+fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = LeanOmega::alloc(&mut sim, t, TimeoutPolicy::Increment);
@@ -229,15 +227,10 @@ fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> (RunRep
             regs.push(fd.peek_counter(&sim, 0, i).to_string());
         }
     }
-    (sim.report(), regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
-fn run_lean_consensus(
-    n: usize,
-    t: usize,
-    schedule: &Schedule,
-    drive: Drive,
-) -> (RunReport, Vec<String>) {
+fn run_lean_consensus(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = LeanOmega::alloc(&mut sim, t, TimeoutPolicy::Increment);
@@ -262,14 +255,14 @@ fn run_lean_consensus(
         regs.push(format!("{rec:?}"));
     }
     regs.push(format!("{:?}", cons.instance().peek_decision(&sim)));
-    (sim.report(), regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
 /// Runs `runner` under the plain drive and under the SoA drive at every
 /// slice length, asserting observational identity each time.
 fn assert_soa_identical<F>(label: &str, runner: F)
 where
-    F: Fn(Drive) -> (RunReport, Vec<String>),
+    F: Fn(Drive) -> Observation,
 {
     let plain = runner(Drive::Plain);
     for sl in SLICE_LENS {

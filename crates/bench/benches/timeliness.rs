@@ -658,6 +658,42 @@ fn campaign_resume_overhead(c: &mut Criterion) {
     group.finish();
 }
 
+/// Cost in µs of `AgreementStack::build_full` on the E3 cell (recording on,
+/// as `Scenario::run` builds it) and of `Sim::report()` once the stack has
+/// run `schedule` to all-decided: best of 7 batches of 256 calls each.
+fn stack_build_and_report_us(schedule: &Schedule) -> (f64, f64) {
+    use st_agreement::AgreementStack;
+    use st_core::{AgreementTask, ScheduleCursor};
+    use st_fd::TimeoutPolicy;
+    use st_sim::{RunConfig, StopWhen};
+    const BATCH: usize = 256;
+    let task = AgreementTask::new(AG_T, AG_K, AG_N).unwrap();
+    let inputs: Vec<u64> = (0..AG_N as u64).map(|v| 1000 + 7 * v).collect();
+    let build = || AgreementStack::build_full(task, &inputs, TimeoutPolicy::Increment, true);
+    let build_ms = time_best(7, || {
+        for _ in 0..BATCH {
+            std::hint::black_box(build());
+        }
+    });
+    let mut decided = build();
+    let everyone = ProcSet::full(task.universe());
+    let cfg = RunConfig::steps(schedule.len() as u64).stop_when(StopWhen::AllDecided(everyone));
+    decided
+        .sim_mut()
+        .run(&mut ScheduleCursor::new(schedule.clone()), cfg)
+        .unwrap();
+    assert_eq!(decided.sim().decided_set(), everyone, "the E3 cell decides");
+    let report_ms = time_best(7, || {
+        for _ in 0..BATCH {
+            std::hint::black_box(decided.sim().report());
+        }
+    });
+    (
+        build_ms * 1e3 / BATCH as f64,
+        report_ms * 1e3 / BATCH as f64,
+    )
+}
+
 /// Times one closure, best of `reps`.
 fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> f64 {
     let mut best = f64::INFINITY;
@@ -746,6 +782,18 @@ fn emit_baseline(_c: &mut Criterion) {
     let ag_machine_ns = ag_machine * 1e6 / decided_at as f64;
     let ag_fleet_ns = ag_fleet * 1e6 / decided_at as f64;
     let ag_soa_ns = ag_soa * 1e6 / decided_at as f64;
+
+    // What register metadata costs off the run path, on the same E3 cell:
+    // building the stack (every register allocated, every machine made)
+    // and snapshotting a decided run — and the lean detector's n² counter
+    // block at n = 1024, allocated and dropped.
+    let (build_us, report_us) = stack_build_and_report_us(&ag_sched);
+    const LEAN_ALLOC_N: usize = 1024;
+    let lean_alloc_ms = time_best(5, || {
+        let mut sim = st_sim::Sim::new(Universe::new(LEAN_ALLOC_N).unwrap());
+        st_fd::LeanOmega::alloc(&mut sim, LEAN_ALLOC_N / 16, st_fd::TimeoutPolicy::Increment);
+        sim
+    });
 
     // The n-scaling curve: the lean stack on both fleet replay drives
     // over the E9 bursty shape, a fixed 4M-step prefix per size (see
@@ -872,7 +920,7 @@ fn emit_baseline(_c: &mut Criterion) {
     let shrink_rps = shrink_runs as f64 * 1e3 / shrink_ms;
 
     let json = format!(
-        "{{\n  \"schema\": \"st-bench/timeliness-v9\",\n  \
+        "{{\n  \"schema\": \"st-bench/timeliness-v10\",\n  \
          \"workload\": {{\"n\": {N}, \"schedule_len\": {LEN}, \"bound_cap\": {CAP}, \"i\": {I}, \"j\": {J}}},\n  \
          \"all_timely_pairs_ms\": {{\n    \
            \"round_robin\": {{\"naive\": {naive_rr:.2}, \"engine\": {engine_rr:.2}, \"speedup\": {:.1}}},\n    \
@@ -892,6 +940,13 @@ fn emit_baseline(_c: &mut Criterion) {
            \"fleet_replay_soa_ns_per_step\": {ag_soa_ns:.2},\n    \
            \"machine_slot_speedup\": {:.2},\n    \
            \"speedup\": {:.2}\n  }},\n  \
+         \"agreement_stack_build\": {{\n    \
+           \"workload\": {{\"n\": {AG_N}, \"k\": {AG_K}, \"t\": {AG_T}, \"experiment\": \"E3\", \"recording\": true}},\n    \
+           \"build_us\": {build_us:.2},\n    \
+           \"report_us\": {report_us:.2}\n  }},\n  \
+         \"lean_alloc\": {{\n    \
+           \"workload\": {{\"n\": {LEAN_ALLOC_N}, \"registers\": {}, \"measured\": \"Sim::new + LeanOmega::alloc + drop\"}},\n    \
+           \"alloc_ms\": {lean_alloc_ms:.3}\n  }},\n  \
          \"lean_n_scaling\": {{\n    \
            \"workload\": {{\"fleet\": \"LeanConsensus over LeanOmega\", \"t\": \"n/16\", \
              \"schedule\": \"Bursty(n^2+n+2)\", \"steps\": {LEAN_STEPS}, \
@@ -942,6 +997,7 @@ fn emit_baseline(_c: &mut Criterion) {
         async_ns / machine_ns,
         ag_async_ns / ag_machine_ns,
         ag_async_ns / ag_fleet_ns,
+        LEAN_ALLOC_N * LEAN_ALLOC_N + LEAN_ALLOC_N,
         inter_plain / inter_soa,
         CAMPAIGN_GRID.len(),
         campaign_w1 / campaign_w4,

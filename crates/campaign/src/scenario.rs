@@ -600,10 +600,10 @@ impl Scenario {
             .sim_mut()
             .run(&mut src, cfg)
             .expect("agreement schedules stay within the task universe");
-        let run = stack.snapshot(status, self.faulty);
+        let mut run = stack.snapshot(status, self.faulty);
         let evidence = if record {
             Evidence {
-                executed: run.report.executed.clone(),
+                executed: run.report.executed.take(),
                 ballots: stack.kset().map(|kset| {
                     let records = kset
                         .instances()

@@ -28,9 +28,13 @@
 //! register writes in the same order); `tests/differential.rs` enforces it
 //! on round-robin, seeded-random, and Figure 1 schedules.
 
-use st_core::subsets::wide_k_subsets;
+use std::rc::Rc;
+
+use st_core::subsets::{wide_k_subsets, wide_unrank};
 use st_core::{ProcessId, Universe, WideProcSet};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess};
+use st_sim::{
+    Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess, WriteDiscipline,
+};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -110,14 +114,27 @@ impl KAntiOmegaConfig {
 pub struct KAntiOmega<const W: usize = 1> {
     config: KAntiOmegaConfig,
     universe: Universe,
-    /// `Heartbeat[p]`, single-writer.
-    heartbeat: Vec<Reg<u64>>,
-    /// `Counter[A, q]` indexed `[rank(A)][q]`, single-writer per column.
-    counter: Vec<Vec<Reg<u64>>>,
+    /// Handles and tables, shared by every clone and machine of the
+    /// instance: cloning is a reference-count bump.
+    layout: Rc<Layout<W>>,
+}
+
+/// Where a k-anti-Ω instance lives in the arena, plus the `Π^k_n` tables —
+/// the one layout representation both ABIs read.
+#[derive(Debug)]
+struct Layout<const W: usize> {
+    /// `Heartbeat[p]` is `heartbeat.at(p)`, single-writer: one block.
+    heartbeat: Reg<u64>,
+    /// `Counter[A, q]` is `counter.at(rank(A)·n + q)`, single-writer per
+    /// column: one block, rank-major.
+    counter: Reg<u64>,
     /// `Π^k_n` in ascending order (rank = index).
     subsets: Vec<WideProcSet<W>>,
-    /// For each process q, the ranks of the sets containing q (line 11–12).
-    containing: Vec<Vec<u32>>,
+    /// The ranks of the sets containing each process (line 11–12), flat:
+    /// every process is in `per_process` sets, those of `q` at
+    /// `[q·per_process .. (q+1)·per_process]`, ascending.
+    containing: Vec<u32>,
+    per_process: usize,
 }
 
 impl KAntiOmega {
@@ -159,31 +176,39 @@ impl<const W: usize> KAntiOmega<W> {
              pick W with st_core::words_for, or use LeanOmega",
             WideProcSet::<W>::CAPACITY
         );
-        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64);
+        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64)[0];
         let subsets = wide_k_subsets(universe, k);
-        let counter: Vec<Vec<Reg<u64>>> = subsets
-            .iter()
-            .enumerate()
-            .map(|(rank, set)| {
-                universe
-                    .processes()
-                    .map(|q| sim.alloc_sw(format!("Counter[{set}#{rank},{q}]"), q, 0u64))
-                    .collect()
-            })
-            .collect();
-        let mut containing = vec![Vec::new(); n];
+        let counter = sim.alloc_block(
+            subsets.len() * n,
+            0u64,
+            |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
+            move |i| {
+                let (rank, q) = (i / n, ProcessId::new(i % n));
+                let set = wide_unrank::<W>(universe, k, rank as u64);
+                format!("Counter[{set}#{rank},{q}]")
+            },
+        );
+        // Every process is in C(n−1, k−1) = |Π^k_n|·k/n of the sets.
+        let per_process = subsets.len() * k / n;
+        let mut containing = vec![0u32; n * per_process];
+        let mut filled = vec![0usize; n];
         for (rank, set) in subsets.iter().enumerate() {
             for q in set.iter() {
-                containing[q.index()].push(rank as u32);
+                let q = q.index();
+                containing[q * per_process + filled[q]] = rank as u32;
+                filled[q] += 1;
             }
         }
         KAntiOmega {
             config,
             universe,
-            heartbeat,
-            counter,
-            subsets,
-            containing,
+            layout: Rc::new(Layout {
+                heartbeat,
+                counter,
+                subsets,
+                containing,
+                per_process,
+            }),
         }
     }
 
@@ -199,14 +224,30 @@ impl<const W: usize> KAntiOmega<W> {
 
     /// Number of candidate sets `|Π^k_n|`.
     pub fn set_count(&self) -> usize {
-        self.subsets.len()
+        self.layout.subsets.len()
+    }
+
+    /// The handle of `Heartbeat[p]`.
+    fn heartbeat(&self, p: usize) -> Reg<u64> {
+        self.layout.heartbeat.at(p)
+    }
+
+    /// The handle of `Counter[A, q]` for the set `A` of the given rank.
+    fn counter(&self, rank: usize, q: usize) -> Reg<u64> {
+        self.layout.counter.at(rank * self.universe.n() + q)
+    }
+
+    /// The ranks of the sets containing `q`, ascending.
+    fn containing(&self, q: usize) -> &[u32] {
+        let per = self.layout.per_process;
+        &self.layout.containing[q * per..(q + 1) * per]
     }
 
     /// Shared-memory steps of one loop iteration for a process that accuses
     /// `expired` sets: `|Π^k_n|·n` counter reads + 1 heartbeat write + `n`
     /// heartbeat reads + `expired` counter writes.
     pub fn steps_per_iteration(&self, expired: usize) -> u64 {
-        let m = self.subsets.len() as u64;
+        let m = self.set_count() as u64;
         let n = self.universe.n() as u64;
         m * n + 1 + n + expired as u64
     }
@@ -215,7 +256,7 @@ impl<const W: usize> KAntiOmega<W> {
     /// Figure 2).
     pub fn local_state(&self) -> KAntiOmegaLocal<W> {
         let n = self.universe.n();
-        let m = self.subsets.len();
+        let m = self.set_count();
         KAntiOmegaLocal {
             my_hb: 0,
             prev_heartbeat: vec![0; n],
@@ -236,7 +277,7 @@ impl<const W: usize> KAntiOmega<W> {
     #[inline]
     fn encode_winnerset(&self, rank: usize) -> u64 {
         if W == 1 {
-            self.subsets[rank].words()[0]
+            self.layout.subsets[rank].words()[0]
         } else {
             rank as u64
         }
@@ -248,14 +289,14 @@ impl<const W: usize> KAntiOmega<W> {
     pub async fn iterate(&self, ctx: &ProcessCtx, local: &mut KAntiOmegaLocal<W>) {
         let me = ctx.pid().index();
         let n = self.universe.n();
-        let m = self.subsets.len();
+        let m = self.set_count();
         let t = self.config.t;
 
         // Line 2: read every Counter[A, q] — the |Π^k_n|·n-read inner loop
         // of the algorithm, kept on the simulator's u64 word fast path.
         for a in 0..m {
             for q in 0..n {
-                local.cnt[a][q] = ctx.read_word(self.counter[a][q]).await;
+                local.cnt[a][q] = ctx.read_word(self.counter(a, q)).await;
             }
         }
 
@@ -276,7 +317,7 @@ impl<const W: usize> KAntiOmega<W> {
                 winner = a;
             }
         }
-        local.winnerset = self.subsets[winner];
+        local.winnerset = self.layout.subsets[winner];
         // Line 5: fdOutput = Π_n − winnerset.
         local.fd_output = local.winnerset.complement(self.universe);
         if local.published != Some(local.winnerset) {
@@ -286,13 +327,13 @@ impl<const W: usize> KAntiOmega<W> {
 
         // Lines 6–7: bump heartbeat.
         local.my_hb += 1;
-        ctx.write_word(self.heartbeat[me], local.my_hb).await;
+        ctx.write_word(self.heartbeat(me), local.my_hb).await;
 
         // Lines 8–13: check other processes' heartbeats.
         for q in 0..n {
-            let hbq = ctx.read_word(self.heartbeat[q]).await;
+            let hbq = ctx.read_word(self.heartbeat(q)).await;
             if hbq > local.prev_heartbeat[q] {
-                for &rank in &self.containing[q] {
+                for &rank in self.containing(q) {
                     local.timer[rank as usize] = local.timeout[rank as usize];
                 }
                 local.prev_heartbeat[q] = hbq;
@@ -306,7 +347,7 @@ impl<const W: usize> KAntiOmega<W> {
             if local.timer[a] == 0 {
                 local.timeout[a] = self.config.policy.grow(local.timeout[a]);
                 local.timer[a] = local.timeout[a];
-                ctx.write_word(self.counter[a][me], local.cnt[a][me] + 1)
+                ctx.write_word(self.counter(a, me), local.cnt[a][me] + 1)
                     .await;
             }
         }
@@ -336,17 +377,17 @@ impl<const W: usize> KAntiOmega<W> {
 
     /// The subsets table (rank order), for analyses.
     pub fn subsets(&self) -> &[WideProcSet<W>] {
-        &self.subsets
+        &self.layout.subsets
     }
 
     /// Reads `Counter[A, q]` without taking a step (instrumentation).
     pub fn peek_counter(&self, sim: &Sim, rank: usize, q: ProcessId) -> u64 {
-        sim.peek(self.counter[rank][q.index()])
+        sim.peek(self.counter(rank, q.index()))
     }
 
     /// Reads `Heartbeat[p]` without taking a step (instrumentation).
     pub fn peek_heartbeat(&self, sim: &Sim, p: ProcessId) -> u64 {
-        sim.peek(self.heartbeat[p.index()])
+        sim.peek(self.heartbeat(p.index()))
     }
 }
 
@@ -440,15 +481,14 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     prev_heartbeat: Vec<u64>,
     timeout: Vec<u64>,
     timer: Vec<u64>,
-    /// The handle of `Counter[A₀, p₀]`: Figure 2's counter matrix is
-    /// allocated contiguously (rank-major, process-minor), so the line 2
-    /// scan reads `counter_base + i` via
-    /// [`StepAccess::read_word_array`] — no handle table to load on the
-    /// hot phase (contiguity is asserted at construction).
+    /// The handle of `Counter[A₀, p₀]`, copied out of the shared layout:
+    /// Figure 2's counter matrix is one block (rank-major, process-minor),
+    /// so the line 2 scan reads `counter_base + i` via
+    /// [`StepAccess::read_word_array`] — no pointer to chase on the hot
+    /// phase.
     counter_base: Reg<u64>,
-    /// The handle of `Heartbeat[p0]`; the per-process array is allocated
-    /// contiguously (asserted at construction) so the lines 8–13 scan can
-    /// run as one span read on the batched drive.
+    /// The handle of `Heartbeat[p0]`, likewise; the per-process block lets
+    /// the lines 8–13 scan run as one span read on the batched drive.
     heartbeat_base: Reg<u64>,
     /// The line 2 snapshot, flattened to `[a·n + q]`.
     cnt: Vec<u64>,
@@ -477,25 +517,9 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
 impl<const W: usize> KAntiOmegaMachine<W> {
     fn new(fd: KAntiOmega<W>) -> Self {
         let n = fd.universe.n();
-        let m = fd.subsets.len();
-        let counter_base = fd.counter[0][0];
-        for (a, row) in fd.counter.iter().enumerate() {
-            for (q, reg) in row.iter().enumerate() {
-                assert_eq!(
-                    reg.index(),
-                    counter_base.index() + a * n + q,
-                    "counter matrix must be allocated contiguously"
-                );
-            }
-        }
-        let heartbeat_base = fd.heartbeat[0];
-        for (q, reg) in fd.heartbeat.iter().enumerate() {
-            assert_eq!(
-                reg.index(),
-                heartbeat_base.index() + q,
-                "heartbeat array must be allocated contiguously"
-            );
-        }
+        let m = fd.set_count();
+        let counter_base = fd.layout.counter;
+        let heartbeat_base = fd.layout.heartbeat;
         KAntiOmegaMachine {
             fd,
             phase: Phase::ReadCounters(0),
@@ -541,7 +565,7 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// [`st_sim::BatchAccess`]) drove the step.
     fn select_winner(&mut self) -> Option<u64> {
         let n = self.fd.universe.n();
-        let m = self.fd.subsets.len();
+        let m = self.fd.set_count();
         let t = self.fd.config.t;
 
         // Line 3: accusation[A] is the (t+1)-st smallest of cnt[A, *] —
@@ -565,7 +589,7 @@ impl<const W: usize> KAntiOmegaMachine<W> {
                 winner_acc = acc;
             }
         }
-        self.winnerset = self.fd.subsets[winner];
+        self.winnerset = self.fd.layout.subsets[winner];
         // Line 5: fdOutput = Π_n − winnerset.
         self.fd_output = self.winnerset.complement(self.fd.universe);
         let publish = if self.published != Some(self.winnerset) {
@@ -634,14 +658,14 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
             Phase::WriteHeartbeat => {
                 // Line 7.
                 let me = mem.pid().index();
-                mem.write_word(self.fd.heartbeat[me], self.my_hb);
+                mem.write_word_array(self.heartbeat_base, me, self.my_hb);
                 self.phase = Phase::ReadHeartbeats(0);
             }
             Phase::ReadHeartbeats(q) => {
                 let qi = q as usize;
-                let hbq = mem.read_word(self.fd.heartbeat[qi]);
+                let hbq = mem.read_word_array(self.heartbeat_base, qi);
                 if hbq > self.prev_heartbeat[qi] {
-                    for &rank in &self.fd.containing[qi] {
+                    for &rank in self.fd.containing(qi) {
                         self.timer[rank as usize] = self.timeout[rank as usize];
                     }
                     self.prev_heartbeat[qi] = hbq;
@@ -662,8 +686,8 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                 // (and the async port) does.
                 let me = mem.pid().index();
                 let a = self.expired[idx as usize] as usize;
-                let snap = self.cnt[a * self.fd.universe.n() + me];
-                mem.write_word(self.fd.counter[a][me], snap + 1);
+                let slot = a * self.fd.universe.n() + me;
+                mem.write_word_array(self.counter_base, slot, self.cnt[slot] + 1);
                 if idx as usize + 1 == self.expired.len() {
                     self.next_iteration();
                 } else {
@@ -742,7 +766,7 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
                     let qi = q0 + j;
                     let hbq = self.batch_buf[j];
                     if hbq > self.prev_heartbeat[qi] {
-                        for &rank in &self.fd.containing[qi] {
+                        for &rank in self.fd.containing(qi) {
                             self.timer[rank as usize] = self.timeout[rank as usize];
                         }
                         self.prev_heartbeat[qi] = hbq;
@@ -860,7 +884,7 @@ mod tests {
             let fd3 = fd.clone();
             sim.spawn(ProcessId::new(q as usize), move |ctx| async move {
                 // Each process writes its own Counter[{p0}, q] entry.
-                ctx.write(fd3.counter[0][q as usize], v).await;
+                ctx.write(fd3.counter(0, q as usize), v).await;
                 ctx.pause().await;
             })
             .unwrap();

@@ -26,8 +26,8 @@
 //! implements [`PhaseBatch`], so the SoA replay drive can stream its
 //! line 2 scan — which is ~`n/(n+2)` of all its steps — as span reads.
 
-use st_core::Universe;
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess};
+use st_core::{ProcessId, Universe};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -66,23 +66,19 @@ impl LeanOmega {
             (1..n).contains(&t),
             "lean anti-Ω requires 1 <= t <= n-1 (got t={t}, n={n})"
         );
-        let heartbeat = sim.alloc_per_process("LeanHB", 0u64);
-        let heartbeat_base = heartbeat[0];
-        let mut counter_base = None;
-        for a in 0..n {
-            for q in universe.processes() {
-                let reg = sim.alloc_sw(format!("LeanCnt[{a},{}]", q.index()), q, 0u64);
-                if counter_base.is_none() {
-                    counter_base = Some(reg);
-                }
-            }
-        }
+        let heartbeat_base = sim.alloc_per_process("LeanHB", 0u64)[0];
+        let counter_base = sim.alloc_block(
+            n * n,
+            0u64,
+            |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
+            move |i| format!("LeanCnt[{},{}]", i / n, i % n),
+        );
         LeanOmega {
             universe,
             t,
             policy,
             heartbeat_base,
-            counter_base: counter_base.expect("n >= 2"),
+            counter_base,
         }
     }
 

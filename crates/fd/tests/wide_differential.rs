@@ -14,20 +14,32 @@ use st_core::{ProcSet, Schedule, StepSource, Universe};
 use st_fd::convergence::wide_winnerset_stabilization;
 use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy, WINNERSET_PROBE};
 use st_sched::SeededRandom;
-use st_sim::{RunConfig, RunReport, Sim};
+use st_sim::{RegisterStats, RunConfig, RunReport, Sim};
 
 fn round_robin(n: usize, len: usize) -> Schedule {
     Schedule::from_indices((0..len).map(|s| s % n))
 }
 
+/// The run's per-register access statistics, checked to be worth
+/// comparing: an empty or all-zero list would make the comparison vacuous.
+fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
+    let stats = sim.register_stats();
+    assert!(
+        stats.iter().any(|s| s.reads > 0),
+        "no register was ever read"
+    );
+    stats
+}
+
 /// Runs a machine fleet of width `W` on the replay drive and returns the
-/// report plus the final heartbeat/counter register contents and the final
-/// per-process winnersets (as sorted member indices).
+/// report and register statistics plus the final heartbeat/counter register
+/// contents and the final per-process winnersets (as sorted member
+/// indices).
 fn run_wide<const W: usize>(
     n: usize,
     config: KAntiOmegaConfig,
     schedule: &Schedule,
-) -> (RunReport, Vec<u64>, Vec<Vec<usize>>) {
+) -> (RunReport, Vec<RegisterStats>, Vec<u64>, Vec<Vec<usize>>) {
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::<W>::alloc_wide(&mut sim, config);
@@ -51,7 +63,7 @@ fn run_wide<const W: usize>(
         .iter()
         .map(|m| m.winnerset().iter().map(|p| p.index()).collect())
         .collect();
-    (sim.report(), registers, winnersets)
+    (sim.report(), access_stats(&sim), registers, winnersets)
 }
 
 /// W = 2 must replay W = 1 exactly, modulo the documented probe encoding.
@@ -59,8 +71,8 @@ fn assert_widths_identical(n: usize, k: usize, t: usize, schedule: Schedule, lab
     let universe = Universe::new(n).unwrap();
     for policy in [TimeoutPolicy::Increment, TimeoutPolicy::Double] {
         let config = KAntiOmegaConfig::new(k, t).with_policy(policy);
-        let (rep1, regs1, ws1) = run_wide::<1>(n, config, &schedule);
-        let (rep2, regs2, ws2) = run_wide::<2>(n, config, &schedule);
+        let (rep1, stats1, regs1, ws1) = run_wide::<1>(n, config, &schedule);
+        let (rep2, stats2, regs2, ws2) = run_wide::<2>(n, config, &schedule);
 
         assert_eq!(rep1.steps, rep2.steps, "{label}/{policy:?}: steps");
         assert_eq!(
@@ -68,7 +80,7 @@ fn assert_widths_identical(n: usize, k: usize, t: usize, schedule: Schedule, lab
             "{label}/{policy:?}: op counts"
         );
         assert_eq!(
-            rep1.register_stats, rep2.register_stats,
+            stats1, stats2,
             "{label}/{policy:?}: register access statistics"
         );
         assert_eq!(regs1, regs2, "{label}/{policy:?}: final register contents");

@@ -381,8 +381,7 @@ mod tests {
             )
             .unwrap();
             let outs: Vec<Option<(bool, u64)>> = results.iter().map(|&r| sim.peek(r)).collect();
-            let rep = sim.report();
-            (outs, rep.op_counts, rep.register_stats)
+            (outs, sim.report().op_counts, crate::access_stats(&sim))
         };
         let run_async = |proposals: &[u64], schedule: Vec<usize>| {
             let n = proposals.len();
@@ -408,8 +407,7 @@ mod tests {
             )
             .unwrap();
             let outs: Vec<Option<(bool, u64)>> = results.iter().map(|&r| sim.peek(r)).collect();
-            let rep = sim.report();
-            (outs, rep.op_counts, rep.register_stats)
+            (outs, sim.report().op_counts, crate::access_stats(&sim))
         };
 
         for (label, proposals, sched) in [

@@ -192,7 +192,7 @@ mod tests {
             (
                 rep.decisions,
                 rep.op_counts,
-                rep.register_stats,
+                crate::access_stats(&sim),
                 rep.finished,
             )
         };

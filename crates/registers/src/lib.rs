@@ -34,3 +34,16 @@ mod snapshot;
 pub use adopt_commit::{AcOutcome, AcPropose, AdoptCommit};
 pub use collect::{Collect, CollectScan};
 pub use snapshot::{ScanOutcome, Snapshot, VersionedCell};
+
+/// The run's per-register access statistics for the in-module differential
+/// tests, checked to be worth comparing: an empty or all-zero list would
+/// make the comparison vacuous.
+#[cfg(test)]
+fn access_stats(sim: &st_sim::Sim) -> Vec<st_sim::RegisterStats> {
+    let stats = sim.register_stats();
+    assert!(
+        stats.iter().any(|s| s.reads > 0),
+        "no register was ever read"
+    );
+    stats
+}

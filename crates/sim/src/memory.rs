@@ -11,7 +11,7 @@
 //! `Counter[A, q]`, ballot numbers, round counters) is a `u64`, and the
 //! k-anti-Ω inner loop reads `|Π^k_n|·n` of them per iteration — so the
 //! register representation sits on the hottest path of the whole simulator.
-//! Two layout decisions follow:
+//! Three layout decisions follow:
 //!
 //! 1. **Unboxed words.** `u64` registers are stored as plain words:
 //!    [`Memory::read_word`] / [`Memory::write_word`] touch them with a byte
@@ -19,14 +19,30 @@
 //!    generic [`Memory::read`] / [`Memory::write`] route `T = u64` to the
 //!    same representation via a compile-time [`TypeId`] check that
 //!    monomorphizes away.
-//! 2. **Structure of arrays.** The arena keeps parallel arrays — kinds
-//!    (1 byte), word values (8 bytes), read/write counts, and the *cold*
-//!    metadata (names, disciplines, boxed values) off to the side — instead
-//!    of an array of register structs. A protocol that sweeps hundreds of
-//!    registers per iteration (the Figure 2 counter matrix) then streams a
-//!    few KiB of dense values rather than dragging each register's name and
-//!    discipline through the cache with it: the per-step cost of the sweep
-//!    is the load, the count bump, and nothing else.
+//! 2. **Structure of arrays.** The arena keeps parallel dense arrays —
+//!    kinds (1 byte), word values (8 bytes), read/write counts, write
+//!    disciplines — instead of an array of register structs. A protocol
+//!    that sweeps hundreds of registers per iteration (the Figure 2 counter
+//!    matrix) then streams a few KiB of dense values: the per-step cost of
+//!    the sweep is the load, the count bump, and nothing else.
+//! 3. **Blocks, and names on demand.** Registers are allocated in *blocks*
+//!    ([`Memory::alloc_block`]): `count` consecutive registers with one
+//!    initial value, a per-index write discipline, and a per-index *name
+//!    recipe* (`Fn(usize) -> String`). The dense arrays are extended once
+//!    per block and the recipe is stored once per block, in a block table
+//!    sorted by first index — no name is formatted, and no `String` is
+//!    stored, at allocation time. [`Memory::alloc`] is the one-register
+//!    block.
+//!
+//! What is **hot** (touched by every simulated step): the kind byte, the
+//! payload word, and the read or write count of the accessed register; on
+//! writes, its discipline. What is **on demand**: names. [`Memory::name`]
+//! binary-searches the block table and runs the recipe; only the
+//! [`SimError`] constructors (a protocol bug is being reported),
+//! [`Memory::stats`] and tests ever call it, so a run that reports no error
+//! and asks for no statistics formats nothing — Figure 2's `|Π^k_n|·n`
+//! counters (or the lean detector's `n²` = 1 048 576 at n = 1024) cost
+//! their dense cells and one table entry.
 //!
 //! Handles, disciplines, and error behavior are independent of the layout.
 
@@ -43,6 +59,14 @@ use crate::register::{Reg, RegValue, WriteDiscipline};
 enum Kind {
     Word,
     Boxed,
+}
+
+/// One allocation: a run of consecutive registers sharing a name recipe.
+struct Block {
+    /// Arena index of the block's first register.
+    start: usize,
+    /// Formats the name of the block's `i`-th register.
+    name: Box<dyn Fn(usize) -> String>,
 }
 
 /// The register arena (see the module docs for the layout): genuine
@@ -66,8 +90,9 @@ pub struct Memory {
     writes: Vec<u64>,
     /// Write discipline per register (checked on writes only).
     disciplines: Vec<WriteDiscipline>,
-    /// Allocation names (cold: error messages and stats).
-    names: Vec<String>,
+    /// The non-empty allocations in arena order (strictly increasing
+    /// `start`): where names come from, on demand.
+    blocks: Vec<Block>,
     /// Side table for non-word values.
     boxed: Vec<Box<dyn Any>>,
 }
@@ -121,7 +146,8 @@ impl Memory {
     }
 
     /// Allocates a register with the given write discipline and initial
-    /// value, returning its typed handle. `u64` values take the word fast
+    /// value, returning its typed handle: the one-register
+    /// [`alloc_block`](Self::alloc_block). `u64` values take the word fast
     /// path (see the module docs).
     pub fn alloc<T: RegValue>(
         &mut self,
@@ -129,39 +155,65 @@ impl Memory {
         discipline: WriteDiscipline,
         init: T,
     ) -> Reg<T> {
-        let index = self.kinds.len() as u32;
-        let (kind, payload) = if is_word::<T>() {
-            (Kind::Word, to_word(init))
+        let name = name.into();
+        self.alloc_block(1, init, |_| discipline, move |_| name.clone())
+    }
+
+    /// Allocates `count` consecutive registers holding `init` and returns
+    /// the handle of the first; the `i`-th is [`Reg::at`]`(i)`. Register
+    /// `i` of the block gets write discipline `discipline(i)` and — when
+    /// somebody asks, see [`name`](Self::name) — the name `name(i)`: the
+    /// recipe is stored, nothing is formatted here. The dense arrays grow
+    /// once for the whole block.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the arena would exceed the `u32` handle space.
+    pub fn alloc_block<T: RegValue>(
+        &mut self,
+        count: usize,
+        init: T,
+        discipline: impl Fn(usize) -> WriteDiscipline,
+        name: impl Fn(usize) -> String + 'static,
+    ) -> Reg<T> {
+        let start = self.kinds.len();
+        let end = start + count;
+        u32::try_from(end).expect("register arena exceeds the u32 handle space");
+        let base = Reg::new(start as u32);
+        if count == 0 {
+            return base;
+        }
+        if is_word::<T>() {
+            self.kinds.resize(end, Kind::Word);
+            self.payloads.resize(end, to_word(init));
         } else {
-            let slot = self.boxed.len() as u64;
-            self.boxed.push(Box::new(init));
-            (Kind::Boxed, slot)
-        };
-        self.kinds.push(kind);
-        self.payloads.push(payload);
-        self.reads.push(0);
-        self.writes.push(0);
-        self.disciplines.push(discipline);
-        self.names.push(name.into());
-        Reg::new(index)
+            let slot = self.boxed.len();
+            self.kinds.resize(end, Kind::Boxed);
+            self.payloads.extend((slot..slot + count).map(|s| s as u64));
+            self.boxed
+                .extend((0..count).map(|_| Box::new(init.clone()) as Box<dyn Any>));
+        }
+        self.reads.resize(end, 0);
+        self.writes.resize(end, 0);
+        self.disciplines.extend((0..count).map(discipline));
+        self.blocks.push(Block {
+            start,
+            name: Box::new(name),
+        });
+        base
     }
 
     fn type_mismatch(&self, index: usize) -> SimError {
         SimError::TypeMismatch {
             register: index,
-            name: self.names[index].clone(),
+            name: self.format_name(index),
         }
     }
 
     fn check_writer(&self, index: usize, writer: ProcessId) -> Result<(), SimError> {
         if let WriteDiscipline::SingleWriter(owner) = self.disciplines[index] {
             if owner != writer {
-                return Err(SimError::WriteDisciplineViolation {
-                    register: index,
-                    name: self.names[index].clone(),
-                    owner,
-                    writer,
-                });
+                return Err(self.writer_violation(index, writer));
             }
         }
         Ok(())
@@ -331,7 +383,7 @@ impl Memory {
         match self.disciplines[index] {
             WriteDiscipline::SingleWriter(owner) => SimError::WriteDisciplineViolation {
                 register: index,
-                name: self.names[index].clone(),
+                name: self.format_name(index),
                 owner,
                 writer,
             },
@@ -361,28 +413,35 @@ impl Memory {
         }
     }
 
-    /// Name of a register.
+    /// Name of a register, formatted now from its block's recipe (see the
+    /// module docs): cold by design — error paths, statistics and tests.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownRegister`] for a foreign handle.
-    pub fn name(&self, index: usize) -> Result<&str, SimError> {
-        if index < self.names.len() {
-            Ok(&self.names[index])
+    pub fn name(&self, index: usize) -> Result<String, SimError> {
+        if index < self.kinds.len() {
+            Ok(self.format_name(index))
         } else {
             Err(SimError::UnknownRegister { register: index })
         }
     }
 
-    /// Access statistics for all registers, in allocation order.
+    /// Name of in-arena register `index`: its block is the last one
+    /// starting at or before it.
+    fn format_name(&self, index: usize) -> String {
+        let block = &self.blocks[self.blocks.partition_point(|b| b.start <= index) - 1];
+        (block.name)(index - block.start)
+    }
+
+    /// Access statistics for all registers, in allocation order. Formats
+    /// every name: O(registers) allocations, paid only by callers that ask.
     pub fn stats(&self) -> Vec<RegisterStats> {
-        self.names
-            .iter()
-            .zip(self.reads.iter().zip(&self.writes))
-            .map(|(name, (&reads, &writes))| RegisterStats {
-                name: name.clone(),
-                writes,
-                reads,
+        (0..self.kinds.len())
+            .map(|index| RegisterStats {
+                name: self.format_name(index),
+                writes: self.writes[index],
+                reads: self.reads[index],
             })
             .collect()
     }
@@ -532,5 +591,104 @@ mod tests {
         assert_eq!(stats[1].reads, 0);
         assert_eq!(m.total_ops(), 3);
         assert_eq!(m.name(0).unwrap(), "x");
+    }
+
+    #[test]
+    fn block_is_contiguous_with_per_index_discipline_and_name() {
+        let mut m = Memory::new();
+        let lone = m.alloc("lone", WriteDiscipline::MultiWriter, 1u64);
+        let base = m.alloc_block(
+            4,
+            9u64,
+            |i| WriteDiscipline::SingleWriter(p(i)),
+            |i| format!("row[{i}]"),
+        );
+        assert_eq!((lone.index(), base.index(), m.len()), (0, 1, 5));
+        for i in 0..4 {
+            assert_eq!(m.peek(base.at(i)).unwrap(), 9);
+            assert_eq!(m.name(1 + i).unwrap(), format!("row[{i}]"));
+            m.write_word(p(i), base.at(i), i as u64).unwrap();
+        }
+        assert_eq!(m.name(0).unwrap(), "lone");
+        assert_eq!(m.name(5), Err(SimError::UnknownRegister { register: 5 }));
+        // An empty block allocates nothing and names nothing.
+        let empty = m.alloc_block(
+            0,
+            0u64,
+            |_| WriteDiscipline::MultiWriter,
+            |_| "never".into(),
+        );
+        assert_eq!((empty.index(), m.len()), (5, 5));
+        let after = m.alloc("after", WriteDiscipline::MultiWriter, 0u64);
+        assert_eq!(m.name(after.index()).unwrap(), "after");
+        let stats = m.stats();
+        assert_eq!(stats.len(), 6);
+        assert_eq!((stats[3].name.as_str(), stats[3].writes), ("row[2]", 1));
+    }
+
+    #[test]
+    fn errors_in_the_middle_of_a_block_carry_the_register_name() {
+        let mut m = Memory::new();
+        let _pad = m.alloc_block(
+            3,
+            0u64,
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("pad[{i}]"),
+        );
+        let words = m.alloc_block(
+            5,
+            0u64,
+            |i| WriteDiscipline::SingleWriter(p(i)),
+            |i| format!("Counter[{i}]"),
+        );
+        let boxed = m.alloc_block(
+            4,
+            String::new(),
+            |i| WriteDiscipline::SingleWriter(p(i)),
+            |i| format!("note[{i}]"),
+        );
+        assert_eq!(
+            m.write_word(p(0), words.at(2), 1),
+            Err(SimError::WriteDisciplineViolation {
+                register: 5,
+                name: "Counter[2]".into(),
+                owner: p(2),
+                writer: p(0),
+            })
+        );
+        assert_eq!(
+            m.write(p(3), boxed.at(1), "x".to_string()),
+            Err(SimError::WriteDisciplineViolation {
+                register: 9,
+                name: "note[1]".into(),
+                owner: p(1),
+                writer: p(3),
+            })
+        );
+        let forged: Reg<String> = Reg::new(words.at(3).index);
+        assert_eq!(
+            m.read(forged),
+            Err(SimError::TypeMismatch {
+                register: 6,
+                name: "Counter[3]".into(),
+            })
+        );
+        let forged: Reg<u64> = Reg::new(boxed.at(2).index);
+        assert_eq!(
+            m.read_word(forged),
+            Err(SimError::TypeMismatch {
+                register: 10,
+                name: "note[2]".into(),
+            })
+        );
+        // The span path names the first offending slot, not the span start.
+        let mut dest = [0u64; 4];
+        assert_eq!(
+            m.read_word_span(words, 3, &mut dest),
+            Err(SimError::TypeMismatch {
+                register: 8,
+                name: "note[0]".into(),
+            })
+        );
     }
 }

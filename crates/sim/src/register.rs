@@ -54,6 +54,15 @@ impl<T> Reg<T> {
     pub fn index(&self) -> usize {
         self.index as usize
     }
+
+    /// The handle `offset` slots after this one: register `offset` of the
+    /// block ([`Sim::alloc_block`](crate::Sim::alloc_block)) this handle
+    /// is the base of. Deriving a handle checks nothing — bounds, storage
+    /// class and write discipline are checked at access time, on the
+    /// derived slot.
+    pub fn at(self, offset: usize) -> Self {
+        Reg::new((self.index() + offset) as u32)
+    }
 }
 
 impl<T> Clone for Reg<T> {

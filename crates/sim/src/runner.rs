@@ -113,8 +113,8 @@ impl RunConfig {
     }
 }
 
-/// Snapshot of a run: decisions, probe log, statistics, and (optionally) the
-/// executed schedule.
+/// Snapshot of a run: decisions, probe log, per-process operation counts,
+/// and (optionally) the executed schedule.
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Total steps executed so far.
@@ -129,8 +129,6 @@ pub struct RunReport {
     pub executed: Option<Schedule>,
     /// Per-process completed register operations.
     pub op_counts: Vec<u64>,
-    /// Per-register access statistics.
-    pub register_stats: Vec<RegisterStats>,
 }
 
 impl RunReport {
@@ -286,20 +284,49 @@ impl Sim {
             .alloc(name, WriteDiscipline::SingleWriter(owner), init)
     }
 
+    /// Allocates a block of `count` consecutive registers — see
+    /// [`Memory::alloc_block`]: one initial value, a per-index write
+    /// discipline, and a per-index name recipe that is stored, not run.
+    /// Returns the handle of the first register; the `i`-th is
+    /// [`Reg::at`]`(i)`. This is how the detectors allocate their counter
+    /// matrices without formatting `|Π^k_n|·n` names per run.
+    pub fn alloc_block<T: RegValue>(
+        &mut self,
+        count: usize,
+        init: T,
+        discipline: impl Fn(usize) -> WriteDiscipline,
+        name: impl Fn(usize) -> String + 'static,
+    ) -> Reg<T> {
+        self.shared
+            .memory
+            .borrow_mut()
+            .alloc_block(count, init, discipline, name)
+    }
+
     /// Allocates `count` multi-writer registers named `name[0..count]`.
     pub fn alloc_array<T: RegValue>(&mut self, name: &str, count: usize, init: T) -> Vec<Reg<T>> {
-        (0..count)
-            .map(|i| self.alloc(format!("{name}[{i}]"), init.clone()))
-            .collect()
+        let name = name.to_owned();
+        let base = self.alloc_block(
+            count,
+            init,
+            |_| WriteDiscipline::MultiWriter,
+            move |i| format!("{name}[{i}]"),
+        );
+        (0..count).map(|i| base.at(i)).collect()
     }
 
     /// Allocates one single-writer register per process, `name[p]` owned by
     /// `p` — the layout of `Heartbeat[p]` in Figure 2.
     pub fn alloc_per_process<T: RegValue>(&mut self, name: &str, init: T) -> Vec<Reg<T>> {
-        self.universe
-            .processes()
-            .map(|p| self.alloc_sw(format!("{name}[{}]", p.index()), p, init.clone()))
-            .collect()
+        let name = name.to_owned();
+        let n = self.universe.n();
+        let base = self.alloc_block(
+            n,
+            init,
+            |i| WriteDiscipline::SingleWriter(ProcessId::new(i)),
+            move |i| format!("{name}[{i}]"),
+        );
+        (0..n).map(|i| base.at(i)).collect()
     }
 
     /// A context handle for `pid` (for spawning helpers or external
@@ -818,8 +845,8 @@ impl Sim {
 
     /// Per-process decisions so far (indexed by process index).
     ///
-    /// Copies only the `n`-element decision array — none of the probe or
-    /// register statistics a full [`Sim::report`] clones.
+    /// Copies only the `n`-element decision array — not the probe log a
+    /// full [`Sim::report`] clones.
     pub fn decisions(&self) -> Vec<Option<Decision>> {
         self.shared.trace.borrow().decisions.clone()
     }
@@ -879,7 +906,11 @@ impl Sim {
         self.finished[p.index()]
     }
 
-    /// Snapshot of the current trace and statistics.
+    /// Snapshot of the current trace: decisions, completion flags, probes,
+    /// the executed schedule (when recorded) and per-process operation
+    /// counts. Cost is O(n + probes + recorded steps) and independent of
+    /// the number of registers — per-register statistics are a separate,
+    /// on-demand query, [`register_stats`](Self::register_stats).
     pub fn report(&self) -> RunReport {
         let trace = self.shared.trace.borrow();
         RunReport {
@@ -889,8 +920,17 @@ impl Sim {
             probes: ProbeLog::new(trace.probes.clone()),
             executed: trace.executed.as_deref().map(executed_schedule),
             op_counts: self.shared.op_counts.iter().map(Cell::get).collect(),
-            register_stats: self.shared.memory.borrow().stats(),
         }
+    }
+
+    /// Per-register access statistics (name, completed reads and writes),
+    /// in allocation order. Computed when asked: every register's name is
+    /// formatted from its block's recipe here, so this costs one `String`
+    /// per register — which is why it is not part of
+    /// [`report`](Self::report). Differential tests compare it across
+    /// drives and ABIs; no production path calls it.
+    pub fn register_stats(&self) -> Vec<RegisterStats> {
+        self.shared.memory.borrow().stats()
     }
 }
 

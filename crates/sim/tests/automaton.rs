@@ -6,7 +6,9 @@ mod common;
 
 use common::SumScan;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{Automaton, Reg, RunConfig, Sim, Status, StepAccess, StepOutcome, StopWhen};
+use st_sim::{
+    Automaton, Reg, RegisterStats, RunConfig, Sim, Status, StepAccess, StepOutcome, StopWhen,
+};
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -425,7 +427,7 @@ struct Observed {
     finished: Vec<bool>,
     executed: Option<Schedule>,
     outs: Vec<u64>,
-    register_stats: String,
+    register_stats: Vec<RegisterStats>,
 }
 
 /// Runs a three-process [`SumScan`] fleet (round limits 2, 5 and 100:
@@ -477,7 +479,7 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig, recording: bool) -> 
         finished: (0..n).map(|i| sim.is_finished(pid(i))).collect(),
         executed: report.executed,
         outs: outs.iter().map(|&r| sim.peek(r)).collect(),
-        register_stats: format!("{:?}", report.register_stats),
+        register_stats: sim.register_stats(),
     }
 }
 
@@ -508,6 +510,8 @@ fn every_drive_is_observationally_identical() {
                 let cfg = RunConfig::steps(budget).stop_when(stop);
                 let reference = drive(Entry::Replay, &schedule, cfg, recording);
                 let status = reference.result.clone().unwrap();
+                // A run that read nothing would compare statistics vacuously.
+                assert!(reference.register_stats.iter().any(|s| s.reads > 0));
                 assert_eq!(reference.executed.is_some(), recording);
                 if let Some(executed) = &reference.executed {
                     let ran = reference.steps as usize;

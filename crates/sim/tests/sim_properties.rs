@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{RunConfig, Sim};
+use st_sim::{Memory, RunConfig, Sim, WriteDiscipline};
 
 prop_compose! {
     fn arb_schedule(n: usize)(steps in prop::collection::vec(0..n, 0..2_000)) -> Schedule {
@@ -13,6 +13,43 @@ prop_compose! {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// On-demand names equal eagerly formatted ones for every register,
+    /// whatever mix of blocks (empty and one-register ones included) and
+    /// single allocations built the arena — block boundaries included,
+    /// since every index is checked.
+    #[test]
+    fn on_demand_names_match_eager_reference(
+        // A draw of 9 or more is a single `alloc`, below that a block of
+        // that many registers.
+        draws in prop::collection::vec(0usize..12, 0..24),
+    ) {
+        let mut memory = Memory::new();
+        let mut eager: Vec<String> = Vec::new();
+        for (b, &count) in draws.iter().enumerate() {
+            if count >= 9 {
+                let name = format!("solo{b}");
+                memory.alloc(name.clone(), WriteDiscipline::MultiWriter, b as u64);
+                eager.push(name);
+            } else {
+                let base = memory.alloc_block(
+                    count,
+                    0u64,
+                    |_| WriteDiscipline::MultiWriter,
+                    move |i| format!("block{b}[{i}]"),
+                );
+                prop_assert_eq!(base.index(), eager.len());
+                eager.extend((0..count).map(|i| format!("block{b}[{i}]")));
+            }
+        }
+        prop_assert_eq!(memory.len(), eager.len());
+        for (i, want) in eager.iter().enumerate() {
+            prop_assert_eq!(&memory.name(i).unwrap(), want);
+        }
+        prop_assert!(memory.name(eager.len()).is_err());
+        let stats: Vec<String> = memory.stats().into_iter().map(|s| s.name).collect();
+        prop_assert_eq!(stats, eager);
+    }
 
     /// Total register operations never exceed executed steps, and equal
     /// them exactly when no process pauses, idles, or finishes mid-run.

@@ -48,6 +48,12 @@ fn build(n: usize, m: usize, limit: u64, recording: bool) -> (Sim, Vec<Reg<u64>>
 /// register stats, and the output registers.
 fn observe(sim: &Sim, outs: &[Reg<u64>]) -> (u64, Vec<String>, String, Vec<u64>, String, Vec<u64>) {
     let rep = sim.report();
+    let stats = sim.register_stats();
+    // A run that read nothing would compare statistics vacuously.
+    assert!(
+        stats.iter().any(|s| s.reads > 0),
+        "no register was ever read"
+    );
     (
         rep.steps,
         rep.probes
@@ -57,7 +63,7 @@ fn observe(sim: &Sim, outs: &[Reg<u64>]) -> (u64, Vec<String>, String, Vec<u64>,
             .collect(),
         format!("{:?}", rep.decisions),
         rep.op_counts.clone(),
-        format!("{:?}", rep.register_stats),
+        format!("{stats:?}"),
         outs.iter().map(|&r| sim.peek(r)).collect(),
     )
 }
