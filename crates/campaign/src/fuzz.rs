@@ -87,23 +87,17 @@ fn fnv_str(s: &str) -> u64 {
 }
 
 /// DFS over the spec tree collecting family names — the decorator-stack
-/// fingerprint.
+/// fingerprint. Beyond the pass-through child it visits the two carried
+/// specs: an `Eventually` prefix (before the body) and a `Replay` origin.
 fn spec_families(spec: &GeneratorSpec, out: &mut Vec<&'static str>) {
     out.push(spec.family());
     match spec {
-        GeneratorSpec::SetTimely { filler, .. } | GeneratorSpec::Flapping { filler, .. } => {
-            spec_families(filler, out)
-        }
-        GeneratorSpec::Eventually { prefix, body, .. } => {
-            spec_families(prefix, out);
-            spec_families(body, out);
-        }
-        GeneratorSpec::CrashAfter { inner, .. }
-        | GeneratorSpec::GrayFailure { inner, .. }
-        | GeneratorSpec::BurstClog { inner, .. }
-        | GeneratorSpec::CrashRecovery { inner, .. } => spec_families(inner, out),
+        GeneratorSpec::Eventually { prefix, .. } => spec_families(prefix, out),
         GeneratorSpec::Replay { of, .. } => spec_families(of, out),
         _ => {}
+    }
+    if let Some(child) = spec.child() {
+        spec_families(child, out);
     }
 }
 
@@ -359,6 +353,7 @@ pub struct FuzzReport {
 /// module docs for the determinism argument.
 pub struct FuzzSession {
     cfg: FuzzConfig,
+    mutator: SpecMutator,
 }
 
 impl FuzzSession {
@@ -368,7 +363,8 @@ impl FuzzSession {
     ///
     /// Panics when the configuration is vacuous: no seeds, no workloads, a
     /// zero batch, an out-of-range seed workload index, or a budget too
-    /// small to run every seed.
+    /// small to run every seed — or when the universe is wider than the
+    /// spec mutator takes ([`SpecMutator::new`]).
     pub fn new(cfg: FuzzConfig) -> Self {
         assert!(!cfg.workloads.is_empty(), "fuzz session needs workloads");
         assert!(!cfg.seeds.is_empty(), "fuzz session needs seed inputs");
@@ -381,7 +377,8 @@ impl FuzzSession {
             cfg.seeds.iter().all(|s| s.workload < cfg.workloads.len()),
             "seed workload index out of range"
         );
-        FuzzSession { cfg }
+        let mutator = SpecMutator::new(cfg.universe);
+        FuzzSession { cfg, mutator }
     }
 
     fn scenario_for(&self, round: usize, slot: usize, input: &FuzzInput) -> Scenario {
@@ -446,7 +443,6 @@ impl FuzzSession {
         record: Option<&mut OutcomeStore>,
     ) -> FuzzReport {
         let cfg = &self.cfg;
-        let mutator = SpecMutator::new(cfg.universe);
         let mut acc = resume.cloned().unwrap_or_default();
         let mut campaign = Campaign::new();
         let mut coverage = CoverageMap::new();
@@ -458,7 +454,7 @@ impl FuzzSession {
             let inputs: Vec<FuzzInput> = if round == 0 {
                 cfg.seeds.clone()
             } else {
-                self.derive(&mutator, &corpus, round)
+                self.derive(&self.mutator, &corpus, round)
                     .into_iter()
                     .take(slots)
                     .collect()

@@ -23,7 +23,6 @@
 //! original kind.
 
 use st_core::Schedule;
-use st_sched::mutate::unstack;
 use st_sched::GeneratorSpec;
 
 use crate::scenario::{Scenario, ScenarioOutcome};
@@ -81,300 +80,90 @@ fn with_generator(s: &Scenario, generator: GeneratorSpec) -> Scenario {
     c
 }
 
-/// Rebuilds an outer fault layer around a reduced inner spec.
-type Rewrap = Box<dyn Fn(GeneratorSpec) -> GeneratorSpec>;
-
-/// Every single-layer-drop variant of `spec`, outermost first.
-fn layer_drops(spec: &GeneratorSpec) -> Vec<GeneratorSpec> {
-    let mut out = Vec::new();
-    if let Some(inner) = unstack(spec) {
-        out.push(inner);
-    }
-    // Recurse: dropping an inner layer keeps the outer wrapper.
-    let rewrap: Option<(Vec<GeneratorSpec>, Rewrap)> = match spec {
-        GeneratorSpec::SetTimely {
-            p,
-            q,
-            bound,
-            filler,
-            crashes,
-        } => {
-            let (p, q, bound, crashes) = (*p, *q, *bound, crashes.clone());
-            Some((
-                layer_drops(filler),
-                Box::new(move |f| GeneratorSpec::SetTimely {
-                    p,
-                    q,
-                    bound,
-                    filler: Box::new(f),
-                    crashes: crashes.clone(),
-                }),
-            ))
-        }
-        GeneratorSpec::Flapping {
-            p,
-            q,
-            bound,
-            filler,
-            timely_dwell,
-            untimely_dwell,
-            seed_offset,
-        } => {
-            let (p, q, bound) = (*p, *q, *bound);
-            let (td, ud, so) = (*timely_dwell, *untimely_dwell, *seed_offset);
-            Some((
-                layer_drops(filler),
-                Box::new(move |f| GeneratorSpec::Flapping {
-                    p,
-                    q,
-                    bound,
-                    filler: Box::new(f),
-                    timely_dwell: td,
-                    untimely_dwell: ud,
-                    seed_offset: so,
-                }),
-            ))
-        }
-        GeneratorSpec::GrayFailure {
-            inner,
-            gray,
-            stretch,
-            seed_offset,
-        } => {
-            let (gray, stretch, so) = (*gray, *stretch, *seed_offset);
-            Some((
-                layer_drops(inner),
-                Box::new(move |i| GeneratorSpec::GrayFailure {
-                    inner: Box::new(i),
-                    gray,
-                    stretch,
-                    seed_offset: so,
-                }),
-            ))
-        }
-        GeneratorSpec::BurstClog {
-            inner,
-            clogger,
-            window,
-            gap,
-            seed_offset,
-        } => {
-            let (clogger, window, gap, so) = (*clogger, *window, *gap, *seed_offset);
-            Some((
-                layer_drops(inner),
-                Box::new(move |i| GeneratorSpec::BurstClog {
-                    inner: Box::new(i),
-                    clogger,
-                    window,
-                    gap,
-                    seed_offset: so,
-                }),
-            ))
-        }
-        GeneratorSpec::CrashRecovery {
-            inner,
-            victim,
-            crash,
-            rejoin,
-        } => {
-            let (victim, crash, rejoin) = (*victim, *crash, *rejoin);
-            Some((
-                layer_drops(inner),
-                Box::new(move |i| GeneratorSpec::CrashRecovery {
-                    inner: Box::new(i),
-                    victim,
-                    crash,
-                    rejoin,
-                }),
-            ))
-        }
-        GeneratorSpec::CrashAfter { inner, plan } => {
-            let plan = plan.clone();
-            Some((
-                layer_drops(inner),
-                Box::new(move |i| GeneratorSpec::CrashAfter {
-                    inner: Box::new(i),
-                    plan: plan.clone(),
-                }),
-            ))
-        }
-        GeneratorSpec::Eventually {
-            prefix,
-            prefix_len,
-            body,
-        } => {
-            let (prefix, prefix_len) = (prefix.clone(), *prefix_len);
-            Some((
-                layer_drops(body),
-                Box::new(move |b| GeneratorSpec::Eventually {
-                    prefix: prefix.clone(),
-                    prefix_len,
-                    body: Box::new(b),
-                }),
-            ))
-        }
-        _ => None,
+/// Every reduction `reduce` finds in `layer`'s pass-through child, each
+/// with the layer kept around it (all of its other fields unchanged).
+fn in_child(
+    layer: &GeneratorSpec,
+    reduce: fn(&GeneratorSpec) -> Vec<GeneratorSpec>,
+) -> Vec<GeneratorSpec> {
+    let Some(child) = layer.child() else {
+        return Vec::new();
     };
-    if let Some((inner_drops, rewrap)) = rewrap {
-        out.extend(inner_drops.into_iter().map(rewrap.as_ref()));
-    }
+    let rewrap = |reduced| {
+        let mut layer = layer.clone();
+        *layer.child_mut().expect("child() was Some") = reduced;
+        layer
+    };
+    reduce(child).into_iter().map(rewrap).collect()
+}
+
+/// Every single-layer-drop variant of `spec`, outermost first: the layer
+/// itself dropped, then each drop inside its child with the layer kept.
+fn layer_drops(spec: &GeneratorSpec) -> Vec<GeneratorSpec> {
+    let mut out: Vec<GeneratorSpec> = spec.child().cloned().into_iter().collect();
+    out.extend(in_child(spec, layer_drops));
     out
 }
 
-/// Halved numeric spans (dwell/gap/window/stretch/prefix) anywhere in the
-/// tree, one change per candidate.
-fn span_halvings(spec: &GeneratorSpec) -> Vec<GeneratorSpec> {
-    fn halve_range((lo, hi): (u64, u64)) -> Option<(u64, u64)> {
-        let mid = lo + (hi - lo) / 2;
-        (mid < hi).then_some((lo, mid))
+/// One numeric span of a layer, borrowed for halving in place.
+enum Span<'a> {
+    /// A length (stretch, window, prefix): halves, never below 1.
+    Count(&'a mut u64),
+    /// The end of a range or outage that keeps its start: the distance
+    /// from the start halves.
+    From(u64, &'a mut u64),
+}
+
+impl Span<'_> {
+    /// Halves the span; `false` when it was already minimal.
+    fn halve(self) -> bool {
+        let halved = match &self {
+            Span::Count(v) => (**v / 2).max(1),
+            Span::From(start, v) => start + v.saturating_sub(*start) / 2,
+        };
+        let (Span::Count(value) | Span::From(_, value)) = self;
+        let shrunk = halved < *value;
+        *value = halved;
+        shrunk
     }
-    let mut out = Vec::new();
+}
+
+/// The spans of `spec`'s own layer (dwell/gap/window/stretch/prefix/outage),
+/// in candidate order.
+fn spans(spec: &mut GeneratorSpec) -> Vec<Span<'_>> {
     match spec {
         GeneratorSpec::Flapping {
-            p,
-            q,
-            bound,
-            filler,
-            timely_dwell,
-            untimely_dwell,
-            seed_offset,
-        } => {
-            let mk = |td, ud, f: &GeneratorSpec| GeneratorSpec::Flapping {
-                p: *p,
-                q: *q,
-                bound: *bound,
-                filler: Box::new(f.clone()),
-                timely_dwell: td,
-                untimely_dwell: ud,
-                seed_offset: *seed_offset,
-            };
-            if let Some(td) = halve_range(*timely_dwell) {
-                out.push(mk(td, *untimely_dwell, filler));
-            }
-            if let Some(ud) = halve_range(*untimely_dwell) {
-                out.push(mk(*timely_dwell, ud, filler));
-            }
-            for f in span_halvings(filler) {
-                out.push(mk(*timely_dwell, *untimely_dwell, &f));
-            }
+            timely_dwell: timely,
+            untimely_dwell: untimely,
+            ..
+        } => vec![
+            Span::From(timely.0, &mut timely.1),
+            Span::From(untimely.0, &mut untimely.1),
+        ],
+        GeneratorSpec::GrayFailure { stretch, .. } => vec![Span::Count(stretch)],
+        GeneratorSpec::BurstClog { window, gap, .. } => {
+            vec![Span::Count(window), Span::From(gap.0, &mut gap.1)]
         }
-        GeneratorSpec::GrayFailure {
-            inner,
-            gray,
-            stretch,
-            seed_offset,
-        } => {
-            if *stretch > 1 {
-                out.push(GeneratorSpec::GrayFailure {
-                    inner: inner.clone(),
-                    gray: *gray,
-                    stretch: stretch / 2,
-                    seed_offset: *seed_offset,
-                });
-            }
-            for i in span_halvings(inner) {
-                out.push(GeneratorSpec::GrayFailure {
-                    inner: Box::new(i),
-                    gray: *gray,
-                    stretch: *stretch,
-                    seed_offset: *seed_offset,
-                });
-            }
-        }
-        GeneratorSpec::BurstClog {
-            inner,
-            clogger,
-            window,
-            gap,
-            seed_offset,
-        } => {
-            let mk = |window, gap, i: &GeneratorSpec| GeneratorSpec::BurstClog {
-                inner: Box::new(i.clone()),
-                clogger: *clogger,
-                window,
-                gap,
-                seed_offset: *seed_offset,
-            };
-            if *window > 1 {
-                out.push(mk(window / 2, *gap, inner));
-            }
-            if let Some(g) = halve_range(*gap) {
-                out.push(mk(*window, g, inner));
-            }
-            for i in span_halvings(inner) {
-                out.push(mk(*window, *gap, &i));
-            }
-        }
-        GeneratorSpec::CrashRecovery {
-            inner,
-            victim,
-            crash,
-            rejoin,
-        } => {
-            if rejoin > crash {
-                out.push(GeneratorSpec::CrashRecovery {
-                    inner: inner.clone(),
-                    victim: *victim,
-                    crash: *crash,
-                    rejoin: crash + (rejoin - crash) / 2,
-                });
-            }
-            for i in span_halvings(inner) {
-                out.push(GeneratorSpec::CrashRecovery {
-                    inner: Box::new(i),
-                    victim: *victim,
-                    crash: *crash,
-                    rejoin: *rejoin,
-                });
-            }
-        }
-        GeneratorSpec::Eventually {
-            prefix,
-            prefix_len,
-            body,
-        } => {
-            if *prefix_len > 1 {
-                out.push(GeneratorSpec::Eventually {
-                    prefix: prefix.clone(),
-                    prefix_len: prefix_len / 2,
-                    body: body.clone(),
-                });
-            }
-            for b in span_halvings(body) {
-                out.push(GeneratorSpec::Eventually {
-                    prefix: prefix.clone(),
-                    prefix_len: *prefix_len,
-                    body: Box::new(b),
-                });
-            }
-        }
-        GeneratorSpec::SetTimely {
-            p,
-            q,
-            bound,
-            filler,
-            crashes,
-        } => {
-            for f in span_halvings(filler) {
-                out.push(GeneratorSpec::SetTimely {
-                    p: *p,
-                    q: *q,
-                    bound: *bound,
-                    filler: Box::new(f),
-                    crashes: crashes.clone(),
-                });
-            }
-        }
-        GeneratorSpec::CrashAfter { inner, plan } => {
-            for i in span_halvings(inner) {
-                out.push(GeneratorSpec::CrashAfter {
-                    inner: Box::new(i),
-                    plan: plan.clone(),
-                });
-            }
-        }
-        _ => {}
+        GeneratorSpec::CrashRecovery { crash, rejoin, .. } => vec![Span::From(*crash, rejoin)],
+        GeneratorSpec::Eventually { prefix_len, .. } => vec![Span::Count(prefix_len)],
+        _ => Vec::new(),
     }
+}
+
+/// Halved numeric spans anywhere in the tree, one change per candidate:
+/// this layer's own spans first, then its child's with the layer kept.
+fn span_halvings(spec: &GeneratorSpec) -> Vec<GeneratorSpec> {
+    let mut out = Vec::new();
+    for i in 0.. {
+        let mut candidate = spec.clone();
+        let halved = spans(&mut candidate).into_iter().nth(i).map(Span::halve);
+        match halved {
+            Some(true) => out.push(candidate),
+            Some(false) => {}
+            None => break,
+        }
+    }
+    out.extend(in_child(spec, span_halvings));
     out
 }
 

@@ -32,11 +32,31 @@
 //! insertion order, every number is an exact `u64`, and entries are written
 //! one per line in recording order (campaign key by campaign key, rank
 //! ascending within each).
+//!
+//! # The codec
+//!
+//! This module is also the one place the wire format of scenarios and
+//! outcomes is written down — store files, `st-serve` frames and segment
+//! logs, the fuzz corpus and counterexample files all go through
+//! [`encode_scenario`] / [`encode_outcome`] and their inverses. Each type
+//! has **one** description, an impl of the private `Wire` trait: leaves
+//! (integers, sets, process ids, schedules, crash plans) and `Option` /
+//! `Vec` / `Box` by hand, every struct and enum as a `wire_struct!` /
+//! `wire_enum!` field list from which both directions are derived. A new
+//! `GeneratorSpec` variant is one line in its table. Range checks live in
+//! the leaves, so no input can panic a decoder (`tests/wire.rs`), and
+//! `tests/golden/store_v2.json` pins every written byte
+//! (`tests/store_fixture.rs`). [`encoding_reference`] renders the tables
+//! for PROTOCOL.md.
 
 use std::fmt;
 use std::path::Path;
 
-use st_core::{Json, JsonError, ProcSet, ProcessId};
+use st_agreement::StackKind;
+use st_core::{
+    AgreementViolation, Json, JsonError, ProcSet, ProcessId, Schedule, TimelyPair, Universe,
+};
+use st_fd::convergence::{KAntiOmegaWitness, Stabilization};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, GeneratorSpec};
 use st_sim::RunStatus;
@@ -140,10 +160,13 @@ impl StoreEntry {
     /// Decodes one entry object (the inverse of
     /// [`write_json_line`](Self::write_json_line) after `Json::parse`).
     fn from_json(e: &Json) -> DecodeResult<StoreEntry> {
-        let campaign = str_field(e, "campaign")?.to_string();
-        let rank = usize_field(e, "rank")?;
-        let scenario = field(e, "scenario")?.clone();
-        let outcome = decode_outcome(field(e, "outcome")?)?;
+        let campaign = member(e, "campaign")?;
+        let rank: usize = member(e, "rank")?;
+        let scenario = e
+            .get("scenario")
+            .ok_or("missing field \"scenario\"")?
+            .clone();
+        let outcome: ScenarioOutcome = member(e, "outcome")?;
         if outcome.rank != rank {
             return Err(format!(
                 "entry rank {rank} disagrees with outcome rank {}",
@@ -322,1215 +345,472 @@ impl OutcomeStore {
 }
 
 // ---------------------------------------------------------------------------
-// Scenario / spec encoding (canonical; the staleness-guard comparison key).
+// The wire codec: one description per type, read in both directions.
 // ---------------------------------------------------------------------------
 
-fn bits(set: ProcSet) -> Json {
-    Json::U64(set.bits())
+type DecodeResult<T> = Result<T, String>;
+
+/// A type with exactly one canonical JSON shape. Everything the store,
+/// `st-serve` frames, the fuzz corpus and counterexample files carry is
+/// written and read through an impl of this trait, so encoder and decoder
+/// cannot disagree: leaves and composition by hand below, every
+/// struct and enum by a `wire_struct!` / `wire_enum!` field list.
+/// Private — the public surface is the `encode_*` / `decode_*` functions.
+trait Wire: Sized {
+    /// The canonical encoding.
+    fn to_json(&self) -> Json;
+    /// The exact inverse; every rejected input is an `Err`, never a panic.
+    fn from_json(j: &Json) -> DecodeResult<Self>;
 }
 
-fn opt_bits(set: &Option<ProcSet>) -> Json {
-    match set {
-        Some(s) => bits(*s),
-        None => Json::Null,
+/// Decodes member `name` of object `j`, naming it in any error.
+fn member<T: Wire>(j: &Json, name: &str) -> DecodeResult<T> {
+    let v = j
+        .get(name)
+        .ok_or_else(|| format!("missing field {name:?}"))?;
+    T::from_json(v).map_err(|e| format!("field {name:?}: {e}"))
+}
+
+/// The two elements of a pair written as a 2-element array.
+fn pair<A: Wire, B: Wire>(j: &Json) -> DecodeResult<(A, B)> {
+    match j.as_arr() {
+        Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
+        _ => Err("not a 2-element array".into()),
     }
 }
 
-fn pid(p: ProcessId) -> Json {
-    Json::U64(p.index() as u64)
-}
-
-fn policy_name(policy: TimeoutPolicy) -> Json {
-    Json::str(match policy {
-        TimeoutPolicy::Increment => "Increment",
-        TimeoutPolicy::Double => "Double",
-    })
-}
-
-fn crash_plan(plan: &CrashPlan) -> Json {
-    Json::arr(
-        plan.entries()
-            .map(|(p, step)| Json::arr([pid(p), Json::U64(step)])),
-    )
-}
-
-fn encode_generator(spec: &GeneratorSpec) -> Json {
-    match spec {
-        GeneratorSpec::RoundRobin { over } => {
-            Json::obj([("kind", Json::str("RoundRobin")), ("over", opt_bits(over))])
+macro_rules! wire_int {
+    ($($ty:ty),*) => {$(
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                Json::U64(*self as u64)
+            }
+            fn from_json(j: &Json) -> DecodeResult<Self> {
+                let v = j.as_u64().ok_or("not an integer")?;
+                <$ty>::try_from(v).map_err(|_| format!("{v} does not fit {}", stringify!($ty)))
+            }
         }
-        GeneratorSpec::Bursty { burst } => {
-            Json::obj([("kind", Json::str("Bursty")), ("burst", Json::U64(*burst))])
+    )*};
+}
+wire_int!(u64, usize, u32);
+
+impl Wire for bool {
+    fn to_json(&self) -> Json {
+        Json::Bool(*self)
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        j.as_bool().ok_or_else(|| "not a bool".into())
+    }
+}
+
+impl Wire for String {
+    fn to_json(&self) -> Json {
+        Json::str(self.clone())
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        j.as_str()
+            .map(str::to_string)
+            .ok_or_else(|| "not a string".into())
+    }
+}
+
+impl Wire for ProcSet {
+    fn to_json(&self) -> Json {
+        Json::U64(self.bits())
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        u64::from_json(j).map(ProcSet::from_bits)
+    }
+}
+
+impl Wire for ProcessId {
+    fn to_json(&self) -> Json {
+        self.index().to_json()
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        match usize::from_json(j)? {
+            i if i < st_core::MAX_PROCESSES => Ok(ProcessId::new(i)),
+            i => Err(format!("process index {i} out of range")),
         }
-        GeneratorSpec::SeededRandom {
-            over,
-            seed_offset,
-            weights,
-        } => Json::obj([
-            ("kind", Json::str("SeededRandom")),
-            ("over", opt_bits(over)),
-            ("seed_offset", Json::U64(*seed_offset)),
-            (
-                "weights",
-                match weights {
-                    Some(w) => Json::arr(w.iter().map(|&x| Json::U64(x as u64))),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-        GeneratorSpec::SetTimely {
-            p,
-            q,
-            bound,
-            filler,
-            crashes,
-        } => Json::obj([
-            ("kind", Json::str("SetTimely")),
-            ("p", bits(*p)),
-            ("q", bits(*q)),
-            ("bound", Json::U64(*bound as u64)),
-            ("filler", encode_generator(filler)),
-            ("crashes", crash_plan(crashes)),
-        ]),
-        GeneratorSpec::Eventually {
-            prefix,
-            prefix_len,
-            body,
-        } => Json::obj([
-            ("kind", Json::str("Eventually")),
-            ("prefix", encode_generator(prefix)),
-            ("prefix_len", Json::U64(*prefix_len)),
-            ("body", encode_generator(body)),
-        ]),
-        GeneratorSpec::Figure1 { p1, p2, q } => Json::obj([
-            ("kind", Json::str("Figure1")),
-            ("p1", pid(*p1)),
-            ("p2", pid(*p2)),
-            ("q", pid(*q)),
-        ]),
-        GeneratorSpec::GeneralizedFigure1 { p, q } => Json::obj([
-            ("kind", Json::str("GeneralizedFigure1")),
-            ("p", bits(*p)),
-            ("q", bits(*q)),
-        ]),
-        GeneratorSpec::RotatingStarvation { k, base } => Json::obj([
-            ("kind", Json::str("RotatingStarvation")),
-            ("k", Json::U64(*k as u64)),
-            ("base", Json::U64(*base)),
-        ]),
-        GeneratorSpec::FictitiousCrash { i, j, t, k, base } => Json::obj([
-            ("kind", Json::str("FictitiousCrash")),
-            ("i", Json::U64(*i as u64)),
-            ("j", Json::U64(*j as u64)),
-            ("t", Json::U64(*t as u64)),
-            ("k", Json::U64(*k as u64)),
-            ("base", Json::U64(*base)),
-        ]),
-        GeneratorSpec::Cycle { period } => Json::obj([
-            ("kind", Json::str("Cycle")),
-            (
-                "period",
-                Json::arr(period.iter().map(|p| Json::U64(p.index() as u64))),
-            ),
-        ]),
-        GeneratorSpec::AlternatingRotation { groups, base } => Json::obj([
-            ("kind", Json::str("AlternatingRotation")),
-            ("groups", Json::arr(groups.iter().map(|g| bits(*g)))),
-            ("base", Json::U64(*base)),
-        ]),
-        GeneratorSpec::CrashAfter { inner, plan } => Json::obj([
-            ("kind", Json::str("CrashAfter")),
-            ("inner", encode_generator(inner)),
-            ("plan", crash_plan(plan)),
-        ]),
-        GeneratorSpec::Flapping {
-            p,
-            q,
-            bound,
-            filler,
-            timely_dwell,
-            untimely_dwell,
-            seed_offset,
-        } => Json::obj([
-            ("kind", Json::str("Flapping")),
-            ("p", bits(*p)),
-            ("q", bits(*q)),
-            ("bound", Json::U64(*bound as u64)),
-            ("filler", encode_generator(filler)),
-            ("timely_dwell", range(*timely_dwell)),
-            ("untimely_dwell", range(*untimely_dwell)),
-            ("seed_offset", Json::U64(*seed_offset)),
-        ]),
-        GeneratorSpec::GrayFailure {
-            inner,
-            gray,
-            stretch,
-            seed_offset,
-        } => Json::obj([
-            ("kind", Json::str("GrayFailure")),
-            ("inner", encode_generator(inner)),
-            ("gray", bits(*gray)),
-            ("stretch", Json::U64(*stretch)),
-            ("seed_offset", Json::U64(*seed_offset)),
-        ]),
-        GeneratorSpec::BurstClog {
-            inner,
-            clogger,
-            window,
-            gap,
-            seed_offset,
-        } => Json::obj([
-            ("kind", Json::str("BurstClog")),
-            ("inner", encode_generator(inner)),
-            ("clogger", pid(*clogger)),
-            ("window", Json::U64(*window)),
-            ("gap", range(*gap)),
-            ("seed_offset", Json::U64(*seed_offset)),
-        ]),
-        GeneratorSpec::CrashRecovery {
-            inner,
-            victim,
-            crash,
-            rejoin,
-        } => Json::obj([
-            ("kind", Json::str("CrashRecovery")),
-            ("inner", encode_generator(inner)),
-            ("victim", pid(*victim)),
-            ("crash", Json::U64(*crash)),
-            ("rejoin", Json::U64(*rejoin)),
-        ]),
-        GeneratorSpec::Replay { of, schedule } => Json::obj([
-            ("kind", Json::str("Replay")),
-            ("of", encode_generator(of)),
-            (
-                "schedule",
-                Json::arr(schedule.iter().map(|p| Json::U64(p.index() as u64))),
-            ),
-        ]),
     }
 }
 
-fn range((lo, hi): (u64, u64)) -> Json {
-    Json::arr([Json::U64(lo), Json::U64(hi)])
-}
-
-fn opt_u64(v: Option<u64>) -> Json {
-    match v {
-        Some(x) => Json::U64(x),
-        None => Json::Null,
+impl Wire for Universe {
+    fn to_json(&self) -> Json {
+        self.n().to_json()
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        let n = usize::from_json(j)?;
+        Universe::new(n).map_err(|_| format!("invalid universe size {n}"))
     }
 }
 
-fn values(vs: &[st_core::Value]) -> Json {
-    Json::arr(vs.iter().map(|&v| Json::U64(v)))
-}
-
-fn opt_values(vs: &[Option<st_core::Value>]) -> Json {
-    Json::arr(vs.iter().map(|v| opt_u64(*v)))
-}
-
-fn encode_workload(w: &Workload) -> Json {
-    match w {
-        Workload::FdConvergence {
-            k,
-            t,
-            policy,
-            abi,
-            detector,
-            certify_membership,
-        } => Json::obj([
-            ("kind", Json::str("FdConvergence")),
-            ("k", Json::U64(*k as u64)),
-            ("t", Json::U64(*t as u64)),
-            ("policy", policy_name(*policy)),
-            (
-                "abi",
-                Json::str(match abi {
-                    FdAbi::Async => "Async",
-                    FdAbi::MachineSlot => "MachineSlot",
-                    FdAbi::MachineFleet => "MachineFleet",
-                }),
-            ),
-            (
-                "detector",
-                Json::str(match detector {
-                    FdDetector::SetBased => "SetBased",
-                    FdDetector::ProcessBased => "ProcessBased",
-                }),
-            ),
-            ("certify_membership", Json::Bool(*certify_membership)),
-        ]),
-        Workload::Agreement {
-            t,
-            k,
-            inputs,
-            policy,
-            certify,
-        } => Json::obj([
-            ("kind", Json::str("Agreement")),
-            ("t", Json::U64(*t as u64)),
-            ("k", Json::U64(*k as u64)),
-            ("inputs", values(inputs)),
-            ("policy", policy_name(*policy)),
-            (
-                "certify",
-                match certify {
-                    Some(c) => Json::obj([
-                        ("i", Json::U64(c.i as u64)),
-                        ("j", Json::U64(c.j as u64)),
-                        ("cap", Json::U64(c.cap as u64)),
-                        ("prefix_len", Json::U64(c.prefix_len)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-        Workload::AdversarialAgreement {
-            t,
-            k,
-            inputs,
-            policy,
-            precrashed,
-            witness,
-        } => Json::obj([
-            ("kind", Json::str("AdversarialAgreement")),
-            ("t", Json::U64(*t as u64)),
-            ("k", Json::U64(*k as u64)),
-            ("inputs", values(inputs)),
-            ("policy", policy_name(*policy)),
-            ("precrashed", bits(*precrashed)),
-            (
-                "witness",
-                match witness {
-                    Some((p, q)) => Json::obj([("p", bits(*p)), ("q", bits(*q))]),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-        Workload::BgReduction {
-            n_sim,
-            k,
-            max_reads,
-        } => Json::obj([
-            ("kind", Json::str("BgReduction")),
-            ("n_sim", Json::U64(*n_sim as u64)),
-            ("k", Json::U64(*k as u64)),
-            ("max_reads", Json::U64(*max_reads as u64)),
-        ]),
-        Workload::LeanConvergence { t, policy, drive } => Json::obj([
-            ("kind", Json::str("LeanConvergence")),
-            ("t", Json::U64(*t as u64)),
-            ("policy", policy_name(*policy)),
-            ("drive", encode_drive(*drive)),
-        ]),
-        Workload::LeanAgreement { t, policy, drive } => Json::obj([
-            ("kind", Json::str("LeanAgreement")),
-            ("t", Json::U64(*t as u64)),
-            ("policy", policy_name(*policy)),
-            ("drive", encode_drive(*drive)),
-        ]),
-        Workload::WideFdConvergence {
-            k,
-            t,
-            policy,
-            drive,
-        } => Json::obj([
-            ("kind", Json::str("WideFdConvergence")),
-            ("k", Json::U64(*k as u64)),
-            ("t", Json::U64(*t as u64)),
-            ("policy", policy_name(*policy)),
-            ("drive", encode_drive(*drive)),
-        ]),
+impl Wire for (u64, u64) {
+    fn to_json(&self) -> Json {
+        Json::arr([self.0.to_json(), self.1.to_json()])
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        pair(j)
     }
 }
 
-fn encode_drive(drive: FleetReplayDrive) -> Json {
-    match drive {
-        FleetReplayDrive::Plain => Json::str("Plain"),
-        FleetReplayDrive::Soa { slice_len } => Json::obj([
-            ("kind", Json::str("Soa")),
-            ("slice_len", Json::U64(slice_len as u64)),
-        ]),
+/// The adversary's witness pair `(P, Q)`.
+impl Wire for (ProcSet, ProcSet) {
+    fn to_json(&self) -> Json {
+        Json::obj([("p", self.0.to_json()), ("q", self.1.to_json())])
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        Ok((member(j, "p")?, member(j, "q")?))
     }
 }
 
-fn decode_drive(j: &Json, name: &str) -> DecodeResult<FleetReplayDrive> {
-    match field(j, name)? {
-        Json::Str(s) if s == "Plain" => Ok(FleetReplayDrive::Plain),
-        v @ Json::Obj(_) if v.get("kind").and_then(Json::as_str) == Some("Soa") => {
-            Ok(FleetReplayDrive::Soa {
-                slice_len: usize_field(v, "slice_len")?,
-            })
+impl Wire for Schedule {
+    fn to_json(&self) -> Json {
+        Json::arr(self.iter().map(|p| p.to_json()))
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        Vec::from_json(j).map(Schedule::from_steps)
+    }
+}
+
+impl Wire for CrashPlan {
+    fn to_json(&self) -> Json {
+        Json::arr(
+            self.entries()
+                .map(|(p, step)| Json::arr([p.to_json(), step.to_json()])),
+        )
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        let entries = j.as_arr().ok_or("not an array")?;
+        entries.iter().try_fold(CrashPlan::new(), |plan, e| {
+            let (p, step) = pair(e)?;
+            Ok(plan.crash(p, step))
+        })
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn to_json(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::to_json)
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        match j {
+            Json::Null => Ok(None),
+            v => T::from_json(v).map(Some),
         }
-        _ => Err(format!("field {name:?} is not a fleet replay drive")),
     }
 }
+
+impl<T: Wire> Wire for Vec<T> {
+    fn to_json(&self) -> Json {
+        Json::arr(self.iter().map(T::to_json))
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        let items = j.as_arr().ok_or("not an array")?;
+        items.iter().map(T::from_json).collect()
+    }
+}
+
+impl<T: Wire> Wire for Box<T> {
+    fn to_json(&self) -> Json {
+        (**self).to_json()
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        T::from_json(j).map(Box::new)
+    }
+}
+
+/// What a field-list macro knows about its type: the source of
+/// PROTOCOL.md's encoding reference ([`encoding_reference`]).
+trait Table {
+    /// What decode errors and the reference call the type.
+    const WHAT: &'static str;
+    /// Unit variants, written as bare name strings.
+    const NAMES: &'static [&'static str];
+    /// Object shapes, `(kind tag, members in written order)`: one per
+    /// field-carrying variant, or a struct's single untagged row.
+    const ROWS: &'static [(&'static str, &'static [&'static str])];
+}
+
+/// A member's wire name: the field's own name unless `as "name"` renames it.
+macro_rules! wire_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $name:literal) => {
+        $name
+    };
+}
+
+/// Declares a struct's wire shape — an object holding the listed fields in
+/// list order, each named after the field (or `as "name"`) and typed by the
+/// struct definition — and derives both directions from that one list.
+macro_rules! wire_struct {
+    ($ty:ty as $what:literal { $($field:ident $(as $name:literal)?),* $(,)? }) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                let Self { $($field),* } = self;
+                Json::obj([$((wire_name!($field $($name)?), $field.to_json())),*])
+            }
+            fn from_json(j: &Json) -> DecodeResult<Self> {
+                Ok(Self { $($field: member(j, wire_name!($field $($name)?))?),* })
+            }
+        }
+        impl Table for $ty {
+            const WHAT: &'static str = $what;
+            const NAMES: &'static [&'static str] = &[];
+            const ROWS: &'static [(&'static str, &'static [&'static str])] =
+                &[("", &[$(wire_name!($field $($name)?)),*])];
+        }
+    };
+}
+
+/// Declares an enum's wire shape and derives both directions from it. Unit
+/// variants (listed before the `;`) are bare name strings. A variant with
+/// fields is an object whose first member is `"kind": "<Variant>"`, then
+/// the listed fields as in [`wire_struct!`]; `Variant(Payload) { … }` lists
+/// the fields of a newtype variant's payload struct, written flat into the
+/// same object. Adding a field-only variant is one line here.
+macro_rules! wire_enum {
+    ($ty:ty as $what:literal {
+        $($unit:ident),* ;
+        $($variant:ident $(($payload:ident))? { $($fields:tt)* })*
+    }) => {
+        wire_enum!(@impl $ty, $what, [$($unit)*] $($variant [$($payload)?] { $($fields)* })*);
+    };
+    (@impl $ty:ty, $what:literal, [$($unit:ident)*] $(
+        $variant:ident $payload:tt { $($field:ident $(as $name:literal)?),* $(,)? }
+    )*) => {
+        impl Wire for $ty {
+            fn to_json(&self) -> Json {
+                match self {
+                    $(Self::$unit => Json::str(stringify!($unit)),)*
+                    $(wire_enum!(@ctor $variant $payload { $($field),* }) => Json::obj([
+                        ("kind", Json::str(stringify!($variant))),
+                        $((wire_name!($field $($name)?), $field.to_json())),*
+                    ]),)*
+                }
+            }
+            fn from_json(j: &Json) -> DecodeResult<Self> {
+                let unknown = |tag: &str| Err(format!("unknown {} {tag:?}", $what));
+                match j {
+                    Json::Str(name) => match name.as_str() {
+                        $(stringify!($unit) => Ok(Self::$unit),)*
+                        other => unknown(other),
+                    },
+                    _ => match j.get("kind").and_then(Json::as_str) {
+                        $(Some(stringify!($variant)) => Ok(wire_enum!(@ctor $variant $payload {
+                            $($field: member(j, wire_name!($field $($name)?))?),*
+                        })),)*
+                        Some(other) => unknown(other),
+                        None => Err(format!("not a {}: no \"kind\" string", $what)),
+                    },
+                }
+            }
+        }
+        impl Table for $ty {
+            const WHAT: &'static str = $what;
+            const NAMES: &'static [&'static str] = &[$(stringify!($unit)),*];
+            const ROWS: &'static [(&'static str, &'static [&'static str])] =
+                &[$((stringify!($variant), &[$(wire_name!($field $($name)?)),*])),*];
+        }
+    };
+    (@ctor $variant:ident [] { $($body:tt)* }) => {
+        Self::$variant { $($body)* }
+    };
+    (@ctor $variant:ident [$payload:ident] { $($body:tt)* }) => {
+        Self::$variant($payload { $($body)* })
+    };
+}
+
+// --- the tables: the whole format -------------------------------------------
+
+wire_enum!(GeneratorSpec as "generator" { ;
+    RoundRobin { over }
+    Bursty { burst }
+    SeededRandom { over, seed_offset, weights }
+    SetTimely { p, q, bound, filler, crashes }
+    Eventually { prefix, prefix_len, body }
+    Figure1 { p1, p2, q }
+    GeneralizedFigure1 { p, q }
+    RotatingStarvation { k, base }
+    FictitiousCrash { i, j, t, k, base }
+    Cycle { period }
+    AlternatingRotation { groups, base }
+    CrashAfter { inner, plan }
+    Flapping { p, q, bound, filler, timely_dwell, untimely_dwell, seed_offset }
+    GrayFailure { inner, gray, stretch, seed_offset }
+    BurstClog { inner, clogger, window, gap, seed_offset }
+    CrashRecovery { inner, victim, crash, rejoin }
+    Replay { of, schedule }
+});
+
+wire_enum!(TimeoutPolicy as "timeout policy" { Increment, Double; });
+wire_enum!(FdAbi as "FD ABI" { Async, MachineSlot, MachineFleet; });
+wire_enum!(FdDetector as "FD detector" { SetBased, ProcessBased; });
+wire_enum!(StopRule as "stop rule" { BudgetOnly, AllCorrectDecided; });
+wire_enum!(StackKind as "protocol" { FdParallelPaxos, Trivial; });
+wire_enum!(FleetReplayDrive as "fleet replay drive" { Plain; Soa { slice_len } });
+wire_struct!(CertifyTimely as "certification" { i, j, cap, prefix_len });
+
+wire_enum!(Workload as "workload" { ;
+    FdConvergence { k, t, policy, abi, detector, certify_membership }
+    Agreement { t, k, inputs, policy, certify }
+    AdversarialAgreement { t, k, inputs, policy, precrashed, witness }
+    BgReduction { n_sim, k, max_reads }
+    LeanConvergence { t, policy, drive }
+    LeanAgreement { t, policy, drive }
+    WideFdConvergence { k, t, policy, drive }
+});
+
+wire_struct!(Scenario as "scenario" {
+    label, universe as "n", generator, workload, stop, budget, seed, faulty
+});
+
+/// The one irregular enum: three bare names and a tuple variant whose
+/// payload is the member `"process"`.
+impl Wire for RunStatus {
+    fn to_json(&self) -> Json {
+        match self {
+            RunStatus::Stopped => Json::str("Stopped"),
+            RunStatus::MaxSteps => Json::str("MaxSteps"),
+            RunStatus::SourceEnded => Json::str("SourceEnded"),
+            RunStatus::Stuck(p) => {
+                Json::obj([("kind", Json::str("Stuck")), ("process", p.to_json())])
+            }
+        }
+    }
+    fn from_json(j: &Json) -> DecodeResult<Self> {
+        match j {
+            Json::Str(s) => match s.as_str() {
+                "Stopped" => Ok(RunStatus::Stopped),
+                "MaxSteps" => Ok(RunStatus::MaxSteps),
+                "SourceEnded" => Ok(RunStatus::SourceEnded),
+                other => Err(format!("unknown run status {other:?}")),
+            },
+            Json::Obj(_) if j.get("kind").and_then(Json::as_str) == Some("Stuck") => {
+                Ok(RunStatus::Stuck(member(j, "process")?))
+            }
+            _ => Err("run status is neither a name nor a Stuck object".into()),
+        }
+    }
+}
+
+wire_struct!(TimelyPair as "timely pair" { p, q, bound });
+wire_struct!(Stabilization as "winnerset stabilization" { winnerset, step });
+wire_struct!(KAntiOmegaWitness as "k-anti-Ω witness" { trusted, from_step });
+wire_struct!(LeanStabilization as "leader stabilization" { leader, step });
+wire_struct!(WideFdStabilization as "wide stabilization" { winnerset_code, members, step });
+
+wire_enum!(OutcomeData as "outcome data" { ;
+    Fd(FdOutcome) { status, steps, membership, stabilization, witness, late_flaps }
+    Agreement(AgreementScenarioOutcome) {
+        kind as "protocol", status, decided_at, decisions, correct, violations, clean, safe,
+        certified
+    }
+    Adversarial(AdversarialOutcome) {
+        status, decided, blocked, safe, freeze_events, max_frozen, certificate
+    }
+    Bg(BgOutcome) {
+        status, stalled, distinct_simulator_values, simulator_decisions, simulated_decisions,
+        host_steps, live_sched_len, max_live_bound
+    }
+    Lean(LeanOutcome) {
+        status, steps, stabilization, publications, late_flaps, decided, distinct_values
+    }
+    WideFd(WideFdOutcome) { status, steps, stabilization, publications, late_flaps }
+});
+
+wire_enum!(AgreementViolation as "agreement violation" { ;
+    KAgreement { values, k }
+    Validity { process, value }
+    Termination { undecided }
+});
+
+wire_enum!(InvariantViolation as "invariant violation" { ;
+    KAgreement { values, k }
+    Validity { process, value }
+    Termination { undecided }
+    BallotOwnership { instance, process, mbal, bal }
+    AccusedTimelyWinnerset { winnerset }
+    GuaranteeBroken { p, q, bound, observed }
+    CrashWindowResurrection { process, position }
+    FaultyLeaderElected { leader }
+});
+
+wire_struct!(ScenarioOutcome as "outcome" { rank, label, data, violations, counterexample });
+
+// --- the public entry points ------------------------------------------------
 
 /// Serializes a scenario canonically. Equal scenarios serialize to equal
 /// values (and bytes); this is the resume staleness-guard's comparison key.
 pub fn encode_scenario(s: &Scenario) -> Json {
-    Json::obj([
-        ("label", Json::str(s.label.clone())),
-        ("n", Json::U64(s.universe.n() as u64)),
-        ("generator", encode_generator(&s.generator)),
-        ("workload", encode_workload(&s.workload)),
-        (
-            "stop",
-            Json::str(match s.stop {
-                StopRule::BudgetOnly => "BudgetOnly",
-                StopRule::AllCorrectDecided => "AllCorrectDecided",
-            }),
-        ),
-        ("budget", Json::U64(s.budget)),
-        ("seed", Json::U64(s.seed)),
-        ("faulty", bits(s.faulty)),
-    ])
-}
-
-// ---------------------------------------------------------------------------
-// Outcome encoding / decoding (full round trip; resumed lists must be
-// byte-identical to uninterrupted ones).
-// ---------------------------------------------------------------------------
-
-fn encode_status(status: RunStatus) -> Json {
-    match status {
-        RunStatus::Stopped => Json::str("Stopped"),
-        RunStatus::MaxSteps => Json::str("MaxSteps"),
-        RunStatus::SourceEnded => Json::str("SourceEnded"),
-        RunStatus::Stuck(p) => Json::obj([("kind", Json::str("Stuck")), ("process", pid(p))]),
-    }
-}
-
-fn encode_timely_pair(pair: &st_core::TimelyPair) -> Json {
-    Json::obj([
-        ("p", bits(pair.p)),
-        ("q", bits(pair.q)),
-        ("bound", Json::U64(pair.bound as u64)),
-    ])
-}
-
-/// Serializes an outcome for the store.
-pub fn encode_outcome(out: &ScenarioOutcome) -> Json {
-    let data = match &out.data {
-        OutcomeData::Fd(fd) => Json::obj([
-            ("kind", Json::str("Fd")),
-            ("status", encode_status(fd.status)),
-            ("steps", Json::U64(fd.steps)),
-            (
-                "membership",
-                match &fd.membership {
-                    Some(p) => encode_timely_pair(p),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "stabilization",
-                match &fd.stabilization {
-                    Some(s) => Json::obj([
-                        ("winnerset", bits(s.winnerset)),
-                        ("step", Json::U64(s.step)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            (
-                "witness",
-                match &fd.witness {
-                    Some(w) => Json::obj([
-                        ("trusted", pid(w.trusted)),
-                        ("from_step", Json::U64(w.from_step)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            ("late_flaps", Json::U64(fd.late_flaps as u64)),
-        ]),
-        OutcomeData::Agreement(a) => Json::obj([
-            ("kind", Json::str("Agreement")),
-            (
-                "protocol",
-                Json::str(match a.kind {
-                    st_agreement::StackKind::FdParallelPaxos => "FdParallelPaxos",
-                    st_agreement::StackKind::Trivial => "Trivial",
-                }),
-            ),
-            ("status", encode_status(a.status)),
-            ("decided_at", opt_u64(a.decided_at)),
-            ("decisions", opt_values(&a.decisions)),
-            ("correct", bits(a.correct)),
-            (
-                "violations",
-                Json::arr(a.violations.iter().map(encode_violation)),
-            ),
-            ("clean", Json::Bool(a.clean)),
-            ("safe", Json::Bool(a.safe)),
-            (
-                "certified",
-                match a.certified {
-                    Some(b) => Json::Bool(b),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-        OutcomeData::Adversarial(a) => Json::obj([
-            ("kind", Json::str("Adversarial")),
-            ("status", encode_status(a.status)),
-            ("decided", Json::U64(a.decided as u64)),
-            ("blocked", Json::Bool(a.blocked)),
-            ("safe", Json::Bool(a.safe)),
-            ("freeze_events", Json::U64(a.freeze_events)),
-            ("max_frozen", Json::U64(a.max_frozen as u64)),
-            (
-                "certificate",
-                match &a.certificate {
-                    Some(p) => encode_timely_pair(p),
-                    None => Json::Null,
-                },
-            ),
-        ]),
-        OutcomeData::Bg(b) => Json::obj([
-            ("kind", Json::str("Bg")),
-            ("status", encode_status(b.status)),
-            ("stalled", bits(b.stalled)),
-            (
-                "distinct_simulator_values",
-                Json::U64(b.distinct_simulator_values as u64),
-            ),
-            ("simulator_decisions", opt_values(&b.simulator_decisions)),
-            ("simulated_decisions", opt_values(&b.simulated_decisions)),
-            ("host_steps", Json::U64(b.host_steps)),
-            ("live_sched_len", Json::U64(b.live_sched_len as u64)),
-            ("max_live_bound", Json::U64(b.max_live_bound as u64)),
-        ]),
-        OutcomeData::Lean(l) => Json::obj([
-            ("kind", Json::str("Lean")),
-            ("status", encode_status(l.status)),
-            ("steps", Json::U64(l.steps)),
-            (
-                "stabilization",
-                match &l.stabilization {
-                    Some(s) => Json::obj([
-                        ("leader", Json::U64(s.leader as u64)),
-                        ("step", Json::U64(s.step)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            ("publications", Json::U64(l.publications)),
-            ("late_flaps", Json::U64(l.late_flaps as u64)),
-            ("decided", Json::U64(l.decided as u64)),
-            ("distinct_values", values(&l.distinct_values)),
-        ]),
-        OutcomeData::WideFd(w) => Json::obj([
-            ("kind", Json::str("WideFd")),
-            ("status", encode_status(w.status)),
-            ("steps", Json::U64(w.steps)),
-            (
-                "stabilization",
-                match &w.stabilization {
-                    Some(s) => Json::obj([
-                        ("winnerset_code", Json::U64(s.winnerset_code)),
-                        (
-                            "members",
-                            Json::arr(s.members.iter().map(|&m| Json::U64(m as u64))),
-                        ),
-                        ("step", Json::U64(s.step)),
-                    ]),
-                    None => Json::Null,
-                },
-            ),
-            ("publications", Json::U64(w.publications)),
-            ("late_flaps", Json::U64(w.late_flaps as u64)),
-        ]),
-    };
-    Json::obj([
-        ("rank", Json::U64(out.rank as u64)),
-        ("label", Json::str(out.label.clone())),
-        ("data", data),
-        (
-            "violations",
-            Json::arr(out.violations.iter().map(encode_invariant_violation)),
-        ),
-        (
-            "counterexample",
-            match &out.counterexample {
-                Some(s) => Json::arr(s.iter().map(|p| Json::U64(p.index() as u64))),
-                None => Json::Null,
-            },
-        ),
-    ])
-}
-
-fn encode_invariant_violation(v: &InvariantViolation) -> Json {
-    match v {
-        InvariantViolation::KAgreement { values: vs, k } => Json::obj([
-            ("kind", Json::str("KAgreement")),
-            ("values", values(vs)),
-            ("k", Json::U64(*k as u64)),
-        ]),
-        InvariantViolation::Validity { process, value } => Json::obj([
-            ("kind", Json::str("Validity")),
-            ("process", Json::U64(*process as u64)),
-            ("value", Json::U64(*value)),
-        ]),
-        InvariantViolation::Termination { undecided } => Json::obj([
-            ("kind", Json::str("Termination")),
-            (
-                "undecided",
-                Json::arr(undecided.iter().map(|&u| Json::U64(u as u64))),
-            ),
-        ]),
-        InvariantViolation::BallotOwnership {
-            instance,
-            process,
-            mbal,
-            bal,
-        } => Json::obj([
-            ("kind", Json::str("BallotOwnership")),
-            ("instance", Json::U64(*instance as u64)),
-            ("process", Json::U64(*process as u64)),
-            ("mbal", Json::U64(*mbal)),
-            ("bal", Json::U64(*bal)),
-        ]),
-        InvariantViolation::AccusedTimelyWinnerset { winnerset } => Json::obj([
-            ("kind", Json::str("AccusedTimelyWinnerset")),
-            ("winnerset", bits(*winnerset)),
-        ]),
-        InvariantViolation::GuaranteeBroken {
-            p,
-            q,
-            bound,
-            observed,
-        } => Json::obj([
-            ("kind", Json::str("GuaranteeBroken")),
-            ("p", bits(*p)),
-            ("q", bits(*q)),
-            ("bound", Json::U64(*bound as u64)),
-            ("observed", Json::U64(*observed as u64)),
-        ]),
-        InvariantViolation::CrashWindowResurrection { process, position } => Json::obj([
-            ("kind", Json::str("CrashWindowResurrection")),
-            ("process", Json::U64(*process as u64)),
-            ("position", Json::U64(*position)),
-        ]),
-        InvariantViolation::FaultyLeaderElected { leader } => Json::obj([
-            ("kind", Json::str("FaultyLeaderElected")),
-            ("leader", Json::U64(*leader as u64)),
-        ]),
-    }
-}
-
-fn encode_violation(v: &st_core::AgreementViolation) -> Json {
-    match v {
-        st_core::AgreementViolation::KAgreement { values: vs, k } => Json::obj([
-            ("kind", Json::str("KAgreement")),
-            ("values", values(vs)),
-            ("k", Json::U64(*k as u64)),
-        ]),
-        st_core::AgreementViolation::Validity { process, value } => Json::obj([
-            ("kind", Json::str("Validity")),
-            ("process", Json::U64(*process as u64)),
-            ("value", Json::U64(*value)),
-        ]),
-        st_core::AgreementViolation::Termination { undecided } => Json::obj([
-            ("kind", Json::str("Termination")),
-            (
-                "undecided",
-                Json::arr(undecided.iter().map(|&u| Json::U64(u as u64))),
-            ),
-        ]),
-    }
-}
-
-// --- decoding helpers ------------------------------------------------------
-
-type DecodeResult<T> = Result<T, String>;
-
-fn field<'a>(j: &'a Json, name: &str) -> DecodeResult<&'a Json> {
-    j.get(name).ok_or_else(|| format!("missing field {name:?}"))
-}
-
-fn u64_field(j: &Json, name: &str) -> DecodeResult<u64> {
-    field(j, name)?
-        .as_u64()
-        .ok_or_else(|| format!("field {name:?} is not an integer"))
-}
-
-fn usize_field(j: &Json, name: &str) -> DecodeResult<usize> {
-    Ok(u64_field(j, name)? as usize)
-}
-
-fn str_field<'a>(j: &'a Json, name: &str) -> DecodeResult<&'a str> {
-    field(j, name)?
-        .as_str()
-        .ok_or_else(|| format!("field {name:?} is not a string"))
-}
-
-fn bool_field(j: &Json, name: &str) -> DecodeResult<bool> {
-    field(j, name)?
-        .as_bool()
-        .ok_or_else(|| format!("field {name:?} is not a bool"))
-}
-
-fn set_field(j: &Json, name: &str) -> DecodeResult<ProcSet> {
-    Ok(ProcSet::from_bits(u64_field(j, name)?))
-}
-
-fn pid_field(j: &Json, name: &str) -> DecodeResult<ProcessId> {
-    Ok(ProcessId::new(usize_field(j, name)?))
-}
-
-fn opt_u64_field(j: &Json, name: &str) -> DecodeResult<Option<u64>> {
-    match field(j, name)? {
-        Json::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(Some)
-            .ok_or_else(|| format!("field {name:?} is not null or an integer")),
-    }
-}
-
-fn opt_values_field(j: &Json, name: &str) -> DecodeResult<Vec<Option<st_core::Value>>> {
-    let arr = field(j, name)?
-        .as_arr()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?;
-    arr.iter()
-        .map(|v| match v {
-            Json::Null => Ok(None),
-            v => v
-                .as_u64()
-                .map(Some)
-                .ok_or_else(|| format!("field {name:?} holds a non-integer")),
-        })
-        .collect()
-}
-
-fn values_field(j: &Json, name: &str) -> DecodeResult<Vec<st_core::Value>> {
-    let arr = field(j, name)?
-        .as_arr()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?;
-    arr.iter()
-        .map(|v| {
-            v.as_u64()
-                .ok_or_else(|| format!("field {name:?} holds a non-integer"))
-        })
-        .collect()
-}
-
-fn decode_status(j: &Json) -> DecodeResult<RunStatus> {
-    match j {
-        Json::Str(s) => match s.as_str() {
-            "Stopped" => Ok(RunStatus::Stopped),
-            "MaxSteps" => Ok(RunStatus::MaxSteps),
-            "SourceEnded" => Ok(RunStatus::SourceEnded),
-            other => Err(format!("unknown run status {other:?}")),
-        },
-        Json::Obj(_) if j.get("kind").and_then(Json::as_str) == Some("Stuck") => {
-            Ok(RunStatus::Stuck(pid_field(j, "process")?))
-        }
-        _ => Err("run status is neither a name nor a Stuck object".into()),
-    }
-}
-
-fn decode_timely_pair(j: &Json) -> DecodeResult<st_core::TimelyPair> {
-    Ok(st_core::TimelyPair {
-        p: set_field(j, "p")?,
-        q: set_field(j, "q")?,
-        bound: usize_field(j, "bound")?,
-    })
-}
-
-fn opt_timely_pair(j: &Json, name: &str) -> DecodeResult<Option<st_core::TimelyPair>> {
-    match field(j, name)? {
-        Json::Null => Ok(None),
-        v => decode_timely_pair(v).map(Some),
-    }
-}
-
-/// Decodes an outcome written by [`encode_outcome`] (exact inverse: the
-/// round trip is byte-preserving for writer-produced documents).
-pub fn decode_outcome(j: &Json) -> DecodeResult<ScenarioOutcome> {
-    let rank = usize_field(j, "rank")?;
-    let label = str_field(j, "label")?.to_string();
-    let data = field(j, "data")?;
-    let kind = str_field(data, "kind")?;
-    let decoded = match kind {
-        "Fd" => OutcomeData::Fd(FdOutcome {
-            status: decode_status(field(data, "status")?)?,
-            steps: u64_field(data, "steps")?,
-            membership: opt_timely_pair(data, "membership")?,
-            stabilization: match field(data, "stabilization")? {
-                Json::Null => None,
-                v => Some(st_fd::convergence::Stabilization {
-                    winnerset: set_field(v, "winnerset")?,
-                    step: u64_field(v, "step")?,
-                }),
-            },
-            witness: match field(data, "witness")? {
-                Json::Null => None,
-                v => Some(st_fd::convergence::KAntiOmegaWitness {
-                    trusted: pid_field(v, "trusted")?,
-                    from_step: u64_field(v, "from_step")?,
-                }),
-            },
-            late_flaps: usize_field(data, "late_flaps")?,
-        }),
-        "Agreement" => OutcomeData::Agreement(AgreementScenarioOutcome {
-            kind: match str_field(data, "protocol")? {
-                "FdParallelPaxos" => st_agreement::StackKind::FdParallelPaxos,
-                "Trivial" => st_agreement::StackKind::Trivial,
-                other => return Err(format!("unknown protocol {other:?}")),
-            },
-            status: decode_status(field(data, "status")?)?,
-            decided_at: opt_u64_field(data, "decided_at")?,
-            decisions: opt_values_field(data, "decisions")?,
-            correct: set_field(data, "correct")?,
-            violations: field(data, "violations")?
-                .as_arr()
-                .ok_or_else(|| "violations is not an array".to_string())?
-                .iter()
-                .map(decode_violation)
-                .collect::<DecodeResult<_>>()?,
-            clean: bool_field(data, "clean")?,
-            safe: bool_field(data, "safe")?,
-            certified: match field(data, "certified")? {
-                Json::Null => None,
-                v => Some(
-                    v.as_bool()
-                        .ok_or_else(|| "certified is not null or a bool".to_string())?,
-                ),
-            },
-        }),
-        "Adversarial" => OutcomeData::Adversarial(AdversarialOutcome {
-            status: decode_status(field(data, "status")?)?,
-            decided: usize_field(data, "decided")?,
-            blocked: bool_field(data, "blocked")?,
-            safe: bool_field(data, "safe")?,
-            freeze_events: u64_field(data, "freeze_events")?,
-            max_frozen: usize_field(data, "max_frozen")?,
-            certificate: opt_timely_pair(data, "certificate")?,
-        }),
-        "Bg" => OutcomeData::Bg(BgOutcome {
-            status: decode_status(field(data, "status")?)?,
-            stalled: set_field(data, "stalled")?,
-            distinct_simulator_values: usize_field(data, "distinct_simulator_values")?,
-            simulator_decisions: opt_values_field(data, "simulator_decisions")?,
-            simulated_decisions: opt_values_field(data, "simulated_decisions")?,
-            host_steps: u64_field(data, "host_steps")?,
-            live_sched_len: usize_field(data, "live_sched_len")?,
-            max_live_bound: usize_field(data, "max_live_bound")?,
-        }),
-        "Lean" => OutcomeData::Lean(LeanOutcome {
-            status: decode_status(field(data, "status")?)?,
-            steps: u64_field(data, "steps")?,
-            stabilization: match field(data, "stabilization")? {
-                Json::Null => None,
-                v => Some(LeanStabilization {
-                    leader: usize_field(v, "leader")?,
-                    step: u64_field(v, "step")?,
-                }),
-            },
-            publications: u64_field(data, "publications")?,
-            late_flaps: usize_field(data, "late_flaps")?,
-            decided: usize_field(data, "decided")?,
-            distinct_values: values_field(data, "distinct_values")?,
-        }),
-        "WideFd" => OutcomeData::WideFd(WideFdOutcome {
-            status: decode_status(field(data, "status")?)?,
-            steps: u64_field(data, "steps")?,
-            stabilization: match field(data, "stabilization")? {
-                Json::Null => None,
-                v => Some(WideFdStabilization {
-                    winnerset_code: u64_field(v, "winnerset_code")?,
-                    members: values_field(v, "members")?
-                        .into_iter()
-                        .map(|m| m as usize)
-                        .collect(),
-                    step: u64_field(v, "step")?,
-                }),
-            },
-            publications: u64_field(data, "publications")?,
-            late_flaps: usize_field(data, "late_flaps")?,
-        }),
-        other => return Err(format!("unknown outcome kind {other:?}")),
-    };
-    let violations = field(j, "violations")?
-        .as_arr()
-        .ok_or_else(|| "violations is not an array".to_string())?
-        .iter()
-        .map(decode_invariant_violation)
-        .collect::<DecodeResult<_>>()?;
-    let counterexample = match field(j, "counterexample")? {
-        Json::Null => None,
-        v => Some(st_core::Schedule::from_indices(
-            v.as_arr()
-                .ok_or_else(|| "counterexample is not null or an array".to_string())?
-                .iter()
-                .map(|p| {
-                    p.as_u64()
-                        .map(|u| u as usize)
-                        .ok_or_else(|| "counterexample holds a non-integer".to_string())
-                })
-                .collect::<DecodeResult<Vec<usize>>>()?,
-        )),
-    };
-    Ok(ScenarioOutcome {
-        rank,
-        label,
-        data: decoded,
-        violations,
-        counterexample,
-    })
-}
-
-fn decode_invariant_violation(j: &Json) -> DecodeResult<InvariantViolation> {
-    match str_field(j, "kind")? {
-        "KAgreement" => Ok(InvariantViolation::KAgreement {
-            values: values_field(j, "values")?,
-            k: usize_field(j, "k")?,
-        }),
-        "Validity" => Ok(InvariantViolation::Validity {
-            process: usize_field(j, "process")?,
-            value: u64_field(j, "value")?,
-        }),
-        "Termination" => Ok(InvariantViolation::Termination {
-            undecided: values_field(j, "undecided")?
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
-        }),
-        "BallotOwnership" => Ok(InvariantViolation::BallotOwnership {
-            instance: usize_field(j, "instance")?,
-            process: usize_field(j, "process")?,
-            mbal: u64_field(j, "mbal")?,
-            bal: u64_field(j, "bal")?,
-        }),
-        "AccusedTimelyWinnerset" => Ok(InvariantViolation::AccusedTimelyWinnerset {
-            winnerset: set_field(j, "winnerset")?,
-        }),
-        "GuaranteeBroken" => Ok(InvariantViolation::GuaranteeBroken {
-            p: set_field(j, "p")?,
-            q: set_field(j, "q")?,
-            bound: usize_field(j, "bound")?,
-            observed: usize_field(j, "observed")?,
-        }),
-        "CrashWindowResurrection" => Ok(InvariantViolation::CrashWindowResurrection {
-            process: usize_field(j, "process")?,
-            position: u64_field(j, "position")?,
-        }),
-        "FaultyLeaderElected" => Ok(InvariantViolation::FaultyLeaderElected {
-            leader: usize_field(j, "leader")?,
-        }),
-        other => Err(format!("unknown invariant violation kind {other:?}")),
-    }
-}
-
-fn decode_violation(j: &Json) -> DecodeResult<st_core::AgreementViolation> {
-    match str_field(j, "kind")? {
-        "KAgreement" => Ok(st_core::AgreementViolation::KAgreement {
-            values: values_field(j, "values")?,
-            k: usize_field(j, "k")?,
-        }),
-        "Validity" => Ok(st_core::AgreementViolation::Validity {
-            process: usize_field(j, "process")?,
-            value: u64_field(j, "value")?,
-        }),
-        "Termination" => Ok(st_core::AgreementViolation::Termination {
-            undecided: values_field(j, "undecided")?
-                .into_iter()
-                .map(|v| v as usize)
-                .collect(),
-        }),
-        other => Err(format!("unknown violation kind {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Scenario / spec decoding (inverse of `encode_scenario`; what lets saved
-// counterexamples and fuzz corpus entries be re-executed).
-// ---------------------------------------------------------------------------
-
-fn opt_set_field(j: &Json, name: &str) -> DecodeResult<Option<ProcSet>> {
-    match field(j, name)? {
-        Json::Null => Ok(None),
-        v => v
-            .as_u64()
-            .map(|b| Some(ProcSet::from_bits(b)))
-            .ok_or_else(|| format!("field {name:?} is not null or an integer")),
-    }
-}
-
-fn schedule_field(j: &Json, name: &str) -> DecodeResult<st_core::Schedule> {
-    let arr = field(j, name)?
-        .as_arr()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?;
-    Ok(st_core::Schedule::from_indices(
-        arr.iter()
-            .map(|p| {
-                p.as_u64()
-                    .map(|u| u as usize)
-                    .ok_or_else(|| format!("field {name:?} holds a non-integer"))
-            })
-            .collect::<DecodeResult<Vec<usize>>>()?,
-    ))
-}
-
-fn range_field(j: &Json, name: &str) -> DecodeResult<(u64, u64)> {
-    let arr = field(j, name)?
-        .as_arr()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?;
-    match arr {
-        [lo, hi] => Ok((
-            lo.as_u64()
-                .ok_or_else(|| format!("field {name:?} lo is not an integer"))?,
-            hi.as_u64()
-                .ok_or_else(|| format!("field {name:?} hi is not an integer"))?,
-        )),
-        _ => Err(format!("field {name:?} is not a 2-element array")),
-    }
-}
-
-fn plan_field(j: &Json, name: &str) -> DecodeResult<CrashPlan> {
-    let arr = field(j, name)?
-        .as_arr()
-        .ok_or_else(|| format!("field {name:?} is not an array"))?;
-    let mut plan = CrashPlan::new();
-    for e in arr {
-        match e.as_arr() {
-            Some([p, step]) => {
-                let p = p
-                    .as_u64()
-                    .ok_or_else(|| format!("field {name:?} entry process is not an integer"))?;
-                let step = step
-                    .as_u64()
-                    .ok_or_else(|| format!("field {name:?} entry step is not an integer"))?;
-                plan = plan.crash(ProcessId::new(p as usize), step);
-            }
-            _ => {
-                return Err(format!(
-                    "field {name:?} entry is not a [process, step] pair"
-                ))
-            }
-        }
-    }
-    Ok(plan)
-}
-
-fn decode_policy(j: &Json, name: &str) -> DecodeResult<TimeoutPolicy> {
-    match str_field(j, name)? {
-        "Increment" => Ok(TimeoutPolicy::Increment),
-        "Double" => Ok(TimeoutPolicy::Double),
-        other => Err(format!("unknown timeout policy {other:?}")),
-    }
-}
-
-/// Decodes a generator spec written by the canonical encoder (exact
-/// inverse over every [`GeneratorSpec`] variant).
-pub fn decode_generator(j: &Json) -> DecodeResult<GeneratorSpec> {
-    match str_field(j, "kind")? {
-        "RoundRobin" => Ok(GeneratorSpec::RoundRobin {
-            over: opt_set_field(j, "over")?,
-        }),
-        "Bursty" => Ok(GeneratorSpec::Bursty {
-            burst: u64_field(j, "burst")?,
-        }),
-        "SeededRandom" => Ok(GeneratorSpec::SeededRandom {
-            over: opt_set_field(j, "over")?,
-            seed_offset: u64_field(j, "seed_offset")?,
-            weights: match field(j, "weights")? {
-                Json::Null => None,
-                v => Some(
-                    v.as_arr()
-                        .ok_or_else(|| "weights is not null or an array".to_string())?
-                        .iter()
-                        .map(|w| {
-                            w.as_u64()
-                                .map(|x| x as u32)
-                                .ok_or_else(|| "weights holds a non-integer".to_string())
-                        })
-                        .collect::<DecodeResult<_>>()?,
-                ),
-            },
-        }),
-        "SetTimely" => Ok(GeneratorSpec::SetTimely {
-            p: set_field(j, "p")?,
-            q: set_field(j, "q")?,
-            bound: usize_field(j, "bound")?,
-            filler: Box::new(decode_generator(field(j, "filler")?)?),
-            crashes: plan_field(j, "crashes")?,
-        }),
-        "Eventually" => Ok(GeneratorSpec::Eventually {
-            prefix: Box::new(decode_generator(field(j, "prefix")?)?),
-            prefix_len: u64_field(j, "prefix_len")?,
-            body: Box::new(decode_generator(field(j, "body")?)?),
-        }),
-        "Figure1" => Ok(GeneratorSpec::Figure1 {
-            p1: pid_field(j, "p1")?,
-            p2: pid_field(j, "p2")?,
-            q: pid_field(j, "q")?,
-        }),
-        "GeneralizedFigure1" => Ok(GeneratorSpec::GeneralizedFigure1 {
-            p: set_field(j, "p")?,
-            q: set_field(j, "q")?,
-        }),
-        "RotatingStarvation" => Ok(GeneratorSpec::RotatingStarvation {
-            k: usize_field(j, "k")?,
-            base: u64_field(j, "base")?,
-        }),
-        "FictitiousCrash" => Ok(GeneratorSpec::FictitiousCrash {
-            i: usize_field(j, "i")?,
-            j: usize_field(j, "j")?,
-            t: usize_field(j, "t")?,
-            k: usize_field(j, "k")?,
-            base: u64_field(j, "base")?,
-        }),
-        "Cycle" => Ok(GeneratorSpec::Cycle {
-            period: schedule_field(j, "period")?,
-        }),
-        "AlternatingRotation" => Ok(GeneratorSpec::AlternatingRotation {
-            groups: field(j, "groups")?
-                .as_arr()
-                .ok_or_else(|| "groups is not an array".to_string())?
-                .iter()
-                .map(|g| {
-                    g.as_u64()
-                        .map(ProcSet::from_bits)
-                        .ok_or_else(|| "groups holds a non-integer".to_string())
-                })
-                .collect::<DecodeResult<_>>()?,
-            base: u64_field(j, "base")?,
-        }),
-        "CrashAfter" => Ok(GeneratorSpec::CrashAfter {
-            inner: Box::new(decode_generator(field(j, "inner")?)?),
-            plan: plan_field(j, "plan")?,
-        }),
-        "Flapping" => Ok(GeneratorSpec::Flapping {
-            p: set_field(j, "p")?,
-            q: set_field(j, "q")?,
-            bound: usize_field(j, "bound")?,
-            filler: Box::new(decode_generator(field(j, "filler")?)?),
-            timely_dwell: range_field(j, "timely_dwell")?,
-            untimely_dwell: range_field(j, "untimely_dwell")?,
-            seed_offset: u64_field(j, "seed_offset")?,
-        }),
-        "GrayFailure" => Ok(GeneratorSpec::GrayFailure {
-            inner: Box::new(decode_generator(field(j, "inner")?)?),
-            gray: set_field(j, "gray")?,
-            stretch: u64_field(j, "stretch")?,
-            seed_offset: u64_field(j, "seed_offset")?,
-        }),
-        "BurstClog" => Ok(GeneratorSpec::BurstClog {
-            inner: Box::new(decode_generator(field(j, "inner")?)?),
-            clogger: pid_field(j, "clogger")?,
-            window: u64_field(j, "window")?,
-            gap: range_field(j, "gap")?,
-            seed_offset: u64_field(j, "seed_offset")?,
-        }),
-        "CrashRecovery" => Ok(GeneratorSpec::CrashRecovery {
-            inner: Box::new(decode_generator(field(j, "inner")?)?),
-            victim: pid_field(j, "victim")?,
-            crash: u64_field(j, "crash")?,
-            rejoin: u64_field(j, "rejoin")?,
-        }),
-        "Replay" => Ok(GeneratorSpec::Replay {
-            of: Box::new(decode_generator(field(j, "of")?)?),
-            schedule: schedule_field(j, "schedule")?,
-        }),
-        other => Err(format!("unknown generator kind {other:?}")),
-    }
-}
-
-fn decode_workload(j: &Json) -> DecodeResult<Workload> {
-    match str_field(j, "kind")? {
-        "FdConvergence" => Ok(Workload::FdConvergence {
-            k: usize_field(j, "k")?,
-            t: usize_field(j, "t")?,
-            policy: decode_policy(j, "policy")?,
-            abi: match str_field(j, "abi")? {
-                "Async" => FdAbi::Async,
-                "MachineSlot" => FdAbi::MachineSlot,
-                "MachineFleet" => FdAbi::MachineFleet,
-                other => return Err(format!("unknown FD ABI {other:?}")),
-            },
-            detector: match str_field(j, "detector")? {
-                "SetBased" => FdDetector::SetBased,
-                "ProcessBased" => FdDetector::ProcessBased,
-                other => return Err(format!("unknown FD detector {other:?}")),
-            },
-            certify_membership: bool_field(j, "certify_membership")?,
-        }),
-        "Agreement" => Ok(Workload::Agreement {
-            t: usize_field(j, "t")?,
-            k: usize_field(j, "k")?,
-            inputs: values_field(j, "inputs")?,
-            policy: decode_policy(j, "policy")?,
-            certify: match field(j, "certify")? {
-                Json::Null => None,
-                v => Some(CertifyTimely {
-                    i: usize_field(v, "i")?,
-                    j: usize_field(v, "j")?,
-                    cap: usize_field(v, "cap")?,
-                    prefix_len: u64_field(v, "prefix_len")?,
-                }),
-            },
-        }),
-        "AdversarialAgreement" => Ok(Workload::AdversarialAgreement {
-            t: usize_field(j, "t")?,
-            k: usize_field(j, "k")?,
-            inputs: values_field(j, "inputs")?,
-            policy: decode_policy(j, "policy")?,
-            precrashed: set_field(j, "precrashed")?,
-            witness: match field(j, "witness")? {
-                Json::Null => None,
-                v => Some((set_field(v, "p")?, set_field(v, "q")?)),
-            },
-        }),
-        "BgReduction" => Ok(Workload::BgReduction {
-            n_sim: usize_field(j, "n_sim")?,
-            k: usize_field(j, "k")?,
-            max_reads: usize_field(j, "max_reads")?,
-        }),
-        "LeanConvergence" => Ok(Workload::LeanConvergence {
-            t: usize_field(j, "t")?,
-            policy: decode_policy(j, "policy")?,
-            drive: decode_drive(j, "drive")?,
-        }),
-        "LeanAgreement" => Ok(Workload::LeanAgreement {
-            t: usize_field(j, "t")?,
-            policy: decode_policy(j, "policy")?,
-            drive: decode_drive(j, "drive")?,
-        }),
-        "WideFdConvergence" => Ok(Workload::WideFdConvergence {
-            k: usize_field(j, "k")?,
-            t: usize_field(j, "t")?,
-            policy: decode_policy(j, "policy")?,
-            drive: decode_drive(j, "drive")?,
-        }),
-        other => Err(format!("unknown workload kind {other:?}")),
-    }
+    s.to_json()
 }
 
 /// Decodes a scenario written by [`encode_scenario`] (exact inverse:
 /// `encode_scenario(&decode_scenario(j)?) == *j` for writer-produced
 /// documents — property-tested over arbitrary spec trees).
-pub fn decode_scenario(j: &Json) -> DecodeResult<Scenario> {
-    let label = str_field(j, "label")?.to_string();
-    let n = usize_field(j, "n")?;
-    let universe = st_core::Universe::new(n).map_err(|_| format!("invalid universe size {n}"))?;
-    let generator = decode_generator(field(j, "generator")?)?;
-    let workload = decode_workload(field(j, "workload")?)?;
-    let stop = match str_field(j, "stop")? {
-        "BudgetOnly" => StopRule::BudgetOnly,
-        "AllCorrectDecided" => StopRule::AllCorrectDecided,
-        other => return Err(format!("unknown stop rule {other:?}")),
-    };
-    let budget = u64_field(j, "budget")?;
-    let seed = u64_field(j, "seed")?;
-    let faulty = set_field(j, "faulty")?;
-    let mut scenario =
-        Scenario::new(label, universe, generator, workload, budget, seed).with_faulty(faulty);
-    scenario.stop = stop;
-    Ok(scenario)
+pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
+    Scenario::from_json(j)
+}
+
+/// Decodes a generator spec written by the canonical encoder (exact
+/// inverse over every [`GeneratorSpec`] variant).
+pub fn decode_generator(j: &Json) -> Result<GeneratorSpec, String> {
+    GeneratorSpec::from_json(j)
+}
+
+/// Serializes an outcome for the store.
+pub fn encode_outcome(out: &ScenarioOutcome) -> Json {
+    out.to_json()
+}
+
+/// Decodes an outcome written by [`encode_outcome`] (exact inverse: the
+/// round trip is byte-preserving for writer-produced documents).
+pub fn decode_outcome(j: &Json) -> Result<ScenarioOutcome, String> {
+    ScenarioOutcome::from_json(j)
+}
+
+/// The generated half of PROTOCOL.md's "Scenario and outcome encoding"
+/// section: every table above as one bullet per written shape — a bare
+/// name string, or an object's members in written order (`"kind"` with its
+/// tag first, where the type is tagged). `tests/wire.rs` holds the
+/// document to this text.
+pub fn encoding_reference() -> String {
+    fn section<T: Table>(out: &mut String) {
+        out.push_str(&format!("- **{}**\n", T::WHAT));
+        for name in T::NAMES {
+            out.push_str(&format!("  - `\"{name}\"`\n"));
+        }
+        for (kind, members) in T::ROWS {
+            let tag = (!kind.is_empty()).then(|| format!("\"kind\": \"{kind}\""));
+            let members = members.iter().map(|m| format!("\"{m}\""));
+            let all: Vec<String> = tag.into_iter().chain(members).collect();
+            out.push_str(&format!("  - `{{{}}}`\n", all.join(", ")));
+        }
+    }
+    let mut out = String::new();
+    section::<Scenario>(&mut out);
+    section::<GeneratorSpec>(&mut out);
+    section::<Workload>(&mut out);
+    section::<TimeoutPolicy>(&mut out);
+    section::<FdAbi>(&mut out);
+    section::<FdDetector>(&mut out);
+    section::<FleetReplayDrive>(&mut out);
+    section::<CertifyTimely>(&mut out);
+    section::<StopRule>(&mut out);
+    section::<ScenarioOutcome>(&mut out);
+    section::<OutcomeData>(&mut out);
+    section::<StackKind>(&mut out);
+    section::<TimelyPair>(&mut out);
+    section::<Stabilization>(&mut out);
+    section::<KAntiOmegaWitness>(&mut out);
+    section::<LeanStabilization>(&mut out);
+    section::<WideFdStabilization>(&mut out);
+    section::<InvariantViolation>(&mut out);
+    section::<AgreementViolation>(&mut out);
+    out
 }
 
 #[cfg(test)]

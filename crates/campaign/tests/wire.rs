@@ -1,0 +1,176 @@
+//! The decode boundary: whatever bytes arrive — a wire frame, a store
+//! file, a job spec, a counterexample — `decode_*` answers `Ok` or `Err`,
+//! never a panic; and the encoding reference in PROTOCOL.md is the one the
+//! codec's tables generate.
+
+use proptest::prelude::*;
+use st_campaign::store::{
+    decode_generator, decode_outcome, decode_scenario, encoding_reference, OutcomeStore,
+};
+use st_core::Json;
+use st_sched::SpecRng;
+
+/// The committed fixture (`tests/store_fixture.rs`): every shape the codec
+/// writes, so damage lands on every decoder arm.
+const GOLDEN: &str = include_str!("golden/store_v2.json");
+
+fn generator(text: &str) -> Result<st_sched::GeneratorSpec, String> {
+    decode_generator(&Json::parse(text).unwrap())
+}
+
+/// ISSUE 15's two daemon-killers: a process index `ProcessId::new` would
+/// assert on, as a scalar member and inside a schedule.
+#[test]
+fn out_of_range_process_indices_are_errors() {
+    let err = generator(r#"{"kind": "Figure1", "p1": 5000, "p2": 1, "q": 2}"#).unwrap_err();
+    assert_eq!(err, "field \"p1\": process index 5000 out of range");
+    let err = generator(r#"{"kind": "Cycle", "period": [0, 70000]}"#).unwrap_err();
+    assert_eq!(err, "field \"period\": process index 70000 out of range");
+    let plan = r#"{"kind": "CrashAfter", "inner": {"kind": "Bursty", "burst": 1},
+                   "plan": [[1024, 7]]}"#;
+    assert!(generator(plan).unwrap_err().contains("out of range"));
+    // The largest valid index still decodes.
+    assert!(generator(r#"{"kind": "Cycle", "period": [0, 1023]}"#).is_ok());
+}
+
+/// A weight past `u32::MAX` used to be truncated by an `as` cast.
+#[test]
+fn oversized_weights_are_errors_not_truncated() {
+    let spec = |w: u64| {
+        format!(r#"{{"kind": "SeededRandom", "over": null, "seed_offset": 0, "weights": [{w}]}}"#)
+    };
+    assert!(generator(&spec(u32::MAX as u64)).is_ok());
+    let err = generator(&spec(u32::MAX as u64 + 1)).unwrap_err();
+    assert!(err.contains("does not fit u32"), "{err}");
+}
+
+/// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.
+fn kinds(j: &Json, out: &mut Vec<String>) {
+    match j {
+        Json::Arr(items) => items.iter().for_each(|c| kinds(c, out)),
+        Json::Obj(members) => {
+            for (name, value) in members {
+                match value {
+                    Json::Str(tag) if name == "kind" => out.push(tag.clone()),
+                    other => kinds(other, out),
+                }
+            }
+        }
+        _ => {}
+    }
+}
+
+/// One structural injury to the node `j`.
+fn injure(j: &mut Json, kinds: &[String], rng: &mut SpecRng) {
+    let pick = |rng: &mut SpecRng, len: usize| rng.below(len as u64) as usize;
+    *j = match (rng.below(8), &mut *j) {
+        (0, _) => Json::Null,
+        (1, _) => Json::str("Bogus"),
+        (2, _) => Json::arr([]),
+        (3, _) => Json::U64(u64::MAX),
+        (4, _) => Json::U64(5_000),
+        // Truncate an array.
+        (5, Json::Arr(items)) => {
+            items.truncate(pick(rng, items.len() + 1));
+            return;
+        }
+        // Drop a member.
+        (6, Json::Obj(members)) if !members.is_empty() => {
+            members.remove(pick(rng, members.len()));
+            return;
+        }
+        // Swap a kind tag (or plant one where a name was expected).
+        (_, Json::Obj(members)) if members.iter().any(|(name, _)| name == "kind") => {
+            let tag = kinds[pick(rng, kinds.len())].clone();
+            members
+                .iter_mut()
+                .find(|(name, _)| name == "kind")
+                .unwrap()
+                .1 = Json::Str(tag);
+            return;
+        }
+        _ => Json::Str(kinds[pick(rng, kinds.len())].clone()),
+    };
+}
+
+/// Injures the `target`-th node of `j` in preorder; `false` when the tree
+/// has fewer nodes.
+fn injure_at(
+    j: &mut Json,
+    next: &mut usize,
+    target: usize,
+    kinds: &[String],
+    rng: &mut SpecRng,
+) -> bool {
+    if *next == target {
+        injure(j, kinds, rng);
+        return true;
+    }
+    *next += 1;
+    match j {
+        Json::Arr(items) => items
+            .iter_mut()
+            .any(|c| injure_at(c, next, target, kinds, rng)),
+        Json::Obj(members) => members
+            .iter_mut()
+            .any(|(_, c)| injure_at(c, next, target, kinds, rng)),
+        _ => false,
+    }
+}
+
+fn node_count(j: &Json) -> usize {
+    1 + match j {
+        Json::Arr(items) => items.iter().map(node_count).sum(),
+        Json::Obj(members) => members.iter().map(|(_, c)| node_count(c)).sum(),
+        _ => 0,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// ROADMAP's panic-free boundary, item (d), for this layer: valid
+    /// documents with one to three random injuries decode to `Ok` or
+    /// `Err`. A panic anywhere below fails the case.
+    #[test]
+    fn damaged_documents_never_panic_a_decoder(seed in any::<u64>()) {
+        let mut rng = SpecRng::new(seed);
+        let store = Json::parse(GOLDEN).unwrap();
+        let mut pool = Vec::new();
+        kinds(&store, &mut pool);
+        let entries = store.get("entries").and_then(Json::as_arr).unwrap();
+        let entry = &entries[rng.below(entries.len() as u64) as usize];
+        let mut scenario = entry.get("scenario").unwrap().clone();
+        let mut outcome = entry.get("outcome").unwrap().clone();
+        let mut whole = store.clone();
+        for doc in [&mut scenario, &mut outcome, &mut whole] {
+            for _ in 0..rng.range(1, 3) {
+                let target = rng.below(node_count(doc) as u64) as usize;
+                injure_at(doc, &mut 0, target, &pool, &mut rng);
+            }
+        }
+        let _ = decode_scenario(&scenario);
+        let _ = decode_outcome(&outcome);
+        let _ = OutcomeStore::from_json(&whole);
+    }
+}
+
+/// PROTOCOL.md's "Scenario and outcome encoding" reference is generated:
+/// the block between its `WIRE-REFERENCE` markers is exactly what the
+/// codec's tables render (CI's protocol doc-freshness job runs this test).
+#[test]
+fn protocol_md_carries_the_generated_encoding_reference() {
+    let doc = include_str!("../../../PROTOCOL.md");
+    let (begin, end) = (
+        "<!-- WIRE-REFERENCE:BEGIN -->\n",
+        "<!-- WIRE-REFERENCE:END -->",
+    );
+    let start = doc.find(begin).expect("BEGIN marker in PROTOCOL.md") + begin.len();
+    let len = doc[start..].find(end).expect("END marker in PROTOCOL.md");
+    let expected = encoding_reference();
+    assert!(
+        doc[start..start + len] == expected,
+        "PROTOCOL.md's encoding reference is stale; replace the block between the \
+         WIRE-REFERENCE markers with:\n{expected}"
+    );
+}

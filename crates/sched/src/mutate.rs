@@ -21,7 +21,7 @@
 //! a correct process outside it never steps again), decorator
 //! stacking/unstacking, crash-plan edits, and whole-subtree replacement.
 
-use st_core::{ProcSet, ProcessId, Schedule, Universe};
+use st_core::{ProcSet, ProcessId, Schedule, Universe, PROCSET_CAPACITY};
 
 use crate::crashes::CrashPlan;
 use crate::spec::GeneratorSpec;
@@ -78,7 +78,18 @@ pub struct SpecMutator {
 
 impl SpecMutator {
     /// A mutator over `universe`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the universe is wider than a [`ProcSet`]
+    /// ([`PROCSET_CAPACITY`]): every tree this mutator emits names its
+    /// members by set.
     pub fn new(universe: Universe) -> Self {
+        assert!(
+            universe.n() <= PROCSET_CAPACITY,
+            "SpecMutator universe of {} exceeds PROCSET_CAPACITY ({PROCSET_CAPACITY})",
+            universe.n()
+        );
         SpecMutator { universe }
     }
 
@@ -91,7 +102,13 @@ impl SpecMutator {
     }
 
     fn nonempty_subset(&self, rng: &mut SpecRng) -> ProcSet {
-        let bits = rng.below(1 << self.n());
+        // `below(2^n)` is the draw every pinned session and corpus was made
+        // with; at n = 64 the bound does not fit a word, and a whole word is
+        // that same uniform draw.
+        let bits = match 1u64.checked_shl(self.n() as u32) {
+            Some(bound) => rng.below(bound),
+            None => rng.next_u64(),
+        };
         if bits == 0 {
             ProcSet::singleton(self.pid(rng))
         } else {
@@ -594,31 +611,19 @@ fn nudge_range((lo, hi): (u64, u64), rng: &mut SpecRng) -> (u64, u64) {
     (lo, hi)
 }
 
-/// Stacked decorator layers above the first non-decorator node.
+/// Stacked fault-decorator layers above the first node that is not one
+/// (`SetTimely` and `Eventually` have a child but are generators proper).
 fn decorator_depth(spec: &GeneratorSpec) -> usize {
     match spec {
-        GeneratorSpec::GrayFailure { inner, .. }
-        | GeneratorSpec::BurstClog { inner, .. }
-        | GeneratorSpec::CrashRecovery { inner, .. }
-        | GeneratorSpec::CrashAfter { inner, .. } => 1 + decorator_depth(inner),
-        GeneratorSpec::Flapping { filler, .. } => 1 + decorator_depth(filler),
-        _ => 0,
+        GeneratorSpec::SetTimely { .. } | GeneratorSpec::Eventually { .. } => 0,
+        _ => spec.child().map_or(0, |inner| 1 + decorator_depth(inner)),
     }
 }
 
 /// Strips the outermost wrapper, if any (the decorator-unstacking
-/// mutation; also used by the shrinker's drop-a-layer pass).
+/// mutation).
 pub fn unstack(spec: &GeneratorSpec) -> Option<GeneratorSpec> {
-    match spec {
-        GeneratorSpec::GrayFailure { inner, .. }
-        | GeneratorSpec::BurstClog { inner, .. }
-        | GeneratorSpec::CrashRecovery { inner, .. }
-        | GeneratorSpec::CrashAfter { inner, .. } => Some((**inner).clone()),
-        GeneratorSpec::Flapping { filler, .. } => Some((**filler).clone()),
-        GeneratorSpec::Eventually { body, .. } => Some((**body).clone()),
-        GeneratorSpec::SetTimely { filler, .. } => Some((**filler).clone()),
-        _ => None,
-    }
+    spec.child().cloned()
 }
 
 #[cfg(test)]
@@ -689,6 +694,34 @@ mod tests {
         );
         assert_eq!(unstack(&wrapped), Some(GeneratorSpec::round_robin()));
         assert_eq!(unstack(&GeneratorSpec::round_robin()), None);
+    }
+
+    /// Subsets at the edge of the `ProcSet` width: n = 63 still draws
+    /// `below(2^63)` (the pinned stream), n = 64 draws a whole word instead
+    /// of overflowing the shift, and both reach the top process.
+    #[test]
+    fn subsets_at_the_procset_width_do_not_overflow() {
+        for n in [63, 64] {
+            let m = SpecMutator::new(u(n));
+            let mut rng = SpecRng::new(n as u64);
+            let mut reference = rng.clone();
+            let mut seen = ProcSet::EMPTY;
+            for _ in 0..64 {
+                let word = reference.next_u64();
+                let expected = if n == 64 { word } else { word % (1 << 63) };
+                let subset = m.nonempty_subset(&mut rng);
+                assert_eq!(subset.bits(), expected, "n = {n}");
+                assert!(!subset.is_empty() && subset.iter().all(|p| p.index() < n));
+                seen = seen.union(subset);
+            }
+            assert_eq!(seen.len(), n, "every process is drawn at n = {n}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds PROCSET_CAPACITY")]
+    fn universes_wider_than_a_procset_are_rejected() {
+        SpecMutator::new(u(65));
     }
 
     /// No single emitted crash plan silences the whole universe (stacked

@@ -394,6 +394,42 @@ impl GeneratorSpec {
         }
     }
 
+    /// The one spec a decorator passes steps through: the `filler` of
+    /// `SetTimely`/`Flapping`, the `body` of `Eventually`, the `inner` of
+    /// `CrashAfter`/`GrayFailure`/`BurstClog`/`CrashRecovery`. `None` for
+    /// leaves and for `Replay`, whose carried spec is never built. Walks
+    /// over the decorator stack (shrinker, mutator, coverage fingerprint)
+    /// recurse through this instead of re-listing every variant.
+    pub fn child(&self) -> Option<&GeneratorSpec> {
+        match self {
+            GeneratorSpec::SetTimely { filler, .. } | GeneratorSpec::Flapping { filler, .. } => {
+                Some(filler)
+            }
+            GeneratorSpec::Eventually { body, .. } => Some(body),
+            GeneratorSpec::CrashAfter { inner, .. }
+            | GeneratorSpec::GrayFailure { inner, .. }
+            | GeneratorSpec::BurstClog { inner, .. }
+            | GeneratorSpec::CrashRecovery { inner, .. } => Some(inner),
+            _ => None,
+        }
+    }
+
+    /// [`child`](Self::child), mutably: `*spec.child_mut()? = reduced`
+    /// swaps the wrapped spec and keeps every other field of the layer.
+    pub fn child_mut(&mut self) -> Option<&mut GeneratorSpec> {
+        match self {
+            GeneratorSpec::SetTimely { filler, .. } | GeneratorSpec::Flapping { filler, .. } => {
+                Some(filler)
+            }
+            GeneratorSpec::Eventually { body, .. } => Some(body),
+            GeneratorSpec::CrashAfter { inner, .. }
+            | GeneratorSpec::GrayFailure { inner, .. }
+            | GeneratorSpec::BurstClog { inner, .. }
+            | GeneratorSpec::CrashRecovery { inner, .. } => Some(inner),
+            _ => None,
+        }
+    }
+
     /// Short family name for tables and labels.
     pub fn family(&self) -> &'static str {
         match self {
@@ -820,6 +856,39 @@ mod tests {
             GeneratorSpec::Replay { of: inner, .. } => assert_eq!(*inner, of),
             other => panic!("expected Replay, got {other:?}"),
         }
+    }
+
+    /// `child` names the pass-through spec of every decorator and nothing
+    /// else; `child_mut` swaps it in place.
+    #[test]
+    fn child_is_the_pass_through_spec() {
+        let leaf = GeneratorSpec::seeded_random(1);
+        let layers = [
+            GeneratorSpec::set_timely(set(&[0]), set(&[1]), 2, leaf.clone()),
+            GeneratorSpec::flapping(set(&[0]), set(&[1]), 2, leaf.clone(), (1, 2), (1, 2)),
+            GeneratorSpec::Eventually {
+                prefix: Box::new(GeneratorSpec::round_robin()),
+                prefix_len: 4,
+                body: Box::new(leaf.clone()),
+            },
+            leaf.clone()
+                .crashed(CrashPlan::new().crash(ProcessId::new(1), 3)),
+            GeneratorSpec::gray_failure(leaf.clone(), set(&[1]), 2),
+            GeneratorSpec::burst_clog(leaf.clone(), ProcessId::new(0), 4, (1, 2)),
+            GeneratorSpec::crash_recovery(leaf.clone(), ProcessId::new(0), 1, 2),
+        ];
+        for mut layer in layers {
+            assert_eq!(layer.child(), Some(&leaf), "{}", layer.family());
+            let before = layer.clone();
+            *layer.child_mut().unwrap() = GeneratorSpec::round_robin();
+            assert_eq!(layer.child(), Some(&GeneratorSpec::round_robin()));
+            *layer.child_mut().unwrap() = leaf.clone();
+            assert_eq!(layer, before, "only the child moved");
+        }
+        let mut replay = GeneratorSpec::replay(leaf.clone(), Schedule::from_indices([0]));
+        assert_eq!(replay.child(), None);
+        assert!(replay.child_mut().is_none());
+        assert_eq!(GeneratorSpec::round_robin().child(), None);
     }
 
     /// Specs are Send + Sync: a grid can be shipped to worker threads.

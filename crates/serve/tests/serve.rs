@@ -236,3 +236,49 @@ fn raw_frames_get_typed_protocol_errors() {
     let resp = read_frame(&mut sock).unwrap();
     assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
 }
+
+/// ISSUE 15: a scenario naming a process index `ProcessId::new` asserts on
+/// used to panic the accept thread and take the daemon down. It is a
+/// `malformed` request now, and the same daemon keeps answering.
+#[test]
+fn out_of_range_process_index_in_a_submit_is_malformed_not_fatal() {
+    let (addr, _handle) = spawn_daemon(ServeConfig::new(state_dir("evil")));
+    let exchange = |req: Json| {
+        let mut sock = TcpStream::connect(&addr).unwrap();
+        write_frame(&mut sock, &req).unwrap();
+        read_frame(&mut sock).unwrap()
+    };
+
+    let Json::Obj(mut scenario) =
+        st_campaign::store::encode_scenario(&fd_campaign().scenarios()[0])
+    else {
+        panic!("scenarios encode as objects");
+    };
+    let generator = Json::parse(r#"{"kind": "Figure1", "p1": 5000, "p2": 1, "q": 2}"#).unwrap();
+    scenario
+        .iter_mut()
+        .find(|(k, _)| k == "generator")
+        .unwrap()
+        .1 = generator;
+    let entry = Json::obj([("rank", Json::U64(0)), ("scenario", Json::Obj(scenario))]);
+    let resp = exchange(Json::obj([
+        ("proto", Json::str(PROTO)),
+        ("verb", Json::str("submit")),
+        ("key", Json::str("evil")),
+        ("entries", Json::arr([entry])),
+    ]));
+    assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+    let error = resp.get("error").expect("typed error");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("malformed"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(
+        message.contains("process index 5000 out of range"),
+        "{message}"
+    );
+
+    let hello = exchange(Json::obj([
+        ("proto", Json::str(PROTO)),
+        ("verb", Json::str("hello")),
+    ]));
+    assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
+}
