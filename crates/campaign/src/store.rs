@@ -33,6 +33,38 @@
 //! one per line in recording order (campaign key by campaign key, rank
 //! ascending within each).
 //!
+//! # One entry at a time
+//!
+//! A store can be far larger than anything else a sweep holds, so no path
+//! through this module holds one as a document. What stays resident per
+//! entry ([`StoreEntry`]) is the campaign key, the rank, the decoded
+//! outcome and the scenario spec as its **canonical text** — one
+//! allocation, written at [`record`](OutcomeStore::record) time, compared
+//! byte for byte by [`lookup`](OutcomeStore::lookup), copied as is into
+//! every line written. What a call holds on top of that is transient and
+//! bounded by one entry:
+//!
+//! - **Reading** ([`from_json_str`](OutcomeStore::from_json_str),
+//!   [`load`](OutcomeStore::load), a fetched page): [`read_document`]
+//!   walks `{"schema", "entries": [e, …]}` with a [`Cursor`], parses *one*
+//!   entry's tree, decodes it ([`StoreEntry::from_json`], the only entry
+//!   decoder) and drops it. Any whitespace and member order load; the
+//!   schema is judged before any entry; the answer is exactly what parsing
+//!   the whole text first would give. `load` also holds the file's text.
+//! - **Writing** ([`to_json_string`](OutcomeStore::to_json_string),
+//!   [`write_to`](OutcomeStore::write_to), [`save`](OutcomeStore::save),
+//!   [`write_page`](OutcomeStore::write_page)): one writer pushes each
+//!   entry's members straight into the output
+//!   ([`StoreEntry::write_json_line`], the only entry encoder; only the
+//!   outcome passes through a [`Json`] value). `save` streams through one
+//!   reused line buffer into a temp sibling and renames it into place
+//!   ([`write_atomic`]), so a failed or killed save leaves the previous
+//!   file whole.
+//!
+//! `tests/alloc_budget.rs` pins the live-byte high-water marks, and
+//! `tests/store_stream.rs` holds the reader to whole-document parsing on
+//! every layout, damage and truncation.
+//!
 //! # The codec
 //!
 //! This module is also the one place the wire format of scenarios and
@@ -50,9 +82,12 @@
 //! for PROTOCOL.md.
 
 use std::fmt;
-use std::path::Path;
+use std::fs::File;
+use std::io::{BufWriter, Write};
+use std::path::{Path, PathBuf};
 
 use st_agreement::StackKind;
+use st_core::json::{self, Cursor};
 use st_core::{
     AgreementViolation, Json, JsonError, ProcSet, ProcessId, Schedule, TimelyPair, Universe,
 };
@@ -130,8 +165,11 @@ pub struct StoreEntry {
     pub campaign: String,
     /// The scenario's permanent rank in that campaign.
     pub rank: usize,
-    /// The scenario spec, serialized canonically at recording time.
-    scenario: Json,
+    /// The scenario spec as canonical JSON text: written once, at recording
+    /// time (or re-canonicalized when a file is read), compared byte for
+    /// byte by [`lookup`](OutcomeStore::lookup) and copied as is into
+    /// every line written for the entry.
+    scenario: Box<str>,
     /// The outcome.
     pub outcome: ScenarioOutcome,
 }
@@ -144,28 +182,33 @@ impl StoreEntry {
 
     /// Appends the entry as the one-line JSON object a store file holds
     /// for it (no separator, no newline). This is the only entry encoder:
-    /// store files and `st-serve`'s segment log are both made of these
-    /// lines, which is what lets a log be compacted into a store without
-    /// changing a byte of any entry.
+    /// store files, `st-serve`'s segment log and its `fetch-outcomes` pages
+    /// are all made of these lines, which is what lets a log be compacted
+    /// into a store without changing a byte of any entry.
     pub fn write_json_line(&self, out: &mut String) {
-        let obj = Json::obj([
-            ("campaign", Json::str(self.campaign.clone())),
-            ("rank", Json::U64(self.rank as u64)),
-            ("scenario", self.scenario.clone()),
-            ("outcome", encode_outcome(&self.outcome)),
-        ]);
-        out.push_str(&obj.to_string());
+        out.push_str("{\"campaign\": ");
+        json::write_string(&self.campaign, out);
+        out.push_str(", \"rank\": ");
+        Json::U64(self.rank as u64).write(out);
+        out.push_str(", \"scenario\": ");
+        out.push_str(&self.scenario);
+        out.push_str(", \"outcome\": ");
+        encode_outcome(&self.outcome).write(out);
+        out.push('}');
     }
 
-    /// Decodes one entry object (the inverse of
+    /// Decodes one parsed entry object (the inverse of
     /// [`write_json_line`](Self::write_json_line) after `Json::parse`).
-    fn from_json(e: &Json) -> DecodeResult<StoreEntry> {
+    /// This is the only entry decoder: a store file, a segment-log line and
+    /// a fetched page each hand it one entry's tree and then drop the tree.
+    pub fn from_json(e: &Json) -> Result<StoreEntry, String> {
         let campaign = member(e, "campaign")?;
         let rank: usize = member(e, "rank")?;
         let scenario = e
             .get("scenario")
             .ok_or("missing field \"scenario\"")?
-            .clone();
+            .to_string()
+            .into_boxed_str();
         let outcome: ScenarioOutcome = member(e, "outcome")?;
         if outcome.rank != rank {
             return Err(format!(
@@ -180,6 +223,100 @@ impl StoreEntry {
             outcome,
         })
     }
+}
+
+/// Where a store document's fixed bytes go around its entry lines: a store
+/// is the same members in the same order in a file and in a frame, and
+/// differs only in whitespace.
+struct Layout {
+    open: &'static str,
+    after_schema: &'static str,
+    first: &'static str,
+    between: &'static str,
+    close: &'static str,
+}
+
+/// A store file: one entry per line.
+const FILE: Layout = Layout {
+    open: "{\n\"schema\": ",
+    after_schema: ",\n\"entries\": [",
+    first: "\n",
+    between: ",\n",
+    close: "\n]\n}\n",
+};
+
+/// A store inside a frame: what [`Json::to_string`] would write for the
+/// document.
+const WIRE: Layout = Layout {
+    open: "{\"schema\": ",
+    after_schema: ", \"entries\": [",
+    first: "",
+    between: ", ",
+    close: "]}",
+};
+
+/// The one store writer: the document holding `entries` in `layout`,
+/// appended to `out`. `sink` is handed `out` after the header, after every
+/// entry and after the footer — a streaming caller drains it there, so one
+/// line is all that is ever buffered. An entry after the first that would
+/// take the document past `budget` bytes ends it early; the number of
+/// entries written is returned.
+fn write_document(
+    entries: &[StoreEntry],
+    layout: &Layout,
+    budget: usize,
+    out: &mut String,
+    mut sink: impl FnMut(&mut String) -> std::io::Result<()>,
+) -> std::io::Result<usize> {
+    let start = out.len();
+    out.push_str(layout.open);
+    json::write_string(SCHEMA, out);
+    out.push_str(layout.after_schema);
+    let mut spent = out.len() - start + layout.close.len();
+    sink(out)?;
+    let mut written = 0usize;
+    for entry in entries {
+        let mark = out.len();
+        out.push_str(if written == 0 {
+            layout.first
+        } else {
+            layout.between
+        });
+        entry.write_json_line(out);
+        spent += out.len() - mark;
+        if spent > budget && written > 0 {
+            out.truncate(mark);
+            break;
+        }
+        written += 1;
+        sink(out)?;
+    }
+    out.push_str(layout.close);
+    sink(out)?;
+    Ok(written)
+}
+
+/// Writes `path` atomically: `write` fills a temp sibling (`<path>.tmp`)
+/// that is then renamed over `path` — a kill or a failure part-way never
+/// leaves half a document under `path`, and a failure leaves no temp file.
+pub fn write_atomic(
+    path: &Path,
+    write: impl FnOnce(&mut BufWriter<File>) -> std::io::Result<()>,
+) -> std::io::Result<()> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let written = File::create(&tmp).and_then(|file| {
+        let mut w = BufWriter::with_capacity(1 << 16, file);
+        write(&mut w)?;
+        // A dropped `BufWriter` swallows the last write's error.
+        w.flush()?;
+        std::fs::rename(&tmp, path)
+    });
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    written
 }
 
 /// A persistable, resumable collection of campaign outcomes. See the
@@ -221,7 +358,7 @@ impl OutcomeStore {
         let entry = StoreEntry {
             campaign: key.to_string(),
             rank: outcome.rank,
-            scenario: encode_scenario(scenario),
+            scenario: encode_scenario(scenario).to_string().into_boxed_str(),
             outcome: outcome.clone(),
         };
         let probe = self
@@ -238,11 +375,10 @@ impl OutcomeStore {
     /// serialization — the staleness guard resumption relies on.
     pub fn lookup(&self, key: &str, rank: usize, scenario: &Scenario) -> Option<ScenarioOutcome> {
         let entry = self.entry(key, rank)?;
-        if entry.scenario == encode_scenario(scenario) {
-            Some(entry.outcome.clone())
-        } else {
-            None
-        }
+        // Equal specs are equally long: the probe's text never regrows.
+        let mut probe = String::with_capacity(entry.scenario.len());
+        encode_scenario(scenario).write(&mut probe);
+        (*entry.scenario == probe).then(|| entry.outcome.clone())
     }
 
     /// The entry recorded under `(key, rank)`, if any: a binary search,
@@ -272,63 +408,77 @@ impl OutcomeStore {
     /// `(campaign, rank)` order.
     pub fn to_json_string(&self) -> String {
         let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&format!("\"schema\": {},\n", Json::str(SCHEMA)));
-        out.push_str("\"entries\": [");
-        for (i, entry) in self.entries.iter().enumerate() {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            entry.write_json_line(&mut out);
-        }
-        out.push_str("\n]\n}\n");
+        write_document(&self.entries, &FILE, usize::MAX, &mut out, |_| Ok(()))
+            .expect("the sink never fails");
         out
+    }
+
+    /// Streams [`to_json_string`](Self::to_json_string)'s bytes into `w`,
+    /// a line at a time through one reused line buffer.
+    pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
+        let mut line = String::new();
+        let drain = |line: &mut String| {
+            w.write_all(line.as_bytes())?;
+            line.clear();
+            Ok(())
+        };
+        write_document(&self.entries, &FILE, usize::MAX, &mut line, drain).map(|_| ())
+    }
+
+    /// Writes the store file: [`write_to`](Self::write_to) a temp sibling,
+    /// renamed into place ([`write_atomic`]) — a save that fails or is
+    /// killed leaves the previous file as it was.
+    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
+        write_atomic(path.as_ref(), |w| self.write_to(w))?;
+        Ok(())
+    }
+
+    /// Appends to `out` the store document holding the entries from index
+    /// `from` on, as it travels in a frame (no newlines: what
+    /// `Json::to_string` writes for the document), stopping before an entry
+    /// — other than the first — that would take the document past
+    /// `max_bytes`. Returns the index of the first entry left out
+    /// (`len()` when the page reaches the end): the next page's `from`.
+    pub fn write_page(&self, from: usize, max_bytes: usize, out: &mut String) -> usize {
+        let rest = self.entries.get(from..).unwrap_or_default();
+        let written =
+            write_document(rest, &WIRE, max_bytes, out, |_| Ok(())).expect("the sink never fails");
+        from + written
+    }
+
+    /// A store of already-decoded entries. They are put in canonical order
+    /// whatever order they came in (writer-produced files are already
+    /// sorted; hand-reordered ones are re-canonicalized so `record`'s
+    /// sorted insertion stays valid). Duplicate keys would make lookups
+    /// ambiguous — they are rejected.
+    pub fn from_entries(mut entries: Vec<StoreEntry>) -> Result<Self, StoreError> {
+        // Strictly increasing is sorted and duplicate-free in one pass;
+        // only a file someone reordered pays for the sort.
+        let ordered = entries
+            .windows(2)
+            .all(|w| w[0].sort_key() < w[1].sort_key());
+        if !ordered {
+            entries.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
+            if let Some(w) = entries
+                .windows(2)
+                .find(|w| w[0].sort_key() == w[1].sort_key())
+            {
+                return Err(StoreError::Malformed(format!(
+                    "duplicate entries for campaign {:?} rank {}",
+                    w[0].campaign, w[0].rank
+                )));
+            }
+        }
+        Ok(OutcomeStore { entries })
     }
 
     /// Parses a store document, verifying the schema version first.
     pub fn from_json_str(text: &str) -> Result<Self, StoreError> {
-        Self::from_json(&Json::parse(text)?)
-    }
-
-    /// Decodes an already-parsed store document (a fetched wire frame, a
-    /// replayed segment log), verifying the schema version first.
-    pub fn from_json(doc: &Json) -> Result<Self, StoreError> {
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
-            .ok_or_else(|| StoreError::Malformed("missing \"schema\" string".into()))?;
-        if schema != SCHEMA {
-            return Err(StoreError::SchemaMismatch {
-                found: schema.to_string(),
-                expected: SCHEMA,
-            });
-        }
-        let raw = doc
-            .get("entries")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| StoreError::Malformed("missing \"entries\" array".into()))?;
-        let mut entries = Vec::with_capacity(raw.len());
-        for (i, e) in raw.iter().enumerate() {
-            let entry = StoreEntry::from_json(e)
-                .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?;
-            entries.push(entry);
-        }
-        // Canonical order regardless of file order (writer-produced files
-        // are already sorted; hand-reordered ones are re-canonicalized so
-        // `record`'s sorted insertion stays valid). Duplicate keys would
-        // make lookups ambiguous — reject them.
-        entries.sort_by(|a, b| a.sort_key().cmp(&b.sort_key()));
-        if let Some(w) = entries
-            .windows(2)
-            .find(|w| w[0].sort_key() == w[1].sort_key())
-        {
-            return Err(StoreError::Malformed(format!(
-                "duplicate entries for campaign {:?} rank {}",
-                w[0].campaign, w[0].rank
-            )));
-        }
-        debug_assert!(entries
-            .windows(2)
-            .all(|w| w[0].sort_key() < w[1].sort_key()));
-        Ok(OutcomeStore { entries })
+        let mut cur = Cursor::new(text);
+        cur.skip_ws();
+        let read = read_document(&mut cur)?;
+        cur.finish()?;
+        Self::from_entries(read?)
     }
 
     /// Loads a store file.
@@ -336,12 +486,100 @@ impl OutcomeStore {
         let text = std::fs::read_to_string(path)?;
         Self::from_json_str(&text)
     }
+}
 
-    /// Writes the store file ([`to_json_string`](Self::to_json_string)).
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), StoreError> {
-        std::fs::write(path, self.to_json_string())?;
-        Ok(())
+/// What a store document says once it is known to be JSON: its entries, or
+/// why it is not a store this build reads.
+type Verdict = Result<Vec<StoreEntry>, StoreError>;
+
+/// The one store reader: walks the document `cur` stands on —
+/// `{"schema": …, "entries": [e, e, …]}` in any layout, a file's or a
+/// frame's — decoding one entry's tree at a time and dropping it, so the
+/// document is never held as one tree. It answers exactly what parsing
+/// the whole text and then decoding would: a syntax error anywhere is the
+/// `Err` (wherever a decoding problem sits), the first `"schema"` member is
+/// judged before any entry (wherever it sits), then a missing `"entries"`
+/// array, then the first entry that does not decode. Members it does not
+/// know, and repeats of the two it does, are checked for syntax and
+/// ignored. The entries come back in document order, not yet checked for
+/// order or duplicates ([`OutcomeStore::from_entries`]).
+pub fn read_document(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
+    let mut schema: Option<Result<(), StoreError>> = None;
+    let mut entries: Option<Verdict> = None;
+    // An "entries" member met before the schema was judged: decoded last.
+    let mut early: Option<Cursor<'_>> = None;
+    if cur.peek() == Some(b'{') {
+        let mut more = cur.open(b'{')?;
+        while more {
+            let key = cur.key()?;
+            if key == "schema" && schema.is_none() {
+                schema = Some(check_schema(&cur.value()?));
+            } else if key == "entries" && entries.is_none() && early.is_none() {
+                match schema {
+                    Some(Ok(())) => entries = Some(read_entries(cur)?),
+                    Some(Err(_)) => cur.skip()?,
+                    None => {
+                        early = Some(cur.clone());
+                        cur.skip()?;
+                    }
+                }
+            } else {
+                cur.skip()?;
+            }
+            more = cur.more(b'}')?;
+        }
+    } else {
+        cur.skip()?;
     }
+    if let Err(e) = schema.unwrap_or_else(|| Err(missing("\"schema\" string"))) {
+        return Ok(Err(e));
+    }
+    if let Some(mut at) = early {
+        entries = Some(read_entries(&mut at)?);
+    }
+    Ok(entries.unwrap_or_else(|| Err(missing("\"entries\" array"))))
+}
+
+/// A top-level member that is absent or of the wrong JSON type.
+fn missing(what: &str) -> StoreError {
+    StoreError::Malformed(format!("missing {what}"))
+}
+
+fn check_schema(schema: &Json) -> Result<(), StoreError> {
+    match schema.as_str() {
+        None => Err(missing("\"schema\" string")),
+        Some(SCHEMA) => Ok(()),
+        Some(found) => Err(StoreError::SchemaMismatch {
+            found: found.to_string(),
+            expected: SCHEMA,
+        }),
+    }
+}
+
+/// The `"entries"` member's value: one tree per entry, decoded and
+/// dropped. After the first entry that does not decode the rest is only
+/// checked for syntax.
+fn read_entries(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
+    if cur.peek() != Some(b'[') {
+        cur.skip()?;
+        return Ok(Err(missing("\"entries\" array")));
+    }
+    let mut verdict = Ok(Vec::new());
+    let mut more = cur.open(b'[')?;
+    while more {
+        match &mut verdict {
+            Ok(entries) => match StoreEntry::from_json(&cur.value()?) {
+                Ok(entry) => entries.push(entry),
+                Err(m) => {
+                    let index = entries.len();
+                    verdict = Err(StoreError::Malformed(format!("entry {index}: {m}")));
+                }
+            },
+            Err(_) => cur.skip()?,
+        }
+        more = cur.more(b']')?;
+    }
+    Ok(verdict)
 }
 
 // ---------------------------------------------------------------------------
@@ -940,6 +1178,106 @@ mod tests {
         match OutcomeStore::from_json_str(&duped) {
             Err(StoreError::Malformed(m)) => assert!(m.contains("duplicate"), "{m}"),
             other => panic!("expected Malformed, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_failed_save_leaves_the_previous_file_and_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("st-store-atomic-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("outcomes.json");
+        let files = || {
+            let mut names: Vec<_> = std::fs::read_dir(&dir)
+                .unwrap()
+                .map(|e| e.unwrap().file_name().into_string().unwrap())
+                .collect();
+            names.sort();
+            names
+        };
+
+        let scenario = sample_scenario(1);
+        let mut store = OutcomeStore::new();
+        store.record("T", &scenario, &scenario.run());
+        store.save(&path).unwrap();
+        let before = std::fs::read_to_string(&path).unwrap();
+        assert_eq!(before, store.to_json_string());
+        assert_eq!(files(), ["outcomes.json"]);
+
+        // A writer that dies part-way, past the buffer so bytes reached disk.
+        let failed = write_atomic(&path, |w| {
+            w.write_all(&vec![b'x'; 1 << 17])?;
+            Err(std::io::Error::other("disk full"))
+        });
+        assert_eq!(failed.unwrap_err().to_string(), "disk full");
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        assert_eq!(files(), ["outcomes.json"]);
+
+        // A save that cannot even start (the temp sibling's place is taken
+        // by a directory) fails the same way.
+        std::fs::create_dir(dir.join("outcomes.json.tmp")).unwrap();
+        assert!(matches!(store.save(&path), Err(StoreError::Io(_))));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), before);
+        std::fs::remove_dir(dir.join("outcomes.json.tmp")).unwrap();
+
+        // And the next good save replaces the file whole.
+        store.record("U", &scenario, &scenario.run());
+        store.save(&path).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path).unwrap(),
+            store.to_json_string()
+        );
+        assert_eq!(files(), ["outcomes.json"]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn pages_are_the_wire_document_in_bounded_pieces() {
+        let mut store = OutcomeStore::new();
+        for (rank, seed) in [(0usize, 1u64), (1, 2), (2, 3), (5, 4), (9, 5)] {
+            let scenario = sample_scenario(seed);
+            let mut outcome = scenario.run();
+            outcome.rank = rank;
+            store.record("E2", &scenario, &outcome);
+        }
+        // Unbounded, a page is the whole document exactly as the tree of
+        // the file would serialize: the bytes `fetch-outcomes` always sent.
+        let whole = Json::parse(&store.to_json_string()).unwrap().to_string();
+        let mut page = String::from("prefix");
+        assert_eq!(store.write_page(0, usize::MAX, &mut page), 5);
+        assert_eq!(&page["prefix".len()..], whole);
+
+        let empty = Json::parse(&OutcomeStore::new().to_json_string()).unwrap();
+        for from in [5, 6] {
+            let mut page = String::new();
+            assert_eq!(store.write_page(from, usize::MAX, &mut page), from);
+            assert_eq!(page, empty.to_string());
+        }
+
+        // Bounded, every page is a store document within the bound (or one
+        // entry), and the pages' entries are the store's, in order.
+        for bound in [
+            0,
+            1,
+            whole.len() / 5,
+            whole.len() / 2,
+            whole.len() - 1,
+            whole.len(),
+        ] {
+            let mut entries = Vec::new();
+            let mut from = 0usize;
+            while from < store.len() {
+                let mut page = String::new();
+                let next = store.write_page(from, bound, &mut page);
+                assert!(next > from, "a page holds at least one entry");
+                assert!(page.len() <= bound || next == from + 1, "bound {bound}");
+                let read = OutcomeStore::from_json_str(&page).expect("a page is a store");
+                assert_eq!(read.entries(), &store.entries()[from..next]);
+                entries.extend(read.entries().iter().cloned());
+                from = next;
+            }
+            let joined = OutcomeStore::from_entries(entries).unwrap();
+            assert_eq!(joined.to_json_string(), store.to_json_string());
         }
     }
 

@@ -1,11 +1,14 @@
-//! Heap-allocation budget of one E3-shaped scenario: the regression guard
-//! for "register metadata costs nothing until someone asks for it" that CI
-//! can run without a clock.
+//! Heap budgets CI can hold without a clock: the allocations of one
+//! E3-shaped scenario (the regression guard for "register metadata costs
+//! nothing until someone asks for it"), and the memory the outcome store
+//! needs to load and save (the guard for "store I/O holds one entry's
+//! tree at a time, never a document's").
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's
-//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls alike). This
-//! binary holds exactly one `#[test]`, so nothing else allocates on that
-//! thread while it measures.
+//! allocations (`alloc`, `alloc_zeroed` and `realloc` calls alike) and the
+//! bytes it has live, with their high-water mark. The tallies are per
+//! thread and every `#[test]` runs on its own, so the tests here do not
+//! see each other.
 //!
 //! Pinned on the ladder's cell, `(n, k, t) = (8, 3, 4)` at seed 1. Before
 //! registers were block-allocated with on-demand names, one
@@ -21,7 +24,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_agreement::AgreementStack;
-use st_campaign::{GeneratorSpec, Scenario, Workload};
+use st_campaign::{GeneratorSpec, OutcomeStore, Scenario, Workload};
 use st_core::{AgreementTask, ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
 
@@ -31,10 +34,24 @@ thread_local! {
     // Const-initialized and without a destructor: touching it from inside
     // the allocator neither allocates nor registers a TLS destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+    // Bytes this thread has allocated and not freed (wrapping: a block may
+    // be freed by another thread than the one that allocated it).
+    static LIVE: Cell<usize> = const { Cell::new(0) };
+    static PEAK: Cell<usize> = const { Cell::new(0) };
 }
 
-fn bump() {
+/// One allocator call that takes `size` more bytes.
+fn bump(size: usize) {
     ALLOCATIONS.with(|count| count.set(count.get() + 1));
+    let live = LIVE.with(|live| {
+        live.set(live.get().wrapping_add(size));
+        live.get()
+    });
+    PEAK.with(|peak| peak.set(peak.get().max(live)));
+}
+
+fn release(size: usize) {
+    LIVE.with(|live| live.set(live.get().wrapping_sub(size)));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -42,25 +59,29 @@ fn bump() {
 // data that the allocator itself never allocates for.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: the caller's `layout` is passed through as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        // Counted as the worst case, a move: the new block is live before
+        // the old one goes.
+        bump(new_size);
+        release(layout.size());
         // SAFETY: `ptr` came from this allocator, i.e. from `System`, with
         // `layout`; the caller guarantees `new_size` is valid for it.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        release(layout.size());
         // SAFETY: `ptr` came from this allocator, i.e. from `System`.
         unsafe { System.dealloc(ptr, layout) }
     }
@@ -74,6 +95,30 @@ fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
     let before = ALLOCATIONS.with(Cell::get);
     let out = f();
     (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+/// What running `f` cost the calling thread's heap.
+struct HeapUse<T> {
+    out: T,
+    allocations: u64,
+    /// High-water mark of live bytes while `f` ran, over what was live
+    /// when it started.
+    peak: usize,
+    /// Bytes still live when `f` returned, over the same baseline: what
+    /// `out` keeps.
+    kept: usize,
+}
+
+fn heap_use<T>(f: impl FnOnce() -> T) -> HeapUse<T> {
+    let base = LIVE.with(Cell::get);
+    PEAK.with(|peak| peak.set(base));
+    let (allocations, out) = allocations(f);
+    HeapUse {
+        out,
+        allocations,
+        peak: PEAK.with(Cell::get) - base,
+        kept: LIVE.with(Cell::get) - base,
+    }
 }
 
 const N: usize = 8;
@@ -142,4 +187,66 @@ fn e3_cell_scenario_stays_within_its_allocation_budget() {
         );
     }
     assert!(builds[2] <= run, "the build is part of the run");
+}
+
+/// Entries in the store the memory guard loads and saves.
+const STORE_ENTRIES: usize = 4096;
+/// Allocator calls per loaded entry. Measured 83: the entry's tree (a `Vec`
+/// per container, a `String` per key and string), the decoded outcome and
+/// the spec's canonical text. Keeping the spec as a tree, as the store did
+/// when a load cost 110, means cloning it: more than the headroom.
+const LOAD_ALLOCATIONS_PER_ENTRY: u64 = 95;
+/// What `save` may hold beyond the store itself: the file writer's buffer,
+/// one line and one outcome's tree.
+const SAVE_HEADROOM: usize = 256 * 1024;
+
+#[test]
+fn store_load_and_save_hold_one_entry_at_a_time() {
+    // An E3-shaped store: the cell's spec and outcome under 64 keys.
+    let scenario = e3_scenario(3, 1);
+    let mut outcome = scenario.run();
+    let mut store = OutcomeStore::new();
+    for i in 0..STORE_ENTRIES {
+        outcome.rank = i % 64;
+        store.record(&format!("sweep{:03}", i / 64), &scenario, &outcome);
+    }
+    let dir = std::env::temp_dir().join(format!("st-store-memory-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("store.json");
+    store.save(&path).unwrap();
+    let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
+
+    // Load: the file's text, the store being filled, one entry's tree.
+    let loaded = heap_use(|| OutcomeStore::load(&path).unwrap());
+    assert_eq!(loaded.out.len(), STORE_ENTRIES);
+    assert!(
+        loaded.peak <= file_bytes + loaded.kept + loaded.kept / 4,
+        "load peaked at {} live bytes for a {file_bytes}-byte file and a {}-byte store",
+        loaded.peak,
+        loaded.kept
+    );
+    let per_entry = loaded.allocations / STORE_ENTRIES as u64;
+    assert!(
+        per_entry <= LOAD_ALLOCATIONS_PER_ENTRY,
+        "load made {per_entry} allocations per entry (budget {LOAD_ALLOCATIONS_PER_ENTRY})"
+    );
+    // From text already in memory the same holds without the file.
+    let text = std::fs::read_to_string(&path).unwrap();
+    let parsed = heap_use(|| OutcomeStore::from_json_str(&text).unwrap());
+    assert!(
+        parsed.peak <= parsed.kept + parsed.kept / 4,
+        "from_json_str peaked at {} live bytes for a {}-byte store",
+        parsed.peak,
+        parsed.kept
+    );
+
+    // Save: streamed, so nothing of the document's size is ever live.
+    let saved = heap_use(|| loaded.out.save(&path).unwrap());
+    assert!(
+        saved.peak <= SAVE_HEADROOM,
+        "save held {} bytes beyond the store (budget {SAVE_HEADROOM})",
+        saved.peak
+    );
+    assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+    let _ = std::fs::remove_dir_all(&dir);
 }

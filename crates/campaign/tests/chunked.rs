@@ -135,22 +135,14 @@ fn stopped_then_resumed_completes_to_identical_bytes() {
 }
 
 /// The store a log-keeping caller rebuilds: `base`'s entries plus the
-/// logged entry lines, through the one store decoder.
+/// logged entry lines, through the one entry decoder.
 fn replayed(base: &OutcomeStore, log: &[String]) -> OutcomeStore {
-    let line = |entry: &StoreEntry| {
-        let mut out = String::new();
-        entry.write_json_line(&mut out);
-        out
-    };
-    let lines = base.entries().iter().map(line).chain(log.iter().cloned());
-    let doc = Json::obj([
-        ("schema", Json::str(st_campaign::store::SCHEMA)),
-        (
-            "entries",
-            Json::arr(lines.map(|l| Json::parse(&l).expect("entry lines are JSON"))),
-        ),
-    ]);
-    OutcomeStore::from_json(&doc).expect("base + fresh entries never collide")
+    let logged = log.iter().map(|line| {
+        let tree = Json::parse(line).expect("entry lines are JSON");
+        StoreEntry::from_json(&tree).expect("entry lines are entries")
+    });
+    let entries = base.entries().iter().cloned().chain(logged).collect();
+    OutcomeStore::from_entries(entries).expect("base + fresh entries never collide")
 }
 
 #[test]

@@ -151,7 +151,7 @@ proptest! {
         }
         let _ = decode_scenario(&scenario);
         let _ = decode_outcome(&outcome);
-        let _ = OutcomeStore::from_json(&whole);
+        let _ = OutcomeStore::from_json_str(&whole.to_string());
     }
 }
 

@@ -70,7 +70,13 @@ impl From<std::io::Error> for FrameError {
 
 /// Writes `payload` as one frame and flushes the writer.
 pub fn write_frame(w: &mut impl Write, payload: &Json) -> Result<(), FrameError> {
-    let text = payload.to_string();
+    write_frame_text(w, &payload.to_string())
+}
+
+/// Writes `text` — which must be canonical JSON, as [`Json::write`]
+/// produces it — as one frame and flushes the writer: [`write_frame`] for
+/// a sender that built its payload's text without building the value.
+pub fn write_frame_text(w: &mut impl Write, text: &str) -> Result<(), FrameError> {
     let len = text.len();
     if len > MAX_FRAME_BYTES {
         return Err(FrameError::TooLarge {
@@ -90,6 +96,13 @@ pub fn write_frame(w: &mut impl Write, payload: &Json) -> Result<(), FrameError>
 /// mid-prefix or mid-payload is a truncation and surfaces as
 /// [`FrameError::Io`].
 pub fn read_frame(r: &mut impl Read) -> Result<Json, FrameError> {
+    Json::parse(&read_frame_text(r)?).map_err(FrameError::Json)
+}
+
+/// Reads one frame's payload as text, checked to be UTF-8 but not parsed:
+/// [`read_frame`] for a receiver that walks a large payload with a
+/// [`Cursor`](crate::json::Cursor) instead of holding it as one value.
+pub fn read_frame_text(r: &mut impl Read) -> Result<String, FrameError> {
     let mut prefix = [0u8; 4];
     let mut filled = 0usize;
     while filled < prefix.len() {
@@ -113,8 +126,7 @@ pub fn read_frame(r: &mut impl Read) -> Result<Json, FrameError> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    let text = std::str::from_utf8(&payload).map_err(FrameError::Utf8)?;
-    Json::parse(text).map_err(FrameError::Json)
+    String::from_utf8(payload).map_err(|e| FrameError::Utf8(e.utf8_error()))
 }
 
 #[cfg(test)]

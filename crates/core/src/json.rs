@@ -19,6 +19,10 @@
 //! The parser is a plain recursive-descent over the full JSON grammar
 //! (minus floats/negatives, plus a depth cap), returning byte-offset
 //! errors; it accepts any whitespace, so hand-edited stores still load.
+//! It is public as [`Cursor`], so a reader of a large document can take it
+//! one element at a time instead of as one tree, and the writer is public
+//! as [`Json::write`] / [`write_string`], so a writer can append to a
+//! buffer it already holds.
 
 use std::fmt;
 
@@ -114,12 +118,15 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the canonical serialization ([`to_string`](Self::to_string)'s
+    /// bytes) to `out`: how a writer that already holds a buffer — a store
+    /// line, a frame — adds a value without a `String` per value.
+    pub fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::U64(v) => out.push_str(&v.to_string()),
+            Json::U64(v) => write_u64(*v, out),
             Json::Str(s) => write_string(s, out),
             Json::Arr(items) => {
                 out.push('[');
@@ -149,14 +156,10 @@ impl Json {
     /// Parses a complete JSON document (one value, optionally surrounded by
     /// whitespace).
     pub fn parse(text: &str) -> Result<Json, JsonError> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        skip_ws(bytes, &mut pos);
-        let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(JsonError::at(pos, "trailing content after the document"));
-        }
+        let mut cur = Cursor::new(text);
+        cur.skip_ws();
+        let value = cur.value()?;
+        cur.finish()?;
         Ok(value)
     }
 }
@@ -167,21 +170,51 @@ impl fmt::Display for Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
+/// Decimal digits straight into the buffer (no `String` per number).
+fn write_u64(mut v: u64, out: &mut String) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
         }
     }
+    out.push_str(std::str::from_utf8(&digits[at..]).expect("ASCII digits"));
+}
+
+/// Appends `s` as a JSON string literal, escaped as [`Json::to_string`]
+/// escapes it. Runs without a character to escape are copied whole, the
+/// mirror of the parser's bulk copy.
+pub fn write_string(s: &str, out: &mut String) {
+    out.push('"');
+    let bytes = s.as_bytes();
+    let mut run_start = 0usize;
+    for (i, &b) in bytes.iter().enumerate() {
+        // Every byte that needs an escape is ASCII, so it is never inside a
+        // multi-byte character and both sides of it are valid UTF-8.
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run_start..i]);
+        run_start = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                const HEX: &[u8; 16] = b"0123456789abcdef";
+                out.push_str("\\u00");
+                out.push(HEX[usize::from(b >> 4)] as char);
+                out.push(HEX[usize::from(b & 0xf)] as char);
+            }
+        }
+    }
+    out.push_str(&s[run_start..]);
     out.push('"');
 }
 
@@ -211,176 +244,263 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
-    }
+/// The parser, one step at a time: a position in a JSON text that can
+/// parse the value it stands on, skip it, or walk into a container
+/// element by element. [`Json::parse`] is `skip_ws`, [`value`](Self::value),
+/// [`finish`](Self::finish); a reader that must not hold a whole document
+/// as one tree (the outcome store) walks the outer containers itself and
+/// calls `value` per element — same grammar, same depth cap, same errors
+/// at the same offsets.
+///
+/// After any `Err` the cursor's position is unspecified; stop using it.
+#[derive(Clone, Debug)]
+pub struct Cursor<'a> {
+    text: &'a str,
+    pos: usize,
+    /// Containers entered so far (by `value` recursion or by `open`).
+    depth: usize,
 }
 
-fn expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), JsonError> {
-    if bytes.get(*pos) == Some(&byte) {
-        *pos += 1;
+impl<'a> Cursor<'a> {
+    /// A cursor at the start of `text`.
+    pub fn new(text: &'a str) -> Self {
+        Cursor {
+            text,
+            pos: 0,
+            depth: 0,
+        }
+    }
+
+    /// The byte offset the cursor stands at.
+    pub fn offset(&self) -> usize {
+        self.pos
+    }
+
+    /// The byte the cursor stands on, `None` at the end of the text.
+    pub fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Steps over whitespace (space, tab, LF, CR).
+    pub fn skip_ws(&mut self) {
+        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Steps over `byte`, or fails if the cursor stands on anything else.
+    pub fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
+        if self.peek() == Some(byte) {
+            self.pos += 1;
+            Ok(())
+        } else {
+            Err(self.error(format!("expected '{}'", byte as char)))
+        }
+    }
+
+    /// Steps over trailing whitespace and fails unless that ends the text.
+    pub fn finish(&mut self) -> Result<(), JsonError> {
+        self.skip_ws();
+        if self.pos == self.text.len() {
+            Ok(())
+        } else {
+            Err(self.error("trailing content after the document"))
+        }
+    }
+
+    fn error(&self, message: impl Into<String>) -> JsonError {
+        JsonError::at(self.pos, message)
+    }
+
+    /// Enters the container starting with `open` (`[` or `{`). `true`: the
+    /// cursor stands on the first element (or key); `false`: the container
+    /// was empty and is already closed.
+    pub fn open(&mut self, open: u8) -> Result<bool, JsonError> {
+        self.expect(open)?;
+        self.skip_ws();
+        if self.peek() == Some(open + 2) {
+            // `]` and `}` are two code points after `[` and `{`.
+            self.pos += 1;
+            return Ok(false);
+        }
+        self.depth += 1;
+        Ok(true)
+    }
+
+    /// After an element of the container that ends with `close` (`]` or
+    /// `}`): steps over `,` onto the next element (`true`), or over
+    /// `close` out of the container (`false`).
+    pub fn more(&mut self, close: u8) -> Result<bool, JsonError> {
+        self.skip_ws();
+        match self.peek() {
+            Some(b',') => {
+                self.pos += 1;
+                self.skip_ws();
+                Ok(true)
+            }
+            Some(b) if b == close => {
+                self.pos += 1;
+                self.depth -= 1;
+                Ok(false)
+            }
+            _ if close == b']' => Err(self.error("expected ',' or ']' in array")),
+            _ => Err(self.error("expected ',' or '}' in object")),
+        }
+    }
+
+    /// Parses an object member's key and steps over the `:` onto its value.
+    pub fn key(&mut self) -> Result<String, JsonError> {
+        let key = self.string()?;
+        self.skip_ws();
+        self.expect(b':')?;
+        self.skip_ws();
+        Ok(key)
+    }
+
+    /// Parses the value the cursor stands on and steps past it.
+    pub fn value(&mut self) -> Result<Json, JsonError> {
+        match self.container()? {
+            None => self.scalar(),
+            Some(b'[') => {
+                let mut items = Vec::new();
+                let mut more = self.open(b'[')?;
+                while more {
+                    items.push(self.value()?);
+                    more = self.more(b']')?;
+                }
+                Ok(Json::Arr(items))
+            }
+            Some(_) => {
+                let mut members = Vec::new();
+                let mut more = self.open(b'{')?;
+                while more {
+                    let key = self.key()?;
+                    members.push((key, self.value()?));
+                    more = self.more(b'}')?;
+                }
+                Ok(Json::Obj(members))
+            }
+        }
+    }
+
+    /// Steps past the value the cursor stands on, checking it exactly as
+    /// [`value`](Self::value) does but keeping nothing of it: memory stays
+    /// bounded by the longest string, however large the value.
+    pub fn skip(&mut self) -> Result<(), JsonError> {
+        let Some(open) = self.container()? else {
+            return self.scalar().map(drop);
+        };
+        let mut more = self.open(open)?;
+        while more {
+            if open == b'{' {
+                self.key()?;
+            }
+            self.skip()?;
+            more = self.more(open + 2)?;
+        }
         Ok(())
-    } else {
-        Err(JsonError::at(*pos, format!("expected '{}'", byte as char)))
     }
-}
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
-    if depth > MAX_DEPTH {
-        return Err(JsonError::at(*pos, "nesting too deep"));
-    }
-    match bytes.get(*pos) {
-        None => Err(JsonError::at(*pos, "unexpected end of input")),
-        Some(b'n') => parse_literal(bytes, pos, "null", Json::Null),
-        Some(b't') => parse_literal(bytes, pos, "true", Json::Bool(true)),
-        Some(b'f') => parse_literal(bytes, pos, "false", Json::Bool(false)),
-        Some(b'"') => Ok(Json::Str(parse_string(bytes, pos)?)),
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(Json::Arr(items));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                items.push(parse_value(bytes, pos, depth + 1)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(Json::Arr(items));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or ']' in array")),
-                }
-            }
+    /// The depth guard every value passes, then the opening byte if the
+    /// cursor stands on an array or object.
+    fn container(&self) -> Result<Option<u8>, JsonError> {
+        if self.depth > MAX_DEPTH {
+            return Err(self.error("nesting too deep"));
         }
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(Json::Obj(members));
+        Ok(self.peek().filter(|b| matches!(b, b'[' | b'{')))
+    }
+
+    fn scalar(&mut self) -> Result<Json, JsonError> {
+        match self.peek() {
+            None => Err(self.error("unexpected end of input")),
+            Some(b'n') => self.literal("null", Json::Null),
+            Some(b't') => self.literal("true", Json::Bool(true)),
+            Some(b'f') => self.literal("false", Json::Bool(false)),
+            Some(b'"') => Ok(Json::Str(self.string()?)),
+            Some(b'0'..=b'9') => self.number(),
+            Some(b'-') => {
+                Err(self.error("negative numbers are not used by this workspace's artifacts"))
             }
-            loop {
-                skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
-                skip_ws(bytes, pos);
-                expect(bytes, pos, b':')?;
-                skip_ws(bytes, pos);
-                let value = parse_value(bytes, pos, depth + 1)?;
-                members.push((key, value));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(Json::Obj(members));
-                    }
-                    _ => return Err(JsonError::at(*pos, "expected ',' or '}' in object")),
-                }
-            }
+            Some(c) => Err(self.error(format!("unexpected character '{}'", c as char))),
         }
-        Some(b'0'..=b'9') => parse_number(bytes, pos),
-        Some(b'-') => Err(JsonError::at(
-            *pos,
-            "negative numbers are not used by this workspace's artifacts",
-        )),
-        Some(&c) => Err(JsonError::at(
-            *pos,
-            format!("unexpected character '{}'", c as char),
-        )),
     }
-}
 
-fn parse_literal(
-    bytes: &[u8],
-    pos: &mut usize,
-    literal: &str,
-    value: Json,
-) -> Result<Json, JsonError> {
-    if bytes[*pos..].starts_with(literal.as_bytes()) {
-        *pos += literal.len();
-        Ok(value)
-    } else {
-        Err(JsonError::at(*pos, format!("expected '{literal}'")))
-    }
-}
-
-fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
-    let start = *pos;
-    while matches!(bytes.get(*pos), Some(b'0'..=b'9')) {
-        *pos += 1;
-    }
-    if matches!(bytes.get(*pos), Some(b'.' | b'e' | b'E')) {
-        return Err(JsonError::at(
-            *pos,
-            "floating-point numbers are not exact; artifacts use integers only",
-        ));
-    }
-    let text = std::str::from_utf8(&bytes[start..*pos]).expect("digits are ASCII");
-    text.parse::<u64>()
-        .map(Json::U64)
-        .map_err(|_| JsonError::at(start, "integer out of u64 range"))
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
-    expect(bytes, pos, b'"')?;
-    let mut out = String::new();
-    loop {
-        // Bulk-copy the run up to the next quote or escape. The input is a
-        // `&str` and the delimiters are ASCII, so the run is valid UTF-8.
-        let run_start = *pos;
-        while matches!(bytes.get(*pos), Some(b) if *b != b'"' && *b != b'\\') {
-            *pos += 1;
+    fn literal(&mut self, literal: &str, value: Json) -> Result<Json, JsonError> {
+        if self.text.as_bytes()[self.pos..].starts_with(literal.as_bytes()) {
+            self.pos += literal.len();
+            Ok(value)
+        } else {
+            Err(self.error(format!("expected '{literal}'")))
         }
-        if *pos > run_start {
-            out.push_str(
-                std::str::from_utf8(&bytes[run_start..*pos])
-                    .expect("ASCII-delimited slice of a str"),
+    }
+
+    fn number(&mut self) -> Result<Json, JsonError> {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
+            return Err(
+                self.error("floating-point numbers are not exact; artifacts use integers only")
             );
         }
-        match bytes.get(*pos) {
-            None => return Err(JsonError::at(*pos, "unterminated string")),
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
+        self.text[start..self.pos]
+            .parse::<u64>()
+            .map(Json::U64)
+            .map_err(|_| JsonError::at(start, "integer out of u64 range"))
+    }
+
+    /// Parses the string literal the cursor stands on.
+    pub fn string(&mut self) -> Result<String, JsonError> {
+        self.expect(b'"')?;
+        let bytes = self.text.as_bytes();
+        let mut out = String::new();
+        loop {
+            // Bulk-copy the run up to the next quote or escape. The
+            // delimiters are ASCII, so the run is a valid `str` slice.
+            let run_start = self.pos;
+            while matches!(bytes.get(self.pos), Some(b) if *b != b'"' && *b != b'\\') {
+                self.pos += 1;
             }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or_else(|| JsonError::at(*pos, "truncated \\u escape"))?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| JsonError::at(*pos, "non-ASCII \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| JsonError::at(*pos, "invalid \\u escape"))?;
-                        let c = char::from_u32(code).ok_or_else(|| {
-                            // Surrogate halves: the writer never emits them.
-                            JsonError::at(*pos, "unsupported \\u escape (surrogate)")
-                        })?;
-                        out.push(c);
-                        *pos += 4;
-                    }
-                    _ => return Err(JsonError::at(*pos, "invalid escape")),
+            out.push_str(&self.text[run_start..self.pos]);
+            match bytes.get(self.pos) {
+                None => return Err(self.error("unterminated string")),
+                Some(b'"') => {
+                    self.pos += 1;
+                    return Ok(out);
                 }
-                *pos += 1;
+                Some(_) => {
+                    // A backslash: the bulk copy stops nowhere else.
+                    self.pos += 1;
+                    match bytes.get(self.pos) {
+                        Some(b'"') => out.push('"'),
+                        Some(b'\\') => out.push('\\'),
+                        Some(b'/') => out.push('/'),
+                        Some(b'b') => out.push('\u{8}'),
+                        Some(b'f') => out.push('\u{c}'),
+                        Some(b'n') => out.push('\n'),
+                        Some(b'r') => out.push('\r'),
+                        Some(b't') => out.push('\t'),
+                        Some(b'u') => {
+                            let hex = bytes
+                                .get(self.pos + 1..self.pos + 5)
+                                .ok_or_else(|| self.error("truncated \\u escape"))?;
+                            let hex = std::str::from_utf8(hex)
+                                .map_err(|_| self.error("non-ASCII \\u escape"))?;
+                            let code = u32::from_str_radix(hex, 16)
+                                .map_err(|_| self.error("invalid \\u escape"))?;
+                            let c = char::from_u32(code).ok_or_else(|| {
+                                // Surrogate halves: the writer never emits them.
+                                self.error("unsupported \\u escape (surrogate)")
+                            })?;
+                            out.push(c);
+                            self.pos += 4;
+                        }
+                        _ => return Err(self.error("invalid escape")),
+                    }
+                    self.pos += 1;
+                }
             }
-            Some(_) => unreachable!("bulk copy stops only at quote, escape, or end"),
         }
     }
 }
@@ -388,6 +508,7 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn canonical_round_trip() {
@@ -443,6 +564,166 @@ mod tests {
         let text = v.to_string();
         assert_eq!(text, "\"line\\nbreak\\u0001end\"");
         assert_eq!(Json::parse(&text).unwrap(), v);
+    }
+
+    /// The writer this module had before it copied unescaped runs whole:
+    /// char by char, `format!` per control escape. Kept as the oracle.
+    fn write_string_reference(s: &str, out: &mut String) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    out.push_str(&format!("\\u{:04x}", c as u32));
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// Every control character, the two escaped printables, DEL, and the
+    /// first and last code points of each UTF-8 length.
+    fn string_pieces() -> Vec<String> {
+        let controls = (0u32..0x20).map(|c| char::from_u32(c).unwrap().to_string());
+        let others = [
+            "\"",
+            "\\",
+            "/",
+            " ",
+            "a",
+            "\u{7f}",
+            "\u{80}",
+            "é",
+            "\u{7ff}",
+            "\u{800}",
+            "€",
+            "\u{ffff}",
+            "\u{10000}",
+            "𝄞",
+            "\u{10ffff}",
+            "",
+        ];
+        controls.chain(others.map(str::to_string)).collect()
+    }
+
+    fn assert_written_as_the_reference_writes(s: &str) {
+        let mut expected = String::new();
+        write_string_reference(s, &mut expected);
+        let mut got = String::from("prefix");
+        write_string(s, &mut got);
+        assert_eq!(&got["prefix".len()..], expected, "{s:?}");
+        assert_eq!(Json::str(s).to_string(), expected);
+        assert_eq!(Json::parse(&expected).unwrap(), Json::str(s), "{s:?}");
+    }
+
+    #[test]
+    fn the_string_writer_matches_the_reference_on_every_pair_of_pieces() {
+        // Every escape next to every multi-byte boundary: at the start, at
+        // the end and inside a run.
+        let pieces = string_pieces();
+        for a in &pieces {
+            for b in &pieces {
+                assert_written_as_the_reference_writes(&format!("{a}{b}"));
+                assert_written_as_the_reference_writes(&format!("x{a}y{b}z"));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_string_writer_matches_the_reference_on_random_strings(
+            picks in prop::collection::vec(0usize..48, 0..40)
+        ) {
+            let pieces = string_pieces();
+            prop_assert_eq!(pieces.len(), 48);
+            let s: String = picks.iter().map(|&i| pieces[i].as_str()).collect();
+            assert_written_as_the_reference_writes(&s);
+        }
+    }
+
+    #[test]
+    fn integers_are_written_digit_for_digit() {
+        for v in [
+            0,
+            1,
+            9,
+            10,
+            99,
+            100,
+            12_345,
+            u64::from(u32::MAX),
+            u64::MAX - 1,
+            u64::MAX,
+        ] {
+            assert_eq!(Json::U64(v).to_string(), v.to_string());
+        }
+        let mut v = 1u64;
+        while let Some(next) = v.checked_mul(10) {
+            for w in [v - 1, v, v + 1] {
+                assert_eq!(Json::U64(w).to_string(), w.to_string());
+            }
+            v = next;
+        }
+    }
+
+    #[test]
+    fn a_cursor_walks_a_document_the_way_parse_reads_it() {
+        let text =
+            " {\"a\": [1, {\"b\": null}, \"x\"], \"skip\": {\"deep\": [[], {}]}, \"z\": 7 } ";
+        let whole = Json::parse(text).unwrap();
+        let mut cur = Cursor::new(text);
+        cur.skip_ws();
+        let mut members = Vec::new();
+        let mut more = cur.open(b'{').unwrap();
+        while more {
+            let key = cur.key().unwrap();
+            if key == "a" {
+                // Element by element.
+                let mut items = Vec::new();
+                let mut more = cur.open(b'[').unwrap();
+                while more {
+                    items.push(cur.value().unwrap());
+                    more = cur.more(b']').unwrap();
+                }
+                members.push((key, Json::Arr(items)));
+            } else if key == "skip" {
+                let mut probe = cur.clone();
+                cur.skip().unwrap();
+                members.push((key, probe.value().unwrap()));
+                assert_eq!(probe.offset(), cur.offset(), "skip and value step alike");
+            } else {
+                members.push((key, cur.value().unwrap()));
+            }
+            more = cur.more(b'}').unwrap();
+        }
+        cur.finish().unwrap();
+        assert_eq!(Json::Obj(members), whole);
+    }
+
+    #[test]
+    fn skip_and_value_fail_alike() {
+        let deep = "[".repeat(100) + &"]".repeat(100);
+        for bad in [
+            "[1, 2",
+            "{\"a\": 1.5}",
+            "[\"\\x\"]",
+            "{\"a\" 1}",
+            "[1,]",
+            "tru",
+            &deep,
+        ] {
+            let by_value = Cursor::new(bad).value().unwrap_err();
+            let by_skip = Cursor::new(bad).skip().unwrap_err();
+            assert_eq!(by_skip, by_value, "{bad:?}");
+            assert_eq!(Json::parse(bad).unwrap_err(), by_value, "{bad:?}");
+        }
     }
 
     #[test]

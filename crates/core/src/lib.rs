@@ -65,7 +65,7 @@ pub use agreementspec::{
 };
 pub use error::ModelError;
 pub use frame::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES};
-pub use json::{Json, JsonError};
+pub use json::{Cursor, Json, JsonError};
 pub use process::{ProcessId, Universe, MAX_PROCESSES, PROCSET_CAPACITY};
 pub use procset::{words_for, ProcSet, WideProcSet};
 pub use profile::SynchronyProfile;

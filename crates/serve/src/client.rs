@@ -5,8 +5,10 @@ use std::fmt;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use st_campaign::{Campaign, OutcomeStore, ScenarioOutcome};
-use st_core::frame::{read_frame, write_frame, FrameError};
+use st_campaign::store::read_document;
+use st_campaign::{Campaign, OutcomeStore, ScenarioOutcome, StoreEntry, StoreError};
+use st_core::frame::{read_frame_text, write_frame, FrameError};
+use st_core::json::{Cursor, JsonError};
 use st_core::Json;
 
 use crate::protocol::{self, campaign_entries, JobState, Verb};
@@ -101,14 +103,26 @@ impl ServeClient {
     }
 
     fn request(&self, verb: Verb, fields: Vec<(&'static str, Json)>) -> Result<Json, ClientError> {
+        self.exchange(verb, fields).map(|(resp, _)| resp)
+    }
+
+    /// One exchange: the success envelope, and the entries of its `store`
+    /// member if it has one.
+    fn exchange(
+        &self,
+        verb: Verb,
+        fields: Vec<(&'static str, Json)>,
+    ) -> Result<(Json, Option<StoreRead>), ClientError> {
         let mut sock = TcpStream::connect(&self.addr).map_err(|e| ClientError::Connect {
             addr: self.addr.clone(),
             source: e,
         })?;
         write_frame(&mut sock, &protocol::request(verb, fields)).map_err(ClientError::Frame)?;
-        let resp = read_frame(&mut sock).map_err(ClientError::Frame)?;
+        let text = read_frame_text(&mut sock).map_err(ClientError::Frame)?;
+        let (resp, store) =
+            read_response(&text).map_err(|e| ClientError::Frame(FrameError::Json(e)))?;
         match resp.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok(resp),
+            Some(true) => Ok((resp, store)),
             Some(false) => {
                 let field = |name: &str| {
                     resp.get("error")
@@ -201,16 +215,42 @@ impl ServeClient {
     /// job, the committed prefix of any other. A finished store's
     /// [`to_json_string`](OutcomeStore::to_json_string) reproduces the
     /// daemon's file bytes exactly (the store's parse→serialize round trip
-    /// is byte-stable).
+    /// is byte-stable). The store is fetched page by page (`from` / `next`,
+    /// see PROTOCOL.md), so its size is not bounded by the frame cap; the
+    /// job status returned is the last page's.
     pub fn fetch_store(&self, key: &str) -> Result<(JobStatus, OutcomeStore), ClientError> {
-        let resp = self.request(Verb::FetchOutcomes, vec![("key", Json::str(key))])?;
-        let job = self.job_from(&resp)?;
-        let doc = resp
-            .get("store")
-            .ok_or_else(|| ClientError::Malformed("response has no \"store\" field".into()))?;
-        let store = OutcomeStore::from_json(doc)
-            .map_err(|e| ClientError::Failed(format!("fetched store for {key:?}: {e}")))?;
-        Ok((job, store))
+        let failed =
+            |e: &dyn fmt::Display| ClientError::Failed(format!("fetched store for {key:?}: {e}"));
+        let mut entries: Vec<StoreEntry> = Vec::new();
+        loop {
+            let from = entries.len() as u64;
+            let (resp, page) = self.exchange(
+                Verb::FetchOutcomes,
+                vec![("key", Json::str(key)), ("from", Json::U64(from))],
+            )?;
+            let job = self.job_from(&resp)?;
+            let page = page
+                .ok_or_else(|| ClientError::Malformed("response has no \"store\" field".into()))?;
+            entries.extend(page.map_err(|e| failed(&e))?);
+            // A daemon from before paging ignores `from` and sends the
+            // whole store with no `next`: the same as a last page.
+            match resp.get("next").unwrap_or(&Json::Null) {
+                Json::Null => {
+                    let store = OutcomeStore::from_entries(entries).map_err(|e| failed(&e))?;
+                    return Ok((job, store));
+                }
+                // The next page starts where this one ended, and a page
+                // that is not the last is never empty.
+                Json::U64(next) if *next == entries.len() as u64 && *next > from => {}
+                next => {
+                    return Err(failed(&format_args!(
+                        "the page from entry {from} holds {} entries but names {next} as the \
+                         next page's start",
+                        entries.len() as u64 - from
+                    )))
+                }
+            }
+        }
     }
 
     /// The full client-side campaign run: submit, poll `status` every
@@ -255,4 +295,32 @@ impl ServeClient {
         }
         Ok(outcomes)
     }
+}
+
+/// A response's `store` member, as [`read_document`] answers it.
+type StoreRead = Result<Vec<StoreEntry>, StoreError>;
+
+/// Reads a response frame's text without holding it as one tree: the
+/// envelope as a value, except its `store` member, which the store's own
+/// reader decodes an entry at a time.
+fn read_response(text: &str) -> Result<(Json, Option<StoreRead>), JsonError> {
+    let mut cur = Cursor::new(text);
+    cur.skip_ws();
+    if cur.peek() != Some(b'{') {
+        return Ok((Json::parse(text)?, None));
+    }
+    let mut members = Vec::new();
+    let mut store = None;
+    let mut more = cur.open(b'{')?;
+    while more {
+        let key = cur.key()?;
+        if key == "store" && store.is_none() {
+            store = Some(read_document(&mut cur)?);
+        } else {
+            members.push((key, cur.value()?));
+        }
+        more = cur.more(b'}')?;
+    }
+    cur.finish()?;
+    Ok((Json::Obj(members), store))
 }

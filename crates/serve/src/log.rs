@@ -28,14 +28,18 @@
 //! is not an entry, means the file was damaged after it was written: that
 //! is a typed error and the job parks `broken` — a damaged log is never
 //! partly reused.
+//!
+//! Replay decodes a line at a time through the store's own entry decoder
+//! ([`StoreEntry::from_json`]): what is resident is the log's bytes and the
+//! decoded entries, never a document of them.
 
-use st_campaign::{store::SCHEMA, StoreEntry};
+use st_campaign::StoreEntry;
 use st_core::Json;
 
 /// What [`replay`] recovered.
 pub(crate) struct Replay {
-    /// The committed entries as parsed documents, in log order.
-    pub entries: Vec<Json>,
+    /// The committed entries, decoded, in log order.
+    pub entries: Vec<StoreEntry>,
     /// Bytes up to and including the last commit line; the rest of the
     /// file is a torn tail.
     pub committed_len: usize,
@@ -99,7 +103,10 @@ pub(crate) fn replay(log: &[u8]) -> Result<Replay, String> {
             format!("segment log is damaged: the segment committed at byte {line_start}: {e}")
         };
         for line in std::str::from_utf8(body).map_err(|e| damaged(&e))?.lines() {
-            entries.push(Json::parse(line).map_err(|e| damaged(&e))?);
+            let tree = Json::parse(line).map_err(|e| damaged(&e))?;
+            let entry = StoreEntry::from_json(&tree)
+                .map_err(|e| format!("entry {}: {e}", entries.len()))?;
+            entries.push(entry);
         }
         committed_len = pos;
         open_lines = 0;
@@ -110,10 +117,38 @@ pub(crate) fn replay(log: &[u8]) -> Result<Replay, String> {
     })
 }
 
-/// The store document holding `entries` (already-parsed entry objects).
-pub(crate) fn store_doc(entries: Vec<Json>) -> Json {
-    Json::obj([
-        ("schema", Json::str(SCHEMA)),
-        ("entries", Json::Arr(entries)),
-    ])
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn committed(body: &str) -> Vec<u8> {
+        let lines = body.lines().count();
+        let hash = fnv1a(body.as_bytes());
+        format!("{body}{{\"commit\": {lines}, \"hash\": {hash}}}\n").into_bytes()
+    }
+
+    /// Lines a commit vouches for that are not entries: the hash matches, so
+    /// this is a writer's bug or a forged log, and it reads as it always
+    /// has — the store decoder's words for the entry, the log's for the
+    /// line.
+    #[test]
+    fn committed_lines_that_are_not_entries_are_damage() {
+        let Err(not_an_entry) = replay(&committed("{\"x\": 1}\n")) else {
+            panic!("a non-entry line replayed");
+        };
+        assert_eq!(not_an_entry, "entry 0: missing field \"campaign\"");
+        let Err(not_json) = replay(&committed("{\"x\": 1\n")) else {
+            panic!("a non-JSON line replayed");
+        };
+        assert!(
+            not_json.starts_with(
+                "segment log is damaged: the segment committed at byte 8: JSON error at byte 7"
+            ),
+            "{not_json}"
+        );
+        // And nothing of a damaged log is kept: no entries come back.
+        let empty = replay(&committed("")).unwrap_or_else(|e| panic!("{e}"));
+        assert!(empty.entries.is_empty());
+        assert_eq!(empty.committed_len, committed("").len());
+    }
 }

@@ -16,6 +16,11 @@ use st_core::Json;
 /// "match exactly or be told what would", never silent coercion.
 pub const PROTO: &str = "st-serve/v1";
 
+/// Bound on the entry text of one `fetch-outcomes` page (8 MiB, an eighth
+/// of the frame cap): a page ends before the entry that would cross it,
+/// and always holds at least one entry.
+pub const PAGE_BYTES: usize = 8 * 1024 * 1024;
+
 /// Schema of the `job-<key>.spec.json` documents the daemon persists in
 /// its state directory (the durable half of a `submit`).
 pub const JOB_SCHEMA: &str = "st-serve/job-v1";
@@ -34,7 +39,8 @@ pub enum Verb {
     Cancel,
     /// Requeue an interrupted or cancelled job.
     Resume,
-    /// Return the job's outcome store document.
+    /// Return the job's outcome store document, whole or (with `from`) a
+    /// page of it.
     FetchOutcomes,
 }
 
@@ -88,11 +94,14 @@ pub enum ErrorKind {
     UnknownJob,
     /// A daemon-side failure (state-directory I/O, corrupt artifacts).
     Internal,
+    /// The response does not fit one frame: a `fetch-outcomes` without
+    /// `from` on a store past the frame cap. Ask again page by page.
+    TooLarge,
 }
 
 impl ErrorKind {
     /// Every kind, in documentation order.
-    pub const ALL: [ErrorKind; 7] = [
+    pub const ALL: [ErrorKind; 8] = [
         ErrorKind::Busy,
         ErrorKind::SchemaMismatch,
         ErrorKind::SpecMismatch,
@@ -100,6 +109,7 @@ impl ErrorKind {
         ErrorKind::UnknownVerb,
         ErrorKind::UnknownJob,
         ErrorKind::Internal,
+        ErrorKind::TooLarge,
     ];
 
     /// The kind's wire name.
@@ -112,6 +122,7 @@ impl ErrorKind {
             ErrorKind::UnknownVerb => "unknown-verb",
             ErrorKind::UnknownJob => "unknown-job",
             ErrorKind::Internal => "internal",
+            ErrorKind::TooLarge => "too-large",
         }
     }
 
@@ -187,6 +198,23 @@ pub fn ok_response(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Js
     ];
     members.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     Json::Obj(members)
+}
+
+/// A success envelope's text, `fields` and then whatever `tail` appends
+/// (`, "name": value` members, in canonical JSON): how `fetch-outcomes`
+/// puts a store page into its reply without the store ever being a
+/// [`Json`] value. The bytes are those [`ok_response`] would serialize to
+/// with the tail's members as further fields.
+pub fn ok_response_text(
+    fields: impl IntoIterator<Item = (&'static str, Json)>,
+    tail: impl FnOnce(&mut String),
+) -> String {
+    let mut text = ok_response(fields).to_string();
+    let close = text.pop();
+    debug_assert_eq!(close, Some('}'), "an envelope is an object");
+    tail(&mut text);
+    text.push('}');
+    text
 }
 
 /// Builds an error envelope:

@@ -44,14 +44,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
+use st_campaign::store::write_atomic;
 use st_campaign::{Campaign, ChunkControl, OutcomeStore, StoreError};
-use st_core::frame::{read_frame, write_frame};
+use st_core::frame::{read_frame, write_frame_text, MAX_FRAME_BYTES};
 use st_core::Json;
 
 use crate::log;
 use crate::protocol::{
-    decode_entries, error_response, job_spec, ok_response, validate_key, ErrorKind, JobState, Verb,
-    JOB_SCHEMA, PROTO,
+    decode_entries, error_response, job_spec, ok_response, ok_response_text, validate_key,
+    ErrorKind, JobState, Verb, JOB_SCHEMA, PAGE_BYTES, PROTO,
 };
 
 /// Daemon configuration (see `st-serve --help` for the CLI mapping).
@@ -197,14 +198,6 @@ fn log_path(dir: &Path, key: &str) -> PathBuf {
     dir.join(format!("job-{key}.store.log"))
 }
 
-/// Writes `path` atomically: a temp file, then a rename over the real one
-/// — a kill mid-write never leaves half a document under `path`.
-fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    let tmp = path.with_extension("json.tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 /// `Ok(None)` for a file that is not there; other errors stay errors.
 fn if_found<T>(read: std::io::Result<T>) -> std::io::Result<Option<T>> {
     match read {
@@ -215,19 +208,20 @@ fn if_found<T>(read: std::io::Result<T>) -> std::io::Result<Option<T>> {
 }
 
 /// Compaction, the one whole-store write of a job's life: the finished
-/// store goes to `job-<key>.store.json`, then the log goes away. A kill
-/// in between leaves both, and the store wins ([`recover`]).
+/// store is streamed to `job-<key>.store.json` (a temp sibling, renamed
+/// into place), then the log goes away. A kill in between leaves both, and
+/// the store wins ([`recover`]).
 fn compact(store: &OutcomeStore, dir: &Path, key: &str) -> std::io::Result<()> {
-    write_atomic(&store_path(dir, key), &store.to_json_string())?;
+    write_atomic(&store_path(dir, key), |w| store.write_to(w))?;
     if_found(std::fs::remove_file(log_path(dir, key))).map(|_| ())
 }
 
-/// A job's persisted outcomes, as a store document.
+/// A job's persisted outcomes, decoded.
 struct Recovered {
-    doc: Json,
-    /// `doc` is the compacted store file, not a replayed log.
+    store: OutcomeStore,
+    /// `store` is the compacted store file, not a replayed log.
     compacted: bool,
-    /// The log's committed length when `doc` came from it, else 0: what
+    /// The log's committed length when `store` came from it, else 0: what
     /// the log is truncated to before the worker appends to it again.
     log_len: u64,
 }
@@ -240,7 +234,7 @@ fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
     let store = store_path(dir, key);
     let compacted = |text: String| {
         Ok(Recovered {
-            doc: Json::parse(&text)?,
+            store: OutcomeStore::from_json_str(&text)?,
             compacted: true,
             log_len: 0,
         })
@@ -251,7 +245,7 @@ fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
     if let Some(bytes) = if_found(std::fs::read(log_path(dir, key)))? {
         let replay = log::replay(&bytes).map_err(StoreError::Malformed)?;
         return Ok(Recovered {
-            doc: log::store_doc(replay.entries),
+            store: OutcomeStore::from_entries(replay.entries)?,
             compacted: false,
             log_len: replay.committed_len as u64,
         });
@@ -261,7 +255,7 @@ fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
     match if_found(std::fs::read_to_string(&store))? {
         Some(text) => compacted(text),
         None => Ok(Recovered {
-            doc: log::store_doc(Vec::new()),
+            store: OutcomeStore::new(),
             compacted: false,
             log_len: 0,
         }),
@@ -274,7 +268,7 @@ fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
 /// an error), else an empty store. This is the daemon's own recovery path
 /// — what a restart resumes from and what `fetch-outcomes` serves.
 pub fn recover_store(state_dir: &Path, key: &str) -> Result<OutcomeStore, StoreError> {
-    OutcomeStore::from_json(&recover(state_dir, key)?.doc)
+    Ok(recover(state_dir, key)?.store)
 }
 
 /// Rebuilds the job table from the state directory (sorted by file name
@@ -325,10 +319,10 @@ fn load_spec(path: &Path) -> Result<(String, Campaign), String> {
 fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
     let (key, mut campaign) = load_spec(&dir.join(name))?;
     let total = campaign.len();
-    let recovered =
-        recover(dir, &key).and_then(|r| Ok((OutcomeStore::from_json(&r.doc)?, r.compacted)));
-    let (completed, state, broken) = match recovered {
-        Ok((store, compacted)) => {
+    let (completed, state, broken) = match recover(dir, &key) {
+        Ok(Recovered {
+            store, compacted, ..
+        }) => {
             let completed = campaign.skip_completed(&store, &key).len();
             if compacted {
                 // The store wins over a log that a kill between compaction's
@@ -421,15 +415,18 @@ fn execute(shared: &Shared, key: &str) -> Result<bool, Broken> {
     };
     let (_, campaign) =
         load_spec(&spec_path(dir, key)).map_err(|e| internal("reload the spec", &e))?;
-    let recovered = recover(dir, key).map_err(|e| broken_by(&e))?;
-    let resume = OutcomeStore::from_json(&recovered.doc).map_err(|e| broken_by(&e))?;
+    let Recovered {
+        store: resume,
+        log_len,
+        ..
+    } = recover(dir, key).map_err(|e| broken_by(&e))?;
     // Appends continue after the last committed segment: a torn tail (or,
     // when a store file won, a whole stale log) is cut off first.
     let mut log = std::fs::OpenOptions::new()
         .append(true)
         .create(true)
         .open(log_path(dir, key))
-        .and_then(|file| file.set_len(recovered.log_len).map(|()| file))
+        .and_then(|file| file.set_len(log_len).map(|()| file))
         .map_err(|e| internal("open the segment log", &e))?;
     let mut record = OutcomeStore::new();
     let mut append_error = None;
@@ -495,41 +492,58 @@ fn handle_conn(shared: &Shared, sock: &mut TcpStream) {
     let Ok(doc) = read_frame(sock) else {
         return; // poke connections and dropped peers land here
     };
-    let resp = dispatch(shared, &doc);
-    let _ = write_frame(sock, &resp);
+    let _ = write_frame_text(sock, &respond(shared, &doc));
 }
 
-fn dispatch(shared: &Shared, doc: &Json) -> Json {
-    let Some(proto) = doc.get("proto").and_then(Json::as_str) else {
-        return error_response(ErrorKind::Malformed, "request has no \"proto\" field");
-    };
-    if proto != PROTO {
-        return error_response(
-            ErrorKind::SchemaMismatch,
-            format!("protocol mismatch: peer speaks {proto:?}, this daemon speaks {PROTO:?}"),
-        );
-    }
-    let Some(verb) = doc.get("verb").and_then(Json::as_str) else {
-        return error_response(ErrorKind::Malformed, "request has no \"verb\" field");
-    };
-    match Verb::parse(verb) {
-        None => {
-            let known: Vec<&str> = Verb::ALL.into_iter().map(Verb::wire).collect();
-            error_response(
-                ErrorKind::UnknownVerb,
-                format!("unknown verb {verb:?} (known: {})", known.join(", ")),
-            )
-        }
-        Some(Verb::Hello) => ok_response([
+/// The response frame's text for request `doc`.
+fn respond(shared: &Shared, doc: &Json) -> String {
+    let resp = match request_verb(doc) {
+        Err(refusal) => refusal,
+        Ok(Verb::Hello) => ok_response([
             ("server", Json::str("st-serve")),
             ("store_schema", Json::str(st_campaign::store::SCHEMA)),
         ]),
-        Some(Verb::Submit) => submit(shared, doc),
-        Some(Verb::Status) => status(shared, doc),
-        Some(Verb::Cancel) => cancel(shared, doc),
-        Some(Verb::Resume) => resume(shared, doc),
-        Some(Verb::FetchOutcomes) => fetch_outcomes(shared, doc),
+        Ok(Verb::Submit) => submit(shared, doc),
+        Ok(Verb::Status) => status(shared, doc),
+        Ok(Verb::Cancel) => cancel(shared, doc),
+        Ok(Verb::Resume) => resume(shared, doc),
+        // The one reply too large to build as a value first.
+        Ok(Verb::FetchOutcomes) => match fetch_outcomes(shared, doc, PAGE_BYTES) {
+            Ok(text) => return text,
+            Err(refusal) => refusal,
+        },
+    };
+    resp.to_string()
+}
+
+/// The request's verb, once its envelope checks out; `Err` is the ready
+/// error response.
+fn request_verb(doc: &Json) -> Result<Verb, Json> {
+    let Some(proto) = doc.get("proto").and_then(Json::as_str) else {
+        return Err(error_response(
+            ErrorKind::Malformed,
+            "request has no \"proto\" field",
+        ));
+    };
+    if proto != PROTO {
+        return Err(error_response(
+            ErrorKind::SchemaMismatch,
+            format!("protocol mismatch: peer speaks {proto:?}, this daemon speaks {PROTO:?}"),
+        ));
     }
+    let Some(verb) = doc.get("verb").and_then(Json::as_str) else {
+        return Err(error_response(
+            ErrorKind::Malformed,
+            "request has no \"verb\" field",
+        ));
+    };
+    Verb::parse(verb).ok_or_else(|| {
+        let known: Vec<&str> = Verb::ALL.into_iter().map(Verb::wire).collect();
+        error_response(
+            ErrorKind::UnknownVerb,
+            format!("unknown verb {verb:?} (known: {})", known.join(", ")),
+        )
+    })
 }
 
 fn job_fields(job: &Job) -> Json {
@@ -632,7 +646,11 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
     }
 
     // Persist before acknowledging: a confirmed submit survives a kill.
-    if let Err(e) = write_atomic(&path, &(spec + "\n")) {
+    let written = write_atomic(&path, |w| {
+        w.write_all(spec.as_bytes())?;
+        w.write_all(b"\n")
+    });
+    if let Err(e) = written {
         return error_response(ErrorKind::Internal, format!("cannot persist job spec: {e}"));
     }
     jobs.push(Job {
@@ -709,34 +727,87 @@ fn resume(shared: &Shared, doc: &Json) -> Json {
     }
 }
 
-fn fetch_outcomes(shared: &Shared, doc: &Json) -> Json {
-    let key = match required_key(doc) {
-        Ok(key) => key,
-        Err(resp) => return resp,
+/// `fetch-outcomes`: the job's recovered outcomes as a store document —
+/// all of them for a request without `from` (the reply every client before
+/// paging expects, refused with a typed error when it cannot fit a frame),
+/// else the page starting at entry `from` and the index the next page
+/// starts at. Entries are indexed in store order, which a job only ever
+/// appends to, so a `from` stays good across the job's chunks and its
+/// compaction. The reply's text is written around the page's entry lines:
+/// the store is decoded ([`recover`]) but never a [`Json`] value. `Err` is
+/// the ready error response. (`page_bytes` is [`PAGE_BYTES`]; a parameter
+/// so tests can page a small store.)
+fn fetch_outcomes(shared: &Shared, doc: &Json, page_bytes: usize) -> Result<String, Json> {
+    let key = required_key(doc)?;
+    let from = match doc.get("from") {
+        None => None,
+        Some(from) => Some(
+            from.as_u64()
+                .and_then(|from| usize::try_from(from).ok())
+                .ok_or_else(|| {
+                    error_response(ErrorKind::Malformed, "\"from\" must be an entry index")
+                })?,
+        ),
     };
-    // Snapshot under the job-table lock, read and parse without it: the
+    // Snapshot under the job-table lock, read and decode without it: the
     // worker's per-chunk progress update and every `status` poll take the
     // same lock.
     let fields = {
         let jobs = shared.jobs.lock().expect("job table lock");
         let Some(job) = jobs.iter().find(|j| j.key == key) else {
-            return error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}"));
+            return Err(error_response(
+                ErrorKind::UnknownJob,
+                format!("no job under key {key:?}"),
+            ));
         };
         if let Some((kind, msg)) = &job.broken {
-            return error_response(*kind, msg.clone());
+            return Err(error_response(*kind, msg.clone()));
         }
         job_fields(job)
     };
-    match recover(&shared.cfg.state_dir, &key) {
-        Ok(recovered) => ok_response([("job", fields), ("store", recovered.doc)]),
+    let store = match recover(&shared.cfg.state_dir, &key) {
+        Ok(recovered) => recovered.store,
         Err(e) => {
             let (kind, msg) = broken_by(&e);
-            error_response(
+            return Err(error_response(
                 kind,
                 format!("cannot read outcome store for {key:?}: {msg}"),
-            )
+            ));
         }
+    };
+    let total = store.len();
+    if from.is_some_and(|from| from > total) {
+        return Err(error_response(
+            ErrorKind::Malformed,
+            format!("\"from\" is past the {total} entries job {key:?} has committed"),
+        ));
     }
+    // A request without `from` gets all of it or a refusal, never a part.
+    let bound = from.map_or(MAX_FRAME_BYTES, |_| page_bytes);
+    let mut next = total;
+    let text = ok_response_text([("job", fields)], |text| {
+        text.push_str(", \"store\": ");
+        next = store.write_page(from.unwrap_or(0), bound, text);
+        if from.is_some() {
+            text.push_str(", \"next\": ");
+            let next = if next < total {
+                Json::U64(next as u64)
+            } else {
+                Json::Null
+            };
+            next.write(text);
+        }
+    });
+    if text.len() > MAX_FRAME_BYTES || (from.is_none() && next < total) {
+        return Err(error_response(
+            ErrorKind::TooLarge,
+            format!(
+                "the reply for job {key:?} ({total} entries) does not fit one {MAX_FRAME_BYTES}-byte \
+                 frame — fetch it in pages: send \"from\": 0, then each reply's \"next\""
+            ),
+        ));
+    }
+    Ok(text)
 }
 
 #[cfg(test)]
@@ -765,6 +836,11 @@ mod tests {
             chunks_left: Mutex::new(None),
             cfg,
         }
+    }
+
+    /// The reply to `doc`, parsed.
+    fn dispatch(shared: &Shared, doc: &Json) -> Json {
+        Json::parse(&respond(shared, doc)).expect("a reply is canonical JSON")
     }
 
     fn tiny_campaign(seeds: std::ops::Range<u64>) -> Campaign {
@@ -1118,6 +1194,130 @@ mod tests {
             .and_then(|j| j.get("error"))
             .and_then(Json::as_str);
         assert!(text.unwrap().contains("segment log is damaged"), "{text:?}");
+    }
+
+    /// One `fetch-outcomes` page of `key` from entry `from`, with pages
+    /// bounded at `page_bytes`: the page's store and the reply's `next`.
+    fn fetch_page(
+        shared: &Shared,
+        key: &str,
+        from: usize,
+        page_bytes: usize,
+    ) -> (OutcomeStore, Option<usize>) {
+        let request = protocol::request(
+            Verb::FetchOutcomes,
+            [("key", Json::str(key)), ("from", Json::U64(from as u64))],
+        );
+        let text = fetch_outcomes(shared, &request, page_bytes).expect("the page is served");
+        let resp = Json::parse(&text).expect("a reply is canonical JSON");
+        assert_eq!(resp.to_string(), text, "and written canonically");
+        let store = resp.get("store").expect("store field").to_string();
+        let next = match resp.get("next").expect("a paged reply names the next page") {
+            Json::Null => None,
+            next => Some(next.as_u64().expect("an entry index") as usize),
+        };
+        let page = OutcomeStore::from_json_str(&store).expect("a page is a valid store");
+        assert!(
+            store.len() <= page_bytes || page.len() == 1,
+            "{}",
+            store.len()
+        );
+        (page, next)
+    }
+
+    /// Every page of `key` from entry `from` on, joined.
+    fn fetch_rest(shared: &Shared, key: &str, mut from: usize, page_bytes: usize) -> Vec<String> {
+        let mut lines = Vec::new();
+        loop {
+            let (page, next) = fetch_page(shared, key, from, page_bytes);
+            lines.extend(page.entries().iter().map(entry_line));
+            match next {
+                Some(next) => {
+                    assert_eq!(next, from + page.len(), "pages line up");
+                    from = next;
+                }
+                None => return lines,
+            }
+        }
+    }
+
+    fn entry_line(entry: &st_campaign::StoreEntry) -> String {
+        let mut line = String::new();
+        entry.write_json_line(&mut line);
+        line
+    }
+
+    #[test]
+    fn pages_of_a_running_job_are_committed_prefixes_and_survive_compaction() {
+        let mut shared = shared_with("st-serve-paging-test", 100);
+        let dir = shared.cfg.state_dir.clone();
+        let campaign = tiny_campaign(0..12);
+        let batch = batch_bytes("job", &campaign);
+        let batch_lines: Vec<String> = OutcomeStore::from_json_str(&batch)
+            .unwrap()
+            .entries()
+            .iter()
+            .map(entry_line)
+            .collect();
+        // Three entries to a page.
+        let page_bytes = 3 * batch_lines[0].len() + 100;
+
+        // Stopped after 4 chunks of 2: eight entries committed to the log.
+        shared.cfg.chunk = 2;
+        shared.chunks_left = Mutex::new(Some(4));
+        submit_and_run(&shared, "job", &campaign);
+        assert!(!store_path(&dir, "job").exists());
+        // The log holds them in the store's order: that is what makes an
+        // entry index mean the same thing before and after compaction.
+        let log = std::fs::read_to_string(log_path(&dir, "job")).unwrap();
+        let logged: Vec<&str> = log
+            .lines()
+            .filter(|l| l.starts_with("{\"campaign\""))
+            .collect();
+        assert_eq!(logged, batch_lines[..8]);
+
+        // The pages of the unfinished job: its committed prefix, no more.
+        assert_eq!(fetch_rest(&shared, "job", 0, page_bytes), batch_lines[..8]);
+        let (first, next) = fetch_page(&shared, "job", 0, page_bytes);
+        assert_eq!((first.len(), next), (3, Some(3)));
+        // A page from the very end is empty and last; past it, refused.
+        let (end, next) = fetch_page(&shared, "job", 8, page_bytes);
+        assert_eq!((end.len(), next), (0, None));
+        let past = protocol::request(
+            Verb::FetchOutcomes,
+            [("key", Json::str("job")), ("from", Json::U64(9))],
+        );
+        assert_eq!(error_kind(&dispatch(&shared, &past)), Some("malformed"));
+        let not_an_index = protocol::request(
+            Verb::FetchOutcomes,
+            [("key", Json::str("job")), ("from", Json::str("0"))],
+        );
+        assert_eq!(
+            error_kind(&dispatch(&shared, &not_an_index)),
+            Some("malformed")
+        );
+
+        // The job finishes and compacts between the first page and the
+        // second: the rest follows on without a gap, a repeat or a swap.
+        shared.shutdown.store(false, Ordering::SeqCst);
+        shared.chunks_left = Mutex::new(None);
+        *shared.jobs.lock().unwrap() = load_jobs(&dir);
+        submit_and_run(&shared, "job", &campaign);
+        assert!(store_path(&dir, "job").exists() && !log_path(&dir, "job").exists());
+        let mut lines: Vec<String> = first.entries().iter().map(entry_line).collect();
+        lines.extend(fetch_rest(&shared, "job", 3, page_bytes));
+        assert_eq!(lines, batch_lines);
+
+        // Without `from` the reply is what it always was: the whole store as
+        // one document, no `next`.
+        let whole = protocol::request(Verb::FetchOutcomes, [("key", Json::str("job"))]);
+        let resp = dispatch(&shared, &whole);
+        assert!(resp.get("next").is_none());
+        let expected = ok_response([
+            ("job", resp.get("job").unwrap().clone()),
+            ("store", Json::parse(&batch).unwrap()),
+        ]);
+        assert_eq!(respond(&shared, &whole), expected.to_string());
     }
 
     #[cfg(unix)]

@@ -282,3 +282,144 @@ fn out_of_range_process_index_in_a_submit_is_malformed_not_fatal() {
     ]));
     assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
 }
+
+/// A store past the frame cap — unfetchable while a store travelled as one
+/// frame — comes back page by page, byte-identical to the daemon's file;
+/// asking for it the old way is a typed refusal, not a partial store, and
+/// the daemon is none the worse for it.
+#[test]
+fn a_store_past_the_frame_cap_is_fetched_in_pages() {
+    // A label is written twice per entry (the spec and the outcome): two
+    // 17 MiB labels make a 68 MiB store.
+    let mut campaign = fd_campaign();
+    let small = campaign.scenarios()[0].clone();
+    for tag in ["a", "b"] {
+        let mut big = small.clone();
+        big.label = tag.repeat(17 * 1024 * 1024);
+        campaign.push(big);
+    }
+    let state = state_dir("oversize");
+    let mut cfg = ServeConfig::new(&state);
+    cfg.threads = 1;
+    let (addr, _handle) = spawn_daemon(cfg);
+    let client = ServeClient::new(&addr);
+    client
+        .submit("big", &campaign)
+        .expect("the spec fits a frame");
+    while client.status("big").unwrap().state != JobState::Done {
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let file = std::fs::read_to_string(state.join("job-big.store.json")).unwrap();
+    assert!(
+        file.len() > st_core::MAX_FRAME_BYTES,
+        "{} bytes",
+        file.len()
+    );
+    let (job, fetched) = client.fetch_store("big").expect("fetched in pages");
+    assert_eq!((job.state, job.completed), (JobState::Done, 10));
+    assert!(fetched.to_json_string() == file, "fetched store bytes");
+
+    let mut sock = TcpStream::connect(&addr).unwrap();
+    let unpaged =
+        st_serve::protocol::request(st_serve::Verb::FetchOutcomes, [("key", Json::str("big"))]);
+    write_frame(&mut sock, &unpaged).unwrap();
+    let whole = read_frame(&mut sock).unwrap();
+    let error = whole.get("error").expect("typed error");
+    assert_eq!(error.get("kind").and_then(Json::as_str), Some("too-large"));
+    let message = error.get("message").and_then(Json::as_str).unwrap();
+    assert!(message.contains("\"from\""), "{message}");
+    client.hello().expect("the daemon keeps answering");
+    let _ = std::fs::remove_dir_all(&state);
+}
+
+/// A daemon impersonator: answers each connection's one request with the
+/// next of `replies`.
+fn scripted_daemon(replies: Vec<Json>) -> (String, std::thread::JoinHandle<Vec<Json>>) {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let handle = std::thread::spawn(move || {
+        let mut requests = Vec::new();
+        for reply in replies {
+            let (mut sock, _) = listener.accept().unwrap();
+            requests.push(read_frame(&mut sock).unwrap());
+            write_frame(&mut sock, &reply).unwrap();
+        }
+        requests
+    });
+    (addr, handle)
+}
+
+#[test]
+fn the_client_joins_pages_that_line_up_and_rejects_ones_that_do_not() {
+    let campaign = fd_campaign();
+    let mut batch = OutcomeStore::new();
+    campaign.run_resumed(1, "job", None, Some(&mut batch));
+    let doc = Json::parse(&batch.to_json_string()).unwrap();
+    let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+    let page = |range: std::ops::Range<usize>, next: Option<Json>| {
+        let job = Json::obj([
+            ("key", Json::str("job")),
+            ("state", Json::str("done")),
+            ("total", Json::U64(8)),
+            ("completed", Json::U64(8)),
+        ]);
+        let store = Json::obj([
+            ("schema", Json::str(st_campaign::store::SCHEMA)),
+            ("entries", Json::Arr(entries[range].to_vec())),
+        ]);
+        let mut fields = vec![("job", job), ("store", store)];
+        fields.extend(next.map(|next| ("next", next)));
+        st_serve::protocol::ok_response(fields)
+    };
+    let froms = |requests: &[Json]| -> Vec<Option<u64>> {
+        requests
+            .iter()
+            .map(|r| r.get("from").and_then(Json::as_u64))
+            .collect()
+    };
+
+    // Three pages that line up: the store, byte for byte.
+    let (addr, daemon) = scripted_daemon(vec![
+        page(0..3, Some(Json::U64(3))),
+        page(3..4, Some(Json::U64(4))),
+        page(4..8, Some(Json::Null)),
+    ]);
+    let (_, fetched) = ServeClient::new(&addr).fetch_store("job").unwrap();
+    assert_eq!(fetched.to_json_string(), batch.to_json_string());
+    assert_eq!(
+        froms(&daemon.join().unwrap()),
+        [Some(0), Some(3), Some(4)],
+        "each page is asked for where the last one ended"
+    );
+
+    // A daemon from before paging ignores `from`: the whole store, no `next`.
+    let (addr, daemon) = scripted_daemon(vec![page(0..8, None)]);
+    let (_, fetched) = ServeClient::new(&addr).fetch_store("job").unwrap();
+    assert_eq!(fetched.to_json_string(), batch.to_json_string());
+    daemon.join().unwrap();
+
+    // Pages that do not line up are refused: a `next` that skips entries, one
+    // that stands still, one that is not an index.
+    for next in [Json::U64(5), Json::U64(0), Json::str("3")] {
+        let (addr, daemon) = scripted_daemon(vec![page(0..3, Some(next.clone()))]);
+        match ServeClient::new(&addr).fetch_store("job") {
+            Err(ClientError::Failed(message)) => {
+                assert!(message.contains("next page's start"), "{message}")
+            }
+            other => panic!("next {next}: expected a typed failure, got {other:?}"),
+        }
+        daemon.join().unwrap();
+    }
+    // So is a page that repeats what an earlier one held (the index moved
+    // under the client): the joined store has a duplicate.
+    let (addr, daemon) = scripted_daemon(vec![
+        page(0..3, Some(Json::U64(3))),
+        page(2..5, Some(Json::Null)),
+    ]);
+    match ServeClient::new(&addr).fetch_store("job") {
+        Err(ClientError::Failed(message)) => assert!(message.contains("duplicate"), "{message}"),
+        other => panic!("expected a typed failure, got {other:?}"),
+    }
+    daemon.join().unwrap();
+}
