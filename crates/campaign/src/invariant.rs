@@ -4,12 +4,19 @@
 //! [`Scenario::run`](crate::Scenario::run) assembles an [`InvariantChecker`]
 //! from the scenario's own spec — which timeliness guarantee the generator
 //! makes by construction, which crash/outage windows it promises — and
-//! replays those claims against the run's evidence: the recorded executed
-//! [`Schedule`], the agreement checker's verdicts, the Paxos ballot
-//! registers, and the FD stabilization judgment. Violations land in
+//! holds the run to it. The claims about the executed schedule are
+//! **watched, not replayed**: the checker hands out a `ScheduleWatch` that
+//! the drive feeds every step it executes (block by block on the fleets, one
+//! pull at a time elsewhere), so no run keeps its schedule to be certified —
+//! the watch's whole state is a few counters per claim. The rest of the
+//! evidence is read off the finished run: the agreement checker's verdicts,
+//! the Paxos ballot registers, and the FD stabilization judgment.
+//! Violations land in
 //! [`ScenarioOutcome::violations`](crate::ScenarioOutcome) as typed values
-//! the store codec round-trips; when any fire, the executed schedule is
-//! kept as a replayable counterexample.
+//! the store codec round-trips. When any fire — and only then — the
+//! counterexample is **rebuilt**: the executed schedule is a pure function
+//! of (generator spec, seed, steps executed), so the scenario regenerates
+//! exactly the prefix the watch saw.
 //!
 //! What is armed for which workload:
 //!
@@ -23,6 +30,10 @@
 //! - **FdConvergence** — accusation sanity: a stabilized winnerset must
 //!   contain a correct process (all-correct-accused-forever contradicts
 //!   Lemma 22); guarantee and crash-window certification as above.
+//! - **Lean / WideFd fleets** — leader sanity (a stabilized leader must be
+//!   correct), consensus agreement, and accusation sanity at any width;
+//!   guarantee and crash-window certification as above, with a process a
+//!   `ProcSet` cannot name (index ≥ 64) counted in neither `P` nor `Q`.
 //! - **Adversarial / BG** — nothing: the adversary *aims* for
 //!   non-termination and owns its schedule, and the BG reduction does not
 //!   expose an executed host schedule; their existing verdict fields
@@ -31,8 +42,7 @@
 use std::fmt;
 
 use st_agreement::PaxosRecord;
-use st_core::timeliness::empirical_bound;
-use st_core::{AgreementViolation, ProcSet, ProcessId, Schedule, TimelyPair, Value};
+use st_core::{AgreementViolation, ProcSet, ProcessId, TimelyPair, Value, PROCSET_CAPACITY};
 use st_sched::GeneratorSpec;
 
 use crate::scenario::{OutcomeData, Scenario, Workload};
@@ -177,18 +187,127 @@ impl fmt::Display for InvariantViolation {
     }
 }
 
-/// Evidence a workload drive hands the checker alongside its outcome data.
-#[derive(Default)]
-pub(crate) struct Evidence {
-    /// The executed schedule, when the drive recorded one.
-    pub executed: Option<Schedule>,
-    /// Per-instance Paxos registers `(n, records[instance][process])`, when
-    /// the stack exposed them.
-    pub ballots: Option<(usize, Vec<Vec<PaxosRecord>>)>,
+/// Per-instance Paxos registers `(n, records[instance][process])` an
+/// agreement stack exposes to the ballot-ownership check.
+pub(crate) type Ballots = (usize, Vec<Vec<PaxosRecord>>);
+
+/// A run's schedule claims, certified online: the drive feeds the watch
+/// every step it executes, in order, and the watch keeps O(1) state per
+/// claim — for the armed guarantee the current and the longest `Q`-run
+/// without a `P`-step (what [`empirical_bound`] scans a whole schedule
+/// for), for each absence window the first position its process stepped
+/// inside it (what [`certify_absence_window`] returns). Handed out by
+/// [`InvariantChecker::watch`]; its verdicts are appended by
+/// [`InvariantChecker::check`].
+///
+/// [`empirical_bound`]: st_core::timeliness::empirical_bound
+/// [`certify_absence_window`]: st_sched::validate::certify_absence_window
+pub(crate) struct ScheduleWatch {
+    /// Steps fed so far: the length of the executed schedule.
+    seen: u64,
+    guarantee: Option<GuaranteeWatch>,
+    windows: Vec<WindowWatch>,
+}
+
+struct GuaranteeWatch {
+    pair: TimelyPair,
+    /// `Q`-steps since the last `P`-step.
+    run: usize,
+    /// Longest such run so far.
+    max_run: usize,
+}
+
+struct WindowWatch {
+    process: ProcessId,
+    from: u64,
+    to: u64,
+    /// First position in `[from, to)` at which `process` stepped.
+    offence: Option<u64>,
+}
+
+impl ScheduleWatch {
+    fn new(guarantee: Option<TimelyPair>, windows: &[(ProcessId, u64, u64)]) -> Self {
+        ScheduleWatch {
+            seen: 0,
+            guarantee: guarantee.map(|pair| GuaranteeWatch {
+                pair,
+                run: 0,
+                max_run: 0,
+            }),
+            windows: windows
+                .iter()
+                .map(|&(process, from, to)| WindowWatch {
+                    process,
+                    from,
+                    to,
+                    offence: None,
+                })
+                .collect(),
+        }
+    }
+
+    /// Feeds the next executed steps, in schedule order.
+    pub(crate) fn observe(&mut self, steps: &[ProcessId]) {
+        if let Some(g) = &mut self.guarantee {
+            // A process a `ProcSet` cannot name is in neither `P` nor `Q`.
+            let member =
+                |set: ProcSet, p: ProcessId| p.index() < PROCSET_CAPACITY && set.contains(p);
+            for &step in steps {
+                if member(g.pair.p, step) {
+                    g.run = 0;
+                } else if member(g.pair.q, step) {
+                    g.run += 1;
+                    g.max_run = g.max_run.max(g.run);
+                }
+            }
+        }
+        let end = self.seen + steps.len() as u64;
+        for w in &mut self.windows {
+            if w.offence.is_some() || end <= w.from || w.to <= self.seen {
+                continue;
+            }
+            // The part of `steps` inside the window, as offsets.
+            let lo = w.from.saturating_sub(self.seen) as usize;
+            let hi = (w.to.min(end) - self.seen) as usize;
+            if let Some(at) = steps[lo..hi].iter().position(|&step| step == w.process) {
+                w.offence = Some(self.seen + (lo + at) as u64);
+            }
+        }
+        self.seen = end;
+    }
+
+    /// Steps fed so far — how much schedule the run executed.
+    pub(crate) fn steps_seen(&self) -> u64 {
+        self.seen
+    }
+
+    /// The claims the fed schedule broke: the guarantee first, then the
+    /// windows in spec order.
+    fn verdicts(&self, violations: &mut Vec<InvariantViolation>) {
+        if let Some(g) = &self.guarantee {
+            let observed = g.max_run + 1;
+            if observed > g.pair.bound {
+                violations.push(InvariantViolation::GuaranteeBroken {
+                    p: g.pair.p,
+                    q: g.pair.q,
+                    bound: g.pair.bound,
+                    observed,
+                });
+            }
+        }
+        for w in &self.windows {
+            if let Some(position) = w.offence {
+                violations.push(InvariantViolation::CrashWindowResurrection {
+                    process: w.process.index(),
+                    position,
+                });
+            }
+        }
+    }
 }
 
 /// The claims a scenario's generator makes by construction, ready to be
-/// replayed against a finished run. Built by
+/// held against a run. Built by
 /// [`InvariantChecker::for_scenario`]; see the module docs for the rules.
 pub struct InvariantChecker {
     /// Root-level `SetTimely` guarantee, when it survives the faulty set.
@@ -249,8 +368,21 @@ impl InvariantChecker {
         self.windows.len()
     }
 
-    /// Replays every armed claim against the outcome and evidence.
-    pub(crate) fn check(&self, data: &OutcomeData, evidence: &Evidence) -> Vec<InvariantViolation> {
+    /// A fresh watch armed with this checker's schedule claims, for the
+    /// drive to feed while it runs.
+    pub(crate) fn watch(&self) -> ScheduleWatch {
+        ScheduleWatch::new(self.guarantee, &self.windows)
+    }
+
+    /// Judges the finished run: the outcome's own evidence, `ballots` when
+    /// the stack exposed its Paxos registers, then what `watch` — fed the
+    /// whole executed schedule — found of the schedule claims.
+    pub(crate) fn check(
+        &self,
+        data: &OutcomeData,
+        ballots: Option<&Ballots>,
+        watch: &ScheduleWatch,
+    ) -> Vec<InvariantViolation> {
         let mut violations = Vec::new();
         match data {
             OutcomeData::Agreement(a) => {
@@ -281,7 +413,7 @@ impl InvariantChecker {
                         }
                     }
                 }
-                if let Some((n, instances)) = &evidence.ballots {
+                if let Some((n, instances)) = ballots {
                     check_ballots(*n, instances, &mut violations);
                 }
             }
@@ -304,7 +436,7 @@ impl InvariantChecker {
                 // Faulty sets only name indices below the ProcSet capacity,
                 // so a larger leader index is trivially correct.
                 if let Some(st) = &l.stabilization {
-                    if st.leader < st_core::PROCSET_CAPACITY
+                    if st.leader < PROCSET_CAPACITY
                         && self.faulty.contains(ProcessId::new(st.leader))
                     {
                         violations
@@ -328,7 +460,7 @@ impl InvariantChecker {
                 if let Some(st) = &w.stabilization {
                     let all_faulty = !st.members.is_empty()
                         && st.members.iter().all(|&m| {
-                            m < st_core::PROCSET_CAPACITY && self.faulty.contains(ProcessId::new(m))
+                            m < PROCSET_CAPACITY && self.faulty.contains(ProcessId::new(m))
                         });
                     if all_faulty {
                         violations.push(InvariantViolation::AccusedTimelyWinnerset {
@@ -339,27 +471,7 @@ impl InvariantChecker {
             }
             OutcomeData::Adversarial(_) | OutcomeData::Bg(_) => {}
         }
-        if let Some(s) = &evidence.executed {
-            if let Some(g) = &self.guarantee {
-                let observed = empirical_bound(s, g.p, g.q);
-                if observed > g.bound {
-                    violations.push(InvariantViolation::GuaranteeBroken {
-                        p: g.p,
-                        q: g.q,
-                        bound: g.bound,
-                        observed,
-                    });
-                }
-            }
-            for &(p, from, to) in &self.windows {
-                if let Err(position) = st_sched::validate::certify_absence_window(s, p, from, to) {
-                    violations.push(InvariantViolation::CrashWindowResurrection {
-                        process: p.index(),
-                        position,
-                    });
-                }
-            }
-        }
+        watch.verdicts(&mut violations);
         violations
     }
 }
@@ -427,5 +539,111 @@ fn spec_windows(spec: &GeneratorSpec) -> Vec<(ProcessId, u64, u64)> {
         } => vec![(*victim, *crash, *rejoin)],
         GeneratorSpec::Replay { of, .. } => spec_windows(of),
         _ => Vec::new(),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use st_core::timeliness::empirical_bound;
+    use st_core::Schedule;
+    use st_sched::validate::certify_absence_window;
+
+    /// What the offline certifiers make of the whole schedule — the oracle
+    /// the watch replaces. `empirical_bound` cannot be shown a step a
+    /// `ProcSet` cannot name; such steps are in neither set, so dropping
+    /// them leaves every `P`-free `Q`-run as it was.
+    fn offline(
+        s: &Schedule,
+        guarantee: Option<TimelyPair>,
+        windows: &[(ProcessId, u64, u64)],
+    ) -> Vec<InvariantViolation> {
+        let mut violations = Vec::new();
+        if let Some(g) = guarantee {
+            let nameable: Schedule = s.iter().filter(|p| p.index() < PROCSET_CAPACITY).collect();
+            let observed = empirical_bound(&nameable, g.p, g.q);
+            if observed > g.bound {
+                violations.push(InvariantViolation::GuaranteeBroken {
+                    p: g.p,
+                    q: g.q,
+                    bound: g.bound,
+                    observed,
+                });
+            }
+        }
+        for &(p, from, to) in windows {
+            if let Err(position) = certify_absence_window(s, p, from, to) {
+                violations.push(InvariantViolation::CrashWindowResurrection {
+                    process: p.index(),
+                    position,
+                });
+            }
+        }
+        violations
+    }
+
+    /// One window from a die: any process of the universe, a start up to a
+    /// few positions past the end, and one of four shapes — empty
+    /// (`from = to`), open-ended, short, or a second window on the previous
+    /// window's process.
+    fn window(die: u64, n: usize, len: u64, previous: Option<ProcessId>) -> (ProcessId, u64, u64) {
+        let from = (die >> 8) % (len + 4);
+        let short = from + 1 + (die >> 40) % 16;
+        let own = ProcessId::new((die % n as u64) as usize);
+        match (die >> 32) % 4 {
+            0 => (own, from, from),
+            1 => (own, from, u64::MAX),
+            2 => (own, from, short),
+            _ => (previous.unwrap_or(own), from, short),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn the_watch_fed_any_blocks_equals_the_offline_scan(
+            n in 1usize..=70,
+            raw_steps in prop::collection::vec(any::<u64>(), 0..200),
+            p_bits in any::<u64>(),
+            q_bits in any::<u64>(),
+            thin in any::<u64>(),
+            bound in 1usize..6,
+            armed in any::<bool>(),
+            window_dice in prop::collection::vec(any::<u64>(), 0..5),
+            cuts in prop::collection::vec(0usize..6, 0..300),
+        ) {
+            let s: Schedule = raw_steps
+                .iter()
+                .map(|r| ProcessId::new((r % n as u64) as usize))
+                .collect();
+            let guarantee = armed.then(|| TimelyPair {
+                p: ProcSet::from_bits(p_bits & thin),
+                q: ProcSet::from_bits(q_bits),
+                bound,
+            });
+            let mut windows = Vec::new();
+            for &die in &window_dice {
+                let previous = windows.last().map(|&(p, _, _)| p);
+                windows.push(window(die, n, s.len() as u64, previous));
+            }
+
+            // A random partition into blocks, empty and one-step ones
+            // included; whatever the cuts leave over is the last block.
+            let mut watch = ScheduleWatch::new(guarantee, &windows);
+            let mut rest = s.as_slice();
+            for &cut in &cuts {
+                let (block, tail) = rest.split_at(cut.min(rest.len()));
+                watch.observe(block);
+                rest = tail;
+            }
+            watch.observe(rest);
+
+            let mut online = Vec::new();
+            watch.verdicts(&mut online);
+            prop_assert_eq!(online, offline(&s, guarantee, &windows));
+            prop_assert_eq!(watch.steps_seen(), s.len() as u64);
+        }
     }
 }

@@ -26,7 +26,7 @@ use st_fd::{
 use st_sched::{GeneratorSpec, TimeoutPolicySpec};
 use st_sim::{PhaseBatch, RunConfig, RunStatus, Sim, StopWhen};
 
-use crate::invariant::{Evidence, InvariantChecker, InvariantViolation};
+use crate::invariant::{Ballots, InvariantChecker, InvariantViolation, ScheduleWatch};
 use st_core::Schedule;
 
 /// Converts a declarative [`TimeoutPolicySpec`] grid-axis value (from
@@ -191,23 +191,88 @@ pub enum FleetReplayDrive {
     },
 }
 
+/// Steps a fleet run holds of its schedule at a time (256 KiB): long
+/// enough that the per-block costs — a kernel set-up, the watch's scan —
+/// vanish against the steps, short enough to stay in cache between the
+/// generator that fills the block and the drive that replays it.
+const REPLAY_BLOCK: u64 = 1 << 16;
+
 impl FleetReplayDrive {
-    /// Replays a generator-built `schedule` over `fleet` on this drive —
-    /// the one place a scenario picks a `Sim` replay entry point.
+    /// Replays `budget` steps of `src` over `fleet` on this drive — the one
+    /// place a scenario picks a `Sim` replay entry point — without ever
+    /// holding the schedule: one block buffer is refilled from the
+    /// generator, shown to `watch` (when the run is checked) and replayed,
+    /// until the budget is spent ([`RunStatus::MaxSteps`]) or the source
+    /// runs dry ([`RunStatus::SourceEnded`]). The replay entry points are
+    /// resumable — the step counter lives in the `Sim` — and a block is a
+    /// whole number of SoA slices, so the batching drive cuts exactly the
+    /// slices it would cut from the whole schedule.
     fn replay<A: PhaseBatch>(
         self,
         sim: &mut Sim,
         fleet: &mut [A],
-        schedule: &Schedule,
-        cfg: RunConfig,
+        mut src: impl StepSource,
+        budget: u64,
+        mut watch: Option<&mut ScheduleWatch>,
     ) -> RunStatus {
-        match self {
-            FleetReplayDrive::Plain => sim.run_automata_replay(fleet, schedule, cfg),
-            FleetReplayDrive::Soa { slice_len } => {
-                sim.run_automata_replay_soa(fleet, schedule, slice_len, cfg)
+        let block_len = match self {
+            FleetReplayDrive::Plain => REPLAY_BLOCK,
+            FleetReplayDrive::Soa { slice_len } => match slice_len as u64 {
+                // One slice at least, however long (the budget cuts it).
+                slice if slice >= REPLAY_BLOCK => slice,
+                // A zero slice length is the drive's to refuse.
+                slice => REPLAY_BLOCK - REPLAY_BLOCK % slice.max(1),
+            },
+        };
+        // Neither `slice_len` nor the budget is trusted with an up-front
+        // reservation: a block past `REPLAY_BLOCK` grows as it fills.
+        let mut block = Schedule::with_capacity(REPLAY_BLOCK.min(budget) as usize);
+        let mut left = budget;
+        while left > 0 {
+            let want = left.min(block_len) as usize;
+            block.clear();
+            while block.len() < want {
+                match src.next_step() {
+                    Some(p) => block.push(p),
+                    None => break,
+                }
             }
+            if let Some(watch) = watch.as_deref_mut() {
+                watch.observe(block.as_slice());
+            }
+            let cfg = RunConfig::steps(block.len() as u64);
+            match self {
+                FleetReplayDrive::Plain => sim.run_automata_replay(fleet, &block, cfg),
+                FleetReplayDrive::Soa { slice_len } => {
+                    sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
+                }
+            }
+            .expect("generator schedules stay within the universe");
+            if block.len() < want {
+                return RunStatus::SourceEnded;
+            }
+            left -= want as u64;
         }
-        .expect("generator schedules stay within the universe")
+        RunStatus::MaxSteps
+    }
+}
+
+/// A generator whose every pulled step is shown to the run's
+/// [`ScheduleWatch`] — how the `Sim::run` workloads certify their schedule
+/// claims without recording. The simulator checks its stop rule *before*
+/// it pulls, so the steps pulled are exactly the steps executed.
+struct Watched<'w, S> {
+    src: S,
+    watch: Option<&'w mut ScheduleWatch>,
+}
+
+impl<S: StepSource> StepSource for Watched<'_, S> {
+    fn next_step(&mut self) -> Option<ProcessId> {
+        let p = self.src.next_step()?;
+        if let Some(watch) = &mut self.watch {
+            watch.observe(&[p]);
+        }
+        Some(p)
     }
 }
 
@@ -355,7 +420,7 @@ impl Scenario {
     }
 
     /// Executes the scenario without invariant checking or schedule
-    /// recording — the pre-checker fast path, kept for honest overhead
+    /// watching — the pre-checker fast path, kept for honest overhead
     /// measurement (`st-bench`'s `invariant_overhead`). Outcome data is
     /// identical to [`run`](Self::run); `violations` is empty by
     /// construction.
@@ -364,83 +429,22 @@ impl Scenario {
     }
 
     fn run_inner(&self, check: bool) -> ScenarioOutcome {
-        let (data, evidence) = match &self.workload {
-            Workload::FdConvergence {
-                k,
-                t,
-                policy,
-                abi,
-                detector,
-                certify_membership,
-            } => {
-                let (o, ev) =
-                    self.run_fd(*k, *t, *policy, *abi, *detector, *certify_membership, check);
-                (OutcomeData::Fd(o), ev)
-            }
-            Workload::Agreement {
-                t,
-                k,
-                inputs,
-                policy,
-                certify,
-            } => {
-                let (o, ev) = self.run_agreement(*t, *k, inputs, *policy, *certify, check);
-                (OutcomeData::Agreement(o), ev)
-            }
-            Workload::AdversarialAgreement {
-                t,
-                k,
-                inputs,
-                policy,
-                precrashed,
-                witness,
-            } => (
-                OutcomeData::Adversarial(self.run_adversarial(
-                    *t,
-                    *k,
-                    inputs,
-                    *policy,
-                    *precrashed,
-                    *witness,
-                )),
-                Evidence::default(),
-            ),
-            Workload::BgReduction {
-                n_sim,
-                k,
-                max_reads,
-            } => (
-                OutcomeData::Bg(self.run_bg(*n_sim, *k, *max_reads)),
-                Evidence::default(),
-            ),
-            Workload::LeanConvergence { t, policy, drive } => {
-                let (o, ev) = self.run_lean(*t, *policy, *drive, false, check);
-                (OutcomeData::Lean(o), ev)
-            }
-            Workload::LeanAgreement { t, policy, drive } => {
-                let (o, ev) = self.run_lean(*t, *policy, *drive, true, check);
-                (OutcomeData::Lean(o), ev)
-            }
-            Workload::WideFdConvergence {
-                k,
-                t,
-                policy,
-                drive,
-            } => {
-                let (o, ev) = self.run_wide_fd(*k, *t, *policy, *drive, check);
-                (OutcomeData::WideFd(o), ev)
-            }
-        };
-        let (violations, counterexample) = if check {
-            let violations = InvariantChecker::for_scenario(self).check(&data, &evidence);
-            let counterexample = if violations.is_empty() {
-                None
-            } else {
-                evidence.executed
-            };
-            (violations, counterexample)
+        let (data, violations, counterexample) = if check {
+            let checker = InvariantChecker::for_scenario(self);
+            let mut watch = checker.watch();
+            let (data, ballots) = self.drive(Some(&mut watch));
+            let violations = checker.check(&data, ballots.as_ref(), &watch);
+            // The executed schedule was never held: it is the generator's
+            // first `steps_seen` steps, regenerated only for a run that
+            // has something to show.
+            let counterexample = (!violations.is_empty()).then(|| {
+                self.generator
+                    .build(self.universe, self.seed)
+                    .take_schedule(watch.steps_seen() as usize)
+            });
+            (data, violations, counterexample)
         } else {
-            (Vec::new(), None)
+            (self.drive(None).0, Vec::new(), None)
         };
         ScenarioOutcome {
             rank: 0,
@@ -449,6 +453,73 @@ impl Scenario {
             violations,
             counterexample,
         }
+    }
+
+    /// Runs the workload, showing `watch` (a checked run's) every step the
+    /// generator-driven drives execute. Agreement stacks of a checked run
+    /// also hand back their Paxos registers.
+    fn drive(&self, watch: Option<&mut ScheduleWatch>) -> (OutcomeData, Option<Ballots>) {
+        let data = match &self.workload {
+            Workload::FdConvergence {
+                k,
+                t,
+                policy,
+                abi,
+                detector,
+                certify_membership,
+            } => OutcomeData::Fd(self.run_fd(
+                *k,
+                *t,
+                *policy,
+                *abi,
+                *detector,
+                *certify_membership,
+                watch,
+            )),
+            Workload::Agreement {
+                t,
+                k,
+                inputs,
+                policy,
+                certify,
+            } => {
+                let (o, ballots) = self.run_agreement(*t, *k, inputs, *policy, *certify, watch);
+                return (OutcomeData::Agreement(o), ballots);
+            }
+            Workload::AdversarialAgreement {
+                t,
+                k,
+                inputs,
+                policy,
+                precrashed,
+                witness,
+            } => OutcomeData::Adversarial(self.run_adversarial(
+                *t,
+                *k,
+                inputs,
+                *policy,
+                *precrashed,
+                *witness,
+            )),
+            Workload::BgReduction {
+                n_sim,
+                k,
+                max_reads,
+            } => OutcomeData::Bg(self.run_bg(*n_sim, *k, *max_reads)),
+            Workload::LeanConvergence { t, policy, drive } => {
+                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, false, watch))
+            }
+            Workload::LeanAgreement { t, policy, drive } => {
+                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, true, watch))
+            }
+            Workload::WideFdConvergence {
+                k,
+                t,
+                policy,
+                drive,
+            } => OutcomeData::WideFd(self.run_wide_fd(*k, *t, *policy, *drive, watch)),
+        };
+        (data, None)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -460,12 +531,17 @@ impl Scenario {
         abi: FdAbi,
         detector: FdDetector,
         certify_membership: bool,
-        record: bool,
-    ) -> (FdOutcome, Evidence) {
+        watch: Option<&mut ScheduleWatch>,
+    ) -> FdOutcome {
         let universe = self.universe;
         let correct = self.correct();
-        let mut src = self.generator.build(universe, self.seed);
-        let mut sim = Sim::with_recording(universe, certify_membership || record);
+        let mut src = Watched {
+            src: self.generator.build(universe, self.seed),
+            watch,
+        };
+        // Recorded only when the outcome itself is read off the executed
+        // prefix (membership certification).
+        let mut sim = Sim::with_recording(universe, certify_membership);
         let mut cfg = RunConfig::steps(self.budget);
         if self.stop == StopRule::AllCorrectDecided {
             cfg = cfg.stop_when(StopWhen::AllDecided(correct));
@@ -506,7 +582,7 @@ impl Scenario {
             }
         };
         let status = status.expect("generator schedules stay within the universe");
-        let mut report = sim.report();
+        let report = sim.report();
         let (membership, stabilization, witness) = match detector {
             FdDetector::SetBased => (
                 if certify_membership {
@@ -537,21 +613,14 @@ impl Scenario {
                     .count()
             })
             .sum();
-        let evidence = Evidence {
-            executed: if record { report.executed.take() } else { None },
-            ballots: None,
-        };
-        (
-            FdOutcome {
-                status,
-                steps: report.steps,
-                membership,
-                stabilization,
-                witness,
-                late_flaps,
-            },
-            evidence,
-        )
+        FdOutcome {
+            status,
+            steps: report.steps,
+            membership,
+            stabilization,
+            witness,
+            late_flaps,
+        }
     }
 
     fn run_agreement(
@@ -561,8 +630,8 @@ impl Scenario {
         inputs: &[Value],
         policy: TimeoutPolicy,
         certify: Option<CertifyTimely>,
-        record: bool,
-    ) -> (AgreementScenarioOutcome, Evidence) {
+        watch: Option<&mut ScheduleWatch>,
+    ) -> (AgreementScenarioOutcome, Option<Ballots>) {
         // Certification sweeps a *fresh* build of the same generator spec —
         // bit-identical to the schedule the protocol is about to see.
         let certified = certify.map(|c| {
@@ -575,9 +644,14 @@ impl Scenario {
                 .is_some()
         });
         let task = AgreementTask::new(t, k, self.universe.n()).expect("valid task parameters");
-        let mut stack = AgreementStack::build_full(task, inputs, policy, record);
+        let mut stack = AgreementStack::build_with_policy(task, inputs, policy);
         let kind = stack.kind();
-        let mut src = self.generator.build(self.universe, self.seed);
+        // A checked run exposes its Paxos registers to the ballot check.
+        let check = watch.is_some();
+        let mut src = Watched {
+            src: self.generator.build(self.universe, self.seed),
+            watch,
+        };
         // A failed certification proves nothing about the protocol, so the
         // drive is skipped (zero budget): the outcome is the stack's
         // initial-state snapshot with `certified: Some(false)` — and the
@@ -600,22 +674,15 @@ impl Scenario {
             .sim_mut()
             .run(&mut src, cfg)
             .expect("agreement schedules stay within the task universe");
-        let mut run = stack.snapshot(status, self.faulty);
-        let evidence = if record {
-            Evidence {
-                executed: run.report.executed.take(),
-                ballots: stack.kset().map(|kset| {
-                    let records = kset
-                        .instances()
-                        .iter()
-                        .map(|paxos| paxos.peek_records(stack.sim()))
-                        .collect();
-                    (self.universe.n(), records)
-                }),
-            }
-        } else {
-            Evidence::default()
-        };
+        let run = stack.snapshot(status, self.faulty);
+        let ballots = stack.kset().filter(|_| check).map(|kset| {
+            let records = kset
+                .instances()
+                .iter()
+                .map(|paxos| paxos.peek_records(stack.sim()))
+                .collect();
+            (self.universe.n(), records)
+        });
         (
             AgreementScenarioOutcome {
                 kind,
@@ -628,7 +695,7 @@ impl Scenario {
                 safe: run.is_safe(),
                 certified,
             },
-            evidence,
+            ballots,
         )
     }
 
@@ -661,42 +728,40 @@ impl Scenario {
         }
     }
 
-    /// The lean (large-n) workloads: build the whole schedule up front from
-    /// the generator — the replay drives want a materialized prefix, and
-    /// that prefix doubles as the checker's executed-schedule evidence
-    /// without paying for trace recording (a replay executes its schedule
-    /// verbatim, finished machines included) — then drive a
-    /// [`LeanOmegaMachine`] fleet (`consensus: false`) or a
-    /// [`LeanConsensusMachine`] fleet (`consensus: true`, proposals
-    /// `100 + pid`) on the configured replay drive.
+    /// The lean (large-n) workloads: drive a [`LeanOmegaMachine`] fleet
+    /// (`consensus: false`) or a [`LeanConsensusMachine`] fleet
+    /// (`consensus: true`, proposals `100 + pid`) on the configured replay
+    /// drive, the generator streamed through it a block at a time (see
+    /// [`FleetReplayDrive::replay`]). What stays resident is the fleet, the
+    /// arena and one block — nothing that grows with the budget but the
+    /// probe log. A replay executes its schedule verbatim, finished machines
+    /// included, so the blocks `watch` is shown are the executed schedule.
+    ///
+    /// [`LeanConsensusMachine`]: st_agreement::LeanConsensusMachine
     fn run_lean(
         &self,
         t: usize,
         policy: TimeoutPolicy,
         drive: FleetReplayDrive,
         consensus: bool,
-        check: bool,
-    ) -> (LeanOutcome, Evidence) {
+        watch: Option<&mut ScheduleWatch>,
+    ) -> LeanOutcome {
         let universe = self.universe;
         let n = universe.n();
-        let schedule = self
-            .generator
-            .build(universe, self.seed)
-            .take_schedule(self.budget as usize);
+        let src = self.generator.build(universe, self.seed);
         let mut sim = Sim::new(universe);
         let fd = LeanOmega::alloc(&mut sim, t, policy);
-        let cfg = RunConfig::steps(self.budget);
         let status = if consensus {
             let cons = st_agreement::LeanConsensus::alloc(&mut sim);
             let mut fleet: Vec<st_agreement::LeanConsensusMachine> = universe
                 .processes()
                 .map(|p| cons.machine(&fd, 100 + p.index() as Value))
                 .collect();
-            drive.replay(&mut sim, &mut fleet, &schedule, cfg)
+            drive.replay(&mut sim, &mut fleet, src, self.budget, watch)
         } else {
             let mut fleet: Vec<LeanOmegaMachine> =
                 universe.processes().map(|_| fd.machine()).collect();
-            drive.replay(&mut sim, &mut fleet, &schedule, cfg)
+            drive.replay(&mut sim, &mut fleet, src, self.budget, watch)
         };
         let report = sim.report();
         // Leader stabilization: every correct process's *last* published
@@ -740,43 +805,39 @@ impl Scenario {
         let mut distinct_values: Vec<Value> = decisions.iter().flatten().map(|d| d.value).collect();
         distinct_values.sort_unstable();
         distinct_values.dedup();
-        let evidence = Evidence {
-            executed: if check { Some(schedule) } else { None },
-            ballots: None,
-        };
-        (
-            LeanOutcome {
-                status,
-                steps: report.steps,
-                stabilization,
-                publications,
-                late_flaps,
-                decided,
-                distinct_values,
-            },
-            evidence,
-        )
+        LeanOutcome {
+            status,
+            steps: report.steps,
+            stabilization,
+            publications,
+            late_flaps,
+            decided,
+            distinct_values,
+        }
     }
 
     /// The width-generic Figure 2 workload: pick the narrowest supported
     /// bitset width that holds the universe, then run the paper's full
-    /// detector fleet on the configured replay drive. The generic body is
-    /// monomorphized per width; widths between the supported powers of two
-    /// round up (a wider set than necessary is correct, just larger).
+    /// detector fleet on the configured replay drive, streamed as for the
+    /// lean workloads. The generic body is monomorphized per width; widths
+    /// between the supported powers of two round up (a wider set than
+    /// necessary is correct, just larger). Resident memory is the fleet's:
+    /// every machine keeps a local `|Π^k_n| × n` counter matrix, 134 MB for
+    /// the whole fleet at n = 256, k = 1.
     fn run_wide_fd(
         &self,
         k: usize,
         t: usize,
         policy: TimeoutPolicy,
         drive: FleetReplayDrive,
-        check: bool,
-    ) -> (WideFdOutcome, Evidence) {
+        watch: Option<&mut ScheduleWatch>,
+    ) -> WideFdOutcome {
         match st_core::words_for(self.universe.n()) {
-            1 => self.run_wide_fd_width::<1>(k, t, policy, drive, check),
-            2 => self.run_wide_fd_width::<2>(k, t, policy, drive, check),
-            3..=4 => self.run_wide_fd_width::<4>(k, t, policy, drive, check),
-            5..=8 => self.run_wide_fd_width::<8>(k, t, policy, drive, check),
-            9..=16 => self.run_wide_fd_width::<16>(k, t, policy, drive, check),
+            1 => self.run_wide_fd_width::<1>(k, t, policy, drive, watch),
+            2 => self.run_wide_fd_width::<2>(k, t, policy, drive, watch),
+            3..=4 => self.run_wide_fd_width::<4>(k, t, policy, drive, watch),
+            5..=8 => self.run_wide_fd_width::<8>(k, t, policy, drive, watch),
+            9..=16 => self.run_wide_fd_width::<16>(k, t, policy, drive, watch),
             w => unreachable!("words_for caps at MAX_PROCESSES/64 = 16, got {w}"),
         }
     }
@@ -787,23 +848,16 @@ impl Scenario {
         t: usize,
         policy: TimeoutPolicy,
         drive: FleetReplayDrive,
-        check: bool,
-    ) -> (WideFdOutcome, Evidence) {
+        watch: Option<&mut ScheduleWatch>,
+    ) -> WideFdOutcome {
         let universe = self.universe;
         let n = universe.n();
-        // As for the lean workloads: materialize the schedule up front — the
-        // replay drives execute it verbatim, and it doubles as the checker's
-        // executed-schedule evidence without trace recording.
-        let schedule = self
-            .generator
-            .build(universe, self.seed)
-            .take_schedule(self.budget as usize);
+        let src = self.generator.build(universe, self.seed);
         let mut sim = Sim::new(universe);
         let fd =
             KAntiOmega::<W>::alloc_wide(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
-        let cfg = RunConfig::steps(self.budget);
         let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let status = drive.replay(&mut sim, &mut fleet, &schedule, cfg);
+        let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
         let report = sim.report();
         // Faulty sets only name indices below the ProcSet capacity; any
         // higher index is correct by construction (as in the lean judge).
@@ -837,20 +891,13 @@ impl Scenario {
             publications += timeline.len() as u64;
             late_flaps += timeline.iter().filter(|&&(s, _)| s > after).count();
         }
-        let evidence = Evidence {
-            executed: if check { Some(schedule) } else { None },
-            ballots: None,
-        };
-        (
-            WideFdOutcome {
-                status,
-                steps: report.steps,
-                stabilization,
-                publications,
-                late_flaps,
-            },
-            evidence,
-        )
+        WideFdOutcome {
+            status,
+            steps: report.steps,
+            stabilization,
+            publications,
+            late_flaps,
+        }
     }
 
     fn run_bg(&self, n_sim: usize, k: usize, max_reads: usize) -> BgOutcome {
@@ -913,8 +960,9 @@ pub struct ScenarioOutcome {
     /// Invariants the [`InvariantChecker`] found violated (empty on healthy
     /// runs, and always empty from [`Scenario::run_unchecked`]).
     pub violations: Vec<InvariantViolation>,
-    /// The executed schedule, kept as a replayable counterexample when any
-    /// invariant fired and the workload recorded one.
+    /// The executed schedule as a replayable counterexample, present when
+    /// any invariant fired: regenerated from the scenario's generator, seed
+    /// and executed step count, never held during the run.
     pub counterexample: Option<Schedule>,
 }
 

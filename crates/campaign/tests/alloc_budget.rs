@@ -1,8 +1,10 @@
 //! Heap budgets CI can hold without a clock: the allocations of one
 //! E3-shaped scenario (the regression guard for "register metadata costs
-//! nothing until someone asks for it"), and the memory the outcome store
+//! nothing until someone asks for it"), the memory the outcome store
 //! needs to load and save (the guard for "store I/O holds one entry's
-//! tree at a time, never a document's").
+//! tree at a time, never a document's"), and the memory a generator-driven
+//! run needs as its budget grows (the guard for "no drive holds its
+//! executed schedule").
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's
 //! allocations (`alloc`, `alloc_zeroed` and `realloc` calls alike) and the
@@ -24,8 +26,10 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use st_agreement::AgreementStack;
-use st_campaign::{GeneratorSpec, OutcomeStore, Scenario, Workload};
-use st_core::{AgreementTask, ProcSet, ProcessId, Universe};
+use st_campaign::{
+    FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, OutcomeStore, Scenario, Workload,
+};
+use st_core::{AgreementTask, ProcSet, ProcessId, Schedule, ScheduleCursor, StepSource, Universe};
 use st_fd::TimeoutPolicy;
 
 struct Counting;
@@ -191,11 +195,14 @@ fn e3_cell_scenario_stays_within_its_allocation_budget() {
 
 /// Entries in the store the memory guard loads and saves.
 const STORE_ENTRIES: usize = 4096;
-/// Allocator calls per loaded entry. Measured 83: the entry's tree (a `Vec`
+/// Allocator calls per loaded entry. Measured 77: the entry's tree (a `Vec`
 /// per container, a `String` per key and string), the decoded outcome and
-/// the spec's canonical text. Keeping the spec as a tree, as the store did
-/// when a load cost 110, means cloning it: more than the headroom.
-const LOAD_ALLOCATIONS_PER_ENTRY: u64 = 95;
+/// the spec's canonical text — a scratch buffer and one exact copy, where
+/// growing the text and shrinking it in place took 8 calls (83 in all) and
+/// left a tail fragment per entry behind. Keeping the spec as a tree, as
+/// the store did when a load cost 110, means cloning it: more than the
+/// headroom.
+const LOAD_ALLOCATIONS_PER_ENTRY: u64 = 82;
 /// What `save` may hold beyond the store itself: the file writer's buffer,
 /// one line and one outcome's tree.
 const SAVE_HEADROOM: usize = 256 * 1024;
@@ -249,4 +256,105 @@ fn store_load_and_save_hold_one_entry_at_a_time() {
     );
     assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// What a run's peak may grow by when its budget grows eightfold: probe-log
+/// slack, nothing proportional to the steps (8 M steps of schedule are
+/// 32 MB).
+const BUDGET_HEADROOM: usize = 64 * 1024;
+
+/// Peak live bytes of one checked `Scenario::run`, which must be clean.
+fn run_peak(scenario: &Scenario) -> usize {
+    let run = heap_use(|| scenario.run());
+    assert!(run.out.violations.is_empty(), "{:?}", run.out.violations);
+    run.peak
+}
+
+fn assert_peak_is_budget_free(what: &str, small: &Scenario, large: &Scenario) {
+    let (small_peak, large_peak) = (run_peak(small), run_peak(large));
+    assert!(
+        large_peak.abs_diff(small_peak) < BUDGET_HEADROOM,
+        "{what}: peak live bytes follow the budget — {small_peak} at {} steps, \
+         {large_peak} at {}",
+        small.budget,
+        large.budget
+    );
+}
+
+#[test]
+fn a_fleet_run_holds_one_block_of_its_schedule_whatever_the_budget() {
+    // An E9-shaped cell: dwells of one lean iteration, stabilized well
+    // inside the smaller budget, so the probe log is the same in both.
+    let n = 64;
+    let cell = |drive, budget| {
+        Scenario::new(
+            "lean/n64",
+            Universe::new(n).unwrap(),
+            GeneratorSpec::bursty((n * n + n + 2) as u64),
+            Workload::LeanConvergence {
+                t: 4,
+                policy: TimeoutPolicy::Increment,
+                drive,
+            },
+            budget,
+            1,
+        )
+    };
+    for drive in [
+        FleetReplayDrive::Plain,
+        FleetReplayDrive::Soa { slice_len: 1024 },
+    ] {
+        assert_peak_is_budget_free(
+            &format!("{drive:?}"),
+            &cell(drive, 1_000_000),
+            &cell(drive, 8_000_000),
+        );
+    }
+}
+
+#[test]
+fn a_checked_fd_run_does_not_record_what_it_certifies() {
+    // E7's shape: the typed machine fleet at n = 4 under a `SetTimely`
+    // root, so the guarantee is armed and watched through the whole run.
+    let cell = |budget| {
+        Scenario::new(
+            "fd/n4",
+            Universe::new(4).unwrap(),
+            GeneratorSpec::set_timely(
+                ProcSet::from_indices([0]),
+                ProcSet::from_indices([0, 1, 2]),
+                8,
+                GeneratorSpec::seeded_random(1),
+            ),
+            Workload::FdConvergence {
+                k: 1,
+                t: 2,
+                policy: TimeoutPolicy::Increment,
+                abi: FdAbi::MachineFleet,
+                detector: FdDetector::SetBased,
+                certify_membership: false,
+            },
+            budget,
+            1,
+        )
+    };
+    assert_peak_is_budget_free("MachineFleet", &cell(500_000), &cell(4_000_000));
+}
+
+#[test]
+fn take_schedule_reserves_what_it_is_asked_for_up_to_a_cap() {
+    // A prefix is one allocation, not log₂(len) reallocations …
+    let mut endless = GeneratorSpec::round_robin().build(Universe::new(5).unwrap(), 0);
+    let (count, prefix) = allocations(|| endless.take_schedule(1 << 16));
+    assert_eq!(prefix.len(), 1 << 16);
+    assert!(count <= 2, "take_schedule(65 536) made {count} allocations");
+    // … but the requested length is not trusted beyond a few megabytes.
+    let mut short = ScheduleCursor::new(Schedule::from_indices([0, 1]));
+    let taken = heap_use(|| short.take_schedule(1 << 40));
+    assert_eq!(taken.out.len(), 2);
+    assert!(
+        taken.peak <= 8 << 20,
+        "a two-step source asked for 2^40 steps reserved {} bytes",
+        taken.peak
+    );
 }

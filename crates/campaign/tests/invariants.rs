@@ -5,10 +5,13 @@
 //! unchecked fast path must stay violation-free by construction.
 
 use st_campaign::store::{decode_outcome, encode_outcome};
-use st_campaign::{Campaign, InvariantViolation, Scenario, Workload};
+use st_campaign::{
+    Campaign, FleetReplayDrive, InvariantChecker, InvariantViolation, Scenario, Workload,
+};
 use st_core::{ProcSet, Schedule, Universe, Value};
 use st_fd::TimeoutPolicy;
 use st_sched::GeneratorSpec;
+use st_sim::RunStatus;
 
 /// An agreement scenario whose root `SetTimely` generator guarantees
 /// solvability (so termination is owed) but whose step budget is far too
@@ -132,5 +135,78 @@ fn every_violation_kind_round_trips_through_the_store_codec() {
     assert_eq!(
         encode_outcome(&out).to_string(),
         encode_outcome(&decoded).to_string()
+    );
+}
+
+/// A lean n = 128 scenario whose generator carries a `SetTimely` root
+/// guarantee: the first fleet shape with an armed claim, and a universe
+/// whose steps a `ProcSet` cannot all name.
+fn lean_n128(generator: GeneratorSpec, budget: u64) -> Scenario {
+    Scenario::new(
+        "lean-n128/set-timely",
+        Universe::new(128).unwrap(),
+        generator,
+        Workload::LeanConvergence {
+            t: 8,
+            policy: TimeoutPolicy::Increment,
+            drive: FleetReplayDrive::Plain,
+        },
+        budget,
+        3,
+    )
+}
+
+fn timely_over_round_robin(bound: usize) -> GeneratorSpec {
+    GeneratorSpec::set_timely(
+        ProcSet::from_indices([0]),
+        ProcSet::from_indices([0, 1, 2]),
+        bound,
+        GeneratorSpec::round_robin(),
+    )
+}
+
+#[test]
+fn a_set_timely_root_runs_and_is_certified_past_the_procset_capacity() {
+    // The filler schedules p64..p127, which neither P nor Q can name: they
+    // are in neither set — for the generator's injection rule and for the
+    // watch certifying it alike (an unguarded `ProcSet::contains` panics).
+    let scenario = lean_n128(timely_over_round_robin(4), 200_000);
+    assert!(InvariantChecker::for_scenario(&scenario)
+        .guarantee()
+        .is_some());
+    let out = scenario.run();
+    let lean = out.data.as_lean().expect("a lean workload");
+    assert_eq!((lean.status, lean.steps), (RunStatus::MaxSteps, 200_000));
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+    assert!(out.counterexample.is_none());
+}
+
+#[test]
+fn a_replay_naming_a_large_index_is_checked_not_a_panic() {
+    // What the shrinker builds and a submitted job can carry: a replay that
+    // inherits the guarantee and steps a process past the capacity.
+    let replayed = Schedule::from_indices([0, 1, 100, 2, 0]);
+    let spec = GeneratorSpec::replay(timely_over_round_robin(4), replayed);
+    let out = lean_n128(spec, 5).run();
+    assert!(out.violations.is_empty(), "{:?}", out.violations);
+
+    // p100 does not reset the run: three Q-steps in a row break bound 3.
+    let tight = timely_over_round_robin(3);
+    let broken = Schedule::from_indices([0, 1, 100, 2, 1, 0]);
+    let out = lean_n128(GeneratorSpec::replay(tight, broken.clone()), 64).run();
+    assert_eq!(
+        out.violations,
+        vec![InvariantViolation::GuaranteeBroken {
+            p: ProcSet::from_indices([0]),
+            q: ProcSet::from_indices([0, 1, 2]),
+            bound: 3,
+            observed: 4,
+        }]
+    );
+    assert_eq!(out.counterexample, Some(broken));
+    assert_eq!(
+        out.data.as_lean().unwrap().status,
+        RunStatus::SourceEnded,
+        "the replay is shorter than the budget"
     );
 }

@@ -32,6 +32,13 @@ impl Schedule {
         Schedule { steps: Vec::new() }
     }
 
+    /// Creates an empty schedule with room for `capacity` steps.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Schedule {
+            steps: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Creates a schedule from explicit steps.
     pub fn from_steps(steps: Vec<ProcessId>) -> Self {
         Schedule { steps }
@@ -76,6 +83,12 @@ impl Schedule {
     /// Appends one step.
     pub fn push(&mut self, p: ProcessId) {
         self.steps.push(p);
+    }
+
+    /// Removes every step, keeping the allocation — for a buffer refilled
+    /// block by block.
+    pub fn clear(&mut self) {
+        self.steps.clear();
     }
 
     /// Concatenation `S · S'` (paper notation).
@@ -250,6 +263,17 @@ mod tests {
         let long = Schedule::from_indices((0..40).map(|i| i % 3));
         assert!(long.to_string().contains("(40 steps)"));
         assert_eq!(format!("{long:?}"), "Schedule[40 steps]");
+    }
+
+    #[test]
+    fn clear_empties_a_reusable_buffer() {
+        let mut s = Schedule::with_capacity(8);
+        assert!(s.is_empty());
+        s.extend([ProcessId::new(1), ProcessId::new(2)]);
+        s.clear();
+        assert_eq!(s, Schedule::new());
+        s.push(ProcessId::new(3));
+        assert_eq!(s, Schedule::from_indices([3]));
     }
 
     #[test]

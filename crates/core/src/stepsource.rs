@@ -8,6 +8,12 @@
 use crate::process::ProcessId;
 use crate::schedule::Schedule;
 
+/// Most steps [`StepSource::take_schedule`] reserves room for before it has
+/// pulled any (4 MiB of schedule). The requested length is a wish, not a
+/// fact about the source — a two-step cursor may be asked for 2⁴⁰ — so only
+/// this much is taken on trust; longer prefixes grow from here.
+const TAKE_RESERVE_CAP: usize = 1 << 20;
+
 /// A stream of scheduled steps.
 ///
 /// Implementors may be infinite (always `Some`) or finite (eventually
@@ -24,7 +30,7 @@ pub trait StepSource {
     where
         Self: Sized,
     {
-        let mut s = Schedule::new();
+        let mut s = Schedule::with_capacity(len.min(TAKE_RESERVE_CAP));
         for _ in 0..len {
             match self.next_step() {
                 Some(p) => s.push(p),

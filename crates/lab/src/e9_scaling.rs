@@ -44,8 +44,9 @@ use crate::config::{ExperimentResult, LabConfig};
 use crate::table::Table;
 
 /// Budget ceiling per row: large enough for every expected-to-converge
-/// cell at n ≤ 256, small enough that a materialized replay schedule
-/// (4 bytes/step) stays in the hundreds of megabytes.
+/// cell at n ≤ 256. It bounds run time only — a fleet run streams its
+/// schedule, so memory does not follow the budget — and the golden tables
+/// pin its value (which rows render as `cap`).
 const BUDGET_CAP: u64 = 128_000_000;
 
 /// Budget for rows whose universe is so large a single rotation exceeds

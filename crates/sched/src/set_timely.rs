@@ -10,7 +10,7 @@
 //! output is "as adversarial as possible subject to membership in
 //! `S^{|P|}_{|Q|,n}`".
 
-use st_core::{ProcSet, ProcessId, StepSource, TimelyPair};
+use st_core::{ProcSet, ProcessId, StepSource, TimelyPair, PROCSET_CAPACITY};
 
 use crate::crashes::CrashPlan;
 
@@ -115,7 +115,11 @@ impl<S: StepSource> StepSource for SetTimely<S> {
             None => self.filler.next_step()?,
         };
 
-        let emit = if self.p.contains(step) {
+        // `P` and `Q` name processes below the `ProcSet` capacity only; in a
+        // larger universe the filler's other steps are in neither.
+        let emit = if step.index() >= PROCSET_CAPACITY {
+            step
+        } else if self.p.contains(step) {
             self.q_run = 0;
             step
         } else if self.q.contains(step) {
@@ -233,6 +237,19 @@ mod tests {
         // The second q-step (p1) forces an injection before it.
         assert_eq!(s.occurrences(ProcessId::new(0)), 1);
         assert_eq!(s.occurrences(ProcessId::new(2)), 5);
+    }
+
+    #[test]
+    fn steps_a_procset_cannot_name_flow_through() {
+        // n = 128: the filler schedules processes past the ProcSet capacity.
+        // They are in neither P nor Q — never counted, never a panic.
+        let p = set(&[0]);
+        let q = set(&[0, 1, 2]);
+        let mut gen = SetTimely::new(p, q, 4, RoundRobin::new(u(128)));
+        let s = gen.take_schedule(10 * 128);
+        assert_eq!(s.occurrences(ProcessId::new(100)), 10);
+        let nameable: Schedule = s.iter().filter(|p| p.index() < PROCSET_CAPACITY).collect();
+        assert!(empirical_bound(&nameable, p, q) <= 4);
     }
 
     #[test]

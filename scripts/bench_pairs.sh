@@ -8,12 +8,13 @@
 # benchmark once (each into its own target directory there), then for
 # i = 1..pairs runs `st-benchmark run --workload W --seed i --seconds 8
 # --trace 0` on both, parent first on odd pairs and change first on even
-# ones, prints the pair's pass_wall_s, collects the run files into two
-# result sets and hands them to `st-benchmark compare` (exit status: its).
+# ones, prints the pair's four end-to-end metrics (parent → change),
+# collects the run files into two result sets and hands them to
+# `st-benchmark compare` (exit status: its).
 set -euo pipefail
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
-    sed -n '2,12p' "$0" >&2
+    sed -n '2,13p' "$0" >&2
     exit 2
 fi
 ref=$1
@@ -70,7 +71,11 @@ for i in $(seq 1 "$pairs"); do
     cp "$c" "$build/change-$workload-s$i.json"
     parent_runs+=("$build/parent-$workload-s$i.json")
     change_runs+=("$build/change-$workload-s$i.json")
-    echo "pair $i: pass_wall_s parent $(metric "$p" pass_wall_s) change $(metric "$c" pass_wall_s)"
+    line="pair $i:"
+    for m in pass_wall_s work_per_s peak_rss_mb setup_s; do
+        line+=$(printf ' %s %.4f -> %.4f;' "$m" "$(metric "$p" "$m")" "$(metric "$c" "$m")")
+    done
+    echo "${line%;}"
 done
 
 # set <output> <run files...>: the files as one st-benchmark result set.
