@@ -27,9 +27,10 @@
 //! seeded-random, Figure 1, and crash schedules.
 //!
 //! [`AgreementStack`] runs the FD + k-parallel-Paxos stack on the machine
-//! ABI by default ([`StackAbi::Machine`]); E3/E4 and the benches ride it at
-//! ≥2× the async step throughput (`BENCH_timeliness.json`,
-//! `agreement_step_throughput`). Build with [`StackAbi::Async`] to keep
+//! ABI by default ([`StackAbi::Machine`]); E3/E4 and the repo benchmark
+//! ride it (`agreement.stack_build_us` and
+//! `sim.runner.machine_slot_ns_per_step` in `BENCHMARK.json` are its build
+//! and step cost). Build with [`StackAbi::Async`] to keep
 //! paper-shaped async code in the loop (differential testing, debugging).
 
 #![forbid(unsafe_code)]

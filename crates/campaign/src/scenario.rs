@@ -421,9 +421,9 @@ impl Scenario {
 
     /// Executes the scenario without invariant checking or schedule
     /// watching — the pre-checker fast path, kept for honest overhead
-    /// measurement (`st-bench`'s `invariant_overhead`). Outcome data is
-    /// identical to [`run`](Self::run); `violations` is empty by
-    /// construction.
+    /// measurement (`campaign.invariant.overhead_ratio` in `BENCHMARK.json`).
+    /// Outcome data is identical to [`run`](Self::run); `violations` is
+    /// empty by construction.
     pub fn run_unchecked(&self) -> ScenarioOutcome {
         self.run_inner(false)
     }

@@ -3,8 +3,7 @@
 //! An [`OutcomeStore`] is the persistence half of the campaign engine: a
 //! flat list of `(campaign key, rank, serialized scenario spec, outcome)`
 //! entries in the workspace's hand-rolled canonical JSON
-//! ([`st_core::json`], the same offline-shim-compatible dialect as
-//! `BENCH_timeliness.json`). The format is versioned by the [`SCHEMA`]
+//! ([`st_core::json`]). The format is versioned by the [`SCHEMA`]
 //! string; loading any other version is a typed
 //! [`StoreError::SchemaMismatch`], never a panic or a silent partial
 //! resume.

@@ -1,5 +1,5 @@
 //! Minimal canonical JSON: the on-disk language of this workspace's
-//! artifacts (`BENCH_timeliness.json`, the `st-campaign` outcome store).
+//! artifacts (the `st-campaign` outcome store, `st-serve`'s frames and logs).
 //!
 //! The container that builds this workspace has no registry access, so
 //! there is no serde — artifacts are hand-rolled JSON. This module holds

@@ -47,7 +47,8 @@ pub fn resolve_workers(threads: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Panics if `chunk == 0`, or if a worker thread panics.
+/// Panics if `chunk == 0`, or if a worker thread panics (with that
+/// worker's own panic payload, as the single-worker path would).
 pub fn steal_chunks<W, T, FInit, FChunk>(
     total: u64,
     workers: usize,
@@ -81,19 +82,28 @@ where
     let parts: Mutex<Vec<(u64, T)>> = Mutex::new(Vec::with_capacity(n_chunks as usize));
     std::thread::scope(|scope| {
         let (next_rank, parts, init, run_chunk) = (&next_rank, &parts, &init, &run_chunk);
-        for _ in 0..workers {
-            scope.spawn(move || {
-                let mut state = init();
-                loop {
-                    let first = next_rank.fetch_add(chunk, Ordering::Relaxed);
-                    if first >= total {
-                        break;
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(move || {
+                    let mut state = init();
+                    loop {
+                        let first = next_rank.fetch_add(chunk, Ordering::Relaxed);
+                        if first >= total {
+                            break;
+                        }
+                        let last = (first + chunk).min(total);
+                        let out = run_chunk(&mut state, first, last);
+                        parts.lock().expect("worker panicked").push((first, out));
                     }
-                    let last = (first + chunk).min(total);
-                    let out = run_chunk(&mut state, first, last);
-                    parts.lock().expect("worker panicked").push((first, out));
-                }
-            });
+                })
+            })
+            .collect();
+        // Joined by hand so that a worker's panic reaches the caller as
+        // itself; left to the scope it becomes "a scoped thread panicked".
+        for handle in handles {
+            if let Err(panic) = handle.join() {
+                std::panic::resume_unwind(panic);
+            }
         }
     });
     let mut parts = parts.into_inner().expect("worker panicked");
@@ -161,5 +171,17 @@ mod tests {
     #[should_panic(expected = "chunk size")]
     fn zero_chunk_rejected() {
         let _ = steal_chunks(10, 2, 0, || (), |_, _, _| ());
+    }
+
+    #[test]
+    #[should_panic(expected = "rank 5 is cursed")]
+    fn a_workers_panic_reaches_the_caller_with_its_message() {
+        let _ = steal_chunks(
+            10,
+            2,
+            1,
+            || (),
+            |_, first, _| assert!(first != 5, "rank 5 is cursed"),
+        );
     }
 }

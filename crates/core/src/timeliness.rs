@@ -670,10 +670,10 @@ pub fn all_timely_pairs(
 }
 
 /// The pre-engine sweep loops, kept verbatim as the differential-testing
-/// reference for [`TimelinessAnalyzer`] (and as the baseline of the
-/// `timeliness` criterion bench). Semantics are the contract; performance is
-/// not: every `P` allocates a fresh run table and every accepted `Q` rescans
-/// the schedule.
+/// reference for [`TimelinessAnalyzer`] (the repo benchmark's
+/// `timeliness_sweep` cross-checks against it too). Semantics are the
+/// contract; performance is not: every `P` allocates a fresh run table and
+/// every accepted `Q` rescans the schedule.
 pub mod naive {
     use super::{empirical_bound, TimelyPair};
     use crate::process::Universe;

@@ -12,8 +12,9 @@
 //! The stack runs on the simulator's non-async fast path
 //! ([`st_agreement::StackAbi::Machine`], the `AgreementStack` default) —
 //! observationally identical to the async transcription (the
-//! `st-agreement` differential suite) at ≥2× the step throughput
-//! (`BENCH_timeliness.json`, `agreement_step_throughput`).
+//! `st-agreement` differential suite); `BENCHMARK.json`'s
+//! `sim.runner.machine_slot_ns_per_step` on `campaign_batch` is this
+//! grid's cost per step.
 
 use st_campaign::{AgreementScenarioOutcome, Campaign, Scenario, Workload};
 use st_core::{AgreementTask, ProcSet, ProcessId, Value};

@@ -25,11 +25,9 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use st_core::{ProcSet, ProcessId, StepSource};
+use st_core::{ProcSet, ProcessId, StepSource, PROCSET_CAPACITY};
 
-/// The largest process index a [`ProcSet`] can hold; used to size the
-/// per-process counters of [`GrayFailure`].
-const MAX_PROCS: usize = 64;
+use crate::set_timely::lets_through;
 
 fn draw(rng: &mut StdRng, (lo, hi): (u64, u64)) -> u64 {
     lo + rng.random_range(0..(hi - lo + 1))
@@ -165,26 +163,17 @@ impl<S: StepSource> StepSource for FlappingTimely<S> {
             Some(held) => held,
             None => self.filler.next_step()?,
         };
-        let emit = if !self.enforcing {
-            step
-        } else if self.p.contains(step) {
-            self.q_run = 0;
-            step
-        } else if self.q.contains(step) {
-            if self.q_run + 1 >= self.bound {
+        let emit =
+            if !self.enforcing || lets_through(self.p, self.q, self.bound, &mut self.q_run, step) {
+                step
+            } else {
                 let members = self.p.to_vec();
                 let injected = members[self.next_inject % members.len()];
                 self.next_inject = (self.next_inject + 1) % members.len();
                 self.pending = Some(step);
                 self.q_run = 0;
                 injected
-            } else {
-                self.q_run += 1;
-                step
-            }
-        } else {
-            step
-        };
+            };
         self.remaining -= 1;
         self.emitted += 1;
         if let Some(last) = self.segments.last_mut() {
@@ -223,7 +212,7 @@ impl<S: StepSource> GrayFailure<S> {
     pub fn new(inner: S, gray: ProcSet, stretch: u64, seed: u64) -> Self {
         assert!(stretch >= 1, "stretch must be positive");
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut counters = vec![0u64; MAX_PROCS];
+        let mut counters = vec![0u64; PROCSET_CAPACITY];
         for p in gray.iter() {
             counters[p.index()] = rng.random_range(0..stretch);
         }
@@ -241,7 +230,8 @@ impl<S: StepSource> StepSource for GrayFailure<S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         for _ in 0..self.max_skips {
             let p = self.inner.next_step()?;
-            if !self.gray.contains(p) {
+            // A process past the `ProcSet` capacity cannot be gray.
+            if p.index() >= PROCSET_CAPACITY || !self.gray.contains(p) {
                 return Some(p);
             }
             let c = &mut self.counters[p.index()];
@@ -485,6 +475,31 @@ mod tests {
         };
         assert_eq!(mk(2), mk(2));
         assert_ne!(mk(2), mk(3));
+    }
+
+    #[test]
+    fn steps_a_procset_cannot_name_flow_through_the_decorators() {
+        // n = 128: round-robin schedules processes past the ProcSet
+        // capacity. They are in no set — never thinned, never counted
+        // towards a Q-run, never a panic.
+        let (p, q) = (set(&[0]), set(&[0, 1, 2]));
+        let filler = RoundRobin::new(u(128));
+        let mut flapping = FlappingTimely::new(p, q, 2, filler, (10, 20), (10, 20), 5);
+        let s = flapping.take_schedule(10 * 128);
+        assert!((9..=10).contains(&s.occurrences(pid(100))));
+        for seg in flapping.segments().iter().filter(|seg| seg.enforcing) {
+            let slice = s.prefix(seg.end as usize).suffix(seg.start as usize);
+            let nameable: Schedule = slice
+                .iter()
+                .filter(|p| p.index() < PROCSET_CAPACITY)
+                .collect();
+            assert!(empirical_bound(&nameable, p, q) <= 2);
+        }
+
+        let mut gray = GrayFailure::new(RoundRobin::new(u(128)), set(&[0]), 2, 0);
+        let s = gray.take_schedule(10 * 127 + 5);
+        assert_eq!(s.occurrences(pid(100)), 10);
+        assert_eq!(s.occurrences(pid(0)), 5);
     }
 
     #[test]

@@ -108,6 +108,36 @@ impl<S: StepSource> SetTimely<S> {
     }
 }
 
+/// The let-through/inject decision of an enforcing generator
+/// ([`SetTimely`], [`FlappingTimely`](crate::FlappingTimely) in a timely
+/// phase) for one filler step, with `q_run` the `Q`-steps emitted since the
+/// last `P`-step. `false` means `step` is a `Q`-step that would complete a
+/// run of `bound` with no `P`-step: the caller injects a `P`-step first,
+/// holds `step` back and restarts `q_run`.
+#[inline]
+pub(crate) fn lets_through(
+    p: ProcSet,
+    q: ProcSet,
+    bound: usize,
+    q_run: &mut usize,
+    step: ProcessId,
+) -> bool {
+    // `P` and `Q` name processes below the `ProcSet` capacity only; in a
+    // larger universe the filler's other steps are in neither.
+    if step.index() >= PROCSET_CAPACITY {
+        return true;
+    }
+    if p.contains(step) {
+        *q_run = 0;
+    } else if q.contains(step) {
+        if *q_run + 1 >= bound {
+            return false;
+        }
+        *q_run += 1;
+    }
+    true
+}
+
 impl<S: StepSource> StepSource for SetTimely<S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         let step = match self.pending.take() {
@@ -115,31 +145,17 @@ impl<S: StepSource> StepSource for SetTimely<S> {
             None => self.filler.next_step()?,
         };
 
-        // `P` and `Q` name processes below the `ProcSet` capacity only; in a
-        // larger universe the filler's other steps are in neither.
-        let emit = if step.index() >= PROCSET_CAPACITY {
+        let emit = if lets_through(self.p, self.q, self.bound, &mut self.q_run, step) {
             step
-        } else if self.p.contains(step) {
-            self.q_run = 0;
-            step
-        } else if self.q.contains(step) {
-            if self.q_run + 1 >= self.bound {
-                // Letting this Q-step through would complete a run of
-                // `bound` Q-steps with no P-step: inject P first.
-                match self.live_injectable() {
-                    Some(injected) => {
-                        self.pending = Some(step);
-                        self.q_run = 0;
-                        injected
-                    }
-                    None => step, // all of P crashed: guarantee void
-                }
-            } else {
-                self.q_run += 1;
-                step
-            }
         } else {
-            step
+            match self.live_injectable() {
+                Some(injected) => {
+                    self.pending = Some(step);
+                    self.q_run = 0;
+                    injected
+                }
+                None => step, // all of P crashed: guarantee void
+            }
         };
         self.emitted += 1;
         Some(emit)

@@ -20,8 +20,8 @@
 //! `(k,k,n)` protocol stack (complete for `S^k_{k+1,n}`) must stall here,
 //! while safety must hold.
 
-use st_core::subsets::{binomial, unrank};
-use st_core::{ProcSet, ProcessId, StepSource, Universe};
+use st_core::subsets::{binomial, unrank, wide_unrank};
+use st_core::{ProcSet, ProcessId, StepSource, Universe, MAX_PROCESSES};
 
 /// Rotating starvation of every size-`k` subset with growing epochs.
 #[derive(Clone, Debug)]
@@ -89,16 +89,31 @@ impl RotatingStarvation {
     }
 
     /// The subset starved during epoch `e`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when that subset has a member a [`ProcSet`] cannot name (the
+    /// schedule itself is defined for every universe).
     pub fn starved_in_epoch(&self, e: u64) -> ProcSet {
-        let count = binomial(self.universe.n(), self.k);
-        unrank(self.universe, self.k, e % count)
+        unrank(self.universe, self.k, self.starved_rank(e))
+    }
+
+    fn starved_rank(&self, e: u64) -> u64 {
+        e % binomial(self.universe.n(), self.k)
     }
 
     fn enter_epoch(&mut self, e: u64) {
         self.epoch = e;
         self.left = self.base * (e + 1);
-        let starved = self.starved_in_epoch(e);
-        self.members = starved.complement(self.universe).to_vec();
+        // At the width of the largest universe, not `ProcSet`'s: a fleet's
+        // universe runs past that capacity.
+        let starved =
+            wide_unrank::<{ MAX_PROCESSES / 64 }>(self.universe, self.k, self.starved_rank(e));
+        self.members = self
+            .universe
+            .processes()
+            .filter(|p| !starved.contains(*p))
+            .collect();
         self.pos = 0;
     }
 }

@@ -39,6 +39,7 @@
 use std::fmt::Display;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
@@ -381,8 +382,22 @@ fn worker(shared: &Shared) {
 }
 
 /// Executes the `Running` job `key` and files the result in the job table.
+///
+/// This is the worker's one unwind boundary: a job that panics (a spec that
+/// decodes and then asserts when built, a bug in a workload) parks
+/// [`JobState::Broken`] with the panic's message and the worker goes on to
+/// the next job. What the unwind leaves behind is what a kill would: whole
+/// committed segments in the log, and no lock held (`execute` takes the job
+/// table only around its own counter updates).
 fn run_job(shared: &Shared, key: &str) {
-    let ended = execute(shared, key);
+    let ended = catch_unwind(AssertUnwindSafe(|| execute(shared, key))).unwrap_or_else(|panic| {
+        let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
+            (Some(text), _) => text,
+            (None, Some(text)) => text.as_str(),
+            (None, None) => "(no message)",
+        };
+        Err((ErrorKind::Internal, format!("job {key:?} panicked: {what}")))
+    });
     let mut jobs = shared.jobs.lock().expect("job table lock");
     if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
         match ended {

@@ -6,9 +6,8 @@
 //! machinery: resuming a compiler-generated future, the grant-cell
 //! handshake, and the suspension at the next awaited operation. Profiles of
 //! the Figure 2 experiments put that machinery at well over half of the
-//! async path's ~23–26 ns/step on the n = 8 workload — far above the cost
-//! of the register operation itself (`BENCH_timeliness.json` tracks the
-//! measured numbers).
+//! async path's cost per step — far above the cost of the register
+//! operation itself (`sim.memory.word_rw_ns` in `BENCHMARK.json`).
 //!
 //! An [`Automaton`] is the explicit alternative: the executor calls
 //! [`Automaton::step`] once per granted step and hands it a scoped

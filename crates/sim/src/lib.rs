@@ -63,17 +63,17 @@
 //! | Drive | Executed order | When it wins | When to avoid |
 //! |-------|----------------|--------------|---------------|
 //! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish) and under per-step stop conditions | nothing — it is the reference |
-//! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose slices are pure read runs — the lean stack's n-scaling curve records ≥ 2× over plain at n ≥ 256 (`lean_n_scaling`); round-robin-shaped slices take a strided cursor fast path with no per-step bucketing at all | write-dense phases: slices go impure and the drive runs the scalar fallback plus bucketing overhead. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
+//! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose slices are pure read runs — the drive alone runs the lean n = 256 bursty fleet at ≥ 2× plain (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`); round-robin-shaped slices take a strided cursor fast path with no per-step bucketing at all | write-dense phases: slices go impure and the drive runs the scalar fallback plus bucketing overhead. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
 //!
 //! The Figure 2 k-anti-Ω detector in `st-fd` and the agreement stack in
 //! `st-agreement` (Paxos proposer, k-set agreement) ship on both ABIs,
 //! held observationally identical (same probes at the same step indices,
-//! same register footprint) by differential tests; on the replay drive the
-//! state machine executes the n = 8 convergence workload at ≥3× the async
-//! step throughput, and the full FD + k-parallel-Paxos stack runs the E3
-//! workload at ≥2× (see `BENCH_timeliness.json` at the repository root,
-//! `sim_step_throughput` and `agreement_step_throughput`, for the recorded
-//! numbers).
+//! same register footprint) by differential tests. The state machine is
+//! the fast path and the one whose cost is recorded: `BENCHMARK.json`'s
+//! `sim.runner.machine_slot_ns_per_step` and
+//! `sim.runner.replay_plain_ns_per_step` time the full FD +
+//! k-parallel-Paxos stack on the E3 workload (the async ABI's step cost is
+//! not recorded).
 //!
 //! Step semantics are identical across the ABIs and drive modes: one
 //! register operation per scheduled step, same accounting, same probes and

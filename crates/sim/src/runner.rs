@@ -74,13 +74,12 @@ pub enum StopWhen {
 ///
 /// Below this n, per-slice allotments are too short to stay inside one
 /// phase's read run on realistic schedules: batching degenerates to the
-/// scalar fallback and only pays the bucketing overhead (measured at
-/// ~0.50× plain on the lean n = 12 workload before delegation —
-/// `lean_n_scaling` in `BENCH_timeliness.json`). The crossover sits well
-/// below 64; 32 keeps a safety margin on schedules with long dwells, which
-/// batch profitably at any n via the uniform-slice fast path — a dwell of
-/// length ≥ n/2 still clears the threshold's break-even on the workloads
-/// measured.
+/// scalar fallback and only pays the bucketing overhead. The crossover sits
+/// well below 64 (SoA is ahead in the smallest recorded cells,
+/// `sim.fleet.lean_conv.n64.*` in `BENCHMARK.json`); 32 keeps a safety
+/// margin on schedules with long dwells, which batch profitably at any n
+/// via the uniform-slice fast path — a dwell of length ≥ n/2 still clears
+/// the threshold's break-even on the workloads measured.
 pub const SOA_DELEGATE_BELOW_N: usize = 32;
 
 /// Configuration of one `run` call.
