@@ -821,9 +821,9 @@ impl Scenario {
     /// detector fleet on the configured replay drive, streamed as for the
     /// lean workloads. The generic body is monomorphized per width; widths
     /// between the supported powers of two round up (a wider set than
-    /// necessary is correct, just larger). Resident memory is the fleet's:
-    /// every machine keeps a local `|Π^k_n| × n` counter matrix, 134 MB for
-    /// the whole fleet at n = 256, k = 1.
+    /// necessary is correct, just larger). Resident memory is the arena's
+    /// `|Π^k_n|·n` counters plus `O(|Π^k_n| + n)` per machine — 5 MB for
+    /// the whole run at n = 256, k = 1.
     fn run_wide_fd(
         &self,
         k: usize,

@@ -2,9 +2,10 @@
 //! E3-shaped scenario (the regression guard for "register metadata costs
 //! nothing until someone asks for it"), the memory the outcome store
 //! needs to load and save (the guard for "store I/O holds one entry's
-//! tree at a time, never a document's"), and the memory a generator-driven
+//! tree at a time, never a document's"), the memory a generator-driven
 //! run needs as its budget grows (the guard for "no drive holds its
-//! executed schedule").
+//! executed schedule"), and the memory a Figure 2 fleet needs (the guard for
+//! "no process holds the counter matrix").
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's
 //! allocations (`alloc`, `alloc_zeroed` and `realloc` calls alike) and the
@@ -308,6 +309,44 @@ fn a_fleet_run_holds_one_block_of_its_schedule_whatever_the_budget() {
             &format!("{drive:?}"),
             &cell(drive, 1_000_000),
             &cell(drive, 8_000_000),
+        );
+    }
+}
+
+#[test]
+fn a_wide_fleet_holds_no_counter_matrix_per_process() {
+    // The verbatim Figure 2 fleet: one iteration's dwells for a few
+    // iterations. A private `|Π^k_n| × n` snapshot per process would be
+    // 134 MB at n = 256, k = 1 and 66 MB at n = 64, k = 2; what is live is
+    // the arena's `|Π^k_n|·n` cells plus O(|Π^k_n| + n) per process.
+    let cell = |n: usize, k: usize, drive| {
+        let sets = st_core::subsets::binomial(n, k) as usize;
+        let iteration = (sets * n + n + 1) as u64;
+        Scenario::new(
+            format!("wide/n{n}/k{k}"),
+            Universe::new(n).unwrap(),
+            GeneratorSpec::bursty(iteration),
+            Workload::WideFdConvergence {
+                k,
+                t: 4,
+                policy: TimeoutPolicy::Increment,
+                drive,
+            },
+            4 * iteration,
+            1,
+        )
+    };
+    let soa = FleetReplayDrive::Soa { slice_len: 1024 };
+    for (n, k, drive, limit_mb) in [
+        (256, 1, FleetReplayDrive::Plain, 16),
+        (256, 1, soa, 16),
+        (64, 2, FleetReplayDrive::Plain, 8),
+    ] {
+        let peak = run_peak(&cell(n, k, drive));
+        assert!(
+            peak <= limit_mb << 20,
+            "n = {n}, k = {k}, {drive:?}: the run peaked at {peak} live bytes \
+             (budget {limit_mb} MB)"
         );
     }
 }

@@ -30,7 +30,7 @@
 
 use std::rc::Rc;
 
-use st_core::subsets::{wide_k_subsets, wide_unrank};
+use st_core::subsets::{binomial, wide_k_subsets, wide_unrank};
 use st_core::{ProcessId, Universe, WideProcSet};
 use st_sim::{
     Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess, WriteDiscipline,
@@ -158,10 +158,12 @@ impl<const W: usize> KAntiOmega<W> {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ k ≤ t ≤ n − 1` (the range of Theorem 23), or if
+    /// Panics unless `1 ≤ k ≤ t ≤ n − 1` (the range of Theorem 23), if
     /// `n` exceeds the bitset capacity at this width — pick `W` via
     /// [`st_core::words_for`], or use the lean `k = 1` specialization
-    /// ([`LeanOmega`](crate::LeanOmega)) when O(n)-state suffices.
+    /// ([`LeanOmega`](crate::LeanOmega)) when no set representation is
+    /// needed — or if the `C(n, k)·n` counters do not fit the register
+    /// arena's `u32` handle space (checked before any set is built).
     pub fn alloc_wide(sim: &mut Sim, config: KAntiOmegaConfig) -> Self {
         let universe = sim.universe();
         let n = universe.n();
@@ -176,12 +178,22 @@ impl<const W: usize> KAntiOmega<W> {
              pick W with st_core::words_for, or use LeanOmega",
             WideProcSet::<W>::CAPACITY
         );
+        // Checked on the numbers, before `Π^k_n` is materialized: the arena
+        // would refuse the block too, but only after `C(n, k)` sets were
+        // built — an allocation failure aborts where this panic unwinds.
+        let sets = binomial(n, k);
+        assert!(
+            sets.checked_mul(n as u64)
+                .is_some_and(|cells| cells <= u64::from(u32::MAX)),
+            "Figure 2 at n={n}, k={k} needs C(n,k)·n = {sets}·{n} counters, past the register \
+             arena's u32 handle space"
+        );
         let heartbeat = sim.alloc_per_process("Heartbeat", 0u64)[0];
         let subsets = wide_k_subsets(universe, k);
         let counter = sim.alloc_block(
             subsets.len() * n,
             0u64,
-            |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
+            move |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
             move |i| {
                 let (rank, q) = (i / n, ProcessId::new(i % n));
                 let set = wide_unrank::<W>(universe, k, rank as u64);
@@ -428,9 +440,10 @@ impl<const W: usize> KAntiOmegaLocal<W> {
 /// it — exactly where the async transcription runs it.
 #[derive(Clone, Copy, Debug)]
 enum Phase {
-    /// Line 2: read `Counter[A, q]`, flat index `a·n + q` into the counter
-    /// table. `m·n` steps per iteration — the hot phase.
-    ReadCounters(u32),
+    /// Line 2: read `Counter[A, q]` at the machine's `scan_idx` (= `a·n + q`,
+    /// with `row`/`col` kept alongside). `m·n` steps per iteration — the hot
+    /// phase.
+    ReadCounters,
     /// Line 7: write the bumped heartbeat.
     WriteHeartbeat,
     /// Lines 8–13: read `Heartbeat[q]` and reset timers of sets containing
@@ -446,10 +459,13 @@ enum Phase {
 ///
 /// Construct via [`KAntiOmega::machine`] and spawn with
 /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton). Local state is
-/// kept in flat buffers (the counter snapshot is one `m·n` vector, the
-/// register handles one flat table), so the hot `ReadCounters` step is a
-/// bounds-checked word read plus an index increment — no future to resume,
-/// no grant handshake, no nested `Vec` hops.
+/// `O(|Π^k_n| + n)` per process, not the `|Π^k_n| × n` snapshot the paper's
+/// line 2 spells out (and [`KAntiOmega::iterate`] keeps): line 3 needs one
+/// row of the counter matrix at a time and line 18 only the process's own
+/// column, so the scan lands each row in one `n`-word buffer, folds it into
+/// a running argmin at the row boundary, and retains `Counter[A, me]` alone.
+/// The hot `ReadCounters` step is a bounds-checked word read, a store and an
+/// index increment — no future to resume, no grant handshake.
 ///
 /// # Examples
 ///
@@ -476,7 +492,13 @@ enum Phase {
 pub struct KAntiOmegaMachine<const W: usize = 1> {
     fd: KAntiOmega<W>,
     phase: Phase,
-    // The local variables block of Figure 2, flat where the async port nests.
+    /// Flat scan position `a·n + q` within the line 2 phase.
+    scan_idx: u32,
+    /// `scan_idx % n`, maintained incrementally.
+    col: u32,
+    /// `scan_idx / n`, maintained incrementally.
+    row: u32,
+    // The local variables block of Figure 2.
     my_hb: u64,
     prev_heartbeat: Vec<u64>,
     timeout: Vec<u64>,
@@ -490,18 +512,15 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     /// The handle of `Heartbeat[p0]`, likewise; the per-process block lets
     /// the lines 8–13 scan run as one span read on the batched drive.
     heartbeat_base: Reg<u64>,
-    /// The line 2 snapshot, flattened to `[a·n + q]`.
-    cnt: Vec<u64>,
-    /// Memoized line 3: `accusation[a]` is a pure function of the row
-    /// `cnt[a·n .. (a+1)·n]`, so it is recomputed only when a counter in
-    /// that row actually changed since the previous iteration. After
-    /// convergence no counter moves and the whole line 3 pass is `m`
-    /// cached loads — this is where the state machine stops paying the
-    /// per-iteration sort the async transcription re-runs verbatim.
-    accusation: Vec<u64>,
-    /// Rows whose snapshot changed since `accusation[a]` was computed.
-    row_dirty: Vec<bool>,
-    scratch: Vec<u64>,
+    /// The current line 2 row `cnt[A, *]`, folded into the accusation at
+    /// the row boundary — the whole matrix is never retained.
+    row_scratch: Vec<u64>,
+    /// `Counter[A, me]` as read in line 2, per rank (the line 18
+    /// accusation base).
+    cnt_me: Vec<u64>,
+    /// Running argmin of `(accusation[A], A)` over the completed rows.
+    best_row: u32,
+    best_acc: u64,
     winnerset: WideProcSet<W>,
     fd_output: WideProcSet<W>,
     published: Option<WideProcSet<W>>,
@@ -509,7 +528,7 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     /// Ranks whose timers expired this iteration, in ascending order —
     /// the pending line 18 writes.
     expired: Vec<u32>,
-    /// Landing buffer for span reads on the batched drive
+    /// Landing buffer for the heartbeat span read on the batched drive
     /// ([`PhaseBatch::step_reads`]); sized to the batch on use.
     batch_buf: Vec<u64>,
 }
@@ -522,17 +541,20 @@ impl<const W: usize> KAntiOmegaMachine<W> {
         let heartbeat_base = fd.layout.heartbeat;
         KAntiOmegaMachine {
             fd,
-            phase: Phase::ReadCounters(0),
+            phase: Phase::ReadCounters,
+            scan_idx: 0,
+            col: 0,
+            row: 0,
             my_hb: 0,
             prev_heartbeat: vec![0; n],
             timeout: vec![1; m],
             timer: vec![1; m],
             counter_base,
             heartbeat_base,
-            cnt: vec![0; m * n],
-            accusation: vec![0; m],
-            row_dirty: vec![true; m],
-            scratch: vec![0; n],
+            row_scratch: vec![0; n],
+            cnt_me: vec![0; m],
+            best_row: 0,
+            best_acc: u64::MAX,
             winnerset: WideProcSet::EMPTY,
             fd_output: WideProcSet::EMPTY,
             published: None,
@@ -557,51 +579,47 @@ impl<const W: usize> KAntiOmegaMachine<W> {
         self.iterations
     }
 
-    /// Lines 3–5 plus the line 6 increment: runs at the end of the last
-    /// line 2 read, inside that read's step (where the async port runs it).
-    /// Returns the encoded probe payload when the winnerset changed — the
-    /// caller publishes it as the [`WINNERSET_PROBE`] through whichever
-    /// access type (scalar [`StepAccess`] or batched
-    /// [`st_sim::BatchAccess`]) drove the step.
-    fn select_winner(&mut self) -> Option<u64> {
-        let n = self.fd.universe.n();
-        let m = self.fd.set_count();
+    /// Folds the just-completed line 2 row out of `row_scratch`: line 3
+    /// (`accusation[A]` is the (t+1)-st smallest of the row) and line 4's
+    /// running minimum of `(accusation[A], A)` — subsets are in ascending
+    /// set order, so a strict `<` in rank order realizes the lexicographic
+    /// tie-break. Then advances to the next row or, on the last row, runs
+    /// lines 4–5 and the line 6 increment inside the step of the last read
+    /// (where the async port runs them) and returns the encoded probe
+    /// payload when the winnerset changed — the caller publishes it as the
+    /// [`WINNERSET_PROBE`] through whichever access type (scalar
+    /// [`StepAccess`] or batched [`st_sim::BatchAccess`]) drove the step.
+    fn fold_row(&mut self, me: usize) -> Option<u64> {
+        let row = self.row as usize;
+        self.cnt_me[row] = self.row_scratch[me];
+        // The (t+1)-st smallest is below the running minimum exactly when
+        // more than t entries are: one counting pass settles most rows
+        // without selecting anything.
         let t = self.fd.config.t;
-
-        // Line 3: accusation[A] is the (t+1)-st smallest of cnt[A, *] —
-        // recomputed only for rows whose snapshot changed (see the field
-        // docs; values are identical to recomputing every row). Line 4: the
-        // winner minimizes (accusation[A], A) — subsets are in ascending
-        // set order, so a strict `<` scan in rank order realizes the
-        // lexicographic tie-break.
-        let mut winner = 0usize;
-        let mut winner_acc = u64::MAX;
-        for a in 0..m {
-            if self.row_dirty[a] {
-                self.row_dirty[a] = false;
-                self.scratch.copy_from_slice(&self.cnt[a * n..(a + 1) * n]);
-                let (_, &mut acc, _) = self.scratch.select_nth_unstable(t);
-                self.accusation[a] = acc;
-            }
-            let acc = self.accusation[a];
-            if acc < winner_acc {
-                winner = a;
-                winner_acc = acc;
-            }
+        let best = self.best_acc;
+        if self.row_scratch.iter().filter(|&&c| c < best).count() > t {
+            let (_, &mut acc, _) = self.row_scratch.select_nth_unstable(t);
+            self.best_acc = acc;
+            self.best_row = self.row;
         }
+        if row + 1 < self.cnt_me.len() {
+            self.col = 0;
+            self.row += 1;
+            return None;
+        }
+        let winner = self.best_row as usize;
         self.winnerset = self.fd.layout.subsets[winner];
         // Line 5: fdOutput = Π_n − winnerset.
         self.fd_output = self.winnerset.complement(self.fd.universe);
-        let publish = if self.published != Some(self.winnerset) {
+        // Line 6: bump the local heartbeat; the write is the next step.
+        self.my_hb += 1;
+        self.phase = Phase::WriteHeartbeat;
+        if self.published != Some(self.winnerset) {
             self.published = Some(self.winnerset);
             Some(self.fd.encode_winnerset(winner))
         } else {
             None
-        };
-
-        // Line 6: bump the local heartbeat; the write is the next step.
-        self.my_hb += 1;
-        publish
+        }
     }
 
     /// Lines 14–15 + 17 bookkeeping for every set at once: decrement all
@@ -625,7 +643,12 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// Closes the loop iteration and re-enters line 2.
     fn next_iteration(&mut self) {
         self.iterations += 1;
-        self.phase = Phase::ReadCounters(0);
+        self.phase = Phase::ReadCounters;
+        self.scan_idx = 0;
+        self.col = 0;
+        self.row = 0;
+        self.best_row = 0;
+        self.best_acc = u64::MAX;
     }
 }
 
@@ -636,23 +659,15 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
     #[inline]
     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
         match self.phase {
-            Phase::ReadCounters(idx) => {
-                let i = idx as usize;
-                let value = mem.read_word_array(self.counter_base, i);
-                // Counters move rarely (one accusation per timer expiry):
-                // compare-before-store keeps the line 3 memo exact and the
-                // row-index division off the common path.
-                if self.cnt[i] != value {
-                    self.cnt[i] = value;
-                    self.row_dirty[i / self.fd.universe.n()] = true;
-                }
-                if i + 1 == self.cnt.len() {
-                    if let Some(ws) = self.select_winner() {
-                        mem.probe(WINNERSET_PROBE, ws);
-                    }
-                    self.phase = Phase::WriteHeartbeat;
-                } else {
-                    self.phase = Phase::ReadCounters(idx + 1);
+            Phase::ReadCounters => {
+                let c = self.col as usize;
+                self.row_scratch[c] =
+                    mem.read_word_array(self.counter_base, self.scan_idx as usize);
+                self.scan_idx += 1;
+                if c + 1 < self.row_scratch.len() {
+                    self.col += 1;
+                } else if let Some(ws) = self.fold_row(mem.pid().index()) {
+                    mem.probe(WINNERSET_PROBE, ws);
                 }
             }
             Phase::WriteHeartbeat => {
@@ -682,12 +697,12 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                 }
             }
             Phase::Accuse(idx) => {
-                // Line 18: accuse from the line 2 snapshot, as the paper
-                // (and the async port) does.
+                // Line 18: accuse from the line 2 snapshot of the own
+                // column, as the paper (and the async port) does.
                 let me = mem.pid().index();
                 let a = self.expired[idx as usize] as usize;
                 let slot = a * self.fd.universe.n() + me;
-                mem.write_word_array(self.counter_base, slot, self.cnt[slot] + 1);
+                mem.write_word_array(self.counter_base, slot, self.cnt_me[a] + 1);
                 if idx as usize + 1 == self.expired.len() {
                     self.next_iteration();
                 } else {
@@ -703,7 +718,7 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
     #[inline]
     fn phase_class(&self) -> u8 {
         match self.phase {
-            Phase::ReadCounters(_) => 0,
+            Phase::ReadCounters => 0,
             Phase::WriteHeartbeat => 1,
             Phase::ReadHeartbeats(_) => 2,
             Phase::Accuse(_) => 3,
@@ -716,9 +731,10 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
         // read never depends on the values read (values only feed the local
         // timer bookkeeping at the phase boundary), so the full remainder of
         // the phase is a sound run. The write phases pin the run at 0.
+        let n = self.fd.universe.n();
         match self.phase {
-            Phase::ReadCounters(idx) => self.cnt.len() - idx as usize,
-            Phase::ReadHeartbeats(q) => self.fd.universe.n() - q as usize,
+            Phase::ReadCounters => self.fd.set_count() * n - self.scan_idx as usize,
+            Phase::ReadHeartbeats(q) => n - q as usize,
             Phase::WriteHeartbeat | Phase::Accuse(_) => 0,
         }
     }
@@ -729,30 +745,30 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
             return Status::Running;
         }
         match self.phase {
-            Phase::ReadCounters(idx) => {
-                // Line 2, batched: one span read over the counter matrix,
-                // then the compare-before-store memo pass of the scalar
-                // drive over the landed values.
-                let i = idx as usize;
+            Phase::ReadCounters => {
+                // Line 2, batched: span reads land row segment by row
+                // segment directly in `row_scratch`, cut at the row
+                // boundaries where the fold consumes the row in place.
+                // `read_run` caps the allotment at the scan boundary, so the
+                // phase cannot turn over mid-batch.
                 let n = self.fd.universe.n();
-                self.batch_buf.resize(l, 0);
-                mem.read_word_span(self.counter_base, i, &mut self.batch_buf);
-                for (j, &value) in self.batch_buf.iter().enumerate() {
-                    let gi = i + j;
-                    if self.cnt[gi] != value {
-                        self.cnt[gi] = value;
-                        self.row_dirty[gi / n] = true;
-                    }
-                }
-                if i + l == self.cnt.len() {
-                    if let Some(ws) = self.select_winner() {
+                let me = mem.pid().index();
+                let mut remaining = l;
+                while remaining > 0 {
+                    debug_assert!(matches!(self.phase, Phase::ReadCounters));
+                    let c = self.col as usize;
+                    let seg = remaining.min(n - c);
+                    let at = self.scan_idx as usize;
+                    mem.read_word_span(self.counter_base, at, &mut self.row_scratch[c..c + seg]);
+                    self.scan_idx += seg as u32;
+                    remaining -= seg;
+                    if c + seg < n {
+                        self.col = (c + seg) as u32;
+                    } else if let Some(ws) = self.fold_row(me) {
                         // Attaches to the last consumed step — exactly the
                         // step the scalar drive publishes on.
                         mem.probe(WINNERSET_PROBE, ws);
                     }
-                    self.phase = Phase::WriteHeartbeat;
-                } else {
-                    self.phase = Phase::ReadCounters((i + l) as u32);
                 }
             }
             Phase::ReadHeartbeats(q) => {
@@ -816,6 +832,24 @@ mod tests {
     fn invalid_parameters_rejected() {
         let mut sim = Sim::new(universe(3));
         let _ = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(2, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "Figure 2 at n=256, k=8 needs C(n,k)·n")]
+    fn a_counter_matrix_past_the_handle_space_is_refused_before_any_set_is_built() {
+        // C(256, 8) ≈ 4·10¹⁴ sets: materializing them first would exhaust
+        // memory (an abort) long before the arena could refuse the block.
+        let mut sim = Sim::new(universe(256));
+        let _ = KAntiOmega::<4>::alloc_wide(&mut sim, KAntiOmegaConfig::new(8, 8));
+    }
+
+    #[test]
+    fn the_largest_k2_grid_cell_still_allocates() {
+        let mut sim = Sim::new(universe(128));
+        let fd = KAntiOmega::<2>::alloc_wide(&mut sim, KAntiOmegaConfig::new(2, 8));
+        assert_eq!(fd.set_count(), 8128); // C(128, 2)
+        let last = ProcessId::new(127);
+        assert_eq!(fd.peek_counter(&sim, 8127, last), 0);
     }
 
     #[test]

@@ -1,25 +1,28 @@
 //! Lean `k = 1` anti-Ω for large universes: the Figure 2 algorithm
 //! specialized to singleton candidate sets, with `O(n)` local state.
 //!
-//! [`KAntiOmega`](crate::KAntiOmega) materializes `Π^k_n` and keeps an
-//! `m·n`-word counter snapshot per process — exact for the paper's
-//! combinatorial regime, but quadratic-and-worse in `n` and capped at
-//! `n ≤ 64` by the [`ProcSet`](st_core::ProcSet) bitset. For `k = 1` the
-//! candidate sets are exactly the singletons `{p_a}`, so the structure
-//! collapses: the counter matrix is `Counter[a][q]` (accused × accuser),
-//! the per-set timers are per-process timers, and the winnerset is a single
-//! **leader index** — no set representation needed at all. This module is
-//! that specialization, built for the `n ∈ {256, 1024}` scaling
-//! experiments:
+//! For `k = 1` the candidate sets of [`KAntiOmega`](crate::KAntiOmega) are
+//! exactly the singletons `{p_a}`, so the structure collapses: the counter
+//! matrix is `Counter[a][q]` (accused × accuser), the per-set timers are
+//! per-process timers, and the winnerset is a single **leader index** — no
+//! set representation needed at all. This module is that specialization,
+//! built for the `n ∈ {256, 1024}` scaling experiments.
 //!
-//! - local state is `O(n)` (the line 3 selection folds over each row as the
-//!   line 2 scan streams past it; only the process's own counter column is
-//!   retained for the line 18 accusations);
-//! - no [`ProcSet`](st_core::ProcSet) anywhere — processes are tracked by
-//!   index, so any `n` up to
-//!   [`MAX_PROCESSES`](st_core::process::MAX_PROCESSES) works;
-//! - the leader is published as a plain index under [`LEADER_PROBE`]
-//!   (`u64`), not as a set bitmask.
+//! Local state is `O(n)`: the line 3 selection folds over each row as the
+//! line 2 scan streams past it, and only the process's own counter column
+//! is retained for the line 18 accusations.
+//! [`KAntiOmegaMachine`](crate::KAntiOmegaMachine) runs the same fold for
+//! any `k` in `O(|Π^k_n| + n)` (only the async port keeps the paper's
+//! `|Π^k_n| × n` snapshot), and on [`WideProcSet`](st_core::WideProcSet)
+//! universes it reaches the same
+//! [`MAX_PROCESSES`](st_core::process::MAX_PROCESSES). What still differs:
+//!
+//! - set representation: none here — no `Π^k_n` table, no bitset width to
+//!   pick, no per-process table of the sets containing it; processes are
+//!   tracked by index;
+//! - probe encoding: the leader is published as a plain index under
+//!   [`LEADER_PROBE`], not as a set bitmask or colex rank under
+//!   [`WINNERSET_PROBE`](crate::WINNERSET_PROBE).
 //!
 //! The machine ships on the state-machine ABI only (it exists for fleet
 //! drives at scales where per-step futures are the bottleneck) and
@@ -70,7 +73,7 @@ impl LeanOmega {
         let counter_base = sim.alloc_block(
             n * n,
             0u64,
-            |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
+            move |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
             move |i| format!("LeanCnt[{},{}]", i / n, i % n),
         );
         LeanOmega {

@@ -20,29 +20,41 @@
 //!    same representation via a compile-time [`TypeId`] check that
 //!    monomorphizes away.
 //! 2. **Structure of arrays.** The arena keeps parallel dense arrays —
-//!    kinds (1 byte), word values (8 bytes), read/write counts, write
-//!    disciplines — instead of an array of register structs. A protocol
-//!    that sweeps hundreds of registers per iteration (the Figure 2 counter
+//!    kinds (1 byte), word values (8 bytes), read and write counts (8 bytes
+//!    each) — instead of an array of register structs. A protocol that
+//!    sweeps hundreds of registers per iteration (the Figure 2 counter
 //!    matrix) then streams a few KiB of dense values: the per-step cost of
 //!    the sweep is the load, the count bump, and nothing else.
-//! 3. **Blocks, and names on demand.** Registers are allocated in *blocks*
-//!    ([`Memory::alloc_block`]): `count` consecutive registers with one
-//!    initial value, a per-index write discipline, and a per-index *name
-//!    recipe* (`Fn(usize) -> String`). The dense arrays are extended once
-//!    per block and the recipe is stored once per block, in a block table
-//!    sorted by first index — no name is formatted, and no `String` is
-//!    stored, at allocation time. [`Memory::alloc`] is the one-register
-//!    block.
+//! 3. **Blocks, with names and disciplines by rule.** Registers are
+//!    allocated in *blocks* ([`Memory::alloc_block`]): `count` consecutive
+//!    registers with one initial value, a per-index *write-discipline rule*
+//!    (`Fn(usize) -> WriteDiscipline`) and a per-index *name recipe*
+//!    (`Fn(usize) -> String`). The dense arrays are extended once per block
+//!    and the two closures are stored once per block, in a block table
+//!    sorted by first index — no name is formatted, no `String` and no
+//!    per-register discipline is stored, at allocation time.
+//!    [`Memory::alloc`] is the one-register block.
+//!
+//! What **allocation costs**: 25 bytes of address space per register and
+//! one table entry per block, of which only the kind byte is written. A
+//! zero-initialized word block extends the value and count arrays through a
+//! zeroed allocation, which for a large block is untouched pages: a cell
+//! becomes resident when a run first reads or writes it, so a fleet that
+//! executes few steps pays for few cells (Figure 2's `|Π^k_n|·n` counters,
+//! or the lean detector's `n²` = 1 048 576 at n = 1024, used to be written
+//! — and page-faulted in — 33 bytes apiece before the first step). Blocks
+//! with a non-zero initial value, and boxed ones, are written as before.
 //!
 //! What is **hot** (touched by every simulated step): the kind byte, the
-//! payload word, and the read or write count of the accessed register; on
-//! writes, its discipline. What is **on demand**: names. [`Memory::name`]
-//! binary-searches the block table and runs the recipe; only the
-//! [`SimError`] constructors (a protocol bug is being reported),
-//! [`Memory::stats`] and tests ever call it, so a run that reports no error
-//! and asks for no statistics formats nothing — Figure 2's `|Π^k_n|·n`
-//! counters (or the lean detector's `n²` = 1 048 576 at n = 1024) cost
-//! their dense cells and one table entry.
+//! payload word, and the read or write count of the accessed register.
+//! What is **asked per write**: the discipline — the block table is
+//! binary-searched and the block's rule run, behind a small direct-mapped
+//! memo of the registers written last (a process keeps writing the same few
+//! registers; reads outnumber writes `n·|Π^k_n|` to 1 in Figure 2). What is
+//! **on demand**: names. [`Memory::name`] searches the same table and runs
+//! the recipe; only the [`SimError`] constructors (a protocol bug is being
+//! reported), [`Memory::stats`] and tests ever call it, so a run that
+//! reports no error and asks for no statistics formats nothing.
 //!
 //! Handles, disciplines, and error behavior are independent of the layout.
 
@@ -61,12 +73,32 @@ enum Kind {
     Boxed,
 }
 
-/// One allocation: a run of consecutive registers sharing a name recipe.
+/// One allocation: a run of consecutive registers sharing a name recipe
+/// and a write-discipline rule.
 struct Block {
     /// Arena index of the block's first register.
     start: usize,
     /// Formats the name of the block's `i`-th register.
     name: Box<dyn Fn(usize) -> String>,
+    /// The write discipline of the block's `i`-th register.
+    discipline: Box<dyn Fn(usize) -> WriteDiscipline>,
+}
+
+/// Extends `cells` with zeros up to `end` entries. A block at least as long
+/// as everything before it goes through a fresh zeroed allocation, which
+/// the allocator hands out without writing it (large ones are untouched
+/// pages: a cell costs memory when a run first touches it, not when it is
+/// allocated), at the price of copying the shorter prefix — never more
+/// bytes than `resize` would have written.
+fn extend_zeroed(cells: &mut Vec<u64>, end: usize) {
+    let len = cells.len();
+    if end - len >= len {
+        let mut grown = vec![0; end];
+        grown[..len].copy_from_slice(cells);
+        *cells = grown;
+    } else {
+        cells.resize(end, 0);
+    }
 }
 
 /// The register arena (see the module docs for the layout): genuine
@@ -77,7 +109,6 @@ struct Block {
 /// read. The counter-matrix scan is the hottest loop in the repository;
 /// the split layout roughly halves its memory traffic and lets the span
 /// paths compile to `memcpy` + a vectorized increment loop.
-#[derive(Default)]
 pub struct Memory {
     /// Storage class per register (1 byte, dense).
     kinds: Vec<Kind>,
@@ -88,13 +119,36 @@ pub struct Memory {
     reads: Vec<u64>,
     /// Completed writes per register (version counter).
     writes: Vec<u64>,
-    /// Write discipline per register (checked on writes only).
-    disciplines: Vec<WriteDiscipline>,
     /// The non-empty allocations in arena order (strictly increasing
-    /// `start`): where names come from, on demand.
+    /// `start`): where names (on demand) and write disciplines (on writes)
+    /// come from.
     blocks: Vec<Block>,
+    /// The disciplines the write path looked up last, direct-mapped by
+    /// register index (`u32::MAX`, which no register has, marks a free
+    /// entry): a process writes the same few registers over and over, and
+    /// this keeps those writes off the block search. Never stale — a
+    /// register's discipline is fixed at allocation and indices are not
+    /// reused.
+    written: [(u32, WriteDiscipline); WRITTEN_MEMO],
     /// Side table for non-word values.
     boxed: Vec<Box<dyn Any>>,
+}
+
+/// Entries in [`Memory`]'s memo of recently written registers' disciplines.
+const WRITTEN_MEMO: usize = 64;
+
+impl Default for Memory {
+    fn default() -> Self {
+        Memory {
+            kinds: Vec::new(),
+            payloads: Vec::new(),
+            reads: Vec::new(),
+            writes: Vec::new(),
+            blocks: Vec::new(),
+            written: [(u32::MAX, WriteDiscipline::MultiWriter); WRITTEN_MEMO],
+            boxed: Vec::new(),
+        }
+    }
 }
 
 /// Per-register access statistics, reported after a run.
@@ -156,15 +210,17 @@ impl Memory {
         init: T,
     ) -> Reg<T> {
         let name = name.into();
-        self.alloc_block(1, init, |_| discipline, move |_| name.clone())
+        self.alloc_block(1, init, move |_| discipline, move |_| name.clone())
     }
 
     /// Allocates `count` consecutive registers holding `init` and returns
     /// the handle of the first; the `i`-th is [`Reg::at`]`(i)`. Register
-    /// `i` of the block gets write discipline `discipline(i)` and — when
-    /// somebody asks, see [`name`](Self::name) — the name `name(i)`: the
-    /// recipe is stored, nothing is formatted here. The dense arrays grow
-    /// once for the whole block.
+    /// `i` of the block gets write discipline `discipline(i)` — asked on
+    /// every write to it — and, when somebody asks (see
+    /// [`name`](Self::name)), the name `name(i)`: both recipes are stored,
+    /// neither is run here. The dense arrays grow once for the whole block,
+    /// and a zero-initialized word block writes none of its value or count
+    /// cells (see the module docs).
     ///
     /// # Panics
     ///
@@ -173,7 +229,7 @@ impl Memory {
         &mut self,
         count: usize,
         init: T,
-        discipline: impl Fn(usize) -> WriteDiscipline,
+        discipline: impl Fn(usize) -> WriteDiscipline + 'static,
         name: impl Fn(usize) -> String + 'static,
     ) -> Reg<T> {
         let start = self.kinds.len();
@@ -185,7 +241,10 @@ impl Memory {
         }
         if is_word::<T>() {
             self.kinds.resize(end, Kind::Word);
-            self.payloads.resize(end, to_word(init));
+            match to_word(init) {
+                0 => extend_zeroed(&mut self.payloads, end),
+                word => self.payloads.resize(end, word),
+            }
         } else {
             let slot = self.boxed.len();
             self.kinds.resize(end, Kind::Boxed);
@@ -193,12 +252,12 @@ impl Memory {
             self.boxed
                 .extend((0..count).map(|_| Box::new(init.clone()) as Box<dyn Any>));
         }
-        self.reads.resize(end, 0);
-        self.writes.resize(end, 0);
-        self.disciplines.extend((0..count).map(discipline));
+        extend_zeroed(&mut self.reads, end);
+        extend_zeroed(&mut self.writes, end);
         self.blocks.push(Block {
             start,
             name: Box::new(name),
+            discipline: Box::new(discipline),
         });
         base
     }
@@ -210,13 +269,32 @@ impl Memory {
         }
     }
 
-    fn check_writer(&self, index: usize, writer: ProcessId) -> Result<(), SimError> {
-        if let WriteDiscipline::SingleWriter(owner) = self.disciplines[index] {
-            if owner != writer {
-                return Err(self.writer_violation(index, writer));
-            }
+    /// The block of in-arena register `index`, and its position in it: the
+    /// last block starting at or before it.
+    #[inline]
+    fn block_of(&self, index: usize) -> (&Block, usize) {
+        let block = &self.blocks[self.blocks.partition_point(|b| b.start <= index) - 1];
+        (block, index - block.start)
+    }
+
+    /// Enforces the write discipline of in-arena register `index`: its
+    /// block's rule, asked once per stretch of writes to the register (see
+    /// the `written` memo).
+    #[inline]
+    fn check_writer(&mut self, index: usize, writer: ProcessId) -> Result<(), SimError> {
+        let (tag, slot) = (index as u32, index % WRITTEN_MEMO);
+        let mut memo = self.written[slot];
+        if memo.0 != tag {
+            let (block, i) = self.block_of(index);
+            memo = (tag, (block.discipline)(i));
+            self.written[slot] = memo;
         }
-        Ok(())
+        match memo.1 {
+            WriteDiscipline::SingleWriter(owner) if owner != writer => {
+                Err(self.writer_violation(index, owner, writer))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Atomic read: returns a clone of the current value and counts the
@@ -359,16 +437,14 @@ impl Memory {
         value: u64,
     ) -> Result<(), SimError> {
         let idx = reg.index();
-        // Single-writer registers are the common case in the paper's
-        // protocols; the discipline lives in a cold array, loaded only on
-        // writes (reads outnumber writes ~n·|Π^k_n| to 1 in Figure 2).
-        match self.disciplines.get(idx) {
-            Some(&WriteDiscipline::MultiWriter) => {}
-            Some(&WriteDiscipline::SingleWriter(owner)) if owner == writer => {}
-            Some(_) => return Err(self.writer_violation(idx, writer)),
-            None => return Err(SimError::UnknownRegister { register: idx }),
-        }
-        match self.kinds[idx] {
+        let kind = *self
+            .kinds
+            .get(idx)
+            .ok_or(SimError::UnknownRegister { register: idx })?;
+        // The discipline is the block's rule, looked up on writes only
+        // (reads outnumber writes ~n·|Π^k_n| to 1 in Figure 2).
+        self.check_writer(idx, writer)?;
+        match kind {
             Kind::Word => {
                 self.payloads[idx] = value;
                 self.writes[idx] += 1;
@@ -379,15 +455,12 @@ impl Memory {
     }
 
     #[cold]
-    fn writer_violation(&self, index: usize, writer: ProcessId) -> SimError {
-        match self.disciplines[index] {
-            WriteDiscipline::SingleWriter(owner) => SimError::WriteDisciplineViolation {
-                register: index,
-                name: self.format_name(index),
-                owner,
-                writer,
-            },
-            WriteDiscipline::MultiWriter => unreachable!("only single-writer can violate"),
+    fn writer_violation(&self, index: usize, owner: ProcessId, writer: ProcessId) -> SimError {
+        SimError::WriteDisciplineViolation {
+            register: index,
+            name: self.format_name(index),
+            owner,
+            writer,
         }
     }
 
@@ -427,11 +500,10 @@ impl Memory {
         }
     }
 
-    /// Name of in-arena register `index`: its block is the last one
-    /// starting at or before it.
+    /// Name of in-arena register `index`, from its block's recipe.
     fn format_name(&self, index: usize) -> String {
-        let block = &self.blocks[self.blocks.partition_point(|b| b.start <= index) - 1];
-        (block.name)(index - block.start)
+        let (block, i) = self.block_of(index);
+        (block.name)(i)
     }
 
     /// Access statistics for all registers, in allocation order. Formats
@@ -624,6 +696,133 @@ mod tests {
         let stats = m.stats();
         assert_eq!(stats.len(), 6);
         assert_eq!((stats[3].name.as_str(), stats[3].writes), ("row[2]", 1));
+    }
+
+    #[test]
+    fn a_zero_extended_block_keeps_everything_before_it() {
+        let mut m = Memory::new();
+        let early = m.alloc_block(
+            3,
+            5u64,
+            |i| WriteDiscipline::SingleWriter(p(i)),
+            |i| format!("early[{i}]"),
+        );
+        m.write_word(p(1), early.at(1), 8).unwrap();
+        m.read_word(early.at(1)).unwrap();
+        m.read_word(early.at(2)).unwrap();
+        // Longer than the arena before it: the untouched-allocation path.
+        let late = m.alloc_block(
+            64,
+            0u64,
+            |i| WriteDiscipline::SingleWriter(p(i % 4)),
+            |i| format!("late[{i}]"),
+        );
+        // Shorter than the arena before it: extended in place.
+        let tail = m.alloc("tail", WriteDiscipline::MultiWriter, 0u64);
+        assert_eq!((late.index(), tail.index(), m.len()), (3, 67, 68));
+        let values: Vec<u64> = (0..3).map(|i| m.peek(early.at(i)).unwrap()).collect();
+        assert_eq!(values, [5, 8, 5]);
+        let stats = m.stats();
+        let counts: Vec<(u64, u64)> = stats[..3].iter().map(|s| (s.reads, s.writes)).collect();
+        assert_eq!(counts, [(0, 0), (1, 1), (1, 0)]);
+        assert_eq!(stats[2].name, "early[2]");
+        assert!(stats[3..]
+            .iter()
+            .all(|s| (s.reads, s.writes) == (0, 0) && s.name != "early[2]"));
+        assert!((0..64).all(|i| m.peek(late.at(i)).unwrap() == 0));
+        // The early block's rule still guards it, the late block's its own:
+        // a foreign write into the middle of either names owner and cell.
+        assert_eq!(
+            m.write_word(p(0), early.at(2), 1),
+            Err(SimError::WriteDisciplineViolation {
+                register: 2,
+                name: "early[2]".into(),
+                owner: p(2),
+                writer: p(0),
+            })
+        );
+        assert_eq!(
+            m.write_word(p(0), late.at(41), 1),
+            Err(SimError::WriteDisciplineViolation {
+                register: 44,
+                name: "late[41]".into(),
+                owner: p(1),
+                writer: p(0),
+            })
+        );
+        m.write_word(p(1), late.at(41), 9).unwrap();
+        m.write_word(p(3), tail, 4).unwrap();
+        assert_eq!((m.peek(late.at(41)), m.peek(tail)), (Ok(9), Ok(4)));
+        assert_eq!((m.peek(late.at(40)), m.peek(late.at(42))), (Ok(0), Ok(0)));
+    }
+
+    #[test]
+    fn the_written_memo_never_answers_for_another_register() {
+        // Registers WRITTEN_MEMO apart share a memo entry; each keeps its
+        // own owner however the writes to them interleave.
+        let mut m = Memory::new();
+        let regs = m.alloc_block(
+            3 * WRITTEN_MEMO,
+            0u64,
+            |i| match i / WRITTEN_MEMO {
+                0 => WriteDiscipline::SingleWriter(p(0)),
+                1 => WriteDiscipline::SingleWriter(p(1)),
+                _ => WriteDiscipline::MultiWriter,
+            },
+            |i| format!("r[{i}]"),
+        );
+        let (first, second, open) = (
+            regs.at(5),
+            regs.at(5 + WRITTEN_MEMO),
+            regs.at(5 + 2 * WRITTEN_MEMO),
+        );
+        for round in 1..=3 {
+            m.write_word(p(0), first, round).unwrap();
+            assert!(m.write_word(p(0), second, round).is_err());
+            m.write_word(p(1), second, round).unwrap();
+            m.write_word(p(0), open, round).unwrap();
+            assert_eq!(
+                m.write_word(p(1), first, round),
+                Err(SimError::WriteDisciplineViolation {
+                    register: first.index(),
+                    name: "r[5]".into(),
+                    owner: p(0),
+                    writer: p(1),
+                })
+            );
+        }
+        let stats = m.stats();
+        let writes = |r: Reg<u64>| stats[r.index()].writes;
+        assert_eq!((writes(first), writes(second), writes(open)), (3, 3, 3));
+    }
+
+    #[test]
+    fn non_zero_and_boxed_blocks_are_written_however_long() {
+        // Both blocks outgrow the arena before them, as a zeroed extension
+        // must; neither may take it.
+        let mut m = Memory::new();
+        let lone = m.alloc("lone", WriteDiscipline::MultiWriter, 0u64);
+        let sevens = m.alloc_block(
+            8,
+            7u64,
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("seven[{i}]"),
+        );
+        let notes = m.alloc_block(
+            32,
+            String::from("init"),
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("note[{i}]"),
+        );
+        assert!((0..8).all(|i| m.read_word(sevens.at(i)) == Ok(7)));
+        m.write(p(0), notes.at(30), String::from("changed"))
+            .unwrap();
+        for i in 0..32 {
+            let want = if i == 30 { "changed" } else { "init" };
+            assert_eq!(m.read(notes.at(i)).unwrap(), want);
+        }
+        assert_eq!(m.peek(lone), Ok(0));
+        assert_eq!(m.total_ops(), 8 + 1 + 32);
     }
 
     #[test]

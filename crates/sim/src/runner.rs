@@ -293,7 +293,7 @@ impl Sim {
         &mut self,
         count: usize,
         init: T,
-        discipline: impl Fn(usize) -> WriteDiscipline,
+        discipline: impl Fn(usize) -> WriteDiscipline + 'static,
         name: impl Fn(usize) -> String + 'static,
     ) -> Reg<T> {
         self.shared
