@@ -1,193 +1,53 @@
-//! Lean consensus for large universes: [`LeanOmega`] + single-decree
-//! Paxos, with `O(n)` local state and no set representation.
+//! `LeanConsensus`: the §4.3 construction at `k = 1` — a constructor, not a
+//! second protocol.
 //!
-//! [`KSetAgreement`](crate::KSetAgreement) composes the combinatorial
-//! Figure 2 detector with `k` Paxos instances — the paper's construction,
-//! capped at `n ≤ 64` by the [`ProcSet`](st_core::ProcSet) winnerset. This
-//! module is its `k = 1` (consensus) counterpart for the
-//! `n ∈ {256, 1024}` scaling experiments: the lean leader oracle elects an
-//! *index*, the appointed leader drives the one Paxos instance (whose
-//! proposer core is already set-free), and every process adopts the first
-//! decision it sees. The protocol-round shape is the same as the k-set
-//! machine's — FD iteration, decision scan, lead-if-appointed — so the two
-//! stacks exercise the fleet drives identically at every `n`.
+//! [`KSetAgreement`] with one Paxos instance is consensus: the winnerset is
+//! a singleton, its only member leads the only instance, and every process
+//! adopts the first decision it sees. Composed with a
+//! [`LeanOmega`] (Figure 2 at `k = 1`, width [`LEAN_WIDTH`]) that is the
+//! stack the large-`n` scaling fleets (`n` up to 1024) run —
+//! [`KSetAgreementMachine`] itself, with every probe and register name it
+//! has at any other `k` (`kset[0].rec[i]`, `kset[0].decision`,
+//! [`DECIDED_INSTANCE_PROBE`](crate::DECIDED_INSTANCE_PROBE)).
 //!
-//! Safety is Paxos safety, unconditional. Termination needs leader
-//! stabilization, which [`LeanOmega`] provides on schedules where some
-//! process is set-timely — at `k = 1` set timeliness degenerates to
-//! process timeliness of a single process, exactly footnote 2's Ω regime.
+//! Safety is Paxos safety, unconditional. Termination needs winnerset
+//! stabilization, which Figure 2 provides on schedules where some process
+//! is set-timely — at `k = 1` set timeliness degenerates to process
+//! timeliness of a single process, exactly footnote 2's Ω regime.
+//!
+//! The constructor exists because the repo benchmark's fleet cells call it
+//! by this name and signature; see ROADMAP item 1.
 
 use st_core::Value;
-use st_fd::{LeanOmega, LeanOmegaMachine};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Sim, Status, StepAccess};
+use st_fd::{LeanOmega, LEAN_WIDTH};
+use st_sim::Sim;
 
-use crate::paxos::{CoreStep, Paxos, PaxosProposerCore};
+use crate::kset::{KSetAgreement, KSetAgreementMachine};
 
-/// A lean consensus object: one Paxos instance to be driven by a
-/// [`LeanOmega`] leader. Clone into each machine via
-/// [`machine`](Self::machine).
+/// One process's machine of a [`LeanConsensus`] object: the k-set machine
+/// at [`LEAN_WIDTH`].
+pub type LeanConsensusMachine = KSetAgreementMachine<LEAN_WIDTH>;
+
+/// A `k = 1` k-set agreement object, to be driven by a [`LeanOmega`]
+/// leader. Clone into each machine via [`machine`](Self::machine).
 #[derive(Clone, Debug)]
-pub struct LeanConsensus {
-    instance: Paxos,
-}
+pub struct LeanConsensus(KSetAgreement);
 
 impl LeanConsensus {
-    /// Allocates the Paxos instance in `sim`.
+    /// Allocates the one Paxos instance in `sim`: [`KSetAgreement::alloc`]
+    /// with `k = 1`.
     pub fn alloc(sim: &mut Sim) -> Self {
-        LeanConsensus {
-            instance: Paxos::alloc(sim, "lean"),
-        }
+        LeanConsensus(KSetAgreement::alloc(sim, 1))
     }
 
-    /// The underlying instance (instrumentation).
-    pub fn instance(&self) -> &Paxos {
-        &self.instance
+    /// The k-set agreement object this constructor built.
+    pub fn kset(&self) -> &KSetAgreement {
+        &self.0
     }
 
-    /// One process's machine, composed with its own copy of the lean FD.
+    /// One process's machine, composed with its own copy of the detector.
     pub fn machine(&self, fd: &LeanOmega, proposal: Value) -> LeanConsensusMachine {
-        LeanConsensusMachine {
-            fd: fd.machine(),
-            fd_iterations_seen: 0,
-            proposer: PaxosProposerCore::new(self.instance.clone()),
-            instance: self.instance.clone(),
-            proposal,
-            phase: LeanConsensusPhase::Fd,
-        }
-    }
-}
-
-/// Control state of [`LeanConsensusMachine`]: which part of the protocol
-/// round the next scheduled step executes.
-#[derive(Clone, Copy, Debug)]
-enum LeanConsensusPhase {
-    /// Stepping the embedded lean FD until it closes an iteration.
-    Fd,
-    /// Read the decision register (adopting is always cheapest).
-    Scan,
-    /// Leading the instance: stepping its Paxos proposer core.
-    Lead,
-}
-
-/// The lean consensus protocol on the state-machine ABI. Construct via
-/// [`LeanConsensus::machine`].
-pub struct LeanConsensusMachine {
-    fd: LeanOmegaMachine,
-    /// FD iterations completed at the last phase hand-off.
-    fd_iterations_seen: u64,
-    proposer: PaxosProposerCore,
-    instance: Paxos,
-    proposal: Value,
-    phase: LeanConsensusPhase,
-}
-
-impl LeanConsensusMachine {
-    /// Ballot attempts made so far (metrics).
-    pub fn attempts(&self) -> u64 {
-        self.proposer.attempts()
-    }
-
-    /// The embedded FD's current leader index.
-    pub fn leader(&self) -> usize {
-        self.fd.leader()
-    }
-}
-
-impl Automaton for LeanConsensusMachine {
-    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
-        match self.phase {
-            LeanConsensusPhase::Fd => {
-                self.fd.step(mem);
-                if self.fd.iterations() > self.fd_iterations_seen {
-                    self.fd_iterations_seen = self.fd.iterations();
-                    self.phase = LeanConsensusPhase::Scan;
-                }
-                Status::Running
-            }
-            LeanConsensusPhase::Scan => {
-                if let Some(v) = mem.read(self.instance.decision) {
-                    mem.decide(v);
-                    return Status::Done;
-                }
-                self.phase = if self.fd.leader() == mem.pid().index() {
-                    LeanConsensusPhase::Lead
-                } else {
-                    LeanConsensusPhase::Fd
-                };
-                Status::Running
-            }
-            LeanConsensusPhase::Lead => match self.proposer.step(mem, self.proposal) {
-                CoreStep::Busy => Status::Running,
-                CoreStep::Decided(v) => {
-                    mem.decide(v);
-                    Status::Done
-                }
-                CoreStep::Preempted => {
-                    self.phase = LeanConsensusPhase::Fd;
-                    Status::Running
-                }
-            },
-        }
-    }
-}
-
-impl PhaseBatch for LeanConsensusMachine {
-    #[inline]
-    fn phase_class(&self) -> u8 {
-        // FD phases 0–3, the decision scan 4, proposer phases 5–10.
-        match self.phase {
-            LeanConsensusPhase::Fd => self.fd.phase_class(),
-            LeanConsensusPhase::Scan => 4,
-            LeanConsensusPhase::Lead => 5 + self.proposer.phase_class(),
-        }
-    }
-
-    #[inline]
-    fn read_run(&self) -> usize {
-        match self.phase {
-            // Every Fd-phase step is a step of the embedded FD machine;
-            // the hand-off to the scan happens at an iteration boundary,
-            // which the FD's own run never crosses.
-            LeanConsensusPhase::Fd => self.fd.read_run(),
-            LeanConsensusPhase::Scan => 1,
-            LeanConsensusPhase::Lead => self.proposer.read_run(),
-        }
-    }
-
-    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
-        match self.phase {
-            LeanConsensusPhase::Fd => {
-                self.fd.step_reads(mem);
-                if self.fd.iterations() > self.fd_iterations_seen {
-                    self.fd_iterations_seen = self.fd.iterations();
-                    self.phase = LeanConsensusPhase::Scan;
-                }
-                Status::Running
-            }
-            LeanConsensusPhase::Scan => {
-                if let Some(v) = mem.read(self.instance.decision) {
-                    mem.decide(v);
-                    return Status::Done;
-                }
-                self.phase = if self.fd.leader() == mem.pid().index() {
-                    LeanConsensusPhase::Lead
-                } else {
-                    LeanConsensusPhase::Fd
-                };
-                Status::Running
-            }
-            LeanConsensusPhase::Lead => match self.proposer.step_reads(mem, self.proposal) {
-                CoreStep::Busy => Status::Running,
-                CoreStep::Decided(v) => {
-                    mem.decide(v);
-                    Status::Done
-                }
-                CoreStep::Preempted => {
-                    self.phase = LeanConsensusPhase::Fd;
-                    Status::Running
-                }
-            },
-        }
+        self.0.machine(fd.detector(), proposal)
     }
 }
 

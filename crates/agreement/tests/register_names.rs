@@ -11,7 +11,6 @@
 use st_agreement::{KSetAgreement, LeanConsensus};
 use st_core::{ProcessId, Universe};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy};
-use st_registers::AdoptCommit;
 use st_sim::Sim;
 
 fn sim(n: usize) -> Sim {
@@ -49,6 +48,8 @@ fn figure2_detector_names_at_both_widths() {
     assert_eq!(names(&wide), FIGURE2_N3_K2);
 }
 
+/// The lean constructors allocate what the paper's do at `k = 1`: no names
+/// of their own.
 #[test]
 fn lean_detector_and_consensus_names() {
     let mut sim = sim(3);
@@ -57,22 +58,22 @@ fn lean_detector_and_consensus_names() {
     assert_eq!(
         names(&sim),
         [
-            "LeanHB[0]",
-            "LeanHB[1]",
-            "LeanHB[2]",
-            "LeanCnt[0,0]",
-            "LeanCnt[0,1]",
-            "LeanCnt[0,2]",
-            "LeanCnt[1,0]",
-            "LeanCnt[1,1]",
-            "LeanCnt[1,2]",
-            "LeanCnt[2,0]",
-            "LeanCnt[2,1]",
-            "LeanCnt[2,2]",
-            "lean.rec[0]",
-            "lean.rec[1]",
-            "lean.rec[2]",
-            "lean.decision",
+            "Heartbeat[0]",
+            "Heartbeat[1]",
+            "Heartbeat[2]",
+            "Counter[{p0}#0,p0]",
+            "Counter[{p0}#0,p1]",
+            "Counter[{p0}#0,p2]",
+            "Counter[{p1}#1,p0]",
+            "Counter[{p1}#1,p1]",
+            "Counter[{p1}#1,p2]",
+            "Counter[{p2}#2,p0]",
+            "Counter[{p2}#2,p1]",
+            "Counter[{p2}#2,p2]",
+            "kset[0].rec[0]",
+            "kset[0].rec[1]",
+            "kset[0].rec[2]",
+            "kset[0].decision",
         ]
     );
 }
@@ -97,9 +98,8 @@ fn kset_agreement_names() {
 }
 
 #[test]
-fn adopt_commit_and_sim_allocator_names() {
+fn sim_allocator_names() {
     let mut sim = sim(2);
-    let _ac: AdoptCommit<u64> = AdoptCommit::alloc(&mut sim, "AC");
     sim.alloc_array("out", 3, 0u64);
     sim.alloc("lone", 0u64);
     sim.alloc_sw("mine", ProcessId::new(1), 0u64);
@@ -108,9 +108,6 @@ fn adopt_commit_and_sim_allocator_names() {
     sim.alloc("last", 0u64);
     assert_eq!(
         names(&sim),
-        [
-            "AC.A[0]", "AC.A[1]", "AC.B[0]", "AC.B[1]", "out[0]", "out[1]", "out[2]", "lone",
-            "mine", "slot[0]", "slot[1]", "last",
-        ]
+        ["out[0]", "out[1]", "out[2]", "lone", "mine", "slot[0]", "slot[1]", "last",]
     );
 }

@@ -8,7 +8,8 @@
 //! the same per-register access statistics, and the same final register
 //! contents. This suite enforces that for every [`PhaseBatch`] machine in
 //! the workspace — `KAntiOmegaMachine`, `KSetAgreementMachine`,
-//! `PaxosMachine`, `LeanOmegaMachine`, `LeanConsensusMachine` — across:
+//! `PaxosMachine`, and the first two again as the lean stack builds them
+//! (`k = 1`, width `LEAN_WIDTH`) — across:
 //!
 //! - every schedule family the experiments use (round-robin, bursty,
 //!   seeded-random, Figure 1, crash prefixes, `SetTimely`) **and all four
@@ -208,23 +209,24 @@ fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observa
             .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
             .unwrap(),
     };
+    let det = fd.detector();
     let mut regs = Vec::new();
     for q in 0..n {
-        regs.push(fd.peek_heartbeat(&sim, q).to_string());
+        regs.push(det.peek_heartbeat(&sim, ProcessId::new(q)).to_string());
     }
     // The n×n counter matrix in full at small n; a diagonal + edge sample
     // at large n (the full matrix comparison would dominate the test).
     if n <= 16 {
         for a in 0..n {
             for q in 0..n {
-                regs.push(fd.peek_counter(&sim, a, q).to_string());
+                regs.push(det.peek_counter(&sim, a, ProcessId::new(q)).to_string());
             }
         }
     } else {
         for i in 0..n {
-            regs.push(fd.peek_counter(&sim, i, i).to_string());
-            regs.push(fd.peek_counter(&sim, i, 0).to_string());
-            regs.push(fd.peek_counter(&sim, 0, i).to_string());
+            regs.push(det.peek_counter(&sim, i, ProcessId::new(i)).to_string());
+            regs.push(det.peek_counter(&sim, i, ProcessId::new(0)).to_string());
+            regs.push(det.peek_counter(&sim, 0, ProcessId::new(i)).to_string());
         }
     }
     (sim.report(), access_stats(&sim), regs)
@@ -247,14 +249,16 @@ fn run_lean_consensus(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> 
             .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
             .unwrap(),
     };
+    let det = fd.detector();
     let mut regs = Vec::new();
     for q in 0..n {
-        regs.push(fd.peek_heartbeat(&sim, q).to_string());
+        regs.push(det.peek_heartbeat(&sim, ProcessId::new(q)).to_string());
     }
-    for rec in cons.instance().peek_records(&sim) {
+    let instance = &cons.kset().instances()[0];
+    for rec in instance.peek_records(&sim) {
         regs.push(format!("{rec:?}"));
     }
-    regs.push(format!("{:?}", cons.instance().peek_decision(&sim)));
+    regs.push(format!("{:?}", instance.peek_decision(&sim)));
     (sim.report(), access_stats(&sim), regs)
 }
 

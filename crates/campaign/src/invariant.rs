@@ -31,9 +31,10 @@
 //!   contain a correct process (all-correct-accused-forever contradicts
 //!   Lemma 22); guarantee and crash-window certification as above.
 //! - **Lean / WideFd fleets** — leader sanity (a stabilized leader must be
-//!   correct), consensus agreement, and accusation sanity at any width;
-//!   guarantee and crash-window certification as above, with a process a
-//!   `ProcSet` cannot name (index ≥ 64) counted in neither `P` nor `Q`.
+//!   correct), consensus agreement with the same ballot-ownership sanity on
+//!   the one Paxos instance, and accusation sanity at any width; guarantee
+//!   and crash-window certification as above, with a process a `ProcSet`
+//!   cannot name (index ≥ 64) counted in neither `P` nor `Q`.
 //! - **Adversarial / BG** — nothing: the adversary *aims* for
 //!   non-termination and owns its schedule, and the BG reduction does not
 //!   expose an executed host schedule; their existing verdict fields
@@ -450,6 +451,9 @@ impl InvariantChecker {
                         k: 1,
                     });
                 }
+                if let Some((n, instances)) = ballots {
+                    check_ballots(*n, instances, &mut violations);
+                }
             }
             OutcomeData::WideFd(w) => {
                 // Accusation sanity at any width: members at or above the
@@ -596,6 +600,62 @@ mod tests {
             1 => (own, from, u64::MAX),
             2 => (own, from, short),
             _ => (previous.unwrap_or(own), from, short),
+        }
+    }
+
+    /// A checked lean agreement run hands the checker its Paxos registers,
+    /// at a size where a process index no longer fits a `ProcSet`: clean as
+    /// run on either drive, and a record altered after the run is caught.
+    /// (Here and not in `tests/invariants.rs`: the records are not
+    /// reachable from outside the crate.)
+    #[test]
+    fn a_lean_agreement_run_is_held_to_ballot_ownership() {
+        let n = 70;
+        let burst = (n * n + n + 2) as u64;
+        for drive in [
+            crate::FleetReplayDrive::Plain,
+            crate::FleetReplayDrive::Soa { slice_len: 64 },
+        ] {
+            let scenario = Scenario::new(
+                format!("lean-n70/agreement/{drive:?}"),
+                st_core::Universe::new(n).unwrap(),
+                GeneratorSpec::bursty(burst),
+                Workload::LeanAgreement {
+                    t: 4,
+                    policy: st_fd::TimeoutPolicy::Increment,
+                    drive,
+                },
+                2 * burst * n as u64,
+                3,
+            );
+            let checker = InvariantChecker::for_scenario(&scenario);
+            let mut watch = checker.watch();
+            let (data, ballots) = scenario.drive(Some(&mut watch));
+            let (_, mut instances) = ballots.expect("a checked run exposes its records");
+            assert_eq!((instances.len(), instances[0].len()), (1, n));
+            let entered = instances[0].iter().filter(|r| r.mbal > 0).count();
+            assert!(entered > 0, "no proposer ran: the check would be vacuous");
+            let check = |instances: Vec<Vec<PaxosRecord>>| {
+                checker.check(&data, Some(&(n, instances)), &watch)
+            };
+            assert_eq!(check(instances.clone()), Vec::new(), "{drive:?}");
+
+            // p69's ballots are ≡ 0 (mod 70); 71 is p0's.
+            let forged = PaxosRecord {
+                mbal: 71,
+                ..instances[0][69]
+            };
+            instances[0][69] = forged;
+            assert_eq!(
+                check(instances),
+                vec![InvariantViolation::BallotOwnership {
+                    instance: 0,
+                    process: 69,
+                    mbal: 71,
+                    bal: forged.bal,
+                }],
+                "{drive:?}"
+            );
         }
     }
 

@@ -8,7 +8,7 @@
 //! on any thread with no shared state; two runs of the same scenario are
 //! bit-identical.
 
-use st_agreement::{drive_adversarially, AgreementStack, StackKind};
+use st_agreement::{drive_adversarially, AgreementStack, KSetAgreement, StackKind};
 use st_bgsim::{run_reduction, TrivialKDecide};
 use st_core::subsets::KSubsets;
 use st_core::timeliness::{empirical_bound, TimelinessAnalyzer};
@@ -17,14 +17,14 @@ use st_core::{
 };
 use st_fd::convergence::{
     certify_system_membership, kanti_omega_witness, wide_winnerset_stabilization,
-    winnerset_stabilization, KAntiOmegaWitness, Stabilization,
+    winnerset_stabilization, KAntiOmegaWitness, Stabilization, WideStabilization,
 };
 use st_fd::{
-    KAntiOmega, KAntiOmegaConfig, LeanOmega, LeanOmegaMachine, ProcessTimelyDetector,
-    TimeoutPolicy, BASELINE_WINNERSET_PROBE, LEADER_PROBE, WINNERSET_PROBE,
+    KAntiOmega, KAntiOmegaConfig, LeanOmega, ProcessTimelyDetector, TimeoutPolicy,
+    BASELINE_WINNERSET_PROBE, WINNERSET_PROBE,
 };
 use st_sched::{GeneratorSpec, TimeoutPolicySpec};
-use st_sim::{PhaseBatch, RunConfig, RunStatus, Sim, StopWhen};
+use st_sim::{PhaseBatch, RunConfig, RunReport, RunStatus, Sim, StopWhen};
 
 use crate::invariant::{Ballots, InvariantChecker, InvariantViolation, ScheduleWatch};
 use st_core::Schedule;
@@ -131,10 +131,10 @@ pub enum Workload {
         /// Safe-agreement read quota per simulated read.
         max_reads: usize,
     },
-    /// Large-n lean leader-election convergence ([`st_fd::LeanOmega`],
-    /// `k = 1`, `O(n)` local state) — the `n > 64` scaling regime the
-    /// set-based Figure 2 machinery cannot reach. Always driven on a fleet
-    /// replay drive over the generated schedule; see [`FleetReplayDrive`].
+    /// Large-n leader-election convergence: Figure 2 at `k = 1` and the
+    /// fixed width [`st_fd::LEAN_WIDTH`] ([`st_fd::LeanOmega`]), reported
+    /// as a leader index. Always driven on a fleet replay drive over the
+    /// generated schedule; see [`FleetReplayDrive`].
     LeanConvergence {
         /// Resilience `t` (`1 ≤ t ≤ n − 1`).
         t: usize,
@@ -143,11 +143,12 @@ pub enum Workload {
         /// Which replay drive steps the fleet.
         drive: FleetReplayDrive,
     },
-    /// Large-n lean consensus ([`st_agreement::LeanConsensus`]: lean Ω +
-    /// single-decree Paxos, proposals fixed at `100 + pid`) — the
-    /// agreement-shaped workload of the scaling regime.
+    /// Large-n consensus ([`st_agreement::LeanConsensus`]: the k-set
+    /// agreement machine at `k = 1` over the same detector, proposals
+    /// fixed at `100 + pid`) — the agreement-shaped workload of the
+    /// scaling regime.
     LeanAgreement {
-        /// Resilience `t` of the underlying lean FD.
+        /// Resilience `t` of the underlying detector.
         t: usize,
         /// Line-17 timeout policy.
         policy: TimeoutPolicy,
@@ -458,7 +459,10 @@ impl Scenario {
     /// Runs the workload, showing `watch` (a checked run's) every step the
     /// generator-driven drives execute. Agreement stacks of a checked run
     /// also hand back their Paxos registers.
-    fn drive(&self, watch: Option<&mut ScheduleWatch>) -> (OutcomeData, Option<Ballots>) {
+    pub(crate) fn drive(
+        &self,
+        watch: Option<&mut ScheduleWatch>,
+    ) -> (OutcomeData, Option<Ballots>) {
         let data = match &self.workload {
             Workload::FdConvergence {
                 k,
@@ -507,10 +511,11 @@ impl Scenario {
                 max_reads,
             } => OutcomeData::Bg(self.run_bg(*n_sim, *k, *max_reads)),
             Workload::LeanConvergence { t, policy, drive } => {
-                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, false, watch))
+                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, false, watch).0)
             }
             Workload::LeanAgreement { t, policy, drive } => {
-                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, true, watch))
+                let (o, ballots) = self.run_lean(*t, *policy, *drive, true, watch);
+                return (OutcomeData::Lean(o), ballots);
             }
             Workload::WideFdConvergence {
                 k,
@@ -675,14 +680,10 @@ impl Scenario {
             .run(&mut src, cfg)
             .expect("agreement schedules stay within the task universe");
         let run = stack.snapshot(status, self.faulty);
-        let ballots = stack.kset().filter(|_| check).map(|kset| {
-            let records = kset
-                .instances()
-                .iter()
-                .map(|paxos| paxos.peek_records(stack.sim()))
-                .collect();
-            (self.universe.n(), records)
-        });
+        let ballots = stack
+            .kset()
+            .filter(|_| check)
+            .map(|kset| peek_ballots(kset, stack.sim()));
         (
             AgreementScenarioOutcome {
                 kind,
@@ -728,16 +729,16 @@ impl Scenario {
         }
     }
 
-    /// The lean (large-n) workloads: drive a [`LeanOmegaMachine`] fleet
-    /// (`consensus: false`) or a [`LeanConsensusMachine`] fleet
-    /// (`consensus: true`, proposals `100 + pid`) on the configured replay
-    /// drive, the generator streamed through it a block at a time (see
-    /// [`FleetReplayDrive::replay`]). What stays resident is the fleet, the
-    /// arena and one block — nothing that grows with the budget but the
-    /// probe log. A replay executes its schedule verbatim, finished machines
-    /// included, so the blocks `watch` is shown are the executed schedule.
-    ///
-    /// [`LeanConsensusMachine`]: st_agreement::LeanConsensusMachine
+    /// The lean (large-n) workloads: drive a fleet of Figure 2 machines at
+    /// `k = 1` (`consensus: false`) or of k-set agreement machines over
+    /// them (`consensus: true`, proposals `100 + pid`) on the configured
+    /// replay drive, the generator streamed through it a block at a time
+    /// (see [`FleetReplayDrive::replay`]). What stays resident is the
+    /// fleet, the arena and one block — nothing that grows with the budget
+    /// but the probe log. A replay executes its schedule verbatim, finished
+    /// machines included, so the blocks `watch` is shown are the executed
+    /// schedule. A checked consensus run also hands back its Paxos
+    /// registers, as [`run_agreement`](Self::run_agreement) does.
     fn run_lean(
         &self,
         t: usize,
@@ -745,67 +746,39 @@ impl Scenario {
         drive: FleetReplayDrive,
         consensus: bool,
         watch: Option<&mut ScheduleWatch>,
-    ) -> LeanOutcome {
+    ) -> (LeanOutcome, Option<Ballots>) {
         let universe = self.universe;
-        let n = universe.n();
         let src = self.generator.build(universe, self.seed);
         let mut sim = Sim::new(universe);
         let fd = LeanOmega::alloc(&mut sim, t, policy);
-        let status = if consensus {
+        let check = watch.is_some();
+        let (status, ballots) = if consensus {
             let cons = st_agreement::LeanConsensus::alloc(&mut sim);
-            let mut fleet: Vec<st_agreement::LeanConsensusMachine> = universe
+            let mut fleet: Vec<_> = universe
                 .processes()
                 .map(|p| cons.machine(&fd, 100 + p.index() as Value))
                 .collect();
-            drive.replay(&mut sim, &mut fleet, src, self.budget, watch)
+            let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
+            (status, check.then(|| peek_ballots(cons.kset(), &sim)))
         } else {
-            let mut fleet: Vec<LeanOmegaMachine> =
-                universe.processes().map(|_| fd.machine()).collect();
-            drive.replay(&mut sim, &mut fleet, src, self.budget, watch)
+            let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+            let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
+            (status, None)
         };
         let report = sim.report();
-        // Leader stabilization: every correct process's *last* published
-        // leader agrees (publications happen only on change, so the last
-        // timeline entry is the last change). Processes the generator
-        // silenced are exempt — they may be stuck on a stale leader.
-        let faulty = self.faulty;
-        let mut last: Option<(u64, u64)> = None; // (leader, max last-change step)
-        let mut stabilized = true;
-        let mut publications = 0u64;
-        let after = self.budget * 3 / 4;
-        let mut late_flaps = 0usize;
-        for i in 0..n {
-            let p = ProcessId::new(i);
-            let timeline = report.probes.timeline(p, LEADER_PROBE);
-            publications += timeline.len() as u64;
-            late_flaps += timeline.iter().filter(|&&(s, _)| s > after).count();
-            if i < st_core::PROCSET_CAPACITY && faulty.contains(p) {
-                continue;
-            }
-            match (timeline.last(), &mut last) {
-                (None, _) => stabilized = false,
-                (Some(&(step, leader)), Some((l, max_step))) => {
-                    if leader != *l {
-                        stabilized = false;
-                    }
-                    *max_step = (*max_step).max(step);
-                }
-                (Some(&(step, leader)), slot @ None) => *slot = Some((leader, step)),
-            }
-        }
-        let stabilization = match (stabilized, last) {
-            (true, Some((leader, step))) => Some(LeanStabilization {
-                leader: leader as usize,
-                step,
-            }),
-            _ => None,
-        };
+        // At `LEAN_WIDTH` the probe payload is the winner's colex rank in
+        // `Π^1_n`: the leader's index.
+        let (stabilization, publications, late_flaps) = self.winnerset_summary(&report);
+        let stabilization = stabilization.map(|st| LeanStabilization {
+            leader: st.winnerset_rank as usize,
+            step: st.step,
+        });
         let decisions = sim.decisions();
         let decided = decisions.iter().filter(|d| d.is_some()).count();
         let mut distinct_values: Vec<Value> = decisions.iter().flatten().map(|d| d.value).collect();
         distinct_values.sort_unstable();
         distinct_values.dedup();
-        LeanOutcome {
+        let outcome = LeanOutcome {
             status,
             steps: report.steps,
             stabilization,
@@ -813,7 +786,35 @@ impl Scenario {
             late_flaps,
             decided,
             distinct_values,
+        };
+        (outcome, ballots)
+    }
+
+    /// What the [`WINNERSET_PROBE`] timelines of a finished wide-set fleet
+    /// say: the stabilization of the correct processes (every one's *last*
+    /// publication names the same set; publications happen only on change,
+    /// so the last entry is the last change — processes the generator
+    /// silenced are exempt, they may be stuck on a stale set), the
+    /// publications of the whole fleet, and those in the last quarter of
+    /// the budget (flapping).
+    fn winnerset_summary(&self, report: &RunReport) -> (Option<WideStabilization>, u64, usize) {
+        // Faulty sets only name indices below the ProcSet capacity; any
+        // higher index is correct by construction.
+        let faulty = self.faulty;
+        let correct = self
+            .universe
+            .processes()
+            .filter(|p| p.index() >= st_core::PROCSET_CAPACITY || !faulty.contains(*p));
+        let stabilization = wide_winnerset_stabilization(report, correct);
+        let after = self.budget * 3 / 4;
+        let mut publications = 0u64;
+        let mut late_flaps = 0usize;
+        for p in self.universe.processes() {
+            let timeline = report.probes.timeline(p, WINNERSET_PROBE);
+            publications += timeline.len() as u64;
+            late_flaps += timeline.iter().filter(|&&(s, _)| s > after).count();
         }
+        (stabilization, publications, late_flaps)
     }
 
     /// The width-generic Figure 2 workload: pick the narrowest supported
@@ -851,7 +852,6 @@ impl Scenario {
         watch: Option<&mut ScheduleWatch>,
     ) -> WideFdOutcome {
         let universe = self.universe;
-        let n = universe.n();
         let src = self.generator.build(universe, self.seed);
         let mut sim = Sim::new(universe);
         let fd =
@@ -859,13 +859,8 @@ impl Scenario {
         let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
         let report = sim.report();
-        // Faulty sets only name indices below the ProcSet capacity; any
-        // higher index is correct by construction (as in the lean judge).
-        let faulty = self.faulty;
-        let correct = universe
-            .processes()
-            .filter(|p| p.index() >= st_core::PROCSET_CAPACITY || !faulty.contains(*p));
-        let stabilization = wide_winnerset_stabilization(&report, correct).map(|st| {
+        let (stabilization, publications, late_flaps) = self.winnerset_summary(&report);
+        let stabilization = stabilization.map(|st| {
             let members: Vec<usize> = if W == 1 {
                 ProcSet::from_bits(st.winnerset_rank)
                     .iter()
@@ -883,14 +878,6 @@ impl Scenario {
                 step: st.step,
             }
         });
-        let after = self.budget * 3 / 4;
-        let mut publications = 0u64;
-        let mut late_flaps = 0usize;
-        for i in 0..n {
-            let timeline = report.probes.timeline(ProcessId::new(i), WINNERSET_PROBE);
-            publications += timeline.len() as u64;
-            late_flaps += timeline.iter().filter(|&&(s, _)| s > after).count();
-        }
         WideFdOutcome {
             status,
             steps: report.steps,
@@ -942,6 +929,17 @@ impl Scenario {
             max_live_bound,
         }
     }
+}
+
+/// The Paxos registers of a finished k-set agreement run, per instance, for
+/// the checker's ballot invariants.
+fn peek_ballots(kset: &KSetAgreement, sim: &Sim) -> Ballots {
+    let records = kset
+        .instances()
+        .iter()
+        .map(|paxos| paxos.peek_records(sim))
+        .collect();
+    (sim.universe().n(), records)
 }
 
 /// The result of one scenario, positioned in its campaign.
@@ -1044,7 +1042,11 @@ pub struct LeanStabilization {
 }
 
 /// What a lean large-n scenario observed ([`Workload::LeanConvergence`] /
-/// [`Workload::LeanAgreement`]).
+/// [`Workload::LeanAgreement`]): the `k = 1` reading of a Figure 2 fleet's
+/// winnerset probes — the stabilized 1-set named by its member's index.
+/// An agreement fleet's machines also publish
+/// [`st_agreement::DECIDED_INSTANCE_PROBE`] (always instance 0) when they
+/// decide; that probe is in no field here.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct LeanOutcome {
     /// Why the drive ended.

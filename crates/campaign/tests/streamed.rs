@@ -25,9 +25,7 @@ use st_core::{
     ProcSet, ProcessId, Schedule, StepSource, TimelyPair, Universe, Value, PROCSET_CAPACITY,
 };
 use st_fd::convergence::wide_winnerset_stabilization;
-use st_fd::{
-    KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy, LEADER_PROBE, WINNERSET_PROBE,
-};
+use st_fd::{KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy, WINNERSET_PROBE};
 use st_sched::validate::certify_absence_window;
 use st_sched::CrashPlan;
 use st_sim::{RunConfig, RunReport, RunStatus, Sim};
@@ -315,7 +313,7 @@ impl Judge<'_> {
     }
 
     fn lean(&self) -> LeanOutcome {
-        let timelines = self.timelines(LEADER_PROBE);
+        let timelines = self.timelines(WINNERSET_PROBE);
         // Stabilized: every correct process's last publication names one
         // leader.
         let lasts: Option<Vec<(u64, u64)>> = (0..self.universe.n())

@@ -160,10 +160,9 @@ impl<const W: usize> KAntiOmega<W> {
     ///
     /// Panics unless `1 ≤ k ≤ t ≤ n − 1` (the range of Theorem 23), if
     /// `n` exceeds the bitset capacity at this width — pick `W` via
-    /// [`st_core::words_for`], or use the lean `k = 1` specialization
-    /// ([`LeanOmega`](crate::LeanOmega)) when no set representation is
-    /// needed — or if the `C(n, k)·n` counters do not fit the register
-    /// arena's `u32` handle space (checked before any set is built).
+    /// [`st_core::words_for`] — or if the `C(n, k)·n` counters do not fit
+    /// the register arena's `u32` handle space (checked before any set is
+    /// built).
     pub fn alloc_wide(sim: &mut Sim, config: KAntiOmegaConfig) -> Self {
         let universe = sim.universe();
         let n = universe.n();
@@ -175,7 +174,7 @@ impl<const W: usize> KAntiOmega<W> {
         assert!(
             n <= WideProcSet::<W>::CAPACITY,
             "Figure 2's Π^k_n machinery at width W={W} needs n <= {} (got n={n}); \
-             pick W with st_core::words_for, or use LeanOmega",
+             pick W with st_core::words_for",
             WideProcSet::<W>::CAPACITY
         );
         // Checked on the numbers, before `Π^k_n` is materialized: the arena
@@ -526,7 +525,8 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     published: Option<WideProcSet<W>>,
     iterations: u64,
     /// Ranks whose timers expired this iteration, in ascending order —
-    /// the pending line 18 writes.
+    /// the pending line 18 writes. Sized by the first expiry pass, not at
+    /// construction: a fleet that never gets there never pays for it.
     expired: Vec<u32>,
     /// Landing buffer for the heartbeat span read on the batched drive
     /// ([`PhaseBatch::step_reads`]); sized to the batch on use.
@@ -559,7 +559,7 @@ impl<const W: usize> KAntiOmegaMachine<W> {
             fd_output: WideProcSet::EMPTY,
             published: None,
             iterations: 0,
-            expired: Vec::with_capacity(m),
+            expired: Vec::new(),
             batch_buf: Vec::new(),
         }
     }
@@ -630,6 +630,9 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// per step.
     fn expire_timers(&mut self) {
         self.expired.clear();
+        // The first pass expires every timer (all start at 1); later calls
+        // find the capacity there.
+        self.expired.reserve(self.timer.len());
         for a in 0..self.timer.len() {
             self.timer[a] -= 1;
             if self.timer[a] == 0 {
@@ -825,6 +828,7 @@ mod tests {
         assert_eq!(fd.subsets()[0], ProcSet::from_indices([0, 1]));
         // Registers: 4 heartbeats + 6*4 counters.
         assert_eq!(fd.steps_per_iteration(0), 6 * 4 + 1 + 4);
+        assert_eq!(fd.steps_per_iteration(3), 6 * 4 + 1 + 4 + 3);
     }
 
     #[test]

@@ -14,10 +14,11 @@
 //! - [`ProcessTimelyDetector`] — the *process*-timeliness baseline the
 //!   paper improves on (accuses individuals instead of sets); it flaps
 //!   forever on schedules where only sets are timely (experiment E8).
-//! - [`LeanOmega`] / [`LeanOmegaMachine`] — the `k = 1` specialization
-//!   with `O(n)` local state and no set representation, for the large-`n`
-//!   (`n > 64`) scaling experiments where `Π^k_n` and
-//!   [`ProcSet`](st_core::ProcSet) are out of reach.
+//! - [`LeanOmega`] — a constructor, not a detector: [`KAntiOmega`] at
+//!   `k = 1` and the one fixed set width [`LEAN_WIDTH`], which is what the
+//!   large-`n` (`n` up to 1024) scaling fleets run. At that width the
+//!   winnerset probe carries a colex rank, which at `k = 1` is the leader's
+//!   index. [`LeanOmegaMachine`] is an alias of [`KAntiOmegaMachine`].
 //! - [`TimeoutPolicy`] — the paper's increment-by-one rule plus a doubling
 //!   ablation.
 //! - [`convergence`] — trace analyses: the k-anti-Ω specification
@@ -40,6 +41,6 @@ pub use baseline::{ProcessTimelyDetector, ProcessTimelyLocal, BASELINE_WINNERSET
 pub use kanti::{
     KAntiOmega, KAntiOmegaConfig, KAntiOmegaLocal, KAntiOmegaMachine, WINNERSET_PROBE,
 };
-pub use lean::{LeanOmega, LeanOmegaMachine, LEADER_PROBE};
+pub use lean::{LeanOmega, LeanOmegaMachine, LEAN_WIDTH};
 pub use omega::{Omega, OmegaLocal};
 pub use timeout::TimeoutPolicy;

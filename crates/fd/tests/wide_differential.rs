@@ -1,9 +1,10 @@
 //! Differential tests for the width-generic detector: `KAntiOmega<W>` at
-//! `W = 2` against the classic `W = 1` instance on identical schedules, and
-//! the paper's Figure 2 machinery actually converging beyond the 64-process
+//! `W = 2` and at `W = 16` (`LEAN_WIDTH`, the width every lean fleet runs
+//! at) against the classic `W = 1` instance on identical schedules, and the
+//! paper's Figure 2 machinery actually converging beyond the 64-process
 //! wall.
 //!
-//! On shared ground (`n ≤ 64`) the two widths must be observationally
+//! On shared ground (`n ≤ 64`) the widths must be observationally
 //! identical: same steps, same register traffic, same final register
 //! contents, and probe sequences that decode to the same winnersets at the
 //! same step indices (the payload *encoding* differs by design — bits at
@@ -12,7 +13,7 @@
 use st_core::subsets::wide_unrank;
 use st_core::{ProcSet, Schedule, StepSource, Universe};
 use st_fd::convergence::wide_winnerset_stabilization;
-use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy, WINNERSET_PROBE};
+use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy, LEAN_WIDTH, WINNERSET_PROBE};
 use st_sched::SeededRandom;
 use st_sim::{RegisterStats, RunConfig, RunReport, Sim};
 
@@ -66,13 +67,26 @@ fn run_wide<const W: usize>(
     (sim.report(), access_stats(&sim), registers, winnersets)
 }
 
-/// W = 2 must replay W = 1 exactly, modulo the documented probe encoding.
+/// W = 2 and the lean width must each replay W = 1 exactly, modulo the
+/// documented probe encoding.
 fn assert_widths_identical(n: usize, k: usize, t: usize, schedule: Schedule, label: &str) {
+    assert_width_replays_w1::<2>(n, k, t, &schedule, label);
+    assert_width_replays_w1::<LEAN_WIDTH>(n, k, t, &schedule, label);
+}
+
+fn assert_width_replays_w1<const W: usize>(
+    n: usize,
+    k: usize,
+    t: usize,
+    schedule: &Schedule,
+    label: &str,
+) {
+    let label = format!("{label} W={W}");
     let universe = Universe::new(n).unwrap();
     for policy in [TimeoutPolicy::Increment, TimeoutPolicy::Double] {
         let config = KAntiOmegaConfig::new(k, t).with_policy(policy);
-        let (rep1, stats1, regs1, ws1) = run_wide::<1>(n, config, &schedule);
-        let (rep2, stats2, regs2, ws2) = run_wide::<2>(n, config, &schedule);
+        let (rep1, stats1, regs1, ws1) = run_wide::<1>(n, config, schedule);
+        let (rep2, stats2, regs2, ws2) = run_wide::<W>(n, config, schedule);
 
         assert_eq!(rep1.steps, rep2.steps, "{label}/{policy:?}: steps");
         assert_eq!(
@@ -87,7 +101,7 @@ fn assert_widths_identical(n: usize, k: usize, t: usize, schedule: Schedule, lab
         assert_eq!(ws1, ws2, "{label}/{policy:?}: final winnersets");
 
         // Probe sequences: same (step, pid, key) skeleton; payloads decode
-        // to the same set (bits at W = 1, colex rank at W = 2).
+        // to the same set (bits at W = 1, colex rank at W > 1).
         let e1 = rep1.probes.events();
         let e2 = rep2.probes.events();
         assert_eq!(e1.len(), e2.len(), "{label}/{policy:?}: probe counts");
@@ -102,7 +116,7 @@ fn assert_widths_identical(n: usize, k: usize, t: usize, schedule: Schedule, lab
                 .iter()
                 .map(|p| p.index())
                 .collect();
-            let wide: Vec<usize> = wide_unrank::<2>(universe, k, b.value)
+            let wide: Vec<usize> = wide_unrank::<W>(universe, k, b.value)
                 .iter()
                 .map(|p| p.index())
                 .collect();

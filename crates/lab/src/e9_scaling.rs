@@ -1,17 +1,18 @@
-//! E9 — n-scaling: the lean O(n)-state stack at n ∈ {64, 256, 1024}.
+//! E9 — n-scaling: the paper's stack at k = 1, n ∈ {64, 256, 1024}.
 //!
 //! Every other experiment lives at paper scale (n ≤ 6) where the
-//! `ProcSet`-based detectors apply. This experiment scales the *lean*
-//! stack — `LeanOmega` (k = 1 anti-Ω with O(n) per-process state) and
-//! `LeanConsensus` on top of it — to universe sizes beyond
-//! `st_core::PROCSET_CAPACITY`, and runs every cell **twice**: once on the
+//! `ProcSet`-based detectors apply. This experiment scales the Figure 2
+//! machine at k = 1 (O(n) state per process) and the k-set agreement
+//! machine on top of it — built by the `LeanOmega` / `LeanConsensus`
+//! constructors, which pin k = 1 and the set width — to universe sizes
+//! beyond `st_core::PROCSET_CAPACITY`, and runs every cell **twice**: once on the
 //! plain fleet-replay drive and once on the struct-of-arrays drive
 //! (`run_automata_replay_soa`). The two rows of a pair must be
 //! *observationally identical* — same status, stabilization, publication
 //! counts, decisions — which makes the experiment a standing large-n
 //! differential test of the SoA drive on top of its unit/property suites.
 //!
-//! Schedule shape: [`GeneratorSpec::bursty`] with a dwell of one full lean
+//! Schedule shape: [`GeneratorSpec::bursty`] with a dwell of one full k = 1
 //! FD iteration (n² + n + 2 steps), so each turn completes a whole
 //! heartbeat scan uncontended. One rotation is then ~n³ fleet steps, which
 //! is why n = 1024 rows are **budget-bounded informational**: a rotation
@@ -22,13 +23,16 @@
 //! The size axis is `LabConfig::sizes()`: `{64}` in fast mode,
 //! `{64, 256, 1024}` in full mode, `stlab --sizes` to override.
 //!
-//! # The paper's detector beyond the wall
+//! # The second grid: the same machine at other parameters
 //!
-//! A second grid runs the *paper's* `KAntiOmega` (Figure 2, full `Π^k_n`
-//! counter matrix) — not the lean O(n) variant — at every size on the axis
-//! up to n = 256, on `WideProcSet` universes wider than one word. These
-//! are the first runs of the verbatim paper protocol past
-//! `PROCSET_CAPACITY`; the same (plain, SoA) pairing applies. k = 1 rows
+//! A second grid runs the same `KAntiOmegaMachine` through
+//! `Workload::WideFdConvergence` at every size on the axis up to n = 256:
+//! the narrowest set width that holds `n` instead of the fixed one, a
+//! dwell of exactly one accusation-free iteration (`wide_iteration`, one
+//! step shorter than `burst` at k = 1 — which is all that separates its
+//! k = 1 rows from the first table's convergence rows), k = 2 as well, and
+//! the winnerset reported by rank and members rather than as a leader
+//! index; the same (plain, SoA) pairing applies. k = 1 rows
 //! are expected to stabilize within four bursty rotations; k = 2 rows
 //! (full mode only — `|Π²_n|·n` steps per iteration is test-suite hostile)
 //! follow the same budget-cap rule as the lean grid. Sizes above 256 are
@@ -61,16 +65,16 @@ struct Row {
     expect: bool,
 }
 
-/// The dwell of one full lean FD iteration: the n-heartbeat scan (n² reads
-/// at one read per step amortized), the leader computation, and the
-/// decision-scan slack the consensus machine adds.
+/// The dwell of one full k = 1 FD iteration: the n² counter reads, the
+/// heartbeat write and n heartbeat reads, and the decision-scan step the
+/// agreement machine adds.
 fn burst(n: usize) -> u64 {
     (n * n + n + 2) as u64
 }
 
 fn budgets(n: usize) -> (u64, u64, bool) {
     let rotation = burst(n) * n as u64;
-    // The lean FD's counter matrix equalizes over a ~3-iteration transient
+    // The detector's counter matrix equalizes over a ~3-iteration transient
     // (initial timeouts are 1, so iteration one accuses everyone; the
     // staircase of mid-rotation counter states flaps the argmin once
     // before it settles) — four rotations are one of margin. Consensus
@@ -417,6 +421,13 @@ mod tests {
     fn e9_fast_converges_and_drives_agree() {
         let result = run(&LabConfig::fast());
         assert!(result.pass, "{}", result.render());
+        // Golden: captured via `stlab --fast e9`, whose `println!` adds one
+        // trailing newline to the render.
+        assert_eq!(
+            format!("{}\n", result.render()),
+            include_str!("../tests/golden/e9_fast.txt"),
+            "E9 output drifted from the golden table"
+        );
     }
 
     #[test]

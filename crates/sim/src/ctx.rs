@@ -73,8 +73,8 @@ impl SimShared {
 /// Handle through which a simulated process interacts with the system.
 ///
 /// Obtained by the closure passed to [`Sim::spawn`](crate::Sim::spawn).
-/// Cloneable so that helper objects (e.g. shared-object implementations in
-/// `st-registers`) can hold their own copy.
+/// Cloneable so that helper objects (e.g. shared-object implementations)
+/// can hold their own copy.
 #[derive(Clone)]
 pub struct ProcessCtx {
     pid: ProcessId,

@@ -24,7 +24,7 @@
 //!    `async fn`; each register operation suspends until the schedule
 //!    grants the process a step. This is the ergonomic default — code reads
 //!    like the paper's pseudocode — and the right choice for everything off
-//!    the hot path (`st-registers`, `st-agreement`, tests, scripted
+//!    the hot path (`st-agreement`, `st-bgsim`, tests, scripted
 //!    scenarios). Cost: the compiler-generated future must be polled and
 //!    resumed every step (~23–26 ns/step on the Figure 2 n = 8 workload on
 //!    the reference host).

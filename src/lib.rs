@@ -46,9 +46,6 @@ pub use st_sim as sim;
 /// `st-sched`).
 pub use st_sched as sched;
 
-/// Collect / snapshot / adopt-commit objects (re-export of `st-registers`).
-pub use st_registers as registers;
-
 /// Failure detectors: Figure 2 k-anti-Ω and Ω (re-export of `st-fd`).
 pub use st_fd as fd;
 
