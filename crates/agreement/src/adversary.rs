@@ -11,13 +11,18 @@
 //! so the schedule stays inside the system the theorem names, yet no
 //! decision is ever reached.*
 //!
-//! Concretely, the adversary drives the simulator step-by-step and, after
-//! every step, **freezes** any process that is in the *danger window* of an
-//! instance `r`: it has written its phase-2 record with the currently
-//! maximal ballot of `r`, the instance is undecided — its next few steps
-//! would publish a decision. Frozen processes are simply not scheduled; the
-//! rest round-robin. There is at most one danger process per instance, so at
-//! most `k` are frozen at any time:
+//! Concretely, the adversary is the chooser of [`Sim::run_adaptive`]: it
+//! sits inside the simulator's step kernel, is shown the register arena
+//! before every step, and names the process that takes it. It **freezes**
+//! any process that is in the *danger window* of an instance `r`: it has
+//! written its phase-2 record with the currently maximal ballot of `r`, the
+//! instance is undecided — its next few steps would publish a decision.
+//! Frozen processes are simply not scheduled; the rest round-robin. The
+//! frozen set is a function of the arena's contents, so it is recomputed
+//! only when [`Memory::version`] has moved — after a write, which in this
+//! stack is one step in hundreds — straight from the records, with no
+//! allocation per step. There is at most one danger process per instance,
+//! so at most `k` are frozen at any time:
 //!
 //! - **`i > k` branch (Theorem 26):** every size-`(k+1)` set always has a
 //!   running member, so it stays timely with respect to `Π_n` — the
@@ -32,12 +37,15 @@
 //!   then free: any `i` live processes are timely with bound 1 with respect
 //!   to themselves plus the crashed set. The fault count `j − i ≤ t − k`
 //!   stays within budget, so termination is still owed — and still denied.
+//!
+//! [`Sim::run_adaptive`]: st_sim::Sim::run_adaptive
 
 use st_core::timeliness::empirical_bound;
 use st_core::{ProcSet, ProcessId, Schedule};
-use st_sim::RunStatus;
+use st_sim::{Memory, RunStatus};
 
 use crate::harness::{AgreementStack, StackKind, StackRun};
+use crate::kset::KSetAgreement;
 
 pub use st_core::TimelyPair;
 
@@ -55,6 +63,28 @@ pub struct AdversarialRun {
     pub certificate: Option<TimelyPair>,
 }
 
+/// The processes to freeze given the arena's contents: per undecided
+/// instance, the holder of the maximal ballot if it has accepted at it.
+fn danger_set(kset: &KSetAgreement, memory: &Memory) -> ProcSet {
+    let mut frozen = ProcSet::EMPTY;
+    for instance in kset.instances() {
+        if instance.decision_in(memory).is_some() {
+            continue;
+        }
+        let max_mbal = instance.records_in(memory).map(|r| r.mbal).max();
+        let max_mbal = max_mbal.unwrap_or(0);
+        if max_mbal == 0 {
+            continue;
+        }
+        for (idx, rec) in instance.records_in(memory).enumerate() {
+            if rec.mbal == max_mbal && rec.bal == rec.mbal && rec.val.is_some() {
+                frozen.insert(ProcessId::new(idx));
+            }
+        }
+    }
+    frozen
+}
+
 /// Drives `stack` adversarially for `budget` steps.
 ///
 /// `precrashed` processes never take a step (the fictitious-crash set of the
@@ -66,8 +96,13 @@ pub struct AdversarialRun {
 /// # Panics
 ///
 /// Panics if the stack is not the FD + k-parallel-Paxos stack (the trivial
-/// algorithm is asynchronously live; no schedule defeats it), or if every
-/// process is precrashed.
+/// algorithm is asynchronously live; no schedule defeats it), if every
+/// process is precrashed, if the stack was built on
+/// [`StackAbi::Async`](crate::StackAbi::Async) (the adversary reads the
+/// arena the step kernel holds; see [`st_sim::Sim::run_adaptive`]), or if
+/// `certify` is given for a stack built without schedule recording. A
+/// decoded `AdversarialAgreement` spec is checked for the first two before
+/// it gets here (`st_campaign::store::decode_scenario`).
 pub fn drive_adversarially(
     mut stack: AgreementStack,
     budget: u64,
@@ -87,48 +122,39 @@ pub fn drive_adversarially(
     assert!(!runnable.is_empty(), "someone must run");
     let kset = stack.kset().expect("FD stack has a kset").clone();
 
+    // Position in `runnable` of the next candidate.
     let mut rotation = 0usize;
     let mut freeze_events = 0u64;
     let mut max_frozen = 0usize;
+    // The frozen set, and the arena version it was computed at.
+    let mut frozen = ProcSet::EMPTY;
+    let mut frozen_at = None;
 
-    for _ in 0..budget {
-        // Recompute the frozen set: per instance, the undecided maximal
-        // phase-2 ballot holder.
-        let mut frozen = ProcSet::EMPTY;
-        for instance in kset.instances() {
-            if instance.peek_decision(stack.sim()).is_some() {
-                continue;
+    stack
+        .sim_mut()
+        .run_adaptive(budget, |memory| {
+            if frozen_at != Some(memory.version()) {
+                frozen = danger_set(&kset, memory);
+                frozen_at = Some(memory.version());
+                max_frozen = max_frozen.max(frozen.len());
             }
-            let records = instance.peek_records(stack.sim());
-            let max_mbal = records.iter().map(|r| r.mbal).max().unwrap_or(0);
-            if max_mbal == 0 {
-                continue;
-            }
-            for (idx, rec) in records.iter().enumerate() {
-                if rec.mbal == max_mbal && rec.bal == rec.mbal && rec.val.is_some() {
-                    frozen.insert(ProcessId::new(idx));
+            // Schedule the next runnable, unfrozen process in rotation.
+            for _ in 0..runnable.len() {
+                let candidate = runnable[rotation];
+                rotation += 1;
+                if rotation == runnable.len() {
+                    rotation = 0;
                 }
-            }
-        }
-        max_frozen = max_frozen.max(frozen.len());
-
-        // Schedule the next runnable, unfrozen process in rotation.
-        let mut chosen = None;
-        for _ in 0..runnable.len() {
-            let candidate = runnable[rotation % runnable.len()];
-            rotation += 1;
-            if frozen.contains(candidate) {
+                if !frozen.contains(candidate) {
+                    return candidate;
+                }
                 freeze_events += 1;
-                continue;
             }
-            chosen = Some(candidate);
-            break;
-        }
-        // All runnables frozen cannot happen (≤ k frozen, > k runnable);
-        // defend anyway by releasing the rotation head.
-        let p = chosen.unwrap_or(runnable[rotation % runnable.len()]);
-        stack.sim_mut().step_with(p);
-    }
+            // All runnables frozen cannot happen (≤ k frozen, > k runnable);
+            // defend anyway by releasing the rotation head.
+            runnable[rotation]
+        })
+        .expect("the adversary schedules runnable processes of a machine-ABI stack");
 
     let certificate = certify.map(|(p, q)| {
         let executed: Schedule = stack

@@ -31,7 +31,9 @@
 //! Figure 1, and crash schedules.
 
 use st_core::Value;
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess};
+use st_sim::{
+    Automaton, BatchAccess, Memory, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess,
+};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -215,6 +217,36 @@ impl Paxos {
     /// state).
     pub fn peek_records(&self, sim: &Sim) -> Vec<PaxosRecord> {
         (0..self.len()).map(|q| sim.peek(self.record(q))).collect()
+    }
+
+    /// The decision as `memory` holds it:
+    /// [`peek_decision`](Self::peek_decision) for an observer that is
+    /// handed the arena itself (the adaptive adversary, inside
+    /// [`Sim::run_adaptive`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `memory` is not the arena this instance was allocated in.
+    pub fn decision_in(&self, memory: &Memory) -> Option<Value> {
+        memory
+            .peek(self.decision)
+            .unwrap_or_else(|e| panic!("peek failed: {e}"))
+    }
+
+    /// Every record as `memory` holds it, in process order:
+    /// [`peek_records`](Self::peek_records) without the `Vec`.
+    ///
+    /// # Panics
+    ///
+    /// The iterator panics if `memory` is not the arena this instance was
+    /// allocated in.
+    pub fn records_in<'m>(&self, memory: &'m Memory) -> impl Iterator<Item = PaxosRecord> + 'm {
+        let records = self.records;
+        (0..self.len()).map(move |q| {
+            memory
+                .peek(records.at(q))
+                .unwrap_or_else(|e| panic!("peek failed: {e}"))
+        })
     }
 
     /// The proposer as an explicit state machine on the simulator's

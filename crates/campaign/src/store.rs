@@ -1001,8 +1001,48 @@ pub fn encode_scenario(s: &Scenario) -> Json {
 /// Decodes a scenario written by [`encode_scenario`] (exact inverse:
 /// `encode_scenario(&decode_scenario(j)?) == *j` for writer-produced
 /// documents — property-tested over arbitrary spec trees).
+///
+/// A decoded [`Workload::AdversarialAgreement`] is also held to what
+/// running it asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run —
+/// so a spec from the wire that breaks one is refused here, by field name,
+/// instead of panicking in the worker that picks it up.
 pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
-    Scenario::from_json(j)
+    let scenario = Scenario::from_json(j)?;
+    check_adversarial(&scenario)?;
+    Ok(scenario)
+}
+
+/// The preconditions of `drive_adversarially` and of the stack it is
+/// handed, for a scenario that asks for them.
+fn check_adversarial(scenario: &Scenario) -> Result<(), String> {
+    let Workload::AdversarialAgreement {
+        t, k, precrashed, ..
+    } = &scenario.workload
+    else {
+        return Ok(());
+    };
+    let (t, k, n) = (*t, *k, scenario.universe.n());
+    if t == 0 || t >= n {
+        return Err(format!(
+            "field \"t\": adversarial agreement needs 1 ≤ t ≤ n − 1, got t = {t} at n = {n}"
+        ));
+    }
+    if k == 0 || k > t {
+        return Err(format!(
+            "field \"k\": adversarial agreement needs 1 ≤ k ≤ t (no schedule blocks the \
+             asynchronously solvable t < k task), got k = {k} at t = {t}"
+        ));
+    }
+    if scenario
+        .universe
+        .processes()
+        .all(|p| precrashed.contains(p))
+    {
+        return Err(format!(
+            "field \"precrashed\": {precrashed} leaves none of the {n} processes to run"
+        ));
+    }
+    Ok(())
 }
 
 /// Decodes a generator spec written by the canonical encoder (exact

@@ -26,7 +26,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use st_agreement::AgreementStack;
+use st_agreement::{drive_adversarially, AgreementStack};
 use st_campaign::{
     FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, OutcomeStore, Scenario, Workload,
 };
@@ -378,6 +378,36 @@ fn a_checked_fd_run_does_not_record_what_it_certifies() {
         )
     };
     assert_peak_is_budget_free("MachineFleet", &cell(500_000), &cell(4_000_000));
+}
+
+#[test]
+fn the_adversary_allocates_nothing_per_step() {
+    // E5's (2,2,4) cell. The adversary reads decisions and records off the
+    // arena the step kernel holds and keeps its frozen set across steps:
+    // what grows with the budget is the probe log and, when recording, the
+    // executed schedule — a `Vec` doubling a handful of times on the way
+    // from 10 000 to 100 000 steps, where one allocation per step (the
+    // record `Vec` the per-step loop collected per instance) is 180 000.
+    let task = AgreementTask::new(2, 2, 4).unwrap();
+    let inputs: Vec<u64> = (0..4).map(|v| 11 * (v + 1)).collect();
+    let trio = ProcSet::from_indices([0, 1, 2]);
+    let certify = (trio, ProcSet::full(task.universe()));
+    for (recording, growth) in [(false, 8), (true, 16)] {
+        let drive = |budget| {
+            let policy = TimeoutPolicy::Increment;
+            let stack = AgreementStack::build_full(task, &inputs, policy, recording);
+            let certify = recording.then_some(certify);
+            let (count, adv) =
+                allocations(|| drive_adversarially(stack, budget, ProcSet::EMPTY, certify));
+            assert!(adv.freeze_events > 0 && adv.run.outcome.decisions.iter().all(Option::is_none));
+            count
+        };
+        let (short, long) = (drive(10_000), drive(100_000));
+        assert!(
+            long <= short + growth,
+            "recording {recording}: {short} allocations at 10 000 steps, {long} at 100 000"
+        );
+    }
 }
 
 #[test]

@@ -5,9 +5,12 @@
 
 use proptest::prelude::*;
 use st_campaign::store::{
-    decode_generator, decode_outcome, decode_scenario, encoding_reference, OutcomeStore,
+    decode_generator, decode_outcome, decode_scenario, encode_scenario, encoding_reference,
+    OutcomeStore,
 };
-use st_core::Json;
+use st_campaign::{GeneratorSpec, Scenario, Workload};
+use st_core::{Json, ProcSet, Universe};
+use st_fd::TimeoutPolicy;
 use st_sched::SpecRng;
 
 /// The committed fixture (`tests/store_fixture.rs`): every shape the codec
@@ -42,6 +45,57 @@ fn oversized_weights_are_errors_not_truncated() {
     assert!(generator(&spec(u32::MAX as u64)).is_ok());
     let err = generator(&spec(u32::MAX as u64 + 1)).unwrap_err();
     assert!(err.contains("does not fit u32"), "{err}");
+}
+
+/// What `drive_adversarially` and the stack under it assert, a decoded
+/// spec is refused for, by field: the trivial `t < k` stack, a `t` no task
+/// has, nobody left to run.
+#[test]
+fn adversarial_specs_that_would_panic_a_worker_are_decode_errors() {
+    let adversarial = |n: usize, t: usize, k: usize, precrashed: ProcSet| {
+        let scenario = Scenario::new(
+            "adv",
+            Universe::new(n).unwrap(),
+            GeneratorSpec::round_robin(),
+            Workload::AdversarialAgreement {
+                t,
+                k,
+                inputs: (0..n as u64).collect(),
+                policy: TimeoutPolicy::Increment,
+                precrashed,
+                witness: None,
+            },
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let none = ProcSet::EMPTY;
+    assert_eq!(adversarial(4, 2, 2, none), Ok(()));
+    assert_eq!(
+        adversarial(4, 3, 1, ProcSet::from_indices([1, 2, 3])),
+        Ok(())
+    );
+
+    let err = adversarial(4, 1, 2, none).unwrap_err();
+    assert!(
+        err.starts_with("field \"k\": ") && err.contains("k = 2 at t = 1"),
+        "{err}"
+    );
+    let err = adversarial(4, 2, 0, none).unwrap_err();
+    assert!(err.starts_with("field \"k\": "), "{err}");
+    let err = adversarial(4, 4, 2, none).unwrap_err();
+    assert!(
+        err.starts_with("field \"t\": ") && err.contains("t = 4 at n = 4"),
+        "{err}"
+    );
+    let err = adversarial(4, 0, 1, none).unwrap_err();
+    assert!(err.starts_with("field \"t\": "), "{err}");
+    let err = adversarial(3, 1, 1, ProcSet::from_indices([0, 1, 2, 5])).unwrap_err();
+    assert!(
+        err.starts_with("field \"precrashed\": ") && err.contains("none of the 3"),
+        "{err}"
+    );
 }
 
 /// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.

@@ -50,6 +50,7 @@
 //! uses: it loads a store, keeps every other entry, and writes it back —
 //! a deterministic "interrupt" for differential testing.
 
+use std::io::{self, Write};
 use std::process::ExitCode;
 use std::sync::Arc;
 
@@ -94,7 +95,13 @@ EXIT CODES:
      violation fixture failed to fire)
   2  usage errors: unknown flag/experiment/scenario, unreadable or
      schema-mismatched store/counterexample files
+  141  stdout was closed before the output ended (`stlab all | head`): the
+     run stops there, quietly — the status a shell shows for SIGPIPE
 ";
+
+/// Exit status when the reader of stdout went away: 128 + SIGPIPE, what a
+/// shell reports for a process the signal killed.
+const EXIT_STDOUT_CLOSED: u8 = 141;
 
 struct Args {
     fast: bool,
@@ -228,16 +235,12 @@ fn parse_args() -> Args {
     args
 }
 
-fn print_catalog(to_stderr: bool) {
+fn catalog_text() -> String {
     let mut text = String::from("known scenarios:\n");
     for e in scenarios::CATALOG {
         text.push_str(&format!("  {:<18} {}\n", e.name, e.fault));
     }
-    if to_stderr {
-        eprint!("{text}");
-    } else {
-        print!("{text}");
-    }
+    text
 }
 
 /// Writes `ce` to `path`; exit-2 on failure, logged either way.
@@ -253,37 +256,38 @@ fn save_counterexample(ce: &Counterexample, path: &str) -> Result<(), ExitCode> 
 /// The `--replay PATH` verb: re-execute a saved counterexample under the
 /// checker. Exit 1 when the violation reproduces (it is, after all, a
 /// violation), 0 when the replay comes back clean.
-fn replay_verb(path: &str) -> ExitCode {
+fn replay_verb(out: &mut impl Write, path: &str) -> io::Result<ExitCode> {
     let ce = match Counterexample::load(path) {
         Ok(ce) => ce,
         Err(e) => {
             eprintln!("cannot load counterexample {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     };
-    println!("replaying {ce}");
+    writeln!(out, "replaying {ce}")?;
     let (outcome, reproduced) = ce.replay();
     for v in &outcome.violations {
-        println!("  VIOLATION [{}]: {v}", outcome.label);
+        writeln!(out, "  VIOLATION [{}]: {v}", outcome.label)?;
     }
-    println!(
+    writeln!(
+        out,
         "replay verdict: {}",
         if reproduced {
             "reproduced (all original violation kinds fired again)"
         } else {
             "NOT reproduced"
         }
-    );
-    if outcome.violations.is_empty() {
+    )?;
+    Ok(if outcome.violations.is_empty() {
         ExitCode::SUCCESS
     } else {
         ExitCode::FAILURE
-    }
+    })
 }
 
 /// The `fuzz` verb. Violations found exit 1; corpus/counterexample I/O
 /// errors exit 2.
-fn fuzz_verb(args: &Args, cfg: &LabConfig) -> ExitCode {
+fn fuzz_verb(out: &mut impl Write, args: &Args, cfg: &LabConfig) -> io::Result<ExitCode> {
     let opts = fuzz::FuzzOptions {
         budget: args.budget.unwrap_or(fuzz::DEFAULT_BUDGET),
         master_seed: args.master_seed.unwrap_or(fuzz::DEFAULT_MASTER_SEED),
@@ -302,18 +306,18 @@ fn fuzz_verb(args: &Args, cfg: &LabConfig) -> ExitCode {
             }
             Err(e) => {
                 eprintln!("cannot resume corpus from {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
         _ => None,
     };
     let mut record = OutcomeStore::new();
     let run = fuzz::run_fuzz(cfg, &opts, resume.as_ref(), Some(&mut record));
-    print!("{}", run.rendered);
+    write!(out, "{}", run.rendered)?;
     if let Some(path) = &args.corpus {
         if let Err(e) = record.save(path) {
             eprintln!("cannot write corpus store {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         eprintln!("wrote corpus store to {path}: {} outcomes", record.len());
     }
@@ -321,13 +325,13 @@ fn fuzz_verb(args: &Args, cfg: &LabConfig) -> ExitCode {
         match &run.counterexample {
             Some(ce) => {
                 if let Err(code) = save_counterexample(ce, path) {
-                    return code;
+                    return Ok(code);
                 }
             }
             None => eprintln!("no finding — nothing to save to {path}"),
         }
     }
-    if run.report.findings.is_empty() {
+    Ok(if run.report.findings.is_empty() {
         ExitCode::SUCCESS
     } else {
         eprintln!(
@@ -335,24 +339,40 @@ fn fuzz_verb(args: &Args, cfg: &LabConfig) -> ExitCode {
             run.report.findings.len()
         );
         ExitCode::FAILURE
+    })
+}
+
+/// Everything `stlab` says on stdout goes through the one locked writer
+/// [`run`] is handed, so a reader that went away (`stlab all | head`) is an
+/// `io::Error` here instead of `println!`'s panic: a closed pipe ends the
+/// run quietly with [`EXIT_STDOUT_CLOSED`].
+fn main() -> ExitCode {
+    let mut out = io::stdout().lock();
+    match run(&mut out).and_then(|code| out.flush().map(|()| code)) {
+        Ok(code) => code,
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::from(EXIT_STDOUT_CLOSED),
+        Err(e) => {
+            eprintln!("cannot write to stdout: {e}");
+            ExitCode::from(2)
+        }
     }
 }
 
-fn main() -> ExitCode {
+fn run(out: &mut impl Write) -> io::Result<ExitCode> {
     let args = parse_args();
 
     if args.help {
-        print!("{HELP}");
-        return ExitCode::SUCCESS;
+        write!(out, "{HELP}")?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if args.list_scenarios {
-        print_catalog(false);
-        return ExitCode::SUCCESS;
+        write!(out, "{}", catalog_text())?;
+        return Ok(ExitCode::SUCCESS);
     }
 
     if let Some(path) = &args.replay {
-        return replay_verb(path);
+        return replay_verb(out, path);
     }
 
     // Maintenance verb: truncate a store to every other entry and exit.
@@ -361,17 +381,17 @@ fn main() -> ExitCode {
             Ok(store) => store,
             Err(e) => {
                 eprintln!("{e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         };
         let before = store.len();
         store.retain(|idx, _| idx % 2 == 0);
         if let Err(e) = store.save(path) {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         eprintln!("{path}: kept {} of {before} outcomes", store.len());
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     // Resume store, if any. Schema mismatches and corrupt files are typed
@@ -385,7 +405,7 @@ fn main() -> ExitCode {
             }
             Err(e) => {
                 eprintln!("cannot resume from {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
         },
     };
@@ -417,19 +437,19 @@ fn main() -> ExitCode {
     if let Some(addr) = &args.serve {
         if args.fuzz {
             eprintln!("stlab fuzz does not support --serve (fuzz sessions are local)");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         // Ping before any work: an unreachable daemon is a typed exit-2
         // up front, not a mid-sweep surprise.
         if let Err(e) = st_serve::ServeClient::new(addr).hello() {
             eprintln!("{e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         cfg = cfg.with_serve(addr.clone());
     }
 
     if args.fuzz {
-        return fuzz_verb(&args, &cfg);
+        return fuzz_verb(out, &args, &cfg);
     }
 
     // Scenario-catalog mode: run the named fault-injection scenarios with
@@ -442,8 +462,8 @@ fn main() -> ExitCode {
                 Some(entry) => entries.push(entry),
                 None => {
                     eprintln!("unknown scenario: {name}");
-                    print_catalog(true);
-                    return ExitCode::from(2);
+                    eprint!("{}", catalog_text());
+                    return Ok(ExitCode::from(2));
                 }
             }
         }
@@ -452,7 +472,7 @@ fn main() -> ExitCode {
         let mut first_ce: Option<Counterexample> = None;
         for entry in entries {
             let report = scenarios::run_entry(entry, &cfg);
-            println!("{}", report.render());
+            writeln!(out, "{}", report.render())?;
             violations += report.violation_count();
             if entry.expect_violation && report.violation_count() == 0 {
                 broken_fixtures += 1;
@@ -465,7 +485,7 @@ fn main() -> ExitCode {
             match &first_ce {
                 Some(ce) => {
                     if let Err(code) = save_counterexample(ce, path) {
-                        return code;
+                        return Ok(code);
                     }
                 }
                 None => eprintln!("no violation — nothing to save to {path}"),
@@ -475,19 +495,19 @@ fn main() -> ExitCode {
             let store = session.recorded();
             if let Err(e) = store.save(path) {
                 eprintln!("cannot write outcome store {path}: {e}");
-                return ExitCode::from(2);
+                return Ok(ExitCode::from(2));
             }
             eprintln!("wrote {} outcomes to {path}", store.len());
         }
         if violations > 0 {
             eprintln!("{violations} invariant violation(s) recorded");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
         if broken_fixtures > 0 {
             eprintln!("{broken_fixtures} violation fixture(s) failed to fire");
-            return ExitCode::FAILURE;
+            return Ok(ExitCode::FAILURE);
         }
-        return ExitCode::SUCCESS;
+        return Ok(ExitCode::SUCCESS);
     }
 
     let mut ids = args.ids;
@@ -499,7 +519,7 @@ fn main() -> ExitCode {
     for id in &ids {
         if !ALL_EXPERIMENTS.contains(&id.as_str()) {
             eprintln!("unknown experiment: {id} (known: e1..e9, all)");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
     }
 
@@ -507,11 +527,11 @@ fn main() -> ExitCode {
     for id in &ids {
         match run_experiment(id, &cfg) {
             Some(result) => {
-                println!("{}", result.render());
+                writeln!(out, "{}", result.render())?;
                 if args.tsv {
                     for (name, table) in &result.tables {
-                        println!("#tsv {} — {name}", result.id);
-                        print!("{}", table.to_tsv());
+                        writeln!(out, "#tsv {} — {name}", result.id)?;
+                        write!(out, "{}", table.to_tsv())?;
                     }
                 }
                 if !result.pass {
@@ -528,14 +548,14 @@ fn main() -> ExitCode {
         let store = session.recorded();
         if let Err(e) = store.save(path) {
             eprintln!("cannot write outcome store {path}: {e}");
-            return ExitCode::from(2);
+            return Ok(ExitCode::from(2));
         }
         eprintln!("wrote {} outcomes to {path}", store.len());
     }
 
     if failures > 0 {
         eprintln!("{failures} experiment(s) failed");
-        return ExitCode::FAILURE;
+        return Ok(ExitCode::FAILURE);
     }
-    ExitCode::SUCCESS
+    Ok(ExitCode::SUCCESS)
 }

@@ -1,9 +1,11 @@
 //! CLI contract tests for `stlab`: the exit-code convention (0 clean, 1
-//! invariant violation / failed expectation, 2 usage or schema errors),
-//! the counterexample save/replay loop, and the fuzz verb's determinism.
+//! invariant violation / failed expectation, 2 usage or schema errors,
+//! 141 stdout closed early), the counterexample save/replay loop, and the
+//! fuzz verb's determinism.
 
+use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 fn stlab(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_stlab"))
@@ -35,8 +37,36 @@ fn help_documents_the_exit_codes() {
     assert!(text.contains("0  clean"));
     assert!(text.contains("1  an invariant violation"));
     assert!(text.contains("2  usage errors"));
+    assert!(text.contains("141  stdout was closed"));
     assert!(text.contains("--save-counterexample"));
     assert!(text.contains("--replay"));
+}
+
+/// `stlab … | head`: a reader that goes away ends the run quietly, with
+/// the documented status and no panic text. The reader leaves after the
+/// first line — E3's tables are written by then and E2's take a few hundred
+/// milliseconds more to compute — and then before anything is written.
+#[test]
+fn a_closed_stdout_ends_the_run_quietly() {
+    for read_first_line in [true, false] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_stlab"))
+            .args(["--fast", "e3", "e2"])
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("stlab runs");
+        let mut stdout = BufReader::new(child.stdout.take().unwrap());
+        if read_first_line {
+            let mut line = String::new();
+            stdout.read_line(&mut line).unwrap();
+            assert!(line.starts_with("== E3"), "{line}");
+        }
+        drop(stdout);
+        let out = child.wait_with_output().unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!stderr.contains("panicked"), "{stderr}");
+        assert_eq!(exit_code(&out), 141, "{stderr}");
+    }
 }
 
 #[test]

@@ -1393,6 +1393,48 @@ mod tests {
         assert_eq!(error_kind(&other), Some("spec-mismatch"));
     }
 
+    /// An adversarial spec whose task is the trivial `t < k` one used to be
+    /// accepted and end the job `broken` with the worker's panic text; the
+    /// submit is refused like any other spec that does not decode.
+    #[test]
+    fn submit_refuses_an_adversarial_spec_the_worker_would_panic_on() {
+        let shared = shared_with("st-serve-adversarial-spec-test", 10);
+        let adversarial = |t, k| {
+            let mut campaign = tiny_campaign(0..1);
+            campaign.push(Scenario::new(
+                "adv",
+                Universe::new(4).unwrap(),
+                GeneratorSpec::round_robin(),
+                Workload::AdversarialAgreement {
+                    t,
+                    k,
+                    inputs: vec![1, 2, 3, 4],
+                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    precrashed: st_core::ProcSet::EMPTY,
+                    witness: None,
+                },
+                1_000,
+                0,
+            ));
+            campaign
+        };
+        let resp = dispatch(&shared, &submit_doc("bad", &adversarial(1, 2)));
+        assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+        let message = resp.get("error").and_then(|e| e.get("message"));
+        let message = message.and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("entries[1].scenario: field \"k\""),
+            "{message}"
+        );
+        assert!(!spec_path(&shared.cfg.state_dir, "bad").exists());
+        assert!(shared.jobs.lock().unwrap().is_empty());
+
+        // The same entry with a task the adversary can block runs to `done`.
+        submit_and_run(&shared, "good", &adversarial(2, 2));
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
     #[test]
     fn dispatch_rejects_missing_proto_and_unknown_verbs() {
         let cfg = ServeConfig::new(std::env::temp_dir().join("st-serve-dispatch-test"));

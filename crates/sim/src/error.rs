@@ -68,6 +68,15 @@ pub enum SimError {
         /// A process that was spawned into a slot.
         process: ProcessId,
     },
+    /// `run_adaptive` was called on a `Sim` with a live async slot. The
+    /// adaptive drive shows its chooser the register arena it holds for the
+    /// whole call; an async process reaches the arena through its own
+    /// borrow, so the two cannot share a run — returned (not panicked)
+    /// before anything executes.
+    AdaptiveDriveOnAsyncSlot {
+        /// A process whose live automaton is an async future.
+        process: ProcessId,
+    },
 }
 
 impl fmt::Display for SimError {
@@ -105,6 +114,13 @@ impl fmt::Display for SimError {
                     f,
                     "{drive} drives a caller-owned fleet, but this Sim has spawned \
                      slots (e.g. {process}); the ownership modes do not mix"
+                )
+            }
+            SimError::AdaptiveDriveOnAsyncSlot { process } => {
+                write!(
+                    f,
+                    "run_adaptive holds the register arena for the whole call, but \
+                     {process} is a live async slot; it drives state machines only"
                 )
             }
         }

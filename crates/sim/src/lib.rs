@@ -53,10 +53,18 @@
 //!   class — observationally identical to the plain replay, enforced by
 //!   differential tests on every schedule family.
 //!
-//! Every machine-ABI drive — slots or fleet, cursor or replay, and the SoA
-//! drive's scalar fallbacks — executes its steps through one private step
-//! kernel in `runner.rs`: the model has one execution rule, and so does
-//! the executor.
+//! Slot-based simulations have one more drive besides [`Sim::run`]:
+//! [`Sim::run_adaptive`] takes no schedule but a *chooser* that is shown
+//! the register arena ([`Memory`]) before every step and names the process
+//! that takes it — the entry for schedules that depend on protocol state
+//! (`st-agreement`'s adaptive adversary). The chooser may key whatever it
+//! derives from register contents on [`Memory::version`], the arena's
+//! count of completed writes.
+//!
+//! Every machine-ABI drive — slots or fleet, cursor, replay or chooser, and
+//! the SoA drive's scalar fallbacks — executes its steps through one
+//! private step kernel in `runner.rs`: the model has one execution rule,
+//! and so does the executor.
 //!
 //! ## Choosing a fleet replay drive
 //!

@@ -132,6 +132,8 @@ pub struct Memory {
     written: [(u32, WriteDiscipline); WRITTEN_MEMO],
     /// Side table for non-word values.
     boxed: Vec<Box<dyn Any>>,
+    /// Completed writes over the whole arena (see [`Memory::version`]).
+    version: u64,
 }
 
 /// Entries in [`Memory`]'s memo of recently written registers' disciplines.
@@ -147,6 +149,7 @@ impl Default for Memory {
             blocks: Vec::new(),
             written: [(u32::MAX, WriteDiscipline::MultiWriter); WRITTEN_MEMO],
             boxed: Vec::new(),
+            version: 0,
         }
     }
 }
@@ -375,6 +378,7 @@ impl Memory {
                     None => return Err(self.type_mismatch(idx)),
                 }
                 self.writes[idx] += 1;
+                self.version += 1;
                 Ok(())
             }
             Kind::Word => Err(self.type_mismatch(idx)),
@@ -448,6 +452,7 @@ impl Memory {
             Kind::Word => {
                 self.payloads[idx] = value;
                 self.writes[idx] += 1;
+                self.version += 1;
                 Ok(())
             }
             Kind::Boxed => Err(self.type_mismatch(idx)),
@@ -516,6 +521,19 @@ impl Memory {
                 reads: self.reads[index],
             })
             .collect()
+    }
+
+    /// Completed writes over the whole arena: rises by exactly one with
+    /// every write that completes and with nothing else — not with reads,
+    /// peeks or refused writes, and allocation leaves it alone. Register
+    /// contents are a function of it between allocations: equal versions
+    /// mean every register [`peek`](Self::peek)s equal, which is what lets
+    /// an observer of the arena (the chooser of
+    /// [`Sim::run_adaptive`](crate::Sim::run_adaptive)) keep anything it
+    /// derived from the contents until the version moves.
+    #[inline]
+    pub fn version(&self) -> u64 {
+        self.version
     }
 
     /// Total completed register operations (reads + writes).

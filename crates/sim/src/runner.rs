@@ -447,11 +447,7 @@ impl Sim {
         src: &mut S,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        let machines_only = self
-            .slots
-            .iter()
-            .all(|s| !matches!(s.body, Some(Body::Future(_))));
-        if machines_only {
+        if self.live_async_slot().is_none() {
             let (mut kernel, slots) = self.kernel(true);
             return kernel.run(slots, budgeted(src, cfg), cfg);
         }
@@ -472,6 +468,64 @@ impl Sim {
         } else {
             RunStatus::MaxSteps
         })
+    }
+
+    /// A process whose live automaton is an async future, if there is one:
+    /// such a slot reaches the arena through its own borrow, so no drive
+    /// that holds the arena for a whole call can step it.
+    fn live_async_slot(&self) -> Option<ProcessId> {
+        self.slots
+            .iter()
+            .position(|s| matches!(s.body, Some(Body::Future(_))))
+            .map(ProcessId::new)
+    }
+
+    /// Drives the simulation for `budget` steps on a schedule chosen **from
+    /// the register contents**: before every step `choose` is shown the
+    /// arena and names the process that takes it. This is the drive of a
+    /// state-dependent scheduler — `st-agreement`'s adaptive adversary,
+    /// which must see every Paxos record to pick its victims — and, like
+    /// [`run`](Self::run), it goes through the step kernel: the arena
+    /// borrow and the op counts are held for the whole call, and `choose`
+    /// reads the very arena the machines step on, paying per step only for
+    /// what it looks at.
+    ///
+    /// What `choose` may assume: [`Memory::version`] counts completed
+    /// writes and nothing else, so whatever it derived from register
+    /// contents holds until the version moves (reads outnumber writes
+    /// ~n·|Π^k_n| to 1 in the paper's stack); and nothing is allocated
+    /// while the kernel holds the arena, so handles and the register count
+    /// are fixed for the call.
+    ///
+    /// Steps count, are recorded when recording is on, and are booked
+    /// exactly as [`step_with`](Self::step_with) books them. Can be called
+    /// again to continue the same simulation, as [`run`](Self::run) can.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ScheduleOutOfUniverse`] if `choose` names a
+    /// process outside the simulated universe — the steps chosen before it
+    /// have executed normally and the simulation remains usable — and
+    /// [`SimError::AdaptiveDriveOnAsyncSlot`], before executing anything,
+    /// if an async slot is live (step such a simulation with
+    /// [`step_with`](Self::step_with) and observe it with
+    /// [`peek`](Self::peek)).
+    pub fn run_adaptive<F: FnMut(&Memory) -> ProcessId>(
+        &mut self,
+        budget: u64,
+        mut choose: F,
+    ) -> Result<(), SimError> {
+        if let Some(process) = self.live_async_slot() {
+            return Err(SimError::AdaptiveDriveOnAsyncSlot { process });
+        }
+        let n = self.universe.n();
+        let (mut kernel, slots) = self.kernel(true);
+        for _ in 0..budget {
+            let p = choose(&kernel.memory);
+            check_in_universe(p, n)?;
+            kernel.step::<true, _>(p, slots);
+        }
+        Ok(())
     }
 
     /// Drives a homogeneous fleet of automata — `automata[i]` is the

@@ -1,0 +1,264 @@
+//! The state-dependent drive: `Sim::run_adaptive` against per-step
+//! `peek` + `step_with`, its two typed errors, and the arena write counter
+//! its chooser leans on (`Memory::version`).
+
+mod common;
+
+use common::SumScan;
+use proptest::prelude::*;
+use st_core::{ProcessId, Universe};
+use st_sim::{Memory, Reg, Sim, SimError, WriteDiscipline};
+
+fn pid(i: usize) -> ProcessId {
+    ProcessId::new(i)
+}
+
+const N: usize = 3;
+
+/// Three scan machines over four shared cells, each writing the wrapping
+/// sum of all four into its own: every write changes what the others read,
+/// and each machine finishes after `limit` rounds.
+fn scan_sim(recording: bool, limit: u64) -> (Sim, Vec<Reg<u64>>) {
+    let mut sim = Sim::with_recording(Universe::new(N).unwrap(), recording);
+    let cells = sim.alloc_array("cell", N + 1, 1u64);
+    for i in 0..N {
+        let machine = SumScan::new(cells[0], cells[i], N + 1, limit);
+        sim.spawn_automaton(pid(i), machine).unwrap();
+    }
+    (sim, cells)
+}
+
+/// A schedule that depends on the register contents: the wrapping sum of
+/// the cells picks the next process.
+fn by_contents(cells: &[u64]) -> ProcessId {
+    let sum = cells.iter().fold(0u64, |a, &c| a.wrapping_add(c));
+    pid((sum % N as u64) as usize)
+}
+
+/// Everything a drive leaves behind that another drive could differ in.
+fn observable(sim: &Sim) -> impl PartialEq + std::fmt::Debug {
+    let report = sim.report();
+    (
+        (report.steps, report.decisions, report.finished),
+        report.probes.events().to_vec(),
+        report.executed,
+        report.op_counts,
+        sim.register_stats(),
+    )
+}
+
+/// Two `run_adaptive` calls back to back are one run: the second continues
+/// the step counter, the op counts and the recording — and both together
+/// are step-for-step what `peek` + `step_with` execute.
+#[test]
+fn run_adaptive_continues_and_matches_the_per_step_loop() {
+    for recording in [false, true] {
+        for (first, second) in [(0, 0), (1, 0), (40, 160), (200, 1)] {
+            let (mut sim, cells) = scan_sim(recording, 6);
+            let choose = |memory: &Memory| {
+                let now: Vec<u64> = cells.iter().map(|&c| memory.peek(c).unwrap()).collect();
+                by_contents(&now)
+            };
+            sim.run_adaptive(first, choose).unwrap();
+            assert_eq!(sim.steps_executed(), first);
+            let ops_after_first: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
+            sim.run_adaptive(second, choose).unwrap();
+            assert_eq!(sim.steps_executed(), first + second);
+            let ops: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
+            assert!(ops >= ops_after_first);
+
+            let (mut oracle, cells) = scan_sim(recording, 6);
+            for _ in 0..first + second {
+                let now: Vec<u64> = cells.iter().map(|&c| oracle.peek(c)).collect();
+                oracle.step_with(by_contents(&now));
+            }
+            assert_eq!(observable(&sim), observable(&oracle));
+            if first + second > 100 {
+                // A machine is done after 30 steps of its own, and once a
+                // finished one is chosen the contents stop moving.
+                assert!(
+                    (0..N).any(|i| sim.is_finished(pid(i))),
+                    "the run covers a finished machine's idle steps"
+                );
+            }
+        }
+    }
+}
+
+/// A choice outside the universe is the typed error of the other drives:
+/// the steps chosen before it executed, and the `Sim` goes on.
+#[test]
+fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
+    let (mut sim, _) = scan_sim(true, 6);
+    let mut calls = 0;
+    let err = sim
+        .run_adaptive(10, |_| {
+            calls += 1;
+            pid(if calls <= 5 { calls % N } else { N + 4 })
+        })
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::ScheduleOutOfUniverse {
+            process: pid(N + 4),
+            n: N
+        }
+    );
+    assert_eq!((calls, sim.steps_executed()), (6, 5));
+    let ops: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
+    assert_eq!(
+        ops, 5,
+        "the kernel's op counts are written back on the error path"
+    );
+    assert_eq!(sim.report().executed.unwrap().len(), 5);
+
+    sim.run_adaptive(7, |_| pid(0)).unwrap();
+    assert_eq!(sim.steps_executed(), 12);
+    assert_eq!(sim.report().executed.unwrap().len(), 12);
+}
+
+/// A live async slot is refused before anything executes, the way the
+/// fleet drives refuse a spawned `Sim`; once it has finished, nothing is
+/// left to refuse.
+#[test]
+fn a_live_async_slot_is_refused_with_a_typed_error() {
+    let mut sim = Sim::new(Universe::new(2).unwrap());
+    let reg = sim.alloc("x", 0u64);
+    sim.spawn(pid(1), move |ctx| async move {
+        ctx.write_word(reg, 7).await;
+    })
+    .unwrap();
+    let mut calls = 0;
+    let err = sim
+        .run_adaptive(4, |_| {
+            calls += 1;
+            pid(0)
+        })
+        .unwrap_err();
+    assert_eq!(err, SimError::AdaptiveDriveOnAsyncSlot { process: pid(1) });
+    assert!(err.to_string().contains("run_adaptive"), "{err}");
+    assert_eq!((calls, sim.steps_executed()), (0, 0));
+
+    // The per-step drive still serves it; a finished future is not live.
+    sim.step_with(pid(1));
+    assert!(sim.is_finished(pid(1)));
+    let mut seen = None;
+    sim.run_adaptive(1, |memory| {
+        seen = Some((memory.peek(reg), memory.version()));
+        pid(1)
+    })
+    .unwrap();
+    assert_eq!(seen, Some((Ok(7), 1)));
+}
+
+/// A boxed block, a word block (single- and multi-writer cells
+/// alternating), and one more boxed cell: handles offset past their own
+/// block land on a register of the other class, or outside the arena.
+const WORDS: usize = 6;
+const BOXED: usize = 3;
+const REGISTERS: usize = BOXED + WORDS + 1;
+
+fn mixed_arena() -> (Memory, Reg<u64>, Reg<String>) {
+    let mut m = Memory::new();
+    let notes = m.alloc_block(
+        BOXED,
+        String::from("init"),
+        |i| WriteDiscipline::SingleWriter(pid(i)),
+        |i| format!("note[{i}]"),
+    );
+    let words = m.alloc_block(
+        WORDS,
+        0u64,
+        |i| match i % 2 {
+            0 => WriteDiscipline::SingleWriter(pid(i / 2)),
+            _ => WriteDiscipline::MultiWriter,
+        },
+        |i| format!("w[{i}]"),
+    );
+    m.alloc("tail", WriteDiscipline::MultiWriter, String::from("tail"));
+    (m, words, notes)
+}
+
+fn contents(m: &Memory, words: Reg<u64>, notes: Reg<String>) -> (Vec<u64>, Vec<String>) {
+    let boxed = (0..BOXED)
+        .map(|i| notes.at(i))
+        .chain([notes.at(BOXED + WORDS)]);
+    (
+        (0..WORDS).map(|i| m.peek(words.at(i)).unwrap()).collect(),
+        boxed.map(|b| m.peek(b).unwrap()).collect(),
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// `version()` rises by exactly one per completed write and with
+    /// nothing else — reads, span reads, peeks, a refused writer, a type
+    /// mismatch, an unknown register — and while it stands still every
+    /// register peeks what it peeked before.
+    #[test]
+    fn version_counts_completed_writes_only(draws in prop::collection::vec(any::<u64>(), 0..200)) {
+        let (mut m, words, notes) = mixed_arena();
+        prop_assert_eq!(m.version(), 0, "allocation is not a write");
+        let mut before = contents(&m, words, notes);
+        for draw in draws {
+            let (op, at) = (draw % 10, (draw >> 8) as usize % 16);
+            let (writer, value) = (pid((draw >> 16) as usize % 4), draw >> 20);
+            let (w, b) = (words.at(at % WORDS), notes.at(at % BOXED));
+            let version = m.version();
+            let completed_write = match op {
+                0 => m.write_word(writer, w, value).is_ok(),
+                1 => m.write(writer, w, value).is_ok(),
+                2 => m.write(writer, b, value.to_string()).is_ok(),
+                // The boxed tail written as a word, a word cell written as
+                // a string: type mismatches (or, checked first, a refused
+                // writer). Neither completes.
+                3 => {
+                    prop_assert!(m.write_word(writer, words.at(WORDS), value).is_err());
+                    let forged = notes.at(BOXED + at % WORDS);
+                    prop_assert!(m.write(writer, forged, String::new()).is_err());
+                    prop_assert!(m.read(forged).is_err());
+                    false
+                }
+                4 => {
+                    let unknown = words.at(WORDS + 1 + at);
+                    prop_assert!(m.write_word(writer, unknown, value).is_err());
+                    prop_assert!(m.read_word(unknown).is_err() && m.peek(unknown).is_err());
+                    false
+                }
+                5 => {
+                    prop_assert!(m.read_word(w).is_ok() && m.read(b).is_ok());
+                    false
+                }
+                6 => {
+                    let mut dest = vec![0u64; at % (WORDS + 1)];
+                    prop_assert!(m.read_word_span(words, 0, &mut dest).is_ok());
+                    false
+                }
+                // A span that runs into the boxed tail: refused whole.
+                7 => {
+                    let mut dest = vec![0u64; WORDS + 1];
+                    prop_assert!(m.read_word_span(words, 0, &mut dest).is_err());
+                    false
+                }
+                8 => {
+                    prop_assert!(m.peek(w).is_ok() && m.peek(b).is_ok());
+                    false
+                }
+                _ => {
+                    prop_assert_eq!(m.stats().len(), REGISTERS);
+                    prop_assert_eq!(m.name(at).is_ok(), at < REGISTERS);
+                    false
+                }
+            };
+            prop_assert_eq!(m.version(), version + completed_write as u64, "op {}", op);
+            let after = contents(&m, words, notes);
+            if !completed_write {
+                prop_assert_eq!(&after, &before, "contents moved under version {}", version);
+            }
+            before = after;
+        }
+        let writes: u64 = m.stats().iter().map(|s| s.writes).sum();
+        prop_assert_eq!(m.version(), writes);
+    }
+}
