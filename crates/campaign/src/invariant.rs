@@ -247,7 +247,8 @@ impl ScheduleWatch {
         }
     }
 
-    /// Feeds the next executed steps, in schedule order.
+    /// Feeds the next executed steps, in schedule order — the fleets' entry,
+    /// a 64 Ki-step block at a time.
     pub(crate) fn observe(&mut self, steps: &[ProcessId]) {
         if let Some(g) = &mut self.guarantee {
             // A process a `ProcSet` cannot name is in neither `P` nor `Q`.
@@ -262,6 +263,36 @@ impl ScheduleWatch {
                 }
             }
         }
+        self.observe_windows(steps);
+        self.seen += steps.len() as u64;
+    }
+
+    /// [`observe`](Self::observe) for one step — the entry of the runs that
+    /// pull their schedule a step at a time. There the next step is a
+    /// small-n random draw and the block loop's two membership branches
+    /// mispredict, so the run is updated by selects; a fleet's block, where
+    /// most steps are past the `ProcSet` capacity and skip predictably,
+    /// keeps the loop.
+    #[inline]
+    pub(crate) fn observe_step(&mut self, step: ProcessId) {
+        if let Some(g) = &mut self.guarantee {
+            // No bit for a process a `ProcSet` cannot name: in neither set.
+            let bit = 1u64.checked_shl(step.index() as u32).unwrap_or(0);
+            let in_p = (g.pair.p.bits() & bit != 0) as usize;
+            let in_q = (g.pair.q.bits() & bit != 0) as usize;
+            // `in_p − 1`: all ones outside `P`, zero inside.
+            g.run = (g.run + in_q) & in_p.wrapping_sub(1);
+            g.max_run = g.max_run.max(g.run);
+        }
+        if !self.windows.is_empty() {
+            self.observe_windows(&[step]);
+        }
+        self.seen += 1;
+    }
+
+    /// Holds `steps`, the schedule's positions from `self.seen` on, against
+    /// the absence windows.
+    fn observe_windows(&mut self, steps: &[ProcessId]) {
         let end = self.seen + steps.len() as u64;
         for w in &mut self.windows {
             if w.offence.is_some() || end <= w.from || w.to <= self.seen {
@@ -274,7 +305,6 @@ impl ScheduleWatch {
                 w.offence = Some(self.seen + (lo + at) as u64);
             }
         }
-        self.seen = end;
     }
 
     /// Steps fed so far — how much schedule the run executed.
@@ -662,9 +692,13 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(512))]
 
+        /// One schedule — at n up to 130, so steps a `ProcSet` cannot name
+        /// occur — fed a step at a time through `observe_step`, in
+        /// random-length blocks through `observe`, and scanned offline: one
+        /// verdict, one `max_run`, one first-offence position per window.
         #[test]
         fn the_watch_fed_any_blocks_equals_the_offline_scan(
-            n in 1usize..=70,
+            n in 1usize..=130,
             raw_steps in prop::collection::vec(any::<u64>(), 0..200),
             p_bits in any::<u64>(),
             q_bits in any::<u64>(),
@@ -691,19 +725,34 @@ mod tests {
 
             // A random partition into blocks, empty and one-step ones
             // included; whatever the cuts leave over is the last block.
-            let mut watch = ScheduleWatch::new(guarantee, &windows);
+            let mut by_block = ScheduleWatch::new(guarantee, &windows);
             let mut rest = s.as_slice();
             for &cut in &cuts {
                 let (block, tail) = rest.split_at(cut.min(rest.len()));
-                watch.observe(block);
+                by_block.observe(block);
                 rest = tail;
             }
-            watch.observe(rest);
+            by_block.observe(rest);
 
-            let mut online = Vec::new();
-            watch.verdicts(&mut online);
-            prop_assert_eq!(online, offline(&s, guarantee, &windows));
-            prop_assert_eq!(watch.steps_seen(), s.len() as u64);
+            let mut by_step = ScheduleWatch::new(guarantee, &windows);
+            for step in s.iter() {
+                by_step.observe_step(step);
+            }
+
+            let expected = offline(&s, guarantee, &windows);
+            let nameable: Schedule = s.iter().filter(|p| p.index() < PROCSET_CAPACITY).collect();
+            let max_run = guarantee.map(|g| empirical_bound(&nameable, g.p, g.q) - 1);
+            for watch in [&by_block, &by_step] {
+                let mut online = Vec::new();
+                watch.verdicts(&mut online);
+                prop_assert_eq!(&online, &expected);
+                prop_assert_eq!(watch.guarantee.as_ref().map(|g| g.max_run), max_run);
+                prop_assert_eq!(watch.steps_seen(), s.len() as u64);
+            }
+            let offences = |watch: &ScheduleWatch| -> Vec<Option<u64>> {
+                watch.windows.iter().map(|w| w.offence).collect()
+            };
+            prop_assert_eq!(offences(&by_block), offences(&by_step));
         }
     }
 }

@@ -271,7 +271,7 @@ impl<S: StepSource> StepSource for Watched<'_, S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         let p = self.src.next_step()?;
         if let Some(watch) = &mut self.watch {
-            watch.observe(&[p]);
+            watch.observe_step(p);
         }
         Some(p)
     }

@@ -1004,12 +1004,99 @@ pub fn encode_scenario(s: &Scenario) -> Json {
 ///
 /// A decoded [`Workload::AdversarialAgreement`] is also held to what
 /// running it asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run —
-/// so a spec from the wire that breaks one is refused here, by field name,
-/// instead of panicking in the worker that picks it up.
+/// and a decoded generator to what `SeededRandom`, `SetTimely` and
+/// `FlappingTimely` assert when built, so a spec from the wire that breaks
+/// one is refused here, by field name, instead of panicking in the worker
+/// that picks it up.
 pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
     let scenario = Scenario::from_json(j)?;
     check_adversarial(&scenario)?;
+    check_generator(&scenario.generator, scenario.universe.n())
+        .map_err(|e| format!("field \"generator\": {e}"))?;
     Ok(scenario)
+}
+
+/// The preconditions of the random source and of the two enforcing
+/// generators (`SeededRandom::over`/`with_weights`, `SetTimely::new`,
+/// `FlappingTimely::new`), over the whole spec tree that gets built: one
+/// walk, nothing allocated for a spec that passes.
+fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
+    let nested = |field: &str, child: &GeneratorSpec| {
+        check_generator(child, n).map_err(|e| format!("field \"{field}\": {e}"))
+    };
+    let enforced = |p: ProcSet, q: ProcSet, bound: usize| {
+        if p.is_empty() {
+            return Err("field \"p\": the timely set must be non-empty".to_string());
+        }
+        if bound == 0 || (bound == 1 && !q.is_subset(p)) {
+            return Err(format!(
+                "field \"bound\": needs bound ≥ 1, and bound = 1 only with q ⊆ p (every \
+                 q-step a p-step), got bound = {bound} for p = {p}, q = {q}"
+            ));
+        }
+        Ok(())
+    };
+    let dwell = |field: &str, (lo, hi): (u64, u64)| {
+        if lo == 0 || lo > hi {
+            return Err(format!(
+                "field \"{field}\": a dwell range needs 1 ≤ lo ≤ hi, got [{lo}, {hi}]"
+            ));
+        }
+        Ok(())
+    };
+    match spec {
+        GeneratorSpec::SeededRandom { over, weights, .. } => {
+            if over.is_some_and(ProcSet::is_empty) {
+                return Err("field \"over\": a random source needs a process".to_string());
+            }
+            let members = over.map_or(n, ProcSet::len);
+            match weights {
+                Some(w) if w.len() != members => Err(format!(
+                    "field \"weights\": one weight per member, got {} for {members}",
+                    w.len()
+                )),
+                Some(w) if w.iter().all(|&w| w == 0) => {
+                    Err("field \"weights\": at least one weight must be positive".to_string())
+                }
+                _ => Ok(()),
+            }
+        }
+        GeneratorSpec::SetTimely {
+            p,
+            q,
+            bound,
+            filler,
+            ..
+        } => {
+            enforced(*p, *q, *bound)?;
+            nested("filler", filler)
+        }
+        GeneratorSpec::Flapping {
+            p,
+            q,
+            bound,
+            filler,
+            timely_dwell,
+            untimely_dwell,
+            ..
+        } => {
+            enforced(*p, *q, *bound)?;
+            dwell("timely_dwell", *timely_dwell)?;
+            dwell("untimely_dwell", *untimely_dwell)?;
+            nested("filler", filler)
+        }
+        GeneratorSpec::Eventually { prefix, body, .. } => {
+            nested("prefix", prefix)?;
+            nested("body", body)
+        }
+        GeneratorSpec::CrashAfter { inner, .. }
+        | GeneratorSpec::GrayFailure { inner, .. }
+        | GeneratorSpec::BurstClog { inner, .. }
+        | GeneratorSpec::CrashRecovery { inner, .. } => nested("inner", inner),
+        // The other leaves have constructors this pass does not cover yet
+        // (ROADMAP 7(a)); a replay's carried spec is never built.
+        _ => Ok(()),
+    }
 }
 
 /// The preconditions of `drive_adversarially` and of the stack it is

@@ -411,6 +411,43 @@ fn the_adversary_allocates_nothing_per_step() {
 }
 
 #[test]
+fn an_enforcing_generator_allocates_nothing_per_pulled_step() {
+    // A filler that never schedules `P`: at bound 2 every other emitted
+    // step is an injection. Building the generator allocates (member lists,
+    // the boxes); pulling from it does not, however long — where collecting
+    // `P`'s members per injection was one `Vec` per two steps, 45 000
+    // allocations apart between these two lengths.
+    let set = |ix: &[usize]| ProcSet::from_indices(ix.iter().copied());
+    let (p, q) = (set(&[0, 1]), set(&[2]));
+    let hostile = || GeneratorSpec::RoundRobin { over: Some(q) };
+    // One timely dwell longer than the run: every step is enforced, and the
+    // phase log stays at its first segment.
+    let dwell = (1 << 40, 1 << 40);
+    for spec in [
+        GeneratorSpec::set_timely(p, q, 2, hostile()),
+        GeneratorSpec::flapping(p, q, 2, hostile(), dwell, dwell),
+    ] {
+        let pull = |steps: usize| {
+            let (count, injected) = allocations(|| {
+                let mut source = spec.build(Universe::new(3).unwrap(), 1);
+                (0..steps)
+                    .filter(|_| p.contains(source.next_step().expect("an endless source")))
+                    .count()
+            });
+            assert_eq!(injected, steps / 2, "{}", spec.family());
+            count
+        };
+        let (short, long) = (pull(10_000), pull(100_000));
+        assert_eq!(
+            short,
+            long,
+            "{}: allocations at 10 000 and at 100 000 pulled steps",
+            spec.family()
+        );
+    }
+}
+
+#[test]
 fn take_schedule_reserves_what_it_is_asked_for_up_to_a_cap() {
     // A prefix is one allocation, not log₂(len) reallocations …
     let mut endless = GeneratorSpec::round_robin().build(Universe::new(5).unwrap(), 0);

@@ -8,10 +8,10 @@ use st_campaign::store::{
     decode_generator, decode_outcome, decode_scenario, encode_scenario, encoding_reference,
     OutcomeStore,
 };
-use st_campaign::{GeneratorSpec, Scenario, Workload};
-use st_core::{Json, ProcSet, Universe};
+use st_campaign::{FleetReplayDrive, GeneratorSpec, Scenario, Workload};
+use st_core::{Json, ProcSet, ProcessId, Schedule, Universe};
 use st_fd::TimeoutPolicy;
-use st_sched::SpecRng;
+use st_sched::{CrashPlan, SpecRng};
 
 /// The committed fixture (`tests/store_fixture.rs`): every shape the codec
 /// writes, so damage lands on every decoder arm.
@@ -96,6 +96,134 @@ fn adversarial_specs_that_would_panic_a_worker_are_decode_errors() {
         err.starts_with("field \"precrashed\": ") && err.contains("none of the 3"),
         "{err}"
     );
+}
+
+/// What `SeededRandom::over`/`with_weights`, `SetTimely::new` and
+/// `FlappingTimely::new` assert, a decoded spec is refused for, by field —
+/// at the root and under every decorator that builds its child.
+#[test]
+fn generator_specs_that_would_panic_a_worker_are_decode_errors() {
+    let set = |ix: &[usize]| ProcSet::from_indices(ix.iter().copied());
+    let decode = |n: usize, generator: GeneratorSpec| {
+        let scenario = Scenario::new(
+            "gen",
+            Universe::new(n).unwrap(),
+            generator,
+            Workload::LeanConvergence {
+                t: 1,
+                policy: TimeoutPolicy::Increment,
+                drive: FleetReplayDrive::Plain,
+            },
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let random = |over: Option<ProcSet>, weights: &[u32]| GeneratorSpec::SeededRandom {
+        over,
+        seed_offset: 0,
+        weights: Some(weights.to_vec()),
+    };
+    let rr = GeneratorSpec::round_robin;
+    let (p, q) = (set(&[0]), set(&[0, 1]));
+    let timely = |p, q, bound| GeneratorSpec::set_timely(p, q, bound, rr());
+    let flapping = |timely_dwell, untimely_dwell| {
+        GeneratorSpec::flapping(p, q, 2, rr(), timely_dwell, untimely_dwell)
+    };
+
+    // The valid twins: `|over|` weights or `n`, a zero among them, bound 1
+    // with Q ⊆ P, a one-point dwell.
+    for valid in [
+        random(None, &[1, 0, 2, 1]),
+        random(Some(set(&[1, 3])), &[0, 5]),
+        timely(p, q, 2),
+        timely(q, p, 1),
+        flapping((1, 1), (3, u64::MAX)),
+    ] {
+        assert_eq!(decode(4, valid), Ok(()));
+    }
+
+    let refused = |generator: GeneratorSpec, path: &str, detail: &str| {
+        let err = decode(4, generator).unwrap_err();
+        assert!(err.starts_with(path) && err.contains(detail), "{err}");
+    };
+    let root = "field \"generator\": field ";
+    refused(
+        random(None, &[1, 1, 1]),
+        &format!("{root}\"weights\""),
+        "got 3 for 4",
+    );
+    refused(
+        random(Some(set(&[1, 3])), &[1, 1, 1, 1]),
+        &format!("{root}\"weights\""),
+        "got 4 for 2",
+    );
+    refused(
+        random(None, &[0; 4]),
+        &format!("{root}\"weights\""),
+        "positive",
+    );
+    refused(random(Some(set(&[])), &[]), &format!("{root}\"over\""), "");
+    refused(timely(set(&[]), q, 2), &format!("{root}\"p\""), "non-empty");
+    refused(timely(p, q, 0), &format!("{root}\"bound\""), "bound = 0");
+    refused(timely(p, q, 1), &format!("{root}\"bound\""), "bound = 1");
+    refused(
+        flapping((0, 5), (1, 5)),
+        &format!("{root}\"timely_dwell\""),
+        "[0, 5]",
+    );
+    refused(
+        flapping((1, 5), (6, 5)),
+        &format!("{root}\"untimely_dwell\""),
+        "[6, 5]",
+    );
+
+    // Recursively: wherever a child is built, it is held to the same.
+    let bad = || timely(p, q, 0);
+    let pid = ProcessId::new;
+    let plan = || CrashPlan::new().crash(pid(1), 5);
+    for (wrapped, under) in [
+        (GeneratorSpec::set_timely(p, q, 2, bad()), "filler"),
+        (
+            GeneratorSpec::flapping(p, q, 2, bad(), (1, 2), (1, 2)),
+            "filler",
+        ),
+        (
+            GeneratorSpec::Eventually {
+                prefix: Box::new(bad()),
+                prefix_len: 10,
+                body: Box::new(rr()),
+            },
+            "prefix",
+        ),
+        (
+            GeneratorSpec::Eventually {
+                prefix: Box::new(rr()),
+                prefix_len: 10,
+                body: Box::new(bad()),
+            },
+            "body",
+        ),
+        // `crashed` wraps any spec but a `SetTimely`, whose filler it wraps.
+        (timely(p, q, 2).crashed(plan()), ""),
+        (random(None, &[1]).crashed(plan()), "inner"),
+        (
+            GeneratorSpec::set_timely(p, q, 2, random(None, &[1])).crashed(plan()),
+            "filler\": field \"inner",
+        ),
+        (GeneratorSpec::gray_failure(bad(), set(&[0]), 2), "inner"),
+        (GeneratorSpec::burst_clog(bad(), pid(0), 4, (1, 2)), "inner"),
+        (GeneratorSpec::crash_recovery(bad(), pid(0), 4, 8), "inner"),
+    ] {
+        if under.is_empty() {
+            assert_eq!(decode(4, wrapped), Ok(()));
+        } else {
+            refused(wrapped, &format!("{root}\"{under}\": field \""), "got");
+        }
+    }
+    // A replay's carried spec is never built, so it is not held to this.
+    let replayed = GeneratorSpec::replay(bad(), Schedule::from_indices([0, 1]));
+    assert_eq!(decode(4, replayed), Ok(()));
 }
 
 /// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.

@@ -1,7 +1,8 @@
 //! Basic generators: round-robin and seeded random.
 
+use rand::distr::Uniform;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use st_core::{ProcSet, ProcessId, StepSource, Universe};
 
@@ -122,23 +123,18 @@ impl StepSource for BurstyRotation {
 #[derive(Clone, Debug)]
 pub struct SeededRandom {
     members: Vec<ProcessId>,
+    /// One weight per member; empty when every weight is 1, and the ticket
+    /// *is* the member's position.
     weights: Vec<u32>,
-    total_weight: u64,
+    /// Sampler for a ticket in `[0, total weight)`.
+    ticket: Uniform,
     rng: StdRng,
 }
 
 impl SeededRandom {
     /// Uniform over the universe.
     pub fn new(universe: Universe, seed: u64) -> Self {
-        let members: Vec<ProcessId> = universe.processes().collect();
-        let weights = vec![1u32; members.len()];
-        let total_weight = members.len() as u64;
-        SeededRandom {
-            members,
-            weights,
-            total_weight,
-            rng: StdRng::seed_from_u64(seed),
-        }
+        Self::uniform(universe.processes().collect(), seed)
     }
 
     /// Uniform over an explicit non-empty set.
@@ -148,13 +144,14 @@ impl SeededRandom {
     /// Panics if `set` is empty.
     pub fn over(set: ProcSet, seed: u64) -> Self {
         assert!(!set.is_empty(), "random source needs at least one process");
-        let members = set.to_vec();
-        let weights = vec![1u32; members.len()];
-        let total_weight = members.len() as u64;
+        Self::uniform(set.to_vec(), seed)
+    }
+
+    fn uniform(members: Vec<ProcessId>, seed: u64) -> Self {
         SeededRandom {
+            weights: Vec::new(),
+            ticket: Uniform::new(members.len() as u64),
             members,
-            weights,
-            total_weight,
             rng: StdRng::seed_from_u64(seed),
         }
     }
@@ -170,15 +167,23 @@ impl SeededRandom {
         assert_eq!(weights.len(), self.members.len(), "one weight per member");
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
         assert!(total > 0, "at least one weight must be positive");
-        self.weights = weights;
-        self.total_weight = total;
+        self.ticket = Uniform::new(total);
+        self.weights = if weights.iter().all(|&w| w == 1) {
+            Vec::new()
+        } else {
+            weights
+        };
         self
     }
 }
 
 impl StepSource for SeededRandom {
+    #[inline]
     fn next_step(&mut self) -> Option<ProcessId> {
-        let mut ticket = self.rng.random_range(0..self.total_weight);
+        let mut ticket = self.ticket.sample(&mut self.rng);
+        if self.weights.is_empty() {
+            return Some(self.members[ticket as usize]);
+        }
         for (i, &w) in self.weights.iter().enumerate() {
             let w = w as u64;
             if ticket < w {

@@ -56,6 +56,8 @@ pub struct PhaseSegment {
 /// [`validate::certify_flapping_segments`](crate::validate::certify_flapping_segments)).
 pub struct FlappingTimely<S> {
     p: ProcSet,
+    /// `p`'s members in ascending order: the injection rotation.
+    p_members: Vec<ProcessId>,
     q: ProcSet,
     bound: usize,
     filler: S,
@@ -106,6 +108,7 @@ impl<S: StepSource> FlappingTimely<S> {
         let remaining = draw(&mut rng, timely_dwell);
         FlappingTimely {
             p,
+            p_members: p.to_vec(),
             q,
             bound,
             filler,
@@ -167,7 +170,7 @@ impl<S: StepSource> StepSource for FlappingTimely<S> {
             if !self.enforcing || lets_through(self.p, self.q, self.bound, &mut self.q_run, step) {
                 step
             } else {
-                let members = self.p.to_vec();
+                let members = &self.p_members;
                 let injected = members[self.next_inject % members.len()];
                 self.next_inject = (self.next_inject + 1) % members.len();
                 self.pending = Some(step);

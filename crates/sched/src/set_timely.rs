@@ -10,7 +10,7 @@
 //! output is "as adversarial as possible subject to membership in
 //! `S^{|P|}_{|Q|,n}`".
 
-use st_core::{ProcSet, ProcessId, StepSource, TimelyPair, PROCSET_CAPACITY};
+use st_core::{ProcSet, ProcessId, StepSource, TimelyPair};
 
 use crate::crashes::CrashPlan;
 
@@ -32,6 +32,8 @@ use crate::crashes::CrashPlan;
 /// ```
 pub struct SetTimely<S> {
     p: ProcSet,
+    /// `p`'s members in ascending order: the injection rotation.
+    p_members: Vec<ProcessId>,
     q: ProcSet,
     bound: usize,
     filler: S,
@@ -65,6 +67,7 @@ impl<S: StepSource> SetTimely<S> {
         );
         SetTimely {
             p,
+            p_members: p.to_vec(),
             q,
             bound,
             filler,
@@ -95,8 +98,25 @@ impl<S: StepSource> SetTimely<S> {
         }
     }
 
+    /// The step emitted in place of `step`, a `Q`-step that would complete
+    /// a run of `bound`: a live member of `P`, with `step` held back for the
+    /// next pull. Out of line — over a random filler it is the rare case,
+    /// and the pull's common path stays a leaf around the filler call.
+    #[cold]
+    #[inline(never)]
+    fn inject_before(&mut self, step: ProcessId) -> ProcessId {
+        match self.live_injectable() {
+            Some(injected) => {
+                self.pending = Some(step);
+                self.q_run = 0;
+                injected
+            }
+            None => step, // all of P crashed: guarantee void
+        }
+    }
+
     fn live_injectable(&mut self) -> Option<ProcessId> {
-        let members: Vec<ProcessId> = self.p.to_vec();
+        let members = &self.p_members;
         for offset in 0..members.len() {
             let candidate = members[(self.next_inject + offset) % members.len()];
             if !self.plan.is_crashed(candidate, self.emitted) {
@@ -122,19 +142,21 @@ pub(crate) fn lets_through(
     q_run: &mut usize,
     step: ProcessId,
 ) -> bool {
+    debug_assert!(*q_run < bound, "a run of `bound` is never let through");
     // `P` and `Q` name processes below the `ProcSet` capacity only; in a
-    // larger universe the filler's other steps are in neither.
-    if step.index() >= PROCSET_CAPACITY {
-        return true;
+    // larger universe the filler's other steps are in neither (no bit).
+    let bit = 1u64.checked_shl(step.index() as u32).unwrap_or(0);
+    let in_p = (p.bits() & bit != 0) as usize;
+    let in_q = (q.bits() & bit != 0) as usize;
+    // Which set a random filler's step falls in is a coin toss, so the run
+    // is updated by arithmetic — `in_p − 1` is all ones outside `P` and zero
+    // inside — and the one branch left is the rare injection: the run was
+    // below `bound`, so only a `Q`-step outside `P` can bring it there.
+    let run = (*q_run + in_q) & in_p.wrapping_sub(1);
+    if run >= bound {
+        return false;
     }
-    if p.contains(step) {
-        *q_run = 0;
-    } else if q.contains(step) {
-        if *q_run + 1 >= bound {
-            return false;
-        }
-        *q_run += 1;
-    }
+    *q_run = run;
     true
 }
 
@@ -148,14 +170,7 @@ impl<S: StepSource> StepSource for SetTimely<S> {
         let emit = if lets_through(self.p, self.q, self.bound, &mut self.q_run, step) {
             step
         } else {
-            match self.live_injectable() {
-                Some(injected) => {
-                    self.pending = Some(step);
-                    self.q_run = 0;
-                    injected
-                }
-                None => step, // all of P crashed: guarantee void
-            }
+            self.inject_before(step)
         };
         self.emitted += 1;
         Some(emit)
@@ -205,7 +220,7 @@ mod tests {
     use super::*;
     use crate::basic::{RoundRobin, SeededRandom};
     use st_core::timeliness::{empirical_bound, max_q_steps_in_p_free_interval};
-    use st_core::{Schedule, ScheduleCursor, Universe};
+    use st_core::{Schedule, ScheduleCursor, Universe, PROCSET_CAPACITY};
 
     fn u(n: usize) -> Universe {
         Universe::new(n).unwrap()

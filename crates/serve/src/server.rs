@@ -1435,6 +1435,47 @@ mod tests {
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
+    /// The same for a generator its constructor would assert on: a weight
+    /// vector of the wrong length, nested under a decorator.
+    #[test]
+    fn submit_refuses_a_generator_spec_the_worker_would_panic_on() {
+        let shared = shared_with("st-serve-generator-spec-test", 10);
+        let weighted = |weights: &[u32]| {
+            let mut campaign = tiny_campaign(0..2);
+            let mut scenario = campaign.scenarios()[1].clone();
+            scenario.label = "weighted".to_string();
+            scenario.generator = GeneratorSpec::set_timely(
+                st_core::ProcSet::from_indices([0]),
+                st_core::ProcSet::from_indices([0, 1]),
+                3,
+                GeneratorSpec::SeededRandom {
+                    over: None,
+                    seed_offset: 0,
+                    weights: Some(weights.to_vec()),
+                },
+            );
+            campaign.push(scenario);
+            campaign
+        };
+        let resp = dispatch(&shared, &submit_doc("bad", &weighted(&[2, 1])));
+        assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+        let message = resp.get("error").and_then(|e| e.get("message"));
+        let message = message.and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains(
+                "entries[2].scenario: field \"generator\": field \"filler\": field \"weights\""
+            ),
+            "{message}"
+        );
+        assert!(!spec_path(&shared.cfg.state_dir, "bad").exists());
+        assert!(shared.jobs.lock().unwrap().is_empty());
+
+        // The same entry with one weight per process runs to `done`.
+        submit_and_run(&shared, "good", &weighted(&[2, 1, 1]));
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
     #[test]
     fn dispatch_rejects_missing_proto_and_unknown_verbs() {
         let cfg = ServeConfig::new(std::env::temp_dir().join("st-serve-dispatch-test"));

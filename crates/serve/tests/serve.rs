@@ -289,16 +289,12 @@ fn out_of_range_process_index_in_a_submit_is_malformed_not_fatal() {
 /// panic's text — and the same daemon runs the next job to batch bytes.
 #[test]
 fn a_panicking_job_is_broken_and_the_worker_takes_the_next_one() {
-    // A spec that decodes and panics when built: `SetTimely` asserts on an
-    // empty `P`, and nothing validates a decoded spec before it runs.
+    // A spec that decodes and panics when built: `GrayFailure` asserts on a
+    // zero `stretch`, which decode-time validation does not cover yet.
     let mut poisoned = Campaign::new();
     for mut scenario in fd_campaign().scenarios().iter().cloned() {
-        scenario.generator = GeneratorSpec::set_timely(
-            ProcSet::EMPTY,
-            ProcSet::from_indices([0, 1]),
-            2,
-            GeneratorSpec::round_robin(),
-        );
+        scenario.generator =
+            GeneratorSpec::gray_failure(GeneratorSpec::round_robin(), ProcSet::EMPTY, 0);
         poisoned.push(scenario);
     }
     let campaign = fd_campaign();
@@ -323,7 +319,7 @@ fn a_panicking_job_is_broken_and_the_worker_takes_the_next_one() {
             Err(ClientError::Server { kind, message }) => {
                 assert_eq!(kind, "internal");
                 assert!(
-                    message.contains("panicked: P must be non-empty"),
+                    message.contains("panicked: stretch must be positive"),
                     "{message}"
                 );
             }
