@@ -89,6 +89,7 @@ use st_agreement::StackKind;
 use st_core::json::{self, Cursor};
 use st_core::{
     AgreementViolation, Json, JsonError, ProcSet, ProcessId, Schedule, TimelyPair, Universe,
+    PROCSET_CAPACITY,
 };
 use st_fd::convergence::{KAntiOmegaWitness, Stabilization};
 use st_fd::TimeoutPolicy;
@@ -1007,9 +1008,11 @@ pub fn encode_scenario(s: &Scenario) -> Json {
 /// and a decoded generator to what `SeededRandom`, `SetTimely` and
 /// `FlappingTimely` assert when built, so a spec from the wire that breaks
 /// one is refused here, by field name, instead of panicking in the worker
-/// that picks it up.
+/// that picks it up. So is a certification with a zero bound cap, and a
+/// single-word workload past [`PROCSET_CAPACITY`] processes.
 pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
     let scenario = Scenario::from_json(j)?;
+    check_single_word(&scenario)?;
     check_adversarial(&scenario)?;
     check_generator(&scenario.generator, scenario.universe.n())
         .map_err(|e| format!("field \"generator\": {e}"))?;
@@ -1097,6 +1100,34 @@ fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
         // (ROADMAP 7(a)); a replay's carried spec is never built.
         _ => Ok(()),
     }
+}
+
+/// The preconditions of the workloads that run on single-word process sets
+/// (Figure 2 at width one, `Scenario::correct`, the timeliness analyzer's
+/// subset enumeration): `n ≤ 64`, and a positive certification cap.
+fn check_single_word(scenario: &Scenario) -> Result<(), String> {
+    let name = match &scenario.workload {
+        Workload::Agreement {
+            certify: Some(CertifyTimely { cap: 0, .. }),
+            ..
+        } => {
+            return Err(
+                "field \"certify\": field \"cap\": a bound cap must be positive, got 0".into(),
+            )
+        }
+        Workload::Agreement { .. } => "Agreement",
+        Workload::FdConvergence { .. } => "FdConvergence",
+        Workload::AdversarialAgreement { .. } => "AdversarialAgreement",
+        _ => return Ok(()),
+    };
+    let n = scenario.universe.n();
+    if n > PROCSET_CAPACITY {
+        return Err(format!(
+            "field \"n\": the {name} workload runs on single-word process sets, needs \
+             n ≤ {PROCSET_CAPACITY}, got n = {n}"
+        ));
+    }
+    Ok(())
 }
 
 /// The preconditions of `drive_adversarially` and of the stack it is

@@ -8,7 +8,9 @@ use st_campaign::store::{
     decode_generator, decode_outcome, decode_scenario, encode_scenario, encoding_reference,
     OutcomeStore,
 };
-use st_campaign::{FleetReplayDrive, GeneratorSpec, Scenario, Workload};
+use st_campaign::{
+    CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario, Workload,
+};
 use st_core::{Json, ProcSet, ProcessId, Schedule, Universe};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, SpecRng};
@@ -224,6 +226,76 @@ fn generator_specs_that_would_panic_a_worker_are_decode_errors() {
     // A replay's carried spec is never built, so it is not held to this.
     let replayed = GeneratorSpec::replay(bad(), Schedule::from_indices([0, 1]));
     assert_eq!(decode(4, replayed), Ok(()));
+}
+
+/// What the timeliness analyzer asserts (a positive bound cap) and what the
+/// single-word workloads need (`n ≤ 64`: their process sets, Figure 2 at
+/// width one, and the analyzer's subset enumeration), a decoded spec is
+/// refused for, by field.
+#[test]
+fn certification_specs_that_would_panic_a_worker_are_decode_errors() {
+    let decode = |n: usize, workload: Workload| {
+        let scenario = Scenario::new(
+            "cert",
+            Universe::new(n).unwrap(),
+            GeneratorSpec::round_robin(),
+            workload,
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let agreement = |n: usize, cap: usize| Workload::Agreement {
+        t: 1,
+        k: 1,
+        inputs: (0..n as u64).collect(),
+        policy: TimeoutPolicy::Increment,
+        certify: Some(CertifyTimely {
+            i: 1,
+            j: 2,
+            cap,
+            prefix_len: 100,
+        }),
+    };
+    let membership = || Workload::FdConvergence {
+        k: 1,
+        t: 1,
+        policy: TimeoutPolicy::Increment,
+        abi: FdAbi::MachineSlot,
+        detector: FdDetector::SetBased,
+        certify_membership: true,
+    };
+    let adversarial = |n: usize| Workload::AdversarialAgreement {
+        t: 1,
+        k: 1,
+        inputs: (0..n as u64).collect(),
+        policy: TimeoutPolicy::Increment,
+        precrashed: ProcSet::EMPTY,
+        witness: None,
+    };
+
+    // The valid twins: the least cap, and every workload at n = 64.
+    assert_eq!(decode(4, agreement(4, 1)), Ok(()));
+    assert_eq!(decode(64, agreement(64, 8)), Ok(()));
+    assert_eq!(decode(64, membership()), Ok(()));
+    assert_eq!(decode(64, adversarial(64)), Ok(()));
+
+    let err = decode(4, agreement(4, 0)).unwrap_err();
+    assert!(
+        err.starts_with("field \"certify\": field \"cap\": ") && err.contains("got 0"),
+        "{err}"
+    );
+    for (workload, name) in [
+        (agreement(65, 8), "Agreement"),
+        (membership(), "FdConvergence"),
+        (adversarial(65), "AdversarialAgreement"),
+    ] {
+        let err = decode(65, workload).unwrap_err();
+        assert!(
+            err.starts_with("field \"n\": ") && err.contains(name) && err.contains("n = 65"),
+            "{err}"
+        );
+    }
 }
 
 /// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.

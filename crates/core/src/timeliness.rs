@@ -31,20 +31,25 @@
 //! its run table. [`TimelinessAnalyzer`] removes both: it decomposes the
 //! schedule into its maximal `P`-free **run histograms** once per `P`, into
 //! flat scratch buffers that are reused across the whole sweep (zero
-//! allocations at steady state), deduplicates identical histograms, and
-//! answers every `Q`-query — cap test *and* exact bound — from the
-//! decomposition:
+//! allocations at steady state), deduplicates identical histograms as each
+//! run closes, and answers every `Q` — cap test *and* exact bound, in one
+//! walk — from the decomposition:
 //!
 //! ```text
-//! O( C(n,i) · [ L + R·log R  +  C(n,j) · U'·j ] )
+//! O( C(n,i) · [ L + R·n + U·log U  +  C(n,j) · U'·j ] )
 //! ```
 //!
-//! where `R` is the number of maximal `P`-free runs, `U ≤ R` the number of
-//! *distinct* run histograms, and `U' ≤ U` the prefix actually inspected:
-//! histograms are kept sorted by descending total step count, so both
-//! queries stop at the first histogram whose total cannot beat the running
-//! answer (`Σ_{q∈Q} h[q] ≤ Σ h`). On periodic or near-synchronous schedules
-//! `U` is a small constant and the per-`Q` cost collapses to `O(j)`.
+//! where `R ≤ ⌈L/2⌉` is the number of maximal `P`-free runs, `U ≤ R` the
+//! number of *distinct* run histograms, and `U' ≤ U` the prefix actually
+//! inspected. A run closes in `O(n)`: its additive hash finds the
+//! candidate in an open-addressing table, its `n`-word histogram is
+//! compared against it and cleared. So for a fixed universe a
+//! decomposition is `O(L + U·log U)` — one pass, then a comparison sort of
+//! the distinct histograms alone, by total. Histograms are kept sorted by
+//! descending total step count, so every query stops at the first
+//! histogram whose total cannot beat the running answer
+//! (`Σ_{q∈Q} h[q] ≤ Σ h`). On periodic or near-synchronous schedules `U` is
+//! a small constant and the per-`Q` cost collapses to `O(j)`.
 //! A matrix sweep ([`sweep_matrix`]) additionally shares each `P`
 //! decomposition across **all** `j` columns and spreads the `Π^i_n` outer
 //! loop over threads ([`std::thread::scope`]; this environment has no
@@ -54,7 +59,7 @@
 //! results merge in ascending rank order, so the output is deterministic
 //! and identical to the sequential sweep.
 
-use crate::process::Universe;
+use crate::process::{Universe, PROCSET_CAPACITY};
 use crate::procset::ProcSet;
 use crate::schedule::Schedule;
 use crate::subsets::{binomial, KSubsets};
@@ -189,9 +194,12 @@ pub struct TimelyPair {
 /// The zero-allocation timeliness sweep engine.
 ///
 /// Holds the maximal-`P`-free-run decomposition of one schedule for one `P`
-/// at a time, in flat buffers that are reused across calls: after the first
-/// [`decompose`](Self::decompose) at a given schedule size, subsequent
-/// decompositions allocate nothing. All queries
+/// at a time, in flat buffers that are reused across calls and never
+/// shrink: the hash table is sized from the schedule's length, the
+/// histogram storage keeps the capacity of the largest decomposition so
+/// far. Once a [`decompose`](Self::decompose) with as many distinct runs
+/// has been made, decomposing a schedule no longer than that one allocates
+/// nothing. All queries
 /// ([`max_q_steps`](Self::max_q_steps), [`bound`](Self::bound),
 /// [`within_cap`](Self::within_cap)) are answered from the decomposition —
 /// the schedule is never rescanned.
@@ -206,11 +214,15 @@ pub struct TimelyPair {
 ///   any `Q` and are dropped);
 /// - identical histograms are stored **once**; [`runs`](Self::runs) is the
 ///   number of distinct histograms, [`raw_runs`](Self::raw_runs) the number
-///   of recorded intervals (`Σ` multiplicities);
+///   of recorded intervals. Deduplication is **exact**: a run's additive
+///   hash and total only pick the candidate, the histograms are compared
+///   entry by entry before a run counts as a repeat;
 /// - histograms are ordered by **descending total** step count, which makes
 ///   both query loops early-exit sound: for any `Q`,
 ///   `Σ_{q∈Q} h[q] ≤ total(h)`, so once `total` drops to the running
-///   maximum (or below the cap) no later histogram can change the answer;
+///   maximum (or below the cap) no later histogram can change the answer.
+///   Histograms of equal total are in order of first occurrence — no
+///   answer depends on their order (every query is a maximum or an "any");
 /// - for every histogram, `total` equals the sum of its per-process counts.
 ///
 /// # Examples
@@ -231,31 +243,54 @@ pub struct TimelyPair {
 pub struct TimelinessAnalyzer {
     universe: Universe,
     n: usize,
-    /// Flat histogram storage: slot `r` is `counts[r*n .. (r+1)*n]`.
+    /// Per-process hash key: a run's hash is the sum of its steps' keys.
+    keys: Vec<u64>,
+    /// The open run's histogram (`n` words, all zero between runs).
+    open: Vec<u32>,
+    /// Distinct histograms in order of first occurrence: slot `r` is
+    /// `counts[r*n .. (r+1)*n]`.
     counts: Vec<u32>,
-    /// Total in-universe steps per slot (parallel to slots).
-    totals: Vec<u64>,
-    /// Distinct-histogram access path: slot ids sorted by descending total.
-    uniq: Vec<u32>,
-    /// Multiplicity per distinct histogram (parallel to `uniq`).
-    mult: Vec<u32>,
-    /// Scratch for the sort.
-    order: Vec<u32>,
+    /// Hash per slot.
+    hashes: Vec<u64>,
+    /// Open-addressing table of slot ids (`EMPTY` when free), sized from
+    /// the schedule's run-count bound at load factor ≤ ½.
+    table: Vec<u32>,
+    /// `(total, slot)` per distinct histogram: in slot order while
+    /// decomposing, then by descending total, ties by ascending slot.
+    uniq: Vec<(u64, u32)>,
+    /// Recorded intervals, repeats included.
+    raw_runs: usize,
     /// The `P` of the current decomposition.
     decomposed_p: Option<ProcSet>,
+}
+
+/// A free [`TimelinessAnalyzer`] table entry.
+const EMPTY: u32 = u32::MAX;
+
+/// SplitMix64's output function: the fixed hash key of process `i`. Keys
+/// steer only where a histogram is probed for, never which histograms
+/// count as equal, so results do not depend on them.
+fn hash_key(i: usize) -> u64 {
+    let mut z = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 impl TimelinessAnalyzer {
     /// Creates an analyzer for schedules over `universe`.
     pub fn new(universe: Universe) -> Self {
+        let n = universe.n();
         TimelinessAnalyzer {
             universe,
-            n: universe.n(),
+            n,
+            keys: (0..n).map(hash_key).collect(),
+            open: vec![0; n],
             counts: Vec::new(),
-            totals: Vec::new(),
+            hashes: Vec::new(),
+            table: Vec::new(),
             uniq: Vec::new(),
-            mult: Vec::new(),
-            order: Vec::new(),
+            raw_runs: 0,
             decomposed_p: None,
         }
     }
@@ -277,76 +312,87 @@ impl TimelinessAnalyzer {
 
     /// Number of recorded maximal `P`-free intervals before deduplication.
     pub fn raw_runs(&self) -> usize {
-        self.totals.len()
+        self.raw_runs
     }
 
     /// Decomposes `s` into its maximal `P`-free run histograms (see the type
-    /// docs for the invariants). One `O(L)` pass plus an `O(R log R)` sort;
-    /// reuses all internal buffers.
+    /// docs for the invariants): one `O(L)` pass that deduplicates each run
+    /// as it closes, then an `O(U log U)` sort of the `U` distinct
+    /// histograms by total. Reuses all internal buffers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a step's process index is `≥ PROCSET_CAPACITY`, as
+    /// [`ProcSet::contains`] does.
     pub fn decompose(&mut self, s: &Schedule, p: ProcSet) {
         let n = self.n;
+        // Runs are separated by P-steps and hold a step each, so there are
+        // at most ⌈L/2⌉ of them: a table twice that holds every distinct one
+        // at load factor ≤ ½, and a schedule no longer than an earlier one
+        // clears it in place.
+        let table_len = (2 * s.len().div_ceil(2)).next_power_of_two().max(16);
+        self.table.clear();
+        self.table.resize(table_len, EMPTY);
         self.counts.clear();
-        self.totals.clear();
-        let mut base = usize::MAX; // no open run
-        let mut total = 0u64;
-        for step in s.iter() {
-            if p.contains(step) {
-                if base != usize::MAX {
-                    self.totals.push(total);
-                    base = usize::MAX;
-                    total = 0;
-                }
-            } else {
-                let idx = step.index();
-                if idx < n {
-                    if base == usize::MAX {
-                        base = self.counts.len();
-                        self.counts.resize(base + n, 0);
-                    }
-                    self.counts[base + idx] += 1;
-                    total += 1;
-                }
-            }
-        }
-        if base != usize::MAX {
-            self.totals.push(total);
-        }
+        self.hashes.clear();
+        self.uniq.clear();
+        self.raw_runs = 0;
 
-        // Order slots by descending total (ties by histogram content so that
-        // duplicates become adjacent), then collapse duplicates.
-        let Self {
-            counts,
-            totals,
-            uniq,
-            mult,
-            order,
-            ..
-        } = self;
-        order.clear();
-        order.extend(0..totals.len() as u32);
-        let hist = |slot: u32| &counts[slot as usize * n..(slot as usize + 1) * n];
-        order.sort_unstable_by(|&a, &b| {
-            totals[b as usize]
-                .cmp(&totals[a as usize])
-                .then_with(|| hist(a).cmp(hist(b)))
-        });
-        uniq.clear();
-        mult.clear();
-        for &slot in order.iter() {
-            match uniq.last() {
-                Some(&prev)
-                    if totals[prev as usize] == totals[slot as usize]
-                        && hist(prev) == hist(slot) =>
-                {
-                    *mult.last_mut().expect("mult parallel to uniq") += 1;
+        let bits = p.bits();
+        let (mut hash, mut total) = (0u64, 0u64);
+        for step in s.iter() {
+            let idx = step.index();
+            let in_p = if idx < PROCSET_CAPACITY {
+                bits >> idx & 1 != 0
+            } else {
+                p.contains(step) // panics, with ProcSet's message
+            };
+            if in_p {
+                if total != 0 {
+                    self.close_run(hash, total);
+                    (hash, total) = (0, 0);
                 }
-                _ => {
-                    uniq.push(slot);
-                    mult.push(1);
-                }
+            } else if idx < n {
+                self.open[idx] += 1;
+                hash = hash.wrapping_add(self.keys[idx]);
+                total += 1;
             }
         }
+        if total != 0 {
+            self.close_run(hash, total);
+        }
+        self.uniq
+            .sort_unstable_by_key(|&(total, slot)| (std::cmp::Reverse(total), slot));
         self.decomposed_p = Some(p);
+    }
+
+    /// Records the open run (`hash`, `total` > 0) and clears it: a repeat of
+    /// a stored histogram only counts, a new one takes the next slot.
+    fn close_run(&mut self, hash: u64, total: u64) {
+        let n = self.n;
+        self.raw_runs += 1;
+        let mask = self.table.len() - 1;
+        let mut at = (hash >> 32) as usize & mask;
+        loop {
+            let slot = self.table[at];
+            if slot == EMPTY {
+                let new = self.hashes.len() as u32;
+                self.table[at] = new;
+                self.hashes.push(hash);
+                self.uniq.push((total, new));
+                self.counts.extend_from_slice(&self.open);
+                break;
+            }
+            let r = slot as usize;
+            if self.hashes[r] == hash
+                && self.uniq[r].0 == total
+                && self.counts[r * n..(r + 1) * n] == self.open[..]
+            {
+                break;
+            }
+            at = (at + 1) & mask;
+        }
+        self.open.fill(0);
     }
 
     #[inline]
@@ -371,26 +417,23 @@ impl TimelinessAnalyzer {
     ///
     /// Panics if nothing has been decomposed yet.
     pub fn max_q_steps(&self, q: ProcSet) -> usize {
-        assert!(self.decomposed_p.is_some(), "decompose a schedule first");
-        let mut best = 0u64;
-        for &slot in &self.uniq {
-            if self.totals[slot as usize] <= best {
-                break; // descending totals: no later histogram can win
-            }
-            best = best.max(self.q_sum(slot, q));
-        }
-        best as usize
+        self.bound(q) - 1
     }
 
     /// Empirical bound of `(P, Q)` for the decomposed `P` — equals
     /// [`empirical_bound`] without rescanning the schedule.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing has been decomposed yet.
     pub fn bound(&self, q: ProcSet) -> usize {
-        self.max_q_steps(q) + 1
+        assert!(self.decomposed_p.is_some(), "decompose a schedule first");
+        self.capped_bound(q, usize::MAX)
+            .expect("no run holds usize::MAX steps")
     }
 
     /// `true` iff `P` is timely wrt `Q` with a bound `≤ cap` — i.e., no run
-    /// contains `cap` or more `Q`-steps. Inspects only histograms with
-    /// `total ≥ cap`.
+    /// contains `cap` or more `Q`-steps.
     ///
     /// # Panics
     ///
@@ -398,16 +441,28 @@ impl TimelinessAnalyzer {
     pub fn within_cap(&self, q: ProcSet, cap: usize) -> bool {
         assert!(cap > 0, "bound cap must be positive");
         assert!(self.decomposed_p.is_some(), "decompose a schedule first");
+        self.capped_bound(q, cap).is_some()
+    }
+
+    /// `Some(bound(q))` if it is at most `cap`, else `None`: one walk down
+    /// the histograms by descending total, to the first run with `cap` or
+    /// more `Q`-steps or the first total that cannot beat the running
+    /// maximum (`Σ_{q∈Q} h[q] ≤ total(h)`). Every histogram past that exit
+    /// has `total ≤ best < cap`, so it can reach neither.
+    fn capped_bound(&self, q: ProcSet, cap: usize) -> Option<usize> {
         let cap = cap as u64;
-        for &slot in &self.uniq {
-            if self.totals[slot as usize] < cap {
+        let mut best = 0u64;
+        for &(total, slot) in &self.uniq {
+            if total <= best {
                 break;
             }
-            if self.q_sum(slot, q) >= cap {
-                return false;
+            let steps = self.q_sum(slot, q);
+            if steps >= cap {
+                return None;
             }
+            best = best.max(steps);
         }
-        true
+        Some(best as usize + 1)
     }
 
     /// [`find_timely_pair`] on this analyzer: first pair of the
@@ -424,9 +479,7 @@ impl TimelinessAnalyzer {
         for p in KSubsets::new(self.universe, i) {
             self.decompose(s, p);
             for q in KSubsets::new(self.universe, j) {
-                if self.within_cap(q, bound_cap) {
-                    let bound = self.bound(q);
-                    debug_assert!(bound <= bound_cap);
+                if let Some(bound) = self.capped_bound(q, bound_cap) {
                     return Some(TimelyPair { p, q, bound });
                 }
             }
@@ -448,12 +501,8 @@ impl TimelinessAnalyzer {
         for p in KSubsets::new(self.universe, i) {
             self.decompose(s, p);
             for q in KSubsets::new(self.universe, j) {
-                if self.within_cap(q, bound_cap) {
-                    out.push(TimelyPair {
-                        p,
-                        q,
-                        bound: self.bound(q),
-                    });
+                if let Some(bound) = self.capped_bound(q, bound_cap) {
+                    out.push(TimelyPair { p, q, bound });
                 }
             }
         }
@@ -495,8 +544,7 @@ impl TimelinessAnalyzer {
             self.decompose(s, p);
             for (cell, &j) in cells.iter_mut().zip(js) {
                 for q in KSubsets::new(self.universe, j) {
-                    if self.within_cap(q, bound_cap) {
-                        let bound = self.bound(q);
+                    if let Some(bound) = self.capped_bound(q, bound_cap) {
                         cell.timely_pairs += 1;
                         cell.min_bound = Some(cell.min_bound.map_or(bound, |b| b.min(bound)));
                         if cell.first.is_none() {

@@ -830,7 +830,8 @@ mod tests {
     use super::*;
     use crate::protocol;
     use st_campaign::{
-        policy_from_spec, FdAbi, FdDetector, GeneratorSpec, Scenario, TimeoutPolicySpec, Workload,
+        policy_from_spec, CertifyTimely, FdAbi, FdDetector, GeneratorSpec, Scenario,
+        TimeoutPolicySpec, Workload,
     };
     use st_core::Universe;
 
@@ -1431,6 +1432,60 @@ mod tests {
 
         // The same entry with a task the adversary can block runs to `done`.
         submit_and_run(&shared, "good", &adversarial(2, 2));
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
+    /// The same for a certification the timeliness analyzer would assert
+    /// on (a zero bound cap) and for a single-word workload past n = 64.
+    #[test]
+    fn submit_refuses_a_certification_the_worker_would_panic_on() {
+        let shared = shared_with("st-serve-certification-spec-test", 10);
+        let certified = |n: usize, cap| {
+            let mut campaign = tiny_campaign(0..1);
+            campaign.push(Scenario::new(
+                "certified",
+                Universe::new(n).unwrap(),
+                GeneratorSpec::round_robin(),
+                Workload::Agreement {
+                    t: 1,
+                    k: 1,
+                    inputs: (0..n as u64).collect(),
+                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    certify: Some(CertifyTimely {
+                        i: 1,
+                        j: 2,
+                        cap,
+                        prefix_len: 100,
+                    }),
+                },
+                1_000,
+                0,
+            ));
+            campaign
+        };
+        for (key, campaign, path) in [
+            (
+                "zero-cap",
+                certified(4, 0),
+                "field \"certify\": field \"cap\"",
+            ),
+            ("wide", certified(65, 8), "field \"n\""),
+        ] {
+            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            let message = message.and_then(Json::as_str).unwrap();
+            assert!(
+                message.contains(&format!("entries[1].scenario: {path}")),
+                "{message}"
+            );
+            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
+            assert!(shared.jobs.lock().unwrap().is_empty());
+        }
+
+        // The same entry with a positive cap at n = 4 runs to `done`.
+        submit_and_run(&shared, "good", &certified(4, 8));
         let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
