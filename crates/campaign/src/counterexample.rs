@@ -17,11 +17,13 @@ use std::collections::BTreeSet;
 use std::fmt;
 use std::path::Path;
 
-use st_core::Json;
+use st_core::json::{self, Cursor};
 use st_sched::GeneratorSpec;
 
 use crate::scenario::{Scenario, ScenarioOutcome};
-use crate::store::{decode_outcome, decode_scenario, encode_outcome, encode_scenario, StoreError};
+use crate::store::{
+    members, read_outcome, read_scenario, write_outcome, write_scenario, StoreError,
+};
 
 /// The on-disk schema for saved counterexamples.
 pub const CE_SCHEMA: &str = "st-campaign/counterexample-v1";
@@ -95,38 +97,57 @@ impl Counterexample {
 
     /// Serializes canonically: schema header, scenario, outcome.
     pub fn to_json_string(&self) -> String {
-        let doc = Json::obj([
-            ("schema", Json::str(CE_SCHEMA)),
-            ("scenario", encode_scenario(&self.scenario)),
-            ("outcome", encode_outcome(&self.outcome)),
-        ]);
-        format!("{doc}\n")
+        let mut out = String::from("{\"schema\": ");
+        json::write_string(CE_SCHEMA, &mut out);
+        out.push_str(", \"scenario\": ");
+        write_scenario(&self.scenario, &mut out);
+        out.push_str(", \"outcome\": ");
+        write_outcome(&self.outcome, &mut out);
+        out.push_str("}\n");
+        out
     }
 
     /// Parses a counterexample document, verifying the schema version
-    /// first.
+    /// first. Any member order and whitespace reads; the first occurrence of
+    /// each member counts, and the document's syntax is judged before any
+    /// of its members.
     pub fn from_json_str(text: &str) -> Result<Self, StoreError> {
-        let doc = Json::parse(text)?;
-        let schema = doc
-            .get("schema")
-            .and_then(Json::as_str)
+        let (mut schema, mut scenario, mut outcome) = (None, None, None);
+        let mut cur = Cursor::new(text);
+        cur.skip_ws();
+        members(&mut cur, |key, cur| {
+            match key {
+                "schema" if schema.is_none() => {
+                    schema = Some(match cur.lead()? {
+                        b'"' => Some(cur.string()?.into_owned()),
+                        _ => {
+                            cur.skip()?;
+                            None
+                        }
+                    })
+                }
+                "scenario" if scenario.is_none() => scenario = Some(read_scenario(cur)?),
+                "outcome" if outcome.is_none() => outcome = Some(read_outcome(cur)?),
+                _ => cur.skip()?,
+            }
+            Ok(())
+        })?;
+        cur.finish()?;
+        let schema = schema
+            .flatten()
             .ok_or_else(|| StoreError::Malformed("missing \"schema\" string".into()))?;
         if schema != CE_SCHEMA {
             return Err(StoreError::SchemaMismatch {
-                found: schema.to_string(),
+                found: schema,
                 expected: CE_SCHEMA,
             });
         }
-        let scenario = decode_scenario(
-            doc.get("scenario")
-                .ok_or_else(|| StoreError::Malformed("missing \"scenario\"".into()))?,
-        )
-        .map_err(StoreError::Malformed)?;
-        let outcome = decode_outcome(
-            doc.get("outcome")
-                .ok_or_else(|| StoreError::Malformed("missing \"outcome\"".into()))?,
-        )
-        .map_err(StoreError::Malformed)?;
+        let scenario = scenario
+            .ok_or_else(|| StoreError::Malformed("missing \"scenario\"".into()))?
+            .map_err(StoreError::Malformed)?;
+        let outcome = outcome
+            .ok_or_else(|| StoreError::Malformed("missing \"outcome\"".into()))?
+            .map_err(StoreError::Malformed)?;
         if outcome.violations.is_empty() {
             return Err(StoreError::Malformed(
                 "counterexample has no violations".into(),

@@ -35,51 +35,65 @@
 //! # One entry at a time
 //!
 //! A store can be far larger than anything else a sweep holds, so no path
-//! through this module holds one as a document. What stays resident per
-//! entry ([`StoreEntry`]) is the campaign key, the rank, the decoded
-//! outcome and the scenario spec as its **canonical text** — one
-//! allocation, written at [`record`](OutcomeStore::record) time, compared
-//! byte for byte by [`lookup`](OutcomeStore::lookup), copied as is into
-//! every line written. What a call holds on top of that is transient and
-//! bounded by one entry:
+//! through this module holds one as a document, and none builds a [`Json`]
+//! tree. What stays resident per entry ([`StoreEntry`]) is the campaign
+//! key, the rank, the decoded outcome and the scenario spec as its
+//! **canonical text** — one allocation, written at
+//! [`record`](OutcomeStore::record) time, compared byte for byte by
+//! [`lookup`](OutcomeStore::lookup), copied as is into every line written.
+//! What a call holds on top of that is transient and bounded by one entry:
 //!
 //! - **Reading** ([`from_json_str`](OutcomeStore::from_json_str),
 //!   [`load`](OutcomeStore::load), a fetched page): [`read_document`]
-//!   walks `{"schema", "entries": [e, …]}` with a [`Cursor`], parses *one*
-//!   entry's tree, decodes it ([`StoreEntry::from_json`], the only entry
-//!   decoder) and drops it. Any whitespace and member order load; the
-//!   schema is judged before any entry; the answer is exactly what parsing
-//!   the whole text first would give. `load` also holds the file's text.
+//!   walks `{"schema", "entries": [e, …]}` with a [`Cursor`] and decodes
+//!   each entry where it stands (`StoreEntry`'s reader, the only entry
+//!   decoder): the outcome straight into its types, the spec's canonical
+//!   text — borrowed from the document when it is canonical already —
+//!   into its allocation.
+//!   Any whitespace and member order load; the schema is judged before any
+//!   entry; the answer is exactly what parsing the whole text first would
+//!   give. `load` also holds the file's text.
 //! - **Writing** ([`to_json_string`](OutcomeStore::to_json_string),
 //!   [`write_to`](OutcomeStore::write_to), [`save`](OutcomeStore::save),
-//!   [`write_page`](OutcomeStore::write_page)): one writer pushes each
-//!   entry's members straight into the output
-//!   ([`StoreEntry::write_json_line`], the only entry encoder; only the
-//!   outcome passes through a [`Json`] value). `save` streams through one
-//!   reused line buffer into a temp sibling and renames it into place
-//!   ([`write_atomic`]), so a failed or killed save leaves the previous
-//!   file whole.
+//!   [`write_page`](OutcomeStore::write_page)): one writer appends each
+//!   entry's members straight to the output
+//!   ([`StoreEntry::write_json_line`], the only entry encoder). `save`
+//!   streams through one reused line buffer into a temp sibling and renames
+//!   it into place ([`write_atomic`]), so a failed or killed save leaves
+//!   the previous file whole.
 //!
-//! `tests/alloc_budget.rs` pins the live-byte high-water marks, and
+//! `tests/alloc_budget.rs` pins the live-byte high-water marks and the
+//! allocations per loaded entry, `record` and `lookup`, and
 //! `tests/store_stream.rs` holds the reader to whole-document parsing on
 //! every layout, damage and truncation.
 //!
 //! # The codec
 //!
 //! This module is also the one place the wire format of scenarios and
-//! outcomes is written down — store files, `st-serve` frames and segment
-//! logs, the fuzz corpus and counterexample files all go through
-//! [`encode_scenario`] / [`encode_outcome`] and their inverses. Each type
-//! has **one** description, an impl of the private `Wire` trait: leaves
-//! (integers, sets, process ids, schedules, crash plans) and `Option` /
-//! `Vec` / `Box` by hand, every struct and enum as a `wire_struct!` /
-//! `wire_enum!` field list from which both directions are derived. A new
-//! `GeneratorSpec` variant is one line in its table. Range checks live in
-//! the leaves, so no input can panic a decoder (`tests/wire.rs`), and
+//! outcomes is written down — store files, `st-serve` frames, job specs
+//! and segment logs, the fuzz corpus and counterexample files all go
+//! through it. Each type has **one** description, an impl of the private
+//! `Wire` trait: a writer that appends the canonical bytes to a `String`
+//! and a reader that decodes from a [`Cursor`] in place. Leaves (integers,
+//! sets, process ids, schedules, crash plans) and `Option` / `Vec` / `Box`
+//! are by hand, every struct and enum a `wire_struct!` / `wire_enum!`
+//! field list from which both directions are derived. A new
+//! `GeneratorSpec` variant is one line in its table. The reader answers
+//! what decoding the parsed tree would: members in any order, the first
+//! occurrence of each the one that counts (repeats and strangers are only
+//! checked for syntax), a `"kind"` tag found wherever it sits, field
+//! errors named in declaration order, and a syntax error anywhere
+//! outranking every decode error (`tests/tree_oracle.rs` holds it to the
+//! tree codec it replaced). Range checks live in the leaves, so no input
+//! can panic a decoder (`tests/wire.rs`), and
 //! `tests/golden/store_v2.json` pins every written byte
-//! (`tests/store_fixture.rs`). [`encoding_reference`] renders the tables
-//! for PROTOCOL.md.
+//! (`tests/store_fixture.rs`). [`write_scenario`] is the streaming entry
+//! point other crates write specs through; [`encode_scenario`] /
+//! [`encode_outcome`] and their inverses are adapters for callers that
+//! hold a [`Json`] tree. [`encoding_reference`] renders the tables for
+//! PROTOCOL.md.
 
+use std::borrow::Cow;
 use std::fmt;
 use std::fs::File;
 use std::io::{BufWriter, Write};
@@ -189,35 +203,65 @@ impl StoreEntry {
         out.push_str("{\"campaign\": ");
         json::write_string(&self.campaign, out);
         out.push_str(", \"rank\": ");
-        Json::U64(self.rank as u64).write(out);
+        json::write_u64(self.rank as u64, out);
         out.push_str(", \"scenario\": ");
         out.push_str(&self.scenario);
         out.push_str(", \"outcome\": ");
-        encode_outcome(&self.outcome).write(out);
+        self.outcome.write(out);
         out.push('}');
     }
 
-    /// Decodes one parsed entry object (the inverse of
-    /// [`write_json_line`](Self::write_json_line) after `Json::parse`).
-    /// This is the only entry decoder: a store file, a segment-log line and
-    /// a fetched page each hand it one entry's tree and then drop the tree.
+    /// Decodes one entry line (the inverse of
+    /// [`write_json_line`](Self::write_json_line), in any whitespace and
+    /// member order): `Err` when the line is not JSON, `Ok(Err)` naming why
+    /// the JSON is not an entry. How `st-serve` replays its segment log.
+    pub fn from_json_line(line: &str) -> Result<Result<StoreEntry, String>, JsonError> {
+        let mut cur = Cursor::new(line);
+        cur.skip_ws();
+        let entry = StoreEntry::read(&mut cur)?;
+        cur.finish()?;
+        Ok(entry)
+    }
+
+    /// Decodes an entry already parsed into a tree: an adapter over the
+    /// entry reader, for callers that hold one.
     pub fn from_json(e: &Json) -> Result<StoreEntry, String> {
-        let campaign = member(e, "campaign")?;
-        let rank: usize = member(e, "rank")?;
-        let scenario = boxed_text(e.get("scenario").ok_or("missing field \"scenario\"")?);
-        let outcome: ScenarioOutcome = member(e, "outcome")?;
-        if outcome.rank != rank {
-            return Err(format!(
-                "entry rank {rank} disagrees with outcome rank {}",
-                outcome.rank
-            ));
-        }
-        Ok(StoreEntry {
-            campaign,
-            rank,
-            scenario,
-            outcome,
-        })
+        from_tree(e, StoreEntry::read)
+    }
+
+    /// The only entry decoder: the entry object `cur` stands on, its spec's
+    /// canonical text copied into an allocation of exactly its length.
+    fn read(cur: &mut Cursor<'_>) -> Read<StoreEntry> {
+        let (mut campaign, mut rank, mut scenario, mut outcome) = (None, None, None, None);
+        members(cur, |key, cur| {
+            match key {
+                "campaign" if campaign.is_none() => campaign = Some(String::read(cur)?),
+                "rank" if rank.is_none() => rank = Some(usize::read(cur)?),
+                "scenario" if scenario.is_none() => scenario = Some(Box::from(&*cur.copy()?)),
+                "outcome" if outcome.is_none() => outcome = Some(ScenarioOutcome::read(cur)?),
+                _ => cur.skip()?,
+            }
+            Ok(())
+        })?;
+        let decoded = || -> DecodeResult<StoreEntry> {
+            let campaign = field(campaign, "campaign")?;
+            let rank = field(rank, "rank")?;
+            let scenario = scenario.ok_or("missing field \"scenario\"")?;
+            let outcome: ScenarioOutcome = field(outcome, "outcome")?;
+            if outcome.rank != rank {
+                return Err(format!(
+                    "entry rank {rank} disagrees with outcome rank {}",
+                    outcome.rank
+                ));
+            }
+            Ok(StoreEntry {
+                campaign,
+                rank,
+                scenario,
+                outcome,
+            })
+        };
+        Ok(decoded())
     }
 }
 
@@ -231,8 +275,9 @@ const SPEC_TEXT_ROOM: usize = 1024;
 /// per entry, and whether the entry's other allocations land in those
 /// fragments turns on the text's length modulo 16: on a 50 k-entry store a
 /// scenario seed of 20 digits instead of 19 costs `load` a third more time
-/// and the process 6 MB.
-fn boxed_text(spec: &Json) -> Box<str> {
+/// and the process 6 MB. The reader boxes a loaded spec's text the same
+/// way: [`Cursor::copy`] borrows it from the document.
+fn boxed_text(spec: &Scenario) -> Box<str> {
     let mut text = String::with_capacity(SPEC_TEXT_ROOM);
     spec.write(&mut text);
     text.as_str().into()
@@ -371,7 +416,7 @@ impl OutcomeStore {
         let entry = StoreEntry {
             campaign: key.to_string(),
             rank: outcome.rank,
-            scenario: boxed_text(&encode_scenario(scenario)),
+            scenario: boxed_text(scenario),
             outcome: outcome.clone(),
         };
         let probe = self
@@ -390,7 +435,7 @@ impl OutcomeStore {
         let entry = self.entry(key, rank)?;
         // Equal specs are equally long: the probe's text never regrows.
         let mut probe = String::with_capacity(entry.scenario.len());
-        encode_scenario(scenario).write(&mut probe);
+        scenario.write(&mut probe);
         (*entry.scenario == probe).then(|| entry.outcome.clone())
     }
 
@@ -507,15 +552,15 @@ type Verdict = Result<Vec<StoreEntry>, StoreError>;
 
 /// The one store reader: walks the document `cur` stands on —
 /// `{"schema": …, "entries": [e, e, …]}` in any layout, a file's or a
-/// frame's — decoding one entry's tree at a time and dropping it, so the
-/// document is never held as one tree. It answers exactly what parsing
-/// the whole text and then decoding would: a syntax error anywhere is the
-/// `Err` (wherever a decoding problem sits), the first `"schema"` member is
-/// judged before any entry (wherever it sits), then a missing `"entries"`
-/// array, then the first entry that does not decode. Members it does not
-/// know, and repeats of the two it does, are checked for syntax and
-/// ignored. The entries come back in document order, not yet checked for
-/// order or duplicates ([`OutcomeStore::from_entries`]).
+/// frame's — decoding each entry where it stands, so the document is never
+/// held as a tree. It answers exactly what parsing the whole text and then
+/// decoding would: a syntax error anywhere is the `Err` (wherever a
+/// decoding problem sits), the first `"schema"` member is judged before any
+/// entry (wherever it sits), then a missing `"entries"` array, then the
+/// first entry that does not decode. Members it does not know, and repeats
+/// of the two it does, are checked for syntax and ignored. The entries come
+/// back in document order, not yet checked for order or duplicates
+/// ([`OutcomeStore::from_entries`]).
 pub fn read_document(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
     let mut schema: Option<Result<(), StoreError>> = None;
     let mut entries: Option<Verdict> = None;
@@ -526,7 +571,7 @@ pub fn read_document(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
         while more {
             let key = cur.key()?;
             if key == "schema" && schema.is_none() {
-                schema = Some(check_schema(&cur.value()?));
+                schema = Some(read_schema(cur)?);
             } else if key == "entries" && entries.is_none() && early.is_none() {
                 match schema {
                     Some(Ok(())) => entries = Some(read_entries(cur)?),
@@ -558,22 +603,25 @@ fn missing(what: &str) -> StoreError {
     StoreError::Malformed(format!("missing {what}"))
 }
 
-fn check_schema(schema: &Json) -> Result<(), StoreError> {
-    match schema.as_str() {
-        None => Err(missing("\"schema\" string")),
-        Some(SCHEMA) => Ok(()),
-        Some(found) => Err(StoreError::SchemaMismatch {
-            found: found.to_string(),
+/// The `"schema"` member's value, judged.
+fn read_schema(cur: &mut Cursor<'_>) -> Result<Result<(), StoreError>, JsonError> {
+    if cur.lead()? != b'"' {
+        cur.skip()?;
+        return Ok(Err(missing("\"schema\" string")));
+    }
+    Ok(match cur.string()? {
+        found if found == SCHEMA => Ok(()),
+        found => Err(StoreError::SchemaMismatch {
+            found: found.into_owned(),
             expected: SCHEMA,
         }),
-    }
+    })
 }
 
-/// The `"entries"` member's value: one tree per entry, decoded and
-/// dropped. After the first entry that does not decode the rest is only
-/// checked for syntax.
+/// The `"entries"` member's value, decoded entry by entry. After the first
+/// entry that does not decode the rest is only checked for syntax.
 fn read_entries(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
-    if cur.peek() != Some(b'[') {
+    if cur.lead()? != b'[' {
         cur.skip()?;
         return Ok(Err(missing("\"entries\" array")));
     }
@@ -581,7 +629,7 @@ fn read_entries(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
     let mut more = cur.open(b'[')?;
     while more {
         match &mut verdict {
-            Ok(entries) => match StoreEntry::from_json(&cur.value()?) {
+            Ok(entries) => match StoreEntry::read(cur)? {
                 Ok(entry) => entries.push(entry),
                 Err(m) => {
                     let index = entries.len();
@@ -601,44 +649,226 @@ fn read_entries(cur: &mut Cursor<'_>) -> Result<Verdict, JsonError> {
 
 type DecodeResult<T> = Result<T, String>;
 
+/// What reading one value answers: `Err` is a syntax error, which outranks
+/// every decode error wherever either sits; `Ok(Err)` is a value that is
+/// JSON but does not decode, with why.
+type Read<T> = Result<DecodeResult<T>, JsonError>;
+
 /// A type with exactly one canonical JSON shape. Everything the store,
-/// `st-serve` frames, the fuzz corpus and counterexample files carry is
-/// written and read through an impl of this trait, so encoder and decoder
-/// cannot disagree: leaves and composition by hand below, every
-/// struct and enum by a `wire_struct!` / `wire_enum!` field list.
-/// Private — the public surface is the `encode_*` / `decode_*` functions.
+/// `st-serve` frames, job specs and logs, the fuzz corpus and counterexample
+/// files carry is written and read through an impl of this trait, so
+/// encoder and decoder cannot disagree: leaves and composition by hand
+/// below, every struct and enum by a `wire_struct!` / `wire_enum!` field
+/// list. Private — the public surface is [`write_scenario`],
+/// [`StoreEntry`]'s line codec and the `encode_*` / `decode_*` adapters.
 trait Wire: Sized {
-    /// The canonical encoding.
-    fn to_json(&self) -> Json;
-    /// The exact inverse; every rejected input is an `Err`, never a panic.
-    fn from_json(j: &Json) -> DecodeResult<Self>;
+    /// Appends the canonical encoding to `out`.
+    fn write(&self, out: &mut String);
+    /// Decodes the value `cur` stands on and steps past it, whether or not
+    /// it decodes — so a caller can go on checking the syntax of what
+    /// follows. The exact inverse of `write`; every rejected input is an
+    /// `Err`, never a panic.
+    fn read(cur: &mut Cursor<'_>) -> Read<Self>;
 }
 
-/// Decodes member `name` of object `j`, naming it in any error.
-fn member<T: Wire>(j: &Json, name: &str) -> DecodeResult<T> {
-    let v = j
-        .get(name)
-        .ok_or_else(|| format!("missing field {name:?}"))?;
-    T::from_json(v).map_err(|e| format!("field {name:?}: {e}"))
+/// Steps past a value of the wrong shape: the decode error `what`.
+fn wrong<T>(cur: &mut Cursor<'_>, what: &str) -> Read<T> {
+    cur.skip()?;
+    Ok(Err(what.to_string()))
+}
+
+/// Walks the object `cur` stands on, handing `member` each key with the
+/// cursor on its value (which `member` steps past); any other value is
+/// skipped. Every object shape is read through this.
+pub(crate) fn members<'a>(
+    cur: &mut Cursor<'a>,
+    mut member: impl FnMut(&str, &mut Cursor<'a>) -> Result<(), JsonError>,
+) -> Result<(), JsonError> {
+    if cur.lead()? != b'{' {
+        return cur.skip();
+    }
+    let mut more = cur.open(b'{')?;
+    while more {
+        let key = cur.key()?;
+        member(&key, cur)?;
+        more = cur.more(b'}')?;
+    }
+    Ok(())
+}
+
+/// A listed member once its object is walked: the first occurrence's
+/// value, or why there is none.
+fn field<T>(slot: Option<DecodeResult<T>>, name: &str) -> DecodeResult<T> {
+    match slot {
+        None => Err(format!("missing field {name:?}")),
+        Some(read) => read.map_err(|e| format!("field {name:?}: {e}")),
+    }
+}
+
+/// The tag of the object `cur` stands on: its first `"kind"` member, if
+/// that is a string. Read ahead on a copy of the cursor, which in a
+/// canonical document stops at the first member; a syntax error met on
+/// the way is the one the walk would meet.
+fn kind_tag<'a>(cur: &Cursor<'a>) -> Result<Option<Cow<'a, str>>, JsonError> {
+    let mut ahead = cur.clone();
+    let mut more = ahead.open(b'{')?;
+    while more {
+        if ahead.key()? == "kind" {
+            return Ok(match ahead.lead()? {
+                b'"' => Some(ahead.string()?),
+                _ => None,
+            });
+        }
+        ahead.skip()?;
+        more = ahead.more(b'}')?;
+    }
+    Ok(None)
+}
+
+/// A member's wire name: the field's own name unless `as "name"` renames it.
+macro_rules! wire_name {
+    ($field:ident) => {
+        stringify!($field)
+    };
+    ($field:ident $name:literal) => {
+        $name
+    };
+}
+
+/// Reads the object `$cur` stands on into one local per listed field,
+/// named after it: `None` if the member is absent, else the first
+/// occurrence's decoded value or error. Repeats and members not listed are
+/// only checked for syntax; any other value leaves every local `None`.
+macro_rules! read_fields {
+    ($cur:ident; $($field:ident $(as $name:literal)?),* $(,)?) => {
+        $(let mut $field = None;)*
+        members($cur, |key, cur| {
+            match key {
+                $(wire_name!($field $($name)?) if $field.is_none() => {
+                    $field = Some(Wire::read(cur)?);
+                })*
+                _ => cur.skip()?,
+            }
+            Ok(())
+        })?;
+    };
+}
+
+/// Appends `items` as a JSON array, each written by `each`.
+fn write_list<I: IntoIterator>(
+    out: &mut String,
+    items: I,
+    mut each: impl FnMut(I::Item, &mut String),
+) {
+    out.push('[');
+    for (i, item) in items.into_iter().enumerate() {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        each(item, out);
+    }
+    out.push(']');
+}
+
+/// Walks the array `cur` stands on, folding each element into the
+/// accumulator with `item` (which steps past it) until one does not
+/// decode; the rest is only checked for syntax. Any other value is "not an
+/// array".
+fn read_list<'a, A>(
+    cur: &mut Cursor<'a>,
+    init: A,
+    mut item: impl FnMut(A, &mut Cursor<'a>) -> Read<A>,
+) -> Read<A> {
+    if cur.lead()? != b'[' {
+        return wrong(cur, "not an array");
+    }
+    let mut acc = Ok(init);
+    let mut more = cur.open(b'[')?;
+    while more {
+        acc = match acc {
+            Ok(acc) => item(acc, cur)?,
+            Err(e) => {
+                cur.skip()?;
+                Err(e)
+            }
+        };
+        more = cur.more(b']')?;
+    }
+    Ok(acc)
+}
+
+/// An object being written canonically: `{"name": value, …}`.
+struct Obj<'o> {
+    out: &'o mut String,
+    empty: bool,
+}
+
+impl<'o> Obj<'o> {
+    fn open(out: &'o mut String) -> Self {
+        out.push('{');
+        Obj { out, empty: true }
+    }
+
+    /// The buffer, standing where member `name`'s value goes.
+    fn member(&mut self, name: &str) -> &mut String {
+        if !self.empty {
+            self.out.push_str(", ");
+        }
+        self.empty = false;
+        json::write_string(name, self.out);
+        self.out.push_str(": ");
+        self.out
+    }
+
+    fn close(self) {
+        self.out.push('}');
+    }
 }
 
 /// The two elements of a pair written as a 2-element array.
-fn pair<A: Wire, B: Wire>(j: &Json) -> DecodeResult<(A, B)> {
-    match j.as_arr() {
-        Some([a, b]) => Ok((A::from_json(a)?, B::from_json(b)?)),
-        _ => Err("not a 2-element array".into()),
+fn write_pair<A: Wire, B: Wire>(a: &A, b: &B, out: &mut String) {
+    out.push('[');
+    a.write(out);
+    out.push_str(", ");
+    b.write(out);
+    out.push(']');
+}
+
+/// Reads [`write_pair`]'s array: the first element's error, then the
+/// second's, and any array of another length is "not a 2-element array".
+fn read_pair<A: Wire, B: Wire>(cur: &mut Cursor<'_>) -> Read<(A, B)> {
+    if cur.lead()? != b'[' {
+        return wrong(cur, "not a 2-element array");
     }
+    let (mut a, mut b, mut len) = (None, None, 0usize);
+    let mut more = cur.open(b'[')?;
+    while more {
+        match len {
+            0 => a = Some(A::read(cur)?),
+            1 => b = Some(B::read(cur)?),
+            _ => cur.skip()?,
+        }
+        len += 1;
+        more = cur.more(b']')?;
+    }
+    Ok(match (a, b, len) {
+        (Some(a), Some(b), 2) => a.and_then(|a| b.map(|b| (a, b))),
+        _ => Err("not a 2-element array".into()),
+    })
 }
 
 macro_rules! wire_int {
     ($($ty:ty),*) => {$(
         impl Wire for $ty {
-            fn to_json(&self) -> Json {
-                Json::U64(*self as u64)
+            fn write(&self, out: &mut String) {
+                json::write_u64(*self as u64, out);
             }
-            fn from_json(j: &Json) -> DecodeResult<Self> {
-                let v = j.as_u64().ok_or("not an integer")?;
-                <$ty>::try_from(v).map_err(|_| format!("{v} does not fit {}", stringify!($ty)))
+            fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+                if !cur.lead()?.is_ascii_digit() {
+                    return wrong(cur, "not an integer");
+                }
+                let v = cur.u64()?;
+                Ok(<$ty>::try_from(v).map_err(|_| format!("{v} does not fit {}", stringify!($ty))))
             }
         }
     )*};
@@ -646,128 +876,142 @@ macro_rules! wire_int {
 wire_int!(u64, usize, u32);
 
 impl Wire for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
+    fn write(&self, out: &mut String) {
+        out.push_str(if *self { "true" } else { "false" });
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        j.as_bool().ok_or_else(|| "not a bool".into())
-    }
-}
-
-impl Wire for String {
-    fn to_json(&self) -> Json {
-        Json::str(self.clone())
-    }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        j.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| "not a string".into())
-    }
-}
-
-impl Wire for ProcSet {
-    fn to_json(&self) -> Json {
-        Json::U64(self.bits())
-    }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        u64::from_json(j).map(ProcSet::from_bits)
-    }
-}
-
-impl Wire for ProcessId {
-    fn to_json(&self) -> Json {
-        self.index().to_json()
-    }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        match usize::from_json(j)? {
-            i if i < st_core::MAX_PROCESSES => Ok(ProcessId::new(i)),
-            i => Err(format!("process index {i} out of range")),
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        match cur.lead()? {
+            b't' | b'f' => Ok(cur.value()?.as_bool().ok_or_else(|| "not a bool".into())),
+            _ => wrong(cur, "not a bool"),
         }
     }
 }
 
-impl Wire for Universe {
-    fn to_json(&self) -> Json {
-        self.n().to_json()
+impl Wire for String {
+    fn write(&self, out: &mut String) {
+        json::write_string(self, out);
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        let n = usize::from_json(j)?;
-        Universe::new(n).map_err(|_| format!("invalid universe size {n}"))
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        match cur.lead()? {
+            b'"' => Ok(Ok(cur.string()?.into_owned())),
+            _ => wrong(cur, "not a string"),
+        }
+    }
+}
+
+impl Wire for ProcSet {
+    fn write(&self, out: &mut String) {
+        self.bits().write(out);
+    }
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        Ok(u64::read(cur)?.map(ProcSet::from_bits))
+    }
+}
+
+impl Wire for ProcessId {
+    fn write(&self, out: &mut String) {
+        self.index().write(out);
+    }
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        Ok(usize::read(cur)?.and_then(|i| match i {
+            i if i < st_core::MAX_PROCESSES => Ok(ProcessId::new(i)),
+            i => Err(format!("process index {i} out of range")),
+        }))
+    }
+}
+
+impl Wire for Universe {
+    fn write(&self, out: &mut String) {
+        self.n().write(out);
+    }
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        Ok(usize::read(cur)?
+            .and_then(|n| Universe::new(n).map_err(|_| format!("invalid universe size {n}"))))
     }
 }
 
 impl Wire for (u64, u64) {
-    fn to_json(&self) -> Json {
-        Json::arr([self.0.to_json(), self.1.to_json()])
+    fn write(&self, out: &mut String) {
+        write_pair(&self.0, &self.1, out);
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        pair(j)
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        read_pair(cur)
     }
 }
 
 /// The adversary's witness pair `(P, Q)`.
 impl Wire for (ProcSet, ProcSet) {
-    fn to_json(&self) -> Json {
-        Json::obj([("p", self.0.to_json()), ("q", self.1.to_json())])
+    fn write(&self, out: &mut String) {
+        let mut obj = Obj::open(out);
+        self.0.write(obj.member("p"));
+        self.1.write(obj.member("q"));
+        obj.close();
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        Ok((member(j, "p")?, member(j, "q")?))
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        read_fields!(cur; p, q);
+        let decoded = || -> DecodeResult<Self> { Ok((field(p, "p")?, field(q, "q")?)) };
+        Ok(decoded())
     }
 }
 
 impl Wire for Schedule {
-    fn to_json(&self) -> Json {
-        Json::arr(self.iter().map(|p| p.to_json()))
+    fn write(&self, out: &mut String) {
+        write_list(out, self.iter(), |p, out| p.write(out));
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        Vec::from_json(j).map(Schedule::from_steps)
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        Ok(Vec::read(cur)?.map(Schedule::from_steps))
     }
 }
 
 impl Wire for CrashPlan {
-    fn to_json(&self) -> Json {
-        Json::arr(
-            self.entries()
-                .map(|(p, step)| Json::arr([p.to_json(), step.to_json()])),
-        )
+    fn write(&self, out: &mut String) {
+        write_list(out, self.entries(), |(p, step), out| {
+            write_pair(&p, &step, out)
+        });
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        let entries = j.as_arr().ok_or("not an array")?;
-        entries.iter().try_fold(CrashPlan::new(), |plan, e| {
-            let (p, step) = pair(e)?;
-            Ok(plan.crash(p, step))
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        read_list(cur, CrashPlan::new(), |plan, cur| {
+            Ok(read_pair(cur)?.map(|(p, step)| plan.crash(p, step)))
         })
     }
 }
 
 impl<T: Wire> Wire for Option<T> {
-    fn to_json(&self) -> Json {
-        self.as_ref().map_or(Json::Null, T::to_json)
-    }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        match j {
-            Json::Null => Ok(None),
-            v => T::from_json(v).map(Some),
+    fn write(&self, out: &mut String) {
+        match self {
+            None => out.push_str("null"),
+            Some(v) => v.write(out),
         }
+    }
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        if cur.lead()? == b'n' {
+            cur.skip()?;
+            return Ok(Ok(None));
+        }
+        Ok(T::read(cur)?.map(Some))
     }
 }
 
 impl<T: Wire> Wire for Vec<T> {
-    fn to_json(&self) -> Json {
-        Json::arr(self.iter().map(T::to_json))
+    fn write(&self, out: &mut String) {
+        write_list(out, self, |item, out| item.write(out));
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        let items = j.as_arr().ok_or("not an array")?;
-        items.iter().map(T::from_json).collect()
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        read_list(cur, Vec::new(), |mut items, cur| {
+            Ok(T::read(cur)?.map(|item| {
+                items.push(item);
+                items
+            }))
+        })
     }
 }
 
 impl<T: Wire> Wire for Box<T> {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
+    fn write(&self, out: &mut String) {
+        (**self).write(out);
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        T::from_json(j).map(Box::new)
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        Ok(T::read(cur)?.map(Box::new))
     }
 }
 
@@ -783,28 +1027,24 @@ trait Table {
     const ROWS: &'static [(&'static str, &'static [&'static str])];
 }
 
-/// A member's wire name: the field's own name unless `as "name"` renames it.
-macro_rules! wire_name {
-    ($field:ident) => {
-        stringify!($field)
-    };
-    ($field:ident $name:literal) => {
-        $name
-    };
-}
-
 /// Declares a struct's wire shape — an object holding the listed fields in
 /// list order, each named after the field (or `as "name"`) and typed by the
 /// struct definition — and derives both directions from that one list.
 macro_rules! wire_struct {
     ($ty:ty as $what:literal { $($field:ident $(as $name:literal)?),* $(,)? }) => {
         impl Wire for $ty {
-            fn to_json(&self) -> Json {
+            fn write(&self, out: &mut String) {
                 let Self { $($field),* } = self;
-                Json::obj([$((wire_name!($field $($name)?), $field.to_json())),*])
+                let mut obj = Obj::open(out);
+                $($field.write(obj.member(wire_name!($field $($name)?)));)*
+                obj.close();
             }
-            fn from_json(j: &Json) -> DecodeResult<Self> {
-                Ok(Self { $($field: member(j, wire_name!($field $($name)?))?),* })
+            fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+                read_fields!(cur; $($field $(as $name)?),*);
+                let decoded = || -> DecodeResult<Self> {
+                    Ok(Self { $($field: field($field, wire_name!($field $($name)?))?),* })
+                };
+                Ok(decoded())
             }
         }
         impl Table for $ty {
@@ -833,29 +1073,45 @@ macro_rules! wire_enum {
         $variant:ident $payload:tt { $($field:ident $(as $name:literal)?),* $(,)? }
     )*) => {
         impl Wire for $ty {
-            fn to_json(&self) -> Json {
+            fn write(&self, out: &mut String) {
                 match self {
-                    $(Self::$unit => Json::str(stringify!($unit)),)*
-                    $(wire_enum!(@ctor $variant $payload { $($field),* }) => Json::obj([
-                        ("kind", Json::str(stringify!($variant))),
-                        $((wire_name!($field $($name)?), $field.to_json())),*
-                    ]),)*
+                    $(Self::$unit => json::write_string(stringify!($unit), out),)*
+                    $(wire_enum!(@ctor $variant $payload { $($field),* }) => {
+                        let mut obj = Obj::open(out);
+                        json::write_string(stringify!($variant), obj.member("kind"));
+                        $($field.write(obj.member(wire_name!($field $($name)?)));)*
+                        obj.close();
+                    })*
                 }
             }
-            fn from_json(j: &Json) -> DecodeResult<Self> {
+            fn read(cur: &mut Cursor<'_>) -> Read<Self> {
                 let unknown = |tag: &str| Err(format!("unknown {} {tag:?}", $what));
-                match j {
-                    Json::Str(name) => match name.as_str() {
-                        $(stringify!($unit) => Ok(Self::$unit),)*
-                        other => unknown(other),
-                    },
-                    _ => match j.get("kind").and_then(Json::as_str) {
-                        $(Some(stringify!($variant)) => Ok(wire_enum!(@ctor $variant $payload {
-                            $($field: member(j, wire_name!($field $($name)?))?),*
-                        })),)*
-                        Some(other) => unknown(other),
-                        None => Err(format!("not a {}: no \"kind\" string", $what)),
-                    },
+                let tag = match cur.lead()? {
+                    b'"' => {
+                        return Ok(match &*cur.string()? {
+                            $(stringify!($unit) => Ok(Self::$unit),)*
+                            other => unknown(other),
+                        });
+                    }
+                    b'{' => kind_tag(cur)?,
+                    _ => None,
+                };
+                match tag.as_deref() {
+                    $(Some(stringify!($variant)) => {
+                        read_fields!(cur; $($field $(as $name)?),*);
+                        let decoded = || -> DecodeResult<Self> {
+                            Ok(wire_enum!(@ctor $variant $payload {
+                                $($field: field($field, wire_name!($field $($name)?))?),*
+                            }))
+                        };
+                        Ok(decoded())
+                    })*
+                    Some(other) => {
+                        let unknown = unknown(other);
+                        cur.skip()?;
+                        Ok(unknown)
+                    }
+                    None => wrong(cur, concat!("not a ", $what, ": no \"kind\" string")),
                 }
             }
         }
@@ -921,28 +1177,32 @@ wire_struct!(Scenario as "scenario" {
 /// The one irregular enum: three bare names and a tuple variant whose
 /// payload is the member `"process"`.
 impl Wire for RunStatus {
-    fn to_json(&self) -> Json {
+    fn write(&self, out: &mut String) {
         match self {
-            RunStatus::Stopped => Json::str("Stopped"),
-            RunStatus::MaxSteps => Json::str("MaxSteps"),
-            RunStatus::SourceEnded => Json::str("SourceEnded"),
+            RunStatus::Stopped => json::write_string("Stopped", out),
+            RunStatus::MaxSteps => json::write_string("MaxSteps", out),
+            RunStatus::SourceEnded => json::write_string("SourceEnded", out),
             RunStatus::Stuck(p) => {
-                Json::obj([("kind", Json::str("Stuck")), ("process", p.to_json())])
+                let mut obj = Obj::open(out);
+                json::write_string("Stuck", obj.member("kind"));
+                p.write(obj.member("process"));
+                obj.close();
             }
         }
     }
-    fn from_json(j: &Json) -> DecodeResult<Self> {
-        match j {
-            Json::Str(s) => match s.as_str() {
+    fn read(cur: &mut Cursor<'_>) -> Read<Self> {
+        match cur.lead()? {
+            b'"' => Ok(match &*cur.string()? {
                 "Stopped" => Ok(RunStatus::Stopped),
                 "MaxSteps" => Ok(RunStatus::MaxSteps),
                 "SourceEnded" => Ok(RunStatus::SourceEnded),
                 other => Err(format!("unknown run status {other:?}")),
-            },
-            Json::Obj(_) if j.get("kind").and_then(Json::as_str) == Some("Stuck") => {
-                Ok(RunStatus::Stuck(member(j, "process")?))
+            }),
+            b'{' if kind_tag(cur)?.as_deref() == Some("Stuck") => {
+                read_fields!(cur; process);
+                Ok(field(process, "process").map(RunStatus::Stuck))
             }
-            _ => Err("run status is neither a name nor a Stuck object".into()),
+            _ => wrong(cur, "run status is neither a name nor a Stuck object"),
         }
     }
 }
@@ -993,35 +1253,82 @@ wire_struct!(ScenarioOutcome as "outcome" { rank, label, data, violations, count
 
 // --- the public entry points ------------------------------------------------
 
-/// Serializes a scenario canonically. Equal scenarios serialize to equal
-/// values (and bytes); this is the resume staleness-guard's comparison key.
-pub fn encode_scenario(s: &Scenario) -> Json {
-    s.to_json()
+/// Appends a scenario's canonical encoding to `out`. Equal scenarios write
+/// equal bytes: this is the resume staleness guard's comparison key, and
+/// what every store line, job spec and submit frame carries.
+pub fn write_scenario(s: &Scenario, out: &mut String) {
+    s.write(out);
 }
 
-/// Decodes a scenario written by [`encode_scenario`] (exact inverse:
-/// `encode_scenario(&decode_scenario(j)?) == *j` for writer-produced
-/// documents — property-tested over arbitrary spec trees).
+/// Decodes the scenario `cur` stands on (the inverse of
+/// [`write_scenario`]) and holds it to what running it asserts: `Err` is a
+/// syntax error, `Ok(Err)` why the value is refused.
 ///
-/// A decoded [`Workload::AdversarialAgreement`] is also held to what
-/// running it asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run —
-/// and a decoded generator to what `SeededRandom`, `SetTimely` and
-/// `FlappingTimely` assert when built, so a spec from the wire that breaks
-/// one is refused here, by field name, instead of panicking in the worker
-/// that picks it up. So is a certification with a zero bound cap, and a
-/// single-word workload past [`PROCSET_CAPACITY`] processes.
-pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
-    let scenario = Scenario::from_json(j)?;
-    check_single_word(&scenario)?;
-    check_adversarial(&scenario)?;
-    check_generator(&scenario.generator, scenario.universe.n())
-        .map_err(|e| format!("field \"generator\": {e}"))?;
-    Ok(scenario)
+/// A decoded [`Workload::AdversarialAgreement`] is held to what running it
+/// asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run — and a decoded
+/// generator to what its constructors assert when built (a random source
+/// or round robin over nobody, a zero burst, an enforcing generator's
+/// bound and dwells, a clog's window and gap, a recovery before its
+/// crash), so a spec from the wire that breaks one is refused here, by
+/// field name, instead of panicking in the worker that picks it up. So is
+/// a certification with a zero bound cap, and a single-word workload past
+/// [`PROCSET_CAPACITY`] processes.
+pub(crate) fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
+    Ok(Scenario::read(cur)?.and_then(|scenario| {
+        check_single_word(&scenario)?;
+        check_adversarial(&scenario)?;
+        check_generator(&scenario.generator, scenario.universe.n())
+            .map_err(|e| format!("field \"generator\": {e}"))?;
+        Ok(scenario)
+    }))
 }
 
-/// The preconditions of the random source and of the two enforcing
-/// generators (`SeededRandom::over`/`with_weights`, `SetTimely::new`,
-/// `FlappingTimely::new`), over the whole spec tree that gets built: one
+/// Appends an outcome's canonical encoding to `out`.
+pub(crate) fn write_outcome(o: &ScenarioOutcome, out: &mut String) {
+    o.write(out);
+}
+
+/// Decodes the outcome `cur` stands on (the inverse of `write_outcome`).
+pub(crate) fn read_outcome(cur: &mut Cursor<'_>) -> Read<ScenarioOutcome> {
+    ScenarioOutcome::read(cur)
+}
+
+/// A value's canonical encoding as a tree, for callers that hold trees.
+///
+/// # Panics
+///
+/// On a value nested past the JSON parser's depth cap, which no spec or
+/// outcome this workspace builds comes near.
+fn tree<T: Wire>(value: &T) -> Json {
+    let mut text = String::new();
+    value.write(&mut text);
+    Json::parse(&text).expect("the writer's bytes parse back")
+}
+
+/// Decodes a tree by reading its text: the one decoder, for callers that
+/// hold trees. A tree nested past the parser's depth cap is an `Err`.
+fn from_tree<T>(j: &Json, read: impl FnOnce(&mut Cursor<'_>) -> Read<T>) -> DecodeResult<T> {
+    let text = j.to_string();
+    read(&mut Cursor::new(&text)).unwrap_or_else(|e| Err(e.to_string()))
+}
+
+/// A scenario's canonical encoding ([`write_scenario`]) as a tree.
+pub fn encode_scenario(s: &Scenario) -> Json {
+    tree(s)
+}
+
+/// Decodes a scenario tree (exact inverse of [`encode_scenario`]:
+/// `encode_scenario(&decode_scenario(j)?) == *j` for writer-produced
+/// documents — property-tested over arbitrary spec trees), refusing what
+/// [`write_scenario`]'s reader refuses.
+pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
+    from_tree(j, read_scenario)
+}
+
+/// What the generator constructors assert (`RoundRobin::over`,
+/// `BurstyRotation::new`, `SeededRandom::over`/`with_weights`,
+/// `SetTimely::new`, `FlappingTimely::new`, `BurstClog::new`,
+/// `CrashRecovery::new`), over the whole spec tree that gets built: one
 /// walk, nothing allocated for a spec that passes.
 fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
     let nested = |field: &str, child: &GeneratorSpec| {
@@ -1039,15 +1346,21 @@ fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
         }
         Ok(())
     };
-    let dwell = |field: &str, (lo, hi): (u64, u64)| {
+    let range = |field: &str, what: &str, (lo, hi): (u64, u64)| {
         if lo == 0 || lo > hi {
             return Err(format!(
-                "field \"{field}\": a dwell range needs 1 ≤ lo ≤ hi, got [{lo}, {hi}]"
+                "field \"{field}\": a {what} range needs 1 ≤ lo ≤ hi, got [{lo}, {hi}]"
             ));
         }
         Ok(())
     };
     match spec {
+        GeneratorSpec::RoundRobin { over } if over.is_some_and(ProcSet::is_empty) => {
+            Err("field \"over\": a round robin needs a process".to_string())
+        }
+        GeneratorSpec::Bursty { burst: 0 } => {
+            Err("field \"burst\": a burst must be positive, got 0".to_string())
+        }
         GeneratorSpec::SeededRandom { over, weights, .. } => {
             if over.is_some_and(ProcSet::is_empty) {
                 return Err("field \"over\": a random source needs a process".to_string());
@@ -1084,20 +1397,42 @@ fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
             ..
         } => {
             enforced(*p, *q, *bound)?;
-            dwell("timely_dwell", *timely_dwell)?;
-            dwell("untimely_dwell", *untimely_dwell)?;
+            range("timely_dwell", "dwell", *timely_dwell)?;
+            range("untimely_dwell", "dwell", *untimely_dwell)?;
             nested("filler", filler)
         }
         GeneratorSpec::Eventually { prefix, body, .. } => {
             nested("prefix", prefix)?;
             nested("body", body)
         }
-        GeneratorSpec::CrashAfter { inner, .. }
-        | GeneratorSpec::GrayFailure { inner, .. }
-        | GeneratorSpec::BurstClog { inner, .. }
-        | GeneratorSpec::CrashRecovery { inner, .. } => nested("inner", inner),
+        GeneratorSpec::BurstClog {
+            inner, window, gap, ..
+        } => {
+            if *window == 0 {
+                return Err("field \"window\": a clog window must be positive, got 0".into());
+            }
+            range("gap", "gap", *gap)?;
+            nested("inner", inner)
+        }
+        GeneratorSpec::CrashRecovery {
+            inner,
+            crash,
+            rejoin,
+            ..
+        } => {
+            if crash > rejoin {
+                return Err(format!(
+                    "field \"crash\": the victim must rejoin no earlier than it crashes, got \
+                     crash = {crash} > rejoin = {rejoin}"
+                ));
+            }
+            nested("inner", inner)
+        }
+        GeneratorSpec::CrashAfter { inner, .. } | GeneratorSpec::GrayFailure { inner, .. } => {
+            nested("inner", inner)
+        }
         // The other leaves have constructors this pass does not cover yet
-        // (ROADMAP 7(a)); a replay's carried spec is never built.
+        // (ROADMAP 8(a)); a replay's carried spec is never built.
         _ => Ok(()),
     }
 }
@@ -1163,21 +1498,21 @@ fn check_adversarial(scenario: &Scenario) -> Result<(), String> {
     Ok(())
 }
 
-/// Decodes a generator spec written by the canonical encoder (exact
+/// Decodes a generator spec tree written by the canonical encoder (exact
 /// inverse over every [`GeneratorSpec`] variant).
 pub fn decode_generator(j: &Json) -> Result<GeneratorSpec, String> {
-    GeneratorSpec::from_json(j)
+    from_tree(j, GeneratorSpec::read)
 }
 
-/// Serializes an outcome for the store.
+/// An outcome's canonical encoding, as the store writes it, as a tree.
 pub fn encode_outcome(out: &ScenarioOutcome) -> Json {
-    out.to_json()
+    tree(out)
 }
 
-/// Decodes an outcome written by [`encode_outcome`] (exact inverse: the
-/// round trip is byte-preserving for writer-produced documents).
+/// Decodes an outcome tree (exact inverse of [`encode_outcome`]: the round
+/// trip is byte-preserving for writer-produced documents).
 pub fn decode_outcome(j: &Json) -> Result<ScenarioOutcome, String> {
-    ScenarioOutcome::from_json(j)
+    from_tree(j, read_outcome)
 }
 
 /// The generated half of PROTOCOL.md's "Scenario and outcome encoding"

@@ -1,8 +1,9 @@
 //! Heap budgets CI can hold without a clock: the allocations of one
 //! E3-shaped scenario (the regression guard for "register metadata costs
-//! nothing until someone asks for it"), the memory the outcome store
-//! needs to load and save (the guard for "store I/O holds one entry's
-//! tree at a time, never a document's"), the memory a generator-driven
+//! nothing until someone asks for it"), the memory and allocations the
+//! outcome store needs to load, save, record and look up (the guard for
+//! "store I/O holds one entry at a time, never a document, and builds no
+//! tree"), the memory a generator-driven
 //! run needs as its budget grows (the guard for "no drive holds its
 //! executed schedule"), and the memory a Figure 2 fleet needs (the guard for
 //! "no process holds the counter matrix").
@@ -196,17 +197,21 @@ fn e3_cell_scenario_stays_within_its_allocation_budget() {
 
 /// Entries in the store the memory guard loads and saves.
 const STORE_ENTRIES: usize = 4096;
-/// Allocator calls per loaded entry. Measured 77: the entry's tree (a `Vec`
-/// per container, a `String` per key and string), the decoded outcome and
-/// the spec's canonical text — a scratch buffer and one exact copy, where
-/// growing the text and shrinking it in place took 8 calls (83 in all) and
-/// left a tail fragment per entry behind. Keeping the spec as a tree, as
-/// the store did when a load cost 110, means cloning it: more than the
-/// headroom.
-const LOAD_ALLOCATIONS_PER_ENTRY: u64 = 82;
-/// What `save` may hold beyond the store itself: the file writer's buffer,
-/// one line and one outcome's tree.
-const SAVE_HEADROOM: usize = 256 * 1024;
+/// Allocator calls per loaded entry, as measured: the campaign key, the
+/// spec's canonical text (one exact copy of the file's bytes, which are
+/// canonical already), the outcome's label and its `decisions` vector (two: it
+/// grows as it is read), with the file's text and the entry list's growth
+/// amortized below one. Reading each entry through a tree cost 77: a `Vec`
+/// per container and a `String` per key and string.
+const LOAD_ALLOCATIONS_PER_ENTRY: u64 = 5;
+/// Allocator calls per `record`, as measured: the spec's text (a scratch
+/// buffer and its exact copy), the campaign key, and the outcome's clone
+/// (its label and `decisions`). Encoding the spec through a tree cost one
+/// more per container, key and string.
+const RECORD_ALLOCATIONS: u64 = 5;
+/// What `save` may hold beyond the store itself: the file writer's 64 KiB
+/// buffer and one line.
+const SAVE_HEADROOM: usize = 72 * 1024;
 
 #[test]
 fn store_load_and_save_hold_one_entry_at_a_time() {
@@ -214,17 +219,25 @@ fn store_load_and_save_hold_one_entry_at_a_time() {
     let scenario = e3_scenario(3, 1);
     let mut outcome = scenario.run();
     let mut store = OutcomeStore::new();
-    for i in 0..STORE_ENTRIES {
-        outcome.rank = i % 64;
-        store.record(&format!("sweep{:03}", i / 64), &scenario, &outcome);
-    }
+    let recorded = heap_use(|| {
+        for i in 0..STORE_ENTRIES {
+            outcome.rank = i % 64;
+            store.record(&format!("sweep{:03}", i / 64), &scenario, &outcome);
+        }
+    });
+    // The key each call is handed is formatted here, not by `record`.
+    let per_record = recorded.allocations / STORE_ENTRIES as u64 - 1;
+    assert!(
+        per_record <= RECORD_ALLOCATIONS,
+        "record made {per_record} allocations per call (budget {RECORD_ALLOCATIONS})"
+    );
     let dir = std::env::temp_dir().join(format!("st-store-memory-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("store.json");
     store.save(&path).unwrap();
     let file_bytes = std::fs::metadata(&path).unwrap().len() as usize;
 
-    // Load: the file's text, the store being filled, one entry's tree.
+    // Load: the file's text and the store being filled.
     let loaded = heap_use(|| OutcomeStore::load(&path).unwrap());
     assert_eq!(loaded.out.len(), STORE_ENTRIES);
     assert!(
@@ -256,6 +269,19 @@ fn store_load_and_save_hold_one_entry_at_a_time() {
         saved.peak
     );
     assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+
+    // Lookup: the probe spec's text is the one allocation a call adds to
+    // the outcome it hands back.
+    let (cloning, _) = allocations(|| outcome.clone());
+    for (i, entry) in loaded.out.entries().iter().enumerate().step_by(97) {
+        let (count, hit) =
+            allocations(|| loaded.out.lookup(&entry.campaign, entry.rank, &scenario));
+        assert!(hit.is_some(), "entry {i} is found");
+        assert!(
+            count <= cloning + 1,
+            "lookup made {count} allocations, {cloning} of them the outcome's clone"
+        );
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 

@@ -1,23 +1,28 @@
 //! The streamed store reader against the reader it replaced.
 //!
 //! `OutcomeStore::from_json_str` walks a store document with a
-//! [`st_core::json::Cursor`] and decodes one entry's tree at a time. The
-//! oracle here is what it did before: `Json::parse` of the whole text, then
-//! schema, then every entry, then sort and duplicate check. The two must
-//! agree on everything a caller can see — the same store (the same bytes
-//! when rewritten), or the same error down to its text — on well-formed
+//! [`st_core::json::Cursor`] and decodes each entry where it stands. The
+//! oracle here is what it did before streaming: `Json::parse` of the whole
+//! text, then schema, then every entry through the tree codec
+//! (`tests/tree_codec`), then sort and duplicate check. The two must agree
+//! on everything a caller can see — the same store (the same bytes when
+//! rewritten), or the same error down to its text — on well-formed
 //! documents in any layout and member order, on every kind of damage, at
 //! every truncation point and under random byte flips.
 
+mod soup;
+mod tree_codec;
+
 use proptest::prelude::*;
 use st_campaign::store::SCHEMA;
-use st_campaign::{OutcomeStore, StoreEntry, StoreError};
+use st_campaign::{OutcomeStore, StoreError};
 use st_core::Json;
 
 const GOLDEN: &str = include_str!("golden/store_v2.json");
 
-/// Whole-document parse, then decode: the reader before streaming.
-fn oracle(text: &str) -> Result<OutcomeStore, StoreError> {
+/// Whole-document parse, then the tree codec: the reader before
+/// streaming, answering the store file it would have written.
+fn oracle(text: &str) -> Result<String, StoreError> {
     let doc = Json::parse(text)?;
     let schema = doc
         .get("schema")
@@ -35,19 +40,26 @@ fn oracle(text: &str) -> Result<OutcomeStore, StoreError> {
         .ok_or_else(|| StoreError::Malformed("missing \"entries\" array".into()))?;
     let mut entries = Vec::with_capacity(raw.len());
     for (i, e) in raw.iter().enumerate() {
-        let entry = StoreEntry::from_json(e)
+        let entry = tree_codec::decode_entry(e)
             .map_err(|m| StoreError::Malformed(format!("entry {i}: {m}")))?;
         entries.push(entry);
     }
-    let key = |e: &StoreEntry| (e.campaign.clone(), e.rank);
+    let key = |e: &tree_codec::Entry| (e.0.clone(), e.1);
     entries.sort_by_key(key);
     if let Some(w) = entries.windows(2).find(|w| key(&w[0]) == key(&w[1])) {
         return Err(StoreError::Malformed(format!(
             "duplicate entries for campaign {:?} rank {}",
-            w[0].campaign, w[0].rank
+            w[0].0, w[0].1
         )));
     }
-    OutcomeStore::from_entries(entries)
+    let lines: Vec<String> = entries.iter().map(tree_codec::entry_line).collect();
+    let mut file = format!("{{\n\"schema\": {},\n\"entries\": [", Json::str(SCHEMA));
+    if !lines.is_empty() {
+        file.push('\n');
+        file.push_str(&lines.join(",\n"));
+    }
+    file.push_str("\n]\n}\n");
+    Ok(file)
 }
 
 /// What a caller can tell apart: the variant and every word of the text.
@@ -59,10 +71,7 @@ fn error_of(e: &StoreError) -> (std::mem::Discriminant<StoreError>, String) {
 fn agree(text: &str) -> Result<OutcomeStore, StoreError> {
     let streamed = OutcomeStore::from_json_str(text);
     match (&streamed, &oracle(text)) {
-        (Ok(a), Ok(b)) => {
-            assert_eq!(a.entries(), b.entries(), "{text}");
-            assert_eq!(a.to_json_string(), b.to_json_string(), "{text}");
-        }
+        (Ok(a), Ok(b)) => assert_eq!(&a.to_json_string(), b, "{text}"),
         (Err(a), Err(b)) => assert_eq!(error_of(a), error_of(b), "{text}"),
         (a, b) => panic!("streamed {a:?} but the oracle {b:?} on {text}"),
     }
@@ -412,6 +421,22 @@ proptest! {
         bytes[at] ^= 1 << bit;
         let text = String::from_utf8(bytes).expect("ASCII stays ASCII");
         let _ = agree(&text);
+    }
+
+    /// Bytes in: arbitrary store-shaped text, bare and behind a good
+    /// header, and every truncation of it — both readers give the same
+    /// store or the same typed error, and neither unwinds.
+    #[test]
+    fn any_text_and_every_truncation_is_read_the_same_way(
+        picks in prop::collection::vec(any::<u32>(), 0..16)
+    ) {
+        let text = soup::soup(&picks);
+        let headed = format!("{{\"schema\": {}, \"entries\": [{text}", Json::str(SCHEMA));
+        for text in [text, headed] {
+            for cut in soup::truncations(&text) {
+                let _ = agree(cut);
+            }
+        }
     }
 
     /// The same over the wire layout and a pretty-printed one, where the

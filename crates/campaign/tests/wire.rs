@@ -228,6 +228,74 @@ fn generator_specs_that_would_panic_a_worker_are_decode_errors() {
     assert_eq!(decode(4, replayed), Ok(()));
 }
 
+/// What `RoundRobin::over`, `BurstyRotation::new`, `BurstClog::new` and
+/// `CrashRecovery::new` assert, a decoded spec is refused for, by field —
+/// at the root and under a decorator. `GrayFailure` with `stretch = 0`
+/// still decodes: it is the served panic test's poison.
+#[test]
+fn round_robin_bursty_clog_and_recovery_specs_that_would_panic_are_decode_errors() {
+    let decode = |generator: GeneratorSpec| {
+        let scenario = Scenario::new(
+            "gen",
+            Universe::new(4).unwrap(),
+            generator,
+            Workload::LeanConvergence {
+                t: 1,
+                policy: TimeoutPolicy::Increment,
+                drive: FleetReplayDrive::Plain,
+            },
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let pid = ProcessId::new;
+    let rr = GeneratorSpec::round_robin;
+    let over = |ix: &[usize]| GeneratorSpec::RoundRobin {
+        over: Some(ProcSet::from_indices(ix.iter().copied())),
+    };
+    let clog = |window, gap| GeneratorSpec::burst_clog(rr(), pid(0), window, gap);
+    let recovery = |crash, rejoin| GeneratorSpec::crash_recovery(rr(), pid(0), crash, rejoin);
+
+    // The valid twins: one member, a burst of one, a one-step window and a
+    // one-point gap, an empty outage.
+    for valid in [
+        over(&[2]),
+        GeneratorSpec::bursty(1),
+        clog(1, (1, 1)),
+        recovery(4, 4),
+        GeneratorSpec::gray_failure(rr(), ProcSet::from_indices([1]), 0),
+    ] {
+        assert_eq!(decode(valid), Ok(()));
+    }
+
+    let root = "field \"generator\": field ";
+    for (generator, path, detail) in [
+        (over(&[]), "\"over\"", "needs a process"),
+        (GeneratorSpec::bursty(0), "\"burst\"", "got 0"),
+        (clog(0, (1, 2)), "\"window\"", "got 0"),
+        (clog(4, (0, 2)), "\"gap\"", "[0, 2]"),
+        (clog(4, (3, 2)), "\"gap\"", "[3, 2]"),
+        (recovery(9, 8), "\"crash\"", "crash = 9 > rejoin = 8"),
+        (
+            GeneratorSpec::crash_recovery(GeneratorSpec::bursty(0), pid(1), 1, 2),
+            "\"inner\": field \"burst\"",
+            "got 0",
+        ),
+        (
+            GeneratorSpec::burst_clog(over(&[]), pid(1), 1, (1, 1)),
+            "\"inner\": field \"over\"",
+            "",
+        ),
+    ] {
+        let err = decode(generator).unwrap_err();
+        assert!(
+            err.starts_with(&format!("{root}{path}: ")) && err.contains(detail),
+            "{err}"
+        );
+    }
+}
+
 /// What the timeliness analyzer asserts (a positive bound cap) and what the
 /// single-word workloads need (`n ≤ 64`: their process sets, Figure 2 at
 /// width one, and the analyzer's subset enumeration), a decoded spec is

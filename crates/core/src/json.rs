@@ -19,11 +19,13 @@
 //! The parser is a plain recursive-descent over the full JSON grammar
 //! (minus floats/negatives, plus a depth cap), returning byte-offset
 //! errors; it accepts any whitespace, so hand-edited stores still load.
-//! It is public as [`Cursor`], so a reader of a large document can take it
-//! one element at a time instead of as one tree, and the writer is public
-//! as [`Json::write`] / [`write_string`], so a writer can append to a
-//! buffer it already holds.
+//! It is public as [`Cursor`], so a reader can decode a document straight
+//! into its own types, or take it one element at a time, instead of
+//! holding it as one tree; and the writer is public as [`Json::write`] /
+//! [`write_string`] / [`write_u64`], so a writer can append to a buffer it
+//! already holds.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Maximum nesting depth the parser accepts (generator specs recurse, but
@@ -170,8 +172,9 @@ impl fmt::Display for Json {
     }
 }
 
-/// Decimal digits straight into the buffer (no `String` per number).
-fn write_u64(mut v: u64, out: &mut String) {
+/// Appends `v` as [`Json::to_string`] writes it: decimal digits straight
+/// into the buffer (no `String` per number).
+pub fn write_u64(mut v: u64, out: &mut String) {
     let mut digits = [0u8; 20]; // u64::MAX has 20
     let mut at = digits.len();
     loop {
@@ -244,13 +247,119 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Where the value starting at `at` ends, if it is written exactly as
+/// [`Json::write`] writes it — the single space after each `,` and `:` and
+/// no other whitespace, integers without a leading zero, strings with no
+/// raw control character and only [`write_string`]'s escapes — and nests
+/// at most `room` containers deep; `None` for any other text, well-formed
+/// or not. A strict subset of the grammar, scanned in one tight pass: text
+/// it accepts, the parser accepts with the same end.
+fn canonical_end(text: &[u8], mut at: usize, room: usize) -> Option<usize> {
+    // Bit `i`: the container `i` levels out from the innermost is an object.
+    let mut objects: u128 = 0;
+    let mut depth = 0;
+    loop {
+        match *text.get(at)? {
+            open @ (b'[' | b'{') if text.get(at + 1) != Some(&(open + 2)) => {
+                depth += 1;
+                if depth > room {
+                    return None;
+                }
+                objects = objects << 1 | u128::from(open == b'{');
+                at += 1;
+                if open == b'{' {
+                    at = canonical_key(text, at)?;
+                }
+                continue;
+            }
+            b'[' | b'{' => at += 2,
+            b'"' => at = canonical_string(text, at)?,
+            b'0' => at += 1,
+            b'1'..=b'9' => {
+                let digits = text[at..].iter().take_while(|d| d.is_ascii_digit()).count();
+                let number = &text[at..at + digits];
+                if digits > 20 || (digits == 20 && number > b"18446744073709551615".as_slice()) {
+                    return None;
+                }
+                at += digits;
+            }
+            b'n' if text[at..].starts_with(b"null") => at += 4,
+            b't' if text[at..].starts_with(b"true") => at += 4,
+            b'f' if text[at..].starts_with(b"false") => at += 5,
+            _ => return None,
+        }
+        if matches!(text.get(at), Some(b'0'..=b'9' | b'.' | b'e' | b'E')) {
+            return None;
+        }
+        // A value ended: close every container it was the last of.
+        loop {
+            if depth == 0 {
+                return Some(at);
+            }
+            let object = objects & 1 == 1;
+            match *text.get(at)? {
+                b',' if text.get(at + 1) == Some(&b' ') => {
+                    at += 2;
+                    if object {
+                        at = canonical_key(text, at)?;
+                    }
+                    break;
+                }
+                b'}' if object => {}
+                b']' if !object => {}
+                _ => return None,
+            }
+            at += 1;
+            depth -= 1;
+            objects >>= 1;
+        }
+    }
+}
+
+/// [`canonical_end`] of the string literal starting at `at`.
+fn canonical_string(text: &[u8], mut at: usize) -> Option<usize> {
+    at += 1;
+    loop {
+        at += text
+            .get(at..)?
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)?;
+        match text[at] {
+            b'"' => return Some(at + 1),
+            b'\\' => match *text.get(at + 1)? {
+                b'"' | b'\\' | b'n' | b'r' | b't' => at += 2,
+                b'u' => match text.get(at + 2..at + 6)? {
+                    b"0009" | b"000a" | b"000d" => return None,
+                    [b'0', b'0', b'0' | b'1', b'0'..=b'9' | b'a'..=b'f'] => at += 6,
+                    _ => return None,
+                },
+                _ => return None,
+            },
+            _ => return None,
+        }
+    }
+}
+
+/// [`canonical_end`] of an object key and the `": "` after it.
+fn canonical_key(text: &[u8], at: usize) -> Option<usize> {
+    if text.get(at) != Some(&b'"') {
+        return None;
+    }
+    let at = canonical_string(text, at)?;
+    (text.get(at..at + 2)? == b": ").then_some(at + 2)
+}
+
 /// The parser, one step at a time: a position in a JSON text that can
-/// parse the value it stands on, skip it, or walk into a container
-/// element by element. [`Json::parse`] is `skip_ws`, [`value`](Self::value),
-/// [`finish`](Self::finish); a reader that must not hold a whole document
-/// as one tree (the outcome store) walks the outer containers itself and
-/// calls `value` per element — same grammar, same depth cap, same errors
-/// at the same offsets.
+/// parse the value it stands on, skip it, copy it canonically, or walk
+/// into a container element by element. [`Json::parse`] is `skip_ws`,
+/// [`value`](Self::value), [`finish`](Self::finish); a reader that must not
+/// hold a document as a tree (the outcome store's codec) dispatches on
+/// [`lead`](Self::lead), walks containers with [`open`](Self::open) /
+/// [`key`](Self::key) / [`more`](Self::more) and reads scalars with
+/// [`u64`](Self::u64) / [`string`](Self::string) — same grammar, same
+/// depth cap, same errors at the same offsets. Keys and strings without an
+/// escape are borrowed from the text, and [`skip`](Self::skip) allocates
+/// nothing for them.
 ///
 /// After any `Err` the cursor's position is unspecified; stop using it.
 #[derive(Clone, Debug)]
@@ -276,12 +385,18 @@ impl<'a> Cursor<'a> {
         self.pos
     }
 
+    // The steps a walk takes once per token are marked for inlining, and
+    // the smallest forced: left to the inliner, `skip` over a 40 MB store
+    // ran a fifth slower.
+
     /// The byte the cursor stands on, `None` at the end of the text.
+    #[inline(always)]
     pub fn peek(&self) -> Option<u8> {
         self.text.as_bytes().get(self.pos).copied()
     }
 
     /// Steps over whitespace (space, tab, LF, CR).
+    #[inline(always)]
     pub fn skip_ws(&mut self) {
         while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
             self.pos += 1;
@@ -289,6 +404,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Steps over `byte`, or fails if the cursor stands on anything else.
+    #[inline(always)]
     pub fn expect(&mut self, byte: u8) -> Result<(), JsonError> {
         if self.peek() == Some(byte) {
             self.pos += 1;
@@ -308,6 +424,9 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    // Off the path every well-formed value takes.
+    #[cold]
+    #[inline(never)]
     fn error(&self, message: impl Into<String>) -> JsonError {
         JsonError::at(self.pos, message)
     }
@@ -315,6 +434,7 @@ impl<'a> Cursor<'a> {
     /// Enters the container starting with `open` (`[` or `{`). `true`: the
     /// cursor stands on the first element (or key); `false`: the container
     /// was empty and is already closed.
+    #[inline(always)]
     pub fn open(&mut self, open: u8) -> Result<bool, JsonError> {
         self.expect(open)?;
         self.skip_ws();
@@ -330,6 +450,7 @@ impl<'a> Cursor<'a> {
     /// After an element of the container that ends with `close` (`]` or
     /// `}`): steps over `,` onto the next element (`true`), or over
     /// `close` out of the container (`false`).
+    #[inline(always)]
     pub fn more(&mut self, close: u8) -> Result<bool, JsonError> {
         self.skip_ws();
         match self.peek() {
@@ -349,12 +470,26 @@ impl<'a> Cursor<'a> {
     }
 
     /// Parses an object member's key and steps over the `:` onto its value.
-    pub fn key(&mut self) -> Result<String, JsonError> {
+    #[inline]
+    pub fn key(&mut self) -> Result<Cow<'a, str>, JsonError> {
         let key = self.string()?;
         self.skip_ws();
         self.expect(b':')?;
         self.skip_ws();
         Ok(key)
+    }
+
+    /// The depth guard every value passes, then the byte the value the
+    /// cursor stands on starts with: what a reader decoding straight into
+    /// its own types dispatches on before it reads the value or
+    /// [`skip`](Self::skip)s it.
+    #[inline]
+    pub fn lead(&self) -> Result<u8, JsonError> {
+        match self.peek() {
+            _ if self.depth > MAX_DEPTH => Err(self.error("nesting too deep")),
+            Some(b) => Ok(b),
+            None => Err(self.error("unexpected end of input")),
+        }
     }
 
     /// Parses the value the cursor stands on and steps past it.
@@ -374,7 +509,7 @@ impl<'a> Cursor<'a> {
                 let mut members = Vec::new();
                 let mut more = self.open(b'{')?;
                 while more {
-                    let key = self.key()?;
+                    let key = self.key()?.into_owned();
                     members.push((key, self.value()?));
                     more = self.more(b'}')?;
                 }
@@ -383,26 +518,91 @@ impl<'a> Cursor<'a> {
         }
     }
 
+    /// Where the value the cursor stands on ends, if it is canonical text
+    /// ([`canonical_end`]) within the depth cap.
+    fn canonical_end(&self) -> Option<usize> {
+        let room = MAX_DEPTH.checked_sub(self.depth)?;
+        canonical_end(self.text.as_bytes(), self.pos, room)
+    }
+
     /// Steps past the value the cursor stands on, checking it exactly as
-    /// [`value`](Self::value) does but keeping nothing of it: memory stays
-    /// bounded by the longest string, however large the value.
+    /// [`value`](Self::value) does but keeping nothing of it: nothing is
+    /// allocated but a key or string that holds an escape. Canonical text —
+    /// anything the writer wrote — is checked in one tight scan; any other
+    /// text, and so every error, goes through the parser's own steps.
     pub fn skip(&mut self) -> Result<(), JsonError> {
+        match self.canonical_end() {
+            Some(end) => {
+                self.pos = end;
+                Ok(())
+            }
+            None => self.walk(None),
+        }
+    }
+
+    /// Steps past the value the cursor stands on as [`skip`](Self::skip)
+    /// does, answering its canonical serialization: the bytes
+    /// `value()?.to_string()` would give, without the tree. Canonical text
+    /// — anything the writer wrote — is borrowed as it stands; any other is
+    /// rewritten.
+    pub fn copy(&mut self) -> Result<Cow<'a, str>, JsonError> {
+        let start = self.pos;
+        if let Some(end) = self.canonical_end() {
+            self.pos = end;
+            return Ok(Cow::Borrowed(&self.text[start..end]));
+        }
+        let mut out = String::new();
+        self.walk(Some(&mut out))?;
+        Ok(Cow::Owned(out))
+    }
+
+    /// [`skip`](Self::skip) and [`copy`](Self::copy) of text that is not
+    /// canonical: the parser's steps, writing the canonical serialization
+    /// when there is somewhere to write it.
+    fn walk(&mut self, mut out: Option<&mut String>) -> Result<(), JsonError> {
         let Some(open) = self.container()? else {
-            return self.scalar().map(drop);
+            if self.peek() == Some(b'"') {
+                let string = self.string()?;
+                if let Some(out) = out {
+                    write_string(&string, out);
+                }
+            } else {
+                let scalar = self.scalar()?;
+                if let Some(out) = out {
+                    scalar.write(out);
+                }
+            }
+            return Ok(());
         };
         let mut more = self.open(open)?;
+        if let Some(out) = out.as_deref_mut() {
+            out.push(open as char);
+        }
+        let mut first = true;
         while more {
-            if open == b'{' {
-                self.key()?;
+            if let Some(out) = out.as_deref_mut().filter(|_| !first) {
+                out.push_str(", ");
             }
-            self.skip()?;
+            first = false;
+            if open == b'{' {
+                let key = self.key()?;
+                if let Some(out) = out.as_deref_mut() {
+                    write_string(&key, out);
+                    out.push_str(": ");
+                }
+            }
+            self.walk(out.as_deref_mut())?;
             more = self.more(open + 2)?;
+        }
+        if let Some(out) = out {
+            out.push((open + 2) as char);
         }
         Ok(())
     }
 
     /// The depth guard every value passes, then the opening byte if the
     /// cursor stands on an array or object.
+    #[inline(always)]
     fn container(&self) -> Result<Option<u8>, JsonError> {
         if self.depth > MAX_DEPTH {
             return Err(self.error("nesting too deep"));
@@ -416,8 +616,8 @@ impl<'a> Cursor<'a> {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'0'..=b'9') => self.number(),
+            Some(b'"') => Ok(Json::Str(self.string()?.into_owned())),
+            Some(b'0'..=b'9') => self.u64().map(Json::U64),
             Some(b'-') => {
                 Err(self.error("negative numbers are not used by this workspace's artifacts"))
             }
@@ -434,9 +634,15 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn number(&mut self) -> Result<Json, JsonError> {
+    /// Parses the integer the cursor stands on (its [`lead`](Self::lead)
+    /// is a digit).
+    #[inline(always)]
+    pub fn u64(&mut self) -> Result<u64, JsonError> {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let bytes = self.text.as_bytes();
+        let mut value = Some(0u64);
+        while let Some(&digit @ b'0'..=b'9') = bytes.get(self.pos) {
+            value = value.and_then(|v| v.checked_mul(10)?.checked_add(u64::from(digit - b'0')));
             self.pos += 1;
         }
         if matches!(self.peek(), Some(b'.' | b'e' | b'E')) {
@@ -444,64 +650,86 @@ impl<'a> Cursor<'a> {
                 self.error("floating-point numbers are not exact; artifacts use integers only")
             );
         }
-        self.text[start..self.pos]
-            .parse::<u64>()
-            .map(Json::U64)
-            .map_err(|_| JsonError::at(start, "integer out of u64 range"))
+        match value {
+            _ if self.pos == start => Err(self.error("expected an integer")),
+            Some(v) => Ok(v),
+            None => Err(JsonError::at(start, "integer out of u64 range")),
+        }
     }
 
-    /// Parses the string literal the cursor stands on.
-    pub fn string(&mut self) -> Result<String, JsonError> {
+    /// Parses the string literal the cursor stands on: borrowed from the
+    /// text when it holds no escape, unescaped into a `String` when it does.
+    #[inline]
+    pub fn string(&mut self) -> Result<Cow<'a, str>, JsonError> {
         self.expect(b'"')?;
-        let bytes = self.text.as_bytes();
-        let mut out = String::new();
+        let text = self.text;
+        let start = self.pos;
+        self.run();
+        if self.peek() == Some(b'"') {
+            self.pos += 1;
+            return Ok(Cow::Borrowed(&text[start..self.pos - 1]));
+        }
+        let mut out = String::from(&text[start..self.pos]);
         loop {
-            // Bulk-copy the run up to the next quote or escape. The
-            // delimiters are ASCII, so the run is a valid `str` slice.
-            let run_start = self.pos;
-            while matches!(bytes.get(self.pos), Some(b) if *b != b'"' && *b != b'\\') {
-                self.pos += 1;
+            // A backslash: the run stops nowhere else but the end.
+            if self.peek() != Some(b'\\') {
+                return Err(self.error("unterminated string"));
             }
-            out.push_str(&self.text[run_start..self.pos]);
-            match bytes.get(self.pos) {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(_) => {
-                    // A backslash: the bulk copy stops nowhere else.
-                    self.pos += 1;
-                    match bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{8}'),
-                        Some(b'f') => out.push('\u{c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or_else(|| self.error("truncated \\u escape"))?;
-                            let hex = std::str::from_utf8(hex)
-                                .map_err(|_| self.error("non-ASCII \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.error("invalid \\u escape"))?;
-                            let c = char::from_u32(code).ok_or_else(|| {
-                                // Surrogate halves: the writer never emits them.
-                                self.error("unsupported \\u escape (surrogate)")
-                            })?;
-                            out.push(c);
-                            self.pos += 4;
-                        }
-                        _ => return Err(self.error("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
+            self.pos += 1;
+            out.push(self.escape()?);
+            let run_start = self.pos;
+            self.run();
+            out.push_str(&text[run_start..self.pos]);
+            if self.peek() == Some(b'"') {
+                self.pos += 1;
+                return Ok(Cow::Owned(out));
             }
         }
+    }
+
+    /// Steps to the next quote or backslash (or the end of the text). The
+    /// delimiters are ASCII, so the bytes stepped over are a `str` slice.
+    #[inline(always)]
+    fn run(&mut self) {
+        let rest = &self.text.as_bytes()[self.pos..];
+        self.pos += rest
+            .iter()
+            .position(|&b| b == b'"' || b == b'\\')
+            .unwrap_or(rest.len());
+    }
+
+    /// The character the escape after a backslash stands for; steps past
+    /// the escape.
+    fn escape(&mut self) -> Result<char, JsonError> {
+        let bytes = self.text.as_bytes();
+        let c = match bytes.get(self.pos) {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let hex = bytes
+                    .get(self.pos + 1..self.pos + 5)
+                    .ok_or_else(|| self.error("truncated \\u escape"))?;
+                let hex =
+                    std::str::from_utf8(hex).map_err(|_| self.error("non-ASCII \\u escape"))?;
+                let code =
+                    u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))?;
+                let c = char::from_u32(code).ok_or_else(|| {
+                    // Surrogate halves: the writer never emits them.
+                    self.error("unsupported \\u escape (surrogate)")
+                })?;
+                self.pos += 4;
+                c
+            }
+            _ => return Err(self.error("invalid escape")),
+        };
+        self.pos += 1;
+        Ok(c)
     }
 }
 
@@ -683,7 +911,7 @@ mod tests {
         let mut members = Vec::new();
         let mut more = cur.open(b'{').unwrap();
         while more {
-            let key = cur.key().unwrap();
+            let key = cur.key().unwrap().into_owned();
             if key == "a" {
                 // Element by element.
                 let mut items = Vec::new();
@@ -721,8 +949,162 @@ mod tests {
         ] {
             let by_value = Cursor::new(bad).value().unwrap_err();
             let by_skip = Cursor::new(bad).skip().unwrap_err();
+            let by_copy = Cursor::new(bad).copy().unwrap_err();
             assert_eq!(by_skip, by_value, "{bad:?}");
+            assert_eq!(by_copy, by_value, "{bad:?}");
             assert_eq!(Json::parse(bad).unwrap_err(), by_value, "{bad:?}");
+        }
+    }
+
+    /// Foreign layouts, escapes, leading zeros, empties and repeated keys:
+    /// a canonical copy writes what the parsed tree writes.
+    #[test]
+    fn copy_writes_what_the_tree_writes() {
+        for text in [
+            "0",
+            "007",
+            "10",
+            " 18446744073709551615 ",
+            "null",
+            "true",
+            "false",
+            "\"\"",
+            "\"a\\\"b\\\\c\\nd\\re\\tf\\u0001\\u001fé\"",
+            "\"\\/\"",
+            "\"\\b\\f\"",
+            "\"\\u0041\"",
+            "\"\\u001F\"",
+            "\"\\u000a\\u0009\\u000d\"",
+            "\"\u{1}\"",
+            "[]",
+            "{}",
+            "[1, {\"a\": null}]",
+            "[1,2]",
+            "{\"a\":1}",
+            "{\"a\" : 1}",
+            "[ [ ] ,{ } ]",
+            " {\n \"a\" : [ 1 ,2 ] ,\"a\":{\"\\u00e9\": null}, \"b\\\"\" : \"x\\ty\" } ",
+        ] {
+            let mut cur = Cursor::new(text);
+            cur.skip_ws();
+            let copied = cur.copy().unwrap();
+            cur.finish().unwrap();
+            let tree = Json::parse(text).unwrap().to_string();
+            assert_eq!(copied, tree, "{text:?}");
+            // Borrowed exactly when the text is canonical already.
+            let borrowed = matches!(copied, Cow::Borrowed(_));
+            assert_eq!(borrowed, tree == text.trim(), "{text:?}");
+            assert!(matches!(Cursor::new(&tree).copy(), Ok(Cow::Borrowed(_))));
+        }
+    }
+
+    #[test]
+    fn strings_without_an_escape_are_borrowed() {
+        let mut cur = Cursor::new("{\"plain\": \"text\", \"esc\\u0061ped\": 1}");
+        assert!(cur.open(b'{').unwrap());
+        assert!(matches!(cur.key().unwrap(), Cow::Borrowed("plain")));
+        assert!(matches!(cur.string().unwrap(), Cow::Borrowed("text")));
+        assert!(cur.more(b'}').unwrap());
+        assert_eq!(cur.key().unwrap(), Cow::<str>::Owned("escaped".into()));
+        assert_eq!(cur.lead().unwrap(), b'1');
+        assert_eq!(cur.u64().unwrap(), 1);
+        assert!(!cur.more(b'}').unwrap());
+        assert_eq!(
+            Cursor::new("").lead().unwrap_err(),
+            Json::parse("").unwrap_err()
+        );
+    }
+
+    /// The pieces JSON is made of, and a few that break it: what
+    /// [`json_soup`] strings together.
+    const PIECES: [&str; 40] = [
+        "{",
+        "}",
+        "[",
+        "]",
+        ":",
+        ",",
+        " ",
+        "\n",
+        "\"",
+        "\\",
+        "\\u00",
+        "\\ud800",
+        "0",
+        "7",
+        "18446744073709551616",
+        "1.5",
+        "-",
+        "null",
+        "tru",
+        "true",
+        "false",
+        "\"kind\"",
+        "\"a\"",
+        "é",
+        "\u{1}",
+        "x",
+        "\"\"",
+        "e",
+        "\t",
+        "00",
+        "\\u001f",
+        "\\u001F",
+        "\\u000a",
+        "\\u0041",
+        "\\/",
+        "\\b",
+        "\\n",
+        "\\\"",
+        ", ",
+        ": ",
+    ];
+
+    /// Text drawn from [`PIECES`] and stray ASCII bytes.
+    fn json_soup(picks: &[u16]) -> String {
+        picks
+            .iter()
+            .map(|&i| match PIECES.get(usize::from(i)) {
+                Some(piece) => piece.to_string(),
+                None => char::from((i % 128) as u8).to_string(),
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bytes in: arbitrary text and every prefix of it parse to a value
+        /// or a typed error, never an unwind — and `skip` and `copy` answer
+        /// alike, `copy` with the tree's bytes.
+        #[test]
+        fn any_text_and_every_truncation_is_a_value_or_a_typed_error(
+            picks in prop::collection::vec(0u16..64, 0..40)
+        ) {
+            let text = json_soup(&picks);
+            for cut in (0..=text.len()).filter(|&cut| text.is_char_boundary(cut)) {
+                let text = &text[..cut];
+                let (mut skip, mut copy) = (Cursor::new(text), Cursor::new(text));
+                skip.skip_ws();
+                copy.skip_ws();
+                let skipped = skip.skip().and_then(|()| skip.finish());
+                let copied = copy.copy().and_then(|copied| copy.finish().map(|()| copied));
+                match Json::parse(text) {
+                    Ok(tree) => {
+                        prop_assert_eq!(skipped, Ok(()));
+                        let copied = copied.expect("what parses copies");
+                        prop_assert_eq!(&copied, &tree.to_string());
+                        // Borrowed exactly when the text is canonical.
+                        let bare = text.trim_matches([' ', '\t', '\n', '\r']);
+                        let borrowed = matches!(copied, Cow::Borrowed(_));
+                        prop_assert_eq!(borrowed, copied == bare);
+                    }
+                    Err(e) => {
+                        prop_assert_eq!(skipped, Err(e.clone()));
+                        prop_assert_eq!(copied, Err(e));
+                    }
+                }
+            }
         }
     }
 

@@ -7,11 +7,11 @@ use std::time::Duration;
 
 use st_campaign::store::read_document;
 use st_campaign::{Campaign, OutcomeStore, ScenarioOutcome, StoreEntry, StoreError};
-use st_core::frame::{read_frame_text, write_frame, FrameError};
+use st_core::frame::{read_frame_text, write_frame_text, FrameError};
 use st_core::json::{Cursor, JsonError};
 use st_core::Json;
 
-use crate::protocol::{self, campaign_entries, JobState, Verb};
+use crate::protocol::{self, campaign_entries, text_with, JobState, Verb};
 
 /// Default delay between `status` polls in
 /// [`run_campaign`](ServeClient::run_campaign).
@@ -103,21 +103,18 @@ impl ServeClient {
     }
 
     fn request(&self, verb: Verb, fields: Vec<(&'static str, Json)>) -> Result<Json, ClientError> {
-        self.exchange(verb, fields).map(|(resp, _)| resp)
+        let request = protocol::request(verb, fields).to_string();
+        self.exchange(&request).map(|(resp, _)| resp)
     }
 
-    /// One exchange: the success envelope, and the entries of its `store`
-    /// member if it has one.
-    fn exchange(
-        &self,
-        verb: Verb,
-        fields: Vec<(&'static str, Json)>,
-    ) -> Result<(Json, Option<StoreRead>), ClientError> {
+    /// One exchange of the request text `request`: the success envelope,
+    /// and the entries of its `store` member if it has one.
+    fn exchange(&self, request: &str) -> Result<(Json, Option<StoreRead>), ClientError> {
         let mut sock = TcpStream::connect(&self.addr).map_err(|e| ClientError::Connect {
             addr: self.addr.clone(),
             source: e,
         })?;
-        write_frame(&mut sock, &protocol::request(verb, fields)).map_err(ClientError::Frame)?;
+        write_frame_text(&mut sock, request).map_err(ClientError::Frame)?;
         let text = read_frame_text(&mut sock).map_err(ClientError::Frame)?;
         let (resp, store) =
             read_response(&text).map_err(|e| ClientError::Frame(FrameError::Json(e)))?;
@@ -171,13 +168,12 @@ impl ServeClient {
     /// cancelled); a different campaign under the same key is a typed
     /// `spec-mismatch` refusal.
     pub fn submit(&self, key: &str, campaign: &Campaign) -> Result<JobStatus, ClientError> {
-        let resp = self.request(
-            Verb::Submit,
-            vec![
-                ("key", Json::str(key)),
-                ("entries", campaign_entries(campaign)),
-            ],
-        )?;
+        let envelope = protocol::request(Verb::Submit, [("key", Json::str(key))]);
+        let request = text_with(&envelope, |out| {
+            out.push_str(", \"entries\": ");
+            campaign_entries(campaign, out);
+        });
+        let (resp, _) = self.exchange(&request)?;
         self.job_from(&resp)
     }
 
@@ -224,10 +220,9 @@ impl ServeClient {
         let mut entries: Vec<StoreEntry> = Vec::new();
         loop {
             let from = entries.len() as u64;
-            let (resp, page) = self.exchange(
-                Verb::FetchOutcomes,
-                vec![("key", Json::str(key)), ("from", Json::U64(from))],
-            )?;
+            let fields = [("key", Json::str(key)), ("from", Json::U64(from))];
+            let request = protocol::request(Verb::FetchOutcomes, fields).to_string();
+            let (resp, page) = self.exchange(&request)?;
             let job = self.job_from(&resp)?;
             let page = page
                 .ok_or_else(|| ClientError::Malformed("response has no \"store\" field".into()))?;
@@ -317,7 +312,7 @@ fn read_response(text: &str) -> Result<(Json, Option<StoreRead>), JsonError> {
         if key == "store" && store.is_none() {
             store = Some(read_document(&mut cur)?);
         } else {
-            members.push((key, cur.value()?));
+            members.push((key.into_owned(), cur.value()?));
         }
         more = cur.more(b'}')?;
     }

@@ -29,12 +29,15 @@
 //! is a typed error and the job parks `broken` — a damaged log is never
 //! partly reused.
 //!
-//! Replay decodes a line at a time through the store's own entry decoder
-//! ([`StoreEntry::from_json`]): what is resident is the log's bytes and the
-//! decoded entries, never a document of them.
+//! Replay decodes a line at a time through the store's own entry-line
+//! reader ([`StoreEntry::from_json_line`]), straight from the bytes: what
+//! is resident is the log's bytes and the decoded entries, never a
+//! document of them and never a tree.
+
+use std::fmt::Write;
 
 use st_campaign::StoreEntry;
-use st_core::Json;
+use st_core::json::Cursor;
 
 /// What [`replay`] recovered.
 pub(crate) struct Replay {
@@ -59,22 +62,39 @@ pub(crate) fn segment(entries: &[&StoreEntry]) -> String {
         entry.write_json_line(&mut out);
         out.push('\n');
     }
-    let commit = Json::obj([
-        ("commit", Json::U64(entries.len() as u64)),
-        ("hash", Json::U64(fnv1a(out.as_bytes()))),
-    ]);
-    out.push_str(&commit.to_string());
-    out.push('\n');
+    let hash = fnv1a(out.as_bytes());
+    writeln!(out, "{{\"commit\": {}, \"hash\": {hash}}}", entries.len())
+        .expect("writing to a String cannot fail");
     out
 }
 
-/// The `(count, hash)` of a commit line, `None` for any other line.
+/// The `(count, hash)` of a commit line, `None` for any other line: a JSON
+/// object whose first `commit` and first `hash` members are integers.
 fn parse_commit(line: &[u8]) -> Option<(u64, u64)> {
     if !line.starts_with(b"{\"commit\": ") {
         return None;
     }
-    let doc = Json::parse(std::str::from_utf8(line).ok()?).ok()?;
-    Some((doc.get("commit")?.as_u64()?, doc.get("hash")?.as_u64()?))
+    let mut cur = Cursor::new(std::str::from_utf8(line).ok()?);
+    let (mut commit, mut hash, mut other) = (None, None, None);
+    let mut more = cur.open(b'{').ok()?;
+    while more {
+        let slot = match &*cur.key().ok()? {
+            "commit" => &mut commit,
+            "hash" => &mut hash,
+            _ => &mut other,
+        };
+        let value = match cur.lead().ok()? {
+            b'0'..=b'9' => Some(cur.u64().ok()?),
+            _ => {
+                cur.skip().ok()?;
+                None
+            }
+        };
+        slot.get_or_insert(value);
+        more = cur.more(b'}').ok()?;
+    }
+    cur.finish().ok()?;
+    Some((commit??, hash??))
 }
 
 /// Replays a log's bytes (see the module docs for the rule). `Err` is the
@@ -103,8 +123,8 @@ pub(crate) fn replay(log: &[u8]) -> Result<Replay, String> {
             format!("segment log is damaged: the segment committed at byte {line_start}: {e}")
         };
         for line in std::str::from_utf8(body).map_err(|e| damaged(&e))?.lines() {
-            let tree = Json::parse(line).map_err(|e| damaged(&e))?;
-            let entry = StoreEntry::from_json(&tree)
+            let entry = StoreEntry::from_json_line(line)
+                .map_err(|e| damaged(&e))?
                 .map_err(|e| format!("entry {}: {e}", entries.len()))?;
             entries.push(entry);
         }
@@ -120,11 +140,79 @@ pub(crate) fn replay(log: &[u8]) -> Result<Replay, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use st_campaign::OutcomeStore;
 
     fn committed(body: &str) -> Vec<u8> {
-        let lines = body.lines().count();
-        let hash = fnv1a(body.as_bytes());
-        format!("{body}{{\"commit\": {lines}, \"hash\": {hash}}}\n").into_bytes()
+        committed_bytes(body.as_bytes())
+    }
+
+    /// `body` under a commit line that vouches for it, whatever it holds.
+    fn committed_bytes(body: &[u8]) -> Vec<u8> {
+        let lines = body.iter().filter(|&&b| b == b'\n').count();
+        let hash = fnv1a(body);
+        let mut log = body.to_vec();
+        log.extend(format!("{{\"commit\": {lines}, \"hash\": {hash}}}\n").bytes());
+        log
+    }
+
+    /// The entries of the campaign crate's committed store fixture.
+    fn fixture() -> OutcomeStore {
+        OutcomeStore::from_json_str(FIXTURE).expect("the fixture loads")
+    }
+
+    const FIXTURE: &str = include_str!("../../campaign/tests/golden/store_v2.json");
+
+    #[test]
+    fn every_truncation_of_a_log_replays_its_whole_segments() {
+        let store = fixture();
+        let entries: Vec<&StoreEntry> = store.entries().iter().collect();
+        let mut log = String::new();
+        // (end of the segment, entries committed through it)
+        let mut segments = vec![(0, 0)];
+        for (from, to) in [(0, 2), (2, 2), (2, 5)] {
+            log.push_str(&segment(&entries[from..to]));
+            segments.push((log.len(), to));
+        }
+        for cut in 0..=log.len() {
+            let replay = replay(&log.as_bytes()[..cut]).unwrap_or_else(|e| panic!("{cut}: {e}"));
+            let &(end, count) = segments.iter().rfind(|(end, _)| *end <= cut).unwrap();
+            assert_eq!(replay.committed_len, end, "cut at {cut}");
+            assert_eq!(replay.entries.len(), count, "cut at {cut}");
+            assert!(replay.entries.iter().zip(&entries).all(|(a, b)| a == *b));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bytes in: arbitrary bytes, arbitrary text under a commit line
+        /// that vouches for it, and a well-formed log with bytes appended
+        /// replay to entries or a typed error — never an unwind.
+        #[test]
+        fn any_bytes_replay_to_entries_or_a_typed_error(
+            bytes in prop::collection::vec(any::<u8>(), 0..96),
+            picks in prop::collection::vec(0usize..2048, 0..12)
+        ) {
+            let _ = replay(&bytes);
+            let _ = replay(&committed_bytes(&bytes));
+            // Slices of the fixture's entry lines and newlines, vouched for.
+            let lines: Vec<&str> = FIXTURE.lines().collect();
+            let body: String = picks
+                .iter()
+                .map(|&pick| {
+                    let line = lines[pick % lines.len()];
+                    let cut = (pick / lines.len()).min(line.len());
+                    if pick % 3 == 0 { format!("{line}\n") } else { line[..cut].to_string() }
+                })
+                .collect();
+            let _ = replay(&committed(&body));
+            let store = fixture();
+            let mut log = segment(&store.entries().iter().take(3).collect::<Vec<_>>()).into_bytes();
+            log.extend(&bytes);
+            let replay = replay(&log);
+            prop_assert!(replay.is_err() || replay.is_ok_and(|r| r.entries.len() >= 3));
+        }
     }
 
     /// Lines a commit vouches for that are not entries: the hash matches, so

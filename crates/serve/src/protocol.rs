@@ -6,9 +6,9 @@
 //! `PROTOCOL.md` at the workspace root (CI greps the two against each
 //! other — see `scripts/check_protocol_doc.sh`).
 
-use st_campaign::store::encode_scenario;
+use st_campaign::store::write_scenario;
 use st_campaign::{store, Campaign, Scenario};
-use st_core::Json;
+use st_core::{json, Json};
 
 /// The protocol identifier every request and response carries. A peer
 /// speaking any other version is answered with a typed
@@ -200,16 +200,14 @@ pub fn ok_response(fields: impl IntoIterator<Item = (&'static str, Json)>) -> Js
     Json::Obj(members)
 }
 
-/// A success envelope's text, `fields` and then whatever `tail` appends
-/// (`, "name": value` members, in canonical JSON): how `fetch-outcomes`
-/// puts a store page into its reply without the store ever being a
-/// [`Json`] value. The bytes are those [`ok_response`] would serialize to
-/// with the tail's members as further fields.
-pub fn ok_response_text(
-    fields: impl IntoIterator<Item = (&'static str, Json)>,
-    tail: impl FnOnce(&mut String),
-) -> String {
-    let mut text = ok_response(fields).to_string();
+/// An envelope's text, its own members and then whatever `tail` appends
+/// (`, "name": value` members, in canonical JSON): how a `fetch-outcomes`
+/// reply carries a store page, and a `submit` request a campaign's
+/// entries, without either ever being a [`Json`] value. The bytes are those
+/// the envelope would serialize to with the tail's members as further
+/// fields.
+pub fn text_with(envelope: &Json, tail: impl FnOnce(&mut String)) -> String {
+    let mut text = envelope.to_string();
     let close = text.pop();
     debug_assert_eq!(close, Some('}'), "an envelope is an object");
     tail(&mut text);
@@ -256,23 +254,29 @@ pub fn validate_key(key: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Serializes a campaign's `(rank, scenario)` pairs for the wire / the
-/// persisted job spec, using the store's canonical scenario encoding (so
-/// spec equality is byte equality).
-pub fn campaign_entries(campaign: &Campaign) -> Json {
-    Json::Arr(
-        campaign
-            .ranks()
-            .iter()
-            .zip(campaign.scenarios())
-            .map(|(&rank, scenario)| {
-                Json::obj([
-                    ("rank", Json::U64(rank as u64)),
-                    ("scenario", encode_scenario(scenario)),
-                ])
-            })
-            .collect(),
-    )
+/// Appends a campaign's `(rank, scenario)` pairs, the `entries` array of
+/// a `submit` request and of the persisted job spec:
+/// `[{"rank": r, "scenario": s}, …]`, each spec written straight into the
+/// text in the store's canonical encoding (so spec equality is byte
+/// equality).
+pub fn campaign_entries(campaign: &Campaign, out: &mut String) {
+    out.push('[');
+    for (i, (&rank, scenario)) in campaign
+        .ranks()
+        .iter()
+        .zip(campaign.scenarios())
+        .enumerate()
+    {
+        if i > 0 {
+            out.push_str(", ");
+        }
+        out.push_str("{\"rank\": ");
+        json::write_u64(rank as u64, out);
+        out.push_str(", \"scenario\": ");
+        write_scenario(scenario, out);
+        out.push('}');
+    }
+    out.push(']');
 }
 
 /// Decodes an `entries` array (from a `submit` request or a persisted job
@@ -297,15 +301,15 @@ pub fn decode_entries(entries: &Json) -> Result<Vec<(usize, Scenario)>, String> 
     Ok(out)
 }
 
-/// The canonical persisted job-spec document for a campaign under `key`
-/// (schema [`JOB_SCHEMA`]). Byte-stable: the daemon compares re-submitted
-/// specs against this value to detect spec drift.
-pub fn job_spec(key: &str, campaign: &Campaign) -> Json {
-    Json::obj([
-        ("schema", Json::str(JOB_SCHEMA)),
-        ("key", Json::str(key)),
-        ("entries", campaign_entries(campaign)),
-    ])
+/// The canonical persisted job-spec document's text for a campaign under
+/// `key` (schema [`JOB_SCHEMA`]). Byte-stable: the daemon compares
+/// re-submitted specs against these bytes to detect spec drift.
+pub fn job_spec(key: &str, campaign: &Campaign) -> String {
+    let envelope = Json::obj([("schema", Json::str(JOB_SCHEMA)), ("key", Json::str(key))]);
+    text_with(&envelope, |out| {
+        out.push_str(", \"entries\": ");
+        campaign_entries(campaign, out);
+    })
 }
 
 #[cfg(test)]

@@ -52,8 +52,8 @@ use st_core::Json;
 
 use crate::log;
 use crate::protocol::{
-    decode_entries, error_response, job_spec, ok_response, ok_response_text, validate_key,
-    ErrorKind, JobState, Verb, JOB_SCHEMA, PAGE_BYTES, PROTO,
+    decode_entries, error_response, job_spec, ok_response, text_with, validate_key, ErrorKind,
+    JobState, Verb, JOB_SCHEMA, PAGE_BYTES, PROTO,
 };
 
 /// Daemon configuration (see `st-serve --help` for the CLI mapping).
@@ -613,7 +613,7 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
     };
     // From here on the campaign is its canonical spec text: that is what is
     // persisted, compared, and decoded again by the worker.
-    let spec = job_spec(&key, &campaign).to_string();
+    let spec = job_spec(&key, &campaign);
     let total = campaign.len();
     let path = spec_path(&shared.cfg.state_dir, &key);
     // Read before taking the job-table lock; this accept loop is the only
@@ -800,7 +800,7 @@ fn fetch_outcomes(shared: &Shared, doc: &Json, page_bytes: usize) -> Result<Stri
     // A request without `from` gets all of it or a refusal, never a part.
     let bound = from.map_or(MAX_FRAME_BYTES, |_| page_bytes);
     let mut next = total;
-    let text = ok_response_text([("job", fields)], |text| {
+    let text = text_with(&ok_response([("job", fields)]), |text| {
         text.push_str(", \"store\": ");
         next = store.write_page(from.unwrap_or(0), bound, text);
         if from.is_some() {
@@ -882,13 +882,12 @@ mod tests {
     }
 
     fn submit_doc(key: &str, campaign: &Campaign) -> Json {
-        protocol::request(
-            Verb::Submit,
-            [
-                ("key", Json::str(key)),
-                ("entries", protocol::campaign_entries(campaign)),
-            ],
-        )
+        let envelope = protocol::request(Verb::Submit, [("key", Json::str(key))]);
+        let text = protocol::text_with(&envelope, |out| {
+            out.push_str(", \"entries\": ");
+            protocol::campaign_entries(campaign, out);
+        });
+        Json::parse(&text).expect("a request is canonical JSON")
     }
 
     fn error_kind(resp: &Json) -> Option<&str> {
@@ -964,7 +963,7 @@ mod tests {
         let finished = tiny_campaign(0..2);
         std::fs::write(
             spec_path(&state, "done-job"),
-            protocol::job_spec("done-job", &finished).to_string(),
+            protocol::job_spec("done-job", &finished),
         )
         .unwrap();
         let mut store = OutcomeStore::new();
@@ -975,7 +974,7 @@ mod tests {
         let half_done = tiny_campaign(0..4);
         std::fs::write(
             spec_path(&state, "half-job"),
-            protocol::job_spec("half-job", &half_done).to_string(),
+            protocol::job_spec("half-job", &half_done),
         )
         .unwrap();
         let mut partial = OutcomeStore::new();
@@ -986,7 +985,7 @@ mod tests {
         // "broken": spec + a store from another schema version.
         std::fs::write(
             spec_path(&state, "broken-job"),
-            protocol::job_spec("broken-job", &finished).to_string(),
+            protocol::job_spec("broken-job", &finished),
         )
         .unwrap();
         let stale = store

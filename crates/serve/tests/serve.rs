@@ -152,7 +152,7 @@ fn logs_resumed_from_non_prefix_ranks_compact_to_batch_bytes_at_every_interrupt_
             let case = format!("chunk={chunk} stop_after={stop_after}");
             let state = state_dir(&format!("nonprefix-{chunk}-{stop_after}"));
             let spec = st_serve::protocol::job_spec("job", &campaign);
-            std::fs::write(state.join("job-job.spec.json"), spec.to_string()).unwrap();
+            std::fs::write(state.join("job-job.spec.json"), spec).unwrap();
             let log_file = state.join("job-job.store.log");
             std::fs::write(&log_file, &seed_log).unwrap();
 
