@@ -26,12 +26,12 @@
 //!
 //! - **`i > k` branch (Theorem 26):** every size-`(k+1)` set always has a
 //!   running member, so it stays timely with respect to `Π_n` — the
-//!   executed schedule is in `S^{k+1}_{n,n}` (certified post-hoc with the
-//!   analyzer). Freezing is always temporary (the FD running at the live
-//!   processes eventually re-elects, a new leader out-ballots the frozen
-//!   maximum, and the victim is released — preempted, not decided), so
-//!   every process is correct; `0 ≤ t` faults, termination owed, never
-//!   delivered.
+//!   executed schedule is in `S^{k+1}_{n,n}` (certified online: the
+//!   adversary measures a witness pair's bound on its own choices).
+//!   Freezing is always temporary (the FD running at the live processes
+//!   eventually re-elects, a new leader out-ballots the frozen maximum, and
+//!   the victim is released — preempted, not decided), so every process is
+//!   correct; `0 ≤ t` faults, termination owed, never delivered.
 //! - **`j − i < t + 1 − k` branch (Theorem 27, case 2b):** additionally
 //!   crash `j − i` processes from the start. Membership in `S^i_{j,n}` is
 //!   then free: any `i` live processes are timely with bound 1 with respect
@@ -40,8 +40,8 @@
 //!
 //! [`Sim::run_adaptive`]: st_sim::Sim::run_adaptive
 
-use st_core::timeliness::empirical_bound;
-use st_core::{ProcSet, ProcessId, Schedule};
+use st_core::timeliness::PairBound;
+use st_core::{ProcSet, ProcessId};
 use st_sim::{Memory, RunStatus};
 
 use crate::harness::{AgreementStack, StackKind, StackRun};
@@ -90,17 +90,17 @@ fn danger_set(kset: &KSetAgreement, memory: &Memory) -> ProcSet {
 /// `precrashed` processes never take a step (the fictitious-crash set of the
 /// Theorem 27 case-2b construction; pass `ProcSet::EMPTY` for the
 /// Theorem 26 branch). `certify` optionally names a pair whose empirical
-/// bound on the executed schedule is measured and returned (requires the
-/// stack to have been built with schedule recording).
+/// bound on the executed schedule is returned. The adversary chooses every
+/// step, so it measures the bound online, a [`PairBound`] fed each choice;
+/// the schedule is never held.
 ///
 /// # Panics
 ///
 /// Panics if the stack is not the FD + k-parallel-Paxos stack (the trivial
 /// algorithm is asynchronously live; no schedule defeats it), if every
-/// process is precrashed, if the stack was built on
+/// process is precrashed, or if the stack was built on
 /// [`StackAbi::Async`](crate::StackAbi::Async) (the adversary reads the
-/// arena the step kernel holds; see [`st_sim::Sim::run_adaptive`]), or if
-/// `certify` is given for a stack built without schedule recording. A
+/// arena the step kernel holds; see [`st_sim::Sim::run_adaptive`]). A
 /// decoded `AdversarialAgreement` spec is checked for the first two before
 /// it gets here (`st_campaign::store::decode_scenario`).
 pub fn drive_adversarially(
@@ -129,6 +129,7 @@ pub fn drive_adversarially(
     // The frozen set, and the arena version it was computed at.
     let mut frozen = ProcSet::EMPTY;
     let mut frozen_at = None;
+    let mut witness = certify.map(|(p, q)| PairBound::new(p, q));
 
     stack
         .sim_mut()
@@ -139,42 +140,35 @@ pub fn drive_adversarially(
                 max_frozen = max_frozen.max(frozen.len());
             }
             // Schedule the next runnable, unfrozen process in rotation.
-            for _ in 0..runnable.len() {
-                let candidate = runnable[rotation];
-                rotation += 1;
-                if rotation == runnable.len() {
-                    rotation = 0;
+            let chosen = 'rotate: {
+                for _ in 0..runnable.len() {
+                    let candidate = runnable[rotation];
+                    rotation += 1;
+                    if rotation == runnable.len() {
+                        rotation = 0;
+                    }
+                    if !frozen.contains(candidate) {
+                        break 'rotate candidate;
+                    }
+                    freeze_events += 1;
                 }
-                if !frozen.contains(candidate) {
-                    return candidate;
-                }
-                freeze_events += 1;
+                // All runnables frozen cannot happen (≤ k frozen, > k
+                // runnable); defend anyway by releasing the rotation head.
+                runnable[rotation]
+            };
+            if let Some(witness) = &mut witness {
+                witness.observe_step(chosen);
             }
-            // All runnables frozen cannot happen (≤ k frozen, > k runnable);
-            // defend anyway by releasing the rotation head.
-            runnable[rotation]
+            chosen
         })
         .expect("the adversary schedules runnable processes of a machine-ABI stack");
-
-    let certificate = certify.map(|(p, q)| {
-        let executed: Schedule = stack
-            .sim()
-            .report()
-            .executed
-            .expect("build the stack with build_full(.., record_schedule = true) to certify");
-        TimelyPair {
-            p,
-            q,
-            bound: empirical_bound(&executed, p, q),
-        }
-    });
 
     let run = stack.snapshot(RunStatus::MaxSteps, precrashed);
     AdversarialRun {
         run,
         freeze_events,
         max_frozen,
-        certificate,
+        certificate: witness.map(|w| w.pair()),
     }
 }
 
@@ -182,7 +176,6 @@ pub fn drive_adversarially(
 mod tests {
     use super::*;
     use st_core::{AgreementTask, Value};
-    use st_fd::TimeoutPolicy;
 
     fn inputs(n: usize) -> Vec<Value> {
         (0..n as Value).map(|v| 11 * (v + 1)).collect()
@@ -193,7 +186,7 @@ mod tests {
     #[test]
     fn blocks_consensus_while_two_sets_stay_timely() {
         let task = AgreementTask::new(1, 1, 3).unwrap();
-        let stack = AgreementStack::build_full(task, &inputs(3), TimeoutPolicy::Increment, true);
+        let stack = AgreementStack::build(task, &inputs(3));
         let pair = ProcSet::from_indices([0, 1]);
         let full = ProcSet::full(task.universe());
         let adv = drive_adversarially(stack, 600_000, ProcSet::EMPTY, Some((pair, full)));
@@ -219,7 +212,7 @@ mod tests {
     #[test]
     fn blocks_two_set_agreement() {
         let task = AgreementTask::new(2, 2, 4).unwrap();
-        let stack = AgreementStack::build_full(task, &inputs(4), TimeoutPolicy::Increment, true);
+        let stack = AgreementStack::build(task, &inputs(4));
         let trio = ProcSet::from_indices([0, 1, 2]);
         let full = ProcSet::full(task.universe());
         let adv = drive_adversarially(stack, 900_000, ProcSet::EMPTY, Some((trio, full)));
@@ -235,7 +228,7 @@ mod tests {
     #[test]
     fn blocks_with_fictitious_crash() {
         let task = AgreementTask::new(2, 1, 4).unwrap();
-        let stack = AgreementStack::build_full(task, &inputs(4), TimeoutPolicy::Increment, true);
+        let stack = AgreementStack::build(task, &inputs(4));
         // C = {p3} crashed from the start (j − i = 1 ≤ t − k = 1).
         let crashed = ProcSet::from_indices([3]);
         let p_i = ProcSet::from_indices([0]);

@@ -122,23 +122,7 @@ impl AgreementStack {
     ///
     /// Panics if `inputs.len() != n`.
     pub fn build_with_policy(task: AgreementTask, inputs: &[Value], policy: TimeoutPolicy) -> Self {
-        Self::build_full(task, inputs, policy, false)
-    }
-
-    /// Builds a stack recording the executed schedule (for post-hoc
-    /// timeliness certification, e.g. by the adaptive adversary), on the
-    /// default [`StackAbi::Machine`] fast path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `inputs.len() != n`.
-    pub fn build_full(
-        task: AgreementTask,
-        inputs: &[Value],
-        policy: TimeoutPolicy,
-        record_schedule: bool,
-    ) -> Self {
-        Self::build_abi(task, inputs, policy, record_schedule, StackAbi::default())
+        Self::build_abi(task, inputs, policy, false, StackAbi::default())
     }
 
     /// Builds a stack on an explicit simulator ABI — [`StackAbi::Async`]
@@ -147,9 +131,13 @@ impl AgreementStack {
     /// [`StackAbi::Machine`] (the default everywhere else) spawns one
     /// [`KSetAgreementMachine`](crate::KSetAgreementMachine) per process.
     ///
+    /// `record_schedule` must be `false`: the simulator records no
+    /// schedule. The parameter stays until its last caller, the benchmark's
+    /// ladder, drops it.
+    ///
     /// # Panics
     ///
-    /// Panics if `inputs.len() != n`.
+    /// Panics if `inputs.len() != n` or `record_schedule` is `true`.
     pub fn build_abi(
         task: AgreementTask,
         inputs: &[Value],
@@ -157,9 +145,14 @@ impl AgreementStack {
         record_schedule: bool,
         abi: StackAbi,
     ) -> Self {
+        assert!(
+            !record_schedule,
+            "the simulator records no schedule; the parameter goes with the benchmark \
+             ladder's call (ROADMAP 1(c))"
+        );
         assert_eq!(inputs.len(), task.n(), "one input per process");
         let universe = task.universe();
-        let mut sim = Sim::with_recording(universe, record_schedule);
+        let mut sim = Sim::new(universe);
         let mut abi = abi;
         let (kind, fd, kset) = if task.is_trivially_solvable() {
             // The trivial protocol always runs async (nothing to win);

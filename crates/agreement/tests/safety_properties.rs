@@ -4,7 +4,6 @@
 use proptest::prelude::*;
 use st_agreement::{drive_adversarially, AgreementStack, AttemptOutcome, Paxos, ProposerState};
 use st_core::{AgreementTask, ProcSet, Schedule, ScheduleCursor, Universe, Value};
-use st_fd::TimeoutPolicy;
 use st_sched::{CrashAfter, CrashPlan, SeededRandom};
 use st_sim::{RunConfig, Sim, StopWhen};
 
@@ -87,7 +86,7 @@ proptest! {
         prop_assume!(k < n - 1);
         let task = AgreementTask::new(k, k, n).unwrap();
         let inputs: Vec<Value> = (0..n as Value).collect();
-        let stack = AgreementStack::build_full(task, &inputs, TimeoutPolicy::Increment, false);
+        let stack = AgreementStack::build(task, &inputs);
         let adv = drive_adversarially(stack, 120_000, ProcSet::EMPTY, None);
         prop_assert!(adv.run.is_safe());
         prop_assert!(adv.max_frozen <= k);

@@ -23,11 +23,9 @@
 //! - large universes (lean stack at n = 256), where the batch paths
 //!   actually win and the purity checks see long allotments.
 //!
-//! The sims here are built **without recording** and run with
-//! [`StopWhen::Never`]: both replay drives delegate to the cursor-based
-//! `run_automata` when recording is on or a stop condition is set, so a
-//! recorded comparison would exercise neither fused loop. Consequently the
-//! `executed` report field (recording-only) is not compared.
+//! The sims here run with [`StopWhen::Never`]: the SoA drive delegates to
+//! the plain replay when a stop condition is set, so a stopped comparison
+//! would not exercise the batching engine.
 
 use proptest::prelude::*;
 use st_agreement::{KSetAgreement, KSetAgreementMachine, LeanConsensus, Paxos, PaxosMachine};
@@ -75,8 +73,7 @@ fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
     stats
 }
 
-/// Compares two observations, field by field, with the recording-only
-/// `executed` field deliberately excluded (see module docs).
+/// Compares two observations, field by field.
 fn assert_observations_eq(plain: &Observation, soa: &Observation, label: &str, drive: Drive) {
     assert_eq!(
         plain.0.steps, soa.0.steps,

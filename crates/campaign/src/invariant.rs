@@ -43,6 +43,7 @@
 use std::fmt;
 
 use st_agreement::PaxosRecord;
+use st_core::timeliness::PairBound;
 use st_core::{AgreementViolation, ProcSet, ProcessId, TimelyPair, Value, PROCSET_CAPACITY};
 use st_sched::GeneratorSpec;
 
@@ -194,10 +195,10 @@ pub(crate) type Ballots = (usize, Vec<Vec<PaxosRecord>>);
 
 /// A run's schedule claims, certified online: the drive feeds the watch
 /// every step it executes, in order, and the watch keeps O(1) state per
-/// claim — for the armed guarantee the current and the longest `Q`-run
-/// without a `P`-step (what [`empirical_bound`] scans a whole schedule
-/// for), for each absence window the first position its process stepped
-/// inside it (what [`certify_absence_window`] returns). Handed out by
+/// claim — for the armed guarantee a [`PairBound`] (what
+/// [`empirical_bound`] scans a whole schedule for), for each absence window
+/// the first position its process stepped inside it (what
+/// [`certify_absence_window`] returns). Handed out by
 /// [`InvariantChecker::watch`]; its verdicts are appended by
 /// [`InvariantChecker::check`].
 ///
@@ -211,11 +212,10 @@ pub(crate) struct ScheduleWatch {
 }
 
 struct GuaranteeWatch {
-    pair: TimelyPair,
-    /// `Q`-steps since the last `P`-step.
-    run: usize,
-    /// Longest such run so far.
-    max_run: usize,
+    /// The bound the generator guarantees.
+    bound: usize,
+    /// The pair's bound on the steps fed so far.
+    observed: PairBound,
 }
 
 struct WindowWatch {
@@ -231,9 +231,8 @@ impl ScheduleWatch {
         ScheduleWatch {
             seen: 0,
             guarantee: guarantee.map(|pair| GuaranteeWatch {
-                pair,
-                run: 0,
-                max_run: 0,
+                bound: pair.bound,
+                observed: PairBound::new(pair.p, pair.q),
             }),
             windows: windows
                 .iter()
@@ -251,38 +250,19 @@ impl ScheduleWatch {
     /// a 64 Ki-step block at a time.
     pub(crate) fn observe(&mut self, steps: &[ProcessId]) {
         if let Some(g) = &mut self.guarantee {
-            // A process a `ProcSet` cannot name is in neither `P` nor `Q`.
-            let member =
-                |set: ProcSet, p: ProcessId| p.index() < PROCSET_CAPACITY && set.contains(p);
-            for &step in steps {
-                if member(g.pair.p, step) {
-                    g.run = 0;
-                } else if member(g.pair.q, step) {
-                    g.run += 1;
-                    g.max_run = g.max_run.max(g.run);
-                }
-            }
+            g.observed.observe(steps);
         }
         self.observe_windows(steps);
         self.seen += steps.len() as u64;
     }
 
     /// [`observe`](Self::observe) for one step — the entry of the runs that
-    /// pull their schedule a step at a time. There the next step is a
-    /// small-n random draw and the block loop's two membership branches
-    /// mispredict, so the run is updated by selects; a fleet's block, where
-    /// most steps are past the `ProcSet` capacity and skip predictably,
-    /// keeps the loop.
+    /// pull their schedule a step at a time (see
+    /// [`PairBound::observe_step`]).
     #[inline]
     pub(crate) fn observe_step(&mut self, step: ProcessId) {
         if let Some(g) = &mut self.guarantee {
-            // No bit for a process a `ProcSet` cannot name: in neither set.
-            let bit = 1u64.checked_shl(step.index() as u32).unwrap_or(0);
-            let in_p = (g.pair.p.bits() & bit != 0) as usize;
-            let in_q = (g.pair.q.bits() & bit != 0) as usize;
-            // `in_p − 1`: all ones outside `P`, zero inside.
-            g.run = (g.run + in_q) & in_p.wrapping_sub(1);
-            g.max_run = g.max_run.max(g.run);
+            g.observed.observe_step(step);
         }
         if !self.windows.is_empty() {
             self.observe_windows(&[step]);
@@ -316,12 +296,16 @@ impl ScheduleWatch {
     /// windows in spec order.
     fn verdicts(&self, violations: &mut Vec<InvariantViolation>) {
         if let Some(g) = &self.guarantee {
-            let observed = g.max_run + 1;
-            if observed > g.pair.bound {
+            let TimelyPair {
+                p,
+                q,
+                bound: observed,
+            } = g.observed.pair();
+            if observed > g.bound {
                 violations.push(InvariantViolation::GuaranteeBroken {
-                    p: g.pair.p,
-                    q: g.pair.q,
-                    bound: g.pair.bound,
+                    p,
+                    q,
+                    bound: g.bound,
                     observed,
                 });
             }
@@ -695,7 +679,8 @@ mod tests {
         /// One schedule — at n up to 130, so steps a `ProcSet` cannot name
         /// occur — fed a step at a time through `observe_step`, in
         /// random-length blocks through `observe`, and scanned offline: one
-        /// verdict, one `max_run`, one first-offence position per window.
+        /// verdict, one observed bound, one first-offence position per
+        /// window.
         #[test]
         fn the_watch_fed_any_blocks_equals_the_offline_scan(
             n in 1usize..=130,
@@ -741,12 +726,12 @@ mod tests {
 
             let expected = offline(&s, guarantee, &windows);
             let nameable: Schedule = s.iter().filter(|p| p.index() < PROCSET_CAPACITY).collect();
-            let max_run = guarantee.map(|g| empirical_bound(&nameable, g.p, g.q) - 1);
+            let observed = guarantee.map(|g| empirical_bound(&nameable, g.p, g.q));
             for watch in [&by_block, &by_step] {
                 let mut online = Vec::new();
                 watch.verdicts(&mut online);
                 prop_assert_eq!(&online, &expected);
-                prop_assert_eq!(watch.guarantee.as_ref().map(|g| g.max_run), max_run);
+                prop_assert_eq!(watch.guarantee.as_ref().map(|g| g.observed.bound()), observed);
                 prop_assert_eq!(watch.steps_seen(), s.len() as u64);
             }
             let offences = |watch: &ScheduleWatch| -> Vec<Option<u64>> {

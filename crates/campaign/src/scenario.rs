@@ -16,8 +16,8 @@ use st_core::{
     AgreementTask, AgreementViolation, ProcSet, ProcessId, StepSource, TimelyPair, Universe, Value,
 };
 use st_fd::convergence::{
-    certify_system_membership, kanti_omega_witness, wide_winnerset_stabilization,
-    winnerset_stabilization, KAntiOmegaWitness, Stabilization, WideStabilization,
+    kanti_omega_witness, wide_winnerset_stabilization, winnerset_stabilization, KAntiOmegaWitness,
+    Stabilization, WideStabilization,
 };
 use st_fd::{
     KAntiOmega, KAntiOmegaConfig, LeanOmega, ProcessTimelyDetector, TimeoutPolicy,
@@ -81,8 +81,8 @@ pub enum Workload {
         abi: FdAbi,
         /// Set- or process-based detector.
         detector: FdDetector,
-        /// Record the executed schedule and certify `S^k_{t+1,n}` membership
-        /// on it (cap `4(t+1)`, as E2 does).
+        /// Certify `S^k_{t+1,n}` membership on the executed schedule, rebuilt
+        /// from the generator after the run (cap `4(t+1)`, as E2 does).
         certify_membership: bool,
     },
     /// `(t,k,n)`-agreement via the full [`AgreementStack`] (trivial algorithm
@@ -260,7 +260,7 @@ impl FleetReplayDrive {
 
 /// A generator whose every pulled step is shown to the run's
 /// [`ScheduleWatch`] — how the `Sim::run` workloads certify their schedule
-/// claims without recording. The simulator checks its stop rule *before*
+/// claims without holding it. The simulator checks its stop rule *before*
 /// it pulls, so the steps pulled are exactly the steps executed.
 struct Watched<'w, S> {
     src: S,
@@ -544,9 +544,7 @@ impl Scenario {
             src: self.generator.build(universe, self.seed),
             watch,
         };
-        // Recorded only when the outcome itself is read off the executed
-        // prefix (membership certification).
-        let mut sim = Sim::with_recording(universe, certify_membership);
+        let mut sim = Sim::new(universe);
         let mut cfg = RunConfig::steps(self.budget);
         if self.stop == StopRule::AllCorrectDecided {
             cfg = cfg.stop_when(StopWhen::AllDecided(correct));
@@ -591,7 +589,19 @@ impl Scenario {
         let (membership, stabilization, witness) = match detector {
             FdDetector::SetBased => (
                 if certify_membership {
-                    certify_system_membership(&report, universe, k, t + 1, 4 * (t + 1))
+                    // The drive executed exactly the steps it pulled: the
+                    // executed schedule is a fresh build's first `steps`
+                    // steps, swept as `run_agreement` sweeps its prefix.
+                    let executed = self
+                        .generator
+                        .build(universe, self.seed)
+                        .take_schedule(report.steps as usize);
+                    TimelinessAnalyzer::new(universe).find_timely_pair(
+                        &executed,
+                        k,
+                        t + 1,
+                        4 * (t + 1),
+                    )
                 } else {
                     None
                 },
@@ -710,7 +720,7 @@ impl Scenario {
         witness: Option<(ProcSet, ProcSet)>,
     ) -> AdversarialOutcome {
         let task = AgreementTask::new(t, k, self.universe.n()).expect("valid task parameters");
-        let stack = AgreementStack::build_full(task, inputs, policy, true);
+        let stack = AgreementStack::build_with_policy(task, inputs, policy);
         let adv = drive_adversarially(stack, self.budget, precrashed, witness);
         AdversarialOutcome {
             status: adv.run.status,

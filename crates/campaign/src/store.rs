@@ -1265,14 +1265,15 @@ pub fn write_scenario(s: &Scenario, out: &mut String) {
 /// syntax error, `Ok(Err)` why the value is refused.
 ///
 /// A decoded [`Workload::AdversarialAgreement`] is held to what running it
-/// asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run — and a decoded
-/// generator to what its constructors assert when built (a random source
-/// or round robin over nobody, a zero burst, an enforcing generator's
-/// bound and dwells, a clog's window and gap, a recovery before its
-/// crash), so a spec from the wire that breaks one is refused here, by
-/// field name, instead of panicking in the worker that picks it up. So is
-/// a certification with a zero bound cap, and a single-word workload past
-/// [`PROCSET_CAPACITY`] processes.
+/// asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run — and to a
+/// witness inside its universe; either agreement workload to one input per
+/// process; and a decoded generator to what its constructors assert when
+/// built (a random source or round robin over nobody, a zero burst, an
+/// enforcing generator's bound and dwells, a clog's window and gap, a
+/// recovery before its crash), so a spec from the wire that breaks one is
+/// refused here, by field name, instead of panicking in the worker that
+/// picks it up. So is a certification with a zero bound cap, and a
+/// single-word workload past [`PROCSET_CAPACITY`] processes.
 pub(crate) fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
     Ok(Scenario::read(cur)?.and_then(|scenario| {
         check_single_word(&scenario)?;
@@ -1439,9 +1440,10 @@ fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
 
 /// The preconditions of the workloads that run on single-word process sets
 /// (Figure 2 at width one, `Scenario::correct`, the timeliness analyzer's
-/// subset enumeration): `n ≤ 64`, and a positive certification cap.
+/// subset enumeration): `n ≤ 64`, a positive certification cap, and — for
+/// the agreement stacks, which take one proposal per process — `n` inputs.
 fn check_single_word(scenario: &Scenario) -> Result<(), String> {
-    let name = match &scenario.workload {
+    let (name, inputs) = match &scenario.workload {
         Workload::Agreement {
             certify: Some(CertifyTimely { cap: 0, .. }),
             ..
@@ -1450,9 +1452,9 @@ fn check_single_word(scenario: &Scenario) -> Result<(), String> {
                 "field \"certify\": field \"cap\": a bound cap must be positive, got 0".into(),
             )
         }
-        Workload::Agreement { .. } => "Agreement",
-        Workload::FdConvergence { .. } => "FdConvergence",
-        Workload::AdversarialAgreement { .. } => "AdversarialAgreement",
+        Workload::Agreement { inputs, .. } => ("Agreement", Some(inputs)),
+        Workload::FdConvergence { .. } => ("FdConvergence", None),
+        Workload::AdversarialAgreement { inputs, .. } => ("AdversarialAgreement", Some(inputs)),
         _ => return Ok(()),
     };
     let n = scenario.universe.n();
@@ -1462,14 +1464,25 @@ fn check_single_word(scenario: &Scenario) -> Result<(), String> {
              n ≤ {PROCSET_CAPACITY}, got n = {n}"
         ));
     }
-    Ok(())
+    match inputs {
+        Some(inputs) if inputs.len() != n => Err(format!(
+            "field \"inputs\": the {name} workload takes one input per process, got {} at n = {n}",
+            inputs.len()
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// The preconditions of `drive_adversarially` and of the stack it is
-/// handed, for a scenario that asks for them.
+/// handed, for a scenario that asks for them, and a witness inside its
+/// universe (whose certificate would otherwise describe another system).
 fn check_adversarial(scenario: &Scenario) -> Result<(), String> {
     let Workload::AdversarialAgreement {
-        t, k, precrashed, ..
+        t,
+        k,
+        precrashed,
+        witness,
+        ..
     } = &scenario.workload
     else {
         return Ok(());
@@ -1486,16 +1499,19 @@ fn check_adversarial(scenario: &Scenario) -> Result<(), String> {
              asynchronously solvable t < k task), got k = {k} at t = {t}"
         ));
     }
-    if scenario
-        .universe
-        .processes()
-        .all(|p| precrashed.contains(p))
-    {
+    let universe = ProcSet::full(scenario.universe);
+    if universe.is_subset(*precrashed) {
         return Err(format!(
             "field \"precrashed\": {precrashed} leaves none of the {n} processes to run"
         ));
     }
-    Ok(())
+    match witness {
+        Some((p, q)) if !p.union(*q).is_subset(universe) => Err(format!(
+            "field \"witness\": the pair ({p}, {q}) names a process outside the {n} of the \
+             universe"
+        )),
+        _ => Ok(()),
+    }
 }
 
 /// Decodes a generator spec tree written by the canonical encoder (exact

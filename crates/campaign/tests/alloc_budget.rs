@@ -17,7 +17,7 @@
 //! Pinned on the ladder's cell, `(n, k, t) = (8, 3, 4)` at seed 1. Before
 //! registers were block-allocated with on-demand names, one
 //! `Scenario::run` there made 2 363 allocations — 1 840 of them in
-//! `AgreementStack::build_full` (a `String` per `Counter[A, q]`, a row
+//! the stack build (a `String` per `Counter[A, q]`, a row
 //! `Vec` per set, the layout tables deep-cloned into all 8 machines) and
 //! 487 in `Sim::report()` (every name cloned into the report). It now makes
 //! 220, 182 of them in the build; the budget leaves room for a toolchain's
@@ -160,8 +160,7 @@ fn e3_scenario(k: usize, seed: u64) -> Scenario {
 fn build_allocations(k: usize) -> u64 {
     let task = AgreementTask::new(T, k, N).unwrap();
     let inputs = inputs();
-    let (count, stack) =
-        allocations(|| AgreementStack::build_full(task, &inputs, TimeoutPolicy::Increment, true));
+    let (count, stack) = allocations(|| AgreementStack::build(task, &inputs));
     drop(stack);
     count
 }
@@ -186,7 +185,7 @@ fn e3_cell_scenario_stays_within_its_allocation_budget() {
         let grown = pair[1] - pair[0];
         assert!(
             grown <= 4 * N as u64,
-            "build_full allocates per (set, process): k = {} → {} costs {grown} more \
+            "the stack build allocates per (set, process): k = {} → {} costs {grown} more \
              allocations (builds: {builds:?})",
             k + 1,
             k + 2
@@ -408,32 +407,29 @@ fn a_checked_fd_run_does_not_record_what_it_certifies() {
 
 #[test]
 fn the_adversary_allocates_nothing_per_step() {
-    // E5's (2,2,4) cell. The adversary reads decisions and records off the
-    // arena the step kernel holds and keeps its frozen set across steps:
-    // what grows with the budget is the probe log and, when recording, the
-    // executed schedule — a `Vec` doubling a handful of times on the way
-    // from 10 000 to 100 000 steps, where one allocation per step (the
+    // E5's (2,2,4) cell, certificate on. The adversary reads decisions and
+    // records off the arena the step kernel holds, keeps its frozen set
+    // across steps and measures its witness online: what grows with the
+    // budget is the probe log — a `Vec` doubling a handful of times on the
+    // way from 10 000 to 100 000 steps, where one allocation per step (the
     // record `Vec` the per-step loop collected per instance) is 180 000.
     let task = AgreementTask::new(2, 2, 4).unwrap();
     let inputs: Vec<u64> = (0..4).map(|v| 11 * (v + 1)).collect();
     let trio = ProcSet::from_indices([0, 1, 2]);
-    let certify = (trio, ProcSet::full(task.universe()));
-    for (recording, growth) in [(false, 8), (true, 16)] {
-        let drive = |budget| {
-            let policy = TimeoutPolicy::Increment;
-            let stack = AgreementStack::build_full(task, &inputs, policy, recording);
-            let certify = recording.then_some(certify);
-            let (count, adv) =
-                allocations(|| drive_adversarially(stack, budget, ProcSet::EMPTY, certify));
-            assert!(adv.freeze_events > 0 && adv.run.outcome.decisions.iter().all(Option::is_none));
-            count
-        };
-        let (short, long) = (drive(10_000), drive(100_000));
-        assert!(
-            long <= short + growth,
-            "recording {recording}: {short} allocations at 10 000 steps, {long} at 100 000"
-        );
-    }
+    let certify = Some((trio, ProcSet::full(task.universe())));
+    let drive = |budget| {
+        let stack = AgreementStack::build(task, &inputs);
+        let (count, adv) =
+            allocations(|| drive_adversarially(stack, budget, ProcSet::EMPTY, certify));
+        assert!(adv.freeze_events > 0 && adv.run.outcome.decisions.iter().all(Option::is_none));
+        assert!(adv.certificate.is_some_and(|c| c.bound <= 4 * 4));
+        count
+    };
+    let (short, long) = (drive(10_000), drive(100_000));
+    assert!(
+        long <= short + 8,
+        "{short} allocations at 10 000 steps, {long} at 100 000"
+    );
 }
 
 #[test]

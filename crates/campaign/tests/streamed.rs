@@ -12,15 +12,21 @@
 //! that divide the block, that do not, and that exceed the budget), claims
 //! whose evidence straddles a block boundary, sources that end early, and
 //! universes whose steps a `ProcSet` cannot name.
+//!
+//! The same holds for E2's membership certificate, which a `Sim::run`
+//! workload computes on a rebuilt prefix of its generator: its oracle is
+//! the recording path it replaced — every pulled step kept, the analyzer
+//! swept over what was kept.
 
 use st_agreement::LeanConsensus;
 use st_campaign::{
-    Counterexample, FleetReplayDrive, GeneratorSpec, InvariantChecker, InvariantViolation,
-    LeanOutcome, LeanStabilization, OutcomeData, Scenario, ScenarioOutcome, WideFdOutcome,
-    WideFdStabilization, Workload,
+    Counterexample, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, InvariantChecker,
+    InvariantViolation, LeanOutcome, LeanStabilization, OutcomeData, Scenario, ScenarioOutcome,
+    StopRule, WideFdOutcome, WideFdStabilization, Workload,
 };
+use st_core::stepsource::FromFn;
 use st_core::subsets::wide_unrank;
-use st_core::timeliness::empirical_bound;
+use st_core::timeliness::{empirical_bound, TimelinessAnalyzer};
 use st_core::{
     ProcSet, ProcessId, Schedule, StepSource, TimelyPair, Universe, Value, PROCSET_CAPACITY,
 };
@@ -28,7 +34,7 @@ use st_fd::convergence::wide_winnerset_stabilization;
 use st_fd::{KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy, WINNERSET_PROBE};
 use st_sched::validate::certify_absence_window;
 use st_sched::CrashPlan;
-use st_sim::{RunConfig, RunReport, RunStatus, Sim};
+use st_sim::{RunConfig, RunReport, RunStatus, Sim, StopWhen};
 
 /// `scenario.rs`'s private block length: the budgets below sit around it.
 const BLOCK: u64 = 1 << 16;
@@ -475,4 +481,115 @@ grid! {
     wide_fd_n8: WideFd at 8;
     wide_fd_n64: WideFd at 64;
     wide_fd_n130: WideFd at 130;
+}
+
+/// E2's certificate the way it was computed when the simulator recorded:
+/// the detector run on `abi` over the generator, every pulled step kept,
+/// and the analyzer swept over the kept schedule. Returns the steps
+/// executed and the certificate.
+fn recorded_membership(
+    scenario: &Scenario,
+    k: usize,
+    t: usize,
+    abi: FdAbi,
+) -> (u64, Option<TimelyPair>) {
+    let universe = scenario.universe;
+    let mut generator = scenario.generator.build(universe, scenario.seed);
+    let mut executed = Schedule::new();
+    let mut src = FromFn(|| {
+        let step = generator.next_step()?;
+        executed.push(step);
+        Some(step)
+    });
+    let mut sim = Sim::new(universe);
+    let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(POLICY));
+    let mut cfg = RunConfig::steps(scenario.budget);
+    if scenario.stop == StopRule::AllCorrectDecided {
+        cfg = cfg.stop_when(StopWhen::AllDecided(scenario.correct()));
+    }
+    match abi {
+        FdAbi::Async => {
+            for p in universe.processes() {
+                let fd = fd.clone();
+                sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+            }
+            sim.run(&mut src, cfg)
+        }
+        FdAbi::MachineSlot => {
+            for p in universe.processes() {
+                sim.spawn_automaton(p, fd.machine()).unwrap();
+            }
+            sim.run(&mut src, cfg)
+        }
+        FdAbi::MachineFleet => {
+            let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+            sim.run_automata(&mut fleet, &mut src, cfg)
+        }
+    }
+    .expect("cells stay within their universe");
+    let certificate =
+        TimelinessAnalyzer::new(universe).find_timely_pair(&executed, k, t + 1, 4 * (t + 1));
+    (sim.steps_executed(), certificate)
+}
+
+/// E2's membership certificate, computed on a fresh build of the generator
+/// cut at the steps the run executed, equals the recorded run's — on every
+/// drive an FD scenario picks, under both stop rules, on conforming and
+/// starving schedules and on a source that ends before the budget.
+#[test]
+fn membership_on_the_rebuilt_prefix_equals_the_recorded_one() {
+    let (n, k, t) = (4, 1, 2);
+    let universe = Universe::new(n).unwrap();
+    let p = ProcSet::from_indices([0]);
+    let q = ProcSet::from_indices([0, 1, 2]);
+    let timely = GeneratorSpec::set_timely(p, q, 2 * (t + 1), GeneratorSpec::seeded_random(0));
+    let specs = [
+        timely.clone(),
+        timely
+            .clone()
+            .crashed(CrashPlan::new().crash(ProcessId::new(3), 1_000)),
+        GeneratorSpec::RotatingStarvation { k, base: 8 },
+        GeneratorSpec::replay(
+            timely,
+            GeneratorSpec::round_robin()
+                .build(universe, 0)
+                .take_schedule(4_321),
+        ),
+    ];
+    let mut certified = Vec::new();
+    for spec in specs {
+        for abi in [FdAbi::Async, FdAbi::MachineSlot, FdAbi::MachineFleet] {
+            for stop in [StopRule::BudgetOnly, StopRule::AllCorrectDecided] {
+                let mut scenario = Scenario::new(
+                    format!("{}/{abi:?}/{stop:?}", spec.family()),
+                    universe,
+                    spec.clone(),
+                    Workload::FdConvergence {
+                        k,
+                        t,
+                        policy: POLICY,
+                        abi,
+                        detector: FdDetector::SetBased,
+                        certify_membership: true,
+                    },
+                    20_000,
+                    3,
+                );
+                scenario.stop = stop;
+                let outcome = scenario.run();
+                let fd = outcome.data.as_fd().expect("an FD workload");
+                let (steps, membership) = recorded_membership(&scenario, k, t, abi);
+                assert_eq!(
+                    (fd.steps, fd.membership),
+                    (steps, membership),
+                    "{}",
+                    scenario.label
+                );
+                certified.push((fd.steps, fd.membership.is_some()));
+            }
+        }
+    }
+    // Both verdicts occur, and a source that ended early.
+    assert!(certified.iter().any(|&(_, m)| m) && certified.iter().any(|&(_, m)| !m));
+    assert!(certified.iter().any(|&(steps, _)| steps == 4_321));
 }

@@ -366,6 +366,76 @@ fn certification_specs_that_would_panic_a_worker_are_decode_errors() {
     }
 }
 
+/// An agreement spec with other than one input per process (`build_abi`
+/// asserts on it in the worker), and an adversarial witness naming
+/// a process outside the universe (it never steps, so the certificate would
+/// describe another system), are refused by field.
+#[test]
+fn foreign_inputs_and_witnesses_are_decode_errors() {
+    let set = |ix: &[usize]| ProcSet::from_indices(ix.iter().copied());
+    let decode = |workload: Workload| {
+        let scenario = Scenario::new(
+            "agreement",
+            Universe::new(4).unwrap(),
+            GeneratorSpec::round_robin(),
+            workload,
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let agreement = |inputs: usize| Workload::Agreement {
+        t: 1,
+        k: 1,
+        inputs: (0..inputs as u64).collect(),
+        policy: TimeoutPolicy::Increment,
+        certify: None,
+    };
+    let adversarial =
+        |inputs: usize, witness: Option<(ProcSet, ProcSet)>| Workload::AdversarialAgreement {
+            t: 2,
+            k: 2,
+            inputs: (0..inputs as u64).collect(),
+            policy: TimeoutPolicy::Increment,
+            precrashed: ProcSet::EMPTY,
+            witness,
+        };
+
+    // The valid twins: n inputs, and witnesses inside Π_4 — the whole of
+    // it, and an empty `P`.
+    assert_eq!(decode(agreement(4)), Ok(()));
+    for witness in [
+        None,
+        Some((set(&[0, 1, 2]), set(&[0, 1, 2, 3]))),
+        Some((ProcSet::EMPTY, set(&[3]))),
+    ] {
+        assert_eq!(decode(adversarial(4, witness)), Ok(()));
+    }
+
+    for (workload, name, got) in [
+        (agreement(3), "Agreement", "got 3 at n = 4"),
+        (agreement(5), "Agreement", "got 5 at n = 4"),
+        (
+            adversarial(0, None),
+            "AdversarialAgreement",
+            "got 0 at n = 4",
+        ),
+    ] {
+        let err = decode(workload).unwrap_err();
+        assert!(
+            err.starts_with("field \"inputs\": ") && err.contains(name) && err.contains(got),
+            "{err}"
+        );
+    }
+    for witness in [(set(&[5]), set(&[0, 1, 2, 3])), (set(&[0]), set(&[0, 7]))] {
+        let err = decode(adversarial(4, Some(witness))).unwrap_err();
+        assert!(
+            err.starts_with("field \"witness\": ") && err.contains("outside the 4"),
+            "{err}"
+        );
+    }
+}
+
 /// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.
 fn kinds(j: &Json, out: &mut Vec<String>) {
     match j {

@@ -59,7 +59,7 @@
 //! results merge in ascending rank order, so the output is deterministic
 //! and identical to the sequential sweep.
 
-use crate::process::{Universe, PROCSET_CAPACITY};
+use crate::process::{ProcessId, Universe, PROCSET_CAPACITY};
 use crate::procset::ProcSet;
 use crate::schedule::Schedule;
 use crate::subsets::{binomial, KSubsets};
@@ -129,6 +129,78 @@ pub fn empirical_bound(s: &Schedule, p: ProcSet, q: ProcSet) -> usize {
     max_q_steps_in_p_free_interval(s, p, q) + 1
 }
 
+/// [`empirical_bound`] online: fed a schedule's steps in order, one at a
+/// time or a block at a time, it keeps the current and the longest run of
+/// `Q`-steps without a `P`-step, so [`bound`](Self::bound) equals
+/// `empirical_bound` of the steps fed so far — the schedule itself is never
+/// held; [`prefix_bounds`] feeds one per pair. A process a `ProcSet`
+/// cannot name (index ≥ [`PROCSET_CAPACITY`]) is in neither `P` nor `Q`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PairBound {
+    p: ProcSet,
+    q: ProcSet,
+    /// `Q`-steps since the last `P`-step.
+    run: usize,
+    /// Longest such run so far.
+    max_run: usize,
+}
+
+impl PairBound {
+    /// A watch of `(P, Q)` that has seen no step.
+    pub fn new(p: ProcSet, q: ProcSet) -> Self {
+        PairBound {
+            p,
+            q,
+            run: 0,
+            max_run: 0,
+        }
+    }
+
+    /// Feeds the next step. Drives that see their schedule a step at a time
+    /// draw it at random over a small n, where [`observe`](Self::observe)'s
+    /// membership branches mispredict: the run is updated by selects.
+    #[inline]
+    pub fn observe_step(&mut self, step: ProcessId) {
+        // No bit for a process a `ProcSet` cannot name: in neither set.
+        let bit = 1u64.checked_shl(step.index() as u32).unwrap_or(0);
+        let in_p = (self.p.bits() & bit != 0) as usize;
+        let in_q = (self.q.bits() & bit != 0) as usize;
+        // `in_p − 1`: all ones outside `P`, zero inside.
+        self.run = (self.run + in_q) & in_p.wrapping_sub(1);
+        self.max_run = self.max_run.max(self.run);
+    }
+
+    /// Feeds the next steps, in schedule order: the block entry, whose
+    /// branches predict on the fleets' blocks (most steps past the capacity).
+    pub fn observe(&mut self, steps: &[ProcessId]) {
+        // A process a `ProcSet` cannot name is in neither `P` nor `Q`.
+        let member = |set: ProcSet, p: ProcessId| p.index() < PROCSET_CAPACITY && set.contains(p);
+        for &step in steps {
+            if member(self.p, step) {
+                self.run = 0;
+            } else if member(self.q, step) {
+                self.run += 1;
+                self.max_run = self.max_run.max(self.run);
+            }
+        }
+    }
+
+    /// The least bound for which `P` is timely wrt `Q` on the steps fed so
+    /// far (1 before any).
+    pub fn bound(&self) -> usize {
+        self.max_run + 1
+    }
+
+    /// The pair with its [`bound`](Self::bound).
+    pub fn pair(&self) -> TimelyPair {
+        TimelyPair {
+            p: self.p,
+            q: self.q,
+            bound: self.bound(),
+        }
+    }
+}
+
 /// Empirical bounds of several `(P, Q)` pairs on several growing prefixes of
 /// one schedule, in a **single pass** over the steps.
 ///
@@ -151,33 +223,19 @@ pub fn prefix_bounds(
         checkpoints.windows(2).all(|w| w[0] <= w[1]),
         "checkpoints must be ascending"
     );
-    let mut current = vec![0usize; pairs.len()];
-    let mut max = vec![0usize; pairs.len()];
-    let mut out = Vec::with_capacity(checkpoints.len());
-    let mut next_cp = checkpoints.iter().copied().peekable();
-    let emit = |max: &[usize], out: &mut Vec<Vec<usize>>| {
-        out.push(max.iter().map(|&m| m + 1).collect());
-    };
-    for (pos, step) in s.iter().enumerate() {
-        while next_cp.peek().is_some_and(|&cp| cp.min(s.len()) <= pos) {
-            next_cp.next();
-            emit(&max, &mut out);
-        }
-        for (k, &(p, q)) in pairs.iter().enumerate() {
-            if p.contains(step) {
-                current[k] = 0;
-            } else if q.contains(step) {
-                current[k] += 1;
-                if current[k] > max[k] {
-                    max[k] = current[k];
-                }
+    let mut watches: Vec<PairBound> = pairs.iter().map(|&(p, q)| PairBound::new(p, q)).collect();
+    let mut fed = 0;
+    checkpoints
+        .iter()
+        .map(|&cp| {
+            let upto = cp.min(s.len());
+            for watch in &mut watches {
+                watch.observe(&s.as_slice()[fed..upto]);
             }
-        }
-    }
-    for _ in next_cp {
-        emit(&max, &mut out);
-    }
-    out
+            fed = upto;
+            watches.iter().map(PairBound::bound).collect()
+        })
+        .collect()
 }
 
 /// Evidence that a pair is (empirically) timely: the pair plus its bound.

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use st_core::subsets::{binomial, k_subsets, rank, unrank};
 use st_core::timeliness::{
     all_timely_pairs, empirical_bound, find_timely_pair, is_timely_with_bound,
-    max_q_steps_in_p_free_interval, observation2_combine,
+    max_q_steps_in_p_free_interval, observation2_combine, PairBound,
 };
 use st_core::{ProcSet, ProcessId, Schedule, SystemSpec, Universe};
 
@@ -70,6 +70,25 @@ proptest! {
         let b = st_core::TimelyPair { p: p2, q: q2, bound: empirical_bound(&s, p2, q2) };
         let c = observation2_combine(a, b);
         prop_assert!(is_timely_with_bound(&s, c.p, c.q, c.bound));
+    }
+
+    /// The online bound is the offline one on every prefix, fed a step at a
+    /// time or in two blocks cut anywhere.
+    #[test]
+    fn pair_bound_is_empirical_bound_online(s in arb_schedule(), p in arb_set(), q in arb_set(), cut in 0usize..400) {
+        let steps = s.as_slice();
+        let mut by_step = PairBound::new(p, q);
+        for (i, &step) in steps.iter().enumerate() {
+            prop_assert_eq!(by_step.bound(), empirical_bound(&s.prefix(i), p, q));
+            by_step.observe_step(step);
+        }
+        let (head, tail) = steps.split_at(cut.min(steps.len()));
+        let mut by_block = PairBound::new(p, q);
+        by_block.observe(head);
+        by_block.observe(tail);
+        let want = st_core::TimelyPair { p, q, bound: empirical_bound(&s, p, q) };
+        prop_assert_eq!(by_step.pair(), want);
+        prop_assert_eq!(by_block.pair(), want);
     }
 
     /// A set is timely with respect to itself with bound 1 (used in the

@@ -20,8 +20,7 @@
 //! materializing a report per interval, and judges stabilization once at
 //! the end.
 
-use st_core::timeliness::{TimelinessAnalyzer, TimelyPair};
-use st_core::{ProcSet, ProcessId, StepSource, Universe};
+use st_core::{ProcSet, ProcessId, StepSource};
 use st_sim::{RunConfig, RunReport, RunStatus, Sim};
 
 use crate::kanti::WINNERSET_PROBE;
@@ -163,28 +162,6 @@ pub fn wide_winnerset_stabilization(
         winnerset_rank: common?,
         step,
     })
-}
-
-/// Certifies that the run really took place in the system `S^i_{j,n}` it
-/// claims, by sweeping the **executed schedule** recorded in the report
-/// with the [`TimelinessAnalyzer`]: returns the first `(P, Q)` pair with
-/// `|P| = i`, `|Q| = j` and empirical bound at most `bound_cap`, or `None`
-/// if no such pair exists (or the run did not record its schedule — enable
-/// [`Sim::with_recording`](st_sim::Sim::with_recording)).
-///
-/// Convergence claims about Figure 2 are conditional on membership in
-/// `S^k_{t+1,n}`; checking the premise on the same trace as the conclusion
-/// turns "converged on a schedule we believe is timely" into a
-/// self-contained theorem instance.
-pub fn certify_system_membership(
-    report: &RunReport,
-    universe: Universe,
-    i: usize,
-    j: usize,
-    bound_cap: usize,
-) -> Option<TimelyPair> {
-    let schedule = report.executed.as_ref()?;
-    TimelinessAnalyzer::new(universe).find_timely_pair(schedule, i, j, bound_cap)
 }
 
 /// Outcome of [`run_until_quiescent`]: how the drive ended plus the

@@ -2,8 +2,9 @@
 //! t-resilient k-anti-Ω in system `S^k_{t+1,n}` — and visibly fails to
 //! converge outside it.
 
+use st_core::timeliness::TimelinessAnalyzer;
 use st_core::{ProcSet, ProcessId, StepSource, Universe};
-use st_fd::convergence::{certify_system_membership, kanti_omega_witness, winnerset_stabilization};
+use st_fd::convergence::{kanti_omega_witness, winnerset_stabilization};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy};
 use st_sched::{CrashAfter, CrashPlan, RotatingStarvation, SeededRandom, SetTimely};
 use st_sim::{RunConfig, RunReport, Sim};
@@ -16,9 +17,7 @@ fn run_fd<S: StepSource>(
     budget: u64,
 ) -> RunReport {
     let universe = Universe::new(n).unwrap();
-    // Record the executed schedule so system membership can be certified on
-    // the same trace the convergence claims are made about.
-    let mut sim = Sim::with_recording(universe, true);
+    let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, config);
     for p in universe.processes() {
         let fd = fd.clone();
@@ -38,12 +37,16 @@ fn converges_in_matching_system_fault_free() {
         // Timely pair: P = {p0..p_{k-1}} wrt Q = {p0..p_t} with bound 2(t+1).
         let p: ProcSet = (0..k).map(ProcessId::new).collect();
         let q: ProcSet = (0..=t).map(ProcessId::new).collect();
-        let mut src = SetTimely::new(p, q, 2 * (t + 1), SeededRandom::new(universe, 7));
-        let report = run_fd(n, KAntiOmegaConfig::new(k, t), &mut src, 400_000);
+        let generator = || SetTimely::new(p, q, 2 * (t + 1), SeededRandom::new(universe, 7));
+        let report = run_fd(n, KAntiOmegaConfig::new(k, t), &mut generator(), 400_000);
         let correct = ProcSet::full(universe);
 
-        // Premise first: the executed schedule really is in S^k_{t+1,n}.
-        let membership = certify_system_membership(&report, universe, k, t + 1, 2 * (t + 1))
+        // Premise first: the executed schedule — a fresh build of the
+        // generator, cut at the steps the run executed — really is in
+        // S^k_{t+1,n}, so the convergence claims are about the same trace.
+        let executed = generator().take_schedule(report.steps as usize);
+        let membership = TimelinessAnalyzer::new(universe)
+            .find_timely_pair(&executed, k, t + 1, 2 * (t + 1))
             .unwrap_or_else(|| panic!("schedule not in S^{k}_{{{},{n}}}", t + 1));
         assert_eq!(membership.p.len(), k);
         assert_eq!(membership.q.len(), t + 1);

@@ -1435,6 +1435,75 @@ mod tests {
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
+    /// The same for an agreement spec with other than one input per
+    /// process, which used to end the job `broken` on `build_abi`'s
+    /// assert, and for an adversarial witness outside the universe, which
+    /// used to run and certify a pair of another system.
+    #[test]
+    fn submit_refuses_foreign_inputs_and_witnesses() {
+        let shared = shared_with("st-serve-foreign-spec-test", 10);
+        let foreign = |label: &str, workload| {
+            Scenario::new(
+                label,
+                Universe::new(4).unwrap(),
+                GeneratorSpec::round_robin(),
+                workload,
+                1_000,
+                0,
+            )
+        };
+        let with = |workload: Workload| {
+            let mut campaign = tiny_campaign(0..1);
+            campaign.push(foreign("foreign", workload));
+            campaign
+        };
+        let policy = policy_from_spec(TimeoutPolicySpec::Increment);
+        let agreement = |inputs: Vec<u64>| Workload::Agreement {
+            t: 1,
+            k: 1,
+            inputs,
+            policy,
+            certify: None,
+        };
+        let adversarial = |witness| Workload::AdversarialAgreement {
+            t: 2,
+            k: 2,
+            inputs: vec![1, 2, 3, 4],
+            policy,
+            precrashed: st_core::ProcSet::EMPTY,
+            witness: Some(witness),
+        };
+        let set = |ix: &[usize]| st_core::ProcSet::from_indices(ix.iter().copied());
+        for (key, campaign, path) in [
+            ("inputs", with(agreement(vec![1, 2, 3])), "field \"inputs\""),
+            (
+                "witness",
+                with(adversarial((set(&[0]), set(&[0, 7])))),
+                "field \"witness\"",
+            ),
+        ] {
+            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            let message = message.and_then(Json::as_str).unwrap();
+            assert!(
+                message.contains(&format!("entries[1].scenario: {path}")),
+                "{message}"
+            );
+            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
+            assert!(shared.jobs.lock().unwrap().is_empty());
+        }
+
+        // The same entries with four inputs and a witness inside Π_4 run
+        // to `done`.
+        let mut good = with(agreement(vec![1, 2, 3, 4]));
+        let witness = (set(&[0, 1, 2]), set(&[0, 1, 2, 3]));
+        good.push(foreign("witnessed", adversarial(witness)));
+        submit_and_run(&shared, "good", &good);
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
     /// The same for a certification the timeliness analyzer would assert
     /// on (a zero bound cap) and for a single-word workload past n = 64.
     #[test]

@@ -40,9 +40,6 @@ pub(crate) struct SimShared {
     /// Per-process completed register operations; `Cell`s so the per-op
     /// accounting path skips the trace `RefCell`.
     pub op_counts: Vec<Cell<u64>>,
-    /// Whether the executed schedule is being recorded — checked before
-    /// borrowing the trace on every step.
-    pub recording: bool,
     pub n: usize,
 }
 

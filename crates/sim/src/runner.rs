@@ -21,7 +21,7 @@ use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
 use crate::register::{Reg, RegValue, WriteDiscipline};
 use crate::soa::{Allotment, BatchAccess, PhaseBatch};
-use crate::trace::{executed_schedule, Decision, ProbeLog, TraceInner};
+use crate::trace::{Decision, ProbeLog, TraceInner};
 
 /// Result of executing a single step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -112,8 +112,9 @@ impl RunConfig {
     }
 }
 
-/// Snapshot of a run: decisions, probe log, per-process operation counts,
-/// and (optionally) the executed schedule.
+/// Snapshot of a run: decisions, probe log and per-process operation
+/// counts — not the executed schedule, which no drive holds: a caller that
+/// needs it rebuilds it from its source (see [`Sim::run`]).
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Total steps executed so far.
@@ -124,8 +125,6 @@ pub struct RunReport {
     pub finished: Vec<bool>,
     /// The probe log.
     pub probes: ProbeLog,
-    /// The executed schedule, when recording was enabled.
-    pub executed: Option<Schedule>,
     /// Per-process completed register operations.
     pub op_counts: Vec<u64>,
 }
@@ -223,26 +222,18 @@ pub struct Sim {
 }
 
 impl Sim {
-    /// Creates a simulator for `universe` without executed-schedule
-    /// recording.
+    /// Creates a simulator for `universe`.
     pub fn new(universe: Universe) -> Self {
-        Sim::with_recording(universe, false)
-    }
-
-    /// Creates a simulator, optionally recording the executed schedule (one
-    /// `ProcessId` per step; enable for timeliness analysis of runs).
-    pub fn with_recording(universe: Universe, record_schedule: bool) -> Self {
         let n = universe.n();
         Sim {
             shared: Rc::new(SimShared {
                 memory: std::cell::RefCell::new(Memory::new()),
                 grant: std::cell::Cell::new(None),
                 step: std::cell::Cell::new(0),
-                trace: std::cell::RefCell::new(TraceInner::new(n, record_schedule)),
+                trace: std::cell::RefCell::new(TraceInner::new(n)),
                 decided: std::cell::Cell::new(0),
                 decided_count: std::cell::Cell::new(0),
                 op_counts: (0..n).map(|_| std::cell::Cell::new(0)).collect(),
-                recording: record_schedule,
                 n,
             }),
             slots: (0..n)
@@ -378,8 +369,8 @@ impl Sim {
     /// Executes one step by `p`.
     ///
     /// Steps of processes without a live automaton are no-ops (the halted
-    /// automaton self-loops), but still count and are still recorded — they
-    /// are real steps of the schedule.
+    /// automaton self-loops), but still count — they are real steps of the
+    /// schedule.
     pub fn step_with(&mut self, p: ProcessId) -> StepOutcome {
         assert!(self.universe.contains(p), "{p} outside {}", self.universe);
         self.shared.step.set(self.steps);
@@ -388,14 +379,9 @@ impl Sim {
             // gives the machine (if any) a scoped direct view of the arena
             // for this one step.
             let (mut kernel, slots) = self.kernel(false);
-            return kernel.step::<true, _>(p, slots);
+            return kernel.step(p, slots);
         };
         self.steps += 1;
-        if self.shared.recording {
-            if let Some(executed) = self.shared.trace.borrow_mut().executed.as_mut() {
-                executed.push(p);
-            }
-        }
         self.shared.grant.set(Some(p));
         let mut cx = Context::from_waker(Waker::noop());
         let poll = future.as_mut().poll(&mut cx);
@@ -436,12 +422,16 @@ impl Sim {
     /// dispatch per scheduled step, no poll, no grant cell. Semantics are
     /// identical to the general loop.
     ///
+    /// Pulled is executed: the stop rule is checked before each pull and
+    /// the budget caps the pulls, so the steps taken from `src` are exactly
+    /// the steps executed — as for every drive (`tests/pulled_is_executed.rs`;
+    /// a replay drive executes its schedule's first `steps` entries).
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::ScheduleOutOfUniverse`] if `src` names a process
     /// outside the simulated universe. Steps produced before the offending
-    /// one have executed normally (and are recorded when recording is on);
-    /// the simulation remains usable.
+    /// one have executed normally; the simulation remains usable.
     pub fn run<S: StepSource>(
         &mut self,
         src: &mut S,
@@ -497,9 +487,9 @@ impl Sim {
     /// while the kernel holds the arena, so handles and the register count
     /// are fixed for the call.
     ///
-    /// Steps count, are recorded when recording is on, and are booked
-    /// exactly as [`step_with`](Self::step_with) books them. Can be called
-    /// again to continue the same simulation, as [`run`](Self::run) can.
+    /// Every choice is executed, and booked exactly as
+    /// [`step_with`](Self::step_with) books a step. Can be called again to
+    /// continue the same simulation, as [`run`](Self::run) can.
     ///
     /// # Errors
     ///
@@ -523,7 +513,7 @@ impl Sim {
         for _ in 0..budget {
             let p = choose(&kernel.memory);
             check_in_universe(p, n)?;
-            kernel.step::<true, _>(p, slots);
+            kernel.step(p, slots);
         }
         Ok(())
     }
@@ -671,9 +661,9 @@ impl Sim {
     /// [`run_automata_replay_soa_batched`](Self::run_automata_replay_soa_batched)
     /// to force batching at any n (differential tests do).
     ///
-    /// Batching needs [`StopWhen::Never`] without recording; any other stop
-    /// condition, or an enabled schedule recording, runs the plain replay
-    /// (whose semantics are identical) over the same validated prefix.
+    /// Batching needs [`StopWhen::Never`]; any other stop condition runs
+    /// the plain replay (whose semantics are identical) over the same
+    /// validated prefix.
     ///
     /// # Errors
     ///
@@ -732,7 +722,7 @@ impl Sim {
         slice_len: usize,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        if !matches!(cfg.stop, StopWhen::Never) || self.shared.recording {
+        if !matches!(cfg.stop, StopWhen::Never) {
             return self.replay_scalar(automata, prefix, cfg);
         }
         let n = self.universe.n();
@@ -764,7 +754,7 @@ impl Sim {
                     kernel.steps += slice.len() as u64;
                 } else {
                     for &p in slice {
-                        kernel.step::<false, _>(p, automata);
+                        kernel.step(p, automata);
                     }
                 }
                 continue;
@@ -851,7 +841,7 @@ impl Sim {
                 kernel.steps += slice.len() as u64;
             } else {
                 for &p in slice {
-                    kernel.step::<false, _>(p, automata);
+                    kernel.step(p, automata);
                 }
             }
             for &idx in &touched {
@@ -959,11 +949,10 @@ impl Sim {
         self.finished[p.index()]
     }
 
-    /// Snapshot of the current trace: decisions, completion flags, probes,
-    /// the executed schedule (when recorded) and per-process operation
-    /// counts. Cost is O(n + probes + recorded steps) and independent of
-    /// the number of registers — per-register statistics are a separate,
-    /// on-demand query, [`register_stats`](Self::register_stats).
+    /// Snapshot of the current trace: decisions, completion flags, probes
+    /// and per-process operation counts. Cost is O(n + probes) and
+    /// independent of the number of registers — per-register statistics are
+    /// a separate, on-demand query, [`register_stats`](Self::register_stats).
     pub fn report(&self) -> RunReport {
         let trace = self.shared.trace.borrow();
         RunReport {
@@ -971,7 +960,6 @@ impl Sim {
             decisions: trace.decisions.clone(),
             finished: self.finished.clone(),
             probes: ProbeLog::new(trace.probes.clone()),
-            executed: trace.executed.as_deref().map(executed_schedule),
             op_counts: self.shared.op_counts.iter().map(Cell::get).collect(),
         }
     }
@@ -1054,22 +1042,11 @@ impl Drop for StepKernel<'_> {
 
 impl StepKernel<'_> {
     /// Executes one scheduled step of in-universe process `p`. Without a
-    /// live machine the step still counts and is still recorded, but does
-    /// nothing. `TRACED` compiles the executed-schedule push in; untraced
-    /// callers must not be recording.
+    /// live machine the step still counts, but does nothing.
     #[inline]
-    fn step<const TRACED: bool, T: Machines + ?Sized>(
-        &mut self,
-        p: ProcessId,
-        target: &mut T,
-    ) -> StepOutcome {
+    fn step<T: Machines + ?Sized>(&mut self, p: ProcessId, target: &mut T) -> StepOutcome {
         let step = self.steps;
         self.steps += 1;
-        if TRACED && self.shared.recording {
-            if let Some(executed) = self.shared.trace.borrow_mut().executed.as_mut() {
-                executed.push(p);
-            }
-        }
         let idx = p.index();
         if self.finished[idx] {
             return StepOutcome::Idle;
@@ -1119,22 +1096,22 @@ impl StepKernel<'_> {
     /// Drives `target` from `src` — cut to the step budget by the caller —
     /// until the stop rule fires, `src` runs dry, or it names a process
     /// outside the universe (earlier steps have executed). Monomorphized on
-    /// whether anything must be looked at between steps: with no stop rule
-    /// and no recording a step is the pull, the index bump and the dispatch.
+    /// whether the stop rule must be looked at between steps: without one a
+    /// step is the pull, the index bump and the dispatch.
     fn run<T: Machines + ?Sized>(
         &mut self,
         target: &mut T,
         src: impl Iterator<Item = ProcessId>,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        if matches!(cfg.stop, StopWhen::Never) && !self.shared.recording {
+        if matches!(cfg.stop, StopWhen::Never) {
             self.run_loop::<false, T>(target, src, cfg)
         } else {
             self.run_loop::<true, T>(target, src, cfg)
         }
     }
 
-    fn run_loop<const TRACED: bool, T: Machines + ?Sized>(
+    fn run_loop<const CHECK_STOP: bool, T: Machines + ?Sized>(
         &mut self,
         target: &mut T,
         mut src: impl Iterator<Item = ProcessId>,
@@ -1145,14 +1122,14 @@ impl StepKernel<'_> {
         loop {
             // Checked before the pull, so a stateful source is not advanced
             // past the stop point.
-            if TRACED && stop_met(&cfg.stop, self.shared, self.finished) {
+            if CHECK_STOP && stop_met(&cfg.stop, self.shared, self.finished) {
                 return Ok(RunStatus::Stopped);
             }
             let Some(p) = src.next() else {
                 return Ok(self.exhausted(first_step, cfg));
             };
             check_in_universe(p, n)?;
-            self.step::<TRACED, T>(p, target);
+            self.step(p, target);
         }
     }
 

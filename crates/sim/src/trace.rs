@@ -1,4 +1,4 @@
-//! Run instrumentation: probes, decisions, executed-schedule recording.
+//! Run instrumentation: probes and decisions.
 //!
 //! Probes are the *observability side-channel* of the simulator: a process
 //! publishes a `(key, u64)` pair without taking a step (the model allows
@@ -7,7 +7,7 @@
 //! are exposed this way, e.g. the Figure 2 `winnerset` as the bitset of a
 //! [`ProcSet`](st_core::ProcSet).
 
-use st_core::{ProcessId, Schedule, Value};
+use st_core::{ProcessId, Value};
 
 /// One probe publication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -39,15 +39,13 @@ pub struct Decision {
 pub(crate) struct TraceInner {
     pub probes: Vec<ProbeEvent>,
     pub decisions: Vec<Option<Decision>>,
-    pub executed: Option<Vec<ProcessId>>,
 }
 
 impl TraceInner {
-    pub fn new(n: usize, record_schedule: bool) -> Self {
+    pub fn new(n: usize) -> Self {
         TraceInner {
             probes: Vec::new(),
             decisions: vec![None; n],
-            executed: record_schedule.then(Vec::new),
         }
     }
 }
@@ -120,11 +118,6 @@ impl ProbeLog {
         }
         Some(stab)
     }
-}
-
-/// Converts a recorded executed-step vector into a [`Schedule`].
-pub(crate) fn executed_schedule(executed: &[ProcessId]) -> Schedule {
-    Schedule::from_steps(executed.to_vec())
 }
 
 #[cfg(test)]

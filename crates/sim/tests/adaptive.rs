@@ -18,8 +18,8 @@ const N: usize = 3;
 /// Three scan machines over four shared cells, each writing the wrapping
 /// sum of all four into its own: every write changes what the others read,
 /// and each machine finishes after `limit` rounds.
-fn scan_sim(recording: bool, limit: u64) -> (Sim, Vec<Reg<u64>>) {
-    let mut sim = Sim::with_recording(Universe::new(N).unwrap(), recording);
+fn scan_sim(limit: u64) -> (Sim, Vec<Reg<u64>>) {
+    let mut sim = Sim::new(Universe::new(N).unwrap());
     let cells = sim.alloc_array("cell", N + 1, 1u64);
     for i in 0..N {
         let machine = SumScan::new(cells[0], cells[i], N + 1, limit);
@@ -41,46 +41,43 @@ fn observable(sim: &Sim) -> impl PartialEq + std::fmt::Debug {
     (
         (report.steps, report.decisions, report.finished),
         report.probes.events().to_vec(),
-        report.executed,
         report.op_counts,
         sim.register_stats(),
     )
 }
 
 /// Two `run_adaptive` calls back to back are one run: the second continues
-/// the step counter, the op counts and the recording — and both together
-/// are step-for-step what `peek` + `step_with` execute.
+/// the step counter and the op counts — and both together are step-for-step
+/// what `peek` + `step_with` execute.
 #[test]
 fn run_adaptive_continues_and_matches_the_per_step_loop() {
-    for recording in [false, true] {
-        for (first, second) in [(0, 0), (1, 0), (40, 160), (200, 1)] {
-            let (mut sim, cells) = scan_sim(recording, 6);
-            let choose = |memory: &Memory| {
-                let now: Vec<u64> = cells.iter().map(|&c| memory.peek(c).unwrap()).collect();
-                by_contents(&now)
-            };
-            sim.run_adaptive(first, choose).unwrap();
-            assert_eq!(sim.steps_executed(), first);
-            let ops_after_first: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
-            sim.run_adaptive(second, choose).unwrap();
-            assert_eq!(sim.steps_executed(), first + second);
-            let ops: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
-            assert!(ops >= ops_after_first);
+    for (first, second) in [(0, 0), (1, 0), (40, 160), (200, 1)] {
+        let (mut sim, cells) = scan_sim(6);
+        let choose = |memory: &Memory| {
+            let now: Vec<u64> = cells.iter().map(|&c| memory.peek(c).unwrap()).collect();
+            by_contents(&now)
+        };
+        sim.run_adaptive(first, choose).unwrap();
+        assert_eq!(sim.steps_executed(), first);
+        let ops_after_first: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
+        sim.run_adaptive(second, choose).unwrap();
+        assert_eq!(sim.steps_executed(), first + second);
+        let ops: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
+        assert!(ops >= ops_after_first);
 
-            let (mut oracle, cells) = scan_sim(recording, 6);
-            for _ in 0..first + second {
-                let now: Vec<u64> = cells.iter().map(|&c| oracle.peek(c)).collect();
-                oracle.step_with(by_contents(&now));
-            }
-            assert_eq!(observable(&sim), observable(&oracle));
-            if first + second > 100 {
-                // A machine is done after 30 steps of its own, and once a
-                // finished one is chosen the contents stop moving.
-                assert!(
-                    (0..N).any(|i| sim.is_finished(pid(i))),
-                    "the run covers a finished machine's idle steps"
-                );
-            }
+        let (mut oracle, cells) = scan_sim(6);
+        for _ in 0..first + second {
+            let now: Vec<u64> = cells.iter().map(|&c| oracle.peek(c)).collect();
+            oracle.step_with(by_contents(&now));
+        }
+        assert_eq!(observable(&sim), observable(&oracle));
+        if first + second > 100 {
+            // A machine is done after 30 steps of its own, and once a
+            // finished one is chosen the contents stop moving.
+            assert!(
+                (0..N).any(|i| sim.is_finished(pid(i))),
+                "the run covers a finished machine's idle steps"
+            );
         }
     }
 }
@@ -89,7 +86,7 @@ fn run_adaptive_continues_and_matches_the_per_step_loop() {
 /// the steps chosen before it executed, and the `Sim` goes on.
 #[test]
 fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
-    let (mut sim, _) = scan_sim(true, 6);
+    let (mut sim, _) = scan_sim(6);
     let mut calls = 0;
     let err = sim
         .run_adaptive(10, |_| {
@@ -110,11 +107,9 @@ fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
         ops, 5,
         "the kernel's op counts are written back on the error path"
     );
-    assert_eq!(sim.report().executed.unwrap().len(), 5);
 
     sim.run_adaptive(7, |_| pid(0)).unwrap();
     assert_eq!(sim.steps_executed(), 12);
-    assert_eq!(sim.report().executed.unwrap().len(), 12);
 }
 
 /// A live async slot is refused before anything executes, the way the

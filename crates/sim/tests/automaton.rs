@@ -425,7 +425,6 @@ struct Observed {
     probes: Vec<String>,
     decisions: Vec<Option<(u64, u64)>>,
     finished: Vec<bool>,
-    executed: Option<Schedule>,
     outs: Vec<u64>,
     register_stats: Vec<RegisterStats>,
 }
@@ -433,9 +432,9 @@ struct Observed {
 /// Runs a three-process [`SumScan`] fleet (round limits 2, 5 and 100:
 /// process 0 completes early in the run, process 1 midway, process 2 never)
 /// through `entry` and observes the outcome.
-fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig, recording: bool) -> Observed {
+fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig) -> Observed {
     let n = 3;
-    let mut sim = Sim::with_recording(universe(n), recording);
+    let mut sim = Sim::new(universe(n));
     let shared: Vec<Reg<u64>> = (0..SCAN_WORDS)
         .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
         .collect();
@@ -477,7 +476,6 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig, recording: bool) -> 
             .map(|d| d.map(|d| (d.value, d.step)))
             .collect(),
         finished: (0..n).map(|i| sim.is_finished(pid(i))).collect(),
-        executed: report.executed,
         outs: outs.iter().map(|&r| sim.peek(r)).collect(),
         register_stats: sim.register_stats(),
     }
@@ -485,8 +483,9 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig, recording: bool) -> 
 
 /// One step kernel, five entry points: slot `run`, the cursor fleet drive
 /// and the three replay entries must be observationally identical on every
-/// combination of stop rule, recording, and budget below / at / above the
-/// schedule length — with a fleet whose first machine completes mid-run.
+/// combination of stop rule and budget below / at / above the schedule
+/// length — with a fleet whose first machine completes mid-run. (That each
+/// executes exactly the steps it pulls is `tests/pulled_is_executed.rs`.)
 #[test]
 fn every_drive_is_observationally_identical() {
     // Round-robin (the batched drive's strided path), dwells of 8 (its
@@ -505,27 +504,20 @@ fn every_drive_is_observationally_identical() {
     ];
     let mut statuses = Vec::new();
     for stop in stops {
-        for recording in [false, true] {
-            for budget in [len / 2, len, len + 9] {
-                let cfg = RunConfig::steps(budget).stop_when(stop);
-                let reference = drive(Entry::Replay, &schedule, cfg, recording);
-                let status = reference.result.clone().unwrap();
-                // A run that read nothing would compare statistics vacuously.
-                assert!(reference.register_stats.iter().any(|s| s.reads > 0));
-                assert_eq!(reference.executed.is_some(), recording);
-                if let Some(executed) = &reference.executed {
-                    let ran = reference.steps as usize;
-                    assert_eq!(executed.as_slice(), &schedule.as_slice()[..ran]);
-                }
-                for entry in ENTRIES {
-                    assert_eq!(
-                        drive(entry, &schedule, cfg, recording),
-                        reference,
-                        "{entry:?} vs replay: {stop:?}, recording {recording}, budget {budget}"
-                    );
-                }
-                statuses.push(status);
+        for budget in [len / 2, len, len + 9] {
+            let cfg = RunConfig::steps(budget).stop_when(stop);
+            let reference = drive(Entry::Replay, &schedule, cfg);
+            let status = reference.result.clone().unwrap();
+            // A run that read nothing would compare statistics vacuously.
+            assert!(reference.register_stats.iter().any(|s| s.reads > 0));
+            for entry in ENTRIES {
+                assert_eq!(
+                    drive(entry, &schedule, cfg),
+                    reference,
+                    "{entry:?} vs replay: {stop:?}, budget {budget}"
+                );
             }
+            statuses.push(status);
         }
     }
     // The table reaches every way a run can end, and the early finisher
@@ -537,14 +529,14 @@ fn every_drive_is_observationally_identical() {
     ] {
         assert!(statuses.contains(&want), "no cell ended {want:?}");
     }
-    let full = drive(Entry::Replay, &schedule, RunConfig::steps(len), false);
+    let full = drive(Entry::Replay, &schedule, RunConfig::steps(len));
     assert_eq!(full.finished, [true, true, false]);
 }
 
 /// The one intended difference between the entry points: a replay drive
 /// validates the prefix its budget admits before executing anything — also
-/// when a stop rule or recording sends it through the general loop — while
-/// a cursor drive executes up to the offending step.
+/// when a stop rule sends it through the general loop — while a cursor
+/// drive executes up to the offending step.
 #[test]
 fn out_of_universe_step_splits_replay_from_cursor_drives() {
     let bad = Schedule::from_indices([0, 1, 2, 0, 1, 7, 2, 0]);
@@ -553,28 +545,21 @@ fn out_of_universe_step_splits_replay_from_cursor_drives() {
         n: 3,
     });
     let stop = StopWhen::AllDecided(ProcSet::from_indices([2]));
-    for (cfg, recording) in [
-        (RunConfig::steps(100), false),
-        (RunConfig::steps(100).stop_when(stop), false),
-        (RunConfig::steps(100), true),
-    ] {
+    for cfg in [RunConfig::steps(100), RunConfig::steps(100).stop_when(stop)] {
         for entry in ENTRIES {
-            let seen = drive(entry, &bad, cfg, recording);
+            let seen = drive(entry, &bad, cfg);
             assert_eq!(seen.result, error, "{entry:?}");
             let ran = match entry {
                 Entry::SlotRun | Entry::Fleet => 5,
                 _ => 0,
             };
-            assert_eq!(seen.steps, ran, "{entry:?}, {cfg:?}, recording {recording}");
-            if recording {
-                assert_eq!(seen.executed.unwrap().len() as u64, ran);
-            }
+            assert_eq!(seen.steps, ran, "{entry:?}, {cfg:?}");
         }
     }
     // Only the prefix is the drive's business: a budget that ends before
     // the bad step never sees it.
     for entry in ENTRIES {
-        let seen = drive(entry, &bad, RunConfig::steps(5), false);
+        let seen = drive(entry, &bad, RunConfig::steps(5));
         assert_eq!(seen.result, Ok(st_sim::RunStatus::MaxSteps), "{entry:?}");
         assert_eq!(seen.steps, 5);
     }

@@ -1,0 +1,256 @@
+//! Pulled is executed: every drive executes exactly the steps it takes from
+//! its source — no more (a stop rule is checked before the pull, the budget
+//! caps the pulls) and no fewer (every pulled step runs, a finished or
+//! idle process's included) — and a replay drive executes exactly the
+//! first `steps` entries of its schedule.
+//!
+//! Nothing in the simulator records the executed schedule: a caller that
+//! needs it rebuilds it from its generator (a scenario's counterexample,
+//! E2's membership certificate) or measures it from its own choices (the
+//! adaptive adversary's witness). Both rest on this contract. The table
+//! holds every drive to it, under every stop rule, with the budget cutting
+//! the run and with the source running dry: a test-side source records each
+//! pull, and the run's state must equal a plain replay of exactly the
+//! recorded prefix.
+
+mod common;
+
+use common::SumScan;
+use st_core::stepsource::FromFn;
+use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe};
+use st_sim::{Reg, RegisterStats, RunConfig, RunStatus, Sim, StopWhen};
+
+const N: usize = 3;
+const SCAN_WORDS: usize = 4;
+/// Rounds before each process decides and finishes: p0 early in the run,
+/// p1 midway, p2 never.
+const LIMITS: [u64; N] = [2, 5, 100];
+
+fn pid(i: usize) -> ProcessId {
+    ProcessId::new(i)
+}
+
+/// Every entry point a step can come through.
+#[derive(Clone, Copy, Debug)]
+enum Drive {
+    /// `run` over async slots (the general loop).
+    AsyncSlots,
+    /// `run` over machine slots (the step kernel).
+    MachineSlots,
+    /// `run` over p0 async, p1 and p2 machines.
+    MixedSlots,
+    /// `run_automata` over a typed fleet.
+    Fleet,
+    /// `run_automata_replay`.
+    Replay,
+    /// `run_automata_replay_soa` (delegates to plain at this n).
+    ReplaySoa,
+    /// `run_automata_replay_soa_batched`.
+    ReplaySoaBatched,
+    /// `run_adaptive`, the chooser reading the schedule.
+    Adaptive,
+}
+
+const DRIVES: [Drive; 8] = [
+    Drive::AsyncSlots,
+    Drive::MachineSlots,
+    Drive::MixedSlots,
+    Drive::Fleet,
+    Drive::Replay,
+    Drive::ReplaySoa,
+    Drive::ReplaySoaBatched,
+    Drive::Adaptive,
+];
+
+/// Everything a run leaves observable.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    steps: u64,
+    ops: Vec<u64>,
+    probes: Vec<String>,
+    decisions: Vec<Option<(u64, u64)>>,
+    finished: Vec<bool>,
+    outs: Vec<u64>,
+    register_stats: Vec<RegisterStats>,
+}
+
+/// A `Sim` with the shared scan array and one output register per process.
+fn arena() -> (Sim, Reg<u64>, Vec<Reg<u64>>) {
+    let mut sim = Sim::new(Universe::new(N).unwrap());
+    let shared: Vec<Reg<u64>> = (0..SCAN_WORDS)
+        .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
+        .collect();
+    let outs = sim.alloc_array("out", N, 0u64);
+    (sim, shared[0], outs)
+}
+
+fn fleet(base: Reg<u64>, outs: &[Reg<u64>]) -> Vec<SumScan> {
+    (0..N)
+        .map(|i| SumScan::new(base, outs[i], SCAN_WORDS, LIMITS[i]))
+        .collect()
+}
+
+/// [`SumScan`] on the async ABI: the same reads, probes, writes and
+/// decisions at the same steps.
+fn spawn_async_scan(sim: &mut Sim, i: usize, base: Reg<u64>, out: Reg<u64>) {
+    sim.spawn(pid(i), move |ctx| async move {
+        for round in 1..=LIMITS[i] {
+            let mut acc = 0u64;
+            for w in 0..SCAN_WORDS {
+                acc = acc.wrapping_add(ctx.read_word(base.at(w)).await);
+            }
+            ctx.probe("sum", acc);
+            ctx.write_word(out, acc).await;
+            if round == LIMITS[i] {
+                ctx.decide(acc);
+            }
+        }
+    })
+    .unwrap();
+}
+
+fn observe(sim: &Sim, outs: &[Reg<u64>]) -> Observed {
+    let report = sim.report();
+    Observed {
+        steps: sim.steps_executed(),
+        ops: report.op_counts,
+        probes: report
+            .probes
+            .events()
+            .iter()
+            .map(|e| format!("{e:?}"))
+            .collect(),
+        decisions: report
+            .decisions
+            .iter()
+            .map(|d| d.map(|d| (d.value, d.step)))
+            .collect(),
+        finished: report.finished,
+        outs: outs.iter().map(|&r| sim.peek(r)).collect(),
+        register_stats: sim.register_stats(),
+    }
+}
+
+/// Runs `drive` over `schedule` under `cfg` and returns the run's status
+/// (none for `run_adaptive`), what it left observable, and the steps its
+/// source gave up — pulls, or the chooser's choices — or, for a replay
+/// drive, `None`.
+fn drive(
+    drive: Drive,
+    schedule: &Schedule,
+    cfg: RunConfig,
+) -> (Option<RunStatus>, Observed, Option<Vec<ProcessId>>) {
+    let (mut sim, base, outs) = arena();
+    let mut pulled = Vec::new();
+    let mut next = schedule.iter();
+    let mut src = FromFn(|| {
+        let step = next.next()?;
+        pulled.push(step);
+        Some(step)
+    });
+    let mut machines = fleet(base, &outs);
+    let status = match drive {
+        Drive::AsyncSlots | Drive::MachineSlots | Drive::MixedSlots => {
+            for (i, machine) in machines.into_iter().enumerate() {
+                let on_async = match drive {
+                    Drive::AsyncSlots => true,
+                    Drive::MixedSlots => i == 0,
+                    _ => false,
+                };
+                if on_async {
+                    spawn_async_scan(&mut sim, i, base, outs[i]);
+                } else {
+                    sim.spawn_automaton(pid(i), machine).unwrap();
+                }
+            }
+            Some(sim.run(&mut src, cfg))
+        }
+        Drive::Fleet => Some(sim.run_automata(&mut machines, &mut src, cfg)),
+        Drive::Replay => Some(sim.run_automata_replay(&mut machines, schedule, cfg)),
+        Drive::ReplaySoa => Some(sim.run_automata_replay_soa(&mut machines, schedule, 4, cfg)),
+        Drive::ReplaySoaBatched => {
+            Some(sim.run_automata_replay_soa_batched(&mut machines, schedule, 4, cfg))
+        }
+        Drive::Adaptive => {
+            for (i, machine) in machines.into_iter().enumerate() {
+                sim.spawn_automaton(pid(i), machine).unwrap();
+            }
+            let budget = cfg.max_steps.min(schedule.len() as u64);
+            sim.run_adaptive(budget, |_| src.next_step().unwrap())
+                .unwrap();
+            None
+        }
+    };
+    let status = status.map(|s| s.expect("the schedule stays within the universe"));
+    let replays = matches!(
+        drive,
+        Drive::Replay | Drive::ReplaySoa | Drive::ReplaySoaBatched
+    );
+    (status, observe(&sim, &outs), (!replays).then_some(pulled))
+}
+
+/// The plain replay of exactly `prefix`, no stop rule: what a run that
+/// executed `prefix` must have left behind.
+fn replay_of(prefix: &Schedule) -> Observed {
+    let (mut sim, base, outs) = arena();
+    let mut machines = fleet(base, &outs);
+    let cfg = RunConfig::steps(prefix.len() as u64);
+    let status = sim.run_automata_replay(&mut machines, prefix, cfg);
+    assert_eq!(status, Ok(RunStatus::MaxSteps));
+    observe(&sim, &outs)
+}
+
+#[test]
+fn every_drive_executes_exactly_what_it_pulls() {
+    // Round-robin, dwells of 8, then an irregular tail: the batched
+    // drive's strided, uniform and bucketed paths.
+    let steps: Vec<usize> = (0..30)
+        .map(|s| s % N)
+        .chain((0..48).map(|s| (s / 8) % N))
+        .chain((0..42).map(|s| (s * 7 + s / 5) % N))
+        .collect();
+    let len = steps.len() as u64;
+    let schedule = Schedule::from_indices(steps);
+    let stops = [
+        StopWhen::Never,
+        StopWhen::AllDecided(ProcSet::from_indices([0])),
+        StopWhen::AnyDecided,
+        StopWhen::AllFinished(ProcSet::from_indices([0, 1])),
+    ];
+    let mut ends = Vec::new();
+    for stop in stops {
+        // The budget cuts the run, or the source runs dry first.
+        for budget in [len / 2, len + 9] {
+            let cfg = RunConfig::steps(budget).stop_when(stop);
+            for d in DRIVES {
+                if matches!(d, Drive::Adaptive) && stop != StopWhen::Never {
+                    // `run_adaptive` has no stop rule: every choice runs.
+                    continue;
+                }
+                let what = format!("{d:?}, {stop:?}, budget {budget}");
+                let (status, seen, pulled) = drive(d, &schedule, cfg);
+                let ran = seen.steps as usize;
+                let prefix = schedule.prefix(ran);
+                if let Some(pulled) = pulled {
+                    assert_eq!(pulled.as_slice(), prefix.as_slice(), "{what}");
+                }
+                assert_eq!(seen, replay_of(&prefix), "{what}");
+                ends.extend(status.map(|s| (s, stop)));
+            }
+        }
+    }
+    // The table reaches every way a run can end, and each stop rule fires
+    // mid-run.
+    for status in [RunStatus::MaxSteps, RunStatus::SourceEnded] {
+        assert!(
+            ends.iter().any(|&(s, _)| s == status),
+            "no run ended {status:?}"
+        );
+    }
+    for stop in &stops[1..] {
+        assert!(
+            ends.contains(&(RunStatus::Stopped, *stop)),
+            "{stop:?} never fired"
+        );
+    }
+}

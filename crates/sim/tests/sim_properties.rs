@@ -103,25 +103,6 @@ proptest! {
         }
     }
 
-    /// The executed-schedule recording reproduces the driving schedule
-    /// verbatim, including steps of finished and unspawned processes.
-    #[test]
-    fn recording_is_verbatim(sched in arb_schedule(3)) {
-        let u = Universe::new(3).unwrap();
-        let mut sim = Sim::with_recording(u, true);
-        // p0 finishes immediately; p2 is never spawned.
-        sim.spawn(ProcessId::new(0), |ctx| async move {
-            ctx.pause().await;
-        }).unwrap();
-        sim.spawn(ProcessId::new(1), |ctx| async move {
-            loop { ctx.pause().await; }
-        }).unwrap();
-        let len = sched.len() as u64;
-        let mut src = ScheduleCursor::new(sched.clone());
-        sim.run(&mut src, RunConfig::steps(len)).unwrap();
-        prop_assert_eq!(sim.report().executed.unwrap(), sched);
-    }
-
     /// Crash makes a process permanently idle without disturbing others'
     /// registers.
     #[test]

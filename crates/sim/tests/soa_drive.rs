@@ -1,7 +1,7 @@
 //! Unit tests for the struct-of-arrays replay drive
 //! ([`Sim::run_automata_replay_soa`]): identity to the plain replay on a
 //! purpose-built two-phase machine, the scalar fallback on impure slices,
-//! delegation under recording and stop conditions, and the typed
+//! delegation under stop conditions, and the typed
 //! [`SimError::FleetDriveOnSpawnedSim`] precondition shared by every fleet
 //! drive.
 //!
@@ -25,13 +25,8 @@ fn pid(i: usize) -> ProcessId {
 
 /// Builds a Sim with a shared `m`-word array (seeded with distinct values)
 /// and one `SumScan` per process.
-fn build(n: usize, m: usize, limit: u64, recording: bool) -> (Sim, Vec<Reg<u64>>, Vec<SumScan>) {
-    let u = universe(n);
-    let mut sim = if recording {
-        Sim::with_recording(u, true)
-    } else {
-        Sim::new(u)
-    };
+fn build(n: usize, m: usize, limit: u64) -> (Sim, Vec<Reg<u64>>, Vec<SumScan>) {
+    let mut sim = Sim::new(universe(n));
     // Sequential allocations are contiguous (arena property): the first
     // register is a valid base for offset reads, with distinct seeds.
     let shared: Vec<Reg<u64>> = (0..m)
@@ -86,13 +81,13 @@ fn soa_drive_equals_plain_replay() {
     ];
     for (name, sched) in &schedules {
         let plain = {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             sim.run_automata_replay(&mut fleet, sched, RunConfig::steps(1_000))
                 .unwrap();
             observe(&sim, &outs)
         };
         for slice_len in [1usize, 2, 7, 64, 2_000] {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             sim.run_automata_replay_soa_batched(
                 &mut fleet,
                 sched,
@@ -127,13 +122,13 @@ fn soa_uniform_slice_fast_path_equals_plain_replay() {
     let sched =
         Schedule::from_indices(blocks.iter().flat_map(|&(p, len)| (0..len).map(move |_| p)));
     let plain = {
-        let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+        let (mut sim, outs, mut fleet) = build(n, m, limit);
         sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(200))
             .unwrap();
         observe(&sim, &outs)
     };
     for slice_len in [1usize, 4, 8, 64, 512] {
-        let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+        let (mut sim, outs, mut fleet) = build(n, m, limit);
         sim.run_automata_replay_soa_batched(&mut fleet, &sched, slice_len, RunConfig::steps(200))
             .unwrap();
         assert_eq!(
@@ -152,7 +147,7 @@ fn soa_probe_steps_match_plain() {
     let (n, m) = (2usize, 4usize);
     let sched = Schedule::from_indices((0..40).map(|s| s % n));
     let probes = |soa: bool| {
-        let (mut sim, _outs, mut fleet) = build(n, m, 3, false);
+        let (mut sim, _outs, mut fleet) = build(n, m, 3);
         if soa {
             sim.run_automata_replay_soa_batched(&mut fleet, &sched, 8, RunConfig::steps(40))
                 .unwrap();
@@ -167,29 +162,12 @@ fn soa_probe_steps_match_plain() {
     assert_eq!(plain, probes(true));
 }
 
-/// With recording enabled the SoA drive delegates to the plain replay:
-/// the `executed` schedule is recorded and everything stays identical.
-#[test]
-fn soa_drive_records_when_recording() {
-    let n = 3;
-    let sched = Schedule::from_indices((0..90).map(|s| s % n));
-    let (mut sim, outs, mut fleet) = build(n, 5, 2, true);
-    sim.run_automata_replay_soa_batched(&mut fleet, &sched, 16, RunConfig::steps(90))
-        .unwrap();
-    let rep = sim.report();
-    assert_eq!(rep.executed.as_ref().map(|e| e.len()), Some(90));
-    let (mut psim, pouts, mut pfleet) = build(n, 5, 2, true);
-    psim.run_automata_replay(&mut pfleet, &sched, RunConfig::steps(90))
-        .unwrap();
-    assert_eq!(observe(&psim, &pouts), observe(&sim, &outs));
-}
-
 /// A stop condition also routes through the delegating path and is honored.
 #[test]
 fn soa_drive_honors_stop_conditions() {
     let n = 2;
     let sched = Schedule::from_indices(vec![0usize; 200]);
-    let (mut sim, _outs, mut fleet) = build(n, 3, 2, false);
+    let (mut sim, _outs, mut fleet) = build(n, 3, 2);
     let status = sim
         .run_automata_replay_soa_batched(
             &mut fleet,
@@ -334,7 +312,7 @@ fn soa_interleaved_fast_path_equals_plain_replay() {
     ];
     for (name, sched) in &schedules {
         let plain = {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             sim.run_automata_replay(&mut fleet, sched, RunConfig::steps(1_000))
                 .unwrap();
             observe(&sim, &outs)
@@ -342,7 +320,7 @@ fn soa_interleaved_fast_path_equals_plain_replay() {
         // 5·n and 64: slice aligned and misaligned with the period; n
         // itself: one period per slice (strided runs of length 1).
         for slice_len in [n, 5 * n, 64, 1_000] {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             sim.run_automata_replay_soa_batched(
                 &mut fleet,
                 sched,
@@ -398,13 +376,13 @@ fn soa_delegation_threshold_preserves_identity() {
         let sched = Schedule::from_indices((0..n * 40).map(|s| s % n));
         let steps = (n * 40) as u64;
         let plain = {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(steps))
                 .unwrap();
             observe(&sim, &outs)
         };
         for batched in [false, true] {
-            let (mut sim, outs, mut fleet) = build(n, m, limit, false);
+            let (mut sim, outs, mut fleet) = build(n, m, limit);
             if batched {
                 sim.run_automata_replay_soa_batched(
                     &mut fleet,

@@ -7,7 +7,6 @@ use set_timeliness::agreement::{drive_adversarially, AgreementStack};
 use set_timeliness::core::{
     matching_system, solvability, AgreementTask, ProcSet, ProcessId, SystemSpec, Value,
 };
-use set_timeliness::fd::TimeoutPolicy;
 use set_timeliness::sched::{SeededRandom, SetTimely};
 
 fn inputs(n: usize) -> Vec<Value> {
@@ -70,7 +69,7 @@ fn run_level_separation_stronger_resilience() {
 
     // Impossibility: (2,1,3) in S^1_{2,3} — j − i = 1 < t + 1 − k = 2.
     let harder = AgreementTask::new(2, 1, n).unwrap();
-    let stack = AgreementStack::build_full(harder, &inputs(n), TimeoutPolicy::Increment, true);
+    let stack = AgreementStack::build(harder, &inputs(n));
     let crashed = ProcSet::from_indices([2]); // j − i = 1 fictitious crash
     let p_i = ProcSet::from_indices([0]);
     let adv = drive_adversarially(stack, 800_000, crashed, Some((p_i, p_i.union(crashed))));
@@ -103,7 +102,7 @@ fn run_level_separation_stronger_agreement() {
     // (2,1,4) in S^2_{3,4}: i = 2 > k = 1 → freezer adversary, no
     // pre-crashes; certificate: the 2-set {p0,p1} stays timely.
     let harder = AgreementTask::new(2, 1, n).unwrap();
-    let stack = AgreementStack::build_full(harder, &inputs(n), TimeoutPolicy::Increment, true);
+    let stack = AgreementStack::build(harder, &inputs(n));
     let witness = ProcSet::from_indices([0, 1]);
     let full = ProcSet::full(harder.universe());
     let adv = drive_adversarially(stack, 800_000, ProcSet::EMPTY, Some((witness, full)));
