@@ -97,12 +97,9 @@ fn danger_set(kset: &KSetAgreement, memory: &Memory) -> ProcSet {
 /// # Panics
 ///
 /// Panics if the stack is not the FD + k-parallel-Paxos stack (the trivial
-/// algorithm is asynchronously live; no schedule defeats it), if every
-/// process is precrashed, or if the stack was built on
-/// [`StackAbi::Async`](crate::StackAbi::Async) (the adversary reads the
-/// arena the step kernel holds; see [`st_sim::Sim::run_adaptive`]). A
-/// decoded `AdversarialAgreement` spec is checked for the first two before
-/// it gets here (`st_campaign::store::decode_scenario`).
+/// algorithm is asynchronously live; no schedule defeats it) or if every
+/// process is precrashed. A decoded `AdversarialAgreement` spec is checked
+/// for both before it gets here (`st_campaign::store::decode_scenario`).
 pub fn drive_adversarially(
     mut stack: AgreementStack,
     budget: u64,
@@ -161,7 +158,7 @@ pub fn drive_adversarially(
             }
             chosen
         })
-        .expect("the adversary schedules runnable processes of a machine-ABI stack");
+        .expect("the adversary schedules runnable processes of the task universe");
 
     let run = stack.snapshot(RunStatus::MaxSteps, precrashed);
     AdversarialRun {

@@ -25,18 +25,14 @@ pub enum StackKind {
     Trivial,
 }
 
-/// Which simulator ABI the FD + k-parallel-Paxos stack runs on. The two are
-/// observationally identical (enforced by `tests/differential.rs`); the
-/// machine ABI is ≥2× faster per step and is the default. The trivial
-/// `t < k` protocol always runs async (it is a handful of steps per
-/// process; nothing to win).
+/// Which simulator ABI the stack runs on. There is one: every protocol is
+/// an automaton in a slot. The type stays for
+/// [`build_abi`](AgreementStack::build_abi)'s callers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StackAbi {
-    /// Async `ProcessCtx` protocols in future slots.
-    Async,
-    /// [`KSetAgreementMachine`](crate::KSetAgreementMachine) state
-    /// machines in automaton slots — the
-    /// fast path E3/E4 run on.
+    /// [`KSetAgreementMachine`](crate::KSetAgreementMachine) (or, for
+    /// `t < k`, [`TrivialMachine`](crate::TrivialMachine)) state machines
+    /// in automaton slots.
     #[default]
     Machine,
 }
@@ -67,7 +63,6 @@ pub struct AgreementStack {
     task: AgreementTask,
     inputs: Vec<Value>,
     kind: StackKind,
-    abi: StackAbi,
     fd: Option<KAntiOmega>,
     kset: Option<KSetAgreement>,
 }
@@ -125,15 +120,11 @@ impl AgreementStack {
         Self::build_abi(task, inputs, policy, false, StackAbi::default())
     }
 
-    /// Builds a stack on an explicit simulator ABI — [`StackAbi::Async`]
-    /// keeps the FD + k-parallel-Paxos processes on the `ProcessCtx` poll
-    /// path (differential testing, debugging with paper-shaped code);
-    /// [`StackAbi::Machine`] (the default everywhere else) spawns one
-    /// [`KSetAgreementMachine`](crate::KSetAgreementMachine) per process.
-    ///
-    /// `record_schedule` must be `false`: the simulator records no
-    /// schedule. The parameter stays until its last caller, the benchmark's
-    /// ladder, drops it.
+    /// [`build_with_policy`](Self::build_with_policy) with two parameters
+    /// that no longer choose anything: [`StackAbi::Machine`] is the only
+    /// ABI, and `record_schedule` must be `false` (the simulator records no
+    /// schedule). Both stay until their last caller, the benchmark's
+    /// ladder, drops them.
     ///
     /// # Panics
     ///
@@ -143,7 +134,7 @@ impl AgreementStack {
         inputs: &[Value],
         policy: TimeoutPolicy,
         record_schedule: bool,
-        abi: StackAbi,
+        _abi: StackAbi,
     ) -> Self {
         assert!(
             !record_schedule,
@@ -153,16 +144,10 @@ impl AgreementStack {
         assert_eq!(inputs.len(), task.n(), "one input per process");
         let universe = task.universe();
         let mut sim = Sim::new(universe);
-        let mut abi = abi;
         let (kind, fd, kset) = if task.is_trivially_solvable() {
-            // The trivial protocol always runs async (nothing to win);
-            // record the *effective* ABI, not the requested one.
-            abi = StackAbi::Async;
             let obj = TrivialAgreement::alloc(&mut sim, task.k());
             for p in universe.processes() {
-                let obj = obj.clone();
-                let proposal = inputs[p.index()];
-                sim.spawn(p, move |ctx| obj.run(ctx, proposal))
+                sim.spawn_automaton(p, obj.machine(inputs[p.index()]))
                     .expect("fresh simulator");
             }
             (StackKind::Trivial, None, None)
@@ -173,19 +158,8 @@ impl AgreementStack {
             );
             let kset = KSetAgreement::alloc(&mut sim, task.k());
             for p in universe.processes() {
-                let proposal = inputs[p.index()];
-                match abi {
-                    StackAbi::Async => {
-                        let fd = fd.clone();
-                        let kset = kset.clone();
-                        sim.spawn(p, move |ctx| kset.run(ctx, fd, proposal))
-                            .expect("fresh simulator");
-                    }
-                    StackAbi::Machine => {
-                        sim.spawn_automaton(p, kset.machine(&fd, proposal))
-                            .expect("fresh simulator");
-                    }
-                }
+                sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
+                    .expect("fresh simulator");
             }
             (StackKind::FdParallelPaxos, Some(fd), Some(kset))
         };
@@ -194,7 +168,6 @@ impl AgreementStack {
             task,
             inputs: inputs.to_vec(),
             kind,
-            abi,
             fd,
             kset,
         }
@@ -203,13 +176,6 @@ impl AgreementStack {
     /// The protocol the stack chose.
     pub fn kind(&self) -> StackKind {
         self.kind
-    }
-
-    /// The simulator ABI the stack **effectively** runs on: for trivial
-    /// (`t < k`) stacks this is always [`StackAbi::Async`] regardless of
-    /// what the builder was asked for.
-    pub fn abi(&self) -> StackAbi {
-        self.abi
     }
 
     /// The FD instance, when the stack uses one (instrumentation).
@@ -240,12 +206,6 @@ impl AgreementStack {
     /// Mutable access to the simulator (advanced instrumentation).
     pub fn sim_mut(&mut self) -> &mut Sim {
         &mut self.sim
-    }
-
-    /// Decomposes the stack into its simulator (for drivers that need to
-    /// own it — clone [`fd`](Self::fd)/[`kset`](Self::kset) first).
-    pub fn into_sim(self) -> Sim {
-        self.sim
     }
 
     /// Packages the current state as a [`StackRun`] without driving further
@@ -294,9 +254,6 @@ mod tests {
         let stack = AgreementStack::build(task, &inputs(4));
         assert_eq!(stack.kind(), StackKind::Trivial);
         assert!(stack.fd().is_none());
-        // Trivial stacks run async whatever ABI was requested: `abi()`
-        // reports the effective one.
-        assert_eq!(stack.abi(), StackAbi::Async);
     }
 
     #[test]
@@ -305,7 +262,6 @@ mod tests {
         let stack = AgreementStack::build(task, &inputs(4));
         assert_eq!(stack.kind(), StackKind::FdParallelPaxos);
         assert!(stack.fd().is_some());
-        assert_eq!(stack.abi(), StackAbi::Machine);
     }
 
     #[test]

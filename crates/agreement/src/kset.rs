@@ -21,10 +21,10 @@
 //! end-to-end.
 
 use st_core::Value;
-use st_fd::{KAntiOmega, KAntiOmegaLocal, KAntiOmegaMachine};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, ProcessCtx, Sim, Status, StepAccess};
+use st_fd::{KAntiOmega, KAntiOmegaMachine};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, Sim, Status, StepAccess};
 
-use crate::paxos::{AttemptOutcome, CoreStep, Paxos, PaxosProposerCore, ProposerState};
+use crate::paxos::{CoreStep, Paxos, PaxosProposerCore};
 
 /// Probe key publishing the instance index a process decided through.
 pub const DECIDED_INSTANCE_PROBE: &str = "decided-instance";
@@ -37,11 +37,8 @@ pub struct KSetAgreement {
 }
 
 impl KSetAgreement {
-    /// Allocates `k` Paxos instances in `sim`. This is the single
-    /// constructor gate for **both** execution ABIs: the async protocol
-    /// ([`run`](Self::run)) and the state machine ([`machine`](Self::machine))
-    /// share the object it allocates, so the `k`-bounds failure mode is
-    /// identical by construction.
+    /// Allocates `k` Paxos instances in `sim`, shared by every process's
+    /// [`machine`](Self::machine).
     ///
     /// # Panics
     ///
@@ -65,69 +62,14 @@ impl KSetAgreement {
         &self.instances
     }
 
-    /// The full per-process protocol: interleaves FD refreshes, decision
-    /// scans, and leader duties until a decision is reached; then records it
-    /// via [`ProcessCtx::decide`] and halts.
-    ///
-    /// `fd` must be a k-anti-Ω instance with the same `k` allocated in the
-    /// same simulator.
-    pub async fn run<const W: usize>(self, ctx: ProcessCtx, fd: KAntiOmega<W>, proposal: Value) {
-        assert_eq!(fd.config().k, self.k(), "FD degree must match");
-        let mut fd_local = fd.local_state();
-        let mut states: Vec<ProposerState> =
-            (0..self.k()).map(|_| ProposerState::default()).collect();
-        loop {
-            if let Some((value, instance)) = self
-                .round(&ctx, &fd, &mut fd_local, &mut states, proposal)
-                .await
-            {
-                ctx.probe(DECIDED_INSTANCE_PROBE, instance as u64);
-                ctx.decide(value);
-                return;
-            }
-        }
-    }
-
-    /// One protocol round: an FD iteration, a decision scan, and one ballot
-    /// attempt per instance this process currently leads. Returns the
-    /// decision when one is reached. Exposed separately so the BG simulation
-    /// can drive the protocol step-by-step.
-    pub async fn round<const W: usize>(
-        &self,
-        ctx: &ProcessCtx,
-        fd: &KAntiOmega<W>,
-        fd_local: &mut KAntiOmegaLocal<W>,
-        states: &mut [ProposerState],
-        proposal: Value,
-    ) -> Option<(Value, usize)> {
-        fd.iterate(ctx, fd_local).await;
-        // Scan for decisions first: adopting is always cheapest.
-        for (r, instance) in self.instances.iter().enumerate() {
-            if let Some(v) = instance.check_decision(ctx).await {
-                return Some((v, r));
-            }
-        }
-        // Lead wherever the current winnerset appoints us.
-        for (r, instance) in self.instances.iter().enumerate() {
-            if fd_local.winnerset.nth(r) == Some(ctx.pid()) {
-                if let AttemptOutcome::Decided(v) =
-                    instance.attempt(ctx, &mut states[r], proposal).await
-                {
-                    return Some((v, r));
-                }
-            }
-        }
-        None
-    }
-
-    /// The full per-process protocol as an explicit state machine on the
-    /// simulator's non-async fast path ([`st_sim::Automaton`]): an embedded
-    /// [`KAntiOmegaMachine`] for the FD iterations, interleaved with the
-    /// decision scan and one machine-ABI Paxos proposer per instance —
-    /// stepping the sub-machines under the same leader-of-instance-`r` rule
-    /// as [`run`](Self::run), one register operation per scheduled step.
-    /// Observationally identical to the async protocol, step for step
-    /// (`tests/differential.rs`).
+    /// The full per-process protocol as an explicit state machine
+    /// ([`st_sim::Automaton`]): rounds of an FD iteration (an embedded
+    /// [`KAntiOmegaMachine`]), a decision scan over the instances (adopting
+    /// is always cheapest), and one ballot attempt on the instance this
+    /// process currently leads — the `r`-th smallest member of its current
+    /// winnerset leads instance `r` — until a decision is reached; then it
+    /// publishes the [`DECIDED_INSTANCE_PROBE`], decides and halts. One
+    /// register operation per scheduled step.
     ///
     /// One machine per process: spawn with
     /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or drive a
@@ -138,11 +80,7 @@ impl KSetAgreement {
     /// # Panics
     ///
     /// Panics with `"FD degree must match"` if `fd`'s `k` differs from this
-    /// object's — the same condition (and message) the async
-    /// [`run`](Self::run) asserts; the machine constructor simply checks it
-    /// at construction instead of at the first step. The `k`-bounds
-    /// conditions of [`alloc`](Self::alloc) hold by construction (both ABIs
-    /// share the allocated object).
+    /// object's.
     pub fn machine<const W: usize>(
         &self,
         fd: &KAntiOmega<W>,
@@ -176,7 +114,7 @@ enum KsetPhase {
     Lead(u32),
 }
 
-/// The k-set agreement protocol on the state-machine ABI. Construct via
+/// The k-set agreement protocol of one process. Construct via
 /// [`KSetAgreement::machine`].
 pub struct KSetAgreementMachine<const W: usize = 1> {
     kset: KSetAgreement,
@@ -206,8 +144,7 @@ impl<const W: usize> Automaton for KSetAgreementMachine<W> {
         match self.phase {
             KsetPhase::Fd => {
                 // One step of Figure 2; at the iteration boundary the next
-                // scheduled step opens the decision scan — exactly where the
-                // async protocol resumes after `fd.iterate(..)` returns.
+                // scheduled step opens the decision scan.
                 self.fd.step(mem);
                 if self.fd.iterations() > self.fd_iterations_seen {
                     self.fd_iterations_seen = self.fd.iterations();
@@ -250,8 +187,8 @@ impl<const W: usize> Automaton for KSetAgreementMachine<W> {
                         Status::Done
                     }
                     CoreStep::Preempted => {
-                        // The async round returns to the FD after a
-                        // preempted attempt (no further instance matches).
+                        // A preempted attempt ends the round (no further
+                        // instance names this process): back to the FD.
                         self.phase = KsetPhase::Fd;
                         Status::Running
                     }
@@ -362,10 +299,7 @@ mod tests {
         let kset = KSetAgreement::alloc(&mut sim, k);
         let inputs: Vec<Value> = (0..n as Value).map(|v| 10 + v).collect();
         for p in u.processes() {
-            let fd = fd.clone();
-            let kset = kset.clone();
-            let proposal = inputs[p.index()];
-            sim.spawn(p, move |ctx| kset.run(ctx, fd, proposal))
+            sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
                 .unwrap();
         }
         let pset: ProcSet = (0..k).map(ProcessId::new).collect();
@@ -396,10 +330,7 @@ mod tests {
             let kset = KSetAgreement::alloc(&mut sim, k);
             let inputs: Vec<Value> = (0..n as Value).collect();
             for p in u.processes() {
-                let fd = fd.clone();
-                let kset = kset.clone();
-                let proposal = inputs[p.index()];
-                sim.spawn(p, move |ctx| kset.run(ctx, fd, proposal))
+                sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
                     .unwrap();
             }
             let mut src = SeededRandom::new(u, seed);
@@ -416,21 +347,19 @@ mod tests {
         }
     }
 
+    /// An FD of a higher degree than the object is refused too.
     #[test]
     #[should_panic(expected = "FD degree must match")]
     fn mismatched_fd_rejected() {
         let u = Universe::new(3).unwrap();
         let mut sim = Sim::new(u);
-        let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 2));
-        let kset = KSetAgreement::alloc(&mut sim, 2);
-        sim.spawn(ProcessId::new(0), move |ctx| kset.run(ctx, fd, 0))
-            .unwrap();
-        sim.step_with(ProcessId::new(0));
+        let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(2, 2));
+        let kset = KSetAgreement::alloc(&mut sim, 1);
+        let _ = kset.machine(&fd, 0);
     }
 
-    /// The machine constructor rejects a mismatched FD with the **same**
-    /// assertion message as the async path — the failure modes of the two
-    /// ABIs are deliberately identical.
+    /// The machine constructor rejects an FD of a lower degree than the
+    /// object, before anything is spawned.
     #[test]
     #[should_panic(expected = "FD degree must match")]
     fn mismatched_fd_rejected_machine() {
@@ -441,9 +370,8 @@ mod tests {
         let _ = kset.machine(&fd, 0);
     }
 
-    /// `alloc` is the single constructor gate for both ABIs: the `k`-bounds
-    /// panic fires with the same message whichever path the caller is
-    /// building toward.
+    /// `alloc` is the constructor gate: the `k`-bounds panic fires with one
+    /// message at either bound.
     #[test]
     fn k_bounds_failure_is_consistent() {
         for bad_k in [0usize, 4] {
@@ -465,8 +393,8 @@ mod tests {
         }
     }
 
-    /// `k == 1` edge (consensus): both ABIs allocate, and the machine stack
-    /// decides a single value under a conforming schedule.
+    /// `k == 1` edge (consensus): the stack allocates and decides a single
+    /// value under a conforming schedule.
     #[test]
     fn k_equals_one_edge() {
         let (n, k, t) = (3usize, 1usize, 1usize);
@@ -494,8 +422,7 @@ mod tests {
         assert_eq!(decided.len(), 1, "consensus: exactly one value");
     }
 
-    /// `k == n` edge: allocation succeeds at the upper bound on both
-    /// constructor paths (the regime is trivially solvable — `t ≤ n−1 < k`
+    /// `k == n` edge: allocation succeeds at the upper bound (the regime is trivially solvable — `t ≤ n−1 < k`
     /// — so the FD composition never arises; Figure 2 itself requires
     /// `k ≤ t ≤ n−1`).
     #[test]

@@ -11,27 +11,24 @@
 //!   for a task, spawns all processes, runs, and checks the outcome with
 //!   the `st-core` checkers.
 //!
-//! # The two execution ABIs
+//! # One form per protocol
 //!
-//! The hot protocols ship in **both simulator ABIs** (see the `st-sim`
-//! crate docs): the async `ProcessCtx` transcriptions above, and explicit
-//! state machines on the executor's non-async fast path —
-//! [`PaxosMachine`] (the proposer's attempt loop, one register operation
-//! per scheduled step) and [`KSetAgreementMachine`] (an embedded
-//! `KAntiOmegaMachine` interleaved with the decision scan and one
-//! machine-ABI Paxos proposer core per instance, under the same
-//! leader-of-instance-`r` rule). The machine ports are held
-//! **observationally identical** to the async transcriptions — same probe
-//! sequences at the same step indices, same decisions, same op counts,
-//! same register footprint — by `tests/differential.rs` on round-robin,
-//! seeded-random, Figure 1, and crash schedules.
+//! Every protocol here is an explicit state machine on the `st-sim`
+//! automaton ABI: [`PaxosMachine`] (the proposer's attempt loop, one
+//! register operation per scheduled step), [`KSetAgreementMachine`] (an
+//! embedded `KAntiOmegaMachine` interleaved with the decision scan and one
+//! Paxos proposer core per instance, under the leader-of-instance-`r`
+//! rule) and [`TrivialMachine`]. The paper-shaped loop transcriptions they
+//! were ported from survive as data: the workspace's
+//! `tests/fixtures/transcription.json` holds their probe sequences,
+//! decisions, op counts and register footprints on round-robin,
+//! seeded-random, Figure 1 and crash schedules, and
+//! `tests/transcription.rs` holds the machines to them step for step.
 //!
-//! [`AgreementStack`] runs the FD + k-parallel-Paxos stack on the machine
-//! ABI by default ([`StackAbi::Machine`]); E3/E4 and the repo benchmark
-//! ride it (`agreement.stack_build_us` and
+//! [`AgreementStack`] spawns one machine per process; E3/E4 and the repo
+//! benchmark ride it (`agreement.stack_build_us` and
 //! `sim.runner.machine_slot_ns_per_step` in `BENCHMARK.json` are its build
-//! and step cost). Build with [`StackAbi::Async`] to keep
-//! paper-shaped async code in the loop (differential testing, debugging).
+//! and step cost).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -47,5 +44,5 @@ pub use adversary::{drive_adversarially, AdversarialRun};
 pub use harness::{AgreementStack, StackAbi, StackKind, StackRun};
 pub use kset::{KSetAgreement, KSetAgreementMachine, DECIDED_INSTANCE_PROBE};
 pub use lean::{LeanConsensus, LeanConsensusMachine};
-pub use paxos::{AttemptOutcome, Paxos, PaxosMachine, PaxosRecord, ProposerState};
-pub use trivial::TrivialAgreement;
+pub use paxos::{Paxos, PaxosMachine, PaxosRecord};
+pub use trivial::{TrivialAgreement, TrivialMachine};

@@ -20,20 +20,16 @@
 //! Ballots are made unique by the rule `b = round · n + pid + 1`, computed
 //! with **checked arithmetic**: ballot uniqueness is the foundation of the
 //! safety argument, so on `u64` exhaustion the proposer panics (documented
-//! on [`Paxos::attempt`]) instead of silently wrapping into a reused ballot.
+//! on [`Paxos::machine`]) instead of silently wrapping into a reused ballot.
 //!
-//! The proposer ships in **both simulator ABIs**: the async transcription
-//! ([`Paxos::attempt`]) and [`PaxosMachine`] — the same attempt loop as an
-//! explicit state machine on the executor's non-async fast path
-//! ([`st_sim::Automaton`]), one register operation per scheduled step. The
-//! two are observationally identical step-for-step;
-//! `tests/differential.rs` enforces it on round-robin, seeded-random,
-//! Figure 1, and crash schedules.
+//! The proposer is [`PaxosMachine`]: the attempt loop as an explicit state
+//! machine ([`st_sim::Automaton`]), one register operation per scheduled
+//! step. It is held step for step to the loop transcription it was ported
+//! from (the workspace's `tests/transcription.rs`, on round-robin,
+//! seeded-random, Figure 1 and crash schedules).
 
 use st_core::Value;
-use st_sim::{
-    Automaton, BatchAccess, Memory, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess,
-};
+use st_sim::{Automaton, BatchAccess, Memory, PhaseBatch, Reg, Sim, Status, StepAccess};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -54,26 +50,6 @@ pub struct Paxos {
     records: Reg<PaxosRecord>,
     pub(crate) decision: Reg<Option<Value>>,
     n: u64,
-}
-
-/// Proposer-local state: the next round and the cached own record (the
-/// record is single-writer, so the cache is always exact).
-#[derive(Clone, Debug, Default)]
-pub struct ProposerState {
-    round: u64,
-    own: PaxosRecord,
-    /// Ballot attempts made (metrics).
-    pub attempts: u64,
-}
-
-/// Result of one ballot attempt.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum AttemptOutcome {
-    /// This attempt chose (or observed) the decision.
-    Decided(Value),
-    /// A higher ballot interfered; the proposer state has been advanced
-    /// past it.
-    Preempted,
 }
 
 impl Paxos {
@@ -99,11 +75,6 @@ impl Paxos {
         self.n as usize
     }
 
-    /// Reads the decision register. **One step.**
-    pub async fn check_decision(&self, ctx: &ProcessCtx) -> Option<Value> {
-        ctx.read(self.decision).await
-    }
-
     /// The ballot of `round` for proposer `me`: `b = round · n + me + 1`.
     ///
     /// # Panics
@@ -125,86 +96,6 @@ impl Paxos {
                     self.n
                 )
             })
-    }
-
-    /// Advances `round` past every round that could have produced a ballot
-    /// ≤ `max_seen` — the preemption rule, shared verbatim by both ABIs.
-    fn advance_round(&self, state: &mut ProposerState, max_seen: u64) {
-        // Saturating: at the top of the round space the next `ballot` call
-        // panics with the documented exhaustion message rather than a bare
-        // arithmetic overflow here.
-        state.round = state.round.max((max_seen / self.n).saturating_add(1));
-    }
-
-    /// Runs one complete ballot as a proposer: decision check, phase 1,
-    /// phase 2, publication. Costs `2 + 2n` steps when uncontended.
-    ///
-    /// On [`AttemptOutcome::Preempted`], `state.round` has been advanced
-    /// beyond every interfering ballot, so a lone repeating proposer always
-    /// eventually decides.
-    pub async fn attempt(
-        &self,
-        ctx: &ProcessCtx,
-        state: &mut ProposerState,
-        proposal: Value,
-    ) -> AttemptOutcome {
-        state.attempts += 1;
-        // Fast path: someone already decided.
-        if let Some(v) = self.check_decision(ctx).await {
-            return AttemptOutcome::Decided(v);
-        }
-
-        let me = ctx.pid().index();
-        let b = self.ballot(state.round, me);
-        state.round += 1;
-
-        // Phase 1: announce the ballot, then look for competition and for
-        // previously accepted values.
-        state.own.mbal = b;
-        ctx.write(self.record(me), state.own).await;
-        let mut max_seen = 0u64;
-        let mut best: Option<(u64, Value)> = state.own.val.map(|v| (state.own.bal, v));
-        for q in 0..self.len() {
-            if q == me {
-                continue;
-            }
-            let rec = ctx.read(self.record(q)).await;
-            max_seen = max_seen.max(rec.mbal);
-            if let Some(v) = rec.val {
-                if best.is_none_or(|(bb, _)| rec.bal > bb) {
-                    best = Some((rec.bal, v));
-                }
-            }
-        }
-        if max_seen > b {
-            self.advance_round(state, max_seen);
-            return AttemptOutcome::Preempted;
-        }
-
-        // Phase 2: accept the safest value and look for competition again.
-        let value = best.map(|(_, v)| v).unwrap_or(proposal);
-        state.own = PaxosRecord {
-            mbal: b,
-            bal: b,
-            val: Some(value),
-        };
-        ctx.write(self.record(me), state.own).await;
-        let mut max_seen = 0u64;
-        for q in 0..self.len() {
-            if q == me {
-                continue;
-            }
-            let rec = ctx.read(self.record(q)).await;
-            max_seen = max_seen.max(rec.mbal);
-        }
-        if max_seen > b {
-            self.advance_round(state, max_seen);
-            return AttemptOutcome::Preempted;
-        }
-
-        // Chosen: publish.
-        ctx.write(self.decision, Some(value)).await;
-        AttemptOutcome::Decided(value)
     }
 
     /// Peeks the decision without a step (instrumentation).
@@ -249,17 +140,19 @@ impl Paxos {
         })
     }
 
-    /// The proposer as an explicit state machine on the simulator's
-    /// non-async fast path: the attempt loop of the async tests (`attempt`
-    /// until decided, then decide and halt) as an [`st_sim::Automaton`].
+    /// The proposer as an explicit state machine ([`st_sim::Automaton`]):
+    /// one complete ballot per attempt — decision check, phase 1, phase 2,
+    /// publication, `2 + 2n` steps when uncontended — repeated until a
+    /// decision is observed or chosen, then decide and halt. After a
+    /// preemption the round has been advanced beyond every interfering
+    /// ballot, so a lone repeating proposer always eventually decides.
     /// Spawn with [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or
-    /// drive as a typed fleet. Observationally identical to the async
-    /// transcription, step for step.
+    /// drive as a typed fleet.
     ///
     /// # Panics
     ///
-    /// Stepping the machine panics on ballot-space exhaustion, exactly as
-    /// the async proposer (see [`attempt`](Self::attempt)).
+    /// Stepping the machine panics when the ballot space is exhausted
+    /// (`round · n + pid + 1` overflows `u64`).
     pub fn machine(&self, proposal: Value) -> PaxosMachine {
         PaxosMachine {
             core: PaxosProposerCore::new(self.clone()),
@@ -272,7 +165,7 @@ impl Paxos {
 /// attempt the next scheduled step performs. Every variant performs exactly
 /// one register operation; the evaluation between phases (ballot choice,
 /// value adoption, preemption checks) runs at the phase boundaries inside
-/// the step that precedes it — exactly where the async transcription runs
+/// the step that precedes it — exactly where the loop transcription ran
 /// it.
 #[derive(Clone, Copy, Debug)]
 enum ProposerPhase {
@@ -308,15 +201,20 @@ pub(crate) enum CoreStep {
 }
 
 /// The single-attempt proposer engine shared by [`PaxosMachine`] and the
-/// k-set agreement machine: one register operation per `step` call,
-/// mirroring [`Paxos::attempt`] operation for operation.
+/// k-set agreement machine: one register operation per `step` call.
 #[derive(Clone, Debug)]
 pub(crate) struct PaxosProposerCore {
     paxos: Paxos,
-    state: ProposerState,
     phase: ProposerPhase,
+    /// The round of the next attempt's ballot.
+    round: u64,
+    /// The own record as last written (it is single-writer, so this cache
+    /// is always exact).
+    own: PaxosRecord,
     /// The current attempt's ballot.
     b: u64,
+    /// Ballot attempts made (metrics).
+    attempts: u64,
 }
 
 /// The next record index to scan after `q`, skipping the proposer's own.
@@ -338,16 +236,17 @@ impl PaxosProposerCore {
     pub(crate) fn new(paxos: Paxos) -> Self {
         PaxosProposerCore {
             paxos,
-            state: ProposerState::default(),
             phase: ProposerPhase::CheckDecision,
+            round: 0,
+            own: PaxosRecord::default(),
             b: 0,
+            attempts: 0,
         }
     }
 
-    /// Ballot attempts made so far (metrics; mirrors
-    /// [`ProposerState::attempts`]).
+    /// Ballot attempts made so far (metrics).
     pub(crate) fn attempts(&self) -> u64 {
-        self.state.attempts
+        self.attempts
     }
 
     /// Executes one step of the current attempt: exactly one register
@@ -358,19 +257,19 @@ impl PaxosProposerCore {
         let n = self.paxos.len();
         match self.phase {
             ProposerPhase::CheckDecision => {
-                self.state.attempts += 1;
+                self.attempts += 1;
                 if let Some(v) = mem.read(self.paxos.decision) {
                     return CoreStep::Decided(v);
                 }
-                self.b = self.paxos.ballot(self.state.round, me);
-                self.state.round += 1;
-                self.state.own.mbal = self.b;
+                self.b = self.paxos.ballot(self.round, me);
+                self.round += 1;
+                self.own.mbal = self.b;
                 self.phase = ProposerPhase::Phase1Write;
                 CoreStep::Busy
             }
             ProposerPhase::Phase1Write => {
-                mem.write(self.paxos.record(me), self.state.own);
-                let best = self.state.own.val.map(|v| (self.state.own.bal, v));
+                mem.write(self.paxos.record(me), self.own);
+                let best = self.own.val.map(|v| (self.own.bal, v));
                 match first_other(me, n) {
                     Some(q) => {
                         self.phase = ProposerPhase::Phase1Read {
@@ -414,7 +313,7 @@ impl PaxosProposerCore {
                 CoreStep::Busy
             }
             ProposerPhase::Phase2Write { value } => {
-                mem.write(self.paxos.record(me), self.state.own);
+                mem.write(self.paxos.record(me), self.own);
                 match first_other(me, n) {
                     Some(q) => {
                         self.phase = ProposerPhase::Phase2Read {
@@ -504,14 +403,14 @@ impl PaxosProposerCore {
         while mem.remaining() > 0 && outcome == CoreStep::Busy {
             match self.phase {
                 ProposerPhase::CheckDecision => {
-                    self.state.attempts += 1;
+                    self.attempts += 1;
                     if let Some(v) = mem.read(self.paxos.decision) {
                         outcome = CoreStep::Decided(v);
                         break;
                     }
-                    self.b = self.paxos.ballot(self.state.round, me);
-                    self.state.round += 1;
-                    self.state.own.mbal = self.b;
+                    self.b = self.paxos.ballot(self.round, me);
+                    self.round += 1;
+                    self.own.mbal = self.b;
                     self.phase = ProposerPhase::Phase1Write;
                 }
                 ProposerPhase::Phase1Read {
@@ -571,7 +470,7 @@ impl PaxosProposerCore {
     /// write: adopt the safest value and stage the accept record.
     fn enter_phase2(&mut self, best: Option<(u64, Value)>, proposal: Value) {
         let value = best.map(|(_, v)| v).unwrap_or(proposal);
-        self.state.own = PaxosRecord {
+        self.own = PaxosRecord {
             mbal: self.b,
             bal: self.b,
             val: Some(value),
@@ -580,7 +479,11 @@ impl PaxosProposerCore {
     }
 
     fn preempt(&mut self, max_seen: u64) -> CoreStep {
-        self.paxos.advance_round(&mut self.state, max_seen);
+        // Past every round that could have produced a ballot ≤ `max_seen`.
+        // Saturating: at the top of the round space the next `ballot` call
+        // panics with the documented exhaustion message rather than a bare
+        // arithmetic overflow here.
+        self.round = self.round.max((max_seen / self.paxos.n).saturating_add(1));
         self.phase = ProposerPhase::CheckDecision;
         CoreStep::Preempted
     }
@@ -653,20 +556,8 @@ mod tests {
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
         for p in u.processes() {
-            let paxos = paxos.clone();
-            sim.spawn(p, move |ctx| async move {
-                let mut state = ProposerState::default();
-                let my_value = 100 + ctx.pid().index() as Value;
-                loop {
-                    if let AttemptOutcome::Decided(v) =
-                        paxos.attempt(&ctx, &mut state, my_value).await
-                    {
-                        ctx.decide(v);
-                        return;
-                    }
-                }
-            })
-            .unwrap();
+            sim.spawn_automaton(p, paxos.machine(100 + p.index() as Value))
+                .unwrap();
         }
         let mut src = ScheduleCursor::new(Schedule::from_indices(schedule));
         sim.run(
@@ -734,27 +625,8 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        {
-            let paxos = paxos.clone();
-            sim.spawn(pid(0), move |ctx| async move {
-                let mut state = ProposerState::default();
-                let _ = paxos.attempt(&ctx, &mut state, 100).await;
-            })
-            .unwrap();
-        }
-        {
-            let paxos = paxos.clone();
-            sim.spawn(pid(1), move |ctx| async move {
-                let mut state = ProposerState::default();
-                loop {
-                    if let AttemptOutcome::Decided(v) = paxos.attempt(&ctx, &mut state, 101).await {
-                        ctx.decide(v);
-                        return;
-                    }
-                }
-            })
-            .unwrap();
-        }
+        sim.spawn_automaton(pid(0), paxos.machine(100)).unwrap();
+        sim.spawn_automaton(pid(1), paxos.machine(101)).unwrap();
         // p0: decision check (1) + phase1 write (1) + read other (1) +
         // phase2 write (1) = 4 steps, then crash (stop scheduling).
         let sched: Vec<usize> = [0usize, 0, 0, 0]
@@ -772,32 +644,12 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "ballot space exhausted")]
-    fn ballot_overflow_panics_async() {
-        let u = Universe::new(2).unwrap();
-        let mut sim = Sim::new(u);
-        let paxos = Paxos::alloc(&mut sim, "px");
-        sim.spawn(pid(0), move |ctx| async move {
-            // round · n overflows u64
-            let mut state = ProposerState {
-                round: u64::MAX / 2 + 1,
-                ..Default::default()
-            };
-            let _ = paxos.attempt(&ctx, &mut state, 1).await;
-        })
-        .unwrap();
-        // The decision check consumes the step; the ballot is computed (and
-        // panics) in the same poll.
-        sim.step_with(pid(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "ballot space exhausted")]
     fn ballot_overflow_panics_machine() {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
         let mut machine = paxos.machine(1);
-        machine.core.state.round = u64::MAX / 2 + 1;
+        machine.core.round = u64::MAX / 2 + 1;
         sim.spawn_automaton(pid(0), machine).unwrap();
         sim.step_with(pid(0));
     }
@@ -809,22 +661,16 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        let paxos2 = paxos.clone();
-        sim.spawn(pid(0), move |ctx| async move {
-            let mut state = ProposerState {
-                round: (u64::MAX - 1) / 2,
-                ..Default::default()
-            };
-            let _ = paxos2.attempt(&ctx, &mut state, 1).await;
-        })
-        .unwrap();
+        let mut machine = paxos.machine(1);
+        machine.core.round = (u64::MAX - 1) / 2;
+        sim.spawn_automaton(pid(0), machine).unwrap();
         sim.step_with(pid(0)); // decision check
         sim.step_with(pid(0)); // phase-1 announce
         assert_eq!(paxos.peek_records(&sim)[0].mbal, u64::MAX);
     }
 
-    /// The machine proposer decides its own value when running solo —
-    /// the machine twin of `solo_proposer_decides_own_value`.
+    /// The proposer decides its own value when running solo, in one
+    /// attempt, on the fleet drive too.
     #[test]
     fn machine_solo_proposer_decides_own_value() {
         let u = Universe::new(3).unwrap();

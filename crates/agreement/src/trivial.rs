@@ -9,7 +9,7 @@
 //! always appears.
 
 use st_core::Value;
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{Automaton, Reg, Sim, Status, StepAccess};
 
 /// The trivial `t < k` agreement object. Clone into each process.
 #[derive(Clone, Debug)]
@@ -40,21 +40,46 @@ impl TrivialAgreement {
         self.published.len()
     }
 
-    /// The per-process protocol: publishers decide in one step; adopters
-    /// poll the publication registers.
-    pub async fn run(self, ctx: ProcessCtx, proposal: Value) {
-        let me = ctx.pid().index();
-        if me < self.published.len() {
-            ctx.write(self.published[me], Some(proposal)).await;
-            ctx.decide(proposal);
-            return;
+    /// The per-process protocol as an explicit state machine: publishers
+    /// publish and decide in one step; adopters poll the publication
+    /// registers round-robin from the first and decide the first value
+    /// they see.
+    pub fn machine(&self, proposal: Value) -> TrivialMachine {
+        TrivialMachine {
+            object: self.clone(),
+            proposal,
+            scan: 0,
         }
-        loop {
-            for &reg in &self.published {
-                if let Some(v) = ctx.read(reg).await {
-                    ctx.decide(v);
-                    return;
-                }
+    }
+}
+
+/// One process of [`TrivialAgreement`] ([`st_sim::Automaton`]).
+/// Construct via [`TrivialAgreement::machine`].
+#[derive(Clone, Debug)]
+pub struct TrivialMachine {
+    object: TrivialAgreement,
+    proposal: Value,
+    /// The publication register an adopter reads next.
+    scan: usize,
+}
+
+impl Automaton for TrivialMachine {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        let published = &self.object.published;
+        let me = mem.pid().index();
+        if me < published.len() {
+            mem.write(published[me], Some(self.proposal));
+            mem.decide(self.proposal);
+            return Status::Done;
+        }
+        match mem.read(published[self.scan]) {
+            Some(v) => {
+                mem.decide(v);
+                Status::Done
+            }
+            None => {
+                self.scan = (self.scan + 1) % published.len();
+                Status::Running
             }
         }
     }
@@ -79,9 +104,8 @@ mod tests {
         let obj = TrivialAgreement::alloc(&mut sim, k);
         let inputs: Vec<Value> = (0..n as Value).map(|v| 50 + v).collect();
         for p in u.processes() {
-            let obj = obj.clone();
-            let proposal = inputs[p.index()];
-            sim.spawn(p, move |ctx| obj.run(ctx, proposal)).unwrap();
+            sim.spawn_automaton(p, obj.machine(inputs[p.index()]))
+                .unwrap();
         }
         let plan = CrashPlan::all_at(crashed, 0);
         let mut src = CrashAfter::new(SeededRandom::new(u, seed), plan);

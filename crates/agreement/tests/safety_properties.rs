@@ -2,7 +2,7 @@
 //! and adversarial drivers — the unconditional half of the paper's claims.
 
 use proptest::prelude::*;
-use st_agreement::{drive_adversarially, AgreementStack, AttemptOutcome, Paxos, ProposerState};
+use st_agreement::{drive_adversarially, AgreementStack, Paxos};
 use st_core::{AgreementTask, ProcSet, Schedule, ScheduleCursor, Universe, Value};
 use st_sched::{CrashAfter, CrashPlan, SeededRandom};
 use st_sim::{RunConfig, Sim, StopWhen};
@@ -25,17 +25,7 @@ proptest! {
         let mut sim = Sim::new(u);
         let px = Paxos::alloc(&mut sim, "px");
         for p in u.processes() {
-            let px = px.clone();
-            let proposal = 100 + p.index() as Value;
-            sim.spawn(p, move |ctx| async move {
-                let mut state = ProposerState::default();
-                loop {
-                    if let AttemptOutcome::Decided(v) = px.attempt(&ctx, &mut state, proposal).await {
-                        ctx.decide(v);
-                        return;
-                    }
-                }
-            }).unwrap();
+            sim.spawn_automaton(p, px.machine(100 + p.index() as Value)).unwrap();
         }
         let mut src = ScheduleCursor::new(sched);
         sim.run(&mut src, RunConfig::steps(2000).stop_when(StopWhen::AllDecided(ProcSet::full(u)))).unwrap();

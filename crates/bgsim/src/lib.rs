@@ -8,13 +8,14 @@
 //!
 //! - [`SafeAgreement`] — the Borowsky–Gafni object whose constant-length
 //!   unsafe zone is the reason one crashed simulator blocks at most one
-//!   simulated process;
+//!   simulated process; its propose and resolve are
+//!   [`SafeAgreementCall`] phases;
 //! - [`StepMachine`] / [`SimOp`] — deterministic simulated automata over
 //!   single-writer-cell memory (with [`TrivialKDecide`] and [`FloodMin`] as
 //!   concrete algorithms);
-//! - [`BgSimulation`] — the simulation driver (versioned cell copies,
-//!   per-read safe agreement, round-robin simulated scheduling, decision
-//!   adoption);
+//! - [`BgSimulation`] / [`BgSimulator`] — the simulation's shared registers
+//!   and the simulator automaton (versioned cell copies, per-read safe
+//!   agreement, round-robin simulated scheduling, decision adoption);
 //! - [`run_reduction`] — the packaged Theorem 26 experiment.
 
 #![forbid(unsafe_code)]
@@ -27,5 +28,5 @@ mod simulate;
 
 pub use machine::{FloodMin, SimOp, StepMachine, TrivialKDecide};
 pub use reduction::{run_reduction, ReductionReport};
-pub use safe_agreement::{Resolution, SafeAgreement};
-pub use simulate::{BgSimulation, SIM_STEP_PROBE};
+pub use safe_agreement::{CallStep, Resolution, SafeAgreement, SafeAgreementCall};
+pub use simulate::{BgSimulation, BgSimulator, SIM_STEP_PROBE};

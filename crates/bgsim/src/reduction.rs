@@ -77,8 +77,7 @@ where
     let mut sim = Sim::new(universe);
     let bg = BgSimulation::alloc(&mut sim, machines, max_reads);
     for s in universe.processes() {
-        let bg = bg.clone();
-        sim.spawn(s, move |ctx| bg.run_simulator(ctx))
+        sim.spawn_automaton(s, bg.simulator())
             .expect("fresh simulator");
     }
     let status = sim

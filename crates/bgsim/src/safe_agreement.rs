@@ -13,12 +13,15 @@
 //! - `propose(v)`: `V[me] ← v`; `L[me] ← 1` *(unsafe zone begins)*; read all
 //!   levels; if some `L[j] = 2` then `L[me] ← 0` else `L[me] ← 2` *(unsafe
 //!   zone ends)*.
-//! - `try_resolve()`: read all levels; if some `L[j] = 1`, the object is
+//! - `resolve()`: read all levels; if some `L[j] = 1`, the object is
 //!   **unresolved** (a proposer is in its unsafe zone — possibly crashed
 //!   there); otherwise return `V[j]` for the smallest `j` with `L[j] = 2`.
+//!
+//! Both are [`SafeAgreementCall`]s: one phase per register operation, driven
+//! a step at a time by the automaton that makes the call.
 
 use st_core::Value;
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{Reg, Sim, StepAccess};
 
 /// A single-shot safe-agreement object among `width` proposers
 /// (the simulators). Clone into each simulator.
@@ -52,49 +55,6 @@ impl SafeAgreement {
         SafeAgreement { values, levels }
     }
 
-    /// Number of proposer slots.
-    pub fn width(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Proposes `v` (call at most once per simulator per object).
-    ///
-    /// **`2 + width + 1` steps**, of which the *unsafe zone* — between the
-    /// `L[me] ← 1` write and the final level write — spans `width + 1`
-    /// steps; crashing there may block the object forever.
-    pub async fn propose(&self, ctx: &ProcessCtx, v: Value) {
-        let me = ctx.pid().index();
-        ctx.write(self.values[me], Some(v)).await;
-        ctx.write(self.levels[me], 1).await;
-        let mut saw_two = false;
-        for &l in &self.levels {
-            if ctx.read(l).await == 2 {
-                saw_two = true;
-            }
-        }
-        ctx.write(self.levels[me], if saw_two { 0 } else { 2 })
-            .await;
-    }
-
-    /// One non-blocking resolution scan. **`width` steps**, plus up to
-    /// `width` value reads when resolvable.
-    pub async fn try_resolve(&self, ctx: &ProcessCtx) -> Resolution {
-        let mut levels = Vec::with_capacity(self.levels.len());
-        for &l in &self.levels {
-            levels.push(ctx.read(l).await);
-        }
-        if levels.contains(&1) {
-            return Resolution::Unresolved;
-        }
-        for (j, &l) in levels.iter().enumerate() {
-            if l == 2 {
-                let v = ctx.read(self.values[j]).await;
-                return Resolution::Agreed(v.expect("level 2 implies a proposed value"));
-            }
-        }
-        Resolution::Empty
-    }
-
     /// Whether the object looks blocked right now (instrumentation):
     /// someone at level 1, nobody at level 2 pending... simply: a level-1
     /// entry exists.
@@ -103,14 +63,174 @@ impl SafeAgreement {
     }
 }
 
+/// One call on a [`SafeAgreement`] in progress: a proposal
+/// ([`propose`](Self::propose), **`2 + width + 1` steps**, of which the
+/// *unsafe zone* — between the `L[me] ← 1` write and the final level
+/// write — spans `width + 1`; crashing there may block the object forever)
+/// or a non-blocking resolution scan ([`resolve`](Self::resolve),
+/// **`width` steps**, plus one value read when resolvable). Drive it with
+/// [`step`](Self::step) from an automaton, one call per scheduled step.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SafeAgreementCall(Phase);
+
+/// The register operation a call's next step performs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Phase {
+    /// `V[me] ← v`.
+    WriteValue(Value),
+    /// `L[me] ← 1`: the unsafe zone begins.
+    RaiseLevel,
+    /// Read `L[j]` — the proposal's scan or the resolution's — noting
+    /// whether some level was 1 and the smallest proposer at level 2.
+    Scan {
+        proposing: bool,
+        j: usize,
+        saw_one: bool,
+        first_two: Option<usize>,
+    },
+    /// `L[me] ← 0` if some level was 2, else `2`: the unsafe zone ends.
+    SettleLevel(u64),
+    /// Read `V[j]` of the smallest proposer `j` at level 2.
+    ReadValue(usize),
+}
+
+/// What one step of a [`SafeAgreementCall`] produced.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum CallStep {
+    /// The call has more steps to take.
+    Busy,
+    /// The proposal completed with this step.
+    Proposed,
+    /// The resolution scan completed with this step.
+    Resolved(Resolution),
+}
+
+/// The first step of a level scan.
+fn scan(proposing: bool) -> Phase {
+    Phase::Scan {
+        proposing,
+        j: 0,
+        saw_one: false,
+        first_two: None,
+    }
+}
+
+impl SafeAgreementCall {
+    /// A proposal of `v` (make at most one per simulator per object).
+    pub fn propose(v: Value) -> Self {
+        SafeAgreementCall(Phase::WriteValue(v))
+    }
+
+    /// A resolution scan.
+    pub fn resolve() -> Self {
+        SafeAgreementCall(scan(false))
+    }
+
+    /// Performs the call's next register operation on `object` — one
+    /// step — and advances the call past it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a level-2 proposer's value register is empty (the object
+    /// was written by something other than these calls).
+    pub fn step(&mut self, object: &SafeAgreement, mem: &mut StepAccess<'_>) -> CallStep {
+        let me = mem.pid().index();
+        self.0 = match self.0 {
+            Phase::WriteValue(v) => {
+                mem.write(object.values[me], Some(v));
+                Phase::RaiseLevel
+            }
+            Phase::RaiseLevel => {
+                mem.write(object.levels[me], 1);
+                scan(true)
+            }
+            Phase::Scan {
+                proposing,
+                j,
+                saw_one,
+                first_two,
+            } => {
+                let level = mem.read(object.levels[j]);
+                let saw_one = saw_one || level == 1;
+                let first_two = first_two.or((level == 2).then_some(j));
+                match first_two {
+                    _ if j + 1 < object.levels.len() => Phase::Scan {
+                        proposing,
+                        j: j + 1,
+                        saw_one,
+                        first_two,
+                    },
+                    _ if proposing => Phase::SettleLevel(if first_two.is_some() { 0 } else { 2 }),
+                    _ if saw_one => return CallStep::Resolved(Resolution::Unresolved),
+                    Some(j) => Phase::ReadValue(j),
+                    None => return CallStep::Resolved(Resolution::Empty),
+                }
+            }
+            Phase::SettleLevel(level) => {
+                mem.write(object.levels[me], level);
+                return CallStep::Proposed;
+            }
+            Phase::ReadValue(j) => {
+                let v = mem.read(object.values[j]);
+                let v = v.expect("level 2 implies a proposed value");
+                return CallStep::Resolved(Resolution::Agreed(v));
+            }
+        };
+        CallStep::Busy
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-    use st_sim::{RunConfig, StopWhen};
+    use st_sim::{Automaton, RunConfig, Status, StopWhen};
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    /// Proposes, then scans until the object resolves to a value, which it
+    /// decides — pausing one step after each scan that did not, if asked.
+    struct Proposer {
+        object: SafeAgreement,
+        call: SafeAgreementCall,
+        pause_after_miss: bool,
+        pausing: bool,
+    }
+
+    impl Proposer {
+        fn new(object: &SafeAgreement, v: Value, pause_after_miss: bool) -> Self {
+            Proposer {
+                object: object.clone(),
+                call: SafeAgreementCall::propose(v),
+                pause_after_miss,
+                pausing: false,
+            }
+        }
+    }
+
+    impl Automaton for Proposer {
+        fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+            if self.pausing {
+                self.pausing = false;
+                mem.pause();
+                return Status::Running;
+            }
+            match self.call.step(&self.object, mem) {
+                CallStep::Busy => {}
+                CallStep::Proposed => self.call = SafeAgreementCall::resolve(),
+                CallStep::Resolved(Resolution::Agreed(w)) => {
+                    mem.decide(w);
+                    return Status::Done;
+                }
+                CallStep::Resolved(_) => {
+                    self.call = SafeAgreementCall::resolve();
+                    self.pausing = self.pause_after_miss;
+                }
+            }
+            Status::Running
+        }
     }
 
     /// All proposers complete: agreement and validity hold under arbitrary
@@ -123,21 +243,8 @@ mod tests {
             let mut sim = Sim::new(u);
             let sa = SafeAgreement::alloc(&mut sim, "sa", width);
             for p in u.processes() {
-                let sa = sa.clone();
                 let v = 100 + p.index() as Value;
-                sim.spawn(p, move |ctx| async move {
-                    sa.propose(&ctx, v).await;
-                    loop {
-                        match sa.try_resolve(&ctx).await {
-                            Resolution::Agreed(w) => {
-                                ctx.decide(w);
-                                return;
-                            }
-                            _ => ctx.pause().await,
-                        }
-                    }
-                })
-                .unwrap();
+                sim.spawn_automaton(p, Proposer::new(&sa, v, true)).unwrap();
             }
             let sched: Vec<usize> = (0..2000)
                 .map(|i| {
@@ -174,26 +281,10 @@ mod tests {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        {
-            let sa = sa.clone();
-            sim.spawn(pid(0), move |ctx| async move {
-                sa.propose(&ctx, 7).await;
-            })
+        sim.spawn_automaton(pid(0), Proposer::new(&sa, 7, false))
             .unwrap();
-        }
-        {
-            let sa = sa.clone();
-            sim.spawn(pid(1), move |ctx| async move {
-                sa.propose(&ctx, 8).await;
-                loop {
-                    if let Resolution::Agreed(w) = sa.try_resolve(&ctx).await {
-                        ctx.decide(w);
-                        return;
-                    }
-                }
-            })
+        sim.spawn_automaton(pid(1), Proposer::new(&sa, 8, false))
             .unwrap();
-        }
         // p0 takes exactly 2 steps: V write + L←1 write — then crashes *in*
         // the unsafe zone. p1 runs alone forever after.
         let sched: Vec<usize> = [0usize, 0]
@@ -216,19 +307,8 @@ mod tests {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        {
-            let sa = sa.clone();
-            sim.spawn(pid(1), move |ctx| async move {
-                sa.propose(&ctx, 9).await;
-                loop {
-                    if let Resolution::Agreed(w) = sa.try_resolve(&ctx).await {
-                        ctx.decide(w);
-                        return;
-                    }
-                }
-            })
+        sim.spawn_automaton(pid(1), Proposer::new(&sa, 9, false))
             .unwrap();
-        }
         // p0 never runs at all.
         let sched: Vec<usize> = std::iter::repeat_n(1, 200).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
@@ -238,20 +318,24 @@ mod tests {
 
     #[test]
     fn empty_object_reports_empty() {
+        /// One resolution scan; decides 1 if it found the object empty.
+        struct ScanOnce(SafeAgreement, SafeAgreementCall);
+        impl Automaton for ScanOnce {
+            fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+                match self.1.step(&self.0, mem) {
+                    CallStep::Resolved(r) => {
+                        mem.decide(u64::from(r == Resolution::Empty));
+                        Status::Done
+                    }
+                    _ => Status::Running,
+                }
+            }
+        }
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", 2);
-        {
-            let sa = sa.clone();
-            sim.spawn(pid(0), move |ctx| async move {
-                let r = sa.try_resolve(&ctx).await;
-                ctx.decide(match r {
-                    Resolution::Empty => 1,
-                    _ => 0,
-                });
-            })
+        sim.spawn_automaton(pid(0), ScanOnce(sa, SafeAgreementCall::resolve()))
             .unwrap();
-        }
         let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; 10]));
         sim.run(&mut src, RunConfig::steps(10)).unwrap();
         assert_eq!(sim.report().decision_value(pid(0)), Some(1));

@@ -22,12 +22,16 @@
 //!   register (idempotent: all simulators compute the same value), and every
 //!   simulator adopts the first simulated decision it encounters — the
 //!   adoption rule of the reduction.
+//!
+//! A simulator is a [`BgSimulator`]: the loop above as an explicit state
+//! machine, one phase per register operation, with the safe-agreement
+//! proposal and resolution as [`SafeAgreementCall`] phases.
 
-use st_core::{ProcSet, Schedule, Value};
-use st_sim::{ProcessCtx, Reg, RunReport, Sim};
+use st_core::{Schedule, Value};
+use st_sim::{Automaton, Reg, RunReport, Sim, Status, StepAccess};
 
 use crate::machine::{SimOp, StepMachine};
-use crate::safe_agreement::{Resolution, SafeAgreement};
+use crate::safe_agreement::{CallStep, Resolution, SafeAgreement, SafeAgreementCall};
 
 /// Probe key: one event per simulated step a simulator completes; the value
 /// is the simulated process index. Reconstructing the timeline of one
@@ -113,89 +117,23 @@ impl<M: StepMachine + Clone + 'static> BgSimulation<M> {
         self.decisions.iter().map(|&d| sim.peek(d)).collect()
     }
 
-    /// The simulator automaton: runs its copies of all machines to
-    /// completion (or forever, if blocked), adopting the first simulated
-    /// decision as its own.
-    pub async fn run_simulator(self, ctx: ProcessCtx) {
-        let me = ctx.pid().index();
+    /// The simulator automaton of one host process: runs its copies of all
+    /// machines to completion (or forever, if blocked), adopting the first
+    /// simulated decision as its own. Spawn one per simulator with
+    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton).
+    pub fn simulator(&self) -> BgSimulator<M> {
         let n_sim = self.machines.len();
-        let mut machines = self.machines.clone();
-        let mut versions = vec![0u64; n_sim];
-        let mut read_idx = vec![0usize; n_sim];
-        let mut proposed = vec![false; n_sim];
-        let mut halted = vec![false; n_sim];
-        let mut round = 0usize;
-
-        loop {
-            // Adoption sweep: one decision register per round.
-            if !ctx.has_decided() {
-                if let Some(v) = ctx.read(self.decisions[round % n_sim]).await {
-                    ctx.decide(v);
-                }
-            }
-
-            let mut all_done = true;
-            for u in 0..n_sim {
-                if halted[u] {
-                    continue;
-                }
-                all_done = false;
-                match machines[u].pending() {
-                    SimOp::Update(v) => {
-                        versions[u] += 1;
-                        ctx.write(self.cells[u][me], (versions[u], Some(v))).await;
-                        machines[u].advance(None);
-                        ctx.probe(SIM_STEP_PROBE, u as u64);
-                    }
-                    SimOp::ReadCell(w) => {
-                        if read_idx[u] >= self.max_reads {
-                            // Read budget exhausted: treat as stalled.
-                            halted[u] = true;
-                            continue;
-                        }
-                        let object = &self.agreements[u][read_idx[u]];
-                        if !proposed[u] {
-                            // My view of w's cell: max version over copies.
-                            let mut best: CellCopy = (0, None);
-                            for &copy in &self.cells[w] {
-                                let c = ctx.read(copy).await;
-                                if c.0 > best.0 {
-                                    best = c;
-                                }
-                            }
-                            object.propose(&ctx, encode(best.1)).await;
-                            proposed[u] = true;
-                        }
-                        match object.try_resolve(&ctx).await {
-                            Resolution::Agreed(enc) => {
-                                machines[u].advance(Some(decode(enc)));
-                                read_idx[u] += 1;
-                                proposed[u] = false;
-                                ctx.probe(SIM_STEP_PROBE, u as u64);
-                            }
-                            Resolution::Unresolved | Resolution::Empty => {
-                                // Blocked (possibly by a crashed simulator's
-                                // unsafe zone): skip, retry next round.
-                            }
-                        }
-                    }
-                    SimOp::Decide(v) => {
-                        ctx.write(self.decisions[u], Some(v)).await;
-                        if !ctx.has_decided() {
-                            ctx.decide(v);
-                        }
-                        machines[u].advance(None);
-                        ctx.probe(SIM_STEP_PROBE, u as u64);
-                    }
-                    SimOp::Halt => {
-                        halted[u] = true;
-                    }
-                }
-            }
-            if all_done {
-                return;
-            }
-            round += 1;
+        BgSimulator {
+            bg: self.clone(),
+            machines: self.machines.clone(),
+            versions: vec![0; n_sim],
+            read_idx: vec![0; n_sim],
+            proposed: vec![false; n_sim],
+            halted: vec![false; n_sim],
+            round: 0,
+            all_done: true,
+            decided: false,
+            op: Op::Adopt,
         }
     }
 
@@ -213,16 +151,6 @@ impl<M: StepMachine + Clone + 'static> BgSimulation<M> {
             .map(|(_, u)| st_core::ProcessId::new(u as usize))
             .collect()
     }
-
-    /// The simulated processes that decided, as a set.
-    pub fn decided_simulated(&self, sim: &Sim) -> ProcSet {
-        self.peek_simulated_decisions(sim)
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_some())
-            .map(|(u, _)| st_core::ProcessId::new(u))
-            .collect()
-    }
 }
 
 impl<M> std::fmt::Debug for BgSimulation<M> {
@@ -233,5 +161,189 @@ impl<M> std::fmt::Debug for BgSimulation<M> {
             self.machines.len(),
             self.max_reads
         )
+    }
+}
+
+/// The register operation a [`BgSimulator`]'s next step performs.
+#[derive(Clone, Copy, Debug)]
+enum Op {
+    /// The round's adoption sweep: read simulated decision
+    /// `round % n_sim`.
+    Adopt,
+    /// Write simulated process `u`'s update into this simulator's copy of
+    /// its cell.
+    Update { u: usize, v: Value },
+    /// Read simulator `s`'s copy of cell `w` for `u`'s pending read,
+    /// keeping the highest-version copy seen.
+    ReadCopy {
+        u: usize,
+        w: usize,
+        s: usize,
+        best: CellCopy,
+    },
+    /// Step the safe-agreement call on `u`'s current read.
+    Agree { u: usize, call: SafeAgreementCall },
+    /// Publish simulated process `u`'s decision `v`.
+    Decide { u: usize, v: Value },
+}
+
+/// One simulator of a [`BgSimulation`] as an explicit state machine
+/// ([`st_sim::Automaton`]): each round it reads one simulated decision
+/// register (until it has adopted one), then gives every simulated
+/// process that has not halted one simulated operation — an update, a read
+/// agreed through safe agreement, or a decision. The local code between
+/// two register operations runs at the end of the step that performed the
+/// first. Construct via [`BgSimulation::simulator`].
+pub struct BgSimulator<M> {
+    bg: BgSimulation<M>,
+    /// This simulator's copies of the simulated processes.
+    machines: Vec<M>,
+    /// Version of the last update written per simulated cell.
+    versions: Vec<u64>,
+    /// Per simulated process, the index of its current read's
+    /// safe-agreement object.
+    read_idx: Vec<usize>,
+    /// Per simulated process, whether this simulator proposed for its
+    /// current read.
+    proposed: Vec<bool>,
+    halted: Vec<bool>,
+    round: usize,
+    /// No simulated process got an operation this round yet.
+    all_done: bool,
+    /// This simulator adopted a simulated decision.
+    decided: bool,
+    op: Op,
+}
+
+impl<M: StepMachine> BgSimulator<M> {
+    /// Runs the local code of the round from simulated process `from` on:
+    /// finds the next register operation, or finishes the simulator when a
+    /// whole round found every simulated process halted.
+    fn seek(&mut self, mut from: usize) -> Status {
+        loop {
+            for u in from..self.machines.len() {
+                if self.halted[u] {
+                    continue;
+                }
+                self.all_done = false;
+                self.op = match self.machines[u].pending() {
+                    SimOp::Update(v) => Op::Update { u, v },
+                    SimOp::ReadCell(w) => {
+                        if self.read_idx[u] >= self.bg.max_reads {
+                            // Read budget exhausted: treat as stalled.
+                            self.halted[u] = true;
+                            continue;
+                        }
+                        if self.proposed[u] {
+                            Op::Agree {
+                                u,
+                                call: SafeAgreementCall::resolve(),
+                            }
+                        } else {
+                            Op::ReadCopy {
+                                u,
+                                w,
+                                s: 0,
+                                best: (0, None),
+                            }
+                        }
+                    }
+                    SimOp::Decide(v) => Op::Decide { u, v },
+                    SimOp::Halt => {
+                        self.halted[u] = true;
+                        continue;
+                    }
+                };
+                return Status::Running;
+            }
+            if self.all_done {
+                return Status::Done;
+            }
+            self.round += 1;
+            self.all_done = true;
+            if !self.decided {
+                self.op = Op::Adopt;
+                return Status::Running;
+            }
+            from = 0;
+        }
+    }
+
+    /// Simulated process `u` completed an operation.
+    fn advance(&mut self, mem: &StepAccess<'_>, u: usize, read: Option<Option<Value>>) {
+        self.machines[u].advance(read);
+        mem.probe(SIM_STEP_PROBE, u as u64);
+    }
+}
+
+impl<M: StepMachine> Automaton for BgSimulator<M> {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        let me = mem.pid().index();
+        let next = match self.op {
+            Op::Adopt => {
+                let n_sim = self.machines.len();
+                if let Some(v) = mem.read(self.bg.decisions[self.round % n_sim]) {
+                    mem.decide(v);
+                    self.decided = true;
+                }
+                0
+            }
+            Op::Update { u, v } => {
+                self.versions[u] += 1;
+                mem.write(self.bg.cells[u][me], (self.versions[u], Some(v)));
+                self.advance(mem, u, None);
+                u + 1
+            }
+            Op::ReadCopy { u, w, s, mut best } => {
+                // My view of w's cell: the maximum version over the copies.
+                let copy = mem.read(self.bg.cells[w][s]);
+                if copy.0 > best.0 {
+                    best = copy;
+                }
+                self.op = if s + 1 < self.bg.cells[w].len() {
+                    Op::ReadCopy {
+                        u,
+                        w,
+                        s: s + 1,
+                        best,
+                    }
+                } else {
+                    self.proposed[u] = true;
+                    Op::Agree {
+                        u,
+                        call: SafeAgreementCall::propose(encode(best.1)),
+                    }
+                };
+                return Status::Running;
+            }
+            Op::Agree { u, mut call } => {
+                let object = &self.bg.agreements[u][self.read_idx[u]];
+                match call.step(object, mem) {
+                    CallStep::Busy => {}
+                    CallStep::Proposed => call = SafeAgreementCall::resolve(),
+                    CallStep::Resolved(Resolution::Agreed(enc)) => {
+                        self.read_idx[u] += 1;
+                        self.proposed[u] = false;
+                        self.advance(mem, u, Some(decode(enc)));
+                        return self.seek(u + 1);
+                    }
+                    // Blocked (possibly by a crashed simulator's unsafe
+                    // zone): skip, retry next round.
+                    CallStep::Resolved(_) => return self.seek(u + 1),
+                }
+                self.op = Op::Agree { u, call };
+                return Status::Running;
+            }
+            Op::Decide { u, v } => {
+                mem.write(self.bg.decisions[u], Some(v));
+                if !self.decided {
+                    mem.decide(v);
+                    self.decided = true;
+                }
+                self.advance(mem, u, None);
+                u + 1
+            }
+        };
+        self.seek(next)
     }
 }

@@ -3,10 +3,40 @@
 //! arbitrary host schedules and crash plans.
 
 use proptest::prelude::*;
-use st_bgsim::{run_reduction, FloodMin, Resolution, SafeAgreement, TrivialKDecide};
+use st_bgsim::{
+    run_reduction, CallStep, FloodMin, Resolution, SafeAgreement, SafeAgreementCall, TrivialKDecide,
+};
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe, Value};
 use st_sched::{CrashAfter, CrashPlan, SeededRandom};
-use st_sim::{RunConfig, Sim, StopWhen};
+use st_sim::{Automaton, RunConfig, Sim, Status, StepAccess, StopWhen};
+
+/// Proposes, then — with `resolve` — scans until the object resolves to a
+/// value and decides it; without, decides 0 once the proposal completed.
+struct Proposer {
+    object: SafeAgreement,
+    call: SafeAgreementCall,
+    resolve: bool,
+}
+
+impl Automaton for Proposer {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        match self.call.step(&self.object, mem) {
+            CallStep::Busy => Status::Running,
+            CallStep::Proposed if !self.resolve => {
+                mem.decide(0);
+                Status::Done
+            }
+            CallStep::Resolved(Resolution::Agreed(w)) => {
+                mem.decide(w);
+                Status::Done
+            }
+            CallStep::Proposed | CallStep::Resolved(_) => {
+                self.call = SafeAgreementCall::resolve();
+                Status::Running
+            }
+        }
+    }
+}
 
 prop_compose! {
     fn arb_schedule(n: usize)(steps in prop::collection::vec(0..n, 100..2_000)) -> Schedule {
@@ -26,17 +56,8 @@ proptest! {
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
         for p in u.processes() {
-            let sa = sa.clone();
-            let v = 10 + p.index() as Value;
-            sim.spawn(p, move |ctx| async move {
-                sa.propose(&ctx, v).await;
-                loop {
-                    if let Resolution::Agreed(w) = sa.try_resolve(&ctx).await {
-                        ctx.decide(w);
-                        return;
-                    }
-                }
-            }).unwrap();
+            let call = SafeAgreementCall::propose(10 + p.index() as Value);
+            sim.spawn_automaton(p, Proposer { object: sa.clone(), call, resolve: true }).unwrap();
         }
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
@@ -108,11 +129,9 @@ proptest! {
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
         for p in u.processes() {
-            let sa = sa.clone();
-            sim.spawn(p, move |ctx| async move {
-                sa.propose(&ctx, ctx.pid().index() as Value).await;
-                ctx.decide(0); // mark completion of the unsafe zone
-            }).unwrap();
+            // Deciding marks the completion of the unsafe zone.
+            let call = SafeAgreementCall::propose(p.index() as Value);
+            sim.spawn_automaton(p, Proposer { object: sa.clone(), call, resolve: false }).unwrap();
         }
         // Random interleaving first, then a fair drain so both proposers
         // complete their (constant-length) unsafe zones.

@@ -39,12 +39,14 @@ pub fn policy_from_spec(spec: TimeoutPolicySpec) -> TimeoutPolicy {
     }
 }
 
-/// Which simulator drive a set-based FD scenario uses. The three are
-/// observationally identical (`st-fd`'s differential suite); experiments pin
-/// one so ported tables reproduce their pre-campaign output byte for byte.
+/// Which simulator drive a set-based FD scenario uses. The drives are
+/// observationally identical; experiments pin one so ported tables
+/// reproduce their pre-campaign output byte for byte.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FdAbi {
-    /// Async `ProcessCtx` futures (`Sim::spawn`) — E8's drive.
+    /// E8's drive. It named the retired async ABI and now runs the slot
+    /// drive of [`FdAbi::MachineSlot`]; it stays because it is part of
+    /// E8's scenario spec (its identity and its outcome-store key).
     Async,
     /// One automaton slot per process (`Sim::spawn_automaton`) — E2's drive.
     #[default]
@@ -59,8 +61,8 @@ pub enum FdDetector {
     /// The paper's set-based Figure 2 k-anti-Ω.
     #[default]
     SetBased,
-    /// The process-timeliness baseline (always driven async) — the
-    /// motivation experiment's control arm.
+    /// The process-timeliness baseline (always one automaton slot per
+    /// process) — the motivation experiment's control arm.
     ProcessBased,
 }
 
@@ -77,7 +79,8 @@ pub enum Workload {
         t: usize,
         /// Figure 2 line 17 timeout policy.
         policy: TimeoutPolicy,
-        /// Simulator drive (set-based only; the baseline is always async).
+        /// Simulator drive (set-based only; the baseline always runs in
+        /// slots).
         abi: FdAbi,
         /// Set- or process-based detector.
         detector: FdDetector,
@@ -554,14 +557,7 @@ impl Scenario {
                 let fd =
                     KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
                 let status = match abi {
-                    FdAbi::Async => {
-                        for p in universe.processes() {
-                            let fd = fd.clone();
-                            sim.spawn(p, move |ctx| fd.run(ctx)).expect("fresh sim");
-                        }
-                        sim.run(&mut src, cfg)
-                    }
-                    FdAbi::MachineSlot => {
+                    FdAbi::Async | FdAbi::MachineSlot => {
                         for p in universe.processes() {
                             sim.spawn_automaton(p, fd.machine()).expect("fresh sim");
                         }
@@ -578,8 +574,7 @@ impl Scenario {
             FdDetector::ProcessBased => {
                 let fd = ProcessTimelyDetector::alloc(&mut sim, k, t, policy);
                 for p in universe.processes() {
-                    let fd = fd.clone();
-                    sim.spawn(p, move |ctx| fd.run(ctx)).expect("fresh sim");
+                    sim.spawn_automaton(p, fd.machine()).expect("fresh sim");
                 }
                 (sim.run(&mut src, cfg), WINNERSET_PROBE)
             }

@@ -1272,8 +1272,11 @@ pub fn write_scenario(s: &Scenario, out: &mut String) {
 /// enforcing generator's bound and dwells, a clog's window and gap, a
 /// recovery before its crash), so a spec from the wire that breaks one is
 /// refused here, by field name, instead of panicking in the worker that
-/// picks it up. So is a certification with a zero bound cap, and a
-/// single-word workload past [`PROCSET_CAPACITY`] processes.
+/// picks it up. So is a certification with a zero bound cap, a
+/// single-word workload past [`PROCSET_CAPACITY`] processes, an agreement
+/// task `AgreementTask::new` refuses, an FD-convergence detector outside
+/// `1 ≤ k ≤ t ≤ n − 1`, and a BG reduction with `n_sim` outside
+/// `1..=64` or `k = 0`.
 pub(crate) fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
     Ok(Scenario::read(cur)?.and_then(|scenario| {
         check_single_word(&scenario)?;
@@ -1440,9 +1443,14 @@ fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
 
 /// The preconditions of the workloads that run on single-word process sets
 /// (Figure 2 at width one, `Scenario::correct`, the timeliness analyzer's
-/// subset enumeration): `n ≤ 64`, a positive certification cap, and — for
-/// the agreement stacks, which take one proposal per process — `n` inputs.
+/// subset enumeration, the BG reduction's simulated universe): `n ≤ 64`
+/// (`n_sim ≤ 64`), a positive certification cap, and — for the agreement
+/// stacks, which take one proposal per process — `n` inputs; plus the
+/// parameter ranges their constructors assert: a task `AgreementTask::new`
+/// accepts, `1 ≤ k ≤ t ≤ n − 1` for either FD-convergence detector, and a
+/// reduction simulating at least one process of a `k ≥ 1` algorithm.
 fn check_single_word(scenario: &Scenario) -> Result<(), String> {
+    let n = scenario.universe.n();
     let (name, inputs) = match &scenario.workload {
         Workload::Agreement {
             certify: Some(CertifyTimely { cap: 0, .. }),
@@ -1452,12 +1460,42 @@ fn check_single_word(scenario: &Scenario) -> Result<(), String> {
                 "field \"certify\": field \"cap\": a bound cap must be positive, got 0".into(),
             )
         }
+        &Workload::Agreement { t, .. } if t == 0 || t >= n => {
+            return Err(format!(
+                "field \"t\": agreement needs 1 ≤ t ≤ n − 1, got t = {t} at n = {n}"
+            ))
+        }
+        &Workload::Agreement { k, .. } if k == 0 || k > n => {
+            return Err(format!(
+                "field \"k\": agreement needs 1 ≤ k ≤ n, got k = {k} at n = {n}"
+            ))
+        }
         Workload::Agreement { inputs, .. } => ("Agreement", Some(inputs)),
+        &Workload::FdConvergence { t, .. } if t >= n => {
+            return Err(format!(
+                "field \"t\": the k-anti-Ω detectors need t ≤ n − 1, got t = {t} at n = {n}"
+            ))
+        }
+        &Workload::FdConvergence { k, t, .. } if k == 0 || k > t => {
+            return Err(format!(
+                "field \"k\": the k-anti-Ω detectors need 1 ≤ k ≤ t, got k = {k} at t = {t}"
+            ))
+        }
         Workload::FdConvergence { .. } => ("FdConvergence", None),
         Workload::AdversarialAgreement { inputs, .. } => ("AdversarialAgreement", Some(inputs)),
+        &Workload::BgReduction { n_sim, .. } if n_sim == 0 || n_sim > PROCSET_CAPACITY => {
+            return Err(format!(
+                "field \"n_sim\": the BG reduction simulates 1 to {PROCSET_CAPACITY} processes, \
+                 got n_sim = {n_sim}"
+            ))
+        }
+        Workload::BgReduction { k: 0, .. } => {
+            return Err(
+                "field \"k\": the simulated k-decide algorithm needs k ≥ 1, got k = 0".into(),
+            )
+        }
         _ => return Ok(()),
     };
-    let n = scenario.universe.n();
     if n > PROCSET_CAPACITY {
         return Err(format!(
             "field \"n\": the {name} workload runs on single-word process sets, needs \

@@ -508,14 +508,7 @@ fn recorded_membership(
         cfg = cfg.stop_when(StopWhen::AllDecided(scenario.correct()));
     }
     match abi {
-        FdAbi::Async => {
-            for p in universe.processes() {
-                let fd = fd.clone();
-                sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
-            }
-            sim.run(&mut src, cfg)
-        }
-        FdAbi::MachineSlot => {
+        FdAbi::Async | FdAbi::MachineSlot => {
             for p in universe.processes() {
                 sim.spawn_automaton(p, fd.machine()).unwrap();
             }

@@ -366,6 +366,76 @@ fn certification_specs_that_would_panic_a_worker_are_decode_errors() {
     }
 }
 
+/// What the protocols' constructors assert, a decoded spec is refused for,
+/// by field: an agreement task `AgreementTask::new` refuses, either
+/// FD-convergence detector outside `1 ≤ k ≤ t ≤ n − 1`, and a BG reduction
+/// simulating nobody, more than 64 processes, or a `k = 0` algorithm. Each
+/// has a valid twin that round-trips.
+#[test]
+fn protocol_parameters_that_would_panic_a_worker_are_decode_errors() {
+    let decode = |n: usize, workload: Workload| {
+        let scenario = Scenario::new(
+            "protocol",
+            Universe::new(n).unwrap(),
+            GeneratorSpec::round_robin(),
+            workload,
+            1_000,
+            0,
+        );
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let agreement = |n: usize, t: usize, k: usize| Workload::Agreement {
+        t,
+        k,
+        inputs: (0..n as u64).collect(),
+        policy: TimeoutPolicy::Increment,
+        certify: None,
+    };
+    let fd = |k: usize, t: usize, detector: FdDetector| Workload::FdConvergence {
+        k,
+        t,
+        policy: TimeoutPolicy::Increment,
+        abi: FdAbi::Async,
+        detector,
+        certify_membership: false,
+    };
+    let bg = |n_sim: usize, k: usize| Workload::BgReduction {
+        n_sim,
+        k,
+        max_reads: 8,
+    };
+
+    // The valid twins, at the edges of each range.
+    assert_eq!(decode(4, agreement(4, 1, 1)), Ok(()));
+    assert_eq!(decode(4, agreement(4, 3, 4)), Ok(()));
+    for detector in [FdDetector::SetBased, FdDetector::ProcessBased] {
+        assert_eq!(decode(4, fd(1, 1, detector)), Ok(()));
+        assert_eq!(decode(4, fd(3, 3, detector)), Ok(()));
+    }
+    assert_eq!(decode(3, bg(1, 1)), Ok(()));
+    assert_eq!(decode(3, bg(64, 2)), Ok(()));
+
+    let refused = |n: usize, workload: Workload, path: &str, got: &str| {
+        let err = decode(n, workload).unwrap_err();
+        assert!(
+            err.starts_with(&format!("field \"{path}\": ")) && err.contains(got),
+            "{err}"
+        );
+    };
+    refused(4, agreement(4, 0, 1), "t", "t = 0 at n = 4");
+    refused(4, agreement(4, 4, 1), "t", "t = 4 at n = 4");
+    refused(4, agreement(4, 1, 0), "k", "k = 0 at n = 4");
+    refused(4, agreement(4, 1, 5), "k", "k = 5 at n = 4");
+    for detector in [FdDetector::SetBased, FdDetector::ProcessBased] {
+        refused(4, fd(1, 4, detector), "t", "t = 4 at n = 4");
+        refused(4, fd(0, 2, detector), "k", "k = 0 at t = 2");
+        refused(4, fd(3, 2, detector), "k", "k = 3 at t = 2");
+    }
+    refused(3, bg(0, 1), "n_sim", "n_sim = 0");
+    refused(3, bg(65, 1), "n_sim", "n_sim = 65");
+    refused(3, bg(4, 0), "k", "k = 0");
+}
+
 /// An agreement spec with other than one input per process (`build_abi`
 /// asserts on it in the worker), and an adversarial witness naming
 /// a process outside the universe (it never steps, so the certificate would

@@ -12,9 +12,14 @@
 //! (e.g. [`AlternatingRotation`](../../st_sched/struct.AlternatingRotation.html)),
 //! every singleton's accusation counter grows forever, so this baseline
 //! flaps forever — while the set-based Figure 2 algorithm stabilizes.
+//!
+//! The detector is [`ProcessTimelyMachine`], a machine of its own rather
+//! than a parameter of [`KAntiOmegaMachine`](crate::KAntiOmegaMachine):
+//! its winner rule (the `k` least-accused processes) is not Figure 2's
+//! argmin over sets.
 
 use st_core::{ProcSet, ProcessId, Universe};
-use st_sim::{ProcessCtx, Reg, Sim};
+use st_sim::{Automaton, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -31,10 +36,11 @@ pub struct ProcessTimelyDetector {
     t: usize,
     policy: TimeoutPolicy,
     universe: Universe,
-    /// `Heartbeat[p]`, single-writer.
-    heartbeat: Vec<Reg<u64>>,
-    /// `Counter[q][p]`: `p`'s accusations of process `q`; written by `p`.
-    counter: Vec<Vec<Reg<u64>>>,
+    /// `Heartbeat[p]` is `heartbeat.at(p)`, single-writer.
+    heartbeat: Reg<u64>,
+    /// `Counter[q][p]` (`p`'s accusations of process `q`, written by `p`)
+    /// is `counter.at(q·n + p)`.
+    counter: Reg<u64>,
 }
 
 impl ProcessTimelyDetector {
@@ -50,16 +56,16 @@ impl ProcessTimelyDetector {
             k >= 1 && k <= t && t < n,
             "requires 1 <= k <= t <= n-1 (got k={k}, t={t}, n={n})"
         );
-        let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64);
-        let counter = universe
-            .processes()
-            .map(|q| {
-                universe
-                    .processes()
-                    .map(|p| sim.alloc_sw(format!("pt.Counter[{q},{p}]"), p, 0u64))
-                    .collect()
-            })
-            .collect();
+        let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64)[0];
+        let counter = sim.alloc_block(
+            n * n,
+            0u64,
+            move |i| WriteDiscipline::SingleWriter(ProcessId::new(i % n)),
+            move |i| {
+                let (q, p) = (ProcessId::new(i / n), ProcessId::new(i % n));
+                format!("pt.Counter[{q},{p}]")
+            },
+        );
         ProcessTimelyDetector {
             k,
             t,
@@ -70,76 +76,22 @@ impl ProcessTimelyDetector {
         }
     }
 
-    /// Creates the local state for one process.
-    pub fn local_state(&self) -> ProcessTimelyLocal {
+    /// The automaton of one process (iterate forever): spawn via
+    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or drive a
+    /// `Vec` of them as a fleet.
+    pub fn machine(&self) -> ProcessTimelyMachine {
         let n = self.universe.n();
-        ProcessTimelyLocal {
+        ProcessTimelyMachine {
+            fd: self.clone(),
+            phase: Phase::ReadCounters(0),
             my_hb: 0,
             prev_heartbeat: vec![0; n],
             timeout: vec![1; n],
             timer: vec![1; n],
-            cnt: vec![vec![0; n]; n],
-            accusation: vec![0; n],
+            cnt: vec![0; n * n],
             winnerset: ProcSet::EMPTY,
-            published: None,
             iterations: 0,
-        }
-    }
-
-    /// One loop iteration: read all counters, accuse by `(t+1)`-st-smallest,
-    /// pick the `k` least-accused processes, heartbeat, check heartbeats,
-    /// expire per-process timers.
-    pub async fn iterate(&self, ctx: &ProcessCtx, local: &mut ProcessTimelyLocal) {
-        let me = ctx.pid().index();
-        let n = self.universe.n();
-
-        for q in 0..n {
-            for p in 0..n {
-                local.cnt[q][p] = ctx.read(self.counter[q][p]).await;
-            }
-        }
-        let mut scratch = vec![0u64; n];
-        for q in 0..n {
-            scratch.copy_from_slice(&local.cnt[q]);
-            scratch.sort_unstable();
-            local.accusation[q] = scratch[self.t];
-        }
-        // Winnerset: k smallest (accusation, q) pairs.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by_key(|&q| (local.accusation[q], q));
-        local.winnerset = order[..self.k].iter().map(|&q| ProcessId::new(q)).collect();
-        if local.published != Some(local.winnerset) {
-            ctx.probe_set(BASELINE_WINNERSET_PROBE, local.winnerset);
-            local.published = Some(local.winnerset);
-        }
-
-        local.my_hb += 1;
-        ctx.write(self.heartbeat[me], local.my_hb).await;
-
-        for q in 0..n {
-            let hbq = ctx.read(self.heartbeat[q]).await;
-            if hbq > local.prev_heartbeat[q] {
-                local.timer[q] = local.timeout[q];
-                local.prev_heartbeat[q] = hbq;
-            }
-        }
-
-        for q in 0..n {
-            local.timer[q] -= 1;
-            if local.timer[q] == 0 {
-                local.timeout[q] = self.policy.grow(local.timeout[q]);
-                local.timer[q] = local.timeout[q];
-                ctx.write(self.counter[q][me], local.cnt[q][me] + 1).await;
-            }
-        }
-        local.iterations += 1;
-    }
-
-    /// The standalone automaton: iterate forever.
-    pub async fn run(self, ctx: ProcessCtx) {
-        let mut local = self.local_state();
-        loop {
-            self.iterate(&ctx, &mut local).await;
+            expired: Vec::new(),
         }
     }
 
@@ -152,20 +104,153 @@ impl ProcessTimelyDetector {
     }
 }
 
-/// Per-process local state of [`ProcessTimelyDetector`].
-#[derive(Clone, Debug)]
-pub struct ProcessTimelyLocal {
+/// Control state of [`ProcessTimelyMachine`]: the register operation the
+/// next scheduled step performs. The local code between two operations
+/// runs at the end of the step that performed the first.
+#[derive(Clone, Copy, Debug)]
+enum Phase {
+    /// Read `Counter[q][p]` at flat index `q·n + p`.
+    ReadCounters(u32),
+    /// Write the bumped heartbeat.
+    WriteHeartbeat,
+    /// Read `Heartbeat[q]`, resetting `q`'s timer if it advanced.
+    ReadHeartbeats(u32),
+    /// Accuse the process at this index of the expired list.
+    Accuse(u32),
+}
+
+/// The baseline detector of one process as an explicit state machine
+/// ([`st_sim::Automaton`]). Construct via [`ProcessTimelyDetector::machine`].
+pub struct ProcessTimelyMachine {
+    fd: ProcessTimelyDetector,
+    phase: Phase,
     my_hb: u64,
     prev_heartbeat: Vec<u64>,
     timeout: Vec<u64>,
     timer: Vec<u64>,
-    cnt: Vec<Vec<u64>>,
-    accusation: Vec<u64>,
-    /// The k individually-least-accused processes.
-    pub winnerset: ProcSet,
-    published: Option<ProcSet>,
+    /// The iteration's snapshot of `Counter[q][p]`, row-major in `q`.
+    cnt: Vec<u64>,
+    /// The last winnerset chosen, and published: it only changes when a
+    /// publication is due.
+    winnerset: ProcSet,
+    iterations: u64,
+    /// Processes whose timers expired this iteration, ascending: the
+    /// pending accusation writes.
+    expired: Vec<u32>,
+}
+
+impl ProcessTimelyMachine {
+    /// The k individually least-accused processes, as of the last
+    /// completed counter scan.
+    pub fn winnerset(&self) -> ProcSet {
+        self.winnerset
+    }
+
     /// Completed loop iterations.
-    pub iterations: u64,
+    pub fn iterations(&self) -> u64 {
+        self.iterations
+    }
+
+    /// After the last counter read: accuse each process by the
+    /// `(t+1)`-st smallest entry of its row, pick the `k` smallest
+    /// `(accusation, q)` pairs, and bump the local heartbeat. Returns the
+    /// winnerset when it changed, for the caller to publish.
+    fn choose_winners(&mut self) -> Option<ProcSet> {
+        let n = self.fd.universe.n();
+        let mut row = vec![0u64; n];
+        let accusation: Vec<u64> = self
+            .cnt
+            .chunks_exact(n)
+            .map(|counts| {
+                row.copy_from_slice(counts);
+                row.sort_unstable();
+                row[self.fd.t]
+            })
+            .collect();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&q| (accusation[q], q));
+        let winners: ProcSet = order[..self.fd.k]
+            .iter()
+            .map(|&q| ProcessId::new(q))
+            .collect();
+        self.my_hb += 1;
+        self.phase = Phase::WriteHeartbeat;
+        // The first choice always publishes: it has k ≥ 1 members.
+        let changed = winners != self.winnerset;
+        self.winnerset = winners;
+        changed.then_some(winners)
+    }
+
+    /// After the last heartbeat read: decrement every timer, grow the
+    /// timeout of the expired ones and queue their accusations — or, with
+    /// none expired, close the iteration.
+    fn expire_timers(&mut self) {
+        self.expired.clear();
+        for q in 0..self.timer.len() {
+            self.timer[q] -= 1;
+            if self.timer[q] == 0 {
+                self.timeout[q] = self.fd.policy.grow(self.timeout[q]);
+                self.timer[q] = self.timeout[q];
+                self.expired.push(q as u32);
+            }
+        }
+        if self.expired.is_empty() {
+            self.next_iteration();
+        } else {
+            self.phase = Phase::Accuse(0);
+        }
+    }
+
+    fn next_iteration(&mut self) {
+        self.iterations += 1;
+        self.phase = Phase::ReadCounters(0);
+    }
+}
+
+impl Automaton for ProcessTimelyMachine {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        let n = self.fd.universe.n();
+        let me = mem.pid().index();
+        match self.phase {
+            Phase::ReadCounters(i) => {
+                let i = i as usize;
+                self.cnt[i] = mem.read_word_array(self.fd.counter, i);
+                if i + 1 < n * n {
+                    self.phase = Phase::ReadCounters(i as u32 + 1);
+                } else if let Some(ws) = self.choose_winners() {
+                    mem.probe_set(BASELINE_WINNERSET_PROBE, ws);
+                }
+            }
+            Phase::WriteHeartbeat => {
+                mem.write_word_array(self.fd.heartbeat, me, self.my_hb);
+                self.phase = Phase::ReadHeartbeats(0);
+            }
+            Phase::ReadHeartbeats(q) => {
+                let q = q as usize;
+                let hbq = mem.read_word_array(self.fd.heartbeat, q);
+                if hbq > self.prev_heartbeat[q] {
+                    self.timer[q] = self.timeout[q];
+                    self.prev_heartbeat[q] = hbq;
+                }
+                if q + 1 < n {
+                    self.phase = Phase::ReadHeartbeats(q as u32 + 1);
+                } else {
+                    self.expire_timers();
+                }
+            }
+            Phase::Accuse(idx) => {
+                let q = self.expired[idx as usize] as usize;
+                let slot = q * n + me;
+                mem.write_word_array(self.fd.counter, slot, self.cnt[slot] + 1);
+                if idx as usize + 1 < self.expired.len() {
+                    self.phase = Phase::Accuse(idx + 1);
+                } else {
+                    self.next_iteration();
+                }
+            }
+        }
+        Status::Running
+    }
 }
 
 #[cfg(test)]
@@ -186,8 +271,7 @@ mod tests {
         let mut sim = Sim::new(universe);
         let fd = ProcessTimelyDetector::alloc(&mut sim, k, t, TimeoutPolicy::Increment);
         for p in universe.processes() {
-            let fd = fd.clone();
-            sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+            sim.spawn_automaton(p, fd.machine()).unwrap();
         }
         sim.run(src, RunConfig::steps(budget)).unwrap();
         sim.report()
@@ -262,6 +346,14 @@ mod tests {
         let mut sim = Sim::new(Universe::new(3).unwrap());
         let fd = ProcessTimelyDetector::alloc(&mut sim, 1, 1, TimeoutPolicy::Increment);
         assert_eq!(fd.steps_per_iteration(0), 9 + 1 + 3);
+        // The first iteration expires every timer (all start at 1).
+        let mut fleet: Vec<_> = (0..3).map(|_| fd.machine()).collect();
+        let steps = fd.steps_per_iteration(3);
+        let schedule = st_core::Schedule::from_indices(vec![0usize; steps as usize]);
+        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(steps))
+            .unwrap();
+        assert_eq!(fleet[0].iterations(), 1);
+        assert_eq!(fleet[0].winnerset(), ProcSet::from_indices([0]));
     }
 
     #[test]

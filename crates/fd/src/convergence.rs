@@ -14,9 +14,8 @@
 //! k-parallel-Paxos agreement layer relies on it.
 //!
 //! [`run_until_quiescent`] is the driving side of the analysis: it steps a
-//! simulation (either FD implementation — async or the
-//! [`KAntiOmegaMachine`](crate::KAntiOmegaMachine) fast path) in poll
-//! intervals, watching the O(1) probe count for quiescence instead of
+//! simulation (e.g. of [`KAntiOmegaMachine`](crate::KAntiOmegaMachine)s) in
+//! poll intervals, watching the O(1) probe count for quiescence instead of
 //! materializing a report per interval, and judges stabilization once at
 //! the end.
 
@@ -261,20 +260,31 @@ pub fn changes_after(report: &RunReport, p: ProcessId, step: u64) -> usize {
 mod tests {
     use super::*;
     use st_core::{Schedule, ScheduleCursor, Universe};
-    use st_sim::{RunConfig, Sim};
+    use st_sim::{Automaton, RunConfig, Sim, Status, StepAccess};
+
+    /// Publishes one scripted winnerset per step, then halts.
+    struct Script(std::vec::IntoIter<u64>);
+
+    impl Automaton for Script {
+        fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+            match self.0.next() {
+                Some(bits) => {
+                    mem.probe(WINNERSET_PROBE, bits);
+                    mem.pause();
+                    Status::Running
+                }
+                None => Status::Done,
+            }
+        }
+    }
 
     /// Builds a report by having scripted processes publish winnerset
     /// sequences.
     fn scripted(n: usize, scripts: Vec<Vec<u64>>) -> RunReport {
         let mut sim = Sim::new(Universe::new(n).unwrap());
         for (i, script) in scripts.into_iter().enumerate() {
-            sim.spawn(ProcessId::new(i), move |ctx| async move {
-                for bits in script {
-                    ctx.probe(WINNERSET_PROBE, bits);
-                    ctx.pause().await;
-                }
-            })
-            .unwrap();
+            sim.spawn_automaton(ProcessId::new(i), Script(script.into_iter()))
+                .unwrap();
         }
         let order: Vec<usize> = (0..200).map(|s| s % n).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(order));
@@ -324,10 +334,9 @@ mod tests {
     #[test]
     fn changes_after_counts_flapping() {
         let report = scripted(1, vec![vec![1, 2, 1, 2, 1]]);
-        // The first poll publishes twice at step 0 (probe, pause resolves,
-        // next probe, suspend); later polls publish once per step: steps are
-        // 0,0,1,2,3 — three events strictly after step 0.
-        assert_eq!(changes_after(&report, ProcessId::new(0), 0), 3);
+        // One publication per step, at steps 0..=4: four events strictly
+        // after step 0.
+        assert_eq!(changes_after(&report, ProcessId::new(0), 0), 4);
         assert_eq!(
             report
                 .probes

@@ -15,26 +15,20 @@
 //! on timer expiry grow the timeout and accuse the set by incrementing its
 //! own counter entry (lines 14–19).
 //!
-//! The loop body is exposed as [`KAntiOmega::iterate`] so the failure
-//! detector can be *composed* with a protocol in the same process (the
-//! process interleaves FD iterations with protocol steps); the standalone
-//! automaton of the paper is [`KAntiOmega::run`].
-//!
-//! The detector ships in **both simulator ABIs**: the async transcription
-//! above, and [`KAntiOmegaMachine`] — an explicit state machine on the
-//! executor's non-async fast path ([`st_sim::Automaton`]) that the
-//! convergence experiments and benches drive. The two are observationally
-//! identical step-for-step (same probes at the same step indices, same
-//! register writes in the same order); `tests/differential.rs` enforces it
-//! on round-robin, seeded-random, and Figure 1 schedules.
+//! The automaton is [`KAntiOmegaMachine`], an explicit state machine
+//! ([`st_sim::Automaton`]) with one phase per register operation of the
+//! loop; the k-set agreement machine embeds it to compose the detector with
+//! a protocol in the same process. It is held step-for-step (same probes at
+//! the same step indices, same register writes in the same order) to the
+//! line-by-line loop transcription it was ported from, whose observations
+//! on round-robin, seeded-random, Figure 1 and crash schedules are the
+//! workspace's `tests/fixtures/transcription.json`.
 
 use std::rc::Rc;
 
 use st_core::subsets::{binomial, wide_k_subsets, wide_unrank};
 use st_core::{ProcessId, Universe, WideProcSet};
-use st_sim::{
-    Automaton, BatchAccess, PhaseBatch, ProcessCtx, Reg, Sim, Status, StepAccess, WriteDiscipline,
-};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -96,8 +90,7 @@ impl KAntiOmegaConfig {
 /// let mut sim = Sim::new(universe);
 /// let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
 /// for p in universe.processes() {
-///     let fd = fd.clone();
-///     sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+///     sim.spawn_automaton(p, fd.machine()).unwrap();
 /// }
 /// // Round-robin is synchronous: the detector settles quickly.
 /// let steps: Vec<usize> = (0..60_000).map(|s| s % 3).collect();
@@ -119,8 +112,8 @@ pub struct KAntiOmega<const W: usize = 1> {
     layout: Rc<Layout<W>>,
 }
 
-/// Where a k-anti-Ω instance lives in the arena, plus the `Π^k_n` tables —
-/// the one layout representation both ABIs read.
+/// Where a k-anti-Ω instance lives in the arena, plus the `Π^k_n` tables,
+/// shared by every machine of the instance.
 #[derive(Debug)]
 struct Layout<const W: usize> {
     /// `Heartbeat[p]` is `heartbeat.at(p)`, single-writer: one block.
@@ -263,25 +256,6 @@ impl<const W: usize> KAntiOmega<W> {
         m * n + 1 + n + expired as u64
     }
 
-    /// Creates the local state of one process (the local variables block of
-    /// Figure 2).
-    pub fn local_state(&self) -> KAntiOmegaLocal<W> {
-        let n = self.universe.n();
-        let m = self.set_count();
-        KAntiOmegaLocal {
-            my_hb: 0,
-            prev_heartbeat: vec![0; n],
-            timeout: vec![1; m],
-            timer: vec![1; m],
-            cnt: vec![vec![0; n]; m],
-            accusation: vec![0; m],
-            winnerset: WideProcSet::EMPTY,
-            fd_output: WideProcSet::EMPTY,
-            published: None,
-            iterations: 0,
-        }
-    }
-
     /// The [`WINNERSET_PROBE`] payload for the winner of the given rank:
     /// the raw bitmask at `W = 1` (the historical encoding), the colex
     /// rank at wider widths (see the probe's docs).
@@ -294,94 +268,10 @@ impl<const W: usize> KAntiOmega<W> {
         }
     }
 
-    /// Executes one iteration of the Figure 2 loop (lines 2–19) for the
-    /// calling process, updating `local` and publishing the winnerset probe
-    /// on change.
-    pub async fn iterate(&self, ctx: &ProcessCtx, local: &mut KAntiOmegaLocal<W>) {
-        let me = ctx.pid().index();
-        let n = self.universe.n();
-        let m = self.set_count();
-        let t = self.config.t;
-
-        // Line 2: read every Counter[A, q] — the |Π^k_n|·n-read inner loop
-        // of the algorithm, kept on the simulator's u64 word fast path.
-        for a in 0..m {
-            for q in 0..n {
-                local.cnt[a][q] = ctx.read_word(self.counter(a, q)).await;
-            }
-        }
-
-        // Line 3: accusation[A] = (t+1)-st smallest of cnt[A, *].
-        let mut scratch = vec![0u64; n];
-        for a in 0..m {
-            scratch.copy_from_slice(&local.cnt[a]);
-            scratch.sort_unstable();
-            local.accusation[a] = scratch[t];
-        }
-
-        // Line 4: winnerset = argmin (accusation[A], A); `subsets` is stored
-        // in ascending set order, so scanning ranks in order with a strict
-        // `<` realizes the lexicographic tie-break.
-        let mut winner = 0usize;
-        for a in 1..m {
-            if local.accusation[a] < local.accusation[winner] {
-                winner = a;
-            }
-        }
-        local.winnerset = self.layout.subsets[winner];
-        // Line 5: fdOutput = Π_n − winnerset.
-        local.fd_output = local.winnerset.complement(self.universe);
-        if local.published != Some(local.winnerset) {
-            ctx.probe(WINNERSET_PROBE, self.encode_winnerset(winner));
-            local.published = Some(local.winnerset);
-        }
-
-        // Lines 6–7: bump heartbeat.
-        local.my_hb += 1;
-        ctx.write_word(self.heartbeat(me), local.my_hb).await;
-
-        // Lines 8–13: check other processes' heartbeats.
-        for q in 0..n {
-            let hbq = ctx.read_word(self.heartbeat(q)).await;
-            if hbq > local.prev_heartbeat[q] {
-                for &rank in self.containing(q) {
-                    local.timer[rank as usize] = local.timeout[rank as usize];
-                }
-                local.prev_heartbeat[q] = hbq;
-            }
-        }
-
-        // Lines 14–19: decrement timers; on expiry, grow the timeout and
-        // accuse by incrementing Counter[A, p] from the value read in line 2.
-        for a in 0..m {
-            local.timer[a] -= 1;
-            if local.timer[a] == 0 {
-                local.timeout[a] = self.config.policy.grow(local.timeout[a]);
-                local.timer[a] = local.timeout[a];
-                ctx.write_word(self.counter(a, me), local.cnt[a][me] + 1)
-                    .await;
-            }
-        }
-
-        local.iterations += 1;
-    }
-
-    /// The standalone Figure 2 automaton: iterate forever. Run via
-    /// [`Sim::spawn`], e.g.
-    /// `sim.spawn(p, |ctx| fd.clone().run(ctx))`.
-    pub async fn run(self, ctx: ProcessCtx) {
-        let mut local = self.local_state();
-        loop {
-            self.iterate(&ctx, &mut local).await;
-        }
-    }
-
-    /// The same automaton as an explicit state machine on the simulator's
-    /// non-async fast path: spawn via
-    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton), e.g.
-    /// `sim.spawn_automaton(p, fd.machine())`. Observationally identical to
-    /// [`run`](Self::run), step for step, at a fraction of the per-step
-    /// cost.
+    /// The standalone Figure 2 automaton of one process (iterate forever):
+    /// spawn via [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton),
+    /// e.g. `sim.spawn_automaton(p, fd.machine())`, or drive a `Vec` of
+    /// them as a fleet.
     pub fn machine(&self) -> KAntiOmegaMachine<W> {
         KAntiOmegaMachine::new(self.clone())
     }
@@ -402,41 +292,11 @@ impl<const W: usize> KAntiOmega<W> {
     }
 }
 
-/// The per-process local variables of Figure 2.
-#[derive(Clone, Debug)]
-pub struct KAntiOmegaLocal<const W: usize = 1> {
-    my_hb: u64,
-    prev_heartbeat: Vec<u64>,
-    timeout: Vec<u64>,
-    timer: Vec<u64>,
-    cnt: Vec<Vec<u64>>,
-    accusation: Vec<u64>,
-    /// Current winner set (line 4).
-    pub winnerset: WideProcSet<W>,
-    /// Current FD output `Π_n − winnerset` (line 5).
-    pub fd_output: WideProcSet<W>,
-    published: Option<WideProcSet<W>>,
-    /// Completed loop iterations.
-    pub iterations: u64,
-}
-
-impl<const W: usize> KAntiOmegaLocal<W> {
-    /// Current timeout for the set of the given rank (ablation metrics).
-    pub fn timeout_of(&self, rank: usize) -> u64 {
-        self.timeout[rank]
-    }
-
-    /// Current accusation counter for the set of the given rank.
-    pub fn accusation_of(&self, rank: usize) -> u64 {
-        self.accusation[rank]
-    }
-}
-
 /// Control state of [`KAntiOmegaMachine`]: which Figure 2 line the next
 /// scheduled step executes. Every variant performs exactly one register
 /// operation; the local computation between operations (lines 3–5, timer
 /// bookkeeping) runs at the phase boundaries, inside the step that precedes
-/// it — exactly where the async transcription runs it.
+/// it — exactly where the loop transcription ran it.
 #[derive(Clone, Copy, Debug)]
 enum Phase {
     /// Line 2: read `Counter[A, q]` at the machine's `scan_idx` (= `a·n + q`,
@@ -454,17 +314,16 @@ enum Phase {
 }
 
 /// The Figure 2 automaton as an explicit state machine
-/// ([`st_sim::Automaton`]): the non-async fast path of the detector.
+/// ([`st_sim::Automaton`]).
 ///
 /// Construct via [`KAntiOmega::machine`] and spawn with
 /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton). Local state is
 /// `O(|Π^k_n| + n)` per process, not the `|Π^k_n| × n` snapshot the paper's
-/// line 2 spells out (and [`KAntiOmega::iterate`] keeps): line 3 needs one
-/// row of the counter matrix at a time and line 18 only the process's own
-/// column, so the scan lands each row in one `n`-word buffer, folds it into
-/// a running argmin at the row boundary, and retains `Counter[A, me]` alone.
-/// The hot `ReadCounters` step is a bounds-checked word read, a store and an
-/// index increment — no future to resume, no grant handshake.
+/// line 2 spells out: line 3 needs one row of the counter matrix at a time
+/// and line 18 only the process's own column, so the scan lands each row in
+/// one `n`-word buffer, folds it into a running argmin at the row boundary,
+/// and retains `Counter[A, me]` alone. The hot `ReadCounters` step is a
+/// bounds-checked word read, a store and an index increment.
 ///
 /// # Examples
 ///
@@ -585,7 +444,7 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// set order, so a strict `<` in rank order realizes the lexicographic
     /// tie-break. Then advances to the next row or, on the last row, runs
     /// lines 4–5 and the line 6 increment inside the step of the last read
-    /// (where the async port runs them) and returns the encoded probe
+    /// (where the loop transcription ran them) and returns the encoded probe
     /// payload when the winnerset changed — the caller publishes it as the
     /// [`WINNERSET_PROBE`] through whichever access type (scalar
     /// [`StepAccess`] or batched [`st_sim::BatchAccess`]) drove the step.
@@ -624,8 +483,8 @@ impl<const W: usize> KAntiOmegaMachine<W> {
 
     /// Lines 14–15 + 17 bookkeeping for every set at once: decrement all
     /// timers, grow the timeout of the expired ones, and queue their
-    /// accusation writes (ascending rank — the order the async loop emits
-    /// them). Timer arithmetic is local, so batching it at the end of the
+    /// accusation writes (ascending rank — the order the paper's loop
+    /// emits them). Timer arithmetic is local, so batching it at the end of the
     /// lines 8–13 phase is unobservable; the queued writes then replay one
     /// per step.
     fn expire_timers(&mut self) {
@@ -701,7 +560,7 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
             }
             Phase::Accuse(idx) => {
                 // Line 18: accuse from the line 2 snapshot of the own
-                // column, as the paper (and the async port) does.
+                // column, as the paper does.
                 let me = mem.pid().index();
                 let a = self.expired[idx as usize] as usize;
                 let slot = a * self.fd.universe.n() + me;
@@ -861,24 +720,16 @@ mod tests {
         // With all counters zero, the winner is the rank-0 set {p0,..,p_{k-1}}.
         let mut sim = Sim::new(universe(3));
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        let fd2 = fd.clone();
-        sim.spawn(ProcessId::new(0), move |ctx| async move {
-            let mut local = fd2.local_state();
-            fd2.iterate(&ctx, &mut local).await;
-            ctx.probe("iter-done", local.iterations);
-            assert_eq!(local.winnerset, ProcSet::from_indices([0]));
-            assert_eq!(local.fd_output, ProcSet::from_indices([1, 2]));
-        })
-        .unwrap();
-        // One iteration for n=3, k=1: 3*3 reads + 1 write + 3 reads + expiry writes.
-        let steps = vec![0usize; 40];
-        let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        sim.run(&mut src, RunConfig::steps(40)).unwrap();
-        let rep = sim.report();
-        assert_eq!(
-            rep.probes.last_value(ProcessId::new(0), "iter-done"),
-            Some(1)
-        );
+        let mut fleet: Vec<_> = (0..3).map(|_| fd.machine()).collect();
+        // One iteration for n=3, k=1: 3*3 reads + 1 write + 3 reads + one
+        // accusation per set (every timer starts at 1, so all expire).
+        let steps = fd.steps_per_iteration(3) as usize;
+        let schedule = Schedule::from_indices(vec![0usize; steps]);
+        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(steps as u64))
+            .unwrap();
+        assert_eq!(fleet[0].iterations(), 1);
+        assert_eq!(fleet[0].winnerset(), ProcSet::from_indices([0]));
+        assert_eq!(fleet[0].fd_output(), ProcSet::from_indices([1, 2]));
         assert_eq!(fd.peek_heartbeat(&sim, ProcessId::new(0)), 1);
     }
 
@@ -888,8 +739,7 @@ mod tests {
         // timers keep expiring), so Counter[A, p0] grows for those sets.
         let mut sim = Sim::new(universe(3));
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 2));
-        let fd2 = fd.clone();
-        sim.spawn(ProcessId::new(0), move |ctx| fd2.run(ctx))
+        sim.spawn_automaton(ProcessId::new(0), fd.machine())
             .unwrap();
         let steps = vec![0usize; 4000];
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
@@ -910,29 +760,28 @@ mod tests {
 
     #[test]
     fn accusation_uses_t_plus_1_smallest() {
-        // Unit-check the selection rule via a crafted local state.
+        /// Writes one word and halts.
+        struct WriteOnce(Reg<u64>, u64);
+        impl Automaton for WriteOnce {
+            fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+                mem.write_word(self.0, self.1);
+                Status::Done
+            }
+        }
+        // Unit-check the selection rule via crafted counters.
         let mut sim = Sim::new(universe(4));
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 2));
-        let fd2 = fd.clone();
         // Pre-set counters for set rank 0 ({p0}): entries 5, 1, 3, 2 → sorted
-        // 1,2,3,5 → (t+1)=3rd smallest = 3.
-        let ctxs: Vec<_> = (0..4).map(|i| sim.ctx(ProcessId::new(i))).collect();
-        let _ = ctxs; // counters are single-writer; write via each owner below
-        for (q, v) in [(0u64, 5u64), (1, 1), (2, 3), (3, 2)] {
-            let fd3 = fd.clone();
-            sim.spawn(ProcessId::new(q as usize), move |ctx| async move {
-                // Each process writes its own Counter[{p0}, q] entry.
-                ctx.write(fd3.counter(0, q as usize), v).await;
-                ctx.pause().await;
-            })
-            .unwrap();
+        // 1,2,3,5 → (t+1)=3rd smallest = 3. Counters are single-writer:
+        // each process writes its own Counter[{p0}, q] entry.
+        for (q, v) in [(0usize, 5u64), (1, 1), (2, 3), (3, 2)] {
+            sim.spawn_automaton(ProcessId::new(q), WriteOnce(fd.counter(0, q), v))
+                .unwrap();
         }
         let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 2, 3]));
         sim.run(&mut src, RunConfig::steps(4)).unwrap();
-        // Now run one FD iteration on a fresh context: spawn would conflict,
-        // so compute the accusation directly from peeked counters.
         let cnt: Vec<u64> = (0..4)
-            .map(|q| fd2.peek_counter(&sim, 0, ProcessId::new(q)))
+            .map(|q| fd.peek_counter(&sim, 0, ProcessId::new(q)))
             .collect();
         let mut sorted = cnt.clone();
         sorted.sort_unstable();

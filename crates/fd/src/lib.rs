@@ -1,19 +1,18 @@
 //! Failure detectors: the paper's Figure 2 algorithm and its analysis.
 //!
-//! - [`KAntiOmega`] — the t-resilient k-anti-Ω algorithm of Figure 2,
-//!   transcribed line-by-line: heartbeats, per-set timers over `Π^k_n`,
-//!   shared accusation counters `Counter[A, q]`, winnerset selection by
-//!   minimal `(accusation, A)`.
-//! - [`KAntiOmegaMachine`] — the same algorithm as an explicit state
-//!   machine on the simulator's non-async fast path
-//!   ([`st_sim::Automaton`]); observationally identical to the async
-//!   transcription (enforced by `tests/differential.rs`) and what the
-//!   convergence experiments run.
-//! - [`Omega`] — the `k = 1` special case: the classic leader oracle
-//!   (footnote 2 of the paper).
-//! - [`ProcessTimelyDetector`] — the *process*-timeliness baseline the
-//!   paper improves on (accuses individuals instead of sets); it flaps
-//!   forever on schedules where only sets are timely (experiment E8).
+//! - [`KAntiOmega`] — the shared side of the t-resilient k-anti-Ω
+//!   algorithm of Figure 2: heartbeats and shared accusation counters
+//!   `Counter[A, q]` over `Π^k_n`.
+//! - [`KAntiOmegaMachine`] — one process of Figure 2 as an explicit state
+//!   machine ([`st_sim::Automaton`]): per-set timers, winnerset selection
+//!   by minimal `(accusation, A)`. At `k = 1` and `t = n − 1` it is the
+//!   classic leader oracle Ω (footnote 2 of the paper): the winnerset is
+//!   the leader. Held step for step to the loop transcription it was
+//!   ported from by the workspace's `tests/transcription.rs`.
+//! - [`ProcessTimelyDetector`] / [`ProcessTimelyMachine`] — the
+//!   *process*-timeliness baseline the paper improves on (accuses
+//!   individuals instead of sets); it flaps forever on schedules where
+//!   only sets are timely (experiment E8).
 //! - [`LeanOmega`] — a constructor, not a detector: [`KAntiOmega`] at
 //!   `k = 1` and the one fixed set width [`LEAN_WIDTH`], which is what the
 //!   large-`n` (`n` up to 1024) scaling fleets run. At that width the
@@ -34,13 +33,11 @@ mod baseline;
 pub mod convergence;
 mod kanti;
 mod lean;
+#[cfg(test)]
 mod omega;
 mod timeout;
 
-pub use baseline::{ProcessTimelyDetector, ProcessTimelyLocal, BASELINE_WINNERSET_PROBE};
-pub use kanti::{
-    KAntiOmega, KAntiOmegaConfig, KAntiOmegaLocal, KAntiOmegaMachine, WINNERSET_PROBE,
-};
+pub use baseline::{ProcessTimelyDetector, ProcessTimelyMachine, BASELINE_WINNERSET_PROBE};
+pub use kanti::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaMachine, WINNERSET_PROBE};
 pub use lean::{LeanOmega, LeanOmegaMachine, LEAN_WIDTH};
-pub use omega::{Omega, OmegaLocal};
 pub use timeout::TimeoutPolicy;

@@ -1,153 +1,68 @@
-//! Ω as the `k = 1` special case.
+//! Ω as the `k = 1` special case, tested.
 //!
 //! The paper notes (footnote 2) that `(n−1)`-resilient 1-anti-Ω is
 //! equivalent to the classic leader oracle Ω of Chandra–Hadzilacos–Toueg:
 //! the winnerset is a singleton whose (eventually stable, eventually
-//! correct) member is the leader. This wrapper exposes that view.
+//! correct) member is the leader. There is no separate type for it: the
+//! oracle is [`KAntiOmegaMachine`](crate::KAntiOmegaMachine) at `k = 1`,
+//! the leader the one member of its [`WINNERSET_PROBE`] set.
 
-use st_core::{ProcessId, Universe};
-use st_sim::{ProcessCtx, Sim};
-
-use crate::kanti::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaLocal};
-use crate::timeout::TimeoutPolicy;
-
-/// The Ω leader oracle, implemented as 1-anti-Ω (Figure 2 with `k = 1`).
-#[derive(Clone, Debug)]
-pub struct Omega {
-    inner: KAntiOmega,
-}
-
-/// Per-process local state of [`Omega`].
-#[derive(Clone, Debug)]
-pub struct OmegaLocal {
-    inner: KAntiOmegaLocal,
-}
-
-impl Omega {
-    /// Allocates an Ω instance tolerating `t` crashes.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `1 ≤ t ≤ n − 1`.
-    pub fn alloc(sim: &mut Sim, t: usize) -> Self {
-        Omega {
-            inner: KAntiOmega::alloc(sim, KAntiOmegaConfig::new(1, t)),
-        }
-    }
-
-    /// Allocates with an explicit timeout policy (ablation).
-    pub fn alloc_with_policy(sim: &mut Sim, t: usize, policy: TimeoutPolicy) -> Self {
-        Omega {
-            inner: KAntiOmega::alloc(sim, KAntiOmegaConfig::new(1, t).with_policy(policy)),
-        }
-    }
-
-    /// Creates the local state for one process.
-    pub fn local_state(&self) -> OmegaLocal {
-        OmegaLocal {
-            inner: self.inner.local_state(),
-        }
-    }
-
-    /// One oracle refresh (one Figure 2 iteration); afterwards
-    /// [`OmegaLocal::leader`] reflects the current trust.
-    pub async fn iterate(&self, ctx: &ProcessCtx, local: &mut OmegaLocal) {
-        self.inner.iterate(ctx, &mut local.inner).await;
-    }
-
-    /// The underlying k-anti-Ω instance.
-    pub fn as_kanti(&self) -> &KAntiOmega {
-        &self.inner
-    }
-
-    /// The universe served by this oracle.
-    pub fn universe(&self) -> Universe {
-        self.inner.universe()
-    }
-}
-
-impl OmegaLocal {
-    /// The currently trusted leader (the winnerset's only member).
-    ///
-    /// # Panics
-    ///
-    /// Panics if called before the first [`Omega::iterate`] (the oracle has
-    /// produced no output yet).
-    pub fn leader(&self) -> ProcessId {
-        self.inner
-            .winnerset
-            .min()
-            .expect("leader available after first iteration")
-    }
-
-    /// Completed oracle iterations.
-    pub fn iterations(&self) -> u64 {
-        self.inner.iterations
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use st_core::{ProcSet, Schedule, ScheduleCursor};
-    use st_sim::RunConfig;
+    use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
+    use st_sim::{RunConfig, RunReport, Sim};
+
+    use crate::kanti::{KAntiOmega, KAntiOmegaConfig, WINNERSET_PROBE};
+
+    /// The leader each process trusts at the end of the run.
+    fn final_leaders(report: &RunReport, n: usize) -> Vec<Option<ProcessId>> {
+        (0..n)
+            .map(|p| {
+                let bits = report
+                    .probes
+                    .last_value(ProcessId::new(p), WINNERSET_PROBE)?;
+                ProcSet::from_bits(bits).min()
+            })
+            .collect()
+    }
+
+    /// Runs Ω (`t = n − 1`) at every process over `steps`.
+    fn run_omega(n: usize, steps: Vec<usize>) -> RunReport {
+        let mut sim = Sim::new(Universe::new(n).unwrap());
+        let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, n - 1));
+        for p in sim.universe().processes() {
+            sim.spawn_automaton(p, omega.machine()).unwrap();
+        }
+        let budget = steps.len() as u64;
+        let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
+        sim.run(&mut src, RunConfig::steps(budget)).unwrap();
+        sim.report()
+    }
 
     #[test]
     fn omega_elects_a_stable_leader_round_robin() {
         let n = 3;
-        let mut sim = Sim::new(Universe::new(n).unwrap());
-        let omega = Omega::alloc(&mut sim, n - 1);
-        let leaders = sim.alloc_array("leader", n, u64::MAX);
-        for p in sim.universe().processes() {
-            let omega = omega.clone();
-            let mine = leaders[p.index()];
-            sim.spawn(p, move |ctx| async move {
-                let mut local = omega.local_state();
-                loop {
-                    omega.iterate(&ctx, &mut local).await;
-                    ctx.write(mine, local.leader().index() as u64).await;
-                }
-            })
-            .unwrap();
-        }
-        let order: Vec<usize> = (0..30_000).map(|s| s % n).collect();
-        let mut src = ScheduleCursor::new(Schedule::from_indices(order));
-        sim.run(&mut src, RunConfig::steps(30_000)).unwrap();
+        let report = run_omega(n, (0..30_000).map(|s| s % n).collect());
         // All processes trust the same leader at the end.
-        let final_leaders: Vec<u64> = leaders.iter().map(|&r| sim.peek(r)).collect();
-        assert!(final_leaders.iter().all(|&l| l == final_leaders[0]));
-        assert!(final_leaders[0] < n as u64);
+        let leaders = final_leaders(&report, n);
+        assert!(leaders[0].is_some());
+        assert!(leaders.iter().all(|&l| l == leaders[0]));
     }
 
     #[test]
     fn leader_is_correct_after_crash() {
-        // p0 stops being scheduled: the eventual leader must not be p0.
+        // p0 runs briefly, then only p1 and p2 forever: the eventual leader
+        // must not be p0.
         let n = 3;
-        let mut sim = Sim::new(Universe::new(n).unwrap());
-        let omega = Omega::alloc(&mut sim, n - 1);
-        let leaders = sim.alloc_array("leader", n, u64::MAX);
-        for p in sim.universe().processes() {
-            let omega = omega.clone();
-            let mine = leaders[p.index()];
-            sim.spawn(p, move |ctx| async move {
-                let mut local = omega.local_state();
-                loop {
-                    omega.iterate(&ctx, &mut local).await;
-                    ctx.write(mine, local.leader().index() as u64).await;
-                }
-            })
-            .unwrap();
-        }
-        // p0 runs briefly, then only p1 and p2 forever.
         let mut order: Vec<usize> = (0..60).map(|s| s % n).collect();
         order.extend((0..60_000).map(|s| 1 + (s % 2)));
-        let mut src = ScheduleCursor::new(Schedule::from_indices(order));
-        sim.run(&mut src, RunConfig::steps(61_000)).unwrap();
+        let report = run_omega(n, order);
+        let leaders = final_leaders(&report, n);
         for survivor in [1usize, 2] {
-            let l = sim.peek(leaders[survivor]);
+            let leader = leaders[survivor].expect("a survivor trusts someone");
             assert_ne!(
-                l, 0,
-                "crashed p0 must not stay leader (p{survivor} trusts p{l})"
+                leader,
+                ProcessId::new(0),
+                "crashed p0 must not stay leader (p{survivor} trusts {leader})"
             );
         }
     }
@@ -155,17 +70,19 @@ mod tests {
     #[test]
     fn universe_roundtrip() {
         let mut sim = Sim::new(Universe::new(4).unwrap());
-        let omega = Omega::alloc(&mut sim, 2);
+        let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 2));
         assert_eq!(omega.universe().n(), 4);
-        assert_eq!(omega.as_kanti().set_count(), 4);
+        // One candidate set per process: the singletons.
+        assert_eq!(omega.set_count(), 4);
     }
 
     #[test]
     fn local_accessors() {
         let mut sim = Sim::new(Universe::new(2).unwrap());
-        let omega = Omega::alloc(&mut sim, 1);
-        let local = omega.local_state();
-        assert_eq!(local.iterations(), 0);
-        let _ = ProcSet::EMPTY; // keep import used
+        let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
+        let machine = omega.machine();
+        assert_eq!(machine.iterations(), 0);
+        // No leader before the first iteration.
+        assert_eq!(machine.winnerset(), ProcSet::EMPTY);
     }
 }

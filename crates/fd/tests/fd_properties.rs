@@ -23,8 +23,7 @@ fn run_fd(
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
     for p in universe.processes() {
-        let fd = fd.clone();
-        sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+        sim.spawn_automaton(p, fd.machine()).unwrap();
     }
     let len = sched.len() as u64;
     let mut src = ScheduleCursor::new(sched);
@@ -69,8 +68,7 @@ proptest! {
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
         for p in universe.processes() {
-            let fd = fd.clone();
-            sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+            sim.spawn_automaton(p, fd.machine()).unwrap();
         }
         let mut src = ScheduleCursor::new(sched.clone());
         let mut prev_counters: Vec<Vec<u64>> = Vec::new();
@@ -122,17 +120,12 @@ proptest! {
         let universe = Universe::new(n).unwrap();
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, 2));
-        let fd2 = fd.clone();
-        sim.spawn(ProcessId::new(0), move |ctx| async move {
-            let mut local = fd2.local_state();
-            fd2.iterate(&ctx, &mut local).await;
-            ctx.probe("done", 1);
-            loop { ctx.pause().await; }
-        }).unwrap();
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         // Run p0 solo until the iteration completes.
+        let one = Schedule::from_indices([0]);
         let mut steps = 0u64;
-        while sim.report().probes.last_value(ProcessId::new(0), "done").is_none() {
-            sim.step_with(ProcessId::new(0));
+        while fleet[0].iterations() == 0 {
+            sim.run_automata_replay(&mut fleet, &one, RunConfig::steps(1)).unwrap();
             steps += 1;
             prop_assert!(steps < 10_000, "iteration never completed");
         }

@@ -20,8 +20,7 @@ fn run_fd<S: StepSource>(
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, config);
     for p in universe.processes() {
-        let fd = fd.clone();
-        sim.spawn(p, move |ctx| fd.run(ctx)).unwrap();
+        sim.spawn_automaton(p, fd.machine()).unwrap();
     }
     sim.run(src, RunConfig::steps(budget)).unwrap();
     sim.report()

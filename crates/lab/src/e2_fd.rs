@@ -36,9 +36,8 @@ fn fd_workload(k: usize, t: usize) -> Workload {
         k,
         t,
         policy: TimeoutPolicy::Increment,
-        // The state-machine ABI: observationally identical to the async
-        // transcription (st-fd differential tests), several times cheaper
-        // per step — the whole grid is simulator-bound.
+        // One automaton slot per process — the whole grid is
+        // simulator-bound.
         abi: FdAbi::MachineSlot,
         detector: FdDetector::SetBased,
         // Certify S^k_{t+1,n} membership on the executed schedule itself.

@@ -9,10 +9,8 @@
 //! The grid is a campaign (`st-campaign`): each row is a [`Scenario`] with
 //! a declarative conforming (optionally crash-decorated) generator spec and
 //! the agreement workload, executed in parallel with a deterministic merge.
-//! The stack runs on the simulator's non-async fast path
-//! ([`st_agreement::StackAbi::Machine`], the `AgreementStack` default) —
-//! observationally identical to the async transcription (the
-//! `st-agreement` differential suite); `BENCHMARK.json`'s
+//! The stack is one `KSetAgreementMachine` per automaton slot (what
+//! `AgreementStack` spawns); `BENCHMARK.json`'s
 //! `sim.runner.machine_slot_ns_per_step` on `campaign_batch` is this
 //! grid's cost per step.
 

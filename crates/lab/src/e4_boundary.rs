@@ -11,8 +11,7 @@
 //! workload over a conforming `SetTimely` spec, the unsolvable side is the
 //! [`Workload::AdversarialAgreement`] workload (the adversary constructs
 //! its schedule adaptively; the generator spec is a placeholder). Both run
-//! the stack on the machine ABI (the `AgreementStack` default since the
-//! agreement port).
+//! the stack `AgreementStack` spawns, one machine per process.
 
 use st_campaign::{Campaign, Scenario, Workload};
 use st_core::{AgreementTask, ProcSet, ProcessId, Value};

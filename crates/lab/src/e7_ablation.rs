@@ -10,9 +10,8 @@
 //!    synchrony" curve.
 //!
 //! Both ablations are one campaign: policy and bound axes become scenarios
-//! over the FD-convergence workload on the typed machine fleet (the
-//! state-machine fast path, differentially equal to the async port) and run
-//! in parallel — the multi-million-step sweeps are where `--threads`
+//! over the FD-convergence workload on the typed machine fleet (static
+//! dispatch, the simulator's fastest scalar drive) and run in parallel — the multi-million-step sweeps are where `--threads`
 //! actually pays.
 
 use st_campaign::{Campaign, FdAbi, FdDetector, Scenario, Workload};

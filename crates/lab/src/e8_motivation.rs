@@ -15,9 +15,10 @@
 //!   counter grows forever.
 //!
 //! The side-by-side is a campaign: per case, one scenario with the
-//! set-based detector and one with the process-based baseline (both on the
-//! async drive the detectors were transcribed for), over the same
-//! alternating-rotation generator spec.
+//! set-based detector and one with the process-based baseline (both one
+//! automaton slot per process), over the same alternating-rotation
+//! generator spec. The scenarios name [`FdAbi::Async`], which runs the slot
+//! drive: the value stays because it is part of their spec and store key.
 
 use st_campaign::{Campaign, FdAbi, FdDetector, Scenario, Workload};
 use st_core::{ProcSet, Universe};

@@ -1558,6 +1558,91 @@ mod tests {
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
+    /// The same for parameters a protocol's constructor would assert on: an
+    /// agreement task `AgreementTask::new` refuses, a detector outside
+    /// `1 ≤ k ≤ t ≤ n − 1`, and a BG reduction simulating nobody, more
+    /// than 64 processes, or a `k = 0` algorithm.
+    #[test]
+    fn submit_refuses_protocol_parameters_the_worker_would_panic_on() {
+        let shared = shared_with("st-serve-protocol-spec-test", 10);
+        let policy = policy_from_spec(TimeoutPolicySpec::Increment);
+        let with = |workload: Workload| {
+            let mut campaign = tiny_campaign(0..1);
+            campaign.push(Scenario::new(
+                "protocol",
+                Universe::new(4).unwrap(),
+                GeneratorSpec::round_robin(),
+                workload,
+                1_000,
+                0,
+            ));
+            campaign
+        };
+        let agreement = |t| Workload::Agreement {
+            t,
+            k: 1,
+            inputs: vec![1, 2, 3, 4],
+            policy,
+            certify: None,
+        };
+        let fd = |k, detector| Workload::FdConvergence {
+            k,
+            t: 2,
+            policy,
+            abi: FdAbi::MachineSlot,
+            detector,
+            certify_membership: false,
+        };
+        let bg = |n_sim, k| Workload::BgReduction {
+            n_sim,
+            k,
+            max_reads: 8,
+        };
+        for (key, campaign, path) in [
+            ("task", with(agreement(0)), "field \"t\""),
+            ("set-fd", with(fd(3, FdDetector::SetBased)), "field \"k\""),
+            (
+                "baseline",
+                with(fd(0, FdDetector::ProcessBased)),
+                "field \"k\"",
+            ),
+            ("nobody", with(bg(0, 1)), "field \"n_sim\""),
+            ("wide-bg", with(bg(65, 1)), "field \"n_sim\""),
+            ("zero-k", with(bg(3, 0)), "field \"k\""),
+        ] {
+            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            let message = message.and_then(Json::as_str).unwrap();
+            assert!(
+                message.contains(&format!("entries[1].scenario: {path}")),
+                "{message}"
+            );
+            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
+            assert!(shared.jobs.lock().unwrap().is_empty());
+        }
+
+        // The valid twins run to `done`.
+        let mut good = with(agreement(1));
+        for workload in [
+            fd(2, FdDetector::SetBased),
+            fd(1, FdDetector::ProcessBased),
+            bg(3, 1),
+        ] {
+            good.push(Scenario::new(
+                "twin",
+                Universe::new(4).unwrap(),
+                GeneratorSpec::round_robin(),
+                workload,
+                1_000,
+                0,
+            ));
+        }
+        submit_and_run(&shared, "good", &good);
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
     /// The same for a generator its constructor would assert on: a weight
     /// vector of the wrong length, nested under a decorator.
     #[test]

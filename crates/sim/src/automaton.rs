@@ -1,28 +1,18 @@
-//! The non-async automaton ABI: explicit state machines on the executor's
-//! fast path.
+//! The automaton ABI: every protocol is an explicit state machine.
 //!
-//! The async [`ProcessCtx`](crate::ProcessCtx) path is ergonomic — protocol
-//! code reads like the paper's pseudocode — but every step pays for the poll
-//! machinery: resuming a compiler-generated future, the grant-cell
-//! handshake, and the suspension at the next awaited operation. Profiles of
-//! the Figure 2 experiments put that machinery at well over half of the
-//! async path's cost per step — far above the cost of the register
-//! operation itself (`sim.memory.word_rw_ns` in `BENCHMARK.json`).
+//! The executor calls [`Automaton::step`] once per scheduled step and hands
+//! it a scoped [`StepAccess`] — a direct view of the register arena plus the
+//! instrumentation channels. The automaton keeps its own control state
+//! (typically a phase enum) and performs **at most one** shared-memory
+//! operation per call, exactly the model's notion of a step (one register
+//! access plus unbounded local computation). A protocol whose pseudocode is
+//! a loop of operations becomes one phase per operation; the local code
+//! between two operations runs at the end of the step that performed the
+//! first.
 //!
-//! An [`Automaton`] is the explicit alternative: the executor calls
-//! [`Automaton::step`] once per granted step and hands it a scoped
-//! [`StepAccess`] — a direct view of the register arena plus the
-//! instrumentation channels. No future, no poll, no grant cell: the automaton
-//! keeps its own control state (typically a phase enum) and performs **at
-//! most one** shared-memory operation per call, exactly the model's notion
-//! of a step (one register access plus unbounded local computation).
-//!
-//! Both ABIs coexist in one [`Sim`](crate::Sim): spawn ergonomic protocols
-//! with [`Sim::spawn`](crate::Sim::spawn) and hot ones with
-//! [`Sim::spawn_automaton`](crate::Sim::spawn_automaton). Step semantics,
-//! accounting, probes, and decisions are identical across the two — the
-//! differential tests in `st-fd` hold the Figure 2 detector to
-//! *observational equality* between its two implementations.
+//! Slots are filled with [`Sim::spawn_automaton`](crate::Sim::spawn_automaton),
+//! the one way to put a process into a simulation; the fleet drives take a
+//! caller-owned `&mut [A]` of the same trait.
 
 use st_core::{ProcSet, ProcessId, Value};
 
@@ -94,16 +84,14 @@ pub trait Automaton {
 /// Scoped, direct view of the simulator handed to an [`Automaton`] for
 /// exactly one step.
 ///
-/// Mirrors the [`ProcessCtx`](crate::ProcessCtx) API without the `async`
-/// layer: register operations are plain calls against the word arena
-/// (`&mut Memory`, no per-operation `RefCell` borrow), probes and decisions
-/// go to the same trace. The **one-operation-per-step** discipline that the
-/// async path gets from its grant handshake is enforced here explicitly:
-/// a second register operation in the same step panics.
+/// Register operations are plain calls against the word arena
+/// (`&mut Memory`, no per-operation `RefCell` borrow); probes and decisions
+/// go to the trace. The **one-operation-per-step** discipline is enforced
+/// explicitly: a second register operation in the same step panics.
 pub struct StepAccess<'a> {
     pid: ProcessId,
-    /// The executing step's global index, passed by value: the hot loops
-    /// never touch the shared step cell.
+    /// The executing step's global index: probes and decisions attach to
+    /// it.
     step: u64,
     memory: &'a mut Memory,
     shared: &'a SimShared,
@@ -142,19 +130,6 @@ impl<'a> StepAccess<'a> {
     #[inline]
     pub fn pid(&self) -> ProcessId {
         self.pid
-    }
-
-    /// Number of processes in the system.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.shared.n
-    }
-
-    /// The global step index currently executing (instrumentation only; a
-    /// real process has no access to global time).
-    #[inline]
-    pub fn now(&self) -> u64 {
-        self.step
     }
 
     #[inline]
@@ -272,8 +247,8 @@ impl<'a> StepAccess<'a> {
         }
     }
 
-    /// Consumes the step's operation without touching shared memory — the
-    /// automaton form of [`ProcessCtx::pause`](crate::ProcessCtx::pause).
+    /// Consumes the step's operation without touching shared memory (a
+    /// "skip" step; the model equivalent is reading a dummy register).
     /// Returning from [`Automaton::step`] without any operation is
     /// equivalent; this exists to make the intent explicit (and to enforce
     /// that nothing else runs in the same step).
@@ -286,8 +261,9 @@ impl<'a> StepAccess<'a> {
         self.op_used = true;
     }
 
-    /// Publishes an instrumentation probe. **Free** (see
-    /// [`ProcessCtx::probe`](crate::ProcessCtx::probe)).
+    /// Publishes an instrumentation probe. **Free**: probes model the
+    /// external observation of a process's local variables (e.g. the
+    /// failure-detector output `fdOutput` of Figure 2) and take no step.
     pub fn probe(&self, key: &'static str, value: u64) {
         self.shared.trace.borrow_mut().probes.push(ProbeEvent {
             step: self.step,
@@ -309,10 +285,5 @@ impl<'a> StepAccess<'a> {
     /// Panics if the process already decided (decisions are irrevocable).
     pub fn decide(&self, value: Value) {
         self.shared.record_decision(self.pid, value, self.step);
-    }
-
-    /// Returns `true` if this process has decided.
-    pub fn has_decided(&self) -> bool {
-        self.shared.trace.borrow().decisions[self.pid.index()].is_some()
     }
 }

@@ -35,16 +35,9 @@ pub enum SimError {
         /// Out-of-range arena index.
         register: usize,
     },
-    /// `spawn` was called twice for the same process.
+    /// `spawn_automaton` was called twice for the same process.
     AlreadySpawned {
         /// The doubly-spawned process.
-        process: ProcessId,
-    },
-    /// A scheduled process polled `Pending` without consuming its step
-    /// grant: its future is waiting on something other than a simulator
-    /// operation, which the deterministic executor cannot make progress on.
-    StuckProcess {
-        /// The stuck process.
         process: ProcessId,
     },
     /// A step source or schedule named a process outside the simulated
@@ -66,15 +59,6 @@ pub enum SimError {
         /// The drive entry point that was called.
         drive: &'static str,
         /// A process that was spawned into a slot.
-        process: ProcessId,
-    },
-    /// `run_adaptive` was called on a `Sim` with a live async slot. The
-    /// adaptive drive shows its chooser the register arena it holds for the
-    /// whole call; an async process reaches the arena through its own
-    /// borrow, so the two cannot share a run — returned (not panicked)
-    /// before anything executes.
-    AdaptiveDriveOnAsyncSlot {
-        /// A process whose live automaton is an async future.
         process: ProcessId,
     },
 }
@@ -100,9 +84,6 @@ impl fmt::Display for SimError {
             SimError::AlreadySpawned { process } => {
                 write!(f, "process {process} spawned twice")
             }
-            SimError::StuckProcess { process } => {
-                write!(f, "process {process} is pending on a non-simulator future")
-            }
             SimError::ScheduleOutOfUniverse { process, n } => {
                 write!(
                     f,
@@ -114,13 +95,6 @@ impl fmt::Display for SimError {
                     f,
                     "{drive} drives a caller-owned fleet, but this Sim has spawned \
                      slots (e.g. {process}); the ownership modes do not mix"
-                )
-            }
-            SimError::AdaptiveDriveOnAsyncSlot { process } => {
-                write!(
-                    f,
-                    "run_adaptive holds the register arena for the whole call, but \
-                     {process} is a live async slot; it drives state machines only"
                 )
             }
         }

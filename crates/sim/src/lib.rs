@@ -15,29 +15,19 @@
 //!   local protocol state (failure-detector outputs, round numbers) to the
 //!   trace without costing steps.
 //!
-//! # The two automaton ABIs
+//! # The automaton ABI
 //!
-//! Protocols plug into the executor through either of two equivalent ABIs,
-//! and one [`Sim`] mixes both kinds of slots freely:
+//! Protocols plug into the executor through one ABI ([`Automaton`],
+//! [`StepAccess`]): the protocol keeps explicit control state — one phase
+//! per register operation of its pseudocode — and the executor calls
+//! [`Automaton::step`] once per scheduled step with a scoped view of the
+//! register arena, holding a single arena borrow per `run` call. One form
+//! per protocol is also one form to verify: it is the explicit-transition
+//! shape that model checkers explore.
 //!
-//! 1. **Async** ([`Sim::spawn`], [`ProcessCtx`]): the protocol is an
-//!    `async fn`; each register operation suspends until the schedule
-//!    grants the process a step. This is the ergonomic default — code reads
-//!    like the paper's pseudocode — and the right choice for everything off
-//!    the hot path (`st-agreement`, `st-bgsim`, tests, scripted
-//!    scenarios). Cost: the compiler-generated future must be polled and
-//!    resumed every step (~23–26 ns/step on the Figure 2 n = 8 workload on
-//!    the reference host).
-//! 2. **State machine** ([`Sim::spawn_automaton`], [`Automaton`],
-//!    [`StepAccess`]): the protocol keeps explicit control state and the
-//!    executor calls [`Automaton::step`] directly with a scoped view of the
-//!    register arena — no `Pin<Box<dyn Future>>`, no poll/grant handshake,
-//!    and (in a machine-only run) a single arena borrow per `run` call
-//!    instead of one per step. This is the fast path for protocols stepped
-//!    millions of times per experiment.
-//!
-//! The state-machine ABI additionally unlocks the fleet drives the boxed
-//! async path cannot express:
+//! A simulation is driven either through its slots
+//! ([`Sim::spawn_automaton`] then [`Sim::run`]: one virtual call per step)
+//! or as a fleet:
 //!
 //! - [`Sim::run_automata`] drives a caller-owned homogeneous fleet
 //!   (`&mut [A]`) with **static dispatch** — the automaton body inlines
@@ -61,10 +51,10 @@
 //! derives from register contents on [`Memory::version`], the arena's
 //! count of completed writes.
 //!
-//! Every machine-ABI drive — slots or fleet, cursor, replay or chooser, and
-//! the SoA drive's scalar fallbacks — executes its steps through one
-//! private step kernel in `runner.rs`: the model has one execution rule,
-//! and so does the executor.
+//! Every drive — slots or fleet, cursor, replay or chooser, and the SoA
+//! drive's scalar fallbacks — executes its steps through one private step
+//! kernel in `runner.rs`: the model has one execution rule, and so does the
+//! executor.
 //!
 //! ## Choosing a fleet replay drive
 //!
@@ -73,19 +63,18 @@
 //! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish) and under per-step stop conditions | nothing — it is the reference |
 //! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose slices are pure read runs — the drive alone runs the lean n = 256 bursty fleet at ≥ 2× plain (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`); round-robin-shaped slices take a strided cursor fast path with no per-step bucketing at all | write-dense phases: slices go impure and the drive runs the scalar fallback plus bucketing overhead. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
 //!
-//! The Figure 2 k-anti-Ω detector in `st-fd` and the agreement stack in
-//! `st-agreement` (Paxos proposer, k-set agreement) ship on both ABIs,
-//! held observationally identical (same probes at the same step indices,
-//! same register footprint) by differential tests. The state machine is
-//! the fast path and the one whose cost is recorded: `BENCHMARK.json`'s
-//! `sim.runner.machine_slot_ns_per_step` and
-//! `sim.runner.replay_plain_ns_per_step` time the full FD +
-//! k-parallel-Paxos stack on the E3 workload (the async ABI's step cost is
-//! not recorded).
+//! Every protocol of the workspace is such a machine. The paper-shaped
+//! loop transcriptions they were ported from survive as data: the
+//! workspace's `tests/fixtures/transcription.json` holds their probes,
+//! decisions, op counts and register footprints on fixed schedules, and
+//! `tests/transcription.rs` holds each machine to it on the slot drive and
+//! on fleet replay. `BENCHMARK.json`'s `sim.runner.machine_slot_ns_per_step`
+//! and `sim.runner.replay_plain_ns_per_step` time the full FD +
+//! k-parallel-Paxos stack on the E3 workload.
 //!
-//! Step semantics are identical across the ABIs and drive modes: one
-//! register operation per scheduled step, same accounting, same probes and
-//! decisions, same determinism guarantees. Malformed schedules — a step
+//! Step semantics are identical across drive modes: one register operation
+//! per scheduled step, same accounting, same probes and decisions, same
+//! determinism guarantees. Malformed schedules — a step
 //! source naming a process outside the universe — surface as typed
 //! [`SimError::ScheduleOutOfUniverse`] errors from every run/replay entry
 //! point, not as panics.
@@ -105,7 +94,6 @@ pub mod soa;
 pub mod trace;
 
 pub use automaton::{Automaton, Status, StepAccess};
-pub use ctx::ProcessCtx;
 pub use error::SimError;
 pub use memory::{Memory, RegisterStats};
 pub use register::{Reg, RegValue, WriteDiscipline};

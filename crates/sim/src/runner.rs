@@ -1,22 +1,18 @@
 //! The deterministic executor and run controller.
 //!
-//! A [`Sim`] owns the register arena, the spawned process futures, and the
+//! A [`Sim`] owns the register arena, the spawned process automata, and the
 //! trace. Driving it with a [`StepSource`] executes the schedule: each step
 //! grants exactly one register operation to the scheduled process. The
 //! executor is single-threaded and fully deterministic — the schedule is the
 //! only source of nondeterminism in a run, which is precisely the model of
 //! the paper.
 
-use std::cell::{Cell, RefMut};
-use std::future::Future;
-use std::pin::Pin;
-use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
+use std::cell::{Cell, RefCell, RefMut};
 
 use st_core::{AgreementOutcome, ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
 
 use crate::automaton::{Automaton, Status, StepAccess};
-use crate::ctx::{ProcessCtx, SimShared};
+use crate::ctx::SimShared;
 use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
 use crate::register::{Reg, RegValue, WriteDiscipline};
@@ -26,19 +22,16 @@ use crate::trace::{Decision, ProbeLog, TraceInner};
 /// Result of executing a single step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StepOutcome {
-    /// The process consumed its grant (performed one register operation or a
-    /// pause) and is still running.
+    /// The process took its step (one register operation, a pause, or
+    /// local computation only) and is still running.
     Progressed,
-    /// The process's future completed during this step.
+    /// The process's automaton completed ([`Status::Done`]) during this
+    /// step.
     Finished,
     /// The scheduled process has no live automaton (never spawned, already
     /// finished, or crashed): the step is a no-op, as for a halted process
     /// in the model.
     Idle,
-    /// The process polled `Pending` without consuming its grant — it is
-    /// blocked on a non-simulator future, which deterministic execution
-    /// cannot resolve.
-    Stuck,
 }
 
 /// Why a [`Sim::run`] call returned.
@@ -50,7 +43,9 @@ pub enum RunStatus {
     MaxSteps,
     /// The step source ran out of steps.
     SourceEnded,
-    /// A process got stuck (see [`StepOutcome::Stuck`]).
+    /// A process was blocked on something other than a simulator step.
+    /// No drive produces it: it exists so that outcome stores written when
+    /// the simulator could report it still decode.
     Stuck(ProcessId),
 }
 
@@ -62,7 +57,8 @@ pub enum StopWhen {
     Never,
     /// Stop once every member of the set has decided.
     AllDecided(ProcSet),
-    /// Stop once every member of the set has finished (future completed).
+    /// Stop once every member of the set has finished (its automaton
+    /// returned [`Status::Done`]).
     AllFinished(ProcSet),
     /// Stop at the first decision by any process.
     AnyDecided,
@@ -174,17 +170,9 @@ impl RunReport {
     }
 }
 
-/// A live automaton: one of the two execution ABIs (see the crate docs).
-enum Body {
-    /// Async protocol over a [`ProcessCtx`]: driven through the poll/grant
-    /// machinery.
-    Future(Pin<Box<dyn Future<Output = ()>>>),
-    /// Explicit state machine: driven directly, no poll, no grant cell.
-    Machine(Box<dyn Automaton>),
-}
-
 struct Slot {
-    body: Option<Body>,
+    /// The live automaton; `None` once it finished or crashed.
+    body: Option<Box<dyn Automaton>>,
     spawned: bool,
 }
 
@@ -194,18 +182,31 @@ struct Slot {
 ///
 /// ```
 /// use st_core::{Universe, ProcessId, ScheduleCursor, Schedule};
-/// use st_sim::{Sim, RunConfig};
+/// use st_sim::{Automaton, Reg, RunConfig, Sim, Status, StepAccess};
+///
+/// /// Reads the token, then writes it back incremented and decides.
+/// struct Bump { token: Reg<u64>, read: Option<u64> }
+///
+/// impl Automaton for Bump {
+///     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+///         match self.read {
+///             None => {
+///                 self.read = Some(mem.read_word(self.token));
+///                 Status::Running
+///             }
+///             Some(v) => {
+///                 mem.write_word(self.token, v + 1);
+///                 mem.decide(v + 1);
+///                 Status::Done
+///             }
+///         }
+///     }
+/// }
 ///
 /// let mut sim = Sim::new(Universe::new(2).unwrap());
-/// let reg = sim.alloc("token", 0u64);
+/// let token = sim.alloc("token", 0u64);
 /// for pid in sim.universe().processes() {
-///     let ctx = sim.ctx(pid);
-///     sim.spawn(pid, |ctx| async move {
-///         let v = ctx.read(reg).await;
-///         ctx.write(reg, v + 1).await;
-///         ctx.decide(v + 1);
-///     }).unwrap();
-///     let _ = ctx; // ctx available for external inspection too
+///     sim.spawn_automaton(pid, Bump { token, read: None }).unwrap();
 /// }
 /// let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 1, 1]));
 /// sim.run(&mut src, RunConfig::steps(10)).unwrap();
@@ -214,7 +215,7 @@ struct Slot {
 /// assert_eq!(report.decision_value(ProcessId::new(1)), Some(2));
 /// ```
 pub struct Sim {
-    shared: Rc<SimShared>,
+    shared: SimShared,
     slots: Vec<Slot>,
     universe: Universe,
     finished: Vec<bool>,
@@ -226,16 +227,13 @@ impl Sim {
     pub fn new(universe: Universe) -> Self {
         let n = universe.n();
         Sim {
-            shared: Rc::new(SimShared {
-                memory: std::cell::RefCell::new(Memory::new()),
-                grant: std::cell::Cell::new(None),
-                step: std::cell::Cell::new(0),
-                trace: std::cell::RefCell::new(TraceInner::new(n)),
-                decided: std::cell::Cell::new(0),
-                decided_count: std::cell::Cell::new(0),
-                op_counts: (0..n).map(|_| std::cell::Cell::new(0)).collect(),
-                n,
-            }),
+            shared: SimShared {
+                memory: RefCell::new(Memory::new()),
+                trace: RefCell::new(TraceInner::new(n)),
+                decided: Cell::new(0),
+                decided_count: Cell::new(0),
+                op_counts: (0..n).map(|_| Cell::new(0)).collect(),
+            },
             slots: (0..n)
                 .map(|_| Slot {
                     body: None,
@@ -319,35 +317,8 @@ impl Sim {
         (0..n).map(|i| base.at(i)).collect()
     }
 
-    /// A context handle for `pid` (for spawning helpers or external
-    /// inspection).
-    pub fn ctx(&self, pid: ProcessId) -> ProcessCtx {
-        ProcessCtx::new(pid, Rc::clone(&self.shared))
-    }
-
-    /// Spawns the automaton of `pid` from an async closure over its context.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AlreadySpawned`] if `pid` was spawned before.
-    pub fn spawn<F, Fut>(&mut self, pid: ProcessId, f: F) -> Result<(), SimError>
-    where
-        F: FnOnce(ProcessCtx) -> Fut,
-        Fut: Future<Output = ()> + 'static,
-    {
-        if self.slots[pid.index()].spawned {
-            return Err(SimError::AlreadySpawned { process: pid });
-        }
-        let future = Box::pin(f(self.ctx(pid)));
-        let slot = &mut self.slots[pid.index()];
-        slot.body = Some(Body::Future(future));
-        slot.spawned = true;
-        Ok(())
-    }
-
-    /// Spawns the automaton of `pid` as an explicit state machine on the
-    /// non-async fast path (see [`Automaton`]). Machine and async slots mix
-    /// freely in one simulation.
+    /// Spawns the automaton of `pid` (see [`Automaton`]): the one way to
+    /// fill a slot.
     ///
     /// # Errors
     ///
@@ -361,50 +332,30 @@ impl Sim {
             return Err(SimError::AlreadySpawned { process: pid });
         }
         let slot = &mut self.slots[pid.index()];
-        slot.body = Some(Body::Machine(Box::new(automaton)));
+        slot.body = Some(Box::new(automaton));
         slot.spawned = true;
         Ok(())
     }
 
-    /// Executes one step by `p`.
+    /// Executes one step by `p`: the kernel gives its machine (if any) a
+    /// scoped direct view of the arena for this one step.
     ///
     /// Steps of processes without a live automaton are no-ops (the halted
     /// automaton self-loops), but still count — they are real steps of the
     /// schedule.
     pub fn step_with(&mut self, p: ProcessId) -> StepOutcome {
         assert!(self.universe.contains(p), "{p} outside {}", self.universe);
-        self.shared.step.set(self.steps);
-        let Some(Body::Future(future)) = self.slots[p.index()].body.as_mut() else {
-            // The fast path: no future, no grant handshake — the kernel
-            // gives the machine (if any) a scoped direct view of the arena
-            // for this one step.
-            let (mut kernel, slots) = self.kernel(false);
-            return kernel.step(p, slots);
-        };
-        self.steps += 1;
-        self.shared.grant.set(Some(p));
-        let mut cx = Context::from_waker(Waker::noop());
-        let poll = future.as_mut().poll(&mut cx);
-        let grant_left = self.shared.grant.take();
-        match poll {
-            Poll::Ready(()) => {
-                self.slots[p.index()].body = None;
-                self.finished[p.index()] = true;
-                StepOutcome::Finished
-            }
-            Poll::Pending if grant_left.is_none() => StepOutcome::Progressed,
-            Poll::Pending => StepOutcome::Stuck,
-        }
+        let (mut kernel, slots) = self.kernel();
+        kernel.step(p, slots)
     }
 
     /// The scalar step kernel over this simulation's state, plus the slots
-    /// it may dispatch into (split so both can be borrowed at once). A
-    /// kernel for a whole run is `buffered`: it counts operations locally.
-    fn kernel(&mut self, buffered: bool) -> (StepKernel<'_>, &mut [Slot]) {
+    /// it may dispatch into (split so both can be borrowed at once).
+    fn kernel(&mut self) -> (StepKernel<'_>, &mut [Slot]) {
         let kernel = StepKernel {
             shared: &self.shared,
             memory: self.shared.memory.borrow_mut(),
-            ops: vec![0; if buffered { self.finished.len() } else { 0 }],
+            ops: vec![0; self.finished.len()],
             finished: &mut self.finished,
             steps: self.steps,
             steps_out: &mut self.steps,
@@ -415,12 +366,9 @@ impl Sim {
     /// Drives the simulation from `src` under `cfg`. Can be called again to
     /// continue the same simulation with a different source or budget.
     ///
-    /// When no async slot is live the run goes through the step kernel,
-    /// which holds the register-arena borrow for the **whole call** instead
-    /// of re-entering the `RefCell` on every step — the state-machine ABI's
-    /// "scoped direct view" in its cheapest form: one direct `step`
-    /// dispatch per scheduled step, no poll, no grant cell. Semantics are
-    /// identical to the general loop.
+    /// The run goes through the step kernel, which holds the register-arena
+    /// borrow for the **whole call** instead of re-entering the `RefCell`
+    /// on every step: one direct `step` dispatch per scheduled step.
     ///
     /// Pulled is executed: the stop rule is checked before each pull and
     /// the budget caps the pulls, so the steps taken from `src` are exactly
@@ -437,37 +385,8 @@ impl Sim {
         src: &mut S,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        if self.live_async_slot().is_none() {
-            let (mut kernel, slots) = self.kernel(true);
-            return kernel.run(slots, budgeted(src, cfg), cfg);
-        }
-        for _ in 0..cfg.max_steps {
-            if stop_met(&cfg.stop, &self.shared, &self.finished) {
-                return Ok(RunStatus::Stopped);
-            }
-            let Some(p) = src.next_step() else {
-                return Ok(RunStatus::SourceEnded);
-            };
-            check_in_universe(p, self.universe.n())?;
-            if self.step_with(p) == StepOutcome::Stuck {
-                return Ok(RunStatus::Stuck(p));
-            }
-        }
-        Ok(if stop_met(&cfg.stop, &self.shared, &self.finished) {
-            RunStatus::Stopped
-        } else {
-            RunStatus::MaxSteps
-        })
-    }
-
-    /// A process whose live automaton is an async future, if there is one:
-    /// such a slot reaches the arena through its own borrow, so no drive
-    /// that holds the arena for a whole call can step it.
-    fn live_async_slot(&self) -> Option<ProcessId> {
-        self.slots
-            .iter()
-            .position(|s| matches!(s.body, Some(Body::Future(_))))
-            .map(ProcessId::new)
+        let (mut kernel, slots) = self.kernel();
+        kernel.run(slots, budgeted(src, cfg), cfg)
     }
 
     /// Drives the simulation for `budget` steps on a schedule chosen **from
@@ -495,21 +414,14 @@ impl Sim {
     ///
     /// Returns [`SimError::ScheduleOutOfUniverse`] if `choose` names a
     /// process outside the simulated universe — the steps chosen before it
-    /// have executed normally and the simulation remains usable — and
-    /// [`SimError::AdaptiveDriveOnAsyncSlot`], before executing anything,
-    /// if an async slot is live (step such a simulation with
-    /// [`step_with`](Self::step_with) and observe it with
-    /// [`peek`](Self::peek)).
+    /// have executed normally and the simulation remains usable.
     pub fn run_adaptive<F: FnMut(&Memory) -> ProcessId>(
         &mut self,
         budget: u64,
         mut choose: F,
     ) -> Result<(), SimError> {
-        if let Some(process) = self.live_async_slot() {
-            return Err(SimError::AdaptiveDriveOnAsyncSlot { process });
-        }
         let n = self.universe.n();
-        let (mut kernel, slots) = self.kernel(true);
+        let (mut kernel, slots) = self.kernel();
         for _ in 0..budget {
             let p = choose(&kernel.memory);
             check_in_universe(p, n)?;
@@ -523,9 +435,8 @@ impl Sim {
     /// type, so the automaton's `step` inlines into the executor loop and
     /// the per-step cost collapses to the cursor pull, the step bump, and
     /// the inlined body. This is the fastest execution mode of the
-    /// simulator, and it is only expressible on the state-machine ABI (an
-    /// async slot is a `Pin<Box<dyn Future>>` by construction — every poll
-    /// is an opaque virtual call).
+    /// simulator (a slot is a `Box<dyn Automaton>`: every step is a virtual
+    /// call).
     ///
     /// The fleet is caller-owned: inspect the machines after (between) runs
     /// for their local state. Steps of processes whose machine has
@@ -540,9 +451,7 @@ impl Sim {
     /// outside the simulated universe (steps before the offending one have
     /// executed normally), and [`SimError::FleetDriveOnSpawnedSim`] —
     /// before executing anything — if any process was spawned into a slot
-    /// (the two ownership modes do not mix within one `Sim`; mixing ABIs is
-    /// what [`spawn`](Self::spawn) +
-    /// [`spawn_automaton`](Self::spawn_automaton) are for).
+    /// (the two ownership modes do not mix within one `Sim`).
     ///
     /// # Panics
     ///
@@ -554,7 +463,7 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         self.check_fleet_drive("run_automata", automata.len())?;
-        self.kernel(true).0.run(automata, budgeted(src, cfg), cfg)
+        self.kernel().0.run(automata, budgeted(src, cfg), cfg)
     }
 
     /// [`run_automata`](Self::run_automata) over a pre-materialized
@@ -616,7 +525,7 @@ impl Sim {
         prefix: &[ProcessId],
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        let (mut kernel, _) = self.kernel(true);
+        let (mut kernel, _) = self.kernel();
         kernel.run(automata, prefix.iter().copied(), cfg)
     }
 
@@ -726,7 +635,7 @@ impl Sim {
             return self.replay_scalar(automata, prefix, cfg);
         }
         let n = self.universe.n();
-        let (mut kernel, _) = self.kernel(true);
+        let (mut kernel, _) = self.kernel();
         let shared = kernel.shared;
         let first_step = kernel.steps;
         // Reused per-slice buffers: per-process step-index allotments, the
@@ -969,7 +878,8 @@ impl Sim {
     /// formatted from its block's recipe here, so this costs one `String`
     /// per register — which is why it is not part of
     /// [`report`](Self::report). Differential tests compare it across
-    /// drives and ABIs; no production path calls it.
+    /// drives, and to the transcription fixture; no production path calls
+    /// it.
     pub fn register_stats(&self) -> Vec<RegisterStats> {
         self.shared.memory.borrow().stats()
     }
@@ -989,10 +899,7 @@ impl Machines for [Slot] {
     type Machine = dyn Automaton;
 
     fn machine(&mut self, idx: usize) -> Option<&mut Self::Machine> {
-        match self[idx].body.as_mut() {
-            Some(Body::Machine(machine)) => Some(machine.as_mut()),
-            _ => None,
-        }
+        self[idx].body.as_deref_mut()
     }
 }
 
@@ -1009,7 +916,7 @@ impl<A: Automaton> Machines for [A] {
 
 /// The model's one execution rule — step `S[i]` of schedule `S` lets one
 /// process perform one register operation — spelled once: every
-/// machine-ABI drive executes its scalar steps through
+/// drive executes its scalar steps through
 /// [`step`](Self::step), directly or via the loop in [`run`](Self::run).
 ///
 /// The kernel holds the register-arena borrow for its whole lifetime (a run
@@ -1019,9 +926,8 @@ impl<A: Automaton> Machines for [A] {
 struct StepKernel<'a> {
     shared: &'a SimShared,
     memory: RefMut<'a, Memory>,
-    /// Per-process operations completed under this kernel: the step path of
-    /// a run touches no shared counter. Empty in the single-step kernel of
-    /// [`Sim::step_with`], which books straight to the shared counters.
+    /// Per-process operations completed under this kernel: the step path
+    /// touches no shared counter.
     ops: Vec<u64>,
     finished: &'a mut [bool],
     /// Global index of the next step to execute.
@@ -1066,13 +972,7 @@ impl StepKernel<'_> {
     /// `step_reads` calls.
     #[inline]
     fn settle(&mut self, idx: usize, ops: u64, status: Status) -> StepOutcome {
-        match self.ops.get_mut(idx) {
-            Some(count) => *count += ops,
-            None => {
-                let count = &self.shared.op_counts[idx];
-                count.set(count.get() + ops);
-            }
-        }
+        self.ops[idx] += ops;
         match status {
             Status::Running => StepOutcome::Progressed,
             Status::Done => {

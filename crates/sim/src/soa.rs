@@ -167,24 +167,6 @@ impl<'a> BatchAccess<'a> {
         self.pid
     }
 
-    /// Number of processes in the system.
-    #[inline]
-    pub fn n(&self) -> usize {
-        self.shared.n
-    }
-
-    /// Steps allotted to this batch in total.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Returns `true` if the batch carries no steps.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.steps.len() == 0
-    }
-
     /// Steps not yet consumed.
     #[inline]
     pub fn remaining(&self) -> usize {
@@ -297,11 +279,6 @@ impl<'a> BatchAccess<'a> {
     pub fn decide(&self, value: Value) {
         self.shared
             .record_decision(self.pid, value, self.current_step());
-    }
-
-    /// Returns `true` if this process has decided.
-    pub fn has_decided(&self) -> bool {
-        self.shared.trace.borrow().decisions[self.pid.index()].is_some()
     }
 
     #[inline]

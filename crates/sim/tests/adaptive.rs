@@ -112,40 +112,6 @@ fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
     assert_eq!(sim.steps_executed(), 12);
 }
 
-/// A live async slot is refused before anything executes, the way the
-/// fleet drives refuse a spawned `Sim`; once it has finished, nothing is
-/// left to refuse.
-#[test]
-fn a_live_async_slot_is_refused_with_a_typed_error() {
-    let mut sim = Sim::new(Universe::new(2).unwrap());
-    let reg = sim.alloc("x", 0u64);
-    sim.spawn(pid(1), move |ctx| async move {
-        ctx.write_word(reg, 7).await;
-    })
-    .unwrap();
-    let mut calls = 0;
-    let err = sim
-        .run_adaptive(4, |_| {
-            calls += 1;
-            pid(0)
-        })
-        .unwrap_err();
-    assert_eq!(err, SimError::AdaptiveDriveOnAsyncSlot { process: pid(1) });
-    assert!(err.to_string().contains("run_adaptive"), "{err}");
-    assert_eq!((calls, sim.steps_executed()), (0, 0));
-
-    // The per-step drive still serves it; a finished future is not live.
-    sim.step_with(pid(1));
-    assert!(sim.is_finished(pid(1)));
-    let mut seen = None;
-    sim.run_adaptive(1, |memory| {
-        seen = Some((memory.peek(reg), memory.version()));
-        pid(1)
-    })
-    .unwrap();
-    assert_eq!(seen, Some((Ok(7), 1)));
-}
-
 /// A boxed block, a word block (single- and multi-writer cells
 /// alternating), and one more boxed cell: handles offset past their own
 /// block land on a register of the other class, or outside the arena.

@@ -1,6 +1,6 @@
-//! Integration tests for the non-async automaton ABI: step semantics,
-//! mixing with async slots, the one-operation-per-step discipline,
-//! completion, and crashes.
+//! Integration tests for the automaton ABI: step semantics, the
+//! one-operation-per-step discipline, completion, crashes, and the fleet
+//! drives.
 
 mod common;
 
@@ -62,58 +62,6 @@ fn one_operation_per_step_and_completion() {
     assert_eq!(sim.step_with(pid(0)), StepOutcome::Idle);
     assert_eq!(sim.op_count(pid(0)), 5);
     assert_eq!(sim.decisions()[0].map(|d| d.value), Some(5));
-}
-
-/// Machine and async slots interleave in one simulation over shared
-/// registers.
-#[test]
-fn machine_and_async_slots_mix() {
-    let mut sim = Sim::new(universe(2));
-    let r = sim.alloc("ping", 0u64);
-
-    // p0: machine incrementing the register by one per step.
-    struct Incr {
-        reg: Reg<u64>,
-        phase: bool,
-        cached: u64,
-    }
-    impl Automaton for Incr {
-        fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
-            if self.phase {
-                mem.write_word(self.reg, self.cached + 1);
-            } else {
-                self.cached = mem.read_word(self.reg);
-            }
-            self.phase = !self.phase;
-            Status::Running
-        }
-    }
-    sim.spawn_automaton(
-        pid(0),
-        Incr {
-            reg: r,
-            phase: false,
-            cached: 0,
-        },
-    )
-    .unwrap();
-
-    // p1: async protocol doing the same through the poll path.
-    sim.spawn(pid(1), move |ctx| async move {
-        loop {
-            let v = ctx.read_word(r).await;
-            ctx.write_word(r, v + 1).await;
-        }
-    })
-    .unwrap();
-
-    // Strict alternation of complete read+write rounds.
-    let steps: Vec<usize> = [0, 0, 1, 1].repeat(25).to_vec();
-    let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-    sim.run(&mut src, RunConfig::steps(100)).unwrap();
-    assert_eq!(sim.peek(r), 50);
-    assert_eq!(sim.op_count(pid(0)), 50);
-    assert_eq!(sim.op_count(pid(1)), 50);
 }
 
 /// A second register operation in the same step is a protocol bug and
@@ -178,7 +126,7 @@ fn probes_pause_and_stop_conditions() {
     );
 }
 
-/// Crashing a machine freezes it like an async automaton.
+/// Crashing a machine freezes it: its later steps are idle no-ops.
 #[test]
 fn crash_freezes_machine() {
     let mut sim = Sim::new(universe(1));
@@ -297,10 +245,12 @@ fn fleet_runner_stop_condition() {
 fn fleet_runner_rejects_spawned_slots() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("x", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
-        ctx.pause().await;
-    })
-    .unwrap();
+    let slot = CountUp {
+        reg: r,
+        next: 1,
+        limit: 1,
+    };
+    sim.spawn_automaton(pid(0), slot).unwrap();
     let mut fleet = vec![CountUp {
         reg: r,
         next: 1,
@@ -318,37 +268,6 @@ fn fleet_runner_rejects_spawned_slots() {
         "expected typed fleet-drive error, got {err:?}"
     );
     assert_eq!(sim.steps_executed(), 0, "nothing may execute");
-}
-
-/// Double spawn across ABIs is rejected in both directions.
-#[test]
-fn double_spawn_across_abis_rejected() {
-    let mut sim = Sim::new(universe(1));
-    let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(
-        pid(0),
-        CountUp {
-            reg: r,
-            next: 1,
-            limit: 2,
-        },
-    )
-    .unwrap();
-    assert!(sim
-        .spawn(pid(0), |ctx| async move {
-            ctx.pause().await;
-        })
-        .is_err());
-    assert!(sim
-        .spawn_automaton(
-            pid(0),
-            CountUp {
-                reg: r,
-                next: 1,
-                limit: 2
-            }
-        )
-        .is_err());
 }
 
 /// A schedule naming a process outside the universe yields a typed `Err`

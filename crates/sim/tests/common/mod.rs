@@ -1,6 +1,19 @@
-//! Test machinery shared by the drive suites of this crate.
+//! Test machinery shared by the suites of this crate.
+
+// Every suite uses its own subset.
+#![allow(dead_code)]
 
 use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Status, StepAccess};
+
+/// A test automaton from a closure: every scheduled step is one call, with
+/// the closure's captures as the machine's local state.
+pub struct StepFn<F>(pub F);
+
+impl<F: FnMut(&mut StepAccess<'_>) -> Status> Automaton for StepFn<F> {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        (self.0)(mem)
+    }
+}
 
 /// Two-phase scan machine: reads `m` words of a shared array one per step
 /// (pure), probes the running sum at the scan boundary, then writes it to

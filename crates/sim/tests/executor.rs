@@ -1,8 +1,34 @@
 //! Integration tests for the deterministic executor: step semantics,
 //! determinism, crashes, stop conditions, and instrumentation.
 
+mod common;
+
+use common::StepFn;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{RunConfig, RunStatus, Sim, StepOutcome, StopWhen};
+use st_sim::{Reg, RunConfig, RunStatus, Sim, Status, StepAccess, StepOutcome, StopWhen};
+
+/// Writes 1, 2, … into `r`, one write per step, and completes with the
+/// write of `last`.
+fn write_up_to(r: Reg<u64>, last: u64) -> StepFn<impl FnMut(&mut StepAccess<'_>) -> Status> {
+    let mut i = 0u64;
+    StepFn(move |mem: &mut StepAccess<'_>| {
+        i += 1;
+        mem.write(r, i);
+        if i == last {
+            Status::Done
+        } else {
+            Status::Running
+        }
+    })
+}
+
+/// Pauses forever.
+fn idler() -> StepFn<impl FnMut(&mut StepAccess<'_>) -> Status> {
+    StepFn(|mem: &mut StepAccess<'_>| {
+        mem.pause();
+        Status::Running
+    })
+}
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -17,20 +43,15 @@ fn pid(i: usize) -> ProcessId {
 fn one_operation_per_step() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("x", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
-        for i in 1..=5u64 {
-            ctx.write(r, i).await;
-        }
-    })
-    .unwrap();
+    sim.spawn_automaton(pid(0), write_up_to(r, 5)).unwrap();
 
     // After s steps, exactly s writes have happened.
     for expected in 1..=4u64 {
         assert_eq!(sim.step_with(pid(0)), StepOutcome::Progressed);
         assert_eq!(sim.peek(r), expected);
     }
-    // The fifth write is the last operation: the future completes within the
-    // same poll, so the step reports Finished.
+    // The fifth write is the last operation: the machine completes in the
+    // same step, so the step reports Finished.
     assert_eq!(sim.step_with(pid(0)), StepOutcome::Finished);
     assert_eq!(sim.peek(r), 5);
     assert!(sim.is_finished(pid(0)));
@@ -45,14 +66,15 @@ fn one_operation_per_step() {
 fn local_computation_is_free() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("sum", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
+    let sum = StepFn(move |mem: &mut StepAccess<'_>| {
         let mut local = 0u64;
         for i in 0..1000 {
             local += i; // free local work
         }
-        ctx.write(r, local).await; // exactly one step
-    })
-    .unwrap();
+        mem.write(r, local); // exactly one step
+        Status::Done
+    });
+    sim.spawn_automaton(pid(0), sum).unwrap();
     sim.step_with(pid(0));
     assert_eq!(sim.peek(r), 499_500);
     assert_eq!(sim.steps_executed(), 1);
@@ -64,10 +86,7 @@ fn local_computation_is_free() {
 fn unspawned_process_steps_are_idle() {
     let mut sim = Sim::new(universe(2));
     let r = sim.alloc("x", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
-        ctx.write(r, 1).await;
-    })
-    .unwrap();
+    sim.spawn_automaton(pid(0), write_up_to(r, 1)).unwrap();
     assert_eq!(sim.step_with(pid(1)), StepOutcome::Idle);
     // The single write is p0's last operation: Finished on the same step.
     assert_eq!(sim.step_with(pid(0)), StepOutcome::Finished);
@@ -81,14 +100,26 @@ fn interleaving_follows_schedule() {
     let mut sim = Sim::new(universe(2));
     let log = sim.alloc("log", Vec::<u64>::new());
     for me in 0..2usize {
-        sim.spawn(pid(me), move |ctx| async move {
-            for round in 0..3u64 {
-                let mut cur = ctx.read(log).await;
-                cur.push(me as u64 * 10 + round);
-                ctx.write(log, cur).await;
+        // Three rounds of: read the log, then write it back extended.
+        let (mut round, mut cur) = (0u64, None::<Vec<u64>>);
+        let append = StepFn(move |mem: &mut StepAccess<'_>| match cur.take() {
+            None => {
+                let mut log_now = mem.read(log);
+                log_now.push(me as u64 * 10 + round);
+                cur = Some(log_now);
+                Status::Running
             }
-        })
-        .unwrap();
+            Some(extended) => {
+                mem.write(log, extended);
+                round += 1;
+                if round == 3 {
+                    Status::Done
+                } else {
+                    Status::Running
+                }
+            }
+        });
+        sim.spawn_automaton(pid(me), append).unwrap();
     }
     // p0 completes fully, then p1: strict sequential order.
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]));
@@ -105,15 +136,24 @@ fn deterministic_replay() {
         for i in 0..3usize {
             let my = regs[i];
             let all = regs.clone();
-            sim.spawn(pid(i), move |ctx| async move {
-                ctx.write(my, (i as u64 + 1) * 7).await;
-                let mut sum = 0;
-                for r in all {
-                    sum += ctx.read(r).await;
+            // Write the own register, then read all of them and decide the
+            // sum with the last read.
+            let (mut next, mut sum) = (0usize, 0u64);
+            let summer = StepFn(move |mem: &mut StepAccess<'_>| {
+                if next == 0 {
+                    mem.write(my, (i as u64 + 1) * 7);
+                } else {
+                    sum += mem.read(all[next - 1]);
                 }
-                ctx.decide(sum);
-            })
-            .unwrap();
+                next += 1;
+                if next == all.len() + 1 {
+                    mem.decide(sum);
+                    Status::Done
+                } else {
+                    Status::Running
+                }
+            });
+            sim.spawn_automaton(pid(i), summer).unwrap();
         }
         let sched: Vec<usize> = (0..60).map(|s| (s * 7 + s / 3) % 3).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
@@ -133,12 +173,7 @@ fn deterministic_replay() {
 fn crash_freezes_process() {
     let mut sim = Sim::new(universe(2));
     let r = sim.alloc("x", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
-        for i in 1..1000u64 {
-            ctx.write(r, i).await;
-        }
-    })
-    .unwrap();
+    sim.spawn_automaton(pid(0), write_up_to(r, 999)).unwrap();
     sim.step_with(pid(0));
     sim.step_with(pid(0));
     assert_eq!(sim.peek(r), 2);
@@ -153,15 +188,19 @@ fn stop_when_all_decided() {
     let mut sim = Sim::new(universe(3));
     let r = sim.alloc("x", 0u64);
     for i in 0..3usize {
-        sim.spawn(pid(i), move |ctx| async move {
-            let v = ctx.read(r).await;
-            ctx.decide(v + i as u64);
-            // Keep running forever after deciding.
-            loop {
-                ctx.pause().await;
+        let mut decided = false;
+        let decide_then_idle = StepFn(move |mem: &mut StepAccess<'_>| {
+            if decided {
+                // Keep running forever after deciding.
+                mem.pause();
+            } else {
+                let v = mem.read(r);
+                mem.decide(v + i as u64);
+                decided = true;
             }
-        })
-        .unwrap();
+            Status::Running
+        });
+        sim.spawn_automaton(pid(i), decide_then_idle).unwrap();
     }
     let sched: Vec<usize> = (0..300).map(|s| s % 3).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
@@ -172,9 +211,9 @@ fn stop_when_all_decided() {
         )
         .unwrap();
     assert_eq!(status, RunStatus::Stopped);
-    // All three decide at their first step each: 3 steps + 1 extra poll round.
+    // All three decide at their first step each.
     assert!(
-        sim.steps_executed() <= 4,
+        sim.steps_executed() <= 3,
         "stopped late: {}",
         sim.steps_executed()
     );
@@ -184,18 +223,18 @@ fn stop_when_all_decided() {
 #[test]
 fn stop_when_any_decided() {
     let mut sim = Sim::new(universe(2));
-    sim.spawn(pid(0), |ctx| async move {
-        ctx.pause().await;
-        ctx.pause().await;
-        ctx.decide(42);
-    })
-    .unwrap();
-    sim.spawn(pid(1), |ctx| async move {
-        loop {
-            ctx.pause().await;
+    let mut pauses = 0;
+    let decide_on_second = StepFn(move |mem: &mut StepAccess<'_>| {
+        mem.pause();
+        pauses += 1;
+        if pauses < 2 {
+            return Status::Running;
         }
-    })
-    .unwrap();
+        mem.decide(42);
+        Status::Done
+    });
+    sim.spawn_automaton(pid(0), decide_on_second).unwrap();
+    sim.spawn_automaton(pid(1), idler()).unwrap();
     let sched: Vec<usize> = (0..100).map(|s| s % 2).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
     let status = sim
@@ -212,12 +251,7 @@ fn stop_when_any_decided() {
 #[test]
 fn run_statuses() {
     let mut sim = Sim::new(universe(1));
-    sim.spawn(pid(0), |ctx| async move {
-        loop {
-            ctx.pause().await;
-        }
-    })
-    .unwrap();
+    sim.spawn_automaton(pid(0), idler()).unwrap();
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 0]));
     assert_eq!(
         sim.run(&mut src, RunConfig::steps(10)).unwrap(),
@@ -231,45 +265,26 @@ fn run_statuses() {
     assert_eq!(sim.steps_executed(), 8);
 }
 
-/// A process pending on a foreign future is reported as stuck.
-#[test]
-fn stuck_process_detected() {
-    struct NeverReady;
-    impl std::future::Future for NeverReady {
-        type Output = ();
-        fn poll(
-            self: std::pin::Pin<&mut Self>,
-            _: &mut std::task::Context<'_>,
-        ) -> std::task::Poll<()> {
-            std::task::Poll::Pending
-        }
-    }
-    let mut sim = Sim::new(universe(1));
-    sim.spawn(pid(0), |_ctx| async move {
-        NeverReady.await;
-    })
-    .unwrap();
-    let mut src = ScheduleCursor::new(Schedule::from_indices([0]));
-    assert_eq!(
-        sim.run(&mut src, RunConfig::steps(5)).unwrap(),
-        RunStatus::Stuck(pid(0))
-    );
-}
-
 /// Probes are free (no steps) and recorded with the right step indices.
 #[test]
 fn probes_are_free_and_ordered() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("x", 0u64);
-    sim.spawn(pid(0), |ctx| async move {
-        ctx.probe("phase", 1);
-        ctx.write(r, 1).await;
-        ctx.probe("phase", 2);
-        ctx.probe_set("members", ProcSet::from_indices([0, 3]));
-        ctx.write(r, 2).await;
-        ctx.probe("phase", 3);
-    })
-    .unwrap();
+    let mut first = true;
+    let prober = StepFn(move |mem: &mut StepAccess<'_>| {
+        if first {
+            first = false;
+            mem.probe("phase", 1);
+            mem.write(r, 1);
+            mem.probe("phase", 2);
+            mem.probe_set("members", ProcSet::from_indices([0, 3]));
+            return Status::Running;
+        }
+        mem.write(r, 2);
+        mem.probe("phase", 3);
+        Status::Done
+    });
+    sim.spawn_automaton(pid(0), prober).unwrap();
     let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; 10]));
     sim.run(&mut src, RunConfig::steps(10)).unwrap();
     let rep = sim.report();
@@ -282,31 +297,27 @@ fn probes_are_free_and_ordered() {
         rep.probes.last_value(pid(0), "members"),
         Some(ProcSet::from_indices([0, 3]).bits())
     );
-    // Probes took no steps: only 2 writes + 1 finishing step happened.
+    // Probes took no steps: the two writes are the process's only
+    // operations, and it finished with the second.
     assert_eq!(rep.op_counts[0], 2);
+    assert!(rep.finished[0]);
 }
 
 /// Double spawn is rejected; double decide panics.
 #[test]
 fn spawn_and_decide_misuse() {
     let mut sim = Sim::new(universe(1));
-    sim.spawn(pid(0), |ctx| async move {
-        ctx.pause().await;
-    })
-    .unwrap();
-    assert!(sim
-        .spawn(pid(0), |ctx| async move {
-            ctx.pause().await;
-        })
-        .is_err());
+    sim.spawn_automaton(pid(0), idler()).unwrap();
+    assert!(sim.spawn_automaton(pid(0), idler()).is_err());
 
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sim = Sim::new(universe(1));
-        sim.spawn(pid(0), |ctx| async move {
-            ctx.decide(1);
-            ctx.decide(2);
-        })
-        .unwrap();
+        let decide_twice = StepFn(|mem: &mut StepAccess<'_>| {
+            mem.decide(1);
+            mem.decide(2);
+            Status::Done
+        });
+        sim.spawn_automaton(pid(0), decide_twice).unwrap();
         sim.step_with(pid(0));
     }));
     assert!(result.is_err(), "double decide must panic");
@@ -319,10 +330,11 @@ fn single_writer_violation_panics() {
         let mut sim = Sim::new(universe(2));
         let hb = sim.alloc_per_process("Heartbeat", 0u64);
         // p1 tries to write p0's heartbeat.
-        sim.spawn(pid(1), move |ctx| async move {
-            ctx.write(hb[0], 9).await;
-        })
-        .unwrap();
+        let trespass = StepFn(move |mem: &mut StepAccess<'_>| {
+            mem.write(hb[0], 9);
+            Status::Done
+        });
+        sim.spawn_automaton(pid(1), trespass).unwrap();
         sim.step_with(pid(1));
     }));
     assert!(result.is_err());
@@ -333,11 +345,12 @@ fn single_writer_violation_panics() {
 fn report_helpers() {
     let mut sim = Sim::new(universe(3));
     for i in 0..2usize {
-        sim.spawn(pid(i), move |ctx| async move {
-            ctx.pause().await;
-            ctx.decide(5);
-        })
-        .unwrap();
+        let decide_five = StepFn(|mem: &mut StepAccess<'_>| {
+            mem.pause();
+            mem.decide(5);
+            Status::Done
+        });
+        sim.spawn_automaton(pid(i), decide_five).unwrap();
     }
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 1, 1]));
     sim.run(&mut src, RunConfig::steps(10)).unwrap();
@@ -350,7 +363,7 @@ fn report_helpers() {
     assert_eq!(outcome.decisions, vec![Some(5), Some(5), None]);
 }
 
-/// A bad schedule against async slots is a typed error from `run`, not a
+/// A bad schedule against spawned slots is a typed error from `run`, not a
 /// panic; steps before the offending one executed and remain visible.
 #[test]
 fn run_surfaces_out_of_universe_schedule_as_error() {
@@ -358,13 +371,15 @@ fn run_surfaces_out_of_universe_schedule_as_error() {
     let mut sim = Sim::new(universe(2));
     let r = sim.alloc("x", 0u64);
     for i in 0..2usize {
-        sim.spawn(pid(i), move |ctx| async move {
-            loop {
-                let v = ctx.read(r).await;
-                ctx.write(r, v + 1).await;
+        let mut read: Option<u64> = None;
+        let incr = StepFn(move |mem: &mut StepAccess<'_>| {
+            match read.take() {
+                None => read = Some(mem.read(r)),
+                Some(v) => mem.write(r, v + 1),
             }
-        })
-        .unwrap();
+            Status::Running
+        });
+        sim.spawn_automaton(pid(i), incr).unwrap();
     }
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 9, 0]));
     let err = sim.run(&mut src, RunConfig::steps(10)).unwrap_err();

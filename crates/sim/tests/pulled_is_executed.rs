@@ -33,12 +33,8 @@ fn pid(i: usize) -> ProcessId {
 /// Every entry point a step can come through.
 #[derive(Clone, Copy, Debug)]
 enum Drive {
-    /// `run` over async slots (the general loop).
-    AsyncSlots,
-    /// `run` over machine slots (the step kernel).
-    MachineSlots,
-    /// `run` over p0 async, p1 and p2 machines.
-    MixedSlots,
+    /// `run` over machine slots.
+    Slots,
     /// `run_automata` over a typed fleet.
     Fleet,
     /// `run_automata_replay`.
@@ -51,10 +47,8 @@ enum Drive {
     Adaptive,
 }
 
-const DRIVES: [Drive; 8] = [
-    Drive::AsyncSlots,
-    Drive::MachineSlots,
-    Drive::MixedSlots,
+const DRIVES: [Drive; 6] = [
+    Drive::Slots,
     Drive::Fleet,
     Drive::Replay,
     Drive::ReplaySoa,
@@ -88,25 +82,6 @@ fn fleet(base: Reg<u64>, outs: &[Reg<u64>]) -> Vec<SumScan> {
     (0..N)
         .map(|i| SumScan::new(base, outs[i], SCAN_WORDS, LIMITS[i]))
         .collect()
-}
-
-/// [`SumScan`] on the async ABI: the same reads, probes, writes and
-/// decisions at the same steps.
-fn spawn_async_scan(sim: &mut Sim, i: usize, base: Reg<u64>, out: Reg<u64>) {
-    sim.spawn(pid(i), move |ctx| async move {
-        for round in 1..=LIMITS[i] {
-            let mut acc = 0u64;
-            for w in 0..SCAN_WORDS {
-                acc = acc.wrapping_add(ctx.read_word(base.at(w)).await);
-            }
-            ctx.probe("sum", acc);
-            ctx.write_word(out, acc).await;
-            if round == LIMITS[i] {
-                ctx.decide(acc);
-            }
-        }
-    })
-    .unwrap();
 }
 
 fn observe(sim: &Sim, outs: &[Reg<u64>]) -> Observed {
@@ -150,18 +125,9 @@ fn drive(
     });
     let mut machines = fleet(base, &outs);
     let status = match drive {
-        Drive::AsyncSlots | Drive::MachineSlots | Drive::MixedSlots => {
+        Drive::Slots => {
             for (i, machine) in machines.into_iter().enumerate() {
-                let on_async = match drive {
-                    Drive::AsyncSlots => true,
-                    Drive::MixedSlots => i == 0,
-                    _ => false,
-                };
-                if on_async {
-                    spawn_async_scan(&mut sim, i, base, outs[i]);
-                } else {
-                    sim.spawn_automaton(pid(i), machine).unwrap();
-                }
+                sim.spawn_automaton(pid(i), machine).unwrap();
             }
             Some(sim.run(&mut src, cfg))
         }

@@ -1,9 +1,22 @@
 //! Property tests for the executor: accounting invariants that hold for
 //! every schedule and every protocol shape.
 
+mod common;
+
+use common::StepFn;
 use proptest::prelude::*;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{Memory, RunConfig, Sim, WriteDiscipline};
+use st_sim::{Memory, Reg, RunConfig, Sim, Status, StepAccess, WriteDiscipline};
+
+/// Writes 1, 2, 3, … into `mine`, one write per step, forever.
+fn count_up(mine: Reg<u64>) -> StepFn<impl FnMut(&mut StepAccess<'_>) -> Status> {
+    let mut i = 0u64;
+    StepFn(move |mem: &mut StepAccess<'_>| {
+        i += 1;
+        mem.write(mine, i);
+        Status::Running
+    })
+}
 
 prop_compose! {
     fn arb_schedule(n: usize)(steps in prop::collection::vec(0..n, 0..2_000)) -> Schedule {
@@ -59,12 +72,16 @@ proptest! {
         let mut sim = Sim::new(u);
         let reg = sim.alloc("x", 0u64);
         for p in u.processes() {
-            sim.spawn(p, move |ctx| async move {
-                loop {
-                    let v = ctx.read(reg).await;
-                    ctx.write(reg, v + 1).await;
+            // Read, then write back incremented, forever.
+            let mut read: Option<u64> = None;
+            let incr = StepFn(move |mem: &mut StepAccess<'_>| {
+                match read.take() {
+                    None => read = Some(mem.read(reg)),
+                    Some(v) => mem.write(reg, v + 1),
                 }
-            }).unwrap();
+                Status::Running
+            });
+            sim.spawn_automaton(p, incr).unwrap();
         }
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
@@ -82,14 +99,7 @@ proptest! {
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
         for p in u.processes() {
-            let mine = regs[p.index()];
-            sim.spawn(p, move |ctx| async move {
-                let mut i = 0u64;
-                loop {
-                    i += 1;
-                    ctx.write(mine, i).await;
-                }
-            }).unwrap();
+            sim.spawn_automaton(p, count_up(regs[p.index()])).unwrap();
         }
         let counts = sched.step_counts(u);
         let len = sched.len() as u64;
@@ -111,14 +121,7 @@ proptest! {
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
         for p in u.processes() {
-            let mine = regs[p.index()];
-            sim.spawn(p, move |ctx| async move {
-                let mut i = 0u64;
-                loop {
-                    i += 1;
-                    ctx.write(mine, i).await;
-                }
-            }).unwrap();
+            sim.spawn_automaton(p, count_up(regs[p.index()])).unwrap();
         }
         let len = sched.len();
         let cut = crash_at.min(len);
@@ -139,12 +142,14 @@ proptest! {
     fn probes_are_free(probe_count in 0usize..200) {
         let u = Universe::new(1).unwrap();
         let mut sim = Sim::new(u);
-        sim.spawn(ProcessId::new(0), move |ctx| async move {
+        let prober = StepFn(move |mem: &mut StepAccess<'_>| {
             for i in 0..probe_count {
-                ctx.probe("x", i as u64);
+                mem.probe("x", i as u64);
             }
-            ctx.pause().await;
-        }).unwrap();
+            mem.pause();
+            Status::Done
+        });
+        sim.spawn_automaton(ProcessId::new(0), prober).unwrap();
         sim.step_with(ProcessId::new(0));
         let report = sim.report();
         prop_assert_eq!(report.probes.len(), probe_count);

@@ -11,9 +11,9 @@
 
 mod common;
 
-use common::SumScan;
+use common::{StepFn, SumScan};
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{Reg, RunConfig, RunStatus, Sim, SimError, StopWhen};
+use st_sim::{Reg, RunConfig, RunStatus, Sim, SimError, Status, StepAccess, StopWhen};
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -234,10 +234,11 @@ fn fleet_drives_return_typed_error_on_spawned_sim() {
     };
     let spawned_sim = || {
         let mut sim = Sim::new(universe(2));
-        sim.spawn(pid(1), |ctx| async move {
-            ctx.pause().await;
-        })
-        .unwrap();
+        let pause_once = StepFn(|mem: &mut StepAccess<'_>| {
+            mem.pause();
+            Status::Done
+        });
+        sim.spawn_automaton(pid(1), pause_once).unwrap();
         let shared = sim.alloc_array("shared", 2, 0u64);
         let outs = sim.alloc_array("out", 2, 0u64);
         let fleet: Vec<SumScan> = (0..2)

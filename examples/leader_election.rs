@@ -3,36 +3,35 @@
 //! The `k = 1` corner of the paper is the classic leader oracle Ω
 //! (footnote 2): the Figure 2 winnerset becomes a single eventually-stable,
 //! eventually-correct leader. This example runs a 5-node "control plane"
-//! where nodes elect a leader through Ω, the current leader crashes twice,
-//! and the oracle re-elects among survivors each time — the standard
-//! failover story of leader-based replication, driven entirely by set
-//! timeliness.
+//! where every node runs one `k = 1`, `t = n − 1` Figure 2 machine, the
+//! current leader crashes twice, and the oracle re-elects among survivors
+//! each time — the standard failover story of leader-based replication,
+//! driven entirely by set timeliness.
 //!
 //! Run with: `cargo run --example leader_election`
 
 use set_timeliness::core::{ProcSet, ProcessId, Universe};
-use set_timeliness::fd::Omega;
+use set_timeliness::fd::{KAntiOmega, KAntiOmegaConfig, WINNERSET_PROBE};
 use set_timeliness::sched::{CrashAfter, CrashPlan, SeededRandom, SetTimely};
 use set_timeliness::sim::{RunConfig, Sim};
 
-const LEADER_PROBE: &str = "leader";
+/// The leader a winnerset publication names: at `k = 1` the winnerset is a
+/// singleton, published as its bitset.
+fn leader(bits: u64) -> u64 {
+    ProcSet::from_bits(bits)
+        .min()
+        .expect("a k = 1 winnerset has one member")
+        .index() as u64
+}
 
 fn main() {
     let n = 5;
     let universe = Universe::new(n).expect("valid universe");
     let mut sim = Sim::new(universe);
-    let omega = Omega::alloc(&mut sim, n - 1);
-
+    let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, n - 1));
     for node in universe.processes() {
-        let omega = omega.clone();
-        sim.spawn(node, move |ctx| async move {
-            let mut local = omega.local_state();
-            loop {
-                omega.iterate(&ctx, &mut local).await;
-                ctx.probe(LEADER_PROBE, local.leader().index() as u64);
-            }
-        })
-        .expect("fresh simulator");
+        sim.spawn_automaton(node, omega.machine())
+            .expect("fresh simulator");
     }
 
     // Failover script: p0 crashes at step 150k, then p1 at step 450k.
@@ -49,18 +48,15 @@ fn main() {
     sim.run(&mut source, RunConfig::steps(1_200_000)).unwrap();
     let report = sim.report();
 
+    // The winnerset is published only when it changes, so each timeline is
+    // the node's leadership changes.
     println!("leadership timeline (changes only), per node:");
     for node in universe.processes() {
-        let timeline = report.probes.timeline(node, LEADER_PROBE);
-        let mut changes: Vec<(u64, u64)> = Vec::new();
-        for (step, leader) in timeline {
-            if changes.last().map(|&(_, l)| l) != Some(leader) {
-                changes.push((step, leader));
-            }
-        }
-        let rendered: Vec<String> = changes
+        let rendered: Vec<String> = report
+            .probes
+            .timeline(node, WINNERSET_PROBE)
             .iter()
-            .map(|(step, l)| format!("p{l}@{step}"))
+            .map(|&(step, bits)| format!("p{}@{step}", leader(bits)))
             .collect();
         println!("  {node}: {}", rendered.join(" -> "));
     }
@@ -68,7 +64,7 @@ fn main() {
     let survivors = ProcSet::from_indices([2, 3, 4]);
     let final_leaders: Vec<Option<u64>> = survivors
         .iter()
-        .map(|p| report.probes.last_value(p, LEADER_PROBE))
+        .map(|p| report.probes.last_value(p, WINNERSET_PROBE).map(leader))
         .collect();
     println!("\nfinal leader at each survivor: {final_leaders:?}");
     assert!(

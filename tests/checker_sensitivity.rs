@@ -6,7 +6,17 @@ use set_timeliness::core::{
     check_outcome, AgreementTask, AgreementViolation, ProcSet, ProcessId, Schedule, ScheduleCursor,
     Universe, Value,
 };
-use set_timeliness::sim::{RunConfig, Sim, StopWhen};
+use set_timeliness::sim::{Automaton, RunConfig, Sim, Status, StepAccess, StopWhen};
+
+/// A broken protocol whose every step is a pause followed by `then`.
+struct Pausing<F>(F);
+
+impl<F: FnMut(&StepAccess<'_>) -> Status> Automaton for Pausing<F> {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        mem.pause();
+        (self.0)(mem)
+    }
+}
 
 /// A "protocol" in which everybody just decides its own input: with more
 /// than k distinct inputs this must violate k-agreement.
@@ -19,11 +29,11 @@ fn checker_catches_k_agreement_violation() {
     let inputs: Vec<Value> = (0..n as Value).collect(); // 4 distinct values
     for p in universe.processes() {
         let v = inputs[p.index()];
-        sim.spawn(p, move |ctx| async move {
-            ctx.pause().await;
-            ctx.decide(v);
-        })
-        .unwrap();
+        let decide_own = Pausing(move |mem: &StepAccess<'_>| {
+            mem.decide(v);
+            Status::Done
+        });
+        sim.spawn_automaton(p, decide_own).unwrap();
     }
     let steps: Vec<usize> = (0..2 * n).map(|i| i % n).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
@@ -53,11 +63,11 @@ fn checker_catches_validity_violation() {
     let mut sim = Sim::new(universe);
     let inputs: Vec<Value> = vec![1, 2, 3];
     for p in universe.processes() {
-        sim.spawn(p, move |ctx| async move {
-            ctx.pause().await;
-            ctx.decide(777); // never proposed
-        })
-        .unwrap();
+        let invent = Pausing(|mem: &StepAccess<'_>| {
+            mem.decide(777); // never proposed
+            Status::Done
+        });
+        sim.spawn_automaton(p, invent).unwrap();
     }
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 2]));
     sim.run(&mut src, RunConfig::steps(10)).unwrap();
@@ -83,12 +93,8 @@ fn checker_catches_termination_violation_within_budget_only() {
     let mut sim = Sim::new(universe);
     let inputs: Vec<Value> = vec![5, 5, 5];
     for p in universe.processes() {
-        sim.spawn(p, move |ctx| async move {
-            loop {
-                ctx.pause().await;
-            }
-        })
-        .unwrap();
+        sim.spawn_automaton(p, Pausing(|_: &StepAccess<'_>| Status::Running))
+            .unwrap();
     }
     let steps: Vec<usize> = (0..300).map(|i| i % n).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
@@ -120,16 +126,14 @@ fn convergence_analyzer_rejects_flapping() {
     let universe = Universe::new(2).unwrap();
     let mut sim = Sim::new(universe);
     for p in universe.processes() {
-        sim.spawn(p, move |ctx| async move {
-            let mut flip = 0u64;
-            loop {
-                // Publish alternating winnersets forever.
-                ctx.probe(WINNERSET_PROBE, 1 + (flip % 2));
-                flip += 1;
-                ctx.pause().await;
-            }
-        })
-        .unwrap();
+        let mut flip = 0u64;
+        let flapping = Pausing(move |mem: &StepAccess<'_>| {
+            // Publish alternating winnersets forever.
+            mem.probe(WINNERSET_PROBE, 1 + (flip % 2));
+            flip += 1;
+            Status::Running
+        });
+        sim.spawn_automaton(p, flapping).unwrap();
     }
     let steps: Vec<usize> = (0..500).map(|i| i % 2).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));

@@ -8,7 +8,7 @@ use set_timeliness::core::{check_outcome, AgreementTask, ProcSet, ProcessId, Ste
 use set_timeliness::fd::convergence::winnerset_stabilization;
 use set_timeliness::fd::{KAntiOmega, KAntiOmegaConfig};
 use set_timeliness::sched::{CrashAfter, CrashPlan, Eventually, SeededRandom, SetTimely};
-use set_timeliness::sim::{RunConfig, Sim, StopWhen};
+use set_timeliness::sim::{Automaton, RunConfig, Sim, Status, StepAccess, StopWhen};
 
 fn inputs(n: usize) -> Vec<Value> {
     (0..n as Value).map(|v| 100 + v * v).collect()
@@ -72,8 +72,7 @@ fn standalone_fd_at_n8() {
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
     assert_eq!(fd.set_count(), 28); // C(8,2)
     for pr in universe.processes() {
-        let fd = fd.clone();
-        sim.spawn(pr, move |ctx| fd.run(ctx)).unwrap();
+        sim.spawn_automaton(pr, fd.machine()).unwrap();
     }
     let p: ProcSet = (0..k).map(ProcessId::new).collect();
     let q: ProcSet = (0..=t).map(ProcessId::new).collect();
@@ -90,15 +89,18 @@ fn standalone_fd_at_n8() {
 /// generator's promise.
 #[test]
 fn executed_schedule_matches_generator_promise() {
+    /// Pauses forever.
+    struct Idler;
+    impl Automaton for Idler {
+        fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+            mem.pause();
+            Status::Running
+        }
+    }
     let universe = set_timeliness::core::Universe::new(4).unwrap();
     let mut sim = Sim::new(universe);
     for pr in universe.processes() {
-        sim.spawn(pr, move |ctx| async move {
-            loop {
-                ctx.pause().await;
-            }
-        })
-        .unwrap();
+        sim.spawn_automaton(pr, Idler).unwrap();
     }
     let p = ProcSet::from_indices([2]);
     let q = ProcSet::from_indices([0, 1, 3]);
