@@ -22,8 +22,9 @@
 //! were ported from survive as data: the workspace's
 //! `tests/fixtures/transcription.json` holds their probe sequences,
 //! decisions, op counts and register footprints on round-robin,
-//! seeded-random, Figure 1 and crash schedules, and
-//! `tests/transcription.rs` holds the machines to them step for step.
+//! seeded-random, Figure 1 and crash schedules, and `tests/differential.rs`
+//! (the stack and Paxos) and `tests/transcription.rs` (the trivial
+//! protocol) hold the machines to them step for step.
 //!
 //! [`AgreementStack`] spawns one machine per process; E3/E4 and the repo
 //! benchmark ride it (`agreement.stack_build_us` and

@@ -25,7 +25,7 @@
 //! The proposer is [`PaxosMachine`]: the attempt loop as an explicit state
 //! machine ([`st_sim::Automaton`]), one register operation per scheduled
 //! step. It is held step for step to the loop transcription it was ported
-//! from (the workspace's `tests/transcription.rs`, on round-robin,
+//! from (the workspace's `tests/differential.rs`, on round-robin,
 //! seeded-random, Figure 1 and crash schedules).
 
 use st_core::Value;

@@ -8,7 +8,7 @@
 //!   by minimal `(accusation, A)`. At `k = 1` and `t = n − 1` it is the
 //!   classic leader oracle Ω (footnote 2 of the paper): the winnerset is
 //!   the leader. Held step for step to the loop transcription it was
-//!   ported from by the workspace's `tests/transcription.rs`.
+//!   ported from by the workspace's `tests/differential.rs`.
 //! - [`ProcessTimelyDetector`] / [`ProcessTimelyMachine`] — the
 //!   *process*-timeliness baseline the paper improves on (accuses
 //!   individuals instead of sets); it flaps forever on schedules where

@@ -67,8 +67,8 @@
 //! loop transcriptions they were ported from survive as data: the
 //! workspace's `tests/fixtures/transcription.json` holds their probes,
 //! decisions, op counts and register footprints on fixed schedules, and
-//! `tests/transcription.rs` holds each machine to it on the slot drive and
-//! on fleet replay. `BENCHMARK.json`'s `sim.runner.machine_slot_ns_per_step`
+//! `tests/differential.rs` and `tests/transcription.rs` hold each machine
+//! to it on the slot drive and on fleet replay. `BENCHMARK.json`'s `sim.runner.machine_slot_ns_per_step`
 //! and `sim.runner.replay_plain_ns_per_step` time the full FD +
 //! k-parallel-Paxos stack on the E3 workload.
 //!

@@ -1,603 +1,48 @@
-//! Every protocol machine against the transcription it was ported from.
+//! The three protocols that had only a loop transcription until they were
+//! ported — the process-timeliness baseline, the trivial `t < k` protocol
+//! and the BG simulator — against that transcription, and the fixture's
+//! own checks.
 //!
-//! Figure 2, the Paxos proposer, the k-set agreement stack, the
-//! process-timeliness baseline, the trivial `t < k` protocol and the BG
-//! simulator were each first written as a loop that reads like the paper's
-//! pseudocode, one awaited register operation at a time. Those loops are
-//! gone; what they did on fixed schedules is kept as data in
-//! `tests/fixtures/transcription.json`: per case, the probe events with
-//! their step indices, the decisions with theirs, the completion flags, the
-//! per-process operation counts, and the register footprint — every
-//! register's name, read and write counts and final contents, the touched
-//! ones listed and all of them folded into an FNV-1a digest.
-//!
-//! Each machine runs every case on the slot drive (`spawn_automaton` +
-//! `run`) and on fleet replay (`run_automata_replay`), and every field must
-//! equal the fixture's. A port that moves one operation to another step,
-//! reads one register more, or publishes a probe one step late fails here.
+//! The transcriptions' runs are kept as data in
+//! `tests/fixtures/transcription.json` (see `common` for what a case
+//! records and how a machine is held to it). Figure 2, the Paxos proposer
+//! and the k-set stack are held to their cases in `tests/differential.rs`.
+
+mod common;
 
 use std::collections::BTreeSet;
 
-use set_timeliness::agreement::{KSetAgreement, Paxos, PaxosRecord, TrivialAgreement};
-use set_timeliness::bgsim::{BgSimulation, FloodMin, StepMachine, TrivialKDecide};
+use common::{check, fixture, label, FIXTURE};
 use set_timeliness::core::json::Json;
-use set_timeliness::core::{
-    ProcSet, ProcessId, Schedule, ScheduleCursor, StepSource, Universe, Value,
-};
-use set_timeliness::fd::{KAntiOmega, KAntiOmegaConfig, ProcessTimelyDetector, TimeoutPolicy};
-use set_timeliness::sched::{AlternatingRotation, CrashAfter, CrashPlan, Figure1, SeededRandom};
-use set_timeliness::sim::{Automaton, Reg, RegValue, RunConfig, RunStatus, Sim, StopWhen};
-
-const FIXTURE: &str = include_str!("fixtures/transcription.json");
-
-/// Which simulated algorithm a BG case runs.
-#[derive(Clone, Copy, Debug)]
-enum Simulated {
-    Trivial { k: usize },
-    FloodMin,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Protocol {
-    Kanti {
-        k: usize,
-        t: usize,
-        policy: TimeoutPolicy,
-    },
-    Paxos,
-    Kset {
-        k: usize,
-        t: usize,
-    },
-    Baseline {
-        k: usize,
-        t: usize,
-        policy: TimeoutPolicy,
-    },
-    Trivial {
-        k: usize,
-    },
-    Bg {
-        simulated: Simulated,
-        n_sim: usize,
-        max_reads: usize,
-    },
-}
-
-struct Case {
-    label: String,
-    n: usize,
-    protocol: Protocol,
-    schedule: Schedule,
-    budget: u64,
-    stop: StopWhen,
-}
-
-#[derive(Clone, Copy, Debug)]
-enum Drive {
-    Slots,
-    FleetReplay,
-}
-
-fn universe(n: usize) -> Universe {
-    Universe::new(n).unwrap()
-}
-
-fn round_robin(n: usize, len: usize) -> Schedule {
-    Schedule::from_indices((0..len).map(|s| s % n))
-}
-
-fn figure1(len: usize) -> Schedule {
-    Figure1::new(ProcessId::new(0), ProcessId::new(1), ProcessId::new(2)).take_schedule(len)
-}
-
-/// 10 000 round-robin steps of three processes, then 20 000 in which p2
-/// has crashed.
-fn crash_p2() -> Schedule {
-    let mut steps: Vec<usize> = (0..10_000).map(|s| s % 3).collect();
-    steps.extend((0..20_000).map(|s| s % 2));
-    Schedule::from_indices(steps)
-}
-
-fn policy_name(policy: TimeoutPolicy) -> &'static str {
-    match policy {
-        TimeoutPolicy::Increment => "inc",
-        TimeoutPolicy::Double => "dbl",
-    }
-}
-
-/// A case run for exactly its schedule, with no stop rule.
-fn whole(label: String, n: usize, protocol: Protocol, schedule: Schedule) -> Case {
-    Case {
-        label,
-        n,
-        protocol,
-        budget: schedule.len() as u64,
-        schedule,
-        stop: StopWhen::Never,
-    }
-}
-
-/// Figure 2 on every (schedule, k, t, policy) its ABI differential suite
-/// ran.
-fn kanti_cases() -> Vec<Case> {
-    let mut runs: Vec<(String, usize, usize, usize, Schedule)> = vec![
-        ("rr".into(), 3, 1, 1, round_robin(3, 30_000)),
-        ("rr".into(), 4, 2, 2, round_robin(4, 40_000)),
-        ("rr".into(), 5, 2, 3, round_robin(5, 50_000)),
-    ];
-    for seed in [1u64, 0xDEAD, 0xFEED_5EED] {
-        let s = SeededRandom::new(universe(4), seed).take_schedule(40_000);
-        runs.push((format!("rnd{seed:x}"), 4, 1, 2, s.clone()));
-        runs.push((format!("rnd{seed:x}"), 4, 2, 3, s));
-    }
-    runs.push(("fig1".into(), 3, 1, 1, figure1(30_000)));
-    runs.push(("fig1".into(), 3, 1, 2, figure1(30_000)));
-    runs.push(("rr".into(), 4, 2, 2, round_robin(4, 20_000)));
-    let rnd = SeededRandom::new(universe(4), 0xFA57).take_schedule(20_000);
-    runs.push(("rndfa57".into(), 4, 2, 2, rnd));
-    runs.push(("crash".into(), 3, 1, 2, crash_p2()));
-    let mut cases = Vec::new();
-    for (name, n, k, t, schedule) in runs {
-        for policy in [TimeoutPolicy::Increment, TimeoutPolicy::Double] {
-            let len = schedule.len();
-            let policy_name = policy_name(policy);
-            let label = format!("kanti/{name}/len{len}/n{n}/k{k}/t{t}/{policy_name}");
-            let protocol = Protocol::Kanti { k, t, policy };
-            cases.push(whole(label, n, protocol, schedule.clone()));
-        }
-    }
-    cases
-}
-
-/// Dueling Paxos proposers: fine-grained and bursty round-robin at several
-/// n, seeded-random, Figure 1, and a proposer crashing mid-ballot.
-fn paxos_cases() -> Vec<Case> {
-    let mut cases = Vec::new();
-    for n in [1usize, 2, 3, 5] {
-        let rr = round_robin(n, 400);
-        cases.push(whole(format!("paxos/rr/n{n}"), n, Protocol::Paxos, rr));
-        let burst = 2 * n + 2;
-        let bursty = Schedule::from_indices((0..(8 * n * burst)).map(|s| (s / burst) % n));
-        cases.push(whole(
-            format!("paxos/bursty/n{n}"),
-            n,
-            Protocol::Paxos,
-            bursty,
-        ));
-    }
-    for seed in [2u64, 0xDEAD, 0xFEED_5EED] {
-        let s = SeededRandom::new(universe(4), seed).take_schedule(2_000);
-        cases.push(whole(
-            format!("paxos/rnd{seed:x}/n4"),
-            4,
-            Protocol::Paxos,
-            s,
-        ));
-    }
-    cases.push(whole(
-        "paxos/fig1/n3".into(),
-        3,
-        Protocol::Paxos,
-        figure1(2_000),
-    ));
-    // p0 runs four steps (decision check, announce, a read, the phase-2
-    // write), then is never scheduled again.
-    let mut crash: Vec<usize> = vec![0, 0, 0, 0];
-    crash.extend((0..600).map(|s| 1 + s % 2));
-    let crash = Schedule::from_indices(crash);
-    cases.push(whole("paxos/crash/n3".into(), 3, Protocol::Paxos, crash));
-    cases
-}
-
-/// The FD + k-parallel-Paxos stack.
-fn kset_cases() -> Vec<Case> {
-    let mut runs: Vec<(String, usize, usize, usize, Schedule)> = vec![
-        ("rr".into(), 3, 1, 1, round_robin(3, 30_000)),
-        ("rr".into(), 4, 2, 2, round_robin(4, 40_000)),
-    ];
-    for seed in [1u64, 0xBEEF] {
-        let s = SeededRandom::new(universe(4), seed).take_schedule(40_000);
-        runs.push((format!("rnd{seed:x}"), 4, 1, 2, s.clone()));
-        runs.push((format!("rnd{seed:x}"), 4, 2, 3, s));
-    }
-    runs.push(("fig1".into(), 3, 1, 1, figure1(30_000)));
-    runs.push(("fig1".into(), 3, 1, 2, figure1(30_000)));
-    runs.push(("crash".into(), 3, 1, 2, crash_p2()));
-    runs.into_iter()
-        .map(|(name, n, k, t, schedule)| {
-            let label = format!("kset/{name}/n{n}/k{k}/t{t}");
-            whole(label, n, Protocol::Kset { k, t }, schedule)
-        })
-        .collect()
-}
-
-/// The process-timeliness baseline at n = 4, k = t = 2: round-robin, and
-/// E8's alternating rotation, where it flaps.
-fn baseline_cases() -> Vec<Case> {
-    let groups = [ProcSet::from_indices([0, 1]), ProcSet::from_indices([2, 3])];
-    let alternating = AlternatingRotation::new(&groups).take_schedule(30_000);
-    let mut cases = Vec::new();
-    for (name, schedule) in [("rr", round_robin(4, 30_000)), ("alternating", alternating)] {
-        for policy in [TimeoutPolicy::Increment, TimeoutPolicy::Double] {
-            let label = format!("baseline/{name}/n4/k2/t2/{}", policy_name(policy));
-            let protocol = Protocol::Baseline { k: 2, t: 2, policy };
-            cases.push(whole(label, 4, protocol, schedule.clone()));
-        }
-    }
-    cases
-}
-
-/// The trivial `t < k` protocol on its unit tests' crash cases, run until
-/// every correct process decided.
-fn trivial_cases() -> Vec<Case> {
-    let runs = [
-        (5usize, 3usize, ProcSet::EMPTY, 1u64),
-        (5, 3, ProcSet::from_indices([0, 1]), 2),
-        (6, 2, ProcSet::EMPTY, 3),
-    ];
-    runs.into_iter()
-        .map(|(n, k, crashed, seed)| {
-            let plan = CrashPlan::all_at(crashed, 0);
-            let mut source = CrashAfter::new(SeededRandom::new(universe(n), seed), plan);
-            Case {
-                label: format!("trivial/n{n}/k{k}/crashed{:x}/seed{seed}", crashed.bits()),
-                n,
-                protocol: Protocol::Trivial { k },
-                schedule: source.take_schedule(100_000),
-                budget: 100_000,
-                stop: StopWhen::AllDecided(crashed.complement(universe(n))),
-            }
-        })
-        .collect()
-}
-
-/// The BG simulator on round-robin and on its tests' crash schedules, run
-/// until every simulator finished.
-fn bg_cases() -> Vec<Case> {
-    let bg = |label: &str, sims: usize, simulated, n_sim, max_reads, schedule| Case {
-        label: label.to_string(),
-        n: sims,
-        protocol: Protocol::Bg {
-            simulated,
-            n_sim,
-            max_reads,
-        },
-        schedule,
-        budget: 200_000,
-        stop: StopWhen::AllFinished(ProcSet::full(universe(sims))),
-    };
-    let trivial = |k| Simulated::Trivial { k };
-    let mut cases = vec![
-        bg(
-            "bg/rr/trivial/k2/nsim5",
-            3,
-            trivial(2),
-            5,
-            64,
-            round_robin(3, 200_000),
-        ),
-        bg(
-            "bg/rr/floodmin/nsim4",
-            2,
-            Simulated::FloodMin,
-            4,
-            64,
-            round_robin(2, 200_000),
-        ),
-        bg(
-            "bg/rr/trivial/k1/nsim3",
-            2,
-            trivial(1),
-            3,
-            32,
-            round_robin(2, 200_000),
-        ),
-    ];
-    for crash in [5u64, 17, 40, 99] {
-        let plan = CrashPlan::new().crash(ProcessId::new(0), crash);
-        let mut source = CrashAfter::new(SeededRandom::new(universe(3), crash), plan);
-        let label = format!("bg/crash{crash}/trivial/k2/nsim5");
-        cases.push(bg(
-            &label,
-            3,
-            trivial(2),
-            5,
-            64,
-            source.take_schedule(200_000),
-        ));
-    }
-    let mixed = Schedule::from_indices((0..40_000).map(|i| (i * 7 + i / 11) % 3));
-    cases.push(bg("bg/mixed/trivial/k2/nsim4", 3, trivial(2), 4, 64, mixed));
-    cases
-}
-
-fn inputs(n: usize) -> Vec<Value> {
-    (0..n as Value).map(|v| 100 + 3 * v).collect()
-}
-
-/// Runs one machine per process over the case on `drive`.
-fn run_on<A: Automaton + 'static>(
-    sim: &mut Sim,
-    machines: Vec<A>,
-    case: &Case,
-    drive: Drive,
-) -> RunStatus {
-    let cfg = RunConfig::steps(case.budget).stop_when(case.stop);
-    match drive {
-        Drive::Slots => {
-            for (i, machine) in machines.into_iter().enumerate() {
-                sim.spawn_automaton(ProcessId::new(i), machine).unwrap();
-            }
-            sim.run(&mut ScheduleCursor::new(case.schedule.clone()), cfg)
-        }
-        Drive::FleetReplay => {
-            let mut fleet = machines;
-            sim.run_automata_replay(&mut fleet, &case.schedule, cfg)
-        }
-    }
-    .expect("the case's schedule stays in its universe")
-}
-
-fn run_bg<M: StepMachine + Clone + 'static>(
-    sim: &mut Sim,
-    simulated: Vec<M>,
-    max_reads: usize,
-    case: &Case,
-    drive: Drive,
-) -> RunStatus {
-    let bg = BgSimulation::alloc(sim, simulated, max_reads);
-    let simulators = (0..case.n).map(|_| bg.simulator()).collect();
-    run_on(sim, simulators, case, drive)
-}
-
-fn run(case: &Case, drive: Drive) -> (Sim, RunStatus) {
-    let n = case.n;
-    let mut sim = Sim::new(universe(n));
-    let status = match case.protocol {
-        Protocol::Kanti { k, t, policy } => {
-            let config = KAntiOmegaConfig::new(k, t).with_policy(policy);
-            let fd = KAntiOmega::alloc(&mut sim, config);
-            run_on(
-                &mut sim,
-                (0..n).map(|_| fd.machine()).collect(),
-                case,
-                drive,
-            )
-        }
-        Protocol::Paxos => {
-            let paxos = Paxos::alloc(&mut sim, "px");
-            let machines = inputs(n).into_iter().map(|v| paxos.machine(v)).collect();
-            run_on(&mut sim, machines, case, drive)
-        }
-        Protocol::Kset { k, t } => {
-            let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
-            let kset = KSetAgreement::alloc(&mut sim, k);
-            let machines = inputs(n)
-                .into_iter()
-                .map(|v| kset.machine(&fd, v))
-                .collect();
-            run_on(&mut sim, machines, case, drive)
-        }
-        Protocol::Baseline { k, t, policy } => {
-            let fd = ProcessTimelyDetector::alloc(&mut sim, k, t, policy);
-            run_on(
-                &mut sim,
-                (0..n).map(|_| fd.machine()).collect(),
-                case,
-                drive,
-            )
-        }
-        Protocol::Trivial { k } => {
-            let object = TrivialAgreement::alloc(&mut sim, k);
-            let machines = (0..n as Value).map(|v| object.machine(50 + v)).collect();
-            run_on(&mut sim, machines, case, drive)
-        }
-        Protocol::Bg {
-            simulated,
-            n_sim,
-            max_reads,
-        } => match simulated {
-            Simulated::Trivial { k } => {
-                let machines = (0..n_sim)
-                    .map(|u| TrivialKDecide::new(u, k, 300 + u as Value))
-                    .collect();
-                run_bg(&mut sim, machines, max_reads, case, drive)
-            }
-            Simulated::FloodMin => {
-                let machines = (0..n_sim)
-                    .map(|u| FloodMin::new(n_sim, 10 + u as Value))
-                    .collect();
-                run_bg(&mut sim, machines, max_reads, case, drive)
-            }
-        },
-    };
-    (sim, status)
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0100_0000_01b3);
-    }
-    hash
-}
-
-/// A handle of type `T` at arena index 0: `.at(i)` then names register `i`
-/// of any simulation, for a typed peek.
-fn base<T: RegValue + Default>() -> Reg<T> {
-    Sim::new(universe(1)).alloc("base", T::default())
-}
-
-/// The run as the fixture records it.
-fn observe(label: &str, sim: &Sim, status: RunStatus) -> Json {
-    let report = sim.report();
-    let probes = report.probes.events().iter().map(|e| {
-        Json::arr([
-            Json::U64(e.step),
-            Json::U64(e.pid.index() as u64),
-            Json::str(e.key),
-            Json::U64(e.value),
-        ])
-    });
-    let decisions = report.decisions.iter().map(|d| match d {
-        None => Json::Null,
-        Some(d) => Json::arr([Json::U64(d.value), Json::U64(d.step)]),
-    });
-    // The register types the protocols allocate, tried in turn.
-    let (word, option, cell, record) = (
-        base::<u64>(),
-        base::<Option<Value>>(),
-        base::<(u64, Option<Value>)>(),
-        base::<PaxosRecord>(),
-    );
-    let contents = |i: usize| -> String {
-        if let Ok(v) = sim.try_peek(word.at(i)) {
-            return v.to_string();
-        }
-        if let Ok(v) = sim.try_peek(option.at(i)) {
-            return format!("{v:?}");
-        }
-        if let Ok(v) = sim.try_peek(cell.at(i)) {
-            return format!("{v:?}");
-        }
-        if let Ok(v) = sim.try_peek(record.at(i)) {
-            return format!("{v:?}");
-        }
-        panic!("register {i} holds a type the fixture does not know");
-    };
-    let stats = sim.register_stats();
-    let mut digest = FNV_OFFSET;
-    let mut touched = Vec::new();
-    for (i, s) in stats.iter().enumerate() {
-        let value = contents(i);
-        let line = format!("{}\t{}\t{}\t{}\n", s.name, s.reads, s.writes, value);
-        digest = fnv1a(digest, line.as_bytes());
-        if s.reads + s.writes > 0 {
-            touched.push(Json::arr([
-                Json::U64(i as u64),
-                Json::str(s.name.clone()),
-                Json::U64(s.reads),
-                Json::U64(s.writes),
-                Json::str(value),
-            ]));
-        }
-    }
-    Json::obj([
-        ("label", Json::str(label)),
-        ("status", Json::str(format!("{status:?}"))),
-        ("steps", Json::U64(report.steps)),
-        ("probes", Json::arr(probes)),
-        ("decisions", Json::arr(decisions)),
-        (
-            "finished",
-            Json::arr(report.finished.iter().map(|&f| Json::Bool(f))),
-        ),
-        (
-            "op_counts",
-            Json::arr(report.op_counts.iter().map(|&c| Json::U64(c))),
-        ),
-        ("registers", Json::U64(stats.len() as u64)),
-        ("register_digest", Json::U64(digest)),
-        ("touched", Json::Arr(touched)),
-    ])
-}
-
-fn fixture() -> Vec<Json> {
-    let doc = Json::parse(FIXTURE).expect("the fixture parses");
-    doc.get("cases")
-        .and_then(Json::as_arr)
-        .expect("the fixture holds a case list")
-        .to_vec()
-}
-
-fn label(case: &Json) -> &str {
-    case.get("label").and_then(Json::as_str).expect("labelled")
-}
-
-/// Where two field values first differ, for a readable failure.
-fn first_difference(want: &Json, got: &Json) -> String {
-    match (want.as_arr(), got.as_arr()) {
-        (Some(w), Some(g)) => match w.iter().zip(g).position(|(a, b)| a != b) {
-            Some(i) => format!("entry {i}: want {}, got {}", w[i], g[i]),
-            None => format!("{} entries wanted, {} got", w.len(), g.len()),
-        },
-        _ => format!("want {want}, got {got}"),
-    }
-}
-
-/// Holds every case of `cases` to the fixture on both drives.
-fn check(cases: Vec<Case>) {
-    let fixture = fixture();
-    for case in &cases {
-        let want = fixture
-            .iter()
-            .find(|c| label(c) == case.label)
-            .unwrap_or_else(|| panic!("{}: not in the fixture", case.label));
-        for drive in [Drive::Slots, Drive::FleetReplay] {
-            let (sim, status) = run(case, drive);
-            let got = observe(&case.label, &sim, status);
-            let Json::Obj(fields) = want else {
-                panic!("{}: a case is an object", case.label)
-            };
-            for (field, want) in fields {
-                let got = got.get(field).expect("observe writes every field");
-                assert!(
-                    want == got,
-                    "{}/{drive:?}: {field} diverged from the transcription ({})",
-                    case.label,
-                    first_difference(want, got)
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn kanti_matches_its_transcription() {
-    check(kanti_cases());
-}
-
-#[test]
-fn paxos_matches_its_transcription() {
-    check(paxos_cases());
-}
-
-#[test]
-fn kset_matches_its_transcription() {
-    check(kset_cases());
-}
 
 #[test]
 fn baseline_matches_its_transcription() {
-    check(baseline_cases());
+    check(common::baseline_cases());
 }
 
 #[test]
 fn trivial_matches_its_transcription() {
-    check(trivial_cases());
+    check(common::trivial_cases());
 }
 
 #[test]
 fn bg_simulator_matches_its_transcription() {
-    check(bg_cases());
+    check(common::bg_cases());
 }
 
 /// The fixture is canonical JSON, holds each case once, and every case is
-/// one of this file's.
+/// one of `common`'s.
 #[test]
 fn the_fixture_holds_every_case_once() {
     let doc = Json::parse(FIXTURE).unwrap();
     assert_eq!(format!("{doc}\n"), FIXTURE, "the fixture is not canonical");
     let labels: Vec<String> = [
-        kanti_cases(),
-        paxos_cases(),
-        kset_cases(),
-        baseline_cases(),
-        trivial_cases(),
-        bg_cases(),
+        common::kanti_cases(),
+        common::paxos_cases(),
+        common::kset_cases(),
+        common::baseline_cases(),
+        common::trivial_cases(),
+        common::bg_cases(),
     ]
     .into_iter()
     .flatten()
