@@ -99,7 +99,7 @@ fn danger_set(kset: &KSetAgreement, memory: &Memory) -> ProcSet {
 /// Panics if the stack is not the FD + k-parallel-Paxos stack (the trivial
 /// algorithm is asynchronously live; no schedule defeats it) or if every
 /// process is precrashed. A decoded `AdversarialAgreement` spec is checked
-/// for both before it gets here (`st_campaign::store::decode_scenario`).
+/// for both before it gets here (`st_campaign::Workload::validate`).
 pub fn drive_adversarially(
     mut stack: AgreementStack,
     budget: u64,

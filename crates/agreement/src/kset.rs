@@ -20,7 +20,7 @@
 //! substitution (documented in DESIGN.md §3.3) preserves Theorem 24
 //! end-to-end.
 
-use st_core::Value;
+use st_core::{AgreementTask, Value};
 use st_fd::{KAntiOmega, KAntiOmegaMachine};
 use st_sim::{Automaton, BatchAccess, PhaseBatch, Sim, Status, StepAccess};
 
@@ -42,9 +42,9 @@ impl KSetAgreement {
     ///
     /// # Panics
     ///
-    /// Panics with `"need 1 <= k <= n"` if `k == 0` or `k > n`.
+    /// Panics where [`AgreementTask::check_degree`] refuses `k`.
     pub fn alloc(sim: &mut Sim, k: usize) -> Self {
-        assert!(k >= 1 && k <= sim.universe().n(), "need 1 <= k <= n");
+        AgreementTask::check_degree(k, sim.universe().n()).unwrap_or_else(|e| panic!("{e}"));
         KSetAgreement {
             instances: (0..k)
                 .map(|r| Paxos::alloc(sim, &format!("kset[{r}]")))

@@ -8,7 +8,7 @@
 //! value seen. Since `t < k`, at least one publisher is correct, so a value
 //! always appears.
 
-use st_core::Value;
+use st_core::{AgreementTask, Value};
 use st_sim::{Automaton, Reg, Sim, Status, StepAccess};
 
 /// The trivial `t < k` agreement object. Clone into each process.
@@ -23,9 +23,9 @@ impl TrivialAgreement {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `k > n`.
+    /// Panics where [`AgreementTask::check_degree`] refuses `k`.
     pub fn alloc(sim: &mut Sim, k: usize) -> Self {
-        assert!(k >= 1 && k <= sim.universe().n(), "need 1 <= k <= n");
+        AgreementTask::check_degree(k, sim.universe().n()).unwrap_or_else(|e| panic!("{e}"));
         let published = (0..k)
             .map(|i| {
                 let owner = st_core::ProcessId::new(i);

@@ -27,6 +27,6 @@ mod safe_agreement;
 mod simulate;
 
 pub use machine::{FloodMin, SimOp, StepMachine, TrivialKDecide};
-pub use reduction::{run_reduction, ReductionReport};
+pub use reduction::{check_reduction, run_reduction, ReductionReport};
 pub use safe_agreement::{CallStep, Resolution, SafeAgreement, SafeAgreementCall};
 pub use simulate::{BgSimulation, BgSimulator, SIM_STEP_PROBE};

@@ -70,10 +70,10 @@ impl TrivialKDecide {
     ///
     /// # Panics
     ///
-    /// Panics if `k == 0` or `me >= n_sim` is inconsistent (callers size
+    /// Panics where [`check`](Self::check) refuses `k` (callers size
     /// machines by index).
     pub fn new(me: usize, k: usize, proposal: Value) -> Self {
-        assert!(k >= 1, "k must be positive");
+        Self::check(k).unwrap_or_else(|e| panic!("{e}"));
         TrivialKDecide {
             me,
             k,
@@ -85,6 +85,16 @@ impl TrivialKDecide {
             },
             scan_at: 0,
         }
+    }
+
+    /// The algorithm's one precondition: a degree `k ≥ 1`.
+    pub fn check(k: usize) -> Result<(), String> {
+        if k == 0 {
+            return Err(
+                "field \"k\": the simulated k-decide algorithm needs k ≥ 1, got k = 0".into(),
+            );
+        }
+        Ok(())
     }
 }
 

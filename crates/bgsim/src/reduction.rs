@@ -13,7 +13,7 @@
 //! `(crashes+1)`-set timely (checkable with the `st-core` analyzer); and
 //! the simulators' adopted decisions.
 
-use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
+use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe, Value, PROCSET_CAPACITY};
 use st_sim::{RunConfig, RunStatus, Sim, StopWhen};
 
 use crate::machine::StepMachine;
@@ -54,12 +54,29 @@ impl ReductionReport {
     }
 }
 
+/// What [`run_reduction`] needs of its sizes: a simulator, and 1 to
+/// [`PROCSET_CAPACITY`] simulated processes (the stalled ones are a
+/// [`ProcSet`]). `Ok` allocates nothing.
+pub fn check_reduction(simulators: usize, n_sim: usize) -> Result<(), String> {
+    if simulators == 0 {
+        return Err("field \"n\": need at least one simulator".into());
+    }
+    if n_sim == 0 || n_sim > PROCSET_CAPACITY {
+        return Err(format!(
+            "field \"n_sim\": the BG reduction simulates 1 to {PROCSET_CAPACITY} processes, \
+             got n_sim = {n_sim}"
+        ));
+    }
+    Ok(())
+}
+
 /// Runs `simulators` BG-simulators over the given machines under the host
 /// schedule `src` for at most `budget` steps.
 ///
 /// # Panics
 ///
-/// Panics if `simulators == 0` or `machines` is empty.
+/// Panics where [`check_reduction`] refuses `simulators` and
+/// `machines.len()`.
 pub fn run_reduction<M, S>(
     simulators: usize,
     machines: Vec<M>,
@@ -71,8 +88,7 @@ where
     M: StepMachine + Clone + 'static,
     S: StepSource,
 {
-    assert!(simulators >= 1, "need at least one simulator");
-    assert!(!machines.is_empty(), "need at least one simulated process");
+    check_reduction(simulators, machines.len()).unwrap_or_else(|e| panic!("{e}"));
     let universe = Universe::new(simulators).expect("valid simulator count");
     let mut sim = Sim::new(universe);
     let bg = BgSimulation::alloc(&mut sim, machines, max_reads);

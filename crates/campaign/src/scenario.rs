@@ -9,11 +9,12 @@
 //! bit-identical.
 
 use st_agreement::{drive_adversarially, AgreementStack, KSetAgreement, StackKind};
-use st_bgsim::{run_reduction, TrivialKDecide};
+use st_bgsim::{check_reduction, run_reduction, TrivialKDecide};
 use st_core::subsets::KSubsets;
 use st_core::timeliness::{empirical_bound, TimelinessAnalyzer};
 use st_core::{
     AgreementTask, AgreementViolation, ProcSet, ProcessId, StepSource, TimelyPair, Universe, Value,
+    PROCSET_CAPACITY,
 };
 use st_fd::convergence::{
     kanti_omega_witness, wide_winnerset_stabilization, winnerset_stabilization, KAntiOmegaWitness,
@@ -24,7 +25,7 @@ use st_fd::{
     BASELINE_WINNERSET_PROBE, WINNERSET_PROBE,
 };
 use st_sched::{GeneratorSpec, TimeoutPolicySpec};
-use st_sim::{PhaseBatch, RunConfig, RunReport, RunStatus, Sim, StopWhen};
+use st_sim::{check_slice_len, PhaseBatch, RunConfig, RunReport, RunStatus, Sim, StopWhen};
 
 use crate::invariant::{Ballots, InvariantChecker, InvariantViolation, ScheduleWatch};
 use st_core::Schedule;
@@ -336,6 +337,132 @@ impl Workload {
     pub fn with_policy_spec(self, spec: TimeoutPolicySpec) -> Workload {
         self.with_policy(policy_from_spec(spec))
     }
+
+    /// Holds the workload to what running it over `universe` needs,
+    /// refusing the first breach with its field path. Each rule is the
+    /// check the protocol's own constructor asserts through, or stated
+    /// here once:
+    ///
+    /// - an agreement task — [`AgreementTask::check`]
+    ///   (`1 ≤ t ≤ n − 1`, `1 ≤ k ≤ n`);
+    /// - the detectors' `(k, t)`, and the task of an adversary or of a
+    ///   stack past the trivial algorithm — `1 ≤ k ≤ t ≤ n − 1`
+    ///   ([`AgreementTask::check_nontrivial`]; `k = 1` for the lean
+    ///   workloads), and for Figure 2 its counters inside the register
+    ///   arena ([`KAntiOmegaConfig::check`]); the adversary also needs
+    ///   somebody not precrashed, and a witness inside the universe;
+    /// - a BG reduction — [`check_reduction`] (`1 ≤ n_sim ≤ 64`) and
+    ///   [`TrivialKDecide::check`] (`k ≥ 1`);
+    /// - a SoA replay drive — [`check_slice_len`] (`slice_len ≥ 1`);
+    /// - the workloads on single-word process sets (FD convergence,
+    ///   agreement, adversarial agreement, the BG reduction's simulators):
+    ///   `n ≤ 64`; the agreement workloads: one input per process; a
+    ///   certification: a positive bound cap.
+    ///
+    /// `Ok` allocates nothing.
+    pub fn validate(&self, universe: Universe) -> Result<(), String> {
+        let n = universe.n();
+        let drive = |drive: &FleetReplayDrive| match *drive {
+            FleetReplayDrive::Plain => Ok(()),
+            FleetReplayDrive::Soa { slice_len } => {
+                check_slice_len(slice_len).map_err(|e| format!("field \"drive\": {e}"))
+            }
+        };
+        match self {
+            Workload::FdConvergence { k, t, detector, .. } => {
+                match detector {
+                    FdDetector::SetBased => KAntiOmegaConfig::new(*k, *t).check(n)?,
+                    FdDetector::ProcessBased => AgreementTask::check_nontrivial(*t, *k, n)?,
+                }
+                single_word("FdConvergence", n)
+            }
+            Workload::Agreement {
+                t,
+                k,
+                inputs,
+                certify,
+                ..
+            } => {
+                if let Some(CertifyTimely { cap: 0, .. }) = certify {
+                    return Err(
+                        "field \"certify\": field \"cap\": a bound cap must be positive, got 0"
+                            .into(),
+                    );
+                }
+                AgreementTask::check(*t, *k, n)?;
+                // Past the trivial `t < k` algorithm, the stack holds Figure 2.
+                if k <= t {
+                    KAntiOmegaConfig::new(*k, *t).check(n)?;
+                }
+                single_word("Agreement", n)?;
+                one_input_each("Agreement", inputs, n)
+            }
+            Workload::AdversarialAgreement {
+                t,
+                k,
+                inputs,
+                precrashed,
+                witness,
+                ..
+            } => {
+                KAntiOmegaConfig::new(*k, *t).check(n)?;
+                single_word("AdversarialAgreement", n)?;
+                one_input_each("AdversarialAgreement", inputs, n)?;
+                let everyone = ProcSet::full(universe);
+                if everyone.is_subset(*precrashed) {
+                    return Err(format!(
+                        "field \"precrashed\": {precrashed} leaves none of the {n} processes to run"
+                    ));
+                }
+                match witness {
+                    Some((p, q)) if !p.union(*q).is_subset(everyone) => Err(format!(
+                        "field \"witness\": the pair ({p}, {q}) names a process outside the {n} \
+                         of the universe"
+                    )),
+                    _ => Ok(()),
+                }
+            }
+            Workload::BgReduction { n_sim, k, .. } => {
+                check_reduction(n, *n_sim)?;
+                TrivialKDecide::check(*k)?;
+                single_word("BgReduction", n)
+            }
+            Workload::LeanConvergence { t, drive: d, .. }
+            | Workload::LeanAgreement { t, drive: d, .. } => {
+                KAntiOmegaConfig::new(1, *t).check(n)?;
+                drive(d)
+            }
+            Workload::WideFdConvergence { k, t, drive: d, .. } => {
+                KAntiOmegaConfig::new(*k, *t).check(n)?;
+                drive(d)
+            }
+        }
+    }
+}
+
+/// `field "n"`: the `name` workload runs on single-word process sets
+/// (Figure 2 at width one, [`Scenario::correct`], the timeliness analyzer's
+/// subset enumeration), so it needs `n ≤ PROCSET_CAPACITY`.
+fn single_word(name: &str, n: usize) -> Result<(), String> {
+    if n > PROCSET_CAPACITY {
+        return Err(format!(
+            "field \"n\": the {name} workload runs on single-word process sets, needs \
+             n ≤ {PROCSET_CAPACITY}, got n = {n}"
+        ));
+    }
+    Ok(())
+}
+
+/// `field "inputs"`: the `name` agreement workload takes one proposal per
+/// process.
+fn one_input_each(name: &str, inputs: &[Value], n: usize) -> Result<(), String> {
+    if inputs.len() != n {
+        return Err(format!(
+            "field \"inputs\": the {name} workload takes one input per process, got {} at n = {n}",
+            inputs.len()
+        ));
+    }
+    Ok(())
 }
 
 /// When a scenario stops before its budget is exhausted.
@@ -408,6 +535,19 @@ impl Scenario {
     pub fn with_faulty(mut self, faulty: ProcSet) -> Self {
         self.faulty = faulty;
         self
+    }
+
+    /// Holds the scenario to what [`run`](Self::run) needs: its workload
+    /// ([`Workload::validate`]) and its generator
+    /// ([`GeneratorSpec::validate`], under `field "generator"`) over its
+    /// universe. Every decoded scenario passes through here, so a spec that
+    /// breaks a precondition is refused by field instead of panicking the
+    /// worker that runs it. `Ok` allocates nothing.
+    pub fn validate(&self) -> Result<(), String> {
+        self.workload.validate(self.universe)?;
+        self.generator
+            .validate(self.universe)
+            .map_err(|e| format!("field \"generator\": {e}"))
     }
 
     /// The correct set: complement of [`faulty`](Self::faulty).

@@ -103,7 +103,6 @@ use st_agreement::StackKind;
 use st_core::json::{self, Cursor};
 use st_core::{
     AgreementViolation, Json, JsonError, ProcSet, ProcessId, Schedule, TimelyPair, Universe,
-    PROCSET_CAPACITY,
 };
 use st_fd::convergence::{KAntiOmegaWitness, Stabilization};
 use st_fd::TimeoutPolicy;
@@ -1261,30 +1260,10 @@ pub fn write_scenario(s: &Scenario, out: &mut String) {
 }
 
 /// Decodes the scenario `cur` stands on (the inverse of
-/// [`write_scenario`]) and holds it to what running it asserts: `Err` is a
+/// [`write_scenario`]) and holds it to [`Scenario::validate`]: `Err` is a
 /// syntax error, `Ok(Err)` why the value is refused.
-///
-/// A decoded [`Workload::AdversarialAgreement`] is held to what running it
-/// asserts — `1 ≤ k ≤ t ≤ n − 1`, and somebody left to run — and to a
-/// witness inside its universe; either agreement workload to one input per
-/// process; and a decoded generator to what its constructors assert when
-/// built (a random source or round robin over nobody, a zero burst, an
-/// enforcing generator's bound and dwells, a clog's window and gap, a
-/// recovery before its crash), so a spec from the wire that breaks one is
-/// refused here, by field name, instead of panicking in the worker that
-/// picks it up. So is a certification with a zero bound cap, a
-/// single-word workload past [`PROCSET_CAPACITY`] processes, an agreement
-/// task `AgreementTask::new` refuses, an FD-convergence detector outside
-/// `1 ≤ k ≤ t ≤ n − 1`, and a BG reduction with `n_sim` outside
-/// `1..=64` or `k = 0`.
 pub(crate) fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
-    Ok(Scenario::read(cur)?.and_then(|scenario| {
-        check_single_word(&scenario)?;
-        check_adversarial(&scenario)?;
-        check_generator(&scenario.generator, scenario.universe.n())
-            .map_err(|e| format!("field \"generator\": {e}"))?;
-        Ok(scenario)
-    }))
+    Ok(Scenario::read(cur)?.and_then(|scenario| scenario.validate().map(|()| scenario)))
 }
 
 /// Appends an outcome's canonical encoding to `out`.
@@ -1327,229 +1306,6 @@ pub fn encode_scenario(s: &Scenario) -> Json {
 /// [`write_scenario`]'s reader refuses.
 pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
     from_tree(j, read_scenario)
-}
-
-/// What the generator constructors assert (`RoundRobin::over`,
-/// `BurstyRotation::new`, `SeededRandom::over`/`with_weights`,
-/// `SetTimely::new`, `FlappingTimely::new`, `BurstClog::new`,
-/// `CrashRecovery::new`), over the whole spec tree that gets built: one
-/// walk, nothing allocated for a spec that passes.
-fn check_generator(spec: &GeneratorSpec, n: usize) -> Result<(), String> {
-    let nested = |field: &str, child: &GeneratorSpec| {
-        check_generator(child, n).map_err(|e| format!("field \"{field}\": {e}"))
-    };
-    let enforced = |p: ProcSet, q: ProcSet, bound: usize| {
-        if p.is_empty() {
-            return Err("field \"p\": the timely set must be non-empty".to_string());
-        }
-        if bound == 0 || (bound == 1 && !q.is_subset(p)) {
-            return Err(format!(
-                "field \"bound\": needs bound ≥ 1, and bound = 1 only with q ⊆ p (every \
-                 q-step a p-step), got bound = {bound} for p = {p}, q = {q}"
-            ));
-        }
-        Ok(())
-    };
-    let range = |field: &str, what: &str, (lo, hi): (u64, u64)| {
-        if lo == 0 || lo > hi {
-            return Err(format!(
-                "field \"{field}\": a {what} range needs 1 ≤ lo ≤ hi, got [{lo}, {hi}]"
-            ));
-        }
-        Ok(())
-    };
-    match spec {
-        GeneratorSpec::RoundRobin { over } if over.is_some_and(ProcSet::is_empty) => {
-            Err("field \"over\": a round robin needs a process".to_string())
-        }
-        GeneratorSpec::Bursty { burst: 0 } => {
-            Err("field \"burst\": a burst must be positive, got 0".to_string())
-        }
-        GeneratorSpec::SeededRandom { over, weights, .. } => {
-            if over.is_some_and(ProcSet::is_empty) {
-                return Err("field \"over\": a random source needs a process".to_string());
-            }
-            let members = over.map_or(n, ProcSet::len);
-            match weights {
-                Some(w) if w.len() != members => Err(format!(
-                    "field \"weights\": one weight per member, got {} for {members}",
-                    w.len()
-                )),
-                Some(w) if w.iter().all(|&w| w == 0) => {
-                    Err("field \"weights\": at least one weight must be positive".to_string())
-                }
-                _ => Ok(()),
-            }
-        }
-        GeneratorSpec::SetTimely {
-            p,
-            q,
-            bound,
-            filler,
-            ..
-        } => {
-            enforced(*p, *q, *bound)?;
-            nested("filler", filler)
-        }
-        GeneratorSpec::Flapping {
-            p,
-            q,
-            bound,
-            filler,
-            timely_dwell,
-            untimely_dwell,
-            ..
-        } => {
-            enforced(*p, *q, *bound)?;
-            range("timely_dwell", "dwell", *timely_dwell)?;
-            range("untimely_dwell", "dwell", *untimely_dwell)?;
-            nested("filler", filler)
-        }
-        GeneratorSpec::Eventually { prefix, body, .. } => {
-            nested("prefix", prefix)?;
-            nested("body", body)
-        }
-        GeneratorSpec::BurstClog {
-            inner, window, gap, ..
-        } => {
-            if *window == 0 {
-                return Err("field \"window\": a clog window must be positive, got 0".into());
-            }
-            range("gap", "gap", *gap)?;
-            nested("inner", inner)
-        }
-        GeneratorSpec::CrashRecovery {
-            inner,
-            crash,
-            rejoin,
-            ..
-        } => {
-            if crash > rejoin {
-                return Err(format!(
-                    "field \"crash\": the victim must rejoin no earlier than it crashes, got \
-                     crash = {crash} > rejoin = {rejoin}"
-                ));
-            }
-            nested("inner", inner)
-        }
-        GeneratorSpec::CrashAfter { inner, .. } | GeneratorSpec::GrayFailure { inner, .. } => {
-            nested("inner", inner)
-        }
-        // The other leaves have constructors this pass does not cover yet
-        // (ROADMAP 8(a)); a replay's carried spec is never built.
-        _ => Ok(()),
-    }
-}
-
-/// The preconditions of the workloads that run on single-word process sets
-/// (Figure 2 at width one, `Scenario::correct`, the timeliness analyzer's
-/// subset enumeration, the BG reduction's simulated universe): `n ≤ 64`
-/// (`n_sim ≤ 64`), a positive certification cap, and — for the agreement
-/// stacks, which take one proposal per process — `n` inputs; plus the
-/// parameter ranges their constructors assert: a task `AgreementTask::new`
-/// accepts, `1 ≤ k ≤ t ≤ n − 1` for either FD-convergence detector, and a
-/// reduction simulating at least one process of a `k ≥ 1` algorithm.
-fn check_single_word(scenario: &Scenario) -> Result<(), String> {
-    let n = scenario.universe.n();
-    let (name, inputs) = match &scenario.workload {
-        Workload::Agreement {
-            certify: Some(CertifyTimely { cap: 0, .. }),
-            ..
-        } => {
-            return Err(
-                "field \"certify\": field \"cap\": a bound cap must be positive, got 0".into(),
-            )
-        }
-        &Workload::Agreement { t, .. } if t == 0 || t >= n => {
-            return Err(format!(
-                "field \"t\": agreement needs 1 ≤ t ≤ n − 1, got t = {t} at n = {n}"
-            ))
-        }
-        &Workload::Agreement { k, .. } if k == 0 || k > n => {
-            return Err(format!(
-                "field \"k\": agreement needs 1 ≤ k ≤ n, got k = {k} at n = {n}"
-            ))
-        }
-        Workload::Agreement { inputs, .. } => ("Agreement", Some(inputs)),
-        &Workload::FdConvergence { t, .. } if t >= n => {
-            return Err(format!(
-                "field \"t\": the k-anti-Ω detectors need t ≤ n − 1, got t = {t} at n = {n}"
-            ))
-        }
-        &Workload::FdConvergence { k, t, .. } if k == 0 || k > t => {
-            return Err(format!(
-                "field \"k\": the k-anti-Ω detectors need 1 ≤ k ≤ t, got k = {k} at t = {t}"
-            ))
-        }
-        Workload::FdConvergence { .. } => ("FdConvergence", None),
-        Workload::AdversarialAgreement { inputs, .. } => ("AdversarialAgreement", Some(inputs)),
-        &Workload::BgReduction { n_sim, .. } if n_sim == 0 || n_sim > PROCSET_CAPACITY => {
-            return Err(format!(
-                "field \"n_sim\": the BG reduction simulates 1 to {PROCSET_CAPACITY} processes, \
-                 got n_sim = {n_sim}"
-            ))
-        }
-        Workload::BgReduction { k: 0, .. } => {
-            return Err(
-                "field \"k\": the simulated k-decide algorithm needs k ≥ 1, got k = 0".into(),
-            )
-        }
-        _ => return Ok(()),
-    };
-    if n > PROCSET_CAPACITY {
-        return Err(format!(
-            "field \"n\": the {name} workload runs on single-word process sets, needs \
-             n ≤ {PROCSET_CAPACITY}, got n = {n}"
-        ));
-    }
-    match inputs {
-        Some(inputs) if inputs.len() != n => Err(format!(
-            "field \"inputs\": the {name} workload takes one input per process, got {} at n = {n}",
-            inputs.len()
-        )),
-        _ => Ok(()),
-    }
-}
-
-/// The preconditions of `drive_adversarially` and of the stack it is
-/// handed, for a scenario that asks for them, and a witness inside its
-/// universe (whose certificate would otherwise describe another system).
-fn check_adversarial(scenario: &Scenario) -> Result<(), String> {
-    let Workload::AdversarialAgreement {
-        t,
-        k,
-        precrashed,
-        witness,
-        ..
-    } = &scenario.workload
-    else {
-        return Ok(());
-    };
-    let (t, k, n) = (*t, *k, scenario.universe.n());
-    if t == 0 || t >= n {
-        return Err(format!(
-            "field \"t\": adversarial agreement needs 1 ≤ t ≤ n − 1, got t = {t} at n = {n}"
-        ));
-    }
-    if k == 0 || k > t {
-        return Err(format!(
-            "field \"k\": adversarial agreement needs 1 ≤ k ≤ t (no schedule blocks the \
-             asynchronously solvable t < k task), got k = {k} at t = {t}"
-        ));
-    }
-    let universe = ProcSet::full(scenario.universe);
-    if universe.is_subset(*precrashed) {
-        return Err(format!(
-            "field \"precrashed\": {precrashed} leaves none of the {n} processes to run"
-        ));
-    }
-    match witness {
-        Some((p, q)) if !p.union(*q).is_subset(universe) => Err(format!(
-            "field \"witness\": the pair ({p}, {q}) names a process outside the {n} of the \
-             universe"
-        )),
-        _ => Ok(()),
-    }
 }
 
 /// Decodes a generator spec tree written by the canonical encoder (exact

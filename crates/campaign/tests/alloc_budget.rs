@@ -486,3 +486,80 @@ fn take_schedule_reserves_what_it_is_asked_for_up_to_a_cap() {
         taken.peak
     );
 }
+
+/// Validation runs on every decoded scenario, so a valid one costs no
+/// allocation: a refusal's text is the only thing `validate` builds.
+#[test]
+fn validating_a_valid_scenario_allocates_nothing() {
+    let set = |ix: &[usize]| ProcSet::from_indices(ix.iter().copied());
+    let deep = GeneratorSpec::crash_recovery(
+        GeneratorSpec::burst_clog(
+            GeneratorSpec::flapping(
+                set(&[0, 1]),
+                set(&[0, 1, 2]),
+                3,
+                GeneratorSpec::Eventually {
+                    prefix: Box::new(GeneratorSpec::Cycle {
+                        period: Schedule::from_indices([0, 1, 2]),
+                    }),
+                    prefix_len: 10,
+                    body: Box::new(GeneratorSpec::SeededRandom {
+                        over: Some(set(&[0, 2, 4])),
+                        seed_offset: 1,
+                        weights: Some(vec![1, 0, 2]),
+                    }),
+                },
+                (1, 4),
+                (2, 8),
+            ),
+            ProcessId::new(3),
+            4,
+            (1, 2),
+        ),
+        ProcessId::new(5),
+        10,
+        20,
+    );
+    let scenarios = [
+        e3_scenario(3, 1),
+        Scenario::new(
+            "deep",
+            Universe::new(N).unwrap(),
+            deep,
+            Workload::FdConvergence {
+                k: 2,
+                t: 3,
+                policy: TimeoutPolicy::Increment,
+                abi: FdAbi::MachineSlot,
+                detector: FdDetector::SetBased,
+                certify_membership: true,
+            },
+            1_000,
+            0,
+        ),
+        Scenario::new(
+            "wide",
+            Universe::new(130).unwrap(),
+            GeneratorSpec::FictitiousCrash {
+                i: 2,
+                j: 2,
+                t: 3,
+                k: 2,
+                base: 8,
+            },
+            Workload::WideFdConvergence {
+                k: 2,
+                t: 3,
+                policy: TimeoutPolicy::Increment,
+                drive: FleetReplayDrive::Soa { slice_len: 64 },
+            },
+            1_000,
+            0,
+        ),
+    ];
+    for scenario in &scenarios {
+        let (count, verdict) = allocations(|| scenario.validate());
+        assert_eq!(verdict, Ok(()), "{}", scenario.label);
+        assert_eq!(count, 0, "{}", scenario.label);
+    }
+}

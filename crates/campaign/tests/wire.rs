@@ -9,7 +9,7 @@ use st_campaign::store::{
     OutcomeStore,
 };
 use st_campaign::{
-    CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario, Workload,
+    CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario, StopRule, Workload,
 };
 use st_core::{Json, ProcSet, ProcessId, Schedule, Universe};
 use st_fd::TimeoutPolicy;
@@ -230,8 +230,7 @@ fn generator_specs_that_would_panic_a_worker_are_decode_errors() {
 
 /// What `RoundRobin::over`, `BurstyRotation::new`, `BurstClog::new` and
 /// `CrashRecovery::new` assert, a decoded spec is refused for, by field —
-/// at the root and under a decorator. `GrayFailure` with `stretch = 0`
-/// still decodes: it is the served panic test's poison.
+/// at the root and under a decorator.
 #[test]
 fn round_robin_bursty_clog_and_recovery_specs_that_would_panic_are_decode_errors() {
     let decode = |generator: GeneratorSpec| {
@@ -264,7 +263,6 @@ fn round_robin_bursty_clog_and_recovery_specs_that_would_panic_are_decode_errors
         GeneratorSpec::bursty(1),
         clog(1, (1, 1)),
         recovery(4, 4),
-        GeneratorSpec::gray_failure(rr(), ProcSet::from_indices([1]), 0),
     ] {
         assert_eq!(decode(valid), Ok(()));
     }
@@ -504,6 +502,347 @@ fn foreign_inputs_and_witnesses_are_decode_errors() {
             "{err}"
         );
     }
+}
+
+/// Specs that used to decode and then panic the worker that ran them — a
+/// generator's own constructor, a process outside the universe, a
+/// detector's range, a SoA slice of zero steps — or run and silently do
+/// nothing (a gray process or a recovery victim outside the universe), are
+/// refused by field, naming the value. Each rule has a valid twin at the
+/// edge of its range that round-trips.
+#[test]
+fn specs_that_decoded_and_then_panicked_a_worker_are_decode_errors() {
+    let set = |ix: &[usize]| ProcSet::from_indices(ix.iter().copied());
+    let pid = ProcessId::new;
+    let lean = |t: usize, drive: FleetReplayDrive| Workload::LeanConvergence {
+        t,
+        policy: TimeoutPolicy::Increment,
+        drive,
+    };
+    let decode = |n: usize, generator: GeneratorSpec, workload: Workload| {
+        // Not `Scenario::new`: a refused generator's faulty set may not
+        // even be defined.
+        let scenario = Scenario {
+            label: "refused".into(),
+            universe: Universe::new(n).unwrap(),
+            generator,
+            workload,
+            stop: StopRule::BudgetOnly,
+            budget: 2_000,
+            seed: 0,
+            faulty: ProcSet::EMPTY,
+        };
+        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+    };
+    let plain = || lean(1, FleetReplayDrive::Plain);
+    let rr = GeneratorSpec::round_robin;
+    let figure1 = |p1, p2, q| GeneratorSpec::Figure1 {
+        p1: pid(p1),
+        p2: pid(p2),
+        q: pid(q),
+    };
+    let generalized = |p: &[usize], q: &[usize]| GeneratorSpec::GeneralizedFigure1 {
+        p: set(p),
+        q: set(q),
+    };
+    let starvation = |k, base| GeneratorSpec::RotatingStarvation { k, base };
+    let fictitious = |i, j, t, k, base| GeneratorSpec::FictitiousCrash { i, j, t, k, base };
+    let cycle = |steps: &[usize]| GeneratorSpec::Cycle {
+        period: Schedule::from_indices(steps.iter().copied()),
+    };
+    let rotation = |groups: &[&[usize]], base| GeneratorSpec::AlternatingRotation {
+        groups: groups.iter().map(|g| set(g)).collect(),
+        base,
+    };
+    let gray = |gray: &[usize], stretch| GeneratorSpec::gray_failure(rr(), set(gray), stretch);
+    let over = |ix: &[usize]| GeneratorSpec::RoundRobin {
+        over: Some(set(ix)),
+    };
+    let timely = |p: &[usize]| GeneratorSpec::set_timely(set(p), set(&[0, 1]), 3, rr());
+    let clog = |clogger| GeneratorSpec::burst_clog(rr(), pid(clogger), 4, (1, 2));
+    let recovery = |victim| GeneratorSpec::crash_recovery(rr(), pid(victim), 4, 8);
+    let wide = |k: usize, t: usize| Workload::WideFdConvergence {
+        k,
+        t,
+        policy: TimeoutPolicy::Increment,
+        drive: FleetReplayDrive::Plain,
+    };
+    let lean_agreement = |t: usize| Workload::LeanAgreement {
+        t,
+        policy: TimeoutPolicy::Increment,
+        drive: FleetReplayDrive::Plain,
+    };
+    // Past the trivial algorithm, both agreement stacks hold Figure 2.
+    let agreement = |k: usize| Workload::Agreement {
+        t: 10,
+        k,
+        inputs: (0..64).collect(),
+        policy: TimeoutPolicy::Increment,
+        certify: None,
+    };
+    let adversarial = |k: usize| Workload::AdversarialAgreement {
+        t: 10,
+        k,
+        inputs: (0..64).collect(),
+        policy: TimeoutPolicy::Increment,
+        precrashed: ProcSet::EMPTY,
+        witness: None,
+    };
+
+    // (universe, generator, workload) refused at (path, detail); its twin.
+    type Case = (usize, GeneratorSpec, Workload);
+    let generator_cases: Vec<(Case, &str, &str, Case)> = vec![
+        (
+            (4, figure1(0, 0, 2), plain()),
+            "p2",
+            "p1 = p0, p2 = p0",
+            (4, figure1(0, 1, 2), plain()),
+        ),
+        (
+            (4, generalized(&[], &[2]), plain()),
+            "p",
+            "non-empty",
+            (4, generalized(&[0], &[2]), plain()),
+        ),
+        (
+            (4, generalized(&[0, 1], &[1, 2]), plain()),
+            "q",
+            "disjoint",
+            (4, generalized(&[0, 1], &[2, 3]), plain()),
+        ),
+        (
+            (4, starvation(0, 8), plain()),
+            "k",
+            "k = 0 at n = 4",
+            (4, starvation(1, 8), plain()),
+        ),
+        (
+            (4, starvation(4, 8), plain()),
+            "k",
+            "k = 4 at n = 4",
+            (4, starvation(3, 8), plain()),
+        ),
+        (
+            (4, starvation(1, 0), plain()),
+            "base",
+            "got 0",
+            (4, starvation(1, 1), plain()),
+        ),
+        (
+            (4, fictitious(2, 1, 3, 2, 8), plain()),
+            "j",
+            "i = 2, j = 1",
+            (4, fictitious(2, 2, 3, 2, 8), plain()),
+        ),
+        (
+            (4, fictitious(1, 1, 2, 0, 8), plain()),
+            "k",
+            "k = 0 at t = 2",
+            (4, fictitious(1, 1, 2, 1, 8), plain()),
+        ),
+        (
+            (4, fictitious(1, 2, 3, 2, 0), plain()),
+            "base",
+            "got 0",
+            (4, fictitious(1, 2, 3, 2, 1), plain()),
+        ),
+        (
+            (4, fictitious(2, 2, 3, 1, 8), plain()),
+            "i",
+            "i = 2 > k = 1",
+            (4, fictitious(1, 1, 3, 1, 8), plain()),
+        ),
+        (
+            (4, fictitious(1, 4, 2, 1, 8), plain()),
+            "j",
+            "no adversary exists",
+            (4, fictitious(1, 2, 2, 1, 8), plain()),
+        ),
+        // Theorem 27's construction past the single-word wall: its
+        // fictitious set would hold p64.
+        (
+            (65, fictitious(1, 2, 3, 1, 8), plain()),
+            "j",
+            "past the process-set capacity",
+            (65, fictitious(1, 1, 3, 1, 8), plain()),
+        ),
+        (
+            (4, cycle(&[]), plain()),
+            "period",
+            "empty",
+            (4, cycle(&[3]), plain()),
+        ),
+        (
+            (4, rotation(&[], 8), plain()),
+            "groups",
+            "at least one group",
+            (4, rotation(&[&[0]], 8), plain()),
+        ),
+        (
+            (4, rotation(&[&[0], &[]], 8), plain()),
+            "groups",
+            "group 1",
+            (4, rotation(&[&[0], &[1]], 8), plain()),
+        ),
+        (
+            (4, rotation(&[&[0, 1], &[1, 2]], 8), plain()),
+            "groups",
+            "disjoint",
+            (4, rotation(&[&[0, 1], &[2, 3]], 8), plain()),
+        ),
+        (
+            (4, rotation(&[&[0], &[1]], 0), plain()),
+            "base",
+            "got 0",
+            (4, rotation(&[&[0], &[1]], 1), plain()),
+        ),
+        (
+            (4, gray(&[1], 0), plain()),
+            "stretch",
+            "got 0",
+            (4, gray(&[1], 1), plain()),
+        ),
+        // A process outside the universe: the worker's "generator
+        // schedules stay within the universe" expectation fired …
+        (
+            (4, figure1(0, 1, 5), plain()),
+            "q",
+            "names p5",
+            (4, figure1(0, 1, 3), plain()),
+        ),
+        (
+            (4, generalized(&[0], &[2, 5]), plain()),
+            "q",
+            "names p5",
+            (4, generalized(&[0], &[2, 3]), plain()),
+        ),
+        (
+            (4, over(&[1, 5]), plain()),
+            "over",
+            "names p5",
+            (4, over(&[1, 3]), plain()),
+        ),
+        (
+            (4, timely(&[5]), plain()),
+            "p",
+            "names p5",
+            (4, timely(&[3]), plain()),
+        ),
+        (
+            (4, clog(4), plain()),
+            "clogger",
+            "names p4",
+            (4, clog(3), plain()),
+        ),
+        (
+            (4, rotation(&[&[0], &[4]], 8), plain()),
+            "groups",
+            "names p4",
+            (4, rotation(&[&[0], &[3]], 8), plain()),
+        ),
+        (
+            (4, cycle(&[0, 4]), plain()),
+            "period",
+            "names p4",
+            (4, cycle(&[0, 3]), plain()),
+        ),
+        // … or nothing happened at all.
+        (
+            (4, recovery(4), plain()),
+            "victim",
+            "names p4",
+            (4, recovery(3), plain()),
+        ),
+        (
+            (4, gray(&[6], 2), plain()),
+            "gray",
+            "names p6",
+            (4, gray(&[3], 2), plain()),
+        ),
+    ];
+    let workload_cases: Vec<(Case, &str, &str, Case)> = vec![
+        (
+            (4, rr(), lean(0, FleetReplayDrive::Plain)),
+            "t",
+            "t = 0 at n = 4",
+            (4, rr(), lean(1, FleetReplayDrive::Plain)),
+        ),
+        (
+            (4, rr(), lean(4, FleetReplayDrive::Plain)),
+            "t",
+            "t = 4 at n = 4",
+            (4, rr(), lean(3, FleetReplayDrive::Plain)),
+        ),
+        (
+            (4, rr(), lean_agreement(0)),
+            "t",
+            "t = 0 at n = 4",
+            (4, rr(), lean_agreement(1)),
+        ),
+        (
+            (4, rr(), lean_agreement(4)),
+            "t",
+            "t = 4 at n = 4",
+            (4, rr(), lean_agreement(3)),
+        ),
+        (
+            (4, rr(), wide(0, 1)),
+            "k",
+            "k = 0 at t = 1",
+            (4, rr(), wide(1, 1)),
+        ),
+        (
+            (4, rr(), wide(2, 1)),
+            "k",
+            "k = 2 at t = 1",
+            (4, rr(), wide(1, 1)),
+        ),
+        (
+            (4, rr(), wide(1, 4)),
+            "t",
+            "t = 4 at n = 4",
+            (4, rr(), wide(3, 3)),
+        ),
+        (
+            (256, rr(), wide(8, 8)),
+            "k",
+            "C(n,k)·n",
+            (256, rr(), wide(1, 8)),
+        ),
+        (
+            (64, rr(), agreement(6)),
+            "k",
+            "C(n,k)·n",
+            (64, rr(), agreement(5)),
+        ),
+        (
+            (64, rr(), adversarial(6)),
+            "k",
+            "C(n,k)·n",
+            (64, rr(), adversarial(5)),
+        ),
+        (
+            (4, rr(), lean(1, FleetReplayDrive::Soa { slice_len: 0 })),
+            "drive\": field \"slice_len",
+            "got 0",
+            (4, rr(), lean(1, FleetReplayDrive::Soa { slice_len: 1 })),
+        ),
+    ];
+    let count = generator_cases.len() + workload_cases.len();
+    for (cases, root) in [
+        (generator_cases, "field \"generator\": "),
+        (workload_cases, ""),
+    ] {
+        for ((n, generator, workload), path, detail, (tn, tg, tw)) in cases {
+            let err = decode(n, generator, workload).unwrap_err();
+            assert!(
+                err.starts_with(&format!("{root}field \"{path}\": ")) && err.contains(detail),
+                "{err}"
+            );
+            assert_eq!(decode(tn, tg, tw), Ok(()), "the twin of {err}");
+        }
+    }
+    assert_eq!(count, 38);
 }
 
 /// Every `"kind"` tag the fixture holds — the pool a tag swap draws from.

@@ -48,13 +48,53 @@ impl AgreementTask {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidTask`] unless `1 ≤ t ≤ n − 1` and
-    /// `1 ≤ k ≤ n` (the ranges of Section 3).
+    /// Returns [`ModelError::InvalidTask`] where [`check`](Self::check)
+    /// refuses.
     pub fn new(t: usize, k: usize, n: usize) -> Result<Self, ModelError> {
-        if n < 2 || t == 0 || t > n - 1 || k == 0 || k > n {
-            return Err(ModelError::InvalidTask { t, k, n });
-        }
+        Self::check(t, k, n).map_err(|_| ModelError::InvalidTask { t, k, n })?;
         Ok(AgreementTask { t, k, n })
+    }
+
+    /// The ranges of Section 3: `1 ≤ t ≤ n − 1`, and `1 ≤ k ≤ n` as
+    /// [`check_degree`](Self::check_degree) states it. The refusal names
+    /// the field that breaks them; `Ok` allocates nothing.
+    pub fn check(t: usize, k: usize, n: usize) -> Result<(), String> {
+        if t == 0 || t >= n {
+            return Err(format!(
+                "field \"t\": resilience out of range (need 1 <= t <= n-1), got t = {t} at n = {n}"
+            ));
+        }
+        Self::check_degree(k, n)
+    }
+
+    /// The tasks no asynchronous algorithm solves by itself,
+    /// `1 ≤ k ≤ t ≤ n − 1` (for `t < k` the trivial algorithm does): the
+    /// range the Figure 2 detectors are built for (Theorem 23), and the
+    /// one an adversary can block. The refusal names the field that
+    /// breaks it; `Ok` allocates nothing.
+    pub fn check_nontrivial(t: usize, k: usize, n: usize) -> Result<(), String> {
+        if t == 0 || t >= n {
+            return Err(format!(
+                "field \"t\": requires 1 <= k <= t <= n-1, got t = {t} at n = {n}"
+            ));
+        }
+        if k == 0 || k > t {
+            return Err(format!(
+                "field \"k\": requires 1 <= k <= t <= n-1, got k = {k} at t = {t}"
+            ));
+        }
+        Ok(())
+    }
+
+    /// The agreement degree's range, `1 ≤ k ≤ n` — also what every
+    /// `k`-instance agreement object asserts when it is allocated.
+    pub fn check_degree(k: usize, n: usize) -> Result<(), String> {
+        if k == 0 || k > n {
+            return Err(format!(
+                "field \"k\": agreement degree out of range (need 1 <= k <= n), got k = {k} at n = {n}"
+            ));
+        }
+        Ok(())
     }
 
     /// Resilience: the number of crashes that must be tolerated.

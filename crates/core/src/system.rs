@@ -38,13 +38,27 @@ impl SystemSpec {
     ///
     /// # Errors
     ///
-    /// Returns [`ModelError::InvalidSystem`] unless `1 ≤ i ≤ j ≤ n` (the
-    /// constraint under which the family is defined in Section 2.2).
+    /// Returns [`ModelError::InvalidSystem`] where [`check`](Self::check)
+    /// refuses.
     pub fn new(i: usize, j: usize, n: usize) -> Result<Self, ModelError> {
-        if !(1 <= i && i <= j && j <= n) {
-            return Err(ModelError::InvalidSystem { i, j, n });
-        }
+        Self::check(i, j, n).map_err(|_| ModelError::InvalidSystem { i, j, n })?;
         Ok(SystemSpec { i, j, n })
+    }
+
+    /// `1 ≤ i ≤ j ≤ n`, the constraint under which the family is defined
+    /// in Section 2.2. The refusal names the field that breaks it; `Ok`
+    /// allocates nothing.
+    pub fn check(i: usize, j: usize, n: usize) -> Result<(), String> {
+        let field = if i == 0 {
+            "i"
+        } else if j < i || j > n {
+            "j"
+        } else {
+            return Ok(());
+        };
+        Err(format!(
+            "field \"{field}\": S^i_{{j,n}} needs 1 <= i <= j <= n, got i = {i}, j = {j} at n = {n}"
+        ))
     }
 
     /// The asynchronous system of `n` processes, `S_n = S^n_{n,n}`

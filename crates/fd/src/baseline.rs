@@ -18,7 +18,7 @@
 //! its winner rule (the `k` least-accused processes) is not Figure 2's
 //! argmin over sets.
 
-use st_core::{ProcSet, ProcessId, Universe};
+use st_core::{AgreementTask, ProcSet, ProcessId, Universe};
 use st_sim::{Automaton, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
@@ -48,14 +48,11 @@ impl ProcessTimelyDetector {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ k ≤ t ≤ n − 1`.
+    /// Panics where [`AgreementTask::check_nontrivial`] refuses `(t, k)`.
     pub fn alloc(sim: &mut Sim, k: usize, t: usize, policy: TimeoutPolicy) -> Self {
         let universe = sim.universe();
         let n = universe.n();
-        assert!(
-            k >= 1 && k <= t && t < n,
-            "requires 1 <= k <= t <= n-1 (got k={k}, t={t}, n={n})"
-        );
+        AgreementTask::check_nontrivial(t, k, n).unwrap_or_else(|e| panic!("{e}"));
         let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64)[0];
         let counter = sim.alloc_block(
             n * n,

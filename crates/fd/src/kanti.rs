@@ -27,7 +27,7 @@
 use std::rc::Rc;
 
 use st_core::subsets::{binomial, wide_k_subsets, wide_unrank};
-use st_core::{ProcessId, Universe, WideProcSet};
+use st_core::{AgreementTask, ProcessId, Universe, WideProcSet};
 use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
@@ -70,6 +70,28 @@ impl KAntiOmegaConfig {
     pub fn with_policy(mut self, policy: TimeoutPolicy) -> Self {
         self.policy = policy;
         self
+    }
+
+    /// What Figure 2 needs over `n` processes at any width:
+    /// [`AgreementTask::check_nontrivial`], and its `C(n, k)·n` counters
+    /// inside the register arena's `u32` handle space — checked on the
+    /// numbers, before `Π^k_n` is materialized (the arena would refuse the
+    /// block too, but only after `C(n, k)` sets were built: an allocation
+    /// failure aborts where this refusal unwinds).
+    pub fn check(&self, n: usize) -> Result<(), String> {
+        let k = self.k;
+        AgreementTask::check_nontrivial(self.t, k, n)?;
+        let sets = binomial(n, k);
+        if sets
+            .checked_mul(n as u64)
+            .is_some_and(|cells| cells <= u64::from(u32::MAX))
+        {
+            return Ok(());
+        }
+        Err(format!(
+            "field \"k\": Figure 2 at n={n}, k={k} needs C(n,k)·n = {sets}·{n} counters, past \
+             the register arena's u32 handle space"
+        ))
     }
 }
 
@@ -151,34 +173,19 @@ impl<const W: usize> KAntiOmega<W> {
     ///
     /// # Panics
     ///
-    /// Panics unless `1 ≤ k ≤ t ≤ n − 1` (the range of Theorem 23), if
-    /// `n` exceeds the bitset capacity at this width — pick `W` via
-    /// [`st_core::words_for`] — or if the `C(n, k)·n` counters do not fit
-    /// the register arena's `u32` handle space (checked before any set is
-    /// built).
+    /// Panics where [`KAntiOmegaConfig::check`] refuses, or if `n` exceeds
+    /// the bitset capacity at this width — pick `W` via
+    /// [`st_core::words_for`].
     pub fn alloc_wide(sim: &mut Sim, config: KAntiOmegaConfig) -> Self {
         let universe = sim.universe();
         let n = universe.n();
-        let (k, t) = (config.k, config.t);
-        assert!(
-            k >= 1 && k <= t && t < n,
-            "Figure 2 requires 1 <= k <= t <= n-1 (got k={k}, t={t}, n={n})"
-        );
+        let k = config.k;
+        config.check(n).unwrap_or_else(|e| panic!("{e}"));
         assert!(
             n <= WideProcSet::<W>::CAPACITY,
             "Figure 2's Π^k_n machinery at width W={W} needs n <= {} (got n={n}); \
              pick W with st_core::words_for",
             WideProcSet::<W>::CAPACITY
-        );
-        // Checked on the numbers, before `Π^k_n` is materialized: the arena
-        // would refuse the block too, but only after `C(n, k)` sets were
-        // built — an allocation failure aborts where this panic unwinds.
-        let sets = binomial(n, k);
-        assert!(
-            sets.checked_mul(n as u64)
-                .is_some_and(|cells| cells <= u64::from(u32::MAX)),
-            "Figure 2 at n={n}, k={k} needs C(n,k)·n = {sets}·{n} counters, past the register \
-             arena's u32 handle space"
         );
         let heartbeat = sim.alloc_per_process("Heartbeat", 0u64)[0];
         let subsets = wide_k_subsets(universe, k);

@@ -24,6 +24,29 @@
 
 use st_core::{ProcSet, ProcessId, StepSource};
 
+/// What the rotation needs: at least one group, every group non-empty,
+/// the groups pairwise disjoint, and a positive base run.
+pub(crate) fn check_groups(groups: &[ProcSet], base: u64) -> Result<(), String> {
+    if groups.is_empty() {
+        return Err("field \"groups\": need at least one group, got none".into());
+    }
+    let mut seen = ProcSet::EMPTY;
+    for (ix, g) in groups.iter().enumerate() {
+        if g.is_empty() {
+            return Err(format!(
+                "field \"groups\": groups must be non-empty, got an empty group {ix}"
+            ));
+        }
+        if !seen.is_disjoint(*g) {
+            return Err(format!(
+                "field \"groups\": groups must be disjoint, group {ix} = {g} meets {seen}"
+            ));
+        }
+        seen = seen.union(*g);
+    }
+    crate::positive("base", "the base run length", base)
+}
+
 /// Strictly alternating groups with growing-run representative rotation.
 #[derive(Clone, Debug)]
 pub struct AlternatingRotation {
@@ -54,14 +77,7 @@ impl AlternatingRotation {
     ///
     /// See [`new`](Self::new); additionally panics if `base == 0`.
     pub fn with_base(groups: &[ProcSet], base: u64) -> Self {
-        assert!(!groups.is_empty(), "need at least one group");
-        assert!(base >= 1, "base run length must be positive");
-        let mut seen = ProcSet::EMPTY;
-        for g in groups {
-            assert!(!g.is_empty(), "groups must be non-empty");
-            assert!(seen.is_disjoint(*g), "groups must be disjoint");
-            seen = seen.union(*g);
-        }
+        check_groups(groups, base).unwrap_or_else(|e| panic!("{e}"));
         AlternatingRotation {
             groups: groups.iter().map(|g| g.to_vec()).collect(),
             base,

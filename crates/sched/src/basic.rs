@@ -6,6 +6,37 @@ use rand::SeedableRng;
 
 use st_core::{ProcSet, ProcessId, StepSource, Universe};
 
+/// `field "over"`: a [`RoundRobin`] or [`SeededRandom`] (the `what`)
+/// over an explicit set needs a member.
+pub(crate) fn check_over(what: &str, set: ProcSet) -> Result<(), String> {
+    if set.is_empty() {
+        return Err(format!(
+            "field \"over\": a {what} needs a process (at least one process), got the empty set"
+        ));
+    }
+    Ok(())
+}
+
+/// `field "burst"`: a [`BurstyRotation`] dwells at least one step.
+pub(crate) fn check_burst(burst: u64) -> Result<(), String> {
+    crate::positive("burst", "a burst", burst)
+}
+
+/// `field "weights"`: [`SeededRandom::with_weights`] takes one weight per
+/// member of `members`, not all of them zero.
+pub(crate) fn check_weights(members: usize, weights: &[u32]) -> Result<(), String> {
+    if weights.len() != members {
+        return Err(format!(
+            "field \"weights\": one weight per member, got {} for {members}",
+            weights.len()
+        ));
+    }
+    if weights.iter().all(|&w| w == 0) {
+        return Err("field \"weights\": at least one weight must be positive".into());
+    }
+    Ok(())
+}
+
 /// Cyclic round-robin over a set of processes (the whole universe by
 /// default) — the maximally synchronous schedule: every singleton is timely
 /// with respect to everything with bound `|set|`.
@@ -40,7 +71,7 @@ impl RoundRobin {
     ///
     /// Panics if `set` is empty.
     pub fn over(set: ProcSet) -> Self {
-        assert!(!set.is_empty(), "round robin needs at least one process");
+        check_over("round robin", set).unwrap_or_else(|e| panic!("{e}"));
         RoundRobin {
             members: set.to_vec(),
             pos: 0,
@@ -92,7 +123,7 @@ impl BurstyRotation {
     ///
     /// Panics if `burst == 0`.
     pub fn new(universe: Universe, burst: u64) -> Self {
-        assert!(burst >= 1, "burst length must be positive");
+        check_burst(burst).unwrap_or_else(|e| panic!("{e}"));
         BurstyRotation {
             members: universe.processes().collect(),
             pos: 0,
@@ -143,7 +174,7 @@ impl SeededRandom {
     ///
     /// Panics if `set` is empty.
     pub fn over(set: ProcSet, seed: u64) -> Self {
-        assert!(!set.is_empty(), "random source needs at least one process");
+        check_over("random source", set).unwrap_or_else(|e| panic!("{e}"));
         Self::uniform(set.to_vec(), seed)
     }
 
@@ -164,9 +195,8 @@ impl SeededRandom {
     /// Panics if the length differs from the member count or all weights are
     /// zero.
     pub fn with_weights(mut self, weights: Vec<u32>) -> Self {
-        assert_eq!(weights.len(), self.members.len(), "one weight per member");
+        check_weights(self.members.len(), &weights).unwrap_or_else(|e| panic!("{e}"));
         let total: u64 = weights.iter().map(|&w| w as u64).sum();
-        assert!(total > 0, "at least one weight must be positive");
         self.ticket = Uniform::new(total);
         self.weights = if weights.iter().all(|&w| w == 1) {
             Vec::new()

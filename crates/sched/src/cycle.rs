@@ -8,6 +8,14 @@
 
 use st_core::{ProcessId, Schedule, StepSource};
 
+/// `field "period"`: a [`Cycle`] needs a step to repeat.
+pub(crate) fn check_period(period: &Schedule) -> Result<(), String> {
+    if period.is_empty() {
+        return Err("field \"period\": cannot cycle an empty schedule".into());
+    }
+    Ok(())
+}
+
 /// Infinite repetition of a finite schedule.
 ///
 /// # Examples
@@ -32,7 +40,7 @@ impl Cycle {
     ///
     /// Panics if the schedule is empty (no step to repeat).
     pub fn new(period: Schedule) -> Self {
-        assert!(!period.is_empty(), "cannot cycle an empty schedule");
+        check_period(&period).unwrap_or_else(|e| panic!("{e}"));
         Cycle { period, pos: 0 }
     }
 

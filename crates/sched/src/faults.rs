@@ -27,7 +27,7 @@ use rand::{Rng, SeedableRng};
 
 use st_core::{ProcSet, ProcessId, StepSource, PROCSET_CAPACITY};
 
-use crate::set_timely::lets_through;
+use crate::set_timely::{check_enforced, lets_through};
 
 fn draw(rng: &mut StdRng, (lo, hi): (u64, u64)) -> u64 {
     lo + rng.random_range(0..(hi - lo + 1))
@@ -43,6 +43,44 @@ pub struct PhaseSegment {
     pub end: u64,
     /// Whether the timeliness bound was enforced during the phase.
     pub enforcing: bool,
+}
+
+/// What [`FlappingTimely`] needs: what [`SetTimely`](crate::SetTimely)
+/// needs of `(p, q, bound)`, and both dwell ranges inside `1 ≤ lo ≤ hi`.
+pub(crate) fn check_flapping(
+    p: ProcSet,
+    q: ProcSet,
+    bound: usize,
+    timely_dwell: (u64, u64),
+    untimely_dwell: (u64, u64),
+) -> Result<(), String> {
+    check_enforced(p, q, bound)?;
+    crate::draw_range("timely_dwell", "dwell", timely_dwell)?;
+    crate::draw_range("untimely_dwell", "dwell", untimely_dwell)
+}
+
+/// `field "stretch"`: a [`GrayFailure`] keeps one step in `stretch ≥ 1`.
+pub(crate) fn check_stretch(stretch: u64) -> Result<(), String> {
+    crate::positive("stretch", "stretch", stretch)
+}
+
+/// What [`BurstClog`] needs: a window of at least one step, and a gap
+/// range inside `1 ≤ lo ≤ hi`.
+pub(crate) fn check_clog(window: u64, gap: (u64, u64)) -> Result<(), String> {
+    crate::positive("window", "a clog window", window)?;
+    crate::draw_range("gap", "gap", gap)
+}
+
+/// `field "crash"`: a [`CrashRecovery`] victim rejoins no earlier than it
+/// crashes.
+pub(crate) fn check_recovery(crash: u64, rejoin: u64) -> Result<(), String> {
+    if crash > rejoin {
+        return Err(format!(
+            "field \"crash\": the crash point must not exceed rejoin point, got crash = {crash} \
+             > rejoin = {rejoin}"
+        ));
+    }
+    Ok(())
 }
 
 /// `P` timely wrt `Q` — but only during seeded *timely dwells*, alternating
@@ -92,18 +130,7 @@ impl<S: StepSource> FlappingTimely<S> {
         untimely_dwell: (u64, u64),
         seed: u64,
     ) -> Self {
-        assert!(!p.is_empty(), "P must be non-empty");
-        assert!(bound >= 1, "bound must be positive");
-        assert!(
-            bound > 1 || q.is_subset(p),
-            "bound 1 requires Q ⊆ P (every Q-step must be a P-step)"
-        );
-        for (lo, hi) in [timely_dwell, untimely_dwell] {
-            assert!(
-                lo >= 1 && lo <= hi,
-                "dwell ranges must satisfy 1 <= lo <= hi"
-            );
-        }
+        check_flapping(p, q, bound, timely_dwell, untimely_dwell).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(seed);
         let remaining = draw(&mut rng, timely_dwell);
         FlappingTimely {
@@ -213,7 +240,7 @@ impl<S: StepSource> GrayFailure<S> {
     ///
     /// Panics if `stretch < 1`.
     pub fn new(inner: S, gray: ProcSet, stretch: u64, seed: u64) -> Self {
-        assert!(stretch >= 1, "stretch must be positive");
+        check_stretch(stretch).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(seed);
         let mut counters = vec![0u64; PROCSET_CAPACITY];
         for p in gray.iter() {
@@ -271,11 +298,7 @@ impl<S: StepSource> BurstClog<S> {
     ///
     /// Panics if `window < 1` or the gap range is empty or contains 0.
     pub fn new(inner: S, clogger: ProcessId, window: u64, gap: (u64, u64), seed: u64) -> Self {
-        assert!(window >= 1, "clog window must be positive");
-        assert!(
-            gap.0 >= 1 && gap.0 <= gap.1,
-            "gap range must satisfy 1 <= lo <= hi"
-        );
+        check_clog(window, gap).unwrap_or_else(|e| panic!("{e}"));
         let mut rng = StdRng::seed_from_u64(seed);
         let remaining = draw(&mut rng, gap);
         BurstClog {
@@ -336,7 +359,7 @@ impl<S: StepSource> CrashRecovery<S> {
     ///
     /// Panics if `crash > rejoin`.
     pub fn new(inner: S, victim: ProcessId, crash: u64, rejoin: u64) -> Self {
-        assert!(crash <= rejoin, "crash point must not exceed rejoin point");
+        check_recovery(crash, rejoin).unwrap_or_else(|e| panic!("{e}"));
         CrashRecovery {
             inner,
             victim,

@@ -20,7 +20,46 @@
 //! (`|C| = j − i ≤ t − k < t`, so the fault budget is respected and
 //! termination *is* owed — that is the contradiction the proof exploits.)
 
-use st_core::{ProcSet, ProcessId, StepSource, SystemSpec, Universe};
+use st_core::{
+    AgreementTask, ProcSet, ProcessId, StepSource, SystemSpec, Universe, PROCSET_CAPACITY,
+};
+
+/// What the construction needs of `S^i_{j,n}` and the task `(t, k)`: a
+/// system ([`SystemSpec::check`]), a task `1 ≤ k ≤ t ≤ n − 1`
+/// ([`AgreementTask::check_nontrivial`]), `i ≤ k`, the
+/// unsolvability condition `j − i < t + 1 − k`, a positive base epoch, and
+/// — because the fictitious set is a [`ProcSet`] — no fictitious process
+/// past its capacity.
+pub(crate) fn check_fictitious(
+    i: usize,
+    j: usize,
+    n: usize,
+    t: usize,
+    k: usize,
+    base: u64,
+) -> Result<(), String> {
+    SystemSpec::check(i, j, n)?;
+    AgreementTask::check_nontrivial(t, k, n)?;
+    if i > k {
+        return Err(format!(
+            "field \"i\": for i > k use RotatingStarvation, got i = {i} > k = {k}"
+        ));
+    }
+    if j - i >= t + 1 - k {
+        return Err(format!(
+            "field \"j\": S^{i}_{{{j},{n}}} solves ({t},{k},{n})-agreement; no adversary exists"
+        ));
+    }
+    if j > i && n > PROCSET_CAPACITY {
+        return Err(format!(
+            "field \"j\": the j − i = {} fictitious processes end at p{}, past the process-set \
+             capacity of {PROCSET_CAPACITY}",
+            j - i,
+            n - 1
+        ));
+    }
+    crate::positive("base", "the base epoch length", base)
+}
 
 /// The Theorem 27 case-2b construction as a generator.
 #[derive(Clone, Debug)]
@@ -41,8 +80,9 @@ impl FictitiousCrash {
     ///
     /// Panics unless the unsolvability condition `j − i < t + 1 − k` holds
     /// with `i ≤ k` (for `i > k` use
-    /// [`RotatingStarvation`](crate::RotatingStarvation)), and unless
-    /// parameters are in range (`1 ≤ i ≤ j ≤ n`, `1 ≤ k ≤ t ≤ n−1`).
+    /// [`RotatingStarvation`](crate::RotatingStarvation)), unless
+    /// parameters are in range (`1 ≤ i ≤ j ≤ n`, `1 ≤ k ≤ t ≤ n−1`), and
+    /// when a fictitious process lies past the [`ProcSet`] capacity.
     pub fn new(spec: SystemSpec, t: usize, k: usize) -> Self {
         Self::with_base(spec, t, k, 8)
     }
@@ -54,13 +94,7 @@ impl FictitiousCrash {
     /// See [`new`](Self::new); additionally panics if `base == 0`.
     pub fn with_base(spec: SystemSpec, t: usize, k: usize, base: u64) -> Self {
         let (i, j, n) = (spec.i(), spec.j(), spec.n());
-        assert!(base >= 1, "base epoch length must be positive");
-        assert!(k >= 1 && k <= t && t < n, "need 1 <= k <= t <= n-1");
-        assert!(i <= k, "for i > k use RotatingStarvation");
-        assert!(
-            j - i < t + 1 - k,
-            "S^{i}_{{{j},{n}}} solves ({t},{k},{n})-agreement; no adversary exists"
-        );
+        check_fictitious(i, j, n, t, k, base).unwrap_or_else(|e| panic!("{e}"));
         let universe = spec.universe();
         let crashed_count = j - i;
         let real: Vec<ProcessId> = universe.processes().take(n - crashed_count).collect();

@@ -12,7 +12,46 @@
 //! starved for ever-longer stretches (hence no strict subset of `P` is timely
 //! wrt `Q` in the limit).
 
-use st_core::{ProcSet, ProcessId, StepSource};
+use st_core::{ProcSet, ProcessId, StepSource, PROCSET_CAPACITY};
+
+/// What [`Figure1`] needs: three distinct processes, each one a
+/// [`ProcSet`] can hold.
+pub(crate) fn check_figure1(p1: ProcessId, p2: ProcessId, q: ProcessId) -> Result<(), String> {
+    for (field, p) in [("p1", p1), ("p2", p2), ("q", q)] {
+        if p.index() >= PROCSET_CAPACITY {
+            return Err(format!(
+                "field \"{field}\": {p} is past the process-set capacity of {PROCSET_CAPACITY}"
+            ));
+        }
+    }
+    let field = if p1 == p2 {
+        "p2"
+    } else if q == p1 || q == p2 {
+        "q"
+    } else {
+        return Ok(());
+    };
+    Err(format!(
+        "field \"{field}\": processes must be distinct, got p1 = {p1}, p2 = {p2}, q = {q}"
+    ))
+}
+
+/// What [`GeneralizedFigure1`] needs: non-empty `P` and `Q`, disjoint so
+/// that subsets of `P` are really starved while `Q` steps.
+pub(crate) fn check_generalized(p: ProcSet, q: ProcSet) -> Result<(), String> {
+    if p.is_empty() {
+        return Err("field \"p\": P must be non-empty".into());
+    }
+    if q.is_empty() {
+        return Err("field \"q\": Q must be non-empty".into());
+    }
+    if !p.is_disjoint(q) {
+        return Err(format!(
+            "field \"q\": P and Q must be disjoint, got p = {p}, q = {q}"
+        ));
+    }
+    Ok(())
+}
 
 /// The literal Figure 1 schedule `[(p1·q)^i (p2·q)^i]` with growing `i`.
 ///
@@ -42,7 +81,7 @@ impl Figure1 {
     ///
     /// Panics if the three processes are not distinct.
     pub fn new(p1: ProcessId, p2: ProcessId, q: ProcessId) -> Self {
-        assert!(p1 != p2 && p1 != q && p2 != q, "processes must be distinct");
+        check_figure1(p1, p2, q).unwrap_or_else(|e| panic!("{e}"));
         Figure1 {
             inner: GeneralizedFigure1::new(ProcSet::singleton(p1).with(p2), ProcSet::singleton(q)),
         }
@@ -81,9 +120,7 @@ impl GeneralizedFigure1 {
     /// construction needs disjointness so that subsets of `P` are really
     /// starved while `Q` steps).
     pub fn new(p: ProcSet, q: ProcSet) -> Self {
-        assert!(!p.is_empty(), "P must be non-empty");
-        assert!(!q.is_empty(), "Q must be non-empty");
-        assert!(p.is_disjoint(q), "P and Q must be disjoint");
+        check_generalized(p, q).unwrap_or_else(|e| panic!("{e}"));
         GeneralizedFigure1 {
             p_members: p.to_vec(),
             q_members: q.to_vec(),

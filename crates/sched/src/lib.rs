@@ -57,3 +57,23 @@ pub use policy::TimeoutPolicySpec;
 pub use set_timely::{Eventually, SetTimely};
 pub use spec::GeneratorSpec;
 pub use starvation::RotatingStarvation;
+
+/// `field "{field}"`: a length or count of at least one step — the one
+/// wording of every such precondition. `Ok` allocates nothing.
+pub(crate) fn positive(field: &str, what: &str, value: u64) -> Result<(), String> {
+    if value == 0 {
+        return Err(format!("field \"{field}\": {what} must be positive, got 0"));
+    }
+    Ok(())
+}
+
+/// `field "{field}"`: an inclusive range `[lo, hi]` of step counts to draw
+/// from, `1 ≤ lo ≤ hi`.
+pub(crate) fn draw_range(field: &str, what: &str, (lo, hi): (u64, u64)) -> Result<(), String> {
+    if lo == 0 || lo > hi {
+        return Err(format!(
+            "field \"{field}\": {what} ranges need 1 <= lo <= hi, got [{lo}, {hi}]"
+        ));
+    }
+    Ok(())
+}

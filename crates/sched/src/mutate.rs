@@ -11,10 +11,9 @@
 //! store-codec round-trip tests: any tree it can emit, the codec must
 //! round-trip.
 //!
-//! Every emitted tree satisfies the constructor preconditions
-//! [`GeneratorSpec::build`] enforces (non-empty member sets, `bound ≥ 2`
-//! so `q ⊆ p` is never required, ordered dwell/gap ranges with `lo ≥ 1`,
-//! `stretch ≥ 1`, `window ≥ 1`, `crash ≤ rejoin`), and crash plans never
+//! Every emitted tree is valid — [`GeneratorSpec::validate`] accepts it
+//! over the mutator's universe (`st-campaign`'s `tests/validity.rs` holds
+//! `arbitrary` and `mutate` to that as a property) — and crash plans never
 //! silence the whole universe. The mutation operators are the ones the
 //! fuzzer issue card names: parameter nudges, member-set reseating (the
 //! path to starvation counterexamples — restrict a filler's `over` set and

@@ -14,6 +14,26 @@ use st_core::{ProcSet, ProcessId, StepSource, TimelyPair};
 
 use crate::crashes::CrashPlan;
 
+/// What an enforcing generator ([`SetTimely`],
+/// [`FlappingTimely`](crate::FlappingTimely)) needs: a non-empty `p` to
+/// inject, and `bound ≥ 1` — a bound of 1 only with `Q ⊆ P`, since any
+/// let-through `Q`-step would already break it.
+pub(crate) fn check_enforced(p: ProcSet, q: ProcSet, bound: usize) -> Result<(), String> {
+    if p.is_empty() {
+        return Err("field \"p\": the timely set must be non-empty".into());
+    }
+    if bound == 0 {
+        return Err("field \"bound\": the bound must be positive, got bound = 0".into());
+    }
+    if bound == 1 && !q.is_subset(p) {
+        return Err(format!(
+            "field \"bound\": bound 1 requires Q ⊆ P (every Q-step a P-step), got bound = 1 \
+             for p = {p}, q = {q}"
+        ));
+    }
+    Ok(())
+}
+
 /// Enforces `P` timely wrt `Q` (with an explicit bound) over a filler source.
 ///
 /// # Examples
@@ -59,12 +79,7 @@ impl<S: StepSource> SetTimely<S> {
     /// `Q ⊆ P` (otherwise any let-through `Q`-step already violates it);
     /// this is checked too.
     pub fn new(p: ProcSet, q: ProcSet, bound: usize, filler: S) -> Self {
-        assert!(!p.is_empty(), "P must be non-empty");
-        assert!(bound >= 1, "bound must be positive");
-        assert!(
-            bound > 1 || q.is_subset(p),
-            "bound 1 requires Q ⊆ P (every Q-step must be a P-step)"
-        );
+        check_enforced(p, q, bound).unwrap_or_else(|e| panic!("{e}"));
         SetTimely {
             p,
             p_members: p.to_vec(),

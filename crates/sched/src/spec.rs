@@ -25,15 +25,20 @@
 
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, StepSource, SystemSpec, Universe};
 
-use crate::alternating::AlternatingRotation;
-use crate::basic::{BurstyRotation, RoundRobin, SeededRandom};
+use crate::alternating::{check_groups, AlternatingRotation};
+use crate::basic::{
+    check_burst, check_over, check_weights, BurstyRotation, RoundRobin, SeededRandom,
+};
 use crate::crashes::{CrashAfter, CrashPlan};
-use crate::cycle::Cycle;
-use crate::faults::{BurstClog, CrashRecovery, FlappingTimely, GrayFailure};
-use crate::fictitious::FictitiousCrash;
-use crate::figure1::{Figure1, GeneralizedFigure1};
-use crate::set_timely::{Eventually, SetTimely};
-use crate::starvation::RotatingStarvation;
+use crate::cycle::{check_period, Cycle};
+use crate::faults::{
+    check_clog, check_flapping, check_recovery, check_stretch, BurstClog, CrashRecovery,
+    FlappingTimely, GrayFailure,
+};
+use crate::fictitious::{check_fictitious, FictitiousCrash};
+use crate::figure1::{check_figure1, check_generalized, Figure1, GeneralizedFigure1};
+use crate::set_timely::{check_enforced, Eventually, SetTimely};
+use crate::starvation::{check_starvation, RotatingStarvation};
 
 /// A schedule generator as declarative data. See the module docs for the
 /// build/seed/crash conventions.
@@ -453,16 +458,145 @@ impl GeneratorSpec {
         }
     }
 
+    /// Holds the spec to what [`build`](Self::build) needs over
+    /// `universe`, refusing the first breach with its field path
+    /// (`field "filler": field "bound": …`). Every built spec is walked —
+    /// `filler`, `prefix`, `body`, `inner` — but never a replay's carried
+    /// spec, which is not built. Each family is held to the check its own
+    /// constructor asserts through, so the two cannot drift:
+    ///
+    /// - `RoundRobin` / `SeededRandom` over an explicit set: a member;
+    ///   `weights`: one per member, not all zero; `Bursty`: `burst ≥ 1`;
+    /// - `SetTimely`: `p` non-empty, `bound ≥ 1`, and `bound = 1` only
+    ///   with `q ⊆ p`; `Flapping`: the same, and both dwell ranges inside
+    ///   `1 ≤ lo ≤ hi`;
+    /// - `GrayFailure`: `stretch ≥ 1`; `BurstClog`: `window ≥ 1` and a gap
+    ///   range inside `1 ≤ lo ≤ hi`; `CrashRecovery`: `crash ≤ rejoin`;
+    /// - `Figure1`: three distinct processes, each one a [`ProcSet`] can
+    ///   hold; `GeneralizedFigure1`: non-empty, disjoint `p` and `q`;
+    /// - `RotatingStarvation`: `1 ≤ k < n`, `base ≥ 1`;
+    /// - `FictitiousCrash`: `1 ≤ i ≤ j ≤ n`, `1 ≤ k ≤ t ≤ n − 1`, `i ≤ k`,
+    ///   the unsolvable side `j − i < t + 1 − k` (Theorem 27), `base ≥ 1`,
+    ///   and no fictitious process past the [`ProcSet`] capacity;
+    /// - `Cycle`: a non-empty period; `AlternatingRotation`: at least one
+    ///   group, each non-empty, pairwise disjoint, `base ≥ 1`
+    ///
+    /// — and every process or set member a built spec names — a set, a
+    /// process, a crash-plan victim, a period's or a replayed schedule's
+    /// step — inside the universe. `Ok` allocates nothing.
+    pub fn validate(&self, universe: Universe) -> Result<(), String> {
+        use GeneratorSpec as G;
+        let n = universe.n();
+        let members = |field: &str, set: ProcSet| inside(field, set.max(), n);
+        match self {
+            G::RoundRobin { over: None } => {}
+            G::RoundRobin { over: Some(over) } => {
+                check_over("round robin", *over)?;
+                members("over", *over)?;
+            }
+            G::Bursty { burst } => check_burst(*burst)?,
+            G::SeededRandom { over, weights, .. } => {
+                if let Some(over) = over {
+                    check_over("random source", *over)?;
+                    members("over", *over)?;
+                }
+                if let Some(weights) = weights {
+                    check_weights(over.map_or(n, ProcSet::len), weights)?;
+                }
+            }
+            G::SetTimely {
+                p,
+                q,
+                bound,
+                crashes,
+                ..
+            } => {
+                check_enforced(*p, *q, *bound)?;
+                members("p", *p)?;
+                members("q", *q)?;
+                inside("crashes", victims(crashes), n)?;
+            }
+            G::Eventually { prefix, .. } => nested(universe, "prefix", prefix)?,
+            G::Figure1 { p1, p2, q } => {
+                check_figure1(*p1, *p2, *q)?;
+                inside("p1", [*p1], n)?;
+                inside("p2", [*p2], n)?;
+                inside("q", [*q], n)?;
+            }
+            G::GeneralizedFigure1 { p, q } => {
+                check_generalized(*p, *q)?;
+                members("p", *p)?;
+                members("q", *q)?;
+            }
+            G::RotatingStarvation { k, base } => check_starvation(n, *k, *base)?,
+            G::FictitiousCrash { i, j, t, k, base } => check_fictitious(*i, *j, n, *t, *k, *base)?,
+            G::Cycle { period } => {
+                check_period(period)?;
+                inside("period", period.as_slice().iter().copied(), n)?;
+            }
+            G::AlternatingRotation { groups, base } => {
+                check_groups(groups, *base)?;
+                inside("groups", groups.iter().filter_map(|g| ProcSet::max(*g)), n)?;
+            }
+            G::CrashAfter { plan, .. } => inside("plan", victims(plan), n)?,
+            G::Flapping {
+                p,
+                q,
+                bound,
+                timely_dwell,
+                untimely_dwell,
+                ..
+            } => {
+                check_flapping(*p, *q, *bound, *timely_dwell, *untimely_dwell)?;
+                members("p", *p)?;
+                members("q", *q)?;
+            }
+            G::GrayFailure { gray, stretch, .. } => {
+                check_stretch(*stretch)?;
+                members("gray", *gray)?;
+            }
+            G::BurstClog {
+                clogger,
+                window,
+                gap,
+                ..
+            } => {
+                check_clog(*window, *gap)?;
+                inside("clogger", [*clogger], n)?;
+            }
+            G::CrashRecovery {
+                victim,
+                crash,
+                rejoin,
+                ..
+            } => {
+                check_recovery(*crash, *rejoin)?;
+                inside("victim", [*victim], n)?;
+            }
+            G::Replay { schedule, .. } => {
+                inside("schedule", schedule.as_slice().iter().copied(), n)?
+            }
+        }
+        // The spec built beneath this one, if any.
+        let field = match self {
+            G::SetTimely { .. } | G::Flapping { .. } => "filler",
+            G::Eventually { .. } => "body",
+            _ => "inner",
+        };
+        self.child()
+            .map_or(Ok(()), |child| nested(universe, field, child))
+    }
+
     /// Materializes the generator for `universe`, offsetting every embedded
     /// seed by `seed` (wrapping).
     ///
     /// # Panics
     ///
-    /// Panics when the described generator's own constructor would: empty
-    /// sets, out-of-range parameters, a [`FictitiousCrash`] spec whose
-    /// parameters are solvable, etc. Specs are built eagerly at campaign
-    /// construction in tests, so these fire where the grid is defined, not
-    /// inside a worker.
+    /// Panics when the described generator's own constructor would — where
+    /// [`validate`](Self::validate) refuses the spec. Specs are built
+    /// eagerly at campaign construction in tests, so these fire where the
+    /// grid is defined; a spec from the wire is validated when it is
+    /// decoded, so none fires inside a worker.
     pub fn build(&self, universe: Universe, seed: u64) -> Box<dyn StepSource> {
         match self {
             GeneratorSpec::RoundRobin { over } => match over {
@@ -578,6 +712,29 @@ impl GeneratorSpec {
             }
         }
     }
+}
+
+/// `field "{field}"`: `child`'s refusal, one level down.
+fn nested(universe: Universe, field: &str, child: &GeneratorSpec) -> Result<(), String> {
+    child
+        .validate(universe)
+        .map_err(|e| format!("field \"{field}\": {e}"))
+}
+
+/// `field "{field}"`: the first of `names` outside the universe of `n`
+/// processes, if any.
+fn inside(field: &str, names: impl IntoIterator<Item = ProcessId>, n: usize) -> Result<(), String> {
+    match names.into_iter().find(|p| p.index() >= n) {
+        Some(p) => Err(format!(
+            "field \"{field}\": names {p}, outside the {n} processes of the universe"
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The processes a crash plan silences.
+fn victims(plan: &CrashPlan) -> impl Iterator<Item = ProcessId> + '_ {
+    plan.entries().map(|(p, _)| p)
 }
 
 #[cfg(test)]

@@ -23,6 +23,17 @@
 use st_core::subsets::{binomial, unrank, wide_unrank};
 use st_core::{ProcSet, ProcessId, StepSource, Universe, MAX_PROCESSES};
 
+/// What the adversary needs over `n` processes: `1 ≤ k < n` (starving
+/// everything leaves no one to run) and a positive base epoch.
+pub(crate) fn check_starvation(n: usize, k: usize, base: u64) -> Result<(), String> {
+    if k == 0 || k >= n {
+        return Err(format!(
+            "field \"k\": need 1 <= k < n, got k = {k} at n = {n}"
+        ));
+    }
+    crate::positive("base", "the base epoch length", base)
+}
+
 /// Rotating starvation of every size-`k` subset with growing epochs.
 #[derive(Clone, Debug)]
 pub struct RotatingStarvation {
@@ -56,9 +67,7 @@ impl RotatingStarvation {
     ///
     /// Panics unless `1 ≤ k < n` and `base ≥ 1`.
     pub fn with_base(universe: Universe, k: usize, base: u64) -> Self {
-        let n = universe.n();
-        assert!(k >= 1 && k < n, "need 1 <= k < n (got k={k}, n={n})");
-        assert!(base >= 1, "base epoch length must be positive");
+        check_starvation(universe.n(), k, base).unwrap_or_else(|e| panic!("{e}"));
         let mut gen = RotatingStarvation {
             universe,
             k,

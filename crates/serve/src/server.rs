@@ -830,8 +830,8 @@ mod tests {
     use super::*;
     use crate::protocol;
     use st_campaign::{
-        policy_from_spec, CertifyTimely, FdAbi, FdDetector, GeneratorSpec, Scenario,
-        TimeoutPolicySpec, Workload,
+        policy_from_spec, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec,
+        Scenario, TimeoutPolicySpec, Workload,
     };
     use st_core::Universe;
 
@@ -1088,6 +1088,42 @@ mod tests {
         assert_eq!(
             std::fs::read_to_string(store_path(&dir, "big")).unwrap(),
             batch
+        );
+    }
+
+    /// A job that panics used to kill the worker thread: the job read
+    /// `running` forever, every later job stayed `queued`, and the daemon
+    /// kept accepting work. The unwind now stops at the job — `broken`,
+    /// kind `internal`, the panic's text — and the same daemon runs the
+    /// next job to batch bytes. The poison is a zero chunk size, which
+    /// `run_chunked_fresh` asserts on (the CLI refuses `--chunk 0`): every
+    /// scenario that decodes runs without a panic.
+    #[test]
+    fn a_panicking_job_is_broken_and_the_worker_takes_the_next_one() {
+        let mut shared = shared_with("st-serve-panicking-job-test", 100);
+        let campaign = tiny_campaign(0..4);
+        let chunk = shared.cfg.chunk;
+        shared.cfg.chunk = 0;
+        submit_and_run(&shared, "bad", &campaign);
+        let status = protocol::request(Verb::Status, [("key", Json::str("bad"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("broken"));
+        let fetch = protocol::request(Verb::FetchOutcomes, [("key", Json::str("bad"))]);
+        let resp = dispatch(&shared, &fetch);
+        assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
+        let message = resp.get("error").and_then(|e| e.get("message"));
+        let message = message.and_then(Json::as_str).unwrap();
+        assert!(
+            message.contains("panicked: chunk size must be ≥ 1"),
+            "{message}"
+        );
+
+        shared.cfg.chunk = chunk;
+        submit_and_run(&shared, "good", &campaign);
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(
+            std::fs::read_to_string(store_path(&shared.cfg.state_dir, "good")).unwrap(),
+            batch_bytes("good", &campaign)
         );
     }
 
@@ -1680,6 +1716,60 @@ mod tests {
 
         // The same entry with one weight per process runs to `done`.
         submit_and_run(&shared, "good", &weighted(&[2, 1, 1]));
+        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+    }
+
+    /// What used to decode and then panic the worker — a generator its
+    /// constructor asserts on (Figure 1 with `p1 = p2`), a detector range
+    /// the lean fleet asserts on (`t = 0`) — is a typed `malformed` reply
+    /// naming the field; the valid twins run to `done`.
+    #[test]
+    fn submit_refuses_specs_that_decoded_and_then_panicked_a_worker() {
+        let shared = shared_with("st-serve-validity-test", 10);
+        let pid = st_core::ProcessId::new;
+        let with = |generator: GeneratorSpec, t: usize| {
+            let mut campaign = tiny_campaign(0..1);
+            campaign.push(Scenario::new(
+                "validity",
+                Universe::new(4).unwrap(),
+                generator,
+                Workload::LeanConvergence {
+                    t,
+                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    drive: FleetReplayDrive::Plain,
+                },
+                1_000,
+                0,
+            ));
+            campaign
+        };
+        let figure1 = |p2| GeneratorSpec::Figure1 {
+            p1: pid(0),
+            p2: pid(p2),
+            q: pid(2),
+        };
+        for (key, campaign, path) in [
+            (
+                "figure1",
+                with(figure1(0), 1),
+                "field \"generator\": field \"p2\": processes must be distinct",
+            ),
+            ("lean", with(figure1(1), 0), "field \"t\": "),
+        ] {
+            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
+            let message = resp.get("error").and_then(|e| e.get("message"));
+            let message = message.and_then(Json::as_str).unwrap();
+            assert!(
+                message.contains(&format!("entries[1].scenario: {path}")),
+                "{message}"
+            );
+            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
+            assert!(shared.jobs.lock().unwrap().is_empty());
+        }
+
+        submit_and_run(&shared, "good", &with(figure1(1), 1));
         let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }

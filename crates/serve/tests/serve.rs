@@ -15,7 +15,7 @@ use st_campaign::{
     TimeoutPolicySpec, Workload,
 };
 use st_core::frame::{read_frame, write_frame};
-use st_core::{Json, ProcSet, Universe};
+use st_core::{Json, Universe};
 use st_serve::{recover_store, ClientError, JobState, ServeClient, ServeConfig, Server, PROTO};
 
 /// A clean per-process state directory under the system temp dir.
@@ -281,58 +281,6 @@ fn out_of_range_process_index_in_a_submit_is_malformed_not_fatal() {
         ("verb", Json::str("hello")),
     ]));
     assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
-}
-
-/// A job that panics used to kill the worker thread: the job read `running`
-/// forever, every later job stayed `queued`, and the daemon kept accepting
-/// work. The unwind now stops at the job — `broken`, kind `internal`, the
-/// panic's text — and the same daemon runs the next job to batch bytes.
-#[test]
-fn a_panicking_job_is_broken_and_the_worker_takes_the_next_one() {
-    // A spec that decodes and panics when built: `GrayFailure` asserts on a
-    // zero `stretch`, which decode-time validation does not cover yet.
-    let mut poisoned = Campaign::new();
-    for mut scenario in fd_campaign().scenarios().iter().cloned() {
-        scenario.generator =
-            GeneratorSpec::gray_failure(GeneratorSpec::round_robin(), ProcSet::EMPTY, 0);
-        poisoned.push(scenario);
-    }
-    let campaign = fd_campaign();
-    let mut batch = OutcomeStore::new();
-    campaign.run_resumed(1, "good", None, Some(&mut batch));
-
-    // One campaign worker panics on the daemon's worker thread itself, two
-    // inside the campaign's scoped pool.
-    for threads in [1, 2] {
-        let state = state_dir(&format!("panic{threads}"));
-        let mut cfg = ServeConfig::new(&state);
-        cfg.threads = threads;
-        let (addr, _handle) = spawn_daemon(cfg);
-        let client = ServeClient::new(&addr);
-
-        let died = client.run_campaign("bad", &poisoned, Duration::from_millis(5));
-        assert!(
-            matches!(&died, Err(ClientError::Failed(msg)) if msg.contains("ended broken")),
-            "{died:?}"
-        );
-        match client.fetch_store("bad") {
-            Err(ClientError::Server { kind, message }) => {
-                assert_eq!(kind, "internal");
-                assert!(
-                    message.contains("panicked: stretch must be positive"),
-                    "{message}"
-                );
-            }
-            other => panic!("a broken job answers with its error: {other:?}"),
-        }
-
-        client
-            .run_campaign("good", &campaign, Duration::from_millis(5))
-            .expect("the worker survived the panic");
-        let file = std::fs::read_to_string(state.join("job-good.store.json")).unwrap();
-        assert_eq!(file, batch.to_json_string(), "state-dir store bytes");
-        let _ = std::fs::remove_dir_all(&state);
-    }
 }
 
 /// A store past the frame cap — unfetchable while a store travelled as one

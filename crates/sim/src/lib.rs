@@ -98,7 +98,8 @@ pub use error::SimError;
 pub use memory::{Memory, RegisterStats};
 pub use register::{Reg, RegValue, WriteDiscipline};
 pub use runner::{
-    RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen, SOA_DELEGATE_BELOW_N,
+    check_slice_len, RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen,
+    SOA_DELEGATE_BELOW_N,
 };
 pub use soa::{BatchAccess, PhaseBatch};
 pub use trace::{Decision, ProbeEvent, ProbeLog};

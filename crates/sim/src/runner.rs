@@ -78,6 +78,15 @@ pub enum StopWhen {
 /// the threshold's break-even on the workloads measured.
 pub const SOA_DELEGATE_BELOW_N: usize = 32;
 
+/// The one precondition of the phase-batched replay drives
+/// ([`Sim::run_automata_replay_soa`]): a slice of at least one step.
+pub fn check_slice_len(slice_len: usize) -> Result<(), String> {
+    if slice_len == 0 {
+        return Err("field \"slice_len\": slice_len must be positive, got 0".into());
+    }
+    Ok(())
+}
+
 /// Configuration of one `run` call.
 #[derive(Clone, Copy, Debug)]
 pub struct RunConfig {
@@ -583,7 +592,8 @@ impl Sim {
     ///
     /// # Panics
     ///
-    /// Panics if `automata.len() != n` or `slice_len == 0`.
+    /// Panics if `automata.len() != n`, or where [`check_slice_len`]
+    /// refuses `slice_len`.
     pub fn run_automata_replay_soa<A: PhaseBatch>(
         &mut self,
         automata: &mut [A],
@@ -591,7 +601,7 @@ impl Sim {
         slice_len: usize,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert!(slice_len > 0, "slice_len must be positive");
+        check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
         let drive = "run_automata_replay_soa";
         let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
         if self.universe.n() < SOA_DELEGATE_BELOW_N {
@@ -616,7 +626,7 @@ impl Sim {
         slice_len: usize,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        assert!(slice_len > 0, "slice_len must be positive");
+        check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
         let drive = "run_automata_replay_soa_batched";
         let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
         self.replay_batched(automata, prefix, slice_len, cfg)
