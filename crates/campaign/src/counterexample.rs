@@ -21,9 +21,7 @@ use st_core::json::{self, Cursor};
 use st_sched::GeneratorSpec;
 
 use crate::scenario::{Scenario, ScenarioOutcome};
-use crate::store::{
-    members, read_outcome, read_scenario, write_outcome, write_scenario, StoreError,
-};
+use crate::store::{read_outcome, read_scenario, write_outcome, write_scenario, StoreError};
 
 /// The on-disk schema for saved counterexamples.
 pub const CE_SCHEMA: &str = "st-campaign/counterexample-v1";
@@ -115,7 +113,7 @@ impl Counterexample {
         let (mut schema, mut scenario, mut outcome) = (None, None, None);
         let mut cur = Cursor::new(text);
         cur.skip_ws();
-        members(&mut cur, |key, cur| {
+        cur.members(|key, cur| {
             match key {
                 "schema" if schema.is_none() => {
                     schema = Some(match cur.lead()? {

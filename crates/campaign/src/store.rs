@@ -87,11 +87,13 @@
 //! tree codec it replaced). Range checks live in the leaves, so no input
 //! can panic a decoder (`tests/wire.rs`), and
 //! `tests/golden/store_v2.json` pins every written byte
-//! (`tests/store_fixture.rs`). [`write_scenario`] is the streaming entry
-//! point other crates write specs through; [`encode_scenario`] /
-//! [`encode_outcome`] and their inverses are adapters for callers that
-//! hold a [`Json`] tree. [`encoding_reference`] renders the tables for
-//! PROTOCOL.md.
+//! (`tests/store_fixture.rs`). Other crates write and read specs as text
+//! through [`write_scenario`] / [`read_scenario`] (`st-serve` walks a
+//! `submit` frame and a job spec with the same cursor), and
+//! [`read_generator`] / [`read_outcome`] decode the other two shapes a
+//! test holds on its own. No reader or writer here builds a [`Json`] tree;
+//! [`encode_outcome`] is the one tree adapter left, for the benchmark
+//! harness. [`encoding_reference`] renders the tables for PROTOCOL.md.
 
 use std::borrow::Cow;
 use std::fmt;
@@ -222,17 +224,11 @@ impl StoreEntry {
         Ok(entry)
     }
 
-    /// Decodes an entry already parsed into a tree: an adapter over the
-    /// entry reader, for callers that hold one.
-    pub fn from_json(e: &Json) -> Result<StoreEntry, String> {
-        from_tree(e, StoreEntry::read)
-    }
-
     /// The only entry decoder: the entry object `cur` stands on, its spec's
     /// canonical text copied into an allocation of exactly its length.
     fn read(cur: &mut Cursor<'_>) -> Read<StoreEntry> {
         let (mut campaign, mut rank, mut scenario, mut outcome) = (None, None, None, None);
-        members(cur, |key, cur| {
+        cur.members(|key, cur| {
             match key {
                 "campaign" if campaign.is_none() => campaign = Some(String::read(cur)?),
                 "rank" if rank.is_none() => rank = Some(usize::read(cur)?),
@@ -658,8 +654,8 @@ type Read<T> = Result<DecodeResult<T>, JsonError>;
 /// files carry is written and read through an impl of this trait, so
 /// encoder and decoder cannot disagree: leaves and composition by hand
 /// below, every struct and enum by a `wire_struct!` / `wire_enum!` field
-/// list. Private — the public surface is [`write_scenario`],
-/// [`StoreEntry`]'s line codec and the `encode_*` / `decode_*` adapters.
+/// list. Private — the public surface is [`write_scenario`], the text
+/// readers, [`StoreEntry`]'s line codec and [`encode_outcome`].
 trait Wire: Sized {
     /// Appends the canonical encoding to `out`.
     fn write(&self, out: &mut String);
@@ -674,25 +670,6 @@ trait Wire: Sized {
 fn wrong<T>(cur: &mut Cursor<'_>, what: &str) -> Read<T> {
     cur.skip()?;
     Ok(Err(what.to_string()))
-}
-
-/// Walks the object `cur` stands on, handing `member` each key with the
-/// cursor on its value (which `member` steps past); any other value is
-/// skipped. Every object shape is read through this.
-pub(crate) fn members<'a>(
-    cur: &mut Cursor<'a>,
-    mut member: impl FnMut(&str, &mut Cursor<'a>) -> Result<(), JsonError>,
-) -> Result<(), JsonError> {
-    if cur.lead()? != b'{' {
-        return cur.skip();
-    }
-    let mut more = cur.open(b'{')?;
-    while more {
-        let key = cur.key()?;
-        member(&key, cur)?;
-        more = cur.more(b'}')?;
-    }
-    Ok(())
 }
 
 /// A listed member once its object is walked: the first occurrence's
@@ -741,7 +718,7 @@ macro_rules! wire_name {
 macro_rules! read_fields {
     ($cur:ident; $($field:ident $(as $name:literal)?),* $(,)?) => {
         $(let mut $field = None;)*
-        members($cur, |key, cur| {
+        $cur.members(|key, cur| {
             match key {
                 $(wire_name!($field $($name)?) if $field.is_none() => {
                     $field = Some(Wire::read(cur)?);
@@ -1261,9 +1238,19 @@ pub fn write_scenario(s: &Scenario, out: &mut String) {
 
 /// Decodes the scenario `cur` stands on (the inverse of
 /// [`write_scenario`]) and holds it to [`Scenario::validate`]: `Err` is a
-/// syntax error, `Ok(Err)` why the value is refused.
-pub(crate) fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
+/// syntax error, `Ok(Err)` why the value is refused. Like
+/// [`read_document`], it steps past the whole value either way, so a caller
+/// walking a larger document (a `submit` frame, a job spec) goes on
+/// checking the syntax of what follows.
+pub fn read_scenario(cur: &mut Cursor<'_>) -> Read<Scenario> {
     Ok(Scenario::read(cur)?.and_then(|scenario| scenario.validate().map(|()| scenario)))
+}
+
+/// Decodes the generator spec `cur` stands on, as a scenario's
+/// `"generator"` member is decoded, without [`Scenario::validate`] (which
+/// needs the scenario's universe).
+pub fn read_generator(cur: &mut Cursor<'_>) -> Read<GeneratorSpec> {
+    GeneratorSpec::read(cur)
 }
 
 /// Appends an outcome's canonical encoding to `out`.
@@ -1271,58 +1258,22 @@ pub(crate) fn write_outcome(o: &ScenarioOutcome, out: &mut String) {
     o.write(out);
 }
 
-/// Decodes the outcome `cur` stands on (the inverse of `write_outcome`).
-pub(crate) fn read_outcome(cur: &mut Cursor<'_>) -> Read<ScenarioOutcome> {
+/// Decodes the outcome `cur` stands on (the inverse of the writer every
+/// store line's `"outcome"` member is written by).
+pub fn read_outcome(cur: &mut Cursor<'_>) -> Read<ScenarioOutcome> {
     ScenarioOutcome::read(cur)
 }
 
-/// A value's canonical encoding as a tree, for callers that hold trees.
+/// An outcome's canonical encoding, as the store writes it, as a tree.
 ///
 /// # Panics
 ///
-/// On a value nested past the JSON parser's depth cap, which no spec or
-/// outcome this workspace builds comes near.
-fn tree<T: Wire>(value: &T) -> Json {
-    let mut text = String::new();
-    value.write(&mut text);
-    Json::parse(&text).expect("the writer's bytes parse back")
-}
-
-/// Decodes a tree by reading its text: the one decoder, for callers that
-/// hold trees. A tree nested past the parser's depth cap is an `Err`.
-fn from_tree<T>(j: &Json, read: impl FnOnce(&mut Cursor<'_>) -> Read<T>) -> DecodeResult<T> {
-    let text = j.to_string();
-    read(&mut Cursor::new(&text)).unwrap_or_else(|e| Err(e.to_string()))
-}
-
-/// A scenario's canonical encoding ([`write_scenario`]) as a tree.
-pub fn encode_scenario(s: &Scenario) -> Json {
-    tree(s)
-}
-
-/// Decodes a scenario tree (exact inverse of [`encode_scenario`]:
-/// `encode_scenario(&decode_scenario(j)?) == *j` for writer-produced
-/// documents — property-tested over arbitrary spec trees), refusing what
-/// [`write_scenario`]'s reader refuses.
-pub fn decode_scenario(j: &Json) -> Result<Scenario, String> {
-    from_tree(j, read_scenario)
-}
-
-/// Decodes a generator spec tree written by the canonical encoder (exact
-/// inverse over every [`GeneratorSpec`] variant).
-pub fn decode_generator(j: &Json) -> Result<GeneratorSpec, String> {
-    from_tree(j, GeneratorSpec::read)
-}
-
-/// An outcome's canonical encoding, as the store writes it, as a tree.
+/// On an outcome nested past the JSON parser's depth cap, which no outcome
+/// this workspace builds comes near.
 pub fn encode_outcome(out: &ScenarioOutcome) -> Json {
-    tree(out)
-}
-
-/// Decodes an outcome tree (exact inverse of [`encode_outcome`]: the round
-/// trip is byte-preserving for writer-produced documents).
-pub fn decode_outcome(j: &Json) -> Result<ScenarioOutcome, String> {
-    from_tree(j, read_outcome)
+    let mut text = String::new();
+    out.write(&mut text);
+    Json::parse(&text).expect("the writer's bytes parse back")
 }
 
 /// The generated half of PROTOCOL.md's "Scenario and outcome encoding"

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use st_campaign::{
     Campaign, ChunkControl, FdAbi, FdDetector, OutcomeStore, ScenarioOutcome, StoreEntry, Workload,
 };
-use st_core::{Json, ProcSet, ProcessId, Universe};
+use st_core::{ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, GeneratorSpec};
 
@@ -138,8 +138,9 @@ fn stopped_then_resumed_completes_to_identical_bytes() {
 /// logged entry lines, through the one entry decoder.
 fn replayed(base: &OutcomeStore, log: &[String]) -> OutcomeStore {
     let logged = log.iter().map(|line| {
-        let tree = Json::parse(line).expect("entry lines are JSON");
-        StoreEntry::from_json(&tree).expect("entry lines are entries")
+        StoreEntry::from_json_line(line)
+            .expect("entry lines are JSON")
+            .expect("entry lines are entries")
     });
     let entries = base.entries().iter().cloned().chain(logged).collect();
     OutcomeStore::from_entries(entries).expect("base + fresh entries never collide")

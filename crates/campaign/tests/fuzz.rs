@@ -256,10 +256,12 @@ proptest! {
             1_000,
             seed,
         );
-        let encoded = st_campaign::store::encode_scenario(&scenario).to_string();
-        let parsed = st_core::Json::parse(&encoded).unwrap();
-        let decoded = st_campaign::store::decode_scenario(&parsed).unwrap();
-        let re_encoded = st_campaign::store::encode_scenario(&decoded).to_string();
+        let mut encoded = String::new();
+        st_campaign::store::write_scenario(&scenario, &mut encoded);
+        let mut cur = st_core::json::Cursor::new(&encoded);
+        let decoded = st_campaign::store::read_scenario(&mut cur).unwrap().unwrap();
+        let mut re_encoded = String::new();
+        st_campaign::store::write_scenario(&decoded, &mut re_encoded);
         prop_assert_eq!(encoded, re_encoded);
     }
 

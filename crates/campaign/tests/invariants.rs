@@ -4,7 +4,7 @@
 //! codec must round-trip every violation kind byte-identically, and the
 //! unchecked fast path must stay violation-free by construction.
 
-use st_campaign::store::{decode_outcome, encode_outcome};
+use st_campaign::store::{encode_outcome, read_outcome};
 use st_campaign::{
     Campaign, FleetReplayDrive, InvariantChecker, InvariantViolation, Scenario, Workload,
 };
@@ -135,7 +135,10 @@ fn every_violation_kind_round_trips_through_the_store_codec() {
         },
     ];
     out.counterexample = Some(Schedule::from_indices([0, 1, 2, 3, 0, 1]));
-    let decoded = decode_outcome(&encode_outcome(&out)).expect("decode");
+    let text = encode_outcome(&out).to_string();
+    let decoded = read_outcome(&mut st_core::json::Cursor::new(&text))
+        .unwrap()
+        .expect("decode");
     assert_eq!(out, decoded);
     // And byte-identically: re-encoding the decoded outcome is a fixpoint.
     assert_eq!(

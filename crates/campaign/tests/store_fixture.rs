@@ -11,7 +11,7 @@
 //! `STORE_FIXTURE_BLESS=1 cargo test -p st-campaign --test store_fixture`.
 
 use st_agreement::StackKind;
-use st_campaign::store::{decode_scenario, encode_scenario, SCHEMA};
+use st_campaign::store::{read_scenario, write_scenario, SCHEMA};
 use st_campaign::{
     AdversarialOutcome, AgreementScenarioOutcome, BgOutcome, CertifyTimely, FdAbi, FdDetector,
     FdOutcome, FleetReplayDrive, InvariantViolation, LeanOutcome, LeanStabilization, OutcomeData,
@@ -554,8 +554,11 @@ fn every_stored_spec_round_trips_through_the_scenario_codec() {
     for entry in entries {
         let rank = entry.get("rank").and_then(Json::as_u64).unwrap() as usize;
         let spec = entry.get("scenario").unwrap();
-        assert_eq!(&encode_scenario(&scenarios[rank]), spec, "rank {rank}");
-        match decode_scenario(spec) {
+        let mut written = String::new();
+        write_scenario(&scenarios[rank], &mut written);
+        let spec = spec.to_string();
+        assert_eq!(written, spec, "rank {rank}");
+        match read_scenario(&mut st_core::json::Cursor::new(&spec)).unwrap() {
             Ok(decoded) => assert_eq!(decoded, scenarios[rank], "rank {rank}"),
             // A stored spec that breaks a precondition of what it runs
             // still loads with its store, but is refused when decoded to

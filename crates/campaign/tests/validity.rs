@@ -4,7 +4,7 @@
 //! - `Scenario::validate` never panics;
 //! - a scenario it accepts runs (`Scenario::run`, small budgets) without a
 //!   panic;
-//! - a scenario it refuses is refused by `decode_scenario` with the same
+//! - a scenario it refuses is refused by `read_scenario` with the same
 //!   text;
 //!
 //! and every tree `SpecMutator::arbitrary` and `mutate` emit is valid. The
@@ -17,7 +17,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use st_campaign::store::{decode_scenario, encode_scenario};
+use st_campaign::store::{read_scenario, write_scenario};
 use st_campaign::{
     CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario, StopRule, Workload,
 };
@@ -455,7 +455,9 @@ fn check_scenarios(cases: u64, budget: u64) -> (usize, usize) {
                     ran += 1;
                 }
                 Err(why) => {
-                    let decoded = decode_scenario(&encode_scenario(&scenario));
+                    let mut text = String::new();
+                    write_scenario(&scenario, &mut text);
+                    let decoded = read_scenario(&mut st_core::json::Cursor::new(&text)).unwrap();
                     assert_eq!(decoded, Err(why), "{scenario:?}");
                     refused += 1;
                 }

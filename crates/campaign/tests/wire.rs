@@ -1,16 +1,16 @@
 //! The decode boundary: whatever bytes arrive — a wire frame, a store
-//! file, a job spec, a counterexample — `decode_*` answers `Ok` or `Err`,
+//! file, a job spec, a counterexample — each reader answers `Ok` or `Err`,
 //! never a panic; and the encoding reference in PROTOCOL.md is the one the
 //! codec's tables generate.
 
 use proptest::prelude::*;
 use st_campaign::store::{
-    decode_generator, decode_outcome, decode_scenario, encode_scenario, encoding_reference,
-    OutcomeStore,
+    encoding_reference, read_generator, read_outcome, read_scenario, write_scenario, OutcomeStore,
 };
 use st_campaign::{
     CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario, StopRule, Workload,
 };
+use st_core::json::{Cursor, JsonError};
 use st_core::{Json, ProcSet, ProcessId, Schedule, Universe};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, SpecRng};
@@ -20,7 +20,25 @@ use st_sched::{CrashPlan, SpecRng};
 const GOLDEN: &str = include_str!("golden/store_v2.json");
 
 fn generator(text: &str) -> Result<st_sched::GeneratorSpec, String> {
-    decode_generator(&Json::parse(text).unwrap())
+    read_generator(&mut Cursor::new(text)).unwrap()
+}
+
+/// `scenario` written and read back: the decoded twin, or why the reader
+/// refuses it.
+fn round_trip(scenario: &Scenario) -> Result<Scenario, String> {
+    let mut text = String::new();
+    write_scenario(scenario, &mut text);
+    read_scenario(&mut Cursor::new(&text)).unwrap()
+}
+
+/// A tree decoded by reading its text: a syntax error (a tree nested past
+/// the parser's depth cap) is an `Err` like any other.
+fn decode<T>(
+    tree: &Json,
+    read: impl FnOnce(&mut Cursor<'_>) -> Result<Result<T, String>, JsonError>,
+) -> Result<T, String> {
+    let text = tree.to_string();
+    read(&mut Cursor::new(&text)).unwrap_or_else(|e| Err(e.to_string()))
 }
 
 /// ISSUE 15's two daemon-killers: a process index `ProcessId::new` would
@@ -70,7 +88,7 @@ fn adversarial_specs_that_would_panic_a_worker_are_decode_errors() {
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let none = ProcSet::EMPTY;
     assert_eq!(adversarial(4, 2, 2, none), Ok(()));
@@ -119,7 +137,7 @@ fn generator_specs_that_would_panic_a_worker_are_decode_errors() {
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let random = |over: Option<ProcSet>, weights: &[u32]| GeneratorSpec::SeededRandom {
         over,
@@ -246,7 +264,7 @@ fn round_robin_bursty_clog_and_recovery_specs_that_would_panic_are_decode_errors
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let pid = ProcessId::new;
     let rr = GeneratorSpec::round_robin;
@@ -309,7 +327,7 @@ fn certification_specs_that_would_panic_a_worker_are_decode_errors() {
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let agreement = |n: usize, cap: usize| Workload::Agreement {
         t: 1,
@@ -380,7 +398,7 @@ fn protocol_parameters_that_would_panic_a_worker_are_decode_errors() {
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let agreement = |n: usize, t: usize, k: usize| Workload::Agreement {
         t,
@@ -450,7 +468,7 @@ fn foreign_inputs_and_witnesses_are_decode_errors() {
             1_000,
             0,
         );
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let agreement = |inputs: usize| Workload::Agreement {
         t: 1,
@@ -532,7 +550,7 @@ fn specs_that_decoded_and_then_panicked_a_worker_are_decode_errors() {
             seed: 0,
             faulty: ProcSet::EMPTY,
         };
-        decode_scenario(&encode_scenario(&scenario)).map(|decoded| assert_eq!(decoded, scenario))
+        round_trip(&scenario).map(|decoded| assert_eq!(decoded, scenario))
     };
     let plain = || lean(1, FleetReplayDrive::Plain);
     let rr = GeneratorSpec::round_robin;
@@ -950,8 +968,8 @@ proptest! {
                 injure_at(doc, &mut 0, target, &pool, &mut rng);
             }
         }
-        let _ = decode_scenario(&scenario);
-        let _ = decode_outcome(&outcome);
+        let _ = decode(&scenario, read_scenario);
+        let _ = decode(&outcome, read_outcome);
         let _ = OutcomeStore::from_json_str(&whole.to_string());
     }
 }

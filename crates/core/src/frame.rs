@@ -2,11 +2,14 @@
 //! protocol (see `PROTOCOL.md` at the workspace root).
 //!
 //! A frame is a 4-byte **big-endian** unsigned length followed by exactly
-//! that many bytes of UTF-8 [`Json`] text. The payload is always written
-//! with [`Json::to_string`], so a frame's bytes are canonical: equal values
-//! produce equal frames, and re-framing a parsed payload reproduces the
-//! sender's bytes — the same property the outcome store leans on, carried
-//! onto the socket.
+//! that many bytes of UTF-8 JSON text. Senders write canonical text — the
+//! bytes [`Json::write`] would give, appended straight into a `String` by
+//! whoever owns the payload's format (`st-serve`'s envelope writer, the
+//! outcome store's page writer) — so equal values produce equal frames,
+//! the same property the outcome store leans on, carried onto the socket.
+//! Receivers take the text ([`read_frame_text`]) and walk it with a
+//! [`Cursor`](crate::json::Cursor); [`read_frame`] and [`write_frame`],
+//! which go through a [`Json`] value, remain for callers that hold one.
 //!
 //! The codec is transport-agnostic: it reads from any [`Read`] and writes
 //! to any [`Write`], so unit tests run it over in-memory buffers and the

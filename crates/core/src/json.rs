@@ -479,6 +479,26 @@ impl<'a> Cursor<'a> {
         Ok(key)
     }
 
+    /// Walks the object the cursor stands on, handing `member` each key
+    /// with the cursor on its value (which `member` steps past); a value
+    /// that is not an object is skipped. How a reader that decodes straight
+    /// into its own types finds the members it knows.
+    pub fn members(
+        &mut self,
+        mut member: impl FnMut(&str, &mut Cursor<'a>) -> Result<(), JsonError>,
+    ) -> Result<(), JsonError> {
+        if self.lead()? != b'{' {
+            return self.skip();
+        }
+        let mut more = self.open(b'{')?;
+        while more {
+            let key = self.key()?;
+            member(&key, self)?;
+            more = self.more(b'}')?;
+        }
+        Ok(())
+    }
+
     /// The depth guard every value passes, then the byte the value the
     /// cursor stands on starts with: what a reader decoding straight into
     /// its own types dispatches on before it reads the value or

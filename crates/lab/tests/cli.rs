@@ -205,29 +205,28 @@ fn serve_with_fuzz_is_a_usage_error() {
 /// sends.
 #[test]
 fn serve_schema_mismatch_surfaces_the_stores_text() {
-    use st_core::frame::{read_frame, write_frame};
-    use st_core::Json;
+    use st_core::frame::{read_frame_text, write_frame_text};
+    use st_serve::protocol::{error_reply, read_request, Envelope, Request};
 
     let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap().to_string();
     std::thread::spawn(move || {
         for stream in listener.incoming() {
             let Ok(mut sock) = stream else { continue };
-            let Ok(doc) = read_frame(&mut sock) else {
+            let Ok(request) = read_frame_text(&mut sock) else {
                 continue;
             };
-            let verb = doc.get("verb").and_then(Json::as_str).unwrap_or("");
-            let resp = if verb == "hello" {
-                st_serve::protocol::ok_response([("server", Json::str("fake"))])
+            let resp = if matches!(read_request(&request), Ok(Request::Hello)) {
+                Envelope::ok().string("server", "fake").finish()
             } else {
                 let text = st_campaign::StoreError::SchemaMismatch {
                     found: "st-campaign/outcome-store-v1".into(),
                     expected: st_campaign::store::SCHEMA,
                 }
                 .to_string();
-                st_serve::protocol::error_response(st_serve::ErrorKind::SchemaMismatch, text)
+                error_reply(st_serve::ErrorKind::SchemaMismatch, &text)
             };
-            let _ = write_frame(&mut sock, &resp);
+            let _ = write_frame_text(&mut sock, &resp);
         }
     });
 

@@ -5,13 +5,12 @@ use std::fmt;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use st_campaign::store::read_document;
-use st_campaign::{Campaign, OutcomeStore, ScenarioOutcome, StoreEntry, StoreError};
+use st_campaign::{Campaign, OutcomeStore, ScenarioOutcome, StoreEntry};
 use st_core::frame::{read_frame_text, write_frame_text, FrameError};
-use st_core::json::{Cursor, JsonError};
-use st_core::Json;
+use st_core::json;
 
-use crate::protocol::{self, campaign_entries, text_with, JobState, Verb};
+pub use crate::protocol::JobStatus;
+use crate::protocol::{campaign_entries, read_reply, Answer, Envelope, JobState, Verb};
 
 /// Default delay between `status` polls in
 /// [`run_campaign`](ServeClient::run_campaign).
@@ -30,7 +29,8 @@ pub enum ClientError {
     },
     /// The connection broke mid-request, or the peer sent garbage framing.
     Frame(FrameError),
-    /// The response parsed but is not a protocol envelope.
+    /// The response is JSON but not a protocol envelope, or a member the
+    /// verb is answered with is missing or of the wrong type (named).
     Malformed(String),
     /// The daemon answered with a typed error response.
     Server {
@@ -62,32 +62,6 @@ impl fmt::Display for ClientError {
 
 impl std::error::Error for ClientError {}
 
-/// A job's status as reported by the daemon.
-#[derive(Clone, Debug)]
-pub struct JobStatus {
-    /// The campaign key.
-    pub key: String,
-    /// Lifecycle state.
-    pub state: JobState,
-    /// Scenario count.
-    pub total: u64,
-    /// Outcomes recorded so far.
-    pub completed: u64,
-}
-
-impl fmt::Display for JobStatus {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} {} {}/{}",
-            self.key,
-            self.state.wire(),
-            self.completed,
-            self.total
-        )
-    }
-}
-
 /// A client for one daemon address. Connections are per-request (the
 /// protocol is one frame in, one frame out), so a `ServeClient` is just
 /// the address plus the request plumbing.
@@ -102,65 +76,28 @@ impl ServeClient {
         ServeClient { addr: addr.into() }
     }
 
-    fn request(&self, verb: Verb, fields: Vec<(&'static str, Json)>) -> Result<Json, ClientError> {
-        let request = protocol::request(verb, fields).to_string();
-        self.exchange(&request).map(|(resp, _)| resp)
-    }
-
-    /// One exchange of the request text `request`: the success envelope,
-    /// and the entries of its `store` member if it has one.
-    fn exchange(&self, request: &str) -> Result<(Json, Option<StoreRead>), ClientError> {
+    /// One exchange of `request`: the success reply's members, or the typed
+    /// error the reply (or its absence) is.
+    fn exchange(&self, request: Envelope) -> Result<Answer, ClientError> {
         let mut sock = TcpStream::connect(&self.addr).map_err(|e| ClientError::Connect {
             addr: self.addr.clone(),
             source: e,
         })?;
-        write_frame_text(&mut sock, request).map_err(ClientError::Frame)?;
-        let text = read_frame_text(&mut sock).map_err(ClientError::Frame)?;
-        let (resp, store) =
-            read_response(&text).map_err(|e| ClientError::Frame(FrameError::Json(e)))?;
-        match resp.get("ok").and_then(Json::as_bool) {
-            Some(true) => Ok((resp, store)),
-            Some(false) => {
-                let field = |name: &str| {
-                    resp.get("error")
-                        .and_then(|e| e.get(name))
-                        .and_then(Json::as_str)
-                        .unwrap_or("")
-                        .to_string()
-                };
-                Err(ClientError::Server {
-                    kind: field("kind"),
-                    message: field("message"),
-                })
-            }
-            None => Err(ClientError::Malformed(
-                "response has no \"ok\" field".to_string(),
-            )),
-        }
+        write_frame_text(&mut sock, &request.finish()).map_err(ClientError::Frame)?;
+        read_reply(&read_frame_text(&mut sock).map_err(ClientError::Frame)?)
     }
 
-    fn job_from(&self, resp: &Json) -> Result<JobStatus, ClientError> {
-        let job = resp
-            .get("job")
-            .ok_or_else(|| ClientError::Malformed("response has no \"job\" field".into()))?;
-        let state = job.get("state").and_then(Json::as_str).unwrap_or("");
-        Ok(JobStatus {
-            key: job
-                .get("key")
-                .and_then(Json::as_str)
-                .unwrap_or_default()
-                .to_string(),
-            state: JobState::parse(state)
-                .ok_or_else(|| ClientError::Malformed(format!("unknown job state {state:?}")))?,
-            total: job.get("total").and_then(Json::as_u64).unwrap_or(0),
-            completed: job.get("completed").and_then(Json::as_u64).unwrap_or(0),
-        })
+    /// The exchange of a request that names `key` and is answered with
+    /// one job.
+    fn job_exchange(&self, verb: Verb, key: &str) -> Result<JobStatus, ClientError> {
+        let answer = self.exchange(Envelope::request(verb).string("key", key))?;
+        job_of(answer.job)
     }
 
     /// Liveness/version probe. `Ok` means the daemon is up and speaks this
     /// client's protocol version.
     pub fn hello(&self) -> Result<(), ClientError> {
-        self.request(Verb::Hello, Vec::new()).map(|_| ())
+        self.exchange(Envelope::request(Verb::Hello)).map(|_| ())
     }
 
     /// Submits `campaign` under `key`. Idempotent: an identical re-submit
@@ -168,43 +105,32 @@ impl ServeClient {
     /// cancelled); a different campaign under the same key is a typed
     /// `spec-mismatch` refusal.
     pub fn submit(&self, key: &str, campaign: &Campaign) -> Result<JobStatus, ClientError> {
-        let envelope = protocol::request(Verb::Submit, [("key", Json::str(key))]);
-        let request = text_with(&envelope, |out| {
-            out.push_str(", \"entries\": ");
-            campaign_entries(campaign, out);
-        });
-        let (resp, _) = self.exchange(&request)?;
-        self.job_from(&resp)
+        let request = Envelope::request(Verb::Submit)
+            .string("key", key)
+            .member("entries", |out| campaign_entries(campaign, out));
+        job_of(self.exchange(request)?.job)
     }
 
     /// One job's status.
     pub fn status(&self, key: &str) -> Result<JobStatus, ClientError> {
-        let resp = self.request(Verb::Status, vec![("key", Json::str(key))])?;
-        self.job_from(&resp)
+        self.job_exchange(Verb::Status, key)
     }
 
     /// Every job's status, sorted by key.
     pub fn jobs(&self) -> Result<Vec<JobStatus>, ClientError> {
-        let resp = self.request(Verb::Status, Vec::new())?;
-        let jobs = resp
-            .get("jobs")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| ClientError::Malformed("response has no \"jobs\" array".into()))?;
-        jobs.iter()
-            .map(|j| self.job_from(&Json::obj([("job", j.clone())])))
-            .collect()
+        let jobs = self.exchange(Envelope::request(Verb::Status))?.jobs;
+        jobs.unwrap_or_else(|| Err("response has no \"jobs\" array".to_string()))
+            .map_err(ClientError::Malformed)
     }
 
     /// Requests cancellation (honored at the job's next chunk boundary).
     pub fn cancel(&self, key: &str) -> Result<JobStatus, ClientError> {
-        let resp = self.request(Verb::Cancel, vec![("key", Json::str(key))])?;
-        self.job_from(&resp)
+        self.job_exchange(Verb::Cancel, key)
     }
 
     /// Requeues an interrupted or cancelled job.
     pub fn resume(&self, key: &str) -> Result<JobStatus, ClientError> {
-        let resp = self.request(Verb::Resume, vec![("key", Json::str(key))])?;
-        self.job_from(&resp)
+        self.job_exchange(Verb::Resume, key)
     }
 
     /// Fetches the job's outcome store: the finished store of a `done`
@@ -220,31 +146,33 @@ impl ServeClient {
         let mut entries: Vec<StoreEntry> = Vec::new();
         loop {
             let from = entries.len() as u64;
-            let fields = [("key", Json::str(key)), ("from", Json::U64(from))];
-            let request = protocol::request(Verb::FetchOutcomes, fields).to_string();
-            let (resp, page) = self.exchange(&request)?;
-            let job = self.job_from(&resp)?;
-            let page = page
+            let request = Envelope::request(Verb::FetchOutcomes)
+                .string("key", key)
+                .member("from", |out| json::write_u64(from, out));
+            let answer = self.exchange(request)?;
+            let job = job_of(answer.job)?;
+            let page = answer
+                .store
                 .ok_or_else(|| ClientError::Malformed("response has no \"store\" field".into()))?;
             entries.extend(page.map_err(|e| failed(&e))?);
             // A daemon from before paging ignores `from` and sends the
             // whole store with no `next`: the same as a last page.
-            match resp.get("next").unwrap_or(&Json::Null) {
-                Json::Null => {
+            let next = match answer.next {
+                Ok(None) => {
                     let store = OutcomeStore::from_entries(entries).map_err(|e| failed(&e))?;
                     return Ok((job, store));
                 }
                 // The next page starts where this one ended, and a page
                 // that is not the last is never empty.
-                Json::U64(next) if *next == entries.len() as u64 && *next > from => {}
-                next => {
-                    return Err(failed(&format_args!(
-                        "the page from entry {from} holds {} entries but names {next} as the \
-                         next page's start",
-                        entries.len() as u64 - from
-                    )))
-                }
-            }
+                Ok(Some(next)) if next == entries.len() as u64 && next > from => continue,
+                Ok(Some(next)) => next.to_string(),
+                Err(text) => text,
+            };
+            return Err(failed(&format_args!(
+                "the page from entry {from} holds {} entries but names {next} as the next \
+                 page's start",
+                entries.len() as u64 - from
+            )));
         }
     }
 
@@ -292,30 +220,77 @@ impl ServeClient {
     }
 }
 
-/// A response's `store` member, as [`read_document`] answers it.
-type StoreRead = Result<Vec<StoreEntry>, StoreError>;
+/// A reply's `job`, which every verb but `hello` and a key-less `status`
+/// answers with.
+fn job_of(job: Option<Result<JobStatus, String>>) -> Result<JobStatus, ClientError> {
+    job.unwrap_or_else(|| Err("response has no \"job\" field".to_string()))
+        .map_err(ClientError::Malformed)
+}
 
-/// Reads a response frame's text without holding it as one tree: the
-/// envelope as a value, except its `store` member, which the store's own
-/// reader decodes an entry at a time.
-fn read_response(text: &str) -> Result<(Json, Option<StoreRead>), JsonError> {
-    let mut cur = Cursor::new(text);
-    cur.skip_ws();
-    if cur.peek() != Some(b'{') {
-        return Ok((Json::parse(text)?, None));
-    }
-    let mut members = Vec::new();
-    let mut store = None;
-    let mut more = cur.open(b'{')?;
-    while more {
-        let key = cur.key()?;
-        if key == "store" && store.is_none() {
-            store = Some(read_document(&mut cur)?);
-        } else {
-            members.push((key.into_owned(), cur.value()?));
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::test_support::{self, soup, truncations};
+    use proptest::prelude::*;
+
+    /// Every reply in the transcript reads as what it says it is: a
+    /// success with its job, jobs and store whole, or the refusal it
+    /// carries.
+    #[test]
+    fn the_transcript_replies_read_whole() {
+        let replies = test_support::members("reply");
+        assert!(replies.len() > 80, "{}", replies.len());
+        for reply in replies.iter().chain(&test_support::members("now")) {
+            match read_reply(reply) {
+                Ok(answer) => {
+                    let read_whole = answer.job.is_none_or(|job| job.is_ok())
+                        && answer.jobs.is_none_or(|jobs| jobs.is_ok())
+                        && answer.store.is_none_or(|store| store.is_ok());
+                    assert!(read_whole && answer.next.is_ok(), "{reply}");
+                }
+                Err(ClientError::Server { kind, .. }) => {
+                    assert!(crate::ErrorKind::parse(&kind).is_some(), "{reply}")
+                }
+                Err(other) => panic!("{other} on {reply}"),
+            }
         }
-        more = cur.more(b'}')?;
     }
-    cur.finish()?;
-    Ok((Json::Obj(members), store))
+
+    /// Bytes in: every truncation of every transcript reply reads to an
+    /// answer or a typed error — never an unwind.
+    #[test]
+    fn every_truncation_of_a_reply_is_read_or_refused() {
+        for reply in test_support::members("reply") {
+            for cut in truncations(&reply) {
+                let _ = read_reply(cut);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bytes in: arbitrary text, bare and behind a success reply's
+        /// opening members, and one byte of a reply changed to any ASCII
+        /// byte, read to an answer or a typed error.
+        #[test]
+        fn arbitrary_reply_text_is_read_or_refused(
+            picks in prop::collection::vec(any::<u32>(), 0..24),
+            which in any::<u32>(),
+            at in any::<u32>(),
+            byte in 0u8..128
+        ) {
+            let replies = test_support::members("reply");
+            let text = soup(&picks, &replies);
+            let _ = read_reply(&text);
+            let _ = read_reply(&format!("{{\"proto\": \"st-serve/v1\", \"ok\": true, \"job\": {text}"));
+            let _ = read_reply(&format!("{{\"ok\": true, \"store\": {{\"schema\": \"st-campaign/outcome-store-v2\", \"entries\": [{text}"));
+            let mut reply = replies[which as usize % replies.len()].clone().into_bytes();
+            let at = at as usize % reply.len();
+            if reply[at].is_ascii() {
+                reply[at] = byte;
+                let _ = read_reply(&String::from_utf8(reply).expect("ASCII for ASCII"));
+            }
+        }
+    }
 }

@@ -48,6 +48,8 @@ pub mod client;
 pub mod log;
 pub mod protocol;
 pub mod server;
+#[cfg(test)]
+mod test_support;
 
 pub use client::{ClientError, JobStatus, ServeClient, DEFAULT_POLL};
 pub use protocol::{ErrorKind, JobState, Verb, JOB_SCHEMA, PROTO};

@@ -4,7 +4,7 @@
 //! # State directory
 //!
 //! Every accepted `submit` is persisted *before* it is acknowledged:
-//! `job-<key>.spec.json` (schema [`JOB_SCHEMA`]) holds the campaign's
+//! `job-<key>.spec.json` (schema [`JOB_SCHEMA`](crate::JOB_SCHEMA)) holds the campaign's
 //! canonical `(rank, scenario)` list. It is the job's identity — a
 //! re-`submit` is compared with its bytes — and the only copy of the
 //! campaign the daemon keeps: the job table holds a key, a state and two
@@ -45,15 +45,15 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::Duration;
 
-use st_campaign::store::write_atomic;
+use st_campaign::store::{write_atomic, SCHEMA};
 use st_campaign::{Campaign, ChunkControl, OutcomeStore, StoreError};
-use st_core::frame::{read_frame, write_frame_text, MAX_FRAME_BYTES};
-use st_core::Json;
+use st_core::frame::{read_frame_text, write_frame_text, FrameError, MAX_FRAME_BYTES};
+use st_core::json;
 
 use crate::log;
 use crate::protocol::{
-    decode_entries, error_response, job_spec, ok_response, text_with, validate_key, ErrorKind,
-    JobState, Verb, JOB_SCHEMA, PAGE_BYTES, PROTO,
+    error_reply, job_object, job_spec, malformed, read_job_spec, read_request, Envelope, ErrorKind,
+    JobState, JobStatus, Refusal, Request, PAGE_BYTES,
 };
 
 /// Daemon configuration (see `st-serve --help` for the CLI mapping).
@@ -102,16 +102,13 @@ struct Job {
     total: usize,
     /// Why the job is [`JobState::Broken`]: the error kind and text every
     /// request against it is answered with.
-    broken: Option<Broken>,
+    broken: Option<Refusal>,
 }
-
-/// An error kind and message, ready for [`error_response`].
-type Broken = (ErrorKind, String);
 
 /// A persisted store that cannot be used: another schema is the protocol's
 /// `schema-mismatch`, anything else (unreadable, malformed, damaged log)
 /// is `internal`.
-fn broken_by(e: &StoreError) -> Broken {
+fn broken_by(e: &StoreError) -> Refusal {
     let kind = match e {
         StoreError::SchemaMismatch { .. } => ErrorKind::SchemaMismatch,
         _ => ErrorKind::Internal,
@@ -298,23 +295,7 @@ fn load_jobs(dir: &Path) -> Vec<Job> {
 
 /// Decodes a persisted job spec into its key and campaign.
 fn load_spec(path: &Path) -> Result<(String, Campaign), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    let doc = Json::parse(&text).map_err(|e| e.to_string())?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != JOB_SCHEMA {
-        return Err(format!(
-            "job spec schema mismatch: file has {schema:?}, this build reads {JOB_SCHEMA:?}"
-        ));
-    }
-    let key = doc
-        .get("key")
-        .and_then(Json::as_str)
-        .ok_or("job spec has no \"key\"")?
-        .to_string();
-    validate_key(&key)?;
-    let entries = doc.get("entries").ok_or("job spec has no \"entries\"")?;
-    let campaign = Campaign::from_ranked(decode_entries(entries)?)?;
-    Ok((key, campaign))
+    read_job_spec(&std::fs::read_to_string(path).map_err(|e| e.to_string())?)
 }
 
 fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
@@ -422,7 +403,7 @@ fn run_job(shared: &Shared, key: &str) {
 /// (`Ok(true)`, store compacted), is stopped at a chunk boundary
 /// (`Ok(false)`), or cannot persist its progress (`Err`: the job stops
 /// there rather than run on with nothing on disk).
-fn execute(shared: &Shared, key: &str) -> Result<bool, Broken> {
+fn execute(shared: &Shared, key: &str) -> Result<bool, Refusal> {
     let dir = &shared.cfg.state_dir;
     let internal = |what: &str, e: &dyn Display| {
         let message = format!("cannot {what} for job {key:?}: {e}");
@@ -504,116 +485,72 @@ fn crash_hook_fired(shared: &Shared) -> bool {
 fn handle_conn(shared: &Shared, sock: &mut TcpStream) {
     let _ = sock.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = sock.set_write_timeout(Some(Duration::from_secs(10)));
-    let Ok(doc) = read_frame(sock) else {
-        return; // poke connections and dropped peers land here
+    let reply = match read_frame_text(sock) {
+        Ok(text) => respond(shared, &text, SERVED),
+        Err(FrameError::Utf8(e)) => {
+            error_reply(ErrorKind::Malformed, &format!("request is not UTF-8: {e}"))
+        }
+        // Poke connections, dropped peers and unframeable bytes.
+        Err(_) => return,
     };
-    let _ = write_frame_text(sock, &respond(shared, &doc));
+    let _ = write_frame_text(sock, &reply);
 }
 
-/// The response frame's text for request `doc`.
-fn respond(shared: &Shared, doc: &Json) -> String {
-    let resp = match request_verb(doc) {
-        Err(refusal) => refusal,
-        Ok(Verb::Hello) => ok_response([
-            ("server", Json::str("st-serve")),
-            ("store_schema", Json::str(st_campaign::store::SCHEMA)),
-        ]),
-        Ok(Verb::Submit) => submit(shared, doc),
-        Ok(Verb::Status) => status(shared, doc),
-        Ok(Verb::Cancel) => cancel(shared, doc),
-        Ok(Verb::Resume) => resume(shared, doc),
-        // The one reply too large to build as a value first.
-        Ok(Verb::FetchOutcomes) => match fetch_outcomes(shared, doc, PAGE_BYTES) {
-            Ok(text) => return text,
-            Err(refusal) => refusal,
-        },
-    };
-    resp.to_string()
+/// How large a `fetch-outcomes` reply may grow: a page's entry text, and
+/// the whole reply. A parameter of [`respond`] so tests can page, and
+/// overflow, a small store.
+#[derive(Clone, Copy)]
+struct Bounds {
+    page: usize,
+    frame: usize,
 }
 
-/// The request's verb, once its envelope checks out; `Err` is the ready
-/// error response.
-fn request_verb(doc: &Json) -> Result<Verb, Json> {
-    let Some(proto) = doc.get("proto").and_then(Json::as_str) else {
-        return Err(error_response(
-            ErrorKind::Malformed,
-            "request has no \"proto\" field",
-        ));
-    };
-    if proto != PROTO {
-        return Err(error_response(
-            ErrorKind::SchemaMismatch,
-            format!("protocol mismatch: peer speaks {proto:?}, this daemon speaks {PROTO:?}"),
-        ));
-    }
-    let Some(verb) = doc.get("verb").and_then(Json::as_str) else {
-        return Err(error_response(
-            ErrorKind::Malformed,
-            "request has no \"verb\" field",
-        ));
-    };
-    Verb::parse(verb).ok_or_else(|| {
-        let known: Vec<&str> = Verb::ALL.into_iter().map(Verb::wire).collect();
-        error_response(
-            ErrorKind::UnknownVerb,
-            format!("unknown verb {verb:?} (known: {})", known.join(", ")),
-        )
-    })
+/// The bounds every served reply is held to.
+const SERVED: Bounds = Bounds {
+    page: PAGE_BYTES,
+    frame: MAX_FRAME_BYTES,
+};
+
+/// The reply frame's text for the request frame's text `text`.
+fn respond(shared: &Shared, text: &str, bounds: Bounds) -> String {
+    let reply = read_request(text).and_then(|request| match request {
+        Request::Hello => Ok(Envelope::ok()
+            .string("server", "st-serve")
+            .string("store_schema", SCHEMA)
+            .finish()),
+        Request::Submit { key, campaign } => submit(shared, key, &campaign),
+        Request::Status { key } => status(shared, key.as_deref()),
+        Request::Cancel { key } => cancel(shared, &key),
+        Request::Resume { key } => resume(shared, &key),
+        Request::FetchOutcomes { key, from } => fetch_outcomes(shared, &key, from, bounds),
+    });
+    reply.unwrap_or_else(|(kind, message)| error_reply(kind, &message))
 }
 
-fn job_fields(job: &Job) -> Json {
-    let mut fields = vec![
-        ("key", Json::str(job.key.as_str())),
-        ("state", Json::str(job.state.wire())),
-        ("total", Json::U64(job.total as u64)),
-        ("completed", Json::U64(job.completed as u64)),
-    ];
-    if let Some((_, message)) = &job.broken {
-        fields.push(("error", Json::str(message.as_str())));
-    }
-    Json::obj(fields)
+/// `job`'s `job` object.
+fn job_object_of(job: &Job) -> String {
+    let status = JobStatus {
+        key: job.key.clone(),
+        state: job.state,
+        total: job.total as u64,
+        completed: job.completed as u64,
+    };
+    job_object(&status, job.broken.as_ref().map(|(_, why)| why.as_str()))
 }
 
-/// Extracts and validates the request's `key` field; `Err` is the ready
-/// error response.
-fn required_key(doc: &Json) -> Result<String, Json> {
-    let Some(key) = doc.get("key").and_then(Json::as_str) else {
-        return Err(error_response(
-            ErrorKind::Malformed,
-            "request has no \"key\" field",
-        ));
-    };
-    match validate_key(key) {
-        Ok(()) => Ok(key.to_string()),
-        Err(msg) => Err(error_response(ErrorKind::Malformed, msg)),
-    }
+/// A success reply carrying `job`.
+fn job_reply(job: &Job) -> Envelope {
+    Envelope::ok().member("job", |out| out.push_str(&job_object_of(job)))
 }
 
-fn submit(shared: &Shared, doc: &Json) -> Json {
-    let key = match required_key(doc) {
-        Ok(key) => key,
-        Err(resp) => return resp,
-    };
-    let Some(entries) = doc.get("entries") else {
-        return error_response(ErrorKind::Malformed, "submit has no \"entries\" field");
-    };
-    let entries = match decode_entries(entries) {
-        Ok(entries) => entries,
-        Err(msg) => return error_response(ErrorKind::Malformed, msg),
-    };
-    if entries.is_empty() {
-        return error_response(
-            ErrorKind::Malformed,
-            "a campaign needs at least one scenario",
-        );
-    }
-    let campaign = match Campaign::from_ranked(entries) {
-        Ok(campaign) => campaign,
-        Err(msg) => return error_response(ErrorKind::Malformed, msg),
-    };
+fn unknown_job(key: &str) -> Refusal {
+    (ErrorKind::UnknownJob, format!("no job under key {key:?}"))
+}
+
+fn submit(shared: &Shared, key: String, campaign: &Campaign) -> Result<String, Refusal> {
     // From here on the campaign is its canonical spec text: that is what is
     // persisted, compared, and decoded again by the worker.
-    let spec = job_spec(&key, &campaign);
+    let spec = job_spec(&key, campaign);
     let total = campaign.len();
     let path = spec_path(&shared.cfg.state_dir, &key);
     // Read before taking the job-table lock; this accept loop is the only
@@ -623,16 +560,16 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
     let mut jobs = shared.jobs.lock().expect("job table lock");
     if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
         if persisted.as_deref().map(str::trim_end) != Some(spec.as_str()) {
-            return error_response(
+            return Err((
                 ErrorKind::SpecMismatch,
                 format!(
                     "job {key:?} already exists with a different campaign spec — \
                      submit under a new key instead of mutating a sweep's identity"
                 ),
-            );
+            ));
         }
-        if let Some((kind, msg)) = &job.broken {
-            return error_response(*kind, msg.clone());
+        if let Some(broken) = &job.broken {
+            return Err(broken.clone());
         }
         // Idempotent re-submit: parked jobs requeue (the resume-after-
         // restart path), live and finished jobs just report.
@@ -641,7 +578,7 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
             job.cancel = false;
             shared.work.notify_all();
         }
-        return ok_response([("job", job_fields(job))]);
+        return Ok(job_reply(job).finish());
     }
 
     let in_flight: usize = jobs
@@ -650,14 +587,14 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
         .map(|j| j.total - j.completed)
         .sum();
     if in_flight + total > shared.cfg.max_pending {
-        return error_response(
+        return Err((
             ErrorKind::Busy,
             format!(
                 "daemon is at capacity: {in_flight} scenario(s) in flight, {total} more \
                  would exceed --max-pending {} — retry later",
                 shared.cfg.max_pending
             ),
-        );
+        ));
     }
 
     // Persist before acknowledging: a confirmed submit survives a kill.
@@ -666,7 +603,7 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
         w.write_all(b"\n")
     });
     if let Err(e) = written {
-        return error_response(ErrorKind::Internal, format!("cannot persist job spec: {e}"));
+        return Err((ErrorKind::Internal, format!("cannot persist job spec: {e}")));
     }
     jobs.push(Job {
         key,
@@ -677,69 +614,57 @@ fn submit(shared: &Shared, doc: &Json) -> Json {
         broken: None,
     });
     shared.work.notify_all();
-    ok_response([("job", job_fields(jobs.last().expect("just pushed")))])
+    Ok(job_reply(jobs.last().expect("just pushed")).finish())
 }
 
-fn status(shared: &Shared, doc: &Json) -> Json {
+fn status(shared: &Shared, key: Option<&str>) -> Result<String, Refusal> {
     let jobs = shared.jobs.lock().expect("job table lock");
-    match doc.get("key").and_then(Json::as_str) {
-        Some(key) => match jobs.iter().find(|j| j.key == key) {
-            Some(job) => ok_response([("job", job_fields(job))]),
-            None => error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}")),
-        },
-        None => {
-            let mut sorted: Vec<&Job> = jobs.iter().collect();
-            sorted.sort_by(|a, b| a.key.cmp(&b.key));
-            ok_response([(
-                "jobs",
-                Json::Arr(sorted.into_iter().map(job_fields).collect()),
-            )])
-        }
-    }
+    let Some(key) = key else {
+        let mut sorted: Vec<&Job> = jobs.iter().collect();
+        sorted.sort_by(|a, b| a.key.cmp(&b.key));
+        let reply = Envelope::ok().member("jobs", |out| {
+            out.push('[');
+            for (i, job) in sorted.into_iter().enumerate() {
+                if i > 0 {
+                    out.push_str(", ");
+                }
+                out.push_str(&job_object_of(job));
+            }
+            out.push(']');
+        });
+        return Ok(reply.finish());
+    };
+    let job = jobs.iter().find(|j| j.key == key);
+    Ok(job_reply(job.ok_or_else(|| unknown_job(key))?).finish())
 }
 
-fn cancel(shared: &Shared, doc: &Json) -> Json {
-    let key = match required_key(doc) {
-        Ok(key) => key,
-        Err(resp) => return resp,
-    };
+fn cancel(shared: &Shared, key: &str) -> Result<String, Refusal> {
     let mut jobs = shared.jobs.lock().expect("job table lock");
-    match jobs.iter_mut().find(|j| j.key == key) {
-        None => error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}")),
-        Some(job) => {
-            match job.state {
-                JobState::Queued => job.state = JobState::Cancelled,
-                JobState::Running => job.cancel = true,
-                _ => {}
-            }
-            ok_response([
-                ("job", job_fields(job)),
-                ("cancel_requested", Json::Bool(job.cancel)),
-            ])
-        }
+    let job = jobs.iter_mut().find(|j| j.key == key);
+    let job = job.ok_or_else(|| unknown_job(key))?;
+    match job.state {
+        JobState::Queued => job.state = JobState::Cancelled,
+        JobState::Running => job.cancel = true,
+        _ => {}
     }
+    let requested = if job.cancel { "true" } else { "false" };
+    let reply = job_reply(job).member("cancel_requested", |out| out.push_str(requested));
+    Ok(reply.finish())
 }
 
-fn resume(shared: &Shared, doc: &Json) -> Json {
-    let key = match required_key(doc) {
-        Ok(key) => key,
-        Err(resp) => return resp,
-    };
+fn resume(shared: &Shared, key: &str) -> Result<String, Refusal> {
     let mut jobs = shared.jobs.lock().expect("job table lock");
-    match jobs.iter_mut().find(|j| j.key == key) {
-        None => error_response(ErrorKind::UnknownJob, format!("no job under key {key:?}")),
-        Some(job) => {
-            if let Some((kind, msg)) = &job.broken {
-                return error_response(*kind, msg.clone());
-            }
-            if matches!(job.state, JobState::Interrupted | JobState::Cancelled) {
-                job.state = JobState::Queued;
-                job.cancel = false;
-                shared.work.notify_all();
-            }
-            ok_response([("job", job_fields(job))])
-        }
+    let job = jobs.iter_mut().find(|j| j.key == key);
+    let job = job.ok_or_else(|| unknown_job(key))?;
+    if let Some(broken) = &job.broken {
+        return Err(broken.clone());
     }
+    if matches!(job.state, JobState::Interrupted | JobState::Cancelled) {
+        job.state = JobState::Queued;
+        job.cancel = false;
+        shared.work.notify_all();
+    }
+    Ok(job_reply(job).finish())
 }
 
 /// `fetch-outcomes`: the job's recovered outcomes as a store document —
@@ -749,76 +674,63 @@ fn resume(shared: &Shared, doc: &Json) -> Json {
 /// starts at. Entries are indexed in store order, which a job only ever
 /// appends to, so a `from` stays good across the job's chunks and its
 /// compaction. The reply's text is written around the page's entry lines:
-/// the store is decoded ([`recover`]) but never a [`Json`] value. `Err` is
-/// the ready error response. (`page_bytes` is [`PAGE_BYTES`]; a parameter
-/// so tests can page a small store.)
-fn fetch_outcomes(shared: &Shared, doc: &Json, page_bytes: usize) -> Result<String, Json> {
-    let key = required_key(doc)?;
-    let from = match doc.get("from") {
-        None => None,
-        Some(from) => Some(
-            from.as_u64()
-                .and_then(|from| usize::try_from(from).ok())
-                .ok_or_else(|| {
-                    error_response(ErrorKind::Malformed, "\"from\" must be an entry index")
-                })?,
-        ),
-    };
+/// the store is decoded ([`recover`]), never held as a document.
+fn fetch_outcomes(
+    shared: &Shared,
+    key: &str,
+    from: Option<usize>,
+    bounds: Bounds,
+) -> Result<String, Refusal> {
     // Snapshot under the job-table lock, read and decode without it: the
     // worker's per-chunk progress update and every `status` poll take the
     // same lock.
-    let fields = {
+    let job = {
         let jobs = shared.jobs.lock().expect("job table lock");
-        let Some(job) = jobs.iter().find(|j| j.key == key) else {
-            return Err(error_response(
-                ErrorKind::UnknownJob,
-                format!("no job under key {key:?}"),
-            ));
-        };
-        if let Some((kind, msg)) = &job.broken {
-            return Err(error_response(*kind, msg.clone()));
+        let job = jobs.iter().find(|j| j.key == key);
+        let job = job.ok_or_else(|| unknown_job(key))?;
+        if let Some(broken) = &job.broken {
+            return Err(broken.clone());
         }
-        job_fields(job)
+        job_object_of(job)
     };
-    let store = match recover(&shared.cfg.state_dir, &key) {
+    let store = match recover(&shared.cfg.state_dir, key) {
         Ok(recovered) => recovered.store,
         Err(e) => {
-            let (kind, msg) = broken_by(&e);
-            return Err(error_response(
-                kind,
-                format!("cannot read outcome store for {key:?}: {msg}"),
-            ));
+            let (kind, why) = broken_by(&e);
+            let message = format!("cannot read outcome store for {key:?}: {why}");
+            return Err((kind, message));
         }
     };
     let total = store.len();
     if from.is_some_and(|from| from > total) {
-        return Err(error_response(
-            ErrorKind::Malformed,
-            format!("\"from\" is past the {total} entries job {key:?} has committed"),
-        ));
+        let past = format!("\"from\" is past the {total} entries job {key:?} has committed");
+        return Err(malformed(past));
     }
     // A request without `from` gets all of it or a refusal, never a part.
-    let bound = from.map_or(MAX_FRAME_BYTES, |_| page_bytes);
+    let bound = from.map_or(bounds.frame, |_| bounds.page);
     let mut next = total;
-    let text = text_with(&ok_response([("job", fields)]), |text| {
-        text.push_str(", \"store\": ");
-        next = store.write_page(from.unwrap_or(0), bound, text);
-        if from.is_some() {
-            text.push_str(", \"next\": ");
-            let next = if next < total {
-                Json::U64(next as u64)
+    let mut reply = Envelope::ok()
+        .member("job", |out| out.push_str(&job))
+        .member("store", |out| {
+            next = store.write_page(from.unwrap_or(0), bound, out)
+        });
+    if from.is_some() {
+        reply = reply.member("next", |out| {
+            if next < total {
+                json::write_u64(next as u64, out)
             } else {
-                Json::Null
-            };
-            next.write(text);
-        }
-    });
-    if text.len() > MAX_FRAME_BYTES || (from.is_none() && next < total) {
-        return Err(error_response(
+                out.push_str("null")
+            }
+        });
+    }
+    let text = reply.finish();
+    if text.len() > bounds.frame || (from.is_none() && next < total) {
+        return Err((
             ErrorKind::TooLarge,
             format!(
-                "the reply for job {key:?} ({total} entries) does not fit one {MAX_FRAME_BYTES}-byte \
-                 frame — fetch it in pages: send \"from\": 0, then each reply's \"next\""
+                "the reply for job {key:?} ({total} entries) does not fit one {}-byte frame — \
+                 fetch it in pages: send \"from\": 0, then each reply's \"next\"",
+                bounds.frame
             ),
         ));
     }
@@ -828,11 +740,14 @@ fn fetch_outcomes(shared: &Shared, doc: &Json, page_bytes: usize) -> Result<Stri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol;
+    use crate::protocol::{self, Verb, PROTO};
+    use crate::test_support::{self, soup, truncations};
+    use proptest::prelude::*;
     use st_campaign::{
         policy_from_spec, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec,
         Scenario, TimeoutPolicySpec, Workload,
     };
+    use st_core::Json;
     use st_core::Universe;
 
     /// A fresh `Shared` over a clean state directory — the daemon minus
@@ -854,9 +769,14 @@ mod tests {
         }
     }
 
-    /// The reply to `doc`, parsed.
-    fn dispatch(shared: &Shared, doc: &Json) -> Json {
-        Json::parse(&respond(shared, doc)).expect("a reply is canonical JSON")
+    /// The reply to the request text `request`, parsed.
+    fn dispatch(shared: &Shared, request: &str) -> Json {
+        Json::parse(&respond(shared, request, SERVED)).expect("a reply is canonical JSON")
+    }
+
+    /// The text of a `verb` request naming `key`.
+    fn request(verb: Verb, key: &str) -> String {
+        Envelope::request(verb).string("key", key).finish()
     }
 
     fn tiny_campaign(seeds: std::ops::Range<u64>) -> Campaign {
@@ -881,13 +801,11 @@ mod tests {
         campaign
     }
 
-    fn submit_doc(key: &str, campaign: &Campaign) -> Json {
-        let envelope = protocol::request(Verb::Submit, [("key", Json::str(key))]);
-        let text = protocol::text_with(&envelope, |out| {
-            out.push_str(", \"entries\": ");
-            protocol::campaign_entries(campaign, out);
-        });
-        Json::parse(&text).expect("a request is canonical JSON")
+    fn submit_doc(key: &str, campaign: &Campaign) -> String {
+        Envelope::request(Verb::Submit)
+            .string("key", key)
+            .member("entries", |out| protocol::campaign_entries(campaign, out))
+            .finish()
     }
 
     fn error_kind(resp: &Json) -> Option<&str> {
@@ -926,13 +844,13 @@ mod tests {
         assert_eq!(error_kind(&resp), Some("busy"));
 
         // Cancel a queued job, resume it back into the queue.
-        let cancel = protocol::request(Verb::Cancel, [("key", Json::str("job"))]);
+        let cancel = request(Verb::Cancel, "job");
         assert_eq!(job_state(&dispatch(&shared, &cancel)), Some("cancelled"));
-        let resume = protocol::request(Verb::Resume, [("key", Json::str("job"))]);
+        let resume = request(Verb::Resume, "job");
         assert_eq!(job_state(&dispatch(&shared, &resume)), Some("queued"));
 
         // Fetching before anything ran returns an empty store.
-        let fetch = protocol::request(Verb::FetchOutcomes, [("key", Json::str("job"))]);
+        let fetch = request(Verb::FetchOutcomes, "job");
         let resp = dispatch(&shared, &fetch);
         let store = resp.get("store").expect("store field");
         assert_eq!(
@@ -944,9 +862,9 @@ mod tests {
         );
 
         // Unknown keys are typed refusals.
-        let status = protocol::request(Verb::Status, [("key", Json::str("nope"))]);
+        let status = request(Verb::Status, "nope");
         assert_eq!(error_kind(&dispatch(&shared, &status)), Some("unknown-job"));
-        let bad_key = protocol::request(Verb::Status, [("key", Json::str("a/b"))]);
+        let bad_key = request(Verb::Status, "a/b");
         assert_eq!(
             error_kind(&dispatch(&shared, &bad_key)),
             Some("unknown-job")
@@ -1022,12 +940,12 @@ mod tests {
             .and_then(Json::as_str)
             .unwrap();
         assert!(msg.contains("outcome store schema mismatch"), "{msg}");
-        let resume = protocol::request(Verb::Resume, [("key", Json::str("broken-job"))]);
+        let resume = request(Verb::Resume, "broken-job");
         assert_eq!(
             error_kind(&dispatch(&shared, &resume)),
             Some("schema-mismatch")
         );
-        let fetch = protocol::request(Verb::FetchOutcomes, [("key", Json::str("broken-job"))]);
+        let fetch = request(Verb::FetchOutcomes, "broken-job");
         assert_eq!(
             error_kind(&dispatch(&shared, &fetch)),
             Some("schema-mismatch")
@@ -1061,7 +979,7 @@ mod tests {
         // Killed after 127 of the 128 chunks: the log is as long as it gets.
         shared.chunks_left = Mutex::new(Some(127));
         submit_and_run(&shared, "big", &campaign);
-        let status = protocol::request(Verb::Status, [("key", Json::str("big"))]);
+        let status = request(Verb::Status, "big");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("interrupted"));
         let log_bytes = std::fs::metadata(log_path(&dir, "big")).unwrap().len() as usize;
         // No commit line is longer than the empty segment's by more than the
@@ -1105,9 +1023,9 @@ mod tests {
         let chunk = shared.cfg.chunk;
         shared.cfg.chunk = 0;
         submit_and_run(&shared, "bad", &campaign);
-        let status = protocol::request(Verb::Status, [("key", Json::str("bad"))]);
+        let status = request(Verb::Status, "bad");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("broken"));
-        let fetch = protocol::request(Verb::FetchOutcomes, [("key", Json::str("bad"))]);
+        let fetch = request(Verb::FetchOutcomes, "bad");
         let resp = dispatch(&shared, &fetch);
         assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
         let message = resp.get("error").and_then(|e| e.get("message"));
@@ -1119,7 +1037,7 @@ mod tests {
 
         shared.cfg.chunk = chunk;
         submit_and_run(&shared, "good", &campaign);
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
         assert_eq!(
             std::fs::read_to_string(store_path(&shared.cfg.state_dir, "good")).unwrap(),
@@ -1163,7 +1081,7 @@ mod tests {
         std::fs::remove_file(store_path(&dir, "job")).unwrap();
 
         *shared.jobs.lock().unwrap() = load_jobs(&dir);
-        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let status = request(Verb::Status, "job");
         let resp = dispatch(&shared, &status);
         assert_eq!(job_state(&resp), Some("interrupted"), "{resp:?}");
         submit_and_run(&shared, "job", &campaign);
@@ -1231,13 +1149,10 @@ mod tests {
         assert_eq!(jobs[0].completed, 0, "never a partial reuse");
         *shared.jobs.lock().unwrap() = jobs;
         for verb in [Verb::Resume, Verb::FetchOutcomes] {
-            let resp = dispatch(
-                &shared,
-                &protocol::request(verb, [("key", Json::str("job"))]),
-            );
+            let resp = dispatch(&shared, &request(verb, "job"));
             assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
         }
-        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let status = request(Verb::Status, "job");
         let resp = dispatch(&shared, &status);
         assert_eq!(job_state(&resp), Some("broken"));
         let text = resp
@@ -1255,12 +1170,21 @@ mod tests {
         from: usize,
         page_bytes: usize,
     ) -> (OutcomeStore, Option<usize>) {
-        let request = protocol::request(
-            Verb::FetchOutcomes,
-            [("key", Json::str(key)), ("from", Json::U64(from as u64))],
-        );
-        let text = fetch_outcomes(shared, &request, page_bytes).expect("the page is served");
+        let request = Envelope::request(Verb::FetchOutcomes)
+            .string("key", key)
+            .member("from", |out| json::write_u64(from as u64, out))
+            .finish();
+        let bounds = Bounds {
+            page: page_bytes,
+            frame: MAX_FRAME_BYTES,
+        };
+        let text = respond(shared, &request, bounds);
         let resp = Json::parse(&text).expect("a reply is canonical JSON");
+        assert_eq!(
+            resp.get("ok"),
+            Some(&Json::Bool(true)),
+            "the page is served"
+        );
         assert_eq!(resp.to_string(), text, "and written canonically");
         let store = resp.get("store").expect("store field").to_string();
         let next = match resp.get("next").expect("a paged reply names the next page") {
@@ -1334,15 +1258,15 @@ mod tests {
         // A page from the very end is empty and last; past it, refused.
         let (end, next) = fetch_page(&shared, "job", 8, page_bytes);
         assert_eq!((end.len(), next), (0, None));
-        let past = protocol::request(
-            Verb::FetchOutcomes,
-            [("key", Json::str("job")), ("from", Json::U64(9))],
-        );
+        let past = Envelope::request(Verb::FetchOutcomes)
+            .string("key", "job")
+            .member("from", |out| json::write_u64(9, out))
+            .finish();
         assert_eq!(error_kind(&dispatch(&shared, &past)), Some("malformed"));
-        let not_an_index = protocol::request(
-            Verb::FetchOutcomes,
-            [("key", Json::str("job")), ("from", Json::str("0"))],
-        );
+        let not_an_index = Envelope::request(Verb::FetchOutcomes)
+            .string("key", "job")
+            .string("from", "0")
+            .finish();
         assert_eq!(
             error_kind(&dispatch(&shared, &not_an_index)),
             Some("malformed")
@@ -1361,14 +1285,16 @@ mod tests {
 
         // Without `from` the reply is what it always was: the whole store as
         // one document, no `next`.
-        let whole = protocol::request(Verb::FetchOutcomes, [("key", Json::str("job"))]);
+        let whole = request(Verb::FetchOutcomes, "job");
         let resp = dispatch(&shared, &whole);
         assert!(resp.get("next").is_none());
-        let expected = ok_response([
+        let expected = Json::obj([
+            ("proto", Json::str(protocol::PROTO)),
+            ("ok", Json::Bool(true)),
             ("job", resp.get("job").unwrap().clone()),
             ("store", Json::parse(&batch).unwrap()),
         ]);
-        assert_eq!(respond(&shared, &whole), expected.to_string());
+        assert_eq!(respond(&shared, &whole, SERVED), expected.to_string());
     }
 
     #[cfg(unix)]
@@ -1381,14 +1307,11 @@ mod tests {
         std::os::unix::fs::symlink(dir.join("no-such-dir/log"), log_path(&dir, "job")).unwrap();
         submit_and_run(&shared, "job", &tiny_campaign(0..4));
 
-        let status = protocol::request(Verb::Status, [("key", Json::str("job"))]);
+        let status = request(Verb::Status, "job");
         let resp = dispatch(&shared, &status);
         assert_eq!(job_state(&resp), Some("broken"), "{resp:?}");
         for verb in [Verb::Resume, Verb::FetchOutcomes] {
-            let resp = dispatch(
-                &shared,
-                &protocol::request(verb, [("key", Json::str("job"))]),
-            );
+            let resp = dispatch(&shared, &request(verb, "job"));
             assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1467,7 +1390,7 @@ mod tests {
 
         // The same entry with a task the adversary can block runs to `done`.
         submit_and_run(&shared, "good", &adversarial(2, 2));
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1536,7 +1459,7 @@ mod tests {
         let witness = (set(&[0, 1, 2]), set(&[0, 1, 2, 3]));
         good.push(foreign("witnessed", adversarial(witness)));
         submit_and_run(&shared, "good", &good);
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1590,7 +1513,7 @@ mod tests {
 
         // The same entry with a positive cap at n = 4 runs to `done`.
         submit_and_run(&shared, "good", &certified(4, 8));
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1675,7 +1598,7 @@ mod tests {
             ));
         }
         submit_and_run(&shared, "good", &good);
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1716,7 +1639,7 @@ mod tests {
 
         // The same entry with one weight per process runs to `done`.
         submit_and_run(&shared, "good", &weighted(&[2, 1, 1]));
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1770,7 +1693,7 @@ mod tests {
         }
 
         submit_and_run(&shared, "good", &with(figure1(1), 1));
-        let status = protocol::request(Verb::Status, [("key", Json::str("good"))]);
+        let status = request(Verb::Status, "good");
         assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
     }
 
@@ -1786,7 +1709,7 @@ mod tests {
             cfg,
         };
         let err = |doc: &Json| {
-            let resp = dispatch(&shared, doc);
+            let resp = dispatch(&shared, &doc.to_string());
             resp.get("error")
                 .and_then(|e| e.get("kind"))
                 .and_then(Json::as_str)
@@ -1803,16 +1726,234 @@ mod tests {
             ])),
             Some("schema-mismatch".into())
         );
-        let mut bad_verb = protocol::request(Verb::Hello, []);
+        let mut bad_verb = Json::parse(&Envelope::request(Verb::Hello).finish()).unwrap();
         if let Json::Obj(members) = &mut bad_verb {
             members[1].1 = Json::str("fetch");
         }
         assert_eq!(err(&bad_verb), Some("unknown-verb".into()));
-        let hello = dispatch(&shared, &protocol::request(Verb::Hello, []));
+        let hello = dispatch(&shared, &Envelope::request(Verb::Hello).finish());
         assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             hello.get("store_schema").and_then(Json::as_str),
             Some(st_campaign::store::SCHEMA)
         );
+    }
+
+    /// The request → reply transcript captured from the daemon before its
+    /// envelopes were read and written as text, replayed against a fresh
+    /// state directory with every job run on this thread: every verb, every
+    /// refusal and its order, reordered, repeated and unknown members and
+    /// other whitespace. A step with a `now` member is an intended change:
+    /// the reply is `now`, and differs from what the parent answered
+    /// (`reply`, `null` for no answer at all).
+    #[test]
+    fn the_parent_transcript_replays_byte_for_byte() {
+        let mut shared = shared_with("st-serve-transcript-test", 10);
+        shared.cfg.threads = 1;
+        let (mut replayed, mut changed) = (0, 0);
+        for step in &test_support::steps() {
+            let member = |name| step.get(name).and_then(Json::as_str);
+            let note = member("note").unwrap();
+            if let Some(key) = member("run") {
+                let mut jobs = shared.jobs.lock().unwrap();
+                jobs.iter_mut().find(|j| j.key == key).unwrap().state = JobState::Running;
+                drop(jobs);
+                run_job(&shared, key);
+                continue;
+            }
+            let bound = |name, default| {
+                step.get(name)
+                    .and_then(Json::as_u64)
+                    .map_or(default, |b| b as usize)
+            };
+            let bounds = Bounds {
+                page: bound("page_bytes", PAGE_BYTES),
+                frame: bound("frame_bytes", MAX_FRAME_BYTES),
+            };
+            let reply = respond(&shared, member("request").unwrap(), bounds);
+            match member("now") {
+                Some(now) => {
+                    assert_eq!(reply, now, "{note}");
+                    assert_ne!(Some(now), member("reply"), "{note}");
+                    changed += 1;
+                }
+                None => assert_eq!(Some(reply.as_str()), member("reply"), "{note}"),
+            }
+            replayed += 1;
+        }
+        assert_eq!((replayed, changed), (95, 9));
+    }
+
+    /// PROTOCOL.md is held to the code, the way `st-campaign`'s `wire.rs`
+    /// holds its `WIRE-REFERENCE` block: the verb table is [`Verb::ALL`],
+    /// the error-kind table [`ErrorKind::ALL`], the job-state list
+    /// [`JobState::ALL`], each in order, and the worked example's raw
+    /// `hello` frame is answered with exactly the reply it documents.
+    #[test]
+    fn protocol_md_matches_the_code() {
+        let doc = include_str!("../../../PROTOCOL.md");
+        let section = |heading: &str| {
+            let start = doc.find(heading).expect(heading) + heading.len();
+            let rest = &doc[start..];
+            &rest[..rest.find("\n#").unwrap_or(rest.len())]
+        };
+        // A table's first column, below its header, as backticked names.
+        let names = |table: &str| -> Vec<String> {
+            table
+                .lines()
+                .skip_while(|line| !line.starts_with("|-"))
+                .skip(1)
+                .filter_map(|line| line.strip_prefix("| `")?.split('`').next())
+                .map(str::to_string)
+                .collect()
+        };
+        let wire = |names: &mut dyn Iterator<Item = &'static str>| -> Vec<String> {
+            names.map(str::to_string).collect()
+        };
+        assert_eq!(
+            names(section("\n## Verbs\n")),
+            wire(&mut Verb::ALL.into_iter().map(Verb::wire)),
+            "PROTOCOL.md's verb table"
+        );
+        assert_eq!(
+            names(section("\n## Error kinds\n")),
+            wire(&mut ErrorKind::ALL.into_iter().map(ErrorKind::wire)),
+            "PROTOCOL.md's error-kind table"
+        );
+        let list = section("\n## Verbs\n");
+        let list = &list[list.find("`state` is one of ").expect("the job-state list")..];
+        let states: Vec<String> = list[..list.find(", and").unwrap()]
+            .split('`')
+            .skip(3)
+            .step_by(2)
+            .map(str::to_string)
+            .collect();
+        assert_eq!(
+            states,
+            wire(&mut JobState::ALL.into_iter().map(JobState::wire)),
+            "PROTOCOL.md's job-state list"
+        );
+
+        // `$ printf '<frame>' \` and, after the `nc` line, the reply.
+        let example = section("\n## Worked example session\n");
+        let mut lines = example.lines().skip_while(|l| !l.starts_with("$ printf '"));
+        let printf = lines.next().expect("the raw hello");
+        let frame = &printf["$ printf '".len()..printf.rfind('\'').unwrap()];
+        let reply = lines.nth(1).expect("the documented reply");
+        let mut bytes = Vec::new();
+        let mut rest = frame;
+        while let Some(escaped) = rest.strip_prefix("\\x") {
+            bytes.push(u8::from_str_radix(&escaped[..2], 16).unwrap());
+            rest = &escaped[2..];
+        }
+        assert_eq!(
+            bytes,
+            (rest.len() as u32).to_be_bytes(),
+            "the length prefix"
+        );
+        let shared = shared_with("st-serve-protocol-md-test", 10);
+        assert_eq!(respond(&shared, rest, SERVED), reply);
+    }
+
+    /// The requests of the transcript that the daemon answered `ok`.
+    fn ok_requests() -> Vec<String> {
+        let ok = "{\"proto\": \"st-serve/v1\", \"ok\": true";
+        let steps = test_support::steps();
+        let answered_ok = |step: &&Json| {
+            let reply = step.get("now").or(step.get("reply"));
+            reply
+                .and_then(Json::as_str)
+                .is_some_and(|r| r.starts_with(ok))
+        };
+        let requests = steps.iter().filter(answered_ok);
+        requests
+            .map(|step| {
+                step.get("request")
+                    .and_then(Json::as_str)
+                    .unwrap()
+                    .to_string()
+            })
+            .collect()
+    }
+
+    /// The state directory's files and their bytes, by name.
+    fn snapshot(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+        let mut files: Vec<_> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|path| {
+                (
+                    path.file_name().unwrap().to_owned(),
+                    std::fs::read(path).unwrap(),
+                )
+            })
+            .collect();
+        files.sort();
+        files
+    }
+
+    /// `request` answered on `shared`: never an unwind, always exactly one
+    /// envelope — `"ok": true`, or `false` with a known error kind and a
+    /// message — and the state directory as it was unless the reply is `ok`.
+    fn answers_once(shared: &Shared, request: &str) {
+        let before = snapshot(&shared.cfg.state_dir);
+        let reply = catch_unwind(AssertUnwindSafe(|| respond(shared, request, SERVED)))
+            .unwrap_or_else(|_| panic!("unwound on {request:?}"));
+        let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+        assert_eq!(doc.get("proto").and_then(Json::as_str), Some(PROTO));
+        match doc.get("ok").and_then(Json::as_bool) {
+            Some(true) => {}
+            Some(false) => {
+                let error = doc.get("error").unwrap_or_else(|| panic!("{reply}"));
+                let kind = error.get("kind").and_then(Json::as_str);
+                assert!(kind.and_then(ErrorKind::parse).is_some(), "{reply}");
+                assert!(error.get("message").and_then(Json::as_str).is_some());
+                let after = snapshot(&shared.cfg.state_dir);
+                assert!(after == before, "{reply} wrote to the state directory");
+            }
+            None => panic!("no \"ok\" in {reply}"),
+        }
+    }
+
+    /// Bytes in: every truncation of every request the transcript's daemon
+    /// answered `ok`, against a daemon holding a job.
+    #[test]
+    fn every_truncation_of_a_valid_request_is_answered_once() {
+        let shared = shared_with("st-serve-truncation-test", 10);
+        let requests = ok_requests();
+        assert!(requests.len() > 20, "{}", requests.len());
+        answers_once(&shared, &submit_doc("job", &tiny_campaign(0..4)));
+        for request in &requests {
+            for cut in truncations(request) {
+                answers_once(&shared, cut);
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Bytes in: one byte of a valid request changed to any ASCII byte,
+        /// and arbitrary text, bare and behind a `submit`'s opening
+        /// members.
+        #[test]
+        fn a_changed_byte_or_arbitrary_text_is_answered_once(
+            which in any::<u32>(),
+            at in any::<u32>(),
+            byte in 0u8..128,
+            picks in prop::collection::vec(any::<u32>(), 0..24)
+        ) {
+            let shared = shared_with("st-serve-bytes-in-test", 10);
+            answers_once(&shared, &submit_doc("job", &tiny_campaign(0..4)));
+            let requests = ok_requests();
+            let mut request = requests[which as usize % requests.len()].clone().into_bytes();
+            let at = at as usize % request.len();
+            request[at] = byte;
+            answers_once(&shared, &String::from_utf8(request).expect("ASCII in, ASCII out"));
+            let text = soup(&picks, &requests);
+            answers_once(&shared, &text);
+            let submit = "{\"proto\": \"st-serve/v1\", \"verb\": \"submit\", \"key\": \"soup\"";
+            answers_once(&shared, &format!("{submit}, \"entries\": [{text}"));
+        }
     }
 }

@@ -6,6 +6,7 @@
 //! the batch drive — different chunk sizes and worker counts across the two
 //! daemon incarnations included.
 
+use std::io::Write;
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -14,9 +15,12 @@ use st_campaign::{
     policy_from_spec, Campaign, FdAbi, FdDetector, GeneratorSpec, OutcomeStore, Scenario,
     TimeoutPolicySpec, Workload,
 };
-use st_core::frame::{read_frame, write_frame};
+use st_core::frame::{read_frame, write_frame, write_frame_text};
 use st_core::{Json, Universe};
-use st_serve::{recover_store, ClientError, JobState, ServeClient, ServeConfig, Server, PROTO};
+use st_serve::protocol::Envelope;
+use st_serve::{
+    recover_store, ClientError, JobState, ServeClient, ServeConfig, Server, Verb, PROTO,
+};
 
 /// A clean per-process state directory under the system temp dir.
 fn state_dir(name: &str) -> PathBuf {
@@ -229,6 +233,28 @@ fn raw_frames_get_typed_protocol_errors() {
         "{message}"
     );
 
+    // A payload that is not JSON, or not even UTF-8, is answered too: a
+    // typed refusal that says where the text went wrong, not a closed
+    // socket the client would blame on the daemon.
+    for (payload, says) in [
+        (
+            b"{nope".as_slice(),
+            "request is not JSON: JSON error at byte 1",
+        ),
+        (b"{\"proto\": \xff}".as_slice(), "request is not UTF-8"),
+    ] {
+        let mut sock = TcpStream::connect(&addr).unwrap();
+        sock.write_all(&(payload.len() as u32).to_be_bytes())
+            .unwrap();
+        sock.write_all(payload).unwrap();
+        let resp = read_frame(&mut sock).unwrap();
+        assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(false));
+        let error = resp.get("error").expect("typed error");
+        assert_eq!(error.get("kind").and_then(Json::as_str), Some("malformed"));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(message.starts_with(says), "{message}");
+    }
+
     // And a well-formed hello on a fresh connection succeeds.
     let mut sock = TcpStream::connect(&addr).unwrap();
     let req = Json::obj([("proto", Json::str(PROTO)), ("verb", Json::str("hello"))]);
@@ -249,9 +275,9 @@ fn out_of_range_process_index_in_a_submit_is_malformed_not_fatal() {
         read_frame(&mut sock).unwrap()
     };
 
-    let Json::Obj(mut scenario) =
-        st_campaign::store::encode_scenario(&fd_campaign().scenarios()[0])
-    else {
+    let mut text = String::new();
+    st_campaign::store::write_scenario(&fd_campaign().scenarios()[0], &mut text);
+    let Ok(Json::Obj(mut scenario)) = Json::parse(&text) else {
         panic!("scenarios encode as objects");
     };
     let generator = Json::parse(r#"{"kind": "Figure1", "p1": 5000, "p2": 1, "q": 2}"#).unwrap();
@@ -321,9 +347,8 @@ fn a_store_past_the_frame_cap_is_fetched_in_pages() {
     assert!(fetched.to_json_string() == file, "fetched store bytes");
 
     let mut sock = TcpStream::connect(&addr).unwrap();
-    let unpaged =
-        st_serve::protocol::request(st_serve::Verb::FetchOutcomes, [("key", Json::str("big"))]);
-    write_frame(&mut sock, &unpaged).unwrap();
+    let unpaged = Envelope::request(Verb::FetchOutcomes).string("key", "big");
+    write_frame_text(&mut sock, &unpaged.finish()).unwrap();
     let whole = read_frame(&mut sock).unwrap();
     let error = whole.get("error").expect("typed error");
     assert_eq!(error.get("kind").and_then(Json::as_str), Some("too-large"));
@@ -331,6 +356,28 @@ fn a_store_past_the_frame_cap_is_fetched_in_pages() {
     assert!(message.contains("\"from\""), "{message}");
     client.hello().expect("the daemon keeps answering");
     let _ = std::fs::remove_dir_all(&state);
+}
+
+/// The `job` object of a finished 8-scenario job.
+fn done_job() -> Json {
+    Json::obj([
+        ("key", Json::str("job")),
+        ("state", Json::str("done")),
+        ("total", Json::U64(8)),
+        ("completed", Json::U64(8)),
+    ])
+}
+
+/// A success reply carrying `job`, and `store` and `next` when given.
+fn ok_reply(job: &Json, store: Option<Json>, next: Option<Json>) -> Json {
+    let mut members = vec![
+        ("proto", Json::str(PROTO)),
+        ("ok", Json::Bool(true)),
+        ("job", job.clone()),
+    ];
+    members.extend(store.map(|store| ("store", store)));
+    members.extend(next.map(|next| ("next", next)));
+    Json::obj(members)
 }
 
 /// A daemon impersonator: answers each connection's one request with the
@@ -357,20 +404,13 @@ fn the_client_joins_pages_that_line_up_and_rejects_ones_that_do_not() {
     campaign.run_resumed(1, "job", None, Some(&mut batch));
     let doc = Json::parse(&batch.to_json_string()).unwrap();
     let entries = doc.get("entries").and_then(Json::as_arr).unwrap();
+    let job = done_job();
     let page = |range: std::ops::Range<usize>, next: Option<Json>| {
-        let job = Json::obj([
-            ("key", Json::str("job")),
-            ("state", Json::str("done")),
-            ("total", Json::U64(8)),
-            ("completed", Json::U64(8)),
-        ]);
         let store = Json::obj([
             ("schema", Json::str(st_campaign::store::SCHEMA)),
             ("entries", Json::Arr(entries[range].to_vec())),
         ]);
-        let mut fields = vec![("job", job), ("store", store)];
-        fields.extend(next.map(|next| ("next", next)));
-        st_serve::protocol::ok_response(fields)
+        ok_reply(&job, Some(store), next)
     };
     let froms = |requests: &[Json]| -> Vec<Option<u64>> {
         requests
@@ -422,4 +462,56 @@ fn the_client_joins_pages_that_line_up_and_rejects_ones_that_do_not() {
         other => panic!("expected a typed failure, got {other:?}"),
     }
     daemon.join().unwrap();
+}
+
+/// A `job` object with a member missing or of the wrong type used to read
+/// as `""` or `0`; it is a typed `Malformed` naming the member, whichever
+/// verb it answers.
+#[test]
+fn the_client_refuses_a_job_it_cannot_read_whole() {
+    let injured = |name: &str, value: Option<Json>| {
+        let Json::Obj(mut members) = done_job() else {
+            unreachable!()
+        };
+        members.retain(|(member, _)| member != name);
+        members.extend(value.map(|value| (name.to_string(), value)));
+        Json::Obj(members)
+    };
+    for (name, value, says) in [
+        ("key", None, "job has no string \"key\""),
+        ("key", Some(Json::U64(5)), "job has no string \"key\""),
+        ("total", None, "job has no integer \"total\""),
+        (
+            "total",
+            Some(Json::str("8")),
+            "job has no integer \"total\"",
+        ),
+        ("completed", None, "job has no integer \"completed\""),
+        (
+            "completed",
+            Some(Json::Null),
+            "job has no integer \"completed\"",
+        ),
+        (
+            "state",
+            Some(Json::str("finished")),
+            "unknown job state \"finished\"",
+        ),
+    ] {
+        let job = injured(name, value.clone());
+        let jobs = Json::obj([
+            ("proto", Json::str(PROTO)),
+            ("ok", Json::Bool(true)),
+            ("jobs", Json::arr([done_job(), job.clone()])),
+        ]);
+        let (addr, daemon) = scripted_daemon(vec![ok_reply(&job, None, None), jobs]);
+        let client = ServeClient::new(&addr);
+        for answer in [client.status("job").map(|_| ()), client.jobs().map(|_| ())] {
+            match answer {
+                Err(ClientError::Malformed(message)) => assert_eq!(message, says),
+                other => panic!("{name} = {value:?}: expected Malformed, got {other:?}"),
+            }
+        }
+        daemon.join().unwrap();
+    }
 }
