@@ -10,10 +10,14 @@
 //!   connection. Verbs: `hello`, `submit`, `status`, `cancel`, `resume`,
 //!   `fetch-outcomes`; failures are typed error responses (`busy`,
 //!   `schema-mismatch`, `spec-mismatch`, …), never closed sockets.
-//! - **Daemon** ([`server::Server`]): a persistent job queue in a state
-//!   directory (`job-<key>.spec.json`, plus `job-<key>.store.log` while
-//!   the job is unfinished and `job-<key>.store.json` once it is), one
-//!   campaign worker executing jobs FIFO through
+//! - **Daemon** ([`server::Server`]): a core and a shell. The core is the
+//!   job table and every transition on it as one plain value with no
+//!   lock, thread, socket or clock; the shell is the accept loop and one
+//!   campaign worker, holding the core behind one lock (a panic inside the
+//!   core poisons it, and the shell stops). A persistent job queue in a
+//!   state directory (`job-<key>.spec.json`, plus `job-<key>.store.log`
+//!   while the job is unfinished and `job-<key>.store.json` once it is),
+//!   the worker executing jobs in table order through
 //!   [`Campaign::run_chunked_fresh`](st_campaign::Campaign::run_chunked_fresh):
 //!   after every chunk the chunk's fresh entries are appended to the
 //!   append-only segment log ([`log`]), and on completion the log is
@@ -45,6 +49,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+mod daemon;
 pub mod log;
 pub mod protocol;
 pub mod server;

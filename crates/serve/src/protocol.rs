@@ -81,7 +81,8 @@ vocabulary! {
         Status = "status",
         /// Stop a job at its next chunk boundary.
         Cancel = "cancel",
-        /// Requeue an interrupted or cancelled job.
+        /// Requeue an interrupted or cancelled job; withdraw a running
+        /// job's pending cancel.
         Resume = "resume",
         /// Return the job's outcome store document, whole or (with `from`)
         /// a page of it.
@@ -536,8 +537,10 @@ pub fn read_request(text: &str) -> Result<Request, Refusal> {
 
 /// Reads a job-spec document (the inverse of [`job_spec`]) in one walk,
 /// its entries through the reader a `submit` is read with: the key and the
-/// campaign, or why the file is not a spec this build runs.
-pub(crate) fn read_job_spec(text: &str) -> Result<(String, Campaign), String> {
+/// campaign, or why the file is not a spec this build runs —
+/// `schema-mismatch` for another job schema, `internal` for anything else.
+pub(crate) fn read_job_spec(text: &str) -> Result<(String, Campaign), Refusal> {
+    let internal = |why: String| (ErrorKind::Internal, why);
     let (mut schema, mut key, mut entries) = (None, None, None);
     walk(text, |name, cur| {
         match name {
@@ -548,17 +551,23 @@ pub(crate) fn read_job_spec(text: &str) -> Result<(String, Campaign), String> {
         }
         Ok(())
     })
-    .map_err(|e| e.to_string())?;
+    .map_err(|e| internal(e.to_string()))?;
     let schema = schema.flatten().unwrap_or_default();
     if schema != JOB_SCHEMA {
-        return Err(format!(
-            "job spec schema mismatch: file has {schema:?}, this build reads {JOB_SCHEMA:?}"
+        return Err((
+            ErrorKind::SchemaMismatch,
+            format!(
+                "job spec schema mismatch: file has {schema:?}, this build reads {JOB_SCHEMA:?}"
+            ),
         ));
     }
-    let key = key.flatten().ok_or("job spec has no \"key\"")?.into_owned();
-    validate_key(&key)?;
-    let entries = entries.ok_or("job spec has no \"entries\"")??;
-    Ok((key, Campaign::from_ranked(entries)?))
+    let campaign = || {
+        let key = key.flatten().ok_or("job spec has no \"key\"")?.into_owned();
+        validate_key(&key)?;
+        let entries = entries.ok_or("job spec has no \"entries\"")??;
+        Ok((key, Campaign::from_ranked(entries)?))
+    };
+    campaign().map_err(internal)
 }
 
 /// What a success reply carries, each member as its first occurrence reads.

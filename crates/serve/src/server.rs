@@ -1,59 +1,37 @@
-//! The daemon: a TCP accept loop, a persistent job table, and one campaign
-//! worker draining the queue through [`Campaign::run_chunked_fresh`].
+//! The daemon's shell: a TCP accept loop and one campaign worker around
+//! the job table's core (`daemon.rs`, which owns every state transition
+//! and the state directory's layout).
 //!
-//! # State directory
-//!
-//! Every accepted `submit` is persisted *before* it is acknowledged:
-//! `job-<key>.spec.json` (schema [`JOB_SCHEMA`](crate::JOB_SCHEMA)) holds the campaign's
-//! canonical `(rank, scenario)` list. It is the job's identity — a
-//! re-`submit` is compared with its bytes — and the only copy of the
-//! campaign the daemon keeps: the job table holds a key, a state and two
-//! counters per job, and the worker decodes the spec when the job runs.
-//!
-//! Outcomes live in one of two files. While a job is unfinished, the
-//! worker appends each chunk's fresh entries to the segment log
-//! `job-<key>.store.log` (grammar and recovery rule: [`crate::log`]), so a
-//! job writes O(N) bytes however many chunks it takes. When the last chunk
-//! is in, the log is **compacted** once into `job-<key>.store.json`, an
-//! ordinary [`OutcomeStore`] file: written to a temp file, renamed into
-//! place, and only then is the log removed. A kill between the rename and
-//! the removal leaves both; the store wins and the restart scan removes
-//! the log.
-//!
-//! A restarted daemon rescans the directory, recovers each job's outcomes
-//! ([`recover_store`]: the store file if there is one, else the log's
-//! committed segments, dropping a torn tail), re-derives its progress by
-//! matching them against the spec (the same staleness-guarded comparison
-//! `--resume` uses), and continues — killing the process at any point
-//! loses at most the chunk in flight. A log damaged *inside* a committed
-//! segment is never partly reused: the job parks [`JobState::Broken`].
-//!
-//! # Determinism
-//!
-//! The worker executes jobs through the same engine as `stlab` batch mode,
-//! and log lines are the store's own entry lines, so a job's finished
-//! store is **byte-identical** whether it ran in one daemon process,
-//! across a kill/restart, or via `stlab` without a daemon at all
-//! (`tests/serve.rs` and CI's serve-smoke job assert the bytes).
+//! The shell holds the core behind one lock, taken only in `Shell::with`;
+//! after each closure it sends the worker the job the core starts next,
+//! if any. The accept loop answers requests serially. The worker runs each
+//! job through
+//! [`Campaign::run_chunked_fresh`](st_campaign::Campaign::run_chunked_fresh),
+//! the engine `stlab` batch mode runs, appending each chunk to the job's
+//! segment log and taking the lock once per checkpoint. A `fetch-outcomes`
+//! page is read outside the lock, so a fetch never waits for the worker or
+//! makes it wait. A panic inside the core poisons the lock, and the shell
+//! then stops rather than answer from a half-updated table.
 
 use std::fmt::Display;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Mutex;
 use std::time::Duration;
 
-use st_campaign::store::{write_atomic, SCHEMA};
-use st_campaign::{Campaign, ChunkControl, OutcomeStore, StoreError};
+use st_campaign::{ChunkControl, OutcomeStore, StoreError};
 use st_core::frame::{read_frame_text, write_frame_text, FrameError, MAX_FRAME_BYTES};
 use st_core::json;
 
+use crate::daemon::{
+    broken_by, compact, load_spec, log_path, recover, spec_path, Daemon, Recovered,
+};
 use crate::log;
 use crate::protocol::{
-    error_reply, job_object, job_spec, malformed, read_job_spec, read_request, Envelope, ErrorKind,
-    JobState, JobStatus, Refusal, Request, PAGE_BYTES,
+    error_reply, malformed, read_request, Envelope, ErrorKind, Refusal, Request, PAGE_BYTES,
 };
 
 /// Daemon configuration (see `st-serve --help` for the CLI mapping).
@@ -91,46 +69,13 @@ impl ServeConfig {
     }
 }
 
-/// One submitted campaign, as the job table holds it: O(1) memory. The
-/// campaign itself is in `job-<key>.spec.json`.
-struct Job {
-    key: String,
-    state: JobState,
-    /// Set by `cancel` while running; honored at the next chunk boundary.
-    cancel: bool,
-    completed: usize,
-    total: usize,
-    /// Why the job is [`JobState::Broken`]: the error kind and text every
-    /// request against it is answered with.
-    broken: Option<Refusal>,
-}
-
-/// A persisted store that cannot be used: another schema is the protocol's
-/// `schema-mismatch`, anything else (unreadable, malformed, damaged log)
-/// is `internal`.
-fn broken_by(e: &StoreError) -> Refusal {
-    let kind = match e {
-        StoreError::SchemaMismatch { .. } => ErrorKind::SchemaMismatch,
-        _ => ErrorKind::Internal,
-    };
-    (kind, e.to_string())
-}
-
-struct Shared {
-    cfg: ServeConfig,
-    addr: SocketAddr,
-    jobs: Mutex<Vec<Job>>,
-    work: Condvar,
-    shutdown: AtomicBool,
-    chunks_left: Mutex<Option<u64>>,
-}
-
 /// A bound daemon; [`run`](Server::run) blocks until the crash hook fires
 /// (or forever without one — kill the process to stop it, that's the
 /// supported and tested shutdown path).
 pub struct Server {
     listener: TcpListener,
-    shared: Shared,
+    shell: Shell,
+    runs: Receiver<String>,
 }
 
 impl Server {
@@ -140,123 +85,73 @@ impl Server {
     pub fn bind(addr: &str, cfg: ServeConfig) -> std::io::Result<Server> {
         std::fs::create_dir_all(&cfg.state_dir)?;
         let listener = TcpListener::bind(addr)?;
-        let local = listener.local_addr()?;
-        let jobs = load_jobs(&cfg.state_dir);
-        let chunks_left = Mutex::new(cfg.exit_after_chunks);
+        let (sender, runs) = mpsc::channel();
+        let shell = Shell {
+            addr: listener.local_addr()?,
+            core: Mutex::new(Daemon::open(&cfg)),
+            cfg,
+            runs: sender,
+        };
         Ok(Server {
             listener,
-            shared: Shared {
-                addr: local,
-                jobs: Mutex::new(jobs),
-                work: Condvar::new(),
-                shutdown: AtomicBool::new(false),
-                chunks_left,
-                cfg,
-            },
+            shell,
+            runs,
         })
     }
 
     /// The bound address (resolves port 0).
     pub fn local_addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shell.addr
     }
 
     /// Serves requests and executes jobs until shut down by the crash
     /// hook. One frame per connection; requests are handled serially, the
     /// campaign worker runs concurrently.
     pub fn run(self) {
-        let shared = &self.shared;
+        let Server {
+            listener,
+            shell,
+            runs,
+        } = self;
         std::thread::scope(|scope| {
-            scope.spawn(|| worker(shared));
-            for stream in self.listener.incoming() {
-                if shared.shutdown.load(Ordering::SeqCst) {
+            scope.spawn(|| worker(&shell, runs));
+            for stream in listener.incoming() {
+                if shell.with(|daemon| daemon.exiting()) {
                     break;
                 }
                 match stream {
-                    Ok(mut sock) => handle_conn(shared, &mut sock),
+                    Ok(mut sock) => handle_conn(&shell, &mut sock),
                     Err(e) => eprintln!("st-serve: accept error: {e}"),
                 }
             }
-            // Unblock the worker if the accept loop exits first.
-            shared.shutdown.store(true, Ordering::SeqCst);
-            shared.work.notify_all();
         });
     }
 }
 
-fn spec_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("job-{key}.spec.json"))
+/// What the accept loop and the worker share.
+struct Shell {
+    cfg: ServeConfig,
+    addr: SocketAddr,
+    core: Mutex<Daemon>,
+    /// The keys of the jobs the core marked running, to the worker.
+    runs: Sender<String>,
 }
 
-fn store_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("job-{key}.store.json"))
-}
-
-fn log_path(dir: &Path, key: &str) -> PathBuf {
-    dir.join(format!("job-{key}.store.log"))
-}
-
-/// `Ok(None)` for a file that is not there; other errors stay errors.
-fn if_found<T>(read: std::io::Result<T>) -> std::io::Result<Option<T>> {
-    match read {
-        Ok(value) => Ok(Some(value)),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
-    }
-}
-
-/// Compaction, the one whole-store write of a job's life: the finished
-/// store is streamed to `job-<key>.store.json` (a temp sibling, renamed
-/// into place), then the log goes away. A kill in between leaves both, and
-/// the store wins ([`recover`]).
-fn compact(store: &OutcomeStore, dir: &Path, key: &str) -> std::io::Result<()> {
-    write_atomic(&store_path(dir, key), |w| store.write_to(w))?;
-    if_found(std::fs::remove_file(log_path(dir, key))).map(|_| ())
-}
-
-/// A job's persisted outcomes, decoded.
-struct Recovered {
-    store: OutcomeStore,
-    /// `store` is the compacted store file, not a replayed log.
-    compacted: bool,
-    /// The log's committed length when `store` came from it, else 0: what
-    /// the log is truncated to before the worker appends to it again.
-    log_len: u64,
-}
-
-/// Reads what the state directory holds for `key`'s outcomes: the store
-/// file if there is one, else the log's committed segments (a torn tail
-/// is dropped), else nothing. Safe to call while the worker is appending
-/// or compacting.
-fn recover(dir: &Path, key: &str) -> Result<Recovered, StoreError> {
-    let store = store_path(dir, key);
-    let compacted = |text: String| {
-        Ok(Recovered {
-            store: OutcomeStore::from_json_str(&text)?,
-            compacted: true,
-            log_len: 0,
-        })
-    };
-    if let Some(text) = if_found(std::fs::read_to_string(&store))? {
-        return compacted(text);
-    }
-    if let Some(bytes) = if_found(std::fs::read(log_path(dir, key)))? {
-        let replay = log::replay(&bytes).map_err(StoreError::Malformed)?;
-        return Ok(Recovered {
-            store: OutcomeStore::from_entries(replay.entries)?,
-            compacted: false,
-            log_len: replay.committed_len as u64,
-        });
-    }
-    // Compaction renames the store into place before it removes the log:
-    // if neither was there, one may have finished between the two looks.
-    match if_found(std::fs::read_to_string(&store))? {
-        Some(text) => compacted(text),
-        None => Ok(Recovered {
-            store: OutcomeStore::new(),
-            compacted: false,
-            log_len: 0,
-        }),
+impl Shell {
+    /// Runs `f` on the core under the shell's one lock, then sends the
+    /// worker the job the core starts next, if any.
+    ///
+    /// A panic inside the core poisons the lock, and every later call
+    /// panics here: the shell stops rather than answer from, or run jobs
+    /// off, a half-updated table.
+    fn with<T>(&self, f: impl FnOnce(&mut Daemon) -> T) -> T {
+        let mut daemon = self.core.lock().expect("the daemon's core panicked");
+        let out = f(&mut daemon);
+        if let Some(key) = daemon.next_run() {
+            // The worker holds the receiver until the crash hook ends it.
+            let _ = self.runs.send(key);
+        }
+        out
     }
 }
 
@@ -269,148 +164,69 @@ pub fn recover_store(state_dir: &Path, key: &str) -> Result<OutcomeStore, StoreE
     Ok(recover(state_dir, key)?.store)
 }
 
-/// Rebuilds the job table from the state directory (sorted by file name
-/// for a deterministic table order). Unreadable specs are skipped loudly;
-/// unreadable *stores* and damaged logs produce [`JobState::Broken`] jobs
-/// that surface the error's own text on every request against them.
-fn load_jobs(dir: &Path) -> Vec<Job> {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut names: Vec<String> = entries
-        .filter_map(|e| e.ok())
-        .filter_map(|e| e.file_name().into_string().ok())
-        .filter(|n| n.starts_with("job-") && n.ends_with(".spec.json"))
-        .collect();
-    names.sort();
-    let mut jobs = Vec::new();
-    for name in names {
-        match load_job(dir, &name) {
-            Ok(job) => jobs.push(job),
-            Err(e) => eprintln!("st-serve: skipping {name}: {e}"),
-        }
-    }
-    jobs
-}
-
-/// Decodes a persisted job spec into its key and campaign.
-fn load_spec(path: &Path) -> Result<(String, Campaign), String> {
-    read_job_spec(&std::fs::read_to_string(path).map_err(|e| e.to_string())?)
-}
-
-fn load_job(dir: &Path, name: &str) -> Result<Job, String> {
-    let (key, mut campaign) = load_spec(&dir.join(name))?;
-    let total = campaign.len();
-    let (completed, state, broken) = match recover(dir, &key) {
-        Ok(Recovered {
-            store, compacted, ..
-        }) => {
-            let completed = campaign.skip_completed(&store, &key).len();
-            if compacted {
-                // The store wins over a log that a kill between compaction's
-                // rename and its removal left behind.
-                let _ = std::fs::remove_file(log_path(dir, &key));
-            }
-            // `done` means the compacted store covers the campaign; a log
-            // that does is one requeue (and no scenario) away from it.
-            let state = if compacted && completed == total {
-                JobState::Done
-            } else {
-                JobState::Interrupted
-            };
-            (completed, state, None)
-        }
-        Err(e) => (0, JobState::Broken, Some(broken_by(&e))),
-    };
-    Ok(Job {
-        key,
-        state,
-        cancel: false,
-        completed,
-        total,
-        broken,
-    })
-}
-
 // ---------------------------------------------------------------------------
 // The campaign worker.
 // ---------------------------------------------------------------------------
 
-fn worker(shared: &Shared) {
-    loop {
-        let key = {
-            let mut jobs = shared.jobs.lock().expect("job table lock");
-            loop {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-                if let Some(job) = jobs.iter_mut().find(|j| j.state == JobState::Queued) {
-                    job.state = JobState::Running;
-                    break job.key.clone();
-                }
-                jobs = shared.work.wait(jobs).expect("job table lock");
-            }
-        };
-        run_job(shared, &key);
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Wake the accept loop so the whole daemon exits (the crash
-            // hook simulates a kill; a poke connection is how the blocking
-            // `incoming()` notices).
-            let _ = TcpStream::connect_timeout(&shared.addr, Duration::from_millis(200));
+/// Runs each job the core starts, one at a time, until the crash hook
+/// fires; then pokes the accept loop so the whole daemon exits (the hook
+/// simulates a kill, and a connection is how the blocking `incoming()`
+/// notices).
+fn worker(shell: &Shell, runs: Receiver<String>) {
+    for key in runs {
+        let checkpoint = |completed| shell.with(|daemon| daemon.checkpoint(&key, completed));
+        let ended = run_job(&shell.cfg, &key, checkpoint);
+        if shell.with(|daemon| {
+            daemon.ended(&key, ended);
+            daemon.exiting()
+        }) {
+            let _ = TcpStream::connect_timeout(&shell.addr, Duration::from_millis(200));
             return;
         }
     }
 }
 
-/// Executes the `Running` job `key` and files the result in the job table.
+/// Executes job `key`, calling `checkpoint` after every chunk, and says
+/// how the run ended: finished (`Ok(true)`), stopped at a checkpoint
+/// (`Ok(false)`), or broken.
 ///
 /// This is the worker's one unwind boundary: a job that panics (a spec that
-/// decodes and then asserts when built, a bug in a workload) parks
-/// [`JobState::Broken`] with the panic's message and the worker goes on to
-/// the next job. What the unwind leaves behind is what a kill would: whole
-/// committed segments in the log, and no lock held (`execute` takes the job
-/// table only around its own counter updates).
-fn run_job(shared: &Shared, key: &str) {
-    let ended = catch_unwind(AssertUnwindSafe(|| execute(shared, key))).unwrap_or_else(|panic| {
+/// decodes and then asserts when built, a bug in a workload) ends broken
+/// with the panic's message and the worker goes on to the next job. What
+/// the unwind leaves behind is what a kill would: whole committed segments
+/// in the log, and no lock held (the shell takes it only inside each
+/// `checkpoint` call).
+fn run_job(
+    cfg: &ServeConfig,
+    key: &str,
+    checkpoint: impl FnMut(usize) -> ChunkControl,
+) -> Result<bool, Refusal> {
+    catch_unwind(AssertUnwindSafe(|| execute(cfg, key, checkpoint))).unwrap_or_else(|panic| {
         let what = match (panic.downcast_ref::<&str>(), panic.downcast_ref::<String>()) {
             (Some(text), _) => text,
             (None, Some(text)) => text.as_str(),
             (None, None) => "(no message)",
         };
         Err((ErrorKind::Internal, format!("job {key:?} panicked: {what}")))
-    });
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
-        match ended {
-            Ok(true) => {
-                job.completed = job.total;
-                job.state = JobState::Done;
-            }
-            Ok(false) if shared.shutdown.load(Ordering::SeqCst) => {
-                job.state = JobState::Interrupted
-            }
-            Ok(false) => job.state = JobState::Cancelled,
-            Err(broken) => {
-                job.state = JobState::Broken;
-                job.broken = Some(broken);
-            }
-        }
-        job.cancel = false;
-    }
+    })
 }
 
 /// Runs job `key` from its persisted spec and outcomes until it finishes
-/// (`Ok(true)`, store compacted), is stopped at a chunk boundary
-/// (`Ok(false)`), or cannot persist its progress (`Err`: the job stops
-/// there rather than run on with nothing on disk).
-fn execute(shared: &Shared, key: &str) -> Result<bool, Refusal> {
-    let dir = &shared.cfg.state_dir;
+/// (`Ok(true)`, store compacted), is stopped at a checkpoint (`Ok(false)`),
+/// or cannot persist its progress (`Err`: the job stops there rather than
+/// run on with nothing on disk).
+fn execute(
+    cfg: &ServeConfig,
+    key: &str,
+    mut checkpoint: impl FnMut(usize) -> ChunkControl,
+) -> Result<bool, Refusal> {
+    let dir = &cfg.state_dir;
     let internal = |what: &str, e: &dyn Display| {
         let message = format!("cannot {what} for job {key:?}: {e}");
         (ErrorKind::Internal, message)
     };
     let (_, campaign) =
-        load_spec(&spec_path(dir, key)).map_err(|e| internal("reload the spec", &e))?;
+        load_spec(&spec_path(dir, key)).map_err(|(_, e)| internal("reload the spec", &e))?;
     let Recovered {
         store: resume,
         log_len,
@@ -427,33 +243,17 @@ fn execute(shared: &Shared, key: &str) -> Result<bool, Refusal> {
     let mut record = OutcomeStore::new();
     let mut append_error = None;
     let (_, finished) = campaign.run_chunked_fresh(
-        shared.cfg.threads,
+        cfg.threads,
         key,
         Some(&resume),
         &mut record,
-        shared.cfg.chunk,
+        cfg.chunk,
         |report| {
             if let Err(e) = log.write_all(log::segment(report.fresh).as_bytes()) {
                 append_error = Some(internal("append to the segment log", &e));
                 return ChunkControl::Stop;
             }
-            let mut jobs = shared.jobs.lock().expect("job table lock");
-            let cancelled = match jobs.iter_mut().find(|j| j.key == key) {
-                Some(job) => {
-                    job.completed = report.completed;
-                    job.cancel
-                }
-                None => false,
-            };
-            drop(jobs);
-            if crash_hook_fired(shared) {
-                shared.shutdown.store(true, Ordering::SeqCst);
-                ChunkControl::Stop
-            } else if cancelled {
-                ChunkControl::Stop
-            } else {
-                ChunkControl::Continue
-            }
+            checkpoint(report.completed)
         },
     );
     if let Some(broken) = append_error {
@@ -466,27 +266,17 @@ fn execute(shared: &Shared, key: &str) -> Result<bool, Refusal> {
     Ok(finished)
 }
 
-/// Decrements the crash-hook counter; `true` when it just hit zero.
-fn crash_hook_fired(shared: &Shared) -> bool {
-    let mut left = shared.chunks_left.lock().expect("crash hook lock");
-    match left.as_mut() {
-        None => false,
-        Some(n) => {
-            *n = n.saturating_sub(1);
-            *n == 0
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Request handling.
 // ---------------------------------------------------------------------------
 
-fn handle_conn(shared: &Shared, sock: &mut TcpStream) {
+fn handle_conn(shell: &Shell, sock: &mut TcpStream) {
     let _ = sock.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = sock.set_write_timeout(Some(Duration::from_secs(10)));
     let reply = match read_frame_text(sock) {
-        Ok(text) => respond(shared, &text, SERVED),
+        Ok(text) => respond(&shell.cfg.state_dir, &text, SERVED, |request| {
+            shell.with(|daemon| daemon.answer(request))
+        }),
         Err(FrameError::Utf8(e)) => {
             error_reply(ErrorKind::Malformed, &format!("request is not UTF-8: {e}"))
         }
@@ -511,189 +301,44 @@ const SERVED: Bounds = Bounds {
     frame: MAX_FRAME_BYTES,
 };
 
-/// The reply frame's text for the request frame's text `text`.
-fn respond(shared: &Shared, text: &str, bounds: Bounds) -> String {
-    let reply = read_request(text).and_then(|request| match request {
-        Request::Hello => Ok(Envelope::ok()
-            .string("server", "st-serve")
-            .string("store_schema", SCHEMA)
-            .finish()),
-        Request::Submit { key, campaign } => submit(shared, key, &campaign),
-        Request::Status { key } => status(shared, key.as_deref()),
-        Request::Cancel { key } => cancel(shared, &key),
-        Request::Resume { key } => resume(shared, &key),
-        Request::FetchOutcomes { key, from } => fetch_outcomes(shared, &key, from, bounds),
+/// The reply frame's text for the request frame's text `text`. `core`
+/// answers a request from the job table (the shell passes its lock, a test
+/// the core itself); a `fetch-outcomes` page is then read from `dir`.
+fn respond(
+    dir: &Path,
+    text: &str,
+    bounds: Bounds,
+    core: impl FnOnce(&Request) -> Result<String, Refusal>,
+) -> String {
+    let reply = read_request(text).and_then(|request| {
+        let answer = core(&request)?;
+        match request {
+            Request::FetchOutcomes { key, from } => {
+                fetch_outcomes(dir, &key, &answer, from, bounds)
+            }
+            _ => Ok(answer),
+        }
     });
     reply.unwrap_or_else(|(kind, message)| error_reply(kind, &message))
 }
 
-/// `job`'s `job` object.
-fn job_object_of(job: &Job) -> String {
-    let status = JobStatus {
-        key: job.key.clone(),
-        state: job.state,
-        total: job.total as u64,
-        completed: job.completed as u64,
-    };
-    job_object(&status, job.broken.as_ref().map(|(_, why)| why.as_str()))
-}
-
-/// A success reply carrying `job`.
-fn job_reply(job: &Job) -> Envelope {
-    Envelope::ok().member("job", |out| out.push_str(&job_object_of(job)))
-}
-
-fn unknown_job(key: &str) -> Refusal {
-    (ErrorKind::UnknownJob, format!("no job under key {key:?}"))
-}
-
-fn submit(shared: &Shared, key: String, campaign: &Campaign) -> Result<String, Refusal> {
-    // From here on the campaign is its canonical spec text: that is what is
-    // persisted, compared, and decoded again by the worker.
-    let spec = job_spec(&key, campaign);
-    let total = campaign.len();
-    let path = spec_path(&shared.cfg.state_dir, &key);
-    // Read before taking the job-table lock; this accept loop is the only
-    // writer of spec files, so the file cannot change in between.
-    let persisted = std::fs::read_to_string(&path).ok();
-
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    if let Some(job) = jobs.iter_mut().find(|j| j.key == key) {
-        if persisted.as_deref().map(str::trim_end) != Some(spec.as_str()) {
-            return Err((
-                ErrorKind::SpecMismatch,
-                format!(
-                    "job {key:?} already exists with a different campaign spec — \
-                     submit under a new key instead of mutating a sweep's identity"
-                ),
-            ));
-        }
-        if let Some(broken) = &job.broken {
-            return Err(broken.clone());
-        }
-        // Idempotent re-submit: parked jobs requeue (the resume-after-
-        // restart path), live and finished jobs just report.
-        if matches!(job.state, JobState::Interrupted | JobState::Cancelled) {
-            job.state = JobState::Queued;
-            job.cancel = false;
-            shared.work.notify_all();
-        }
-        return Ok(job_reply(job).finish());
-    }
-
-    let in_flight: usize = jobs
-        .iter()
-        .filter(|j| matches!(j.state, JobState::Queued | JobState::Running))
-        .map(|j| j.total - j.completed)
-        .sum();
-    if in_flight + total > shared.cfg.max_pending {
-        return Err((
-            ErrorKind::Busy,
-            format!(
-                "daemon is at capacity: {in_flight} scenario(s) in flight, {total} more \
-                 would exceed --max-pending {} — retry later",
-                shared.cfg.max_pending
-            ),
-        ));
-    }
-
-    // Persist before acknowledging: a confirmed submit survives a kill.
-    let written = write_atomic(&path, |w| {
-        w.write_all(spec.as_bytes())?;
-        w.write_all(b"\n")
-    });
-    if let Err(e) = written {
-        return Err((ErrorKind::Internal, format!("cannot persist job spec: {e}")));
-    }
-    jobs.push(Job {
-        key,
-        state: JobState::Queued,
-        cancel: false,
-        completed: 0,
-        total,
-        broken: None,
-    });
-    shared.work.notify_all();
-    Ok(job_reply(jobs.last().expect("just pushed")).finish())
-}
-
-fn status(shared: &Shared, key: Option<&str>) -> Result<String, Refusal> {
-    let jobs = shared.jobs.lock().expect("job table lock");
-    let Some(key) = key else {
-        let mut sorted: Vec<&Job> = jobs.iter().collect();
-        sorted.sort_by(|a, b| a.key.cmp(&b.key));
-        let reply = Envelope::ok().member("jobs", |out| {
-            out.push('[');
-            for (i, job) in sorted.into_iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                out.push_str(&job_object_of(job));
-            }
-            out.push(']');
-        });
-        return Ok(reply.finish());
-    };
-    let job = jobs.iter().find(|j| j.key == key);
-    Ok(job_reply(job.ok_or_else(|| unknown_job(key))?).finish())
-}
-
-fn cancel(shared: &Shared, key: &str) -> Result<String, Refusal> {
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    let job = jobs.iter_mut().find(|j| j.key == key);
-    let job = job.ok_or_else(|| unknown_job(key))?;
-    match job.state {
-        JobState::Queued => job.state = JobState::Cancelled,
-        JobState::Running => job.cancel = true,
-        _ => {}
-    }
-    let requested = if job.cancel { "true" } else { "false" };
-    let reply = job_reply(job).member("cancel_requested", |out| out.push_str(requested));
-    Ok(reply.finish())
-}
-
-fn resume(shared: &Shared, key: &str) -> Result<String, Refusal> {
-    let mut jobs = shared.jobs.lock().expect("job table lock");
-    let job = jobs.iter_mut().find(|j| j.key == key);
-    let job = job.ok_or_else(|| unknown_job(key))?;
-    if let Some(broken) = &job.broken {
-        return Err(broken.clone());
-    }
-    if matches!(job.state, JobState::Interrupted | JobState::Cancelled) {
-        job.state = JobState::Queued;
-        job.cancel = false;
-        shared.work.notify_all();
-    }
-    Ok(job_reply(job).finish())
-}
-
-/// `fetch-outcomes`: the job's recovered outcomes as a store document —
-/// all of them for a request without `from` (the reply every client before
-/// paging expects, refused with a typed error when it cannot fit a frame),
-/// else the page starting at entry `from` and the index the next page
-/// starts at. Entries are indexed in store order, which a job only ever
-/// appends to, so a `from` stays good across the job's chunks and its
-/// compaction. The reply's text is written around the page's entry lines:
-/// the store is decoded ([`recover`]), never held as a document.
+/// `fetch-outcomes` for a job whose `job` object is `job`: its recovered
+/// outcomes as a store document — all of them for a request without
+/// `from` (the reply every client before paging expects, refused with a
+/// typed error when it cannot fit a frame), else the page starting at
+/// entry `from` and the index the next page starts at. Entries are indexed
+/// in store order, which a job only ever appends to, so a `from` stays
+/// good across the job's chunks and its compaction. The reply's text is
+/// written around the page's entry lines: the store is decoded
+/// ([`recover`]), never held as a document.
 fn fetch_outcomes(
-    shared: &Shared,
+    dir: &Path,
     key: &str,
+    job: &str,
     from: Option<usize>,
     bounds: Bounds,
 ) -> Result<String, Refusal> {
-    // Snapshot under the job-table lock, read and decode without it: the
-    // worker's per-chunk progress update and every `status` poll take the
-    // same lock.
-    let job = {
-        let jobs = shared.jobs.lock().expect("job table lock");
-        let job = jobs.iter().find(|j| j.key == key);
-        let job = job.ok_or_else(|| unknown_job(key))?;
-        if let Some(broken) = &job.broken {
-            return Err(broken.clone());
-        }
-        job_object_of(job)
-    };
-    let store = match recover(&shared.cfg.state_dir, key) {
+    let store = match recover(dir, key) {
         Ok(recovered) => recovered.store,
         Err(e) => {
             let (kind, why) = broken_by(&e);
@@ -710,7 +355,7 @@ fn fetch_outcomes(
     let bound = from.map_or(bounds.frame, |_| bounds.page);
     let mut next = total;
     let mut reply = Envelope::ok()
-        .member("job", |out| out.push_str(&job))
+        .member("job", |out| out.push_str(job))
         .member("store", |out| {
             next = store.write_page(from.unwrap_or(0), bound, out)
         });
@@ -740,38 +385,59 @@ fn fetch_outcomes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::protocol::{self, Verb, PROTO};
+    use crate::daemon::{store_path, Job};
+    use crate::protocol::{self, JobState, Verb, JOB_SCHEMA, PROTO};
     use crate::test_support::{self, soup, truncations};
     use proptest::prelude::*;
     use st_campaign::{
-        policy_from_spec, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec,
-        Scenario, TimeoutPolicySpec, Workload,
+        policy_from_spec, Campaign, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive,
+        GeneratorSpec, Scenario, TimeoutPolicySpec, Workload,
     };
     use st_core::Json;
     use st_core::Universe;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-    /// A fresh `Shared` over a clean state directory — the daemon minus
-    /// its accept loop and worker, so the request handlers can be driven
-    /// deterministically (no job ever leaves `Queued`).
-    fn shared_with(dir_name: &str, max_pending: usize) -> Shared {
+    /// The daemon's core and the configuration its shell runs jobs with,
+    /// driven on this thread: a request is answered, and a job started by
+    /// [`Daemon::next_run`] and run, only when a test says so.
+    struct Core {
+        cfg: ServeConfig,
+        daemon: Daemon,
+    }
+
+    impl Core {
+        /// A restart: the core reopened from the state directory, with the
+        /// crash hook `exit_after_chunks`.
+        fn restart(&mut self, exit_after_chunks: Option<u64>) {
+            self.cfg.exit_after_chunks = exit_after_chunks;
+            self.daemon = Daemon::open(&self.cfg);
+        }
+    }
+
+    /// A fresh core over a clean state directory.
+    fn core_with(dir_name: &str, max_pending: usize) -> Core {
         let state = std::env::temp_dir().join(dir_name);
         let _ = std::fs::remove_dir_all(&state);
         std::fs::create_dir_all(&state).unwrap();
         let mut cfg = ServeConfig::new(&state);
         cfg.max_pending = max_pending;
-        Shared {
-            addr: "127.0.0.1:1".parse().unwrap(),
-            jobs: Mutex::new(load_jobs(&state)),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            chunks_left: Mutex::new(None),
+        Core {
+            daemon: Daemon::open(&cfg),
             cfg,
         }
     }
 
+    /// The reply text to the request text `text`, pages held to `bounds`.
+    fn reply(core: &mut Core, text: &str, bounds: Bounds) -> String {
+        let Core { cfg, daemon } = core;
+        respond(&cfg.state_dir, text, bounds, |request| {
+            daemon.answer(request)
+        })
+    }
+
     /// The reply to the request text `request`, parsed.
-    fn dispatch(shared: &Shared, request: &str) -> Json {
-        Json::parse(&respond(shared, request, SERVED)).expect("a reply is canonical JSON")
+    fn dispatch(core: &mut Core, request: &str) -> Json {
+        Json::parse(&reply(core, request, SERVED)).expect("a reply is canonical JSON")
     }
 
     /// The text of a `verb` request naming `key`.
@@ -822,36 +488,36 @@ mod tests {
 
     #[test]
     fn submit_cancel_resume_lifecycle_without_a_worker() {
-        let shared = shared_with("st-serve-lifecycle-test", 10);
+        let mut core = core_with("st-serve-lifecycle-test", 10);
         let campaign = tiny_campaign(0..4);
 
         // Fresh submit: queued, spec persisted before the ack.
-        let resp = dispatch(&shared, &submit_doc("job", &campaign));
+        let resp = dispatch(&mut core, &submit_doc("job", &campaign));
         assert_eq!(job_state(&resp), Some("queued"), "{resp:?}");
-        assert!(spec_path(&shared.cfg.state_dir, "job").exists());
+        assert!(spec_path(&core.cfg.state_dir, "job").exists());
 
         // Identical re-submit is idempotent.
-        let resp = dispatch(&shared, &submit_doc("job", &campaign));
+        let resp = dispatch(&mut core, &submit_doc("job", &campaign));
         assert_eq!(job_state(&resp), Some("queued"));
-        assert_eq!(shared.jobs.lock().unwrap().len(), 1);
+        assert_eq!(core.daemon.jobs().len(), 1);
 
         // Same key, different campaign: the staleness guard refuses.
-        let resp = dispatch(&shared, &submit_doc("job", &tiny_campaign(0..3)));
+        let resp = dispatch(&mut core, &submit_doc("job", &tiny_campaign(0..3)));
         assert_eq!(error_kind(&resp), Some("spec-mismatch"));
 
         // Backpressure: 4 in flight + 7 more > 10.
-        let resp = dispatch(&shared, &submit_doc("big", &tiny_campaign(10..17)));
+        let resp = dispatch(&mut core, &submit_doc("big", &tiny_campaign(10..17)));
         assert_eq!(error_kind(&resp), Some("busy"));
 
         // Cancel a queued job, resume it back into the queue.
         let cancel = request(Verb::Cancel, "job");
-        assert_eq!(job_state(&dispatch(&shared, &cancel)), Some("cancelled"));
+        assert_eq!(job_state(&dispatch(&mut core, &cancel)), Some("cancelled"));
         let resume = request(Verb::Resume, "job");
-        assert_eq!(job_state(&dispatch(&shared, &resume)), Some("queued"));
+        assert_eq!(job_state(&dispatch(&mut core, &resume)), Some("queued"));
 
         // Fetching before anything ran returns an empty store.
         let fetch = request(Verb::FetchOutcomes, "job");
-        let resp = dispatch(&shared, &fetch);
+        let resp = dispatch(&mut core, &fetch);
         let store = resp.get("store").expect("store field");
         assert_eq!(
             store
@@ -863,10 +529,13 @@ mod tests {
 
         // Unknown keys are typed refusals.
         let status = request(Verb::Status, "nope");
-        assert_eq!(error_kind(&dispatch(&shared, &status)), Some("unknown-job"));
+        assert_eq!(
+            error_kind(&dispatch(&mut core, &status)),
+            Some("unknown-job")
+        );
         let bad_key = request(Verb::Status, "a/b");
         assert_eq!(
-            error_kind(&dispatch(&shared, &bad_key)),
+            error_kind(&dispatch(&mut core, &bad_key)),
             Some("unknown-job")
         );
     }
@@ -911,7 +580,46 @@ mod tests {
             .replace("outcome-store-v2", "outcome-store-v1");
         std::fs::write(store_path(&state, "broken-job"), stale).unwrap();
 
-        let jobs = load_jobs(&state);
+        // Specs the scan cannot read, each with the kind `resume` and then
+        // `submit` are refused with and the text its status carries:
+        // another job schema, a spec naming another key, text that does
+        // not decode, and bytes that are not UTF-8.
+        let other_schema = protocol::job_spec("other-schema-job", &finished);
+        let unreadable = [
+            (
+                "other-schema-job",
+                other_schema
+                    .replace(JOB_SCHEMA, "st-serve/job-v0")
+                    .into_bytes(),
+                ["schema-mismatch", "spec-mismatch"],
+                "job spec schema mismatch",
+            ),
+            (
+                "renamed-job",
+                protocol::job_spec("other-key", &finished).into_bytes(),
+                ["internal", "spec-mismatch"],
+                "job spec names key \"other-key\"",
+            ),
+            (
+                "garbled-job",
+                other_schema.as_bytes()[..other_schema.len() / 2].to_vec(),
+                ["internal", "spec-mismatch"],
+                "JSON error at byte",
+            ),
+            (
+                "binary-job",
+                vec![b'{', 0xff, 0xfe, b'}'],
+                ["internal", "internal"],
+                "valid UTF-8",
+            ),
+        ];
+        for (key, bytes, ..) in &unreadable {
+            std::fs::write(spec_path(&state, key), bytes).unwrap();
+        }
+
+        let cfg = ServeConfig::new(&state);
+        let daemon = Daemon::open(&cfg);
+        let jobs = daemon.jobs();
         let by_key = |key: &str| jobs.iter().find(|j| j.key == key).expect(key);
         assert_eq!(by_key("done-job").state, JobState::Done);
         assert_eq!(by_key("done-job").completed, 2);
@@ -924,15 +632,8 @@ mod tests {
         assert!(text.contains("outcome store schema mismatch"), "{text}");
 
         // Every request against the broken job surfaces the store's text.
-        let shared = Shared {
-            addr: "127.0.0.1:1".parse().unwrap(),
-            jobs: Mutex::new(jobs),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            chunks_left: Mutex::new(None),
-            cfg: ServeConfig::new(&state),
-        };
-        let resubmit = dispatch(&shared, &submit_doc("broken-job", &finished));
+        let mut core = Core { cfg, daemon };
+        let resubmit = dispatch(&mut core, &submit_doc("broken-job", &finished));
         assert_eq!(error_kind(&resubmit), Some("schema-mismatch"));
         let msg = resubmit
             .get("error")
@@ -942,25 +643,91 @@ mod tests {
         assert!(msg.contains("outcome store schema mismatch"), "{msg}");
         let resume = request(Verb::Resume, "broken-job");
         assert_eq!(
-            error_kind(&dispatch(&shared, &resume)),
+            error_kind(&dispatch(&mut core, &resume)),
             Some("schema-mismatch")
         );
         let fetch = request(Verb::FetchOutcomes, "broken-job");
         assert_eq!(
-            error_kind(&dispatch(&shared, &fetch)),
+            error_kind(&dispatch(&mut core, &fetch)),
             Some("schema-mismatch")
         );
+
+        // A spec the scan cannot read parks its job `broken`, and no
+        // `submit` writes over it (one used to, and the new campaign was
+        // appended to the old job's log).
+        for (key, bytes, [resumed, submitted], why) in &unreadable {
+            let job = core.daemon.jobs().iter().find(|j| j.key == *key);
+            let job = job.expect(key);
+            assert_eq!(
+                (job.state, job.completed, job.total),
+                (JobState::Broken, 0, 0)
+            );
+            let status = dispatch(&mut core, &request(Verb::Status, key));
+            assert_eq!(job_state(&status), Some("broken"), "{status:?}");
+            let text = status.get("job").and_then(|j| j.get("error"));
+            let text = text.and_then(Json::as_str).unwrap();
+            assert!(text.contains(why), "{key}: {text}");
+            for verb in [Verb::Resume, Verb::FetchOutcomes] {
+                let resp = dispatch(&mut core, &request(verb, key));
+                assert_eq!(error_kind(&resp), Some(*resumed), "{key}: {resp:?}");
+            }
+            let resubmit = dispatch(&mut core, &submit_doc(key, &finished));
+            assert_eq!(
+                error_kind(&resubmit),
+                Some(*submitted),
+                "{key}: {resubmit:?}"
+            );
+            assert_eq!(std::fs::read(spec_path(&state, key)).unwrap(), *bytes);
+        }
+    }
+
+    /// A cancel used to stick once requested: a `resume` or an identical
+    /// re-`submit` of the running job answered `running`, and the job then
+    /// ended `cancelled` at its next checkpoint. Either now withdraws it.
+    #[test]
+    fn a_resume_or_an_identical_submit_withdraws_a_pending_cancel() {
+        let campaign = tiny_campaign(0..4);
+        let batch = batch_bytes("job", &campaign);
+        for withdraw in [request(Verb::Resume, "job"), submit_doc("job", &campaign)] {
+            let mut core = core_with("st-serve-withdrawn-cancel-test", 100);
+            core.cfg.chunk = 1;
+            dispatch(&mut core, &submit_doc("job", &campaign));
+            assert_eq!(core.daemon.next_run().as_deref(), Some("job"));
+            let cfg = core.cfg.clone();
+            let mut checkpoints = 0;
+            let ended = run_job(&cfg, "job", |completed| {
+                checkpoints += 1;
+                if checkpoints == 1 {
+                    let cancel = dispatch(&mut core, &request(Verb::Cancel, "job"));
+                    assert_eq!(cancel.get("cancel_requested"), Some(&Json::Bool(true)));
+                    let withdrawn = dispatch(&mut core, &withdraw);
+                    assert_eq!(job_state(&withdrawn), Some("running"), "{withdrawn:?}");
+                }
+                core.daemon.checkpoint("job", completed)
+            });
+            core.daemon.ended("job", ended);
+            let status = dispatch(&mut core, &request(Verb::Status, "job"));
+            assert_eq!(job_state(&status), Some("done"), "{status:?}");
+            let stored = std::fs::read_to_string(store_path(&cfg.state_dir, "job"));
+            assert_eq!(stored.unwrap(), batch);
+        }
     }
 
     /// Submits `campaign` under `key` (a new job, or a parked one the submit
     /// requeues) and runs it on the calling thread as the worker would.
-    fn submit_and_run(shared: &Shared, key: &str, campaign: &Campaign) {
-        let resp = dispatch(shared, &submit_doc(key, campaign));
+    fn submit_and_run(core: &mut Core, key: &str, campaign: &Campaign) {
+        let resp = dispatch(core, &submit_doc(key, campaign));
         assert_eq!(job_state(&resp), Some("queued"), "{resp:?}");
-        let mut jobs = shared.jobs.lock().unwrap();
-        jobs.iter_mut().find(|j| j.key == key).unwrap().state = JobState::Running;
-        drop(jobs);
-        run_job(shared, key);
+        run_next(core, key);
+    }
+
+    /// Starts the next job, which must be `key`, and runs it on the calling
+    /// thread as the worker would.
+    fn run_next(core: &mut Core, key: &str) {
+        assert_eq!(core.daemon.next_run().as_deref(), Some(key));
+        let Core { cfg, daemon } = core;
+        let ended = run_job(cfg, key, |completed| daemon.checkpoint(key, completed));
+        daemon.ended(key, ended);
     }
 
     fn batch_bytes(key: &str, campaign: &Campaign) -> String {
@@ -971,16 +738,19 @@ mod tests {
 
     #[test]
     fn a_job_appends_linear_bytes_and_compacts_to_the_batch_store() {
-        let mut shared = shared_with("st-serve-linear-bytes-test", 10_000);
-        let dir = shared.cfg.state_dir.clone();
+        let mut core = core_with("st-serve-linear-bytes-test", 10_000);
+        let dir = core.cfg.state_dir.clone();
         let campaign = tiny_campaign(0..1024);
         let batch = batch_bytes("big", &campaign);
 
         // Killed after 127 of the 128 chunks: the log is as long as it gets.
-        shared.chunks_left = Mutex::new(Some(127));
-        submit_and_run(&shared, "big", &campaign);
+        core.restart(Some(127));
+        submit_and_run(&mut core, "big", &campaign);
         let status = request(Verb::Status, "big");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("interrupted"));
+        assert_eq!(
+            job_state(&dispatch(&mut core, &status)),
+            Some("interrupted")
+        );
         let log_bytes = std::fs::metadata(log_path(&dir, "big")).unwrap().len() as usize;
         // No commit line is longer than the empty segment's by more than the
         // count's extra digits: its hash, the FNV offset basis, has 20.
@@ -994,11 +764,9 @@ mod tests {
         assert!(!store_path(&dir, "big").exists(), "no store before the end");
 
         // Restarted: the last chunk runs, the log is compacted away.
-        shared.shutdown.store(false, Ordering::SeqCst);
-        shared.chunks_left = Mutex::new(None);
-        *shared.jobs.lock().unwrap() = load_jobs(&dir);
-        submit_and_run(&shared, "big", &campaign);
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        core.restart(None);
+        submit_and_run(&mut core, "big", &campaign);
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
         assert!(
             !log_path(&dir, "big").exists(),
             "compaction removes the log"
@@ -1018,15 +786,15 @@ mod tests {
     /// scenario that decodes runs without a panic.
     #[test]
     fn a_panicking_job_is_broken_and_the_worker_takes_the_next_one() {
-        let mut shared = shared_with("st-serve-panicking-job-test", 100);
+        let mut core = core_with("st-serve-panicking-job-test", 100);
         let campaign = tiny_campaign(0..4);
-        let chunk = shared.cfg.chunk;
-        shared.cfg.chunk = 0;
-        submit_and_run(&shared, "bad", &campaign);
+        let chunk = core.cfg.chunk;
+        core.cfg.chunk = 0;
+        submit_and_run(&mut core, "bad", &campaign);
         let status = request(Verb::Status, "bad");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("broken"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("broken"));
         let fetch = request(Verb::FetchOutcomes, "bad");
-        let resp = dispatch(&shared, &fetch);
+        let resp = dispatch(&mut core, &fetch);
         assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
         let message = resp.get("error").and_then(|e| e.get("message"));
         let message = message.and_then(Json::as_str).unwrap();
@@ -1035,33 +803,34 @@ mod tests {
             "{message}"
         );
 
-        shared.cfg.chunk = chunk;
-        submit_and_run(&shared, "good", &campaign);
+        core.cfg.chunk = chunk;
+        submit_and_run(&mut core, "good", &campaign);
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
         assert_eq!(
-            std::fs::read_to_string(store_path(&shared.cfg.state_dir, "good")).unwrap(),
+            std::fs::read_to_string(store_path(&core.cfg.state_dir, "good")).unwrap(),
             batch_bytes("good", &campaign)
         );
     }
 
     #[test]
     fn a_crash_between_rename_and_log_removal_restarts_done() {
-        let mut shared = shared_with("st-serve-crash-window-test", 100);
-        let dir = shared.cfg.state_dir.clone();
+        let mut core = core_with("st-serve-crash-window-test", 100);
+        let dir = core.cfg.state_dir.clone();
         let campaign = tiny_campaign(0..6);
         let batch = batch_bytes("job", &campaign);
 
         // The state just after compaction's rename: the finished store and
         // a log it was compacted from.
-        shared.cfg.chunk = 2;
-        shared.chunks_left = Mutex::new(Some(2));
-        submit_and_run(&shared, "job", &campaign);
+        core.cfg.chunk = 2;
+        core.restart(Some(2));
+        submit_and_run(&mut core, "job", &campaign);
         let log_file = log_path(&dir, "job");
         assert!(log_file.exists());
         std::fs::write(store_path(&dir, "job"), &batch).unwrap();
 
-        let jobs = load_jobs(&dir);
+        let daemon = Daemon::open(&core.cfg);
+        let jobs = daemon.jobs();
         assert_eq!(jobs[0].state, JobState::Done);
         assert_eq!(jobs[0].completed, 6);
         assert!(!log_file.exists(), "the store wins; the log goes");
@@ -1071,21 +840,21 @@ mod tests {
     #[test]
     fn a_complete_log_is_one_requeue_from_done() {
         // Killed after the last append, before compaction could start.
-        let shared = shared_with("st-serve-complete-log-test", 100);
-        let dir = shared.cfg.state_dir.clone();
+        let mut core = core_with("st-serve-complete-log-test", 100);
+        let dir = core.cfg.state_dir.clone();
         let campaign = tiny_campaign(0..4);
-        submit_and_run(&shared, "job", &campaign);
+        submit_and_run(&mut core, "job", &campaign);
         let store = recover_store(&dir, "job").unwrap();
         let entries: Vec<&st_campaign::StoreEntry> = store.entries().iter().collect();
         std::fs::write(log_path(&dir, "job"), log::segment(&entries)).unwrap();
         std::fs::remove_file(store_path(&dir, "job")).unwrap();
 
-        *shared.jobs.lock().unwrap() = load_jobs(&dir);
+        core.restart(None);
         let status = request(Verb::Status, "job");
-        let resp = dispatch(&shared, &status);
+        let resp = dispatch(&mut core, &status);
         assert_eq!(job_state(&resp), Some("interrupted"), "{resp:?}");
-        submit_and_run(&shared, "job", &campaign);
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        submit_and_run(&mut core, "job", &campaign);
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
         assert_eq!(
             std::fs::read_to_string(store_path(&dir, "job")).unwrap(),
             batch_bytes("job", &campaign)
@@ -1095,15 +864,14 @@ mod tests {
 
     #[test]
     fn a_torn_tail_is_dropped_at_every_byte_offset() {
-        let mut shared = shared_with("st-serve-torn-tail-test", 100);
-        let dir = shared.cfg.state_dir.clone();
-        shared.cfg.chunk = 2;
-        shared.chunks_left = Mutex::new(Some(3));
+        let mut core = core_with("st-serve-torn-tail-test", 100);
+        let dir = core.cfg.state_dir.clone();
+        core.cfg.chunk = 2;
+        core.restart(Some(3));
         let campaign = tiny_campaign(0..8);
         let batch = batch_bytes("job", &campaign);
-        submit_and_run(&shared, "job", &campaign);
-        shared.shutdown.store(false, Ordering::SeqCst);
-        shared.chunks_left = Mutex::new(None);
+        submit_and_run(&mut core, "job", &campaign);
+        core.restart(None);
 
         // Three committed segments of two entries; cut inside the third.
         let log_file = log_path(&dir, "job");
@@ -1120,8 +888,8 @@ mod tests {
             assert_eq!(recovered.entries(), four.entries(), "cut at byte {cut}");
             // Every so often, also finish the job from the torn log.
             if (cut - last_start).is_multiple_of(211) {
-                *shared.jobs.lock().unwrap() = load_jobs(&dir);
-                submit_and_run(&shared, "job", &campaign);
+                core.restart(None);
+                submit_and_run(&mut core, "job", &campaign);
                 let store_file = store_path(&dir, "job");
                 assert_eq!(std::fs::read_to_string(&store_file).unwrap(), batch);
                 std::fs::remove_file(store_file).unwrap();
@@ -1131,12 +899,12 @@ mod tests {
 
     #[test]
     fn a_damaged_committed_segment_parks_the_job_broken() {
-        let mut shared = shared_with("st-serve-damaged-log-test", 100);
-        let dir = shared.cfg.state_dir.clone();
-        shared.cfg.chunk = 2;
-        shared.chunks_left = Mutex::new(Some(2));
+        let mut core = core_with("st-serve-damaged-log-test", 100);
+        let dir = core.cfg.state_dir.clone();
+        core.cfg.chunk = 2;
+        core.restart(Some(2));
         let campaign = tiny_campaign(0..6);
-        submit_and_run(&shared, "job", &campaign);
+        submit_and_run(&mut core, "job", &campaign);
 
         // Flip one byte inside the first committed segment.
         let log_file = log_path(&dir, "job");
@@ -1144,16 +912,16 @@ mod tests {
         bytes[40] ^= 0x01;
         std::fs::write(&log_file, bytes).unwrap();
 
-        let jobs = load_jobs(&dir);
+        core.restart(None);
+        let jobs = core.daemon.jobs();
         assert_eq!(jobs[0].state, JobState::Broken);
         assert_eq!(jobs[0].completed, 0, "never a partial reuse");
-        *shared.jobs.lock().unwrap() = jobs;
         for verb in [Verb::Resume, Verb::FetchOutcomes] {
-            let resp = dispatch(&shared, &request(verb, "job"));
+            let resp = dispatch(&mut core, &request(verb, "job"));
             assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
         }
         let status = request(Verb::Status, "job");
-        let resp = dispatch(&shared, &status);
+        let resp = dispatch(&mut core, &status);
         assert_eq!(job_state(&resp), Some("broken"));
         let text = resp
             .get("job")
@@ -1165,7 +933,7 @@ mod tests {
     /// One `fetch-outcomes` page of `key` from entry `from`, with pages
     /// bounded at `page_bytes`: the page's store and the reply's `next`.
     fn fetch_page(
-        shared: &Shared,
+        core: &mut Core,
         key: &str,
         from: usize,
         page_bytes: usize,
@@ -1178,7 +946,7 @@ mod tests {
             page: page_bytes,
             frame: MAX_FRAME_BYTES,
         };
-        let text = respond(shared, &request, bounds);
+        let text = reply(core, &request, bounds);
         let resp = Json::parse(&text).expect("a reply is canonical JSON");
         assert_eq!(
             resp.get("ok"),
@@ -1201,10 +969,10 @@ mod tests {
     }
 
     /// Every page of `key` from entry `from` on, joined.
-    fn fetch_rest(shared: &Shared, key: &str, mut from: usize, page_bytes: usize) -> Vec<String> {
+    fn fetch_rest(core: &mut Core, key: &str, mut from: usize, page_bytes: usize) -> Vec<String> {
         let mut lines = Vec::new();
         loop {
-            let (page, next) = fetch_page(shared, key, from, page_bytes);
+            let (page, next) = fetch_page(core, key, from, page_bytes);
             lines.extend(page.entries().iter().map(entry_line));
             match next {
                 Some(next) => {
@@ -1224,8 +992,8 @@ mod tests {
 
     #[test]
     fn pages_of_a_running_job_are_committed_prefixes_and_survive_compaction() {
-        let mut shared = shared_with("st-serve-paging-test", 100);
-        let dir = shared.cfg.state_dir.clone();
+        let mut core = core_with("st-serve-paging-test", 100);
+        let dir = core.cfg.state_dir.clone();
         let campaign = tiny_campaign(0..12);
         let batch = batch_bytes("job", &campaign);
         let batch_lines: Vec<String> = OutcomeStore::from_json_str(&batch)
@@ -1238,9 +1006,9 @@ mod tests {
         let page_bytes = 3 * batch_lines[0].len() + 100;
 
         // Stopped after 4 chunks of 2: eight entries committed to the log.
-        shared.cfg.chunk = 2;
-        shared.chunks_left = Mutex::new(Some(4));
-        submit_and_run(&shared, "job", &campaign);
+        core.cfg.chunk = 2;
+        core.restart(Some(4));
+        submit_and_run(&mut core, "job", &campaign);
         assert!(!store_path(&dir, "job").exists());
         // The log holds them in the store's order: that is what makes an
         // entry index mean the same thing before and after compaction.
@@ -1252,41 +1020,42 @@ mod tests {
         assert_eq!(logged, batch_lines[..8]);
 
         // The pages of the unfinished job: its committed prefix, no more.
-        assert_eq!(fetch_rest(&shared, "job", 0, page_bytes), batch_lines[..8]);
-        let (first, next) = fetch_page(&shared, "job", 0, page_bytes);
+        assert_eq!(
+            fetch_rest(&mut core, "job", 0, page_bytes),
+            batch_lines[..8]
+        );
+        let (first, next) = fetch_page(&mut core, "job", 0, page_bytes);
         assert_eq!((first.len(), next), (3, Some(3)));
         // A page from the very end is empty and last; past it, refused.
-        let (end, next) = fetch_page(&shared, "job", 8, page_bytes);
+        let (end, next) = fetch_page(&mut core, "job", 8, page_bytes);
         assert_eq!((end.len(), next), (0, None));
         let past = Envelope::request(Verb::FetchOutcomes)
             .string("key", "job")
             .member("from", |out| json::write_u64(9, out))
             .finish();
-        assert_eq!(error_kind(&dispatch(&shared, &past)), Some("malformed"));
+        assert_eq!(error_kind(&dispatch(&mut core, &past)), Some("malformed"));
         let not_an_index = Envelope::request(Verb::FetchOutcomes)
             .string("key", "job")
             .string("from", "0")
             .finish();
         assert_eq!(
-            error_kind(&dispatch(&shared, &not_an_index)),
+            error_kind(&dispatch(&mut core, &not_an_index)),
             Some("malformed")
         );
 
         // The job finishes and compacts between the first page and the
         // second: the rest follows on without a gap, a repeat or a swap.
-        shared.shutdown.store(false, Ordering::SeqCst);
-        shared.chunks_left = Mutex::new(None);
-        *shared.jobs.lock().unwrap() = load_jobs(&dir);
-        submit_and_run(&shared, "job", &campaign);
+        core.restart(None);
+        submit_and_run(&mut core, "job", &campaign);
         assert!(store_path(&dir, "job").exists() && !log_path(&dir, "job").exists());
         let mut lines: Vec<String> = first.entries().iter().map(entry_line).collect();
-        lines.extend(fetch_rest(&shared, "job", 3, page_bytes));
+        lines.extend(fetch_rest(&mut core, "job", 3, page_bytes));
         assert_eq!(lines, batch_lines);
 
         // Without `from` the reply is what it always was: the whole store as
         // one document, no `next`.
         let whole = request(Verb::FetchOutcomes, "job");
-        let resp = dispatch(&shared, &whole);
+        let resp = dispatch(&mut core, &whole);
         assert!(resp.get("next").is_none());
         let expected = Json::obj([
             ("proto", Json::str(protocol::PROTO)),
@@ -1294,24 +1063,24 @@ mod tests {
             ("job", resp.get("job").unwrap().clone()),
             ("store", Json::parse(&batch).unwrap()),
         ]);
-        assert_eq!(respond(&shared, &whole, SERVED), expected.to_string());
+        assert_eq!(reply(&mut core, &whole, SERVED), expected.to_string());
     }
 
     #[cfg(unix)]
     #[test]
     fn an_unwritable_log_stops_the_job_broken_with_the_io_error() {
-        let shared = shared_with("st-serve-unwritable-log-test", 100);
-        let dir = shared.cfg.state_dir.clone();
+        let mut core = core_with("st-serve-unwritable-log-test", 100);
+        let dir = core.cfg.state_dir.clone();
         // A dangling link where the log should be: nothing to read, and
         // nowhere to create the file.
         std::os::unix::fs::symlink(dir.join("no-such-dir/log"), log_path(&dir, "job")).unwrap();
-        submit_and_run(&shared, "job", &tiny_campaign(0..4));
+        submit_and_run(&mut core, "job", &tiny_campaign(0..4));
 
         let status = request(Verb::Status, "job");
-        let resp = dispatch(&shared, &status);
+        let resp = dispatch(&mut core, &status);
         assert_eq!(job_state(&resp), Some("broken"), "{resp:?}");
         for verb in [Verb::Resume, Verb::FetchOutcomes] {
-            let resp = dispatch(&shared, &request(verb, "job"));
+            let resp = dispatch(&mut core, &request(verb, "job"));
             assert_eq!(error_kind(&resp), Some("internal"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1325,12 +1094,12 @@ mod tests {
 
     #[test]
     fn finished_jobs_keep_no_campaign_and_still_guard_their_identity() {
-        let shared = shared_with("st-serve-slim-table-test", 1_000);
+        let mut core = core_with("st-serve-slim-table-test", 1_000);
         for j in 0..5u64 {
             let campaign = tiny_campaign(j * 10..j * 10 + 8);
-            submit_and_run(&shared, &format!("job{j}"), &campaign);
+            submit_and_run(&mut core, &format!("job{j}"), &campaign);
         }
-        for job in shared.jobs.lock().unwrap().iter() {
+        for job in core.daemon.jobs() {
             // Exhaustive on purpose: the whole entry is a key, a state and
             // counters, and a field added later has to be O(1) as well.
             let Job {
@@ -1346,9 +1115,9 @@ mod tests {
             assert!(broken.is_none());
         }
         // Identity is the persisted spec's bytes.
-        let same = dispatch(&shared, &submit_doc("job3", &tiny_campaign(30..38)));
+        let same = dispatch(&mut core, &submit_doc("job3", &tiny_campaign(30..38)));
         assert_eq!(job_state(&same), Some("done"), "{same:?}");
-        let other = dispatch(&shared, &submit_doc("job3", &tiny_campaign(30..37)));
+        let other = dispatch(&mut core, &submit_doc("job3", &tiny_campaign(30..37)));
         assert_eq!(error_kind(&other), Some("spec-mismatch"));
     }
 
@@ -1357,7 +1126,7 @@ mod tests {
     /// submit is refused like any other spec that does not decode.
     #[test]
     fn submit_refuses_an_adversarial_spec_the_worker_would_panic_on() {
-        let shared = shared_with("st-serve-adversarial-spec-test", 10);
+        let mut core = core_with("st-serve-adversarial-spec-test", 10);
         let adversarial = |t, k| {
             let mut campaign = tiny_campaign(0..1);
             campaign.push(Scenario::new(
@@ -1377,7 +1146,7 @@ mod tests {
             ));
             campaign
         };
-        let resp = dispatch(&shared, &submit_doc("bad", &adversarial(1, 2)));
+        let resp = dispatch(&mut core, &submit_doc("bad", &adversarial(1, 2)));
         assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
         let message = resp.get("error").and_then(|e| e.get("message"));
         let message = message.and_then(Json::as_str).unwrap();
@@ -1385,13 +1154,13 @@ mod tests {
             message.contains("entries[1].scenario: field \"k\""),
             "{message}"
         );
-        assert!(!spec_path(&shared.cfg.state_dir, "bad").exists());
-        assert!(shared.jobs.lock().unwrap().is_empty());
+        assert!(!spec_path(&core.cfg.state_dir, "bad").exists());
+        assert!(core.daemon.jobs().is_empty());
 
         // The same entry with a task the adversary can block runs to `done`.
-        submit_and_run(&shared, "good", &adversarial(2, 2));
+        submit_and_run(&mut core, "good", &adversarial(2, 2));
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     /// The same for an agreement spec with other than one input per
@@ -1400,7 +1169,7 @@ mod tests {
     /// used to run and certify a pair of another system.
     #[test]
     fn submit_refuses_foreign_inputs_and_witnesses() {
-        let shared = shared_with("st-serve-foreign-spec-test", 10);
+        let mut core = core_with("st-serve-foreign-spec-test", 10);
         let foreign = |label: &str, workload| {
             Scenario::new(
                 label,
@@ -1441,7 +1210,7 @@ mod tests {
                 "field \"witness\"",
             ),
         ] {
-            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            let resp = dispatch(&mut core, &submit_doc(key, &campaign));
             assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1449,8 +1218,8 @@ mod tests {
                 message.contains(&format!("entries[1].scenario: {path}")),
                 "{message}"
             );
-            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
-            assert!(shared.jobs.lock().unwrap().is_empty());
+            assert!(!spec_path(&core.cfg.state_dir, key).exists());
+            assert!(core.daemon.jobs().is_empty());
         }
 
         // The same entries with four inputs and a witness inside Π_4 run
@@ -1458,16 +1227,16 @@ mod tests {
         let mut good = with(agreement(vec![1, 2, 3, 4]));
         let witness = (set(&[0, 1, 2]), set(&[0, 1, 2, 3]));
         good.push(foreign("witnessed", adversarial(witness)));
-        submit_and_run(&shared, "good", &good);
+        submit_and_run(&mut core, "good", &good);
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     /// The same for a certification the timeliness analyzer would assert
     /// on (a zero bound cap) and for a single-word workload past n = 64.
     #[test]
     fn submit_refuses_a_certification_the_worker_would_panic_on() {
-        let shared = shared_with("st-serve-certification-spec-test", 10);
+        let mut core = core_with("st-serve-certification-spec-test", 10);
         let certified = |n: usize, cap| {
             let mut campaign = tiny_campaign(0..1);
             campaign.push(Scenario::new(
@@ -1499,7 +1268,7 @@ mod tests {
             ),
             ("wide", certified(65, 8), "field \"n\""),
         ] {
-            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            let resp = dispatch(&mut core, &submit_doc(key, &campaign));
             assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1507,14 +1276,14 @@ mod tests {
                 message.contains(&format!("entries[1].scenario: {path}")),
                 "{message}"
             );
-            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
-            assert!(shared.jobs.lock().unwrap().is_empty());
+            assert!(!spec_path(&core.cfg.state_dir, key).exists());
+            assert!(core.daemon.jobs().is_empty());
         }
 
         // The same entry with a positive cap at n = 4 runs to `done`.
-        submit_and_run(&shared, "good", &certified(4, 8));
+        submit_and_run(&mut core, "good", &certified(4, 8));
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     /// The same for parameters a protocol's constructor would assert on: an
@@ -1523,7 +1292,7 @@ mod tests {
     /// than 64 processes, or a `k = 0` algorithm.
     #[test]
     fn submit_refuses_protocol_parameters_the_worker_would_panic_on() {
-        let shared = shared_with("st-serve-protocol-spec-test", 10);
+        let mut core = core_with("st-serve-protocol-spec-test", 10);
         let policy = policy_from_spec(TimeoutPolicySpec::Increment);
         let with = |workload: Workload| {
             let mut campaign = tiny_campaign(0..1);
@@ -1569,7 +1338,7 @@ mod tests {
             ("wide-bg", with(bg(65, 1)), "field \"n_sim\""),
             ("zero-k", with(bg(3, 0)), "field \"k\""),
         ] {
-            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            let resp = dispatch(&mut core, &submit_doc(key, &campaign));
             assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1577,8 +1346,8 @@ mod tests {
                 message.contains(&format!("entries[1].scenario: {path}")),
                 "{message}"
             );
-            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
-            assert!(shared.jobs.lock().unwrap().is_empty());
+            assert!(!spec_path(&core.cfg.state_dir, key).exists());
+            assert!(core.daemon.jobs().is_empty());
         }
 
         // The valid twins run to `done`.
@@ -1597,16 +1366,16 @@ mod tests {
                 0,
             ));
         }
-        submit_and_run(&shared, "good", &good);
+        submit_and_run(&mut core, "good", &good);
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     /// The same for a generator its constructor would assert on: a weight
     /// vector of the wrong length, nested under a decorator.
     #[test]
     fn submit_refuses_a_generator_spec_the_worker_would_panic_on() {
-        let shared = shared_with("st-serve-generator-spec-test", 10);
+        let mut core = core_with("st-serve-generator-spec-test", 10);
         let weighted = |weights: &[u32]| {
             let mut campaign = tiny_campaign(0..2);
             let mut scenario = campaign.scenarios()[1].clone();
@@ -1624,7 +1393,7 @@ mod tests {
             campaign.push(scenario);
             campaign
         };
-        let resp = dispatch(&shared, &submit_doc("bad", &weighted(&[2, 1])));
+        let resp = dispatch(&mut core, &submit_doc("bad", &weighted(&[2, 1])));
         assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
         let message = resp.get("error").and_then(|e| e.get("message"));
         let message = message.and_then(Json::as_str).unwrap();
@@ -1634,13 +1403,13 @@ mod tests {
             ),
             "{message}"
         );
-        assert!(!spec_path(&shared.cfg.state_dir, "bad").exists());
-        assert!(shared.jobs.lock().unwrap().is_empty());
+        assert!(!spec_path(&core.cfg.state_dir, "bad").exists());
+        assert!(core.daemon.jobs().is_empty());
 
         // The same entry with one weight per process runs to `done`.
-        submit_and_run(&shared, "good", &weighted(&[2, 1, 1]));
+        submit_and_run(&mut core, "good", &weighted(&[2, 1, 1]));
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     /// What used to decode and then panic the worker — a generator its
@@ -1649,7 +1418,7 @@ mod tests {
     /// naming the field; the valid twins run to `done`.
     #[test]
     fn submit_refuses_specs_that_decoded_and_then_panicked_a_worker() {
-        let shared = shared_with("st-serve-validity-test", 10);
+        let mut core = core_with("st-serve-validity-test", 10);
         let pid = st_core::ProcessId::new;
         let with = |generator: GeneratorSpec, t: usize| {
             let mut campaign = tiny_campaign(0..1);
@@ -1680,7 +1449,7 @@ mod tests {
             ),
             ("lean", with(figure1(1), 0), "field \"t\": "),
         ] {
-            let resp = dispatch(&shared, &submit_doc(key, &campaign));
+            let resp = dispatch(&mut core, &submit_doc(key, &campaign));
             assert_eq!(error_kind(&resp), Some("malformed"), "{resp:?}");
             let message = resp.get("error").and_then(|e| e.get("message"));
             let message = message.and_then(Json::as_str).unwrap();
@@ -1688,28 +1457,20 @@ mod tests {
                 message.contains(&format!("entries[1].scenario: {path}")),
                 "{message}"
             );
-            assert!(!spec_path(&shared.cfg.state_dir, key).exists());
-            assert!(shared.jobs.lock().unwrap().is_empty());
+            assert!(!spec_path(&core.cfg.state_dir, key).exists());
+            assert!(core.daemon.jobs().is_empty());
         }
 
-        submit_and_run(&shared, "good", &with(figure1(1), 1));
+        submit_and_run(&mut core, "good", &with(figure1(1), 1));
         let status = request(Verb::Status, "good");
-        assert_eq!(job_state(&dispatch(&shared, &status)), Some("done"));
+        assert_eq!(job_state(&dispatch(&mut core, &status)), Some("done"));
     }
 
     #[test]
     fn dispatch_rejects_missing_proto_and_unknown_verbs() {
-        let cfg = ServeConfig::new(std::env::temp_dir().join("st-serve-dispatch-test"));
-        let shared = Shared {
-            addr: "127.0.0.1:1".parse().unwrap(),
-            jobs: Mutex::new(Vec::new()),
-            work: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            chunks_left: Mutex::new(None),
-            cfg,
-        };
-        let err = |doc: &Json| {
-            let resp = dispatch(&shared, &doc.to_string());
+        let mut core = core_with("st-serve-dispatch-test", 10);
+        let mut err = |doc: &Json| {
+            let resp = dispatch(&mut core, &doc.to_string());
             resp.get("error")
                 .and_then(|e| e.get("kind"))
                 .and_then(Json::as_str)
@@ -1731,7 +1492,7 @@ mod tests {
             members[1].1 = Json::str("fetch");
         }
         assert_eq!(err(&bad_verb), Some("unknown-verb".into()));
-        let hello = dispatch(&shared, &Envelope::request(Verb::Hello).finish());
+        let hello = dispatch(&mut core, &Envelope::request(Verb::Hello).finish());
         assert_eq!(hello.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(
             hello.get("store_schema").and_then(Json::as_str),
@@ -1748,17 +1509,14 @@ mod tests {
     /// (`reply`, `null` for no answer at all).
     #[test]
     fn the_parent_transcript_replays_byte_for_byte() {
-        let mut shared = shared_with("st-serve-transcript-test", 10);
-        shared.cfg.threads = 1;
+        let mut core = core_with("st-serve-transcript-test", 10);
+        core.cfg.threads = 1;
         let (mut replayed, mut changed) = (0, 0);
         for step in &test_support::steps() {
             let member = |name| step.get(name).and_then(Json::as_str);
             let note = member("note").unwrap();
             if let Some(key) = member("run") {
-                let mut jobs = shared.jobs.lock().unwrap();
-                jobs.iter_mut().find(|j| j.key == key).unwrap().state = JobState::Running;
-                drop(jobs);
-                run_job(&shared, key);
+                run_next(&mut core, key);
                 continue;
             }
             let bound = |name, default| {
@@ -1770,7 +1528,7 @@ mod tests {
                 page: bound("page_bytes", PAGE_BYTES),
                 frame: bound("frame_bytes", MAX_FRAME_BYTES),
             };
-            let reply = respond(&shared, member("request").unwrap(), bounds);
+            let reply = reply(&mut core, member("request").unwrap(), bounds);
             match member("now") {
                 Some(now) => {
                     assert_eq!(reply, now, "{note}");
@@ -1851,8 +1609,8 @@ mod tests {
             (rest.len() as u32).to_be_bytes(),
             "the length prefix"
         );
-        let shared = shared_with("st-serve-protocol-md-test", 10);
-        assert_eq!(respond(&shared, rest, SERVED), reply);
+        let mut core = core_with("st-serve-protocol-md-test", 10);
+        assert_eq!(self::reply(&mut core, rest, SERVED), reply);
     }
 
     /// The requests of the transcript that the daemon answered `ok`.
@@ -1892,14 +1650,23 @@ mod tests {
         files
     }
 
-    /// `request` answered on `shared`: never an unwind, always exactly one
+    /// `request` answered on `core`: never an unwind, always exactly one
     /// envelope — `"ok": true`, or `false` with a known error kind and a
     /// message — and the state directory as it was unless the reply is `ok`.
-    fn answers_once(shared: &Shared, request: &str) {
-        let before = snapshot(&shared.cfg.state_dir);
-        let reply = catch_unwind(AssertUnwindSafe(|| respond(shared, request, SERVED)))
+    fn answers_once(core: &mut Core, request: &str) {
+        let before = snapshot(&core.cfg.state_dir);
+        let reply = catch_unwind(AssertUnwindSafe(|| reply(core, request, SERVED)))
             .unwrap_or_else(|_| panic!("unwound on {request:?}"));
-        let doc = Json::parse(&reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
+        if envelope(&reply).get("ok") != Some(&Json::Bool(true)) {
+            let after = snapshot(&core.cfg.state_dir);
+            assert!(after == before, "{reply} wrote to the state directory");
+        }
+    }
+
+    /// `reply`, parsed and asserted to be exactly one envelope: `"ok": true`,
+    /// or `false` with a known error kind and a message.
+    fn envelope(reply: &str) -> Json {
+        let doc = Json::parse(reply).unwrap_or_else(|e| panic!("{e}: {reply}"));
         assert_eq!(doc.get("proto").and_then(Json::as_str), Some(PROTO));
         match doc.get("ok").and_then(Json::as_bool) {
             Some(true) => {}
@@ -1908,10 +1675,305 @@ mod tests {
                 let kind = error.get("kind").and_then(Json::as_str);
                 assert!(kind.and_then(ErrorKind::parse).is_some(), "{reply}");
                 assert!(error.get("message").and_then(Json::as_str).is_some());
-                let after = snapshot(&shared.cfg.state_dir);
-                assert!(after == before, "{reply} wrote to the state directory");
             }
             None => panic!("no \"ok\" in {reply}"),
+        }
+        doc
+    }
+
+    /// A `splitmix64` stream: the interleaving test's only source of choice.
+    struct Draws(u64);
+
+    impl Draws {
+        /// A draw below `n`.
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
+    /// The state changes a request, a checkpoint, a job's end or
+    /// `next_run` may make. Nothing in the interleaving test breaks a job.
+    const LIVE: [(JobState, JobState); 8] = [
+        (JobState::Queued, JobState::Running),      // next_run
+        (JobState::Queued, JobState::Cancelled),    // cancel
+        (JobState::Running, JobState::Done),        // ended: finished
+        (JobState::Running, JobState::Cancelled),   // ended: cancelled
+        (JobState::Running, JobState::Interrupted), // ended: the crash hook
+        (JobState::Running, JobState::Queued),      // ended: a cancel withdrawn since
+        (JobState::Interrupted, JobState::Queued),  // resume, identical submit
+        (JobState::Cancelled, JobState::Queued),    // resume, identical submit
+    ];
+
+    /// What a restart makes of each state.
+    const RESTART: [(JobState, JobState); 5] = [
+        (JobState::Queued, JobState::Interrupted),
+        (JobState::Running, JobState::Interrupted),
+        (JobState::Cancelled, JobState::Interrupted),
+        (JobState::Interrupted, JobState::Interrupted),
+        (JobState::Done, JobState::Done),
+    ];
+
+    /// A job an interleaving may submit, and the store batch mode writes.
+    struct Planned {
+        key: &'static str,
+        campaign: Campaign,
+        batch: String,
+        doc: Json,
+    }
+
+    /// One seeded daemon lifetime driven through the core: the shell's
+    /// lock is `with`, its channel `runs`, its worker `run`.
+    struct Lifetime<'a> {
+        core: Core,
+        draws: Draws,
+        plan: &'a [Planned],
+        /// Draw requests between checkpoints (off while draining).
+        requests: bool,
+        runs: VecDeque<String>,
+        /// Each job's state and progress as last observed.
+        seen: BTreeMap<String, (JobState, usize)>,
+        /// Running jobs with a cancel requested and not withdrawn.
+        cancelling: BTreeSet<String>,
+        /// Checkpoints the crash hook has left.
+        chunks_left: Option<u64>,
+    }
+
+    impl Lifetime<'_> {
+        /// `f` on the core, then `next_run`, as `Shell::with` does, with
+        /// every state change held to [`LIVE`].
+        fn with<T>(&mut self, f: impl FnOnce(&mut Daemon) -> T) -> T {
+            let out = f(&mut self.core.daemon);
+            self.observe();
+            let exiting = self.core.daemon.exiting();
+            if let Some(key) = self.core.daemon.next_run() {
+                assert!(!exiting, "{key} started after the crash hook fired");
+                self.runs.push_back(key);
+            }
+            self.observe();
+            out
+        }
+
+        /// Each job's state against the last one seen, and at most one job
+        /// running.
+        fn observe(&mut self) {
+            let mut running = 0;
+            for job in self.core.daemon.jobs() {
+                running += usize::from(job.state == JobState::Running);
+                let now = job.state;
+                match self.seen.get(&job.key) {
+                    Some(&(was, _)) => assert!(
+                        was == now || LIVE.contains(&(was, now)),
+                        "{}: {was:?} → {now:?}",
+                        job.key
+                    ),
+                    None => assert_eq!(now, JobState::Queued, "{} appeared", job.key),
+                }
+                self.seen.insert(job.key.clone(), (now, job.completed));
+            }
+            assert!(running <= 1, "{running} jobs running");
+        }
+
+        /// A kill and `Daemon::open` on the same directory, with the crash
+        /// hook `hook`: every state held to [`RESTART`], no committed
+        /// progress lost.
+        fn restart(&mut self, hook: Option<u64>) {
+            self.core.restart(hook);
+            self.chunks_left = hook;
+            self.runs.clear();
+            self.cancelling.clear();
+            let jobs = self.core.daemon.jobs();
+            assert_eq!(jobs.len(), self.seen.len(), "a restart keeps every job");
+            for job in jobs {
+                let (was, completed) = self.seen[&job.key];
+                assert!(
+                    RESTART.contains(&(was, job.state)),
+                    "{}: {was:?} → {:?} across a restart",
+                    job.key,
+                    job.state
+                );
+                assert_eq!(job.completed, completed, "{}", job.key);
+                self.seen
+                    .insert(job.key.clone(), (job.state, job.completed));
+            }
+        }
+
+        /// One request of a drawn verb on a drawn job, answered and checked.
+        fn request(&mut self) {
+            let planned = &self.plan[self.draws.below(self.plan.len())];
+            let key = planned.key;
+            let known = self.seen.get(key).map(|&(state, _)| state);
+            let verb = Verb::ALL[1 + self.draws.below(Verb::ALL.len() - 1)];
+            let mut from = None;
+            let text = match verb {
+                Verb::Submit if known.is_some() && self.draws.below(4) == 0 => {
+                    submit_doc(key, &tiny_campaign(90..91))
+                }
+                Verb::Submit => submit_doc(key, &planned.campaign),
+                Verb::Status if self.draws.below(2) == 0 => Envelope::request(verb).finish(),
+                Verb::FetchOutcomes if self.draws.below(2) == 0 => {
+                    let start = self.draws.below(planned.campaign.len() + 2);
+                    from = Some(start);
+                    Envelope::request(verb)
+                        .string("key", key)
+                        .member("from", |out| json::write_u64(start as u64, out))
+                        .finish()
+                }
+                _ => request(verb, key),
+            };
+            let dir = self.core.cfg.state_dir.clone();
+            let reply = respond(&dir, &text, SERVED, |request| {
+                self.with(|daemon| daemon.answer(request))
+            });
+            let doc = envelope(&reply);
+            if doc.get("ok") != Some(&Json::Bool(true)) {
+                return;
+            }
+            match verb {
+                Verb::Cancel => {
+                    let requested = doc.get("cancel_requested") == Some(&Json::Bool(true));
+                    assert_eq!(requested, job_state(&doc) == Some("running"), "{reply}");
+                    if requested {
+                        self.cancelling.insert(key.to_string());
+                    }
+                }
+                Verb::Resume | Verb::Submit => {
+                    self.cancelling.remove(key);
+                    if matches!(known, Some(JobState::Interrupted | JobState::Cancelled)) {
+                        assert_eq!(job_state(&doc), Some("queued"), "{key}: {reply}");
+                    }
+                }
+                Verb::FetchOutcomes => {
+                    let store = doc.get("store").unwrap();
+                    let entries = store.get("entries").and_then(Json::as_arr).unwrap();
+                    let batch = planned.doc.get("entries").and_then(Json::as_arr).unwrap();
+                    let start = from.unwrap_or(0);
+                    assert_eq!(entries, &batch[start..start + entries.len()], "{key}");
+                    if from.is_none() && job_state(&doc) == Some("done") {
+                        assert_eq!(store, &planned.doc, "{key}: a done job's store");
+                    }
+                }
+                _ => {}
+            }
+        }
+
+        /// The worker's run of job `key`, with drawn requests before each
+        /// checkpoint and before its end is filed.
+        fn run(&mut self, key: &str) {
+            let cfg = self.core.cfg.clone();
+            let mut last = self.seen[key].1;
+            let ended = run_job(&cfg, key, |completed| {
+                for _ in 0..usize::from(self.requests) * self.draws.below(3) {
+                    self.request();
+                }
+                let fires = self.chunks_left.as_mut().is_some_and(|left| {
+                    *left = left.saturating_sub(1);
+                    *left == 0
+                });
+                let stop = fires || self.cancelling.contains(key);
+                let control = self.with(|daemon| daemon.checkpoint(key, completed));
+                assert_eq!(control == ChunkControl::Stop, stop, "{key} at {completed}");
+                assert!(completed >= last, "{key}: completed fell to {completed}");
+                last = completed;
+                control
+            });
+            for _ in 0..usize::from(self.requests) * self.draws.below(2) {
+                self.request();
+            }
+            let exiting = self.core.daemon.exiting();
+            let cancelled = self.cancelling.remove(key);
+            let expected = match &ended {
+                Ok(true) => JobState::Done,
+                Ok(false) if exiting => JobState::Interrupted,
+                Ok(false) if cancelled => JobState::Cancelled,
+                Ok(false) => JobState::Queued,
+                Err(broken) => panic!("{key} broke: {broken:?}"),
+            };
+            let state = self.with(|daemon| {
+                daemon.ended(key, ended);
+                let job = daemon.jobs().iter().find(|j| j.key == key);
+                job.unwrap().state
+            });
+            assert_eq!(state, expected, "{key}");
+        }
+    }
+
+    /// Seeded interleavings of every verb with the worker's checkpoints,
+    /// crash hooks and restarts, driven through the core on one thread:
+    /// only the transitions in [`LIVE`] and [`RESTART`], at most one job
+    /// running, progress that never falls within a run, a checkpoint that
+    /// stops exactly when a cancel is pending or the hook fires, no job
+    /// cancelled after a withdrawing `resume` or `submit`, fetched pages
+    /// that are prefixes of the batch store — and every job, resumed to
+    /// the end, fetches the batch store.
+    #[test]
+    fn seeded_interleavings_hold_the_job_table_invariants() {
+        let plan: Vec<Planned> = [("a", 0..2), ("b", 10..13), ("c", 20..24)]
+            .into_iter()
+            .map(|(key, seeds)| {
+                let campaign = tiny_campaign(seeds);
+                let batch = batch_bytes(key, &campaign);
+                let doc = Json::parse(&batch).unwrap();
+                Planned {
+                    key,
+                    campaign,
+                    batch,
+                    doc,
+                }
+            })
+            .collect();
+        for seed in 0..200 {
+            if catch_unwind(AssertUnwindSafe(|| lifetime(seed, &plan))).is_err() {
+                panic!("the lifetime of seed {seed} broke an invariant (above)");
+            }
+        }
+    }
+
+    /// The daemon lifetime seed `seed` draws, over the jobs of `plan`.
+    fn lifetime(seed: u64, plan: &[Planned]) {
+        let mut core = core_with("st-serve-interleavings-test", 1_000);
+        (core.cfg.chunk, core.cfg.threads) = (1, 1);
+        let mut life = Lifetime {
+            core,
+            draws: Draws(seed),
+            plan,
+            requests: true,
+            runs: VecDeque::new(),
+            seen: BTreeMap::new(),
+            cancelling: BTreeSet::new(),
+            chunks_left: None,
+        };
+        for _ in 0..12 {
+            for _ in 0..life.draws.below(4) {
+                life.request();
+            }
+            if let Some(key) = life.runs.pop_front() {
+                life.run(&key);
+            }
+            if life.core.daemon.exiting() || life.draws.below(8) == 0 {
+                let hook = life.draws.below(6) as u64;
+                life.restart((hook > 0).then_some(hook));
+            }
+        }
+
+        // Drained: every job resumed and run to the end, undisturbed.
+        life.restart(None);
+        life.requests = false;
+        let keys: Vec<String> = life.seen.keys().cloned().collect();
+        for key in keys {
+            let resumed = life.with(|daemon| daemon.answer(&Request::Resume { key }));
+            envelope(&resumed.unwrap());
+        }
+        while let Some(key) = life.runs.pop_front() {
+            life.run(&key);
+        }
+        for planned in plan.iter().filter(|p| life.seen.contains_key(p.key)) {
+            assert_eq!(life.seen[planned.key].0, JobState::Done, "{}", planned.key);
+            let stored = store_path(&life.core.cfg.state_dir, planned.key);
+            assert_eq!(std::fs::read_to_string(stored).unwrap(), planned.batch);
         }
     }
 
@@ -1919,13 +1981,13 @@ mod tests {
     /// answered `ok`, against a daemon holding a job.
     #[test]
     fn every_truncation_of_a_valid_request_is_answered_once() {
-        let shared = shared_with("st-serve-truncation-test", 10);
+        let mut core = core_with("st-serve-truncation-test", 10);
         let requests = ok_requests();
         assert!(requests.len() > 20, "{}", requests.len());
-        answers_once(&shared, &submit_doc("job", &tiny_campaign(0..4)));
+        answers_once(&mut core, &submit_doc("job", &tiny_campaign(0..4)));
         for request in &requests {
             for cut in truncations(request) {
-                answers_once(&shared, cut);
+                answers_once(&mut core, cut);
             }
         }
     }
@@ -1943,17 +2005,17 @@ mod tests {
             byte in 0u8..128,
             picks in prop::collection::vec(any::<u32>(), 0..24)
         ) {
-            let shared = shared_with("st-serve-bytes-in-test", 10);
-            answers_once(&shared, &submit_doc("job", &tiny_campaign(0..4)));
+            let mut core = core_with("st-serve-bytes-in-test", 10);
+            answers_once(&mut core, &submit_doc("job", &tiny_campaign(0..4)));
             let requests = ok_requests();
             let mut request = requests[which as usize % requests.len()].clone().into_bytes();
             let at = at as usize % request.len();
             request[at] = byte;
-            answers_once(&shared, &String::from_utf8(request).expect("ASCII in, ASCII out"));
+            answers_once(&mut core, &String::from_utf8(request).expect("ASCII in, ASCII out"));
             let text = soup(&picks, &requests);
-            answers_once(&shared, &text);
+            answers_once(&mut core, &text);
             let submit = "{\"proto\": \"st-serve/v1\", \"verb\": \"submit\", \"key\": \"soup\"";
-            answers_once(&shared, &format!("{submit}, \"entries\": [{text}"));
+            answers_once(&mut core, &format!("{submit}, \"entries\": [{text}"));
         }
     }
 }
