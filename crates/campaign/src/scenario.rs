@@ -191,7 +191,9 @@ pub enum FleetReplayDrive {
     /// Phase-batched struct-of-arrays replay
     /// ([`Sim::run_automata_replay_soa`]) with the given slice length.
     Soa {
-        /// Schedule slice length per batching round.
+        /// Length of a uniform or bucketed slice. Round-robin stretches are
+        /// batched in whole rounds whatever it is, and a slice is cut at
+        /// the end of the run's schedule block.
         slice_len: usize,
     },
 }
@@ -209,9 +211,10 @@ impl FleetReplayDrive {
     /// generator, shown to `watch` (when the run is checked) and replayed,
     /// until the budget is spent ([`RunStatus::MaxSteps`]) or the source
     /// runs dry ([`RunStatus::SourceEnded`]). The replay entry points are
-    /// resumable — the step counter lives in the `Sim` — and a block is a
-    /// whole number of SoA slices, so the batching drive cuts exactly the
-    /// slices it would cut from the whole schedule.
+    /// resumable — the step counter lives in the `Sim` — and every drive is
+    /// observationally identical to the plain replay however the schedule
+    /// is cut, so a block is [`REPLAY_BLOCK`] steps on every drive: an SoA
+    /// slice that runs past a block's end is cut there.
     fn replay<A: PhaseBatch>(
         self,
         sim: &mut Sim,
@@ -220,21 +223,10 @@ impl FleetReplayDrive {
         budget: u64,
         mut watch: Option<&mut ScheduleWatch>,
     ) -> RunStatus {
-        let block_len = match self {
-            FleetReplayDrive::Plain => REPLAY_BLOCK,
-            FleetReplayDrive::Soa { slice_len } => match slice_len as u64 {
-                // One slice at least, however long (the budget cuts it).
-                slice if slice >= REPLAY_BLOCK => slice,
-                // A zero slice length is the drive's to refuse.
-                slice => REPLAY_BLOCK - REPLAY_BLOCK % slice.max(1),
-            },
-        };
-        // Neither `slice_len` nor the budget is trusted with an up-front
-        // reservation: a block past `REPLAY_BLOCK` grows as it fills.
         let mut block = Schedule::with_capacity(REPLAY_BLOCK.min(budget) as usize);
         let mut left = budget;
         while left > 0 {
-            let want = left.min(block_len) as usize;
+            let want = left.min(REPLAY_BLOCK) as usize;
             block.clear();
             while block.len() < want {
                 match src.next_step() {

@@ -326,9 +326,13 @@ fn a_fleet_run_holds_one_block_of_its_schedule_whatever_the_budget() {
             1,
         )
     };
+    // A slice longer than any budget still runs one block at a time.
     for drive in [
         FleetReplayDrive::Plain,
         FleetReplayDrive::Soa { slice_len: 1024 },
+        FleetReplayDrive::Soa {
+            slice_len: usize::MAX,
+        },
     ] {
         assert_peak_is_budget_free(
             &format!("{drive:?}"),

@@ -401,9 +401,9 @@ fn streamed_equals_materialized(fleet: Fleet, n: usize) {
         for (budget_ix, budget) in budgets.into_iter().enumerate() {
             let soa = [
                 FleetReplayDrive::Soa { slice_len: 64 },
-                // Does not divide 65 536: blocks are 65 000 steps.
+                // Does not divide 65 536: a slice straddles a block's end.
                 FleetReplayDrive::Soa { slice_len: 1000 },
-                // One slice holds the whole run.
+                // Longer than the run: cut only at the blocks' ends.
                 FleetReplayDrive::Soa {
                     slice_len: budget as usize + 1,
                 },

@@ -38,7 +38,8 @@
 //!   loop condition;
 //! - [`Sim::run_automata_replay_soa`] batches the replay per **phase over
 //!   struct-of-arrays fleet state**: for [`PhaseBatch`] automata, slices
-//!   whose allotments are pure read runs execute as single
+//!   and round-robin windows whose allotments are pure read runs execute
+//!   as single
 //!   [`PhaseBatch::step_reads`] span reads, machines grouped by phase
 //!   class — observationally identical to the plain replay, enforced by
 //!   differential tests on every schedule family.
@@ -61,7 +62,7 @@
 //! | Drive | Executed order | When it wins | When to avoid |
 //! |-------|----------------|--------------|---------------|
 //! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish) and under per-step stop conditions | nothing — it is the reference |
-//! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose slices are pure read runs — the drive alone runs the lean n = 256 bursty fleet at ≥ 2× plain (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`); round-robin-shaped slices take a strided cursor fast path with no per-step bucketing at all | write-dense phases: slices go impure and the drive runs the scalar fallback plus bucketing overhead. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
+//! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose machines spend their steps in long read runs — the drive alone runs the lean n = 256 bursty fleet at ≥ 2× plain (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`); round-robin stretches are batched as windows of whole rounds (one strided allotment per machine, no per-step bucketing), which keeps the drive ahead of plain in every `fleet_interleaved` cell up to n = 1024 | write-dense phases: batches go impure and the drive runs the scalar fallback plus the purity checks. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
 //!
 //! Every protocol of the workspace is such a machine. The paper-shaped
 //! loop transcriptions they were ported from survive as data: the

@@ -542,19 +542,24 @@ impl Sim {
     /// phase** over struct-of-arrays fleet state: the second replay drive,
     /// for [`PhaseBatch`] automata.
     ///
-    /// The schedule is processed in contiguous slices of `slice_len` steps.
-    /// A slice that schedules a single process (the common case under
-    /// dwell-shaped generators like `Bursty`) takes a fast path: its
-    /// allotment is one contiguous step run, so no per-step bucketing, no
-    /// materialized step-index list, and no probe re-sort are needed.
-    /// Otherwise the drive buckets the steps per process. Either way it
-    /// checks *purity*: every scheduled machine must report (via
-    /// [`PhaseBatch::read_run`]) that its whole allotment consists of
-    /// value-independent register reads. A pure slice touches no register,
-    /// so its reads commute — the drive executes each machine's allotment
-    /// in a single [`PhaseBatch::step_reads`] call, machines grouped by
+    /// Wherever the schedule repeats one permutation of the whole fleet
+    /// for at least two rounds (round-robin and every rotation of it), the
+    /// drive takes a **round window**: as many whole rounds as keep
+    /// repeating and fit inside every live machine's read run, each
+    /// machine's share one strided allotment (its offset in the round,
+    /// stride n), whatever `slice_len` is. A window shorter than two rounds
+    /// (a phase turnover) runs one round scalar. The rest of the schedule
+    /// is processed in contiguous slices of `slice_len` steps. A slice that
+    /// schedules a single process (the common case under dwell-shaped
+    /// generators like `Bursty`) is one contiguous step run; otherwise the
+    /// drive buckets the steps per process. Every batch checks *purity*:
+    /// each scheduled machine must report (via [`PhaseBatch::read_run`])
+    /// that its whole allotment consists of value-independent register
+    /// reads. A pure batch touches no register, so its reads commute — the
+    /// drive executes each machine's allotment in a single
+    /// [`PhaseBatch::step_reads`] call, machines grouped by
     /// [`PhaseBatch::phase_class`] so each phase's tight scan loop runs
-    /// back to back across the fleet, and then re-sorts the slice's probe
+    /// back to back across the fleet, and then re-sorts the batch's probe
     /// events into global step order. A slice that is not pure (it contains
     /// a write, a phase turnover the machine cannot bound, or a completed
     /// machine's no-op allotment mixed with too-short runs) is executed
@@ -567,7 +572,7 @@ impl Sim {
     /// a contract, enforced by differential tests on every schedule family.
     ///
     /// When the drive wins: large fleets (n ≥ 64) of scan-heavy machines,
-    /// where per-slice allotments are long read runs and the batch loop
+    /// where allotments are long read runs and the batch loop
     /// amortizes the per-step dispatch into a
     /// [`read_word_span`](crate::Memory::read_word_span). At small n a
     /// slice rarely stays inside one phase's read run, so batching would
@@ -617,7 +622,7 @@ impl Sim {
     /// This is the raw batching engine. Prefer the delegating entry for
     /// real workloads; this one exists so differential suites can pin the
     /// batching machinery itself (purity detection, probe re-sorting,
-    /// uniform/interleaved fast paths) on small universes where failures
+    /// uniform slices, round windows) on small universes where failures
     /// are easy to shrink.
     pub fn run_automata_replay_soa_batched<A: PhaseBatch>(
         &mut self,
@@ -648,125 +653,117 @@ impl Sim {
         let (mut kernel, _) = self.kernel();
         let shared = kernel.shared;
         let first_step = kernel.steps;
-        // Reused per-slice buffers: per-process step-index allotments, the
-        // list of processes the slice touches (first-appearance order), a
-        // membership scratchpad for the interleaved permutation check, and
-        // the phase-sorted execution order of an interleaved slice.
+        // Reused buffers: per-process step-index allotments and the
+        // processes a bucketed slice touches (first-appearance order), a
+        // membership scratchpad for the round check, and the phase-sorted
+        // execution order of a round window.
         let mut allotments: Vec<Vec<u64>> = vec![Vec::new(); n];
         let mut touched: Vec<usize> = Vec::with_capacity(slice_len.min(n));
         let mut seen: Vec<bool> = vec![false; n];
         let mut order: Vec<(u8, usize, usize)> = Vec::with_capacity(n);
-        for slice in prefix.chunks(slice_len) {
-            // Uniform-slice fast path: a slice that schedules one process
-            // only (every dwell-shaped schedule — `Bursty`, long crash
-            // shadows — produces almost nothing else) is one contiguous
-            // allotment. No per-step bucketing, no materialized step list,
-            // and the single machine's probes are already in step order.
-            let first = slice[0];
-            if slice.iter().all(|&p| p == first) {
-                let idx = first.index();
-                if kernel.finished[idx] {
-                    kernel.steps += slice.len() as u64;
-                } else if slice.len() <= automata[idx].read_run() {
-                    let (start, len) = (kernel.steps, slice.len());
-                    kernel.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
-                    kernel.steps += slice.len() as u64;
+        let mut rest = prefix;
+        while !rest.is_empty() {
+            // Each turn takes the next `span` of steps and either batches
+            // it or leaves it to the scalar loop below.
+            let (span, batched) = if rest.len() >= 2 * n
+                && rest[0] != rest[1]
+                && rest[n] == rest[0]
+                && rest[..n] == rest[n..2 * n]
+                && is_permutation(&rest[..n], &mut seen)
+            {
+                // Round window: the next two rounds repeat one permutation
+                // of the whole fleet (round-robin and every rotation of it;
+                // the O(1) rejects come first, so dwells pay nothing here).
+                // The window is every further round that repeats it, up to
+                // the shortest read run of a live machine, whatever the
+                // slice length: each machine's allotment is an arithmetic
+                // progression (its offset in the round, stride n).
+                let round = &rest[..n];
+                let cap = (0..n)
+                    .filter(|&idx| !kernel.finished[idx])
+                    .map(|idx| automata[idx].read_run())
+                    .fold(rest.len() / n, usize::min);
+                if cap < 2 {
+                    // A phase turnover: one round scalar, then look again.
+                    (round, false)
                 } else {
-                    for &p in slice {
-                        kernel.step(p, automata);
-                    }
-                }
-                continue;
-            }
-            // Interleaved-slice fast path: a slice that repeats one fixed
-            // permutation of the whole fleet with period n (round-robin and
-            // every rotation of it — the dominant shape of convergence
-            // workloads) gives each process an arithmetic progression of
-            // steps: offset-in-permutation, stride n. No per-step
-            // bucketing, no materialized step lists — one strided cursor
-            // per machine.
-            if slice.len() >= n && slice.len() % n == 0 {
-                let periodic = (n..slice.len()).all(|i| slice[i] == slice[i - n]);
-                let permutation = periodic && {
-                    let mut distinct = true;
-                    for &p in &slice[..n] {
+                    let more = rest[2 * n..cap * n].chunks_exact(n);
+                    let rounds = 2 + more.take_while(|&next| next == round).count();
+                    order.clear();
+                    for (off, &p) in round.iter().enumerate() {
                         let idx = p.index();
-                        if seen[idx] {
-                            distinct = false;
-                            break;
+                        if !kernel.finished[idx] {
+                            order.push((automata[idx].phase_class(), idx, off));
                         }
-                        seen[idx] = true;
                     }
-                    for &p in &slice[..n] {
-                        seen[p.index()] = false;
+                    order.sort_unstable();
+                    let probe_mark = shared.trace.borrow().probes.len();
+                    for &(_, idx, off) in &order {
+                        let strided = Allotment::Strided {
+                            start: kernel.steps + off as u64,
+                            stride: n as u64,
+                            len: rounds,
+                        };
+                        kernel.step_reads(idx, &mut automata[idx], strided);
                     }
-                    distinct
-                };
-                if permutation {
-                    let runs = slice.len() / n;
-                    let pure = slice[..n].iter().all(|&p| {
+                    restore_probe_order(shared, probe_mark);
+                    (&rest[..rounds * n], true)
+                }
+            } else {
+                let slice = &rest[..slice_len.min(rest.len())];
+                let first = slice[0];
+                if slice.iter().all(|&p| p == first) {
+                    // Uniform slice: one process only (every dwell-shaped
+                    // schedule — `Bursty`, long crash shadows — produces
+                    // almost nothing else) is one contiguous allotment, no
+                    // bucketing, and its probes are already in step order.
+                    let idx = first.index();
+                    let pure = kernel.finished[idx] || slice.len() <= automata[idx].read_run();
+                    if pure && !kernel.finished[idx] {
+                        let (start, len) = (kernel.steps, slice.len());
+                        kernel.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
+                    }
+                    (slice, pure)
+                } else {
+                    for (off, &p) in slice.iter().enumerate() {
                         let idx = p.index();
-                        kernel.finished[idx] || runs <= automata[idx].read_run()
+                        if allotments[idx].is_empty() {
+                            touched.push(idx);
+                        }
+                        allotments[idx].push(kernel.steps + off as u64);
+                    }
+                    let pure = touched.iter().all(|&idx| {
+                        kernel.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
                     });
                     if pure {
-                        order.clear();
-                        for (off, &p) in slice[..n].iter().enumerate() {
-                            let idx = p.index();
+                        // Group the batch calls by phase: machines in the
+                        // same control phase run the same scan loop back to
+                        // back.
+                        touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
+                        let probe_mark = shared.trace.borrow().probes.len();
+                        for &idx in &touched {
                             if !kernel.finished[idx] {
-                                order.push((automata[idx].phase_class(), idx, off));
+                                let steps = Allotment::List(&allotments[idx]);
+                                kernel.step_reads(idx, &mut automata[idx], steps);
                             }
                         }
-                        order.sort_unstable();
-                        let probe_mark = shared.trace.borrow().probes.len();
-                        for &(_, idx, off) in &order {
-                            let strided = Allotment::Strided {
-                                start: kernel.steps + off as u64,
-                                stride: n as u64,
-                                len: runs,
-                            };
-                            kernel.step_reads(idx, &mut automata[idx], strided);
-                        }
                         restore_probe_order(shared, probe_mark);
-                        kernel.steps += slice.len() as u64;
-                        continue;
                     }
-                }
-                // Periodic but impure (a phase turnover inside the slice):
-                // fall through to the generic bucketing, which re-checks
-                // purity per allotment and otherwise runs scalar.
-            }
-            for (off, &p) in slice.iter().enumerate() {
-                let idx = p.index();
-                if allotments[idx].is_empty() {
-                    touched.push(idx);
-                }
-                allotments[idx].push(kernel.steps + off as u64);
-            }
-            let pure = touched.iter().all(|&idx| {
-                kernel.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
-            });
-            if pure {
-                // Group the batch calls by phase: machines in the same
-                // control phase run the same scan loop back to back.
-                touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
-                let probe_mark = shared.trace.borrow().probes.len();
-                for &idx in &touched {
-                    if !kernel.finished[idx] {
-                        let steps = Allotment::List(&allotments[idx]);
-                        kernel.step_reads(idx, &mut automata[idx], steps);
+                    for &idx in &touched {
+                        allotments[idx].clear();
                     }
+                    touched.clear();
+                    (slice, pure)
                 }
-                restore_probe_order(shared, probe_mark);
-                kernel.steps += slice.len() as u64;
+            };
+            if batched {
+                kernel.steps += span.len() as u64;
             } else {
-                for &p in slice {
+                for &p in span {
                     kernel.step(p, automata);
                 }
             }
-            for &idx in &touched {
-                allotments[idx].clear();
-            }
-            touched.clear();
+            rest = &rest[span.len()..];
         }
         Ok(kernel.exhausted(first_step, cfg))
     }
@@ -1052,6 +1049,16 @@ impl StepKernel<'_> {
             RunStatus::MaxSteps
         }
     }
+}
+
+/// Whether `round` names every process of its `round.len()`-process
+/// universe exactly once. `seen` is all `false` before and after.
+fn is_permutation(round: &[ProcessId], seen: &mut [bool]) -> bool {
+    let distinct = round
+        .iter()
+        .all(|p| !std::mem::replace(&mut seen[p.index()], true));
+    round.iter().for_each(|p| seen[p.index()] = false);
+    distinct
 }
 
 /// Batching grouped each machine's probes of a slice together: restores

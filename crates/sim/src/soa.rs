@@ -24,13 +24,17 @@
 //! runs back to back across the fleet. A slice that is not pure falls back
 //! to scalar in-order stepping, which is byte-for-byte the plain replay.
 //!
-//! Two slice shapes skip the bucketing entirely: a **uniform** slice (one
-//! process throughout — dwell-shaped schedules) becomes a single
-//! contiguous-run allotment, and an **interleaved** slice (a fixed
-//! permutation of the whole fleet repeated with period `n` — round-robin
-//! and every rotation of it) gives each machine an arithmetic-progression
-//! allotment (start = its offset in the permutation, stride = `n`) driven
-//! by a strided cursor. Neither materializes a step-index list. And below
+//! Two schedule shapes skip the bucketing entirely. A **uniform** slice
+//! (one process throughout — dwell-shaped schedules) becomes a single
+//! contiguous-run allotment. A **round window** is measured in whole
+//! rounds, not slices: wherever a fixed permutation of the whole fleet
+//! repeats (round-robin and every rotation of it), the drive takes as many
+//! rounds as keep repeating and fit inside every live machine's read run,
+//! and gives each machine one arithmetic-progression allotment (start =
+//! its offset in the round, stride = `n`) driven by a strided cursor; a
+//! window of fewer than two rounds — a phase turnover — runs one round
+//! scalar instead. Neither materializes a step-index list, and the slice
+//! length bounds only the uniform and the bucketed slices. And below
 //! [`SOA_DELEGATE_BELOW_N`](crate::SOA_DELEGATE_BELOW_N) processes the
 //! delegating entry point does not batch at all: allotments that short
 //! lose to the plain replay on every schedule family measured, so small
@@ -41,7 +45,7 @@
 //! Observational identity to plain replay is a hard contract, enforced by
 //! differential tests over every schedule family: same probes at the same
 //! step indices (each batched operation carries its original global step
-//! index, and the probe-log tail of a batched slice is re-sorted into step
+//! index, and the probe-log tail of a batch is re-sorted into step
 //! order), same decisions, same per-process op counts, same per-register
 //! access statistics, same final register contents.
 
@@ -85,10 +89,10 @@ pub trait PhaseBatch: Automaton {
     fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status;
 }
 
-/// The global step indices allotted to one machine in the current slice:
+/// The global step indices allotted to one machine in the current batch:
 /// an explicit list (irregular interleaved slices), a contiguous run
-/// (uniform slices), or an arithmetic progression (periodic round-robin
-/// slices) — the drive's fast paths never materialize the latter two.
+/// (uniform slices), or an arithmetic progression (round windows) — the
+/// drive's fast paths never materialize the latter two.
 pub(crate) enum Allotment<'a> {
     /// Explicit step indices, in schedule order.
     List(&'a [u64]),
@@ -96,9 +100,8 @@ pub(crate) enum Allotment<'a> {
     /// uniform-slice fast path.
     Run { start: u64, len: usize },
     /// `len` steps at `start, start + stride, start + 2·stride, …` — one
-    /// process's cursor under the interleaved-slice fast path (a slice
-    /// that repeats a fixed permutation of the fleet, period
-    /// `stride = n`).
+    /// process's cursor in a round window (`len` whole rounds that repeat a
+    /// fixed permutation of the fleet, period `stride = n`).
     Strided { start: u64, stride: u64, len: usize },
 }
 
@@ -126,7 +129,7 @@ impl Allotment<'_> {
 ///
 /// Unlike [`StepAccess`](crate::StepAccess) (one operation, then the step
 /// ends), a `BatchAccess` carries the global step indices of every step
-/// allotted to the machine in the current slice; each read operation
+/// allotted to the machine in the current batch; each read operation
 /// consumes the next one. Probes and decisions attach to the most recently
 /// consumed step, which is exactly where the plain drive would have
 /// published them (protocols probe/decide in the same step as the read that

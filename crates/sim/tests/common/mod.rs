@@ -28,6 +28,8 @@ pub struct SumScan {
     acc: u64,
     rounds: u64,
     limit: u64,
+    /// The length of every allotment a batch drive handed it, in order.
+    pub batches: Vec<usize>,
 }
 
 impl SumScan {
@@ -40,6 +42,7 @@ impl SumScan {
             acc: 0,
             rounds: 0,
             limit,
+            batches: Vec::new(),
         }
     }
 }
@@ -81,6 +84,7 @@ impl PhaseBatch for SumScan {
     }
 
     fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
+        self.batches.push(mem.remaining());
         let take = mem.remaining().min(self.m - self.idx);
         let mut buf = vec![0u64; take];
         mem.read_word_span(self.base, self.idx, &mut buf);

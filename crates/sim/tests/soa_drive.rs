@@ -26,6 +26,17 @@ fn pid(i: usize) -> ProcessId {
 /// Builds a Sim with a shared `m`-word array (seeded with distinct values)
 /// and one `SumScan` per process.
 fn build(n: usize, m: usize, limit: u64) -> (Sim, Vec<Reg<u64>>, Vec<SumScan>) {
+    build_with_short(n, m, limit, None)
+}
+
+/// [`build`], except that process `short` (if any) scans only the first
+/// `m - 2` words.
+fn build_with_short(
+    n: usize,
+    m: usize,
+    limit: u64,
+    short: Option<usize>,
+) -> (Sim, Vec<Reg<u64>>, Vec<SumScan>) {
     let mut sim = Sim::new(universe(n));
     // Sequential allocations are contiguous (arena property): the first
     // register is a valid base for offset reads, with distinct seeds.
@@ -34,7 +45,10 @@ fn build(n: usize, m: usize, limit: u64) -> (Sim, Vec<Reg<u64>>, Vec<SumScan>) {
         .collect();
     let outs = sim.alloc_array("out", n, 0u64);
     let fleet = (0..n)
-        .map(|i| SumScan::new(shared[0], outs[i], m, limit))
+        .map(|i| {
+            let words = if short == Some(i) { m - 2 } else { m };
+            SumScan::new(shared[0], outs[i], words, limit)
+        })
         .collect();
     (sim, outs, fleet)
 }
@@ -283,58 +297,103 @@ fn fleet_drives_return_typed_error_on_spawned_sim() {
     assert_eq!(sim.steps_executed(), 0);
 }
 
-/// The interleaved-slice fast path: schedules that repeat a fixed
-/// permutation of the whole fleet with period n route through strided
-/// allotments (no bucketing, no step-index lists) and must stay
-/// observationally identical to plain replay — across rotations of the
-/// permutation, a shuffled permutation, slice lengths aligned and
-/// misaligned with the period, and ragged tails.
+/// The round window: schedules that repeat a fixed permutation of the
+/// whole fleet route through strided allotments of as many whole rounds as
+/// every live read run admits, whatever the slice length, and must stay
+/// observationally identical to plain replay — across rotations and a
+/// shuffle of the permutation, a period that is not a permutation, a switch to a rotation mid-prefix, ragged
+/// tails, a budget cut mid-round, one machine whose shorter scan binds the
+/// window mid-scan of the others, slices shorter than a round (windows span
+/// slices), and n = 2 and 33.
 #[test]
 fn soa_interleaved_fast_path_equals_plain_replay() {
-    let (n, m, limit) = (5usize, 6usize, 4u64);
-    let shuffled = [3usize, 0, 4, 1, 2];
-    let schedules: Vec<(&str, Schedule)> = vec![
-        ("rr", Schedule::from_indices((0..400).map(|s| s % n))),
-        (
-            "rotated",
-            Schedule::from_indices((0..400).map(|s| (s + 2) % n)),
-        ),
-        (
-            "shuffled-perm",
-            Schedule::from_indices((0..400).map(|s| shuffled[s % n])),
-        ),
-        (
-            // Ragged: 370 = 74 permutation periods, but chunked at 64 the
-            // final slice is 50 steps (period check passes, length is not
-            // a multiple of n) — must fall back and stay identical.
-            "ragged-tail",
-            Schedule::from_indices((0..370).map(|s| s % n)),
-        ),
-    ];
-    for (name, sched) in &schedules {
-        let plain = {
-            let (mut sim, outs, mut fleet) = build(n, m, limit);
-            sim.run_automata_replay(&mut fleet, sched, RunConfig::steps(1_000))
-                .unwrap();
-            observe(&sim, &outs)
-        };
-        // 5·n and 64: slice aligned and misaligned with the period; n
-        // itself: one period per slice (strided runs of length 1).
-        for slice_len in [n, 5 * n, 64, 1_000] {
-            let (mut sim, outs, mut fleet) = build(n, m, limit);
-            sim.run_automata_replay_soa_batched(
-                &mut fleet,
-                sched,
-                slice_len,
-                RunConfig::steps(1_000),
-            )
-            .unwrap();
-            assert_eq!(
-                plain,
-                observe(&sim, &outs),
-                "{name}/slice={slice_len}: interleaved fast path diverged"
-            );
+    let (m, limit) = (6usize, 8u64);
+    for n in [2usize, 5, 33] {
+        let len = 80 * n;
+        let switch = 7 * n + n / 2;
+        let schedules: Vec<(&str, Schedule)> = vec![
+            ("rr", Schedule::from_indices((0..len).map(|s| s % n))),
+            (
+                "rotated",
+                Schedule::from_indices((0..len).map(|s| (s + 2) % n)),
+            ),
+            (
+                "reversed-perm",
+                Schedule::from_indices((0..len).map(|s| n - 1 - s % n)),
+            ),
+            (
+                "rotation-mid-prefix",
+                Schedule::from_indices((0..len).map(|s| (s + usize::from(s >= switch)) % n)),
+            ),
+            // Period n, but one process twice a round: not a window.
+            (
+                "periodic-non-perm",
+                Schedule::from_indices((0..len).map(|s| (s % n) % (n - 1).max(1))),
+            ),
+            // The last round is cut short: the period holds, the round
+            // does not.
+            (
+                "ragged-tail",
+                Schedule::from_indices((0..len - 3).map(|s| s % n)),
+            ),
+        ];
+        let fleet = |short: bool| build_with_short(n, m, limit, short.then_some(n / 2));
+        for (name, sched) in &schedules {
+            for short in [false, true] {
+                for budget in [len as u64, 37 * n as u64 + 1] {
+                    let cfg = RunConfig::steps(budget);
+                    let plain = {
+                        let (mut sim, outs, mut fleet) = fleet(short);
+                        sim.run_automata_replay(&mut fleet, sched, cfg).unwrap();
+                        observe(&sim, &outs)
+                    };
+                    for slice_len in [1, n - 1, n, 5 * n, 64, 1_000] {
+                        let (mut sim, outs, mut fleet) = fleet(short);
+                        sim.run_automata_replay_soa_batched(&mut fleet, sched, slice_len, cfg)
+                            .unwrap();
+                        assert_eq!(
+                            plain,
+                            observe(&sim, &outs),
+                            "n={n} {name} short={short} budget={budget} slice={slice_len}: \
+                             round window diverged"
+                        );
+                    }
+                }
+            }
         }
+    }
+}
+
+/// Round-robin is where the round window pays: each machine's whole scan
+/// (`m` rounds, its read run) is one strided allotment even with one round
+/// per slice — and stays so once a machine has finished.
+#[test]
+fn soa_round_window_batches_whole_scans() {
+    let (n, m) = (64usize, 40usize);
+    let scans = |i: usize| if i == 0 { 1 } else { 3 };
+    let mut sim = Sim::new(universe(n));
+    let shared = sim.alloc_array("shared", m, 7u64);
+    let outs = sim.alloc_array("out", n, 0u64);
+    let mut fleet: Vec<SumScan> = (0..n)
+        .map(|i| SumScan::new(shared[0], outs[i], m, scans(i) as u64))
+        .collect();
+    let steps = 3 * (m + 1) * n;
+    let sched = Schedule::from_indices((0..steps).map(|s| s % n));
+    sim.run_automata_replay_soa(&mut fleet, &sched, n, RunConfig::steps(steps as u64))
+        .unwrap();
+    let widest = fleet.iter().flat_map(|f| &f.batches).copied().max();
+    assert!(widest >= Some(2), "no window of two rounds: {widest:?}");
+    assert_eq!(
+        widest,
+        Some(m),
+        "the widest window stops short of the read run"
+    );
+    for (i, machine) in fleet.iter().enumerate() {
+        assert_eq!(
+            machine.batches,
+            vec![m; scans(i)],
+            "process {i}: a scan was not one allotment"
+        );
     }
 }
 
