@@ -5,14 +5,17 @@
 //! "store I/O holds one entry at a time, never a document, and builds no
 //! tree"), the memory a generator-driven
 //! run needs as its budget grows (the guard for "no drive holds its
-//! executed schedule"), and the memory a Figure 2 fleet needs (the guard for
-//! "no process holds the counter matrix").
+//! executed schedule"), and the memory a Figure 2 fleet needs (the guards for
+//! "no process holds the counter matrix" and "a machine allocates its local
+//! state when it first reaches the phase that uses it").
 //!
 //! A counting `#[global_allocator]` tallies the calling thread's
 //! allocations (`alloc`, `alloc_zeroed` and `realloc` calls alike) and the
 //! bytes it has live, with their high-water mark. The tallies are per
 //! thread and every `#[test]` runs on its own, so the tests here do not
-//! see each other.
+//! see each other. Live bytes are signed: a test thread may free a block
+//! the spawning thread allocated and start below zero, and an unsigned
+//! count that wrapped there would hide every peak under its starting value.
 //!
 //! Pinned on the ladder's cell, `(n, k, t) = (8, 3, 4)` at seed 1. Before
 //! registers were block-allocated with on-demand names, one
@@ -40,24 +43,24 @@ thread_local! {
     // Const-initialized and without a destructor: touching it from inside
     // the allocator neither allocates nor registers a TLS destructor.
     static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-    // Bytes this thread has allocated and not freed (wrapping: a block may
-    // be freed by another thread than the one that allocated it).
-    static LIVE: Cell<usize> = const { Cell::new(0) };
-    static PEAK: Cell<usize> = const { Cell::new(0) };
+    // Bytes this thread has allocated and not freed (signed: a block may be
+    // freed by another thread than the one that allocated it).
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
 }
 
 /// One allocator call that takes `size` more bytes.
 fn bump(size: usize) {
     ALLOCATIONS.with(|count| count.set(count.get() + 1));
     let live = LIVE.with(|live| {
-        live.set(live.get().wrapping_add(size));
+        live.set(live.get() + size as isize);
         live.get()
     });
     PEAK.with(|peak| peak.set(peak.get().max(live)));
 }
 
 fn release(size: usize) {
-    LIVE.with(|live| live.set(live.get().wrapping_sub(size)));
+    LIVE.with(|live| live.set(live.get() - size as isize));
 }
 
 // SAFETY: every method forwards its arguments unchanged to `System`, which
@@ -122,8 +125,8 @@ fn heap_use<T>(f: impl FnOnce() -> T) -> HeapUse<T> {
     HeapUse {
         out,
         allocations,
-        peak: PEAK.with(Cell::get) - base,
-        kept: LIVE.with(Cell::get) - base,
+        peak: (PEAK.with(Cell::get) - base) as usize,
+        kept: (LIVE.with(Cell::get) - base) as usize,
     }
 }
 
@@ -377,6 +380,76 @@ fn a_wide_fleet_holds_no_counter_matrix_per_process() {
             "n = {n}, k = {k}, {drive:?}: the run peaked at {peak} live bytes \
              (budget {limit_mb} MB)"
         );
+    }
+}
+
+#[test]
+fn a_fleet_machine_that_has_not_run_holds_no_vector_of_its_own() {
+    // A lean fleet at n = 256, k = 1, where each of a machine's five
+    // Figure 2 vectors is n words (|Π^1_n| = n). Before this guard every
+    // machine wrote all five at construction, 10 KB each whether it ran or
+    // not; now each is allocated by the first step of the phase that uses
+    // it, so the run's peak is what every run holds plus what its stepping
+    // machines have reached.
+    let n = 256;
+    let word = std::mem::size_of::<u64>();
+    // The arena: n heartbeats and n·n counters, each a kind byte, a payload
+    // and the read and write counts. Then the machines themselves, and
+    // 512 KB for the schedule block (64 Ki four-byte steps), the layout
+    // tables, the probe log and the report.
+    let arena = (n + n * n) * (1 + 3 * word);
+    let fixed = arena + n * std::mem::size_of::<st_fd::LeanOmegaMachine>() + (512 << 10);
+    // A machine's first line 2 read: its row buffer and its own column.
+    let scanning = 2 * n * word;
+    // Its first line 7 write adds prevHeartbeat, timeout and timer; then
+    // its expired list (a u32 per set) and the SoA drive's heartbeat buffer.
+    let iterating = scanning + 3 * n * word + n * 4 + n * word;
+    let iteration = (n * n + n + 2) as u64;
+    let cell = |generator, budget, drive| {
+        Scenario::new(
+            "lean/n256",
+            Universe::new(n).unwrap(),
+            generator,
+            Workload::LeanConvergence {
+                t: 4,
+                policy: TimeoutPolicy::Increment,
+                drive,
+            },
+            budget,
+            1,
+        )
+    };
+    for drive in [
+        FleetReplayDrive::Plain,
+        FleetReplayDrive::Soa { slice_len: 1024 },
+    ] {
+        for (what, generator, budget, limit) in [
+            // Two dwells of one iteration each: two machines step, and
+            // both run a whole iteration. Bound ≈ 2.37 MB; plain / SoA peak
+            // at 2.15 / 2.17 MB, and at 4.75 / 4.78 MB with eager vectors.
+            (
+                "bursty",
+                GeneratorSpec::bursty(iteration),
+                2 * iteration,
+                fixed + 2 * iterating,
+            ),
+            // Four rows per machine, short of one n·n-step scan: every
+            // machine steps, none reaches line 7. Bound ≈ 3.39 MB; plain /
+            // SoA peak at 3.18 / 3.19 MB, and at 4.75 / 4.76 MB with eager
+            // vectors.
+            (
+                "round-robin",
+                GeneratorSpec::round_robin(),
+                (4 * n * n) as u64,
+                fixed + n * scanning,
+            ),
+        ] {
+            let peak = run_peak(&cell(generator, budget, drive));
+            assert!(
+                peak <= limit,
+                "{what}, {drive:?}: the run peaked at {peak} live bytes (budget {limit})"
+            );
+        }
     }
 }
 

@@ -332,6 +332,15 @@ enum Phase {
 /// and retains `Counter[A, me]` alone. The hot `ReadCounters` step is a
 /// bounds-checked word read, a store and an index increment.
 ///
+/// Each vector is allocated when the machine first reaches the phase that
+/// uses it, so a fleet pays only for the machines its run steps. Before its
+/// first step a machine holds nothing of size `n` or `|Π^k_n|`. Its first
+/// line 2 read allocates the `n`-word row buffer and reserves, untouched,
+/// the `|Π^k_n|` words of its own column, which the first scan fills row by
+/// row. Its first line 7 write, at the end of that scan, allocates the
+/// `n`-word `prevHeartbeat` and the `|Π^k_n|`-word `timeout` and `timer`,
+/// which nothing reads before lines 8–13.
+///
 /// # Examples
 ///
 /// ```
@@ -357,13 +366,19 @@ enum Phase {
 pub struct KAntiOmegaMachine<const W: usize = 1> {
     fd: KAntiOmega<W>,
     phase: Phase,
+    /// `n`, kept here: the row-end test reads it every row, and the
+    /// vectors below are empty until their phase first runs.
+    n: u32,
+    /// `|Π^k_n|`, likewise (the last-row test).
+    m: u32,
     /// Flat scan position `a·n + q` within the line 2 phase.
     scan_idx: u32,
     /// `scan_idx % n`, maintained incrementally.
     col: u32,
     /// `scan_idx / n`, maintained incrementally.
     row: u32,
-    // The local variables block of Figure 2.
+    // The local variables block of Figure 2; the vectors are empty until
+    // the first line 7 write (see the type's docs).
     my_hb: u64,
     prev_heartbeat: Vec<u64>,
     timeout: Vec<u64>,
@@ -378,10 +393,12 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     /// the lines 8–13 scan run as one span read on the batched drive.
     heartbeat_base: Reg<u64>,
     /// The current line 2 row `cnt[A, *]`, folded into the accusation at
-    /// the row boundary — the whole matrix is never retained.
+    /// the row boundary — the whole matrix is never retained. Empty until
+    /// the first line 2 read.
     row_scratch: Vec<u64>,
     /// `Counter[A, me]` as read in line 2, per rank (the line 18
-    /// accusation base).
+    /// accusation base). Reserved by the first line 2 read and pushed to
+    /// row by row during the first scan; overwritten in place after it.
     cnt_me: Vec<u64>,
     /// Running argmin of `(accusation[A], A)` over the completed rows.
     best_row: u32,
@@ -401,24 +418,27 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
 
 impl<const W: usize> KAntiOmegaMachine<W> {
     fn new(fd: KAntiOmega<W>) -> Self {
-        let n = fd.universe.n();
-        let m = fd.set_count();
+        let fits = "KAntiOmegaConfig::check bounds m·n by the arena's u32 handle space";
+        let n = u32::try_from(fd.universe.n()).expect(fits);
+        let m = u32::try_from(fd.set_count()).expect(fits);
         let counter_base = fd.layout.counter;
         let heartbeat_base = fd.layout.heartbeat;
         KAntiOmegaMachine {
             fd,
             phase: Phase::ReadCounters,
+            n,
+            m,
             scan_idx: 0,
             col: 0,
             row: 0,
             my_hb: 0,
-            prev_heartbeat: vec![0; n],
-            timeout: vec![1; m],
-            timer: vec![1; m],
+            prev_heartbeat: Vec::new(),
+            timeout: Vec::new(),
+            timer: Vec::new(),
             counter_base,
             heartbeat_base,
-            row_scratch: vec![0; n],
-            cnt_me: vec![0; m],
+            row_scratch: Vec::new(),
+            cnt_me: Vec::new(),
             best_row: 0,
             best_acc: u64::MAX,
             winnerset: WideProcSet::EMPTY,
@@ -457,7 +477,12 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// [`StepAccess`] or batched [`st_sim::BatchAccess`]) drove the step.
     fn fold_row(&mut self, me: usize) -> Option<u64> {
         let row = self.row as usize;
-        self.cnt_me[row] = self.row_scratch[me];
+        let own = self.row_scratch[me];
+        match self.cnt_me.get_mut(row) {
+            Some(slot) => *slot = own,
+            // The first scan: `alloc_scan` reserved all `m` words.
+            None => self.cnt_me.push(own),
+        }
         // The (t+1)-st smallest is below the running minimum exactly when
         // more than t entries are: one counting pass settles most rows
         // without selecting anything.
@@ -468,7 +493,7 @@ impl<const W: usize> KAntiOmegaMachine<W> {
             self.best_acc = acc;
             self.best_row = self.row;
         }
-        if row + 1 < self.cnt_me.len() {
+        if row + 1 < self.m as usize {
             self.col = 0;
             self.row += 1;
             return None;
@@ -486,6 +511,35 @@ impl<const W: usize> KAntiOmegaMachine<W> {
         } else {
             None
         }
+    }
+
+    /// The machine's first line 2 read: allocates the row buffer and
+    /// reserves the own column (see the type's docs).
+    #[cold]
+    #[inline(never)]
+    fn alloc_scan(&mut self) {
+        self.row_scratch = vec![0; self.n as usize];
+        self.cnt_me = Vec::with_capacity(self.m as usize);
+    }
+
+    /// The scalar step's miss on an empty row buffer: the first read of the
+    /// machine's life lands here, after `alloc_scan`.
+    #[cold]
+    #[inline(never)]
+    fn first_read(&mut self, c: usize, w: u64) {
+        self.alloc_scan();
+        self.row_scratch[c] = w;
+    }
+
+    /// The machine's first line 7 write: the lines 8–19 state, with the
+    /// paper's initial values (heartbeats 0, timeouts and timers 1).
+    #[cold]
+    #[inline(never)]
+    fn alloc_timers(&mut self) {
+        let (n, m) = (self.n as usize, self.m as usize);
+        self.prev_heartbeat = vec![0; n];
+        self.timeout = vec![1; m];
+        self.timer = vec![1; m];
     }
 
     /// Lines 14–15 + 17 bookkeeping for every set at once: decrement all
@@ -530,10 +584,13 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
         match self.phase {
             Phase::ReadCounters => {
                 let c = self.col as usize;
-                self.row_scratch[c] =
-                    mem.read_word_array(self.counter_base, self.scan_idx as usize);
+                let w = mem.read_word_array(self.counter_base, self.scan_idx as usize);
+                match self.row_scratch.get_mut(c) {
+                    Some(slot) => *slot = w,
+                    None => self.first_read(c, w),
+                }
                 self.scan_idx += 1;
-                if c + 1 < self.row_scratch.len() {
+                if c + 1 < self.n as usize {
                     self.col += 1;
                 } else if let Some(ws) = self.fold_row(mem.pid().index()) {
                     mem.probe(WINNERSET_PROBE, ws);
@@ -543,6 +600,9 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                 // Line 7.
                 let me = mem.pid().index();
                 mem.write_word_array(self.heartbeat_base, me, self.my_hb);
+                if self.timer.is_empty() {
+                    self.alloc_timers();
+                }
                 self.phase = Phase::ReadHeartbeats(0);
             }
             Phase::ReadHeartbeats(q) => {
@@ -554,7 +614,7 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                     }
                     self.prev_heartbeat[qi] = hbq;
                 }
-                if qi + 1 == self.fd.universe.n() {
+                if qi + 1 == self.n as usize {
                     self.expire_timers();
                     if self.expired.is_empty() {
                         self.next_iteration();
@@ -570,7 +630,7 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                 // column, as the paper does.
                 let me = mem.pid().index();
                 let a = self.expired[idx as usize] as usize;
-                let slot = a * self.fd.universe.n() + me;
+                let slot = a * self.n as usize + me;
                 mem.write_word_array(self.counter_base, slot, self.cnt_me[a] + 1);
                 if idx as usize + 1 == self.expired.len() {
                     self.next_iteration();
@@ -600,9 +660,9 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
         // read never depends on the values read (values only feed the local
         // timer bookkeeping at the phase boundary), so the full remainder of
         // the phase is a sound run. The write phases pin the run at 0.
-        let n = self.fd.universe.n();
+        let n = self.n as usize;
         match self.phase {
-            Phase::ReadCounters => self.fd.set_count() * n - self.scan_idx as usize,
+            Phase::ReadCounters => self.m as usize * n - self.scan_idx as usize,
             Phase::ReadHeartbeats(q) => n - q as usize,
             Phase::WriteHeartbeat | Phase::Accuse(_) => 0,
         }
@@ -620,7 +680,10 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
                 // boundaries where the fold consumes the row in place.
                 // `read_run` caps the allotment at the scan boundary, so the
                 // phase cannot turn over mid-batch.
-                let n = self.fd.universe.n();
+                if self.row_scratch.is_empty() {
+                    self.alloc_scan();
+                }
+                let n = self.n as usize;
                 let me = mem.pid().index();
                 let mut remaining = l;
                 while remaining > 0 {
@@ -644,7 +707,7 @@ impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
                 // Lines 8–13, batched: span-read the heartbeat array, then
                 // run the timer resets over the landed values.
                 let q0 = q as usize;
-                let n = self.fd.universe.n();
+                let n = self.n as usize;
                 self.batch_buf.resize(l, 0);
                 mem.read_word_span(self.heartbeat_base, q0, &mut self.batch_buf);
                 for j in 0..l {

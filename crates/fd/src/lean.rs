@@ -5,7 +5,9 @@
 //! `{p_a}`: `Counter[A, q]` is an `n × n` matrix (accused × accuser), the
 //! per-set timers are per-process timers, and the winnerset is a single
 //! leader. [`KAntiOmegaMachine`] keeps `O(|Π^k_n| + n)` local state, which
-//! at `k = 1` is `O(n)`, and reaches
+//! at `k = 1` is `O(n)`: none before its first step, the row buffer and the
+//! own column from its first counter read, the heartbeat and timer vectors
+//! from the end of its first scan. It reaches
 //! [`MAX_PROCESSES`](st_core::process::MAX_PROCESSES) on
 //! [`WideProcSet`](st_core::WideProcSet) universes — so the large-`n`
 //! scaling fleets (`n ∈ {64, 256, 1024}`) run the paper's machine itself.
