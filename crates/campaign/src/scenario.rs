@@ -208,9 +208,12 @@ impl FleetReplayDrive {
     /// Replays `budget` steps of `src` over `fleet` on this drive — the one
     /// place a scenario picks a `Sim` replay entry point — without ever
     /// holding the schedule: one block buffer is refilled from the
-    /// generator, shown to `watch` (when the run is checked) and replayed,
-    /// until the budget is spent ([`RunStatus::MaxSteps`]) or the source
-    /// runs dry ([`RunStatus::SourceEnded`]). The replay entry points are
+    /// generator by one [`StepSource::fill`] call (one virtual call per
+    /// block through a `Box<dyn StepSource>`; the structured generators
+    /// append whole dwells and member lists), shown to `watch` (when the
+    /// run is checked) and replayed, until the budget is spent
+    /// ([`RunStatus::MaxSteps`]) or the source runs dry
+    /// ([`RunStatus::SourceEnded`]). The replay entry points are
     /// resumable — the step counter lives in the `Sim` — and every drive is
     /// observationally identical to the plain replay however the schedule
     /// is cut, so a block is [`REPLAY_BLOCK`] steps on every drive: an SoA
@@ -228,24 +231,25 @@ impl FleetReplayDrive {
         while left > 0 {
             let want = left.min(REPLAY_BLOCK) as usize;
             block.clear();
-            while block.len() < want {
-                match src.next_step() {
-                    Some(p) => block.push(p),
-                    None => break,
-                }
-            }
+            let got = src.fill(&mut block, want);
             if let Some(watch) = watch.as_deref_mut() {
                 watch.observe(block.as_slice());
             }
-            let cfg = RunConfig::steps(block.len() as u64);
+            let cfg = RunConfig::steps(got as u64);
             match self {
                 FleetReplayDrive::Plain => sim.run_automata_replay(fleet, &block, cfg),
                 FleetReplayDrive::Soa { slice_len } => {
                     sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
                 }
             }
-            .expect("generator schedules stay within the universe");
-            if block.len() < want {
+            // Neither error can occur. `FleetDriveOnSpawnedSim`: the
+            // caller's `Sim` is fresh and the fleet is its only driver.
+            // `ScheduleOutOfUniverse`: `src` is `GeneratorSpec::build`
+            // over the sim's universe, and a spec that passes
+            // `GeneratorSpec::validate` there (part of `Scenario::validate`,
+            // `run`'s precondition) names no process outside it.
+            .expect("a validated scenario's generator stays within its universe");
+            if got < want {
                 return RunStatus::SourceEnded;
             }
             left -= want as u64;

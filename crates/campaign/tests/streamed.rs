@@ -1,14 +1,16 @@
 //! Streamed = materialized: a fleet scenario that refills one block buffer
 //! from its generator, certifies its schedule claims online and rebuilds
 //! its counterexample on demand must report exactly what the
-//! hold-everything formulation reports. The oracle lives here: take the
-//! whole schedule (`take_schedule(budget)`), replay it in **one**
+//! hold-everything formulation reports. The oracle lives here: pull the
+//! whole schedule step by step (`next_step`, not the `fill` the drive
+//! pulls its blocks with), replay it in **one**
 //! `Sim::run_automata_replay` call, judge the trace, and run the offline
 //! certifiers (`empirical_bound`, `certify_absence_window`) over the
 //! schedule it kept.
 //!
 //! The cells cross what the streaming loop can get wrong: block
-//! boundaries (budgets around one block), slice cuts (SoA slice lengths
+//! boundaries (budgets around one block, a dwell that straddles them),
+//! slice cuts (SoA slice lengths
 //! that divide the block, that do not, and that exceed the budget), claims
 //! whose evidence straddles a block boundary, sources that end early, and
 //! universes whose steps a `ProcSet` cannot name.
@@ -118,6 +120,10 @@ fn cells(n: usize) -> Vec<Cell> {
     starving.extend(round_robin(BLOCK as usize).iter());
     vec![
         Cell::plain("bursty", GeneratorSpec::bursty((n * n + n + 2) as u64)),
+        // A dwell longer than a block that does not divide it: budgets of
+        // one and of three blocks end mid-dwell at a block boundary, and
+        // the second dwell ends two steps into the last block.
+        Cell::plain("bursty/straddle", GeneratorSpec::bursty(3 * BLOCK / 2 + 1)),
         Cell::plain("round-robin", GeneratorSpec::round_robin()),
         Cell::plain("seeded-random", GeneratorSpec::seeded_random(0)),
         Cell {
@@ -178,10 +184,14 @@ fn materialized(scenario: &Scenario, fleet: Fleet, cell: &Cell) -> ScenarioOutco
     let universe = scenario.universe;
     let n = universe.n();
     let t = (n / 16).max(1);
-    let schedule = scenario
-        .generator
-        .build(universe, scenario.seed)
-        .take_schedule(scenario.budget as usize);
+    let mut generator = scenario.generator.build(universe, scenario.seed);
+    let mut schedule = Schedule::new();
+    while (schedule.len() as u64) < scenario.budget {
+        match generator.next_step() {
+            Some(p) => schedule.push(p),
+            None => break,
+        }
+    }
     let mut sim = Sim::new(universe);
     let cfg = RunConfig::steps(scenario.budget);
     let status = match fleet {

@@ -2,8 +2,11 @@
 //!
 //! Finite [`Schedule`]s are analysis objects; *runs* are driven by a
 //! [`StepSource`], which may be an infinite generator (see the `st-sched`
-//! crate) or a replay of a finite schedule. The simulator pulls one process
-//! id per step until the source is exhausted or a stop condition fires.
+//! crate) or a replay of a finite schedule. A drive that checks its stop
+//! rule before every step (`Sim::run`) pulls one process id at a time with
+//! [`StepSource::next_step`]; a fleet drive that replays whole blocks pulls
+//! a block at a time with [`StepSource::fill`], one call — one virtual call
+//! through a `Box<dyn StepSource>` — per block.
 
 use crate::process::ProcessId;
 use crate::schedule::Schedule;
@@ -23,6 +26,25 @@ pub trait StepSource {
     /// is over.
     fn next_step(&mut self) -> Option<ProcessId>;
 
+    /// Appends up to `want` steps to `out` and returns how many it
+    /// appended: `want`, or fewer if the source ended first. The source
+    /// advances by exactly the returned count, so `fill` and
+    /// [`next_step`](Self::next_step) may be interleaved freely and give
+    /// the stream `next_step` alone gives.
+    ///
+    /// The default pulls step by step; a generator whose stream has
+    /// structure (a dwell, a member list repeated) overrides it to append
+    /// runs and slices.
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        for taken in 0..want {
+            match self.next_step() {
+                Some(p) => out.push(p),
+                None => return taken,
+            }
+        }
+        want
+    }
+
     /// Collects the next `len` steps into a finite [`Schedule`] (shorter if
     /// the source ends first). Useful for analyzing a generator's output
     /// with the timeliness analyzer.
@@ -31,12 +53,7 @@ pub trait StepSource {
         Self: Sized,
     {
         let mut s = Schedule::with_capacity(len.min(TAKE_RESERVE_CAP));
-        for _ in 0..len {
-            match self.next_step() {
-                Some(p) => s.push(p),
-                None => break,
-            }
-        }
+        self.fill(&mut s, len);
         s
     }
 }
@@ -96,11 +113,19 @@ impl<S: StepSource + ?Sized> StepSource for &mut S {
     fn next_step(&mut self) -> Option<ProcessId> {
         (**self).next_step()
     }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        (**self).fill(out, want)
+    }
 }
 
 impl<S: StepSource + ?Sized> StepSource for Box<S> {
     fn next_step(&mut self) -> Option<ProcessId> {
         (**self).next_step()
+    }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        (**self).fill(out, want)
     }
 }
 

@@ -97,12 +97,18 @@ impl AlternatingRotation {
 impl StepSource for AlternatingRotation {
     fn next_step(&mut self) -> Option<ProcessId> {
         let g = self.at_group;
-        self.at_group = (self.at_group + 1) % self.groups.len();
+        self.at_group += 1;
+        if self.at_group == self.groups.len() {
+            self.at_group = 0;
+        }
         let (rep, left, run) = &mut self.state[g];
         let p = self.groups[g][*rep];
         *left -= 1;
         if *left == 0 {
-            *rep = (*rep + 1) % self.groups[g].len();
+            *rep += 1;
+            if *rep == self.groups[g].len() {
+                *rep = 0;
+            }
             *run += 1;
             *left = self.base * (*run + 1);
         }

@@ -4,7 +4,7 @@ use rand::distr::Uniform;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use st_core::{ProcSet, ProcessId, StepSource, Universe};
+use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe};
 
 /// `field "over"`: a [`RoundRobin`] or [`SeededRandom`] (the `what`)
 /// over an explicit set needs a member.
@@ -82,9 +82,38 @@ impl RoundRobin {
 impl StepSource for RoundRobin {
     fn next_step(&mut self) -> Option<ProcessId> {
         let p = self.members[self.pos];
-        self.pos = (self.pos + 1) % self.members.len();
+        self.pos += 1;
+        if self.pos == self.members.len() {
+            self.pos = 0;
+        }
         Some(p)
     }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        self.pos = fill_cyclic(&self.members, self.pos, out, want);
+        want
+    }
+}
+
+/// Appends `want` steps of the infinite repetition of `period`, starting at
+/// position `pos`, and returns the position the next step is at: a copy of
+/// the period's tail, of whole periods, and of a head.
+pub(crate) fn fill_cyclic(
+    period: &[ProcessId],
+    mut pos: usize,
+    out: &mut Schedule,
+    mut want: usize,
+) -> usize {
+    while want > 0 {
+        let take = (period.len() - pos).min(want);
+        out.extend(period[pos..pos + take].iter().copied());
+        pos += take;
+        if pos == period.len() {
+            pos = 0;
+        }
+        want -= take;
+    }
+    pos
 }
 
 /// Round-robin with a dwell: each process takes `burst` consecutive steps
@@ -131,6 +160,15 @@ impl BurstyRotation {
             left: burst,
         }
     }
+
+    /// Moves the turn to the next member, for a whole dwell.
+    fn end_dwell(&mut self) {
+        self.pos += 1;
+        if self.pos == self.members.len() {
+            self.pos = 0;
+        }
+        self.left = self.burst;
+    }
 }
 
 impl StepSource for BurstyRotation {
@@ -138,10 +176,24 @@ impl StepSource for BurstyRotation {
         let p = self.members[self.pos];
         self.left -= 1;
         if self.left == 0 {
-            self.pos = (self.pos + 1) % self.members.len();
-            self.left = self.burst;
+            self.end_dwell();
         }
         Some(p)
+    }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        let mut rest = want;
+        while rest > 0 {
+            // `left ≥ 1` between pulls, so every pass appends a step.
+            let take = self.left.min(rest as u64);
+            out.extend(std::iter::repeat_n(self.members[self.pos], take as usize));
+            self.left -= take;
+            if self.left == 0 {
+                self.end_dwell();
+            }
+            rest -= take as usize;
+        }
+        want
     }
 }
 

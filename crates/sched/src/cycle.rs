@@ -8,6 +8,8 @@
 
 use st_core::{ProcessId, Schedule, StepSource};
 
+use crate::basic::fill_cyclic;
+
 /// `field "period"`: a [`Cycle`] needs a step to repeat.
 pub(crate) fn check_period(period: &Schedule) -> Result<(), String> {
     if period.is_empty() {
@@ -53,8 +55,16 @@ impl Cycle {
 impl StepSource for Cycle {
     fn next_step(&mut self) -> Option<ProcessId> {
         let p = self.period.step(self.pos);
-        self.pos = (self.pos + 1) % self.period.len();
+        self.pos += 1;
+        if self.pos == self.period.len() {
+            self.pos = 0;
+        }
         Some(p)
+    }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        self.pos = fill_cyclic(self.period.as_slice(), self.pos, out, want);
+        want
     }
 }
 

@@ -134,7 +134,10 @@ impl StepSource for RotatingStarvation {
         }
         self.left -= 1;
         let p = self.members[self.pos];
-        self.pos = (self.pos + 1) % self.members.len();
+        self.pos += 1;
+        if self.pos == self.members.len() {
+            self.pos = 0;
+        }
         Some(p)
     }
 }

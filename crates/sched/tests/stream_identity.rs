@@ -16,12 +16,28 @@
 //! `reduce` had a mask path — it has one path now); starting `SetTimely`'s
 //! injection rotation at 1. Run it after touching a generator or the `rand`
 //! shim.
+//!
+//! The structured leaves (round-robin, bursty, cycle, alternating, rotating
+//! starvation) are held the same way: their parent-commit bodies, which
+//! wrapped every position with a `%`, are kept below as closures. And every
+//! family's block pull (`StepSource::fill`) is held to its own step pull
+//! (`next_step`), interleaved at random, through the trait object the fleet
+//! drives pull through. Hand mutants the `fill` tests fail on: a `Bursty`
+//! fill that does not end the dwell when it ends exactly at `want`; an
+//! off-by-one wrap in the round-robin fill; a default `fill` that returns
+//! `want` after its source ended; a `Box` impl that does not forward
+//! `fill`.
 
 use rand::distr::Uniform;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use st_core::{ProcSet, ProcessId, StepSource, Universe, PROCSET_CAPACITY};
+use st_core::stepsource::FromFn;
+use st_core::subsets::{binomial, wide_unrank};
+use st_core::{
+    ProcSet, ProcessId, Schedule, ScheduleCursor, StepSource, Universe, MAX_PROCESSES,
+    PROCSET_CAPACITY,
+};
 use st_sched::{
     BurstClog, CrashAfter, CrashPlan, CrashRecovery, Eventually, GeneratorSpec, GrayFailure,
 };
@@ -353,11 +369,83 @@ fn reference_build(spec: &GeneratorSpec, universe: Universe, seed: u64) -> Box<d
             crash,
             rejoin,
         } => Box::new(CrashRecovery::new(child(inner), *victim, *crash, *rejoin)),
+        GeneratorSpec::RoundRobin { over } => {
+            let members = over.map_or_else(|| universe.processes().collect(), |s| s.to_vec());
+            Box::new(reference_cycle(members))
+        }
+        GeneratorSpec::Cycle { period } => Box::new(reference_cycle(period.as_slice().to_vec())),
+        GeneratorSpec::Bursty { burst } => {
+            let (members, burst): (Vec<ProcessId>, u64) = (universe.processes().collect(), *burst);
+            let (mut pos, mut left) = (0, burst);
+            Box::new(FromFn(move || {
+                let p = members[pos];
+                left -= 1;
+                if left == 0 {
+                    pos = (pos + 1) % members.len();
+                    left = burst;
+                }
+                Some(p)
+            }))
+        }
+        GeneratorSpec::AlternatingRotation { groups, base } => {
+            let groups: Vec<Vec<ProcessId>> = groups.iter().map(|g| g.to_vec()).collect();
+            let base = *base;
+            let mut state: Vec<(usize, u64, u64)> = groups.iter().map(|_| (0, base, 0)).collect();
+            let mut at_group = 0;
+            Box::new(FromFn(move || {
+                let g = at_group;
+                at_group = (at_group + 1) % groups.len();
+                let (rep, left, run) = &mut state[g];
+                let p = groups[g][*rep];
+                *left -= 1;
+                if *left == 0 {
+                    *rep = (*rep + 1) % groups[g].len();
+                    *run += 1;
+                    *left = base * (*run + 1);
+                }
+                Some(p)
+            }))
+        }
+        GeneratorSpec::RotatingStarvation { k, base } => {
+            let (k, base) = (*k, *base);
+            let running = move |e: u64| -> Vec<ProcessId> {
+                let rank = e % binomial(universe.n(), k);
+                let starved = wide_unrank::<{ MAX_PROCESSES / 64 }>(universe, k, rank);
+                universe
+                    .processes()
+                    .filter(|p| !starved.contains(*p))
+                    .collect()
+            };
+            let (mut epoch, mut left, mut members, mut pos) = (0, base, running(0), 0);
+            Box::new(FromFn(move || {
+                if left == 0 {
+                    epoch += 1;
+                    left = base * (epoch + 1);
+                    members = running(epoch);
+                    pos = 0;
+                }
+                left -= 1;
+                let p = members[pos];
+                pos = (pos + 1) % members.len();
+                Some(p)
+            }))
+        }
         leaf => {
             assert!(leaf.child().is_none(), "{} has a child", leaf.family());
             leaf.build(universe, seed)
         }
     }
+}
+
+/// The parent commit's `RoundRobin` and `Cycle`: `period` repeated, the
+/// position wrapped by `%`.
+fn reference_cycle(period: Vec<ProcessId>) -> impl StepSource {
+    let mut pos = 0;
+    FromFn(move || {
+        let p = period[pos];
+        pos = (pos + 1) % period.len();
+        Some(p)
+    })
 }
 
 /// The specs whose every step is a draw or a let-through decision, shaped
@@ -443,4 +531,166 @@ fn every_family_emits_the_stream_the_reference_emits() {
             }
         }
     }
+}
+
+/// The bursts and periods `fill` must not get wrong at their edges, for
+/// every family: one step short of a dwell, a whole dwell, one step past
+/// it; the same around a rotation of `n`; a fleet block.
+fn edge_wants(n: usize, burst: usize) -> Vec<usize> {
+    vec![0, 1, burst - 1, burst, burst + 1, n - 1, n, n + 1, 1 << 16]
+}
+
+/// Runs of one process that end inside, at and past the wants above.
+fn bursty_specs(n: usize) -> Vec<GeneratorSpec> {
+    [1, 2, 3, n as u64, (n * n) as u64, 1 << 16, (1 << 16) + 3]
+        .into_iter()
+        .map(GeneratorSpec::bursty)
+        .collect()
+}
+
+/// (c) Pulled a block at a time or a step at a time, through
+/// `Box<dyn StepSource>`, every family emits one stream: `next_step` and
+/// `fill(k)` interleaved at random, `k` drawn from the edge list and from
+/// small counts, against `next_step` alone. Each `fill` appends to what the
+/// buffer already holds and reports how many it appended — short only when
+/// a finite source ended.
+#[test]
+fn fill_and_next_step_give_the_same_stream() {
+    const STEPS: usize = 200_000;
+    // `families::one_spec_per_family`'s bursty dwell.
+    let burst = 7;
+    for n in [3, 8, 64, 130] {
+        let universe = Universe::new(n).unwrap();
+        let specs = families::one_spec_per_family()
+            .into_iter()
+            .chain(random_heavy_specs(n))
+            .chain(bursty_specs(n));
+        for (ix, spec) in specs.enumerate() {
+            let seed = ix as u64;
+            let mut reference = spec.build(universe, seed);
+            let mut steps = Vec::new();
+            while steps.len() < STEPS {
+                match reference.next_step() {
+                    Some(p) => steps.push(p),
+                    None => break,
+                }
+            }
+            let what = |at: usize| format!("{} at n = {n}, step {at}", spec.family());
+
+            let wants = edge_wants(n, burst);
+            let mut pick = StdRng::seed_from_u64(seed ^ n as u64);
+            let mut src = spec.build(universe, seed);
+            let mut out = Schedule::new();
+            while out.len() < STEPS {
+                let at = out.len();
+                let left = steps.len() - at;
+                match pick.random_range(0..4u32) {
+                    0 => {
+                        let p = src.next_step();
+                        assert_eq!(p, steps.get(at).copied(), "{}", what(at));
+                        match p {
+                            Some(p) => out.push(p),
+                            None => break,
+                        }
+                    }
+                    draw => {
+                        let k = if draw == 1 {
+                            pick.random_range(0..2 * n + 2)
+                        } else {
+                            wants[pick.random_range(0..wants.len())]
+                        };
+                        let got = src.fill(&mut out, k);
+                        let expected = if steps.len() < STEPS { k.min(left) } else { k };
+                        assert_eq!(got, expected, "fill({k}): {}", what(at));
+                        assert_eq!(out.len(), at + got, "fill({k}): {}", what(at));
+                        if got < k {
+                            break;
+                        }
+                    }
+                }
+            }
+            let n_out = out.len().min(steps.len());
+            assert_eq!(&out.as_slice()[..n_out], &steps[..n_out], "{}", what(n_out));
+            if steps.len() < STEPS {
+                assert_eq!(out.len(), steps.len(), "{}", what(out.len()));
+                assert_eq!(src.fill(&mut out, 5), 0, "{} after its end", spec.family());
+            }
+        }
+    }
+}
+
+/// A finite source's `fill` reports the short count — and, once it has
+/// ended, zero — on the default body, boxed or not.
+#[test]
+fn fill_from_a_finite_source_returns_the_short_count() {
+    let schedule = Schedule::from_indices([2, 0, 1, 1]);
+    let mut cursor: Box<dyn StepSource> = Box::new(ScheduleCursor::new(schedule.clone()));
+    let mut out = Schedule::from_indices([9]);
+    assert_eq!(cursor.fill(&mut out, 3), 3);
+    assert_eq!(cursor.fill(&mut out, 3), 1);
+    assert_eq!(cursor.fill(&mut out, 3), 0);
+    assert_eq!(out, Schedule::from_indices([9]).concat(&schedule));
+
+    let mut left = 5u32;
+    let mut closure = FromFn(move || {
+        left = left.checked_sub(1)?;
+        Some(ProcessId::new(left as usize))
+    });
+    let mut out = Schedule::new();
+    assert_eq!(closure.fill(&mut out, 0), 0);
+    assert_eq!(closure.fill(&mut out, 1 << 16), 5);
+    assert_eq!(closure.fill(&mut out, 1), 0);
+    assert_eq!(out, Schedule::from_indices([4, 3, 2, 1, 0]));
+    assert_eq!(
+        ScheduleCursor::new(schedule.clone()).take_schedule(1 << 40),
+        schedule
+    );
+}
+
+/// Counts how it is pulled: a `fill` override that appends a run of p0.
+#[derive(Default)]
+struct Counting {
+    steps: usize,
+    fills: usize,
+}
+
+impl StepSource for Counting {
+    fn next_step(&mut self) -> Option<ProcessId> {
+        self.steps += 1;
+        Some(ProcessId::new(0))
+    }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        self.fills += 1;
+        out.extend(std::iter::repeat_n(ProcessId::new(0), want));
+        want
+    }
+}
+
+/// `Box<S>` and `&mut S` forward `fill` to the source's own: a block pulled
+/// through either (or `take_schedule` on either) reaches the override with
+/// no `next_step` call. Nothing in the output tells a lost forwarding
+/// apart; it only brings back a virtual call per step.
+#[test]
+fn box_and_mut_ref_forward_fill() {
+    let mut out = Schedule::new();
+    let mut boxed: Box<dyn StepSource> = Box::new(Counting::default());
+    assert_eq!(boxed.fill(&mut out, 1 << 16), 1 << 16);
+    assert_eq!(boxed.take_schedule(100).len(), 100);
+    let mut inner = Counting::default();
+    {
+        let mut by_ref = &mut inner;
+        assert_eq!(by_ref.fill(&mut out, 10), 10);
+        assert_eq!((&mut by_ref).take_schedule(7).len(), 7);
+        let mut boxed_ref: Box<&mut Counting> = Box::new(by_ref);
+        assert_eq!(boxed_ref.fill(&mut out, 3), 3);
+    }
+    assert_eq!((inner.fills, inner.steps), (3, 0));
+    assert_eq!(out.len(), (1 << 16) + 10 + 3);
+    // The boxed one, looked at through a fresh pull: the count of fills.
+    let mut probe = Box::new(Counting::default());
+    let mut dyn_probe: &mut dyn StepSource = &mut *probe;
+    dyn_probe.fill(&mut out, 1);
+    (&mut dyn_probe).fill(&mut out, 1);
+    assert_eq!((probe.fills, probe.steps), (2, 0));
 }
