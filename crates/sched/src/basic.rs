@@ -90,30 +90,19 @@ impl StepSource for RoundRobin {
     }
 
     fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
-        self.pos = fill_cyclic(&self.members, self.pos, out, want);
+        let mut rest = want;
+        while rest > 0 {
+            // The members' tail from `pos`, then whole rotations, then a head.
+            let take = (self.members.len() - self.pos).min(rest);
+            out.extend(self.members[self.pos..self.pos + take].iter().copied());
+            self.pos += take;
+            if self.pos == self.members.len() {
+                self.pos = 0;
+            }
+            rest -= take;
+        }
         want
     }
-}
-
-/// Appends `want` steps of the infinite repetition of `period`, starting at
-/// position `pos`, and returns the position the next step is at: a copy of
-/// the period's tail, of whole periods, and of a head.
-pub(crate) fn fill_cyclic(
-    period: &[ProcessId],
-    mut pos: usize,
-    out: &mut Schedule,
-    mut want: usize,
-) -> usize {
-    while want > 0 {
-        let take = (period.len() - pos).min(want);
-        out.extend(period[pos..pos + take].iter().copied());
-        pos += take;
-        if pos == period.len() {
-            pos = 0;
-        }
-        want -= take;
-    }
-    pos
 }
 
 /// Round-robin with a dwell: each process takes `burst` consecutive steps

@@ -8,8 +8,6 @@
 
 use st_core::{ProcessId, Schedule, StepSource};
 
-use crate::basic::fill_cyclic;
-
 /// `field "period"`: a [`Cycle`] needs a step to repeat.
 pub(crate) fn check_period(period: &Schedule) -> Result<(), String> {
     if period.is_empty() {
@@ -60,11 +58,6 @@ impl StepSource for Cycle {
             self.pos = 0;
         }
         Some(p)
-    }
-
-    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
-        self.pos = fill_cyclic(self.period.as_slice(), self.pos, out, want);
-        want
     }
 }
 

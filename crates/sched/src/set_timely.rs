@@ -178,7 +178,8 @@ pub(crate) fn lets_through(
 impl<S: StepSource> StepSource for SetTimely<S> {
     // Out of line so that the default `fill` (and `take_schedule` through
     // it) calls the pull as `next_step` does: inlined into that loop over
-    // a boxed filler it read 12–19 ns/step against 7–12 step by step.
+    // a boxed filler, the benchmark's `sched.pull_ns_per_step` read a
+    // median 19.5 ns against 13.5 out of line (10 traced runs each).
     #[inline(never)]
     fn next_step(&mut self) -> Option<ProcessId> {
         let step = match self.pending.take() {

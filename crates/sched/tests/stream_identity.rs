@@ -540,32 +540,35 @@ fn edge_wants(n: usize, burst: usize) -> Vec<usize> {
     vec![0, 1, burst - 1, burst, burst + 1, n - 1, n, n + 1, 1 << 16]
 }
 
-/// Runs of one process that end inside, at and past the wants above.
-fn bursty_specs(n: usize) -> Vec<GeneratorSpec> {
-    [1, 2, 3, n as u64, (n * n) as u64, 1 << 16, (1 << 16) + 3]
+/// Runs of one process that end inside, at and past the wants above, each
+/// with its dwell.
+fn bursty_specs(n: usize) -> Vec<(GeneratorSpec, usize)> {
+    [1, 2, 3, n, n * n, 1 << 16, (1 << 16) + 3]
         .into_iter()
-        .map(GeneratorSpec::bursty)
+        .map(|burst| (GeneratorSpec::bursty(burst as u64), burst))
         .collect()
 }
 
 /// (c) Pulled a block at a time or a step at a time, through
 /// `Box<dyn StepSource>`, every family emits one stream: `next_step` and
-/// `fill(k)` interleaved at random, `k` drawn from the edge list and from
-/// small counts, against `next_step` alone. Each `fill` appends to what the
+/// `fill(k)` interleaved at random, `k` drawn from the edge list, from small
+/// counts and so that the fill ends one step short of, at or one step past
+/// a dwell's end, against `next_step` alone. Each `fill` appends to what the
 /// buffer already holds and reports how many it appended — short only when
 /// a finite source ended.
 #[test]
 fn fill_and_next_step_give_the_same_stream() {
     const STEPS: usize = 200_000;
     // `families::one_spec_per_family`'s bursty dwell.
-    let burst = 7;
+    const FAMILY_BURST: usize = 7;
     for n in [3, 8, 64, 130] {
         let universe = Universe::new(n).unwrap();
         let specs = families::one_spec_per_family()
             .into_iter()
             .chain(random_heavy_specs(n))
+            .map(|spec| (spec, FAMILY_BURST))
             .chain(bursty_specs(n));
-        for (ix, spec) in specs.enumerate() {
+        for (ix, (spec, burst)) in specs.enumerate() {
             let seed = ix as u64;
             let mut reference = spec.build(universe, seed);
             let mut steps = Vec::new();
@@ -584,7 +587,7 @@ fn fill_and_next_step_give_the_same_stream() {
             while out.len() < STEPS {
                 let at = out.len();
                 let left = steps.len() - at;
-                match pick.random_range(0..4u32) {
+                match pick.random_range(0..5u32) {
                     0 => {
                         let p = src.next_step();
                         assert_eq!(p, steps.get(at).copied(), "{}", what(at));
@@ -594,10 +597,13 @@ fn fill_and_next_step_give_the_same_stream() {
                         }
                     }
                     draw => {
-                        let k = if draw == 1 {
-                            pick.random_range(0..2 * n + 2)
-                        } else {
-                            wants[pick.random_range(0..wants.len())]
+                        let k = match draw {
+                            1 => pick.random_range(0..2 * n + 2),
+                            // To one step short of, at and one step past the
+                            // end of the dwell `at` is in (a bursty stream
+                            // starts a dwell every `burst` steps).
+                            2 => burst - at % burst + pick.random_range(0..3usize) - 1,
+                            _ => wants[pick.random_range(0..wants.len())],
                         };
                         let got = src.fill(&mut out, k);
                         let expected = if steps.len() < STEPS { k.min(left) } else { k };
