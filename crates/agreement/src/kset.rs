@@ -17,8 +17,9 @@
 //! run — even adversarial ones outside `S^k_{t+1,n}`. **Termination** needs
 //! winnerset stabilization: the stable `A0` has a correct member, say its
 //! `r`-th, which then leads instance `r` unopposed and decides. This
-//! substitution (documented in DESIGN.md §3.3) preserves Theorem 24
-//! end-to-end.
+//! substitution preserves Theorem 24 end-to-end, resting on Lemma 22's
+//! common winnerset rather than on the k-anti-Ω specification alone: at
+//! k ≥ 2 whether it needs Lemma 22 is open (ROADMAP item 24).
 
 use st_core::{AgreementTask, Value};
 use st_fd::{KAntiOmega, KAntiOmegaMachine};

@@ -3,8 +3,8 @@
 //! - [`Paxos`] — single-decree shared-memory Paxos (Disk-Paxos-style, one
 //!   single-writer record per process): the safety workhorse.
 //! - [`KSetAgreement`] — the k-parallel-Paxos construction driven by the
-//!   Figure 2 winnerset (Theorem 24's possibility side; see DESIGN.md §3.3
-//!   for the documented substitution of Zieliński's generic reduction).
+//!   Figure 2 winnerset (Theorem 24's possibility side; the `kset` module
+//!   documents how it substitutes for Zieliński's generic reduction).
 //! - [`TrivialAgreement`] — the folklore `t < k` algorithm (asynchronously
 //!   solvable regime).
 //! - [`AgreementStack`] — one-call composition: picks the right protocol

@@ -21,7 +21,11 @@
 //! - slice lengths {1, 7, 64, 1024}: degenerate scalar fallback, mixed
 //!   pure/impure slices, and slices spanning many whole phases;
 //! - large universes (lean stack at n = 256), where the batch paths
-//!   actually win and the purity checks see long allotments.
+//!   actually win and the purity checks see long allotments;
+//! - on [`Sim::run_automata_replay_soa`], the entry point every fleet
+//!   scenario runs, E9's cells past one word and past n = 256: the wide
+//!   fleet at `W = 4`, n = 256 and the lean fleet at n = 1024, on E9's
+//!   dwells, whole iterations and phase ends included.
 //!
 //! The sims here run with [`StopWhen::Never`]: the SoA drive delegates to
 //! the plain replay when a stop condition is set, so a stopped comparison
@@ -32,13 +36,33 @@ use st_agreement::{KSetAgreement, KSetAgreementMachine, LeanConsensus, Paxos, Pa
 use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaMachine, LeanOmega, TimeoutPolicy};
 use st_sched::{Figure1, GeneratorSpec, SpecMutator, SpecRng};
-use st_sim::{RegisterStats, RunConfig, RunReport, Sim};
+use st_sim::{PhaseBatch, RegisterStats, RunConfig, RunReport, Sim};
 
 /// Which fleet replay drive executes the schedule.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Drive {
+    /// The scalar reference, [`Sim::run_automata_replay`].
     Plain,
+    /// The raw batching engine at this slice length,
+    /// [`Sim::run_automata_replay_soa_batched`].
     Soa(usize),
+    /// The entry point every fleet scenario runs at this slice length,
+    /// [`Sim::run_automata_replay_soa`] (the batching engine from
+    /// `SOA_DELEGATE_BELOW_N` on).
+    Fleet(usize),
+}
+
+impl Drive {
+    /// Replays the whole of `schedule` over `fleet` on this drive.
+    fn replay<A: PhaseBatch>(self, sim: &mut Sim, fleet: &mut [A], schedule: &Schedule) {
+        let cfg = RunConfig::steps(schedule.len() as u64);
+        match self {
+            Drive::Plain => sim.run_automata_replay(fleet, schedule, cfg),
+            Drive::Soa(sl) => sim.run_automata_replay_soa_batched(fleet, schedule, sl, cfg),
+            Drive::Fleet(sl) => sim.run_automata_replay_soa(fleet, schedule, sl, cfg),
+        }
+        .unwrap();
+    }
 }
 
 /// Slice lengths every identity check sweeps: scalar degenerate, short
@@ -110,18 +134,19 @@ fn assert_observations_eq(plain: &Observation, soa: &Observation, label: &str, d
 // Per-stack runners: build a fresh sim + fleet, run one drive, observe.
 // ---------------------------------------------------------------------------
 
-fn run_kanti(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
+/// A Figure 2 fleet with process sets `W` words wide.
+fn run_kanti<const W: usize>(
+    n: usize,
+    k: usize,
+    t: usize,
+    schedule: &Schedule,
+    drive: Drive,
+) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
-    let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
-    let mut fleet: Vec<KAntiOmegaMachine> = u.processes().map(|_| fd.machine()).collect();
-    let cfg = RunConfig::steps(schedule.len() as u64);
-    match drive {
-        Drive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap(),
-        Drive::Soa(sl) => sim
-            .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
-            .unwrap(),
-    };
+    let fd = KAntiOmega::<W>::alloc_wide(&mut sim, KAntiOmegaConfig::new(k, t));
+    let mut fleet: Vec<KAntiOmegaMachine<W>> = u.processes().map(|_| fd.machine()).collect();
+    drive.replay(&mut sim, &mut fleet, schedule);
     let mut regs = Vec::new();
     for p in u.processes() {
         regs.push(fd.peek_heartbeat(&sim, p).to_string());
@@ -143,13 +168,7 @@ fn run_paxos_fleet(n: usize, schedule: &Schedule, drive: Drive) -> Observation {
         .processes()
         .map(|p| paxos.machine(proposals[p.index()]))
         .collect();
-    let cfg = RunConfig::steps(schedule.len() as u64);
-    match drive {
-        Drive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap(),
-        Drive::Soa(sl) => sim
-            .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
-            .unwrap(),
-    };
+    drive.replay(&mut sim, &mut fleet, schedule);
     let mut regs: Vec<String> = paxos
         .peek_records(&sim)
         .iter()
@@ -169,13 +188,7 @@ fn run_kset_fleet(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Driv
         .processes()
         .map(|p| kset.machine(&fd, proposals[p.index()]))
         .collect();
-    let cfg = RunConfig::steps(schedule.len() as u64);
-    match drive {
-        Drive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap(),
-        Drive::Soa(sl) => sim
-            .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
-            .unwrap(),
-    };
+    drive.replay(&mut sim, &mut fleet, schedule);
     let mut regs = Vec::new();
     for p in u.processes() {
         regs.push(fd.peek_heartbeat(&sim, p).to_string());
@@ -195,17 +208,24 @@ fn run_kset_fleet(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Driv
 }
 
 fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
+    observe_lean_fd(n, t, schedule, drive, true)
+}
+
+/// [`run_lean_fd`], its per-register statistics left out unless `stats`:
+/// they format every register's name, a million at n = 1024 — some
+/// seventeen seconds a run in a debug build.
+fn observe_lean_fd(
+    n: usize,
+    t: usize,
+    schedule: &Schedule,
+    drive: Drive,
+    stats: bool,
+) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = LeanOmega::alloc(&mut sim, t, TimeoutPolicy::Increment);
     let mut fleet: Vec<_> = u.processes().map(|_| fd.machine()).collect();
-    let cfg = RunConfig::steps(schedule.len() as u64);
-    match drive {
-        Drive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap(),
-        Drive::Soa(sl) => sim
-            .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
-            .unwrap(),
-    };
+    drive.replay(&mut sim, &mut fleet, schedule);
     let det = fd.detector();
     let mut regs = Vec::new();
     for q in 0..n {
@@ -226,7 +246,12 @@ fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observa
             regs.push(det.peek_counter(&sim, 0, ProcessId::new(i)).to_string());
         }
     }
-    (sim.report(), access_stats(&sim), regs)
+    let stats = if stats {
+        access_stats(&sim)
+    } else {
+        Vec::new()
+    };
+    (sim.report(), stats, regs)
 }
 
 fn run_lean_consensus(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
@@ -239,13 +264,7 @@ fn run_lean_consensus(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> 
         .processes()
         .map(|p| cons.machine(&fd, proposals[p.index()]))
         .collect();
-    let cfg = RunConfig::steps(schedule.len() as u64);
-    match drive {
-        Drive::Plain => sim.run_automata_replay(&mut fleet, schedule, cfg).unwrap(),
-        Drive::Soa(sl) => sim
-            .run_automata_replay_soa_batched(&mut fleet, schedule, sl, cfg)
-            .unwrap(),
-    };
+    drive.replay(&mut sim, &mut fleet, schedule);
     let det = fd.detector();
     let mut regs = Vec::new();
     for q in 0..n {
@@ -366,7 +385,7 @@ fn family_schedules(n: usize, len: usize) -> Vec<(String, Schedule)> {
 fn kanti_fleet_soa_identical_on_all_families() {
     for (name, sched) in family_schedules(4, 20_000) {
         assert_soa_identical(&format!("kanti n=4 {name}"), |d| {
-            run_kanti(4, 2, 2, &sched, d)
+            run_kanti::<1>(4, 2, 2, &sched, d)
         });
     }
 }
@@ -456,7 +475,104 @@ fn lean_consensus_soa_identical_at_n256() {
 fn kanti_fleet_soa_identical_at_n64() {
     let n = 64;
     let sched = round_robin(n, 200_000);
-    assert_soa_identical("kanti n=64 rr", |d| run_kanti(n, 1, 1, &sched, d));
+    assert_soa_identical("kanti n=64 rr", |d| run_kanti::<1>(n, 1, 1, &sched, d));
+}
+
+// ---------------------------------------------------------------------------
+// Large n on the entry point every fleet scenario runs, at the slice length
+// of its `Plain` drive: the cells of E9 past one word and past n = 256.
+// ---------------------------------------------------------------------------
+
+/// Slice length of a fleet scenario's `Plain` drive.
+const SCENARIO_SLICE_LEN: usize = 64;
+
+/// Runs `runner` on the scalar reference and on the fleet scenarios' entry
+/// point at [`SCENARIO_SLICE_LEN`] and at `off_grid`, asserting
+/// observational identity. At 64 every phase end these dwells reach falls
+/// on a slice boundary or a dwell end, where a `read_run` one step too long
+/// admits nothing; each case picks an `off_grid` length that puts a phase
+/// end one step before a boundary inside a one-process slice.
+fn assert_fleet_identical<F>(label: &str, off_grid: usize, runner: F)
+where
+    F: Fn(Drive) -> Observation,
+{
+    let plain = runner(Drive::Plain);
+    for sl in [SCENARIO_SLICE_LEN, off_grid] {
+        let fleet = Drive::Fleet(sl);
+        assert_observations_eq(&plain, &runner(fleet), label, fleet);
+    }
+}
+
+/// The wide Figure 2 fleet past one word (`W = 4`, n = 256, k = 1, E9's
+/// `t`): on a bursty dwell of exactly one accusation-free iteration
+/// (`|Π¹_n|·n + 1 + n` steps, E9's wide dwell) across three dwell ends,
+/// and on round-robin, where the engine takes round windows. Process 1's
+/// heartbeat write is step `D + n²` = 131 329, and 10 divides 131 330.
+#[test]
+fn wide_kanti_fleet_identical_at_n256() {
+    let (n, k, t) = (256, 1, 16);
+    let dwell = n * n + 1 + n;
+    let len = 3 * dwell + 4_096;
+    for (name, sched) in [
+        (
+            "bursty",
+            from_spec(&GeneratorSpec::bursty(dwell as u64), n, 0, len),
+        ),
+        ("round-robin", round_robin(n, 300_000)),
+    ] {
+        assert_fleet_identical(&format!("wide kanti W=4 n=256 {name}"), 10, |d| {
+            run_kanti::<4>(n, k, t, &sched, d)
+        });
+    }
+}
+
+/// E9's lean dwell at n = 1024: one whole iteration plus one step
+/// (`n² + n + 2`), across two dwell ends. Each turn finishes a counter
+/// scan, publishes, writes its heartbeat, scans the heartbeats and starts
+/// the next scan. Process 1's heartbeat write is step `D + n²` =
+/// 2 098 178, and 9 divides 2 098 179.
+fn e9_lean_dwell_n1024() -> Schedule {
+    let n = 1024;
+    let dwell = n * n + n + 2;
+    from_spec(
+        &GeneratorSpec::bursty(dwell as u64),
+        n,
+        0,
+        2 * dwell + 4_096,
+    )
+}
+
+/// A lean FD fleet at n = 1024 on E9's lean dwell, and on dwells shorter
+/// than a counter scan and a multiple of neither n nor the slice length,
+/// so that every dwell end cuts a scan mid-row and the next turn resumes
+/// it. Everything but the per-register statistics is compared: they
+/// format every register's name, and the case below holds them.
+#[test]
+fn lean_fd_fleet_identical_at_n1024() {
+    let n = 1024;
+    let short = 5 * n + 37;
+    for (name, sched) in [
+        ("E9 dwell", e9_lean_dwell_n1024()),
+        (
+            "short dwells",
+            from_spec(&GeneratorSpec::bursty(short as u64), n, 0, 5 * short),
+        ),
+    ] {
+        assert_fleet_identical(&format!("lean-fd n=1024 {name}"), 9, |d| {
+            observe_lean_fd(n, n / 16, &sched, d, false)
+        });
+    }
+}
+
+/// [`lean_fd_fleet_identical_at_n1024`]'s E9-dwell case with the
+/// per-register statistics compared as well.
+#[test]
+#[ignore = "≈ 35 s in a debug build, formatting a million register names; CI runs it with --release"]
+fn lean_fd_fleet_register_stats_identical_at_n1024() {
+    let sched = e9_lean_dwell_n1024();
+    assert_fleet_identical("lean-fd n=1024 E9 dwell, register stats", 9, |d| {
+        run_lean_fd(1024, 64, &sched, d)
+    });
 }
 
 // ---------------------------------------------------------------------------

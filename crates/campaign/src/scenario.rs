@@ -180,16 +180,19 @@ pub enum Workload {
     },
 }
 
-/// Which fleet replay drive a lean scenario uses. Observationally
-/// identical (the SoA differential suite); scenarios pin one so stored
-/// outcomes are comparable across drives and PRs.
+/// Which fleet replay drive a fleet scenario names. One engine under two
+/// wire names: both values run the phase-batched struct-of-arrays replay
+/// ([`Sim::run_automata_replay_soa`], observationally identical to the
+/// plain [`Sim::run_automata_replay`] — the SoA differential suite) and
+/// differ only in slice length. Below
+/// [`SOA_DELEGATE_BELOW_N`](st_sim::SOA_DELEGATE_BELOW_N) the engine
+/// delegates to the plain replay by itself.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetReplayDrive {
-    /// Plain fleet replay ([`Sim::run_automata_replay`]).
+    /// The batched engine at a slice length of 64 (`PLAIN_SLICE_LEN`).
     #[default]
     Plain,
-    /// Phase-batched struct-of-arrays replay
-    /// ([`Sim::run_automata_replay_soa`]) with the given slice length.
+    /// The batched engine at the given slice length.
     Soa {
         /// Length of a uniform or bucketed slice. Round-robin stretches are
         /// batched in whole rounds whatever it is, and a slice is cut at
@@ -204,20 +207,23 @@ pub enum FleetReplayDrive {
 /// generator that fills the block and the drive that replays it.
 const REPLAY_BLOCK: u64 = 1 << 16;
 
+/// Slice length of [`FleetReplayDrive::Plain`]: the value E9's SoA rows pin.
+const PLAIN_SLICE_LEN: usize = 64;
+
 impl FleetReplayDrive {
-    /// Replays `budget` steps of `src` over `fleet` on this drive — the one
-    /// place a scenario picks a `Sim` replay entry point — without ever
-    /// holding the schedule: one block buffer is refilled from the
-    /// generator by one [`StepSource::fill`] call (one virtual call per
-    /// block through a `Box<dyn StepSource>`; the structured generators
-    /// append whole dwells and member lists), shown to `watch` (when the
-    /// run is checked) and replayed, until the budget is spent
-    /// ([`RunStatus::MaxSteps`]) or the source runs dry
+    /// Replays `budget` steps of `src` over `fleet` on the batched engine at
+    /// this drive's slice length — the one place a scenario calls a `Sim`
+    /// replay entry point — without ever holding the schedule: one block
+    /// buffer is refilled from the generator by one [`StepSource::fill`]
+    /// call (one virtual call per block through a `Box<dyn StepSource>`;
+    /// the structured generators append whole dwells and member lists),
+    /// shown to `watch` (when the run is checked) and replayed, until the
+    /// budget is spent ([`RunStatus::MaxSteps`]) or the source runs dry
     /// ([`RunStatus::SourceEnded`]). The replay entry points are
-    /// resumable — the step counter lives in the `Sim` — and every drive is
+    /// resumable — the step counter lives in the `Sim` — and the engine is
     /// observationally identical to the plain replay however the schedule
-    /// is cut, so a block is [`REPLAY_BLOCK`] steps on every drive: an SoA
-    /// slice that runs past a block's end is cut there.
+    /// is cut, so a block is [`REPLAY_BLOCK`] steps whatever the slice
+    /// length: a slice that runs past a block's end is cut there.
     fn replay<A: PhaseBatch>(
         self,
         sim: &mut Sim,
@@ -226,6 +232,10 @@ impl FleetReplayDrive {
         budget: u64,
         mut watch: Option<&mut ScheduleWatch>,
     ) -> RunStatus {
+        let slice_len = match self {
+            FleetReplayDrive::Plain => PLAIN_SLICE_LEN,
+            FleetReplayDrive::Soa { slice_len } => slice_len,
+        };
         let mut block = Schedule::with_capacity(REPLAY_BLOCK.min(budget) as usize);
         let mut left = budget;
         while left > 0 {
@@ -236,19 +246,14 @@ impl FleetReplayDrive {
                 watch.observe(block.as_slice());
             }
             let cfg = RunConfig::steps(got as u64);
-            match self {
-                FleetReplayDrive::Plain => sim.run_automata_replay(fleet, &block, cfg),
-                FleetReplayDrive::Soa { slice_len } => {
-                    sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
-                }
-            }
-            // Neither error can occur. `FleetDriveOnSpawnedSim`: the
-            // caller's `Sim` is fresh and the fleet is its only driver.
-            // `ScheduleOutOfUniverse`: `src` is `GeneratorSpec::build`
-            // over the sim's universe, and a spec that passes
-            // `GeneratorSpec::validate` there (part of `Scenario::validate`,
-            // `run`'s precondition) names no process outside it.
-            .expect("a validated scenario's generator stays within its universe");
+            sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
+                // Neither error can occur. `FleetDriveOnSpawnedSim`: the
+                // caller's `Sim` is fresh and the fleet is its only driver.
+                // `ScheduleOutOfUniverse`: `src` is `GeneratorSpec::build`
+                // over the sim's universe, and a spec that passes
+                // `GeneratorSpec::validate` there (part of `Scenario::validate`,
+                // `run`'s precondition) names no process outside it.
+                .expect("a validated scenario's generator stays within its universe");
             if got < want {
                 return RunStatus::SourceEnded;
             }

@@ -1,4 +1,5 @@
-//! E7 — ablations of the design choices DESIGN.md calls out.
+//! E7 — ablations of two design choices: the Figure 2 timeout policy and
+//! the synchrony quality of the schedule.
 //!
 //! 1. **Timeout policy** (Figure 2 line 17): the paper's increment-by-one
 //!    versus doubling. Doubling reaches a sufficient timeout in
