@@ -129,8 +129,7 @@ pub fn drive_adversarially(
     let mut witness = certify.map(|(p, q)| PairBound::new(p, q));
 
     stack
-        .sim_mut()
-        .run_adaptive(budget, |memory| {
+        .drive_adaptive(budget, |memory| {
             if frozen_at != Some(memory.version()) {
                 frozen = danger_set(&kset, memory);
                 frozen_at = Some(memory.version());

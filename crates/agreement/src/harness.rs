@@ -3,15 +3,16 @@
 //!
 //! Chooses the right protocol for the task — the trivial algorithm when
 //! `t < k` (asynchronously solvable), otherwise Figure 2 k-anti-Ω composed
-//! with k-parallel Paxos — spawns every process, and packages outcome
-//! checking. This is the entry point used by the experiment harness, the
-//! examples, and the BG reduction.
+//! with k-parallel Paxos — builds one machine per process, and packages
+//! outcome checking. This is the entry point used by the experiment
+//! harness, the examples, and the BG reduction.
 
 use st_core::{
-    check_outcome, AgreementOutcome, AgreementTask, AgreementViolation, ProcSet, StepSource, Value,
+    check_outcome, AgreementOutcome, AgreementTask, AgreementViolation, ProcSet, ProcessId,
+    StepSource, Value,
 };
 use st_fd::{KAntiOmega, KAntiOmegaConfig, TimeoutPolicy};
-use st_sim::{RunConfig, RunReport, RunStatus, Sim, StopWhen};
+use st_sim::{Automaton, Memory, RunConfig, RunReport, RunStatus, Sim, SimError, StopWhen};
 
 use crate::kset::KSetAgreement;
 use crate::trivial::TrivialAgreement;
@@ -26,18 +27,19 @@ pub enum StackKind {
 }
 
 /// Which simulator ABI the stack runs on. There is one: every protocol is
-/// an automaton in a slot. The type stays for
+/// an automaton of the stack's fleet. The type stays for
 /// [`build_abi`](AgreementStack::build_abi)'s callers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum StackAbi {
     /// [`KSetAgreementMachine`](crate::KSetAgreementMachine) (or, for
-    /// `t < k`, [`TrivialMachine`](crate::TrivialMachine)) state machines
-    /// in automaton slots.
+    /// `t < k`, [`TrivialMachine`](crate::TrivialMachine)) state machines,
+    /// one per process.
     #[default]
     Machine,
 }
 
-/// A fully spawned agreement stack, ready to run.
+/// A fully built agreement stack, ready to run: the simulator (register
+/// arena and trace) and the fleet of one machine per process it drives.
 ///
 /// # Examples
 ///
@@ -60,6 +62,9 @@ pub enum StackAbi {
 /// ```
 pub struct AgreementStack {
     sim: Sim,
+    /// The machine of every process: one virtual call per step, and one
+    /// fleet type whichever protocol the task chose.
+    fleet: Vec<Box<dyn Automaton>>,
     task: AgreementTask,
     inputs: Vec<Value>,
     kind: StackKind,
@@ -144,27 +149,28 @@ impl AgreementStack {
         assert_eq!(inputs.len(), task.n(), "one input per process");
         let universe = task.universe();
         let mut sim = Sim::new(universe);
-        let (kind, fd, kset) = if task.is_trivially_solvable() {
+        let (kind, fd, kset, fleet) = if task.is_trivially_solvable() {
             let obj = TrivialAgreement::alloc(&mut sim, task.k());
-            for p in universe.processes() {
-                sim.spawn_automaton(p, obj.machine(inputs[p.index()]))
-                    .expect("fresh simulator");
-            }
-            (StackKind::Trivial, None, None)
+            let fleet = inputs
+                .iter()
+                .map(|&v| Box::new(obj.machine(v)) as Box<dyn Automaton>)
+                .collect();
+            (StackKind::Trivial, None, None, fleet)
         } else {
             let fd = KAntiOmega::alloc(
                 &mut sim,
                 KAntiOmegaConfig::new(task.k(), task.t()).with_policy(policy),
             );
             let kset = KSetAgreement::alloc(&mut sim, task.k());
-            for p in universe.processes() {
-                sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
-                    .expect("fresh simulator");
-            }
-            (StackKind::FdParallelPaxos, Some(fd), Some(kset))
+            let fleet = inputs
+                .iter()
+                .map(|&v| Box::new(kset.machine(&fd, v)) as Box<dyn Automaton>)
+                .collect();
+            (StackKind::FdParallelPaxos, Some(fd), Some(kset), fleet)
         };
         AgreementStack {
             sim,
+            fleet,
             task,
             inputs: inputs.to_vec(),
             kind,
@@ -203,9 +209,32 @@ impl AgreementStack {
         &self.sim
     }
 
-    /// Mutable access to the simulator (advanced instrumentation).
-    pub fn sim_mut(&mut self) -> &mut Sim {
-        &mut self.sim
+    /// Drives the stack's fleet from `src` under `cfg` — the caller's
+    /// budget and stop rule — through [`Sim::run_automata`]. Can be called
+    /// again to continue the same run; [`snapshot`](Self::snapshot)
+    /// packages the state.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ScheduleOutOfUniverse`] if `src` names a process
+    /// outside the task universe (the steps before it have executed).
+    pub fn drive<S: StepSource>(
+        &mut self,
+        src: &mut S,
+        cfg: RunConfig,
+    ) -> Result<RunStatus, SimError> {
+        self.sim.run_automata(&mut self.fleet, src, cfg)
+    }
+
+    /// Drives the stack's fleet for `budget` steps, each chosen by `choose`
+    /// from the register arena ([`Sim::run_adaptive`]): the adaptive
+    /// adversary's drive.
+    pub(crate) fn drive_adaptive<F: FnMut(&Memory) -> ProcessId>(
+        &mut self,
+        budget: u64,
+        choose: F,
+    ) -> Result<(), SimError> {
+        self.sim.run_adaptive(&mut self.fleet, budget, choose)
     }
 
     /// Packages the current state as a [`StackRun`] without driving further
@@ -228,8 +257,7 @@ impl AgreementStack {
     pub fn run<S: StepSource>(mut self, src: &mut S, budget: u64, faulty: ProcSet) -> StackRun {
         let correct = faulty.complement(self.task.universe());
         let status = self
-            .sim
-            .run(
+            .drive(
                 src,
                 RunConfig::steps(budget).stop_when(StopWhen::AllDecided(correct)),
             )

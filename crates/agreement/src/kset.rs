@@ -72,9 +72,7 @@ impl KSetAgreement {
     /// publishes the [`DECIDED_INSTANCE_PROBE`], decides and halts. One
     /// register operation per scheduled step.
     ///
-    /// One machine per process: spawn with
-    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or drive a
-    /// `Vec` of them as a typed fleet
+    /// One machine per process: drive a `Vec` of them as a fleet
     /// ([`Sim::run_automata`](st_sim::Sim::run_automata) and the replay
     /// drives).
     ///
@@ -299,15 +297,16 @@ mod tests {
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
         let kset = KSetAgreement::alloc(&mut sim, k);
         let inputs: Vec<Value> = (0..n as Value).map(|v| 10 + v).collect();
-        for p in u.processes() {
-            sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = u
+            .processes()
+            .map(|p| kset.machine(&fd, inputs[p.index()]))
+            .collect();
         let pset: ProcSet = (0..k).map(ProcessId::new).collect();
         let qset: ProcSet = (0..=t).map(ProcessId::new).collect();
         let mut src = SetTimely::new(pset, qset, 2 * (t + 1), SeededRandom::new(u, 3));
         let status = sim
-            .run(
+            .run_automata(
+                &mut fleet,
                 &mut src,
                 RunConfig::steps(3_000_000).stop_when(StopWhen::AllDecided(ProcSet::full(u))),
             )
@@ -330,12 +329,13 @@ mod tests {
             let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
             let kset = KSetAgreement::alloc(&mut sim, k);
             let inputs: Vec<Value> = (0..n as Value).collect();
-            for p in u.processes() {
-                sim.spawn_automaton(p, kset.machine(&fd, inputs[p.index()]))
-                    .unwrap();
-            }
+            let mut fleet: Vec<_> = u
+                .processes()
+                .map(|p| kset.machine(&fd, inputs[p.index()]))
+                .collect();
             let mut src = SeededRandom::new(u, seed);
-            sim.run(&mut src, RunConfig::steps(300_000)).unwrap();
+            sim.run_automata(&mut fleet, &mut src, RunConfig::steps(300_000))
+                .unwrap();
             let outcome = sim.report().agreement_outcome(&inputs, ProcSet::full(u));
             // Check only the safety clauses (termination not owed on a
             // truncated budget).
@@ -404,15 +404,16 @@ mod tests {
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
         let kset = KSetAgreement::alloc(&mut sim, k);
         assert_eq!(kset.k(), 1);
-        for p in u.processes() {
-            sim.spawn_automaton(p, kset.machine(&fd, 70 + p.index() as Value))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = u
+            .processes()
+            .map(|p| kset.machine(&fd, 70 + p.index() as Value))
+            .collect();
         let pset: ProcSet = (0..k).map(ProcessId::new).collect();
         let qset: ProcSet = (0..=t).map(ProcessId::new).collect();
         let mut src = SetTimely::new(pset, qset, 2 * (t + 1), SeededRandom::new(u, 5));
         let status = sim
-            .run(
+            .run_automata(
+                &mut fleet,
                 &mut src,
                 RunConfig::steps(3_000_000).stop_when(StopWhen::AllDecided(ProcSet::full(u))),
             )

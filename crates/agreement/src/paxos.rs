@@ -146,8 +146,8 @@ impl Paxos {
     /// decision is observed or chosen, then decide and halt. After a
     /// preemption the round has been advanced beyond every interfering
     /// ballot, so a lone repeating proposer always eventually decides.
-    /// Spawn with [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or
-    /// drive as a typed fleet.
+    /// Drive one per process as a fleet
+    /// ([`Sim::run_automata`](st_sim::Sim::run_automata)).
     ///
     /// # Panics
     ///
@@ -555,18 +555,26 @@ mod tests {
         let u = Universe::new(n).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        for p in u.processes() {
-            sim.spawn_automaton(p, paxos.machine(100 + p.index() as Value))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = u
+            .processes()
+            .map(|p| paxos.machine(100 + p.index() as Value))
+            .collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(schedule));
-        sim.run(
+        sim.run_automata(
+            &mut fleet,
             &mut src,
             RunConfig::steps(budget).stop_when(StopWhen::AllDecided(ProcSet::full(u))),
         )
         .unwrap();
         let rep = sim.report();
         (0..n).map(|i| rep.decision_value(pid(i))).collect()
+    }
+
+    /// Runs `steps` steps of p0 over `fleet`.
+    fn run_p0(sim: &mut Sim, fleet: &mut [PaxosMachine], steps: usize) {
+        let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; steps]));
+        sim.run_automata(fleet, &mut src, RunConfig::steps(steps as u64))
+            .unwrap();
     }
 
     #[test]
@@ -625,8 +633,7 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        sim.spawn_automaton(pid(0), paxos.machine(100)).unwrap();
-        sim.spawn_automaton(pid(1), paxos.machine(101)).unwrap();
+        let mut fleet = [paxos.machine(100), paxos.machine(101)];
         // p0: decision check (1) + phase1 write (1) + read other (1) +
         // phase2 write (1) = 4 steps, then crash (stop scheduling).
         let sched: Vec<usize> = [0usize, 0, 0, 0]
@@ -634,7 +641,8 @@ mod tests {
             .chain(std::iter::repeat_n(1, 60))
             .collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
-        sim.run(&mut src, RunConfig::steps(100)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(100))
+            .unwrap();
         assert_eq!(
             sim.report().decision_value(pid(1)),
             Some(100),
@@ -648,10 +656,9 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        let mut machine = paxos.machine(1);
-        machine.core.round = u64::MAX / 2 + 1;
-        sim.spawn_automaton(pid(0), machine).unwrap();
-        sim.step_with(pid(0));
+        let mut fleet = [paxos.machine(1), paxos.machine(2)];
+        fleet[0].core.round = u64::MAX / 2 + 1;
+        run_p0(&mut sim, &mut fleet, 1);
     }
 
     #[test]
@@ -661,11 +668,10 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let paxos = Paxos::alloc(&mut sim, "px");
-        let mut machine = paxos.machine(1);
-        machine.core.round = (u64::MAX - 1) / 2;
-        sim.spawn_automaton(pid(0), machine).unwrap();
-        sim.step_with(pid(0)); // decision check
-        sim.step_with(pid(0)); // phase-1 announce
+        let mut fleet = [paxos.machine(1), paxos.machine(2)];
+        fleet[0].core.round = (u64::MAX - 1) / 2;
+        // The decision check, then the phase-1 announce.
+        run_p0(&mut sim, &mut fleet, 2);
         assert_eq!(paxos.peek_records(&sim)[0].mbal, u64::MAX);
     }
 

@@ -103,14 +103,15 @@ mod tests {
         let mut sim = Sim::new(u);
         let obj = TrivialAgreement::alloc(&mut sim, k);
         let inputs: Vec<Value> = (0..n as Value).map(|v| 50 + v).collect();
-        for p in u.processes() {
-            sim.spawn_automaton(p, obj.machine(inputs[p.index()]))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = u
+            .processes()
+            .map(|p| obj.machine(inputs[p.index()]))
+            .collect();
         let plan = CrashPlan::all_at(crashed, 0);
         let mut src = CrashAfter::new(SeededRandom::new(u, seed), plan);
         let correct = crashed.complement(u);
-        sim.run(
+        sim.run_automata(
+            &mut fleet,
             &mut src,
             RunConfig::steps(100_000).stop_when(StopWhen::AllDecided(correct)),
         )

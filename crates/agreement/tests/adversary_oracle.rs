@@ -1,6 +1,6 @@
 //! `drive_adversarially` held to the loop it replaced: per step, peek every
 //! instance's decision and records through the `Sim`, rebuild the frozen
-//! set, rotate, `step_with`. The production adversary sits inside the step
+//! set, rotate, and take the chosen step through a one-step drive. The production adversary sits inside the step
 //! kernel, rebuilds the frozen set only when the arena's write counter has
 //! moved, and certifies its witness online; everything observable must come
 //! out the same. The reference records the schedule it chooses on its own
@@ -10,8 +10,8 @@
 
 use st_agreement::{drive_adversarially, AdversarialRun, AgreementStack};
 use st_core::timeliness::empirical_bound;
-use st_core::{AgreementTask, ProcSet, ProcessId, Schedule, TimelyPair, Value};
-use st_sim::RunStatus;
+use st_core::{AgreementTask, ProcSet, ProcessId, Schedule, ScheduleCursor, TimelyPair, Value};
+use st_sim::{RunConfig, RunStatus};
 
 /// The loop `drive_adversarially` replaced, asserts and all, without a
 /// certificate; it returns the schedule it chose, for the certificate to be
@@ -68,7 +68,10 @@ fn reference_drive(
         }
         fallbacks += chosen.is_none() as u64;
         let p = chosen.unwrap_or(runnable[rotation % runnable.len()]);
-        stack.sim_mut().step_with(p);
+        let mut one = ScheduleCursor::new(Schedule::from_steps(vec![p]));
+        stack
+            .drive(&mut one, RunConfig::steps(1))
+            .expect("the adversary schedules processes of the task");
         executed.push(p);
     }
 

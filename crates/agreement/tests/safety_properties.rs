@@ -24,11 +24,9 @@ proptest! {
         let u = Universe::new(3).unwrap();
         let mut sim = Sim::new(u);
         let px = Paxos::alloc(&mut sim, "px");
-        for p in u.processes() {
-            sim.spawn_automaton(p, px.machine(100 + p.index() as Value)).unwrap();
-        }
+        let mut fleet: Vec<_> = u.processes().map(|p| px.machine(100 + p.index() as Value)).collect();
         let mut src = ScheduleCursor::new(sched);
-        sim.run(&mut src, RunConfig::steps(2000).stop_when(StopWhen::AllDecided(ProcSet::full(u)))).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(2000).stop_when(StopWhen::AllDecided(ProcSet::full(u)))).unwrap();
         let rep = sim.report();
         let decided: Vec<Value> = rep.decisions.iter().flatten().map(|d| d.value).collect();
         if let Some(&first) = decided.first() {

@@ -436,9 +436,20 @@ fn lean_consensus_soa_identical_on_all_families() {
 // Large n: the regime where the SoA batch paths actually engage.
 // ---------------------------------------------------------------------------
 
+/// One whole Figure 2 iteration plus one step at k = 1 (`n² + n + 2`,
+/// E9's lean dwell): a bursty turn of this length finishes its counter
+/// scan, so slices cross a phase end inside one process's dwell.
+fn whole_iteration_dwells(n: usize, len: usize) -> Schedule {
+    let dwell = n * n + n + 2;
+    Schedule::from_indices((0..len).map(|s| (s / dwell) % n))
+}
+
 /// Lean FD identity at n = 256: allotments regularly sit inside the n²-step
 /// counter scan, so the span-read batch path (not the scalar fallback) is
-/// what executes most slices.
+/// what executes most slices. The bursty dwells are whole iterations, so
+/// six turns each finish a scan, and at slice length 7 the fifth ends one
+/// step before a slice boundary: this case kills a `read_run` one step too
+/// long in the counter scan (`ReadCounters`).
 #[test]
 fn lean_fd_soa_identical_at_n256() {
     let n = 256;
@@ -448,10 +459,7 @@ fn lean_fd_soa_identical_at_n256() {
             "seeded-random".into(),
             from_spec(&GeneratorSpec::seeded_random(0), n, 99, 400_000),
         ),
-        (
-            "bursty".into(),
-            Schedule::from_indices((0..400_000).map(|s| (s / 512) % n)),
-        ),
+        ("bursty".into(), whole_iteration_dwells(n, 400_000)),
     ] {
         assert_soa_identical(&format!("lean-fd n=256 {name}"), |d| {
             run_lean_fd(n, 8, &sched, d)
@@ -460,22 +468,34 @@ fn lean_fd_soa_identical_at_n256() {
 }
 
 /// Lean consensus identity at n = 256 (FD + decision scan + proposer core
-/// hand-offs all crossing batch boundaries).
+/// hand-offs all crossing batch boundaries), on whole-iteration dwells as
+/// above: it kills the same `read_run` mutant through the k-set machine's
+/// FD phase.
 #[test]
 fn lean_consensus_soa_identical_at_n256() {
     let n = 256;
-    let sched = Schedule::from_indices((0..400_000).map(|s| (s / 512) % n));
+    let sched = whole_iteration_dwells(n, 400_000);
     assert_soa_identical("lean-cons n=256 bursty", |d| {
         run_lean_consensus(n, 8, &sched, d)
     });
 }
 
-/// The k-anti-Ω fleet at its ProcSet capacity boundary, n = 64.
+/// The k-anti-Ω fleet at its ProcSet capacity boundary, n = 64, on
+/// round-robin (a machine gets 3 125 of the 4 096 steps its first scan
+/// needs) and on whole-iteration dwells, where 48 turns each finish a scan
+/// and at slice length 7 the fourth ends one step before a slice boundary:
+/// the dwells kill a `read_run` one step too long in the counter scan.
 #[test]
 fn kanti_fleet_soa_identical_at_n64() {
     let n = 64;
-    let sched = round_robin(n, 200_000);
-    assert_soa_identical("kanti n=64 rr", |d| run_kanti::<1>(n, 1, 1, &sched, d));
+    for (name, sched) in [
+        ("rr", round_robin(n, 200_000)),
+        ("bursty", whole_iteration_dwells(n, 200_000)),
+    ] {
+        assert_soa_identical(&format!("kanti n=64 {name}"), |d| {
+            run_kanti::<1>(n, 1, 1, &sched, d)
+        });
+    }
 }
 
 // ---------------------------------------------------------------------------

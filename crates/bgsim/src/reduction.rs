@@ -85,19 +85,17 @@ pub fn run_reduction<M, S>(
     budget: u64,
 ) -> ReductionReport
 where
-    M: StepMachine + Clone + 'static,
+    M: StepMachine + Clone,
     S: StepSource,
 {
     check_reduction(simulators, machines.len()).unwrap_or_else(|e| panic!("{e}"));
     let universe = Universe::new(simulators).expect("valid simulator count");
     let mut sim = Sim::new(universe);
     let bg = BgSimulation::alloc(&mut sim, machines, max_reads);
-    for s in universe.processes() {
-        sim.spawn_automaton(s, bg.simulator())
-            .expect("fresh simulator");
-    }
+    let mut fleet: Vec<_> = universe.processes().map(|_| bg.simulator()).collect();
     let status = sim
-        .run(
+        .run_automata(
+            &mut fleet,
             src,
             RunConfig::steps(budget).stop_when(StopWhen::AllFinished(ProcSet::full(universe))),
         )

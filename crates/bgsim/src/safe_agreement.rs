@@ -242,10 +242,10 @@ mod tests {
             let u = Universe::new(width).unwrap();
             let mut sim = Sim::new(u);
             let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-            for p in u.processes() {
-                let v = 100 + p.index() as Value;
-                sim.spawn_automaton(p, Proposer::new(&sa, v, true)).unwrap();
-            }
+            let mut fleet: Vec<_> = u
+                .processes()
+                .map(|p| Proposer::new(&sa, 100 + p.index() as Value, true))
+                .collect();
             let sched: Vec<usize> = (0..2000)
                 .map(|i| {
                     ((seed
@@ -255,7 +255,8 @@ mod tests {
                 })
                 .collect();
             let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
-            sim.run(
+            sim.run_automata(
+                &mut fleet,
                 &mut src,
                 RunConfig::steps(2000).stop_when(StopWhen::AllDecided(ProcSet::full(u))),
             )
@@ -281,10 +282,7 @@ mod tests {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        sim.spawn_automaton(pid(0), Proposer::new(&sa, 7, false))
-            .unwrap();
-        sim.spawn_automaton(pid(1), Proposer::new(&sa, 8, false))
-            .unwrap();
+        let mut fleet = [Proposer::new(&sa, 7, false), Proposer::new(&sa, 8, false)];
         // p0 takes exactly 2 steps: V write + L←1 write — then crashes *in*
         // the unsafe zone. p1 runs alone forever after.
         let sched: Vec<usize> = [0usize, 0]
@@ -292,7 +290,8 @@ mod tests {
             .chain(std::iter::repeat_n(1, 500))
             .collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
-        sim.run(&mut src, RunConfig::steps(502)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(502))
+            .unwrap();
         assert!(sa.peek_unsafe(&sim), "p0 is stuck at level 1");
         assert_eq!(
             sim.report().decision_value(pid(1)),
@@ -307,12 +306,12 @@ mod tests {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        sim.spawn_automaton(pid(1), Proposer::new(&sa, 9, false))
-            .unwrap();
+        let mut fleet = [Proposer::new(&sa, 8, false), Proposer::new(&sa, 9, false)];
         // p0 never runs at all.
         let sched: Vec<usize> = std::iter::repeat_n(1, 200).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
-        sim.run(&mut src, RunConfig::steps(200)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(200))
+            .unwrap();
         assert_eq!(sim.report().decision_value(pid(1)), Some(9));
     }
 
@@ -334,10 +333,11 @@ mod tests {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", 2);
-        sim.spawn_automaton(pid(0), ScanOnce(sa, SafeAgreementCall::resolve()))
-            .unwrap();
+        let scan = || ScanOnce(sa.clone(), SafeAgreementCall::resolve());
+        let mut fleet = [scan(), scan()];
         let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; 10]));
-        sim.run(&mut src, RunConfig::steps(10)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+            .unwrap();
         assert_eq!(sim.report().decision_value(pid(0)), Some(1));
     }
 }

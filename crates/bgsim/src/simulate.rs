@@ -68,7 +68,7 @@ pub struct BgSimulation<M> {
     max_reads: usize,
 }
 
-impl<M: StepMachine + Clone + 'static> BgSimulation<M> {
+impl<M: StepMachine + Clone> BgSimulation<M> {
     /// Allocates the simulation over `sim` (whose universe is the
     /// simulators). One machine per simulated process; each may perform at
     /// most `max_reads` simulated reads (register space is pre-allocated).
@@ -119,8 +119,8 @@ impl<M: StepMachine + Clone + 'static> BgSimulation<M> {
 
     /// The simulator automaton of one host process: runs its copies of all
     /// machines to completion (or forever, if blocked), adopting the first
-    /// simulated decision as its own. Spawn one per simulator with
-    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton).
+    /// simulated decision as its own. Drive one per simulator as a fleet
+    /// with [`Sim::run_automata`](st_sim::Sim::run_automata).
     pub fn simulator(&self) -> BgSimulator<M> {
         let n_sim = self.machines.len();
         BgSimulator {

@@ -55,13 +55,13 @@ proptest! {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        for p in u.processes() {
+        let mut fleet: Vec<_> = u.processes().map(|p| {
             let call = SafeAgreementCall::propose(10 + p.index() as Value);
-            sim.spawn_automaton(p, Proposer { object: sa.clone(), call, resolve: true }).unwrap();
-        }
+            Proposer { object: sa.clone(), call, resolve: true }
+        }).collect();
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
-        sim.run(&mut src, RunConfig::steps(len).stop_when(StopWhen::AllDecided(ProcSet::full(u)))).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(len).stop_when(StopWhen::AllDecided(ProcSet::full(u)))).unwrap();
         let decided: Vec<Value> = sim.report().decisions.iter().flatten().map(|d| d.value).collect();
         if let Some(&first) = decided.first() {
             prop_assert!(decided.iter().all(|&v| v == first));
@@ -128,19 +128,19 @@ proptest! {
         let u = Universe::new(width).unwrap();
         let mut sim = Sim::new(u);
         let sa = SafeAgreement::alloc(&mut sim, "sa", width);
-        for p in u.processes() {
+        let mut fleet: Vec<_> = u.processes().map(|p| {
             // Deciding marks the completion of the unsafe zone.
             let call = SafeAgreementCall::propose(p.index() as Value);
-            sim.spawn_automaton(p, Proposer { object: sa.clone(), call, resolve: false }).unwrap();
-        }
+            Proposer { object: sa.clone(), call, resolve: false }
+        }).collect();
         // Random interleaving first, then a fair drain so both proposers
         // complete their (constant-length) unsafe zones.
         let mut src = ScheduleCursor::new(Schedule::from_indices(order));
-        sim.run(&mut src, RunConfig::steps(10_000)
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10_000)
             .stop_when(StopWhen::AllFinished(ProcSet::full(u)))).unwrap();
         let drain: Vec<usize> = (0..40).map(|i| i % 2).collect();
         let mut src2 = ScheduleCursor::new(Schedule::from_indices(drain));
-        sim.run(&mut src2, RunConfig::steps(40)).unwrap();
+        sim.run_automata(&mut fleet, &mut src2, RunConfig::steps(40)).unwrap();
         prop_assert!(!sa.peek_unsafe(&sim), "no one may remain at level 1");
     }
 }

@@ -40,19 +40,18 @@ pub fn policy_from_spec(spec: TimeoutPolicySpec) -> TimeoutPolicy {
     }
 }
 
-/// Which simulator drive a set-based FD scenario uses. The drives are
-/// observationally identical; experiments pin one so ported tables
-/// reproduce their pre-campaign output byte for byte.
+/// The drive an FD-convergence scenario names: three wire names, one
+/// drive. Every value runs one typed fleet through `Sim::run_automata`, so
+/// it selects nothing; it stays because it is part of E2's, E7's and E8's
+/// scenario specs (their identity and their outcome-store keys).
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FdAbi {
-    /// E8's drive. It named the retired async ABI and now runs the slot
-    /// drive of [`FdAbi::MachineSlot`]; it stays because it is part of
-    /// E8's scenario spec (its identity and its outcome-store key).
+    /// E8's name. It named the retired async ABI.
     Async,
-    /// One automaton slot per process (`Sim::spawn_automaton`) — E2's drive.
+    /// E2's name. It named the retired machine slots.
     #[default]
     MachineSlot,
-    /// Typed machine fleet (`Sim::run_automata`) — E7's drive.
+    /// E7's name: a typed machine fleet.
     MachineFleet,
 }
 
@@ -62,8 +61,8 @@ pub enum FdDetector {
     /// The paper's set-based Figure 2 k-anti-Ω.
     #[default]
     SetBased,
-    /// The process-timeliness baseline (always one automaton slot per
-    /// process) — the motivation experiment's control arm.
+    /// The process-timeliness baseline — the motivation experiment's
+    /// control arm.
     ProcessBased,
 }
 
@@ -80,8 +79,8 @@ pub enum Workload {
         t: usize,
         /// Figure 2 line 17 timeout policy.
         policy: TimeoutPolicy,
-        /// Simulator drive (set-based only; the baseline always runs in
-        /// slots).
+        /// The drive's wire name; every value runs one typed fleet through
+        /// `Sim::run_automata` (see [`FdAbi`]).
         abi: FdAbi,
         /// Set- or process-based detector.
         detector: FdDetector,
@@ -247,12 +246,11 @@ impl FleetReplayDrive {
             }
             let cfg = RunConfig::steps(got as u64);
             sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
-                // Neither error can occur. `FleetDriveOnSpawnedSim`: the
-                // caller's `Sim` is fresh and the fleet is its only driver.
-                // `ScheduleOutOfUniverse`: `src` is `GeneratorSpec::build`
-                // over the sim's universe, and a spec that passes
-                // `GeneratorSpec::validate` there (part of `Scenario::validate`,
-                // `run`'s precondition) names no process outside it.
+                // `ScheduleOutOfUniverse` cannot occur: `src` is
+                // `GeneratorSpec::build` over the sim's universe, and a spec
+                // that passes `GeneratorSpec::validate` there (part of
+                // `Scenario::validate`, `run`'s precondition) names no
+                // process outside it.
                 .expect("a validated scenario's generator stays within its universe");
             if got < want {
                 return RunStatus::SourceEnded;
@@ -264,9 +262,9 @@ impl FleetReplayDrive {
 }
 
 /// A generator whose every pulled step is shown to the run's
-/// [`ScheduleWatch`] — how the `Sim::run` workloads certify their schedule
-/// claims without holding it. The simulator checks its stop rule *before*
-/// it pulls, so the steps pulled are exactly the steps executed.
+/// [`ScheduleWatch`] — how the `Sim::run_automata` workloads certify their
+/// schedule claims without holding it. The simulator checks its stop rule
+/// *before* it pulls, so the steps pulled are exactly the steps executed.
 struct Watched<'w, S> {
     src: S,
     watch: Option<&'w mut ScheduleWatch>,
@@ -612,18 +610,12 @@ impl Scenario {
                 k,
                 t,
                 policy,
-                abi,
+                abi: _,
                 detector,
                 certify_membership,
-            } => OutcomeData::Fd(self.run_fd(
-                *k,
-                *t,
-                *policy,
-                *abi,
-                *detector,
-                *certify_membership,
-                watch,
-            )),
+            } => {
+                OutcomeData::Fd(self.run_fd(*k, *t, *policy, *detector, *certify_membership, watch))
+            }
             Workload::Agreement {
                 t,
                 k,
@@ -671,13 +663,11 @@ impl Scenario {
         (data, None)
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn run_fd(
         &self,
         k: usize,
         t: usize,
         policy: TimeoutPolicy,
-        abi: FdAbi,
         detector: FdDetector,
         certify_membership: bool,
         watch: Option<&mut ScheduleWatch>,
@@ -693,31 +683,17 @@ impl Scenario {
         if self.stop == StopRule::AllCorrectDecided {
             cfg = cfg.stop_when(StopWhen::AllDecided(correct));
         }
-        let (status, probe_key) = match detector {
+        let status = match detector {
             FdDetector::SetBased => {
                 let fd =
                     KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
-                let status = match abi {
-                    FdAbi::Async | FdAbi::MachineSlot => {
-                        for p in universe.processes() {
-                            sim.spawn_automaton(p, fd.machine()).expect("fresh sim");
-                        }
-                        sim.run(&mut src, cfg)
-                    }
-                    FdAbi::MachineFleet => {
-                        let mut fleet: Vec<_> =
-                            universe.processes().map(|_| fd.machine()).collect();
-                        sim.run_automata(&mut fleet, &mut src, cfg)
-                    }
-                };
-                (status, WINNERSET_PROBE)
+                let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+                sim.run_automata(&mut fleet, &mut src, cfg)
             }
             FdDetector::ProcessBased => {
                 let fd = ProcessTimelyDetector::alloc(&mut sim, k, t, policy);
-                for p in universe.processes() {
-                    sim.spawn_automaton(p, fd.machine()).expect("fresh sim");
-                }
-                (sim.run(&mut src, cfg), WINNERSET_PROBE)
+                let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+                sim.run_automata(&mut fleet, &mut src, cfg)
             }
         };
         let status = status.expect("generator schedules stay within the universe");
@@ -750,7 +726,7 @@ impl Scenario {
             FdDetector::ProcessBased => (None, None, None),
         };
         let flap_key = match detector {
-            FdDetector::SetBased => probe_key,
+            FdDetector::SetBased => WINNERSET_PROBE,
             FdDetector::ProcessBased => BASELINE_WINNERSET_PROBE,
         };
         let after = self.budget * 3 / 4;
@@ -814,16 +790,15 @@ impl Scenario {
             self.budget
         };
         // `AgreementStack::run` hardwires the all-decided stop; driving the
-        // simulator directly lets a `StopRule::BudgetOnly` override observe
-        // the full-budget post-decision trace. With the default rule this is
-        // exactly what `stack.run` does.
+        // stack under this scenario's own config lets a `StopRule::BudgetOnly`
+        // override observe the full-budget post-decision trace. With the
+        // default rule this is exactly what `stack.run` does.
         let mut cfg = RunConfig::steps(budget);
         if self.stop == StopRule::AllCorrectDecided {
             cfg = cfg.stop_when(StopWhen::AllDecided(self.correct()));
         }
         let status = stack
-            .sim_mut()
-            .run(&mut src, cfg)
+            .drive(&mut src, cfg)
             .expect("agreement schedules stay within the task universe");
         let run = stack.snapshot(status, self.faulty);
         let ballots = stack

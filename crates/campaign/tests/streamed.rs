@@ -15,10 +15,10 @@
 //! whose evidence straddles a block boundary, sources that end early, and
 //! universes whose steps a `ProcSet` cannot name.
 //!
-//! The same holds for E2's membership certificate, which a `Sim::run`
-//! workload computes on a rebuilt prefix of its generator: its oracle is
-//! the recording path it replaced — every pulled step kept, the analyzer
-//! swept over what was kept.
+//! The same holds for E2's membership certificate, which a
+//! `Sim::run_automata` workload computes on a rebuilt prefix of its
+//! generator: its oracle is the recording path it replaced — every pulled
+//! step kept, the analyzer swept over what was kept.
 
 use st_agreement::LeanConsensus;
 use st_campaign::{
@@ -494,15 +494,10 @@ grid! {
 }
 
 /// E2's certificate the way it was computed when the simulator recorded:
-/// the detector run on `abi` over the generator, every pulled step kept,
-/// and the analyzer swept over the kept schedule. Returns the steps
-/// executed and the certificate.
-fn recorded_membership(
-    scenario: &Scenario,
-    k: usize,
-    t: usize,
-    abi: FdAbi,
-) -> (u64, Option<TimelyPair>) {
+/// the detector fleet run over the generator, every pulled step kept, and
+/// the analyzer swept over the kept schedule. Returns the steps executed
+/// and the certificate.
+fn recorded_membership(scenario: &Scenario, k: usize, t: usize) -> (u64, Option<TimelyPair>) {
     let universe = scenario.universe;
     let mut generator = scenario.generator.build(universe, scenario.seed);
     let mut executed = Schedule::new();
@@ -517,27 +512,17 @@ fn recorded_membership(
     if scenario.stop == StopRule::AllCorrectDecided {
         cfg = cfg.stop_when(StopWhen::AllDecided(scenario.correct()));
     }
-    match abi {
-        FdAbi::Async | FdAbi::MachineSlot => {
-            for p in universe.processes() {
-                sim.spawn_automaton(p, fd.machine()).unwrap();
-            }
-            sim.run(&mut src, cfg)
-        }
-        FdAbi::MachineFleet => {
-            let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-            sim.run_automata(&mut fleet, &mut src, cfg)
-        }
-    }
-    .expect("cells stay within their universe");
+    let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+    sim.run_automata(&mut fleet, &mut src, cfg)
+        .expect("cells stay within their universe");
     let certificate =
         TimelinessAnalyzer::new(universe).find_timely_pair(&executed, k, t + 1, 4 * (t + 1));
     (sim.steps_executed(), certificate)
 }
 
 /// E2's membership certificate, computed on a fresh build of the generator
-/// cut at the steps the run executed, equals the recorded run's — on every
-/// drive an FD scenario picks, under both stop rules, on conforming and
+/// cut at the steps the run executed, equals the recorded run's — under
+/// every drive name an FD scenario carries, under both stop rules, on conforming and
 /// starving schedules and on a source that ends before the budget.
 #[test]
 fn membership_on_the_rebuilt_prefix_equals_the_recorded_one() {
@@ -581,7 +566,7 @@ fn membership_on_the_rebuilt_prefix_equals_the_recorded_one() {
                 scenario.stop = stop;
                 let outcome = scenario.run();
                 let fd = outcome.data.as_fd().expect("an FD workload");
-                let (steps, membership) = recorded_membership(&scenario, k, t, abi);
+                let (steps, membership) = recorded_membership(&scenario, k, t);
                 assert_eq!(
                     (fd.steps, fd.membership),
                     (steps, membership),

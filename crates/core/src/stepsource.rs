@@ -3,7 +3,7 @@
 //! Finite [`Schedule`]s are analysis objects; *runs* are driven by a
 //! [`StepSource`], which may be an infinite generator (see the `st-sched`
 //! crate) or a replay of a finite schedule. A drive that checks its stop
-//! rule before every step (`Sim::run`) pulls one process id at a time with
+//! rule before every step (`Sim::run_automata`) pulls one process id at a time with
 //! [`StepSource::next_step`]; a fleet drive that replays whole blocks pulls
 //! a block at a time with [`StepSource::fill`], one call — one virtual call
 //! through a `Box<dyn StepSource>` — per block.

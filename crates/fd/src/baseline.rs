@@ -73,9 +73,8 @@ impl ProcessTimelyDetector {
         }
     }
 
-    /// The automaton of one process (iterate forever): spawn via
-    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or drive a
-    /// `Vec` of them as a fleet.
+    /// The automaton of one process (iterate forever): drive a `Vec` of
+    /// them as a fleet ([`Sim::run_automata`](st_sim::Sim::run_automata)).
     pub fn machine(&self) -> ProcessTimelyMachine {
         let n = self.universe.n();
         ProcessTimelyMachine {
@@ -267,10 +266,9 @@ mod tests {
         let universe = Universe::new(n).unwrap();
         let mut sim = Sim::new(universe);
         let fd = ProcessTimelyDetector::alloc(&mut sim, k, t, TimeoutPolicy::Increment);
-        for p in universe.processes() {
-            sim.spawn_automaton(p, fd.machine()).unwrap();
-        }
-        sim.run(src, RunConfig::steps(budget)).unwrap();
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+        sim.run_automata(&mut fleet, src, RunConfig::steps(budget))
+            .unwrap();
         sim.report()
     }
 

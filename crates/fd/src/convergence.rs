@@ -14,13 +14,13 @@
 //! k-parallel-Paxos agreement layer relies on it.
 //!
 //! [`run_until_quiescent`] is the driving side of the analysis: it steps a
-//! simulation (e.g. of [`KAntiOmegaMachine`](crate::KAntiOmegaMachine)s) in
+//! fleet (e.g. of [`KAntiOmegaMachine`](crate::KAntiOmegaMachine)s) in
 //! poll intervals, watching the O(1) probe count for quiescence instead of
 //! materializing a report per interval, and judges stabilization once at
 //! the end.
 
 use st_core::{ProcSet, ProcessId, StepSource};
-use st_sim::{RunConfig, RunReport, RunStatus, Sim};
+use st_sim::{Automaton, RunConfig, RunReport, RunStatus, Sim};
 
 use crate::kanti::WINNERSET_PROBE;
 
@@ -167,7 +167,7 @@ pub fn wide_winnerset_stabilization(
 /// stabilization verdict of the single report materialized at the end.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct QuiescentRun {
-    /// Status of the last `Sim::run` call.
+    /// Status of the last `Sim::run_automata` call.
     pub status: RunStatus,
     /// Steps executed in total (across all poll intervals).
     pub steps: u64,
@@ -191,14 +191,16 @@ pub struct QuiescentRun {
 /// trace by [`winnerset_stabilization`], exactly as for a full-budget run
 /// over the same steps.
 ///
-/// Runs at most `budget` steps in total; stops earlier on quiescence, on
-/// source exhaustion, or when a process gets stuck.
+/// Runs at most `budget` steps of `fleet` in total; stops earlier on
+/// quiescence or on source exhaustion.
 ///
 /// # Panics
 ///
-/// Panics if `poll_interval == 0` or `quiet_polls == 0`.
-pub fn run_until_quiescent<S: StepSource>(
+/// Panics if `poll_interval == 0` or `quiet_polls == 0`, or if `fleet` is
+/// not one machine per process.
+pub fn run_until_quiescent<A: Automaton, S: StepSource>(
     sim: &mut Sim,
+    fleet: &mut [A],
     src: &mut S,
     correct: ProcSet,
     budget: u64,
@@ -218,12 +220,11 @@ pub fn run_until_quiescent<S: StepSource>(
         }
         let chunk = poll_interval.min(budget - executed);
         status = sim
-            .run(src, RunConfig::steps(chunk))
+            .run_automata(fleet, src, RunConfig::steps(chunk))
             .expect("poll schedule within universe");
         match status {
             RunStatus::MaxSteps => {}
-            // Source ended, stop condition, or a stuck process: no more
-            // steps will happen, judge what we have.
+            // Source ended: no more steps will happen, judge what we have.
             _ => break,
         }
         let count = sim.probe_count();
@@ -282,13 +283,14 @@ mod tests {
     /// sequences.
     fn scripted(n: usize, scripts: Vec<Vec<u64>>) -> RunReport {
         let mut sim = Sim::new(Universe::new(n).unwrap());
-        for (i, script) in scripts.into_iter().enumerate() {
-            sim.spawn_automaton(ProcessId::new(i), Script(script.into_iter()))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = scripts
+            .into_iter()
+            .map(|script| Script(script.into_iter()))
+            .collect();
         let order: Vec<usize> = (0..200).map(|s| s % n).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(order));
-        sim.run(&mut src, RunConfig::steps(200)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(200))
+            .unwrap();
         sim.report()
     }
 
@@ -367,21 +369,18 @@ mod tests {
         // Full-budget reference on the machine ABI.
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        for p in universe.processes() {
-            sim.spawn_automaton(p, fd.machine()).unwrap();
-        }
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps.clone()));
-        sim.run(&mut src, RunConfig::steps(budget)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(budget))
+            .unwrap();
         let reference = winnerset_stabilization(&sim.report(), full).expect("round-robin settles");
 
         // Quiescence-polled run over the same schedule.
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        for p in universe.processes() {
-            sim.spawn_automaton(p, fd.machine()).unwrap();
-        }
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        let run = run_until_quiescent(&mut sim, &mut src, full, budget, 1_000, 8);
+        let run = run_until_quiescent(&mut sim, &mut fleet, &mut src, full, budget, 1_000, 8);
         assert!(
             run.steps < budget,
             "expected early stop, ran all {} steps",
@@ -403,12 +402,10 @@ mod tests {
         // source, counting only executed steps.
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        for p in universe.processes() {
-            sim.spawn_automaton(p, fd.machine()).unwrap();
-        }
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         let steps: Vec<usize> = (0..500).map(|s| s % 3).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        let run = run_until_quiescent(&mut sim, &mut src, full, 10_000, 100, 50);
+        let run = run_until_quiescent(&mut sim, &mut fleet, &mut src, full, 10_000, 100, 50);
         assert_eq!(run.status, RunStatus::SourceEnded);
         assert_eq!(run.steps, 500);
     }

@@ -111,13 +111,11 @@ impl KAntiOmegaConfig {
 /// let universe = Universe::new(3).unwrap();
 /// let mut sim = Sim::new(universe);
 /// let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-/// for p in universe.processes() {
-///     sim.spawn_automaton(p, fd.machine()).unwrap();
-/// }
+/// let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
 /// // Round-robin is synchronous: the detector settles quickly.
 /// let steps: Vec<usize> = (0..60_000).map(|s| s % 3).collect();
 /// let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-/// sim.run(&mut src, RunConfig::steps(60_000)).unwrap();
+/// sim.run_automata(&mut fleet, &mut src, RunConfig::steps(60_000)).unwrap();
 /// let stab = st_fd::convergence::winnerset_stabilization(
 ///     &sim.report(),
 ///     ProcSet::full(universe),
@@ -276,9 +274,9 @@ impl<const W: usize> KAntiOmega<W> {
     }
 
     /// The standalone Figure 2 automaton of one process (iterate forever):
-    /// spawn via [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton),
-    /// e.g. `sim.spawn_automaton(p, fd.machine())`, or drive a `Vec` of
-    /// them as a fleet.
+    /// drive one per process as a fleet, e.g.
+    /// `sim.run_automata(&mut fleet, &mut src, cfg)` over
+    /// `universe.processes().map(|_| fd.machine()).collect::<Vec<_>>()`.
     pub fn machine(&self) -> KAntiOmegaMachine<W> {
         KAntiOmegaMachine::new(self.clone())
     }
@@ -323,8 +321,8 @@ enum Phase {
 /// The Figure 2 automaton as an explicit state machine
 /// ([`st_sim::Automaton`]).
 ///
-/// Construct via [`KAntiOmega::machine`] and spawn with
-/// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton). Local state is
+/// Construct via [`KAntiOmega::machine`] and drive one per process as a
+/// fleet ([`Sim::run_automata`](st_sim::Sim::run_automata)). Local state is
 /// `O(|Π^k_n| + n)` per process, not the `|Π^k_n| × n` snapshot the paper's
 /// line 2 spells out: line 3 needs one row of the counter matrix at a time
 /// and line 18 only the process's own column, so the scan lands each row in
@@ -351,12 +349,10 @@ enum Phase {
 /// let universe = Universe::new(3).unwrap();
 /// let mut sim = Sim::new(universe);
 /// let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-/// for p in universe.processes() {
-///     sim.spawn_automaton(p, fd.machine()).unwrap();
-/// }
+/// let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
 /// let steps: Vec<usize> = (0..60_000).map(|s| s % 3).collect();
 /// let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-/// sim.run(&mut src, RunConfig::steps(60_000)).unwrap();
+/// sim.run_automata(&mut fleet, &mut src, RunConfig::steps(60_000)).unwrap();
 /// let stab = st_fd::convergence::winnerset_stabilization(
 ///     &sim.report(),
 ///     ProcSet::full(universe),
@@ -809,11 +805,11 @@ mod tests {
         // timers keep expiring), so Counter[A, p0] grows for those sets.
         let mut sim = Sim::new(universe(3));
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 2));
-        sim.spawn_automaton(ProcessId::new(0), fd.machine())
-            .unwrap();
+        let mut fleet: Vec<_> = (0..3).map(|_| fd.machine()).collect();
         let steps = vec![0usize; 4000];
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        sim.run(&mut src, RunConfig::steps(4000)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(4000))
+            .unwrap();
         // Ranks: {p0}=0, {p1}=1, {p2}=2.
         let acc_p1 = fd.peek_counter(&sim, 1, ProcessId::new(0));
         let acc_p2 = fd.peek_counter(&sim, 2, ProcessId::new(0));
@@ -844,12 +840,13 @@ mod tests {
         // Pre-set counters for set rank 0 ({p0}): entries 5, 1, 3, 2 → sorted
         // 1,2,3,5 → (t+1)=3rd smallest = 3. Counters are single-writer:
         // each process writes its own Counter[{p0}, q] entry.
-        for (q, v) in [(0usize, 5u64), (1, 1), (2, 3), (3, 2)] {
-            sim.spawn_automaton(ProcessId::new(q), WriteOnce(fd.counter(0, q), v))
-                .unwrap();
-        }
+        let mut fleet: Vec<_> = [(0usize, 5u64), (1, 1), (2, 3), (3, 2)]
+            .into_iter()
+            .map(|(q, v)| WriteOnce(fd.counter(0, q), v))
+            .collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 2, 3]));
-        sim.run(&mut src, RunConfig::steps(4)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(4))
+            .unwrap();
         let cnt: Vec<u64> = (0..4)
             .map(|q| fd.peek_counter(&sim, 0, ProcessId::new(q)))
             .collect();

@@ -60,9 +60,8 @@ impl LeanOmega {
         &self.0
     }
 
-    /// One process's machine. Spawn with
-    /// [`Sim::spawn_automaton`](st_sim::Sim::spawn_automaton) or drive a
-    /// `Vec` of them as a typed fleet.
+    /// One process's machine: drive a `Vec` of them as a fleet
+    /// ([`Sim::run_automata`](st_sim::Sim::run_automata)).
     pub fn machine(&self) -> LeanOmegaMachine {
         self.0.machine()
     }

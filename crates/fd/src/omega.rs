@@ -29,12 +29,11 @@ mod tests {
     fn run_omega(n: usize, steps: Vec<usize>) -> RunReport {
         let mut sim = Sim::new(Universe::new(n).unwrap());
         let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, n - 1));
-        for p in sim.universe().processes() {
-            sim.spawn_automaton(p, omega.machine()).unwrap();
-        }
+        let mut fleet: Vec<_> = (0..n).map(|_| omega.machine()).collect();
         let budget = steps.len() as u64;
         let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        sim.run(&mut src, RunConfig::steps(budget)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(budget))
+            .unwrap();
         sim.report()
     }
 

@@ -22,12 +22,11 @@ fn run_fd(
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
-    for p in universe.processes() {
-        sim.spawn_automaton(p, fd.machine()).unwrap();
-    }
+    let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
     let len = sched.len() as u64;
     let mut src = ScheduleCursor::new(sched);
-    sim.run(&mut src, RunConfig::steps(len)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(len))
+        .unwrap();
     (sim, fd)
 }
 
@@ -67,15 +66,13 @@ proptest! {
         let universe = Universe::new(n).unwrap();
         let mut sim = Sim::new(universe);
         let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
-        for p in universe.processes() {
-            sim.spawn_automaton(p, fd.machine()).unwrap();
-        }
+        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
         let mut src = ScheduleCursor::new(sched.clone());
         let mut prev_counters: Vec<Vec<u64>> = Vec::new();
         let mut prev_hb: Vec<u64> = vec![0; n];
         // Drive in chunks, checking monotonicity at each checkpoint.
         for _ in 0..8 {
-            sim.run(&mut src, RunConfig::steps(sched.len() as u64 / 8)).unwrap();
+            sim.run_automata(&mut fleet, &mut src, RunConfig::steps(sched.len() as u64 / 8)).unwrap();
             let counters: Vec<Vec<u64>> = (0..fd.set_count())
                 .map(|rank| {
                     (0..n)

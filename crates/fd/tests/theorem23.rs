@@ -19,10 +19,9 @@ fn run_fd<S: StepSource>(
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, config);
-    for p in universe.processes() {
-        sim.spawn_automaton(p, fd.machine()).unwrap();
-    }
-    sim.run(src, RunConfig::steps(budget)).unwrap();
+    let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
+    sim.run_automata(&mut fleet, src, RunConfig::steps(budget))
+        .unwrap();
     sim.report()
 }
 

@@ -10,9 +10,10 @@
 //! between two operations runs at the end of the step that performed the
 //! first.
 //!
-//! Slots are filled with [`Sim::spawn_automaton`](crate::Sim::spawn_automaton),
-//! the one way to put a process into a simulation; the fleet drives take a
-//! caller-owned `&mut [A]` of the same trait.
+//! Every drive of [`Sim`](crate::Sim) steps a caller-owned fleet `&mut [A]`
+//! of this trait, `automata[i]` the machine of process `i`. A fleet of one
+//! machine type inlines its `step`; a fleet of several types is a
+//! `Vec<Box<dyn Automaton>>`, through the blanket impl for `Box`.
 
 use st_core::{ProcSet, ProcessId, Value};
 
@@ -36,15 +37,15 @@ pub enum Status {
 /// Implementations keep their control state (phase, loop indices) in plain
 /// fields and advance it by one scheduled step per [`step`](Self::step)
 /// call. See the module docs for the contract and
-/// [`Sim::spawn_automaton`](crate::Sim::spawn_automaton) for wiring.
+/// [`Sim::run_automata`](crate::Sim::run_automata) for wiring.
 ///
 /// # Examples
 ///
 /// A two-phase automaton incrementing a shared counter and deciding:
 ///
 /// ```
-/// use st_sim::{Automaton, Reg, Sim, Status, StepAccess};
-/// use st_core::{Universe, ProcessId};
+/// use st_sim::{Automaton, Reg, RunConfig, Sim, Status, StepAccess};
+/// use st_core::{Schedule, ScheduleCursor, Universe};
 ///
 /// enum Phase { Read, Write(u64), Done }
 /// struct Incr { reg: Reg<u64>, phase: Phase }
@@ -70,15 +71,24 @@ pub enum Status {
 ///
 /// let mut sim = Sim::new(Universe::new(1).unwrap());
 /// let reg = sim.alloc("x", 41u64);
-/// sim.spawn_automaton(ProcessId::new(0), Incr { reg, phase: Phase::Read }).unwrap();
-/// sim.step_with(ProcessId::new(0));
-/// sim.step_with(ProcessId::new(0));
+/// let mut fleet = [Incr { reg, phase: Phase::Read }];
+/// let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0]));
+/// sim.run_automata(&mut fleet, &mut src, RunConfig::steps(2)).unwrap();
 /// assert_eq!(sim.peek(reg), 42);
 /// ```
 pub trait Automaton {
     /// Executes one scheduled step: at most one register operation through
     /// `mem`, plus any amount of local computation.
     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status;
+}
+
+/// A boxed automaton steps as the automaton it holds: a heterogeneous
+/// fleet is a `Vec<Box<dyn Automaton>>`.
+impl<A: Automaton + ?Sized> Automaton for Box<A> {
+    #[inline]
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        (**self).step(mem)
+    }
 }
 
 /// Scoped, direct view of the simulator handed to an [`Automaton`] for

@@ -35,11 +35,6 @@ pub enum SimError {
         /// Out-of-range arena index.
         register: usize,
     },
-    /// `spawn_automaton` was called twice for the same process.
-    AlreadySpawned {
-        /// The doubly-spawned process.
-        process: ProcessId,
-    },
     /// A step source or schedule named a process outside the simulated
     /// universe. Returned (not panicked) by the run/replay entry points so
     /// that a malformed schedule — a user input, not a protocol bug — is a
@@ -49,17 +44,6 @@ pub enum SimError {
         process: ProcessId,
         /// Size of the simulated universe (valid indices are `0..n`).
         n: usize,
-    },
-    /// A fleet drive (`run_automata` and its replay variants) was called on
-    /// a `Sim` that has spawned slots. The fleet drives execute a
-    /// caller-owned homogeneous fleet; the two ownership modes do not mix
-    /// within one simulation — returned (not panicked) because the caller
-    /// can recover by using the slot-based `run` instead.
-    FleetDriveOnSpawnedSim {
-        /// The drive entry point that was called.
-        drive: &'static str,
-        /// A process that was spawned into a slot.
-        process: ProcessId,
     },
 }
 
@@ -81,20 +65,10 @@ impl fmt::Display for SimError {
             SimError::UnknownRegister { register } => {
                 write!(f, "unknown register #{register}")
             }
-            SimError::AlreadySpawned { process } => {
-                write!(f, "process {process} spawned twice")
-            }
             SimError::ScheduleOutOfUniverse { process, n } => {
                 write!(
                     f,
                     "schedule names {process} outside the simulated universe (n = {n})"
-                )
-            }
-            SimError::FleetDriveOnSpawnedSim { drive, process } => {
-                write!(
-                    f,
-                    "{drive} drives a caller-owned fleet, but this Sim has spawned \
-                     slots (e.g. {process}); the ownership modes do not mix"
                 )
             }
         }

@@ -21,17 +21,18 @@
 //! [`StepAccess`]): the protocol keeps explicit control state — one phase
 //! per register operation of its pseudocode — and the executor calls
 //! [`Automaton::step`] once per scheduled step with a scoped view of the
-//! register arena, holding a single arena borrow per `run` call. One form
+//! register arena, holding a single arena borrow per drive call. One form
 //! per protocol is also one form to verify: it is the explicit-transition
 //! shape that model checkers explore.
 //!
-//! A simulation is driven either through its slots
-//! ([`Sim::spawn_automaton`] then [`Sim::run`]: one virtual call per step)
-//! or as a fleet:
+//! A run is n automata stepped by one schedule, and the automata are a
+//! fleet the caller owns (`&mut [A]`, `automata[i]` the machine of process
+//! `i`); the [`Sim`] owns the register arena and the trace. A homogeneous
+//! fleet is stepped with **static dispatch** — the automaton body inlines
+//! into the executor loop; a heterogeneous one is a
+//! `Vec<Box<dyn Automaton>>` (one virtual call per step). The drives:
 //!
-//! - [`Sim::run_automata`] drives a caller-owned homogeneous fleet
-//!   (`&mut [A]`) with **static dispatch** — the automaton body inlines
-//!   into the executor loop;
+//! - [`Sim::run_automata`] pulls the schedule from a [`StepSource`](st_core::StepSource);
 //! - [`Sim::run_automata_replay`] drives the fleet straight off a
 //!   pre-materialized [`Schedule`](st_core::Schedule) slice, fusing the
 //!   cursor pull into the
@@ -42,20 +43,17 @@
 //!   as single
 //!   [`PhaseBatch::step_reads`] span reads, machines grouped by phase
 //!   class — observationally identical to the plain replay, enforced by
-//!   differential tests on every schedule family.
+//!   differential tests on every schedule family;
+//! - [`Sim::run_adaptive`] takes no schedule but a *chooser* that is shown
+//!   the register arena ([`Memory`]) before every step and names the
+//!   process that takes it — the entry for schedules that depend on
+//!   protocol state (`st-agreement`'s adaptive adversary). The chooser may
+//!   key whatever it derives from register contents on
+//!   [`Memory::version`], the arena's count of completed writes.
 //!
-//! Slot-based simulations have one more drive besides [`Sim::run`]:
-//! [`Sim::run_adaptive`] takes no schedule but a *chooser* that is shown
-//! the register arena ([`Memory`]) before every step and names the process
-//! that takes it — the entry for schedules that depend on protocol state
-//! (`st-agreement`'s adaptive adversary). The chooser may key whatever it
-//! derives from register contents on [`Memory::version`], the arena's
-//! count of completed writes.
-//!
-//! Every drive — slots or fleet, cursor, replay or chooser, and the SoA
-//! drive's scalar fallbacks — executes its steps through one private step
-//! kernel in `runner.rs`: the model has one execution rule, and so does the
-//! executor.
+//! Every drive — cursor, replay or chooser, and the SoA drive's scalar
+//! fallbacks — executes its steps through one private step kernel in
+//! `runner.rs`: the model has one execution rule, and so does the executor.
 //!
 //! ## Choosing a fleet replay drive
 //!
@@ -69,9 +67,11 @@
 //! workspace's `tests/fixtures/transcription.json` holds their probes,
 //! decisions, op counts and register footprints on fixed schedules, and
 //! `tests/differential.rs` and `tests/transcription.rs` hold each machine
-//! to it on the slot drive and on fleet replay. `BENCHMARK.json`'s `sim.runner.machine_slot_ns_per_step`
-//! and `sim.runner.replay_plain_ns_per_step` time the full FD +
-//! k-parallel-Paxos stack on the E3 workload.
+//! to it on the streamed fleet drive and on fleet replay. `BENCHMARK.json`'s
+//! `sim.runner.machine_slot_ns_per_step` (the agreement stack's boxed
+//! fleet through [`Sim::run_automata`]) and
+//! `sim.runner.replay_plain_ns_per_step` (a typed fleet replayed) time the
+//! full FD + k-parallel-Paxos stack on the E3 workload.
 //!
 //! Step semantics are identical across drive modes: one register operation
 //! per scheduled step, same accounting, same probes and decisions, same
@@ -99,8 +99,7 @@ pub use error::SimError;
 pub use memory::{Memory, RegisterStats};
 pub use register::{Reg, RegValue, WriteDiscipline};
 pub use runner::{
-    check_slice_len, RunConfig, RunReport, RunStatus, Sim, StepOutcome, StopWhen,
-    SOA_DELEGATE_BELOW_N,
+    check_slice_len, RunConfig, RunReport, RunStatus, Sim, StopWhen, SOA_DELEGATE_BELOW_N,
 };
 pub use soa::{BatchAccess, PhaseBatch};
 pub use trace::{Decision, ProbeEvent, ProbeLog};

@@ -1,11 +1,11 @@
 //! The deterministic executor and run controller.
 //!
-//! A [`Sim`] owns the register arena, the spawned process automata, and the
-//! trace. Driving it with a [`StepSource`] executes the schedule: each step
-//! grants exactly one register operation to the scheduled process. The
-//! executor is single-threaded and fully deterministic — the schedule is the
-//! only source of nondeterminism in a run, which is precisely the model of
-//! the paper.
+//! A [`Sim`] owns the register arena and the trace; the process automata are
+//! a fleet its caller owns. Driving the fleet with a [`StepSource`] executes
+//! the schedule: each step grants exactly one register operation to the
+//! scheduled process. The executor is single-threaded and fully
+//! deterministic — the schedule is the only source of nondeterminism in a
+//! run, which is precisely the model of the paper.
 
 use std::cell::{Cell, RefCell, RefMut};
 
@@ -19,22 +19,7 @@ use crate::register::{Reg, RegValue, WriteDiscipline};
 use crate::soa::{Allotment, BatchAccess, PhaseBatch};
 use crate::trace::{Decision, ProbeLog, TraceInner};
 
-/// Result of executing a single step.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum StepOutcome {
-    /// The process took its step (one register operation, a pause, or
-    /// local computation only) and is still running.
-    Progressed,
-    /// The process's automaton completed ([`Status::Done`]) during this
-    /// step.
-    Finished,
-    /// The scheduled process has no live automaton (never spawned, already
-    /// finished, or crashed): the step is a no-op, as for a halted process
-    /// in the model.
-    Idle,
-}
-
-/// Why a [`Sim::run`] call returned.
+/// Why a drive returned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RunStatus {
     /// The stop condition fired.
@@ -119,7 +104,7 @@ impl RunConfig {
 
 /// Snapshot of a run: decisions, probe log and per-process operation
 /// counts — not the executed schedule, which no drive holds: a caller that
-/// needs it rebuilds it from its source (see [`Sim::run`]).
+/// needs it rebuilds it from its source (see [`Sim::run_automata`]).
 #[derive(Clone, Debug)]
 pub struct RunReport {
     /// Total steps executed so far.
@@ -179,12 +164,6 @@ impl RunReport {
     }
 }
 
-struct Slot {
-    /// The live automaton; `None` once it finished or crashed.
-    body: Option<Box<dyn Automaton>>,
-    spawned: bool,
-}
-
 /// The deterministic shared-memory simulator.
 ///
 /// # Examples
@@ -214,18 +193,19 @@ struct Slot {
 ///
 /// let mut sim = Sim::new(Universe::new(2).unwrap());
 /// let token = sim.alloc("token", 0u64);
-/// for pid in sim.universe().processes() {
-///     sim.spawn_automaton(pid, Bump { token, read: None }).unwrap();
-/// }
+/// let mut fleet: Vec<_> = sim
+///     .universe()
+///     .processes()
+///     .map(|_| Bump { token, read: None })
+///     .collect();
 /// let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 1, 1]));
-/// sim.run(&mut src, RunConfig::steps(10)).unwrap();
+/// sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10)).unwrap();
 /// let report = sim.report();
 /// assert_eq!(report.decision_value(ProcessId::new(0)), Some(1));
 /// assert_eq!(report.decision_value(ProcessId::new(1)), Some(2));
 /// ```
 pub struct Sim {
     shared: SimShared,
-    slots: Vec<Slot>,
     universe: Universe,
     finished: Vec<bool>,
     steps: u64,
@@ -243,12 +223,6 @@ impl Sim {
                 decided_count: Cell::new(0),
                 op_counts: (0..n).map(|_| Cell::new(0)).collect(),
             },
-            slots: (0..n)
-                .map(|_| Slot {
-                    body: None,
-                    spawned: false,
-                })
-                .collect(),
             universe,
             finished: vec![false; n],
             steps: 0,
@@ -326,58 +300,39 @@ impl Sim {
         (0..n).map(|i| base.at(i)).collect()
     }
 
-    /// Spawns the automaton of `pid` (see [`Automaton`]): the one way to
-    /// fill a slot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::AlreadySpawned`] if `pid` was spawned before.
-    pub fn spawn_automaton<A: Automaton + 'static>(
-        &mut self,
-        pid: ProcessId,
-        automaton: A,
-    ) -> Result<(), SimError> {
-        if self.slots[pid.index()].spawned {
-            return Err(SimError::AlreadySpawned { process: pid });
-        }
-        let slot = &mut self.slots[pid.index()];
-        slot.body = Some(Box::new(automaton));
-        slot.spawned = true;
-        Ok(())
-    }
-
-    /// Executes one step by `p`: the kernel gives its machine (if any) a
-    /// scoped direct view of the arena for this one step.
-    ///
-    /// Steps of processes without a live automaton are no-ops (the halted
-    /// automaton self-loops), but still count — they are real steps of the
-    /// schedule.
-    pub fn step_with(&mut self, p: ProcessId) -> StepOutcome {
-        assert!(self.universe.contains(p), "{p} outside {}", self.universe);
-        let (mut kernel, slots) = self.kernel();
-        kernel.step(p, slots)
-    }
-
-    /// The scalar step kernel over this simulation's state, plus the slots
-    /// it may dispatch into (split so both can be borrowed at once).
-    fn kernel(&mut self) -> (StepKernel<'_>, &mut [Slot]) {
-        let kernel = StepKernel {
+    /// The scalar step kernel over this simulation's state.
+    fn kernel(&mut self) -> StepKernel<'_> {
+        StepKernel {
             shared: &self.shared,
             memory: self.shared.memory.borrow_mut(),
             ops: vec![0; self.finished.len()],
             finished: &mut self.finished,
             steps: self.steps,
             steps_out: &mut self.steps,
-        };
-        (kernel, &mut self.slots)
+        }
     }
 
-    /// Drives the simulation from `src` under `cfg`. Can be called again to
-    /// continue the same simulation with a different source or budget.
+    /// Drives a fleet of automata — `automata[i]` is the machine of process
+    /// `i` — from `src` under `cfg`. Can be called again, with the same
+    /// fleet, to continue the same simulation with a different source or
+    /// budget.
+    ///
+    /// A homogeneous fleet (`&mut [A]` of a concrete type) is stepped with
+    /// **static dispatch**: the automaton's `step` inlines into the executor
+    /// loop and the per-step cost collapses to the cursor pull, the step
+    /// bump, and the inlined body. A heterogeneous fleet is a
+    /// `Vec<Box<dyn Automaton>>`, one virtual call per step.
+    ///
+    /// The fleet is caller-owned: inspect the machines after (between) runs
+    /// for their local state. Steps of processes whose machine has
+    /// completed ([`Status::Done`]) are no-ops (the halted automaton
+    /// self-loops) but still count: they are real steps of the schedule.
+    /// Crashes are expressed by the schedule (stop scheduling the process),
+    /// as in the model.
     ///
     /// The run goes through the step kernel, which holds the register-arena
     /// borrow for the **whole call** instead of re-entering the `RefCell`
-    /// on every step: one direct `step` dispatch per scheduled step.
+    /// on every step.
     ///
     /// Pulled is executed: the stop rule is checked before each pull and
     /// the budget caps the pulls, so the steps taken from `src` are exactly
@@ -389,78 +344,6 @@ impl Sim {
     /// Returns [`SimError::ScheduleOutOfUniverse`] if `src` names a process
     /// outside the simulated universe. Steps produced before the offending
     /// one have executed normally; the simulation remains usable.
-    pub fn run<S: StepSource>(
-        &mut self,
-        src: &mut S,
-        cfg: RunConfig,
-    ) -> Result<RunStatus, SimError> {
-        let (mut kernel, slots) = self.kernel();
-        kernel.run(slots, budgeted(src, cfg), cfg)
-    }
-
-    /// Drives the simulation for `budget` steps on a schedule chosen **from
-    /// the register contents**: before every step `choose` is shown the
-    /// arena and names the process that takes it. This is the drive of a
-    /// state-dependent scheduler — `st-agreement`'s adaptive adversary,
-    /// which must see every Paxos record to pick its victims — and, like
-    /// [`run`](Self::run), it goes through the step kernel: the arena
-    /// borrow and the op counts are held for the whole call, and `choose`
-    /// reads the very arena the machines step on, paying per step only for
-    /// what it looks at.
-    ///
-    /// What `choose` may assume: [`Memory::version`] counts completed
-    /// writes and nothing else, so whatever it derived from register
-    /// contents holds until the version moves (reads outnumber writes
-    /// ~n·|Π^k_n| to 1 in the paper's stack); and nothing is allocated
-    /// while the kernel holds the arena, so handles and the register count
-    /// are fixed for the call.
-    ///
-    /// Every choice is executed, and booked exactly as
-    /// [`step_with`](Self::step_with) books a step. Can be called again to
-    /// continue the same simulation, as [`run`](Self::run) can.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduleOutOfUniverse`] if `choose` names a
-    /// process outside the simulated universe — the steps chosen before it
-    /// have executed normally and the simulation remains usable.
-    pub fn run_adaptive<F: FnMut(&Memory) -> ProcessId>(
-        &mut self,
-        budget: u64,
-        mut choose: F,
-    ) -> Result<(), SimError> {
-        let n = self.universe.n();
-        let (mut kernel, slots) = self.kernel();
-        for _ in 0..budget {
-            let p = choose(&kernel.memory);
-            check_in_universe(p, n)?;
-            kernel.step(p, slots);
-        }
-        Ok(())
-    }
-
-    /// Drives a homogeneous fleet of automata — `automata[i]` is the
-    /// machine of process `i` — with **static dispatch**: `A` is a concrete
-    /// type, so the automaton's `step` inlines into the executor loop and
-    /// the per-step cost collapses to the cursor pull, the step bump, and
-    /// the inlined body. This is the fastest execution mode of the
-    /// simulator (a slot is a `Box<dyn Automaton>`: every step is a virtual
-    /// call).
-    ///
-    /// The fleet is caller-owned: inspect the machines after (between) runs
-    /// for their local state. Steps of processes whose machine has
-    /// completed ([`Status::Done`]) are no-ops, as for finished slots;
-    /// decisions, probes, and accounting flow into the same trace as the
-    /// slot-based modes. Crashes are expressed by the schedule (stop
-    /// scheduling the process), as in the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::ScheduleOutOfUniverse`] if `src` names a process
-    /// outside the simulated universe (steps before the offending one have
-    /// executed normally), and [`SimError::FleetDriveOnSpawnedSim`] —
-    /// before executing anything — if any process was spawned into a slot
-    /// (the two ownership modes do not mix within one `Sim`).
     ///
     /// # Panics
     ///
@@ -471,8 +354,55 @@ impl Sim {
         src: &mut S,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        self.check_fleet_drive("run_automata", automata.len())?;
-        self.kernel().0.run(automata, budgeted(src, cfg), cfg)
+        self.check_fleet(automata.len());
+        self.kernel().run(automata, budgeted(src, cfg), cfg)
+    }
+
+    /// Drives `automata` for `budget` steps on a schedule chosen **from the
+    /// register contents**: before every step `choose` is shown the arena
+    /// and names the process that takes it. This is the drive of a
+    /// state-dependent scheduler — `st-agreement`'s adaptive adversary,
+    /// which must see every Paxos record to pick its victims — and, like
+    /// [`run_automata`](Self::run_automata), it goes through the step
+    /// kernel: the arena borrow and the op counts are held for the whole
+    /// call, and `choose` reads the very arena the machines step on, paying
+    /// per step only for what it looks at.
+    ///
+    /// What `choose` may assume: [`Memory::version`] counts completed
+    /// writes and nothing else, so whatever it derived from register
+    /// contents holds until the version moves (reads outnumber writes
+    /// ~n·|Π^k_n| to 1 in the paper's stack); and nothing is allocated
+    /// while the kernel holds the arena, so handles and the register count
+    /// are fixed for the call.
+    ///
+    /// Every choice is executed, and booked exactly as a step of
+    /// [`run_automata`](Self::run_automata) is. Can be called again to
+    /// continue the same simulation, as every drive can.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::ScheduleOutOfUniverse`] if `choose` names a
+    /// process outside the simulated universe — the steps chosen before it
+    /// have executed normally and the simulation remains usable.
+    ///
+    /// # Panics
+    ///
+    /// As for [`run_automata`](Self::run_automata).
+    pub fn run_adaptive<A: Automaton, F: FnMut(&Memory) -> ProcessId>(
+        &mut self,
+        automata: &mut [A],
+        budget: u64,
+        mut choose: F,
+    ) -> Result<(), SimError> {
+        self.check_fleet(automata.len());
+        let n = self.universe.n();
+        let mut kernel = self.kernel();
+        for _ in 0..budget {
+            let p = choose(&kernel.memory);
+            check_in_universe(p, n)?;
+            kernel.step(p, automata);
+        }
+        Ok(())
     }
 
     /// [`run_automata`](Self::run_automata) over a pre-materialized
@@ -493,8 +423,6 @@ impl Sim {
     /// names a process outside the universe. The schedule is validated
     /// **before** any step executes (it is finite and materialized), so an
     /// `Err` leaves the simulation untouched.
-    /// [`SimError::FleetDriveOnSpawnedSim`] as for
-    /// [`run_automata`](Self::run_automata).
     ///
     /// # Panics
     ///
@@ -505,21 +433,20 @@ impl Sim {
         schedule: &Schedule,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        let prefix = self.replay_prefix("run_automata_replay", automata.len(), schedule, cfg)?;
+        let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
         self.replay_scalar(automata, prefix, cfg)
     }
 
-    /// Shared prologue of the replay drives: the fleet preconditions, then
+    /// Shared prologue of the replay drives: the fleet precondition, then
     /// the schedule prefix the budget admits, validated against the
     /// universe once — before anything executes.
     fn replay_prefix<'s>(
         &self,
-        drive: &'static str,
         fleet_len: usize,
         schedule: &'s Schedule,
         cfg: RunConfig,
     ) -> Result<&'s [ProcessId], SimError> {
-        self.check_fleet_drive(drive, fleet_len)?;
+        self.check_fleet(fleet_len);
         let prefix = &schedule.as_slice()[..schedule.len().min(cfg.budget())];
         let n = self.universe.n();
         prefix.iter().try_for_each(|&p| check_in_universe(p, n))?;
@@ -534,8 +461,7 @@ impl Sim {
         prefix: &[ProcessId],
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        let (mut kernel, _) = self.kernel();
-        kernel.run(automata, prefix.iter().copied(), cfg)
+        self.kernel().run(automata, prefix.iter().copied(), cfg)
     }
 
     /// [`run_automata_replay`](Self::run_automata_replay) batched **per
@@ -592,8 +518,7 @@ impl Sim {
     ///
     /// Returns [`SimError::ScheduleOutOfUniverse`] (before executing
     /// anything) if the replayed prefix names a process outside the
-    /// universe; [`SimError::FleetDriveOnSpawnedSim`] as for
-    /// [`run_automata`](Self::run_automata).
+    /// universe.
     ///
     /// # Panics
     ///
@@ -607,8 +532,7 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
-        let drive = "run_automata_replay_soa";
-        let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
+        let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
         if self.universe.n() < SOA_DELEGATE_BELOW_N {
             return self.replay_scalar(automata, prefix, cfg);
         }
@@ -632,8 +556,7 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
-        let drive = "run_automata_replay_soa_batched";
-        let prefix = self.replay_prefix(drive, automata.len(), schedule, cfg)?;
+        let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
         self.replay_batched(automata, prefix, slice_len, cfg)
     }
 
@@ -650,7 +573,7 @@ impl Sim {
             return self.replay_scalar(automata, prefix, cfg);
         }
         let n = self.universe.n();
-        let (mut kernel, _) = self.kernel();
+        let mut kernel = self.kernel();
         let shared = kernel.shared;
         let first_step = kernel.steps;
         // Reused buffers: per-process step-index allotments and the
@@ -768,17 +691,10 @@ impl Sim {
         Ok(kernel.exhausted(first_step, cfg))
     }
 
-    /// Preconditions of every fleet drive: one caller-owned automaton per
-    /// process (asserted), and a `Sim` with no spawned slots (typed).
-    fn check_fleet_drive(&self, drive: &'static str, fleet_len: usize) -> Result<(), SimError> {
+    /// The precondition of every drive: one caller-owned automaton per
+    /// process.
+    fn check_fleet(&self, fleet_len: usize) {
         assert_eq!(fleet_len, self.universe.n(), "one automaton per process");
-        match self.slots.iter().position(|s| s.spawned) {
-            None => Ok(()),
-            Some(i) => Err(SimError::FleetDriveOnSpawnedSim {
-                drive,
-                process: ProcessId::new(i),
-            }),
-        }
     }
 
     /// The set of processes that have decided so far (O(1) snapshot of the
@@ -852,14 +768,6 @@ impl Sim {
         self.peek(reg)
     }
 
-    /// Crashes `p`: its automaton is dropped and all its future steps become
-    /// no-ops. (Schedule generators usually *stop scheduling* crashed
-    /// processes instead, which is the model's notion of a crash; explicit
-    /// crashing is for fault-injection tests.)
-    pub fn crash(&mut self, p: ProcessId) {
-        self.slots[p.index()].body = None;
-    }
-
     /// Whether `p`'s automaton has completed.
     pub fn is_finished(&self, p: ProcessId) -> bool {
         self.finished[p.index()]
@@ -889,35 +797,6 @@ impl Sim {
     /// it.
     pub fn register_stats(&self) -> Vec<RegisterStats> {
         self.shared.memory.borrow().stats()
-    }
-}
-
-/// Dispatch target of the step kernel: the simulation's own slots (one
-/// virtual call per step) or a caller-owned typed fleet (the step body
-/// inlines into the loop).
-trait Machines {
-    type Machine: Automaton + ?Sized;
-
-    /// The machine of in-universe process `idx`, if it has one.
-    fn machine(&mut self, idx: usize) -> Option<&mut Self::Machine>;
-}
-
-impl Machines for [Slot] {
-    type Machine = dyn Automaton;
-
-    fn machine(&mut self, idx: usize) -> Option<&mut Self::Machine> {
-        self[idx].body.as_deref_mut()
-    }
-}
-
-impl<A: Automaton> Machines for [A] {
-    type Machine = A;
-
-    fn machine(&mut self, idx: usize) -> Option<&mut A> {
-        // Indexing, not `get_mut`: `idx` is in the universe, and a cold
-        // panic path costs the fleet loop nothing where a live `None` arm
-        // cost 20 % at n = 12 (1 ns/step).
-        Some(&mut self[idx])
     }
 }
 
@@ -954,23 +833,20 @@ impl Drop for StepKernel<'_> {
 }
 
 impl StepKernel<'_> {
-    /// Executes one scheduled step of in-universe process `p`. Without a
-    /// live machine the step still counts, but does nothing.
+    /// Executes one scheduled step of in-universe process `p`. Once its
+    /// machine has completed the step still counts, but does nothing.
     #[inline]
-    fn step<T: Machines + ?Sized>(&mut self, p: ProcessId, target: &mut T) -> StepOutcome {
+    fn step<A: Automaton>(&mut self, p: ProcessId, automata: &mut [A]) {
         let step = self.steps;
         self.steps += 1;
         let idx = p.index();
         if self.finished[idx] {
-            return StepOutcome::Idle;
+            return;
         }
-        let Some(machine) = target.machine(idx) else {
-            return StepOutcome::Idle;
-        };
         let mut access = StepAccess::new(p, step, &mut self.memory, self.shared);
-        let status = machine.step(&mut access);
+        let status = automata[idx].step(&mut access);
         let ops = access.op_performed() as u64;
-        self.settle(idx, ops, status)
+        self.settle(idx, ops, status);
     }
 
     /// Books what process `idx`'s machine just did — `ops` completed
@@ -978,14 +854,10 @@ impl StepKernel<'_> {
     /// which it is never stepped again. Shared with the batched
     /// `step_reads` calls.
     #[inline]
-    fn settle(&mut self, idx: usize, ops: u64, status: Status) -> StepOutcome {
+    fn settle(&mut self, idx: usize, ops: u64, status: Status) {
         self.ops[idx] += ops;
-        match status {
-            Status::Running => StepOutcome::Progressed,
-            Status::Done => {
-                self.finished[idx] = true;
-                StepOutcome::Finished
-            }
+        if status == Status::Done {
+            self.finished[idx] = true;
         }
     }
 
@@ -1000,27 +872,27 @@ impl StepKernel<'_> {
         self.settle(idx, ops, status);
     }
 
-    /// Drives `target` from `src` — cut to the step budget by the caller —
+    /// Drives `automata` from `src` — cut to the step budget by the caller —
     /// until the stop rule fires, `src` runs dry, or it names a process
     /// outside the universe (earlier steps have executed). Monomorphized on
     /// whether the stop rule must be looked at between steps: without one a
     /// step is the pull, the index bump and the dispatch.
-    fn run<T: Machines + ?Sized>(
+    fn run<A: Automaton>(
         &mut self,
-        target: &mut T,
+        automata: &mut [A],
         src: impl Iterator<Item = ProcessId>,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         if matches!(cfg.stop, StopWhen::Never) {
-            self.run_loop::<false, T>(target, src, cfg)
+            self.run_loop::<false, A>(automata, src, cfg)
         } else {
-            self.run_loop::<true, T>(target, src, cfg)
+            self.run_loop::<true, A>(automata, src, cfg)
         }
     }
 
-    fn run_loop<const CHECK_STOP: bool, T: Machines + ?Sized>(
+    fn run_loop<const CHECK_STOP: bool, A: Automaton>(
         &mut self,
-        target: &mut T,
+        automata: &mut [A],
         mut src: impl Iterator<Item = ProcessId>,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
@@ -1036,7 +908,7 @@ impl StepKernel<'_> {
                 return Ok(self.exhausted(first_step, cfg));
             };
             check_in_universe(p, n)?;
-            self.step(p, target);
+            self.step(p, automata);
         }
     }
 

@@ -1,10 +1,10 @@
 //! The state-dependent drive: `Sim::run_adaptive` against per-step
-//! `peek` + `step_with`, its two typed errors, and the arena write counter
-//! its chooser leans on (`Memory::version`).
+//! `peek` + a one-step cursor drive, its typed error, and the arena write
+//! counter its chooser leans on (`Memory::version`).
 
 mod common;
 
-use common::SumScan;
+use common::{step_once, SumScan};
 use proptest::prelude::*;
 use st_core::{ProcessId, Universe};
 use st_sim::{Memory, Reg, Sim, SimError, WriteDiscipline};
@@ -18,14 +18,13 @@ const N: usize = 3;
 /// Three scan machines over four shared cells, each writing the wrapping
 /// sum of all four into its own: every write changes what the others read,
 /// and each machine finishes after `limit` rounds.
-fn scan_sim(limit: u64) -> (Sim, Vec<Reg<u64>>) {
+fn scan_sim(limit: u64) -> (Sim, Vec<SumScan>, Vec<Reg<u64>>) {
     let mut sim = Sim::new(Universe::new(N).unwrap());
     let cells = sim.alloc_array("cell", N + 1, 1u64);
-    for i in 0..N {
-        let machine = SumScan::new(cells[0], cells[i], N + 1, limit);
-        sim.spawn_automaton(pid(i), machine).unwrap();
-    }
-    (sim, cells)
+    let fleet = (0..N)
+        .map(|i| SumScan::new(cells[0], cells[i], N + 1, limit))
+        .collect();
+    (sim, fleet, cells)
 }
 
 /// A schedule that depends on the register contents: the wrapping sum of
@@ -48,27 +47,27 @@ fn observable(sim: &Sim) -> impl PartialEq + std::fmt::Debug {
 
 /// Two `run_adaptive` calls back to back are one run: the second continues
 /// the step counter and the op counts — and both together are step-for-step
-/// what `peek` + `step_with` execute.
+/// what `peek` + a one-step drive execute.
 #[test]
 fn run_adaptive_continues_and_matches_the_per_step_loop() {
     for (first, second) in [(0, 0), (1, 0), (40, 160), (200, 1)] {
-        let (mut sim, cells) = scan_sim(6);
+        let (mut sim, mut fleet, cells) = scan_sim(6);
         let choose = |memory: &Memory| {
             let now: Vec<u64> = cells.iter().map(|&c| memory.peek(c).unwrap()).collect();
             by_contents(&now)
         };
-        sim.run_adaptive(first, choose).unwrap();
+        sim.run_adaptive(&mut fleet, first, choose).unwrap();
         assert_eq!(sim.steps_executed(), first);
         let ops_after_first: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
-        sim.run_adaptive(second, choose).unwrap();
+        sim.run_adaptive(&mut fleet, second, choose).unwrap();
         assert_eq!(sim.steps_executed(), first + second);
         let ops: u64 = (0..N).map(|i| sim.op_count(pid(i))).sum();
         assert!(ops >= ops_after_first);
 
-        let (mut oracle, cells) = scan_sim(6);
+        let (mut oracle, mut oracle_fleet, cells) = scan_sim(6);
         for _ in 0..first + second {
             let now: Vec<u64> = cells.iter().map(|&c| oracle.peek(c)).collect();
-            oracle.step_with(by_contents(&now));
+            step_once(&mut oracle, &mut oracle_fleet, by_contents(&now).index());
         }
         assert_eq!(observable(&sim), observable(&oracle));
         if first + second > 100 {
@@ -86,10 +85,10 @@ fn run_adaptive_continues_and_matches_the_per_step_loop() {
 /// the steps chosen before it executed, and the `Sim` goes on.
 #[test]
 fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
-    let (mut sim, _) = scan_sim(6);
+    let (mut sim, mut fleet, _) = scan_sim(6);
     let mut calls = 0;
     let err = sim
-        .run_adaptive(10, |_| {
+        .run_adaptive(&mut fleet, 10, |_| {
             calls += 1;
             pid(if calls <= 5 { calls % N } else { N + 4 })
         })
@@ -108,7 +107,7 @@ fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
         "the kernel's op counts are written back on the error path"
     );
 
-    sim.run_adaptive(7, |_| pid(0)).unwrap();
+    sim.run_adaptive(&mut fleet, 7, |_| pid(0)).unwrap();
     assert_eq!(sim.steps_executed(), 12);
 }
 

@@ -1,14 +1,12 @@
 //! Integration tests for the automaton ABI: step semantics, the
 //! one-operation-per-step discipline, completion, crashes, and the fleet
-//! drives.
+//! drives — typed and boxed.
 
 mod common;
 
-use common::SumScan;
+use common::{step_once, SumScan};
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{
-    Automaton, Reg, RegisterStats, RunConfig, Sim, Status, StepAccess, StepOutcome, StopWhen,
-};
+use st_sim::{Automaton, Reg, RegisterStats, RunConfig, Sim, Status, StepAccess, StopWhen};
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -42,24 +40,23 @@ impl Automaton for CountUp {
 fn one_operation_per_step_and_completion() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(
-        pid(0),
-        CountUp {
-            reg: r,
-            next: 1,
-            limit: 5,
-        },
-    )
-    .unwrap();
+    let mut fleet = [CountUp {
+        reg: r,
+        next: 1,
+        limit: 5,
+    }];
 
     for expected in 1..=4u64 {
-        assert_eq!(sim.step_with(pid(0)), StepOutcome::Progressed);
+        step_once(&mut sim, &mut fleet, 0);
         assert_eq!(sim.peek(r), expected);
+        assert!(!sim.is_finished(pid(0)));
     }
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Finished);
+    step_once(&mut sim, &mut fleet, 0);
     assert_eq!(sim.peek(r), 5);
     assert!(sim.is_finished(pid(0)));
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Idle);
+    // A finished machine's steps count but do nothing.
+    step_once(&mut sim, &mut fleet, 0);
+    assert_eq!(sim.steps_executed(), 6);
     assert_eq!(sim.op_count(pid(0)), 5);
     assert_eq!(sim.decisions()[0].map(|d| d.value), Some(5));
 }
@@ -81,8 +78,7 @@ fn two_operations_in_one_step_panic() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sim = Sim::new(universe(1));
         let r = sim.alloc("x", 0u64);
-        sim.spawn_automaton(pid(0), DoubleOp { reg: r }).unwrap();
-        sim.step_with(pid(0));
+        step_once(&mut sim, &mut [DoubleOp { reg: r }], 0);
     }));
     assert!(result.is_err(), "two ops in one step must panic");
 }
@@ -106,10 +102,10 @@ fn probes_pause_and_stop_conditions() {
         }
     }
     let mut sim = Sim::new(universe(1));
-    sim.spawn_automaton(pid(0), Prober { ticks: 0 }).unwrap();
     let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; 50]));
     let status = sim
-        .run(
+        .run_automata(
+            &mut [Prober { ticks: 0 }],
             &mut src,
             RunConfig::steps(50).stop_when(StopWhen::AllDecided(ProcSet::from_indices([0]))),
         )
@@ -126,30 +122,33 @@ fn probes_pause_and_stop_conditions() {
     );
 }
 
-/// Crashing a machine freezes it: its later steps are idle no-ops.
+/// Crashing a machine freezes it. A crash is a schedule that stops
+/// scheduling the process: p0's register keeps the value of its last step
+/// while p1 runs on, and p0 never finishes.
 #[test]
 fn crash_freezes_machine() {
-    let mut sim = Sim::new(universe(1));
-    let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(
-        pid(0),
-        CountUp {
-            reg: r,
+    let mut sim = Sim::new(universe(2));
+    let regs = sim.alloc_array("x", 2, 0u64);
+    let mut fleet: Vec<CountUp> = regs
+        .iter()
+        .map(|&reg| CountUp {
+            reg,
             next: 1,
             limit: 1_000,
-        },
-    )
-    .unwrap();
-    sim.step_with(pid(0));
-    sim.step_with(pid(0));
-    assert_eq!(sim.peek(r), 2);
-    sim.crash(pid(0));
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Idle);
-    assert_eq!(sim.peek(r), 2);
+        })
+        .collect();
+    let crashed_after_two = Schedule::from_indices([0, 1, 0].into_iter().chain([1; 20]));
+    let mut src = ScheduleCursor::new(crashed_after_two);
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(100))
+        .unwrap();
+    assert_eq!(sim.peek(regs[0]), 2);
+    assert_eq!(sim.peek(regs[1]), 21);
+    assert!(!sim.is_finished(pid(0)));
+    assert_eq!(sim.op_count(pid(0)), 2);
 }
 
 /// The typed fleet runner: statically dispatched machines, completion
-/// semantics, op accounting, and stop conditions.
+/// semantics and op accounting.
 #[test]
 fn fleet_runner_matches_slot_semantics() {
     let n = 3;
@@ -238,38 +237,6 @@ fn fleet_runner_stop_condition() {
     assert_eq!(sim.peek(r), 3);
 }
 
-/// A fleet cannot be driven over a Sim with spawned slots: the drive
-/// returns the typed [`st_sim::SimError::FleetDriveOnSpawnedSim`] (all
-/// drives are covered in `tests/soa_drive.rs`).
-#[test]
-fn fleet_runner_rejects_spawned_slots() {
-    let mut sim = Sim::new(universe(1));
-    let r = sim.alloc("x", 0u64);
-    let slot = CountUp {
-        reg: r,
-        next: 1,
-        limit: 1,
-    };
-    sim.spawn_automaton(pid(0), slot).unwrap();
-    let mut fleet = vec![CountUp {
-        reg: r,
-        next: 1,
-        limit: 1,
-    }];
-    let mut src = ScheduleCursor::new(Schedule::from_indices([0]));
-    let err = sim
-        .run_automata(&mut fleet, &mut src, RunConfig::steps(1))
-        .unwrap_err();
-    assert!(
-        matches!(
-            err,
-            st_sim::SimError::FleetDriveOnSpawnedSim { drive: "run_automata", process } if process == pid(0)
-        ),
-        "expected typed fleet-drive error, got {err:?}"
-    );
-    assert_eq!(sim.steps_executed(), 0, "nothing may execute");
-}
-
 /// A schedule naming a process outside the universe yields a typed `Err`
 /// from every fleet drive — not a panic — and (for the replay drives) the
 /// simulation is untouched.
@@ -320,16 +287,16 @@ const SCAN_WORDS: usize = 5;
 /// The entry points of the one step kernel, as the table enumerates them.
 #[derive(Clone, Copy, Debug)]
 enum Entry {
-    SlotRun,
     Fleet,
+    BoxedFleet,
     Replay,
     ReplaySoa,
     ReplaySoaBatched,
 }
 
 const ENTRIES: [Entry; 5] = [
-    Entry::SlotRun,
     Entry::Fleet,
+    Entry::BoxedFleet,
     Entry::Replay,
     Entry::ReplaySoa,
     Entry::ReplaySoaBatched,
@@ -365,19 +332,31 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig) -> Observed {
         .collect();
     let mut cursor = ScheduleCursor::new(schedule.clone());
     let result = match entry {
-        Entry::SlotRun => {
-            for (i, machine) in fleet.drain(..).enumerate() {
-                sim.spawn_automaton(pid(i), machine).unwrap();
-            }
-            sim.run(&mut cursor, cfg)
-        }
         Entry::Fleet => sim.run_automata(&mut fleet, &mut cursor, cfg),
+        Entry::BoxedFleet => sim.run_automata(&mut boxed(fleet), &mut cursor, cfg),
         Entry::Replay => sim.run_automata_replay(&mut fleet, schedule, cfg),
         Entry::ReplaySoa => sim.run_automata_replay_soa(&mut fleet, schedule, 4, cfg),
         Entry::ReplaySoaBatched => {
             sim.run_automata_replay_soa_batched(&mut fleet, schedule, 4, cfg)
         }
     };
+    observe(&sim, result, &outs)
+}
+
+/// The fleet as `Box<dyn Automaton>`s.
+fn boxed<A: Automaton + 'static>(fleet: Vec<A>) -> Vec<Box<dyn Automaton>> {
+    fleet
+        .into_iter()
+        .map(|m| Box::new(m) as Box<dyn Automaton>)
+        .collect()
+}
+
+fn observe(
+    sim: &Sim,
+    result: Result<st_sim::RunStatus, st_sim::SimError>,
+    outs: &[Reg<u64>],
+) -> Observed {
+    let n = sim.universe().n();
     let report = sim.report();
     Observed {
         result,
@@ -400,8 +379,9 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig) -> Observed {
     }
 }
 
-/// One step kernel, five entry points: slot `run`, the cursor fleet drive
-/// and the three replay entries must be observationally identical on every
+/// One step kernel, five entry points: the cursor fleet drive over a typed
+/// and over a boxed fleet, and the three replay entries, must be
+/// observationally identical on every
 /// combination of stop rule and budget below / at / above the schedule
 /// length — with a fleet whose first machine completes mid-run. (That each
 /// executes exactly the steps it pulls is `tests/pulled_is_executed.rs`.)
@@ -469,7 +449,7 @@ fn out_of_universe_step_splits_replay_from_cursor_drives() {
             let seen = drive(entry, &bad, cfg);
             assert_eq!(seen.result, error, "{entry:?}");
             let ran = match entry {
-                Entry::SlotRun | Entry::Fleet => 5,
+                Entry::Fleet | Entry::BoxedFleet => 5,
                 _ => 0,
             };
             assert_eq!(seen.steps, ran, "{entry:?}, {cfg:?}");
@@ -481,5 +461,103 @@ fn out_of_universe_step_splits_replay_from_cursor_drives() {
         let seen = drive(entry, &bad, RunConfig::steps(5));
         assert_eq!(seen.result, Ok(st_sim::RunStatus::MaxSteps), "{entry:?}");
         assert_eq!(seen.steps, 5);
+    }
+}
+
+/// One machine of a fleet of two types, as a typed fleet can hold it: the
+/// reference the boxed mixed fleet is held to.
+enum Mixed {
+    Scan(SumScan),
+    Count(CountUp),
+}
+
+impl Automaton for Mixed {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        match self {
+            Mixed::Scan(m) => m.step(mem),
+            Mixed::Count(m) => m.step(mem),
+        }
+    }
+}
+
+/// The boxed machine `m` holds.
+fn unwrap_boxed(m: Mixed) -> Box<dyn Automaton> {
+    match m {
+        Mixed::Scan(m) => Box::new(m),
+        Mixed::Count(m) => Box::new(m),
+    }
+}
+
+/// The scanner `m` holds.
+fn unwrap_scan(m: Mixed) -> SumScan {
+    match m {
+        Mixed::Scan(m) => m,
+        Mixed::Count(_) => panic!("a scan fleet holds scanners only"),
+    }
+}
+
+/// Runs a four-process fleet — [`SumScan`]s with round limits 2, 5, 3 and
+/// 100, or with `mixed` every odd process a [`CountUp`] to 7 instead — as
+/// `as_fleet` lays it out, through the cursor drive or the replay.
+fn mixed_run<A: Automaton>(
+    mixed: bool,
+    as_fleet: fn(Mixed) -> A,
+    replay: bool,
+    schedule: &Schedule,
+) -> Observed {
+    let n = 4;
+    let mut sim = Sim::new(universe(n));
+    let shared = sim.alloc_array("shared", SCAN_WORDS, 3u64);
+    let outs = sim.alloc_array("out", n, 0u64);
+    let mut fleet: Vec<A> = [2, 5, 3, 100]
+        .iter()
+        .zip(&outs)
+        .enumerate()
+        .map(|(i, (&limit, &out))| {
+            as_fleet(if mixed && i % 2 == 1 {
+                Mixed::Count(CountUp {
+                    reg: out,
+                    next: 1,
+                    limit: 7,
+                })
+            } else {
+                Mixed::Scan(SumScan::new(shared[0], out, SCAN_WORDS, limit))
+            })
+        })
+        .collect();
+    let cfg = RunConfig::steps(schedule.len() as u64);
+    let result = if replay {
+        sim.run_automata_replay(&mut fleet, schedule, cfg)
+    } else {
+        sim.run_automata(&mut fleet, &mut ScheduleCursor::new(schedule.clone()), cfg)
+    };
+    observe(&sim, result, &outs)
+}
+
+/// A boxed fleet steps as the machines it boxes: the same machines as a
+/// typed `Vec<A>` and as a `Vec<Box<dyn Automaton>>`, through the cursor
+/// drive and the replay, leave identical reports — probes, decisions, op
+/// counts and register statistics. A fleet of two machine types, which only
+/// the boxed form can hold, is held to the same machines behind one enum.
+#[test]
+fn boxed_fleet_equals_typed_fleet() {
+    let schedule = Schedule::from_indices(
+        (0..40)
+            .map(|s| s % 4)
+            .chain((0..80).map(|s| (s * 7 + s / 5) % 4)),
+    );
+    for replay in [false, true] {
+        let typed = mixed_run(false, unwrap_scan, replay, &schedule);
+        assert!(typed.register_stats.iter().any(|s| s.reads > 0));
+        assert!(typed.finished.contains(&true) && typed.finished.contains(&false));
+        assert_eq!(mixed_run(false, unwrap_boxed, replay, &schedule), typed);
+
+        let reference = mixed_run(true, |m| m, replay, &schedule);
+        assert_eq!(reference.decisions[1].map(|(v, _)| v), Some(7));
+        assert_eq!(
+            reference.decisions[0].map(|(v, _)| v),
+            Some(3 * SCAN_WORDS as u64)
+        );
+        assert_eq!(mixed_run(true, unwrap_boxed, replay, &schedule), reference);
     }
 }

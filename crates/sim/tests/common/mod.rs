@@ -3,7 +3,16 @@
 // Every suite uses its own subset.
 #![allow(dead_code)]
 
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Status, StepAccess};
+use st_core::{Schedule, ScheduleCursor};
+use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, RunConfig, Sim, Status, StepAccess};
+
+/// Executes one scheduled step of process `p` through the cursor fleet
+/// drive.
+pub fn step_once<A: Automaton>(sim: &mut Sim, fleet: &mut [A], p: usize) {
+    let mut one = ScheduleCursor::new(Schedule::from_indices([p]));
+    sim.run_automata(fleet, &mut one, RunConfig::steps(1))
+        .expect("p is in the universe");
+}
 
 /// A test automaton from a closure: every scheduled step is one call, with
 /// the closure's captures as the machine's local state.

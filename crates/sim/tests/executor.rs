@@ -3,9 +3,9 @@
 
 mod common;
 
-use common::StepFn;
+use common::{step_once, StepFn};
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{Reg, RunConfig, RunStatus, Sim, Status, StepAccess, StepOutcome, StopWhen};
+use st_sim::{Automaton, Reg, RunConfig, RunStatus, Sim, Status, StepAccess, StopWhen};
 
 /// Writes 1, 2, … into `r`, one write per step, and completes with the
 /// write of `last`.
@@ -43,20 +43,22 @@ fn pid(i: usize) -> ProcessId {
 fn one_operation_per_step() {
     let mut sim = Sim::new(universe(1));
     let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(pid(0), write_up_to(r, 5)).unwrap();
+    let mut fleet = [write_up_to(r, 5)];
 
     // After s steps, exactly s writes have happened.
     for expected in 1..=4u64 {
-        assert_eq!(sim.step_with(pid(0)), StepOutcome::Progressed);
+        step_once(&mut sim, &mut fleet, 0);
         assert_eq!(sim.peek(r), expected);
+        assert!(!sim.is_finished(pid(0)));
     }
     // The fifth write is the last operation: the machine completes in the
-    // same step, so the step reports Finished.
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Finished);
+    // same step.
+    step_once(&mut sim, &mut fleet, 0);
     assert_eq!(sim.peek(r), 5);
     assert!(sim.is_finished(pid(0)));
-    // Further steps are idle no-ops.
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Idle);
+    // Further steps are idle no-ops, but real steps of the schedule.
+    step_once(&mut sim, &mut fleet, 0);
+    assert_eq!(sim.op_count(pid(0)), 5);
     assert_eq!(sim.steps_executed(), 6);
 }
 
@@ -74,23 +76,9 @@ fn local_computation_is_free() {
         mem.write(r, local); // exactly one step
         Status::Done
     });
-    sim.spawn_automaton(pid(0), sum).unwrap();
-    sim.step_with(pid(0));
+    step_once(&mut sim, &mut [sum], 0);
     assert_eq!(sim.peek(r), 499_500);
     assert_eq!(sim.steps_executed(), 1);
-}
-
-/// Steps by never-spawned processes are real but idle — this models the
-/// fictitious, crashed-from-the-start processes of the Theorem 27 proof.
-#[test]
-fn unspawned_process_steps_are_idle() {
-    let mut sim = Sim::new(universe(2));
-    let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(pid(0), write_up_to(r, 1)).unwrap();
-    assert_eq!(sim.step_with(pid(1)), StepOutcome::Idle);
-    // The single write is p0's last operation: Finished on the same step.
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Finished);
-    assert_eq!(sim.peek(r), 1);
 }
 
 /// Interleaving respects the schedule exactly: a register ping-pong between
@@ -99,6 +87,7 @@ fn unspawned_process_steps_are_idle() {
 fn interleaving_follows_schedule() {
     let mut sim = Sim::new(universe(2));
     let log = sim.alloc("log", Vec::<u64>::new());
+    let mut fleet = Vec::new();
     for me in 0..2usize {
         // Three rounds of: read the log, then write it back extended.
         let (mut round, mut cur) = (0u64, None::<Vec<u64>>);
@@ -119,11 +108,12 @@ fn interleaving_follows_schedule() {
                 }
             }
         });
-        sim.spawn_automaton(pid(me), append).unwrap();
+        fleet.push(append);
     }
     // p0 completes fully, then p1: strict sequential order.
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]));
-    sim.run(&mut src, RunConfig::steps(100)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(100))
+        .unwrap();
     assert_eq!(sim.peek(log), vec![0, 1, 2, 10, 11, 12]);
 }
 
@@ -133,6 +123,7 @@ fn deterministic_replay() {
     fn run_once() -> (Vec<Option<u64>>, u64) {
         let mut sim = Sim::new(universe(3));
         let regs = sim.alloc_per_process("v", 0u64);
+        let mut fleet = Vec::new();
         for i in 0..3usize {
             let my = regs[i];
             let all = regs.clone();
@@ -153,11 +144,12 @@ fn deterministic_replay() {
                     Status::Running
                 }
             });
-            sim.spawn_automaton(pid(i), summer).unwrap();
+            fleet.push(summer);
         }
         let sched: Vec<usize> = (0..60).map(|s| (s * 7 + s / 3) % 3).collect();
         let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
-        sim.run(&mut src, RunConfig::steps(100)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(100))
+            .unwrap();
         let rep = sim.report();
         (
             rep.decisions.iter().map(|d| d.map(|x| x.value)).collect(),
@@ -168,18 +160,21 @@ fn deterministic_replay() {
 }
 
 /// Crashed processes stop making progress; their registers keep their last
-/// written values.
+/// written values. A crash is a schedule that stops scheduling the process,
+/// as in the model: after its second step p0 is never scheduled again,
+/// while p1 keeps writing.
 #[test]
 fn crash_freezes_process() {
     let mut sim = Sim::new(universe(2));
     let r = sim.alloc("x", 0u64);
-    sim.spawn_automaton(pid(0), write_up_to(r, 999)).unwrap();
-    sim.step_with(pid(0));
-    sim.step_with(pid(0));
+    let s = sim.alloc("y", 0u64);
+    let mut fleet = [write_up_to(r, 999), write_up_to(s, 999)];
+    let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 0, 1, 1, 1]));
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+        .unwrap();
     assert_eq!(sim.peek(r), 2);
-    sim.crash(pid(0));
-    assert_eq!(sim.step_with(pid(0)), StepOutcome::Idle);
-    assert_eq!(sim.peek(r), 2);
+    assert_eq!(sim.peek(s), 4);
+    assert!(!sim.is_finished(pid(0)));
 }
 
 /// StopWhen::AllDecided fires as soon as the set has decided, not later.
@@ -187,6 +182,7 @@ fn crash_freezes_process() {
 fn stop_when_all_decided() {
     let mut sim = Sim::new(universe(3));
     let r = sim.alloc("x", 0u64);
+    let mut fleet = Vec::new();
     for i in 0..3usize {
         let mut decided = false;
         let decide_then_idle = StepFn(move |mem: &mut StepAccess<'_>| {
@@ -200,12 +196,13 @@ fn stop_when_all_decided() {
             }
             Status::Running
         });
-        sim.spawn_automaton(pid(i), decide_then_idle).unwrap();
+        fleet.push(decide_then_idle);
     }
     let sched: Vec<usize> = (0..300).map(|s| s % 3).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
     let status = sim
-        .run(
+        .run_automata(
+            &mut fleet,
             &mut src,
             RunConfig::steps(300).stop_when(StopWhen::AllDecided(ProcSet::from_indices([0, 1, 2]))),
         )
@@ -233,12 +230,12 @@ fn stop_when_any_decided() {
         mem.decide(42);
         Status::Done
     });
-    sim.spawn_automaton(pid(0), decide_on_second).unwrap();
-    sim.spawn_automaton(pid(1), idler()).unwrap();
+    let mut fleet: [Box<dyn Automaton>; 2] = [Box::new(decide_on_second), Box::new(idler())];
     let sched: Vec<usize> = (0..100).map(|s| s % 2).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(sched));
     let status = sim
-        .run(
+        .run_automata(
+            &mut fleet,
             &mut src,
             RunConfig::steps(100).stop_when(StopWhen::AnyDecided),
         )
@@ -251,15 +248,17 @@ fn stop_when_any_decided() {
 #[test]
 fn run_statuses() {
     let mut sim = Sim::new(universe(1));
-    sim.spawn_automaton(pid(0), idler()).unwrap();
+    let mut fleet = [idler()];
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 0]));
     assert_eq!(
-        sim.run(&mut src, RunConfig::steps(10)).unwrap(),
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+            .unwrap(),
         RunStatus::SourceEnded
     );
     let mut src2 = ScheduleCursor::new(Schedule::from_indices(vec![0; 50]));
     assert_eq!(
-        sim.run(&mut src2, RunConfig::steps(5)).unwrap(),
+        sim.run_automata(&mut fleet, &mut src2, RunConfig::steps(5))
+            .unwrap(),
         RunStatus::MaxSteps
     );
     assert_eq!(sim.steps_executed(), 8);
@@ -284,9 +283,9 @@ fn probes_are_free_and_ordered() {
         mem.probe("phase", 3);
         Status::Done
     });
-    sim.spawn_automaton(pid(0), prober).unwrap();
     let mut src = ScheduleCursor::new(Schedule::from_indices(vec![0; 10]));
-    sim.run(&mut src, RunConfig::steps(10)).unwrap();
+    sim.run_automata(&mut [prober], &mut src, RunConfig::steps(10))
+        .unwrap();
     let rep = sim.report();
     let tl = rep.probes.timeline(pid(0), "phase");
     assert_eq!(
@@ -303,13 +302,9 @@ fn probes_are_free_and_ordered() {
     assert!(rep.finished[0]);
 }
 
-/// Double spawn is rejected; double decide panics.
+/// Double decide panics.
 #[test]
-fn spawn_and_decide_misuse() {
-    let mut sim = Sim::new(universe(1));
-    sim.spawn_automaton(pid(0), idler()).unwrap();
-    assert!(sim.spawn_automaton(pid(0), idler()).is_err());
-
+fn double_decide_panics() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sim = Sim::new(universe(1));
         let decide_twice = StepFn(|mem: &mut StepAccess<'_>| {
@@ -317,8 +312,7 @@ fn spawn_and_decide_misuse() {
             mem.decide(2);
             Status::Done
         });
-        sim.spawn_automaton(pid(0), decide_twice).unwrap();
-        sim.step_with(pid(0));
+        step_once(&mut sim, &mut [decide_twice], 0);
     }));
     assert!(result.is_err(), "double decide must panic");
 }
@@ -334,8 +328,8 @@ fn single_writer_violation_panics() {
             mem.write(hb[0], 9);
             Status::Done
         });
-        sim.spawn_automaton(pid(1), trespass).unwrap();
-        sim.step_with(pid(1));
+        let mut fleet: [Box<dyn Automaton>; 2] = [Box::new(idler()), Box::new(trespass)];
+        step_once(&mut sim, &mut fleet, 1);
     }));
     assert!(result.is_err());
 }
@@ -344,16 +338,21 @@ fn single_writer_violation_panics() {
 #[test]
 fn report_helpers() {
     let mut sim = Sim::new(universe(3));
-    for i in 0..2usize {
-        let decide_five = StepFn(|mem: &mut StepAccess<'_>| {
+    let decide_five = || {
+        StepFn(|mem: &mut StepAccess<'_>| {
             mem.pause();
             mem.decide(5);
             Status::Done
-        });
-        sim.spawn_automaton(pid(i), decide_five).unwrap();
-    }
+        })
+    };
+    let mut fleet: [Box<dyn Automaton>; 3] = [
+        Box::new(decide_five()),
+        Box::new(decide_five()),
+        Box::new(idler()),
+    ];
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 1, 1]));
-    sim.run(&mut src, RunConfig::steps(10)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+        .unwrap();
     let rep = sim.report();
     assert_eq!(rep.decided_set(), ProcSet::from_indices([0, 1]));
     assert_eq!(rep.all_decided_step(ProcSet::from_indices([0, 1])), Some(2));
@@ -363,14 +362,15 @@ fn report_helpers() {
     assert_eq!(outcome.decisions, vec![Some(5), Some(5), None]);
 }
 
-/// A bad schedule against spawned slots is a typed error from `run`, not a
-/// panic; steps before the offending one executed and remain visible.
+/// A bad schedule is a typed error from the cursor drive, not a panic;
+/// steps before the offending one executed and remain visible.
 #[test]
 fn run_surfaces_out_of_universe_schedule_as_error() {
     use st_sim::SimError;
     let mut sim = Sim::new(universe(2));
     let r = sim.alloc("x", 0u64);
-    for i in 0..2usize {
+    let mut fleet = Vec::new();
+    for _ in 0..2usize {
         let mut read: Option<u64> = None;
         let incr = StepFn(move |mem: &mut StepAccess<'_>| {
             match read.take() {
@@ -379,10 +379,12 @@ fn run_surfaces_out_of_universe_schedule_as_error() {
             }
             Status::Running
         });
-        sim.spawn_automaton(pid(i), incr).unwrap();
+        fleet.push(incr);
     }
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 9, 0]));
-    let err = sim.run(&mut src, RunConfig::steps(10)).unwrap_err();
+    let err = sim
+        .run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+        .unwrap_err();
     assert_eq!(
         err,
         SimError::ScheduleOutOfUniverse {
@@ -394,7 +396,8 @@ fn run_surfaces_out_of_universe_schedule_as_error() {
     assert_eq!(sim.steps_executed(), 2);
     let mut rest = ScheduleCursor::new(Schedule::from_indices([0, 1]));
     assert_eq!(
-        sim.run(&mut rest, RunConfig::steps(10)).unwrap(),
+        sim.run_automata(&mut fleet, &mut rest, RunConfig::steps(10))
+            .unwrap(),
         RunStatus::SourceEnded
     );
     assert_eq!(sim.steps_executed(), 4);

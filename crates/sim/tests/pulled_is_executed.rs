@@ -26,15 +26,9 @@ const SCAN_WORDS: usize = 4;
 /// p1 midway, p2 never.
 const LIMITS: [u64; N] = [2, 5, 100];
 
-fn pid(i: usize) -> ProcessId {
-    ProcessId::new(i)
-}
-
 /// Every entry point a step can come through.
 #[derive(Clone, Copy, Debug)]
 enum Drive {
-    /// `run` over machine slots.
-    Slots,
     /// `run_automata` over a typed fleet.
     Fleet,
     /// `run_automata_replay`.
@@ -47,8 +41,7 @@ enum Drive {
     Adaptive,
 }
 
-const DRIVES: [Drive; 6] = [
-    Drive::Slots,
+const DRIVES: [Drive; 5] = [
     Drive::Fleet,
     Drive::Replay,
     Drive::ReplaySoa,
@@ -125,12 +118,6 @@ fn drive(
     });
     let mut machines = fleet(base, &outs);
     let status = match drive {
-        Drive::Slots => {
-            for (i, machine) in machines.into_iter().enumerate() {
-                sim.spawn_automaton(pid(i), machine).unwrap();
-            }
-            Some(sim.run(&mut src, cfg))
-        }
         Drive::Fleet => Some(sim.run_automata(&mut machines, &mut src, cfg)),
         Drive::Replay => Some(sim.run_automata_replay(&mut machines, schedule, cfg)),
         Drive::ReplaySoa => Some(sim.run_automata_replay_soa(&mut machines, schedule, 4, cfg)),
@@ -138,11 +125,8 @@ fn drive(
             Some(sim.run_automata_replay_soa_batched(&mut machines, schedule, 4, cfg))
         }
         Drive::Adaptive => {
-            for (i, machine) in machines.into_iter().enumerate() {
-                sim.spawn_automaton(pid(i), machine).unwrap();
-            }
             let budget = cfg.max_steps.min(schedule.len() as u64);
-            sim.run_adaptive(budget, |_| src.next_step().unwrap())
+            sim.run_adaptive(&mut machines, budget, |_| src.next_step().unwrap())
                 .unwrap();
             None
         }

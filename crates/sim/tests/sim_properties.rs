@@ -3,7 +3,7 @@
 
 mod common;
 
-use common::StepFn;
+use common::{step_once, StepFn};
 use proptest::prelude::*;
 use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
 use st_sim::{Memory, Reg, RunConfig, Sim, Status, StepAccess, WriteDiscipline};
@@ -71,7 +71,8 @@ proptest! {
         let u = Universe::new(3).unwrap();
         let mut sim = Sim::new(u);
         let reg = sim.alloc("x", 0u64);
-        for p in u.processes() {
+        let mut fleet = Vec::new();
+        for _ in u.processes() {
             // Read, then write back incremented, forever.
             let mut read: Option<u64> = None;
             let incr = StepFn(move |mem: &mut StepAccess<'_>| {
@@ -81,11 +82,11 @@ proptest! {
                 }
                 Status::Running
             });
-            sim.spawn_automaton(p, incr).unwrap();
+            fleet.push(incr);
         }
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
-        sim.run(&mut src, RunConfig::steps(len)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(len)).unwrap();
         let report = sim.report();
         let total_ops: u64 = report.op_counts.iter().sum();
         prop_assert_eq!(total_ops, report.steps);
@@ -98,13 +99,11 @@ proptest! {
         let u = Universe::new(4).unwrap();
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
-        for p in u.processes() {
-            sim.spawn_automaton(p, count_up(regs[p.index()])).unwrap();
-        }
+        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs[p.index()])).collect();
         let counts = sched.step_counts(u);
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
-        sim.run(&mut src, RunConfig::steps(len)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(len)).unwrap();
         let report = sim.report();
         for (idx, &c) in counts.iter().enumerate() {
             prop_assert_eq!(report.op_counts[idx], c as u64);
@@ -114,23 +113,22 @@ proptest! {
     }
 
     /// Crash makes a process permanently idle without disturbing others'
-    /// registers.
+    /// registers. A crash is a schedule that stops scheduling the process:
+    /// after the cut, p0's steps are dropped from the schedule.
     #[test]
     fn crash_isolates(sched in arb_schedule(2), crash_at in 0usize..500) {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
-        for p in u.processes() {
-            sim.spawn_automaton(p, count_up(regs[p.index()])).unwrap();
-        }
+        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs[p.index()])).collect();
         let len = sched.len();
         let cut = crash_at.min(len);
         let mut src = ScheduleCursor::new(sched.prefix(cut));
-        sim.run(&mut src, RunConfig::steps(cut as u64)).unwrap();
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(cut as u64)).unwrap();
         let frozen = sim.peek(regs[0]);
-        sim.crash(ProcessId::new(0));
-        let mut src = ScheduleCursor::new(sched.suffix(cut));
-        sim.run(&mut src, RunConfig::steps((len - cut) as u64)).unwrap();
+        let survivors: Schedule = sched.suffix(cut).iter().filter(|p| p.index() != 0).collect();
+        let mut src = ScheduleCursor::new(survivors);
+        sim.run_automata(&mut fleet, &mut src, RunConfig::steps((len - cut) as u64)).unwrap();
         // p0's register froze at the crash; p1's reflects all its steps.
         prop_assert_eq!(sim.peek(regs[0]), frozen);
         prop_assert_eq!(sim.peek(regs[1]), sched.occurrences(ProcessId::new(1)) as u64);
@@ -149,8 +147,7 @@ proptest! {
             mem.pause();
             Status::Done
         });
-        sim.spawn_automaton(ProcessId::new(0), prober).unwrap();
-        sim.step_with(ProcessId::new(0));
+        step_once(&mut sim, &mut [prober], 0);
         let report = sim.report();
         prop_assert_eq!(report.probes.len(), probe_count);
         prop_assert_eq!(report.op_counts[0], 0);

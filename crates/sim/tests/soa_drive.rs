@@ -1,9 +1,7 @@
 //! Unit tests for the struct-of-arrays replay drive
 //! ([`Sim::run_automata_replay_soa`]): identity to the plain replay on a
 //! purpose-built two-phase machine, the scalar fallback on impure slices,
-//! delegation under stop conditions, and the typed
-//! [`SimError::FleetDriveOnSpawnedSim`] precondition shared by every fleet
-//! drive.
+//! and delegation under stop conditions.
 //!
 //! (The workspace-wide differential suites live with the protocols, in
 //! `st-agreement/tests/soa_differential.rs`; this file covers drive
@@ -11,9 +9,9 @@
 
 mod common;
 
-use common::{StepFn, SumScan};
-use st_core::{ProcSet, ProcessId, Schedule, ScheduleCursor, Universe};
-use st_sim::{Reg, RunConfig, RunStatus, Sim, SimError, Status, StepAccess, StopWhen};
+use common::SumScan;
+use st_core::{ProcSet, ProcessId, Schedule, Universe};
+use st_sim::{Reg, RunConfig, RunStatus, Sim, StopWhen};
 
 fn universe(n: usize) -> Universe {
     Universe::new(n).unwrap()
@@ -229,74 +227,6 @@ fn soa_drive_finished_machines_idle() {
     assert_eq!(plain, run(true));
 }
 
-/// Every fleet drive returns the typed
-/// [`SimError::FleetDriveOnSpawnedSim`] — naming the drive and the spawned
-/// process — instead of executing over a Sim that owns spawned slots.
-#[test]
-fn fleet_drives_return_typed_error_on_spawned_sim() {
-    let check = |err: SimError, want_drive: &str| match err {
-        SimError::FleetDriveOnSpawnedSim { drive, process } => {
-            assert_eq!(drive, want_drive);
-            assert_eq!(process, pid(1));
-            let msg = err.to_string();
-            assert!(
-                msg.contains(want_drive),
-                "display must name the drive: {msg}"
-            );
-        }
-        other => panic!("expected FleetDriveOnSpawnedSim, got {other:?}"),
-    };
-    let spawned_sim = || {
-        let mut sim = Sim::new(universe(2));
-        let pause_once = StepFn(|mem: &mut StepAccess<'_>| {
-            mem.pause();
-            Status::Done
-        });
-        sim.spawn_automaton(pid(1), pause_once).unwrap();
-        let shared = sim.alloc_array("shared", 2, 0u64);
-        let outs = sim.alloc_array("out", 2, 0u64);
-        let fleet: Vec<SumScan> = (0..2)
-            .map(|i| SumScan::new(shared[0], outs[i], 2, 1))
-            .collect();
-        (sim, fleet)
-    };
-    let sched = Schedule::from_indices([0usize, 1]);
-
-    let (mut sim, mut fleet) = spawned_sim();
-    let mut src = ScheduleCursor::new(sched.clone());
-    check(
-        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(2))
-            .unwrap_err(),
-        "run_automata",
-    );
-
-    let (mut sim, mut fleet) = spawned_sim();
-    check(
-        sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(2))
-            .unwrap_err(),
-        "run_automata_replay",
-    );
-
-    let (mut sim, mut fleet) = spawned_sim();
-    check(
-        sim.run_automata_replay_soa(&mut fleet, &sched, 4, RunConfig::steps(2))
-            .unwrap_err(),
-        "run_automata_replay_soa",
-    );
-
-    let (mut sim, mut fleet) = spawned_sim();
-    check(
-        sim.run_automata_replay_soa_batched(&mut fleet, &sched, 4, RunConfig::steps(2))
-            .unwrap_err(),
-        "run_automata_replay_soa_batched",
-    );
-
-    // The error is recoverable: none of the calls executed a step or
-    // touched a register.
-    let (sim, _fleet) = spawned_sim();
-    assert_eq!(sim.steps_executed(), 0);
-}
-
 /// The round window: schedules that repeat a fixed permutation of the
 /// whole fleet route through strided allotments of as many whole rounds as
 /// every live read run admits, whatever the slice length, and must stay
@@ -464,9 +394,8 @@ fn soa_delegation_threshold_preserves_identity() {
     }
 }
 
-/// A fresh (never-spawned) Sim accepts every fleet drive; the typed error
-/// appears only when slots exist — i.e. `ProcSet::full` of drives is
-/// usable after plain construction.
+/// A fresh Sim accepts a fleet drive with nothing set up beyond its
+/// registers.
 #[test]
 fn fleet_drives_accept_unspawned_sim() {
     let sched = Schedule::from_indices([0usize, 1, 0, 1]);

@@ -29,10 +29,7 @@ fn main() {
     let universe = Universe::new(n).expect("valid universe");
     let mut sim = Sim::new(universe);
     let omega = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, n - 1));
-    for node in universe.processes() {
-        sim.spawn_automaton(node, omega.machine())
-            .expect("fresh simulator");
-    }
+    let mut fleet: Vec<_> = universe.processes().map(|_| omega.machine()).collect();
 
     // Failover script: p0 crashes at step 150k, then p1 at step 450k.
     // Synchrony: {p2} stays timely with respect to a majority — it is the
@@ -45,7 +42,8 @@ fn main() {
     let observed = ProcSet::from_indices([1, 2, 3, 4]);
     let mut source = SetTimely::new(timely, observed, 8, filler).with_crashes(plan);
 
-    sim.run(&mut source, RunConfig::steps(1_200_000)).unwrap();
+    sim.run_automata(&mut fleet, &mut source, RunConfig::steps(1_200_000))
+        .unwrap();
     let report = sim.report();
 
     // The winnerset is published only when it changes, so each timeline is

@@ -27,17 +27,19 @@ fn checker_catches_k_agreement_violation() {
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let inputs: Vec<Value> = (0..n as Value).collect(); // 4 distinct values
-    for p in universe.processes() {
-        let v = inputs[p.index()];
-        let decide_own = Pausing(move |mem: &StepAccess<'_>| {
-            mem.decide(v);
-            Status::Done
-        });
-        sim.spawn_automaton(p, decide_own).unwrap();
-    }
+    let mut fleet: Vec<_> = inputs
+        .iter()
+        .map(|&v| {
+            Pausing(move |mem: &StepAccess<'_>| {
+                mem.decide(v);
+                Status::Done
+            })
+        })
+        .collect();
     let steps: Vec<usize> = (0..2 * n).map(|i| i % n).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-    sim.run(
+    sim.run_automata(
+        &mut fleet,
         &mut src,
         RunConfig::steps(100).stop_when(StopWhen::AllDecided(ProcSet::full(universe))),
     )
@@ -62,15 +64,18 @@ fn checker_catches_validity_violation() {
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let inputs: Vec<Value> = vec![1, 2, 3];
-    for p in universe.processes() {
-        let invent = Pausing(|mem: &StepAccess<'_>| {
-            mem.decide(777); // never proposed
-            Status::Done
-        });
-        sim.spawn_automaton(p, invent).unwrap();
-    }
+    let mut fleet: Vec<_> = universe
+        .processes()
+        .map(|_| {
+            Pausing(|mem: &StepAccess<'_>| {
+                mem.decide(777); // never proposed
+                Status::Done
+            })
+        })
+        .collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 1, 2]));
-    sim.run(&mut src, RunConfig::steps(10)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(10))
+        .unwrap();
     let outcome = sim
         .report()
         .agreement_outcome(&inputs, ProcSet::full(universe));
@@ -92,13 +97,14 @@ fn checker_catches_termination_violation_within_budget_only() {
     let universe = Universe::new(n).unwrap();
     let mut sim = Sim::new(universe);
     let inputs: Vec<Value> = vec![5, 5, 5];
-    for p in universe.processes() {
-        sim.spawn_automaton(p, Pausing(|_: &StepAccess<'_>| Status::Running))
-            .unwrap();
-    }
+    let mut fleet: Vec<_> = universe
+        .processes()
+        .map(|_| Pausing(|_: &StepAccess<'_>| Status::Running))
+        .collect();
     let steps: Vec<usize> = (0..300).map(|i| i % n).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-    sim.run(&mut src, RunConfig::steps(300)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(300))
+        .unwrap();
 
     // Zero crashes (≤ t = 1): termination owed and violated.
     let outcome = sim
@@ -125,19 +131,22 @@ fn convergence_analyzer_rejects_flapping() {
 
     let universe = Universe::new(2).unwrap();
     let mut sim = Sim::new(universe);
-    for p in universe.processes() {
-        let mut flip = 0u64;
-        let flapping = Pausing(move |mem: &StepAccess<'_>| {
-            // Publish alternating winnersets forever.
-            mem.probe(WINNERSET_PROBE, 1 + (flip % 2));
-            flip += 1;
-            Status::Running
-        });
-        sim.spawn_automaton(p, flapping).unwrap();
-    }
+    let mut fleet: Vec<_> = universe
+        .processes()
+        .map(|_| {
+            let mut flip = 0u64;
+            Pausing(move |mem: &StepAccess<'_>| {
+                // Publish alternating winnersets forever.
+                mem.probe(WINNERSET_PROBE, 1 + (flip % 2));
+                flip += 1;
+                Status::Running
+            })
+        })
+        .collect();
     let steps: Vec<usize> = (0..500).map(|i| i % 2).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-    sim.run(&mut src, RunConfig::steps(500)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(500))
+        .unwrap();
     // Final values may coincide across processes, but each process's own
     // timeline never stabilizes before its last publication; the detected
     // "stabilization step" must be at the very end of the trace, never

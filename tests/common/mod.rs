@@ -13,9 +13,9 @@
 //! register's name, read and write counts and final contents, the touched
 //! ones listed and all of them folded into an FNV-1a digest.
 //!
-//! [`check`] runs each machine on the slot drive (`spawn_automaton` +
-//! `run`) and on fleet replay (`run_automata_replay`), and every field must
-//! equal the fixture's. A port that moves one operation to another step,
+//! [`check`] runs each machine's fleet on the streamed drive
+//! (`run_automata` over a cursor) and on replay (`run_automata_replay`),
+//! and every field must equal the fixture's. A port that moves one operation to another step,
 //! reads one register more, or publishes a probe one step late fails there.
 
 // Every suite uses its own subset.
@@ -78,7 +78,7 @@ pub struct Case {
 
 #[derive(Clone, Copy, Debug)]
 pub enum Drive {
-    Slots,
+    Fleet,
     FleetReplay,
 }
 
@@ -409,29 +409,19 @@ pub fn inputs(n: usize) -> Vec<Value> {
 }
 
 /// Runs one machine per process over the case on `drive`.
-fn run_on<A: Automaton + 'static>(
-    sim: &mut Sim,
-    machines: Vec<A>,
-    case: &Case,
-    drive: Drive,
-) -> RunStatus {
+fn run_on<A: Automaton>(sim: &mut Sim, mut fleet: Vec<A>, case: &Case, drive: Drive) -> RunStatus {
     let cfg = RunConfig::steps(case.budget).stop_when(case.stop);
     match drive {
-        Drive::Slots => {
-            for (i, machine) in machines.into_iter().enumerate() {
-                sim.spawn_automaton(ProcessId::new(i), machine).unwrap();
-            }
-            sim.run(&mut ScheduleCursor::new(case.schedule.clone()), cfg)
+        Drive::Fleet => {
+            let mut src = ScheduleCursor::new(case.schedule.clone());
+            sim.run_automata(&mut fleet, &mut src, cfg)
         }
-        Drive::FleetReplay => {
-            let mut fleet = machines;
-            sim.run_automata_replay(&mut fleet, &case.schedule, cfg)
-        }
+        Drive::FleetReplay => sim.run_automata_replay(&mut fleet, &case.schedule, cfg),
     }
     .expect("the case's schedule stays in its universe")
 }
 
-fn run_bg<M: StepMachine + Clone + 'static>(
+fn run_bg<M: StepMachine + Clone>(
     sim: &mut Sim,
     simulated: Vec<M>,
     max_reads: usize,
@@ -630,7 +620,7 @@ pub fn check(cases: Vec<Case>) {
             .iter()
             .find(|c| label(c) == case.label)
             .unwrap_or_else(|| panic!("{}: not in the fixture", case.label));
-        for drive in [Drive::Slots, Drive::FleetReplay] {
+        for drive in [Drive::Fleet, Drive::FleetReplay] {
             let (sim, status) = run(case, drive);
             let got = observe(&case.label, &sim, status);
             let Json::Obj(fields) = want else {

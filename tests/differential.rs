@@ -10,7 +10,7 @@
 //! completion flags and per-process operation counts, the same per-register
 //! access statistics and final contents. The transcriptions' side of that
 //! comparison is `tests/fixtures/transcription.json`; each test here holds
-//! its machine to its cases on the slot drive and on fleet replay (see
+//! its machine to its cases on the streamed fleet drive and on replay (see
 //! `common`).
 
 mod common;
@@ -106,7 +106,7 @@ fn kset_machine_decides_on_round_robin() {
         .into_iter()
         .find(|c| c.label == "kset/rr/n4/k2/t2")
         .expect("the n = 4 round-robin case");
-    let (sim, _) = run(&case, Drive::Slots);
+    let (sim, _) = run(&case, Drive::Fleet);
     let decisions = sim.report().decisions;
     assert!(
         decisions.iter().all(|d| d.is_some()),

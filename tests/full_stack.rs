@@ -71,13 +71,12 @@ fn standalone_fd_at_n8() {
     let mut sim = Sim::new(universe);
     let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(k, t));
     assert_eq!(fd.set_count(), 28); // C(8,2)
-    for pr in universe.processes() {
-        sim.spawn_automaton(pr, fd.machine()).unwrap();
-    }
+    let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
     let p: ProcSet = (0..k).map(ProcessId::new).collect();
     let q: ProcSet = (0..=t).map(ProcessId::new).collect();
     let mut src = SetTimely::new(p, q, 8, SeededRandom::new(universe, 21));
-    sim.run(&mut src, RunConfig::steps(3_000_000)).unwrap();
+    sim.run_automata(&mut fleet, &mut src, RunConfig::steps(3_000_000))
+        .unwrap();
     let stab = winnerset_stabilization(&sim.report(), ProcSet::full(universe))
         .expect("n=8 FD must converge");
     assert_eq!(stab.winnerset.len(), k);
@@ -99,9 +98,7 @@ fn executed_schedule_matches_generator_promise() {
     }
     let universe = set_timeliness::core::Universe::new(4).unwrap();
     let mut sim = Sim::new(universe);
-    for pr in universe.processes() {
-        sim.spawn_automaton(pr, Idler).unwrap();
-    }
+    let mut fleet: Vec<_> = universe.processes().map(|_| Idler).collect();
     let p = ProcSet::from_indices([2]);
     let q = ProcSet::from_indices([0, 1, 3]);
     let generator = || SetTimely::new(p, q, 5, SeededRandom::new(universe, 31));
@@ -111,7 +108,8 @@ fn executed_schedule_matches_generator_promise() {
         pulled.push(step);
         Some(step)
     });
-    sim.run(
+    sim.run_automata(
+        &mut fleet,
         &mut src,
         RunConfig::steps(50_000).stop_when(StopWhen::Never),
     )
