@@ -115,6 +115,7 @@ enum KsetPhase {
 
 /// The k-set agreement protocol of one process. Construct via
 /// [`KSetAgreement::machine`].
+#[derive(Clone)]
 pub struct KSetAgreementMachine<const W: usize = 1> {
     kset: KSetAgreement,
     fd: KAntiOmegaMachine<W>,

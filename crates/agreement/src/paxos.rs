@@ -29,7 +29,7 @@
 //! seeded-random, Figure 1 and crash schedules).
 
 use st_core::Value;
-use st_sim::{Automaton, BatchAccess, Memory, PhaseBatch, Reg, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, Memory, PhaseBatch, Reg, RegValue, Sim, Status, StepAccess};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -40,6 +40,21 @@ pub struct PaxosRecord {
     pub bal: u64,
     /// Accepted value, `None` if never accepted.
     pub val: Option<Value>,
+}
+
+/// A record is four arena words, `mbal`, `bal` and `val`'s two, read or
+/// written in one step.
+impl RegValue for PaxosRecord {
+    const WORDS: usize = 4;
+
+    fn encode(self, words: &mut [u64]) {
+        (self.mbal, (self.bal, self.val)).encode(words);
+    }
+
+    fn decode(words: &[u64]) -> Self {
+        let (mbal, (bal, val)) = RegValue::decode(words);
+        PaxosRecord { mbal, bal, val }
+    }
 }
 
 /// A single-decree Paxos instance: `n` records plus a decision register.
@@ -547,6 +562,28 @@ mod tests {
 
     fn pid(i: usize) -> ProcessId {
         ProcessId::new(i)
+    }
+
+    #[test]
+    fn records_round_trip_through_four_words() {
+        let mut seen = Vec::new();
+        for word in [0, u64::MAX] {
+            for val in [None, Some(0), Some(u64::MAX)] {
+                let record = PaxosRecord {
+                    mbal: word,
+                    bal: !word,
+                    val,
+                };
+                let mut words = [7; PaxosRecord::WORDS];
+                record.encode(&mut words);
+                assert_eq!(PaxosRecord::decode(&words), record);
+                assert!(!seen.contains(&words), "{record:?} encodes like another");
+                seen.push(words);
+            }
+        }
+        let mut zero = [7; 4];
+        PaxosRecord::default().encode(&mut zero);
+        assert_eq!(zero, [0; 4], "a zero block holds default records");
     }
 
     /// n proposers with distinct values, interleaved by `schedule`; each

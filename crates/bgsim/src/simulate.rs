@@ -270,7 +270,7 @@ impl<M: StepMachine> BgSimulator<M> {
     }
 
     /// Simulated process `u` completed an operation.
-    fn advance(&mut self, mem: &StepAccess<'_>, u: usize, read: Option<Option<Value>>) {
+    fn advance(&mut self, mem: &mut StepAccess<'_>, u: usize, read: Option<Option<Value>>) {
         self.machines[u].advance(read);
         mem.probe(SIM_STEP_PROBE, u as u64);
     }

@@ -30,12 +30,13 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use st_agreement::{drive_adversarially, AgreementStack};
+use st_agreement::{drive_adversarially, AgreementStack, Paxos};
 use st_campaign::{
     FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, OutcomeStore, Scenario, Workload,
 };
 use st_core::{AgreementTask, ProcSet, ProcessId, Schedule, ScheduleCursor, StepSource, Universe};
 use st_fd::TimeoutPolicy;
+use st_sim::Sim;
 
 struct Counting;
 
@@ -195,6 +196,25 @@ fn e3_cell_scenario_stays_within_its_allocation_budget() {
         );
     }
     assert!(builds[2] <= run, "the build is part of the run");
+}
+
+/// `Paxos::alloc`'s heap allocations in a fresh `n`-process simulation.
+fn paxos_allocations(n: usize) -> u64 {
+    let mut sim = Sim::new(Universe::new(n).unwrap());
+    allocations(|| Paxos::alloc(&mut sim, "px")).0
+}
+
+/// A Paxos instance's records and decision are arena words: allocating one
+/// costs the same whatever n. Boxing every record and decision register
+/// cost one allocation per register, 27 per E3 stack build (k = 3
+/// instances × (8 records + 1 decision)).
+#[test]
+fn a_paxos_instance_allocates_nothing_per_process() {
+    let counts = [2, 8, 64, 256].map(paxos_allocations);
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "Paxos::alloc at n = 2, 8, 64, 256 made {counts:?} allocations"
+    );
 }
 
 /// Entries in the store the memory guard loads and saves.

@@ -12,15 +12,9 @@
 //! correct process outputs the *same* winnerset `A0`, which contains a
 //! correct process. [`winnerset_stabilization`] detects that; the
 //! k-parallel-Paxos agreement layer relies on it.
-//!
-//! [`run_until_quiescent`] is the driving side of the analysis: it steps a
-//! fleet (e.g. of [`KAntiOmegaMachine`](crate::KAntiOmegaMachine)s) in
-//! poll intervals, watching the O(1) probe count for quiescence instead of
-//! materializing a report per interval, and judges stabilization once at
-//! the end.
 
-use st_core::{ProcSet, ProcessId, StepSource};
-use st_sim::{Automaton, RunConfig, RunReport, RunStatus, Sim};
+use st_core::{ProcSet, ProcessId};
+use st_sim::RunReport;
 
 use crate::kanti::WINNERSET_PROBE;
 
@@ -163,88 +157,6 @@ pub fn wide_winnerset_stabilization(
     })
 }
 
-/// Outcome of [`run_until_quiescent`]: how the drive ended plus the
-/// stabilization verdict of the single report materialized at the end.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct QuiescentRun {
-    /// Status of the last `Sim::run_automata` call.
-    pub status: RunStatus,
-    /// Steps executed in total (across all poll intervals).
-    pub steps: u64,
-    /// Lemma 22 stabilization, judged on the final trace.
-    pub stabilization: Option<Stabilization>,
-}
-
-/// Drives `sim` in poll intervals until the winnerset probes go quiet, then
-/// judges stabilization on **one** final report.
-///
-/// Every `poll_interval` steps the harness reads
-/// [`Sim::probe_count`](st_sim::Sim::probe_count) — an O(1) accessor, not a
-/// [`RunReport`] (which clones the full probe vector and register
-/// statistics; materializing one per poll interval made polling cost
-/// O(trace²) over a long run). The Figure 2 detector publishes its
-/// winnerset probe **only on change**, so a flat probe count over
-/// `quiet_polls` consecutive intervals means no process changed its output
-/// for `quiet_polls · poll_interval` steps — the drive stops early instead
-/// of burning the rest of the budget. Quiescence is a stopping heuristic,
-/// not the verdict: the returned stabilization is computed from the final
-/// trace by [`winnerset_stabilization`], exactly as for a full-budget run
-/// over the same steps.
-///
-/// Runs at most `budget` steps of `fleet` in total; stops earlier on
-/// quiescence or on source exhaustion.
-///
-/// # Panics
-///
-/// Panics if `poll_interval == 0` or `quiet_polls == 0`, or if `fleet` is
-/// not one machine per process.
-pub fn run_until_quiescent<A: Automaton, S: StepSource>(
-    sim: &mut Sim,
-    fleet: &mut [A],
-    src: &mut S,
-    correct: ProcSet,
-    budget: u64,
-    poll_interval: u64,
-    quiet_polls: u32,
-) -> QuiescentRun {
-    assert!(poll_interval > 0, "poll interval must be positive");
-    assert!(quiet_polls > 0, "quiescence needs at least one quiet poll");
-    let start = sim.steps_executed();
-    let mut last_count = sim.probe_count();
-    let mut quiet = 0u32;
-    let mut status = RunStatus::MaxSteps;
-    loop {
-        let executed = sim.steps_executed() - start;
-        if executed >= budget {
-            break;
-        }
-        let chunk = poll_interval.min(budget - executed);
-        status = sim
-            .run_automata(fleet, src, RunConfig::steps(chunk))
-            .expect("poll schedule within universe");
-        match status {
-            RunStatus::MaxSteps => {}
-            // Source ended: no more steps will happen, judge what we have.
-            _ => break,
-        }
-        let count = sim.probe_count();
-        if count == last_count {
-            quiet += 1;
-            if quiet >= quiet_polls {
-                break;
-            }
-        } else {
-            last_count = count;
-            quiet = 0;
-        }
-    }
-    QuiescentRun {
-        status,
-        steps: sim.steps_executed() - start,
-        stabilization: winnerset_stabilization(&sim.report(), correct),
-    }
-}
-
 /// Counts winnerset changes published by `p` after `step` — a liveness-of-
 /// instability measure for adversarial runs (a stack that keeps flapping is
 /// evidence of non-convergence).
@@ -354,59 +266,5 @@ mod tests {
         let correct = ProcSet::from_indices([0, 1]);
         assert!(kanti_omega_witness(&report, correct).is_none());
         assert!(winnerset_stabilization(&report, correct).is_none());
-    }
-
-    #[test]
-    fn quiescent_run_stops_early_and_matches_full_budget() {
-        use crate::{KAntiOmega, KAntiOmegaConfig};
-        use st_core::ScheduleCursor;
-
-        let universe = Universe::new(3).unwrap();
-        let full = ProcSet::full(universe);
-        let budget = 120_000u64;
-        let steps: Vec<usize> = (0..budget as usize).map(|s| s % 3).collect();
-
-        // Full-budget reference on the machine ABI.
-        let mut sim = Sim::new(universe);
-        let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let mut src = ScheduleCursor::new(Schedule::from_indices(steps.clone()));
-        sim.run_automata(&mut fleet, &mut src, RunConfig::steps(budget))
-            .unwrap();
-        let reference = winnerset_stabilization(&sim.report(), full).expect("round-robin settles");
-
-        // Quiescence-polled run over the same schedule.
-        let mut sim = Sim::new(universe);
-        let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        let run = run_until_quiescent(&mut sim, &mut fleet, &mut src, full, budget, 1_000, 8);
-        assert!(
-            run.steps < budget,
-            "expected early stop, ran all {} steps",
-            run.steps
-        );
-        // On a round-robin schedule the detector never flaps again after
-        // settling, so the early-stopped trace judges identically.
-        assert_eq!(run.stabilization, Some(reference));
-    }
-
-    #[test]
-    fn quiescent_run_respects_budget_and_source_end() {
-        use crate::{KAntiOmega, KAntiOmegaConfig};
-        use st_core::ScheduleCursor;
-
-        let universe = Universe::new(3).unwrap();
-        let full = ProcSet::full(universe);
-        // Source shorter than the budget: the drive must end with the
-        // source, counting only executed steps.
-        let mut sim = Sim::new(universe);
-        let fd = KAntiOmega::alloc(&mut sim, KAntiOmegaConfig::new(1, 1));
-        let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let steps: Vec<usize> = (0..500).map(|s| s % 3).collect();
-        let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
-        let run = run_until_quiescent(&mut sim, &mut fleet, &mut src, full, 10_000, 100, 50);
-        assert_eq!(run.status, RunStatus::SourceEnded);
-        assert_eq!(run.steps, 500);
     }
 }

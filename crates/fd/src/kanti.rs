@@ -359,6 +359,7 @@ enum Phase {
 /// );
 /// assert_eq!(stab.unwrap().winnerset.len(), 1);
 /// ```
+#[derive(Clone)]
 pub struct KAntiOmegaMachine<const W: usize = 1> {
     fd: KAntiOmega<W>,
     phase: Phase,

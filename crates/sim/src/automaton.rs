@@ -17,10 +17,9 @@
 
 use st_core::{ProcSet, ProcessId, Value};
 
-use crate::ctx::SimShared;
 use crate::memory::Memory;
 use crate::register::{Reg, RegValue};
-use crate::trace::ProbeEvent;
+use crate::trace::{ProbeEvent, TraceInner};
 
 /// What an automaton reports after a step.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -95,8 +94,7 @@ impl<A: Automaton + ?Sized> Automaton for Box<A> {
 /// exactly one step.
 ///
 /// Register operations are plain calls against the word arena
-/// (`&mut Memory`, no per-operation `RefCell` borrow); probes and decisions
-/// go to the trace. The **one-operation-per-step** discipline is enforced
+/// (`&mut Memory`); probes and decisions go to the trace (`&mut`, too). The **one-operation-per-step** discipline is enforced
 /// explicitly: a second register operation in the same step panics.
 pub struct StepAccess<'a> {
     pid: ProcessId,
@@ -104,7 +102,7 @@ pub struct StepAccess<'a> {
     /// it.
     step: u64,
     memory: &'a mut Memory,
-    shared: &'a SimShared,
+    trace: &'a mut TraceInner,
     /// The step's one slot (register operation *or* pause) was consumed.
     op_used: bool,
     /// A register operation was actually performed (pauses excluded) — the
@@ -117,13 +115,13 @@ impl<'a> StepAccess<'a> {
         pid: ProcessId,
         step: u64,
         memory: &'a mut Memory,
-        shared: &'a SimShared,
+        trace: &'a mut TraceInner,
     ) -> Self {
         StepAccess {
             pid,
             step,
             memory,
-            shared,
+            trace,
             op_used: false,
             op_performed: false,
         }
@@ -159,8 +157,8 @@ impl<'a> StepAccess<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on protocol bugs: a second operation this step, foreign
-    /// handles, or type confusion.
+    /// Panics on protocol bugs: a second operation this step, or a foreign
+    /// handle.
     #[inline]
     pub fn read_word(&mut self, reg: Reg<u64>) -> u64 {
         self.consume_op();
@@ -176,7 +174,8 @@ impl<'a> StepAccess<'a> {
     /// # Panics
     ///
     /// Panics on protocol bugs: a second operation this step, foreign
-    /// handles, type confusion, or violating a single-writer discipline.
+    /// handles, a multi-word register, or violating a single-writer
+    /// discipline.
     #[inline]
     pub fn write_word(&mut self, reg: Reg<u64>, value: u64) {
         self.consume_op();
@@ -192,13 +191,13 @@ impl<'a> StepAccess<'a> {
     /// back-to-back allocation sequence) are contiguous, so a scanning
     /// automaton can keep one base handle and a counter instead of loading
     /// a handle from its own table every step — one less data-dependent
-    /// load on the hottest path in the simulator. All access-time checks
-    /// (bounds, storage class) still apply to the derived slot.
+    /// load on the hottest path in the simulator. The bounds check still
+    /// applies to the derived slot.
     ///
     /// # Panics
     ///
-    /// Panics on protocol bugs: a second operation this step, an offset
-    /// falling outside the arena, or a non-`u64` register at the slot.
+    /// Panics on protocol bugs: a second operation this step, or an offset
+    /// falling outside the arena.
     #[inline]
     pub fn read_word_array(&mut self, base: Reg<u64>, offset: usize) -> u64 {
         self.consume_op();
@@ -213,13 +212,13 @@ impl<'a> StepAccess<'a> {
     /// slots after `base` — the write twin of
     /// [`read_word_array`](Self::read_word_array), for automata that index
     /// large contiguous register arrays by offset instead of carrying a
-    /// handle table. All access-time checks (bounds, storage class, write
+    /// handle table. All access-time checks (bounds, width, write
     /// discipline) still apply to the derived slot.
     ///
     /// # Panics
     ///
     /// Panics on protocol bugs: a second operation this step, an offset
-    /// falling outside the arena, a non-`u64` register at the slot, or
+    /// falling outside the arena, a multi-word register at the slot, or
     /// violating a single-writer discipline.
     #[inline]
     pub fn write_word_array(&mut self, base: Reg<u64>, offset: usize, value: u64) {
@@ -230,12 +229,13 @@ impl<'a> StepAccess<'a> {
         }
     }
 
-    /// Atomically reads a register of any type. **Costs the step's one
-    /// operation.**
+    /// Atomically reads a register of any type: all its words at once.
+    /// **Costs the step's one operation.**
     ///
     /// # Panics
     ///
-    /// Same conditions as [`read_word`](Self::read_word).
+    /// Panics on protocol bugs: a second operation this step, foreign
+    /// handles, or type confusion.
     pub fn read<T: RegValue>(&mut self, reg: Reg<T>) -> T {
         self.consume_op();
         match self.memory.read(reg) {
@@ -244,8 +244,8 @@ impl<'a> StepAccess<'a> {
         }
     }
 
-    /// Atomically writes a register of any type. **Costs the step's one
-    /// operation.**
+    /// Atomically writes a register of any type: all its words at once.
+    /// **Costs the step's one operation.**
     ///
     /// # Panics
     ///
@@ -274,8 +274,8 @@ impl<'a> StepAccess<'a> {
     /// Publishes an instrumentation probe. **Free**: probes model the
     /// external observation of a process's local variables (e.g. the
     /// failure-detector output `fdOutput` of Figure 2) and take no step.
-    pub fn probe(&self, key: &'static str, value: u64) {
-        self.shared.trace.borrow_mut().probes.push(ProbeEvent {
+    pub fn probe(&mut self, key: &'static str, value: u64) {
+        self.trace.probes.push(ProbeEvent {
             step: self.step,
             pid: self.pid,
             key,
@@ -284,7 +284,7 @@ impl<'a> StepAccess<'a> {
     }
 
     /// Publishes a process-set-valued probe (encoded as the bitset).
-    pub fn probe_set(&self, key: &'static str, set: ProcSet) {
+    pub fn probe_set(&mut self, key: &'static str, set: ProcSet) {
         self.probe(key, set.bits());
     }
 
@@ -293,7 +293,7 @@ impl<'a> StepAccess<'a> {
     /// # Panics
     ///
     /// Panics if the process already decided (decisions are irrevocable).
-    pub fn decide(&self, value: Value) {
-        self.shared.record_decision(self.pid, value, self.step);
+    pub fn decide(&mut self, value: Value) {
+        self.trace.record_decision(self.pid, value, self.step);
     }
 }

@@ -13,7 +13,7 @@ use st_core::ProcessId;
 pub enum SimError {
     /// A register was accessed with the wrong value type.
     TypeMismatch {
-        /// Register arena index.
+        /// Arena index of the accessed word (a handle's `index()`).
         register: usize,
         /// Register name given at allocation.
         name: String,
@@ -21,7 +21,7 @@ pub enum SimError {
     /// A single-writer register was written by a process other than its
     /// declared writer.
     WriteDisciplineViolation {
-        /// Register arena index.
+        /// Arena index of the accessed word (a handle's `index()`).
         register: usize,
         /// Register name given at allocation.
         name: String,

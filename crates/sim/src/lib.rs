@@ -20,14 +20,18 @@
 //! Protocols plug into the executor through one ABI ([`Automaton`],
 //! [`StepAccess`]): the protocol keeps explicit control state — one phase
 //! per register operation of its pseudocode — and the executor calls
-//! [`Automaton::step`] once per scheduled step with a scoped view of the
-//! register arena, holding a single arena borrow per drive call. One form
-//! per protocol is also one form to verify: it is the explicit-transition
-//! shape that model checkers explore.
+//! [`Automaton::step`] once per scheduled step with a scoped `&mut` view of
+//! the register arena and the trace. One form per protocol is also one form
+//! to verify: it is the explicit-transition shape that model checkers
+//! explore.
 //!
 //! A run is n automata stepped by one schedule, and the automata are a
 //! fleet the caller owns (`&mut [A]`, `automata[i]` the machine of process
-//! `i`); the [`Sim`] owns the register arena and the trace. A homogeneous
+//! `i`); the [`Sim`] owns the register arena and the trace. Both are plain
+//! values: every register is a few `u64` words of one arena ([`Memory`],
+//! [`RegValue`]'s fixed-width codec) and the `Sim` holds no cell or shared
+//! pointer to its state, so a clone of the `Sim` and the fleet is a
+//! snapshot of the run. A homogeneous
 //! fleet is stepped with **static dispatch** — the automaton body inlines
 //! into the executor loop; a heterogeneous one is a
 //! `Vec<Box<dyn Automaton>>` (one virtual call per step). The drives:
@@ -53,7 +57,8 @@
 //!
 //! Every drive — cursor, replay or chooser, and the SoA drive's scalar
 //! fallbacks — executes its steps through one private step kernel in
-//! `runner.rs`: the model has one execution rule, and so does the executor.
+//! `runner.rs` (`Sim::step`): the model has one execution rule, and so does
+//! the executor.
 //!
 //! ## Choosing a fleet replay drive
 //!
@@ -86,7 +91,6 @@
 #![warn(missing_docs)]
 
 mod automaton;
-mod ctx;
 pub mod error;
 pub mod memory;
 pub mod register;

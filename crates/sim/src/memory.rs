@@ -1,87 +1,111 @@
 //! The register arena: the shared memory `Ξ` of the model.
 //!
-//! Registers are allocated before the run, hold either a raw `u64` word or a
-//! type-erased value, and are accessed atomically (the simulator is
+//! Registers are allocated before the run, hold a value of a fixed-width
+//! word type ([`RegValue`]), and are accessed atomically (the simulator is
 //! single-threaded; atomicity is by construction). Accounting (read/write
 //! counts, versions) feeds the trace.
 //!
-//! # The typed word fast path, and the arena layout
+//! # Every register is words, and the arena layout
 //!
-//! Every register of the paper's protocols (Figure 2's `Heartbeat[p]` and
-//! `Counter[A, q]`, ballot numbers, round counters) is a `u64`, and the
-//! k-anti-Ω inner loop reads `|Π^k_n|·n` of them per iteration — so the
-//! register representation sits on the hottest path of the whole simulator.
-//! Three layout decisions follow:
+//! Every register of the paper's protocols is a few words: Figure 2's
+//! `Heartbeat[p]` and `Counter[A, q]`, ballots and round counters are one
+//! `u64`; decisions and published values are `Option<Value>` (two words),
+//! BG's cell copies `(u64, Option<Value>)` three and the Paxos record four.
+//! The k-anti-Ω inner loop reads `|Π^k_n|·n` word registers per iteration —
+//! so the register representation sits on the hottest path of the whole
+//! simulator. Three layout decisions follow:
 //!
-//! 1. **Unboxed words.** `u64` registers are stored as plain words:
-//!    [`Memory::read_word`] / [`Memory::write_word`] touch them with a byte
-//!    compare and an array load (no vtable, no downcast, no clone), and the
-//!    generic [`Memory::read`] / [`Memory::write`] route `T = u64` to the
-//!    same representation via a compile-time [`TypeId`] check that
-//!    monomorphizes away.
-//! 2. **Structure of arrays.** The arena keeps parallel dense arrays —
-//!    kinds (1 byte), word values (8 bytes), read and write counts (8 bytes
-//!    each) — instead of an array of register structs. A protocol that
+//! 1. **One storage class.** A register of type `T` is `T::WORDS`
+//!    consecutive words of one dense `Vec<u64>`, read or written whole in
+//!    one step, and its handle is the index of its first word.
+//!    [`Memory::read_word`] / [`Memory::write_word`] touch a `u64` register
+//!    with a bounds check and an array load; the generic [`Memory::read`] /
+//!    [`Memory::write`] route one-word types to the same path at compile
+//!    time and decode / encode the others in place. There is no side table
+//!    and no type erasure: the arena's contents are plain words, so a clone
+//!    of a [`Memory`] is a snapshot of it.
+//! 2. **Structure of arrays.** Values, read counts and write counts are
+//!    three parallel dense word vectors (a register's counts sit at its
+//!    first word) instead of an array of register structs. A protocol that
 //!    sweeps hundreds of registers per iteration (the Figure 2 counter
 //!    matrix) then streams a few KiB of dense values: the per-step cost of
 //!    the sweep is the load, the count bump, and nothing else.
-//! 3. **Blocks, with names and disciplines by rule.** Registers are
+//! 3. **Blocks, with names, disciplines and types by rule.** Registers are
 //!    allocated in *blocks* ([`Memory::alloc_block`]): `count` consecutive
-//!    registers with one initial value, a per-index *write-discipline rule*
-//!    (`Fn(usize) -> WriteDiscipline`) and a per-index *name recipe*
-//!    (`Fn(usize) -> String`). The dense arrays are extended once per block
-//!    and the two closures are stored once per block, in a block table
-//!    sorted by first index — no name is formatted, no `String` and no
-//!    per-register discipline is stored, at allocation time.
+//!    registers of one type with one initial value, a per-index
+//!    *write-discipline rule* (`Fn(usize) -> WriteDiscipline`) and a
+//!    per-index *name recipe* (`Fn(usize) -> String`). The dense vectors
+//!    are extended once per block, and the two closures, the register width
+//!    and the type's `TypeId` are stored once per block, in a block table
+//!    sorted by first word — no name is formatted, no `String` and no
+//!    per-register discipline or type is stored, at allocation time.
 //!    [`Memory::alloc`] is the one-register block.
 //!
-//! What **allocation costs**: 25 bytes of address space per register and
-//! one table entry per block, of which only the kind byte is written. A
-//! zero-initialized word block extends the value and count arrays through a
-//! zeroed allocation, which for a large block is untouched pages: a cell
-//! becomes resident when a run first reads or writes it, so a fleet that
-//! executes few steps pays for few cells (Figure 2's `|Π^k_n|·n` counters,
-//! or the lean detector's `n²` = 1 048 576 at n = 1024, used to be written
-//! — and page-faulted in — 33 bytes apiece before the first step). Blocks
-//! with a non-zero initial value, and boxed ones, are written as before.
+//! What **allocation costs**: 24 bytes of address space per arena word
+//! (value, read count, write count), `24 · WORDS` per register, and one
+//! table entry per block. A block whose initial value encodes to zeros
+//! (`0`, `None`, a default Paxos record) writes nothing: it extends the
+//! three vectors through a zeroed allocation, which for a large block is
+//! untouched pages, so a cell becomes resident when a run first reads or
+//! writes it and a fleet that executes few steps pays for few cells
+//! (Figure 2's `|Π^k_n|·n` counters, or the lean detector's `n²` =
+//! 1 048 576 at n = 1024, used to be written — and page-faulted in —
+//! 33 bytes apiece before the first step). Only a block with a non-zero
+//! initial value is written.
 //!
-//! What is **hot** (touched by every simulated step): the kind byte, the
-//! payload word, and the read or write count of the accessed register.
-//! What is **asked per write**: the discipline — the block table is
-//! binary-searched and the block's rule run, behind a small direct-mapped
-//! memo of the registers written last (a process keeps writing the same few
-//! registers; reads outnumber writes `n·|Π^k_n|` to 1 in Figure 2). What is
-//! **on demand**: names. [`Memory::name`] searches the same table and runs
-//! the recipe; only the [`SimError`] constructors (a protocol bug is being
+//! What is **hot** (touched by every simulated step): the value words and
+//! the read or write count of the accessed register. What is **asked per
+//! write**: the discipline — the block table is binary-searched and the
+//! block's rule run, behind a small direct-mapped memo of the word
+//! registers written last (a process keeps writing the same few registers;
+//! reads outnumber writes `n·|Π^k_n|` to 1 in Figure 2). What is **on
+//! demand**: names. [`Memory::name`] searches the same table and runs the
+//! recipe; only the [`SimError`] constructors (a protocol bug is being
 //! reported), [`Memory::stats`] and tests ever call it, so a run that
 //! reports no error and asks for no statistics formats nothing.
 //!
+//! # What is type-checked
+//!
+//! [`Memory::peek`] and the multi-word [`Memory::read`] / [`Memory::write`]
+//! look the block up and return [`SimError::TypeMismatch`] unless the
+//! handle is the first word of a register of the block's type. A word
+//! write finds the block on a memo miss anyway, so it also refuses a
+//! multi-word block. The word *read* paths ([`Memory::read_word`],
+//! [`StepAccess::read_word_array`](crate::StepAccess::read_word_array),
+//! [`Memory::read_word_span`]) check bounds only: a word read of a
+//! multi-word register reads its first word. That is the one detection an
+//! arena of words gives up, and it was never much: the per-register kind
+//! byte this arena used to keep only told words from boxed values, and a
+//! scan that overran into the next *word* block passed it too.
+//!
 //! Handles, disciplines, and error behavior are independent of the layout.
 
-use std::any::{Any, TypeId};
+use std::any::TypeId;
+use std::rc::Rc;
 
 use st_core::ProcessId;
 
 use crate::error::SimError;
 use crate::register::{Reg, RegValue, WriteDiscipline};
 
-/// Storage class of a register: words live inline in the hot cell,
-/// everything else is boxed in the side table.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Kind {
-    Word,
-    Boxed,
-}
+/// Words of the widest register type the arena takes.
+const MAX_WORDS: usize = 8;
 
-/// One allocation: a run of consecutive registers sharing a name recipe
-/// and a write-discipline rule.
+/// One allocation: a run of consecutive registers of one type sharing a
+/// name recipe and a write-discipline rule. The recipes are shared, so a
+/// clone of the table copies no closure.
+#[derive(Clone)]
 struct Block {
-    /// Arena index of the block's first register.
+    /// Arena index of the block's first word.
     start: usize,
+    /// Words per register (`T::WORDS`).
+    width: usize,
+    /// The register type, `TypeId::of::<T>()`.
+    ty: TypeId,
     /// Formats the name of the block's `i`-th register.
-    name: Box<dyn Fn(usize) -> String>,
+    name: Rc<dyn Fn(usize) -> String>,
     /// The write discipline of the block's `i`-th register.
-    discipline: Box<dyn Fn(usize) -> WriteDiscipline>,
+    discipline: Rc<dyn Fn(usize) -> WriteDiscipline>,
 }
 
 /// Extends `cells` with zeros up to `end` entries. A block at least as long
@@ -102,36 +126,34 @@ fn extend_zeroed(cells: &mut Vec<u64>, end: usize) {
 }
 
 /// The register arena (see the module docs for the layout): genuine
-/// structure-of-arrays — kinds, payloads, and access counts in parallel
-/// dense vectors, so a scan streams 8-byte values (plus a 1-byte kind
-/// check and an 8-byte count bump in their own sequential streams) instead
-/// of dragging a 32-byte per-register struct through the cache with every
-/// read. The counter-matrix scan is the hottest loop in the repository;
-/// the split layout roughly halves its memory traffic and lets the span
-/// paths compile to `memcpy` + a vectorized increment loop.
+/// structure-of-arrays — values and access counts in parallel dense word
+/// vectors, so a scan streams 8-byte values (plus an 8-byte count bump in
+/// its own sequential stream) instead of dragging a per-register struct
+/// through the cache with every read. The counter-matrix scan is the
+/// hottest loop in the repository; the split layout roughly halves its
+/// memory traffic and lets the span paths compile to `memcpy` + a
+/// vectorized increment loop.
+///
+/// A clone is an independent snapshot: contents, counts and version.
+#[derive(Clone)]
 pub struct Memory {
-    /// Storage class per register (1 byte, dense).
-    kinds: Vec<Kind>,
-    /// The value for `Kind::Word`, the index into `Memory::boxed` for
-    /// `Kind::Boxed`.
-    payloads: Vec<u64>,
-    /// Completed reads per register.
+    /// Register contents, `T::WORDS` consecutive words per register.
+    values: Vec<u64>,
+    /// Completed reads, at each register's first word.
     reads: Vec<u64>,
-    /// Completed writes per register (version counter).
+    /// Completed writes (version counter), at each register's first word.
     writes: Vec<u64>,
     /// The non-empty allocations in arena order (strictly increasing
-    /// `start`): where names (on demand) and write disciplines (on writes)
-    /// come from.
+    /// `start`): where names (on demand), write disciplines (on writes) and
+    /// register types (on typed accesses) come from.
     blocks: Vec<Block>,
-    /// The disciplines the write path looked up last, direct-mapped by
-    /// register index (`u32::MAX`, which no register has, marks a free
-    /// entry): a process writes the same few registers over and over, and
-    /// this keeps those writes off the block search. Never stale — a
-    /// register's discipline is fixed at allocation and indices are not
-    /// reused.
+    /// The disciplines the word write path looked up last, direct-mapped by
+    /// word index (`u32::MAX`, which no word has, marks a free entry): a
+    /// process writes the same few registers over and over, and this keeps
+    /// those writes off the block search. Never stale — a register's
+    /// discipline is fixed at allocation and indices are not reused — and
+    /// only ever filled for one-word blocks.
     written: [(u32, WriteDiscipline); WRITTEN_MEMO],
-    /// Side table for non-word values.
-    boxed: Vec<Box<dyn Any>>,
     /// Completed writes over the whole arena (see [`Memory::version`]).
     version: u64,
 }
@@ -142,13 +164,11 @@ const WRITTEN_MEMO: usize = 64;
 impl Default for Memory {
     fn default() -> Self {
         Memory {
-            kinds: Vec::new(),
-            payloads: Vec::new(),
+            values: Vec::new(),
             reads: Vec::new(),
             writes: Vec::new(),
             blocks: Vec::new(),
             written: [(u32::MAX, WriteDiscipline::MultiWriter); WRITTEN_MEMO],
-            boxed: Vec::new(),
             version: 0,
         }
     }
@@ -159,31 +179,13 @@ impl Default for Memory {
 pub struct RegisterStats {
     /// Name given at allocation.
     pub name: String,
+    /// Arena index of the register's first word: its handle's
+    /// [`index`](Reg::index).
+    pub index: usize,
     /// Completed writes.
     pub writes: u64,
     /// Completed reads.
     pub reads: u64,
-}
-
-fn is_word<T: 'static>() -> bool {
-    TypeId::of::<T>() == TypeId::of::<u64>()
-}
-
-/// Converts a `T` proven (by [`is_word`]) to be `u64`. The `dyn Any` hop is
-/// how safe Rust spells a checked transmute; it compiles to a move once
-/// monomorphized.
-fn to_word<T: RegValue>(value: T) -> u64 {
-    *(&value as &dyn Any)
-        .downcast_ref::<u64>()
-        .expect("caller checked T = u64")
-}
-
-/// Inverse of [`to_word`].
-fn from_word<T: RegValue>(word: u64) -> T {
-    (&word as &dyn Any)
-        .downcast_ref::<T>()
-        .expect("caller checked T = u64")
-        .clone()
 }
 
 impl Memory {
@@ -192,20 +194,20 @@ impl Memory {
         Memory::default()
     }
 
-    /// Number of allocated registers.
+    /// Number of allocated arena words (a register takes its type's
+    /// [`WORDS`](RegValue::WORDS)).
     pub fn len(&self) -> usize {
-        self.kinds.len()
+        self.values.len()
     }
 
     /// Returns `true` if no register has been allocated.
     pub fn is_empty(&self) -> bool {
-        self.kinds.is_empty()
+        self.values.is_empty()
     }
 
     /// Allocates a register with the given write discipline and initial
     /// value, returning its typed handle: the one-register
-    /// [`alloc_block`](Self::alloc_block). `u64` values take the word fast
-    /// path (see the module docs).
+    /// [`alloc_block`](Self::alloc_block).
     pub fn alloc<T: RegValue>(
         &mut self,
         name: impl Into<String>,
@@ -221,13 +223,14 @@ impl Memory {
     /// `i` of the block gets write discipline `discipline(i)` — asked on
     /// every write to it — and, when somebody asks (see
     /// [`name`](Self::name)), the name `name(i)`: both recipes are stored,
-    /// neither is run here. The dense arrays grow once for the whole block,
-    /// and a zero-initialized word block writes none of its value or count
-    /// cells (see the module docs).
+    /// neither is run here. The dense vectors grow once for the whole block,
+    /// and a block whose `init` encodes to zeros writes none of its cells
+    /// (see the module docs).
     ///
     /// # Panics
     ///
-    /// Panics if the arena would exceed the `u32` handle space.
+    /// Panics if the arena would exceed the `u32` handle space. A type wider
+    /// than 8 words does not compile.
     pub fn alloc_block<T: RegValue>(
         &mut self,
         count: usize,
@@ -235,36 +238,34 @@ impl Memory {
         discipline: impl Fn(usize) -> WriteDiscipline + 'static,
         name: impl Fn(usize) -> String + 'static,
     ) -> Reg<T> {
-        let start = self.kinds.len();
-        let end = start + count;
+        const { assert!(T::WORDS >= 1 && T::WORDS <= MAX_WORDS) };
+        let start = self.values.len();
+        let end = start + count * T::WORDS;
         u32::try_from(end).expect("register arena exceeds the u32 handle space");
-        let base = Reg::new(start as u32);
         if count == 0 {
-            return base;
+            return Reg::new(start as u32);
         }
-        if is_word::<T>() {
-            self.kinds.resize(end, Kind::Word);
-            match to_word(init) {
-                0 => extend_zeroed(&mut self.payloads, end),
-                word => self.payloads.resize(end, word),
-            }
+        let mut first = [0; MAX_WORDS];
+        init.encode(&mut first[..T::WORDS]);
+        if first.iter().all(|&w| w == 0) {
+            extend_zeroed(&mut self.values, end);
         } else {
-            let slot = self.boxed.len();
-            self.kinds.resize(end, Kind::Boxed);
-            self.payloads.extend((slot..slot + count).map(|s| s as u64));
-            self.boxed
-                .extend((0..count).map(|_| Box::new(init.clone()) as Box<dyn Any>));
+            let words = first[..T::WORDS].iter().cycle().take(end - start);
+            self.values.extend(words);
         }
         extend_zeroed(&mut self.reads, end);
         extend_zeroed(&mut self.writes, end);
         self.blocks.push(Block {
             start,
-            name: Box::new(name),
-            discipline: Box::new(discipline),
+            width: T::WORDS,
+            ty: TypeId::of::<T>(),
+            name: Rc::new(name),
+            discipline: Rc::new(discipline),
         });
-        base
+        Reg::new(start as u32)
     }
 
+    #[cold]
     fn type_mismatch(&self, index: usize) -> SimError {
         SimError::TypeMismatch {
             register: index,
@@ -272,23 +273,41 @@ impl Memory {
         }
     }
 
-    /// The block of in-arena register `index`, and its position in it: the
-    /// last block starting at or before it.
+    /// The block of in-arena word `index`, and the position in it of the
+    /// register that word belongs to: the last block starting at or before
+    /// it.
     #[inline]
     fn block_of(&self, index: usize) -> (&Block, usize) {
         let block = &self.blocks[self.blocks.partition_point(|b| b.start <= index) - 1];
-        (block, index - block.start)
+        (block, (index - block.start) / block.width)
     }
 
-    /// Enforces the write discipline of in-arena register `index`: its
+    /// The block of the `T` register `reg` and its position in it, checked:
+    /// `reg` must be the first word of a register of a block of `T`s.
+    fn typed<T: RegValue>(&self, reg: Reg<T>) -> Result<(&Block, usize), SimError> {
+        let idx = reg.index();
+        if idx >= self.values.len() {
+            return Err(SimError::UnknownRegister { register: idx });
+        }
+        let (block, i) = self.block_of(idx);
+        if block.ty != TypeId::of::<T>() || block.start + i * block.width != idx {
+            return Err(self.type_mismatch(idx));
+        }
+        Ok((block, i))
+    }
+
+    /// Enforces the write discipline of in-arena word register `index`: its
     /// block's rule, asked once per stretch of writes to the register (see
-    /// the `written` memo).
+    /// the `written` memo). A miss also refuses a multi-word block.
     #[inline]
     fn check_writer(&mut self, index: usize, writer: ProcessId) -> Result<(), SimError> {
         let (tag, slot) = (index as u32, index % WRITTEN_MEMO);
         let mut memo = self.written[slot];
         if memo.0 != tag {
             let (block, i) = self.block_of(index);
+            if block.width != 1 {
+                return Err(self.type_mismatch(index));
+            }
             memo = (tag, (block.discipline)(i));
             self.written[slot] = memo;
         }
@@ -300,49 +319,36 @@ impl Memory {
         }
     }
 
-    /// Atomic read: returns a clone of the current value and counts the
-    /// access.
+    /// Atomic read: returns the current value and counts the access.
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownRegister`] for a foreign handle,
-    /// [`SimError::TypeMismatch`] if `T` differs from the allocation type.
+    /// [`SimError::UnknownRegister`] for a foreign handle, and for a
+    /// multi-word `T` [`SimError::TypeMismatch`] if `reg` is not a `T`
+    /// register (a one-word `T` reads as [`read_word`](Self::read_word)).
     pub fn read<T: RegValue>(&mut self, reg: Reg<T>) -> Result<T, SimError> {
-        if is_word::<T>() {
-            // Monomorphizes to the word path for T = u64.
-            let forged: Reg<u64> = Reg::new(reg.index);
-            return self.read_word(forged).map(from_word);
+        if T::WORDS == 1 {
+            return self.read_word(Reg::new(reg.index)).map(|w| T::decode(&[w]));
         }
-        let idx = reg.index();
-        match self.kinds.get(idx) {
-            Some(Kind::Boxed) => {
-                let value = self.boxed[self.payloads[idx] as usize]
-                    .downcast_ref::<T>()
-                    .ok_or_else(|| self.type_mismatch(idx))?
-                    .clone();
-                self.reads[idx] += 1;
-                Ok(value)
-            }
-            Some(Kind::Word) => Err(self.type_mismatch(idx)),
-            None => Err(SimError::UnknownRegister { register: idx }),
-        }
+        let value = self.peek(reg)?;
+        self.reads[reg.index()] += 1;
+        Ok(value)
     }
 
     /// Atomic word read: the non-generic fast path for `u64` registers — a
-    /// bounds check, a kind compare, and a count bump on one hot cell.
+    /// bounds check and a count bump on one hot cell.
     ///
     /// # Errors
     ///
-    /// Same as [`Memory::read`].
+    /// [`SimError::UnknownRegister`] for a foreign handle.
     #[inline]
     pub fn read_word(&mut self, reg: Reg<u64>) -> Result<u64, SimError> {
         let idx = reg.index();
-        match self.kinds.get(idx) {
-            Some(Kind::Word) => {
+        match self.values.get(idx) {
+            Some(&value) => {
                 self.reads[idx] += 1;
-                Ok(self.payloads[idx])
+                Ok(value)
             }
-            Some(_) => Err(self.type_mismatch(idx)),
             None => Err(SimError::UnknownRegister { register: idx }),
         }
     }
@@ -361,34 +367,28 @@ impl Memory {
         reg: Reg<T>,
         value: T,
     ) -> Result<(), SimError> {
-        if is_word::<T>() {
-            let forged: Reg<u64> = Reg::new(reg.index);
-            return self.write_word(writer, forged, to_word(value));
-        }
         let idx = reg.index();
-        let kind = *self
-            .kinds
-            .get(idx)
-            .ok_or(SimError::UnknownRegister { register: idx })?;
-        self.check_writer(idx, writer)?;
-        match kind {
-            Kind::Boxed => {
-                match self.boxed[self.payloads[idx] as usize].downcast_mut::<T>() {
-                    Some(slot) => *slot = value,
-                    None => return Err(self.type_mismatch(idx)),
-                }
-                self.writes[idx] += 1;
-                self.version += 1;
-                Ok(())
-            }
-            Kind::Word => Err(self.type_mismatch(idx)),
+        if T::WORDS == 1 {
+            let mut word = [0];
+            value.encode(&mut word);
+            return self.write_word(writer, Reg::new(reg.index), word[0]);
         }
+        let (block, i) = self.typed(reg)?;
+        if let WriteDiscipline::SingleWriter(owner) = (block.discipline)(i) {
+            if owner != writer {
+                return Err(self.writer_violation(idx, owner, writer));
+            }
+        }
+        value.encode(&mut self.values[idx..idx + T::WORDS]);
+        self.writes[idx] += 1;
+        self.version += 1;
+        Ok(())
     }
 
     /// Atomic reads of `dest.len()` consecutive word registers starting
-    /// `offset` slots after `base` — the span form of
+    /// `offset` words after `base` — the span form of
     /// [`read_word`](Self::read_word), one bounds check for the whole range
-    /// and a tight copy/count loop the compiler can vectorize. Each slot
+    /// and a tight copy/count loop the compiler can vectorize. Each word
     /// counts as one completed read, exactly as `dest.len()` calls to
     /// `read_word` would.
     ///
@@ -399,9 +399,8 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// [`SimError::UnknownRegister`] if the span leaves the arena,
-    /// [`SimError::TypeMismatch`] if any slot holds a non-word register. No
-    /// access is counted on error.
+    /// [`SimError::UnknownRegister`] if the span leaves the arena; no access
+    /// is counted then. Like every word read it checks nothing else.
     pub fn read_word_span(
         &mut self,
         base: Reg<u64>,
@@ -410,18 +409,14 @@ impl Memory {
     ) -> Result<(), SimError> {
         let start = base.index() + offset;
         let end = start + dest.len();
-        if end > self.kinds.len() {
+        if end > self.values.len() {
             return Err(SimError::UnknownRegister {
                 register: end.saturating_sub(1),
             });
         }
-        // Three tight passes over the parallel arrays: a 1-byte kind scan,
-        // a payload memcpy, and a vectorized count bump — each its own
-        // sequential stream.
-        if let Some(bad) = self.kinds[start..end].iter().position(|&k| k != Kind::Word) {
-            return Err(self.type_mismatch(start + bad));
-        }
-        dest.copy_from_slice(&self.payloads[start..end]);
+        // Two tight passes over the parallel vectors: a value memcpy and a
+        // vectorized count bump, each its own sequential stream.
+        dest.copy_from_slice(&self.values[start..end]);
         for r in &mut self.reads[start..end] {
             *r += 1;
         }
@@ -432,7 +427,8 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Same as [`Memory::write`].
+    /// [`SimError::UnknownRegister`], [`SimError::TypeMismatch`] for a word
+    /// of a multi-word register, or [`SimError::WriteDisciplineViolation`].
     #[inline]
     pub fn write_word(
         &mut self,
@@ -441,22 +437,16 @@ impl Memory {
         value: u64,
     ) -> Result<(), SimError> {
         let idx = reg.index();
-        let kind = *self
-            .kinds
-            .get(idx)
-            .ok_or(SimError::UnknownRegister { register: idx })?;
+        if idx >= self.values.len() {
+            return Err(SimError::UnknownRegister { register: idx });
+        }
         // The discipline is the block's rule, looked up on writes only
         // (reads outnumber writes ~n·|Π^k_n| to 1 in Figure 2).
         self.check_writer(idx, writer)?;
-        match kind {
-            Kind::Word => {
-                self.payloads[idx] = value;
-                self.writes[idx] += 1;
-                self.version += 1;
-                Ok(())
-            }
-            Kind::Boxed => Err(self.type_mismatch(idx)),
-        }
+        self.values[idx] = value;
+        self.writes[idx] += 1;
+        self.version += 1;
+        Ok(())
     }
 
     #[cold]
@@ -474,51 +464,53 @@ impl Memory {
     ///
     /// # Errors
     ///
-    /// Same as [`Memory::read`], minus accounting.
+    /// [`SimError::UnknownRegister`] for a foreign handle,
+    /// [`SimError::TypeMismatch`] unless `reg` is a `T` register.
     pub fn peek<T: RegValue>(&self, reg: Reg<T>) -> Result<T, SimError> {
+        self.typed(reg)?;
         let idx = reg.index();
-        let kind = *self
-            .kinds
-            .get(idx)
-            .ok_or(SimError::UnknownRegister { register: idx })?;
-        match kind {
-            Kind::Word if is_word::<T>() => Ok(from_word(self.payloads[idx])),
-            Kind::Boxed => self.boxed[self.payloads[idx] as usize]
-                .downcast_ref::<T>()
-                .cloned()
-                .ok_or_else(|| self.type_mismatch(idx)),
-            Kind::Word => Err(self.type_mismatch(idx)),
-        }
+        Ok(T::decode(&self.values[idx..idx + T::WORDS]))
     }
 
-    /// Name of a register, formatted now from its block's recipe (see the
-    /// module docs): cold by design — error paths, statistics and tests.
+    /// Name of the register arena word `index` belongs to, formatted now
+    /// from its block's recipe (see the module docs): cold by design —
+    /// error paths, statistics and tests.
     ///
     /// # Errors
     ///
     /// [`SimError::UnknownRegister`] for a foreign handle.
     pub fn name(&self, index: usize) -> Result<String, SimError> {
-        if index < self.kinds.len() {
+        if index < self.values.len() {
             Ok(self.format_name(index))
         } else {
             Err(SimError::UnknownRegister { register: index })
         }
     }
 
-    /// Name of in-arena register `index`, from its block's recipe.
+    /// Name of the register of in-arena word `index`, from its block's
+    /// recipe.
     fn format_name(&self, index: usize) -> String {
         let (block, i) = self.block_of(index);
         (block.name)(i)
     }
 
-    /// Access statistics for all registers, in allocation order. Formats
-    /// every name: O(registers) allocations, paid only by callers that ask.
+    /// Access statistics for all registers, one entry per register in
+    /// allocation order. Formats every name: O(registers) allocations, paid
+    /// only by callers that ask.
     pub fn stats(&self) -> Vec<RegisterStats> {
-        (0..self.kinds.len())
-            .map(|index| RegisterStats {
-                name: self.format_name(index),
-                writes: self.writes[index],
-                reads: self.reads[index],
+        let ends = self.blocks.iter().skip(1).map(|b| b.start);
+        let ends = ends.chain([self.values.len()]);
+        self.blocks
+            .iter()
+            .zip(ends)
+            .flat_map(|(block, end)| {
+                let firsts = (block.start..end).step_by(block.width).enumerate();
+                firsts.map(|(i, index)| RegisterStats {
+                    name: (block.name)(i),
+                    index,
+                    writes: self.writes[index],
+                    reads: self.reads[index],
+                })
             })
             .collect()
     }
@@ -534,11 +526,6 @@ impl Memory {
     #[inline]
     pub fn version(&self) -> u64 {
         self.version
-    }
-
-    /// Total completed register operations (reads + writes).
-    pub fn total_ops(&self) -> u64 {
-        self.reads.iter().chain(&self.writes).sum()
     }
 }
 
@@ -577,49 +564,82 @@ mod tests {
     }
 
     #[test]
-    fn word_accessors_reject_boxed_cells() {
+    fn word_writes_reject_multi_word_cells() {
         let mut m = Memory::new();
-        let r = m.alloc("s", WriteDiscipline::MultiWriter, String::from("x"));
-        let forged: Reg<u64> = Reg::new(r.index);
-        assert!(matches!(
-            m.read_word(forged),
-            Err(SimError::TypeMismatch { .. })
-        ));
-        assert!(matches!(
+        let r = m.alloc("s", WriteDiscipline::MultiWriter, Some(5u64));
+        let forged: Reg<u64> = Reg::new(r.index + 1);
+        assert_eq!(
             m.write_word(p(0), forged, 1),
+            Err(SimError::TypeMismatch {
+                register: 1,
+                name: "s".into(),
+            })
+        );
+        assert!(matches!(
+            m.write_word(p(0), Reg::new(r.index), 1),
             Err(SimError::TypeMismatch { .. })
         ));
-        // Failed accesses are not counted.
-        assert_eq!(m.stats()[0].reads + m.stats()[0].writes, 0);
+        // Refused writes are not counted and change nothing.
+        assert_eq!((m.stats()[0].writes, m.version()), (0, 0));
+        assert_eq!(m.peek(r), Ok(Some(5)));
+        // Word reads check bounds only: they read the word that is there.
+        assert_eq!(m.read_word(forged), Ok(5));
     }
 
     #[test]
     fn structured_values() {
         let mut m = Memory::new();
-        let r = m.alloc(
-            "pair",
-            WriteDiscipline::MultiWriter,
-            (0u64, Vec::<u32>::new()),
-        );
-        m.write(p(1), r, (7, vec![1, 2])).unwrap();
-        assert_eq!(m.read(r).unwrap(), (7, vec![1, 2]));
+        let r = m.alloc("pair", WriteDiscipline::MultiWriter, (0u64, None::<u64>));
+        m.write(p(1), r, (7, Some(2))).unwrap();
+        assert_eq!(m.read(r).unwrap(), (7, Some(2)));
+        type Nested = (Option<u64>, (u64, Option<u64>));
+        let nested = m.alloc("nested", WriteDiscipline::MultiWriter, (None, (1, None)));
+        let value: Nested = (Some(u64::MAX), (0, Some(0)));
+        m.write(p(0), nested, value).unwrap();
+        assert_eq!((m.read(nested), m.peek(r)), (Ok(value), Ok((7, Some(2)))));
+        assert_eq!((r.index(), nested.index(), m.len()), (0, 3, 8));
     }
 
     #[test]
-    fn word_and_boxed_registers_interleave() {
-        // The boxed side table must stay aligned when allocations alternate
-        // between the dense and boxed classes.
+    fn word_and_multi_word_registers_interleave() {
+        // Handles are first words: they stay aligned when allocations
+        // alternate between one-word and multi-word types.
         let mut m = Memory::new();
         let w0 = m.alloc("w0", WriteDiscipline::MultiWriter, 10u64);
-        let b0 = m.alloc("b0", WriteDiscipline::MultiWriter, String::from("a"));
+        let b0 = m.alloc("b0", WriteDiscipline::MultiWriter, Some(1u64));
         let w1 = m.alloc("w1", WriteDiscipline::MultiWriter, 20u64);
-        let b1 = m.alloc("b1", WriteDiscipline::MultiWriter, vec![1u32]);
-        m.write(p(0), b0, "z".into()).unwrap();
+        let b1 = m.alloc_block(
+            2,
+            (3u64, None::<u64>),
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("b1[{i}]"),
+        );
+        m.write(p(0), b0, None).unwrap();
         m.write_word(p(0), w1, 21).unwrap();
-        assert_eq!(m.read(b0).unwrap(), "z");
-        assert_eq!(m.read(b1).unwrap(), vec![1u32]);
+        m.write(p(0), b1.at(1), (4, Some(9))).unwrap();
+        assert_eq!(m.read(b0).unwrap(), None);
+        assert_eq!(m.read(b1).unwrap(), (3, None));
+        assert_eq!(m.read(b1.at(1)).unwrap(), (4, Some(9)));
         assert_eq!(m.read_word(w0).unwrap(), 10);
         assert_eq!(m.read_word(w1).unwrap(), 21);
+        // One statistics entry per register, at its first word.
+        let stats: Vec<(String, usize, u64, u64)> = m
+            .stats()
+            .into_iter()
+            .map(|s| (s.name, s.index, s.reads, s.writes))
+            .collect();
+        let want = [("w0", 0, 1, 0), ("b0", 1, 1, 1), ("w1", 3, 1, 1)];
+        let want = want.map(|(n, i, r, w)| (n.to_string(), i, r, w)).to_vec();
+        let want = [
+            want,
+            vec![("b1[0]".into(), 4, 1, 0), ("b1[1]".into(), 7, 1, 1)],
+        ]
+        .concat();
+        assert_eq!(stats, want);
+        assert_eq!(
+            (b1.at(1).index(), m.len(), m.name(8).unwrap()),
+            (7, 10, "b1[1]".into())
+        );
     }
 
     #[test]
@@ -635,21 +655,53 @@ mod tests {
         // Failed write must not change the value or counts.
         assert_eq!(m.peek(r).unwrap(), 1);
         assert_eq!(m.stats()[0].writes, 1);
+        // Multi-word writes enforce it too.
+        let o = m.alloc("o", WriteDiscipline::SingleWriter(p(1)), None::<u64>);
+        assert!(matches!(
+            m.write(p(0), o, Some(3)),
+            Err(SimError::WriteDisciplineViolation { register: 1, .. })
+        ));
+        m.write(p(1), o, Some(3)).unwrap();
+        assert_eq!((m.peek(o), m.stats()[1].writes), (Ok(Some(3)), 1));
     }
 
     #[test]
     fn type_mismatch_detected() {
         let mut m = Memory::new();
         let r = m.alloc("x", WriteDiscipline::MultiWriter, 5u64);
-        // Forge a handle with the wrong type at the same index.
-        let wrong: Reg<String> = Reg::new(r.index);
-        assert!(matches!(m.peek(wrong), Err(SimError::TypeMismatch { .. })));
-        let mut_err = m.read(wrong);
-        assert!(matches!(mut_err, Err(SimError::TypeMismatch { .. })));
+        let pairs = m.alloc_block(
+            2,
+            (0u64, None::<u64>),
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("pair[{i}]"),
+        );
+        let _padding = m.alloc("tail", WriteDiscipline::MultiWriter, 0u64);
+        // Forge handles with the wrong type at the same index, and one in
+        // the middle of a register of the right type.
+        let wrong: Reg<Option<u64>> = Reg::new(r.index);
+        let unaligned: Reg<(u64, Option<u64>)> = Reg::new(pairs.index + 1);
+        let other: Reg<Option<u64>> = Reg::new(pairs.index);
+        for err in [
+            m.peek(wrong).err(),
+            m.peek(unaligned).err(),
+            m.peek(other).err(),
+        ] {
+            assert!(matches!(err, Some(SimError::TypeMismatch { .. })));
+        }
         assert!(matches!(
-            m.write(p(0), wrong, "s".into()),
+            m.peek(Reg::<u64>::new(pairs.index)),
             Err(SimError::TypeMismatch { .. })
         ));
+        assert!(matches!(m.read(wrong), Err(SimError::TypeMismatch { .. })));
+        assert_eq!(
+            m.write(p(0), unaligned, (1, None)),
+            Err(SimError::TypeMismatch {
+                register: 2,
+                name: "pair[0]".into(),
+            })
+        );
+        // Refused accesses are not counted.
+        assert!(m.stats().iter().all(|s| s.reads + s.writes == 0));
     }
 
     #[test]
@@ -679,7 +731,6 @@ mod tests {
         assert_eq!(stats[0].writes, 1);
         assert_eq!(stats[0].reads, 2);
         assert_eq!(stats[1].reads, 0);
-        assert_eq!(m.total_ops(), 3);
         assert_eq!(m.name(0).unwrap(), "x");
     }
 
@@ -815,9 +866,9 @@ mod tests {
     }
 
     #[test]
-    fn non_zero_and_boxed_blocks_are_written_however_long() {
-        // Both blocks outgrow the arena before them, as a zeroed extension
-        // must; neither may take it.
+    fn non_zero_and_multi_word_blocks_are_written_however_long() {
+        // Every block outgrows the arena before it, as a zeroed extension
+        // must; only the zero-encoded one may take it.
         let mut m = Memory::new();
         let lone = m.alloc("lone", WriteDiscipline::MultiWriter, 0u64);
         let sevens = m.alloc_block(
@@ -828,19 +879,28 @@ mod tests {
         );
         let notes = m.alloc_block(
             32,
-            String::from("init"),
+            (5u64, Some(6u64)),
             |_| WriteDiscipline::MultiWriter,
             |i| format!("note[{i}]"),
         );
+        let nones = m.alloc_block(
+            200,
+            None::<u64>,
+            |_| WriteDiscipline::MultiWriter,
+            |i| format!("none[{i}]"),
+        );
         assert!((0..8).all(|i| m.read_word(sevens.at(i)) == Ok(7)));
-        m.write(p(0), notes.at(30), String::from("changed"))
-            .unwrap();
+        m.write(p(0), notes.at(30), (1, None)).unwrap();
+        m.write(p(0), nones.at(199), Some(0)).unwrap();
         for i in 0..32 {
-            let want = if i == 30 { "changed" } else { "init" };
+            let want = if i == 30 { (1, None) } else { (5, Some(6)) };
             assert_eq!(m.read(notes.at(i)).unwrap(), want);
         }
-        assert_eq!(m.peek(lone), Ok(0));
-        assert_eq!(m.total_ops(), 8 + 1 + 32);
+        assert!((0..199).all(|i| m.peek(nones.at(i)) == Ok(None)));
+        assert_eq!((m.peek(nones.at(199)), m.peek(lone)), (Ok(Some(0)), Ok(0)));
+        assert_eq!(m.len(), 1 + 8 + 32 * 3 + 200 * 2);
+        let ops: u64 = m.stats().iter().map(|s| s.reads + s.writes).sum();
+        assert_eq!(ops, 8 + 1 + 32 + 1);
     }
 
     #[test]
@@ -858,9 +918,9 @@ mod tests {
             |i| WriteDiscipline::SingleWriter(p(i)),
             |i| format!("Counter[{i}]"),
         );
-        let boxed = m.alloc_block(
+        let notes = m.alloc_block(
             4,
-            String::new(),
+            Some(0u64),
             |i| WriteDiscipline::SingleWriter(p(i)),
             |i| format!("note[{i}]"),
         );
@@ -874,15 +934,15 @@ mod tests {
             })
         );
         assert_eq!(
-            m.write(p(3), boxed.at(1), "x".to_string()),
+            m.write(p(3), notes.at(1), None),
             Err(SimError::WriteDisciplineViolation {
-                register: 9,
+                register: 10,
                 name: "note[1]".into(),
                 owner: p(1),
                 writer: p(3),
             })
         );
-        let forged: Reg<String> = Reg::new(words.at(3).index);
+        let forged: Reg<Option<u64>> = Reg::new(words.at(3).index);
         assert_eq!(
             m.read(forged),
             Err(SimError::TypeMismatch {
@@ -890,22 +950,26 @@ mod tests {
                 name: "Counter[3]".into(),
             })
         );
-        let forged: Reg<u64> = Reg::new(boxed.at(2).index);
+        let forged: Reg<u64> = Reg::new(notes.at(2).index + 1);
         assert_eq!(
-            m.read_word(forged),
+            m.write_word(p(2), forged, 1),
             Err(SimError::TypeMismatch {
-                register: 10,
+                register: 13,
                 name: "note[2]".into(),
             })
         );
-        // The span path names the first offending slot, not the span start.
-        let mut dest = [0u64; 4];
+        // The span path checks bounds only: it reads across into the next
+        // block, and a span leaving the arena names its last word.
+        let mut dest = [9u64; 4];
+        assert_eq!(m.read_word_span(words, 3, &mut dest), Ok(()));
         assert_eq!(
-            m.read_word_span(words, 3, &mut dest),
-            Err(SimError::TypeMismatch {
-                register: 8,
-                name: "note[0]".into(),
-            })
+            dest,
+            [0, 0, 1, 0],
+            "Counter[3], Counter[4], note[0] = Some(0)"
+        );
+        assert_eq!(
+            m.read_word_span(words, 11, &mut dest),
+            Err(SimError::UnknownRegister { register: 17 })
         );
     }
 }

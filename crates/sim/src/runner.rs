@@ -7,17 +7,14 @@
 //! deterministic — the schedule is the only source of nondeterminism in a
 //! run, which is precisely the model of the paper.
 
-use std::cell::{Cell, RefCell, RefMut};
-
 use st_core::{AgreementOutcome, ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
 
 use crate::automaton::{Automaton, Status, StepAccess};
-use crate::ctx::SimShared;
 use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
 use crate::register::{Reg, RegValue, WriteDiscipline};
 use crate::soa::{Allotment, BatchAccess, PhaseBatch};
-use crate::trace::{Decision, ProbeLog, TraceInner};
+use crate::trace::{Decision, ProbeEvent, ProbeLog, TraceInner};
 
 /// Why a drive returned.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -204,10 +201,18 @@ impl RunReport {
 /// assert_eq!(report.decision_value(ProcessId::new(0)), Some(1));
 /// assert_eq!(report.decision_value(ProcessId::new(1)), Some(2));
 /// ```
+///
+/// A run's state is a plain value: a clone of the `Sim` (arena, trace,
+/// counts) and of the fleet is a snapshot that runs on independently.
+#[derive(Clone)]
 pub struct Sim {
-    shared: SimShared,
     universe: Universe,
+    memory: Memory,
+    trace: TraceInner,
+    /// Per-process completed register operations.
+    op_counts: Vec<u64>,
     finished: Vec<bool>,
+    /// Global index of the next step to execute.
     steps: u64,
 }
 
@@ -216,14 +221,10 @@ impl Sim {
     pub fn new(universe: Universe) -> Self {
         let n = universe.n();
         Sim {
-            shared: SimShared {
-                memory: RefCell::new(Memory::new()),
-                trace: RefCell::new(TraceInner::new(n)),
-                decided: Cell::new(0),
-                decided_count: Cell::new(0),
-                op_counts: (0..n).map(|_| Cell::new(0)).collect(),
-            },
             universe,
+            memory: Memory::new(),
+            trace: TraceInner::new(n),
+            op_counts: vec![0; n],
             finished: vec![false; n],
             steps: 0,
         }
@@ -236,10 +237,7 @@ impl Sim {
 
     /// Allocates a multi-writer register.
     pub fn alloc<T: RegValue>(&mut self, name: impl Into<String>, init: T) -> Reg<T> {
-        self.shared
-            .memory
-            .borrow_mut()
-            .alloc(name, WriteDiscipline::MultiWriter, init)
+        self.memory.alloc(name, WriteDiscipline::MultiWriter, init)
     }
 
     /// Allocates a single-writer register owned by `owner`.
@@ -249,9 +247,7 @@ impl Sim {
         owner: ProcessId,
         init: T,
     ) -> Reg<T> {
-        self.shared
-            .memory
-            .borrow_mut()
+        self.memory
             .alloc(name, WriteDiscipline::SingleWriter(owner), init)
     }
 
@@ -268,10 +264,7 @@ impl Sim {
         discipline: impl Fn(usize) -> WriteDiscipline + 'static,
         name: impl Fn(usize) -> String + 'static,
     ) -> Reg<T> {
-        self.shared
-            .memory
-            .borrow_mut()
-            .alloc_block(count, init, discipline, name)
+        self.memory.alloc_block(count, init, discipline, name)
     }
 
     /// Allocates `count` multi-writer registers named `name[0..count]`.
@@ -300,18 +293,6 @@ impl Sim {
         (0..n).map(|i| base.at(i)).collect()
     }
 
-    /// The scalar step kernel over this simulation's state.
-    fn kernel(&mut self) -> StepKernel<'_> {
-        StepKernel {
-            shared: &self.shared,
-            memory: self.shared.memory.borrow_mut(),
-            ops: vec![0; self.finished.len()],
-            finished: &mut self.finished,
-            steps: self.steps,
-            steps_out: &mut self.steps,
-        }
-    }
-
     /// Drives a fleet of automata — `automata[i]` is the machine of process
     /// `i` — from `src` under `cfg`. Can be called again, with the same
     /// fleet, to continue the same simulation with a different source or
@@ -329,10 +310,6 @@ impl Sim {
     /// self-loops) but still count: they are real steps of the schedule.
     /// Crashes are expressed by the schedule (stop scheduling the process),
     /// as in the model.
-    ///
-    /// The run goes through the step kernel, which holds the register-arena
-    /// borrow for the **whole call** instead of re-entering the `RefCell`
-    /// on every step.
     ///
     /// Pulled is executed: the stop rule is checked before each pull and
     /// the budget caps the pulls, so the steps taken from `src` are exactly
@@ -355,7 +332,7 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         self.check_fleet(automata.len());
-        self.kernel().run(automata, budgeted(src, cfg), cfg)
+        self.drive(automata, budgeted(src, cfg), cfg)
     }
 
     /// Drives `automata` for `budget` steps on a schedule chosen **from the
@@ -364,16 +341,14 @@ impl Sim {
     /// state-dependent scheduler — `st-agreement`'s adaptive adversary,
     /// which must see every Paxos record to pick its victims — and, like
     /// [`run_automata`](Self::run_automata), it goes through the step
-    /// kernel: the arena borrow and the op counts are held for the whole
-    /// call, and `choose` reads the very arena the machines step on, paying
+    /// kernel: `choose` reads the very arena the machines step on, paying
     /// per step only for what it looks at.
     ///
     /// What `choose` may assume: [`Memory::version`] counts completed
     /// writes and nothing else, so whatever it derived from register
     /// contents holds until the version moves (reads outnumber writes
     /// ~n·|Π^k_n| to 1 in the paper's stack); and nothing is allocated
-    /// while the kernel holds the arena, so handles and the register count
-    /// are fixed for the call.
+    /// during the call, so handles and the register count are fixed.
     ///
     /// Every choice is executed, and booked exactly as a step of
     /// [`run_automata`](Self::run_automata) is. Can be called again to
@@ -396,11 +371,10 @@ impl Sim {
     ) -> Result<(), SimError> {
         self.check_fleet(automata.len());
         let n = self.universe.n();
-        let mut kernel = self.kernel();
         for _ in 0..budget {
-            let p = choose(&kernel.memory);
+            let p = choose(&self.memory);
             check_in_universe(p, n)?;
-            kernel.step(p, automata);
+            self.step(p, automata);
         }
         Ok(())
     }
@@ -461,7 +435,7 @@ impl Sim {
         prefix: &[ProcessId],
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        self.kernel().run(automata, prefix.iter().copied(), cfg)
+        self.drive(automata, prefix.iter().copied(), cfg)
     }
 
     /// [`run_automata_replay`](Self::run_automata_replay) batched **per
@@ -573,9 +547,7 @@ impl Sim {
             return self.replay_scalar(automata, prefix, cfg);
         }
         let n = self.universe.n();
-        let mut kernel = self.kernel();
-        let shared = kernel.shared;
-        let first_step = kernel.steps;
+        let first_step = self.steps;
         // Reused buffers: per-process step-index allotments and the
         // processes a bucketed slice touches (first-appearance order), a
         // membership scratchpad for the round check, and the phase-sorted
@@ -603,7 +575,7 @@ impl Sim {
                 // progression (its offset in the round, stride n).
                 let round = &rest[..n];
                 let cap = (0..n)
-                    .filter(|&idx| !kernel.finished[idx])
+                    .filter(|&idx| !self.finished[idx])
                     .map(|idx| automata[idx].read_run())
                     .fold(rest.len() / n, usize::min);
                 if cap < 2 {
@@ -615,21 +587,21 @@ impl Sim {
                     order.clear();
                     for (off, &p) in round.iter().enumerate() {
                         let idx = p.index();
-                        if !kernel.finished[idx] {
+                        if !self.finished[idx] {
                             order.push((automata[idx].phase_class(), idx, off));
                         }
                     }
                     order.sort_unstable();
-                    let probe_mark = shared.trace.borrow().probes.len();
+                    let probe_mark = self.trace.probes.len();
                     for &(_, idx, off) in &order {
                         let strided = Allotment::Strided {
-                            start: kernel.steps + off as u64,
+                            start: self.steps + off as u64,
                             stride: n as u64,
                             len: rounds,
                         };
-                        kernel.step_reads(idx, &mut automata[idx], strided);
+                        self.step_reads(idx, &mut automata[idx], strided);
                     }
-                    restore_probe_order(shared, probe_mark);
+                    restore_probe_order(&mut self.trace.probes[probe_mark..]);
                     (&rest[..rounds * n], true)
                 }
             } else {
@@ -641,10 +613,10 @@ impl Sim {
                     // almost nothing else) is one contiguous allotment, no
                     // bucketing, and its probes are already in step order.
                     let idx = first.index();
-                    let pure = kernel.finished[idx] || slice.len() <= automata[idx].read_run();
-                    if pure && !kernel.finished[idx] {
-                        let (start, len) = (kernel.steps, slice.len());
-                        kernel.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
+                    let pure = self.finished[idx] || slice.len() <= automata[idx].read_run();
+                    if pure && !self.finished[idx] {
+                        let (start, len) = (self.steps, slice.len());
+                        self.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
                     }
                     (slice, pure)
                 } else {
@@ -653,24 +625,24 @@ impl Sim {
                         if allotments[idx].is_empty() {
                             touched.push(idx);
                         }
-                        allotments[idx].push(kernel.steps + off as u64);
+                        allotments[idx].push(self.steps + off as u64);
                     }
                     let pure = touched.iter().all(|&idx| {
-                        kernel.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
+                        self.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
                     });
                     if pure {
                         // Group the batch calls by phase: machines in the
                         // same control phase run the same scan loop back to
                         // back.
                         touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
-                        let probe_mark = shared.trace.borrow().probes.len();
+                        let probe_mark = self.trace.probes.len();
                         for &idx in &touched {
-                            if !kernel.finished[idx] {
+                            if !self.finished[idx] {
                                 let steps = Allotment::List(&allotments[idx]);
-                                kernel.step_reads(idx, &mut automata[idx], steps);
+                                self.step_reads(idx, &mut automata[idx], steps);
                             }
                         }
-                        restore_probe_order(shared, probe_mark);
+                        restore_probe_order(&mut self.trace.probes[probe_mark..]);
                     }
                     for &idx in &touched {
                         allotments[idx].clear();
@@ -680,15 +652,15 @@ impl Sim {
                 }
             };
             if batched {
-                kernel.steps += span.len() as u64;
+                self.steps += span.len() as u64;
             } else {
                 for &p in span {
-                    kernel.step(p, automata);
+                    self.step(p, automata);
                 }
             }
             rest = &rest[span.len()..];
         }
-        Ok(kernel.exhausted(first_step, cfg))
+        Ok(self.exhausted(first_step, cfg))
     }
 
     /// The precondition of every drive: one caller-owned automaton per
@@ -700,7 +672,7 @@ impl Sim {
     /// The set of processes that have decided so far (O(1) snapshot of the
     /// cached bitmask).
     pub fn decided_set(&self) -> ProcSet {
-        ProcSet::from_bits(self.shared.decided.get())
+        ProcSet::from_bits(self.trace.decided)
     }
 
     /// Steps executed so far.
@@ -708,27 +680,17 @@ impl Sim {
         self.steps
     }
 
-    /// Number of probe events published so far.
-    ///
-    /// O(1), no trace materialization: pollers that only need to detect
-    /// *new activity* (the Figure 2 winnerset probe publishes only on
-    /// change, so a flat count means quiescence) use this instead of
-    /// cloning a [`RunReport`] per poll interval.
-    pub fn probe_count(&self) -> usize {
-        self.shared.trace.borrow().probes.len()
-    }
-
     /// Per-process decisions so far (indexed by process index).
     ///
     /// Copies only the `n`-element decision array — not the probe log a
     /// full [`Sim::report`] clones.
     pub fn decisions(&self) -> Vec<Option<Decision>> {
-        self.shared.trace.borrow().decisions.clone()
+        self.trace.decisions.clone()
     }
 
     /// Completed register operations of `p` so far (O(1)).
     pub fn op_count(&self, p: ProcessId) -> u64 {
-        self.shared.op_counts[p.index()].get()
+        self.op_counts[p.index()]
     }
 
     /// Non-step observation of a register (tests and instrumentation).
@@ -751,21 +713,7 @@ impl Sim {
     /// arena and [`SimError::TypeMismatch`] when `T` is not the register's
     /// allocated type.
     pub fn try_peek<T: RegValue>(&self, reg: Reg<T>) -> Result<T, SimError> {
-        self.shared.memory.borrow().peek(reg)
-    }
-
-    /// [`peek`](Self::peek) of the word register allocated `offset` slots
-    /// after `base` — the instrumentation twin of
-    /// [`StepAccess::read_word_array`](crate::StepAccess::read_word_array)
-    /// for protocols that index contiguous register arrays by offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the slot falls outside the arena or is not a `u64`
-    /// register.
-    pub fn peek_word_array(&self, base: Reg<u64>, offset: usize) -> u64 {
-        let reg: Reg<u64> = Reg::new((base.index() + offset) as u32);
-        self.peek(reg)
+        self.memory.peek(reg)
     }
 
     /// Whether `p`'s automaton has completed.
@@ -778,13 +726,12 @@ impl Sim {
     /// independent of the number of registers — per-register statistics are
     /// a separate, on-demand query, [`register_stats`](Self::register_stats).
     pub fn report(&self) -> RunReport {
-        let trace = self.shared.trace.borrow();
         RunReport {
             steps: self.steps,
-            decisions: trace.decisions.clone(),
+            decisions: self.trace.decisions.clone(),
             finished: self.finished.clone(),
-            probes: ProbeLog::new(trace.probes.clone()),
-            op_counts: self.shared.op_counts.iter().map(Cell::get).collect(),
+            probes: ProbeLog::new(self.trace.probes.clone()),
+            op_counts: self.op_counts.clone(),
         }
     }
 
@@ -796,43 +743,15 @@ impl Sim {
     /// drives, and to the transcription fixture; no production path calls
     /// it.
     pub fn register_stats(&self) -> Vec<RegisterStats> {
-        self.shared.memory.borrow().stats()
+        self.memory.stats()
     }
 }
 
-/// The model's one execution rule — step `S[i]` of schedule `S` lets one
-/// process perform one register operation — spelled once: every
-/// drive executes its scalar steps through
-/// [`step`](Self::step), directly or via the loop in [`run`](Self::run).
-///
-/// The kernel holds the register-arena borrow for its whole lifetime (a run
-/// pays the `RefCell` once, not per step) and owns the step counter and
-/// the local op counts, which it writes back to the [`Sim`] on drop, i.e.
-/// on every exit path.
-struct StepKernel<'a> {
-    shared: &'a SimShared,
-    memory: RefMut<'a, Memory>,
-    /// Per-process operations completed under this kernel: the step path
-    /// touches no shared counter.
-    ops: Vec<u64>,
-    finished: &'a mut [bool],
-    /// Global index of the next step to execute.
-    steps: u64,
-    steps_out: &'a mut u64,
-}
-
-impl Drop for StepKernel<'_> {
-    fn drop(&mut self) {
-        *self.steps_out = self.steps;
-        for (count, &ops) in self.shared.op_counts.iter().zip(&self.ops) {
-            if ops != 0 {
-                count.set(count.get() + ops);
-            }
-        }
-    }
-}
-
-impl StepKernel<'_> {
+/// The step kernel. The model's one execution rule — step `S[i]` of
+/// schedule `S` lets one process perform one register operation — spelled
+/// once: every drive executes its scalar steps through
+/// [`step`](Self::step), directly or via the loop in [`drive`](Self::drive).
+impl Sim {
     /// Executes one scheduled step of in-universe process `p`. Once its
     /// machine has completed the step still counts, but does nothing.
     #[inline]
@@ -843,7 +762,7 @@ impl StepKernel<'_> {
         if self.finished[idx] {
             return;
         }
-        let mut access = StepAccess::new(p, step, &mut self.memory, self.shared);
+        let mut access = StepAccess::new(p, step, &mut self.memory, &mut self.trace);
         let status = automata[idx].step(&mut access);
         let ops = access.op_performed() as u64;
         self.settle(idx, ops, status);
@@ -855,7 +774,7 @@ impl StepKernel<'_> {
     /// `step_reads` calls.
     #[inline]
     fn settle(&mut self, idx: usize, ops: u64, status: Status) {
-        self.ops[idx] += ops;
+        self.op_counts[idx] += ops;
         if status == Status::Done {
             self.finished[idx] = true;
         }
@@ -866,7 +785,7 @@ impl StepKernel<'_> {
     /// counter past the slice).
     fn step_reads<A: PhaseBatch>(&mut self, idx: usize, machine: &mut A, steps: Allotment<'_>) {
         let pid = ProcessId::new(idx);
-        let mut access = BatchAccess::new(pid, steps, &mut self.memory, self.shared);
+        let mut access = BatchAccess::new(pid, steps, &mut self.memory, &mut self.trace);
         let status = machine.step_reads(&mut access);
         let ops = access.ops();
         self.settle(idx, ops, status);
@@ -877,31 +796,31 @@ impl StepKernel<'_> {
     /// outside the universe (earlier steps have executed). Monomorphized on
     /// whether the stop rule must be looked at between steps: without one a
     /// step is the pull, the index bump and the dispatch.
-    fn run<A: Automaton>(
+    fn drive<A: Automaton>(
         &mut self,
         automata: &mut [A],
         src: impl Iterator<Item = ProcessId>,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         if matches!(cfg.stop, StopWhen::Never) {
-            self.run_loop::<false, A>(automata, src, cfg)
+            self.drive_loop::<false, A>(automata, src, cfg)
         } else {
-            self.run_loop::<true, A>(automata, src, cfg)
+            self.drive_loop::<true, A>(automata, src, cfg)
         }
     }
 
-    fn run_loop<const CHECK_STOP: bool, A: Automaton>(
+    fn drive_loop<const CHECK_STOP: bool, A: Automaton>(
         &mut self,
         automata: &mut [A],
         mut src: impl Iterator<Item = ProcessId>,
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
-        let n = self.finished.len();
+        let n = self.universe.n();
         let first_step = self.steps;
         loop {
             // Checked before the pull, so a stateful source is not advanced
             // past the stop point.
-            if CHECK_STOP && stop_met(&cfg.stop, self.shared, self.finished) {
+            if CHECK_STOP && self.stop_met(&cfg.stop) {
                 return Ok(RunStatus::Stopped);
             }
             let Some(p) = src.next() else {
@@ -921,6 +840,20 @@ impl StepKernel<'_> {
             RunStatus::MaxSteps
         }
     }
+
+    fn stop_met(&self, stop: &StopWhen) -> bool {
+        // Decision conditions read the trace's cached decision state — O(1)
+        // per executed step. The bitmask covers processes below the ProcSet
+        // capacity, which is all an `AllDecided` set can name; `AnyDecided`
+        // uses the count so it sees deciders beyond index 63 in large
+        // universes.
+        match stop {
+            StopWhen::Never => false,
+            StopWhen::AllDecided(set) => set.bits() & !self.trace.decided == 0,
+            StopWhen::AllFinished(set) => set.iter().all(|p| self.finished[p.index()]),
+            StopWhen::AnyDecided => self.trace.decided_count != 0,
+        }
+    }
 }
 
 /// Whether `round` names every process of its `round.len()`-process
@@ -934,11 +867,10 @@ fn is_permutation(round: &[ProcessId], seen: &mut [bool]) -> bool {
 }
 
 /// Batching grouped each machine's probes of a slice together: restores
-/// the plain drive's publication order from `probe_mark` on. Stable by
-/// step, so the probes of one step (one machine) keep their order.
-fn restore_probe_order(shared: &SimShared, probe_mark: usize) {
-    let mut trace = shared.trace.borrow_mut();
-    let tail = &mut trace.probes[probe_mark..];
+/// the plain drive's publication order in the batch's `tail` of the probe
+/// log. Stable by step, so the probes of one step (one machine) keep their
+/// order.
+fn restore_probe_order(tail: &mut [ProbeEvent]) {
     if !tail.is_empty() {
         tail.sort_by_key(|e| e.step);
     }
@@ -962,20 +894,6 @@ fn check_in_universe(p: ProcessId, n: usize) -> Result<(), SimError> {
     }
 }
 
-fn stop_met(stop: &StopWhen, shared: &SimShared, finished: &[bool]) -> bool {
-    // Decision conditions read the cached decision state (maintained by
-    // the decide paths) — O(1) per executed step, no trace borrow. The
-    // bitmask covers processes below the ProcSet capacity, which is all
-    // an `AllDecided` set can name; `AnyDecided` uses the count so it
-    // sees deciders beyond index 63 in large universes.
-    match stop {
-        StopWhen::Never => false,
-        StopWhen::AllDecided(set) => set.bits() & !shared.decided.get() == 0,
-        StopWhen::AllFinished(set) => set.iter().all(|p| finished[p.index()]),
-        StopWhen::AnyDecided => shared.decided_count.get() != 0,
-    }
-}
-
 impl std::fmt::Debug for Sim {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -983,7 +901,7 @@ impl std::fmt::Debug for Sim {
             "Sim[n={}, steps={}, registers={}]",
             self.universe.n(),
             self.steps,
-            self.shared.memory.borrow().len()
+            self.memory.len()
         )
     }
 }

@@ -52,10 +52,9 @@
 use st_core::{ProcSet, ProcessId, Value};
 
 use crate::automaton::{Automaton, Status};
-use crate::ctx::SimShared;
 use crate::memory::Memory;
 use crate::register::{Reg, RegValue};
-use crate::trace::ProbeEvent;
+use crate::trace::{ProbeEvent, TraceInner};
 
 /// An [`Automaton`] that can project its control state onto a phase vector
 /// and execute runs of read steps in batch — the requirement for the SoA
@@ -139,7 +138,7 @@ pub struct BatchAccess<'a> {
     steps: Allotment<'a>,
     cursor: usize,
     memory: &'a mut Memory,
-    shared: &'a SimShared,
+    trace: &'a mut TraceInner,
 }
 
 impl<'a> BatchAccess<'a> {
@@ -147,14 +146,14 @@ impl<'a> BatchAccess<'a> {
         pid: ProcessId,
         steps: Allotment<'a>,
         memory: &'a mut Memory,
-        shared: &'a SimShared,
+        trace: &'a mut TraceInner,
     ) -> Self {
         BatchAccess {
             pid,
             steps,
             cursor: 0,
             memory,
-            shared,
+            trace,
         }
     }
 
@@ -188,9 +187,10 @@ impl<'a> BatchAccess<'a> {
         self.cursor += count;
     }
 
-    /// Atomically reads a register of any value type. **Consumes one
-    /// batched step.** Prefer [`read_word`](Self::read_word) (or the span
-    /// form) for `u64` registers on hot paths.
+    /// Atomically reads a register of any value type: all its words at
+    /// once. **Consumes one batched step.** Prefer
+    /// [`read_word`](Self::read_word) (or the span form) for `u64` registers
+    /// on hot paths.
     ///
     /// # Panics
     ///
@@ -209,8 +209,7 @@ impl<'a> BatchAccess<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on protocol bugs: batch overrun, foreign handles, or type
-    /// confusion.
+    /// Panics on protocol bugs: batch overrun or a foreign handle.
     #[inline]
     pub fn read_word(&mut self, reg: Reg<u64>) -> u64 {
         self.consume(1);
@@ -240,8 +239,7 @@ impl<'a> BatchAccess<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on protocol bugs: batch overrun, a span leaving the arena, or
-    /// a non-word register inside the span.
+    /// Panics on protocol bugs: batch overrun or a span leaving the arena.
     #[inline]
     pub fn read_word_span(&mut self, base: Reg<u64>, offset: usize, dest: &mut [u64]) {
         self.consume(dest.len());
@@ -257,9 +255,9 @@ impl<'a> BatchAccess<'a> {
     ///
     /// Panics if no step has been consumed yet (a probe belongs to the step
     /// whose read triggered it).
-    pub fn probe(&self, key: &'static str, value: u64) {
+    pub fn probe(&mut self, key: &'static str, value: u64) {
         let step = self.current_step();
-        self.shared.trace.borrow_mut().probes.push(ProbeEvent {
+        self.trace.probes.push(ProbeEvent {
             step,
             pid: self.pid,
             key,
@@ -268,7 +266,7 @@ impl<'a> BatchAccess<'a> {
     }
 
     /// Publishes a process-set-valued probe (encoded as the bitset).
-    pub fn probe_set(&self, key: &'static str, set: ProcSet) {
+    pub fn probe_set(&mut self, key: &'static str, set: ProcSet) {
         self.probe(key, set.bits());
     }
 
@@ -279,9 +277,9 @@ impl<'a> BatchAccess<'a> {
     ///
     /// Panics if the process already decided, or if no step has been
     /// consumed yet.
-    pub fn decide(&self, value: Value) {
-        self.shared
-            .record_decision(self.pid, value, self.current_step());
+    pub fn decide(&mut self, value: Value) {
+        let step = self.current_step();
+        self.trace.record_decision(self.pid, value, step);
     }
 
     #[inline]

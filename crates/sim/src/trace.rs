@@ -7,7 +7,7 @@
 //! are exposed this way, e.g. the Figure 2 `winnerset` as the bitset of a
 //! [`ProcSet`](st_core::ProcSet).
 
-use st_core::{ProcessId, Value};
+use st_core::{ProcessId, Value, PROCSET_CAPACITY};
 
 /// One probe publication.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,14 +31,20 @@ pub struct Decision {
     pub step: u64,
 }
 
-/// Mutable instrumentation state, owned by the simulator.
-///
-/// Step-hot counters live outside this struct (as `Cell`s in the shared
-/// state) so the per-step path never takes the `RefCell` borrow: this holds
-/// only the event-shaped data.
+/// Mutable instrumentation state, owned by the simulator: probes and
+/// decisions, with the decision state the stop rules read.
+#[derive(Clone)]
 pub(crate) struct TraceInner {
     pub probes: Vec<ProbeEvent>,
     pub decisions: Vec<Option<Decision>>,
+    /// Bitmask mirror of `decisions` (`ProcSet::bits` encoding) for
+    /// processes with index below [`PROCSET_CAPACITY`]: `StopWhen::AllDecided`
+    /// is O(1) per step (its set is a `ProcSet`, so it can only name
+    /// processes the mask covers).
+    pub decided: u64,
+    /// Total decisions so far, over *all* processes — `AnyDecided` in large
+    /// universes (n > 64) where the bitmask cannot see every decider.
+    pub decided_count: u32,
 }
 
 impl TraceInner {
@@ -46,7 +52,28 @@ impl TraceInner {
         TraceInner {
             probes: Vec::new(),
             decisions: vec![None; n],
+            decided: 0,
+            decided_count: 0,
         }
+    }
+
+    /// Records `pid`'s decision of `value` at `step`. Shared by every
+    /// decide path (step access, batch access).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the process already decided (decisions are irrevocable).
+    pub fn record_decision(&mut self, pid: ProcessId, value: Value, step: u64) {
+        let slot = &mut self.decisions[pid.index()];
+        assert!(
+            slot.is_none(),
+            "process {pid} decided twice (had {slot:?}, now {value})"
+        );
+        *slot = Some(Decision { value, step });
+        if pid.index() < PROCSET_CAPACITY {
+            self.decided |= 1 << pid.index();
+        }
+        self.decided_count += 1;
     }
 }
 

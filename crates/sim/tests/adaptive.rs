@@ -111,18 +111,26 @@ fn an_out_of_universe_choice_is_typed_and_leaves_the_sim_usable() {
     assert_eq!(sim.steps_executed(), 12);
 }
 
-/// A boxed block, a word block (single- and multi-writer cells
-/// alternating), and one more boxed cell: handles offset past their own
-/// block land on a register of the other class, or outside the arena.
+/// A multi-word block, a word block (single- and multi-writer cells
+/// alternating), and one more multi-word cell: handles offset past their
+/// own block land on a register of the other type, or outside the arena.
 const WORDS: usize = 6;
-const BOXED: usize = 3;
-const REGISTERS: usize = BOXED + WORDS + 1;
+const NOTES: usize = 3;
+const REGISTERS: usize = NOTES + WORDS + 1;
+/// Arena words: two per note and for the tail, one per word register.
+const ARENA: usize = 2 * NOTES + WORDS + 2;
 
-fn mixed_arena() -> (Memory, Reg<u64>, Reg<String>) {
+struct Mixed {
+    words: Reg<u64>,
+    notes: Reg<Option<u64>>,
+    tail: Reg<Option<u64>>,
+}
+
+fn mixed_arena() -> (Memory, Mixed) {
     let mut m = Memory::new();
     let notes = m.alloc_block(
-        BOXED,
-        String::from("init"),
+        NOTES,
+        Some(7),
         |i| WriteDiscipline::SingleWriter(pid(i)),
         |i| format!("note[{i}]"),
     );
@@ -135,17 +143,17 @@ fn mixed_arena() -> (Memory, Reg<u64>, Reg<String>) {
         },
         |i| format!("w[{i}]"),
     );
-    m.alloc("tail", WriteDiscipline::MultiWriter, String::from("tail"));
-    (m, words, notes)
+    let tail = m.alloc("tail", WriteDiscipline::MultiWriter, None);
+    (m, Mixed { words, notes, tail })
 }
 
-fn contents(m: &Memory, words: Reg<u64>, notes: Reg<String>) -> (Vec<u64>, Vec<String>) {
-    let boxed = (0..BOXED)
-        .map(|i| notes.at(i))
-        .chain([notes.at(BOXED + WORDS)]);
+fn contents(m: &Memory, arena: &Mixed) -> (Vec<u64>, Vec<Option<u64>>) {
+    let notes = (0..NOTES).map(|i| arena.notes.at(i)).chain([arena.tail]);
     (
-        (0..WORDS).map(|i| m.peek(words.at(i)).unwrap()).collect(),
-        boxed.map(|b| m.peek(b).unwrap()).collect(),
+        (0..WORDS)
+            .map(|i| m.peek(arena.words.at(i)).unwrap())
+            .collect(),
+        notes.map(|b| m.peek(b).unwrap()).collect(),
     )
 }
 
@@ -158,30 +166,33 @@ proptest! {
     /// register peeks what it peeked before.
     #[test]
     fn version_counts_completed_writes_only(draws in prop::collection::vec(any::<u64>(), 0..200)) {
-        let (mut m, words, notes) = mixed_arena();
+        let (mut m, arena) = mixed_arena();
+        let (words, notes) = (arena.words, arena.notes);
         prop_assert_eq!(m.version(), 0, "allocation is not a write");
-        let mut before = contents(&m, words, notes);
+        prop_assert_eq!((m.len(), arena.tail.index()), (ARENA, ARENA - 2));
+        let mut before = contents(&m, &arena);
         for draw in draws {
             let (op, at) = (draw % 10, (draw >> 8) as usize % 16);
             let (writer, value) = (pid((draw >> 16) as usize % 4), draw >> 20);
-            let (w, b) = (words.at(at % WORDS), notes.at(at % BOXED));
+            let (w, b) = (words.at(at % WORDS), notes.at(at % NOTES));
             let version = m.version();
             let completed_write = match op {
                 0 => m.write_word(writer, w, value).is_ok(),
                 1 => m.write(writer, w, value).is_ok(),
-                2 => m.write(writer, b, value.to_string()).is_ok(),
-                // The boxed tail written as a word, a word cell written as
-                // a string: type mismatches (or, checked first, a refused
-                // writer). Neither completes.
+                2 => m.write(writer, b, Some(value)).is_ok(),
+                // Either word of the multi-word tail written as a word, a
+                // word cell written or read as an option: type mismatches.
+                // None completes.
                 3 => {
-                    prop_assert!(m.write_word(writer, words.at(WORDS), value).is_err());
-                    let forged = notes.at(BOXED + at % WORDS);
-                    prop_assert!(m.write(writer, forged, String::new()).is_err());
-                    prop_assert!(m.read(forged).is_err());
+                    let tail_word = words.at(WORDS + at % 2);
+                    prop_assert!(m.write_word(writer, tail_word, value).is_err());
+                    let forged = notes.at(NOTES + at % (WORDS / 2));
+                    prop_assert!(m.write(writer, forged, None).is_err());
+                    prop_assert!(m.read(forged).is_err() && m.peek(forged).is_err());
                     false
                 }
                 4 => {
-                    let unknown = words.at(WORDS + 1 + at);
+                    let unknown = words.at(WORDS + 2 + at);
                     prop_assert!(m.write_word(writer, unknown, value).is_err());
                     prop_assert!(m.read_word(unknown).is_err() && m.peek(unknown).is_err());
                     false
@@ -195,9 +206,12 @@ proptest! {
                     prop_assert!(m.read_word_span(words, 0, &mut dest).is_ok());
                     false
                 }
-                // A span that runs into the boxed tail: refused whole.
+                // A span checks bounds only: one that runs into the tail
+                // reads it, one that leaves the arena is refused whole.
                 7 => {
-                    let mut dest = vec![0u64; WORDS + 1];
+                    let mut dest = vec![0u64; WORDS + 2];
+                    prop_assert!(m.read_word_span(words, 0, &mut dest).is_ok());
+                    let mut dest = vec![0u64; WORDS + 3];
                     prop_assert!(m.read_word_span(words, 0, &mut dest).is_err());
                     false
                 }
@@ -207,12 +221,12 @@ proptest! {
                 }
                 _ => {
                     prop_assert_eq!(m.stats().len(), REGISTERS);
-                    prop_assert_eq!(m.name(at).is_ok(), at < REGISTERS);
+                    prop_assert_eq!(m.name(at).is_ok(), at < ARENA);
                     false
                 }
             };
             prop_assert_eq!(m.version(), version + completed_write as u64, "op {}", op);
-            let after = contents(&m, words, notes);
+            let after = contents(&m, &arena);
             if !completed_write {
                 prop_assert_eq!(&after, &before, "contents moved under version {}", version);
             }

@@ -112,7 +112,7 @@ fn probes_pause_and_stop_conditions() {
         .unwrap();
     assert_eq!(status, st_sim::RunStatus::Stopped);
     assert_eq!(sim.steps_executed(), 3); // decided on the third tick
-    assert_eq!(sim.probe_count(), 3);
+    assert_eq!(sim.report().probes.len(), 3);
     // Pauses are steps but not register operations.
     assert_eq!(sim.op_count(pid(0)), 0);
     let rep = sim.report();

@@ -86,16 +86,17 @@ fn local_computation_is_free() {
 #[test]
 fn interleaving_follows_schedule() {
     let mut sim = Sim::new(universe(2));
-    let log = sim.alloc("log", Vec::<u64>::new());
+    // The log is a two-word register: (entries, entries as base-100
+    // digits), read and written whole in one step.
+    let log = sim.alloc("log", (0u64, 0u64));
     let mut fleet = Vec::new();
-    for me in 0..2usize {
+    for me in 0..2u64 {
         // Three rounds of: read the log, then write it back extended.
-        let (mut round, mut cur) = (0u64, None::<Vec<u64>>);
+        let (mut round, mut cur) = (0u64, None::<(u64, u64)>);
         let append = StepFn(move |mem: &mut StepAccess<'_>| match cur.take() {
             None => {
-                let mut log_now = mem.read(log);
-                log_now.push(me as u64 * 10 + round);
-                cur = Some(log_now);
+                let (len, digits) = mem.read(log);
+                cur = Some((len + 1, digits * 100 + me * 10 + round));
                 Status::Running
             }
             Some(extended) => {
@@ -114,7 +115,8 @@ fn interleaving_follows_schedule() {
     let mut src = ScheduleCursor::new(Schedule::from_indices([0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]));
     sim.run_automata(&mut fleet, &mut src, RunConfig::steps(100))
         .unwrap();
-    assert_eq!(sim.peek(log), vec![0, 1, 2, 10, 11, 12]);
+    // [0, 1, 2, 10, 11, 12]
+    assert_eq!(sim.peek(log), (6, 1_02_10_11_12));
 }
 
 /// The same seed/schedule gives bit-identical traces (determinism).

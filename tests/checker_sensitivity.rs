@@ -11,7 +11,7 @@ use set_timeliness::sim::{Automaton, RunConfig, Sim, Status, StepAccess, StopWhe
 /// A broken protocol whose every step is a pause followed by `then`.
 struct Pausing<F>(F);
 
-impl<F: FnMut(&StepAccess<'_>) -> Status> Automaton for Pausing<F> {
+impl<F: FnMut(&mut StepAccess<'_>) -> Status> Automaton for Pausing<F> {
     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
         mem.pause();
         (self.0)(mem)
@@ -30,7 +30,7 @@ fn checker_catches_k_agreement_violation() {
     let mut fleet: Vec<_> = inputs
         .iter()
         .map(|&v| {
-            Pausing(move |mem: &StepAccess<'_>| {
+            Pausing(move |mem: &mut StepAccess<'_>| {
                 mem.decide(v);
                 Status::Done
             })
@@ -67,7 +67,7 @@ fn checker_catches_validity_violation() {
     let mut fleet: Vec<_> = universe
         .processes()
         .map(|_| {
-            Pausing(|mem: &StepAccess<'_>| {
+            Pausing(|mem: &mut StepAccess<'_>| {
                 mem.decide(777); // never proposed
                 Status::Done
             })
@@ -99,7 +99,7 @@ fn checker_catches_termination_violation_within_budget_only() {
     let inputs: Vec<Value> = vec![5, 5, 5];
     let mut fleet: Vec<_> = universe
         .processes()
-        .map(|_| Pausing(|_: &StepAccess<'_>| Status::Running))
+        .map(|_| Pausing(|_: &mut StepAccess<'_>| Status::Running))
         .collect();
     let steps: Vec<usize> = (0..300).map(|i| i % n).collect();
     let mut src = ScheduleCursor::new(Schedule::from_indices(steps));
@@ -135,7 +135,7 @@ fn convergence_analyzer_rejects_flapping() {
         .processes()
         .map(|_| {
             let mut flip = 0u64;
-            Pausing(move |mem: &StepAccess<'_>| {
+            Pausing(move |mem: &mut StepAccess<'_>| {
                 // Publish alternating winnersets forever.
                 mem.probe(WINNERSET_PROBE, 1 + (flip % 2));
                 flip += 1;

@@ -508,10 +508,13 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// A handle of type `T` at arena index 0: `.at(i)` then names register `i`
-/// of any simulation, for a typed peek.
-fn base<T: RegValue + Default>() -> Reg<T> {
-    Sim::new(universe(1)).alloc("base", T::default())
+/// A handle of type `T` at arena word `first` of any simulation, for a
+/// typed peek: a `T` allocated after `first % T::WORDS` padding words, then
+/// stepped on by whole registers.
+fn handle<T: RegValue + Default>(first: usize) -> Reg<T> {
+    let mut sim = Sim::new(universe(1));
+    sim.alloc_array("pad", first % T::WORDS, 0u64);
+    sim.alloc("base", T::default()).at(first / T::WORDS)
 }
 
 /// The run as the fixture records it.
@@ -529,33 +532,28 @@ fn observe(label: &str, sim: &Sim, status: RunStatus) -> Json {
         None => Json::Null,
         Some(d) => Json::arr([Json::U64(d.value), Json::U64(d.step)]),
     });
-    // The register types the protocols allocate, tried in turn.
-    let (word, option, cell, record) = (
-        base::<u64>(),
-        base::<Option<Value>>(),
-        base::<(u64, Option<Value>)>(),
-        base::<PaxosRecord>(),
-    );
-    let contents = |i: usize| -> String {
-        if let Ok(v) = sim.try_peek(word.at(i)) {
+    // The register types the protocols allocate, tried in turn at the
+    // register's first word.
+    let contents = |first: usize| -> String {
+        if let Ok(v) = sim.try_peek(handle::<u64>(first)) {
             return v.to_string();
         }
-        if let Ok(v) = sim.try_peek(option.at(i)) {
+        if let Ok(v) = sim.try_peek(handle::<Option<Value>>(first)) {
             return format!("{v:?}");
         }
-        if let Ok(v) = sim.try_peek(cell.at(i)) {
+        if let Ok(v) = sim.try_peek(handle::<(u64, Option<Value>)>(first)) {
             return format!("{v:?}");
         }
-        if let Ok(v) = sim.try_peek(record.at(i)) {
+        if let Ok(v) = sim.try_peek(handle::<PaxosRecord>(first)) {
             return format!("{v:?}");
         }
-        panic!("register {i} holds a type the fixture does not know");
+        panic!("register at word {first} holds a type the fixture does not know");
     };
     let stats = sim.register_stats();
     let mut digest = FNV_OFFSET;
     let mut touched = Vec::new();
     for (i, s) in stats.iter().enumerate() {
-        let value = contents(i);
+        let value = contents(s.index);
         let line = format!("{}\t{}\t{}\t{}\n", s.name, s.reads, s.writes, value);
         digest = fnv1a(digest, line.as_bytes());
         if s.reads + s.writes > 0 {
