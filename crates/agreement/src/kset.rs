@@ -23,7 +23,7 @@
 
 use st_core::{AgreementTask, Value};
 use st_fd::{KAntiOmega, KAntiOmegaMachine};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, Sim, Status, StepAccess};
 
 use crate::paxos::{CoreStep, Paxos, PaxosProposerCore};
 
@@ -196,9 +196,7 @@ impl<const W: usize> Automaton for KSetAgreementMachine<W> {
             }
         }
     }
-}
 
-impl<const W: usize> PhaseBatch for KSetAgreementMachine<W> {
     #[inline]
     fn phase_class(&self) -> u8 {
         // Offsets keep the three protocol parts (and the embedded machines'

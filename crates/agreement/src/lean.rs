@@ -54,7 +54,7 @@ impl LeanConsensus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_core::{Schedule, Universe};
+    use st_core::{Schedule, ScheduleCursor, Universe};
     use st_fd::TimeoutPolicy;
     use st_sim::RunConfig;
 
@@ -75,8 +75,12 @@ mod tests {
             .collect();
         let steps: Vec<usize> = (0..600_000).map(|s| s % n).collect();
         let schedule = Schedule::from_indices(steps);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(600_000))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut ScheduleCursor::new(schedule),
+            RunConfig::steps(600_000),
+        )
+        .unwrap();
         let decided: std::collections::BTreeSet<Value> =
             sim.decisions().iter().flatten().map(|d| d.value).collect();
         assert_eq!(
@@ -105,8 +109,12 @@ mod tests {
             .map(|s| if s % 7 < 5 { s % 2 } else { 2 + (s % 2) })
             .collect();
         let schedule = Schedule::from_indices(steps);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(200_000))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut ScheduleCursor::new(schedule),
+            RunConfig::steps(200_000),
+        )
+        .unwrap();
         let decided: std::collections::BTreeSet<Value> =
             sim.decisions().iter().flatten().map(|d| d.value).collect();
         assert!(decided.len() <= 1, "agreement violated: {decided:?}");

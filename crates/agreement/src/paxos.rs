@@ -29,7 +29,7 @@
 //! seeded-random, Figure 1 and crash schedules).
 
 use st_core::Value;
-use st_sim::{Automaton, BatchAccess, Memory, PhaseBatch, Reg, RegValue, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, Memory, Reg, RegValue, Sim, Status, StepAccess};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -71,7 +71,7 @@ impl Paxos {
     /// Allocates an instance in `sim`: one record per process (single
     /// writer) and one multi-writer decision register.
     pub fn alloc(sim: &mut Sim, name: &str) -> Self {
-        let records = sim.alloc_per_process(&format!("{name}.rec"), PaxosRecord::default())[0];
+        let records = sim.alloc_per_process(&format!("{name}.rec"), PaxosRecord::default());
         let decision = sim.alloc(format!("{name}.decision"), None);
         Paxos {
             records,
@@ -374,7 +374,7 @@ impl PaxosProposerCore {
     }
 
     /// Grouping label of the current phase for the SoA drive (see
-    /// [`PhaseBatch::phase_class`]).
+    /// [`Automaton::phase_class`]).
     pub(crate) fn phase_class(&self) -> u8 {
         match self.phase {
             ProposerPhase::CheckDecision => 0,
@@ -387,7 +387,7 @@ impl PaxosProposerCore {
     }
 
     /// Guaranteed value-independent read steps ahead (see
-    /// [`PhaseBatch::read_run`]): the decision check is one read; a record
+    /// [`Automaton::read_run`]): the decision check is one read; a record
     /// scan is reads to its end (the bound `n − q − 1` under-counts by one
     /// when the proposer's own skipped record lies before `q` — a safe
     /// under-estimate, since the core does not know its process index until
@@ -407,7 +407,7 @@ impl PaxosProposerCore {
     }
 
     /// Executes a whole batch of read steps (see
-    /// [`PhaseBatch::step_reads`]): the read arms of [`step`](Self::step),
+    /// [`Automaton::step_reads`]): the read arms of [`step`](Self::step),
     /// looped over the allotment. The batch never crosses into a write
     /// phase — [`read_run`](Self::read_run) caps the allotment at the
     /// current scan's end.
@@ -530,9 +530,7 @@ impl Automaton for PaxosMachine {
             }
         }
     }
-}
 
-impl PhaseBatch for PaxosMachine {
     #[inline]
     fn phase_class(&self) -> u8 {
         self.core.phase_class()
@@ -722,8 +720,12 @@ mod tests {
         let mut fleet: Vec<PaxosMachine> =
             (0..3).map(|i| paxos.machine(100 + i as Value)).collect();
         let schedule = Schedule::from_indices(vec![0usize; 60]);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(60))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut ScheduleCursor::new(schedule),
+            RunConfig::steps(60),
+        )
+        .unwrap();
         assert_eq!(sim.decisions()[0].map(|d| d.value), Some(100));
         assert_eq!(paxos.peek_decision(&sim), Some(100));
         assert_eq!(fleet[0].attempts(), 1);

@@ -1,13 +1,15 @@
-//! Differential tests: the struct-of-arrays replay drive
-//! ([`Sim::run_automata_replay_soa`]) against the plain fleet replay
-//! ([`Sim::run_automata_replay`]), on identical schedules.
+//! Differential tests: the batched engine — on
+//! [`Sim::run_automata_replay_soa`] over a materialized schedule, and on
+//! [`Sim::run_automata`], the one drive every fleet scenario runs, pulling
+//! blocks from a generator — against the scalar fleet replay
+//! ([`Sim::run_automata_replay`]) on identical schedules.
 //!
-//! The SoA drive is only admissible if it is **observationally identical**
-//! to the plain replay: the same probe sequences at the same step indices,
+//! Batching is only admissible if it is **observationally identical** to
+//! the scalar replay: the same probe sequences at the same step indices,
 //! the same decisions at the same steps, the same per-process op counts,
 //! the same per-register access statistics, and the same final register
-//! contents. This suite enforces that for every [`PhaseBatch`] machine in
-//! the workspace — `KAntiOmegaMachine`, `KSetAgreementMachine`,
+//! contents. This suite enforces that for every batching machine in the
+//! workspace — `KAntiOmegaMachine`, `KSetAgreementMachine`,
 //! `PaxosMachine`, and the first two again as the lean stack builds them
 //! (`k = 1`, width `LEAN_WIDTH`) — across:
 //!
@@ -18,50 +20,74 @@
 //! - proptest-driven *arbitrary* `GeneratorSpec` trees
 //!   ([`SpecMutator::arbitrary`]), so no hand-picked family shields a
 //!   divergence;
-//! - slice lengths {1, 7, 64, 1024}: degenerate scalar fallback, mixed
-//!   pure/impure slices, and slices spanning many whole phases;
+//! - slice lengths {1, 7, 64, 1024} of the engine's bucketed slices:
+//!   degenerate scalar fallback, mixed pure/impure slices, and slices
+//!   spanning many whole phases;
 //! - large universes (lean stack at n = 256), where the batch paths
 //!   actually win and the purity checks see long allotments;
-//! - on [`Sim::run_automata_replay_soa`], the entry point every fleet
-//!   scenario runs, E9's cells past one word and past n = 256: the wide
-//!   fleet at `W = 4`, n = 256 and the lean fleet at n = 1024, on E9's
-//!   dwells, whole iterations and phase ends included.
+//! - on [`Sim::run_automata`], E9's cells past one word and past n = 256:
+//!   the wide fleet at `W = 4`, n = 256 and the lean fleet at n = 1024, on
+//!   E9's dwells, whole iterations and phase ends included, and a dwell
+//!   that crosses a phase end mid-dwell.
 //!
-//! The sims here run with [`StopWhen::Never`]: the SoA drive delegates to
-//! the plain replay when a stop condition is set, so a stopped comparison
-//! would not exercise the batching engine.
+//! The sims here run with [`StopWhen::Never`](st_sim::StopWhen::Never):
+//! under a stop condition every drive steps one by one, so a stopped
+//! comparison would not exercise the batching engine.
 
 use proptest::prelude::*;
 use st_agreement::{KSetAgreement, KSetAgreementMachine, LeanConsensus, Paxos, PaxosMachine};
 use st_core::{ProcSet, ProcessId, Schedule, StepSource, Universe, Value};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaMachine, LeanOmega, TimeoutPolicy};
 use st_sched::{Figure1, GeneratorSpec, SpecMutator, SpecRng};
-use st_sim::{PhaseBatch, RegisterStats, RunConfig, RunReport, Sim};
+use st_sim::{Automaton, RegisterStats, RunConfig, RunReport, Sim};
 
-/// Which fleet replay drive executes the schedule.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Drive {
+/// Which drive executes the schedule.
+#[derive(Clone, Copy, Debug)]
+enum Drive<'g> {
     /// The scalar reference, [`Sim::run_automata_replay`].
     Plain,
-    /// The raw batching engine at this slice length,
-    /// [`Sim::run_automata_replay_soa_batched`].
+    /// The batching engine at this slice length, at any n,
+    /// [`Sim::run_automata_replay_soa`].
     Soa(usize),
-    /// The entry point every fleet scenario runs at this slice length,
-    /// [`Sim::run_automata_replay_soa`] (the batching engine from
-    /// `SOA_DELEGATE_BELOW_N` on).
-    Fleet(usize),
+    /// [`Sim::run_automata`], pulling blocks from the generator the
+    /// schedule was taken from.
+    Fleet(&'g Generated),
 }
 
-impl Drive {
-    /// Replays the whole of `schedule` over `fleet` on this drive.
-    fn replay<A: PhaseBatch>(self, sim: &mut Sim, fleet: &mut [A], schedule: &Schedule) {
+impl Drive<'_> {
+    /// Runs the whole of `schedule` over `fleet` on this drive.
+    fn replay<A: Automaton>(self, sim: &mut Sim, fleet: &mut [A], schedule: &Schedule) {
         let cfg = RunConfig::steps(schedule.len() as u64);
         match self {
             Drive::Plain => sim.run_automata_replay(fleet, schedule, cfg),
-            Drive::Soa(sl) => sim.run_automata_replay_soa_batched(fleet, schedule, sl, cfg),
-            Drive::Fleet(sl) => sim.run_automata_replay_soa(fleet, schedule, sl, cfg),
+            Drive::Soa(sl) => sim.run_automata_replay_soa(fleet, schedule, sl, cfg),
+            Drive::Fleet(g) => {
+                assert_eq!(&g.schedule, schedule, "the fleet drive's generator");
+                let mut src = g.spec.build(sim.universe(), g.seed);
+                sim.run_automata(fleet, &mut src, cfg)
+            }
         }
         .unwrap();
+    }
+}
+
+/// A generator's first `len` steps: the spec and seed a fleet drive pulls
+/// from, and the schedule the replays are handed.
+#[derive(Debug)]
+struct Generated {
+    spec: GeneratorSpec,
+    seed: u64,
+    schedule: Schedule,
+}
+
+impl Generated {
+    fn new(spec: GeneratorSpec, n: usize, seed: u64, len: usize) -> Self {
+        let schedule = from_spec(&spec, n, seed, len);
+        Generated {
+            spec,
+            seed,
+            schedule,
+        }
     }
 }
 
@@ -98,7 +124,7 @@ fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
 }
 
 /// Compares two observations, field by field.
-fn assert_observations_eq(plain: &Observation, soa: &Observation, label: &str, drive: Drive) {
+fn assert_observations_eq(plain: &Observation, soa: &Observation, label: &str, drive: Drive<'_>) {
     assert_eq!(
         plain.0.steps, soa.0.steps,
         "{label}/{drive:?}: step counts diverged"
@@ -378,7 +404,7 @@ fn family_schedules(n: usize, len: usize) -> Vec<(String, Schedule)> {
 }
 
 // ---------------------------------------------------------------------------
-// Identity on every family, for every PhaseBatch machine type.
+// Identity on every family, for every batching machine type.
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -447,9 +473,9 @@ fn whole_iteration_dwells(n: usize, len: usize) -> Schedule {
 /// Lean FD identity at n = 256: allotments regularly sit inside the n²-step
 /// counter scan, so the span-read batch path (not the scalar fallback) is
 /// what executes most slices. The bursty dwells are whole iterations, so
-/// six turns each finish a scan, and at slice length 7 the fifth ends one
-/// step before a slice boundary: this case kills a `read_run` one step too
-/// long in the counter scan (`ReadCounters`).
+/// six turns each finish a scan mid-dwell, where the dwell window must
+/// stop: this case kills a `read_run` one step too long in the counter
+/// scan (`ReadCounters`).
 #[test]
 fn lean_fd_soa_identical_at_n256() {
     let n = 256;
@@ -483,8 +509,8 @@ fn lean_consensus_soa_identical_at_n256() {
 /// The k-anti-Ω fleet at its ProcSet capacity boundary, n = 64, on
 /// round-robin (a machine gets 3 125 of the 4 096 steps its first scan
 /// needs) and on whole-iteration dwells, where 48 turns each finish a scan
-/// and at slice length 7 the fourth ends one step before a slice boundary:
-/// the dwells kill a `read_run` one step too long in the counter scan.
+/// mid-dwell: the dwells kill a `read_run` one step too long in the counter
+/// scan.
 #[test]
 fn kanti_fleet_soa_identical_at_n64() {
     let n = 64;
@@ -499,87 +525,77 @@ fn kanti_fleet_soa_identical_at_n64() {
 }
 
 // ---------------------------------------------------------------------------
-// Large n on the entry point every fleet scenario runs, at the slice length
-// of its `Plain` drive: the cells of E9 past one word and past n = 256.
+// Large n on the one drive every fleet scenario runs, block-pulled from the
+// generator: the cells of E9 past one word and past n = 256.
 // ---------------------------------------------------------------------------
 
-/// Slice length of a fleet scenario's `Plain` drive.
-const SCENARIO_SLICE_LEN: usize = 64;
-
-/// Runs `runner` on the scalar reference and on the fleet scenarios' entry
-/// point at [`SCENARIO_SLICE_LEN`] and at `off_grid`, asserting
-/// observational identity. At 64 every phase end these dwells reach falls
-/// on a slice boundary or a dwell end, where a `read_run` one step too long
-/// admits nothing; each case picks an `off_grid` length that puts a phase
-/// end one step before a boundary inside a one-process slice.
-fn assert_fleet_identical<F>(label: &str, off_grid: usize, runner: F)
+/// Runs `runner` on the scalar reference over `generated`'s schedule and on
+/// [`Sim::run_automata`] pulling from its generator, asserting
+/// observational identity.
+fn assert_fleet_identical<F>(label: &str, generated: &Generated, runner: F)
 where
-    F: Fn(Drive) -> Observation,
+    F: Fn(&Schedule, Drive<'_>) -> Observation,
 {
-    let plain = runner(Drive::Plain);
-    for sl in [SCENARIO_SLICE_LEN, off_grid] {
-        let fleet = Drive::Fleet(sl);
-        assert_observations_eq(&plain, &runner(fleet), label, fleet);
-    }
+    let schedule = &generated.schedule;
+    let plain = runner(schedule, Drive::Plain);
+    let fleet = Drive::Fleet(generated);
+    assert_observations_eq(&plain, &runner(schedule, fleet), label, fleet);
 }
 
 /// The wide Figure 2 fleet past one word (`W = 4`, n = 256, k = 1, E9's
 /// `t`): on a bursty dwell of exactly one accusation-free iteration
 /// (`|Π¹_n|·n + 1 + n` steps, E9's wide dwell) across three dwell ends,
-/// and on round-robin, where the engine takes round windows. Process 1's
-/// heartbeat write is step `D + n²` = 131 329, and 10 divides 131 330.
+/// and on round-robin, where the engine takes round windows.
 #[test]
 fn wide_kanti_fleet_identical_at_n256() {
     let (n, k, t) = (256, 1, 16);
     let dwell = n * n + 1 + n;
-    let len = 3 * dwell + 4_096;
-    for (name, sched) in [
+    for (name, generated) in [
         (
             "bursty",
-            from_spec(&GeneratorSpec::bursty(dwell as u64), n, 0, len),
+            Generated::new(GeneratorSpec::bursty(dwell as u64), n, 0, 3 * dwell + 4_096),
         ),
-        ("round-robin", round_robin(n, 300_000)),
+        (
+            "round-robin",
+            Generated::new(GeneratorSpec::round_robin(), n, 0, 300_000),
+        ),
     ] {
-        assert_fleet_identical(&format!("wide kanti W=4 n=256 {name}"), 10, |d| {
-            run_kanti::<4>(n, k, t, &sched, d)
-        });
+        assert_fleet_identical(
+            &format!("wide kanti W=4 n=256 {name}"),
+            &generated,
+            |s, d| run_kanti::<4>(n, k, t, s, d),
+        );
     }
 }
 
 /// E9's lean dwell at n = 1024: one whole iteration plus one step
 /// (`n² + n + 2`), across two dwell ends. Each turn finishes a counter
 /// scan, publishes, writes its heartbeat, scans the heartbeats and starts
-/// the next scan. Process 1's heartbeat write is step `D + n²` =
-/// 2 098 178, and 9 divides 2 098 179.
-fn e9_lean_dwell_n1024() -> Schedule {
+/// the next scan.
+fn e9_lean_dwell_n1024() -> Generated {
     let n = 1024;
     let dwell = n * n + n + 2;
-    from_spec(
-        &GeneratorSpec::bursty(dwell as u64),
-        n,
-        0,
-        2 * dwell + 4_096,
-    )
+    Generated::new(GeneratorSpec::bursty(dwell as u64), n, 0, 2 * dwell + 4_096)
 }
 
 /// A lean FD fleet at n = 1024 on E9's lean dwell, and on dwells shorter
-/// than a counter scan and a multiple of neither n nor the slice length,
-/// so that every dwell end cuts a scan mid-row and the next turn resumes
-/// it. Everything but the per-register statistics is compared: they
-/// format every register's name, and the case below holds them.
+/// than a counter scan and a multiple of neither n nor 64, so that every
+/// dwell end cuts a scan mid-row and the next turn resumes it. Everything
+/// but the per-register statistics is compared: they format every
+/// register's name, and the case below holds them.
 #[test]
 fn lean_fd_fleet_identical_at_n1024() {
     let n = 1024;
     let short = 5 * n + 37;
-    for (name, sched) in [
+    for (name, generated) in [
         ("E9 dwell", e9_lean_dwell_n1024()),
         (
             "short dwells",
-            from_spec(&GeneratorSpec::bursty(short as u64), n, 0, 5 * short),
+            Generated::new(GeneratorSpec::bursty(short as u64), n, 0, 5 * short),
         ),
     ] {
-        assert_fleet_identical(&format!("lean-fd n=1024 {name}"), 9, |d| {
-            observe_lean_fd(n, n / 16, &sched, d, false)
+        assert_fleet_identical(&format!("lean-fd n=1024 {name}"), &generated, |s, d| {
+            observe_lean_fd(n, n / 16, s, d, false)
         });
     }
 }
@@ -589,9 +605,37 @@ fn lean_fd_fleet_identical_at_n1024() {
 #[test]
 #[ignore = "≈ 35 s in a debug build, formatting a million register names; CI runs it with --release"]
 fn lean_fd_fleet_register_stats_identical_at_n1024() {
-    let sched = e9_lean_dwell_n1024();
-    assert_fleet_identical("lean-fd n=1024 E9 dwell, register stats", 9, |d| {
-        run_lean_fd(1024, 64, &sched, d)
+    let generated = e9_lean_dwell_n1024();
+    assert_fleet_identical(
+        "lean-fd n=1024 E9 dwell, register stats",
+        &generated,
+        |s, d| run_lean_fd(1024, 64, s, d),
+    );
+}
+
+/// A dwell that crosses a phase end mid-dwell, on the production drive:
+/// the k-anti-Ω fleet at n = 64 on dwells of half a counter scan plus 7
+/// steps, so every second turn of a process starts mid-scan and runs on
+/// through the scan's end, its heartbeat write, its heartbeat scan and
+/// into the next scan. The dwell window must stop at each read run's end
+/// and resume after the write. It kills a `read_run` one step too long
+/// reached through the dwell window (the engine's dwell cap taken as
+/// `read_run() + 1`): the window runs one step into the heartbeat write.
+/// Every other case here whose dwells cross a phase end kills it too; this
+/// one does so at n = 64, on the production drive, in a fraction of a
+/// second.
+#[test]
+fn kanti_fleet_dwell_crossing_a_phase_end_is_identical() {
+    let n = 64;
+    let dwell = n * n / 2 + 7;
+    let generated = Generated::new(
+        GeneratorSpec::bursty(dwell as u64),
+        n,
+        0,
+        2 * n * dwell + 99,
+    );
+    assert_fleet_identical("kanti n=64 mid-dwell phase ends", &generated, |s, d| {
+        run_kanti::<1>(n, 1, 1, s, d)
     });
 }
 
@@ -662,7 +706,7 @@ fn lean_consensus_soa_decides_at_n64() {
     let burst = n * n + n + 2;
     let len = 40 * n * burst / 8;
     let sched = Schedule::from_indices((0..len).map(|s| (s / burst) % n));
-    sim.run_automata_replay_soa_batched(&mut fleet, &sched, 64, RunConfig::steps(len as u64))
+    sim.run_automata_replay_soa(&mut fleet, &sched, 64, RunConfig::steps(len as u64))
         .unwrap();
     let decided: std::collections::BTreeSet<Value> =
         sim.decisions().iter().flatten().map(|d| d.value).collect();

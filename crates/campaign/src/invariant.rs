@@ -340,8 +340,8 @@ impl InvariantChecker {
     /// Derives the checkable claims from the scenario's spec.
     pub fn for_scenario(scenario: &Scenario) -> Self {
         // Only generator-driven workloads execute the spec's schedule; the
-        // adversary ignores the generator and BG re-linearizes it. The lean
-        // replay drives execute the generated schedule verbatim.
+        // adversary ignores the generator and BG re-linearizes it. The
+        // fleet workloads execute the generated schedule verbatim.
         let generator_drives = matches!(
             scenario.workload,
             Workload::FdConvergence { .. }

@@ -25,7 +25,7 @@ use st_fd::{
     BASELINE_WINNERSET_PROBE, WINNERSET_PROBE,
 };
 use st_sched::{GeneratorSpec, TimeoutPolicySpec};
-use st_sim::{check_slice_len, PhaseBatch, RunConfig, RunReport, RunStatus, Sim, StopWhen};
+use st_sim::{check_slice_len, RunConfig, RunReport, RunStatus, Sim, StopWhen};
 
 use crate::invariant::{Ballots, InvariantChecker, InvariantViolation, ScheduleWatch};
 use st_core::Schedule;
@@ -136,14 +136,13 @@ pub enum Workload {
     },
     /// Large-n leader-election convergence: Figure 2 at `k = 1` and the
     /// fixed width [`st_fd::LEAN_WIDTH`] ([`st_fd::LeanOmega`]), reported
-    /// as a leader index. Always driven on a fleet replay drive over the
-    /// generated schedule; see [`FleetReplayDrive`].
+    /// as a leader index.
     LeanConvergence {
         /// Resilience `t` (`1 ≤ t ≤ n − 1`).
         t: usize,
         /// Line-17 timeout policy.
         policy: TimeoutPolicy,
-        /// Which replay drive steps the fleet.
+        /// A wire name; selects nothing (see [`FleetReplayDrive`]).
         drive: FleetReplayDrive,
     },
     /// Large-n consensus ([`st_agreement::LeanConsensus`]: the k-set
@@ -155,12 +154,12 @@ pub enum Workload {
         t: usize,
         /// Line-17 timeout policy.
         policy: TimeoutPolicy,
-        /// Which replay drive steps the fleet.
+        /// A wire name; selects nothing (see [`FleetReplayDrive`]).
         drive: FleetReplayDrive,
     },
     /// The paper's **full Figure 2 k-anti-Ω** past the single-word wall:
-    /// a width-generic [`KAntiOmega`] machine fleet on a replay drive, at
-    /// any `n ≤ MAX_PROCESSES`. The bitset width is dispatched at runtime
+    /// a width-generic [`KAntiOmega`] machine fleet, at any
+    /// `n ≤ MAX_PROCESSES`. The bitset width is dispatched at runtime
     /// from the universe size ([`st_core::words_for`]), so one workload
     /// value covers n = 8 and n = 256 alike. Outcomes are index- and
     /// rank-based (no `ProcSet`), mirroring the lean workloads; the
@@ -174,97 +173,34 @@ pub enum Workload {
         t: usize,
         /// Figure 2 line 17 timeout policy.
         policy: TimeoutPolicy,
-        /// Which replay drive steps the fleet.
+        /// A wire name; selects nothing (see [`FleetReplayDrive`]).
         drive: FleetReplayDrive,
     },
 }
 
-/// Which fleet replay drive a fleet scenario names. One engine under two
-/// wire names: both values run the phase-batched struct-of-arrays replay
-/// ([`Sim::run_automata_replay_soa`], observationally identical to the
-/// plain [`Sim::run_automata_replay`] — the SoA differential suite) and
-/// differ only in slice length. Below
-/// [`SOA_DELEGATE_BELOW_N`](st_sim::SOA_DELEGATE_BELOW_N) the engine
-/// delegates to the plain replay by itself.
+/// The drive a fleet scenario names: two wire names, one drive. Every
+/// value runs the fleet through `Sim::run_automata`, which batches what it
+/// can by itself, so it selects nothing; it stays because it is part of
+/// E9's and the lean workloads' scenario specs (their identity and their
+/// outcome-store keys), and `Soa`'s slice length is still validated so
+/// that the wire accepts what it accepted.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FleetReplayDrive {
-    /// The batched engine at a slice length of 64 (`PLAIN_SLICE_LEN`).
+    /// The name E9's `plain` rows carry.
     #[default]
     Plain,
-    /// The batched engine at the given slice length.
+    /// The name E9's `soa` rows carry.
     Soa {
-        /// Length of a uniform or bucketed slice. Round-robin stretches are
-        /// batched in whole rounds whatever it is, and a slice is cut at
-        /// the end of the run's schedule block.
+        /// A positive length; it selects nothing.
         slice_len: usize,
     },
 }
 
-/// Steps a fleet run holds of its schedule at a time (256 KiB): long
-/// enough that the per-block costs — a kernel set-up, the watch's scan —
-/// vanish against the steps, short enough to stay in cache between the
-/// generator that fills the block and the drive that replays it.
-const REPLAY_BLOCK: u64 = 1 << 16;
-
-/// Slice length of [`FleetReplayDrive::Plain`]: the value E9's SoA rows pin.
-const PLAIN_SLICE_LEN: usize = 64;
-
-impl FleetReplayDrive {
-    /// Replays `budget` steps of `src` over `fleet` on the batched engine at
-    /// this drive's slice length — the one place a scenario calls a `Sim`
-    /// replay entry point — without ever holding the schedule: one block
-    /// buffer is refilled from the generator by one [`StepSource::fill`]
-    /// call (one virtual call per block through a `Box<dyn StepSource>`;
-    /// the structured generators append whole dwells and member lists),
-    /// shown to `watch` (when the run is checked) and replayed, until the
-    /// budget is spent ([`RunStatus::MaxSteps`]) or the source runs dry
-    /// ([`RunStatus::SourceEnded`]). The replay entry points are
-    /// resumable — the step counter lives in the `Sim` — and the engine is
-    /// observationally identical to the plain replay however the schedule
-    /// is cut, so a block is [`REPLAY_BLOCK`] steps whatever the slice
-    /// length: a slice that runs past a block's end is cut there.
-    fn replay<A: PhaseBatch>(
-        self,
-        sim: &mut Sim,
-        fleet: &mut [A],
-        mut src: impl StepSource,
-        budget: u64,
-        mut watch: Option<&mut ScheduleWatch>,
-    ) -> RunStatus {
-        let slice_len = match self {
-            FleetReplayDrive::Plain => PLAIN_SLICE_LEN,
-            FleetReplayDrive::Soa { slice_len } => slice_len,
-        };
-        let mut block = Schedule::with_capacity(REPLAY_BLOCK.min(budget) as usize);
-        let mut left = budget;
-        while left > 0 {
-            let want = left.min(REPLAY_BLOCK) as usize;
-            block.clear();
-            let got = src.fill(&mut block, want);
-            if let Some(watch) = watch.as_deref_mut() {
-                watch.observe(block.as_slice());
-            }
-            let cfg = RunConfig::steps(got as u64);
-            sim.run_automata_replay_soa(fleet, &block, slice_len, cfg)
-                // `ScheduleOutOfUniverse` cannot occur: `src` is
-                // `GeneratorSpec::build` over the sim's universe, and a spec
-                // that passes `GeneratorSpec::validate` there (part of
-                // `Scenario::validate`, `run`'s precondition) names no
-                // process outside it.
-                .expect("a validated scenario's generator stays within its universe");
-            if got < want {
-                return RunStatus::SourceEnded;
-            }
-            left -= want as u64;
-        }
-        RunStatus::MaxSteps
-    }
-}
-
 /// A generator whose every pulled step is shown to the run's
-/// [`ScheduleWatch`] — how the `Sim::run_automata` workloads certify their
-/// schedule claims without holding it. The simulator checks its stop rule
-/// *before* it pulls, so the steps pulled are exactly the steps executed.
+/// [`ScheduleWatch`] — how the fleet workloads certify their schedule
+/// claims without holding it. The simulator checks its stop rule *before*
+/// it pulls and executes every block it fills, so the steps pulled are
+/// exactly the steps executed.
 struct Watched<'w, S> {
     src: S,
     watch: Option<&'w mut ScheduleWatch>,
@@ -277,6 +213,15 @@ impl<S: StepSource> StepSource for Watched<'_, S> {
             watch.observe_step(p);
         }
         Some(p)
+    }
+
+    fn fill(&mut self, out: &mut Schedule, want: usize) -> usize {
+        let from = out.len();
+        let got = self.src.fill(out, want);
+        if let Some(watch) = &mut self.watch {
+            watch.observe(&out.as_slice()[from..]);
+        }
+        got
     }
 }
 
@@ -305,9 +250,9 @@ impl Workload {
             Workload::FdConvergence { .. } => StopRule::BudgetOnly,
             Workload::Agreement { .. } => StopRule::AllCorrectDecided,
             // The adversary runs its own drive loop; BG stops when every
-            // simulator finished. Both are budget-bounded. The lean replay
-            // drives execute their whole schedule (decided machines become
-            // no-ops), so the post-decision trace is always observed.
+            // simulator finished. Both are budget-bounded. The fleet
+            // workloads execute their whole schedule (decided machines
+            // become no-ops), so the post-decision trace is always observed.
             Workload::AdversarialAgreement { .. }
             | Workload::BgReduction { .. }
             | Workload::LeanConvergence { .. }
@@ -352,7 +297,7 @@ impl Workload {
     ///   somebody not precrashed, and a witness inside the universe;
     /// - a BG reduction — [`check_reduction`] (`1 ≤ n_sim ≤ 64`) and
     ///   [`TrivialKDecide::check`] (`k ≥ 1`);
-    /// - a SoA replay drive — [`check_slice_len`] (`slice_len ≥ 1`);
+    /// - a `Soa` drive name — [`check_slice_len`] (`slice_len ≥ 1`);
     /// - the workloads on single-word process sets (FD convergence,
     ///   agreement, adversarial agreement, the BG reduction's simulators):
     ///   `n ≤ 64`; the agreement workloads: one input per process; a
@@ -646,19 +591,16 @@ impl Scenario {
                 k,
                 max_reads,
             } => OutcomeData::Bg(self.run_bg(*n_sim, *k, *max_reads)),
-            Workload::LeanConvergence { t, policy, drive } => {
-                OutcomeData::Lean(self.run_lean(*t, *policy, *drive, false, watch).0)
+            Workload::LeanConvergence { t, policy, .. } => {
+                OutcomeData::Lean(self.run_lean(*t, *policy, false, watch).0)
             }
-            Workload::LeanAgreement { t, policy, drive } => {
-                let (o, ballots) = self.run_lean(*t, *policy, *drive, true, watch);
+            Workload::LeanAgreement { t, policy, .. } => {
+                let (o, ballots) = self.run_lean(*t, *policy, true, watch);
                 return (OutcomeData::Lean(o), ballots);
             }
-            Workload::WideFdConvergence {
-                k,
-                t,
-                policy,
-                drive,
-            } => OutcomeData::WideFd(self.run_wide_fd(*k, *t, *policy, *drive, watch)),
+            Workload::WideFdConvergence { k, t, policy, .. } => {
+                OutcomeData::WideFd(self.run_wide_fd(*k, *t, *policy, watch))
+            }
         };
         (data, None)
     }
@@ -852,40 +794,43 @@ impl Scenario {
 
     /// The lean (large-n) workloads: drive a fleet of Figure 2 machines at
     /// `k = 1` (`consensus: false`) or of k-set agreement machines over
-    /// them (`consensus: true`, proposals `100 + pid`) on the configured
-    /// replay drive, the generator streamed through it a block at a time
-    /// (see [`FleetReplayDrive::replay`]). What stays resident is the
-    /// fleet, the arena and one block — nothing that grows with the budget
-    /// but the probe log. A replay executes its schedule verbatim, finished
-    /// machines included, so the blocks `watch` is shown are the executed
-    /// schedule. A checked consensus run also hands back its Paxos
-    /// registers, as [`run_agreement`](Self::run_agreement) does.
+    /// them (`consensus: true`, proposals `100 + pid`) through
+    /// `Sim::run_automata`, which pulls the generator a block at a time.
+    /// What stays resident is the fleet, the arena and one block — nothing
+    /// that grows with the budget but the probe log. The budget-only drive
+    /// executes every step it pulls, finished machines included, so the
+    /// blocks `watch` is shown are the executed schedule. A checked
+    /// consensus run also hands back its Paxos registers, as
+    /// [`run_agreement`](Self::run_agreement) does.
     fn run_lean(
         &self,
         t: usize,
         policy: TimeoutPolicy,
-        drive: FleetReplayDrive,
         consensus: bool,
         watch: Option<&mut ScheduleWatch>,
     ) -> (LeanOutcome, Option<Ballots>) {
         let universe = self.universe;
-        let src = self.generator.build(universe, self.seed);
+        let check = watch.is_some();
+        let mut src = Watched {
+            src: self.generator.build(universe, self.seed),
+            watch,
+        };
+        let cfg = RunConfig::steps(self.budget);
         let mut sim = Sim::new(universe);
         let fd = LeanOmega::alloc(&mut sim, t, policy);
-        let check = watch.is_some();
         let (status, ballots) = if consensus {
             let cons = st_agreement::LeanConsensus::alloc(&mut sim);
             let mut fleet: Vec<_> = universe
                 .processes()
                 .map(|p| cons.machine(&fd, 100 + p.index() as Value))
                 .collect();
-            let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
+            let status = sim.run_automata(&mut fleet, &mut src, cfg);
             (status, check.then(|| peek_ballots(cons.kset(), &sim)))
         } else {
             let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-            let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
-            (status, None)
+            (sim.run_automata(&mut fleet, &mut src, cfg), None)
         };
+        let status = status.expect("generator schedules stay within the universe");
         let report = sim.report();
         // At `LEAN_WIDTH` the probe payload is the winner's colex rank in
         // `Π^1_n`: the leader's index.
@@ -940,8 +885,7 @@ impl Scenario {
 
     /// The width-generic Figure 2 workload: pick the narrowest supported
     /// bitset width that holds the universe, then run the paper's full
-    /// detector fleet on the configured replay drive, streamed as for the
-    /// lean workloads. The generic body is monomorphized per width; widths
+    /// detector fleet as the lean workloads run theirs. The generic body is monomorphized per width; widths
     /// between the supported powers of two round up (a wider set than
     /// necessary is correct, just larger). Resident memory is the arena's
     /// `|Π^k_n|·n` counters plus `O(|Π^k_n| + n)` per machine — 5 MB for
@@ -951,15 +895,14 @@ impl Scenario {
         k: usize,
         t: usize,
         policy: TimeoutPolicy,
-        drive: FleetReplayDrive,
         watch: Option<&mut ScheduleWatch>,
     ) -> WideFdOutcome {
         match st_core::words_for(self.universe.n()) {
-            1 => self.run_wide_fd_width::<1>(k, t, policy, drive, watch),
-            2 => self.run_wide_fd_width::<2>(k, t, policy, drive, watch),
-            3..=4 => self.run_wide_fd_width::<4>(k, t, policy, drive, watch),
-            5..=8 => self.run_wide_fd_width::<8>(k, t, policy, drive, watch),
-            9..=16 => self.run_wide_fd_width::<16>(k, t, policy, drive, watch),
+            1 => self.run_wide_fd_width::<1>(k, t, policy, watch),
+            2 => self.run_wide_fd_width::<2>(k, t, policy, watch),
+            3..=4 => self.run_wide_fd_width::<4>(k, t, policy, watch),
+            5..=8 => self.run_wide_fd_width::<8>(k, t, policy, watch),
+            9..=16 => self.run_wide_fd_width::<16>(k, t, policy, watch),
             w => unreachable!("words_for caps at MAX_PROCESSES/64 = 16, got {w}"),
         }
     }
@@ -969,16 +912,20 @@ impl Scenario {
         k: usize,
         t: usize,
         policy: TimeoutPolicy,
-        drive: FleetReplayDrive,
         watch: Option<&mut ScheduleWatch>,
     ) -> WideFdOutcome {
         let universe = self.universe;
-        let src = self.generator.build(universe, self.seed);
+        let mut src = Watched {
+            src: self.generator.build(universe, self.seed),
+            watch,
+        };
         let mut sim = Sim::new(universe);
         let fd =
             KAntiOmega::<W>::alloc_wide(&mut sim, KAntiOmegaConfig::new(k, t).with_policy(policy));
         let mut fleet: Vec<_> = universe.processes().map(|_| fd.machine()).collect();
-        let status = drive.replay(&mut sim, &mut fleet, src, self.budget, watch);
+        let status = sim
+            .run_automata(&mut fleet, &mut src, RunConfig::steps(self.budget))
+            .expect("generator schedules stay within the universe");
         let report = sim.report();
         let (stabilization, publications, late_flaps) = self.winnerset_summary(&report);
         let stabilization = stabilization.map(|st| {

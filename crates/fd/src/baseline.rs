@@ -53,7 +53,7 @@ impl ProcessTimelyDetector {
         let universe = sim.universe();
         let n = universe.n();
         AgreementTask::check_nontrivial(t, k, n).unwrap_or_else(|e| panic!("{e}"));
-        let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64)[0];
+        let heartbeat = sim.alloc_per_process("pt.Heartbeat", 0u64);
         let counter = sim.alloc_block(
             n * n,
             0u64,
@@ -345,8 +345,12 @@ mod tests {
         let mut fleet: Vec<_> = (0..3).map(|_| fd.machine()).collect();
         let steps = fd.steps_per_iteration(3);
         let schedule = st_core::Schedule::from_indices(vec![0usize; steps as usize]);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(steps))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut st_core::ScheduleCursor::new(schedule),
+            RunConfig::steps(steps),
+        )
+        .unwrap();
         assert_eq!(fleet[0].iterations(), 1);
         assert_eq!(fleet[0].winnerset(), ProcSet::from_indices([0]));
     }

@@ -28,7 +28,7 @@ use std::rc::Rc;
 
 use st_core::subsets::{binomial, wide_k_subsets, wide_unrank};
 use st_core::{AgreementTask, ProcessId, Universe, WideProcSet};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, Sim, Status, StepAccess, WriteDiscipline};
+use st_sim::{Automaton, BatchAccess, Reg, Sim, Status, StepAccess, WriteDiscipline};
 
 use crate::timeout::TimeoutPolicy;
 
@@ -185,7 +185,7 @@ impl<const W: usize> KAntiOmega<W> {
              pick W with st_core::words_for",
             WideProcSet::<W>::CAPACITY
         );
-        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64)[0];
+        let heartbeat = sim.alloc_per_process("Heartbeat", 0u64);
         let subsets = wide_k_subsets(universe, k);
         let counter = sim.alloc_block(
             subsets.len() * n,
@@ -409,7 +409,7 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     /// construction: a fleet that never gets there never pays for it.
     expired: Vec<u32>,
     /// Landing buffer for the heartbeat span read on the batched drive
-    /// ([`PhaseBatch::step_reads`]); sized to the batch on use.
+    /// ([`Automaton::step_reads`]); sized to the batch on use.
     batch_buf: Vec<u64>,
 }
 
@@ -638,9 +638,7 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
         }
         Status::Running
     }
-}
 
-impl<const W: usize> PhaseBatch for KAntiOmegaMachine<W> {
     #[inline]
     fn phase_class(&self) -> u8 {
         match self.phase {
@@ -792,8 +790,12 @@ mod tests {
         // accusation per set (every timer starts at 1, so all expire).
         let steps = fd.steps_per_iteration(3) as usize;
         let schedule = Schedule::from_indices(vec![0usize; steps]);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(steps as u64))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut ScheduleCursor::new(schedule),
+            RunConfig::steps(steps as u64),
+        )
+        .unwrap();
         assert_eq!(fleet[0].iterations(), 1);
         assert_eq!(fleet[0].winnerset(), ProcSet::from_indices([0]));
         assert_eq!(fleet[0].fd_output(), ProcSet::from_indices([1, 2]));

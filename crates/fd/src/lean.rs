@@ -134,8 +134,12 @@ mod tests {
         // p0 silent: p1 and p2 publish the initial leader p0, then depose it.
         let steps: Vec<usize> = (0..10_000).map(|s| 1 + s % 2).collect();
         let schedule = Schedule::from_indices(steps);
-        sim.run_automata_replay(&mut fleet, &schedule, RunConfig::steps(10_000))
-            .unwrap();
+        sim.run_automata(
+            &mut fleet,
+            &mut ScheduleCursor::new(schedule),
+            RunConfig::steps(10_000),
+        )
+        .unwrap();
         let rep = sim.report();
         for (i, m) in fleet.iter().enumerate().skip(1) {
             let timeline = rep.probes.timeline(ProcessId::new(i), WINNERSET_PROBE);

@@ -1,19 +1,18 @@
 //! Row-boundary cuts: [`KAntiOmegaMachine`] folds the line 2 scan row by
-//! row, so a batched allotment ([`PhaseBatch::step_reads`]) may start and
+//! row, so a batched allotment ([`Automaton::step_reads`]) may start and
 //! end anywhere in a row and span any number of row boundaries. Whatever
 //! the cuts, the machine must end up exactly where one-read-per-step scalar
 //! stepping leaves it.
 //!
 //! Two fleets run the same schedule, one process dwell at a time: one
-//! through the plain replay (scalar `step`), the other through the SoA
-//! batching engine with the slice length set to the dwell, so a dwell that
-//! fits the machine's read run is a single `step_reads` call of exactly
-//! that length.
+//! through the plain replay (scalar `step`), the other through the
+//! batching engine, whose dwell window makes a dwell that fits the
+//! machine's read run a single `step_reads` call of exactly that length.
 
 use proptest::prelude::*;
 use st_core::{Schedule, Universe};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, KAntiOmegaMachine};
-use st_sim::{PhaseBatch, RegisterStats, RunConfig, Sim};
+use st_sim::{Automaton, RegisterStats, RunConfig, Sim};
 
 const N: usize = 5;
 const T: usize = 3;
@@ -81,7 +80,7 @@ proptest! {
             scalar.sim.run_automata_replay(&mut scalar.machines, &dwell, cfg).unwrap();
             batched
                 .sim
-                .run_automata_replay_soa_batched(&mut batched.machines, &dwell, len, cfg)
+                .run_automata_replay_soa(&mut batched.machines, &dwell, len, cfg)
                 .unwrap();
             for (a, b) in scalar.machines.iter().zip(&batched.machines) {
                 prop_assert_eq!(a.winnerset(), b.winnerset());

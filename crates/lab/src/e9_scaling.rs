@@ -6,9 +6,9 @@
 //! machine on top of it — built by the `LeanOmega` / `LeanConsensus`
 //! constructors, which pin k = 1 and the set width — to universe sizes
 //! beyond `st_core::PROCSET_CAPACITY`, and runs every cell **twice**, under
-//! the `plain` and the `soa` fleet-drive names. Both names run one engine
-//! (`run_automata_replay_soa`) at the same slice length, 64, so the rows of
-//! a pair agree by construction and compare nothing; they stay because the
+//! the `plain` and the `soa` fleet-drive names. Both names run one drive
+//! (`Sim::run_automata`, which batches by itself), so the rows of a pair
+//! agree by construction and compare nothing; they stay because the
 //! rendered table is a golden. The large-n check of the batched engine
 //! against the scalar replay is `st-agreement`'s `tests/soa_differential.rs`
 //! (`wide_kanti_fleet_identical_at_n256`, `lean_fd_fleet_identical_at_n1024`).

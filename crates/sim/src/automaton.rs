@@ -19,6 +19,7 @@ use st_core::{ProcSet, ProcessId, Value};
 
 use crate::memory::Memory;
 use crate::register::{Reg, RegValue};
+use crate::soa::BatchAccess;
 use crate::trace::{ProbeEvent, TraceInner};
 
 /// What an automaton reports after a step.
@@ -75,10 +76,41 @@ pub enum Status {
 /// sim.run_automata(&mut fleet, &mut src, RunConfig::steps(2)).unwrap();
 /// assert_eq!(sim.peek(reg), 42);
 /// ```
+///
+/// # Batching
+///
+/// The three provided methods let the batched engine execute a run of reads
+/// in one call (see [`soa`](crate::soa)); a machine that keeps the defaults
+/// is never batched.
 pub trait Automaton {
     /// Executes one scheduled step: at most one register operation through
     /// `mem`, plus any amount of local computation.
     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status;
+
+    /// A small dense label of the current control phase: the engine groups
+    /// machines by it, so one phase's batch loop runs back to back across
+    /// the fleet. A hint, with no correctness obligation.
+    fn phase_class(&self) -> u8 {
+        0
+    }
+
+    /// A number `r` such that the next `r` scheduled steps of this machine,
+    /// from its current state, each perform exactly one register **read**
+    /// (or become no-ops by the machine completing), *and* which registers
+    /// they read does not depend on the values read. Fewer than the true run
+    /// is always safe (it only forces the scalar fallback); more is unsound.
+    /// The default, 0, keeps the machine off the batched path.
+    fn read_run(&self) -> usize {
+        0
+    }
+
+    /// Executes all `mem.remaining()` steps, which lie within the read run,
+    /// in one call, leaving the machine exactly where as many
+    /// [`step`](Self::step) calls would (it may stop early by completing).
+    /// Never called while [`read_run`](Self::read_run) is 0.
+    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
+        unreachable!("step_reads on {}, whose read_run is 0", mem.pid())
+    }
 }
 
 /// A boxed automaton steps as the automaton it holds: a heterogeneous
@@ -87,6 +119,18 @@ impl<A: Automaton + ?Sized> Automaton for Box<A> {
     #[inline]
     fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
         (**self).step(mem)
+    }
+
+    fn phase_class(&self) -> u8 {
+        (**self).phase_class()
+    }
+
+    fn read_run(&self) -> usize {
+        (**self).read_run()
+    }
+
+    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
+        (**self).step_reads(mem)
     }
 }
 

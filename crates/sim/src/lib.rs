@@ -36,36 +36,39 @@
 //! into the executor loop; a heterogeneous one is a
 //! `Vec<Box<dyn Automaton>>` (one virtual call per step). The drives:
 //!
-//! - [`Sim::run_automata`] pulls the schedule from a [`StepSource`](st_core::StepSource);
-//! - [`Sim::run_automata_replay`] drives the fleet straight off a
-//!   pre-materialized [`Schedule`](st_core::Schedule) slice, fusing the
-//!   cursor pull into the
-//!   loop condition;
-//! - [`Sim::run_automata_replay_soa`] batches the replay per **phase over
-//!   struct-of-arrays fleet state**: for [`PhaseBatch`] automata, slices
-//!   and round-robin windows whose allotments are pure read runs execute
-//!   as single
-//!   [`PhaseBatch::step_reads`] span reads, machines grouped by phase
-//!   class — observationally identical to the plain replay, enforced by
-//!   differential tests on every schedule family;
+//! - [`Sim::run_automata`] pulls the schedule from a
+//!   [`StepSource`](st_core::StepSource) — the one drive every production
+//!   fleet run goes through. Without a stop rule it pulls a block at a time
+//!   and, from [`SOA_DELEGATE_BELOW_N`] processes on, batches per **phase
+//!   over struct-of-arrays fleet state** ([`soa`]): a machine's run of
+//!   value-independent reads ([`Automaton::read_run`]) executes as one
+//!   [`Automaton::step_reads`] span read, machines grouped by phase class —
+//!   observationally identical to stepping them, enforced by differential
+//!   tests on every schedule family;
 //! - [`Sim::run_adaptive`] takes no schedule but a *chooser* that is shown
 //!   the register arena ([`Memory`]) before every step and names the
 //!   process that takes it — the entry for schedules that depend on
 //!   protocol state (`st-agreement`'s adaptive adversary). The chooser may
 //!   key whatever it derives from register contents on
-//!   [`Memory::version`], the arena's count of completed writes.
+//!   [`Memory::version`], the arena's count of completed writes;
+//! - [`Sim::run_automata_replay`] (scalar) and
+//!   [`Sim::run_automata_replay_soa`] (the batched engine at any n) drive
+//!   the fleet off a pre-materialized [`Schedule`](st_core::Schedule): the
+//!   reference and the engine that differential tests and the benchmark
+//!   hold against each other.
 //!
-//! Every drive — cursor, replay or chooser, and the SoA drive's scalar
+//! Every drive — cursor, replay or chooser, and the batched engine's scalar
 //! fallbacks — executes its steps through one private step kernel in
 //! `runner.rs` (`Sim::step`): the model has one execution rule, and so does
 //! the executor.
 //!
-//! ## Choosing a fleet replay drive
+//! ## What the batched engine wins
 //!
-//! | Drive | Executed order | When it wins | When to avoid |
-//! |-------|----------------|--------------|---------------|
-//! | [`run_automata_replay`](Sim::run_automata_replay) | the schedule, verbatim | always correct; fastest at small n (≤ 64-ish) and under per-step stop conditions | nothing — it is the reference |
-//! | [`run_automata_replay_soa`](Sim::run_automata_replay_soa) | the schedule, verbatim (batched) | scan-heavy [`PhaseBatch`] fleets at n ≥ 64 whose machines spend their steps in long read runs — the drive alone runs the lean n = 256 bursty fleet at ≥ 2× plain (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`); round-robin stretches are batched as windows of whole rounds (one strided allotment per machine, no per-step bucketing), which keeps the drive ahead of plain in every `fleet_interleaved` cell up to n = 1024 | write-dense phases: batches go impure and the drive runs the scalar fallback plus the purity checks. At n < [`SOA_DELEGATE_BELOW_N`] the entry point delegates to the plain replay by itself (the old n = 12 0.50× degenerate is gone); [`run_automata_replay_soa_batched`](Sim::run_automata_replay_soa_batched) bypasses the heuristic |
+//! | Schedule shape | Engine | When it wins | When to avoid |
+//! |----------------|--------|--------------|---------------|
+//! | dwells (`Bursty`, crash shadows) | a dwell window per read run | scan-heavy fleets whose machines spend their steps in long read runs — the lean n = 256 bursty fleet at ≥ 2× the scalar loop (`sim.soa.replay_ns_per_step.n256` against `sim.runner.replay_plain_ns_per_step.n256`, `BENCHMARK.json`) | write-dense phases: the window is empty and each step runs scalar after a read-run check |
+//! | round-robin and its rotations | windows of whole rounds, one strided allotment per machine | every `fleet_interleaved` cell up to n = 1024 | — |
+//! | mixed (random) | bucketed slices of 64 | long read runs at large n | small n: [`Sim::run_automata`] runs blocks scalar below [`SOA_DELEGATE_BELOW_N`] |
 //!
 //! Every protocol of the workspace is such a machine. The paper-shaped
 //! loop transcriptions they were ported from survive as data: the
@@ -105,5 +108,5 @@ pub use register::{Reg, RegValue, WriteDiscipline};
 pub use runner::{
     check_slice_len, RunConfig, RunReport, RunStatus, Sim, StopWhen, SOA_DELEGATE_BELOW_N,
 };
-pub use soa::{BatchAccess, PhaseBatch};
+pub use soa::BatchAccess;
 pub use trace::{Decision, ProbeEvent, ProbeLog};

@@ -13,7 +13,7 @@ use crate::automaton::{Automaton, Status, StepAccess};
 use crate::error::SimError;
 use crate::memory::{Memory, RegisterStats};
 use crate::register::{Reg, RegValue, WriteDiscipline};
-use crate::soa::{Allotment, BatchAccess, PhaseBatch};
+use crate::soa::{Allotment, BatchAccess};
 use crate::trace::{Decision, ProbeEvent, ProbeLog, TraceInner};
 
 /// Why a drive returned.
@@ -46,9 +46,8 @@ pub enum StopWhen {
     AnyDecided,
 }
 
-/// Universe-size threshold below which
-/// [`run_automata_replay_soa`](Sim::run_automata_replay_soa) delegates to
-/// the plain replay instead of batching.
+/// Universe-size threshold below which [`Sim::run_automata`] runs its
+/// blocks scalar instead of batching.
 ///
 /// Below this n, per-slice allotments are too short to stay inside one
 /// phase's read run on realistic schedules: batching degenerates to the
@@ -56,11 +55,20 @@ pub enum StopWhen {
 /// well below 64 (SoA is ahead in the smallest recorded cells,
 /// `sim.fleet.lean_conv.n64.*` in `BENCHMARK.json`); 32 keeps a safety
 /// margin on schedules with long dwells, which batch profitably at any n
-/// via the uniform-slice fast path — a dwell of length ≥ n/2 still clears
-/// the threshold's break-even on the workloads measured.
+/// via the dwell window — a dwell of length ≥ n/2 still clears the
+/// threshold's break-even on the workloads measured.
 pub const SOA_DELEGATE_BELOW_N: usize = 32;
 
-/// The one precondition of the phase-batched replay drives
+/// Steps [`Sim::run_automata`] pulls from its source at a time under
+/// [`StopWhen::Never`] (256 KiB of schedule): long enough that the
+/// per-block costs — a fill call, the engine's set-up — vanish against the
+/// steps, short enough to stay in cache between the fill and the run.
+const BLOCK: usize = 1 << 16;
+
+/// Steps of a bucketed slice on [`Sim::run_automata`].
+const SLICE_LEN: usize = 64;
+
+/// The one precondition of the raw batched engine
 /// ([`Sim::run_automata_replay_soa`]): a slice of at least one step.
 pub fn check_slice_len(slice_len: usize) -> Result<(), String> {
     if slice_len == 0 {
@@ -280,17 +288,16 @@ impl Sim {
     }
 
     /// Allocates one single-writer register per process, `name[p]` owned by
-    /// `p` — the layout of `Heartbeat[p]` in Figure 2.
-    pub fn alloc_per_process<T: RegValue>(&mut self, name: &str, init: T) -> Vec<Reg<T>> {
+    /// `p` — the layout of `Heartbeat[p]` in Figure 2. Returns process 0's
+    /// register; process `p`'s is [`Reg::at`]`(p)`.
+    pub fn alloc_per_process<T: RegValue>(&mut self, name: &str, init: T) -> Reg<T> {
         let name = name.to_owned();
-        let n = self.universe.n();
-        let base = self.alloc_block(
-            n,
+        self.alloc_block(
+            self.universe.n(),
             init,
             |i| WriteDiscipline::SingleWriter(ProcessId::new(i)),
             move |i| format!("{name}[{i}]"),
-        );
-        (0..n).map(|i| base.at(i)).collect()
+        )
     }
 
     /// Drives a fleet of automata — `automata[i]` is the machine of process
@@ -311,6 +318,14 @@ impl Sim {
     /// Crashes are expressed by the schedule (stop scheduling the process),
     /// as in the model.
     ///
+    /// Under [`StopWhen::Never`] the drive pulls `src` a block at a time,
+    /// one [`StepSource::fill`] per 64 Ki steps, and from
+    /// [`SOA_DELEGATE_BELOW_N`] processes on runs each block on the batched
+    /// engine ([`soa`](crate::soa)): a machine's run of value-independent
+    /// reads executes as one [`Automaton::step_reads`] call, observationally
+    /// identical to stepping it. Under any other stop rule it pulls step by
+    /// step.
+    ///
     /// Pulled is executed: the stop rule is checked before each pull and
     /// the budget caps the pulls, so the steps taken from `src` are exactly
     /// the steps executed — as for every drive (`tests/pulled_is_executed.rs`;
@@ -320,7 +335,9 @@ impl Sim {
     ///
     /// Returns [`SimError::ScheduleOutOfUniverse`] if `src` names a process
     /// outside the simulated universe. Steps produced before the offending
-    /// one have executed normally; the simulation remains usable.
+    /// one have executed normally; the simulation remains usable. Under
+    /// [`StopWhen::Never`] the source may have advanced to the end of the
+    /// offending step's block.
     ///
     /// # Panics
     ///
@@ -332,7 +349,37 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         self.check_fleet(automata.len());
-        self.drive(automata, budgeted(src, cfg), cfg)
+        if !matches!(cfg.stop, StopWhen::Never) {
+            let pulls = std::iter::from_fn(|| src.next_step()).take(cfg.budget());
+            return self.drive(automata, pulls, cfg);
+        }
+        let (n, first_step) = (self.universe.n(), self.steps);
+        let mut block = Schedule::with_capacity(BLOCK.min(cfg.budget()));
+        let mut left = cfg.budget();
+        while left > 0 {
+            let want = left.min(BLOCK);
+            block.clear();
+            let got = src.fill(&mut block, want);
+            let steps = block.as_slice();
+            let bad = steps.iter().position(|p| p.index() >= n);
+            let valid = &steps[..bad.unwrap_or(got)];
+            if n < SOA_DELEGATE_BELOW_N {
+                valid.iter().for_each(|&p| self.step(p, automata));
+            } else {
+                self.replay_batched(automata, valid, SLICE_LEN);
+            }
+            if let Some(at) = bad {
+                return Err(SimError::ScheduleOutOfUniverse {
+                    process: steps[at],
+                    n,
+                });
+            }
+            if got < want {
+                break;
+            }
+            left -= want;
+        }
+        Ok(self.exhausted(first_step, cfg))
     }
 
     /// Drives `automata` for `budget` steps on a schedule chosen **from the
@@ -379,13 +426,11 @@ impl Sim {
         Ok(())
     }
 
-    /// [`run_automata`](Self::run_automata) over a pre-materialized
-    /// [`Schedule`], equivalent to driving a fresh
-    /// [`ScheduleCursor`](st_core::ScheduleCursor) over it — but the fleet
-    /// loop iterates the schedule's step slice directly, fusing the cursor
-    /// pull and the budget check into the loop condition. This is the
-    /// highest-throughput scalar drive the simulator has; the
-    /// step-throughput bench runs the Figure 2 workload through it.
+    /// The scalar reference: [`run_automata`](Self::run_automata)'s steps,
+    /// one `step` call each, over a pre-materialized [`Schedule`] — the
+    /// fleet loop iterates the schedule's step slice directly. It is the
+    /// oracle the batched engine is held to, and what the benchmark's
+    /// scalar cells time.
     ///
     /// Returns [`RunStatus::SourceEnded`] if the schedule ran out before
     /// `cfg.max_steps`, [`RunStatus::Stopped`]/[`RunStatus::MaxSteps`]
@@ -394,8 +439,7 @@ impl Sim {
     /// # Errors
     ///
     /// Returns [`SimError::ScheduleOutOfUniverse`] if the replayed prefix
-    /// names a process outside the universe. The schedule is validated
-    /// **before** any step executes (it is finite and materialized), so an
+    /// names a process outside the universe, before any step executes: an
     /// `Err` leaves the simulation untouched.
     ///
     /// # Panics
@@ -408,7 +452,7 @@ impl Sim {
         cfg: RunConfig,
     ) -> Result<RunStatus, SimError> {
         let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
-        self.replay_scalar(automata, prefix, cfg)
+        self.drive(automata, prefix.iter().copied(), cfg)
     }
 
     /// Shared prologue of the replay drives: the fleet precondition, then
@@ -427,78 +471,25 @@ impl Sim {
         Ok(prefix)
     }
 
-    /// The plain replay of a validated prefix: the kernel loop straight off
-    /// the borrowed step slice.
-    fn replay_scalar<A: Automaton>(
-        &mut self,
-        automata: &mut [A],
-        prefix: &[ProcessId],
-        cfg: RunConfig,
-    ) -> Result<RunStatus, SimError> {
-        self.drive(automata, prefix.iter().copied(), cfg)
-    }
-
-    /// [`run_automata_replay`](Self::run_automata_replay) batched **per
-    /// phase** over struct-of-arrays fleet state: the second replay drive,
-    /// for [`PhaseBatch`] automata.
-    ///
-    /// Wherever the schedule repeats one permutation of the whole fleet
-    /// for at least two rounds (round-robin and every rotation of it), the
-    /// drive takes a **round window**: as many whole rounds as keep
-    /// repeating and fit inside every live machine's read run, each
-    /// machine's share one strided allotment (its offset in the round,
-    /// stride n), whatever `slice_len` is. A window shorter than two rounds
-    /// (a phase turnover) runs one round scalar. The rest of the schedule
-    /// is processed in contiguous slices of `slice_len` steps. A slice that
-    /// schedules a single process (the common case under dwell-shaped
-    /// generators like `Bursty`) is one contiguous step run; otherwise the
-    /// drive buckets the steps per process. Every batch checks *purity*:
-    /// each scheduled machine must report (via [`PhaseBatch::read_run`])
-    /// that its whole allotment consists of value-independent register
-    /// reads. A pure batch touches no register, so its reads commute — the
-    /// drive executes each machine's allotment in a single
-    /// [`PhaseBatch::step_reads`] call, machines grouped by
-    /// [`PhaseBatch::phase_class`] so each phase's tight scan loop runs
-    /// back to back across the fleet, and then re-sorts the batch's probe
-    /// events into global step order. A slice that is not pure (it contains
-    /// a write, a phase turnover the machine cannot bound, or a completed
-    /// machine's no-op allotment mixed with too-short runs) is executed
-    /// scalar, in original order — exactly the plain replay.
-    ///
-    /// Observational identity to
-    /// [`run_automata_replay`](Self::run_automata_replay) on the same
-    /// schedule — probes (keys, values, step indices), decisions, op
+    /// The batched engine of [`run_automata`](Self::run_automata) over a
+    /// pre-materialized [`Schedule`], at any n, its bucketed slices
+    /// `slice_len` steps long (see the [`soa`](crate::soa) module): what the
+    /// differential tests and the benchmark hold against
+    /// [`run_automata_replay`](Self::run_automata_replay). Observational
+    /// identity to it — probes (keys, values, step indices), decisions, op
     /// counts, per-register access statistics, final register contents — is
-    /// a contract, enforced by differential tests on every schedule family.
-    ///
-    /// When the drive wins: large fleets (n ≥ 64) of scan-heavy machines,
-    /// where allotments are long read runs and the batch loop
-    /// amortizes the per-step dispatch into a
-    /// [`read_word_span`](crate::Memory::read_word_span). At small n a
-    /// slice rarely stays inside one phase's read run, so batching would
-    /// degenerate to the scalar fallback and merely pay the bucketing
-    /// overhead — this entry therefore **delegates** universes below
-    /// [`SOA_DELEGATE_BELOW_N`] to the plain replay outright (identical
-    /// semantics, no batching tax); see the drive decision table in the
-    /// crate docs. Use
-    /// [`run_automata_replay_soa_batched`](Self::run_automata_replay_soa_batched)
-    /// to force batching at any n (differential tests do).
-    ///
-    /// Batching needs [`StopWhen::Never`]; any other stop condition runs
-    /// the plain replay (whose semantics are identical) over the same
-    /// validated prefix.
+    /// a contract. Batching needs [`StopWhen::Never`]; under any other stop
+    /// condition this is the scalar replay.
     ///
     /// # Errors
     ///
-    /// Returns [`SimError::ScheduleOutOfUniverse`] (before executing
-    /// anything) if the replayed prefix names a process outside the
-    /// universe.
+    /// As for [`run_automata_replay`](Self::run_automata_replay).
     ///
     /// # Panics
     ///
     /// Panics if `automata.len() != n`, or where [`check_slice_len`]
     /// refuses `slice_len`.
-    pub fn run_automata_replay_soa<A: PhaseBatch>(
+    pub fn run_automata_replay_soa<A: Automaton>(
         &mut self,
         automata: &mut [A],
         schedule: &Schedule,
@@ -507,47 +498,23 @@ impl Sim {
     ) -> Result<RunStatus, SimError> {
         check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
         let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
-        if self.universe.n() < SOA_DELEGATE_BELOW_N {
-            return self.replay_scalar(automata, prefix, cfg);
-        }
-        self.replay_batched(automata, prefix, slice_len, cfg)
-    }
-
-    /// [`run_automata_replay_soa`](Self::run_automata_replay_soa) without
-    /// the small-n delegation: always buckets and batches, whatever the
-    /// universe size. Same contract, same errors, same panics.
-    ///
-    /// This is the raw batching engine. Prefer the delegating entry for
-    /// real workloads; this one exists so differential suites can pin the
-    /// batching machinery itself (purity detection, probe re-sorting,
-    /// uniform slices, round windows) on small universes where failures
-    /// are easy to shrink.
-    pub fn run_automata_replay_soa_batched<A: PhaseBatch>(
-        &mut self,
-        automata: &mut [A],
-        schedule: &Schedule,
-        slice_len: usize,
-        cfg: RunConfig,
-    ) -> Result<RunStatus, SimError> {
-        check_slice_len(slice_len).unwrap_or_else(|e| panic!("{e}"));
-        let prefix = self.replay_prefix(automata.len(), schedule, cfg)?;
-        self.replay_batched(automata, prefix, slice_len, cfg)
-    }
-
-    /// The batching engine over a validated prefix (see
-    /// [`run_automata_replay_soa`](Self::run_automata_replay_soa)).
-    fn replay_batched<A: PhaseBatch>(
-        &mut self,
-        automata: &mut [A],
-        prefix: &[ProcessId],
-        slice_len: usize,
-        cfg: RunConfig,
-    ) -> Result<RunStatus, SimError> {
         if !matches!(cfg.stop, StopWhen::Never) {
-            return self.replay_scalar(automata, prefix, cfg);
+            return self.drive(automata, prefix.iter().copied(), cfg);
         }
-        let n = self.universe.n();
         let first_step = self.steps;
+        self.replay_batched(automata, prefix, slice_len);
+        Ok(self.exhausted(first_step, cfg))
+    }
+
+    /// The batching engine over a validated stretch of schedule (see the
+    /// [`soa`](crate::soa) module), with no stop rule.
+    fn replay_batched<A: Automaton>(
+        &mut self,
+        automata: &mut [A],
+        steps: &[ProcessId],
+        slice_len: usize,
+    ) {
+        let n = self.universe.n();
         // Reused buffers: per-process step-index allotments and the
         // processes a bucketed slice touches (first-appearance order), a
         // membership scratchpad for the round check, and the phase-sorted
@@ -556,7 +523,7 @@ impl Sim {
         let mut touched: Vec<usize> = Vec::with_capacity(slice_len.min(n));
         let mut seen: Vec<bool> = vec![false; n];
         let mut order: Vec<(u8, usize, usize)> = Vec::with_capacity(n);
-        let mut rest = prefix;
+        let mut rest = steps;
         while !rest.is_empty() {
             // Each turn takes the next `span` of steps and either batches
             // it or leaves it to the scalar loop below.
@@ -570,9 +537,9 @@ impl Sim {
                 // of the whole fleet (round-robin and every rotation of it;
                 // the O(1) rejects come first, so dwells pay nothing here).
                 // The window is every further round that repeats it, up to
-                // the shortest read run of a live machine, whatever the
-                // slice length: each machine's allotment is an arithmetic
-                // progression (its offset in the round, stride n).
+                // the shortest read run of a live machine: each machine's
+                // allotment is an arithmetic progression (its offset in the
+                // round, stride n).
                 let round = &rest[..n];
                 let cap = (0..n)
                     .filter(|&idx| !self.finished[idx])
@@ -604,52 +571,69 @@ impl Sim {
                     restore_probe_order(&mut self.trace.probes[probe_mark..]);
                     (&rest[..rounds * n], true)
                 }
-            } else {
-                let slice = &rest[..slice_len.min(rest.len())];
-                let first = slice[0];
-                if slice.iter().all(|&p| p == first) {
-                    // Uniform slice: one process only (every dwell-shaped
-                    // schedule — `Bursty`, long crash shadows — produces
-                    // almost nothing else) is one contiguous allotment, no
-                    // bucketing, and its probes are already in step order.
-                    let idx = first.index();
-                    let pure = self.finished[idx] || slice.len() <= automata[idx].read_run();
-                    if pure && !self.finished[idx] {
-                        let (start, len) = (self.steps, slice.len());
-                        self.step_reads(idx, &mut automata[idx], Allotment::Run { start, len });
-                    }
-                    (slice, pure)
+            } else if rest.len() >= 2 && rest[0] == rest[1] {
+                // Dwell window: one process's run of steps (every
+                // dwell-shaped schedule — `Bursty`, long crash shadows —
+                // produces almost nothing else), up to its read run: one
+                // contiguous allotment, no bucketing, its probes already in
+                // step order. A finished machine's whole dwell is no-ops; a
+                // machine with no read run left takes one step scalar.
+                let first = rest[0];
+                let idx = first.index();
+                let cap = if self.finished[idx] {
+                    rest.len()
                 } else {
-                    for (off, &p) in slice.iter().enumerate() {
-                        let idx = p.index();
-                        if allotments[idx].is_empty() {
-                            touched.push(idx);
-                        }
-                        allotments[idx].push(self.steps + off as u64);
+                    automata[idx].read_run().min(rest.len())
+                };
+                let len = rest[..cap].iter().take_while(|&&p| p == first).count();
+                if len == 0 {
+                    (&rest[..1], false)
+                } else {
+                    if !self.finished[idx] {
+                        let run = Allotment::Run {
+                            start: self.steps,
+                            len,
+                        };
+                        self.step_reads(idx, &mut automata[idx], run);
                     }
-                    let pure = touched.iter().all(|&idx| {
-                        self.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
-                    });
-                    if pure {
-                        // Group the batch calls by phase: machines in the
-                        // same control phase run the same scan loop back to
-                        // back.
-                        touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
-                        let probe_mark = self.trace.probes.len();
-                        for &idx in &touched {
-                            if !self.finished[idx] {
-                                let steps = Allotment::List(&allotments[idx]);
-                                self.step_reads(idx, &mut automata[idx], steps);
-                            }
-                        }
-                        restore_probe_order(&mut self.trace.probes[probe_mark..]);
-                    }
-                    for &idx in &touched {
-                        allotments[idx].clear();
-                    }
-                    touched.clear();
-                    (slice, pure)
+                    (&rest[..len], true)
                 }
+            } else {
+                // Bucketed slice: mixed steps, cut where a dwell begins.
+                let max = slice_len.min(rest.len());
+                let len = rest[..max]
+                    .windows(2)
+                    .position(|w| w[0] == w[1])
+                    .unwrap_or(max);
+                let slice = &rest[..len];
+                for (off, &p) in slice.iter().enumerate() {
+                    let idx = p.index();
+                    if allotments[idx].is_empty() {
+                        touched.push(idx);
+                    }
+                    allotments[idx].push(self.steps + off as u64);
+                }
+                let pure = touched.iter().all(|&idx| {
+                    self.finished[idx] || allotments[idx].len() <= automata[idx].read_run()
+                });
+                if pure {
+                    // Group the batch calls by phase: machines in the same
+                    // control phase run the same scan loop back to back.
+                    touched.sort_unstable_by_key(|&idx| (automata[idx].phase_class(), idx));
+                    let probe_mark = self.trace.probes.len();
+                    for &idx in &touched {
+                        if !self.finished[idx] {
+                            let steps = Allotment::List(&allotments[idx]);
+                            self.step_reads(idx, &mut automata[idx], steps);
+                        }
+                    }
+                    restore_probe_order(&mut self.trace.probes[probe_mark..]);
+                }
+                for &idx in &touched {
+                    allotments[idx].clear();
+                }
+                touched.clear();
+                (slice, pure)
             };
             if batched {
                 self.steps += span.len() as u64;
@@ -660,7 +644,6 @@ impl Sim {
             }
             rest = &rest[span.len()..];
         }
-        Ok(self.exhausted(first_step, cfg))
     }
 
     /// The precondition of every drive: one caller-owned automaton per
@@ -781,9 +764,9 @@ impl Sim {
     }
 
     /// Executes `machine`'s whole allotment of pure reads in one
-    /// [`PhaseBatch::step_reads`] call (the caller advances the step
+    /// [`Automaton::step_reads`] call (the caller advances the step
     /// counter past the slice).
-    fn step_reads<A: PhaseBatch>(&mut self, idx: usize, machine: &mut A, steps: Allotment<'_>) {
+    fn step_reads<A: Automaton>(&mut self, idx: usize, machine: &mut A, steps: Allotment<'_>) {
         let pid = ProcessId::new(idx);
         let mut access = BatchAccess::new(pid, steps, &mut self.memory, &mut self.trace);
         let status = machine.step_reads(&mut access);
@@ -874,12 +857,6 @@ fn restore_probe_order(tail: &mut [ProbeEvent]) {
     if !tail.is_empty() {
         tail.sort_by_key(|e| e.step);
     }
-}
-
-/// A cursor-style source as the kernel loop's step iterator, cut to the
-/// budget: it never pulls more than `cfg.max_steps` steps from `src`.
-fn budgeted<S: StepSource>(src: &mut S, cfg: RunConfig) -> impl Iterator<Item = ProcessId> + '_ {
-    std::iter::from_fn(|| src.next_step()).take(cfg.budget())
 }
 
 /// Typed bounds check of a scheduled process id against the universe —

@@ -1,102 +1,73 @@
-//! Phase-batched struct-of-arrays execution: the second replay drive.
+//! Phase-batched struct-of-arrays execution: the batched engine behind
+//! [`Sim::run_automata`](crate::Sim::run_automata).
 //!
-//! The plain replay drive ([`Sim::run_automata_replay`](crate::Sim::run_automata_replay))
-//! dispatches one `step` call per scheduled step: even with the automaton
-//! body inlined, every step pays the dispatch prologue — reload the
-//! machine's control state, branch on its phase, perform one register
-//! operation, write the state back. For the paper's protocols that price is
-//! paid almost entirely for *reads*: ~99% of the Figure 2 detector's steps
-//! scan the counter matrix, and scans are long runs of consecutive steps
-//! whose behavior does not depend on the values read.
+//! The scalar loop dispatches one `step` call per scheduled step: even with
+//! the automaton body inlined, every step pays the dispatch prologue —
+//! reload the machine's control state, branch on its phase, perform one
+//! register operation, write the state back. For the paper's protocols that
+//! price is paid almost entirely for *reads*: ~99% of the Figure 2
+//! detector's steps scan the counter matrix, and scans are long runs of
+//! consecutive steps whose behavior does not depend on the values read.
 //!
-//! The SoA drive ([`Sim::run_automata_replay_soa`](crate::Sim::run_automata_replay_soa))
-//! exploits exactly that structure. It processes the schedule in contiguous
-//! slices; for each slice it buckets the steps per process and asks every
-//! scheduled machine for its [`read_run`](PhaseBatch::read_run) — the
-//! number of upcoming steps guaranteed to be reads regardless of the values
-//! read. If every machine's allotment fits inside its read run, the slice is
-//! **pure**: it contains only read operations, reads commute (the register
-//! state is constant for the duration of the slice), and the drive may
-//! execute each machine's whole allotment in a single
-//! [`step_reads`](PhaseBatch::step_reads) call — machines grouped by
-//! [`phase_class`](PhaseBatch::phase_class) so one phase's tight loop (a
-//! [`read_word_span`](BatchAccess::read_word_span) over the word arena)
-//! runs back to back across the fleet. A slice that is not pure falls back
-//! to scalar in-order stepping, which is byte-for-byte the plain replay.
+//! The engine exploits exactly that structure. Each turn it takes the next
+//! stretch of the schedule block and asks every machine scheduled there for
+//! its [`read_run`](crate::Automaton::read_run) — the number of upcoming
+//! steps guaranteed to be reads regardless of the values read. If every
+//! machine's allotment fits inside its read run, the stretch is **pure**: it
+//! contains only reads, reads commute (the register state is constant for
+//! its duration), and the engine executes each machine's whole allotment in
+//! a single [`step_reads`](crate::Automaton::step_reads) call — machines
+//! grouped by [`phase_class`](crate::Automaton::phase_class) so one phase's
+//! tight loop (a [`read_word_span`](BatchAccess::read_word_span) over the
+//! word arena) runs back to back across the fleet. A stretch that is not
+//! pure runs scalar, in order, which is byte-for-byte the plain replay.
 //!
-//! Two schedule shapes skip the bucketing entirely. A **uniform** slice
-//! (one process throughout — dwell-shaped schedules) becomes a single
-//! contiguous-run allotment. A **round window** is measured in whole
-//! rounds, not slices: wherever a fixed permutation of the whole fleet
-//! repeats (round-robin and every rotation of it), the drive takes as many
-//! rounds as keep repeating and fit inside every live machine's read run,
-//! and gives each machine one arithmetic-progression allotment (start =
-//! its offset in the round, stride = `n`) driven by a strided cursor; a
-//! window of fewer than two rounds — a phase turnover — runs one round
-//! scalar instead. Neither materializes a step-index list, and the slice
-//! length bounds only the uniform and the bucketed slices. And below
-//! [`SOA_DELEGATE_BELOW_N`](crate::SOA_DELEGATE_BELOW_N) processes the
-//! delegating entry point does not batch at all: allotments that short
-//! lose to the plain replay on every schedule family measured, so small
-//! universes route straight to it
-//! ([`Sim::run_automata_replay_soa_batched`](crate::Sim::run_automata_replay_soa_batched)
-//! bypasses the heuristic for differential testing).
+//! A stretch is one of three shapes:
 //!
-//! Observational identity to plain replay is a hard contract, enforced by
-//! differential tests over every schedule family: same probes at the same
-//! step indices (each batched operation carries its original global step
-//! index, and the probe-log tail of a batch is re-sorted into step
+//! - a **dwell window**: one process scheduled repeatedly, taken up to its
+//!   read run whatever the dwell's length, as one contiguous allotment (a
+//!   machine with no read run left takes one step scalar, then the dwell is
+//!   looked at again — so a dwell that crosses a phase end batches on both
+//!   sides of it);
+//! - a **round window**: wherever a fixed permutation of the whole fleet
+//!   repeats (round-robin and every rotation of it), as many whole rounds as
+//!   keep repeating and fit inside every live machine's read run, each
+//!   machine's share one arithmetic-progression allotment (its offset in the
+//!   round, stride `n`); fewer than two rounds — a phase turnover — run one
+//!   round scalar;
+//! - otherwise a **bucketed slice** of mixed steps — 64 of them on
+//!   [`Sim::run_automata`](crate::Sim::run_automata); the raw engine entry
+//!   [`Sim::run_automata_replay_soa`](crate::Sim::run_automata_replay_soa)
+//!   takes the length — cut where a dwell begins, its steps bucketed per
+//!   process.
+//!
+//! Below [`SOA_DELEGATE_BELOW_N`](crate::SOA_DELEGATE_BELOW_N) processes
+//! [`Sim::run_automata`](crate::Sim::run_automata) does not batch at all:
+//! allotments that short lose to the scalar loop on every schedule family
+//! measured.
+//!
+//! Observational identity to the scalar replay is a hard contract, enforced
+//! by differential tests over every schedule family: same probes at the
+//! same step indices (each batched operation carries its original global
+//! step index, and the probe-log tail of a batch is re-sorted into step
 //! order), same decisions, same per-process op counts, same per-register
 //! access statistics, same final register contents.
 
 use st_core::{ProcSet, ProcessId, Value};
 
-use crate::automaton::{Automaton, Status};
 use crate::memory::Memory;
 use crate::register::{Reg, RegValue};
 use crate::trace::{ProbeEvent, TraceInner};
 
-/// An [`Automaton`] that can project its control state onto a phase vector
-/// and execute runs of read steps in batch — the requirement for the SoA
-/// replay drive.
-///
-/// # Contract
-///
-/// - [`read_run`](Self::read_run) returns a number `r` such that the next
-///   `r` scheduled steps of this machine, from its current state, each
-///   perform exactly one register **read** (or become no-ops by the machine
-///   completing), *and* which registers they read does not depend on the
-///   values returned by reads within the run. Returning fewer than the true
-///   run length is always safe (it only forces the scalar fallback);
-///   returning more is unsound.
-/// - [`step_reads`](Self::step_reads) must consume **all** steps of the
-///   passed [`BatchAccess`] (unless it completes first) and leave the
-///   machine in exactly the state `mem.len()` individual
-///   [`step`](Automaton::step) calls would have produced.
-/// - [`phase_class`](Self::phase_class) is a small dense label of the
-///   current control phase, used only to group machines so one phase's
-///   batch loop runs back to back across the fleet; it carries no
-///   correctness obligation.
-pub trait PhaseBatch: Automaton {
-    /// Dense label of the current control phase (grouping hint).
-    fn phase_class(&self) -> u8;
-
-    /// Guaranteed number of upcoming value-independent read steps.
-    fn read_run(&self) -> usize;
-
-    /// Executes `mem.len()` scheduled steps, all reads, in one call.
-    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status;
-}
-
 /// The global step indices allotted to one machine in the current batch:
-/// an explicit list (irregular interleaved slices), a contiguous run
-/// (uniform slices), or an arithmetic progression (round windows) — the
-/// drive's fast paths never materialize the latter two.
+/// an explicit list (bucketed slices), a contiguous run (dwell windows), or
+/// an arithmetic progression (round windows) — the engine's fast paths
+/// never materialize the latter two.
 pub(crate) enum Allotment<'a> {
     /// Explicit step indices, in schedule order.
     List(&'a [u64]),
-    /// `len` consecutive steps starting at global step `start` — the
-    /// uniform-slice fast path.
+    /// `len` consecutive steps starting at global step `start` — a dwell
+    /// window.
     Run { start: u64, len: usize },
     /// `len` steps at `start, start + stride, start + 2·stride, …` — one
     /// process's cursor in a round window (`len` whole rounds that repeat a
@@ -123,8 +94,9 @@ impl Allotment<'_> {
     }
 }
 
-/// Scoped view of the simulator handed to [`PhaseBatch::step_reads`] for a
-/// whole run of read steps.
+/// Scoped view of the simulator handed to
+/// [`Automaton::step_reads`](crate::Automaton::step_reads) for a whole run
+/// of read steps.
 ///
 /// Unlike [`StepAccess`](crate::StepAccess) (one operation, then the step
 /// ends), a `BatchAccess` carries the global step indices of every step

@@ -291,15 +291,13 @@ enum Entry {
     BoxedFleet,
     Replay,
     ReplaySoa,
-    ReplaySoaBatched,
 }
 
-const ENTRIES: [Entry; 5] = [
+const ENTRIES: [Entry; 4] = [
     Entry::Fleet,
     Entry::BoxedFleet,
     Entry::Replay,
     Entry::ReplaySoa,
-    Entry::ReplaySoaBatched,
 ];
 
 /// Everything a run leaves observable.
@@ -336,9 +334,6 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig) -> Observed {
         Entry::BoxedFleet => sim.run_automata(&mut boxed(fleet), &mut cursor, cfg),
         Entry::Replay => sim.run_automata_replay(&mut fleet, schedule, cfg),
         Entry::ReplaySoa => sim.run_automata_replay_soa(&mut fleet, schedule, 4, cfg),
-        Entry::ReplaySoaBatched => {
-            sim.run_automata_replay_soa_batched(&mut fleet, schedule, 4, cfg)
-        }
     };
     observe(&sim, result, &outs)
 }
@@ -379,8 +374,8 @@ fn observe(
     }
 }
 
-/// One step kernel, five entry points: the cursor fleet drive over a typed
-/// and over a boxed fleet, and the three replay entries, must be
+/// One step kernel, four entry points: the cursor fleet drive over a typed
+/// and over a boxed fleet, and the two replay entries, must be
 /// observationally identical on every
 /// combination of stop rule and budget below / at / above the schedule
 /// length — with a fleet whose first machine completes mid-run. (That each
@@ -388,7 +383,7 @@ fn observe(
 #[test]
 fn every_drive_is_observationally_identical() {
     // Round-robin (the batched drive's strided path), dwells of 8 (its
-    // uniform path), then an irregular tail (bucketing + scalar fallback).
+    // dwell window), then an irregular tail (bucketing + scalar fallback).
     let steps: Vec<usize> = (0..30)
         .map(|s| s % 3)
         .chain((0..48).map(|s| (s / 8) % 3))

@@ -4,7 +4,7 @@
 #![allow(dead_code)]
 
 use st_core::{Schedule, ScheduleCursor};
-use st_sim::{Automaton, BatchAccess, PhaseBatch, Reg, RunConfig, Sim, Status, StepAccess};
+use st_sim::{Automaton, BatchAccess, Reg, RunConfig, Sim, Status, StepAccess};
 
 /// Executes one scheduled step of process `p` through the cursor fleet
 /// drive.
@@ -79,9 +79,7 @@ impl Automaton for SumScan {
             Status::Running
         }
     }
-}
 
-impl PhaseBatch for SumScan {
     fn phase_class(&self) -> u8 {
         (self.idx >= self.m) as u8
     }

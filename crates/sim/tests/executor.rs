@@ -127,8 +127,7 @@ fn deterministic_replay() {
         let regs = sim.alloc_per_process("v", 0u64);
         let mut fleet = Vec::new();
         for i in 0..3usize {
-            let my = regs[i];
-            let all = regs.clone();
+            let my = regs.at(i);
             // Write the own register, then read all of them and decide the
             // sum with the last read.
             let (mut next, mut sum) = (0usize, 0u64);
@@ -136,10 +135,10 @@ fn deterministic_replay() {
                 if next == 0 {
                     mem.write(my, (i as u64 + 1) * 7);
                 } else {
-                    sum += mem.read(all[next - 1]);
+                    sum += mem.read(regs.at(next - 1));
                 }
                 next += 1;
-                if next == all.len() + 1 {
+                if next == 3 + 1 {
                     mem.decide(sum);
                     Status::Done
                 } else {
@@ -327,7 +326,7 @@ fn single_writer_violation_panics() {
         let hb = sim.alloc_per_process("Heartbeat", 0u64);
         // p1 tries to write p0's heartbeat.
         let trespass = StepFn(move |mem: &mut StepAccess<'_>| {
-            mem.write(hb[0], 9);
+            mem.write(hb.at(0), 9);
             Status::Done
         });
         let mut fleet: [Box<dyn Automaton>; 2] = [Box::new(idler()), Box::new(trespass)];
@@ -403,6 +402,60 @@ fn run_surfaces_out_of_universe_schedule_as_error() {
         RunStatus::SourceEnded
     );
     assert_eq!(sim.steps_executed(), 4);
+}
+
+/// An out-of-universe step in the middle of a block: `run_automata` pulls
+/// the block whole, executes the steps before the bad one — batched, at
+/// this n — and returns the error; the source has advanced to the block's
+/// end, and the simulation stays usable.
+#[test]
+fn out_of_universe_step_mid_block_runs_the_steps_before_it() {
+    use common::SumScan;
+    use st_sim::{SimError, SOA_DELEGATE_BELOW_N};
+    let n = SOA_DELEGATE_BELOW_N;
+    let build = || {
+        let mut sim = Sim::new(universe(n));
+        let shared = sim.alloc_array("shared", 8, 3u64);
+        let outs = sim.alloc_array("out", n, 0u64);
+        let fleet: Vec<SumScan> = (0..n)
+            .map(|i| SumScan::new(shared[0], outs[i], 8, 1_000))
+            .collect();
+        (sim, fleet)
+    };
+    // Dwells of 12 across scan ends: dwell windows and scalar writes.
+    let good = Schedule::from_indices((0..1_000).map(|s| (s / 12) % n));
+    let mut steps: Vec<ProcessId> = good.iter().collect();
+    steps.push(pid(n + 5));
+    steps.extend((0..500).map(|s| pid(s % n)));
+    let mut src = ScheduleCursor::new(Schedule::from_steps(steps));
+    let (mut sim, mut fleet) = build();
+    let err = sim
+        .run_automata(&mut fleet, &mut src, RunConfig::steps(100_000))
+        .unwrap_err();
+    assert_eq!(
+        err,
+        SimError::ScheduleOutOfUniverse {
+            process: pid(n + 5),
+            n
+        }
+    );
+    assert_eq!(src.remaining(), 0, "the block took the whole source");
+    // The good steps ran, exactly as a replay of them runs.
+    let (mut reference, mut reference_fleet) = build();
+    reference
+        .run_automata_replay(&mut reference_fleet, &good, RunConfig::steps(1_000))
+        .unwrap();
+    assert_eq!(sim.steps_executed(), 1_000);
+    assert_eq!(
+        format!("{:?}", sim.report()),
+        format!("{:?}", reference.report())
+    );
+    let mut rest = ScheduleCursor::new(Schedule::from_indices((0..64).map(|s| s % n)));
+    assert_eq!(
+        sim.run_automata(&mut fleet, &mut rest, RunConfig::steps(64)),
+        Ok(RunStatus::MaxSteps)
+    );
+    assert_eq!(sim.steps_executed(), 1_064);
 }
 
 /// `try_peek` surfaces foreign handles and type confusion as typed errors.

@@ -99,7 +99,7 @@ proptest! {
         let u = Universe::new(4).unwrap();
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
-        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs[p.index()])).collect();
+        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs.at(p.index()))).collect();
         let counts = sched.step_counts(u);
         let len = sched.len() as u64;
         let mut src = ScheduleCursor::new(sched);
@@ -108,7 +108,7 @@ proptest! {
         for (idx, &c) in counts.iter().enumerate() {
             prop_assert_eq!(report.op_counts[idx], c as u64);
             // The register holds exactly the number of writes performed.
-            prop_assert_eq!(sim.peek(regs[idx]), c as u64);
+            prop_assert_eq!(sim.peek(regs.at(idx)), c as u64);
         }
     }
 
@@ -120,18 +120,18 @@ proptest! {
         let u = Universe::new(2).unwrap();
         let mut sim = Sim::new(u);
         let regs = sim.alloc_per_process("r", 0u64);
-        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs[p.index()])).collect();
+        let mut fleet: Vec<_> = u.processes().map(|p| count_up(regs.at(p.index()))).collect();
         let len = sched.len();
         let cut = crash_at.min(len);
         let mut src = ScheduleCursor::new(sched.prefix(cut));
         sim.run_automata(&mut fleet, &mut src, RunConfig::steps(cut as u64)).unwrap();
-        let frozen = sim.peek(regs[0]);
+        let frozen = sim.peek(regs.at(0));
         let survivors: Schedule = sched.suffix(cut).iter().filter(|p| p.index() != 0).collect();
         let mut src = ScheduleCursor::new(survivors);
         sim.run_automata(&mut fleet, &mut src, RunConfig::steps((len - cut) as u64)).unwrap();
         // p0's register froze at the crash; p1's reflects all its steps.
-        prop_assert_eq!(sim.peek(regs[0]), frozen);
-        prop_assert_eq!(sim.peek(regs[1]), sched.occurrences(ProcessId::new(1)) as u64);
+        prop_assert_eq!(sim.peek(regs.at(0)), frozen);
+        prop_assert_eq!(sim.peek(regs.at(1)), sched.occurrences(ProcessId::new(1)) as u64);
     }
 
     /// Probes never consume steps: a probe-only process finishes on its

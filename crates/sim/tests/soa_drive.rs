@@ -1,7 +1,8 @@
-//! Unit tests for the struct-of-arrays replay drive
-//! ([`Sim::run_automata_replay_soa`]): identity to the plain replay on a
-//! purpose-built two-phase machine, the scalar fallback on impure slices,
-//! and delegation under stop conditions.
+//! Unit tests for the batched engine ([`Sim::run_automata_replay_soa`],
+//! and [`Sim::run_automata`], which runs it from `SOA_DELEGATE_BELOW_N`
+//! processes on): identity to the plain replay on a purpose-built
+//! two-phase machine, the scalar fallback on impure slices, and delegation
+//! under stop conditions.
 //!
 //! (The workspace-wide differential suites live with the protocols, in
 //! `st-agreement/tests/soa_differential.rs`; this file covers drive
@@ -100,13 +101,8 @@ fn soa_drive_equals_plain_replay() {
         };
         for slice_len in [1usize, 2, 7, 64, 2_000] {
             let (mut sim, outs, mut fleet) = build(n, m, limit);
-            sim.run_automata_replay_soa_batched(
-                &mut fleet,
-                sched,
-                slice_len,
-                RunConfig::steps(1_000),
-            )
-            .unwrap();
+            sim.run_automata_replay_soa(&mut fleet, sched, slice_len, RunConfig::steps(1_000))
+                .unwrap();
             assert_eq!(
                 plain,
                 observe(&sim, &outs),
@@ -116,20 +112,19 @@ fn soa_drive_equals_plain_replay() {
     }
 }
 
-/// Dwell-shaped schedules make every slice single-process, which routes
-/// through the uniform-slice fast path (contiguous-run allotments, no
-/// per-step bucketing). The path must stay observationally identical to
-/// plain replay across all its branches: whole-slice batched runs, the
-/// scalar fallback when the slice outruns the read run (covering the
-/// write phase mid-dwell), and the finished-machine skip once a dwelling
-/// machine decides.
+/// Dwell-shaped schedules route through the dwell window (contiguous-run
+/// allotments up to the read run, no per-step bucketing, whatever the
+/// slice length). The path must stay observationally identical to plain
+/// replay across all its branches: batched runs cut at the read run's end,
+/// the scalar step of a write phase mid-dwell, and the finished-machine
+/// skip once a dwelling machine decides.
 #[test]
 fn soa_uniform_slice_fast_path_equals_plain_replay() {
     let (n, m, limit) = (3usize, 6usize, 3u64);
     // Dwell blocks of uneven lengths: process 0 dwells past its decision
     // (round = m reads + 1 write = 7 steps; limit 3 => done at step 21,
     // the rest of its 40-step block exercises the finished skip), the
-    // others dwell in lengths misaligned with every slice length below.
+    // others dwell in lengths misaligned with every scan boundary.
     let blocks: [(usize, usize); 6] = [(0, 40), (1, 13), (2, 9), (1, 20), (2, 30), (1, 11)];
     let sched =
         Schedule::from_indices(blocks.iter().flat_map(|&(p, len)| (0..len).map(move |_| p)));
@@ -141,12 +136,12 @@ fn soa_uniform_slice_fast_path_equals_plain_replay() {
     };
     for slice_len in [1usize, 4, 8, 64, 512] {
         let (mut sim, outs, mut fleet) = build(n, m, limit);
-        sim.run_automata_replay_soa_batched(&mut fleet, &sched, slice_len, RunConfig::steps(200))
+        sim.run_automata_replay_soa(&mut fleet, &sched, slice_len, RunConfig::steps(200))
             .unwrap();
         assert_eq!(
             plain,
             observe(&sim, &outs),
-            "slice={slice_len}: uniform-slice fast path diverged from plain replay"
+            "slice={slice_len}: the dwell window diverged from plain replay"
         );
     }
 }
@@ -161,7 +156,7 @@ fn soa_probe_steps_match_plain() {
     let probes = |soa: bool| {
         let (mut sim, _outs, mut fleet) = build(n, m, 3);
         if soa {
-            sim.run_automata_replay_soa_batched(&mut fleet, &sched, 8, RunConfig::steps(40))
+            sim.run_automata_replay_soa(&mut fleet, &sched, 8, RunConfig::steps(40))
                 .unwrap();
         } else {
             sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(40))
@@ -174,14 +169,15 @@ fn soa_probe_steps_match_plain() {
     assert_eq!(plain, probes(true));
 }
 
-/// A stop condition also routes through the delegating path and is honored.
+/// A stop condition sends the engine entry down the scalar path, and is
+/// honored.
 #[test]
 fn soa_drive_honors_stop_conditions() {
     let n = 2;
     let sched = Schedule::from_indices(vec![0usize; 200]);
     let (mut sim, _outs, mut fleet) = build(n, 3, 2);
     let status = sim
-        .run_automata_replay_soa_batched(
+        .run_automata_replay_soa(
             &mut fleet,
             &sched,
             16,
@@ -209,7 +205,7 @@ fn soa_drive_finished_machines_idle() {
             SumScan::new(shared[0], outs[1], 3, 20),
         ];
         if soa {
-            sim.run_automata_replay_soa_batched(&mut fleet, &sched, 10, RunConfig::steps(120))
+            sim.run_automata_replay_soa(&mut fleet, &sched, 10, RunConfig::steps(120))
                 .unwrap();
         } else {
             sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(120))
@@ -279,7 +275,7 @@ fn soa_interleaved_fast_path_equals_plain_replay() {
                     };
                     for slice_len in [1, n - 1, n, 5 * n, 64, 1_000] {
                         let (mut sim, outs, mut fleet) = fleet(short);
-                        sim.run_automata_replay_soa_batched(&mut fleet, sched, slice_len, cfg)
+                        sim.run_automata_replay_soa(&mut fleet, sched, slice_len, cfg)
                             .unwrap();
                         assert_eq!(
                             plain,
@@ -344,7 +340,7 @@ fn soa_interleaved_with_finished_machines_equals_plain() {
             .map(|i| SumScan::new(shared[0], outs[i], 5, if i == 0 { 1 } else { 15 }))
             .collect();
         if batched {
-            sim.run_automata_replay_soa_batched(&mut fleet, &sched, 6 * n, RunConfig::steps(480))
+            sim.run_automata_replay_soa(&mut fleet, &sched, 6 * n, RunConfig::steps(480))
                 .unwrap();
         } else {
             sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(480))
@@ -355,40 +351,41 @@ fn soa_interleaved_with_finished_machines_equals_plain() {
     assert_eq!(run(false), run(true));
 }
 
-/// The delegating entry is observationally identical to the raw batched
-/// engine on both sides of [`SOA_DELEGATE_BELOW_N`] — delegation is a pure
-/// performance heuristic.
+/// `run_automata` is observationally identical to the plain replay on
+/// both sides of [`SOA_DELEGATE_BELOW_N`], where it switches from stepping
+/// its blocks scalar to batching them — the threshold is a pure performance
+/// heuristic — and so is the raw engine it batches with.
 #[test]
 fn soa_delegation_threshold_preserves_identity() {
+    use st_core::ScheduleCursor;
     use st_sim::SOA_DELEGATE_BELOW_N;
     let (m, limit) = (6usize, 3u64);
     for n in [SOA_DELEGATE_BELOW_N - 1, SOA_DELEGATE_BELOW_N] {
-        let sched = Schedule::from_indices((0..n * 40).map(|s| s % n));
-        let steps = (n * 40) as u64;
+        // Round-robin, then dwells that cross phase ends: round and dwell
+        // windows at the threshold, scalar blocks below it.
+        let sched =
+            Schedule::from_indices(
+                (0..n * 80).map(|s| if s < n * 40 { s % n } else { (s / 11) % n }),
+            );
+        let cfg = RunConfig::steps((n * 80) as u64);
         let plain = {
             let (mut sim, outs, mut fleet) = build(n, m, limit);
-            sim.run_automata_replay(&mut fleet, &sched, RunConfig::steps(steps))
-                .unwrap();
+            sim.run_automata_replay(&mut fleet, &sched, cfg).unwrap();
             observe(&sim, &outs)
         };
-        for batched in [false, true] {
+        for pulled in [true, false] {
             let (mut sim, outs, mut fleet) = build(n, m, limit);
-            if batched {
-                sim.run_automata_replay_soa_batched(
-                    &mut fleet,
-                    &sched,
-                    64,
-                    RunConfig::steps(steps),
-                )
-                .unwrap();
+            if pulled {
+                let mut src = ScheduleCursor::new(sched.clone());
+                sim.run_automata(&mut fleet, &mut src, cfg).unwrap();
             } else {
-                sim.run_automata_replay_soa(&mut fleet, &sched, 64, RunConfig::steps(steps))
+                sim.run_automata_replay_soa(&mut fleet, &sched, 64, cfg)
                     .unwrap();
             }
             assert_eq!(
                 plain,
                 observe(&sim, &outs),
-                "n={n} batched={batched}: delegation changed observations"
+                "n={n} pulled={pulled}: the drive changed observations"
             );
         }
     }
