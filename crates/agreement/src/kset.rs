@@ -137,6 +137,15 @@ impl<const W: usize> KSetAgreementMachine<W> {
     pub fn attempts(&self, r: usize) -> u64 {
         self.proposers[r].attempts()
     }
+
+    /// Leaves the Fd phase for the decision scan once the embedded machine
+    /// has closed an iteration.
+    fn end_fd_iteration(&mut self) {
+        if self.fd.iterations() > self.fd_iterations_seen {
+            self.fd_iterations_seen = self.fd.iterations();
+            self.phase = KsetPhase::Scan(0);
+        }
+    }
 }
 
 impl<const W: usize> Automaton for KSetAgreementMachine<W> {
@@ -146,10 +155,7 @@ impl<const W: usize> Automaton for KSetAgreementMachine<W> {
                 // One step of Figure 2; at the iteration boundary the next
                 // scheduled step opens the decision scan.
                 self.fd.step(mem);
-                if self.fd.iterations() > self.fd_iterations_seen {
-                    self.fd_iterations_seen = self.fd.iterations();
-                    self.phase = KsetPhase::Scan(0);
-                }
+                self.end_fd_iteration();
                 Status::Running
             }
             KsetPhase::Scan(r) => {
@@ -223,59 +229,15 @@ impl<const W: usize> Automaton for KSetAgreementMachine<W> {
         }
     }
 
+    /// The Fd phase batches through the embedded machine's span reads
+    /// (Figure 2's counter and heartbeat scans); every other phase steps.
     fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
-        match self.phase {
-            KsetPhase::Fd => {
-                self.fd.step_reads(mem);
-                if self.fd.iterations() > self.fd_iterations_seen {
-                    self.fd_iterations_seen = self.fd.iterations();
-                    self.phase = KsetPhase::Scan(0);
-                }
-                Status::Running
-            }
-            KsetPhase::Scan(r) => {
-                let mut ri = r as usize;
-                while mem.remaining() > 0 {
-                    if let Some(v) = mem.read(self.kset.instances[ri].decision) {
-                        mem.probe(DECIDED_INSTANCE_PROBE, ri as u64);
-                        mem.decide(v);
-                        return Status::Done;
-                    }
-                    if ri + 1 < self.kset.k() {
-                        ri += 1;
-                        self.phase = KsetPhase::Scan(ri as u32);
-                        continue;
-                    }
-                    // Scan complete (the allotment cannot extend past it):
-                    // same hand-off as the scalar drive.
-                    let winnerset = self.fd.winnerset();
-                    self.phase = KsetPhase::Fd;
-                    for lead in 0..self.kset.k() {
-                        if winnerset.nth(lead) == Some(mem.pid()) {
-                            self.phase = KsetPhase::Lead(lead as u32);
-                            break;
-                        }
-                    }
-                    break;
-                }
-                Status::Running
-            }
-            KsetPhase::Lead(r) => {
-                let ri = r as usize;
-                match self.proposers[ri].step_reads(mem, self.proposal) {
-                    CoreStep::Busy => Status::Running,
-                    CoreStep::Decided(v) => {
-                        mem.probe(DECIDED_INSTANCE_PROBE, r as u64);
-                        mem.decide(v);
-                        Status::Done
-                    }
-                    CoreStep::Preempted => {
-                        self.phase = KsetPhase::Fd;
-                        Status::Running
-                    }
-                }
-            }
+        if !matches!(self.phase, KsetPhase::Fd) {
+            return mem.step_through(self);
         }
+        self.fd.step_reads(mem);
+        self.end_fd_iteration();
+        Status::Running
     }
 }
 

@@ -29,7 +29,7 @@
 //! seeded-random, Figure 1 and crash schedules).
 
 use st_core::Value;
-use st_sim::{Automaton, BatchAccess, Memory, Reg, RegValue, Sim, Status, StepAccess};
+use st_sim::{Automaton, Memory, Reg, RegValue, Sim, Status, StepAccess};
 
 /// One process's Paxos record (a "disk block").
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -406,81 +406,6 @@ impl PaxosProposerCore {
         }
     }
 
-    /// Executes a whole batch of read steps (see
-    /// [`Automaton::step_reads`]): the read arms of [`step`](Self::step),
-    /// looped over the allotment. The batch never crosses into a write
-    /// phase — [`read_run`](Self::read_run) caps the allotment at the
-    /// current scan's end.
-    pub(crate) fn step_reads(&mut self, mem: &mut BatchAccess<'_>, proposal: Value) -> CoreStep {
-        let me = mem.pid().index();
-        let n = self.paxos.len();
-        let mut outcome = CoreStep::Busy;
-        while mem.remaining() > 0 && outcome == CoreStep::Busy {
-            match self.phase {
-                ProposerPhase::CheckDecision => {
-                    self.attempts += 1;
-                    if let Some(v) = mem.read(self.paxos.decision) {
-                        outcome = CoreStep::Decided(v);
-                        break;
-                    }
-                    self.b = self.paxos.ballot(self.round, me);
-                    self.round += 1;
-                    self.own.mbal = self.b;
-                    self.phase = ProposerPhase::Phase1Write;
-                }
-                ProposerPhase::Phase1Read {
-                    q,
-                    mut max_seen,
-                    mut best,
-                } => {
-                    let rec = mem.read(self.paxos.record(q as usize));
-                    max_seen = max_seen.max(rec.mbal);
-                    if let Some(v) = rec.val {
-                        if best.is_none_or(|(bb, _)| rec.bal > bb) {
-                            best = Some((rec.bal, v));
-                        }
-                    }
-                    if let Some(next) = next_other(q as usize, me, n) {
-                        self.phase = ProposerPhase::Phase1Read {
-                            q: next,
-                            max_seen,
-                            best,
-                        };
-                    } else if max_seen > self.b {
-                        outcome = self.preempt(max_seen);
-                    } else {
-                        self.enter_phase2(best, proposal);
-                    }
-                }
-                ProposerPhase::Phase2Read {
-                    q,
-                    mut max_seen,
-                    value,
-                } => {
-                    let rec = mem.read(self.paxos.record(q as usize));
-                    max_seen = max_seen.max(rec.mbal);
-                    if let Some(next) = next_other(q as usize, me, n) {
-                        self.phase = ProposerPhase::Phase2Read {
-                            q: next,
-                            max_seen,
-                            value,
-                        };
-                    } else if max_seen > self.b {
-                        outcome = self.preempt(max_seen);
-                    } else {
-                        self.phase = ProposerPhase::Publish { value };
-                    }
-                }
-                ProposerPhase::Phase1Write
-                | ProposerPhase::Phase2Write { .. }
-                | ProposerPhase::Publish { .. } => {
-                    unreachable!("batched step in a write phase: read_run() is 0 here")
-                }
-            }
-        }
-        outcome
-    }
-
     /// Phase-boundary bookkeeping between the phase 1 scan and the phase 2
     /// write: adopt the safest value and stage the accept record.
     fn enter_phase2(&mut self, best: Option<(u64, Value)>, proposal: Value) {
@@ -539,16 +464,6 @@ impl Automaton for PaxosMachine {
     #[inline]
     fn read_run(&self) -> usize {
         self.core.read_run()
-    }
-
-    fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
-        match self.core.step_reads(mem, self.proposal) {
-            CoreStep::Busy | CoreStep::Preempted => Status::Running,
-            CoreStep::Decided(v) => {
-                mem.decide(v);
-                Status::Done
-            }
-        }
     }
 }
 

@@ -11,10 +11,9 @@
 use std::fmt;
 
 use crate::process::Universe;
-use crate::procset::ProcSet;
 use crate::schedule::Schedule;
 use crate::subsets::KSubsets;
-use crate::timeliness::TimelyPair;
+use crate::timeliness::{TimelinessAnalyzer, TimelyPair};
 
 /// The synchrony profile of a finite schedule.
 #[derive(Clone, Debug)]
@@ -41,20 +40,15 @@ impl SynchronyProfile {
         let n = universe.n();
         let mut best: Vec<Vec<Option<TimelyPair>>> =
             (1..=n).map(|i| vec![None; n - i + 1]).collect();
+        let mut az = TimelinessAnalyzer::new(universe);
         for i in 1..=n {
             for p in KSubsets::new(universe, i) {
-                // Per-process counts of maximal P-free runs, pruned to runs
-                // long enough to matter.
-                let runs = p_free_runs(schedule, p, universe);
+                // One decomposition of the maximal P-free runs serves every Q.
+                az.decompose(schedule, p);
                 for j in i..=n {
                     let slot = &mut best[i - 1][j - i];
                     for q in KSubsets::new(universe, j) {
-                        let mut worst = 0usize;
-                        for run in &runs {
-                            let q_steps: usize = q.iter().map(|x| run[x.index()]).sum();
-                            worst = worst.max(q_steps);
-                        }
-                        let bound = worst + 1;
+                        let bound = az.bound(q);
                         if bound <= bound_cap && slot.is_none_or(|b: TimelyPair| bound < b.bound) {
                             *slot = Some(TimelyPair { p, q, bound });
                         }
@@ -109,28 +103,6 @@ impl SynchronyProfile {
     }
 }
 
-fn p_free_runs(schedule: &Schedule, p: ProcSet, universe: Universe) -> Vec<Vec<usize>> {
-    let n = universe.n();
-    let mut runs = Vec::new();
-    let mut current = vec![0usize; n];
-    let mut nonzero = false;
-    for step in schedule.iter() {
-        if p.contains(step) {
-            if nonzero {
-                runs.push(std::mem::replace(&mut current, vec![0usize; n]));
-                nonzero = false;
-            }
-        } else if step.index() < n {
-            current[step.index()] += 1;
-            nonzero = true;
-        }
-    }
-    if nonzero {
-        runs.push(current);
-    }
-    runs
-}
-
 impl fmt::Display for SynchronyProfile {
     /// Renders as a lower-triangular matrix of bounds (rows `i`, columns
     /// `j`; `·` above the cap).
@@ -161,6 +133,7 @@ impl fmt::Display for SynchronyProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::procset::ProcSet;
 
     fn u(n: usize) -> Universe {
         Universe::new(n).unwrap()

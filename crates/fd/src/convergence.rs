@@ -93,23 +93,12 @@ pub struct Stabilization {
 
 /// Detects whether all correct processes converged to one common winnerset
 /// by the end of the trace (Lemma 22), returning the set and the
-/// stabilization step.
+/// stabilization step: [`wide_winnerset_stabilization`] decoded at W = 1,
+/// where the probe payload is the set's bits.
 pub fn winnerset_stabilization(report: &RunReport, correct: ProcSet) -> Option<Stabilization> {
-    let mut common: Option<ProcSet> = None;
-    let mut step = 0u64;
-    for p in correct.iter() {
-        let last = report.probes.last_value(p, WINNERSET_PROBE)?;
-        let set = ProcSet::from_bits(last);
-        match common {
-            None => common = Some(set),
-            Some(c) if c != set => return None,
-            _ => {}
-        }
-        step = step.max(report.probes.stabilization_step(p, WINNERSET_PROBE)?);
-    }
-    Some(Stabilization {
-        winnerset: common?,
-        step,
+    wide_winnerset_stabilization(report, correct.iter()).map(|w| Stabilization {
+        winnerset: ProcSet::from_bits(w.winnerset_rank),
+        step: w.step,
     })
 }
 
@@ -137,9 +126,7 @@ pub fn wide_winnerset_stabilization(
 ) -> Option<WideStabilization> {
     let mut common: Option<u64> = None;
     let mut step = 0u64;
-    let mut saw_any = false;
     for p in correct {
-        saw_any = true;
         let last = report.probes.last_value(p, WINNERSET_PROBE)?;
         match common {
             None => common = Some(last),
@@ -148,9 +135,7 @@ pub fn wide_winnerset_stabilization(
         }
         step = step.max(report.probes.stabilization_step(p, WINNERSET_PROBE)?);
     }
-    if !saw_any {
-        return None;
-    }
+    // An empty `correct` leaves `common` at `None`.
     Some(WideStabilization {
         winnerset_rank: common?,
         step,

@@ -408,8 +408,8 @@ pub struct KAntiOmegaMachine<const W: usize = 1> {
     /// the pending line 18 writes. Sized by the first expiry pass, not at
     /// construction: a fleet that never gets there never pays for it.
     expired: Vec<u32>,
-    /// Landing buffer for the heartbeat span read on the batched drive
-    /// ([`Automaton::step_reads`]); sized to the batch on use.
+    /// Landing buffer for the heartbeat span read of this machine's
+    /// [`Automaton::step_reads`] override; sized to the batch on use.
     batch_buf: Vec<u64>,
 }
 
@@ -470,8 +470,9 @@ impl<const W: usize> KAntiOmegaMachine<W> {
     /// lines 4–5 and the line 6 increment inside the step of the last read
     /// (where the loop transcription ran them) and returns the encoded probe
     /// payload when the winnerset changed — the caller publishes it as the
-    /// [`WINNERSET_PROBE`] through whichever access type (scalar
-    /// [`StepAccess`] or batched [`st_sim::BatchAccess`]) drove the step.
+    /// [`WINNERSET_PROBE`]: `step` through its [`StepAccess`], the
+    /// row-segment span reads of `step_reads` through their
+    /// [`st_sim::BatchAccess`].
     fn fold_row(&mut self, me: usize) -> Option<u64> {
         let row = self.row as usize;
         let own = self.row_scratch[me];
@@ -560,6 +561,35 @@ impl<const W: usize> KAntiOmegaMachine<W> {
         }
     }
 
+    /// Lines 8–13 for one heartbeat read: an advanced `Heartbeat[q]` resets
+    /// the timers of the sets containing `q`.
+    #[inline]
+    fn observe_heartbeat(&mut self, q: usize, hbq: u64) {
+        if hbq > self.prev_heartbeat[q] {
+            for &rank in self.fd.containing(q) {
+                self.timer[rank as usize] = self.timeout[rank as usize];
+            }
+            self.prev_heartbeat[q] = hbq;
+        }
+    }
+
+    /// Moves the heartbeat scan on to process `next`; past the last one,
+    /// runs the timer pass and turns to the accusations (lines 14–19), or
+    /// closes the iteration when no timer expired.
+    #[inline]
+    fn advance_heartbeat_scan(&mut self, next: usize) {
+        if next < self.n as usize {
+            self.phase = Phase::ReadHeartbeats(next as u32);
+            return;
+        }
+        self.expire_timers();
+        if self.expired.is_empty() {
+            self.next_iteration();
+        } else {
+            self.phase = Phase::Accuse(0);
+        }
+    }
+
     /// Closes the loop iteration and re-enters line 2.
     fn next_iteration(&mut self) {
         self.iterations += 1;
@@ -605,22 +635,8 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
             Phase::ReadHeartbeats(q) => {
                 let qi = q as usize;
                 let hbq = mem.read_word_array(self.heartbeat_base, qi);
-                if hbq > self.prev_heartbeat[qi] {
-                    for &rank in self.fd.containing(qi) {
-                        self.timer[rank as usize] = self.timeout[rank as usize];
-                    }
-                    self.prev_heartbeat[qi] = hbq;
-                }
-                if qi + 1 == self.n as usize {
-                    self.expire_timers();
-                    if self.expired.is_empty() {
-                        self.next_iteration();
-                    } else {
-                        self.phase = Phase::Accuse(0);
-                    }
-                } else {
-                    self.phase = Phase::ReadHeartbeats(q + 1);
-                }
+                self.observe_heartbeat(qi, hbq);
+                self.advance_heartbeat_scan(qi + 1);
             }
             Phase::Accuse(idx) => {
                 // Line 18: accuse from the line 2 snapshot of the own
@@ -702,29 +718,13 @@ impl<const W: usize> Automaton for KAntiOmegaMachine<W> {
                 // Lines 8–13, batched: span-read the heartbeat array, then
                 // run the timer resets over the landed values.
                 let q0 = q as usize;
-                let n = self.n as usize;
                 self.batch_buf.resize(l, 0);
                 mem.read_word_span(self.heartbeat_base, q0, &mut self.batch_buf);
                 for j in 0..l {
-                    let qi = q0 + j;
                     let hbq = self.batch_buf[j];
-                    if hbq > self.prev_heartbeat[qi] {
-                        for &rank in self.fd.containing(qi) {
-                            self.timer[rank as usize] = self.timeout[rank as usize];
-                        }
-                        self.prev_heartbeat[qi] = hbq;
-                    }
+                    self.observe_heartbeat(q0 + j, hbq);
                 }
-                if q0 + l == n {
-                    self.expire_timers();
-                    if self.expired.is_empty() {
-                        self.next_iteration();
-                    } else {
-                        self.phase = Phase::Accuse(0);
-                    }
-                } else {
-                    self.phase = Phase::ReadHeartbeats((q0 + l) as u32);
-                }
+                self.advance_heartbeat_scan(q0 + l);
             }
             Phase::WriteHeartbeat | Phase::Accuse(_) => {
                 unreachable!("step_reads in a write phase: read_run() is 0 here")

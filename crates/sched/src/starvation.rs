@@ -81,12 +81,6 @@ impl RotatingStarvation {
         gen
     }
 
-    /// The guaranteed-timely set size: `k + 1` (every set of that size is
-    /// timely wrt `Π_n` with bound [`guaranteed_bound`](Self::guaranteed_bound)).
-    pub fn timely_size(&self) -> usize {
-        self.k + 1
-    }
-
     /// The timeliness bound guaranteed for every size-`k+1` set wrt `Π_n`.
     ///
     /// Within an epoch a set's representative recurs every `n − k` steps; at

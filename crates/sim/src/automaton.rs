@@ -79,9 +79,13 @@ pub enum Status {
 ///
 /// # Batching
 ///
-/// The three provided methods let the batched engine execute a run of reads
-/// in one call (see [`soa`](crate::soa)); a machine that keeps the defaults
-/// is never batched.
+/// A machine that reports a [`read_run`](Self::read_run) is batched: the
+/// engine (see [`soa`](crate::soa)) hands it whole runs of read steps, which
+/// by default it steps through one [`step`](Self::step) at a time, so `step`
+/// stays the one body of every phase. [`step_reads`](Self::step_reads) is an
+/// optional override for a machine with a cheaper algorithm for a whole run
+/// than stepping; [`phase_class`](Self::phase_class) is a grouping hint. A
+/// machine that keeps the default read run of 0 is never batched.
 pub trait Automaton {
     /// Executes one scheduled step: at most one register operation through
     /// `mem`, plus any amount of local computation.
@@ -107,9 +111,11 @@ pub trait Automaton {
     /// Executes all `mem.remaining()` steps, which lie within the read run,
     /// in one call, leaving the machine exactly where as many
     /// [`step`](Self::step) calls would (it may stop early by completing).
-    /// Never called while [`read_run`](Self::read_run) is 0.
+    /// Never called while [`read_run`](Self::read_run) is 0. The default is
+    /// those `step` calls ([`BatchAccess::step_through`]); override it only
+    /// where a batch has a cheaper algorithm than stepping.
     fn step_reads(&mut self, mem: &mut BatchAccess<'_>) -> Status {
-        unreachable!("step_reads on {}, whose read_run is 0", mem.pid())
+        mem.step_through(self)
     }
 }
 

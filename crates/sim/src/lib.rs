@@ -42,9 +42,10 @@
 //!   and, from [`SOA_DELEGATE_BELOW_N`] processes on, batches per **phase
 //!   over struct-of-arrays fleet state** ([`soa`]): a machine's run of
 //!   value-independent reads ([`Automaton::read_run`]) executes as one
-//!   [`Automaton::step_reads`] span read, machines grouped by phase class —
-//!   observationally identical to stepping them, enforced by differential
-//!   tests on every schedule family;
+//!   [`Automaton::step_reads`] call — the machine's own `step` looped over
+//!   the run, or a span read where it overrides that — machines grouped by
+//!   phase class — observationally identical to stepping them, enforced by
+//!   differential tests on every schedule family;
 //! - [`Sim::run_adaptive`] takes no schedule but a *chooser* that is shown
 //!   the register arena ([`Memory`]) before every step and names the
 //!   process that takes it — the entry for schedules that depend on

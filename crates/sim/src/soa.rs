@@ -18,9 +18,14 @@
 //! its duration), and the engine executes each machine's whole allotment in
 //! a single [`step_reads`](crate::Automaton::step_reads) call — machines
 //! grouped by [`phase_class`](crate::Automaton::phase_class) so one phase's
-//! tight loop (a [`read_word_span`](BatchAccess::read_word_span) over the
-//! word arena) runs back to back across the fleet. A stretch that is not
-//! pure runs scalar, in order, which is byte-for-byte the plain replay.
+//! loop runs back to back across the fleet. By default that call steps the
+//! machine through its allotment ([`BatchAccess::step_through`]): a read run
+//! is all a machine needs to be batched, and `step` stays the one body of
+//! every phase. A machine with a cheaper algorithm for a whole run — the
+//! Figure 2 detector's span reads over the word arena
+//! ([`read_word_span`](BatchAccess::read_word_span)) — overrides it. A
+//! stretch that is not pure runs scalar, in order, which is byte-for-byte
+//! the plain replay.
 //!
 //! A stretch is one of three shapes:
 //!
@@ -51,12 +56,15 @@
 //! same step indices (each batched operation carries its original global
 //! step index, and the probe-log tail of a batch is re-sorted into step
 //! order), same decisions, same per-process op counts, same per-register
-//! access statistics, same final register contents.
+//! access statistics, same final register contents. A batched step that
+//! writes breaks it, so [`BatchAccess::step_through`] refuses one: it
+//! panics naming the machine's over-reported read run.
 
-use st_core::{ProcSet, ProcessId, Value};
+use st_core::ProcessId;
 
+use crate::automaton::{Automaton, Status, StepAccess};
 use crate::memory::Memory;
-use crate::register::{Reg, RegValue};
+use crate::register::Reg;
 use crate::trace::{ProbeEvent, TraceInner};
 
 /// The global step indices allotted to one machine in the current batch:
@@ -94,21 +102,25 @@ impl Allotment<'_> {
     }
 }
 
-/// Scoped view of the simulator handed to
-/// [`Automaton::step_reads`](crate::Automaton::step_reads) for a whole run
-/// of read steps.
+/// Scoped view of the simulator handed to [`Automaton::step_reads`] for a
+/// whole run of read steps.
 ///
-/// Unlike [`StepAccess`](crate::StepAccess) (one operation, then the step
-/// ends), a `BatchAccess` carries the global step indices of every step
-/// allotted to the machine in the current batch; each read operation
-/// consumes the next one. Probes and decisions attach to the most recently
-/// consumed step, which is exactly where the plain drive would have
-/// published them (protocols probe/decide in the same step as the read that
-/// triggered it).
+/// Unlike [`StepAccess`] (one operation, then the step ends), a
+/// `BatchAccess` carries the global step indices of every step allotted to
+/// the machine in the current batch. A machine uses them in one of two
+/// ways: [`step_through`](Self::step_through) — the default `step_reads` —
+/// runs its [`Automaton::step`] once per allotted step, each at its own
+/// index; an override reads whole register spans
+/// ([`read_word_span`](Self::read_word_span)), each word consuming the next
+/// step, and publishes probes on the most recently consumed one, which is
+/// exactly where the scalar drive would have published them (protocols
+/// probe in the same step as the read that triggered it).
 pub struct BatchAccess<'a> {
     pid: ProcessId,
     steps: Allotment<'a>,
     cursor: usize,
+    /// Register operations performed so far in this batch.
+    ops: u64,
     memory: &'a mut Memory,
     trace: &'a mut TraceInner,
 }
@@ -124,15 +136,16 @@ impl<'a> BatchAccess<'a> {
             pid,
             steps,
             cursor: 0,
+            ops: 0,
             memory,
             trace,
         }
     }
 
-    /// Register operations performed so far in this batch (= steps
-    /// consumed; every batched step is a read).
+    /// Register operations performed so far in this batch (the steps
+    /// consumed, less those that performed none).
     pub(crate) fn ops(&self) -> u64 {
-        self.cursor as u64
+        self.ops
     }
 
     /// This process's identity.
@@ -147,61 +160,37 @@ impl<'a> BatchAccess<'a> {
         self.steps.len() - self.cursor
     }
 
-    #[inline]
-    fn consume(&mut self, count: usize) {
-        assert!(
-            count <= self.remaining(),
-            "automaton of {} overran its batch: {} steps requested, {} left",
-            self.pid,
-            count,
-            self.remaining()
-        );
-        self.cursor += count;
-    }
-
-    /// Atomically reads a register of any value type: all its words at
-    /// once. **Consumes one batched step.** Prefer
-    /// [`read_word`](Self::read_word) (or the span form) for `u64` registers
-    /// on hot paths.
+    /// Runs `machine`'s [`step`](Automaton::step) once per remaining
+    /// allotted step, each through a [`StepAccess`] at that step's global
+    /// index, until the allotment is used up or the machine completes —
+    /// exactly what the scalar drive does with these steps. This is the
+    /// default [`Automaton::step_reads`].
     ///
     /// # Panics
     ///
-    /// Panics on protocol bugs: batch overrun, foreign handles, or type
-    /// confusion.
-    #[inline]
-    pub fn read<T: RegValue>(&mut self, reg: Reg<T>) -> T {
-        self.consume(1);
-        match self.memory.read(reg) {
-            Ok(v) => v,
-            Err(e) => panic!("simulated {} read failed: {e}", self.pid),
+    /// Panics if a step writes a register: the machine's
+    /// [`read_run`](Automaton::read_run) over-reported, and the batch ran
+    /// into a write.
+    pub fn step_through<A: Automaton + ?Sized>(&mut self, machine: &mut A) -> Status {
+        while self.cursor < self.steps.len() {
+            let step = self.steps.step_at(self.cursor);
+            self.cursor += 1;
+            let version = self.memory.version();
+            let mut access = StepAccess::new(self.pid, step, self.memory, self.trace);
+            let status = machine.step(&mut access);
+            self.ops += access.op_performed() as u64;
+            assert_eq!(
+                self.memory.version(),
+                version,
+                "automaton of {} wrote in a batched step: its read_run \
+                 over-reported the reads ahead",
+                self.pid
+            );
+            if status == Status::Done {
+                return Status::Done;
+            }
         }
-    }
-
-    /// Atomically reads a `u64` register. **Consumes one batched step.**
-    ///
-    /// # Panics
-    ///
-    /// Panics on protocol bugs: batch overrun or a foreign handle.
-    #[inline]
-    pub fn read_word(&mut self, reg: Reg<u64>) -> u64 {
-        self.consume(1);
-        match self.memory.read_word(reg) {
-            Ok(v) => v,
-            Err(e) => panic!("simulated {} read failed: {e}", self.pid),
-        }
-    }
-
-    /// [`read_word`](Self::read_word) of the register allocated `offset`
-    /// slots after `base` (see
-    /// [`StepAccess::read_word_array`](crate::StepAccess::read_word_array)).
-    #[inline]
-    pub fn read_word_array(&mut self, base: Reg<u64>, offset: usize) -> u64 {
-        self.consume(1);
-        let reg: Reg<u64> = Reg::new((base.index() + offset) as u32);
-        match self.memory.read_word(reg) {
-            Ok(v) => v,
-            Err(e) => panic!("simulated {} array read failed: {e}", self.pid),
-        }
+        Status::Running
     }
 
     /// Reads `dest.len()` consecutive word registers starting `offset`
@@ -214,7 +203,16 @@ impl<'a> BatchAccess<'a> {
     /// Panics on protocol bugs: batch overrun or a span leaving the arena.
     #[inline]
     pub fn read_word_span(&mut self, base: Reg<u64>, offset: usize, dest: &mut [u64]) {
-        self.consume(dest.len());
+        let count = dest.len();
+        assert!(
+            count <= self.remaining(),
+            "automaton of {} overran its batch: {} steps requested, {} left",
+            self.pid,
+            count,
+            self.remaining()
+        );
+        self.cursor += count;
+        self.ops += count as u64;
         if let Err(e) = self.memory.read_word_span(base, offset, dest) {
             panic!("simulated {} span read failed: {e}", self.pid);
         }
@@ -228,39 +226,16 @@ impl<'a> BatchAccess<'a> {
     /// Panics if no step has been consumed yet (a probe belongs to the step
     /// whose read triggered it).
     pub fn probe(&mut self, key: &'static str, value: u64) {
-        let step = self.current_step();
+        assert!(
+            self.cursor > 0,
+            "automaton of {} probed before consuming a step of its batch",
+            self.pid
+        );
         self.trace.probes.push(ProbeEvent {
-            step,
+            step: self.steps.step_at(self.cursor - 1),
             pid: self.pid,
             key,
             value,
         });
-    }
-
-    /// Publishes a process-set-valued probe (encoded as the bitset).
-    pub fn probe_set(&mut self, key: &'static str, set: ProcSet) {
-        self.probe(key, set.bits());
-    }
-
-    /// Records this process's irrevocable decision, attached to the most
-    /// recently consumed step. **Free.**
-    ///
-    /// # Panics
-    ///
-    /// Panics if the process already decided, or if no step has been
-    /// consumed yet.
-    pub fn decide(&mut self, value: Value) {
-        let step = self.current_step();
-        self.trace.record_decision(self.pid, value, step);
-    }
-
-    #[inline]
-    fn current_step(&self) -> u64 {
-        assert!(
-            self.cursor > 0,
-            "automaton of {} probed/decided before consuming a step of its batch",
-            self.pid
-        );
-        self.steps.step_at(self.cursor - 1)
     }
 }

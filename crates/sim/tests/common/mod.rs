@@ -105,3 +105,37 @@ impl Automaton for SumScan {
         Status::Running
     }
 }
+
+/// [`SumScan`] without its `step_reads` override: a machine that only
+/// reports its read run and phase class, which the batched engine steps
+/// through by default.
+pub struct SteppedSumScan(pub SumScan);
+
+impl Automaton for SteppedSumScan {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        self.0.step(mem)
+    }
+
+    fn phase_class(&self) -> u8 {
+        self.0.phase_class()
+    }
+
+    fn read_run(&self) -> usize {
+        self.0.read_run()
+    }
+}
+
+/// [`SteppedSumScan`] whose read run over-reports by one step, into the
+/// write that ends each scan — a `read_run` bug the batched engine must
+/// refuse.
+pub struct OverReadSumScan(pub SumScan);
+
+impl Automaton for OverReadSumScan {
+    fn step(&mut self, mem: &mut StepAccess<'_>) -> Status {
+        self.0.step(mem)
+    }
+
+    fn read_run(&self) -> usize {
+        self.0.read_run() + 1
+    }
+}

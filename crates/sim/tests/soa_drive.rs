@@ -1,8 +1,9 @@
 //! Unit tests for the batched engine ([`Sim::run_automata_replay_soa`],
 //! and [`Sim::run_automata`], which runs it from `SOA_DELEGATE_BELOW_N`
 //! processes on): identity to the plain replay on a purpose-built
-//! two-phase machine, the scalar fallback on impure slices, and delegation
-//! under stop conditions.
+//! two-phase machine (with its span-read `step_reads` and with the default
+//! that steps it), the scalar fallback on impure slices, the refusal of a
+//! batched write, and delegation under stop conditions.
 //!
 //! (The workspace-wide differential suites live with the protocols, in
 //! `st-agreement/tests/soa_differential.rs`; this file covers drive
@@ -10,7 +11,7 @@
 
 mod common;
 
-use common::SumScan;
+use common::{OverReadSumScan, SteppedSumScan, SumScan};
 use st_core::{ProcSet, ProcessId, Schedule, Universe};
 use st_sim::{Reg, RunConfig, RunStatus, Sim, StopWhen};
 
@@ -389,6 +390,80 @@ fn soa_delegation_threshold_preserves_identity() {
             );
         }
     }
+}
+
+/// A machine that overrides only `read_run` and `phase_class` is batched
+/// through the default `step_reads`, which steps it: the raw engine at
+/// every slice length and `run_automata` at the batching threshold are
+/// observationally identical to the scalar replay — probes, decisions, op
+/// counts, register statistics.
+#[test]
+fn a_read_run_alone_batches_identically() {
+    use st_core::ScheduleCursor;
+    use st_sim::SOA_DELEGATE_BELOW_N;
+    let (m, limit) = (6usize, 5u64);
+    let stepped = |n: usize| {
+        let (sim, outs, fleet) = build(n, m, limit);
+        let fleet: Vec<SteppedSumScan> = fleet.into_iter().map(SteppedSumScan).collect();
+        (sim, outs, fleet)
+    };
+    for n in [4, SOA_DELEGATE_BELOW_N] {
+        let len = 60 * n;
+        let cfg = RunConfig::steps(len as u64);
+        let schedules: Vec<(&str, Schedule)> = vec![
+            ("rr", Schedule::from_indices((0..len).map(|s| s % n))),
+            (
+                "bursty",
+                Schedule::from_indices((0..len).map(|s| (s / 13) % n)),
+            ),
+            (
+                "skewed",
+                Schedule::from_indices(
+                    (0..len).map(|s| if s % 5 < 4 { 0 } else { 1 + s % (n - 1) }),
+                ),
+            ),
+        ];
+        for (name, sched) in &schedules {
+            let plain = {
+                let (mut sim, outs, mut fleet) = build(n, m, limit);
+                sim.run_automata_replay(&mut fleet, sched, cfg).unwrap();
+                observe(&sim, &outs)
+            };
+            for slice_len in [1usize, 7, 64] {
+                let (mut sim, outs, mut fleet) = stepped(n);
+                sim.run_automata_replay_soa(&mut fleet, sched, slice_len, cfg)
+                    .unwrap();
+                assert_eq!(
+                    plain,
+                    observe(&sim, &outs),
+                    "n={n} {name} slice={slice_len}: stepping a batch diverged"
+                );
+            }
+            if n == SOA_DELEGATE_BELOW_N {
+                let (mut sim, outs, mut fleet) = stepped(n);
+                let mut src = ScheduleCursor::new(sched.clone());
+                sim.run_automata(&mut fleet, &mut src, cfg).unwrap();
+                assert_eq!(
+                    plain,
+                    observe(&sim, &outs),
+                    "n={n} {name}: the pulled drive diverged"
+                );
+            }
+        }
+    }
+}
+
+/// A batch never writes: a read run one step too long runs the default
+/// `step_reads` into the write that ends the scan, and the engine refuses
+/// it, naming the read run.
+#[test]
+#[should_panic(expected = "read_run over-reported")]
+fn a_read_run_into_a_write_is_refused() {
+    let (mut sim, _outs, fleet) = build(2, 4, 3);
+    let mut fleet: Vec<OverReadSumScan> = fleet.into_iter().map(OverReadSumScan).collect();
+    let sched = Schedule::from_indices(vec![0usize; 20]);
+    sim.run_automata_replay_soa(&mut fleet, &sched, 64, RunConfig::steps(20))
+        .unwrap();
 }
 
 /// A fresh Sim accepts a fleet drive with nothing set up beyond its
