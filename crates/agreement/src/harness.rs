@@ -68,7 +68,6 @@ pub struct AgreementStack {
     task: AgreementTask,
     inputs: Vec<Value>,
     kind: StackKind,
-    fd: Option<KAntiOmega>,
     kset: Option<KSetAgreement>,
 }
 
@@ -149,13 +148,13 @@ impl AgreementStack {
         assert_eq!(inputs.len(), task.n(), "one input per process");
         let universe = task.universe();
         let mut sim = Sim::new(universe);
-        let (kind, fd, kset, fleet) = if task.is_trivially_solvable() {
+        let (kind, kset, fleet) = if task.is_trivially_solvable() {
             let obj = TrivialAgreement::alloc(&mut sim, task.k());
             let fleet = inputs
                 .iter()
                 .map(|&v| Box::new(obj.machine(v)) as Box<dyn Automaton>)
                 .collect();
-            (StackKind::Trivial, None, None, fleet)
+            (StackKind::Trivial, None, fleet)
         } else {
             let fd = KAntiOmega::alloc(
                 &mut sim,
@@ -166,7 +165,7 @@ impl AgreementStack {
                 .iter()
                 .map(|&v| Box::new(kset.machine(&fd, v)) as Box<dyn Automaton>)
                 .collect();
-            (StackKind::FdParallelPaxos, Some(fd), Some(kset), fleet)
+            (StackKind::FdParallelPaxos, Some(kset), fleet)
         };
         AgreementStack {
             sim,
@@ -174,7 +173,6 @@ impl AgreementStack {
             task,
             inputs: inputs.to_vec(),
             kind,
-            fd,
             kset,
         }
     }
@@ -182,11 +180,6 @@ impl AgreementStack {
     /// The protocol the stack chose.
     pub fn kind(&self) -> StackKind {
         self.kind
-    }
-
-    /// The FD instance, when the stack uses one (instrumentation).
-    pub fn fd(&self) -> Option<&KAntiOmega> {
-        self.fd.as_ref()
     }
 
     /// The k-set agreement object, when the stack uses one.
@@ -281,7 +274,7 @@ mod tests {
         let task = AgreementTask::new(1, 2, 4).unwrap();
         let stack = AgreementStack::build(task, &inputs(4));
         assert_eq!(stack.kind(), StackKind::Trivial);
-        assert!(stack.fd().is_none());
+        assert!(stack.kset().is_none());
     }
 
     #[test]
@@ -289,7 +282,7 @@ mod tests {
         let task = AgreementTask::new(2, 2, 4).unwrap();
         let stack = AgreementStack::build(task, &inputs(4));
         assert_eq!(stack.kind(), StackKind::FdParallelPaxos);
-        assert!(stack.fd().is_some());
+        assert!(stack.kset().is_some());
     }
 
     #[test]

@@ -3,15 +3,16 @@
 //!
 //! Names are formatted on demand from per-block recipes, and they are part
 //! of the observable surface: `SimError` messages quote them and the
-//! differential suites compare `RegisterStats` (names included) across
-//! ABIs, drives and set widths. The tables are literal so a recipe that
-//! drifts — an off-by-one at a block boundary, a swapped row and column —
-//! fails here with the offending name in the diff.
+//! transcription fixture digests them. The differential suites compare
+//! `RegisterStats` by arena index, so these literal tables, which cover
+//! both set widths, are what pins the names: a recipe that drifts — an
+//! off-by-one at a block boundary, a swapped row and column — fails here
+//! with the offending name in the diff.
 
 use st_agreement::{KSetAgreement, LeanConsensus};
 use st_core::{ProcessId, Universe};
 use st_fd::{KAntiOmega, KAntiOmegaConfig, LeanOmega, TimeoutPolicy};
-use st_sim::Sim;
+use st_sim::{Sim, WriteDiscipline};
 
 fn sim(n: usize) -> Sim {
     Sim::new(Universe::new(n).unwrap())
@@ -19,7 +20,12 @@ fn sim(n: usize) -> Sim {
 
 /// Every register name of `sim`, in allocation order.
 fn names(sim: &Sim) -> Vec<String> {
-    sim.register_stats().into_iter().map(|s| s.name).collect()
+    let memory = sim.memory();
+    let stats = memory.stats();
+    stats
+        .iter()
+        .map(|s| memory.name(s.index).unwrap())
+        .collect()
 }
 
 const FIGURE2_N3_K2: [&str; 12] = [
@@ -100,11 +106,12 @@ fn kset_agreement_names() {
 #[test]
 fn sim_allocator_names() {
     let mut sim = sim(2);
-    sim.alloc_array("out", 3, 0u64);
+    let multi = |_| WriteDiscipline::MultiWriter;
+    sim.alloc_block(3, 0u64, multi, |i| format!("out[{i}]"));
     sim.alloc("lone", 0u64);
     sim.alloc_sw("mine", ProcessId::new(1), 0u64);
     sim.alloc_per_process("slot", 0u64);
-    sim.alloc_array("none", 0, 0u64);
+    sim.alloc_block(0, 0u64, multi, |_| "none".into());
     sim.alloc("last", 0u64);
     assert_eq!(
         names(&sim),

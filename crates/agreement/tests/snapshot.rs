@@ -53,7 +53,7 @@ fn observe(cell: &Cell, sim: &Sim) -> Vec<String> {
     let universe = sim.universe();
     let mut seen = vec![
         format!("{:?}", sim.report()),
-        format!("{:?}", sim.register_stats()),
+        format!("{:?}", sim.memory().stats()),
     ];
     for p in universe.processes() {
         seen.push(cell.fd.peek_heartbeat(sim, p).to_string());

@@ -115,7 +115,7 @@ type Observation = (RunReport, Vec<RegisterStats>, Vec<String>);
 /// The run's per-register access statistics, checked to be worth
 /// comparing: an empty or all-zero list would make the comparison vacuous.
 fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
-    let stats = sim.register_stats();
+    let stats = sim.memory().stats();
     assert!(
         stats.iter().any(|s| s.reads > 0),
         "no register was ever read"
@@ -234,19 +234,6 @@ fn run_kset_fleet(n: usize, k: usize, t: usize, schedule: &Schedule, drive: Driv
 }
 
 fn run_lean_fd(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
-    observe_lean_fd(n, t, schedule, drive, true)
-}
-
-/// [`run_lean_fd`], its per-register statistics left out unless `stats`:
-/// they format every register's name, a million at n = 1024 — some
-/// seventeen seconds a run in a debug build.
-fn observe_lean_fd(
-    n: usize,
-    t: usize,
-    schedule: &Schedule,
-    drive: Drive,
-    stats: bool,
-) -> Observation {
     let u = Universe::new(n).unwrap();
     let mut sim = Sim::new(u);
     let fd = LeanOmega::alloc(&mut sim, t, TimeoutPolicy::Increment);
@@ -272,12 +259,7 @@ fn observe_lean_fd(
             regs.push(det.peek_counter(&sim, 0, ProcessId::new(i)).to_string());
         }
     }
-    let stats = if stats {
-        access_stats(&sim)
-    } else {
-        Vec::new()
-    };
-    (sim.report(), stats, regs)
+    (sim.report(), access_stats(&sim), regs)
 }
 
 fn run_lean_consensus(n: usize, t: usize, schedule: &Schedule, drive: Drive) -> Observation {
@@ -580,9 +562,7 @@ fn e9_lean_dwell_n1024() -> Generated {
 
 /// A lean FD fleet at n = 1024 on E9's lean dwell, and on dwells shorter
 /// than a counter scan and a multiple of neither n nor 64, so that every
-/// dwell end cuts a scan mid-row and the next turn resumes it. Everything
-/// but the per-register statistics is compared: they format every
-/// register's name, and the case below holds them.
+/// dwell end cuts a scan mid-row and the next turn resumes it.
 #[test]
 fn lean_fd_fleet_identical_at_n1024() {
     let n = 1024;
@@ -595,22 +575,9 @@ fn lean_fd_fleet_identical_at_n1024() {
         ),
     ] {
         assert_fleet_identical(&format!("lean-fd n=1024 {name}"), &generated, |s, d| {
-            observe_lean_fd(n, n / 16, s, d, false)
+            run_lean_fd(n, n / 16, s, d)
         });
     }
-}
-
-/// [`lean_fd_fleet_identical_at_n1024`]'s E9-dwell case with the
-/// per-register statistics compared as well.
-#[test]
-#[ignore = "≈ 35 s in a debug build, formatting a million register names; CI runs it with --release"]
-fn lean_fd_fleet_register_stats_identical_at_n1024() {
-    let generated = e9_lean_dwell_n1024();
-    assert_fleet_identical(
-        "lean-fd n=1024 E9 dwell, register stats",
-        &generated,
-        |s, d| run_lean_fd(1024, 64, s, d),
-    );
 }
 
 /// A dwell that crosses a phase end mid-dwell, on the production drive:

@@ -107,11 +107,6 @@ impl<M: StepMachine + Clone> BgSimulation<M> {
         }
     }
 
-    /// Number of simulated processes.
-    pub fn n_sim(&self) -> usize {
-        self.machines.len()
-    }
-
     /// Simulated decision registers, peeked without steps.
     pub fn peek_simulated_decisions(&self, sim: &Sim) -> Vec<Option<Value>> {
         self.decisions.iter().map(|&d| sim.peek(d)).collect()

@@ -3,10 +3,8 @@
 //! without changing what any scenario computes.
 
 use st_core::parallel::{resolve_workers, steal_chunks};
-use st_core::Universe;
-use st_sched::{CrashPlan, GeneratorSpec, TimeoutPolicySpec};
 
-use crate::scenario::{Scenario, ScenarioOutcome, StopRule, Workload};
+use crate::scenario::{Scenario, ScenarioOutcome};
 use crate::store::{OutcomeStore, StoreEntry};
 
 /// An ordered list of scenarios, executed together.
@@ -36,22 +34,6 @@ impl Campaign {
         Campaign::default()
     }
 
-    /// A campaign from an explicit scenario list (ranks = positions).
-    pub fn from_scenarios(scenarios: Vec<Scenario>) -> Self {
-        let ranks = (0..scenarios.len()).collect();
-        let next_rank = scenarios.len();
-        Campaign {
-            scenarios,
-            ranks,
-            next_rank,
-        }
-    }
-
-    /// Starts a cartesian grid over one universe.
-    pub fn grid(universe: Universe) -> GridBuilder {
-        GridBuilder::new(universe)
-    }
-
     /// Appends a scenario; returns its rank.
     pub fn push(&mut self, scenario: Scenario) -> usize {
         let rank = self.next_rank;
@@ -62,8 +44,8 @@ impl Campaign {
     }
 
     /// Appends every scenario of `other`, re-ranking them to continue this
-    /// campaign's rank sequence (grids built separately can be chained into
-    /// one campaign).
+    /// campaign's rank sequence (campaigns built separately can be chained
+    /// into one).
     pub fn append(&mut self, other: Campaign) {
         for scenario in other.scenarios {
             self.push(scenario);
@@ -394,160 +376,13 @@ pub fn merge_outcomes(
     reused
 }
 
-/// Cartesian scenario-grid builder: workloads × timeout policies ×
-/// generators × crash plans × seeds, in that nesting order (workloads
-/// outermost, seeds innermost), all sharing one universe and budget.
-///
-/// Crash plans are applied with [`GeneratorSpec::crashed`]; the scenario's
-/// faulty set is the plan's victims (plus whatever the generator itself
-/// silences). The timeout-policy axis
-/// ([`timeout_policies`](GridBuilder::timeout_policies)) rewrites each
-/// workload's FD policy per cell — it applies to every FD-backed workload,
-/// [`Workload::AdversarialAgreement`] cells included; when the axis is not
-/// set, workloads keep their own policy and labels are unchanged.
-pub struct GridBuilder {
-    universe: Universe,
-    generators: Vec<GeneratorSpec>,
-    crashes: Vec<CrashPlan>,
-    seeds: Vec<u64>,
-    workloads: Vec<Workload>,
-    /// `None` = "the workload's own policy" (the default single axis value,
-    /// which also keeps labels in their historical shape).
-    policies: Vec<Option<TimeoutPolicySpec>>,
-    budget: u64,
-    stop: Option<StopRule>,
-}
-
-impl GridBuilder {
-    fn new(universe: Universe) -> Self {
-        GridBuilder {
-            universe,
-            generators: Vec::new(),
-            crashes: vec![CrashPlan::new()],
-            seeds: vec![0],
-            workloads: Vec::new(),
-            policies: vec![None],
-            budget: 1_000_000,
-            stop: None,
-        }
-    }
-
-    /// The generator axis.
-    pub fn generators(mut self, generators: impl IntoIterator<Item = GeneratorSpec>) -> Self {
-        self.generators = generators.into_iter().collect();
-        self
-    }
-
-    /// The crash axis (defaults to a single empty plan). Include
-    /// `CrashPlan::new()` to keep a no-crash arm.
-    pub fn crash_plans(mut self, plans: impl IntoIterator<Item = CrashPlan>) -> Self {
-        self.crashes = plans.into_iter().collect();
-        self
-    }
-
-    /// The seed axis (defaults to `[0]`).
-    pub fn seeds(mut self, seeds: impl IntoIterator<Item = u64>) -> Self {
-        self.seeds = seeds.into_iter().collect();
-        self
-    }
-
-    /// The workload axis.
-    pub fn workloads(mut self, workloads: impl IntoIterator<Item = Workload>) -> Self {
-        self.workloads = workloads.into_iter().collect();
-        self
-    }
-
-    /// One workload (the common case).
-    pub fn workload(mut self, workload: Workload) -> Self {
-        self.workloads = vec![workload];
-        self
-    }
-
-    /// The FD timeout-policy axis: each cell's workload runs with its
-    /// policy replaced by the axis value
-    /// ([`Workload::with_policy_spec`](crate::Workload::with_policy_spec)),
-    /// and labels gain a policy segment. Defaults to "keep the workload's
-    /// own policy" (no label change).
-    pub fn timeout_policies(
-        mut self,
-        policies: impl IntoIterator<Item = TimeoutPolicySpec>,
-    ) -> Self {
-        self.policies = policies.into_iter().map(Some).collect();
-        self
-    }
-
-    /// Per-scenario step budget (default 1M).
-    pub fn budget(mut self, budget: u64) -> Self {
-        self.budget = budget;
-        self
-    }
-
-    /// Overrides the stop rule of every scenario whose workload consults it
-    /// (the generator-driven FD and agreement workloads; the adversary and
-    /// BG drives own their stop semantics — see [`StopRule`]). Default: the
-    /// workload's own rule.
-    pub fn stop(mut self, stop: StopRule) -> Self {
-        self.stop = Some(stop);
-        self
-    }
-
-    /// Materializes the cartesian product as a campaign.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the generator, workload, or timeout-policy axis is empty —
-    /// an empty grid is always a bug in the experiment definition.
-    pub fn build(self) -> Campaign {
-        assert!(!self.generators.is_empty(), "grid needs ≥ 1 generator");
-        assert!(!self.workloads.is_empty(), "grid needs ≥ 1 workload");
-        assert!(!self.policies.is_empty(), "grid needs ≥ 1 timeout policy");
-        let mut campaign = Campaign::new();
-        for (w, workload) in self.workloads.iter().enumerate() {
-            for policy in &self.policies {
-                let (workload, pol_label) = match policy {
-                    None => (workload.clone(), String::new()),
-                    Some(spec) => (
-                        workload.clone().with_policy_spec(*spec),
-                        format!("{}/", spec.name()),
-                    ),
-                };
-                for generator in &self.generators {
-                    for (c, plan) in self.crashes.iter().enumerate() {
-                        let spec = generator.clone().crashed(plan.clone());
-                        for &seed in &self.seeds {
-                            // `crash{c}` is the crash-axis *index*: distinct
-                            // plans get distinct labels even with equal victim
-                            // counts, and generator-silenced processes (e.g.
-                            // FictitiousCrash) are not miscounted as plan
-                            // victims.
-                            let label =
-                                format!("w{w}/{pol_label}{}/crash{c}/seed{seed}", spec.family());
-                            let mut scenario = Scenario::new(
-                                label,
-                                self.universe,
-                                spec.clone(),
-                                workload.clone(),
-                                self.budget,
-                                seed,
-                            );
-                            if let Some(stop) = self.stop {
-                                scenario.stop = stop;
-                            }
-                            campaign.push(scenario);
-                        }
-                    }
-                }
-            }
-        }
-        campaign
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::{FdAbi, FdDetector, OutcomeData};
+    use crate::scenario::{FdAbi, FdDetector, OutcomeData, StopRule, Workload};
+    use st_core::Universe;
     use st_fd::TimeoutPolicy;
+    use st_sched::GeneratorSpec;
 
     fn fd_workload() -> Workload {
         Workload::FdConvergence {
@@ -560,76 +395,51 @@ mod tests {
         }
     }
 
-    #[test]
-    fn grid_is_the_cartesian_product_in_axis_order() {
+    /// Round-robin FD scenarios over `Π_3` at seeds 0–4, ranked 0–4.
+    fn seeded_fd_campaign(budget: u64) -> Campaign {
         let u = Universe::new(3).unwrap();
-        let campaign = Campaign::grid(u)
-            .generators([
+        let mut campaign = Campaign::new();
+        for seed in 0..5 {
+            campaign.push(Scenario::new(
+                format!("w0/RoundRobin/crash0/seed{seed}"),
+                u,
                 GeneratorSpec::round_robin(),
-                GeneratorSpec::seeded_random(0),
-            ])
-            .seeds([7, 8, 9])
-            .workload(fd_workload())
-            .budget(10)
-            .build();
-        assert_eq!(campaign.len(), 6);
-        let labels: Vec<&str> = campaign
-            .scenarios()
-            .iter()
-            .map(|s| s.label.as_str())
-            .collect();
-        assert_eq!(
-            labels,
-            [
-                "w0/RoundRobin/crash0/seed7",
-                "w0/RoundRobin/crash0/seed8",
-                "w0/RoundRobin/crash0/seed9",
-                "w0/SeededRandom/crash0/seed7",
-                "w0/SeededRandom/crash0/seed8",
-                "w0/SeededRandom/crash0/seed9",
-            ]
-        );
-        assert_eq!(campaign.ranks(), (0..6).collect::<Vec<_>>());
+                fd_workload(),
+                budget,
+                seed,
+            ));
+        }
+        campaign
     }
 
-    #[test]
-    fn policy_axis_rewrites_workloads_and_labels() {
-        let u = Universe::new(3).unwrap();
-        let campaign = Campaign::grid(u)
-            .generators([GeneratorSpec::round_robin()])
-            .workload(fd_workload())
-            .timeout_policies([TimeoutPolicySpec::Increment, TimeoutPolicySpec::Double])
-            .budget(10)
-            .build();
-        assert_eq!(campaign.len(), 2);
-        assert_eq!(
-            campaign.scenarios()[0].label,
-            "w0/Increment/RoundRobin/crash0/seed0"
+    /// One `t = 1` consensus scenario on a 6-timely schedule, with its stop
+    /// rule overridden when `stop` is given.
+    fn consensus_scenario(stop: Option<StopRule>) -> Scenario {
+        let p = st_core::ProcSet::from_indices([0]);
+        let q = st_core::ProcSet::from_indices([0, 1, 2]);
+        let mut scenario = Scenario::new(
+            "w0/SetTimely/crash0/seed8",
+            Universe::new(3).unwrap(),
+            GeneratorSpec::set_timely(p, q, 6, GeneratorSpec::seeded_random(0)),
+            Workload::Agreement {
+                t: 1,
+                k: 1,
+                inputs: vec![10, 20, 30],
+                policy: TimeoutPolicy::Increment,
+                certify: None,
+            },
+            400_000,
+            8,
         );
-        assert_eq!(
-            campaign.scenarios()[1].label,
-            "w0/Double/RoundRobin/crash0/seed0"
-        );
-        let policy_of = |s: &Scenario| match s.workload {
-            Workload::FdConvergence { policy, .. } => policy,
-            _ => unreachable!(),
-        };
-        assert_eq!(
-            policy_of(&campaign.scenarios()[0]),
-            TimeoutPolicy::Increment
-        );
-        assert_eq!(policy_of(&campaign.scenarios()[1]), TimeoutPolicy::Double);
+        if let Some(stop) = stop {
+            scenario.stop = stop;
+        }
+        scenario
     }
 
     #[test]
     fn outcomes_come_back_in_rank_order() {
-        let u = Universe::new(3).unwrap();
-        let campaign = Campaign::grid(u)
-            .generators([GeneratorSpec::round_robin()])
-            .seeds(0..5)
-            .workload(fd_workload())
-            .budget(2_000)
-            .build();
+        let campaign = seeded_fd_campaign(2_000);
         let out = campaign.run_parallel(3);
         assert_eq!(out.len(), 5);
         for (i, o) in out.iter().enumerate() {
@@ -640,13 +450,7 @@ mod tests {
 
     #[test]
     fn retain_preserves_ranks_and_push_continues_them() {
-        let u = Universe::new(3).unwrap();
-        let mut campaign = Campaign::grid(u)
-            .generators([GeneratorSpec::round_robin()])
-            .seeds(0..5)
-            .workload(fd_workload())
-            .budget(500)
-            .build();
+        let mut campaign = seeded_fd_campaign(500);
         campaign.retain(|rank, _| rank % 2 == 0);
         assert_eq!(campaign.ranks(), [0, 2, 4]);
         let out = campaign.run_parallel(2);
@@ -661,36 +465,14 @@ mod tests {
     #[test]
     fn budget_only_override_outlives_the_decision() {
         use st_sim::RunStatus;
-        let u = Universe::new(3).unwrap();
-        let p = st_core::ProcSet::from_indices([0]);
-        let q = st_core::ProcSet::from_indices([0, 1, 2]);
-        let workload = Workload::Agreement {
-            t: 1,
-            k: 1,
-            inputs: vec![10, 20, 30],
-            policy: TimeoutPolicy::Increment,
-            certify: None,
-        };
-        let spec = GeneratorSpec::set_timely(p, q, 6, GeneratorSpec::seeded_random(0));
-        let grid = |stop: Option<crate::StopRule>| {
-            let mut b = Campaign::grid(u)
-                .generators([spec.clone()])
-                .seeds([8])
-                .workload(workload.clone())
-                .budget(400_000);
-            if let Some(s) = stop {
-                b = b.stop(s);
-            }
-            b.build().run_sequential().remove(0)
-        };
         // Default: stops at all-decided.
-        let decided = grid(None);
+        let decided = consensus_scenario(None).run();
         let decided = decided.data.as_agreement().unwrap();
         assert_eq!(decided.status, RunStatus::Stopped);
         assert!(decided.clean);
         // BudgetOnly override: same decisions, but the run burns the whole
         // budget past the decision point.
-        let full = grid(Some(crate::StopRule::BudgetOnly));
+        let full = consensus_scenario(Some(StopRule::BudgetOnly)).run();
         let full = full.data.as_agreement().unwrap();
         assert_eq!(full.status, RunStatus::MaxSteps);
         assert_eq!(full.decisions, decided.decisions);
@@ -730,13 +512,5 @@ mod tests {
         // is not burned — no process ever stepped.
         assert_eq!(run.status, RunStatus::MaxSteps);
         assert!(run.decisions.iter().all(|d| d.is_none()));
-    }
-
-    #[test]
-    #[should_panic(expected = "≥ 1 generator")]
-    fn empty_generator_axis_rejected() {
-        let _ = Campaign::grid(Universe::new(2).unwrap())
-            .workload(fd_workload())
-            .build();
     }
 }

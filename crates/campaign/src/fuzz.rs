@@ -262,11 +262,6 @@ impl CoverageMap {
         self.seen.is_empty()
     }
 
-    /// How many of `feats` are new without recording them.
-    pub fn novelty(&self, feats: &[u64]) -> usize {
-        feats.iter().filter(|f| !self.seen.contains(f)).count()
-    }
-
     /// Records `feats`; returns how many were new.
     pub fn observe(&mut self, feats: &[u64]) -> usize {
         feats.iter().filter(|&&f| self.seen.insert(f)).count()
@@ -571,7 +566,6 @@ mod tests {
         let mut map = CoverageMap::new();
         let f = features(&a, &oa);
         assert_eq!(map.observe(&f), map.len());
-        assert_eq!(map.novelty(&f), 0);
         assert_eq!(map.observe(&f), 0);
     }
 

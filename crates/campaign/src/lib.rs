@@ -3,24 +3,24 @@
 //!
 //! The paper's results quantify over *families* of schedules — every
 //! Theorem 24/26/27 claim ranges over systems `S^i_{j,n}` and crash
-//! patterns — so the experiments are grids: generators × crash plans ×
-//! seeds × protocol workloads. This crate turns such a grid into data:
+//! patterns — so the experiments sweep generators, crash plans, seeds and
+//! protocol workloads. This crate turns such a sweep into data:
 //!
-//! - a [`Scenario`] is one cell — universe, [`GeneratorSpec`], [`Workload`]
+//! - a [`Scenario`] is one run — universe, [`GeneratorSpec`], [`Workload`]
 //!   (FD convergence, `(t,k,n)`-agreement via the full stack, the adaptive
 //!   adversary, or the BG reduction), stop rule, step budget, seed;
-//! - a [`Campaign`] is an ordered list of scenarios with cartesian
-//!   [`grid`](Campaign::grid) builders and
+//! - a [`Campaign`] is an ordered list of scenarios, built one
+//!   [`push`](Campaign::push) at a time and run by
 //!   [`run_parallel`](Campaign::run_parallel);
 //! - a [`ScenarioOutcome`] is the structured, `Eq`-comparable result the
 //!   experiment harness renders into its tables.
 //!
-//! The `st-lab` experiments E2–E8 (all but E1's prefix curves) are
-//! campaigns; their bespoke sequential loops were replaced by grids over
-//! this engine. E5's solvable cells run [`Workload::Agreement`] with a
+//! The `st-lab` experiments E2–E9 (all but E1's prefix curves) are
+//! campaigns: each pushes its scenarios in table order and renders the
+//! outcomes. E5's solvable cells run [`Workload::Agreement`] with a
 //! [`CertifyTimely`] pre-check, its unsolvable cells run
-//! [`Workload::AdversarialAgreement`]; E6 is a [`Workload::BgReduction`]
-//! grid.
+//! [`Workload::AdversarialAgreement`]; E6's cells are
+//! [`Workload::BgReduction`] runs.
 //!
 //! # Persistence and resumability
 //!
@@ -74,19 +74,20 @@ mod scenario;
 pub mod shrink;
 pub mod store;
 
-pub use campaign::{merge_outcomes, Campaign, ChunkControl, ChunkReport, GridBuilder};
+pub use campaign::{merge_outcomes, Campaign, ChunkControl, ChunkReport};
 pub use counterexample::{Counterexample, CE_SCHEMA};
 pub use fuzz::{
     features, CorpusEntry, CoverageMap, Finding, FuzzConfig, FuzzInput, FuzzReport, FuzzSession,
 };
 pub use invariant::{InvariantChecker, InvariantViolation};
 pub use scenario::{
-    policy_from_spec, AdversarialOutcome, AgreementScenarioOutcome, BgOutcome, CertifyTimely,
-    FdAbi, FdDetector, FdOutcome, FleetReplayDrive, LeanOutcome, LeanStabilization, OutcomeData,
-    Scenario, ScenarioOutcome, StopRule, WideFdOutcome, WideFdStabilization, Workload,
+    AdversarialOutcome, AgreementScenarioOutcome, BgOutcome, CertifyTimely, FdAbi, FdDetector,
+    FdOutcome, FleetReplayDrive, LeanOutcome, LeanStabilization, OutcomeData, Scenario,
+    ScenarioOutcome, StopRule, WideFdOutcome, WideFdStabilization, Workload,
 };
 pub use shrink::{ShrinkReport, Shrinker};
 pub use store::{OutcomeStore, StoreEntry, StoreError};
 
 // Re-exported so campaign definitions need only this crate.
-pub use st_sched::{GeneratorSpec, TimeoutPolicySpec};
+pub use st_fd::TimeoutPolicy;
+pub use st_sched::GeneratorSpec;

@@ -24,21 +24,11 @@ use st_fd::{
     KAntiOmega, KAntiOmegaConfig, LeanOmega, ProcessTimelyDetector, TimeoutPolicy,
     BASELINE_WINNERSET_PROBE, WINNERSET_PROBE,
 };
-use st_sched::{GeneratorSpec, TimeoutPolicySpec};
+use st_sched::GeneratorSpec;
 use st_sim::{check_slice_len, RunConfig, RunReport, RunStatus, Sim, StopWhen};
 
 use crate::invariant::{Ballots, InvariantChecker, InvariantViolation, ScheduleWatch};
 use st_core::Schedule;
-
-/// Converts a declarative [`TimeoutPolicySpec`] grid-axis value (from
-/// `st-sched`, which does not depend on `st-fd`) into the concrete
-/// [`TimeoutPolicy`] the failure detector consumes.
-pub fn policy_from_spec(spec: TimeoutPolicySpec) -> TimeoutPolicy {
-    match spec {
-        TimeoutPolicySpec::Increment => TimeoutPolicy::Increment,
-        TimeoutPolicySpec::Double => TimeoutPolicy::Double,
-    }
-}
 
 /// The drive an FD-convergence scenario names: three wire names, one
 /// drive. Every value runs one typed fleet through `Sim::run_automata`, so
@@ -261,27 +251,6 @@ impl Workload {
         }
     }
 
-    /// This workload with its FD timeout policy replaced — the grid
-    /// builder's timeout-policy axis. [`Workload::BgReduction`] has no
-    /// failure detector underneath; it is returned unchanged.
-    pub fn with_policy(mut self, new: TimeoutPolicy) -> Workload {
-        match &mut self {
-            Workload::FdConvergence { policy, .. }
-            | Workload::Agreement { policy, .. }
-            | Workload::AdversarialAgreement { policy, .. }
-            | Workload::LeanConvergence { policy, .. }
-            | Workload::LeanAgreement { policy, .. }
-            | Workload::WideFdConvergence { policy, .. } => *policy = new,
-            Workload::BgReduction { .. } => {}
-        }
-        self
-    }
-
-    /// [`with_policy`](Self::with_policy) from the declarative axis value.
-    pub fn with_policy_spec(self, spec: TimeoutPolicySpec) -> Workload {
-        self.with_policy(policy_from_spec(spec))
-    }
-
     /// Holds the workload to what running it over `universe` needs,
     /// refusing the first breach with its field path. Each rule is the
     /// check the protocol's own constructor asserts through, or stated
@@ -472,13 +441,6 @@ impl Scenario {
             seed,
             faulty,
         }
-    }
-
-    /// Overrides the faulty set (e.g. when only a subset of the crash plan
-    /// counts against the fault budget).
-    pub fn with_faulty(mut self, faulty: ProcSet) -> Self {
-        self.faulty = faulty;
-        self
     }
 
     /// Holds the scenario to what [`run`](Self::run) needs: its workload

@@ -54,15 +54,11 @@ pub struct ShrinkReport {
 }
 
 /// The deterministic delta-debugger. See the module docs.
-pub struct Shrinker {
-    max_runs: usize,
-}
+#[derive(Default)]
+pub struct Shrinker;
 
-impl Default for Shrinker {
-    fn default() -> Self {
-        Shrinker::new()
-    }
-}
+/// Oracle runs one [`Shrinker::shrink`] call may spend.
+const MAX_RUNS: usize = 1024;
 
 /// Rebuilds `s` with a new generator, recomputing the faulty set (layer
 /// drops change it) while keeping label, workload, stop rule, budget, and
@@ -178,14 +174,10 @@ fn remove_range(schedule: &Schedule, start: usize, end: usize) -> Schedule {
 }
 
 impl Shrinker {
-    /// A shrinker with the default oracle-run budget.
+    /// A shrinker; each [`shrink`](Self::shrink) spends at most 1 024
+    /// oracle runs.
     pub fn new() -> Self {
-        Shrinker { max_runs: 1024 }
-    }
-
-    /// Overrides the oracle-run budget.
-    pub fn with_max_runs(max_runs: usize) -> Self {
-        Shrinker { max_runs }
+        Shrinker
     }
 
     /// Shrinks `(scenario, outcome)` to a minimal scenario still violating
@@ -220,7 +212,7 @@ impl Shrinker {
 
         // Phase 1: spec-level, to fixpoint.
         loop {
-            if runs >= self.max_runs {
+            if runs >= MAX_RUNS {
                 break;
             }
             let mut candidates: Vec<Scenario> = Vec::new();
@@ -244,7 +236,7 @@ impl Shrinker {
             }
             let mut advanced = false;
             for cand in candidates {
-                if runs >= self.max_runs {
+                if runs >= MAX_RUNS {
                     break;
                 }
                 if try_accept(cand, &mut runs, &mut cur, &mut cur_out, &mut accepted) {
@@ -274,11 +266,11 @@ impl Shrinker {
                 let before = sched.len();
                 // Chunk removal, coarse to fine.
                 let mut granularity = 2usize;
-                while !sched.is_empty() && runs < self.max_runs {
+                while !sched.is_empty() && runs < MAX_RUNS {
                     let chunk = sched.len().div_ceil(granularity);
                     let mut reduced = false;
                     let mut start = 0usize;
-                    while start < sched.len() && runs < self.max_runs {
+                    while start < sched.len() && runs < MAX_RUNS {
                         let end = (start + chunk).min(sched.len());
                         let cand_sched = remove_range(&sched, start, end);
                         let cand = replay(&cand_sched, &cur);
@@ -301,7 +293,7 @@ impl Shrinker {
                 }
                 // Per-process subsequence removal.
                 for p in sched.participants().iter() {
-                    if runs >= self.max_runs {
+                    if runs >= MAX_RUNS {
                         break;
                     }
                     let cand_sched: Schedule = sched.iter().filter(|&q| q != p).collect();
@@ -314,7 +306,7 @@ impl Shrinker {
                         sched = cand_sched;
                     }
                 }
-                if sched.len() == before || runs >= self.max_runs {
+                if sched.len() == before || runs >= MAX_RUNS {
                     break;
                 }
             }

@@ -8,7 +8,8 @@
 use std::sync::OnceLock;
 
 use st_campaign::{
-    Campaign, ChunkControl, FdAbi, FdDetector, OutcomeStore, ScenarioOutcome, StoreEntry, Workload,
+    Campaign, ChunkControl, FdAbi, FdDetector, OutcomeStore, Scenario, ScenarioOutcome, StoreEntry,
+    Workload,
 };
 use st_core::{ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
@@ -22,26 +23,40 @@ fn grid() -> Campaign {
     let universe = Universe::new(4).unwrap();
     let p = ProcSet::from_indices([0]);
     let q = ProcSet::from_indices([0, 1, 2]);
-    Campaign::grid(universe)
-        .generators([
-            GeneratorSpec::set_timely(p, q, 6, GeneratorSpec::seeded_random(0)),
-            GeneratorSpec::RotatingStarvation { k: 1, base: 8 },
-        ])
-        .crash_plans([
+    let workload = Workload::FdConvergence {
+        k: 1,
+        t: 2,
+        policy: TimeoutPolicy::Increment,
+        abi: FdAbi::MachineSlot,
+        detector: FdDetector::SetBased,
+        certify_membership: false,
+    };
+    let mut campaign = Campaign::new();
+    for generator in [
+        GeneratorSpec::set_timely(p, q, 6, GeneratorSpec::seeded_random(0)),
+        GeneratorSpec::RotatingStarvation { k: 1, base: 8 },
+    ] {
+        for (c, plan) in [
             CrashPlan::new(),
             CrashPlan::new().crash(ProcessId::new(3), 2_000),
-        ])
-        .seeds([21, 22, 23])
-        .workload(Workload::FdConvergence {
-            k: 1,
-            t: 2,
-            policy: TimeoutPolicy::Increment,
-            abi: FdAbi::MachineSlot,
-            detector: FdDetector::SetBased,
-            certify_membership: false,
-        })
-        .budget(8_000)
-        .build()
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            let spec = generator.clone().crashed(plan);
+            for seed in [21, 22, 23] {
+                campaign.push(Scenario::new(
+                    format!("w0/{}/crash{c}/seed{seed}", spec.family()),
+                    universe,
+                    spec.clone(),
+                    workload.clone(),
+                    8_000,
+                    seed,
+                ));
+            }
+        }
+    }
+    campaign
 }
 
 /// Campaign, uninterrupted outcomes, and the store `run_resumed` records —

@@ -3,7 +3,7 @@
 //! must produce **byte-identical ordered outcome lists** on a mixed grid —
 //! four generator families × crash/no-crash × four seeds × two workloads.
 
-use st_campaign::{Campaign, FdAbi, FdDetector, ScenarioOutcome, Workload};
+use st_campaign::{Campaign, FdAbi, FdDetector, Scenario, ScenarioOutcome, Workload};
 use st_core::{ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
 use st_sched::{CrashPlan, GeneratorSpec};
@@ -49,13 +49,25 @@ fn mixed_campaign() -> Campaign {
             certify: None,
         },
     ];
-    Campaign::grid(universe)
-        .generators(generators)
-        .crash_plans(crash_axis)
-        .seeds([11, 12, 13, 14])
-        .workloads(workloads)
-        .budget(20_000)
-        .build()
+    let mut campaign = Campaign::new();
+    for (w, workload) in workloads.iter().enumerate() {
+        for generator in &generators {
+            for (c, plan) in crash_axis.iter().enumerate() {
+                let spec = generator.clone().crashed(plan.clone());
+                for seed in [11, 12, 13, 14] {
+                    campaign.push(Scenario::new(
+                        format!("w{w}/{}/crash{c}/seed{seed}", spec.family()),
+                        universe,
+                        spec.clone(),
+                        workload.clone(),
+                        20_000,
+                        seed,
+                    ));
+                }
+            }
+        }
+    }
+    campaign
 }
 
 fn as_bytes(outcomes: &[ScenarioOutcome]) -> Vec<u8> {
@@ -127,12 +139,22 @@ fn fault_campaign() -> Campaign {
             certify: None,
         },
     ];
-    Campaign::grid(universe)
-        .generators(generators)
-        .seeds([21, 22, 23])
-        .workloads(workloads)
-        .budget(20_000)
-        .build()
+    let mut campaign = Campaign::new();
+    for (w, workload) in workloads.iter().enumerate() {
+        for generator in &generators {
+            for seed in [21, 22, 23] {
+                campaign.push(Scenario::new(
+                    format!("w{w}/{}/crash0/seed{seed}", generator.family()),
+                    universe,
+                    generator.clone(),
+                    workload.clone(),
+                    20_000,
+                    seed,
+                ));
+            }
+        }
+    }
+    campaign
 }
 
 #[test]
@@ -194,7 +216,7 @@ fn large_n_campaign() -> Campaign {
                     },
                 ),
             ] {
-                campaign.push(st_campaign::Scenario::new(
+                campaign.push(Scenario::new(
                     format!("n256/{tag}/{drive:?}/seed{seed}"),
                     universe,
                     GeneratorSpec::Bursty { burst },
@@ -224,7 +246,7 @@ fn wide_fd_campaign() -> Campaign {
             FleetReplayDrive::Plain,
             FleetReplayDrive::Soa { slice_len: 64 },
         ] {
-            campaign.push(st_campaign::Scenario::new(
+            campaign.push(Scenario::new(
                 format!("n128/wide-fd/{drive:?}/seed{seed}"),
                 universe,
                 GeneratorSpec::Bursty { burst },

@@ -285,7 +285,7 @@ proptest! {
         let outcome = scenario.run();
         // Not every random filler starves within the budget; only shrink
         // the ones that violate.
-        if let Some(report) = Shrinker::with_max_runs(256).shrink(&scenario, &outcome) {
+        if let Some(report) = Shrinker::new().shrink(&scenario, &outcome) {
             let kind = report.kind;
             prop_assert!(report.shrunk_len <= report.original_len);
             for accepted in &report.accepted {

@@ -90,7 +90,8 @@ fn generous_budget_clears_the_same_scenario() {
 fn campaign_outcomes_carry_violations() {
     // The same fixture through the parallel engine: violations survive the
     // rank-ordered merge.
-    let campaign = Campaign::from_scenarios(vec![starved_scenario()]);
+    let mut campaign = Campaign::new();
+    campaign.push(starved_scenario());
     let outcomes = campaign.run_parallel(4);
     assert_eq!(outcomes.len(), 1);
     assert!(!outcomes[0].violations.is_empty());

@@ -9,7 +9,7 @@ use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use st_campaign::{
-    merge_outcomes, Campaign, FdAbi, FdDetector, OutcomeStore, ScenarioOutcome, Workload,
+    merge_outcomes, Campaign, FdAbi, FdDetector, OutcomeStore, Scenario, ScenarioOutcome, Workload,
 };
 use st_core::{ProcSet, ProcessId, Universe};
 use st_fd::TimeoutPolicy;
@@ -57,13 +57,25 @@ fn mixed_campaign() -> Campaign {
             certify: None,
         },
     ];
-    Campaign::grid(universe)
-        .generators(generators)
-        .crash_plans(crash_axis)
-        .seeds([11, 12, 13, 14])
-        .workloads(workloads)
-        .budget(20_000)
-        .build()
+    let mut campaign = Campaign::new();
+    for (w, workload) in workloads.iter().enumerate() {
+        for generator in &generators {
+            for (c, plan) in crash_axis.iter().enumerate() {
+                let spec = generator.clone().crashed(plan.clone());
+                for seed in [11, 12, 13, 14] {
+                    campaign.push(Scenario::new(
+                        format!("w{w}/{}/crash{c}/seed{seed}", spec.family()),
+                        universe,
+                        spec.clone(),
+                        workload.clone(),
+                        20_000,
+                        seed,
+                    ));
+                }
+            }
+        }
+    }
+    campaign
 }
 
 /// The uninterrupted reference: campaign, its outcomes, and the store an

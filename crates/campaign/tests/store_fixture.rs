@@ -326,18 +326,20 @@ fn rows() -> Vec<Row> {
             None,
         ),
         (
-            Scenario::new(
-                "adversarial/witnessed",
-                u(5),
-                GeneratorSpec::GeneralizedFigure1 {
-                    p: set(&[0, 1]),
-                    q: set(&[2, 3]),
-                },
-                adversarial(Some((set(&[0, 1]), set(&[2, 3])))),
-                30_000,
-                4,
-            )
-            .with_faulty(set(&[4])),
+            Scenario {
+                faulty: set(&[4]),
+                ..Scenario::new(
+                    "adversarial/witnessed",
+                    u(5),
+                    GeneratorSpec::GeneralizedFigure1 {
+                        p: set(&[0, 1]),
+                        q: set(&[2, 3]),
+                    },
+                    adversarial(Some((set(&[0, 1]), set(&[2, 3])))),
+                    30_000,
+                    4,
+                )
+            },
             OutcomeData::Adversarial(AdversarialOutcome {
                 status: RunStatus::Stopped,
                 decided: 4,

@@ -33,7 +33,7 @@ pub type Value = u64;
 /// use st_core::AgreementTask;
 ///
 /// let task = AgreementTask::new(2, 1, 5).unwrap(); // 2-resilient consensus
-/// assert!(task.is_consensus());
+/// assert_eq!(task.k(), 1);
 /// assert_eq!(task.to_string(), "(2,1,5)-agreement");
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -115,21 +115,6 @@ impl AgreementTask {
     /// The process universe `Π_n`.
     pub fn universe(&self) -> Universe {
         Universe::new(self.n).expect("validated at construction")
-    }
-
-    /// `(t, 1, n)`-agreement is t-resilient consensus.
-    pub fn is_consensus(&self) -> bool {
-        self.k == 1
-    }
-
-    /// `(n−1, k, n)`-agreement is the wait-free version.
-    pub fn is_wait_free(&self) -> bool {
-        self.t == self.n - 1
-    }
-
-    /// `(t, n−1, n)`-agreement is t-resilient set agreement.
-    pub fn is_set_agreement(&self) -> bool {
-        self.k == self.n - 1
     }
 
     /// `t < k` makes the task solvable in the asynchronous system by the
@@ -296,9 +281,6 @@ mod tests {
 
     #[test]
     fn special_cases() {
-        assert!(task(2, 1, 4).is_consensus());
-        assert!(task(3, 2, 4).is_wait_free());
-        assert!(task(1, 3, 4).is_set_agreement());
         assert!(task(1, 2, 4).is_trivially_solvable());
         assert!(!task(2, 2, 4).is_trivially_solvable());
     }

@@ -104,12 +104,6 @@ impl<const W: usize> WideProcSet<W> {
     /// [`PROCSET_CAPACITY`](crate::PROCSET_CAPACITY) for `W = 1`.
     pub const CAPACITY: usize = 64 * W;
 
-    /// Creates a set from its raw words (bit `i % 64` of word `i / 64` ⇒
-    /// process `i`).
-    pub fn from_words(words: [u64; W]) -> Self {
-        WideProcSet(words)
-    }
-
     /// Returns the raw words.
     pub fn words(self) -> [u64; W] {
         self.0
@@ -225,14 +219,6 @@ impl<const W: usize> WideProcSet<W> {
         let (w, b) = Self::bit(p);
         let before = self.0[w];
         self.0[w] |= 1u64 << b;
-        self.0[w] != before
-    }
-
-    /// Removes `p` in place; returns whether the set changed.
-    pub fn remove(&mut self, p: ProcessId) -> bool {
-        let (w, b) = Self::bit(p);
-        let before = self.0[w];
-        self.0[w] &= !(1u64 << b);
         self.0[w] != before
     }
 
@@ -494,9 +480,7 @@ mod tests {
         let mut s = ProcSet::EMPTY;
         assert!(s.insert(ProcessId::new(7)));
         assert!(!s.insert(ProcessId::new(7)));
-        assert!(s.remove(ProcessId::new(7)));
-        assert!(!s.remove(ProcessId::new(7)));
-        assert!(s.is_empty());
+        assert!(s.without(ProcessId::new(7)).is_empty());
     }
 
     #[test]
@@ -655,7 +639,8 @@ mod tests {
     #[test]
     fn words_roundtrip() {
         let s = WideProcSet::<3>::from_indices([5, 70, 130]);
-        assert_eq!(WideProcSet::from_words(s.words()), s);
+        // Bit `i % 64` of word `i / 64` is process `i`.
+        assert_eq!(s.words(), [1 << 5, 1 << 6, 1 << 2]);
         assert_eq!(ProcSet::from_bits(0b101).words(), [0b101]);
     }
 }

@@ -22,7 +22,6 @@ pub struct SynchronyProfile {
     /// `best[i-1][j-i]`: the best pair for sizes `(i, j)`, if its bound is
     /// within the cap used at construction.
     best: Vec<Vec<Option<TimelyPair>>>,
-    cap: usize,
 }
 
 impl SynchronyProfile {
@@ -56,21 +55,12 @@ impl SynchronyProfile {
                 }
             }
         }
-        SynchronyProfile {
-            n,
-            best,
-            cap: bound_cap,
-        }
+        SynchronyProfile { n, best }
     }
 
     /// Universe size.
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// The cap used during analysis.
-    pub fn cap(&self) -> usize {
-        self.cap
     }
 
     /// The best witness for sizes `(i, j)`, if any within the cap.

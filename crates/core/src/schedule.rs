@@ -118,33 +118,9 @@ impl Schedule {
         self.steps.iter().filter(|&&q| q == p).count()
     }
 
-    /// Number of steps taken by members of `set`.
-    pub fn occurrences_of_set(&self, set: ProcSet) -> usize {
-        self.steps.iter().filter(|&&q| set.contains(q)).count()
-    }
-
     /// The set of processes that appear at least once.
     pub fn participants(&self) -> ProcSet {
         self.steps.iter().copied().collect()
-    }
-
-    /// The set of processes that appear at least once **after** step index
-    /// `from` (inclusive).
-    ///
-    /// For a finite prefix of an infinite schedule this approximates the set
-    /// of *correct* processes: a process correct in the infinite schedule
-    /// appears in every sufficiently late window, whereas a crashed process
-    /// eventually disappears.
-    pub fn active_after(&self, from: usize) -> ProcSet {
-        self.steps[from.min(self.steps.len())..]
-            .iter()
-            .copied()
-            .collect()
-    }
-
-    /// Step index of the last occurrence of `p`, if any.
-    pub fn last_occurrence(&self, p: ProcessId) -> Option<usize> {
-        self.steps.iter().rposition(|&q| q == p)
     }
 
     /// Per-process step counts, indexed by process index.
@@ -211,7 +187,6 @@ mod tests {
         assert_eq!(s.len(), 5);
         assert_eq!(s.occurrences(ProcessId::new(0)), 3);
         assert_eq!(s.occurrences(ProcessId::new(9)), 0);
-        assert_eq!(s.occurrences_of_set(ProcSet::from_indices([1, 2])), 2);
         assert_eq!(s.participants(), ProcSet::from_indices([0, 1, 2]));
     }
 
@@ -228,22 +203,6 @@ mod tests {
         assert_eq!(c.suffix(2), b);
         assert_eq!(c.prefix(99), c);
         assert!(c.suffix(99).is_empty());
-    }
-
-    #[test]
-    fn active_after_window() {
-        let s = Schedule::from_indices([0, 0, 1, 2, 1, 2]);
-        assert_eq!(s.active_after(2), ProcSet::from_indices([1, 2]));
-        assert_eq!(s.active_after(0), ProcSet::from_indices([0, 1, 2]));
-        assert_eq!(s.active_after(100), ProcSet::EMPTY);
-    }
-
-    #[test]
-    fn last_occurrence() {
-        let s = Schedule::from_indices([0, 1, 0]);
-        assert_eq!(s.last_occurrence(ProcessId::new(0)), Some(2));
-        assert_eq!(s.last_occurrence(ProcessId::new(1)), Some(1));
-        assert_eq!(s.last_occurrence(ProcessId::new(5)), None);
     }
 
     #[test]

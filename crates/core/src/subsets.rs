@@ -277,7 +277,7 @@ impl<const W: usize> Iterator for WideKSubsets<W> {
 
 /// Enumerates `Π^k_n` at width `W` into a vector, in ascending bitmask
 /// order — the wide analogue of [`k_subsets`]. The vector index of each
-/// subset equals its [`wide_rank`].
+/// subset is its rank: [`wide_unrank`] of the index returns it.
 ///
 /// # Examples
 ///
@@ -293,19 +293,8 @@ pub fn wide_k_subsets<const W: usize>(universe: Universe, k: usize) -> Vec<WideP
     WideKSubsets::new(universe, k).collect()
 }
 
-/// Returns the rank of `set` within the ascending-bitmask enumeration of
-/// `Π^k_n` at width `W`, where `k = set.len()` — the wide analogue of
-/// [`rank`], and equal to it for `W = 1`.
-pub fn wide_rank<const W: usize>(set: WideProcSet<W>) -> u64 {
-    let mut r = 0u64;
-    for (i, p) in set.iter().enumerate() {
-        r = r.saturating_add(binomial(p.index(), i + 1));
-    }
-    r
-}
-
-/// Inverse of [`wide_rank`]: returns the `rank`-th size-`k` subset of
-/// `Π_n` at width `W`.
+/// Returns the `rank`-th size-`k` subset of `Π_n` at width `W` — the wide
+/// analogue of [`unrank`], and equal to it for `W = 1`.
 ///
 /// # Panics
 ///
@@ -475,8 +464,8 @@ mod tests {
 
     #[test]
     fn wide_rank_unrank_roundtrip() {
+        // The enumeration index is the rank.
         for (i, s) in WideKSubsets::<2>::new(u(66), 2).enumerate() {
-            assert_eq!(wide_rank(s), i as u64);
             assert_eq!(wide_unrank::<2>(u(66), 2, i as u64), s);
         }
     }

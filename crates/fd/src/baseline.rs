@@ -90,14 +90,6 @@ impl ProcessTimelyDetector {
             expired: Vec::new(),
         }
     }
-
-    /// Shared-memory steps per iteration with `expired` accusations:
-    /// `n²` counter reads + 1 heartbeat write + `n` heartbeat reads +
-    /// `expired` counter writes.
-    pub fn steps_per_iteration(&self, expired: usize) -> u64 {
-        let n = self.universe.n() as u64;
-        n * n + 1 + n + expired as u64
-    }
 }
 
 /// Control state of [`ProcessTimelyMachine`]: the register operation the
@@ -340,10 +332,11 @@ mod tests {
     fn step_cost_formula() {
         let mut sim = Sim::new(Universe::new(3).unwrap());
         let fd = ProcessTimelyDetector::alloc(&mut sim, 1, 1, TimeoutPolicy::Increment);
-        assert_eq!(fd.steps_per_iteration(0), 9 + 1 + 3);
-        // The first iteration expires every timer (all start at 1).
+        // One iteration is n² counter reads + 1 heartbeat write + n
+        // heartbeat reads + one counter write per expiry, and the first
+        // iteration expires every timer (all start at 1).
         let mut fleet: Vec<_> = (0..3).map(|_| fd.machine()).collect();
-        let steps = fd.steps_per_iteration(3);
+        let steps = 9 + 1 + 3 + 3;
         let schedule = st_core::Schedule::from_indices(vec![0usize; steps as usize]);
         sim.run_automata(
             &mut fleet,

@@ -22,7 +22,8 @@ impl TimeoutPolicy {
     }
 
     /// Number of expirations before the timeout reaches at least `target`,
-    /// starting from 1 (used to size experiment budgets).
+    /// starting from 1. Nothing calls it yet: it is the per-set factor of
+    /// the stabilization bound that Theorem 23's armed check is to compute.
     pub fn expirations_to_reach(self, target: u64) -> u64 {
         let mut timeout = 1u64;
         let mut count = 0;

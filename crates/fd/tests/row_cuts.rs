@@ -45,7 +45,7 @@ impl Fleet {
                     .map(|q| self.fd.peek_counter(&self.sim, rank, q)),
             );
         }
-        (values, self.sim.register_stats())
+        (values, self.sim.memory().stats())
     }
 }
 

@@ -24,7 +24,7 @@ fn round_robin(n: usize, len: usize) -> Schedule {
 /// The run's per-register access statistics, checked to be worth
 /// comparing: an empty or all-zero list would make the comparison vacuous.
 fn access_stats(sim: &Sim) -> Vec<RegisterStats> {
-    let stats = sim.register_stats();
+    let stats = sim.memory().stats();
     assert!(
         stats.iter().any(|s| s.reads > 0),
         "no register was ever read"

@@ -6,11 +6,11 @@
 //! with `t` crashes, and measures: steps until every correct process
 //! decided, number of distinct decisions, and the checker verdict.
 //!
-//! The grid is a campaign (`st-campaign`): each row is a [`Scenario`] with
+//! The table is a campaign (`st-campaign`): each row is a [`Scenario`] with
 //! a declarative conforming (optionally crash-decorated) generator spec and
 //! the agreement workload, executed in parallel with a deterministic merge.
-//! The stack is one `KSetAgreementMachine` per automaton slot (what
-//! `AgreementStack` spawns); `BENCHMARK.json`'s
+//! The stack is one `KSetAgreementMachine` per process, in the fleet
+//! `AgreementStack` builds and drives; `BENCHMARK.json`'s
 //! `sim.runner.machine_slot_ns_per_step` on `campaign_batch` is this
 //! grid's cost per step.
 

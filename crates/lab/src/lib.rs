@@ -32,7 +32,7 @@
 //!
 //! # The campaign layer
 //!
-//! E2–E8 no longer hand-roll their grid loops: each builds a
+//! E2–E9 no longer hand-roll their loops: each builds a
 //! `st_campaign::Campaign` of declarative scenarios (generator spec ×
 //! workload × crash plan × seed) and renders its tables from the outcome
 //! list — E5's solvable/adversarial matrix cells and E6's BG reduction

@@ -43,11 +43,6 @@ impl Cycle {
         check_period(&period).unwrap_or_else(|e| panic!("{e}"));
         Cycle { period, pos: 0 }
     }
-
-    /// The period length.
-    pub fn period_len(&self) -> usize {
-        self.period.len()
-    }
 }
 
 impl StepSource for Cycle {
@@ -74,7 +69,6 @@ mod tests {
             src.take_schedule(5),
             Schedule::from_indices([2, 0, 2, 0, 2])
         );
-        assert_eq!(src.period_len(), 2);
     }
 
     #[test]

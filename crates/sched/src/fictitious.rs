@@ -122,11 +122,6 @@ impl FictitiousCrash {
         (p_i, p_i.union(self.crashed))
     }
 
-    /// The system this schedule belongs to.
-    pub fn spec(&self) -> SystemSpec {
-        self.spec
-    }
-
     /// The universe.
     pub fn universe(&self) -> Universe {
         self.spec.universe()

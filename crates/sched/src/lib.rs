@@ -39,7 +39,6 @@ mod faults;
 mod fictitious;
 mod figure1;
 pub mod mutate;
-pub mod policy;
 mod set_timely;
 pub mod spec;
 mod starvation;
@@ -53,7 +52,6 @@ pub use faults::{BurstClog, CrashRecovery, FlappingTimely, GrayFailure, PhaseSeg
 pub use fictitious::FictitiousCrash;
 pub use figure1::{Figure1, GeneralizedFigure1};
 pub use mutate::{SpecMutator, SpecRng};
-pub use policy::TimeoutPolicySpec;
 pub use set_timely::{Eventually, SetTimely};
 pub use spec::GeneratorSpec;
 pub use starvation::RotatingStarvation;

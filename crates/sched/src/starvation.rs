@@ -20,8 +20,8 @@
 //! `(k,k,n)` protocol stack (complete for `S^k_{k+1,n}`) must stall here,
 //! while safety must hold.
 
-use st_core::subsets::{binomial, unrank, wide_unrank};
-use st_core::{ProcSet, ProcessId, StepSource, Universe, MAX_PROCESSES};
+use st_core::subsets::{binomial, wide_unrank};
+use st_core::{ProcessId, StepSource, Universe, MAX_PROCESSES};
 
 /// What the adversary needs over `n` processes: `1 ≤ k < n` (starving
 /// everything leaves no one to run) and a positive base epoch.
@@ -91,16 +91,6 @@ impl RotatingStarvation {
         2 * (self.universe.n() - self.k) - 1
     }
 
-    /// The subset starved during epoch `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when that subset has a member a [`ProcSet`] cannot name (the
-    /// schedule itself is defined for every universe).
-    pub fn starved_in_epoch(&self, e: u64) -> ProcSet {
-        unrank(self.universe, self.k, self.starved_rank(e))
-    }
-
     fn starved_rank(&self, e: u64) -> u64 {
         e % binomial(self.universe.n(), self.k)
     }
@@ -139,8 +129,9 @@ impl StepSource for RotatingStarvation {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use st_core::subsets::KSubsets;
+    use st_core::subsets::{unrank, KSubsets};
     use st_core::timeliness::{empirical_bound, max_q_steps_in_p_free_interval};
+    use st_core::ProcSet;
 
     fn u(n: usize) -> Universe {
         Universe::new(n).unwrap()
@@ -206,7 +197,7 @@ mod tests {
         let gen = RotatingStarvation::new(u(4), 2);
         let mut seen = std::collections::BTreeSet::new();
         for e in 0..binomial(4, 2) {
-            seen.insert(gen.starved_in_epoch(e));
+            seen.insert(unrank(gen.universe, gen.k, gen.starved_rank(e)));
         }
         assert_eq!(seen.len() as u64, binomial(4, 2));
     }

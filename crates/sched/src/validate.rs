@@ -2,9 +2,10 @@
 //!
 //! Generators in this crate make *constructive* claims ("this output is in
 //! `S^i_{j,n}`", "no size-`k` set is timely here"). These helpers turn those
-//! claims into checkable evidence over finite prefixes, and are used both by
-//! this crate's tests and by the experiment harness to certify workloads
-//! before measuring protocols on them.
+//! claims into checkable evidence over finite prefixes. They are test
+//! oracles: the generator-contract and streamed-run suites certify every
+//! family's claim with them. (A scenario certifies its own schedule through
+//! `st_core::timeliness` directly.)
 
 use st_core::subsets::KSubsets;
 use st_core::timeliness::{empirical_bound, max_q_steps_in_p_free_interval};
@@ -50,27 +51,6 @@ pub fn min_starvation_evidence(s: &Schedule, universe: Universe, k: usize, q_siz
         }
     }
     min_evidence
-}
-
-/// Convenience: the evidence of [`min_starvation_evidence`] computed on two
-/// nested prefixes, certifying both magnitude and growth.
-///
-/// Returns `(evidence_short, evidence_long)`.
-pub fn starvation_growth<S: StepSource>(
-    gen: &mut S,
-    short_len: usize,
-    long_len: usize,
-    universe: Universe,
-    k: usize,
-    q_size: usize,
-) -> (usize, usize) {
-    assert!(short_len < long_len, "short prefix must be shorter");
-    let long = gen.take_schedule(long_len);
-    let short = long.prefix(short_len);
-    (
-        min_starvation_evidence(&short, universe, k, q_size),
-        min_starvation_evidence(&long, universe, k, q_size),
-    )
 }
 
 /// Certifies that `p` takes no step at schedule positions in `[from, to)` —
@@ -170,8 +150,9 @@ mod tests {
 
     #[test]
     fn starvation_evidence_grows_for_adversary() {
-        let mut gen = RotatingStarvation::new(u(4), 1);
-        let (short, long) = starvation_growth(&mut gen, 3_000, 40_000, u(4), 1, 2);
+        let long = RotatingStarvation::new(u(4), 1).take_schedule(40_000);
+        let short = min_starvation_evidence(&long.prefix(3_000), u(4), 1, 2);
+        let long = min_starvation_evidence(&long, u(4), 1, 2);
         assert!(short >= 1);
         assert!(long > short, "evidence must grow: {short} vs {long}");
     }

@@ -390,8 +390,8 @@ mod tests {
     use crate::test_support::{self, soup, truncations};
     use proptest::prelude::*;
     use st_campaign::{
-        policy_from_spec, Campaign, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive,
-        GeneratorSpec, Scenario, TimeoutPolicySpec, Workload,
+        Campaign, CertifyTimely, FdAbi, FdDetector, FleetReplayDrive, GeneratorSpec, Scenario,
+        TimeoutPolicy, Workload,
     };
     use st_core::Json;
     use st_core::Universe;
@@ -455,7 +455,7 @@ mod tests {
                 Workload::FdConvergence {
                     k: 1,
                     t: 1,
-                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    policy: TimeoutPolicy::Increment,
                     abi: FdAbi::MachineSlot,
                     detector: FdDetector::SetBased,
                     certify_membership: false,
@@ -1137,7 +1137,7 @@ mod tests {
                     t,
                     k,
                     inputs: vec![1, 2, 3, 4],
-                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    policy: TimeoutPolicy::Increment,
                     precrashed: st_core::ProcSet::EMPTY,
                     witness: None,
                 },
@@ -1185,7 +1185,7 @@ mod tests {
             campaign.push(foreign("foreign", workload));
             campaign
         };
-        let policy = policy_from_spec(TimeoutPolicySpec::Increment);
+        let policy = TimeoutPolicy::Increment;
         let agreement = |inputs: Vec<u64>| Workload::Agreement {
             t: 1,
             k: 1,
@@ -1247,7 +1247,7 @@ mod tests {
                     t: 1,
                     k: 1,
                     inputs: (0..n as u64).collect(),
-                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    policy: TimeoutPolicy::Increment,
                     certify: Some(CertifyTimely {
                         i: 1,
                         j: 2,
@@ -1293,7 +1293,7 @@ mod tests {
     #[test]
     fn submit_refuses_protocol_parameters_the_worker_would_panic_on() {
         let mut core = core_with("st-serve-protocol-spec-test", 10);
-        let policy = policy_from_spec(TimeoutPolicySpec::Increment);
+        let policy = TimeoutPolicy::Increment;
         let with = |workload: Workload| {
             let mut campaign = tiny_campaign(0..1);
             campaign.push(Scenario::new(
@@ -1428,7 +1428,7 @@ mod tests {
                 generator,
                 Workload::LeanConvergence {
                     t,
-                    policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                    policy: TimeoutPolicy::Increment,
                     drive: FleetReplayDrive::Plain,
                 },
                 1_000,

@@ -16,10 +16,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use st_campaign::{
-    policy_from_spec, Campaign, FdAbi, FdDetector, GeneratorSpec, Scenario, TimeoutPolicySpec,
-    Workload,
-};
+use st_campaign::{Campaign, FdAbi, FdDetector, GeneratorSpec, Scenario, TimeoutPolicy, Workload};
 use st_core::frame::{read_frame_text, write_frame_text};
 use st_core::Universe;
 use st_serve::protocol::{campaign_entries, read_request, Envelope, Request};
@@ -94,7 +91,7 @@ fn reading_a_submit_frame_makes_the_pinned_allocations_per_entry() {
             Workload::FdConvergence {
                 k: 1,
                 t: 1,
-                policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                policy: TimeoutPolicy::Increment,
                 abi: FdAbi::MachineSlot,
                 detector: FdDetector::SetBased,
                 certify_membership: false,

@@ -12,8 +12,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use st_campaign::{
-    policy_from_spec, Campaign, FdAbi, FdDetector, GeneratorSpec, OutcomeStore, Scenario,
-    TimeoutPolicySpec, Workload,
+    Campaign, FdAbi, FdDetector, GeneratorSpec, OutcomeStore, Scenario, TimeoutPolicy, Workload,
 };
 use st_core::frame::{read_frame, write_frame, write_frame_text};
 use st_core::{Json, Universe};
@@ -42,7 +41,7 @@ fn fd_campaign() -> Campaign {
             Workload::FdConvergence {
                 k: 1,
                 t: 1,
-                policy: policy_from_spec(TimeoutPolicySpec::Increment),
+                policy: TimeoutPolicy::Increment,
                 abi: FdAbi::MachineSlot,
                 detector: FdDetector::SetBased,
                 certify_membership: false,

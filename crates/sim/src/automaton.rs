@@ -235,8 +235,8 @@ impl<'a> StepAccess<'a> {
     }
 
     /// [`read_word`](Self::read_word) of the register allocated `offset`
-    /// slots after `base` — the register-*array* scan primitive. Arrays from
-    /// [`Sim::alloc_array`](crate::Sim::alloc_array) /
+    /// slots after `base` — the register-*array* scan primitive. Blocks from
+    /// [`Sim::alloc_block`](crate::Sim::alloc_block) /
     /// [`Sim::alloc_per_process`](crate::Sim::alloc_per_process) (and any
     /// back-to-back allocation sequence) are contiguous, so a scanning
     /// automaton can keep one base handle and a counter instead of loading

@@ -61,8 +61,8 @@
 //! reads outnumber writes `n·|Π^k_n|` to 1 in Figure 2). What is **on
 //! demand**: names. [`Memory::name`] searches the same table and runs the
 //! recipe; only the [`SimError`] constructors (a protocol bug is being
-//! reported), [`Memory::stats`] and tests ever call it, so a run that
-//! reports no error and asks for no statistics formats nothing.
+//! reported) and tests ever call it, so a run that reports no error
+//! formats nothing — [`Memory::stats`] included, which reports indices.
 //!
 //! # What is type-checked
 //!
@@ -174,11 +174,10 @@ impl Default for Memory {
     }
 }
 
-/// Per-register access statistics, reported after a run.
+/// Per-register access statistics, reported after a run. The register's
+/// name is [`Memory::name`]`(index)`, formatted only when asked.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RegisterStats {
-    /// Name given at allocation.
-    pub name: String,
     /// Arena index of the register's first word: its handle's
     /// [`index`](Reg::index).
     pub index: usize,
@@ -474,7 +473,7 @@ impl Memory {
 
     /// Name of the register arena word `index` belongs to, formatted now
     /// from its block's recipe (see the module docs): cold by design —
-    /// error paths, statistics and tests.
+    /// error paths and tests.
     ///
     /// # Errors
     ///
@@ -495,22 +494,18 @@ impl Memory {
     }
 
     /// Access statistics for all registers, one entry per register in
-    /// allocation order. Formats every name: O(registers) allocations, paid
-    /// only by callers that ask.
+    /// allocation order. Formats no name: one allocation, the vector.
     pub fn stats(&self) -> Vec<RegisterStats> {
         let ends = self.blocks.iter().skip(1).map(|b| b.start);
         let ends = ends.chain([self.values.len()]);
         self.blocks
             .iter()
             .zip(ends)
-            .flat_map(|(block, end)| {
-                let firsts = (block.start..end).step_by(block.width).enumerate();
-                firsts.map(|(i, index)| RegisterStats {
-                    name: (block.name)(i),
-                    index,
-                    writes: self.writes[index],
-                    reads: self.reads[index],
-                })
+            .flat_map(|(block, end)| (block.start..end).step_by(block.width))
+            .map(|index| RegisterStats {
+                index,
+                writes: self.writes[index],
+                reads: self.reads[index],
             })
             .collect()
     }
@@ -626,7 +621,7 @@ mod tests {
         let stats: Vec<(String, usize, u64, u64)> = m
             .stats()
             .into_iter()
-            .map(|s| (s.name, s.index, s.reads, s.writes))
+            .map(|s| (m.name(s.index).unwrap(), s.index, s.reads, s.writes))
             .collect();
         let want = [("w0", 0, 1, 0), ("b0", 1, 1, 1), ("w1", 3, 1, 1)];
         let want = want.map(|(n, i, r, w)| (n.to_string(), i, r, w)).to_vec();
@@ -764,7 +759,10 @@ mod tests {
         assert_eq!(m.name(after.index()).unwrap(), "after");
         let stats = m.stats();
         assert_eq!(stats.len(), 6);
-        assert_eq!((stats[3].name.as_str(), stats[3].writes), ("row[2]", 1));
+        assert_eq!(
+            (m.name(stats[3].index).unwrap(), stats[3].writes),
+            ("row[2]".into(), 1)
+        );
     }
 
     #[test]
@@ -794,10 +792,10 @@ mod tests {
         let stats = m.stats();
         let counts: Vec<(u64, u64)> = stats[..3].iter().map(|s| (s.reads, s.writes)).collect();
         assert_eq!(counts, [(0, 0), (1, 1), (1, 0)]);
-        assert_eq!(stats[2].name, "early[2]");
+        assert_eq!(m.name(stats[2].index).unwrap(), "early[2]");
         assert!(stats[3..]
             .iter()
-            .all(|s| (s.reads, s.writes) == (0, 0) && s.name != "early[2]"));
+            .all(|s| (s.reads, s.writes) == (0, 0) && m.name(s.index).unwrap() != "early[2]"));
         assert!((0..64).all(|i| m.peek(late.at(i)).unwrap() == 0));
         // The early block's rule still guards it, the late block's its own:
         // a foreign write into the middle of either names owner and cell.

@@ -11,7 +11,7 @@ use st_core::{AgreementOutcome, ProcSet, ProcessId, Schedule, StepSource, Univer
 
 use crate::automaton::{Automaton, Status, StepAccess};
 use crate::error::SimError;
-use crate::memory::{Memory, RegisterStats};
+use crate::memory::Memory;
 use crate::register::{Reg, RegValue, WriteDiscipline};
 use crate::soa::{Allotment, BatchAccess};
 use crate::trace::{Decision, ProbeEvent, ProbeLog, TraceInner};
@@ -273,18 +273,6 @@ impl Sim {
         name: impl Fn(usize) -> String + 'static,
     ) -> Reg<T> {
         self.memory.alloc_block(count, init, discipline, name)
-    }
-
-    /// Allocates `count` multi-writer registers named `name[0..count]`.
-    pub fn alloc_array<T: RegValue>(&mut self, name: &str, count: usize, init: T) -> Vec<Reg<T>> {
-        let name = name.to_owned();
-        let base = self.alloc_block(
-            count,
-            init,
-            |_| WriteDiscipline::MultiWriter,
-            move |i| format!("{name}[{i}]"),
-        );
-        (0..count).map(|i| base.at(i)).collect()
     }
 
     /// Allocates one single-writer register per process, `name[p]` owned by
@@ -707,7 +695,8 @@ impl Sim {
     /// Snapshot of the current trace: decisions, completion flags, probes
     /// and per-process operation counts. Cost is O(n + probes) and
     /// independent of the number of registers — per-register statistics are
-    /// a separate, on-demand query, [`register_stats`](Self::register_stats).
+    /// a separate, on-demand query, [`Memory::stats`] through
+    /// [`memory`](Self::memory).
     pub fn report(&self) -> RunReport {
         RunReport {
             steps: self.steps,
@@ -718,15 +707,11 @@ impl Sim {
         }
     }
 
-    /// Per-register access statistics (name, completed reads and writes),
-    /// in allocation order. Computed when asked: every register's name is
-    /// formatted from its block's recipe here, so this costs one `String`
-    /// per register — which is why it is not part of
-    /// [`report`](Self::report). Differential tests compare it across
-    /// drives, and to the transcription fixture; no production path calls
-    /// it.
-    pub fn register_stats(&self) -> Vec<RegisterStats> {
-        self.memory.stats()
+    /// The register arena, read-only: its per-register
+    /// [`stats`](Memory::stats) and [`name`](Memory::name)s are how tests
+    /// observe what a run did to shared memory.
+    pub fn memory(&self) -> &Memory {
+        &self.memory
     }
 }
 

@@ -20,7 +20,9 @@ const N: usize = 3;
 /// and each machine finishes after `limit` rounds.
 fn scan_sim(limit: u64) -> (Sim, Vec<SumScan>, Vec<Reg<u64>>) {
     let mut sim = Sim::new(Universe::new(N).unwrap());
-    let cells = sim.alloc_array("cell", N + 1, 1u64);
+    let cells = (0..N + 1)
+        .map(|i| sim.alloc(format!("cell[{i}]"), 1u64))
+        .collect::<Vec<_>>();
     let fleet = (0..N)
         .map(|i| SumScan::new(cells[0], cells[i], N + 1, limit))
         .collect();
@@ -41,7 +43,7 @@ fn observable(sim: &Sim) -> impl PartialEq + std::fmt::Debug {
         (report.steps, report.decisions, report.finished),
         report.probes.events().to_vec(),
         report.op_counts,
-        sim.register_stats(),
+        sim.memory().stats(),
     )
 }
 

@@ -128,7 +128,9 @@ fn probes_pause_and_stop_conditions() {
 #[test]
 fn crash_freezes_machine() {
     let mut sim = Sim::new(universe(2));
-    let regs = sim.alloc_array("x", 2, 0u64);
+    let regs = (0..2)
+        .map(|i| sim.alloc(format!("x[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<CountUp> = regs
         .iter()
         .map(|&reg| CountUp {
@@ -153,7 +155,9 @@ fn crash_freezes_machine() {
 fn fleet_runner_matches_slot_semantics() {
     let n = 3;
     let mut sim = Sim::new(universe(n));
-    let regs = sim.alloc_array("c", n, 0u64);
+    let regs = (0..n)
+        .map(|i| sim.alloc(format!("c[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<CountUp> = regs
         .iter()
         .enumerate()
@@ -189,7 +193,9 @@ fn replay_drive_equals_cursor_drive() {
     let schedule = Schedule::from_indices((0..40).map(|s| s % n));
     let run = |replay: bool| {
         let mut sim = Sim::new(universe(n));
-        let regs = sim.alloc_array("c", n, 0u64);
+        let regs = (0..n)
+            .map(|i| sim.alloc(format!("c[{i}]"), 0u64))
+            .collect::<Vec<_>>();
         let mut fleet: Vec<CountUp> = (0..n)
             .map(|i| CountUp {
                 reg: regs[i],
@@ -248,7 +254,9 @@ fn out_of_universe_schedule_is_a_typed_error() {
 
     // Replay drives validate the whole prefix up front: nothing executes.
     let mut sim = Sim::new(universe(n));
-    let regs = sim.alloc_array("c", n, 0u64);
+    let regs = (0..n)
+        .map(|i| sim.alloc(format!("c[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<CountUp> = (0..n)
         .map(|i| CountUp {
             reg: regs[i],
@@ -322,7 +330,9 @@ fn drive(entry: Entry, schedule: &Schedule, cfg: RunConfig) -> Observed {
     let shared: Vec<Reg<u64>> = (0..SCAN_WORDS)
         .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
         .collect();
-    let outs = sim.alloc_array("out", n, 0u64);
+    let outs = (0..n)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<SumScan> = [2, 5, 100]
         .iter()
         .zip(&outs)
@@ -370,7 +380,7 @@ fn observe(
             .collect(),
         finished: (0..n).map(|i| sim.is_finished(pid(i))).collect(),
         outs: outs.iter().map(|&r| sim.peek(r)).collect(),
-        register_stats: sim.register_stats(),
+        register_stats: sim.memory().stats(),
     }
 }
 
@@ -502,8 +512,12 @@ fn mixed_run<A: Automaton>(
 ) -> Observed {
     let n = 4;
     let mut sim = Sim::new(universe(n));
-    let shared = sim.alloc_array("shared", SCAN_WORDS, 3u64);
-    let outs = sim.alloc_array("out", n, 0u64);
+    let shared = (0..SCAN_WORDS)
+        .map(|i| sim.alloc(format!("shared[{i}]"), 3u64))
+        .collect::<Vec<_>>();
+    let outs = (0..n)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<A> = [2, 5, 3, 100]
         .iter()
         .zip(&outs)

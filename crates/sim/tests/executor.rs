@@ -415,8 +415,12 @@ fn out_of_universe_step_mid_block_runs_the_steps_before_it() {
     let n = SOA_DELEGATE_BELOW_N;
     let build = || {
         let mut sim = Sim::new(universe(n));
-        let shared = sim.alloc_array("shared", 8, 3u64);
-        let outs = sim.alloc_array("out", n, 0u64);
+        let shared = (0..8)
+            .map(|i| sim.alloc(format!("shared[{i}]"), 3u64))
+            .collect::<Vec<_>>();
+        let outs = (0..n)
+            .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+            .collect::<Vec<_>>();
         let fleet: Vec<SumScan> = (0..n)
             .map(|i| SumScan::new(shared[0], outs[i], 8, 1_000))
             .collect();

@@ -69,7 +69,9 @@ fn arena(n: usize) -> (Sim, Reg<u64>, Vec<Reg<u64>>) {
     let shared: Vec<Reg<u64>> = (0..SCAN_WORDS)
         .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
         .collect();
-    let outs = sim.alloc_array("out", n, 0u64);
+    let outs = (0..n)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     (sim, shared[0], outs)
 }
 
@@ -97,7 +99,7 @@ fn observe(sim: &Sim, outs: &[Reg<u64>]) -> Observed {
             .collect(),
         finished: report.finished,
         outs: outs.iter().map(|&r| sim.peek(r)).collect(),
-        register_stats: sim.register_stats(),
+        register_stats: sim.memory().stats(),
     }
 }
 

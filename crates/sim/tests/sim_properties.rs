@@ -60,7 +60,7 @@ proptest! {
             prop_assert_eq!(&memory.name(i).unwrap(), want);
         }
         prop_assert!(memory.name(eager.len()).is_err());
-        let stats: Vec<String> = memory.stats().into_iter().map(|s| s.name).collect();
+        let stats: Vec<String> = memory.stats().iter().map(|s| memory.name(s.index).unwrap()).collect();
         prop_assert_eq!(stats, eager);
     }
 

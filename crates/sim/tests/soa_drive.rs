@@ -43,7 +43,9 @@ fn build_with_short(
     let shared: Vec<Reg<u64>> = (0..m)
         .map(|i| sim.alloc(format!("shared{i}"), 10 + i as u64))
         .collect();
-    let outs = sim.alloc_array("out", n, 0u64);
+    let outs = (0..n)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let fleet = (0..n)
         .map(|i| {
             let words = if short == Some(i) { m - 2 } else { m };
@@ -57,7 +59,7 @@ fn build_with_short(
 /// register stats, and the output registers.
 fn observe(sim: &Sim, outs: &[Reg<u64>]) -> (u64, Vec<String>, String, Vec<u64>, String, Vec<u64>) {
     let rep = sim.report();
-    let stats = sim.register_stats();
+    let stats = sim.memory().stats();
     // A run that read nothing would compare statistics vacuously.
     assert!(
         stats.iter().any(|s| s.reads > 0),
@@ -199,8 +201,12 @@ fn soa_drive_finished_machines_idle() {
     let run = |soa: bool| {
         let u = universe(n);
         let mut sim = Sim::new(u);
-        let shared = sim.alloc_array("shared", 3, 7u64);
-        let outs = sim.alloc_array("out", n, 0u64);
+        let shared = (0..3)
+            .map(|i| sim.alloc(format!("shared[{i}]"), 7u64))
+            .collect::<Vec<_>>();
+        let outs = (0..n)
+            .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+            .collect::<Vec<_>>();
         let mut fleet = vec![
             SumScan::new(shared[0], outs[0], 3, 1),
             SumScan::new(shared[0], outs[1], 3, 20),
@@ -299,8 +305,12 @@ fn soa_round_window_batches_whole_scans() {
     let (n, m) = (64usize, 40usize);
     let scans = |i: usize| if i == 0 { 1 } else { 3 };
     let mut sim = Sim::new(universe(n));
-    let shared = sim.alloc_array("shared", m, 7u64);
-    let outs = sim.alloc_array("out", n, 0u64);
+    let shared = (0..m)
+        .map(|i| sim.alloc(format!("shared[{i}]"), 7u64))
+        .collect::<Vec<_>>();
+    let outs = (0..n)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<SumScan> = (0..n)
         .map(|i| SumScan::new(shared[0], outs[i], m, scans(i) as u64))
         .collect();
@@ -334,8 +344,12 @@ fn soa_interleaved_with_finished_machines_equals_plain() {
     let run = |batched: bool| {
         let u = universe(n);
         let mut sim = Sim::new(u);
-        let shared = sim.alloc_array("shared", 5, 3u64);
-        let outs = sim.alloc_array("out", n, 0u64);
+        let shared = (0..5)
+            .map(|i| sim.alloc(format!("shared[{i}]"), 3u64))
+            .collect::<Vec<_>>();
+        let outs = (0..n)
+            .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+            .collect::<Vec<_>>();
         // p0 decides after one round; the others keep scanning.
         let mut fleet: Vec<SumScan> = (0..n)
             .map(|i| SumScan::new(shared[0], outs[i], 5, if i == 0 { 1 } else { 15 }))
@@ -472,8 +486,12 @@ fn a_read_run_into_a_write_is_refused() {
 fn fleet_drives_accept_unspawned_sim() {
     let sched = Schedule::from_indices([0usize, 1, 0, 1]);
     let mut sim = Sim::new(universe(2));
-    let shared = sim.alloc_array("shared", 2, 1u64);
-    let outs = sim.alloc_array("out", 2, 0u64);
+    let shared = (0..2)
+        .map(|i| sim.alloc(format!("shared[{i}]"), 1u64))
+        .collect::<Vec<_>>();
+    let outs = (0..2)
+        .map(|i| sim.alloc(format!("out[{i}]"), 0u64))
+        .collect::<Vec<_>>();
     let mut fleet: Vec<SumScan> = (0..2)
         .map(|i| SumScan::new(shared[0], outs[i], 2, 1))
         .collect();

@@ -56,7 +56,7 @@ pub use st_agreement as agreement;
 /// The BG simulation substrate (re-export of `st-bgsim`).
 pub use st_bgsim as bgsim;
 
-/// The scenario-campaign engine: declarative scenario grids executed in
+/// The scenario-campaign engine: declarative scenario lists executed in
 /// parallel with a deterministic merge (re-export of `st-campaign`).
 pub use st_campaign as campaign;
 

@@ -513,7 +513,9 @@ fn fnv1a(mut hash: u64, bytes: &[u8]) -> u64 {
 /// stepped on by whole registers.
 fn handle<T: RegValue + Default>(first: usize) -> Reg<T> {
     let mut sim = Sim::new(universe(1));
-    sim.alloc_array("pad", first % T::WORDS, 0u64);
+    for _ in 0..first % T::WORDS {
+        sim.alloc("pad", 0u64);
+    }
     sim.alloc("base", T::default()).at(first / T::WORDS)
 }
 
@@ -549,17 +551,18 @@ fn observe(label: &str, sim: &Sim, status: RunStatus) -> Json {
         }
         panic!("register at word {first} holds a type the fixture does not know");
     };
-    let stats = sim.register_stats();
+    let stats = sim.memory().stats();
     let mut digest = FNV_OFFSET;
     let mut touched = Vec::new();
     for (i, s) in stats.iter().enumerate() {
         let value = contents(s.index);
-        let line = format!("{}\t{}\t{}\t{}\n", s.name, s.reads, s.writes, value);
+        let name = sim.memory().name(s.index).unwrap();
+        let line = format!("{}\t{}\t{}\t{}\n", name, s.reads, s.writes, value);
         digest = fnv1a(digest, line.as_bytes());
         if s.reads + s.writes > 0 {
             touched.push(Json::arr([
                 Json::U64(i as u64),
-                Json::str(s.name.clone()),
+                Json::str(name),
                 Json::U64(s.reads),
                 Json::U64(s.writes),
                 Json::str(value),
